@@ -2,9 +2,9 @@
 
 Each ``bench_*.py`` regenerates one of the paper's tables or figures on
 the ``tiny`` scale preset and asserts its qualitative shape, while
-pytest-benchmark records how long the regeneration takes.  The recorded
-medium-scale numbers live in EXPERIMENTS.md (produced by
-``python -m repro.experiments.run_all --preset small``).
+pytest-benchmark records how long the regeneration takes.  The committed
+wall-clock and per-layer numbers live in the perf ledger (see
+``benchmarks/ledger/README.md``; ``python -m benchmarks.ledger``).
 
 Simulations are deterministic and relatively slow (hundreds of ms to
 seconds), so every benchmark uses ``benchmark.pedantic`` with a single

@@ -41,6 +41,7 @@ API_MODULES = (
     "repro.engine.churn",
     "repro.engine.failures",
     "repro.engine.adaptive",
+    "repro.engine.reconfig",
     "repro.engine.results",
     "repro.core.dissemination.base",
     "repro.core.dissemination.filtering",

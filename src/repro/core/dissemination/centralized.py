@@ -50,23 +50,16 @@ class CentralizedPolicy(DisseminationPolicy):
     def register_edge(
         self, parent: int, child: int, item_id: int, c_serve: float, initial_value: float
     ) -> None:
+        self.unregister_edge(parent, child, item_id)  # re-registration replaces
         c = quantise_tolerance(c_serve)
         self._edge_c[(parent, child, item_id)] = c
         self._tagger.add_tolerance(item_id, c, initial_value)
 
     def unregister_edge(self, parent: int, child: int, item_id: int) -> None:
         c = self._edge_c.pop((parent, child, item_id), None)
-        if c is None:
-            return
-        # Drop the tolerance from the source's unique list only when no
-        # remaining edge for the item still serves at it -- the source
-        # tracks tolerances that exist *anywhere* in the network.
-        still_served = any(
-            cc == c
-            for (_p, _ch, it), cc in self._edge_c.items()
-            if it == item_id
-        )
-        if not still_served:
+        if c is not None:
+            # The tagger counts edges per tolerance: the source's unique
+            # list drops it only when no edge anywhere still serves at it.
             self._tagger.remove_tolerance(item_id, c)
 
     def unique_tolerances(self, item_id: int) -> list[float]:

@@ -279,29 +279,40 @@ class SourceTagger:
         self._unique_cs: dict[int, list[float]] = {}
         # item -> {tolerance -> last value disseminated for it}.
         self._last_sent: dict[int, dict[float, float]] = {}
+        # (item, tolerance) -> number of edges serving at it.
+        self._edges: dict[tuple[int, float], int] = {}
 
     def add_tolerance(self, item_id: int, c: float, initial_value: float) -> None:
-        """Declare that somewhere in the network ``item_id`` is served at
-        (quantised) tolerance ``c``.  Idempotent per (item, tolerance)."""
+        """Declare one more edge serving ``item_id`` at (quantised)
+        tolerance ``c``.
+
+        Call once per edge: the tagger counts them, so the tolerance
+        stays in the unique list until :meth:`remove_tolerance` has been
+        called as many times.  Only the first edge at a tolerance
+        installs ``initial_value`` as its last-sent value.
+        """
         validate_tolerance(c, "source-tagger tolerance")
         c = quantise_tolerance(c)
-        cs = self._unique_cs.setdefault(item_id, [])
-        sent = self._last_sent.setdefault(item_id, {})
-        if c not in sent:
+        count = self._edges.get((item_id, c), 0)
+        self._edges[(item_id, c)] = count + 1
+        if not count:
+            cs = self._unique_cs.setdefault(item_id, [])
             cs.append(c)
             cs.sort()
-            sent[c] = initial_value
+            self._last_sent.setdefault(item_id, {})[c] = initial_value
 
     def remove_tolerance(self, item_id: int, c: float) -> None:
-        """Forget one (item, tolerance) pair -- the caller has verified no
-        remaining edge serves the item at it.  Idempotent."""
+        """One edge serving ``item_id`` at tolerance ``c`` is gone; the
+        tolerance is forgotten when that was the last one.  Unknown
+        pairs are ignored."""
         c = quantise_tolerance(c)
-        cs = self._unique_cs.get(item_id)
-        if cs is not None and c in cs:
-            cs.remove(c)
-        sent = self._last_sent.get(item_id)
-        if sent is not None:
-            sent.pop(c, None)
+        count = self._edges.get((item_id, c), 0)
+        if count > 1:
+            self._edges[(item_id, c)] = count - 1
+        elif count:
+            del self._edges[(item_id, c)]
+            self._unique_cs[item_id].remove(c)
+            del self._last_sent[item_id][c]
 
     def unique_tolerances(self, item_id: int) -> list[float]:
         """The per-item state: ascending unique tolerances."""
@@ -335,65 +346,77 @@ class ArraySourceTagger:
     tolerance (the last violated entry of an ascending array) and the
     value is marked sent for every tolerance the tag covers.
 
-    The population step builds it once from the scalar policy's
-    registered state (:meth:`~repro.core.dissemination.centralized.
-    CentralizedPolicy.unique_tolerances`), keeping the scalar path the
-    single source of truth for what exists in the network;
-    :meth:`add_tolerance` / :meth:`remove_tolerance` exist only so
-    failure-driven reconfigurations (backup-parent failover) can replay
-    the scalar :class:`SourceTagger`'s add/remove transitions exactly.
+    Like the scalar tagger it counts the edges serving at each
+    tolerance, so reconfigurations call :meth:`add_tolerance` /
+    :meth:`remove_tolerance` once per wired / torn-down edge and the
+    unique list follows.
     """
 
     def __init__(self) -> None:
-        # item -> (ascending quantised tolerances, parallel last-sent values)
-        self._state: dict[int, tuple["np.ndarray", "np.ndarray"]] = {}
+        # item -> (ascending quantised tolerances, parallel last-sent
+        # values, parallel serving-edge counts)
+        self._state: dict[
+            int, tuple["np.ndarray", "np.ndarray", "np.ndarray"]
+        ] = {}
 
     def add_item(
-        self, item_id: int, unique_cs: list[float], initial_value: float
+        self, item_id: int, tolerances: list[float], initial_value: float
     ) -> None:
-        """Install one item's ascending unique-tolerance list."""
-        cs = np.asarray(unique_cs, dtype=np.float64)
-        if cs.size and np.any(np.diff(cs) <= 0):
-            raise DisseminationError(
-                f"unique tolerances for item {item_id} must be strictly ascending"
-            )
-        self._state[item_id] = (cs, np.full(cs.size, initial_value))
+        """Install one item from its edges' tolerances, one entry per
+        edge in any order (repeats are what gets counted)."""
+        cs, counts = np.unique(
+            [quantise_tolerance(c) for c in tolerances], return_counts=True
+        )
+        self._state[item_id] = (cs, np.full(cs.size, initial_value), counts)
 
     def add_tolerance(self, item_id: int, c: float, initial_value: float) -> None:
-        """Insert one (quantised) tolerance; idempotent, like
-        :meth:`SourceTagger.add_tolerance` (an existing entry keeps its
-        last-sent value)."""
+        """One more edge serves at (quantised) ``c``; a new tolerance
+        starts from ``initial_value``, an existing entry keeps its
+        last-sent value -- like :meth:`SourceTagger.add_tolerance`."""
         c = quantise_tolerance(c)
-        cs, sent = self._state.get(
-            item_id, (np.empty(0, dtype=np.float64), np.empty(0))
+        cs, sent, counts = self._state.get(
+            item_id,
+            (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)),
         )
         idx = int(np.searchsorted(cs, c))
         if idx < cs.size and cs[idx] == c:
+            counts[idx] += 1
             return
         self._state[item_id] = (
             np.insert(cs, idx, c),
             np.insert(sent, idx, initial_value),
+            np.insert(counts, idx, 1),
         )
 
     def remove_tolerance(self, item_id: int, c: float) -> None:
-        """Forget one (item, tolerance) pair; idempotent, like
-        :meth:`SourceTagger.remove_tolerance`."""
+        """One edge serving at ``c`` is gone; forget the tolerance when
+        it was the last -- like :meth:`SourceTagger.remove_tolerance`."""
         c = quantise_tolerance(c)
-        state = self._state.get(item_id)
-        if state is None:
-            return
-        cs, sent = state
+        cs, sent, counts = self._state.get(item_id, (np.empty(0),) * 3)
         hits = np.nonzero(cs == c)[0]
-        if hits.size:
-            i = int(hits[0])
-            self._state[item_id] = (np.delete(cs, i), np.delete(sent, i))
+        if not hits.size:
+            return
+        i = int(hits[0])
+        if counts[i] > 1:
+            counts[i] -= 1
+        else:
+            self._state[item_id] = (
+                np.delete(cs, i),
+                np.delete(sent, i),
+                np.delete(counts, i),
+            )
+
+    def unique_tolerances(self, item_id: int) -> list[float]:
+        """Ascending unique tolerances, as :class:`SourceTagger` reports."""
+        state = self._state.get(item_id)
+        return [] if state is None else state[0].tolist()
 
     def examine(self, item_id: int, value: float) -> SourceDecision:
         """Vectorised :meth:`SourceTagger.examine` (Section 5.2 source step)."""
         state = self._state.get(item_id)
         if state is None or not state[0].size:
             return SourceDecision(disseminate=False, tag=None, checks=0)
-        cs, sent = state
+        cs, sent, _counts = state
         checks = int(cs.size)
         violated = np.abs(value - sent) > cs
         hits = np.nonzero(violated)[0]

@@ -93,7 +93,11 @@ def violation_time(
         _step_values_at(source_times, source_values, starts)
         - _step_values_at(recv_times, recv_values, starts)
     )
-    return float(widths[deviation > c].sum())
+    # The violated widths are a subset of non-negative widths that
+    # partition the window, so their true sum cannot exceed it; the
+    # floating-point sum can, by an ulp.  Clamping changes no in-range
+    # value and keeps the paper metric a percentage.
+    return min(float(widths[deviation > c].sum()), t_end - t_start)
 
 
 def loss_of_fidelity(
@@ -111,7 +115,9 @@ def loss_of_fidelity(
     violated = violation_time(
         source_times, source_values, recv_times, recv_values, c, t_start, t_end
     )
-    return 100.0 * violated / (t_end - t_start)
+    # violated <= window, yet fl(100 * v) / w can still round one ulp
+    # past 100 when v is within an ulp of w.
+    return min(100.0 * violated / (t_end - t_start), 100.0)
 
 
 def segmented_loss(
@@ -166,7 +172,9 @@ def segmented_loss(
         total += seg_end - seg_start
     if total <= 0.0:
         return None
-    return weighted / total
+    # A weighted mean of percentages; the float sums can overshoot 100
+    # by an ulp the same way violation_time's could.
+    return min(weighted / total, 100.0)
 
 
 @dataclass

@@ -26,8 +26,8 @@ from repro.workloads import Table1Workload, Workload
 __all__ = ["SimulationConfig", "SCALE_PRESETS", "KERNELS"]
 
 #: Engine kernels a config may request.  ``auto`` picks the vectorized
-#: array-backed engine whenever the run supports it (no churn, one of the
-#: four push policies) and falls back to the scalar oracle otherwise;
+#: array-backed engine whenever the run supports it (one of the four
+#: push policies) and falls back to the scalar oracle otherwise;
 #: ``scalar``/``vectorized`` force one side (``vectorized`` errors when
 #: the run is unsupported).  Both produce bit-identical results -- the
 #: golden suite in ``tests/engine/test_vectorized_golden.py`` pins it.
@@ -81,8 +81,8 @@ class SimulationConfig:
             uses the vectorized array-backed kernel whenever the run
             supports it and the scalar oracle otherwise; ``scalar``
             forces the oracle; ``vectorized`` forces the array kernel
-            and errors when the run is unsupported (churn, or a policy
-            outside the four push policies).  The two kernels are
+            and errors when the run is unsupported (a policy outside
+            the four push policies).  The two kernels are
             bit-identical wherever both apply, so this knob never
             changes results -- only wall-clock.
         clients_per_repository: Modeled end-clients attached to each
@@ -185,18 +185,11 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"kernel must be one of {list(KERNELS)}, got {self.kernel!r}"
             )
-        if self.kernel == "vectorized":
-            if self.churn:
-                raise ConfigurationError(
-                    "kernel='vectorized' does not support churn schedules; "
-                    "use kernel='auto' (falls back to the scalar engine) or "
-                    "kernel='scalar'"
-                )
-            if self.policy not in FILTERED_POLICIES:
-                raise ConfigurationError(
-                    f"kernel='vectorized' supports policies {list(FILTERED_POLICIES)}, "
-                    f"got {self.policy!r}"
-                )
+        if self.kernel == "vectorized" and self.policy not in FILTERED_POLICIES:
+            raise ConfigurationError(
+                f"kernel='vectorized' supports policies {list(FILTERED_POLICIES)}, "
+                f"got {self.policy!r}"
+            )
         if self.clients_per_repository < 0:
             raise ConfigurationError("clients_per_repository must be >= 0")
         if self.churn is not None and not isinstance(self.churn, ChurnSchedule):

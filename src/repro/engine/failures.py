@@ -8,9 +8,10 @@ without warning (messages toward it are lost until it **recovers**) and
 a service link goes **down** (messages over it are lost until it comes
 back **up**).
 
-Semantics, executed identically by the scalar and vectorized kernels
-and mirrored by the live layer
-(:class:`~repro.live.harness.LiveFailureController`):
+Semantics, decided once by
+:class:`~repro.engine.reconfig.ReconfigurationCore` and therefore
+executed identically by the scalar kernel, the vectorized kernel and
+the live network:
 
 - ``crash``: the repository stops receiving and forwarding.  Updates in
   flight toward it (and any sent later) count as drops.  Its orphaned
@@ -249,6 +250,26 @@ class FailureSchedule:
                 spans = windows[event.link]
                 spans[-1] = (spans[-1][0], float(event.time))
         return windows
+
+    def crashed_at(self, node: int, t: float) -> bool:
+        """Was ``node`` inside a crash window at simulated time ``t``?
+
+        For planes that cannot apply events at exact instants (the
+        wall-clock TCP transport): judging a frame by its logical
+        arrival time against the half-open windows reproduces the
+        kernels' tie-break -- a message arriving exactly at the recovery
+        instant is delivered, one at the crash instant is dropped.
+        Recomputes the windows per call; schedules are a few events.
+        """
+        return _inside(self.crash_windows().get(node, ()), t)
+
+    def link_down_at(self, sender: int, receiver: int, t: float) -> bool:
+        """Was the ``(sender, receiver)`` service link down at time ``t``?"""
+        return _inside(self.link_windows().get((sender, receiver), ()), t)
+
+
+def _inside(windows, t: float) -> bool:
+    return any(t >= start and (end is None or t < end) for start, end in windows)
 
 
 def synthetic_failures(

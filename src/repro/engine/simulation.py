@@ -17,30 +17,22 @@ Semantics (DESIGN.md §5):
   bottleneck -- the mechanism behind the U-curve's rising arm and the
   no-cooperation saturation of Figures 5/6.
 
-Churn (Section 4's "the algorithm is reapplied"): when the config
-carries a :class:`~repro.engine.churn.ChurnSchedule`, its events run
-inside the kernel at their scheduled times.  Each event applies
-:class:`~repro.core.dynamics.DynamicMembership` (join incrementally;
-depart/coherency-change rebuild in join order), and the resulting
-:class:`~repro.core.dynamics.ReconfigurationDiff` is applied to the
-*live* run: removed service edges are torn down (policy state dropped),
-added edges are wired up (the new subscriber is primed with its
-parent's current copy), and the diff's cost is charged into
-:class:`~repro.core.metrics.CostCounters`.  Updates still in flight
-toward a departed repository count as drops; fidelity is scored only
-over the intervals a (repository, item, tolerance) requirement was
-actually live.
-
-Unplanned failures (:mod:`repro.engine.failures`): when the config
-carries a :class:`~repro.engine.failures.FailureSchedule`, crash /
-recover / link events likewise run in-kernel.  Messages toward a
-crashed repository or over a down link count as drops; a crash fails
-the orphaned dependents over to the nearest live ancestor (charged as
-reconfiguration cost through the same
-:class:`~repro.core.dynamics.ReconfigurationDiff` machinery churn
-uses); a recovery anti-entropy-resyncs only the repository's missed
-update-set and then re-homes its dependents.  Fidelity is scored over
-availability segments, exactly like churn.
+Reconfiguration: when the config carries a
+:class:`~repro.engine.churn.ChurnSchedule`, a
+:class:`~repro.engine.failures.FailureSchedule` or an
+:class:`~repro.engine.adaptive.AdaptivePolicy`, the run's control
+instants execute inside the kernel, each before any update or delivery
+at the same instant.  *What* they do -- membership diffs, failover to
+the nearest live ancestor, resync of diverged copies, drift-triggered
+rewires, the order edges are torn down and wired in, who initial-syncs
+and who keeps its copy, what is charged -- is
+:class:`~repro.engine.reconfig.ReconfigurationCore`'s business alone.
+This engine is one of its edge stores: ``wire`` / ``unwire`` and
+friends patch the dict tables and the policy object, nothing more.  On
+the hot path the engine reads the core's ``crashed`` / ``departed`` /
+``down_links`` sets (a message toward an unavailable repository or over
+a down link is a drop) and at the end scores fidelity over the core's
+availability segments.
 """
 
 from __future__ import annotations
@@ -49,31 +41,19 @@ import numpy as np
 
 from repro.core.dissemination import DisseminationPolicy, make_policy
 from repro.core.dissemination.filtering import FILTERED_POLICIES, forward_distributed
-from repro.core.dynamics import ReconfigurationDiff
 from repro.core.fidelity import FidelityAccumulator, segmented_loss
-from repro.core.interests import InterestProfile
 from repro.core.metrics import CostCounters
-from repro.engine.builder import (
-    SimulationSetup,
-    build_setup,
-    make_adaptive_controller,
-    make_membership,
-)
-from repro.engine.churn import ChurnEvent
-from repro.engine.failures import FailureEvent
+from repro.engine.builder import SimulationSetup, build_setup
 from repro.engine.config import SimulationConfig
+from repro.engine.reconfig import ReconfigurationCore
 from repro.engine.results import SimulationResult
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.sim.kernel import Simulator
 from repro.sim.queueing import FifoStation
 from repro.sim.rng import RandomStreams
 from repro.traces.schedule import UpdateSchedule
 
 __all__ = ["DisseminationSimulation", "make_simulation", "run_simulation"]
-
-#: One fidelity-scoring segment: [t_start, t_end or None (still open),
-#: the own-tolerance live over the segment].
-_Segment = list
 
 
 class DisseminationSimulation:
@@ -104,27 +84,6 @@ class DisseminationSimulation:
             if self._loss_probability > 0.0
             else None
         )
-        # Churn state: the membership is rebuilt fresh per simulation (a
-        # shared setup must stay read-only; the replay is deterministic,
-        # so its graph is bit-identical to setup.graph).
-        self._churn = setup.config.churn
-        self._membership = make_membership(setup) if self._churn is not None else None
-        self._departed: set[int] = set()
-        # Unplanned-failure state (mutually exclusive with churn): the
-        # currently crashed repositories, the currently down service
-        # links, and -- when a schedule is present -- per-(child, item)
-        # parent maps so orphans can fail over and recoverers re-home.
-        self._failures = setup.config.failures
-        self._crashed: set[int] = set()
-        self._down_links: set[tuple[int, int]] = set()
-        # Adaptive re-optimization state (mutually exclusive with both
-        # churn and failures): the per-run drift controller owns the
-        # live graph once a rewire is applied.  Built before _prepare()
-        # because _graph already resolves through it.
-        self._adaptive = setup.config.adaptive
-        self._adaptive_controller = (
-            make_adaptive_controller(setup) if self._adaptive is not None else None
-        )
         self._source_value: dict[int, float] = {}
         self._stations: dict[int, FifoStation] = {}
         # Per (node, item): list of (child, c_serve); precomputed for speed.
@@ -132,8 +91,6 @@ class DisseminationSimulation:
         self._receive_c: dict[tuple[int, int], float] = {}
         # Per (repo, item): delivery log [(time, value), ...].
         self._deliveries: dict[tuple[int, int], list[tuple[float, float]]] = {}
-        # Per (repo, item): fidelity-scoring segments (see _Segment).
-        self._segments: dict[tuple[int, int], list[_Segment]] = {}
         # Modeled-client plane: per (repo, item), the clients' tolerance
         # array (read-only, from the setup) and this run's own mutable
         # last-served array, primed with the item's initial value.
@@ -146,32 +103,30 @@ class DisseminationSimulation:
                 self._client_last[key] = np.full(
                     tols.shape, setup.traces[key[1]].initial_value
                 )
-        self._prepare()
+        # All control state and every reconfiguration rule live in the
+        # core; this engine is its edge store.  The availability sets
+        # are bound once (the core mutates them in place) so the hot
+        # path pays one attribute lookup, as it always has.
+        self._reconfig = ReconfigurationCore.for_setup(
+            setup, self, self.counters, self._graphs()
+        )
+        self._reconfig.observer = observer
+        self._departed = self._reconfig.departed
+        self._crashed = self._reconfig.crashed
+        self._down_links = self._reconfig.down_links
+        self._prepare(self._reconfig.trees)
 
     # ------------------------------------------------------------------
 
-    @property
-    def _graph(self):
-        """The live dissemination graph (rebound by churn rebuilds and
-        adaptive re-optimizations)."""
-        if self._membership is not None:
-            return self._membership.graph
-        if self._adaptive_controller is not None:
-            return self._adaptive_controller.graph
-        return self.setup.graph
-
     def _graphs(self):
-        """(graph, root, item ids) triples to wire up.
+        """(graph, root, item ids) triples to wire up, or ``None`` for
+        the setup's single graph serving every item; the multi-source
+        extension overrides this with one triple per source."""
+        return None
 
-        The single-source engine serves every item from one graph; the
-        multi-source extension overrides this with one triple per source.
-        """
-        return [(self._graph, self._source, list(self.setup.traces))]
-
-    def _prepare(self) -> None:
+    def _prepare(self, trees) -> None:
         self._root_of: dict[int, int] = {}
-        self._parent_of: dict[tuple[int, int], int] = {}
-        for graph, root, item_ids in self._graphs():
+        for graph, root, item_ids in trees:
             for node in graph.nodes:
                 if node not in self._stations:
                     self._stations[node] = FifoStation(name=f"node{node}")
@@ -183,7 +138,6 @@ class DisseminationSimulation:
                     if children:
                         self._children[(node, item_id)] = children
                         for child, c_serve in children:
-                            self._parent_of[(child, item_id)] = node
                             self.policy.register_edge(
                                 node, child, item_id, c_serve, initial
                             )
@@ -192,18 +146,6 @@ class DisseminationSimulation:
                         if item_id in state.receive_c:
                             self._receive_c[(node, item_id)] = state.receive_c[item_id]
                             self._deliveries[(node, item_id)] = [(0.0, initial)]
-        initial_members = (
-            set(self._membership.members) if self._membership is not None else None
-        )
-        for repo, profile in self.setup.profiles.items():
-            if initial_members is not None and repo not in initial_members:
-                continue  # late joiner: scoring starts at its join event
-            for item_id, c_own in profile.requirements.items():
-                self._segments[(repo, item_id)] = [[0.0, None, c_own]]
-        # Failover re-homes dependents, so remember where they started.
-        self._home_parent = (
-            dict(self._parent_of) if self._failures is not None else {}
-        )
 
     # ------------------------------------------------------------------
 
@@ -331,274 +273,43 @@ class DisseminationSimulation:
             )
 
     # ------------------------------------------------------------------
-    # Churn execution
+    # Edge-store port (driven by repro.engine.reconfig)
     # ------------------------------------------------------------------
 
-    def _on_churn(self, event: ChurnEvent) -> None:
-        """Apply one membership change to the live run."""
-        now = self.kernel.now
-        repo = event.repository
-        resync: frozenset = frozenset()
-        if event.kind == "join":
-            profile = event.profile()
-            if profile is None:
-                profile = self.setup.profiles[repo]
-            if repo in self._departed:
-                # A rejoining repository comes back with stale state: it
-                # must receive deliveries again and initial-sync fresh
-                # copies rather than resume from its pre-departure ones.
-                self._departed.discard(repo)
-                resync = frozenset((repo,))
-            diff = self._membership.join(profile)
-            for item_id in sorted(profile.requirements):
-                self._segments.setdefault((repo, item_id), []).append(
-                    [now, None, profile.requirements[item_id]]
-                )
-        elif event.kind == "depart":
-            diff = self._membership.leave(repo)
-            self._departed.add(repo)
-            for (r, _item_id), segments in self._segments.items():
-                if r == repo and segments and segments[-1][1] is None:
-                    segments[-1][1] = now
-        else:  # coherency / data-needs change
-            old = dict(self._membership.profile_of(repo).requirements)
-            new = dict(event.requirements)
-            diff = self._membership.update_requirements(
-                InterestProfile(repository=repo, requirements=new)
-            )
-            for item_id in sorted(set(old) | set(new)):
-                old_c, new_c = old.get(item_id), new.get(item_id)
-                if old_c == new_c:
-                    continue  # untouched requirement: segment stays open
-                segments = self._segments.get((repo, item_id))
-                if old_c is not None and segments and segments[-1][1] is None:
-                    segments[-1][1] = now
-                if new_c is not None:
-                    self._segments.setdefault((repo, item_id), []).append(
-                        [now, None, new_c]
-                    )
-        self._apply_diff(diff, now, resync=resync)
+    def unwire(self, parent: int, child: int, item_id: int, c: float) -> None:
+        key = (parent, item_id)
+        children = self._children.get(key)
+        if children is not None:
+            children[:] = [(ch, cc) for ch, cc in children if ch != child]
+            if not children:
+                del self._children[key]
+        self.policy.unregister_edge(parent, child, item_id)
 
-    def _apply_diff(self, diff, now: float, resync: frozenset = frozenset()) -> None:
-        """Tear down removed service edges, wire up added ones.
+    def wire(
+        self, parent: int, child: int, item_id: int, c: float, initial: float
+    ) -> None:
+        for node in (parent, child):
+            if node not in self._stations:
+                self._stations[node] = FifoStation(name=f"node{node}")
+        self._receive_c[(child, item_id)] = c
+        self._children.setdefault((parent, item_id), []).append((child, c))
+        self.policy.register_edge(parent, child, item_id, c, initial)
 
-        Args:
-            diff: The membership change's edge-level diff.
-            now: Simulated time the reconfiguration takes effect.
-            resync: Nodes whose existing copies are stale (a rejoining
-                repository) and must initial-sync even though they still
-                hold a delivery log from their earlier membership.
-        """
-        self.counters.record_reconfiguration(
-            n_added=len(diff.added), n_removed=len(diff.removed)
+    def unsubscribe(self, node: int, item_id: int) -> None:
+        self._receive_c.pop((node, item_id), None)
+
+    def log(self, node: int, item_id: int, create: bool = False):
+        if create:
+            return self._deliveries.setdefault((node, item_id), [])
+        return self._deliveries.get((node, item_id))
+
+    def source_value(self, item_id: int) -> float:
+        return self._source_value.get(
+            item_id, self.setup.traces[item_id].initial_value
         )
-        graph = self._graph
-        for parent, child, item_id, _c in sorted(diff.removed):
-            key = (parent, item_id)
-            children = self._children.get(key)
-            if children is not None:
-                children[:] = [(ch, cc) for ch, cc in children if ch != child]
-                if not children:
-                    del self._children[key]
-            self.policy.unregister_edge(parent, child, item_id)
-            state = graph.nodes.get(child)
-            if state is None or item_id not in state.receive_c:
-                # The child no longer receives the item at all (departed,
-                # or the rebuild dropped the relay); its delivery log is
-                # kept for fidelity scoring of the elapsed interval.
-                self._receive_c.pop((child, item_id), None)
-        # Parents must hold a current copy before their children sync
-        # from them, so wire additions root-downward per item tree.
-        added = sorted(
-            diff.added, key=lambda e: (e[2], graph.item_depth(e[1], e[2]), e)
-        )
-        for parent, child, item_id, c_serve in added:
-            for node in (parent, child):
-                if node not in self._stations:
-                    self._stations[node] = FifoStation(name=f"node{node}")
-            value = self._current_value(parent, item_id)
-            log = self._deliveries.get((child, item_id))
-            if log is None or child in resync:
-                # New subscription (or a rejoiner with stale state): the
-                # child initial-syncs the parent's current copy (charged
-                # as reconfiguration cost, not as an update message).
-                if log is None:
-                    self._deliveries[(child, item_id)] = [(now, value)]
-                else:
-                    log.append((now, value))
-                initial = value
-            else:
-                # Re-homed subscription: the child keeps its own copy.
-                initial = log[-1][1]
-            self._receive_c[(child, item_id)] = c_serve
-            self._children.setdefault((parent, item_id), []).append((child, c_serve))
-            self.policy.register_edge(parent, child, item_id, c_serve, initial)
 
-    # ------------------------------------------------------------------
-    # Adaptive re-optimization execution
-    # ------------------------------------------------------------------
-
-    def _message_counts(self) -> dict[int, int]:
-        """Cumulative per-node sent-message counts right now.
-
-        The drift signal the adaptive controller consumes; the
-        vectorized kernel overrides this to sparsify its dense array
-        into the identical dict.
-        """
+    def message_counts(self) -> dict[int, int]:
         return dict(self.counters.per_node_messages)
-
-    def _on_adaptive_tick(self, now: float) -> None:
-        """One drift evaluation; apply the rewire diff if one fires.
-
-        Shared by the vectorized kernel (called from its drain loop at
-        the tick's timestamp), so both engines make identical rewiring
-        decisions from identical counter snapshots.
-        """
-        diff = self._adaptive_controller.on_tick(now, self._message_counts())
-        observer = self.observer
-        if observer is not None and getattr(observer, "metrics", None) is not None:
-            metrics = observer.metrics
-            metrics.counter("adaptive.ticks").inc()
-            drifts = self._adaptive_controller.last_drifts
-            if drifts:
-                metrics.gauge("adaptive.max_drift").set(max(drifts.values()))
-                hist = metrics.histogram(
-                    "adaptive.drift", bounds=(0.1, 0.25, 0.5, 1.0, 2.0, 5.0)
-                )
-                for value in drifts.values():
-                    hist.observe(value)
-            if diff is not None:
-                metrics.counter("adaptive.rewires").inc()
-        if diff is not None:
-            self._apply_diff(diff, now)
-
-    # ------------------------------------------------------------------
-    # Unplanned-failure execution
-    # ------------------------------------------------------------------
-
-    def _on_failure(self, event: FailureEvent) -> None:
-        self._apply_failure(event, self.kernel.now)
-
-    def _apply_failure(self, event: FailureEvent, now: float) -> None:
-        """Apply one crash/recover/link event to the live run.
-
-        Shared verbatim by the vectorized kernel (which calls it from
-        its drain loop at the event's timestamp), so both engines make
-        identical reconfiguration and resync decisions.
-        """
-        if event.kind == "link_down":
-            self._down_links.add(event.link)
-            return
-        if event.kind == "link_up":
-            self._down_links.discard(event.link)
-            return
-        repo = event.repository
-        if event.kind == "crash":
-            self._crashed.add(repo)
-            # The repository is unavailable: close its open scoring
-            # segments (fidelity is only owed while it is up).
-            for (r, _item_id), segments in self._segments.items():
-                if r == repo and segments and segments[-1][1] is None:
-                    segments[-1][1] = now
-            self._fail_over(repo, now)
-        else:  # recover
-            self._crashed.discard(repo)
-            for (r, _item_id), segments in self._segments.items():
-                if r == repo and segments and segments[-1][1] is not None:
-                    segments.append([now, None, segments[-1][2]])
-            self._resync(repo, now)
-            self._restore_home(repo, now)
-
-    def _live_parent(self, node: int, item_id: int) -> int | None:
-        """The nearest non-crashed ancestor serving ``item_id`` above
-        ``node``, or ``None`` when the walk leaves the tree (the node
-        roots the item, as multi-source roots do)."""
-        parent = self._parent_of.get((node, item_id))
-        while parent is not None and parent in self._crashed:
-            parent = self._parent_of.get((parent, item_id))
-        return parent
-
-    def _fail_over(self, repo: int, now: float) -> None:
-        """Re-home the crashed repository's dependents to backup parents."""
-        moved: list[tuple[int, int, int, float, int]] = []
-        for (node, item_id), children in self._children.items():
-            if node != repo:
-                continue
-            backup = self._live_parent(repo, item_id)
-            if backup is None:
-                continue  # no live ancestor: dependents wait for recovery
-            for child, c_serve in children:
-                moved.append((repo, child, item_id, c_serve, backup))
-        if not moved:
-            return
-        diff = ReconfigurationDiff(
-            added=frozenset((b, ch, it, c) for _p, ch, it, c, b in moved),
-            removed=frozenset((p, ch, it, c) for p, ch, it, c, _b in moved),
-        )
-        self._apply_diff(diff, now)
-        for _parent, child, item_id, _c, backup in moved:
-            self._parent_of[(child, item_id)] = backup
-
-    def _restore_home(self, repo: int, now: float) -> None:
-        """Wire re-homed dependents back to their recovered home parent."""
-        moved: list[tuple[int, int, int, float]] = []
-        for (child, item_id), home in self._home_parent.items():
-            if home != repo:
-                continue
-            current = self._parent_of.get((child, item_id))
-            if current is None or current == repo:
-                continue
-            c_serve = self._receive_c.get((child, item_id))
-            if c_serve is None:
-                continue
-            moved.append((current, child, item_id, c_serve))
-        if not moved:
-            return
-        diff = ReconfigurationDiff(
-            added=frozenset((repo, ch, it, c) for _cur, ch, it, c in moved),
-            removed=frozenset(moved),
-        )
-        self._apply_diff(diff, now)
-        for _current, child, item_id, _c in moved:
-            self._parent_of[(child, item_id)] = repo
-
-    def _resync(self, repo: int, now: float) -> None:
-        """Anti-entropy resync of a recovered repository's stale copies.
-
-        Setdiscovery-style: one comparison against the live parent per
-        subscribed item (the discovery round), one transfer only for
-        items whose copy actually diverged while the repository was
-        down -- the missed update-set, never a full state transfer.
-        """
-        checks = 0
-        messages = 0
-        for node, item_id in sorted(self._receive_c):
-            if node != repo:
-                continue
-            provider = self._live_parent(repo, item_id)
-            if provider is None:
-                continue  # whole ancestry down: nothing fresher to pull
-            checks += 1
-            value = self._current_value(provider, item_id)
-            log = self._deliveries[(repo, item_id)]
-            if value != log[-1][1]:
-                log.append((now, value))
-                messages += 1
-        if checks:
-            self.counters.record_resync(checks, messages)
-
-    def _current_value(self, node: int, item_id: int) -> float:
-        """The copy ``node`` holds for ``item_id`` right now."""
-        if node == self._root_of[item_id]:
-            return self._source_value.get(
-                item_id, self.setup.traces[item_id].initial_value
-            )
-        log = self._deliveries.get((node, item_id))
-        if log is None:
-            raise SimulationError(
-                f"node {node} has no copy of item {item_id} to serve from"
-            )
-        return log[-1][1]
 
     # ------------------------------------------------------------------
 
@@ -612,25 +323,13 @@ class DisseminationSimulation:
 
     def run(self) -> SimulationResult:
         """Schedule all trace updates, run to quiescence, score fidelity."""
-        if self._churn is not None:
-            # Scheduled before the trace updates so that a churn event
-            # and an update at the same instant apply membership first
-            # (the kernel breaks time ties in scheduling order).
-            for event in self._churn.events:
-                self.kernel.schedule_at(float(event.time), self._on_churn, event)
-        if self._failures is not None:
-            # Same tie-break contract as churn: a failure event and an
-            # update or delivery at the same instant apply the failure
-            # first (crash at t drops the delivery at t).
-            for event in self._failures.events:
-                self.kernel.schedule_at(float(event.time), self._on_failure, event)
         schedule = self._update_schedule()
-        if self._adaptive_controller is not None:
-            # Same tie-break contract as churn and failures: a drift
-            # tick and a delivery at the same instant evaluate the tick
-            # first, so both kernels see identical counter snapshots.
-            for t in self._adaptive_controller.tick_times(schedule.span):
-                self.kernel.schedule_at(t, self._on_adaptive_tick, t)
+        # Scheduled before the trace updates so that a control event
+        # (churn, failure, drift tick) and an update or delivery at the
+        # same instant apply the control event first: the kernel breaks
+        # time ties in scheduling order.
+        for t, event in self._reconfig.timeline(schedule.span):
+            self.kernel.schedule_at(t, self._reconfig.apply, t, event)
         # tolist() yields plain Python floats/ints; scheduling the merged
         # time-sorted timeline enqueues the same (time, relative-order)
         # set the per-trace loop always produced, so heap pop order --
@@ -652,7 +351,7 @@ class DisseminationSimulation:
     def _score(self, span: float) -> SimulationResult:
         accumulator = FidelityAccumulator()
         per_pair: dict[tuple[int, int], float] = {}
-        for (repo, item_id), segments in self._segments.items():
+        for (repo, item_id), segments in self._reconfig.segments.items():
             trace = self.setup.traces[item_id]
             log = self._deliveries.get((repo, item_id))
             if log is None:
@@ -688,22 +387,23 @@ class DisseminationSimulation:
             "per_pair_loss": per_pair,
             "workload": self.setup.config.workload.name,
         }
-        if self._membership is not None:
-            extras["churn_events"] = len(self._churn)
-            extras["final_members"] = len(self._membership.members)
-        if self._failures is not None:
-            extras["failure_events"] = len(self._failures)
-            extras["crashes"] = self._failures.count("crash")
-            extras["partitions"] = self._failures.count("link_down")
-        if self._adaptive_controller is not None:
-            extras["adaptive_ticks"] = self._adaptive_controller.ticks
-            extras["adaptive_triggered"] = self._adaptive_controller.triggered
-            extras["adaptive_rewires"] = self._adaptive_controller.rewires
+        core = self._reconfig
+        if core.membership is not None:
+            extras["churn_events"] = len(core.churn)
+            extras["final_members"] = len(core.membership.members)
+        if core.failures is not None:
+            extras["failure_events"] = len(core.failures)
+            extras["crashes"] = core.failures.count("crash")
+            extras["partitions"] = core.failures.count("link_down")
+        if core.adaptive is not None:
+            extras["adaptive_ticks"] = core.adaptive.ticks
+            extras["adaptive_triggered"] = core.adaptive.triggered
+            extras["adaptive_rewires"] = core.adaptive.rewires
         return SimulationResult(
             loss_of_fidelity=accumulator.system_loss(),
             per_repository_loss=accumulator.per_repository(),
             counters=self.counters,
-            tree_stats=self._graph.stats(),
+            tree_stats=self._reconfig.graph.stats(),
             effective_degree=self.setup.effective_degree,
             avg_comm_delay_ms=self.setup.avg_comm_delay_ms,
             events_processed=self._events_processed(),
@@ -728,10 +428,10 @@ def make_simulation(
     """Instantiate the engine the setup's config asks for.
 
     ``kernel="auto"`` (the default) picks the vectorized array-backed
-    engine whenever the run supports it -- no churn schedule and one of
-    the four push policies -- and the scalar oracle otherwise.  The two
-    are bit-identical wherever both apply (pinned by the golden suite),
-    so the choice is purely a wall-clock matter.
+    engine whenever the run supports it -- one of the four push
+    policies -- and the scalar oracle otherwise.  The two are
+    bit-identical wherever both apply (pinned by the golden suite), so
+    the choice is purely a wall-clock matter.
 
     ``observer`` (e.g. a :class:`repro.obs.trace.TraceRecorder`) is
     attached out-of-band; it records trace spans without perturbing the
@@ -749,16 +449,14 @@ def make_simulation(
     config = setup.config
     kernel = getattr(config, "kernel", "auto")
     policy_name = policy.name if policy is not None else config.policy
-    supported = config.churn is None and policy_name in FILTERED_POLICIES
+    supported = policy_name in FILTERED_POLICIES
     if kernel == "scalar":
         return DisseminationSimulation(setup, policy, observer=observer)
     if kernel == "vectorized":
         if not supported:
             raise ConfigurationError(
-                "kernel='vectorized' cannot run this simulation "
-                f"(policy={policy_name!r}, churn={'yes' if config.churn else 'no'}); "
-                "supported: no churn and a policy in "
-                f"{list(FILTERED_POLICIES)}"
+                f"kernel='vectorized' cannot run policy {policy_name!r}; "
+                f"supported: {list(FILTERED_POLICIES)}"
             )
         return VectorizedSimulation(setup, policy, observer=observer)
     return (

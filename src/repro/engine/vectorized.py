@@ -28,37 +28,26 @@ handful of numpy calls over *all* dependents of an edge group at once:
   per-node tallies in dense arrays, folded into
   :class:`~repro.core.metrics.CostCounters` once at the end.
 
-The scalar engine stays the **oracle**: this class subclasses it, reuses
-its preparation (children maps, receive coherencies, delivery logs,
-scoring segments, the registered scalar policy -- the single source of
-truth for what exists in the network) and its scoring, and replaces only
-the event loop.  ``tests/engine/test_vectorized_golden.py`` pins
+The scalar engine stays the **oracle**: this class subclasses it, builds
+its arrays from the scalar preparation (children maps, receive
+coherencies, delivery logs), reuses its scoring, and replaces the event
+loop and the edge-store port.  ``tests/engine/test_vectorized_golden.py`` pins
 bit-identical results (loss, per-pair losses, every counter field)
 across policies and workloads.
 
-Unplanned failures (:mod:`repro.engine.failures`) **are** supported:
-the drain loop applies pending failure events before each unit (the
-same tie-break the scalar kernel's event queue produces), arrivals at
-crashed repositories and sends over down links become drops before the
-Bernoulli loss stream is consumed, and failover/restore
-reconfigurations patch the edge-group arrays in the exact order the
-scalar ``_apply_diff`` wires them (for the centralised policy, the
-:class:`~repro.core.dissemination.filtering.ArraySourceTagger` replays
-the scalar tagger's remove/re-add transitions edge for edge).
-
-Adaptive re-optimization (:mod:`repro.engine.adaptive`) is supported
-the same way: drift ticks are applied inline before each unit at the
-exact instants the scalar kernel schedules them, the controller reads
-this engine's dense per-node message tallies sparsified into the
-identical dict the scalar counters hold, and applied rewires patch the
-edge-group arrays through the same ``_apply_diff`` override --
-including groups that exist only in the re-optimized graph, which are
-materialised on first use.
+Reconfiguration (churn, unplanned failures, adaptive re-optimization)
+is the :class:`~repro.engine.reconfig.ReconfigurationCore`'s, exactly as
+for the scalar engine: the drain loop applies the core's control
+timeline inline, each entry before the unit at the same instant (the
+tie-break the scalar event queue produces), arrivals at crashed or
+departed repositories and sends over down links become drops before
+the Bernoulli loss stream is consumed, and this class overrides the
+edge-store port to patch the edge-group arrays -- groups that exist
+only in a rebuilt graph are materialised on first use.
 
 Not supported here -- the factory
 (:func:`~repro.engine.simulation.make_simulation`) falls back to the
-scalar engine for: churn schedules (mid-run membership rebuilds mutate
-the edge structure) and policies outside the four push policies.
+scalar engine for policies outside the four push policies.
 """
 
 from __future__ import annotations
@@ -104,11 +93,6 @@ class VectorizedSimulation(DisseminationSimulation):
         observer=None,
     ):
         super().__init__(setup, policy, observer=observer)
-        if self._churn is not None:
-            raise ConfigurationError(
-                "VectorizedSimulation does not support churn schedules; "
-                "use the scalar engine (kernel='scalar' or 'auto')"
-            )
         name = getattr(self.policy, "name", None)
         if name not in FILTERED_POLICIES:
             raise ConfigurationError(
@@ -197,32 +181,23 @@ class VectorizedSimulation(DisseminationSimulation):
             item_id: gid_of.get((self._root_of[item_id], item_id), -1)
             for item_id in setup.traces
         }
-        n_nodes = max(self._stations) + 1 if self._stations else 1
+        # Dense per-node arrays cover the whole topology: churn can wire
+        # repositories the initial graph never held.
+        n_nodes = int(setup.network.routing.dist_ms.shape[0])
         self._busy = np.zeros(n_nodes)
         self._acounters = ArrayCounters(n_nodes)
 
         if centralized:
-            # Populated from the *scalar* policy's registered state, so
-            # the oracle stays the single source of truth for which
-            # tolerances exist in the network.
+            # One tolerance per edge: the tagger counts them, so later
+            # rewires only have to report each edge they add or remove.
+            tolerances: dict[int, list[float]] = {i: [] for i in setup.traces}
+            for (_node, item_id), children in self._children.items():
+                tolerances[item_id].extend(c for _child, c in children)
             self._tagger = ArraySourceTagger()
             for item_id, trace in setup.traces.items():
                 self._tagger.add_item(
-                    item_id,
-                    self.policy.unique_tolerances(item_id),
-                    trace.initial_value,
+                    item_id, tolerances[item_id], trace.initial_value
                 )
-            if self._failures is not None or self._adaptive is not None:
-                # (item, quantised tolerance) -> number of edges serving
-                # at it; lets reconfiguration diffs (failover or adaptive
-                # rewires) replay the scalar policy's refcounted
-                # SourceTagger remove/re-add transitions on the array
-                # tagger without peeking at policy internals.
-                self._tol_count: dict[tuple[int, float], int] = {}
-                for (_node, item_id), children in self._children.items():
-                    for _child, c in children:
-                        key = (item_id, quantise_tolerance(c))
-                        self._tol_count[key] = self._tol_count.get(key, 0) + 1
 
     # ------------------------------------------------------------------
 
@@ -342,41 +317,29 @@ class VectorizedSimulation(DisseminationSimulation):
         root_gid = self._root_gid
         counters = self._acounters
         observer = self.observer
-        track = self._failures is not None or self._adaptive is not None
-        fail_events = list(self._failures.events) if self._failures is not None else []
-        fi, nf = 0, len(fail_events)
-        tick_times = (
-            self._adaptive_controller.tick_times(schedule.span)
-            if self._adaptive_controller is not None
-            else []
-        )
-        ti, nt = 0, len(tick_times)
+        core = self._reconfig
+        crashed, departed = core.crashed, core.departed
+        timeline = core.timeline(schedule.span)
+        ci, nc = 0, len(timeline)
         for unit in kernel.drain():
-            if fi < nf:
-                # Same tie-break as the scalar event queue (failures are
-                # scheduled before everything else at run() start): a
-                # failure at t applies before the update or delivery at t.
+            if ci < nc:
+                # Same tie-break as the scalar event queue (control
+                # events are scheduled before everything else at run()
+                # start): an entry at t applies before the update or
+                # delivery at t.
                 t_unit = source_times[unit] if type(unit) is int else unit[0]
-                while fi < nf and fail_events[fi].time <= t_unit:
-                    event = fail_events[fi]
-                    self._apply_failure(event, float(event.time))
-                    fi += 1
-            if ti < nt:
-                # Drift ticks share the failure tie-break: a tick at t
-                # evaluates before the update or delivery at t, so both
-                # kernels snapshot identical counter states.
-                t_unit = source_times[unit] if type(unit) is int else unit[0]
-                while ti < nt and tick_times[ti] <= t_unit:
-                    self._on_adaptive_tick(tick_times[ti])
-                    ti += 1
+                while ci < nc and timeline[ci][0] <= t_unit:
+                    core.apply(*timeline[ci])
+                    ci += 1
             if type(unit) is int:
                 # A fresh source update; the static schedule index is
                 # the update's stable trace id.
                 item_id = source_items[unit]
                 value = source_values[unit]
-                if track:
-                    # Keep the root's copy current for recovery resyncs
-                    # (the scalar _on_source_update does this first).
+                if nc:
+                    # Keep the root's copy current for initial syncs and
+                    # recovery resyncs (the scalar _on_source_update does
+                    # this first).
                     self._source_value[item_id] = value
                 if centralized:
                     decision = self._tagger.examine(item_id, value)
@@ -410,16 +373,19 @@ class VectorizedSimulation(DisseminationSimulation):
                 # A delivery tuple: (time, seq, gid, value, tag,
                 # update_id, sender node).
                 t, _seq, gid, value, tag, update_id, src = unit
-                if self._crashed and self._g_node[gid] in self._crashed:
-                    # The sender paid for the message, but the repository
-                    # crashed while it was in flight: a drop.
-                    counters.drops += 1
-                    if observer is not None:
-                        observer.on_drop(
-                            update_id, self._g_item[gid], t,
-                            src, self._g_node[gid], "crash",
-                        )
-                    continue
+                if crashed or departed:
+                    node = self._g_node[gid]
+                    if node in crashed or node in departed:
+                        # The sender paid for the message, but the
+                        # repository left (or crashed) while it was in
+                        # flight: a drop.
+                        counters.drops += 1
+                        if observer is not None:
+                            observer.on_drop(
+                                update_id, self._g_item[gid], t, src, node,
+                                "departed" if node in departed else "crash",
+                            )
+                        continue
                 counters.deliveries += 1
                 if observer is not None:
                     observer.on_deliver(
@@ -440,33 +406,24 @@ class VectorizedSimulation(DisseminationSimulation):
                     counters.client_checks += int(tols.size)
                     counters.client_messages += served
                 self._process_group(gid, t, value, tag, update_id)
-        while fi < nf:
-            # Events past the last unit still close/open scoring
-            # segments; the scalar kernel runs them too.
-            event = fail_events[fi]
-            self._apply_failure(event, float(event.time))
-            fi += 1
-        while ti < nt:
-            # Ticks past the last unit still evaluate (and count); the
-            # scalar kernel runs them too.
-            self._on_adaptive_tick(tick_times[ti])
-            ti += 1
-        folded = counters.to_cost_counters()
-        if track:
-            # _apply_failure / _on_adaptive_tick charged reconfiguration
-            # and resync cost into the scalar-side CostCounters; carry
-            # it over before the array totals replace them.
-            pre = self.counters
-            folded.reconfigurations = pre.reconfigurations
-            folded.edges_added = pre.edges_added
-            folded.edges_removed = pre.edges_removed
-            folded.resyncs = pre.resyncs
-            folded.resync_checks = pre.resync_checks
-            folded.resync_messages = pre.resync_messages
-        self.counters = folded
+        while ci < nc:
+            # Entries past the last unit still close/open scoring
+            # segments and count ticks; the scalar kernel runs them too.
+            core.apply(*timeline[ci])
+            ci += 1
+        # The core charged reconfiguration and resync cost into the
+        # scalar-side CostCounters; everything else was tallied in the
+        # arrays.  The two are disjoint, so a merge is the union.
+        self.counters.merge(counters.to_cost_counters())
         return self._score(schedule.span)
 
-    def _message_counts(self) -> dict[int, int]:
+    # ------------------------------------------------------------------
+    # Edge-store port: the same surgery on the edge-group arrays.  The
+    # scalar tables this class was built from (children maps, the policy
+    # object) are construction inputs only and are not kept current.
+    # ------------------------------------------------------------------
+
+    def message_counts(self) -> dict[int, int]:
         """Sparsify the dense per-node message tallies into the exact
         dict the scalar ``CostCounters.per_node_messages`` holds at the
         same event boundary (all-positive entries; order is irrelevant
@@ -477,18 +434,14 @@ class VectorizedSimulation(DisseminationSimulation):
             for node in np.nonzero(node_messages)[0]
         }
 
-    # ------------------------------------------------------------------
-    # Live rewiring (unplanned failover and adaptive re-optimization)
-    # ------------------------------------------------------------------
-
     def _ensure_group(self, node: int, item_id: int) -> int:
         """The edge group for ``(node, item_id)``, created if absent.
 
-        Adaptive rebuilds can wire pairs that never sent or received in
-        the original graph (a relay acquiring a new item through
-        augmentation); such groups start empty and inherit the scalar
-        base's authoritative per-pair state (delivery log, receive
-        coherency, client plane) by reference.
+        Rebuilds can wire pairs that never sent or received in the
+        original graph (a late joiner, a relay acquiring a new item
+        through augmentation); such groups start empty and pick up the
+        pair's state (delivery log, receive coherency, client plane) by
+        reference.
         """
         key = (node, item_id)
         gid = self._gid_of.get(key)
@@ -512,99 +465,59 @@ class VectorizedSimulation(DisseminationSimulation):
             self._root_gid[item_id] = gid
         return gid
 
-    def _apply_diff(self, diff, now: float, resync: frozenset = frozenset()) -> None:
-        """Mirror a live rewiring into the edge-group arrays.
+    def unwire(self, parent: int, child: int, item_id: int, c: float) -> None:
+        gid = self._gid_of[(parent, item_id)]
+        hits = np.nonzero(self._g_child_gid[gid] == self._gid_of[(child, item_id)])[0]
+        if not hits.size:
+            raise SimulationError(
+                f"edge group for node {parent} holds no dependent for "
+                f"node {child}, item {item_id}"
+            )
+        i = int(hits[0])
+        for column in (self._g_child_gid, self._g_cs, self._g_last, self._g_delay):
+            column[gid] = np.delete(column[gid], i)
+        if self._policy_kind == _CENTRALIZED:
+            self._tagger.remove_tolerance(item_id, c)
 
-        The scalar base keeps the children maps, receive coherencies,
-        delivery logs and the registered scalar policy current; this
-        override then patches the struct-of-arrays mirrors edge for
-        edge, in the exact orders the base wires them (removals in
-        sorted-tuple order, additions root-downward per item tree), and
-        for the centralised policy replays the scalar ``SourceTagger``'s
-        refcounted remove/re-add transitions on the array tagger.
-        """
-        super()._apply_diff(diff, now, resync=resync)
+    def unsubscribe(self, node: int, item_id: int) -> None:
+        # In-flight deliveries still append to the kept log, but nobody
+        # is served from the pair any more -- mirror the scalar
+        # _serve_clients early-return by unhooking the client plane
+        # until a later rewire restores the subscription.
+        super().unsubscribe(node, item_id)
+        gid = self._gid_of[(node, item_id)]
+        self._g_ctol[gid] = None
+        self._g_clast[gid] = None
+
+    def wire(
+        self, parent: int, child: int, item_id: int, c: float, initial: float
+    ) -> None:
+        key = (child, item_id)
+        self._receive_c[key] = c
+        gid = self._ensure_group(parent, item_id)
+        child_gid = self._ensure_group(child, item_id)
         centralized = self._policy_kind == _CENTRALIZED
-        gid_of = self._gid_of
-        for parent, child, item_id, c in sorted(diff.removed):
-            gid = gid_of[(parent, item_id)]
-            child_gid = gid_of[(child, item_id)]
-            hits = np.nonzero(self._g_child_gid[gid] == child_gid)[0]
-            if not hits.size:
-                raise SimulationError(
-                    f"edge group for node {parent} holds no dependent for "
-                    f"node {child}, item {item_id}"
-                )
-            i = int(hits[0])
-            self._g_child_gid[gid] = np.delete(self._g_child_gid[gid], i)
-            self._g_cs[gid] = np.delete(self._g_cs[gid], i)
-            self._g_last[gid] = np.delete(self._g_last[gid], i)
-            self._g_delay[gid] = np.delete(self._g_delay[gid], i)
-            if (child, item_id) not in self._receive_c:
-                # The rebuild dropped the pair entirely (the scalar base
-                # popped its receive coherency): in-flight deliveries
-                # still append to the kept log, but nobody is served
-                # from the pair any more -- mirror the scalar
-                # _serve_clients early-return by unhooking the client
-                # plane until a later rewire restores the subscription.
-                self._g_ctol[child_gid] = None
-                self._g_clast[child_gid] = None
-            if centralized:
-                tau = quantise_tolerance(c)
-                key = (item_id, tau)
-                count = self._tol_count[key] - 1
-                if count:
-                    self._tol_count[key] = count
-                else:
-                    # Last edge serving at this tolerance is gone: the
-                    # scalar policy's unregister_edge dropped it from the
-                    # SourceTagger too.
-                    del self._tol_count[key]
-                    self._tagger.remove_tolerance(item_id, tau)
-        graph = self._graph
-        network = self.setup.network
-        added = sorted(
-            diff.added, key=lambda e: (e[2], graph.item_depth(e[1], e[2]), e)
-        )
-        for parent, child, item_id, c in added:
-            gid = self._ensure_group(parent, item_id)
-            child_gid = self._ensure_group(child, item_id)
-            # After the base class ran, the child's log tail IS the
-            # initial the scalar policy was primed with (re-homed
-            # children keep their copy; new subscriptions and resynced
-            # ones just had the parent's current value appended).
-            initial = self._deliveries[(child, item_id)][-1][1]
-            tol = quantise_tolerance(c) if centralized else c
-            self._g_child_gid[gid] = np.append(
-                self._g_child_gid[gid], np.int64(child_gid)
-            )
-            self._g_cs[gid] = np.append(self._g_cs[gid], tol)
-            self._g_last[gid] = np.append(self._g_last[gid], initial)
-            self._g_delay[gid] = np.append(
-                self._g_delay[gid], network.delay_s(parent, child)
-            )
-            # The base class (re)set the pair's receive coherency and may
-            # have created its delivery log: refresh the group's scalars
-            # so in-flight and future deliveries see current state.
-            self._g_prc[child_gid] = self._receive_c[(child, item_id)]
-            self._g_log[child_gid] = self._deliveries.get((child, item_id))
-            self._g_ctol[child_gid] = self._client_tols.get((child, item_id))
-            self._g_clast[child_gid] = self._client_last.get((child, item_id))
-            if centralized:
-                tkey = (item_id, tol)
-                count = self._tol_count.get(tkey, 0)
-                self._tol_count[tkey] = count + 1
-                if count == 0:
-                    self._tagger.add_tolerance(item_id, tol, initial)
+        for column, entry in (
+            (self._g_child_gid, np.int64(child_gid)),
+            (self._g_cs, quantise_tolerance(c) if centralized else c),
+            (self._g_last, initial),
+            (self._g_delay, self.setup.network.delay_s(parent, child)),
+        ):
+            column[gid] = np.append(column[gid], entry)
+        # The pair's receive coherency just changed and its delivery log
+        # may be new: refresh the group's scalars so in-flight and
+        # future deliveries see current state.
+        self._g_prc[child_gid] = c
+        self._g_log[child_gid] = self._deliveries.get(key)
+        self._g_ctol[child_gid] = self._client_tols.get(key)
+        self._g_clast[child_gid] = self._client_last.get(key)
+        if centralized:
+            self._tagger.add_tolerance(item_id, c, initial)
 
     def _events_processed(self) -> int:
         if self._batch_kernel is None:
             return 0
-        # The scalar kernel schedules each failure event and each drift
-        # tick as one discrete event; the batch drain applies them
-        # inline, so they are added back here to keep the result field
-        # bit-identical.
-        extra = len(self._failures.events) if self._failures is not None else 0
-        if self._adaptive_controller is not None:
-            extra += self._adaptive_controller.ticks
-        return self._batch_kernel.events_processed + extra
+        # The scalar kernel schedules each control-timeline entry as one
+        # discrete event; the batch drain applies them inline, so they
+        # are added back here to keep the result field bit-identical.
+        return self._batch_kernel.events_processed + self._reconfig.applied

@@ -18,17 +18,25 @@ executes the network's workload replay and returns wire-level
   drops, keeping the conservation invariant exact.
 
 Both transports execute unplanned failures and seeded message loss.
-When the network carries a
-:class:`~repro.live.harness.LiveFailureController`, repository-plane
-frames toward a crashed node or over a down link become drops (charged
-into the network's :class:`~repro.core.metrics.CostCounters` like the
-engine's), and ``loss_probability > 0`` Bernoulli-drops frames from a
-seeded stream -- the in-process transport consumes the *same*
-``message-loss`` stream in the same order as the engine, so a failure
-run is still bit-reproducible.  The TCP transport additionally
-heartbeats every connection and transparently reconnects severed ones
-with capped exponential backoff (a crash event severs the victim's
-connection for real).
+They apply the control timeline of the network's
+:class:`~repro.engine.reconfig.ReconfigurationCore` (the core makes
+every failover, resync and rewiring decision; the transport only
+delivers the instants): repository-plane frames toward a crashed node
+or over a down link become drops (charged into the network's
+:class:`~repro.core.metrics.CostCounters` like the engine's), and
+``loss_probability > 0`` Bernoulli-drops frames from a seeded stream.
+The in-process transport schedules the timeline on its kernel ahead of
+the replay and reads the core's live ``crashed`` / ``down_links`` sets;
+it consumes the *same* ``message-loss`` stream in the same order as the
+engine, so a failure or adaptive run is still bit-reproducible.  The
+TCP transport applies the timeline from a wall-clock task and judges
+racing frames by their logical arrival times against the
+:class:`~repro.engine.failures.FailureSchedule`'s half-open windows
+(:meth:`~repro.engine.failures.FailureSchedule.crashed_at` /
+:meth:`~repro.engine.failures.FailureSchedule.link_down_at`) rather
+than by mutable-set timing; it additionally heartbeats every connection
+and transparently reconnects severed ones with capped exponential
+backoff (a crash event severs the victim's connection for real).
 """
 
 from __future__ import annotations
@@ -120,7 +128,8 @@ class InProcessTransport:
     def run(self, network: "LiveNetwork", duration: float | None = None) -> TransportStats:
         stats = TransportStats()
         kernel = Simulator()
-        controller = network.failures
+        core = network.reconfig
+        crashed, down = core.crashed, core.down_links
         repo_ids = set(network.repositories)
         jitter_rng = (
             RandomStreams(self.seed).stream("live-jitter")
@@ -142,10 +151,7 @@ class InProcessTransport:
             for out in outs:
                 stats.sent += 1
                 if out.dst in repo_ids:
-                    if (
-                        controller is not None
-                        and (out.update.src, out.dst) in controller.down
-                    ):
+                    if down and (out.update.src, out.dst) in down:
                         # Partition: decided before the loss draw, like
                         # the engine, so the Bernoulli stream is only
                         # consumed for frames that enter the network.
@@ -175,7 +181,7 @@ class InProcessTransport:
                 kernel.schedule_at(arrival, deliver, out)
 
         def deliver(out: Outbound) -> None:
-            if controller is not None and out.dst in controller.crashed:
+            if out.dst in crashed:
                 # Crashed while the frame was in flight: a drop, judged
                 # at arrival time exactly like the engine's _on_delivery.
                 stats.dropped += 1
@@ -192,23 +198,12 @@ class InProcessTransport:
         def source_update(item_id: int, value: float) -> None:
             dispatch(network.source_node.on_update(item_id, value, kernel.now))
 
-        if controller is not None:
-            # Scheduled before the replay so a failure and an update at
-            # the same instant apply the failure first -- the engine's
-            # tie-break, reproduced on the same kernel.
-            for event in controller.schedule.events:
-                kernel.schedule_at(
-                    float(event.time),
-                    controller.apply_event,
-                    event,
-                    float(event.time),
-                )
-        if network.adaptive is not None:
-            # Like failures: ticks enqueue before the replay, so a drift
-            # evaluation and an update at the same instant run the tick
-            # first -- the engines' tie-break, on the same kernel.
-            for t in network.adaptive.tick_times(duration):
-                kernel.schedule_at(t, network.adaptive.apply_tick, t)
+        # Scheduled before the replay so a control event (failure, drift
+        # tick) and an update or delivery at the same instant apply the
+        # control event first -- the engine's tie-break, reproduced on
+        # the same kernel.
+        for t, event in core.timeline(network.span(duration)):
+            kernel.schedule_at(t, core.apply, t, event)
         for t, item_id, value in network.source_schedule(duration):
             kernel.schedule_at(t, source_update, item_id, value)
         kernel.run()
@@ -300,7 +295,8 @@ class TcpTransport:
         loop = asyncio.get_running_loop()
         quiet = asyncio.Event()
         replay_done = False
-        controller = network.failures
+        core = network.reconfig
+        schedule = core.failures
         repo_ids = set(network.repositories)
         loss_rng = (
             RandomStreams(self.seed).stream("message-loss")
@@ -351,8 +347,8 @@ class TcpTransport:
                     loss_rng is not None
                     and out.dst in repo_ids
                     and not (
-                        controller is not None
-                        and controller.link_down_at(
+                        schedule is not None
+                        and schedule.link_down_at(
                             out.update.src, out.dst, out.arrival_s
                         )
                     )
@@ -446,7 +442,7 @@ class TcpTransport:
         async def sender(dst: int) -> None:
             heap = send_heaps[dst]
             wakeup = send_wakeups[dst]
-            faulty = controller is not None and dst in repo_ids
+            faulty = schedule is not None and dst in repo_ids
             while True:
                 while not heap:
                     wakeup.clear()
@@ -463,22 +459,18 @@ class TcpTransport:
                         pass
                     continue  # re-evaluate the heap top either way
                 _due, _seq, out = heapq.heappop(heap)
-                if faulty and (
-                    controller.crashed_at(out.dst, out.arrival_s)
-                    or controller.link_down_at(
-                        out.update.src, out.dst, out.arrival_s
-                    )
-                ):
+                if faulty:
                     # Judged by the frame's logical arrival against the
-                    # precomputed availability windows -- deterministic
+                    # schedule's availability windows -- deterministic
                     # even when the wall clock races the event task.
-                    drop(
-                        out,
-                        "crash"
-                        if controller.crashed_at(out.dst, out.arrival_s)
-                        else "partition",
-                    )
-                    continue
+                    if schedule.crashed_at(out.dst, out.arrival_s):
+                        drop(out, "crash")
+                        continue
+                    if schedule.link_down_at(
+                        out.update.src, out.dst, out.arrival_s
+                    ):
+                        drop(out, "partition")
+                        continue
                 writer = await ensure_writer(dst)
                 if writer is None:
                     # Reconnect exhausted: the wire ate the frame.
@@ -508,7 +500,7 @@ class TcpTransport:
             probe = encode_message(Heartbeat(src=network.source_node.node))
             while True:
                 await asyncio.sleep(self.heartbeat_interval_s)
-                if controller is not None and dst in controller.crashed:
+                if dst in core.crashed:
                     continue  # peer is down by schedule: probing is moot
                 writer = await ensure_writer(dst)
                 if writer is None:
@@ -520,14 +512,14 @@ class TcpTransport:
                     continue
                 stats.heartbeats += 1
 
-        async def failure_events() -> None:
-            assert controller is not None
-            for event in controller.schedule.events:
-                due = start_wall + float(event.time) / self.time_scale
+        async def control_events() -> None:
+            # Failure events only: run_live refuses adaptive ticks here.
+            for t, event in core.timeline(network.span(duration)):
+                due = start_wall + t / self.time_scale
                 delay = due - loop.time()
                 if delay > 0:
                     await asyncio.sleep(delay)
-                controller.apply_event(event, float(event.time))
+                core.apply(t, event)
                 if event.kind == "crash":
                     # Sever the victim's connection for real; senders and
                     # heartbeats reconnect on demand after recovery.
@@ -552,7 +544,7 @@ class TcpTransport:
             # repository and every client rather than just the static
             # edge pairs.
             dsts = {dst for _src, dst in network.edge_pairs()}
-            if controller is not None:
+            if schedule is not None:
                 dsts.update(repo_ids)
                 dsts.update(network.clients)
             for dst in sorted(dsts):
@@ -569,9 +561,9 @@ class TcpTransport:
 
             # Replay the workload against the wall clock.
             start_wall = loop.time()
-            if controller is not None:
+            if schedule is not None:
                 aux_tasks.append(
-                    asyncio.create_task(failure_events(), name="live-failures")
+                    asyncio.create_task(control_events(), name="live-control")
                 )
                 if self.heartbeat_interval_s > 0:
                     for dst in sorted(repo_ids & set(send_heaps)):

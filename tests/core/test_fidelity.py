@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.fidelity import FidelityAccumulator, loss_of_fidelity, violation_time
+from repro.core.fidelity import (
+    FidelityAccumulator,
+    loss_of_fidelity,
+    segmented_loss,
+    violation_time,
+)
 from repro.errors import ConfigurationError
 
 
@@ -99,6 +104,21 @@ def test_loss_between_zero_and_hundred():
         recv_v = rng.normal(0, 1, m)
         loss = loss_of_fidelity(src_t, src_v, recv_t, recv_v, 0.3, 0.0, 10.0)
         assert 0.0 <= loss <= 100.0
+
+
+def test_violation_never_exceeds_the_window_by_a_float_ulp():
+    # Hypothesis's falsifying example for
+    # test_violation_time_bounded_by_window: every one of the 27
+    # sub-interval widths is violated and their float sum is
+    # 100.00000000000001 over a 100 s window.
+    src_t = np.linspace(0.0, 90.0, 3)
+    recv_t = np.linspace(0.0, 90.0, 26)
+    args = (src_t, np.full(3, 2.0), recv_t, np.zeros(26))
+    assert violation_time(*args, 1.0, 0.0, 100.0) == 100.0
+    assert loss_of_fidelity(*args, 1.0, 0.0, 100.0) == 100.0
+    # The duration-weighted form sums the same widths segment by segment.
+    segments = [[0.0, 30.0, 1.0], [30.0, 70.0, 1.0], [70.0, None, 1.0]]
+    assert segmented_loss(*args, segments, 0.0, 100.0) == 100.0
 
 
 # ----------------------------------------------------------------------

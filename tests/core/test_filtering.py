@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.dissemination.filtering import (
+    ArraySourceTagger,
     EdgeFilter,
     SourceTagger,
     forward_centralized,
@@ -75,11 +76,36 @@ def test_source_tagger_tracks_unique_tolerances():
     tagger = SourceTagger()
     tagger.add_tolerance(0, 0.3, 1.0)
     tagger.add_tolerance(0, 0.1, 1.0)
-    tagger.add_tolerance(0, 0.3, 1.0)  # duplicate: idempotent
+    tagger.add_tolerance(0, 0.3, 1.0)  # a second edge at the same tolerance
     assert tagger.unique_tolerances(0) == [0.1, 0.3]
     tagger.remove_tolerance(0, 0.1)
     assert tagger.unique_tolerances(0) == [0.3]
-    tagger.remove_tolerance(0, 0.1)  # idempotent
+    tagger.remove_tolerance(0, 0.1)  # unknown by now: ignored
+    tagger.remove_tolerance(0, 0.3)
+    assert tagger.unique_tolerances(0) == [0.3]  # one edge still serves at it
+    tagger.remove_tolerance(0, 0.3)
+    assert tagger.unique_tolerances(0) == []
+
+
+def test_array_tagger_counts_edges_like_the_scalar_tagger():
+    scalar, array = SourceTagger(), ArraySourceTagger()
+    edges = [0.3, 0.1, 0.3 + 1e-12, 0.5]
+    for c in edges:
+        scalar.add_tolerance(0, c, 1.0)
+    array.add_item(0, edges, 1.0)
+    assert array.unique_tolerances(0) == scalar.unique_tolerances(0) == [0.1, 0.3, 0.5]
+    for tagger in (scalar, array):
+        tagger.examine(0, 1.35)  # marks 0.1 and 0.3 as sent at 1.35
+        tagger.remove_tolerance(0, 0.3)  # one of two edges: entry and state stay
+        tagger.add_tolerance(0, 0.2, 9.0)
+        tagger.add_tolerance(0, 0.3, 9.0)  # existing entry keeps its last-sent
+    assert array.unique_tolerances(0) == scalar.unique_tolerances(0) == [0.1, 0.2, 0.3, 0.5]
+    for value in (1.6, 1.7, 9.1, 9.4):
+        assert array.examine(0, value) == scalar.examine(0, value)
+    for tagger in (scalar, array):
+        tagger.remove_tolerance(0, 0.3)
+        tagger.remove_tolerance(0, 0.3)
+    assert array.unique_tolerances(0) == scalar.unique_tolerances(0) == [0.1, 0.2, 0.5]
 
 
 def test_source_tagger_examination_marks_covered_tolerances():

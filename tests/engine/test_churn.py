@@ -42,10 +42,9 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_seed_regression(name):
+def _assert_golden(name, **overrides):
     kwargs, loss, messages, reconf, added, removed, final = GOLDEN[name]
-    result = run_simulation(churned(**kwargs))
+    result = run_simulation(churned(**kwargs, **overrides))
     assert result.loss_of_fidelity == pytest.approx(loss, rel=1e-9)
     assert result.counters.messages == messages
     assert result.counters.reconfigurations == reconf
@@ -53,6 +52,33 @@ def test_golden_seed_regression(name):
     assert result.counters.edges_removed == removed
     assert result.reconfiguration_cost == added + removed
     assert result.extras["final_members"] == final
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_seed_regression(name):
+    _assert_golden(name)  # kernel="auto", which resolves to the vectorized kernel
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_seed_regression_on_each_kernel(name, kernel):
+    _assert_golden(name, kernel=kernel)
+
+
+@pytest.mark.parametrize("policy", ["distributed", "centralized", "flooding", "eq3_only"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_schedules_run_bit_identically_on_the_vectorized_kernel(name, policy):
+    """Loss, every counter field (reconfiguration cost and drops
+    included) and the event count: full ``SimulationResult`` equality."""
+    config = churned(
+        **GOLDEN[name][0],
+        policy=policy,
+        message_loss_probability=0.05,
+        clients_per_repository=5,
+    )
+    scalar = run_simulation(config.with_(kernel="scalar"))
+    assert run_simulation(config.with_(kernel="vectorized")) == scalar
+    assert scalar.counters.reconfigurations > 0 and scalar.counters.drops > 0
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -45,12 +45,14 @@ def test_unknown_kernel_rejected():
         SimulationConfig(kernel="gpu")
 
 
-def test_vectorized_kernel_rejects_churn_and_exotic_policies():
+def test_vectorized_kernel_takes_churn_and_rejects_exotic_policies():
     from repro.engine.churn import ChurnEvent, ChurnSchedule
 
     schedule = ChurnSchedule(events=(ChurnEvent.depart(10.0, 1),))
-    with pytest.raises(ConfigurationError):
-        SimulationConfig(kernel="vectorized", churn=schedule)
+    config = SimulationConfig(kernel="vectorized", churn=schedule)
+    assert config.churn == schedule
+    with pytest.raises(ConfigurationError, match="supports policies"):
+        SimulationConfig(kernel="vectorized", policy="pull")
 
 
 def test_churn_tolerances_validated_at_build_time():

@@ -87,18 +87,36 @@ def test_auto_selects_vectorized_when_supported():
     assert type(sim) is VectorizedSimulation
 
 
-def test_auto_falls_back_to_scalar_under_churn():
-    schedule = ChurnSchedule(events=(ChurnEvent.depart(1.0e9, 1),))
-    setup = build_setup(BASE.with_(kernel="auto", churn=schedule))
-    sim = make_simulation(setup)
-    assert type(sim) is DisseminationSimulation
+def test_auto_picks_vectorized_under_churn_and_equals_scalar():
+    schedule = ChurnSchedule(events=(ChurnEvent.depart(40.0, 1),))
+    config = BASE.with_(kernel="auto", churn=schedule)
+    sim = make_simulation(build_setup(config))
+    assert type(sim) is VectorizedSimulation
+    assert sim.run() == run_simulation(config.with_(kernel="scalar"))
 
 
-def test_vectorized_kernel_refuses_churn_setups():
-    schedule = ChurnSchedule(events=(ChurnEvent.depart(1.0e9, 1),))
-    setup = build_setup(BASE.with_(churn=schedule))
+def test_vectorized_kernel_runs_churn_setups_like_the_oracle():
+    schedule = ChurnSchedule(
+        events=(ChurnEvent.depart(40.0, 1), ChurnEvent.join(90.0, 1))
+    )
+    setup = build_setup(BASE.with_(churn=schedule, clients_per_repository=10))
+    result = VectorizedSimulation(setup).run()
+    assert result == DisseminationSimulation(setup).run()
+    assert result.counters.reconfigurations == 2
+
+
+def test_vectorized_kernel_refuses_policies_outside_the_push_four():
+    from repro.core.dissemination import DistributedPolicy
+
+    class Exotic(DistributedPolicy):
+        name = "exotic"
+
+    setup = build_setup(BASE)
     with pytest.raises(ConfigurationError):
-        VectorizedSimulation(setup)
+        VectorizedSimulation(setup, Exotic())
+    with pytest.raises(ConfigurationError):
+        make_simulation(build_setup(BASE.with_(kernel="vectorized")), Exotic())
+    assert type(make_simulation(setup, Exotic())) is DisseminationSimulation
 
 
 def test_shared_setup_reuse_is_stateless():

@@ -2,17 +2,20 @@
 
 The repo now has three distinct ways to change the dissemination tree
 mid-run -- planned churn, unplanned failures, and drift-triggered
-adaptive rewiring.  Each reaches the kernels through its own front end,
-but all three ultimately retarget live edges while updates are in
-flight, which is exactly where a charging bug would hide.  This module
-pins the shared invariant once, parametrized over the source:
+adaptive rewiring.  All three are decided by the one
+:class:`~repro.engine.reconfig.ReconfigurationCore` and executed by
+three planes (scalar kernel, vectorized kernel, in-process live
+network) that retarget live edges while updates are in flight, which is
+exactly where a charging bug would hide.  This module pins the shared
+invariant once, parametrized over plane x source:
 
 - ``deliveries + drops == messages`` (nothing double-charged, nothing
   silently freed);
 - the fidelity score stays a percentage;
 - the run really did reconfigure (the parametrization is not vacuous);
-- scalar and vectorized kernels agree bit-for-bit wherever both
-  support the source (churn remains scalar-only).
+- every plane that runs a source agrees with the scalar oracle bit for
+  bit, and a plane that does not run it refuses with a
+  ``ConfigurationError`` (today: churn on the live network).
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from repro.engine.churn import synthetic_schedule
 from repro.engine.config import SCALE_PRESETS
 from repro.engine.failures import FailureEvent, FailureSchedule
 from repro.engine.simulation import run_simulation
+from repro.errors import ConfigurationError
+from repro.live import run_live
 from repro.workloads import FlashCrowdWorkload
 
 BASE = SCALE_PRESETS["tiny"].with_(
@@ -65,10 +70,19 @@ def _adaptive_config():
 
 
 SOURCES = {
-    "churn": (_churn_config, False),
-    "failures": (_failures_config, True),
-    "adaptive": (_adaptive_config, True),
+    "churn": _churn_config,
+    "failures": _failures_config,
+    "adaptive": _adaptive_config,
 }
+
+PLANES = {
+    "scalar": lambda config: run_simulation(config.with_(kernel="scalar")),
+    "vectorized": lambda config: run_simulation(config.with_(kernel="vectorized")),
+    "inprocess": lambda config: run_live(config, "inprocess"),
+}
+
+#: plane x source cells that are refused rather than run.
+REFUSED = {("inprocess", "churn")}
 
 
 def _assert_reconfigured(source: str, result) -> None:
@@ -82,8 +96,7 @@ def _assert_reconfigured(source: str, result) -> None:
 @pytest.mark.parametrize("loss", [0.0, 0.05])
 @pytest.mark.parametrize("source", sorted(SOURCES))
 def test_deliveries_plus_drops_equal_messages(source, loss):
-    make_config, vectorizable = SOURCES[source]
-    config = make_config().with_(message_loss_probability=loss)
+    config = SOURCES[source]().with_(message_loss_probability=loss)
     scalar = run_simulation(config.with_(kernel="scalar"))
     counters = scalar.counters
     assert counters.deliveries + counters.drops == counters.messages
@@ -91,5 +104,23 @@ def test_deliveries_plus_drops_equal_messages(source, loss):
         assert counters.drops == 0 or source == "failures"
     assert 0.0 <= scalar.loss_of_fidelity <= 100.0
     _assert_reconfigured(source, scalar)
-    if vectorizable:
-        assert run_simulation(config.with_(kernel="vectorized")) == scalar
+    assert run_simulation(config.with_(kernel="vectorized")) == scalar
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+@pytest.mark.parametrize("plane", sorted(PLANES))
+def test_every_plane_runs_the_source_like_the_oracle_or_refuses(plane, source):
+    config = SOURCES[source]().with_(message_loss_probability=0.05)
+    if (plane, source) in REFUSED:
+        with pytest.raises(ConfigurationError):
+            PLANES[plane](config)
+        return
+    result = PLANES[plane](config)
+    oracle = PLANES["scalar"](config)
+    counters = result.counters
+    assert counters.deliveries + counters.drops == counters.messages
+    assert counters.reconfigurations > 0
+    assert counters == oracle.counters
+    assert result.loss_of_fidelity == oracle.loss_of_fidelity
+    assert result.per_repository_loss == oracle.per_repository_loss
+    assert result.tree_stats == oracle.tree_stats
