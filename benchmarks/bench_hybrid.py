@@ -5,17 +5,16 @@ ride the push plane, and the $0.1 paper boundary already recovers most
 of pure push's fidelity.
 """
 
-from repro.experiments import hybrid_tradeoff
+from repro.experiments import api
 
 
 def bench_hybrid_threshold_tradeoff(once):
     result = once(
-        hybrid_tradeoff.run,
+        api.run_experiment,
+        "hybrid_tradeoff",
         preset="tiny",
-        thresholds=(0.005, 0.1, 1.0),
-        t_percent=50.0,
-        n_items=8,
-        trace_samples=500,
+        params=dict(thresholds=(0.005, 0.1, 1.0), t_percent=50.0),
+        overrides=dict(n_items=8, trace_samples=500),
     )
     losses = result.series_by_label("loss %").ys
     shares = result.series_by_label("push share %").ys

@@ -5,17 +5,16 @@ fidelity degrades as the TTR grows; the adaptive TTR lands between the
 fast and slow fixed settings on both fidelity and traffic.
 """
 
-from repro.experiments import pull_baseline
+from repro.experiments import api
 
 
 def bench_push_vs_pull(once):
     result = once(
-        pull_baseline.run,
+        api.run_experiment,
+        "pull_baseline",
         preset="tiny",
-        t_percent=80.0,
-        ttrs_s=(2.0, 30.0),
-        n_items=8,
-        trace_samples=600,
+        params=dict(t_percent=80.0, ttrs_s=(2.0, 30.0)),
+        overrides=dict(n_items=8, trace_samples=600),
     )
     systems = result.notes["systems"]
     losses = dict(zip(systems, result.series_by_label("loss %").ys))

@@ -23,7 +23,7 @@ from repro.engine.builder import build_setup
 from repro.engine.config import SCALE_PRESETS
 from repro.engine.simulation import DisseminationSimulation
 from repro.engine.vectorized import VectorizedSimulation
-from repro.experiments import scalability
+from repro.experiments import api
 
 #: The scalability preset, trimmed where both kernels pay identically.
 SPEEDUP_CONFIG = SCALE_PRESETS["scalability"].with_(
@@ -36,12 +36,11 @@ SPEEDUP_CONFIG = SCALE_PRESETS["scalability"].with_(
 
 def bench_scalability_triple_repositories(once):
     result = once(
-        scalability.run,
+        api.run_experiment,
+        "scalability",
         preset="tiny",
-        repo_counts=(20, 40, 60),
-        t_percent=80.0,
-        n_items=8,
-        trace_samples=500,
+        params=dict(repo_counts=(20, 40, 60), t_percent=80.0),
+        overrides=dict(n_items=8, trace_samples=500),
     )
     assert result.notes["loss increase base->max (paper: <5%)"] < 5.0
     losses = result.series_by_label("controlled cooperation").ys

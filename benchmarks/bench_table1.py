@@ -1,11 +1,11 @@
 """Benchmark: regenerate Table 1 (trace characteristics)."""
 
-from repro.experiments import table1
+from repro.experiments import api
 from repro.traces.library import PAPER_TICKERS
 
 
 def bench_table1_regeneration(once):
-    stats = once(table1.run, 10_000)
+    stats = once(api.run_experiment, "table1", params=dict(n_samples=10_000))
     assert len(stats) == len(PAPER_TICKERS)
     for s, spec in zip(stats, PAPER_TICKERS):
         assert s.name == spec.ticker

@@ -1,9 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Each ``bench_*.py`` regenerates one of the paper's tables or figures on
-the ``tiny`` scale preset and asserts its qualitative shape, while
-pytest-benchmark records how long the regeneration takes.  The committed
-wall-clock and per-layer numbers live in the perf ledger (see
+Each ``bench_*.py`` runs one subsystem or extension experiment on the
+``tiny`` scale preset and asserts its qualitative shape, while
+pytest-benchmark records how long the run takes.  The shape checks of
+the paper's own figures live in tier-1
+(``tests/experiments/test_figures.py``); the committed wall-clock and
+per-layer numbers live in the perf ledger (see
 ``benchmarks/ledger/README.md``; ``python -m benchmarks.ledger``).
 
 Simulations are deterministic and relatively slow (hundreds of ms to
@@ -19,9 +21,6 @@ import pytest
 #: (12 items, 25 ms computation -- inside the paper's Figure 6 sweep)
 #: that the source-side queueing effects are visible at 20 repositories.
 BENCH_OVERRIDES = dict(n_items=12, comp_delay_ms=25.0, trace_samples=500)
-
-#: Reduced degree grid covering chain, optimum and full fan-out.
-BENCH_DEGREES = [1, 2, 4, 8, 20]
 
 
 @pytest.fixture

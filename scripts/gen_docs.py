@@ -62,6 +62,7 @@ API_MODULES = (
     "repro.experiments.api",
     "repro.experiments.cache",
     "repro.experiments.defaults",
+    "repro.experiments.figures",
     "repro.obs.trace",
     "repro.obs.metrics",
     "repro.obs.explain",

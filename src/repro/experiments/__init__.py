@@ -10,8 +10,10 @@ deduplicated sweep fan-out with a content-addressed result cache
 (:mod:`repro.experiments.cache`), so shared points are simulated once
 and warm reruns skip simulation entirely.
 
-Each module still exposes its historical ``run(preset=..., **overrides)``
-and printing ``main()``.  Run everything from the command line::
+The paper's grid figures (3, 5-10) are declared as data in
+:mod:`repro.experiments.figures`; every other experiment lives in the
+module of its name.  :func:`repro.experiments.api.run_experiment` is the
+one programmatic entry point; from the command line::
 
     python -m repro experiments list
     python -m repro experiments run figure3 figure8 --preset tiny --jobs 4
@@ -23,7 +25,6 @@ from repro.experiments.runner import (
     Series,
     format_result,
     report,
-    sweep,
 )
 
-__all__ = ["ExperimentResult", "Series", "format_result", "report", "sweep"]
+__all__ = ["ExperimentResult", "Series", "format_result", "report"]

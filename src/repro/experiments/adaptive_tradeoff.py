@@ -27,7 +27,7 @@ from repro.errors import SimulationError
 from repro.experiments import api
 from repro.workloads import make_workload
 
-__all__ = ["SPEC", "run", "main", "total_cost"]
+__all__ = ["SPEC", "total_cost"]
 
 
 def total_cost(result) -> int:
@@ -192,25 +192,3 @@ SPEC = api.register(api.ExperimentSpec(
     collect=_collect,
     render=_render,
 ))
-
-
-def run(
-    preset: str = "small",
-    jobs: int | None = 1,
-    cache: api.ResultCache | None = None,
-    **overrides,
-) -> dict:
-    """Run the workload x policy grid and check the domination claim."""
-    return api.run_experiment(
-        SPEC.name, preset=preset, jobs=jobs, cache=cache, overrides=overrides
-    )
-
-
-def main(preset: str = "small", jobs: int | None = 1) -> str:
-    text = SPEC.render(run(preset=preset, jobs=jobs))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -12,8 +12,7 @@ data rather than an ad-hoc module entry point.  A spec declares
 - ``collect(ctx, results)`` -- the reduction of raw
   :class:`~repro.engine.results.SimulationResult`\\ s into the
   experiment's payload (an
-  :class:`~repro.experiments.runner.ExperimentResult` for most figures),
-  bit-identical to what the pre-registry modules produced.
+  :class:`~repro.experiments.runner.ExperimentResult` for most figures).
 
 The unified runner (:func:`run_experiments`) executes the **union** of
 all requested experiments' plans through one deduplicated
@@ -117,7 +116,8 @@ class ParamSpec:
     """One declared experiment parameter.
 
     Attributes:
-        name: Parameter name (a keyword of the experiment's ``run()``).
+        name: Parameter name (a key of ``ctx.params``; ``--param
+            EXP.NAME=VALUE`` on the command line).
         kind: Declared type: ``int``, ``float``, ``str``, ``bool``,
             ``floats`` (comma-separated tuple) or ``ints``.
         default: Value used when the caller supplies nothing. ``None``
@@ -139,24 +139,31 @@ class ParamSpec:
 
     def coerce(self, text: str) -> Any:
         """Parse a CLI string into this parameter's declared type."""
-        try:
-            return _KIND_COERCERS[self.kind](text)
-        except (ValueError, KeyError):
-            raise ConfigurationError(
-                f"parameter {self.name!r} expects {self.kind}, got {text!r}"
-            ) from None
+        return self._convert(_KIND_COERCERS, text)
 
     def normalize(self, value: Any) -> Any:
         """Normalise a programmatic value (lists become tuples, etc.)."""
         if value is None:
             return None
+        return self._convert(_KIND_NORMALIZERS, value)
+
+    def _convert(
+        self, converters: Mapping[str, Callable[[Any], Any]], value: Any
+    ) -> Any:
         try:
-            return _KIND_NORMALIZERS[self.kind](value)
+            converted = converters[self.kind](value)
         except (TypeError, ValueError):
             raise ConfigurationError(
-                f"parameter {self.name!r} expects {self.kind}, "
-                f"got {value!r}"
+                f"parameter {self.name!r} expects {self.kind}, got {value!r}"
             ) from None
+        # An empty sweep axis plans nothing and renders a chart with no
+        # curves (or indexes past the end of its results): refuse it here.
+        if converted == ():
+            raise ConfigurationError(
+                f"parameter {self.name!r} expects at least one value, "
+                f"got {value!r}"
+            )
+        return converted
 
 
 @dataclass
@@ -170,7 +177,7 @@ class ExperimentContext:
         jobs: Worker processes for any fan-out the experiment performs.
         cache: Content-addressed result cache, or ``None`` (disabled).
         overrides: Raw :class:`SimulationConfig` field overrides applied
-            on top of the preset (the historical ``**overrides``).
+            on top of the preset.
         stats: When set, auxiliary-plane work (``cached`` /
             :func:`cached_parallel_map`) is tallied here, cache or no
             cache, so run summaries report what was actually computed.
@@ -230,8 +237,7 @@ class ExperimentSpec:
         collect: ``(ctx, results) -> payload`` -- reduces the raw
             results (aligned 1:1 with the planned grid) into the
             experiment's output shape.
-        render: ``payload -> str`` -- the human-readable report
-            (identical to the historical ``main()`` output).
+        render: ``payload -> str`` -- the human-readable report.
     """
 
     name: str
@@ -280,17 +286,34 @@ class ExperimentSpec:
 
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
-#: Modules whose import registers the built-in experiments, in the
-#: paper's presentation order (also the default ``run_all`` order).
+#: The built-in experiments in the paper's presentation order (also
+#: the default ``run_all`` order).
+_BUILTIN_NAMES = (
+    "table1",
+    "figure3",
+    "figure5",
+    "figure6",
+    "figure7",
+    "figure8",
+    "figure9",
+    "figure10",
+    "figure11",
+    "scalability",
+    "sensitivity",
+    "pull_baseline",
+    "hybrid_tradeoff",
+    "churn_resilience",
+    "failure_resilience",
+    "workload_sensitivity",
+    "adaptive_tradeoff",
+    "live_crosscheck",
+)
+
+#: Modules whose import registers them.  The grid figures (3, 5-10)
+#: share one module, so names cannot be read off this list.
 _BUILTIN_MODULES = (
     "repro.experiments.table1",
-    "repro.experiments.figure3",
-    "repro.experiments.figure5",
-    "repro.experiments.figure6",
-    "repro.experiments.figure7",
-    "repro.experiments.figure8",
-    "repro.experiments.figure9",
-    "repro.experiments.figure10",
+    "repro.experiments.figures",
     "repro.experiments.figure11",
     "repro.experiments.scalability",
     "repro.experiments.sensitivity",
@@ -329,9 +352,8 @@ def available_experiments() -> list[str]:
     """Registered experiment names: built-ins in the paper's presentation
     order, then third-party registrations in registration order."""
     load_builtin_experiments()
-    builtin = [module.rsplit(".", 1)[1] for module in _BUILTIN_MODULES]
-    ordered = [name for name in builtin if name in _REGISTRY]
-    ordered += [name for name in _REGISTRY if name not in builtin]
+    ordered = [name for name in _BUILTIN_NAMES if name in _REGISTRY]
+    ordered += [name for name in _REGISTRY if name not in _BUILTIN_NAMES]
     return ordered
 
 
@@ -470,8 +492,7 @@ class RunReport:
 
     Attributes:
         payloads: ``name -> collected payload`` in execution order.
-        texts: ``name -> rendered report`` (the historical ``main()``
-            output).
+        texts: ``name -> rendered report``.
         seconds: ``name -> collect-phase wall time``.
         stats: What the shared execution plane did.
         sweep_seconds: Wall time of the shared simulate/lookup phase.

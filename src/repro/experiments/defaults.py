@@ -4,10 +4,9 @@ The paper's ~15 figures and tables draw from one small family of
 parameter grids -- the seven coherency mixes of Figure 3, the
 communication/computation delay axes of Figures 5-7, LeLA's P% band,
 Eq. (2)'s interest fraction, the pull TTRs and the push/pull threshold
-boundary.  They used to live scattered across the figure modules (with
-``figure5`` importing its T grid *from* ``figure3``); this module is
-their single home.  The figure modules re-export their historical names
-for backwards compatibility.
+boundary.  This module is their single home; the grid declarations in
+:mod:`repro.experiments.figures` and the extension experiments import
+them from here.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from repro.engine.failures import failures_for_config
 from repro.experiments import api
 from repro.experiments.runner import ExperimentResult, Series, report
 
-__all__ = ["SPEC", "POLICIES", "run", "main"]
+__all__ = ["SPEC", "POLICIES"]
 
 POLICIES = ("distributed", "centralized")
 
@@ -103,31 +103,3 @@ SPEC = api.register(api.ExperimentSpec(
     collect=_collect,
     render=report,
 ))
-
-
-def run(
-    preset: str = "small",
-    intensities: list[int] | None = None,
-    jobs: int | None = 1,
-    cache: api.ResultCache | None = None,
-    **overrides,
-) -> ExperimentResult:
-    """Sweep failure intensity for each exact dissemination policy."""
-    return api.run_experiment(
-        SPEC.name,
-        preset=preset,
-        jobs=jobs,
-        cache=cache,
-        params=dict(intensities=intensities),
-        overrides=overrides,
-    )
-
-
-def main(preset: str = "small", **overrides) -> str:
-    text = report(run(preset=preset, **overrides))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.experiments import api
 
-__all__ = ["Figure11Result", "SPEC", "run", "main"]
+__all__ = ["Figure11Result", "SPEC"]
 
 
 @dataclass
@@ -105,37 +105,3 @@ SPEC = api.register(api.ExperimentSpec(
     collect=_collect,
     render=_render,
 ))
-
-
-def run(
-    preset: str = "small",
-    t_percent: float = 80.0,
-    controlled_cooperation: bool = True,
-    offered_degree: int | None = None,
-    jobs: int | None = 1,
-    cache: api.ResultCache | None = None,
-    **overrides,
-) -> Figure11Result:
-    """Run both exact policies over the identical workload and tree."""
-    return api.run_experiment(
-        SPEC.name,
-        preset=preset,
-        jobs=jobs,
-        cache=cache,
-        params=dict(
-            t_percent=t_percent,
-            controlled_cooperation=controlled_cooperation,
-            offered_degree=offered_degree,
-        ),
-        overrides=overrides,
-    )
-
-
-def main(preset: str = "small", **overrides) -> str:
-    text = _render(run(preset=preset, **overrides))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -20,7 +20,7 @@ from repro.experiments import api
 from repro.experiments.defaults import DEFAULT_THRESHOLDS
 from repro.experiments.runner import ExperimentResult, Series, report
 
-__all__ = ["DEFAULT_THRESHOLDS", "SPEC", "run", "main"]
+__all__ = ["SPEC"]
 
 
 def _run_hybrid_point(point: tuple[SimulationConfig, float]):
@@ -92,32 +92,3 @@ SPEC = api.register(api.ExperimentSpec(
     collect=_collect,
     render=report,
 ))
-
-
-def run(
-    preset: str = "small",
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-    t_percent: float = 50.0,
-    jobs: int | None = 1,
-    cache: api.ResultCache | None = None,
-    **overrides,
-) -> ExperimentResult:
-    """Sweep the push/pull threshold over one shared workload."""
-    return api.run_experiment(
-        SPEC.name,
-        preset=preset,
-        jobs=jobs,
-        cache=cache,
-        params=dict(thresholds=thresholds, t_percent=t_percent),
-        overrides=overrides,
-    )
-
-
-def main(preset: str = "small", **overrides) -> str:
-    text = report(run(preset=preset, **overrides))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

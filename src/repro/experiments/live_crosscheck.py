@@ -58,7 +58,7 @@ from repro.errors import SimulationError
 from repro.experiments import api
 from repro.workloads import FlashCrowdWorkload
 
-__all__ = ["SPEC", "POLICIES", "FAILURE_BASE", "ADAPTIVE_BASE", "run", "main"]
+__all__ = ["SPEC", "POLICIES", "FAILURE_BASE", "ADAPTIVE_BASE"]
 
 #: The two exact policies are the cross-check's subjects; flooding and
 #: eq3_only are diagnostic baselines, available via the ``policies``
@@ -419,23 +419,3 @@ SPEC = api.register(api.ExperimentSpec(
     collect=_collect,
     render=_render,
 ))
-
-
-def run(
-    preset: str = "small",
-    jobs: int | None = 1,
-    cache: api.ResultCache | None = None,
-    **overrides,
-) -> dict:
-    """Programmatic entry point mirroring the other experiment modules."""
-    return api.run_experiment(
-        "live_crosscheck", preset=preset, jobs=jobs, cache=cache,
-        overrides=overrides,
-    )
-
-
-def main(preset: str = "small", jobs: int | None = 1) -> str:
-    """Run and render (the historical module-level driver shape)."""
-    text = SPEC.render(run(preset=preset, jobs=jobs))
-    print(text)
-    return text

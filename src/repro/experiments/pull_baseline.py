@@ -27,7 +27,7 @@ from repro.experiments import api
 from repro.experiments.defaults import DEFAULT_TTRS
 from repro.experiments.runner import ExperimentResult, Series
 
-__all__ = ["DEFAULT_TTRS", "SPEC", "run", "main"]
+__all__ = ["SPEC"]
 
 
 def _run_pull_point(point: tuple[SimulationConfig, TtrConfig]):
@@ -120,32 +120,3 @@ SPEC = api.register(api.ExperimentSpec(
     collect=_collect,
     render=_render,
 ))
-
-
-def run(
-    preset: str = "small",
-    t_percent: float = 80.0,
-    ttrs_s: tuple[float, ...] = DEFAULT_TTRS,
-    jobs: int | None = 1,
-    cache: api.ResultCache | None = None,
-    **overrides,
-) -> ExperimentResult:
-    """Run push and the pull family over one shared workload."""
-    return api.run_experiment(
-        SPEC.name,
-        preset=preset,
-        jobs=jobs,
-        cache=cache,
-        params=dict(t_percent=t_percent, ttrs_s=ttrs_s),
-        overrides=overrides,
-    )
-
-
-def main(preset: str = "small", **overrides) -> str:
-    text = _render(run(preset=preset, **overrides))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -24,29 +24,9 @@ from repro.experiments import api
 from repro.experiments.cache import ResultCache, default_cache_root
 from repro.obs.logsetup import LOG_LEVELS, get_logger, setup_cli_logging
 
-__all__ = ["EXPERIMENTS", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 log = get_logger("repro.experiments.run_all")
-
-
-def _run_one(name: str):
-    def runner(preset: str, jobs: int | None):
-        spec = api.get_experiment(name)
-        text = spec.render(
-            api.run_experiment(name, preset=preset, jobs=jobs)
-        )
-        log.info(text)
-        return text
-
-    return runner
-
-
-#: Backwards-compatible driver map: every registered experiment behind
-#: one ``(preset, jobs)`` signature (the registry is the source of
-#: truth; prefer ``python -m repro experiments run``).
-EXPERIMENTS = {
-    name: _run_one(name) for name in api.available_experiments()
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         nargs="*",
         default=None,
-        help=f"subset of experiments to run (choices: {sorted(EXPERIMENTS)})",
+        help="subset of experiments to run "
+        f"(choices: {sorted(api.available_experiments())})",
     )
     parser.add_argument(
         "--no-cache",
@@ -109,8 +90,9 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     setup_cli_logging(args.log_level)
 
-    names = args.only if args.only else list(EXPERIMENTS)
-    unknown = [n for n in names if n not in EXPERIMENTS]
+    known = api.available_experiments()
+    names = args.only if args.only else known
+    unknown = [n for n in names if n not in known]
     if unknown:
         parser.error(f"unknown experiments: {unknown}")
 

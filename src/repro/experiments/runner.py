@@ -1,22 +1,15 @@
-"""Shared sweep machinery and ASCII reporting for all experiments."""
+"""Shared result shapes and ASCII reporting for all experiments."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
 from repro.engine.config import SCALE_PRESETS, SimulationConfig
-from repro.engine.results import SimulationResult
-from repro.engine.sweep import run_sweep
 from repro.errors import ConfigurationError
-from repro.obs.logsetup import get_logger
-
-log = get_logger("repro.experiments.runner")
 
 __all__ = [
     "Series",
     "ExperimentResult",
-    "sweep",
     "preset_config",
     "format_result",
 ]
@@ -66,30 +59,6 @@ def preset_config(preset: str, **overrides) -> SimulationConfig:
             f"unknown preset {preset!r}; choose from {sorted(SCALE_PRESETS)}"
         ) from None
     return base.with_(**overrides) if overrides else base
-
-
-def sweep(
-    configs: Iterable[SimulationConfig],
-    metric: Callable[[SimulationResult], float] = lambda r: r.loss_of_fidelity,
-    jobs: int | None = 1,
-) -> tuple[list[float], list[SimulationResult]]:
-    """Run a sequence of configs, recycling setup pieces between runs.
-
-    Args:
-        configs: Sweep points, in output order.
-        metric: Scalar extracted from each result for the curve.
-        jobs: Worker processes (``1`` = serial in-process; ``None``/``0``
-            = one per CPU).  Results are bit-identical for every value --
-            see :mod:`repro.engine.sweep`.
-
-    Returns:
-        ``(metric values, full results)`` in input order.
-    """
-    configs = list(configs)
-    log.debug("sweep: %d configs, jobs=%s", len(configs), jobs)
-    results = run_sweep(configs, jobs=jobs)
-    log.debug("sweep done: %d results", len(results))
-    return [metric(r) for r in results], results
 
 
 def report(result: ExperimentResult, chart: bool = True) -> str:

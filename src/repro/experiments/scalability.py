@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.experiments import api
 from repro.experiments.runner import ExperimentResult, Series, report
 
-__all__ = ["SPEC", "run", "main"]
+__all__ = ["SPEC"]
 
 
 def _grid(ctx: api.ExperimentContext):
@@ -85,37 +85,3 @@ SPEC = api.register(api.ExperimentSpec(
     collect=_collect,
     render=report,
 ))
-
-
-def run(
-    preset: str = "small",
-    repo_counts: tuple[int, ...] | None = None,
-    t_percent: float = 80.0,
-    policy: str = "distributed",
-    kernel: str = "auto",
-    jobs: int | None = 1,
-    cache: api.ResultCache | None = None,
-    **overrides,
-) -> ExperimentResult:
-    """Sweep the repository count under controlled cooperation."""
-    return api.run_experiment(
-        SPEC.name,
-        preset=preset,
-        jobs=jobs,
-        cache=cache,
-        params=dict(
-            repo_counts=repo_counts, t_percent=t_percent, policy=policy,
-            kernel=kernel,
-        ),
-        overrides=overrides,
-    )
-
-
-def main(preset: str = "small", **overrides) -> str:
-    text = SPEC.render(run(preset=preset, **overrides))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

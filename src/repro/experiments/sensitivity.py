@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from repro.experiments import api
 from repro.experiments.defaults import DEFAULT_F_VALUES
-from repro.experiments.runner import ExperimentResult, Series, report
+from repro.experiments.figures import panels
+from repro.experiments.runner import ExperimentResult, Series
 
-__all__ = ["DEFAULT_F_VALUES", "SPEC", "run_f_sensitivity", "run_eq7_ablation", "main"]
+__all__ = ["SPEC"]
 
 
 def _plan_f(ctx: api.ExperimentContext):
@@ -77,22 +78,6 @@ def _collect_eq7(ctx: api.ExperimentContext, results) -> ExperimentResult:
     return result
 
 
-def _plan(ctx: api.ExperimentContext):
-    return _plan_f(ctx) + _plan_eq7(ctx)
-
-
-def _collect(ctx: api.ExperimentContext, results) -> list[ExperimentResult]:
-    n_f = len(_plan_f(ctx))
-    return [
-        _collect_f(ctx, results[:n_f]),
-        _collect_eq7(ctx, results[n_f:]),
-    ]
-
-
-def _render(ablations: list[ExperimentResult]) -> str:
-    return "\n\n".join(report(a) for a in ablations)
-
-
 SPEC = api.register(api.ExperimentSpec(
     name="sensitivity",
     description=(
@@ -105,60 +90,5 @@ SPEC = api.register(api.ExperimentSpec(
         api.ParamSpec("t_percent", "float", 80.0,
                       "coherency-stringency mix (T%)"),
     ),
-    plan=_plan,
-    collect=_collect,
-    render=_render,
+    **panels((_plan_f, _collect_f), (_plan_eq7, _collect_eq7)),
 ))
-
-
-def run_f_sensitivity(
-    preset: str = "small",
-    f_values: tuple[float, ...] = DEFAULT_F_VALUES,
-    t_percent: float = 80.0,
-    jobs: int | None = 1,
-    cache: api.ResultCache | None = None,
-    **overrides,
-) -> ExperimentResult:
-    """Loss of fidelity vs. Eq. (2)'s f under controlled cooperation."""
-    ctx = api.ExperimentContext(
-        preset=preset,
-        params=SPEC.resolve_params(dict(f_values=f_values, t_percent=t_percent)),
-        jobs=jobs,
-        cache=cache,
-        overrides=overrides,
-    )
-    results = api.execute_plan(_plan_f(ctx), jobs=jobs, cache=cache)
-    return _collect_f(ctx, tuple(results))
-
-
-def run_eq7_ablation(
-    preset: str = "small",
-    t_percent: float = 80.0,
-    jobs: int | None = 1,
-    cache: api.ResultCache | None = None,
-    **overrides,
-) -> ExperimentResult:
-    """Distributed policy with vs. without the Eq. (7) guard."""
-    ctx = api.ExperimentContext(
-        preset=preset,
-        params=SPEC.resolve_params(dict(t_percent=t_percent)),
-        jobs=jobs,
-        cache=cache,
-        overrides=overrides,
-    )
-    results = api.execute_plan(_plan_eq7(ctx), jobs=jobs, cache=cache)
-    return _collect_eq7(ctx, tuple(results))
-
-
-def main(preset: str = "small", **overrides) -> str:
-    texts = [
-        report(run_f_sensitivity(preset=preset, **overrides)),
-        report(run_eq7_ablation(preset=preset, **overrides)),
-    ]
-    text = "\n\n".join(texts)
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -17,7 +17,7 @@ from repro.sim.rng import RandomStreams
 from repro.traces.library import PAPER_TICKERS, make_paper_trace
 from repro.traces.stats import TraceStats, format_table1, summarize
 
-__all__ = ["SPEC", "run", "main"]
+__all__ = ["SPEC"]
 
 
 def _compute_stats(n_samples: int, seed: int) -> list[TraceStats]:
@@ -63,27 +63,3 @@ SPEC = api.register(api.ExperimentSpec(
     collect=_collect,
     render=_render,
 ))
-
-
-def run(
-    n_samples: int = 10_000,
-    seed: int = 20020812,
-    cache: api.ResultCache | None = None,
-) -> list[TraceStats]:
-    """Generate the six Table 1 tickers and summarise them."""
-    return api.run_experiment(
-        SPEC.name,
-        cache=cache,
-        params=dict(n_samples=n_samples, seed=seed),
-    )
-
-
-def main(n_samples: int = 10_000, seed: int = 20020812) -> str:
-    """Print and return the regenerated Table 1."""
-    text = _render(run(n_samples=n_samples, seed=seed))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

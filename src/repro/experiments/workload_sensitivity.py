@@ -45,7 +45,7 @@ from repro.workloads import (
     Table1Workload,
 )
 
-__all__ = ["SPEC", "run", "main", "POLICIES"]
+__all__ = ["SPEC", "POLICIES"]
 
 POLICIES = ("distributed", "centralized", "flooding", "eq3_only")
 
@@ -167,25 +167,3 @@ SPEC = api.register(api.ExperimentSpec(
     collect=_collect,
     render=report,
 ))
-
-
-def run(
-    preset: str = "small",
-    jobs: int | None = 1,
-    cache: api.ResultCache | None = None,
-    **overrides,
-) -> ExperimentResult:
-    """Run the workload x policy grid and tabulate fidelity and cost."""
-    return api.run_experiment(
-        SPEC.name, preset=preset, jobs=jobs, cache=cache, overrides=overrides
-    )
-
-
-def main(preset: str = "small", **overrides) -> str:
-    text = report(run(preset=preset, **overrides))
-    print(text)
-    return text
-
-
-if __name__ == "__main__":
-    main()

@@ -75,6 +75,10 @@ from repro.obs.trace import TraceRecorder
 
 __all__ = ["FleetSpec", "WorkerReport", "worker_main"]
 
+#: How long a finishing worker waits for its peers' Bye (wall seconds)
+#: before cancelling the inbound handlers still open.
+_HANDLER_EXIT_TIMEOUT_S = 5.0
+
 
 @dataclass(frozen=True)
 class FleetSpec:
@@ -417,9 +421,11 @@ async def _run_worker(worker_id: int, spec: FleetSpec, conn) -> None:
 
     # ---- inbound server ----
     peer_generation: dict[int, int] = {}
+    handler_tasks: set[asyncio.Task] = set()
 
     async def handle_peer(reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
+        handler_tasks.add(asyncio.current_task())
         try:
             while True:
                 try:
@@ -592,6 +598,17 @@ async def _run_worker(worker_id: int, spec: FleetSpec, conn) -> None:
             pass
     server.close()
     await server.wait_closed()
+    # Every peer says Bye at the same "finish".  Let the inbound handlers
+    # read it and close their streams before the loop goes away: one
+    # that ``asyncio.run`` cancels while parked in ``wait_closed`` is
+    # reported on stderr as an exception in the streams done-callback.
+    if handler_tasks:
+        _done, pending = await asyncio.wait(
+            handler_tasks, timeout=_HANDLER_EXIT_TIMEOUT_S
+        )
+        for task in pending:
+            task.cancel()
+        await asyncio.gather(*pending, return_exceptions=True)
     await control_task  # returned at "finish"
 
     report.wall_seconds = time.perf_counter() - wall_start

@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 
+from repro.__main__ import main as cli_main
 from repro.engine.config import SimulationConfig
 from repro.errors import ConfigurationError
-from repro.experiments import api, figure3, figure7, figure8
+from repro.experiments import api
+from repro.experiments.defaults import DEFAULT_T_VALUES
 from repro.experiments.runner import ExperimentResult
 
 TINY = dict(n_items=6, trace_samples=300)
@@ -61,7 +63,7 @@ def test_resolve_params_fills_defaults_and_normalises():
     params = spec.resolve_params({"degrees": [1, 4]})
     assert params["degrees"] == (1, 4)  # list normalised to tuple
     assert params["policy"] == "centralized"  # schema default
-    assert params["t_values"] == figure3.DEFAULT_T_VALUES
+    assert params["t_values"] == DEFAULT_T_VALUES
 
 
 def test_resolve_params_rejects_unknown_names():
@@ -78,6 +80,25 @@ def test_param_spec_coerces_cli_text():
         spec.param("t_values").coerce("hot")
     with pytest.raises(ConfigurationError):
         spec.param("missing")
+
+
+@pytest.mark.parametrize("name", ["t_values", "degrees"])
+def test_param_spec_rejects_empty_lists(name):
+    """An empty sweep axis used to reach plan/collect: ``degrees=`` died
+    with an IndexError in figure8, ``t_values=`` rendered no curves."""
+    param = api.get_experiment("figure3").param(name)
+    with pytest.raises(ConfigurationError, match="at least one value"):
+        param.coerce("")
+    with pytest.raises(ConfigurationError, match="at least one value"):
+        param.normalize([])
+    with pytest.raises(ConfigurationError, match="at least one value"):
+        api.run_experiment("figure3", preset="tiny", params={name: []})
+
+
+def test_cli_rejects_empty_list_param():
+    with pytest.raises(SystemExit, match="at least one value"):
+        cli_main(["experiments", "run", "figure8", "--preset", "tiny",
+                  "--no-cache", "--param", "figure8.degrees="])
 
 
 def test_param_spec_rejects_unknown_kind():
@@ -111,27 +132,6 @@ def test_plans_are_frozen_config_grids():
             assert isinstance(config, SimulationConfig)
         # Frozen configs are hashable: the dedup/cache plane keys on them.
         assert len(set(plan)) <= len(plan)
-
-
-def test_run_experiment_matches_module_run():
-    kwargs = dict(t_values=(100.0, 0.0), degrees=[1, 4], **TINY)
-    via_module = figure3.run(preset="tiny", **kwargs)
-    via_api = api.run_experiment(
-        "figure3",
-        preset="tiny",
-        params=dict(t_values=(100.0, 0.0), degrees=[1, 4]),
-        overrides=TINY,
-    )
-    assert via_module == via_api
-
-
-def test_figure7_panels_match_full_run():
-    kwargs = dict(t_values=(100.0,), **TINY)
-    panels = figure7.run(preset="tiny", degrees=[1, 4], comm_delays_ms=(0.0,),
-                         comp_delays_ms=(0.0,), **kwargs)
-    panel_a = figure7.run_base_case(preset="tiny", degrees=[1, 4], **kwargs)
-    assert isinstance(panels, list) and len(panels) == 3
-    assert panels[0] == panel_a
 
 
 def test_execute_plan_deduplicates_within_a_plan():
@@ -186,7 +186,13 @@ def test_to_jsonable_handles_payload_shapes():
 
 
 def test_render_matches_main_output(capsys):
-    text = figure8.main(preset="tiny", degrees=[1, 4], **TINY)
+    """The CLI prints exactly what the spec renders from the payload."""
+    payload = api.run_experiment(
+        "figure8", preset="tiny", params=dict(degrees=[1, 4])
+    )
+    text = api.get_experiment("figure8").render(payload)
+    cli_main(["experiments", "run", "figure8", "--preset", "tiny",
+              "--no-cache", "--param", "figure8.degrees=1,4"])
     out = capsys.readouterr().out
     assert text in out
     assert "Figure 8" in text

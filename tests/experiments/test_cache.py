@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from repro.engine.config import SCALE_PRESETS
-from repro.experiments import api, figure11
+from repro.experiments import api
 from repro.experiments.cache import ResultCache, fingerprint
 
 TINY = dict(n_items=6, trace_samples=300)
@@ -25,6 +25,13 @@ SUBSET = ["table1", "figure11", "pull_baseline", "hybrid_tradeoff"]
 def _run_subset(cache):
     return api.run_experiments(
         SUBSET, preset="tiny", cache=cache, overrides=TINY
+    )
+
+
+def _figure11(t_percent=80.0, jobs=1, cache=None):
+    return api.run_experiment(
+        "figure11", preset="tiny", params=dict(t_percent=t_percent),
+        jobs=jobs, cache=cache, overrides=TINY,
     )
 
 
@@ -109,11 +116,10 @@ def test_get_or_compute_computes_once(tmp_path):
 
 def test_warm_rerun_is_bit_identical_to_cold_run(tmp_path):
     cache = ResultCache(tmp_path)
-    kwargs = dict(preset="tiny", t_percent=80.0, **TINY)
-    cold = figure11.run(cache=cache, **kwargs)
-    warm = figure11.run(cache=cache, **kwargs)
+    cold = _figure11(cache=cache)
+    warm = _figure11(cache=cache)
     assert warm == cold  # dataclass equality: exact float ==
-    no_cache = figure11.run(**kwargs)
+    no_cache = _figure11()
     assert no_cache == cold
 
 
@@ -163,17 +169,16 @@ def test_no_cache_forces_recomputation():
 
 def test_cache_does_not_leak_across_different_configs(tmp_path):
     cache = ResultCache(tmp_path)
-    a = figure11.run(preset="tiny", t_percent=80.0, cache=cache, **TINY)
-    b = figure11.run(preset="tiny", t_percent=0.0, cache=cache, **TINY)
+    a = _figure11(t_percent=80.0, cache=cache)
+    b = _figure11(t_percent=0.0, cache=cache)
     assert a != b  # different configs must not collide in the store
 
 
 def test_parallel_and_serial_share_the_cache(tmp_path):
     """jobs=N and jobs=1 produce (and reuse) identical entries."""
     cache = ResultCache(tmp_path)
-    kwargs = dict(preset="tiny", t_percent=80.0, **TINY)
-    parallel = figure11.run(jobs=2, cache=cache, **kwargs)
+    parallel = _figure11(jobs=2, cache=cache)
     before = cache.stats.snapshot()
-    serial = figure11.run(jobs=1, cache=cache, **kwargs)
+    serial = _figure11(jobs=1, cache=cache)
     assert serial == parallel
     assert cache.stats.hits - before.hits == 2  # both points answered warm

@@ -10,29 +10,23 @@ source to be loaded enough to matter at this small scale.
 
 import pytest
 
-from repro.experiments import (
-    figure3,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    scalability,
-    sensitivity,
-    table1,
-)
+from repro.experiments import api
 
 # Shared small-but-loaded workload (see module docstring).
 OVERRIDES = dict(n_items=12, comp_delay_ms=25.0, trace_samples=500)
 DEGREES = [1, 2, 4, 8, 20]
 
 
+def run(name, params=None, jobs=1, **overrides):
+    return api.run_experiment(
+        name, preset="tiny", params=params, jobs=jobs, overrides=overrides
+    )
+
+
 @pytest.fixture(scope="module")
 def fig3():
-    return figure3.run(
-        preset="tiny", t_values=(100.0, 50.0, 0.0), degrees=DEGREES, **OVERRIDES
+    return run(
+        "figure3", dict(t_values=(100.0, 50.0, 0.0), degrees=DEGREES), **OVERRIDES
     )
 
 
@@ -63,10 +57,9 @@ def test_figure3_lax_mix_is_flat_and_low(fig3):
 
 
 def test_figure5_loss_is_computation_dominated():
-    result = figure5.run(
-        preset="tiny",
-        t_values=(100.0, 0.0),
-        comm_delays_ms=(0.0, 125.0),
+    result = run(
+        "figure5",
+        dict(t_values=(100.0, 0.0), comm_delays_ms=(0.0, 125.0)),
         **OVERRIDES,
     )
     t100 = result.series_by_label("T=100").ys
@@ -79,10 +72,9 @@ def test_figure5_loss_is_computation_dominated():
 
 
 def test_figure6_loss_grows_with_computational_delay():
-    result = figure6.run(
-        preset="tiny",
-        t_values=(100.0, 0.0),
-        comp_delays_ms=(0.0, 12.5, 25.0),
+    result = run(
+        "figure6",
+        dict(t_values=(100.0, 0.0), comp_delays_ms=(0.0, 12.5, 25.0)),
         n_items=12,
         trace_samples=500,
     )
@@ -91,13 +83,19 @@ def test_figure6_loss_grows_with_computational_delay():
     assert t100[1] > t100[0]
     assert t100[2] > t100[1]
     assert t100[2] > 3.0
+    assert max(result.series_by_label("T=0").ys) < 1.0
+
+
+def figure7_panel(index, axis, **overrides):
+    """One panel of Figure 7: the other panels' axes shrink to one point."""
+    params = dict(t_values=(100.0,), degrees=[1], comm_delays_ms=(0.0,),
+                  comp_delays_ms=(0.0,))
+    return run("figure7", {**params, **axis}, **overrides)[index]
 
 
 @pytest.fixture(scope="module")
 def fig7a():
-    return figure7.run_base_case(
-        preset="tiny", t_values=(100.0,), degrees=DEGREES, **OVERRIDES
-    )
+    return figure7_panel(0, dict(degrees=DEGREES), **OVERRIDES)
 
 
 def test_figure7a_l_shape_flat_beyond_coop_degree(fig7a):
@@ -110,29 +108,24 @@ def test_figure7a_l_shape_flat_beyond_coop_degree(fig7a):
 
 
 def test_figure7a_clamp_avoids_the_rising_arm(fig7a):
-    uncontrolled = figure3.run(
-        preset="tiny", t_values=(100.0,), degrees=[20], **OVERRIDES
+    uncontrolled = run(
+        "figure3", dict(t_values=(100.0,), degrees=[20]), **OVERRIDES
     )
     controlled_tail = fig7a.series_by_label("T=100").ys[-1]
     assert controlled_tail < uncontrolled.series_by_label("T=100").ys[0]
 
 
 def test_figure7b_controlled_cooperation_tames_comm_delays():
-    result = figure7.run_comm_sweep(
-        preset="tiny",
-        t_values=(100.0,),
-        comm_delays_ms=(25.0, 125.0),
-        n_items=12,
-        trace_samples=500,
+    result = figure7_panel(
+        1, dict(comm_delays_ms=(25.0, 125.0)), n_items=12, trace_samples=500
     )
     degrees = result.notes["Eq. (2) degrees along the sweep"]
     assert degrees[-1] > degrees[0]  # higher delay -> more fan-out
     # Adapting the degree beats refusing to adapt: a low-fan-out tree at
     # the same 125 ms is far worse, and the controlled loss stays moderate.
-    chain = figure3.run(
-        preset="tiny",
-        t_values=(100.0,),
-        degrees=[1],
+    chain = run(
+        "figure3",
+        dict(t_values=(100.0,), degrees=[1]),
         comm_target_ms=125.0,
         n_items=12,
         trace_samples=500,
@@ -143,31 +136,25 @@ def test_figure7b_controlled_cooperation_tames_comm_delays():
 
 
 def test_figure7c_controlled_cooperation_tames_comp_delays():
-    result = figure7.run_comp_sweep(
-        preset="tiny",
-        t_values=(100.0,),
-        comp_delays_ms=(5.0, 25.0),
-        n_items=12,
-        trace_samples=500,
+    result = figure7_panel(
+        2, dict(comp_delays_ms=(5.0, 25.0)), n_items=12, trace_samples=500
     )
     degrees = result.notes["Eq. (2) degrees along the sweep"]
     assert degrees[-1] < degrees[0]  # pricier computation -> less fan-out
-    no_coop = figure6.run(
-        preset="tiny",
-        t_values=(100.0,),
-        comp_delays_ms=(25.0,),
+    no_coop = run(
+        "figure6",
+        dict(t_values=(100.0,), comp_delays_ms=(25.0,)),
         n_items=12,
         trace_samples=500,
     )
-    assert (
-        result.series_by_label("T=100").ys[-1]
-        < no_coop.series_by_label("T=100").ys[0]
-    )
+    controlled = result.series_by_label("T=100").ys
+    assert controlled[-1] < no_coop.series_by_label("T=100").ys[0]
+    assert max(controlled) < 8.0
 
 
 @pytest.fixture(scope="module")
 def fig8():
-    return figure8.run(preset="tiny", degrees=DEGREES, **OVERRIDES)
+    return run("figure8", dict(degrees=DEGREES), **OVERRIDES)
 
 
 def test_figure8_flooding_loses_at_scale(fig8):
@@ -189,24 +176,20 @@ def test_figure8_flooding_sends_far_more_messages(fig8):
 
 
 def test_figure9_p_percent_secondary_once_controlled():
-    result = figure9.run(
-        preset="tiny",
-        p_values=(1.0, 25.0),
-        degrees=[4, 20],
-        t_percent=100.0,
+    result = run(
+        "figure9",
+        dict(p_values=(1.0, 5.0, 25.0), degrees=[4, 20], t_percent=100.0),
         **OVERRIDES,
     )
     controlled = [s for s in result.series if s.label.endswith("W")]
-    assert len(controlled) == 2
-    spreads = [
-        abs(a - b) for a, b in zip(controlled[0].ys, controlled[1].ys)
-    ]
-    assert max(spreads) < 3.0
+    assert len(controlled) == 3
+    for at_degree in zip(*(s.ys for s in controlled)):
+        assert max(at_degree) - min(at_degree) < 3.0
 
 
 def test_figure10_preference_function_secondary_once_controlled():
-    result = figure10.run(
-        preset="tiny", degrees=[4, 20], t_percent=100.0, **OVERRIDES
+    result = run(
+        "figure10", dict(degrees=[4, 20], t_percent=100.0), **OVERRIDES
     )
     p1w = result.series_by_label("P1W").ys
     p2w = result.series_by_label("P2W").ys
@@ -216,7 +199,7 @@ def test_figure10_preference_function_secondary_once_controlled():
 
 @pytest.fixture(scope="module")
 def fig11():
-    return figure11.run(preset="tiny", t_percent=80.0, **OVERRIDES)
+    return run("figure11", dict(t_percent=80.0), **OVERRIDES)
 
 
 def test_figure11a_centralized_checks_more(fig11):
@@ -232,67 +215,67 @@ def test_figure11_both_policies_comparable_fidelity(fig11):
 
 
 def test_scalability_controlled_loss_grows_slowly():
-    result = scalability.run(
-        preset="tiny",
-        repo_counts=(20, 40, 60),
-        t_percent=80.0,
+    result = run(
+        "scalability",
+        dict(repo_counts=(20, 40, 60), t_percent=80.0),
         n_items=8,
         trace_samples=500,
     )
     assert result.notes["loss increase base->max (paper: <5%)"] < 5.0
 
 
-def test_sensitivity_f_insensitive_above_fifty():
-    result = sensitivity.run_f_sensitivity(
-        preset="tiny",
-        f_values=(50.0, 100.0),
-        t_percent=80.0,
+@pytest.fixture(scope="module")
+def ablations():
+    return run(
+        "sensitivity",
+        dict(f_values=(50.0, 100.0, 200.0), t_percent=80.0),
         n_items=8,
         trace_samples=500,
     )
+
+
+def test_sensitivity_f_insensitive_above_fifty(ablations):
+    result = ablations[0]
     assert result.notes["max variation for f>=50 (paper: ~1%)"] < 2.5
 
 
-def test_sensitivity_eq7_guard_helps():
-    result = sensitivity.run_eq7_ablation(
-        preset="tiny", t_percent=80.0, n_items=8, trace_samples=500
-    )
+def test_sensitivity_eq7_guard_helps(ablations):
+    result = ablations[1]
     distributed_loss, eq3_loss = result.series[0].ys
     assert eq3_loss >= distributed_loss
+    # ...even though dropping the guard saves messages.
+    assert result.notes["messages eq3_only"] <= result.notes["messages distributed"]
 
 
 def test_figure3_parallel_is_bit_identical_to_serial():
     """Acceptance check: the same figure regenerated at jobs=4 equals the
     serial regeneration bit for bit (dataclass equality compares every
     loss with exact float ==)."""
-    kwargs = dict(
-        preset="tiny",
-        t_values=(100.0, 0.0),
-        degrees=[1, 4, 20],
-        n_items=6,
-        trace_samples=300,
+    params = dict(t_values=(100.0, 0.0), degrees=[1, 4, 20])
+    kwargs = dict(n_items=6, trace_samples=300)
+    assert run("figure3", params, jobs=4, **kwargs) == run(
+        "figure3", params, jobs=1, **kwargs
     )
-    assert figure3.run(jobs=4, **kwargs) == figure3.run(jobs=1, **kwargs)
 
 
 def test_figure6_parallel_is_bit_identical_to_serial():
-    kwargs = dict(
-        preset="tiny",
-        t_values=(100.0, 0.0),
-        comp_delays_ms=(0.0, 12.5, 25.0),
-        n_items=6,
-        trace_samples=300,
+    params = dict(t_values=(100.0, 0.0), comp_delays_ms=(0.0, 12.5, 25.0))
+    kwargs = dict(n_items=6, trace_samples=300)
+    assert run("figure6", params, jobs=4, **kwargs) == run(
+        "figure6", params, jobs=1, **kwargs
     )
-    assert figure6.run(jobs=4, **kwargs) == figure6.run(jobs=1, **kwargs)
 
 
 def test_figure11_parallel_is_bit_identical_to_serial():
-    kwargs = dict(preset="tiny", t_percent=80.0, n_items=6, trace_samples=300)
-    assert figure11.run(jobs=2, **kwargs) == figure11.run(jobs=1, **kwargs)
+    params = dict(t_percent=80.0)
+    kwargs = dict(n_items=6, trace_samples=300)
+    assert run("figure11", params, jobs=2, **kwargs) == run(
+        "figure11", params, jobs=1, **kwargs
+    )
 
 
 def test_table1_reports_six_calibrated_tickers():
-    stats = table1.run(n_samples=2_000)
+    stats = api.run_experiment("table1", params=dict(n_samples=2_000))
     assert len(stats) == 6
     assert [s.name for s in stats] == ["MSFT", "SUNW", "DELL", "QCOM", "INTC", "ORCL"]
     for s in stats:

@@ -9,7 +9,6 @@ from repro.experiments.runner import (
     Series,
     format_result,
     preset_config,
-    sweep,
 )
 
 
@@ -22,21 +21,6 @@ def test_preset_config_resolves_and_overrides():
 def test_preset_config_unknown_rejected():
     with pytest.raises(ConfigurationError):
         preset_config("huge")
-
-
-def test_sweep_returns_aligned_outputs():
-    base = SCALE_PRESETS["tiny"].with_(n_items=3, trace_samples=200)
-    configs = [base.with_(offered_degree=d) for d in (1, 4)]
-    losses, results = sweep(configs)
-    assert len(losses) == len(results) == 2
-    assert all(0.0 <= loss <= 100.0 for loss in losses)
-    assert [r.effective_degree for r in results] == [1, 4]
-
-
-def test_sweep_custom_metric():
-    base = SCALE_PRESETS["tiny"].with_(n_items=3, trace_samples=200)
-    values, results = sweep([base], metric=lambda r: float(r.messages))
-    assert values[0] == float(results[0].messages)
 
 
 def test_series_lookup():

@@ -2,18 +2,25 @@
 
 import pytest
 
-from repro.experiments import workload_sensitivity
+from repro.experiments import api
+from repro.experiments.workload_sensitivity import POLICIES
 
 OVERRIDES = dict(n_items=6, trace_samples=400, seed=3913)
 
 
+def run(jobs=1):
+    return api.run_experiment(
+        "workload_sensitivity", preset="tiny", jobs=jobs, overrides=OVERRIDES
+    )
+
+
 @pytest.fixture(scope="module")
 def grid():
-    return workload_sensitivity.run(preset="tiny", **OVERRIDES)
+    return run()
 
 
 def test_covers_all_policies_and_workloads(grid):
-    assert [s.label for s in grid.series] == list(workload_sensitivity.POLICIES)
+    assert [s.label for s in grid.series] == list(POLICIES)
     assert len(grid.xs) == 4
     for series in grid.series:
         assert len(series.ys) == 4
@@ -38,13 +45,13 @@ def test_bursty_workloads_change_the_cost_picture(grid):
     """Flash crowds thin out total changes (quiet base rate), so every
     policy's message bill drops well below the stationary baseline."""
     messages = grid.notes["messages"]
-    for policy in workload_sensitivity.POLICIES:
+    for policy in POLICIES:
         assert messages["flash_crowd"][policy] < messages["table1"][policy]
 
 
 def test_parallel_is_bit_identical_to_serial():
-    serial = workload_sensitivity.run(preset="tiny", jobs=1, **OVERRIDES)
-    parallel = workload_sensitivity.run(preset="tiny", jobs=4, **OVERRIDES)
+    serial = run(jobs=1)
+    parallel = run(jobs=4)
     for s, p in zip(serial.series, parallel.series):
         assert s.label == p.label
         assert s.ys == p.ys
