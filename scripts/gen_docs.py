@@ -48,9 +48,9 @@ API_MODULES = (
     "repro.live.harness",
     "repro.live.protocol",
     "repro.live.transport",
+    "repro.live.wire",
     "repro.fleet.sharding",
     "repro.fleet.antientropy",
-    "repro.fleet.links",
     "repro.fleet.worker",
     "repro.fleet.supervisor",
     "repro.workloads",

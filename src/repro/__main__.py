@@ -112,6 +112,99 @@ def _job_count(text: str) -> int:
     return jobs
 
 
+def _config_options(sub: argparse.ArgumentParser, prefix: str, seed: bool = True) -> None:
+    """Declare ``--preset/--policy/--t`` (and ``--seed``) on ``sub``.
+
+    The subcommands reuse the top-level spelling but need their own
+    dests: argparse parses a subcommand *after* the main options, so a
+    shared dest would silently clobber an explicit top-level value with
+    the subparser's default.  ``prefix`` keeps them apart.
+    """
+    sub.add_argument(
+        "--preset", dest=prefix + "preset", default="tiny",
+        choices=sorted(SCALE_PRESETS), help="scale preset (default: tiny)",
+    )
+    sub.add_argument(
+        "--policy", dest=prefix + "policy", default="distributed",
+        choices=available_policies(),
+        help="dissemination policy (default: distributed)",
+    )
+    sub.add_argument(
+        "--t", dest=prefix + "t", type=float, default=80.0, metavar="PERCENT",
+        help="share of stringent coherency tolerances (default: 80)",
+    )
+    if seed:
+        sub.add_argument(
+            "--seed", dest=prefix + "seed", type=int, default=None,
+            help="master seed (default: preset seed)",
+        )
+
+
+def _fault_options(sub: argparse.ArgumentParser, prefix: str, note: str) -> None:
+    """Declare ``--failures/--loss`` on ``sub`` (dests as above)."""
+    sub.add_argument(
+        "--failures", dest=prefix + "failures", type=_failure_counts,
+        default=None, metavar="C,P",
+        help="inject C repository crash/recover pairs and P link "
+        f"down/up windows ({note})",
+    )
+    sub.add_argument(
+        "--loss", dest=prefix + "loss", type=float, default=None, metavar="P",
+        help="seeded Bernoulli message-loss probability in [0, 1) "
+        "(default: the config's, normally 0)",
+    )
+
+
+#: ``SimulationConfig`` field <- the option that overrides it, where
+#: the (sub)command offers one and the user gave it.
+_CONFIG_OPTIONS = (
+    ("t_percent", "t"),
+    ("policy", "policy"),
+    ("seed", "seed"),
+    ("kernel", "kernel"),
+    ("message_loss_probability", "loss"),
+    ("adaptive", "adaptive"),
+    ("workload", "workload"),
+    ("offered_degree", "degree"),
+    ("controlled_cooperation", "controlled"),
+    ("comp_delay_ms", "comp_delay"),
+    ("comm_target_ms", "comm_delay"),
+    ("clients_per_repository", "clients"),
+)
+
+
+def _config_from_args(args, prefix: str):
+    """The run config the ``prefix``-ed options of one (sub)command describe."""
+
+    def option(name: str):
+        return getattr(args, prefix + name, None)
+
+    overrides = {
+        field: option(name)
+        for field, name in _CONFIG_OPTIONS
+        if option(name) is not None
+    }
+    config = preset_config(option("preset"), **overrides)
+    if option("churn") is not None:
+        joins, departs, updates = option("churn")
+        config = config.with_(
+            churn=schedule_for_config(
+                config, joins=joins, departs=departs, updates=updates
+            )
+        )
+    if option("failures") is not None:
+        crashes, partitions = option("failures")
+        try:
+            config = config.with_(
+                failures=failures_for_config(
+                    config, crashes=crashes, partitions=partitions
+                )
+            )
+        except ConfigurationError as exc:
+            raise SystemExit(str(exc)) from None
+    return config
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -120,18 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(Shah et al., VLDB 2002 reproduction)."
         ),
     )
-    parser.add_argument(
-        "--preset", default="tiny", choices=sorted(SCALE_PRESETS),
-        help="scale preset (default: tiny)",
-    )
-    parser.add_argument(
-        "--policy", default="distributed", choices=available_policies(),
-        help="dissemination policy (default: distributed)",
-    )
-    parser.add_argument(
-        "--t", type=float, default=80.0, metavar="PERCENT",
-        help="share of stringent coherency tolerances (default: 80)",
-    )
+    _config_options(parser, "", seed=False)
     parser.add_argument(
         "--degree", type=int, default=None, metavar="N",
         help="offered degree of cooperation (default: preset value)",
@@ -286,26 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def _live_common(sub: argparse.ArgumentParser) -> None:
-        # Same dest-isolation rule as the experiments subcommand: the
-        # subparser parses after the main options, so shared dests would
-        # clobber explicit top-level values.
-        sub.add_argument(
-            "--preset", dest="live_preset", default="tiny",
-            choices=sorted(SCALE_PRESETS), help="scale preset (default: tiny)",
-        )
-        sub.add_argument(
-            "--policy", dest="live_policy", default="distributed",
-            choices=available_policies(),
-            help="dissemination policy (default: distributed)",
-        )
-        sub.add_argument(
-            "--t", dest="live_t", type=float, default=80.0, metavar="PERCENT",
-            help="share of stringent coherency tolerances (default: 80)",
-        )
-        sub.add_argument(
-            "--seed", dest="live_seed", type=int, default=None,
-            help="master seed (default: preset seed)",
-        )
+        _config_options(sub, "live_")
         sub.add_argument(
             "--transport", default="inprocess", choices=("inprocess", "tcp"),
             help="inprocess = deterministic virtual time (bit-reproducible); "
@@ -321,18 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="truncate the replay to the first S simulated seconds "
             "(default: the full trace span)",
         )
-        sub.add_argument(
-            "--failures", dest="live_failures", type=_failure_counts,
-            default=None, metavar="C,P",
-            help="inject C repository crash/recover pairs and P link "
-            "down/up windows (same seeded schedule the simulator runs)",
-        )
-        sub.add_argument(
-            "--loss", dest="live_loss", type=float, default=None,
-            metavar="P",
-            help="seeded Bernoulli message-loss probability in [0, 1) "
-            "(default: the config's, normally 0)",
-        )
+        _fault_options(sub, "live_", "same seeded schedule the simulator runs")
         sub.add_argument(
             "--adaptive", dest="live_adaptive", type=_adaptive_spec,
             default=None, metavar="K=V,...",
@@ -344,34 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--heartbeat-interval", type=float, default=0.5, metavar="S",
             help="tcp liveness-probe period in wall seconds; 0 disables "
             "(default: 0.5; ignored by inprocess)",
-        )
-        sub.add_argument(
-            "--reconnect-backoff", type=float, default=0.05, metavar="S",
-            help="initial tcp reconnect backoff, doubled per attempt "
-            "(default: 0.05; ignored by inprocess)",
-        )
-        sub.add_argument(
-            "--reconnect-attempts", type=int, default=5, metavar="N",
-            help="tcp connection attempts before a frame is counted as "
-            "dropped (default: 5; ignored by inprocess)",
-        )
-        sub.add_argument(
-            "--quiesce-timeout", type=float, default=30.0, metavar="S",
-            help="wall seconds to wait for in-flight tcp messages after "
-            "the replay before counting them as drops (default: 30; "
-            "ignored by inprocess)",
-        )
-        sub.add_argument(
-            "--drain-timeout", type=float, default=2.0, metavar="S",
-            help="wall seconds granted to tcp connection handlers to "
-            "flush buffered frames at teardown (default: 2; ignored by "
-            "inprocess)",
-        )
-        sub.add_argument(
-            "--wall-stretch-cap", type=float, default=20.0, metavar="X",
-            help="cap on the internal budget stretch applied when "
-            "--time-scale runs slower than 60x; raise on slow CI "
-            "machines (default: 20; ignored by inprocess)",
         )
 
     live_run = live_actions.add_parser(
@@ -409,23 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=2, metavar="N",
             help="worker processes the shards spread over (default: 2)",
         )
-        sub.add_argument(
-            "--preset", dest="fleet_preset", default="tiny",
-            choices=sorted(SCALE_PRESETS), help="scale preset (default: tiny)",
-        )
-        sub.add_argument(
-            "--policy", dest="fleet_policy", default="distributed",
-            choices=available_policies(),
-            help="dissemination policy (default: distributed)",
-        )
-        sub.add_argument(
-            "--t", dest="fleet_t", type=float, default=80.0, metavar="PERCENT",
-            help="share of stringent coherency tolerances (default: 80)",
-        )
-        sub.add_argument(
-            "--seed", dest="fleet_seed", type=int, default=None,
-            help="master seed (default: preset seed)",
-        )
+        _config_options(sub, "fleet_")
         sub.add_argument(
             "--time-scale", type=float, default=60.0, metavar="X",
             help="simulated seconds per wall second (default: 60)",
@@ -436,43 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: the full trace span)",
         )
         sub.add_argument(
-            "--quiesce-timeout", type=float, default=30.0, metavar="S",
-            help="wall budget for fleet-wide quiescence after the replay "
-            "(default: 30)",
-        )
-        sub.add_argument(
             "--heartbeat-interval", type=float, default=0.5, metavar="S",
             help="per-link liveness-probe period in wall seconds; 0 "
             "disables (default: 0.5)",
-        )
-        sub.add_argument(
-            "--reconnect-backoff", type=float, default=0.05, metavar="S",
-            help="initial link reconnect backoff, doubled per attempt "
-            "(default: 0.05)",
-        )
-        sub.add_argument(
-            "--reconnect-attempts", type=int, default=5, metavar="N",
-            help="connection attempts before a frame is counted as "
-            "dropped (default: 5)",
-        )
-        sub.add_argument(
-            "--wall-stretch-cap", type=float, default=20.0, metavar="X",
-            help="cap on the slow---time-scale budget stretch "
-            "(default: 20)",
-        )
-        sub.add_argument(
-            "--queue-high", type=int, default=256, metavar="N",
-            help="send-queue depth at which producers block (default: 256)",
-        )
-        sub.add_argument(
-            "--queue-low", type=int, default=64, metavar="N",
-            help="send-queue depth at which blocked producers resume "
-            "(default: 64)",
-        )
-        sub.add_argument(
-            "--resync-sample", type=int, default=8, metavar="N",
-            help="first anti-entropy sample-round size; rounds double "
-            "from here (default: 8)",
         )
         sub.add_argument(
             "--sever-at", type=float, default=None, metavar="S",
@@ -519,41 +493,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def _obs_common(sub: argparse.ArgumentParser) -> None:
-        # Same dest-isolation rule as the other subcommands.
-        sub.add_argument(
-            "--preset", dest="obs_preset", default="tiny",
-            choices=sorted(SCALE_PRESETS), help="scale preset (default: tiny)",
-        )
-        sub.add_argument(
-            "--policy", dest="obs_policy", default="distributed",
-            choices=available_policies(),
-            help="dissemination policy (default: distributed)",
-        )
-        sub.add_argument(
-            "--t", dest="obs_t", type=float, default=80.0, metavar="PERCENT",
-            help="share of stringent coherency tolerances (default: 80)",
-        )
-        sub.add_argument(
-            "--seed", dest="obs_seed", type=int, default=None,
-            help="master seed (default: preset seed)",
-        )
+        _config_options(sub, "obs_")
         sub.add_argument(
             "--kernel", dest="obs_kernel", default=None,
             choices=sorted(KERNELS),
             help="engine kernel; traced spans are identical either way "
             "(default: auto)",
         )
-        sub.add_argument(
-            "--failures", dest="obs_failures", type=_failure_counts,
-            default=None, metavar="C,P",
-            help="inject C repository crash/recover pairs and P link "
-            "down/up windows (the seeded schedule; drops show up as "
-            "crash/partition spans)",
-        )
-        sub.add_argument(
-            "--loss", dest="obs_loss", type=float, default=None, metavar="P",
-            help="seeded Bernoulli message-loss probability in [0, 1) "
-            "(default: the config's, normally 0)",
+        _fault_options(
+            sub, "obs_",
+            "the seeded schedule; drops show up as crash/partition spans",
         )
         sub.add_argument(
             "--json", dest="obs_json", default=None, metavar="PATH",
@@ -681,42 +630,18 @@ def _experiments_run(args) -> None:
         print(f"\n[artifacts: {artifacts_dir}]")
 
 
-def _live_config(args):
-    overrides: dict = {"t_percent": args.live_t, "policy": args.live_policy}
-    if args.live_seed is not None:
-        overrides["seed"] = args.live_seed
-    if args.live_loss is not None:
-        overrides["message_loss_probability"] = args.live_loss
-    if args.live_adaptive is not None:
-        overrides["adaptive"] = args.live_adaptive
-    config = preset_config(args.live_preset, **overrides)
-    if args.live_failures is not None:
-        crashes, partitions = args.live_failures
-        config = config.with_(
-            failures=failures_for_config(
-                config, crashes=crashes, partitions=partitions
-            )
-        )
-    return config
-
-
 def _live_knobs(args) -> dict:
     return dict(
         duration=args.duration,
         time_scale=args.time_scale,
         heartbeat_interval_s=args.heartbeat_interval,
-        reconnect_backoff_s=args.reconnect_backoff,
-        reconnect_attempts=args.reconnect_attempts,
-        quiesce_timeout_s=args.quiesce_timeout,
-        drain_timeout_s=args.drain_timeout,
-        wall_stretch_cap=args.wall_stretch_cap,
     )
 
 
 def _live_run(args) -> None:
     from repro.live import run_live
 
-    config = _live_config(args)
+    config = _config_from_args(args, "live_")
     result = run_live(config, args.transport, **_live_knobs(args))
     rate = result.delivered / result.wall_seconds if result.wall_seconds else 0.0
     print(f"preset={args.live_preset} policy={args.live_policy} "
@@ -754,13 +679,8 @@ def _live_loadgen(args) -> None:
 
     if args.live_jobs < 1:
         raise SystemExit("--jobs must be >= 1 for loadgen")
-    config = _live_config(args)
-    report = run_loadgen(
-        config,
-        args.live_jobs,
-        args.transport,
-        **_live_knobs(args),
-    )
+    config = _config_from_args(args, "live_")
+    report = run_loadgen(config, args.live_jobs, args.transport, **_live_knobs(args))
     result = report.result
     print(f"preset={args.live_preset} policy={args.live_policy} "
           f"transport={result.transport} clients={args.live_jobs}")
@@ -778,26 +698,12 @@ def _live_loadgen(args) -> None:
               f"{sum(client.met.values()):>4} {worst:>21.3f}")
 
 
-def _fleet_config(args):
-    overrides: dict = {"t_percent": args.fleet_t, "policy": args.fleet_policy}
-    if args.fleet_seed is not None:
-        overrides["seed"] = args.fleet_seed
-    return preset_config(args.fleet_preset, **overrides)
-
-
 def _fleet_knobs(args) -> dict:
     return dict(
         workers=args.workers,
         duration=args.duration,
         time_scale=args.time_scale,
-        quiesce_timeout_s=args.quiesce_timeout,
         heartbeat_interval_s=args.heartbeat_interval,
-        reconnect_backoff_s=args.reconnect_backoff,
-        reconnect_attempts=args.reconnect_attempts,
-        wall_stretch_cap=args.wall_stretch_cap,
-        queue_high=args.queue_high,
-        queue_low=args.queue_low,
-        resync_sample=args.resync_sample,
         sever_at_s=args.sever_at,
     )
 
@@ -827,7 +733,7 @@ def _fleet_run(args) -> None:
     from repro.fleet import run_fleet
     from repro.live import run_live
 
-    config = _fleet_config(args)
+    config = _config_from_args(args, "fleet_")
     result = run_fleet(config, **_fleet_knobs(args))
     _print_fleet_result(result, args)
     if not result.conserved:
@@ -849,10 +755,8 @@ def _fleet_loadgen(args) -> None:
 
     if args.fleet_jobs < 1:
         raise SystemExit("--jobs must be >= 1 for loadgen")
-    config = _fleet_config(args)
-    report = run_fleet_loadgen(
-        config, args.fleet_jobs, **_fleet_knobs(args)
-    )
+    config = _config_from_args(args, "fleet_")
+    report = run_fleet_loadgen(config, args.fleet_jobs, **_fleet_knobs(args))
     result = report.result
     _print_fleet_result(result, args)
     print(f"clients (sharded)         : {args.fleet_jobs}")
@@ -862,30 +766,11 @@ def _fleet_loadgen(args) -> None:
           f"{result.extras.get('client_messages', 0)}")
 
 
-def _obs_config(args):
-    overrides: dict = {"t_percent": args.obs_t, "policy": args.obs_policy}
-    if args.obs_seed is not None:
-        overrides["seed"] = args.obs_seed
-    if args.obs_kernel is not None:
-        overrides["kernel"] = args.obs_kernel
-    if args.obs_loss is not None:
-        overrides["message_loss_probability"] = args.obs_loss
-    config = preset_config(args.obs_preset, **overrides)
-    if args.obs_failures is not None:
-        crashes, partitions = args.obs_failures
-        config = config.with_(
-            failures=failures_for_config(
-                config, crashes=crashes, partitions=partitions
-            )
-        )
-    return config
-
-
 def _obs_run(args):
     """One traced run: the recorder rides out-of-band next to the config."""
     from repro.obs import TraceRecorder
 
-    config = _obs_config(args)
+    config = _config_from_args(args, "obs_")
     recorder = TraceRecorder(policy=config.policy)
     result = run_simulation(config, observer=recorder)
     return config, recorder, result
@@ -1050,48 +935,7 @@ def main(argv: list[str] | None = None) -> None:
         except ConfigurationError as exc:
             raise SystemExit(str(exc)) from None
         return
-    overrides: dict = {
-        "t_percent": args.t,
-        "policy": args.policy,
-        "controlled_cooperation": args.controlled,
-    }
-    if args.degree is not None:
-        overrides["offered_degree"] = args.degree
-    if args.comp_delay is not None:
-        overrides["comp_delay_ms"] = args.comp_delay
-    if args.comm_delay is not None:
-        overrides["comm_target_ms"] = args.comm_delay
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workload is not None:
-        overrides["workload"] = args.workload
-    if args.kernel is not None:
-        overrides["kernel"] = args.kernel
-    if args.clients is not None:
-        overrides["clients_per_repository"] = args.clients
-
-    if args.adaptive is not None:
-        overrides["adaptive"] = args.adaptive
-
-    config = preset_config(args.preset, **overrides)
-    if args.churn is not None:
-        joins, departs, updates = args.churn
-        config = config.with_(
-            churn=schedule_for_config(
-                config, joins=joins, departs=departs, updates=updates
-            )
-        )
-    if args.failures is not None:
-        crashes, partitions = args.failures
-        try:
-            config = config.with_(
-                failures=failures_for_config(
-                    config, crashes=crashes, partitions=partitions
-                )
-            )
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc)) from None
-
+    config = _config_from_args(args, "")
     if args.degrees is not None:
         degrees = args.degrees
         configs = [config.with_(offered_degree=d) for d in degrees]

@@ -4,15 +4,17 @@ The fleet runs the same sans-io nodes as the single-process live layer
 (:mod:`repro.live.nodes`), but spread over N worker processes, each
 hosting a shard of the repositories (plus the clients attached to
 them), speaking the hardened wire protocol of
-:mod:`repro.live.protocol` over worker-to-worker TCP links:
+:mod:`repro.live.protocol` over worker-to-worker TCP links -- the links,
+send queues, frame server and due-time pacing of the shared socket
+runtime (:mod:`repro.live.wire`), which the single-process TCP
+transport drives too:
 
 - :mod:`repro.fleet.sharding` -- deterministic shard assignment from
   the frozen config's dissemination graph;
 - :mod:`repro.fleet.antientropy` -- setdiscovery-style sampled resync
   of a repository against its parent after a severed link;
-- :mod:`repro.fleet.links` -- per-connection send queues with high/low
-  watermark backpressure;
-- :mod:`repro.fleet.worker` -- the per-process asyncio runtime;
+- :mod:`repro.fleet.worker` -- the per-process driver of that runtime
+  (shard routing, supervisor pipe, anti-entropy sessions, report);
 - :mod:`repro.fleet.supervisor` -- process orchestration and the
   fleet-wide merged :class:`~repro.live.harness.LiveRunResult`.
 """

@@ -30,7 +30,6 @@ import time
 from pathlib import Path
 
 import repro
-from repro.core.clients import requirement_report
 from repro.core.fidelity import FidelityAccumulator
 from repro.core.metrics import CostCounters
 from repro.engine.builder import build_setup
@@ -39,7 +38,8 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.fleet.sharding import plan_shards
 from repro.fleet.worker import FleetSpec, WorkerReport, worker_main
 from repro.live.harness import LiveRunResult
-from repro.live.loadgen import ClientReport, LoadgenReport, generate_clients
+from repro.live.loadgen import LoadgenReport, client_reports, generate_clients
+from repro.live.wire import QUIESCE_TIMEOUT_S, reconcile, wall_factor
 from repro.obs.logsetup import get_logger
 
 __all__ = ["merge_reports", "run_fleet", "run_fleet_loadgen"]
@@ -88,21 +88,8 @@ def merge_reports(
             per_pair[(repo, item_id)] = loss
         client_loss.update(report.client_loss)
 
-    residual = sent - delivered - dropped
-    if residual < 0:
-        raise SimulationError(
-            f"fleet delivered more than it sent: sent={sent} "
-            f"delivered={delivered} dropped={dropped}"
-        )
-    dropped += residual  # in flight at the finish line: the wire ate it
-
-    repo_residual = counters.messages - counters.deliveries - counters.drops
-    if repo_residual < 0:
-        raise SimulationError(
-            f"fleet repositories over-delivered: messages={counters.messages} "
-            f"deliveries={counters.deliveries} drops={counters.drops}"
-        )
-    counters.drops += repo_residual
+    # In flight at the finish line: the wire ate it, on both planes.
+    dropped = reconcile(sent, delivered, dropped, counters)
 
     merged_extras: dict = {
         "per_pair_loss": per_pair,
@@ -166,12 +153,27 @@ def _validate(config: SimulationConfig) -> None:
         )
 
 
-def _expect(conn, wanted: str, timeout: float, supervisor_state: dict):
-    """Read ``conn`` until a ``wanted``-tagged message arrives.
+def _recv(conn, supervisor_state: dict):
+    """One message off ``conn``: ``fatal`` raises with the worker
+    traceback, ``replay-done`` is noted in the state dict and swallowed
+    (``None``), anything else is returned."""
+    try:
+        message = conn.recv()
+    except EOFError:
+        raise SimulationError(
+            "fleet worker died without a word (spawned processes "
+            "must be able to import the parent __main__ module)"
+        ) from None
+    if message[0] == "fatal":
+        raise SimulationError(f"fleet worker {message[1]} crashed:\n{message[2]}")
+    if message[0] == "replay-done":
+        supervisor_state["replay_done"] = True
+        return None
+    return message
 
-    Interleaved ``stats``/``replay-done`` messages update the
-    supervisor state dict; ``fatal`` raises with the worker traceback.
-    """
+
+def _expect(conn, wanted: str, timeout: float, supervisor_state: dict):
+    """Read ``conn`` until a ``wanted``-tagged message arrives."""
     deadline = time.monotonic() + timeout
     while True:
         remaining = deadline - time.monotonic()
@@ -180,26 +182,13 @@ def _expect(conn, wanted: str, timeout: float, supervisor_state: dict):
                 f"fleet worker did not answer with {wanted!r} within "
                 f"{timeout:.1f}s"
             )
-        try:
-            message = conn.recv()
-        except EOFError:
-            raise SimulationError(
-                "fleet worker died before answering (spawned processes "
-                "must be able to import the parent __main__ module)"
-            ) from None
-        tag = message[0]
-        if tag == "fatal":
-            raise SimulationError(
-                f"fleet worker {message[1]} crashed:\n{message[2]}"
-            )
-        if tag == "replay-done":
-            supervisor_state["replay_done"] = True
+        message = _recv(conn, supervisor_state)
+        if message is None:
             continue
-        if tag == wanted:
+        if message[0] == wanted:
             return message
-        if tag == "stats":
-            continue  # stale poll answer: superseded
-        raise SimulationError(f"unexpected fleet control message {message!r}")
+        if message[0] != "stats":  # a stale poll answer is just superseded
+            raise SimulationError(f"unexpected fleet control message {message!r}")
 
 
 def run_fleet(
@@ -208,14 +197,7 @@ def run_fleet(
     workers: int,
     duration: float | None = None,
     time_scale: float = 60.0,
-    quiesce_timeout_s: float = 30.0,
     heartbeat_interval_s: float = 0.5,
-    reconnect_backoff_s: float = 0.05,
-    reconnect_attempts: int = 5,
-    wall_stretch_cap: float = 20.0,
-    queue_high: int = 256,
-    queue_low: int = 64,
-    resync_sample: int = 8,
     n_clients: int = 0,
     client_seed: int | None = None,
     sever_at_s: float | None = None,
@@ -231,15 +213,8 @@ def run_fleet(
             fleet, handy for debugging).
         duration: Optional replay truncation, as in ``run_live``.
         time_scale: Simulated seconds per wall second.
-        quiesce_timeout_s: Wall budget for fleet-wide quiescence after
-            the source replay (stretched by the same capped wall factor
-            the TCP transport uses).
         heartbeat_interval_s: Per-link liveness probe interval (0
             disables).
-        reconnect_backoff_s / reconnect_attempts: Link reconnect policy.
-        wall_stretch_cap: Cap on the slow-``time_scale`` budget stretch.
-        queue_high / queue_low: Send-queue backpressure watermarks.
-        resync_sample: First anti-entropy sample-round size.
         n_clients: Synthetic loadgen clients to shard across workers
             (0 = no client plane).
         client_seed: Seed for the client population (config seed when
@@ -264,7 +239,7 @@ def run_fleet(
     _validate(config)
     setup = build_setup(config)
     plan = plan_shards(setup, workers)  # validates the worker count
-    wall_factor = min(wall_stretch_cap, max(1.0, 60.0 / time_scale))
+    stretch = wall_factor(time_scale)
     spec = FleetSpec(
         config=config,
         n_workers=workers,
@@ -273,11 +248,6 @@ def run_fleet(
         n_clients=n_clients,
         client_seed=client_seed,
         heartbeat_interval_s=heartbeat_interval_s,
-        reconnect_backoff_s=reconnect_backoff_s,
-        reconnect_attempts=reconnect_attempts,
-        queue_high=queue_high,
-        queue_low=queue_low,
-        resync_sample=resync_sample,
         trace=trace_recorder is not None,
     )
 
@@ -336,47 +306,31 @@ def run_fleet(
             # Drain asynchronous worker messages (replay-done, fatal).
             for conn in conns:
                 while conn.poll(0):
-                    try:
-                        message = conn.recv()
-                    except EOFError:
-                        raise SimulationError(
-                            "fleet worker died mid-run"
-                        ) from None
-                    if message[0] == "fatal":
-                        raise SimulationError(
-                            f"fleet worker {message[1]} crashed:\n{message[2]}"
-                        )
-                    if message[0] == "replay-done":
-                        state["replay_done"] = True
-            if state["replay_done"]:
+                    _recv(conn, state)
+            # A late severance fires before quiescing.
+            if state["replay_done"] and (sever_due is None or severed):
                 if quiesce_deadline is None:
-                    quiesce_deadline = (
-                        time.monotonic() + quiesce_timeout_s * wall_factor
-                    )
-                if sever_due is not None and not severed:
-                    # Let a late severance fire before quiescing.
-                    pass
-                else:
-                    for conn in conns:
-                        conn.send(("stats?",))
-                    totals = [0, 0, 0]
-                    pending = 0
-                    for conn in conns:
-                        message = _expect(conn, "stats", 30.0, state)
-                        totals[0] += message[2]
-                        totals[1] += message[3]
-                        totals[2] += message[4]
-                        pending += message[5]
-                    snapshot = tuple(totals)
-                    if (
-                        pending == 0
-                        and snapshot == last_totals
-                        and totals[0] == totals[1] + totals[2]
-                    ):
-                        break  # two stable, conserved snapshots: quiet
-                    last_totals = snapshot
-                    if time.monotonic() > quiesce_deadline:
-                        break  # give up; residual reconciles to drops
+                    quiesce_deadline = time.monotonic() + QUIESCE_TIMEOUT_S * stretch
+                for conn in conns:
+                    conn.send(("stats?",))
+                totals = [0, 0, 0]
+                pending = 0
+                for conn in conns:
+                    message = _expect(conn, "stats", 30.0, state)
+                    totals[0] += message[2]
+                    totals[1] += message[3]
+                    totals[2] += message[4]
+                    pending += message[5]
+                snapshot = tuple(totals)
+                if (
+                    pending == 0
+                    and snapshot == last_totals
+                    and totals[0] == totals[1] + totals[2]
+                ):
+                    break  # two stable, conserved snapshots: quiet
+                last_totals = snapshot
+                if time.monotonic() > quiesce_deadline:
+                    break  # give up; residual reconciles to drops
             time.sleep(_POLL_S)
 
         log.debug("fleet: quiesced, collecting reports")
@@ -384,7 +338,7 @@ def run_fleet(
             conn.send(("finish",))
         reports: list[WorkerReport] = []
         for conn in conns:
-            message = _expect(conn, "report", 60.0 * wall_factor, state)
+            message = _expect(conn, "report", 60.0 * stretch, state)
             reports.append(message[2])
         for proc in procs:
             proc.join(timeout=30.0)
@@ -454,32 +408,4 @@ def run_fleet_loadgen(
         client_seed=seed,
         **fleet_knobs,
     )
-    served: dict[tuple[int, int], float] = {}
-    for node, node_state in setup.graph.nodes.items():
-        if node == setup.graph.source:
-            continue
-        for item_id, c in node_state.receive_c.items():
-            served[(node, item_id)] = c
-    met_by_client = requirement_report(population, served)
-    observed = result.extras.get("client_loss", {})
-
-    report = LoadgenReport(result=result)
-    for client in population.clients:
-        met = met_by_client[client.client_id]
-        report.clients.append(
-            ClientReport(
-                client_id=client.client_id,
-                repository=client.repository,
-                requirements=dict(client.requirements),
-                served_c={
-                    item_id: served[(client.repository, item_id)]
-                    for item_id in client.requirements
-                    if (client.repository, item_id) in served
-                },
-                observed_loss=dict(observed.get(client.client_id, {})),
-                met=met,
-            )
-        )
-        report.n_requirements += len(met)
-        report.n_met += sum(met.values())
-    return report
+    return client_reports(result, population, setup)

@@ -478,12 +478,7 @@ def run_live(
     duration: float | None = None,
     time_scale: float = 60.0,
     jitter_ms: float = 0.0,
-    quiesce_timeout_s: float = 30.0,
     heartbeat_interval_s: float = 0.5,
-    reconnect_backoff_s: float = 0.05,
-    reconnect_attempts: int = 5,
-    drain_timeout_s: float = 2.0,
-    wall_stretch_cap: float = 20.0,
     clients: ClientPopulation | None = None,
     network: LiveNetwork | None = None,
 ) -> LiveRunResult:
@@ -494,7 +489,9 @@ def run_live(
     drop by schedule and by their seeded Bernoulli streams, the TCP
     transport additionally heartbeats its connections and reconnects
     severed ones with exponential backoff, and fidelity is scored over
-    the availability segments exactly like the engine.
+    the availability segments exactly like the engine.  The TCP wall
+    budgets (quiescence wait, reconnect policy, queue watermarks) are
+    constants of :mod:`repro.live.wire`, not options.
 
     Args:
         config: The run's full parameterisation (identical to what a
@@ -506,22 +503,8 @@ def run_live(
             truncated window).
         time_scale: Simulated seconds per wall second (TCP only).
         jitter_ms: Seeded per-delivery jitter bound (in-process only).
-        quiesce_timeout_s: Wall seconds TCP waits for in-flight
-            messages after the replay before counting them as drops
-            (scaled up internally when ``time_scale`` runs slower than
-            the 60x default).
         heartbeat_interval_s: Wall seconds between TCP liveness probes
             per connection (failure runs only; 0 disables).
-        reconnect_backoff_s: Base of the TCP reconnect exponential
-            backoff.
-        reconnect_attempts: Reconnect attempts before a frame is
-            dropped.
-        drain_timeout_s: Wall seconds TCP grants its connection
-            handlers to flush buffered frames at teardown (also scaled
-            by the wall-stretch factor).
-        wall_stretch_cap: Upper bound on the internal slow-``time_scale``
-            budget stretch factor; raise it on slow CI machines where
-            the 20x cap still flakes.
         clients: Optional end-client population to attach (ignored when
             ``network`` is given).
         network: Optional prebuilt network for exactly this config.
@@ -540,13 +523,8 @@ def run_live(
         seed=config.seed,
         jitter_ms=jitter_ms,
         time_scale=time_scale,
-        quiesce_timeout_s=quiesce_timeout_s,
         loss_probability=config.message_loss_probability,
         heartbeat_interval_s=heartbeat_interval_s,
-        reconnect_backoff_s=reconnect_backoff_s,
-        reconnect_attempts=reconnect_attempts,
-        drain_timeout_s=drain_timeout_s,
-        wall_stretch_cap=wall_stretch_cap,
     )
     start = time.perf_counter()
     stats: TransportStats = driver.run(network, duration=duration)
@@ -570,12 +548,10 @@ def run_live(
         extras["failure_events"] = len(schedule)
         extras["crashes"] = schedule.count("crash")
         extras["partitions"] = schedule.count("link_down")
-        heartbeats = getattr(stats, "heartbeats", 0)
-        if heartbeats:
-            extras["heartbeats"] = heartbeats
-        reconnects = getattr(stats, "reconnects", 0)
-        if reconnects:
-            extras["reconnects"] = reconnects
+        if stats.heartbeats:
+            extras["heartbeats"] = stats.heartbeats
+        if stats.reconnects:
+            extras["reconnects"] = stats.reconnects
     if core.adaptive is not None:
         extras["adaptive_ticks"] = core.adaptive.ticks
         extras["adaptive_triggered"] = core.adaptive.triggered

@@ -25,7 +25,13 @@ from repro.errors import ConfigurationError
 from repro.live.harness import LiveRunResult, build_live_network, run_live
 from repro.sim.rng import RandomStreams
 
-__all__ = ["ClientReport", "LoadgenReport", "generate_clients", "run_loadgen"]
+__all__ = [
+    "ClientReport",
+    "LoadgenReport",
+    "generate_clients",
+    "client_reports",
+    "run_loadgen",
+]
 
 
 @dataclass
@@ -135,9 +141,9 @@ def run_loadgen(
 
     The expensive setup (topology, traces, LeLA ``d3g``) is built once
     and shared by population generation, the network build and the
-    served-coherency table.  Extra keyword arguments (heartbeat and
-    reconnect knobs) pass through to :func:`~repro.live.harness.
-    run_live`; failure schedules and message loss configured on
+    served-coherency table.  Extra keyword arguments (``jitter_ms``,
+    ``heartbeat_interval_s``) pass through to :func:`~repro.live.
+    harness.run_live`; failure schedules and message loss configured on
     ``config`` are honoured exactly as in a client-free run.
     """
     setup = build_setup(config)
@@ -151,6 +157,14 @@ def run_loadgen(
         network=network,
         **transport_knobs,
     )
+    return client_reports(result, population, setup)
+
+
+def client_reports(
+    result: LiveRunResult, population: ClientPopulation, setup: SimulationSetup
+) -> LoadgenReport:
+    """Fold a finished run with ``population`` attached into the
+    per-client report (shared with the fleet's sharded loadgen)."""
     # The coherency each repository actually receives each item at is
     # what it can serve clients with.
     served: dict[tuple[int, int], float] = {}

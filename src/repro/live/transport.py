@@ -10,12 +10,14 @@ executes the network's workload replay and returns wire-level
   the seeded topology delays (plus optional seeded jitter), so a run is
   bit-reproducible for a fixed config seed.  This is the transport the
   ``live_crosscheck`` experiment validates the simulator against.
-- :class:`TcpTransport` -- real localhost sockets.  Every node runs an
-  asyncio server speaking the length-prefixed JSON protocol of
-  :mod:`repro.live.protocol`; simulated time maps to the wall clock
-  through ``time_scale`` (simulated seconds per wall second).  Messages
-  still in flight when the quiescence timeout expires are counted as
-  drops, keeping the conservation invariant exact.
+- :class:`TcpTransport` -- real localhost sockets.  A thin driver of
+  the shared socket runtime (:mod:`repro.live.wire`, which states the
+  delivery convention): every node listens on its own port, every hop
+  is a :class:`~repro.live.protocol.Forward` frame over a localhost
+  connection, and simulated time maps to the wall clock through
+  ``time_scale`` (simulated seconds per wall second).  Messages still
+  in flight when the quiescence budget runs out are counted as drops,
+  keeping the conservation invariant exact.
 
 Both transports execute unplanned failures and seeded message loss.
 They apply the control timeline of the network's
@@ -29,35 +31,31 @@ The in-process transport schedules the timeline on its kernel ahead of
 the replay and reads the core's live ``crashed`` / ``down_links`` sets;
 it consumes the *same* ``message-loss`` stream in the same order as the
 engine, so a failure or adaptive run is still bit-reproducible.  The
-TCP transport applies the timeline from a wall-clock task and judges
-racing frames by their logical arrival times against the
-:class:`~repro.engine.failures.FailureSchedule`'s half-open windows
-(:meth:`~repro.engine.failures.FailureSchedule.crashed_at` /
+TCP transport queues the timeline on the runtime's due queue, likewise
+ahead of the replay, and judges each frame by its logical arrival time
+against the :class:`~repro.engine.failures.FailureSchedule`'s half-open
+windows (:meth:`~repro.engine.failures.FailureSchedule.crashed_at` /
 :meth:`~repro.engine.failures.FailureSchedule.link_down_at`) rather
-than by mutable-set timing; it additionally heartbeats every connection
-and transparently reconnects severed ones with capped exponential
+than by mutable-set timing; its links additionally heartbeat and
+transparently reconnect severed connections with capped exponential
 backoff (a crash event severs the victim's connection for real).
 """
 
 from __future__ import annotations
 
 import asyncio
-import heapq
-import itertools
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.live.nodes import Outbound
-from repro.live.protocol import (
-    Bye,
-    Heartbeat,
-    Hello,
-    ProtocolError,
-    Update,
-    check_version,
-    encode_message,
-    read_message,
+from repro.live.wire import (
+    QUIESCE_TIMEOUT_S,
+    Link,
+    WireRuntime,
+    reconcile,
+    wall_factor,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
@@ -214,417 +212,149 @@ class InProcessTransport:
         return stats
 
 
+@dataclass
 class TcpTransport:
-    """Localhost TCP driver: one asyncio server per node, real frames.
+    """Localhost TCP driver: every hop crosses a real socket.
 
     ``time_scale`` maps simulated seconds to wall seconds (``600`` runs
-    a 600 s trace in about one wall second).  The driver replays the
-    source schedule against the wall clock, realises each message's
-    simulated delay as a scheduled socket write, and after the replay
-    waits up to ``quiesce_timeout_s`` wall seconds for in-flight
-    messages to land; whatever remains is counted as dropped.
+    a 600 s trace in about one wall second).  Once the replay is
+    through, the run waits up to
+    :data:`~repro.live.wire.QUIESCE_TIMEOUT_S` wall seconds (stretched
+    at slow paces) for in-flight messages to land; whatever remains is
+    counted as dropped.
     """
 
     name = "tcp"
+    time_scale: float = 60.0
+    host: str = "127.0.0.1"
+    loss_probability: float = 0.0
+    seed: int = 0
+    heartbeat_interval_s: float = 0.5
 
-    def __init__(
-        self,
-        time_scale: float = 60.0,
-        quiesce_timeout_s: float = 30.0,
-        host: str = "127.0.0.1",
-        loss_probability: float = 0.0,
-        seed: int = 0,
-        heartbeat_interval_s: float = 0.5,
-        reconnect_backoff_s: float = 0.05,
-        reconnect_attempts: int = 5,
-        drain_timeout_s: float = 2.0,
-        wall_stretch_cap: float = 20.0,
-    ) -> None:
-        if time_scale <= 0:
+    def __post_init__(self) -> None:
+        if self.time_scale <= 0:
             raise ConfigurationError(
-                f"time_scale must be positive, got {time_scale!r}"
+                f"time_scale must be positive, got {self.time_scale!r}"
             )
-        if quiesce_timeout_s <= 0:
+        if not 0.0 <= self.loss_probability < 1.0:
             raise ConfigurationError(
-                f"quiesce_timeout_s must be positive, got {quiesce_timeout_s!r}"
+                f"loss_probability must be in [0, 1), got {self.loss_probability!r}"
             )
-        if drain_timeout_s <= 0:
+        if self.heartbeat_interval_s < 0:
             raise ConfigurationError(
-                f"drain_timeout_s must be positive, got {drain_timeout_s!r}"
+                f"heartbeat_interval_s must be >= 0, got {self.heartbeat_interval_s!r}"
             )
-        if wall_stretch_cap < 1.0:
-            raise ConfigurationError(
-                f"wall_stretch_cap must be >= 1, got {wall_stretch_cap!r}"
-            )
-        if not 0.0 <= loss_probability < 1.0:
-            raise ConfigurationError(
-                f"loss_probability must be in [0, 1), got {loss_probability!r}"
-            )
-        if heartbeat_interval_s < 0:
-            raise ConfigurationError(
-                f"heartbeat_interval_s must be >= 0, got {heartbeat_interval_s!r}"
-            )
-        if reconnect_attempts < 1:
-            raise ConfigurationError(
-                f"reconnect_attempts must be >= 1, got {reconnect_attempts!r}"
-            )
-        self.time_scale = time_scale
-        self.quiesce_timeout_s = quiesce_timeout_s
-        self.host = host
-        self.loss_probability = loss_probability
-        self.seed = seed
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.reconnect_backoff_s = reconnect_backoff_s
-        self.reconnect_attempts = reconnect_attempts
-        self.drain_timeout_s = drain_timeout_s
-        self.wall_stretch_cap = wall_stretch_cap
-        # Wall budgets (quiescence wait, handler drain) assume the 60x
-        # default pace; a slower time scale stretches in-flight wall
-        # times proportionally, so stretch the budgets too (capped, so a
-        # pathological scale cannot hang the run for hours).  Slow CI
-        # boxes can raise the cap or the budgets themselves.
-        self._wall_factor = min(wall_stretch_cap, max(1.0, 60.0 / time_scale))
 
     def run(self, network: "LiveNetwork", duration: float | None = None) -> TransportStats:
-        return asyncio.run(self._main(network, duration))
+        return asyncio.run(_TcpWire(self, network).run(duration))
 
-    async def _main(
-        self, network: "LiveNetwork", duration: float | None
-    ) -> TransportStats:
-        stats = TransportStats()
-        loop = asyncio.get_running_loop()
-        quiet = asyncio.Event()
-        replay_done = False
-        core = network.reconfig
-        schedule = core.failures
-        repo_ids = set(network.repositories)
-        loss_rng = (
-            RandomStreams(self.seed).stream("message-loss")
-            if self.loss_probability > 0.0
+
+class _TcpWire(WireRuntime):
+    """Every destination is remote, one link each; adds the seeded loss
+    and failure-window judgement and applies the control timeline."""
+
+    def __init__(self, transport: TcpTransport, network: "LiveNetwork") -> None:
+        self.schedule = network.reconfig.failures
+        super().__init__(
+            network,
+            TransportStats(),
+            src=network.source_node.node,
+            time_scale=transport.time_scale,
+            host=transport.host,
+            # Liveness probes matter where connections get severed.
+            heartbeat_interval_s=(
+                transport.heartbeat_interval_s if self.schedule is not None else 0.0
+            ),
+        )
+        self.repo_ids = set(network.repositories)
+        self.loss_probability = transport.loss_probability
+        self.loss_rng = (
+            RandomStreams(transport.seed).stream("message-loss")
+            if transport.loss_probability > 0.0
             else None
         )
-        servers: dict[int, asyncio.Server] = {}
-        ports: dict[int, int] = {}
-        # (src is irrelevant to routing: one connection per destination.)
-        writers: dict[int, asyncio.StreamWriter] = {}
-        # Per destination: a due-time heap plus a wakeup event.  A plain
-        # FIFO would let one long-delay frame head-of-line-block frames
-        # from other senders that are due sooner; the heap realises each
-        # frame at its own due time, with an enqueue counter breaking
-        # ties in dispatch order (per-edge FIFO preserved).
-        send_heaps: dict[int, list[tuple[float, int, Outbound]]] = {}
-        send_wakeups: dict[int, asyncio.Event] = {}
-        enqueue_counter = itertools.count()
-        sender_tasks: list[asyncio.Task] = []
-        aux_tasks: list[asyncio.Task] = []
-        handler_tasks: set[asyncio.Task] = set()
-        start_wall = loop.time()
+        self.replayed = asyncio.Event()
+        self.quiet = asyncio.Event()
 
-        def sim_now() -> float:
-            return (loop.time() - start_wall) * self.time_scale
-
-        def check_quiet() -> None:
-            if replay_done and stats.in_flight == 0:
-                quiet.set()
-
-        observer = network.observer
-
-        def drop(out: Outbound, reason: str) -> None:
-            """Count one schedule/loss drop, engine-comparably."""
-            stats.dropped += 1
-            network.counters.record_drop()
-            if observer is not None:
-                observer.on_drop(
-                    out.update.seq - 1, out.update.item_id,
-                    out.arrival_s, out.update.src, out.dst, reason,
-                )
-            check_quiet()
-
-        def dispatch(outs: list[Outbound]) -> None:
-            for out in outs:
-                stats.sent += 1
-                if (
-                    loss_rng is not None
-                    and out.dst in repo_ids
-                    and not (
-                        schedule is not None
-                        and schedule.link_down_at(
-                            out.update.src, out.dst, out.arrival_s
-                        )
-                    )
-                    and loss_rng.random() < self.loss_probability
-                ):
-                    # Bernoulli loss; link-dead frames are skipped first
-                    # so the stream is only consumed for frames that
-                    # would enter the network (the engine's order).
-                    drop(out, "loss")
-                    continue
-                due_wall = start_wall + out.arrival_s / self.time_scale
-                heapq.heappush(
-                    send_heaps[out.dst],
-                    (due_wall, next(enqueue_counter), out),
-                )
-                send_wakeups[out.dst].set()
-
-        async def handle_node(node_id: int, reader: asyncio.StreamReader,
-                              writer: asyncio.StreamWriter) -> None:
-            task = asyncio.current_task()
-            if task is not None:
-                handler_tasks.add(task)
-            try:
-                while True:
-                    try:
-                        message = await read_message(reader)
-                    except ProtocolError:
-                        # Oversized/garbage/truncated frame: reject this
-                        # connection, not the whole run.  Frames lost
-                        # with it are reconciled as drops at the end.
-                        break
-                    if message is None or isinstance(message, Bye):
-                        break
-                    if isinstance(message, Hello):
-                        try:
-                            check_version(message)
-                        except ProtocolError:
-                            break  # version-mismatched peer: reject
-                        continue
-                    if isinstance(message, Heartbeat):
-                        continue  # liveness probe: no data, no accounting
-                    if not isinstance(message, Update):
-                        break  # fleet-only frame on a live link: reject
-                    outs = network.node(node_id).on_message(message, sim_now())
-                    dispatch(outs)
-                    stats.delivered += 1
-                    check_quiet()
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-
-        generations: dict[int, int] = {}
-
-        def greet(dst: int, writer: asyncio.StreamWriter) -> None:
-            """Open every connection with a version/generation handshake."""
-            generations[dst] = generations.get(dst, 0) + 1
-            writer.write(
-                encode_message(
-                    Hello(
-                        src=network.source_node.node,
-                        generation=generations[dst],
-                    )
-                )
-            )
-
-        async def ensure_writer(dst: int) -> asyncio.StreamWriter | None:
-            """The destination's connection, reconnecting a severed one
-            with capped exponential backoff."""
-            writer = writers.get(dst)
-            if writer is not None and not writer.is_closing():
-                return writer
-            for attempt in range(self.reconnect_attempts):
-                try:
-                    _reader, writer = await asyncio.open_connection(
-                        self.host, ports[dst]
-                    )
-                except OSError:
-                    await asyncio.sleep(
-                        self.reconnect_backoff_s * (2 ** attempt)
-                    )
-                    continue
-                writers[dst] = writer
-                greet(dst, writer)
-                stats.reconnects += 1
-                return writer
-            return None
-
-        async def sender(dst: int) -> None:
-            heap = send_heaps[dst]
-            wakeup = send_wakeups[dst]
-            faulty = schedule is not None and dst in repo_ids
-            while True:
-                while not heap:
-                    wakeup.clear()
-                    await wakeup.wait()
-                due_wall = heap[0][0]
-                delay = due_wall - loop.time()
-                if delay > 0:
-                    # Sleep toward the earliest due frame, but wake early
-                    # if a new (possibly earlier-due) frame arrives.
-                    wakeup.clear()
-                    try:
-                        await asyncio.wait_for(wakeup.wait(), timeout=delay)
-                    except (TimeoutError, asyncio.TimeoutError):
-                        pass
-                    continue  # re-evaluate the heap top either way
-                _due, _seq, out = heapq.heappop(heap)
-                if faulty:
-                    # Judged by the frame's logical arrival against the
-                    # schedule's availability windows -- deterministic
-                    # even when the wall clock races the event task.
-                    if schedule.crashed_at(out.dst, out.arrival_s):
-                        drop(out, "crash")
-                        continue
-                    if schedule.link_down_at(
-                        out.update.src, out.dst, out.arrival_s
-                    ):
-                        drop(out, "partition")
-                        continue
-                writer = await ensure_writer(dst)
-                if writer is None:
-                    # Reconnect exhausted: the wire ate the frame.
-                    stats.dropped += 1
-                    if observer is not None:
-                        observer.on_drop(
-                            out.update.seq - 1, out.update.item_id,
-                            out.arrival_s, out.update.src, out.dst, "wire",
-                        )
-                    check_quiet()
-                    continue
-                writer.write(encode_message(out.update))
-                try:
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    # Severed mid-frame (crash event): the receiver never
-                    # parses a partial frame, so count it as dropped.
-                    stats.dropped += 1
-                    if observer is not None:
-                        observer.on_drop(
-                            out.update.seq - 1, out.update.item_id,
-                            out.arrival_s, out.update.src, out.dst, "wire",
-                        )
-                    check_quiet()
-
-        async def heartbeat(dst: int) -> None:
-            probe = encode_message(Heartbeat(src=network.source_node.node))
-            while True:
-                await asyncio.sleep(self.heartbeat_interval_s)
-                if dst in core.crashed:
-                    continue  # peer is down by schedule: probing is moot
-                writer = await ensure_writer(dst)
-                if writer is None:
-                    continue
-                writer.write(probe)
-                try:
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    continue
-                stats.heartbeats += 1
-
-        async def control_events() -> None:
-            # Failure events only: run_live refuses adaptive ticks here.
-            for t, event in core.timeline(network.span(duration)):
-                due = start_wall + t / self.time_scale
-                delay = due - loop.time()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                core.apply(t, event)
-                if event.kind == "crash":
-                    # Sever the victim's connection for real; senders and
-                    # heartbeats reconnect on demand after recovery.
-                    victim = writers.get(event.repository)
-                    if victim is not None and not victim.is_closing():
-                        victim.close()
-
+    async def run(self, duration: float | None) -> TransportStats:
+        network, stats = self.network, self.stats
         try:
-            # One server per node, OS-assigned ports.
-            for node_id in network.all_node_ids():
-                server = await asyncio.start_server(
-                    lambda r, w, node_id=node_id: handle_node(node_id, r, w),
-                    self.host,
-                    0,
-                )
-                servers[node_id] = server
-                ports[node_id] = server.sockets[0].getsockname()[1]
-
-            # One eager connection + due-ordered sender task per
-            # destination.  Under failures, failover can route over
-            # ancestor edges the static d3g never uses, so cover every
-            # repository and every client rather than just the static
-            # edge pairs.
-            dsts = {dst for _src, dst in network.edge_pairs()}
-            if schedule is not None:
-                dsts.update(repo_ids)
-                dsts.update(network.clients)
-            for dst in sorted(dsts):
-                _reader, writer = await asyncio.open_connection(
-                    self.host, ports[dst]
-                )
-                writers[dst] = writer
-                greet(dst, writer)
-                send_heaps[dst] = []
-                send_wakeups[dst] = asyncio.Event()
-                sender_tasks.append(
-                    asyncio.create_task(sender(dst), name=f"live-send-{dst}")
-                )
-
-            # Replay the workload against the wall clock.
-            start_wall = loop.time()
-            if schedule is not None:
-                aux_tasks.append(
-                    asyncio.create_task(control_events(), name="live-control")
-                )
-                if self.heartbeat_interval_s > 0:
-                    for dst in sorted(repo_ids & set(send_heaps)):
-                        aux_tasks.append(
-                            asyncio.create_task(
-                                heartbeat(dst), name=f"live-heartbeat-{dst}"
-                            )
-                        )
-            for t, item_id, value in network.source_schedule(duration):
-                due = start_wall + t / self.time_scale
-                delay = due - loop.time()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                # The source replays its own schedule, so it stamps the
-                # update with the scheduled time, not the (sleep-slopped)
-                # wall reading -- downstream observations stay real.
-                dispatch(network.source_node.on_update(item_id, value, t))
-
-            replay_done = True
-            check_quiet()
+            # One listening port and one link per destination node.
+            # Every repository and client is one in the static d3g, and
+            # failover can route to any of them over ancestor edges.
+            for dst in sorted([*network.repositories, *network.clients]):
+                self.connect(dst, await self.server.listen(self.host))
+            # Queued ahead of the replay so a control event and an
+            # update or delivery at the same instant apply the control
+            # event first -- the engine's tie-break.  (Failure events
+            # only: run_live refuses adaptive ticks here.)
+            for t, event in network.reconfig.timeline(network.span(duration)):
+                self.due.push(t, self.control, t, event)
+            self.schedule_replay(duration, self.replay_finished)
+            self.start(time.monotonic())
+            await self.replayed.wait()
             try:
                 await asyncio.wait_for(
-                    quiet.wait(),
-                    timeout=self.quiesce_timeout_s * self._wall_factor,
+                    self.quiet.wait(),
+                    timeout=QUIESCE_TIMEOUT_S * wall_factor(self.due.time_scale),
                 )
             except (TimeoutError, asyncio.TimeoutError):
                 pass
         finally:
-            for task in (*aux_tasks, *sender_tasks):
-                task.cancel()
-            await asyncio.gather(
-                *aux_tasks, *sender_tasks, return_exceptions=True
-            )
-            for writer in writers.values():
-                if not writer.is_closing():
-                    writer.write(encode_message(Bye(src=network.source_node.node)))
-                    try:
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        pass
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-            for server in servers.values():
-                server.close()
-                await server.wait_closed()
-            # Handlers drain their buffered frames on EOF; wait for them
-            # so the drop count below is final, not racing deliveries.
-            if handler_tasks:
-                done, pending = await asyncio.wait(
-                    handler_tasks, timeout=self.drain_timeout_s * self._wall_factor
-                )
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    await asyncio.gather(*pending, return_exceptions=True)
-        # Whatever never landed is a drop; conservation stays exact.
-        stats.dropped = stats.sent - stats.delivered
+            await self.close()
+            # The closed links and server still call back into this
+            # object (a reference cycle); let the network go with the
+            # run rather than at some later collector pass.
+            del self.network
+        stats.dropped = reconcile(
+            stats.sent, stats.delivered, stats.dropped, network.counters
+        )
         return stats
+
+    def route(self, dst: int) -> Link:
+        return self.links[dst]
+
+    def lost_on_send(self, out: Outbound) -> str | None:
+        # Bernoulli loss; link-dead frames are skipped first so the
+        # stream is only consumed for frames that would enter the
+        # network (the engine's order).
+        if (
+            self.loss_rng is not None
+            and out.dst in self.repo_ids
+            and not (
+                self.schedule is not None
+                and self.schedule.link_down_at(out.update.src, out.dst, out.arrival_s)
+            )
+            and self.loss_rng.random() < self.loss_probability
+        ):
+            return "loss"
+        return None
+
+    def lost_on_arrival(self, out: Outbound) -> str | None:
+        # Judged by the frame's logical arrival against the schedule's
+        # availability windows -- deterministic whatever the wall clock
+        # did to the frame on its way.
+        if self.schedule is not None and out.dst in self.repo_ids:
+            if self.schedule.crashed_at(out.dst, out.arrival_s):
+                return "crash"
+            if self.schedule.link_down_at(out.update.src, out.dst, out.arrival_s):
+                return "partition"
+        return None
+
+    def settled(self) -> None:
+        if self.replayed.is_set() and self.stats.in_flight == 0:
+            self.quiet.set()
+
+    async def control(self, t: float, event) -> None:
+        self.network.reconfig.apply(t, event)
+        if event.kind == "crash":
+            # Sever the victim's connection for real; its link
+            # reconnects on demand.
+            self.links[event.repository].sever()
+
+    async def replay_finished(self) -> None:
+        self.replayed.set()
+        self.settled()
 
 
 def make_transport(
@@ -633,13 +363,8 @@ def make_transport(
     seed: int = 0,
     jitter_ms: float = 0.0,
     time_scale: float = 60.0,
-    quiesce_timeout_s: float = 30.0,
     loss_probability: float = 0.0,
     heartbeat_interval_s: float = 0.5,
-    reconnect_backoff_s: float = 0.05,
-    reconnect_attempts: int = 5,
-    drain_timeout_s: float = 2.0,
-    wall_stretch_cap: float = 20.0,
 ):
     """Build a transport by registry name (``inprocess`` or ``tcp``).
 
@@ -653,14 +378,9 @@ def make_transport(
     if name == TcpTransport.name:
         return TcpTransport(
             time_scale=time_scale,
-            quiesce_timeout_s=quiesce_timeout_s,
             loss_probability=loss_probability,
             seed=seed,
             heartbeat_interval_s=heartbeat_interval_s,
-            reconnect_backoff_s=reconnect_backoff_s,
-            reconnect_attempts=reconnect_attempts,
-            drain_timeout_s=drain_timeout_s,
-            wall_stretch_cap=wall_stretch_cap,
         )
     raise ConfigurationError(
         f"unknown live transport {name!r}; choose from "

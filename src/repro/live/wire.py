@@ -1,0 +1,645 @@
+"""The socket runtime both real-socket planes drive.
+
+The single-process TCP transport (:mod:`repro.live.transport`) and the
+fleet worker (:mod:`repro.fleet.worker`) move the same frames the same
+way; this module states that way once:
+
+- :class:`DueQueue` -- the one heap of source updates, deliveries and
+  control events, keyed by simulated due time and released against the
+  wall clock in the engine kernel's tie-break order;
+- :class:`SendQueue` and :class:`Link` -- an outbound connection behind
+  watermark backpressure: handshake, pump, heartbeat, reconnect, close;
+- :class:`FrameServer` -- the inbound frame loops, which reject a bad
+  connection and never the run;
+- :class:`WireRuntime` -- the data path over those pieces around one
+  :class:`~repro.live.harness.LiveNetwork`.  A driver subclasses it to
+  say where a destination lives (:meth:`WireRuntime.route`) and what
+  else it judges or speaks.
+
+One delivery convention holds on every socket: a data frame is a
+:class:`~repro.live.protocol.Forward` carrying the destination node
+and the absolute simulated ``arrival_s`` the sending node computed; the
+sender writes it at once, the *receiver* holds it until ``arrival_s``
+comes due against the run's epoch, and the node then processes it *at
+that logical stamp*, not at the wall reading.  Coherency filtering,
+queueing and fidelity scoring therefore see the computed dissemination
+schedule; what the sockets contribute is what is real about them --
+framing, backpressure, connection loss and reconnects, and frames that
+never land.  Those are reconciled into drops on both accounting planes
+by :func:`reconcile` when the run ends.
+
+The wall budgets below absorb scheduler and socket slop.  No caller
+ever needed a second value for any of them, so they are constants, each
+next to the loop that reads it.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import contextlib
+import heapq
+import itertools
+import time
+from collections import deque
+from typing import TYPE_CHECKING, Callable
+
+from repro.core.metrics import CostCounters
+from repro.errors import ConfigurationError, SimulationError
+from repro.live.nodes import Outbound
+from repro.live.protocol import (
+    Bye,
+    Forward,
+    Heartbeat,
+    Hello,
+    Message,
+    ProtocolError,
+    Stats,
+    check_version,
+    encode_message,
+    read_message,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness imports transport)
+    from repro.live.harness import LiveNetwork
+
+__all__ = [
+    "QUIESCE_TIMEOUT_S",
+    "wall_factor",
+    "reconcile",
+    "DueQueue",
+    "SendQueue",
+    "Link",
+    "FrameServer",
+    "WireRuntime",
+]
+
+#: Wall seconds a run waits, once the source replay is through, for
+#: in-flight frames to land; what is still out then reconciles as drops.
+#: Stated at the 60x default pace and stretched by :func:`wall_factor`.
+QUIESCE_TIMEOUT_S = 30.0
+
+#: Upper bound of :func:`wall_factor`, so a pathological time scale
+#: cannot hang a run for hours.
+WALL_STRETCH_CAP = 20.0
+
+
+def wall_factor(time_scale: float) -> float:
+    """How far a slow pace stretches the wall budgets.
+
+    In-flight wall times grow as ``1 / time_scale``; budgets written
+    for the 60x default grow with them, up to :data:`WALL_STRETCH_CAP`.
+    """
+    return min(WALL_STRETCH_CAP, max(1.0, 60.0 / time_scale))
+
+
+def reconcile(sent: int, delivered: int, dropped: int, counters: CostCounters) -> int:
+    """End-of-run accounting: whatever never landed is a drop.
+
+    Returns the wire-level drop count that makes ``sent == delivered +
+    dropped`` exact, and charges the repository plane's residual into
+    ``counters.drops`` so ``messages == deliveries + drops`` is too.
+
+    Raises:
+        SimulationError: when more was delivered than sent on either
+            plane -- double counting no reconciliation should hide.
+    """
+    if sent < delivered + dropped:
+        raise SimulationError(
+            f"delivered more than was sent: sent={sent} "
+            f"delivered={delivered} dropped={dropped}"
+        )
+    residual = counters.messages - counters.deliveries - counters.drops
+    if residual < 0:
+        raise SimulationError(
+            f"repositories over-delivered: messages={counters.messages} "
+            f"deliveries={counters.deliveries} drops={counters.drops}"
+        )
+    counters.drops += residual
+    return sent - delivered
+
+
+class DueQueue:
+    """Actions keyed by simulated due time, released against the wall clock.
+
+    A plain FIFO would let one long-delay frame head-of-line-block
+    frames due sooner; the heap releases each at its own due time, with
+    a push counter breaking ties (per-edge FIFO preserved).
+    """
+
+    def __init__(self, time_scale: float) -> None:
+        #: Simulated seconds per wall second.
+        self.time_scale = time_scale
+        #: ``time.monotonic()`` reading that is simulated time zero; the
+        #: driver sets it before :meth:`run` (fleet workers share one).
+        self.epoch = 0.0
+        self._heap: list[tuple[float, int, Callable, tuple]] = []
+        self._order = itertools.count()
+        self._wakeup = asyncio.Event()
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def now(self) -> float:
+        """The wall clock read in simulated seconds."""
+        return (time.monotonic() - self.epoch) * self.time_scale
+
+    def latest(self) -> float:
+        """The furthest due time queued (0 when empty)."""
+        return max((entry[0] for entry in self._heap), default=0.0)
+
+    def push(self, due_s: float, action: Callable, *args) -> None:
+        """Queue ``await action(*args)`` for simulated time ``due_s``."""
+        heapq.heappush(self._heap, (due_s, next(self._order), action, args))
+        self._wakeup.set()
+
+    async def run(self) -> None:
+        """Release actions in ``(due, push order)`` until cancelled."""
+        heap, wakeup = self._heap, self._wakeup
+        while True:
+            delay = None  # empty: sleep until the first push
+            if heap:
+                delay = self.epoch + heap[0][0] / self.time_scale - time.monotonic()
+            if delay is None or delay > 0:
+                # Sleep toward the earliest due action, but wake early
+                # if a new (possibly earlier-due) one arrives.
+                wakeup.clear()
+                try:
+                    await asyncio.wait_for(wakeup.wait(), timeout=delay)
+                except (TimeoutError, asyncio.TimeoutError):
+                    pass
+                continue  # re-evaluate the heap top either way
+            _due, _order, action, args = heapq.heappop(heap)
+            await action(*args)
+
+
+#: Send-queue depth at which producers block, and the depth the pump
+#: must drain to before they resume.
+QUEUE_HIGH = 256
+QUEUE_LOW = 64
+
+
+class SendQueue:
+    """FIFO with high/low watermark backpressure.
+
+    ``asyncio.Queue(maxsize=n)`` blocks producers the moment the queue
+    is full and wakes them one slot at a time, which under a bursty
+    source turns into lockstep producer/consumer ping-pong.  Watermarks
+    give the link hysteresis: producers run freely until *high*, then
+    stall as a group until the pump drains the backlog below *low*.
+    The stall counter shows where backpressure actually bit.
+    """
+
+    def __init__(self, high: int = QUEUE_HIGH, low: int = QUEUE_LOW) -> None:
+        if high < 1:
+            raise ConfigurationError(f"high watermark must be >= 1, got {high!r}")
+        if not 0 <= low < high:
+            raise ConfigurationError(
+                f"low watermark must be in [0, high), got {low!r} for high {high!r}"
+            )
+        self.high = high
+        self.low = low
+        #: Times a producer blocked on the high watermark.
+        self.stalls = 0
+        self._items: deque = deque()
+        self._writable = asyncio.Event()
+        self._writable.set()
+        self._readable = asyncio.Event()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    async def put(self, item) -> None:
+        """Enqueue, blocking while the backlog sits above the watermarks."""
+        if not self._writable.is_set():
+            self.stalls += 1
+            await self._writable.wait()
+        self.put_nowait(item)
+
+    def put_nowait(self, item) -> None:
+        """Enqueue without ever blocking (control frames jump backpressure)."""
+        self._items.append(item)
+        self._readable.set()
+        if len(self._items) >= self.high:
+            self._writable.clear()
+
+    async def get(self):
+        """Dequeue the oldest item, waiting for one when empty."""
+        while not self._items:
+            self._readable.clear()
+            await self._readable.wait()
+        item = self._items.popleft()
+        if not self._writable.is_set() and len(self._items) <= self.low:
+            self._writable.set()
+        return item
+
+
+#: Connect retry policy: this many attempts, the pause before the next
+#: one starting here and doubling each time.
+RECONNECT_ATTEMPTS = 5
+RECONNECT_BACKOFF_S = 0.05
+
+
+class Link:
+    """One outbound connection to a peer's :class:`FrameServer`.
+
+    Frames queue in :attr:`queue` and a pump task writes them in order;
+    the connection opens on first use and reopens, with a bumped
+    ``Hello.generation``, whenever it is found severed.  A data frame
+    the wire ate (reconnect exhausted, or severed mid-write -- the
+    receiver never parses a partial frame) is handed to ``on_drop``.
+
+    Args:
+        on_drop: Called with each :class:`~repro.live.protocol.Forward`
+            the wire ate.
+        heartbeat_interval_s: Idle-probe period (0 disables).
+        metrics: Optional metrics registry (traced runs): queue-depth
+            gauge and heartbeat flush-latency histogram.
+        telemetry: Optional frame factory; its frame rides on every
+            heartbeat (traced runs).
+    """
+
+    def __init__(
+        self,
+        src: int,
+        peer: int,
+        host: str,
+        port: int,
+        on_drop: Callable[[Forward], None],
+        heartbeat_interval_s: float = 0.0,
+        metrics=None,
+        telemetry: Callable[[], Message] | None = None,
+    ) -> None:
+        self.src, self.peer, self.host, self.port = src, peer, host, port
+        self.queue = SendQueue()
+        #: Connections opened so far (written into each ``Hello``), and
+        #: how many of them re-established a severed one.
+        self.generation = self.reconnects = 0
+        #: Liveness probes written (outside wire conservation).
+        self.heartbeats = 0
+        self._on_drop = on_drop
+        self._metrics = metrics
+        self._telemetry = telemetry
+        self._writer: asyncio.StreamWriter | None = None
+        self._connecting = asyncio.Lock()
+        self._tasks = [asyncio.create_task(self._pump(), name=f"link-{src}-{peer}")]
+        if heartbeat_interval_s > 0:
+            self._tasks.append(
+                asyncio.create_task(
+                    self._heartbeat(heartbeat_interval_s), name=f"link-{src}-{peer}-hb"
+                )
+            )
+
+    def sever(self) -> None:
+        """Close the connection under the link (fault injection); the
+        next write reconnects."""
+        if self._writer is not None and not self._writer.is_closing():
+            self._writer.close()
+
+    async def _connect(self) -> asyncio.StreamWriter:
+        """The open connection, reopened when severed.
+
+        Raises:
+            ConnectionError: when every attempt failed.
+        """
+        # One opener at a time: pump and heartbeat both land here when
+        # the connection dies, and a second socket would leak the first.
+        async with self._connecting:
+            if self._writer is not None and not self._writer.is_closing():
+                return self._writer
+            for attempt in range(RECONNECT_ATTEMPTS):
+                try:
+                    _reader, writer = await asyncio.open_connection(
+                        self.host, self.port
+                    )
+                except OSError:
+                    await asyncio.sleep(RECONNECT_BACKOFF_S * (2 ** attempt))
+                    continue
+                self._writer = writer
+                self.generation += 1
+                if self.generation > 1:
+                    self.reconnects += 1
+                writer.write(
+                    encode_message(Hello(src=self.src, generation=self.generation))
+                )
+                return writer
+            raise ConnectionError(f"peer {self.peer} unreachable at port {self.port}")
+
+    async def _write(self, data: bytes) -> bool:
+        """Write and flush; ``False`` when the wire did not take it."""
+        try:
+            writer = self._writer
+            if writer is None or writer.is_closing():
+                writer = await self._connect()
+            writer.write(data)
+            await writer.drain()
+        except OSError:
+            return False
+        return True
+
+    async def _pump(self) -> None:
+        while True:
+            frame = await self.queue.get()
+            if not await self._write(encode_message(frame)) and isinstance(
+                frame, Forward
+            ):
+                self._on_drop(frame)
+
+    async def _heartbeat(self, interval_s: float) -> None:
+        probe = encode_message(Heartbeat(src=self.src))
+        while True:
+            await asyncio.sleep(interval_s)
+            if self._metrics is not None:
+                self._metrics.gauge(f"send_queue_depth[->{self.peer}]").set(
+                    len(self.queue)
+                )
+            if self.queue:
+                continue  # data is flowing: the link proves itself
+            data = probe
+            if self._telemetry is not None:
+                data += encode_message(self._telemetry())
+            started = time.monotonic()
+            if not await self._write(data):
+                continue
+            if self._metrics is not None:
+                # Wall-clock flush latency -- telemetry only, never part
+                # of a result's bit-identity contract.
+                self._metrics.histogram("heartbeat_rtt_ms").observe(
+                    (time.monotonic() - started) * 1000.0
+                )
+            self.heartbeats += 1
+
+    async def close(self) -> None:
+        """Stop the tasks, say ``Bye`` and close the connection."""
+        for task in self._tasks:
+            task.cancel()
+        await asyncio.gather(*self._tasks, return_exceptions=True)
+        writer = self._writer
+        if writer is None:
+            return
+        with contextlib.suppress(OSError):
+            if not writer.is_closing():
+                writer.write(encode_message(Bye(src=self.src)))
+                await writer.drain()
+        writer.close()
+        with contextlib.suppress(OSError):
+            await writer.wait_closed()
+
+
+#: How long a closing :class:`FrameServer` waits for its inbound
+#: handlers to read their peers' ``Bye`` (wall seconds) before
+#: cancelling the ones still open.
+HANDLER_EXIT_TIMEOUT_S = 5.0
+
+
+class FrameServer:
+    """The inbound side: listening ports and one frame loop per connection.
+
+    Every malformed input -- oversized, garbage or truncated frame, a
+    ``Hello`` of another protocol version, a frame ``on_frame`` refuses
+    with :class:`~repro.live.protocol.ProtocolError` -- rejects that
+    connection, not the run; frames lost with it reconcile as drops.
+
+    Args:
+        on_frame: Called with every frame that is not handshake,
+            heartbeat or ``Bye``.
+        on_hello: Called with every accepted ``Hello``.
+    """
+
+    def __init__(
+        self,
+        on_frame: Callable[[Message], None],
+        on_hello: Callable[[Hello], None] | None = None,
+    ) -> None:
+        #: Connections rejected for a protocol violation.
+        self.protocol_errors = 0
+        self._on_frame = on_frame
+        self._on_hello = on_hello
+        self._servers: list[asyncio.Server] = []
+        self._handlers: set[asyncio.Task] = set()
+
+    async def listen(self, host: str) -> int:
+        """Open one more OS-assigned listening port and return it."""
+        server = await asyncio.start_server(self._handle, host, 0)
+        self._servers.append(server)
+        return server.sockets[0].getsockname()[1]
+
+    async def _handle(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self._handlers.add(asyncio.current_task())
+        try:
+            while True:
+                message = await read_message(reader)
+                if message is None or isinstance(message, Bye):
+                    break
+                if isinstance(message, Hello):
+                    check_version(message)
+                    if self._on_hello is not None:
+                        self._on_hello(message)
+                elif not isinstance(message, Heartbeat):
+                    self._on_frame(message)
+        except ProtocolError:
+            self.protocol_errors += 1
+        except asyncio.CancelledError:
+            pass  # only close() cancels a handler; see there
+        finally:
+            writer.close()
+            with contextlib.suppress(OSError):
+                await writer.wait_closed()
+
+    async def close(self) -> None:
+        """Stop listening, then let the handlers finish.
+
+        Peers say ``Bye`` as they close; a handler that the loop's
+        shutdown cancelled while parked in ``wait_closed`` would be
+        reported on stderr as an exception in the streams done-callback,
+        so wait for them (bounded), then cancel what is left.
+        """
+        for server in self._servers:
+            server.close()
+        if self._handlers:
+            _done, pending = await asyncio.wait(
+                self._handlers, timeout=HANDLER_EXIT_TIMEOUT_S
+            )
+            for task in pending:
+                task.cancel()
+            await asyncio.gather(*pending, return_exceptions=True)
+        for server in self._servers:
+            await server.wait_closed()
+
+
+class WireRuntime:
+    """The sans-io nodes of one network behind a due queue, links and a
+    frame server.
+
+    The shared data path: :meth:`dispatch` counts each outbound message
+    and either queues it locally or forwards it over the link
+    :meth:`route` names; the frame server queues every inbound
+    ``Forward``; :meth:`deliver` runs when one comes due, processes it
+    at its logical stamp and dispatches what the node emits.
+
+    Args:
+        network: The built network whose nodes run here.
+        stats: Wire accounting with ``sent`` / ``delivered`` /
+            ``dropped`` / ``heartbeats`` / ``reconnects`` fields.
+        src / host / heartbeat_interval_s: Handed to every link.
+        time_scale: Simulated seconds per wall second.
+        metrics: Optional metrics registry; when given, links export
+            their gauges and heartbeats carry a ``Stats`` frame.
+    """
+
+    def __init__(
+        self,
+        network: "LiveNetwork",
+        stats,
+        *,
+        src: int,
+        time_scale: float,
+        host: str,
+        heartbeat_interval_s: float,
+        metrics=None,
+    ) -> None:
+        self.network = network
+        self.stats = stats
+        self.src = src
+        self.host = host
+        self.heartbeat_interval_s = heartbeat_interval_s
+        self.metrics = metrics
+        self.due = DueQueue(time_scale)
+        self.server = FrameServer(self._on_frame, self.on_hello)
+        self.links: dict[int, Link] = {}
+        self._due_task: asyncio.Task | None = None
+
+    # -- what a driver says: route(), and the rest where it matters --
+
+    def route(self, dst: int) -> Link | None:
+        """The link toward ``dst``'s host, or ``None`` when it lives here."""
+        raise NotImplementedError
+
+    def lost_on_send(self, out: Outbound) -> str | None:
+        """Why ``out`` never enters the network (a drop reason), if so."""
+        return None
+
+    def lost_on_arrival(self, out: Outbound) -> str | None:
+        """Why ``out`` is lost at its arrival stamp (a drop reason), if so."""
+        return None
+
+    def on_hello(self, hello: Hello) -> None:
+        """An inbound connection greeted."""
+
+    def on_control_frame(self, message: Message) -> None:
+        """An inbound frame that is not data; refusing it rejects the
+        connection."""
+        raise ProtocolError(f"unexpected {message.type!r} frame on this link")
+
+    def settled(self) -> None:
+        """One message reached its fate (delivered or dropped)."""
+
+    # -- the shared data path --
+
+    def connect(self, peer: int, port: int) -> None:
+        """Start the link toward ``peer``; it connects on first use."""
+        self.links[peer] = Link(
+            self.src, peer, self.host, port, self._wire_drop,
+            self.heartbeat_interval_s,
+            metrics=self.metrics,
+            telemetry=self._telemetry if self.metrics is not None else None,
+        )
+
+    def schedule_replay(self, duration: float | None, then: Callable) -> None:
+        """Queue the source replay and, behind everything queued so far,
+        ``then`` (an async callable)."""
+        for t, item_id, value in self.network.source_schedule(duration):
+            self.due.push(t, self._source_update, t, item_id, value)
+        self.due.push(self.due.latest(), then)
+
+    def start(self, epoch: float) -> None:
+        """Start releasing the due queue against ``epoch``."""
+        self.due.epoch = epoch
+        self._due_task = asyncio.create_task(self.due.run(), name="wire-due")
+
+    def pending(self) -> int:
+        """Actions and frames queued here, not yet released or written."""
+        return len(self.due) + sum(len(link.queue) for link in self.links.values())
+
+    async def _source_update(self, t: float, item_id: int, value: float) -> None:
+        # The source replays its own schedule, so it stamps the update
+        # with the scheduled time, not the (sleep-slopped) wall reading.
+        await self.dispatch(self.network.source_node.on_update(item_id, value, t))
+
+    async def dispatch(self, outs: list[Outbound]) -> None:
+        # Counted before the first await, so a suspended dispatch never
+        # reads as quiescent.
+        self.stats.sent += len(outs)
+        for out in outs:
+            reason = self.lost_on_send(out)
+            if reason is not None:
+                self.drop(out, reason)
+                continue
+            link = self.route(out.dst)
+            if link is None:
+                self.due.push(out.arrival_s, self.deliver, out)
+            else:
+                await link.queue.put(
+                    Forward.from_update(out.dst, out.arrival_s, out.update)
+                )
+
+    async def deliver(self, out: Outbound) -> None:
+        reason = self.lost_on_arrival(out)
+        if reason is not None:
+            self.drop(out, reason)
+            return
+        # Processed at the logical arrival stamp (see the module
+        # docstring), so downstream filtering and scoring are free of
+        # wall jitter.
+        await self.dispatch(
+            self.network.node(out.dst).on_message(out.update, out.arrival_s)
+        )
+        self.stats.delivered += 1
+        self.settled()
+
+    def drop(self, out: Outbound, reason: str) -> None:
+        """Count one lost message, engine-comparably."""
+        self.stats.dropped += 1
+        if reason != "wire":
+            # A wire loss may be a client-plane frame; reconcile()
+            # charges the repository plane's share when the run ends.
+            self.network.counters.record_drop()
+        observer = self.network.observer
+        if observer is not None:
+            observer.on_drop(
+                out.update.seq - 1, out.update.item_id,
+                out.arrival_s, out.update.src, out.dst, reason,
+            )
+        self.settled()
+
+    def _on_frame(self, message: Message) -> None:
+        if isinstance(message, Forward):
+            self.due.push(message.arrival_s, self.deliver, _outbound(message))
+        else:
+            self.on_control_frame(message)
+
+    def _wire_drop(self, frame: Forward) -> None:
+        self.drop(_outbound(frame), "wire")
+
+    def _telemetry(self) -> Stats:
+        stats = self.stats
+        return Stats(
+            src=self.src, sent=stats.sent, delivered=stats.delivered,
+            dropped=stats.dropped, pending=self.pending(),
+        )
+
+    async def close(self) -> None:
+        """Stop pacing, close every link (``Bye``) and the server, and
+        fold the links' probe and reconnect counts into the stats."""
+        if self._due_task is not None:
+            self._due_task.cancel()
+            await asyncio.gather(self._due_task, return_exceptions=True)
+        await asyncio.gather(*(link.close() for link in self.links.values()))
+        await self.server.close()
+        self.stats.heartbeats += sum(link.heartbeats for link in self.links.values())
+        self.stats.reconnects += sum(link.reconnects for link in self.links.values())
+
+
+def _outbound(frame: Forward) -> Outbound:
+    return Outbound(dst=frame.dst, update=frame.to_update(), arrival_s=frame.arrival_s)

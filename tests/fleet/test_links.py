@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fleet.links import SendQueue
+from repro.live.wire import SendQueue
 
 
 def run(coroutine):
@@ -75,18 +75,3 @@ def test_get_waits_for_an_item():
 
     assert run(scenario()) == "late"
 
-
-def test_drain_nowait_empties_and_unblocks():
-    async def scenario():
-        queue = SendQueue(high=2, low=0)
-        await queue.put(1)
-        await queue.put(2)
-        blocked = asyncio.create_task(queue.put(3))
-        await asyncio.sleep(0)
-        drained = queue.drain_nowait()
-        await blocked  # writable again after the drain
-        return drained, len(queue)
-
-    drained, remaining = run(scenario())
-    assert drained == [1, 2]
-    assert remaining == 1

@@ -1,14 +1,22 @@
 """Framing and codec tests for the live wire protocol."""
 
 import asyncio
+import json
 import struct
+from dataclasses import asdict
 
 import pytest
 
 from repro.live.protocol import (
     MAX_FRAME_BYTES,
     Bye,
+    Forward,
+    Heartbeat,
+    Hello,
     ProtocolError,
+    ResyncRequest,
+    ResyncResponse,
+    Stats,
     Update,
     decode_payload,
     encode_message,
@@ -38,6 +46,29 @@ def test_length_prefix_matches_body():
     frame = encode_message(Update(item_id=0, value=1.0, tag=None, seq=1, src=0))
     (length,) = struct.unpack(">I", frame[:4])
     assert length == len(frame) - 4
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        Hello(src=3, generation=2),
+        Update(item_id=3, value=101.37500000000001, tag=0.05, seq=42, src=7),
+        Forward(dst=9, arrival_s=12.625, item_id=3, value=1.5, tag=None, seq=42, src=7),
+        Heartbeat(src=1),
+        Stats(src=1, sent=10, delivered=8, dropped=1, pending=1),
+        ResyncRequest(child=4, parent=2, round_no=1, sample=((0, 7), (3, 9))),
+        ResyncResponse(
+            child=4, parent=2, round_no=1, known=(0,), missing=((3, 11, 2.5),)
+        ),
+        Bye(src=0),
+    ],
+    ids=lambda message: message.type,
+)
+def test_frame_body_is_the_asdict_json(message):
+    """The encoder reads the instance dict instead of deep-copying through
+    ``asdict``; for these flat frames the bytes must be the same."""
+    body = json.dumps(asdict(message), separators=(",", ":")).encode("utf-8")
+    assert encode_message(message) == struct.pack(">I", len(body)) + body
 
 
 def test_decode_rejects_garbage():

@@ -1,13 +1,18 @@
 """Localhost TCP smoke: real sockets, real frames, conserved messages."""
 
 import asyncio
+import inspect
 import socket
 
 import pytest
 
+from repro.engine import SCALE_PRESETS
 from repro.engine.config import SimulationConfig
 from repro.engine.failures import failures_for_config
 from repro.engine.simulation import run_simulation
+from repro.fleet import run_fleet
+from repro.fleet.worker import FleetSpec
+from repro.live import wire
 from repro.live.harness import run_live
 from repro.live.transport import TcpTransport, make_transport
 from repro.errors import ConfigurationError
@@ -55,50 +60,63 @@ def test_tcp_quiescence_survives_timeout(monkeypatch):
     ``asyncio.wait_for`` raises ``asyncio.TimeoutError`` on 3.10 and the
     builtin ``TimeoutError`` on 3.11+; the transport catches both.  Here
     the quiescence wait is forced to time out with the 3.10-flavoured
-    exception and the run must still finish with exact reconciliation
-    (whatever was abandoned in flight becomes a counted drop).
+    exception and the run must still finish with exact reconciliation on
+    both accounting planes: whatever was abandoned in flight becomes a
+    counted drop on the wire *and* in the repository counters.
     """
-    sentinel = 7.5  # far above any sender-loop delay at time_scale=800
     real_wait_for = asyncio.wait_for
 
     async def impatient_wait_for(awaitable, timeout=None):
-        if timeout is not None and timeout >= sentinel:
+        # Only the quiescence wait is this long; due-queue sleeps at
+        # time_scale=800 are milliseconds.
+        if timeout is not None and timeout >= wire.QUIESCE_TIMEOUT_S:
             if asyncio.iscoroutine(awaitable):
                 awaitable.close()
             raise asyncio.TimeoutError()
         return await real_wait_for(awaitable, timeout=timeout)
 
     monkeypatch.setattr(asyncio, "wait_for", impatient_wait_for)
-    result = run_live(
-        CONFIG,
-        "tcp",
-        duration=40.0,
-        time_scale=800.0,
-        quiesce_timeout_s=sentinel,
-    )
+    result = run_live(CONFIG, "tcp", duration=40.0, time_scale=800.0)
     assert result.transport == "tcp"
     assert result.conserved
     assert result.sent == result.delivered + result.dropped
+    assert result.dropped > 0  # the last updates' frames were still out
+    counters = result.counters
+    assert counters.messages == counters.deliveries + counters.drops
     assert 0.0 <= result.loss_of_fidelity <= 100.0
 
 
 def test_tcp_slow_time_scale_stretches_budgets_and_conserves():
     """Satellite pin: wall budgets scale by ``1/time_scale`` (capped).
 
-    At a slow pace, in-flight wall times stretch; the fixed 2 s drain
-    and 30 s quiescence budgets of the 60x default would truncate a
-    healthy run into phantom drops.  The scaled budgets keep a slow run
-    loss-free and conserved.
+    At a slow pace, in-flight wall times stretch; the fixed 30 s
+    quiescence budget of the 60x default would truncate a healthy run
+    into phantom drops.  The scaled budget keeps a slow run loss-free
+    and conserved.
     """
-    assert TcpTransport(time_scale=60.0)._wall_factor == 1.0
-    assert TcpTransport(time_scale=20.0)._wall_factor == pytest.approx(3.0)
-    assert TcpTransport(time_scale=1.0)._wall_factor == 20.0  # capped
-    assert TcpTransport(time_scale=800.0)._wall_factor == 1.0
+    assert wire.wall_factor(60.0) == 1.0
+    assert wire.wall_factor(20.0) == pytest.approx(3.0)
+    assert wire.wall_factor(1.0) == wire.WALL_STRETCH_CAP == 20.0  # capped
+    assert wire.wall_factor(800.0) == 1.0
 
     result = run_live(CONFIG, "tcp", duration=20.0, time_scale=20.0)
     assert result.conserved
     assert result.dropped == 0
     assert result.delivered == result.sent
+
+
+def test_tcp_fidelity_tracks_inprocess_at_an_aggressive_pace():
+    """Nodes process at the logical arrival stamp, so the wall clock's
+    per-hop latency no longer reads as fidelity loss (it was +3.9 pp at
+    time_scale=200 and +54 pp at 2000 on this config)."""
+    config = SCALE_PRESETS["tiny"].with_(
+        n_items=12, comp_delay_ms=25.0, trace_samples=200
+    )
+    virtual = run_live(config, "inprocess")
+    result = run_live(config, "tcp", time_scale=800.0)
+    assert result.sent == virtual.sent
+    assert result.dropped == 0
+    assert abs(result.loss_of_fidelity - virtual.loss_of_fidelity) <= 0.5
 
 
 def test_tcp_failure_smoke_conserves_under_crashes_and_loss():
@@ -135,33 +153,28 @@ def test_tcp_transport_validates_parameters():
     with pytest.raises(ConfigurationError):
         TcpTransport(time_scale=0.0)
     with pytest.raises(ConfigurationError):
-        TcpTransport(quiesce_timeout_s=0.0)
-    with pytest.raises(ConfigurationError):
-        TcpTransport(drain_timeout_s=0.0)
-    with pytest.raises(ConfigurationError):
-        TcpTransport(wall_stretch_cap=0.5)
-    with pytest.raises(ConfigurationError):
         make_transport("udp")
 
 
-def test_tcp_wall_budgets_are_configurable():
-    """Satellite pin: the drain/quiesce wall budgets are knobs now.
+def test_wall_budgets_are_not_options():
+    """The wall budgets are constants of ``repro.live.wire``; pin the
+    exact keyword sets so one cannot creep back in as a knob."""
 
-    The stretch cap used to be hard-coded at 20; a raised or lowered cap
-    must reshape ``_wall_factor``, and the per-connection drain budget
-    must thread through ``run_live`` untouched.
-    """
-    assert TcpTransport(time_scale=1.0, wall_stretch_cap=5.0)._wall_factor == 5.0
-    assert TcpTransport(time_scale=1.0, wall_stretch_cap=90.0)._wall_factor == 60.0
-    assert TcpTransport(drain_timeout_s=7.5).drain_timeout_s == 7.5
+    def keywords(function) -> set[str]:
+        return set(inspect.signature(function).parameters)
 
-    result = run_live(
-        CONFIG,
-        "tcp",
-        duration=20.0,
-        time_scale=800.0,
-        drain_timeout_s=1.0,
-        wall_stretch_cap=4.0,
-    )
-    assert result.conserved
-    assert result.delivered == result.sent
+    assert keywords(run_live) == {
+        "config", "transport", "duration", "time_scale", "jitter_ms",
+        "heartbeat_interval_s", "clients", "network",
+    }
+    assert keywords(TcpTransport) == {
+        "time_scale", "host", "loss_probability", "seed", "heartbeat_interval_s",
+    }
+    assert keywords(run_fleet) == {
+        "config", "workers", "duration", "time_scale", "heartbeat_interval_s",
+        "n_clients", "client_seed", "sever_at_s", "sever_worker", "trace_recorder",
+    }
+    assert keywords(FleetSpec) == {
+        "config", "n_workers", "duration", "time_scale", "n_clients",
+        "client_seed", "heartbeat_interval_s", "host", "trace",
+    }

@@ -1,0 +1,273 @@
+"""The shared socket runtime's pieces, driven directly over localhost."""
+
+import asyncio
+import socket
+import struct
+import time
+
+import pytest
+
+from repro.core.metrics import CostCounters
+from repro.errors import SimulationError
+from repro.live import wire
+from repro.live.protocol import (
+    MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
+    Bye,
+    Forward,
+    Hello,
+    ResyncRequest,
+    encode_message,
+)
+
+pytestmark = pytest.mark.live
+
+HOST = "127.0.0.1"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _require_localhost_sockets():
+    try:
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            probe.bind((HOST, 0))
+        finally:
+            probe.close()
+    except OSError as exc:  # pragma: no cover - sandboxed environments
+        pytest.skip(f"cannot bind localhost sockets here: {exc}")
+
+
+def run(coroutine):
+    return asyncio.run(asyncio.wait_for(coroutine, timeout=20.0))
+
+
+def frame(seq: int, arrival_s: float = 0.0) -> Forward:
+    return Forward(
+        dst=1, arrival_s=arrival_s, item_id=0, value=float(seq), tag=None, seq=seq, src=0
+    )
+
+
+async def until(condition, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+# ---- DueQueue ----
+
+
+def test_due_queue_releases_by_due_time_then_push_order():
+    async def scenario():
+        due = wire.DueQueue(time_scale=1000.0)
+        released = []
+
+        async def note(tag):
+            released.append(tag)
+
+        for tag, at in (("c", 30.0), ("a1", 10.0), ("b", 20.0), ("a2", 10.0)):
+            due.push(at, note, tag)
+        assert len(due) == 4 and due.latest() == 30.0
+        due.epoch = time.monotonic()
+        task = asyncio.create_task(due.run())
+        await until(lambda: len(released) == 4)
+        task.cancel()
+        await asyncio.gather(task, return_exceptions=True)
+        return released
+
+    assert run(scenario()) == ["a1", "a2", "b", "c"]
+
+
+def test_due_queue_wakes_early_for_an_earlier_action():
+    async def scenario():
+        due = wire.DueQueue(time_scale=1.0)
+        released = []
+
+        async def note(tag):
+            released.append((tag, due.now()))
+
+        due.epoch = time.monotonic()
+        due.push(30.0, note, "far")  # half a minute out: the loop sleeps on it
+        task = asyncio.create_task(due.run())
+        await asyncio.sleep(0.02)
+        due.push(0.05, note, "near")
+        await until(lambda: released)
+        task.cancel()
+        await asyncio.gather(task, return_exceptions=True)
+        return released, len(due)
+
+    released, left = run(scenario())
+    assert [tag for tag, _at in released] == ["near"]
+    assert 0.05 <= released[0][1] < 5.0
+    assert left == 1
+
+
+# ---- Link + FrameServer ----
+
+
+def test_link_reconnects_with_a_bumped_generation_after_sever():
+    async def scenario():
+        hellos, frames, dropped = [], [], []
+        server = wire.FrameServer(frames.append, hellos.append)
+        link = wire.Link(7, 1, HOST, await server.listen(HOST), dropped.append)
+        await link.queue.put(frame(1))
+        await until(lambda: len(frames) == 1)
+        link.sever()
+        await link.queue.put(frame(2))
+        await until(lambda: len(frames) == 2)
+        await link.close()
+        await server.close()
+        return hellos, frames, dropped, link
+
+    hellos, frames, dropped, link = run(scenario())
+    assert [(h.src, h.generation) for h in hellos] == [(7, 1), (7, 2)]
+    assert [f.seq for f in frames] == [1, 2]
+    assert dropped == []
+    assert link.generation == 2 and link.reconnects == 1
+
+
+def test_link_reports_a_wire_drop_when_attempts_run_out(monkeypatch):
+    monkeypatch.setattr(wire, "RECONNECT_BACKOFF_S", 0.001)
+
+    async def scenario():
+        dropped = []
+        server = wire.FrameServer(lambda message: None)
+        port = await server.listen(HOST)
+        await server.close()  # nobody listens there any more
+        link = wire.Link(7, 1, HOST, port, dropped.append)
+        await link.queue.put(frame(1))
+        link.queue.put_nowait(ResyncRequest(child=1, parent=0, round_no=0))
+        await link.queue.put(frame(2))
+        await until(lambda: len(dropped) == 2)
+        await link.close()
+        return dropped, link
+
+    dropped, link = run(scenario())
+    # Data frames are reported; the control frame between them is not.
+    assert [f.seq for f in dropped] == [1, 2]
+    assert link.generation == 0 and link.reconnects == 0
+
+
+def test_link_heartbeats_only_while_idle():
+    async def scenario():
+        frames = []
+        server = wire.FrameServer(frames.append)
+        link = wire.Link(
+            7, 1, HOST, await server.listen(HOST), lambda f: None,
+            heartbeat_interval_s=0.01,
+        )
+        await until(lambda: link.heartbeats >= 2)
+        await link.close()
+        await server.close()
+        return frames, server
+
+    frames, server = run(scenario())
+    assert frames == []  # probes never reach on_frame
+    assert server.protocol_errors == 0
+
+
+@pytest.mark.parametrize(
+    "poison",
+    [
+        struct.pack(">I", MAX_FRAME_BYTES + 1),
+        struct.pack(">I", 9) + b"\xff not json",
+        encode_message(Hello(src=9, version=PROTOCOL_VERSION + 1)),
+        struct.pack(">I", 40) + b"{}",  # truncated: EOF mid-frame
+    ],
+    ids=["oversized", "garbage", "version-mismatch", "truncated"],
+)
+def test_server_rejects_the_connection_not_the_run(poison):
+    async def scenario():
+        frames = []
+        server = wire.FrameServer(frames.append)
+        port = await server.listen(HOST)
+
+        reader, writer = await asyncio.open_connection(HOST, port)
+        writer.write(poison)
+        writer.write_eof()
+        assert await reader.read() == b""  # the server hung up on us
+        writer.close()
+        await writer.wait_closed()
+
+        # The same port still serves a well-behaved peer.
+        link = wire.Link(7, 1, HOST, port, lambda f: None)
+        await link.queue.put(frame(1))
+        await until(lambda: len(frames) == 1)
+        await link.close()
+        await server.close()
+        return server.protocol_errors, frames
+
+    errors, frames = run(scenario())
+    assert errors == 1
+    assert [f.seq for f in frames] == [1]
+
+
+def test_server_rejects_a_frame_the_driver_refuses():
+    async def scenario():
+        def refuse(message):
+            raise wire.ProtocolError("not on this link")
+
+        server = wire.FrameServer(refuse)
+        reader, writer = await asyncio.open_connection(HOST, await server.listen(HOST))
+        writer.write(encode_message(Hello(src=9)) + encode_message(frame(1)))
+        assert await reader.read() == b""
+        writer.close()
+        await writer.wait_closed()
+        await server.close()
+        return server.protocol_errors
+
+    assert run(scenario()) == 1
+
+
+def test_server_close_waits_for_handlers_then_cancels(monkeypatch):
+    monkeypatch.setattr(wire, "HANDLER_EXIT_TIMEOUT_S", 0.2)
+
+    async def scenario():
+        frames = []
+        server = wire.FrameServer(frames.append)
+        port = await server.listen(HOST)
+
+        # A polite peer: its Bye lands while close() is already waiting.
+        _r1, polite = await asyncio.open_connection(HOST, port)
+        polite.write(encode_message(Hello(src=1)) + encode_message(frame(1)))
+        # A silent peer: never says Bye, never hangs up.
+        _r2, silent = await asyncio.open_connection(HOST, port)
+        silent.write(encode_message(Hello(src=2)))
+        await until(lambda: len(frames) == 1 and len(server._handlers) == 2)
+
+        async def say_bye():
+            await asyncio.sleep(0.05)
+            polite.write(encode_message(Bye(src=1)))
+
+        bye = asyncio.create_task(say_bye())
+        started = time.monotonic()
+        await server.close()
+        waited = time.monotonic() - started
+        await bye
+        for writer in (polite, silent):
+            writer.close()
+            await writer.wait_closed()
+        others = asyncio.all_tasks() - {asyncio.current_task()}
+        return waited, [task.done() for task in server._handlers], others
+
+    waited, done, others = asyncio.run(scenario())  # bare: run() adds a task
+    assert 0.2 <= waited < 2.0  # the silent handler used the whole budget
+    assert done == [True, True]
+    assert others == set()
+
+
+# ---- end-of-run reconciliation ----
+
+
+def test_reconcile_charges_in_flight_frames_to_drops_on_both_planes():
+    counters = CostCounters()
+    counters.messages, counters.deliveries, counters.drops = 10, 7, 1
+    assert wire.reconcile(12, 9, 1, counters) == 3
+    assert counters.messages == counters.deliveries + counters.drops
+
+    with pytest.raises(SimulationError):
+        wire.reconcile(3, 4, 0, CostCounters())
+    over = CostCounters()
+    over.messages, over.deliveries = 2, 5
+    with pytest.raises(SimulationError):
+        wire.reconcile(5, 5, 0, over)
