@@ -10,11 +10,11 @@ Two guarantees live here:
    ``SimulationResult``.
 
 The performance pin trims the preset's trace length, item count and
-router mesh (Floyd-Warshall is cubic in routers and identical for both
-kernels, so it would only dilute the measured ratio) but keeps the full
-thousand repositories and grows the client plane to 2 million modeled
-clients -- the regime the vectorized kernel exists for.  Measured
-speedup on the development container: ~25x.
+router mesh (set-up is identical for both kernels, so it would only
+dilute the measured ratio) but keeps the full thousand repositories and
+grows the client plane to 2 million modeled clients -- the regime the
+vectorized kernel exists for.  Measured speedup on the development
+container: ~25x.
 """
 
 import time

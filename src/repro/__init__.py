@@ -5,7 +5,7 @@ The package implements the paper's full stack from scratch:
 
 - :mod:`repro.sim` -- discrete-event simulation kernel,
 - :mod:`repro.network` -- random physical topologies, Pareto link
-  delays, Floyd-Warshall routing,
+  delays, shortest-path routing between the logical nodes,
 - :mod:`repro.traces` -- synthetic stock-price traces calibrated to the
   paper's Table 1,
 - :mod:`repro.workloads` -- pluggable update-stream workloads (Table 1

@@ -3,7 +3,7 @@
 Assembly order (each step seeded by its own named random stream, so a
 parameter sweep perturbs only what it sweeps):
 
-1. physical network (topology + Floyd-Warshall routing),
+1. physical network (topology + shortest-path routing),
 2. per-item update traces, generated by the config's workload
    (:mod:`repro.workloads`; Table 1-calibrated by default),
 3. interest profiles (50% subscription, T% stringent mix),

@@ -283,8 +283,8 @@ SCALE_PRESETS: dict[str, SimulationConfig] = {
     ),
     # An order of magnitude past the paper's grids (ROADMAP item 1):
     # 10^3 repositories serving 10^6 modeled clients.  Router count is
-    # kept moderate because all-pairs routing is cubic in node count and
-    # orthogonal to the dissemination behaviour under study; the
+    # kept moderate because the router mesh is orthogonal to the
+    # dissemination behaviour under study; the
     # vectorized kernel is what makes this preset tractable (the scalar
     # oracle still runs it, ~10x+ slower -- pinned in
     # ``benchmarks/bench_scalability.py``).

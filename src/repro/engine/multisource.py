@@ -6,7 +6,7 @@ straightforward"*.  This module implements it:
 
 - Each data item is **owned by exactly one source**; sources are
   distinct physical nodes (the base source plus re-purposed router
-  nodes, so the delay matrix already covers them).
+  nodes, which the routing tables are extended to cover).
 - LeLA runs once per source over that source's items, with repository
   push-connection budgets **shared across all trees**: a repository
   serving three dependents for source A's items has three fewer
@@ -88,6 +88,7 @@ def build_multisource_setup(
             f"topology has {len(router_ids)}"
         )
     sources = [base.source] + [int(r) for r in router_ids[-(n_sources - 1):]] if n_sources > 1 else [base.source]
+    base.network = base.network.with_endpoints(sources[1:])
 
     item_owner = {
         item.item_id: sources[i % n_sources] for i, item in enumerate(base.items)

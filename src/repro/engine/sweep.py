@@ -27,7 +27,7 @@ The determinism guarantee rests on two facts:
 
 Workers run contiguous chunks of the distinct-config list and chain
 ``base=`` recycling through a per-process cache (``_WORKER_BASE``), so
-the expensive pieces -- topology generation, Floyd-Warshall routing,
+the expensive pieces -- topology generation, shortest-path routing,
 trace synthesis -- are rebuilt only when a chunk actually crosses a
 boundary in the governing fields, exactly as in a serial sweep.
 """

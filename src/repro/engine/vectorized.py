@@ -183,7 +183,7 @@ class VectorizedSimulation(DisseminationSimulation):
         }
         # Dense per-node arrays cover the whole topology: churn can wire
         # repositories the initial graph never held.
-        n_nodes = int(setup.network.routing.dist_ms.shape[0])
+        n_nodes = setup.network.topology.n_nodes
         self._busy = np.zeros(n_nodes)
         self._acounters = ArrayCounters(n_nodes)
 

@@ -10,10 +10,10 @@ routing tables and answers delay/hop queries between *logical* nodes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from repro.errors import TopologyError
 from repro.network.delays import ParetoDelayModel
 from repro.network.routing import RoutingTables, build_routing
 from repro.network.topology import Topology, generate_topology
@@ -27,17 +27,24 @@ class NetworkModel:
 
     Attributes:
         topology: The underlying random physical graph.
-        routing: Dense all-pairs routing tables over that graph.
+        routing: Delay and hop tables between the logical nodes.
         raw: The unscaled network this one was derived from by uniform
             delay scaling (``None`` when this network *is* the raw one).
             Rescaling always starts from ``raw``, so a chain of rescales
             is bit-identical to a single rescale of the original --
             the property the sweep layer's determinism guarantee needs.
+        scale: The factor this network's delays are ``raw``'s times.
     """
 
     topology: Topology
     routing: RoutingTables
     raw: "NetworkModel | None" = None
+    scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        # Rescaled copies share these two arrays with the raw network.
+        self.topology.edges.setflags(write=False)
+        self.routing.hops.setflags(write=False)
 
     @property
     def source(self) -> int:
@@ -68,23 +75,30 @@ class NetworkModel:
         Eq. (2): the expected delay of one dissemination hop between a
         repository (or the source) and another repository.
         """
-        ids = np.concatenate(([self.source], self.repository_ids))
-        sub = self.routing.dist_ms[np.ix_(ids, ids)]
-        n = len(ids)
-        if n < 2:
-            return 0.0
-        mask = ~np.eye(n, dtype=bool)
-        return float(sub[mask].mean())
+        return self._logical_mean(self.routing.dist_ms)
 
     def mean_repo_hops(self) -> float:
         """Average hop count between distinct logical nodes."""
-        ids = np.concatenate(([self.source], self.repository_ids))
-        sub = self.routing.hops[np.ix_(ids, ids)]
-        n = len(ids)
+        return self._logical_mean(self.routing.hops)
+
+    def _logical_mean(self, table: np.ndarray) -> float:
+        """Mean of a routing table's entries between distinct logical nodes."""
+        n = 1 + self.topology.n_repositories
         if n < 2:
             return 0.0
-        mask = ~np.eye(n, dtype=bool)
-        return float(sub[mask].mean())
+        return float(table[:n, :n][~np.eye(n, dtype=bool)].mean())
+
+    def with_endpoints(self, routers: Iterable[int]) -> "NetworkModel":
+        """Return a copy that also answers queries about ``routers``.
+
+        The multi-source extension re-purposes routers as sources; the
+        routing tables otherwise stop at the last repository.
+        """
+        raw = self.raw or self
+        extended = NetworkModel(
+            topology=raw.topology, routing=build_routing(raw.topology, routers)
+        )
+        return extended if self.raw is None else extended._uniformly_scaled(self.scale)
 
     def scaled_delays(self, mean_ms: float) -> "NetworkModel":
         """Return a copy with all link delays rescaled to a new mean.
@@ -93,8 +107,8 @@ class NetworkModel:
         sweeps (Figures 5, 7b) vary exactly one thing.  A zero or negative
         target collapses every delay to zero (the idealised-network case
         used by the fidelity theorems).  Uniform scaling preserves
-        shortest paths, so the routing tables are rescaled in place
-        rather than recomputed.
+        shortest paths, so the delay table is rescaled rather than
+        recomputed.
         """
         current_mean = float(self.topology.delays_ms.mean())
         if mean_ms <= 0.0 or current_mean <= 0.0:
@@ -119,20 +133,20 @@ class NetworkModel:
         # Scale from the raw arrays, never from already-scaled ones:
         # float multiplication does not compose exactly, so chained
         # rescales would otherwise drift in the last bits and make a
-        # recycled sweep setup differ from a freshly built one.
+        # recycled sweep setup differ from a freshly built one.  Scaling
+        # moves no path, so the link set and hop table are the raw
+        # network's own (read-only) arrays.
         raw = self.raw or self
         topo = Topology(
             n_repositories=raw.topology.n_repositories,
             n_routers=raw.topology.n_routers,
-            edges=raw.topology.edges.copy(),
+            edges=raw.topology.edges,
             delays_ms=raw.topology.delays_ms * factor,
         )
         routing = RoutingTables(
-            dist_ms=raw.routing.dist_ms * factor,
-            hops=raw.routing.hops.copy(),
-            next_hop=raw.routing.next_hop.copy(),
+            dist_ms=raw.routing.dist_ms * factor, hops=raw.routing.hops
         )
-        return NetworkModel(topology=topo, routing=routing, raw=raw)
+        return NetworkModel(topology=topo, routing=routing, raw=raw, scale=factor)
 
 
 def build_network(
@@ -165,6 +179,4 @@ def build_network(
         avg_degree=avg_degree,
     )
     routing = build_routing(topology)
-    if not np.isfinite(routing.dist_ms).all():
-        raise TopologyError("generated network is disconnected")
     return NetworkModel(topology=topology, routing=routing)

@@ -1,135 +1,208 @@
-"""All-pairs shortest-path routing.
+"""Shortest-path routing between the logical nodes.
 
 The paper generates routing tables for every node with the Floyd-Warshall
 all-pairs shortest-path algorithm (Section 6.1, citing Cormen et al.).
-We implement Floyd-Warshall here with a numpy-blocked inner loop: the
-classic O(n^3) recurrence, with the k-loop in Python and the (i, j)
-relaxation vectorised, which is fast enough for the paper's 2100-node
-scalability case.
+The engine only ever asks for the delay and hop count between the source
+and the repositories, so :func:`build_routing` runs one heap Dijkstra
+from each of those logical nodes over the whole physical graph and keeps
+the logical x logical block, O(S * E log n) for S logical nodes, instead
+of the dense O(n^3) recurrence over all n physical nodes.
 
-Outputs:
+The tables are **bit-identical** to the logical block of what
+Floyd-Warshall computes.  Its float for a pair is not the left-to-right
+sum of the path's link delays: the recurrence eliminates interior nodes
+in increasing id, and each elimination adds the two path segments beside
+the node, so the association order of the sum is fixed by the node ids
+along the path.  :func:`elimination_order_sum` replays exactly that
+order; :func:`floyd_warshall` stays here as the dense reference the
+tests compare against (it is the definition of the bits), and nothing
+selects it at run time.
 
-- ``dist_ms``: minimal end-to-end delay between every node pair,
-- ``hops``: hop count along those minimal-delay paths,
-- next-hop tables, reconstructable paths (for inspection/debugging).
+Outputs (ids ``0 .. n_repositories``, source first; the multi-source
+extension names the routers it re-purposes as extra endpoints):
+
+- ``dist_ms``: minimal end-to-end delay between every logical pair,
+- ``hops``: hop count along those minimal-delay paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import Iterable
 
 import numpy as np
 
 from repro.errors import TopologyError
 from repro.network.topology import Topology
 
-__all__ = ["RoutingTables", "floyd_warshall", "build_routing"]
+__all__ = [
+    "RoutingTables",
+    "build_routing",
+    "elimination_order_sum",
+    "floyd_warshall",
+]
 
 _INF = np.inf
 
 
 @dataclass
 class RoutingTables:
-    """Dense all-pairs routing state.
+    """Routing state between the logical nodes (source + repositories).
+
+    Both tables are indexed by physical node id and span the logical
+    nodes, ids ``0 .. n_repositories`` (further, only when
+    :func:`build_routing` was given extra endpoints).
 
     Attributes:
-        dist_ms: (n, n) minimal path delay in milliseconds.
-        hops: (n, n) hop counts along the minimal-delay paths.
-        next_hop: (n, n) first hop on the minimal-delay path from i to j;
-            ``-1`` on the diagonal.
+        dist_ms: (s, s) minimal path delay in milliseconds.
+        hops: (s, s) hop counts along the minimal-delay paths.
     """
 
     dist_ms: np.ndarray
     hops: np.ndarray
-    next_hop: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.dist_ms.shape[0])
-
-    def path(self, src: int, dst: int) -> list[int]:
-        """Reconstruct the minimal-delay path as a node list (inclusive)."""
-        if src == dst:
-            return [src]
-        if not np.isfinite(self.dist_ms[src, dst]):
-            raise TopologyError(f"no path from {src} to {dst}")
-        path = [src]
-        node = src
-        guard = self.n_nodes + 1
-        while node != dst:
-            node = int(self.next_hop[node, dst])
-            path.append(node)
-            guard -= 1
-            if guard < 0:
-                raise TopologyError("routing table contains a loop (internal error)")
-        return path
-
-    def diameter_hops(self) -> int:
-        """Maximum hop count over all connected pairs."""
-        finite = self.hops[np.isfinite(self.dist_ms)]
-        return int(finite.max()) if finite.size else 0
-
-    def mean_hops(self) -> float:
-        """Mean hop count over distinct connected pairs."""
-        n = self.n_nodes
-        if n < 2:
-            return 0.0
-        mask = np.isfinite(self.dist_ms) & ~np.eye(n, dtype=bool)
-        return float(self.hops[mask].mean()) if mask.any() else 0.0
 
 
-def floyd_warshall(
-    dist: np.ndarray, hops: np.ndarray, next_hop: np.ndarray
-) -> None:
-    """Run the Floyd-Warshall recurrence in place.
-
-    ``dist`` must be initialised with direct-link weights (inf where no
-    link, 0 on the diagonal); ``hops`` with 1 where a link exists; and
-    ``next_hop[i, j] = j`` where a link exists.  After the call the three
-    arrays describe minimal-delay paths.  Delay ties are broken toward
-    fewer hops, so hop counts are well defined.
-    """
-    n = dist.shape[0]
-    for k in range(n):
-        via_dist = dist[:, k, None] + dist[None, k, :]
-        via_hops = hops[:, k, None] + hops[None, k, :]
-        better = via_dist < dist
-        tie = (via_dist == dist) & (via_hops < hops)
-        update = better | tie
-        if not update.any():
-            continue
-        dist[update] = via_dist[update]
-        hops[update] = via_hops[update]
-        rows = np.nonzero(update.any(axis=1))[0]
-        for i in rows:
-            cols = update[i]
-            next_hop[i, cols] = next_hop[i, k]
+def _cheapest_links(topology: Topology) -> dict[tuple[int, int], float]:
+    """Delay per linked node pair ``(u, v)``, ``u < v``."""
+    cheapest: dict[tuple[int, int], float] = {}
+    for (u, v), delay in zip(topology.edges.tolist(), topology.delays_ms.tolist()):
+        key = (u, v) if u < v else (v, u)
+        # Keep the cheaper link if the generator produced a multi-edge.
+        if delay < cheapest.get(key, _INF):
+            cheapest[key] = delay
+    return cheapest
 
 
-def build_routing(topology: Topology) -> RoutingTables:
-    """Compute all-pairs routing tables for a topology.
+def floyd_warshall(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """Dense all-pairs ``(dist_ms, hops)`` over every physical node.
 
-    Raises:
-        TopologyError: if the topology is disconnected.
+    The reference :func:`build_routing` must match bit for bit on the
+    logical block: the classic O(n^3) recurrence, with the k-loop in
+    Python and the (i, j) relaxation vectorised.  Delay ties are broken
+    toward fewer hops, so hop counts are well defined.  Both arrays are
+    float; unreachable pairs hold ``inf``.
     """
     n = topology.n_nodes
     dist = np.full((n, n), _INF)
     hops = np.full((n, n), _INF)
-    next_hop = np.full((n, n), -1, dtype=np.int64)
     np.fill_diagonal(dist, 0.0)
     np.fill_diagonal(hops, 0.0)
+    for (u, v), delay in _cheapest_links(topology).items():
+        dist[u, v] = dist[v, u] = delay
+        hops[u, v] = hops[v, u] = 1.0
+    for k in range(n):
+        via_dist = dist[:, k, None] + dist[None, k, :]
+        via_hops = hops[:, k, None] + hops[None, k, :]
+        update = (via_dist < dist) | ((via_dist == dist) & (via_hops < hops))
+        dist[update] = via_dist[update]
+        hops[update] = via_hops[update]
+    return dist, hops
 
-    for (u, v), delay in zip(topology.edges, topology.delays_ms):
-        u, v = int(u), int(v)
-        # Keep the cheaper link if the generator produced a multi-edge.
-        if delay < dist[u, v]:
-            dist[u, v] = dist[v, u] = float(delay)
-            hops[u, v] = hops[v, u] = 1.0
-            next_hop[u, v] = v
-            next_hop[v, u] = u
 
-    floyd_warshall(dist, hops, next_hop)
+def elimination_order_sum(interior: list[int], delays: list[float]) -> float:
+    """Add a path's link delays in the order Floyd-Warshall adds them.
 
-    if not np.isfinite(dist).all():
-        raise TopologyError("topology is disconnected; routing undefined")
-    return RoutingTables(dist_ms=dist, hops=hops.astype(np.int64), next_hop=next_hop)
+    ``interior`` holds the ids of the path's interior nodes in path
+    order and ``delays`` its ``len(interior) + 1`` link delays.
+    Floyd-Warshall first sees the path when ``k`` reaches its largest
+    interior id, as the sum of the two sub-paths that node splits it
+    into, each of which it first saw the same way: interior nodes are
+    eliminated in increasing id, each elimination adding the segments on
+    either side.  A stack of ``(id, segment to the left)`` kept in
+    decreasing id replays that in one pass: a node is eliminated as soon
+    as a larger id (or the path's end) closes the segment to its right.
+    """
+    stack: list[tuple[int, float]] = []
+    for node, segment in zip(interior, delays):
+        while stack and stack[-1][0] < node:
+            segment = stack.pop()[1] + segment
+        stack.append((node, segment))
+    total = delays[-1]
+    while stack:
+        total = stack.pop()[1] + total
+    return total
+
+
+def _shortest_path_tree(
+    adjacency: list[list[tuple[int, float]]], root: int
+) -> tuple[list[int], list[float], list[int]]:
+    """Heap Dijkstra from ``root`` keyed on ``(delay, hops)``.
+
+    Returns, per node, its predecessor toward ``root`` (``-1`` for the
+    root and for unreached nodes), the delay of the link to that
+    predecessor, and its hop count.  Delay ties break toward fewer hops.
+    """
+    n = len(adjacency)
+    best = [(_INF, 0)] * n
+    parent = [-1] * n
+    parent_delay = [0.0] * n
+    done = [False] * n
+    best[root] = (0.0, 0)
+    heap = [(0.0, 0, root)]
+    while heap:
+        dist, hop, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, delay in adjacency[u]:
+            if done[v]:
+                continue
+            key = (dist + delay, hop + 1)
+            if key < best[v]:
+                best[v] = key
+                parent[v] = u
+                parent_delay[v] = delay
+                heappush(heap, key + (v,))
+    return parent, parent_delay, [hop for _, hop in best]
+
+
+def build_routing(
+    topology: Topology, extra_endpoints: Iterable[int] = ()
+) -> RoutingTables:
+    """Compute the routing tables between a topology's endpoints.
+
+    Args:
+        topology: The physical graph.
+        extra_endpoints: Router ids to route as well (the multi-source
+            extension re-purposes routers as sources).  The tables then
+            span ids up to the largest one, ``nan`` / ``-1`` wherever a
+            node that is not an endpoint is involved.
+
+    Raises:
+        TopologyError: if the topology is disconnected.
+    """
+    n_logical = 1 + topology.n_repositories
+    endpoints = sorted({*range(n_logical), *extra_endpoints})
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(topology.n_nodes)]
+    for (u, v), delay in _cheapest_links(topology).items():
+        adjacency[u].append((v, delay))
+        adjacency[v].append((u, delay))
+    size = endpoints[-1] + 1
+    dist = np.full((size, size), np.nan)
+    hops = np.full((size, size), -1, dtype=np.int64)
+
+    for position, root in enumerate(endpoints):
+        parent, parent_delay, tree_hops = _shortest_path_tree(adjacency, root)
+        if root == topology.source and parent.count(-1) > 1:
+            # Connectivity is a property of the whole physical graph: a
+            # router-only island is refused although no query crosses it.
+            raise TopologyError("topology is disconnected; routing undefined")
+        dist[root, root] = 0.0
+        hops[root, root] = 0
+        # Each unordered pair is taken once, from the smaller id's tree,
+        # and mirrored: the elimination-order sum does not depend on the
+        # direction the path is walked in.
+        for other in endpoints[position + 1 :]:
+            interior: list[int] = []
+            delays = [parent_delay[other]]
+            node = parent[other]
+            while node != root:
+                interior.append(node)
+                delays.append(parent_delay[node])
+                node = parent[node]
+            dist[root, other] = dist[other, root] = elimination_order_sum(
+                interior, delays
+            )
+            hops[root, other] = hops[other, root] = tree_hops[other]
+    return RoutingTables(dist_ms=dist, hops=hops)

@@ -67,6 +67,14 @@ def test_clients_live_with_their_repository(setup):
         assert plan.owner[base + offset] == plan.owner[client.repository]
 
 
+def test_client_ids_start_above_the_physical_topology(setup):
+    """Routers own the ids past the repositories, and the routing tables
+    only span the logical nodes, so the base is the topology's count."""
+    topology = setup.network.topology
+    assert _client_node_base(setup) == topology.n_nodes
+    assert topology.n_nodes > setup.network.routing.dist_ms.shape[0]
+
+
 def test_clients_require_a_node_base(setup):
     clients = generate_clients(CONFIG, 4, setup=setup)
     with pytest.raises(ConfigurationError):

@@ -1,12 +1,24 @@
-"""Unit tests for Floyd-Warshall routing, validated against networkx."""
+"""Unit tests for shortest-path routing between the logical nodes.
+
+``build_routing`` is held bit-identical to the logical block of the
+dense Floyd-Warshall reference, and validated against networkx.
+"""
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine.builder import build_setup
+from repro.engine.config import SCALE_PRESETS
 from repro.errors import TopologyError
-from repro.network.delays import ParetoDelayModel
-from repro.network.routing import build_routing
+from repro.network.delays import ConstantDelayModel, ParetoDelayModel
+from repro.network.routing import (
+    build_routing,
+    elimination_order_sum,
+    floyd_warshall,
+)
 from repro.network.topology import Topology, generate_topology
 
 
@@ -18,11 +30,31 @@ def small_topology():
     return Topology(n_repositories=2, n_routers=0, edges=edges, delays_ms=delays)
 
 
+def reference_block(topo):
+    """The Floyd-Warshall reference's tables on the logical ids."""
+    n_logical = 1 + topo.n_repositories
+    dist, hops = floyd_warshall(topo)
+    return dist[:n_logical, :n_logical], hops[:n_logical, :n_logical]
+
+
+def assert_bit_identical_to_reference(topo, routing=None):
+    routing = routing or build_routing(topo)
+    ref_dist, ref_hops = reference_block(topo)
+    assert np.array_equal(routing.dist_ms, ref_dist)
+    assert np.array_equal(routing.hops, ref_hops)
+
+
 def test_shortest_path_prefers_cheap_two_hop():
     routing = build_routing(small_topology())
     assert routing.dist_ms[0, 2] == 2.0
     assert routing.hops[0, 2] == 2
-    assert routing.path(0, 2) == [0, 1, 2]
+
+
+def test_tables_span_the_logical_nodes_only():
+    topo = generate_topology(10, 30, np.random.default_rng(0), ParetoDelayModel())
+    routing = build_routing(topo)
+    assert routing.dist_ms.shape == routing.hops.shape == (11, 11)
+    assert routing.hops.dtype == np.int64
 
 
 def test_distance_matrix_symmetric_for_undirected_graph():
@@ -31,6 +63,7 @@ def test_distance_matrix_symmetric_for_undirected_graph():
     )
     routing = build_routing(topo)
     assert np.allclose(routing.dist_ms, routing.dist_ms.T)
+    assert np.array_equal(routing.hops, routing.hops.T)
 
 
 def test_diagonal_is_zero():
@@ -57,32 +90,12 @@ def test_distances_match_networkx_dijkstra(seed):
     graph = nx.Graph()
     for (u, v), w in zip(topo.edges, topo.delays_ms):
         graph.add_edge(int(u), int(v), weight=float(w))
-    lengths = dict(nx.all_pairs_dijkstra_path_length(graph))
-    for u in range(topo.n_nodes):
-        for v in range(topo.n_nodes):
-            assert routing.dist_ms[u, v] == pytest.approx(lengths[u][v])
-
-
-def test_path_reconstruction_matches_distance():
-    topo = generate_topology(
-        8, 20, np.random.default_rng(3), ParetoDelayModel()
-    )
-    routing = build_routing(topo)
-    weight = {}
-    for (u, v), w in zip(topo.edges, topo.delays_ms):
-        weight[(int(u), int(v))] = float(w)
-        weight[(int(v), int(u))] = float(w)
-    for dst in (1, 5, topo.n_nodes - 1):
-        path = routing.path(0, dst)
-        assert path[0] == 0 and path[-1] == dst
-        total = sum(weight[(a, b)] for a, b in zip(path, path[1:]))
-        assert total == pytest.approx(routing.dist_ms[0, dst])
-        assert len(path) - 1 == routing.hops[0, dst]
-
-
-def test_path_to_self_is_single_node():
-    routing = build_routing(small_topology())
-    assert routing.path(1, 1) == [1]
+    n_logical = 1 + topo.n_repositories
+    for u in range(n_logical):
+        lengths, paths = nx.single_source_dijkstra(graph, u)
+        for v in range(n_logical):
+            assert routing.dist_ms[u, v] == pytest.approx(lengths[v])
+            assert routing.hops[u, v] == len(paths[v]) - 1
 
 
 def test_hops_break_delay_ties_minimally():
@@ -103,10 +116,13 @@ def test_disconnected_graph_rejected():
         build_routing(topo)
 
 
-def test_diameter_and_mean_hops():
-    routing = build_routing(small_topology())
-    assert routing.diameter_hops() == 2
-    assert routing.mean_hops() > 1.0
+def test_router_only_island_rejected():
+    # Source and repository are linked; routers 2-3 hang off nothing.
+    edges = np.array([[0, 1], [2, 3]])
+    delays = np.array([1.0, 1.0])
+    topo = Topology(n_repositories=1, n_routers=2, edges=edges, delays_ms=delays)
+    with pytest.raises(TopologyError):
+        build_routing(topo)
 
 
 def test_multi_edge_keeps_cheapest():
@@ -115,3 +131,112 @@ def test_multi_edge_keeps_cheapest():
     topo = Topology(n_repositories=2, n_routers=0, edges=edges, delays_ms=delays)
     routing = build_routing(topo)
     assert routing.dist_ms[0, 1] == 1.0
+    assert_bit_identical_to_reference(topo)
+
+
+# -- bit-identity with the Floyd-Warshall reference ---------------------
+
+#: Four link delays whose three association orders give three floats.
+A, B, C, D = 20.2, 11.1, 3.8, 8.8
+LEFT_TO_RIGHT = ((A + B) + C) + D
+BALANCED = (A + B) + (C + D)
+RIGHT_TO_LEFT = A + (B + (C + D))
+
+
+@pytest.mark.parametrize(
+    "interior, expected",
+    [
+        ([2, 3, 4], LEFT_TO_RIGHT),
+        ([2, 4, 3], BALANCED),
+        ([3, 4, 2], BALANCED),
+        ([4, 3, 2], RIGHT_TO_LEFT),
+    ],
+)
+def test_sum_follows_elimination_order_of_interior_ids(interior, expected):
+    """Path 0 - x - y - z - 1 over routers 2, 3, 4 with the same four
+    link delays in path order: which float comes out depends only on
+    the order of the interior ids, smallest eliminated first."""
+    assert len({LEFT_TO_RIGHT, BALANCED, RIGHT_TO_LEFT}) == 3
+    delays = [A, B, C, D]
+    assert elimination_order_sum(interior, delays) == expected
+    assert elimination_order_sum(interior[::-1], delays[::-1]) == expected
+
+    nodes = [0, *interior, 1]
+    topo = Topology(
+        n_repositories=1,
+        n_routers=3,
+        edges=np.array(list(zip(nodes, nodes[1:]))),
+        delays_ms=np.array(delays),
+    )
+    routing = build_routing(topo)
+    assert routing.dist_ms[0, 1] == routing.dist_ms[1, 0] == expected
+    assert routing.hops[0, 1] == 4
+    assert_bit_identical_to_reference(topo)
+
+
+def test_single_link_path_is_the_link_delay():
+    assert elimination_order_sum([], [A]) == A
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_repositories=st.integers(1, 15),
+    n_routers=st.integers(0, 40),
+    avg_degree=st.sampled_from([2.0, 3.0, 4.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_pareto_topologies_match_reference_bitwise(
+    n_repositories, n_routers, avg_degree, seed
+):
+    topo = generate_topology(
+        n_repositories,
+        n_routers,
+        np.random.default_rng(seed),
+        ParetoDelayModel(),
+        avg_degree=avg_degree,
+    )
+    assert_bit_identical_to_reference(topo)
+
+
+def test_extra_endpoints_match_reference_and_nothing_else_is_filled():
+    topo = generate_topology(6, 20, np.random.default_rng(4), ParetoDelayModel())
+    routers = [topo.n_nodes - 1, topo.n_nodes - 3]
+    routing = build_routing(topo, extra_endpoints=routers)
+    endpoints = np.array([*range(7), *routers])
+    block = np.ix_(endpoints, endpoints)
+    ref_dist, ref_hops = floyd_warshall(topo)
+    assert routing.dist_ms.shape == ref_dist.shape
+    assert np.array_equal(routing.dist_ms[block], ref_dist[block])
+    assert np.array_equal(routing.hops[block], ref_hops[block])
+    unset = np.ones(ref_dist.shape, dtype=bool)
+    unset[block] = False
+    assert np.isnan(routing.dist_ms[unset]).all()
+    assert (routing.hops[unset] == -1).all()
+
+
+@pytest.mark.parametrize("seed", [3913, 20020812])
+@pytest.mark.parametrize("preset", ["tiny", "small"])
+def test_builder_networks_match_reference_bitwise(preset, seed):
+    network = build_setup(SCALE_PRESETS[preset].with_(seed=seed)).network
+    assert_bit_identical_to_reference(network.topology, network.routing)
+
+
+@pytest.mark.slow
+def test_paper_network_matches_reference_bitwise():
+    network = build_setup(SCALE_PRESETS["paper"]).network
+    assert_bit_identical_to_reference(network.topology, network.routing)
+
+
+@pytest.mark.parametrize("delay_ms", [7.0, 0.1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_constant_delay_topologies_match_reference(seed, delay_ms):
+    """Equal link delays tie many paths exactly in the reals; which of
+    them supplies the float is not pinned, the hop count is."""
+    topo = generate_topology(
+        8, 25, np.random.default_rng(seed), ConstantDelayModel(delay_ms)
+    )
+    routing = build_routing(topo)
+    ref_dist, ref_hops = reference_block(topo)
+    assert np.array_equal(routing.hops, ref_hops)
+    assert routing.dist_ms == pytest.approx(ref_dist)
+    assert routing.dist_ms == pytest.approx(delay_ms * routing.hops)
