@@ -20,11 +20,12 @@ Four layers:
   :func:`forward_eq3_only`, :func:`forward_flooding`,
   :func:`forward_centralized`, :func:`tag_for_update`) -- stateless,
   trivially property-testable;
-- their vectorised mirrors (:func:`forward_distributed_many` and
-  friends, :class:`ArraySourceTagger`) -- evaluate one update against
-  *all* dependents of an edge group in one numpy call, elementwise
-  bit-identical to the scalar functions; the vectorized kernel
-  (:mod:`repro.engine.vectorized`) is built on these;
+- the array forms that pay where the operand is genuinely wide
+  (:func:`forward_distributed_many` over a repository's modeled-client
+  block, :class:`ArraySourceTagger` over an item's unique tolerances)
+  -- one numpy call, elementwise bit-identical to the scalar functions;
+  the batch kernel (:mod:`repro.engine.vectorized`) uses them there and
+  the scalar functions on its 1-4 wide edge groups;
 - :class:`EdgeFilter` -- one edge's decision plus its per-edge state
   (``last_sent``), dispatching to the pure functions by policy name;
 - :class:`SourceTagger` -- the centralised policy's source-side
@@ -50,9 +51,6 @@ __all__ = [
     "forward_flooding",
     "forward_centralized",
     "forward_distributed_many",
-    "forward_eq3_only_many",
-    "forward_flooding_many",
-    "forward_centralized_many",
     "tag_for_update",
     "EdgeFilter",
     "SourceTagger",
@@ -165,27 +163,6 @@ def forward_distributed_many(
     """
     deviation = np.abs(value - last_sent)
     return (deviation > c_serve) | ((c_serve - deviation) < parent_receive_c)
-
-
-def forward_eq3_only_many(
-    value: float, last_sent: "np.ndarray", c_serve: "np.ndarray"
-) -> "np.ndarray":
-    """Vectorised :func:`forward_eq3_only` (Eq. 3 across all dependents)."""
-    return np.abs(value - last_sent) > c_serve
-
-
-def forward_flooding_many(value: float, last_value: "np.ndarray") -> "np.ndarray":
-    """Vectorised :func:`forward_flooding` (distinct-value test)."""
-    return last_value != value
-
-
-def forward_centralized_many(c_serve: "np.ndarray", tag: float) -> "np.ndarray":
-    """Vectorised :func:`forward_centralized` (tag cover across edges).
-
-    ``c_serve`` must hold *quantised* tolerances, exactly as
-    :class:`EdgeFilter` stores them for the centralised policy.
-    """
-    return c_serve <= tag
 
 
 def tag_for_update(

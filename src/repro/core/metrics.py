@@ -15,18 +15,15 @@ convention of keeping client-serving cost out of the repository-plane
 message economy (:mod:`repro.live.nodes` does the same with its
 ``client_messages`` attribute).
 
-:class:`ArrayCounters` is the struct-of-arrays accumulator the
-vectorized kernel (:mod:`repro.engine.vectorized`) uses on its hot path:
-per-node tallies live in dense numpy arrays instead of dicts, and are
-folded into an ordinary :class:`CostCounters` once at the end of the
-run.
+:class:`ArrayCounters` is the flat accumulator the batch kernel
+(:mod:`repro.engine.vectorized`) uses on its hot path: per-node tallies
+live in dense lists instead of dicts, and are folded into an ordinary
+:class:`CostCounters` once at the end of the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = ["CostCounters", "ArrayCounters"]
 
@@ -162,15 +159,16 @@ class CostCounters:
 
 
 class ArrayCounters:
-    """Struct-of-arrays accumulator for the vectorized kernel's hot path.
+    """Flat accumulator for the batch kernel's hot path.
 
     The scalar engine updates :class:`CostCounters` dicts once per
-    (update, dependent) pair; at 10^5+ modeled clients that dict traffic
-    dominates.  This accumulator keeps the per-node tallies in two dense
-    arrays indexed by node id and the scalar totals as plain ints, then
-    folds everything into a :class:`CostCounters` -- equal, field for
-    field, to what the scalar engine would have produced (dict equality
-    is insertion-order-insensitive, so sparsifying at the end is safe).
+    (update, dependent) pair.  This accumulator takes one call per edge
+    group instead and keeps the per-node tallies in two dense Python
+    lists indexed by node id (a list element ``+=`` costs a sixth of a
+    numpy one) and the scalar totals as plain ints, then folds
+    everything into a :class:`CostCounters` -- equal, field for field,
+    to what the scalar engine would have produced (dict equality is
+    insertion-order-insensitive, so sparsifying at the end is safe).
     """
 
     __slots__ = (
@@ -195,11 +193,11 @@ class ArrayCounters:
         self.drops = 0
         self.client_checks = 0
         self.client_messages = 0
-        self.node_messages = np.zeros(n_nodes, dtype=np.int64)
-        self.node_checks = np.zeros(n_nodes, dtype=np.int64)
+        self.node_messages = [0] * n_nodes
+        self.node_checks = [0] * n_nodes
 
     def record_checks(self, node: int, is_source: bool, count: int) -> None:
-        """Count ``count`` coherency checks at ``node`` (dense-array form)."""
+        """Count ``count`` coherency checks at ``node``."""
         if is_source:
             self.source_checks += count
         else:
@@ -213,9 +211,14 @@ class ArrayCounters:
             self.source_messages += count
         self.node_messages[sender] += count
 
+    def message_counts(self) -> dict[int, int]:
+        """Messages sent so far per node, nodes that sent none left out
+        -- what ``CostCounters.per_node_messages`` holds."""
+        return {node: count for node, count in enumerate(self.node_messages) if count}
+
     def to_cost_counters(self) -> CostCounters:
         """Fold into the dict-backed form the rest of the repo consumes."""
-        counters = CostCounters(
+        return CostCounters(
             messages=self.messages,
             source_checks=self.source_checks,
             repository_checks=self.repository_checks,
@@ -224,9 +227,8 @@ class ArrayCounters:
             drops=self.drops,
             client_checks=self.client_checks,
             client_messages=self.client_messages,
+            per_node_messages=self.message_counts(),
+            per_node_checks={
+                node: count for node, count in enumerate(self.node_checks) if count
+            },
         )
-        for node in np.nonzero(self.node_messages)[0]:
-            counters.per_node_messages[int(node)] = int(self.node_messages[node])
-        for node in np.nonzero(self.node_checks)[0]:
-            counters.per_node_checks[int(node)] = int(self.node_checks[node])
-        return counters

@@ -26,7 +26,7 @@ from repro.workloads import Table1Workload, Workload
 __all__ = ["SimulationConfig", "SCALE_PRESETS", "KERNELS"]
 
 #: Engine kernels a config may request.  ``auto`` picks the vectorized
-#: array-backed engine whenever the run supports it (one of the four
+#: batch-kernel engine whenever the run supports it (one of the four
 #: push policies) and falls back to the scalar oracle otherwise;
 #: ``scalar``/``vectorized`` force one side (``vectorized`` errors when
 #: the run is unsupported).  Both produce bit-identical results -- the
@@ -78,9 +78,9 @@ class SimulationConfig:
             an update message is silently lost in the network (the paper
             assumes a reliable network; 0 reproduces it).
         kernel: Which engine runs the event loop: ``auto`` (default)
-            uses the vectorized array-backed kernel whenever the run
+            uses the vectorized batch kernel whenever the run
             supports it and the scalar oracle otherwise; ``scalar``
-            forces the oracle; ``vectorized`` forces the array kernel
+            forces the oracle; ``vectorized`` forces the batch kernel
             and errors when the run is unsupported (a policy outside
             the four push policies).  The two kernels are
             bit-identical wherever both apply, so this knob never

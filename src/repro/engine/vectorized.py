@@ -1,35 +1,44 @@
-"""The vectorized array-backed dissemination engine.
+"""The batch-kernel dissemination engine.
 
 Same simulation, different data layout.  The scalar engine
-(:class:`~repro.engine.simulation.DisseminationSimulation`) walks one
-Python object per message and one dict lookup per dependent; this engine
-regroups the run into struct-of-arrays form so every hot-path step is a
-handful of numpy calls over *all* dependents of an edge group at once:
+(:class:`~repro.engine.simulation.DisseminationSimulation`) pays, per
+message, one ``Event`` object, one callback dispatch, one policy-object
+call with its dict lookups and a handful of ``CostCounters`` dict
+updates.  This engine regroups the run so the hot path touches only
+flat lists, tuples and ints:
 
 - **Edge groups.**  Each (node, item) pair that sends or receives
-  becomes one integer group id.  A group stores its dependents as
-  parallel arrays -- child group ids, serving tolerances (quantised for
-  the centralised policy, exactly as the scalar policy stores them),
-  per-edge last-sent values, and precomputed end-to-end delays -- plus
-  the scalars the decision needs (the node's own receive coherency,
-  whether it is the source).
-- **Decisions.**  One update against a group evaluates Eq. (3)/Eq. (7),
-  the Eq. (3)-only test, the flooding distinct-value test, or the
-  centralised tag cover over the whole dependent array via the
-  ``*_many`` mirrors in :mod:`repro.core.dissemination.filtering` --
-  elementwise bit-identical to the scalar functions.
-- **Queueing.**  The FIFO station's chained ``busy_until`` additions
-  become one ``cumsum`` whose first element carries the start offset;
-  sequential accumulation reproduces the scalar chain bit for bit.
+  becomes one integer group id.  A group stores its dependents as four
+  parallel *Python lists* -- child group ids, serving tolerances
+  (quantised for the centralised policy, exactly as the scalar policy
+  stores them), per-edge last-sent values, and precomputed end-to-end
+  delays -- plus the scalars the decision needs (the node's own receive
+  coherency, whether it is the source).  The paper's case for a small
+  degree of cooperation makes a group 1-4 wide, where one numpy call
+  costs ~20 scalar decisions; lists win or tie at every width the repo
+  can produce (see ``docs/architecture/vectorized-kernel.md``).
+- **Decisions.**  One update against a group is one comprehension over
+  its columns calling the pure scalar functions of
+  :mod:`repro.core.dissemination.filtering` -- the very functions the
+  scalar policies and the live nodes call.
+- **Queueing.**  The FIFO station's chained ``busy_until`` additions are
+  the same chain of float additions, on a per-node list.
 - **Events.**  A :class:`~repro.sim.kernel.BatchKernel` merges the
   precomputed source timeline with a tuple heap of in-flight
   deliveries -- no per-message Event objects, no callback dispatch.
 - **Counters.**  :class:`~repro.core.metrics.ArrayCounters` accumulates
-  per-node tallies in dense arrays, folded into
+  per-node tallies in flat lists, folded into
   :class:`~repro.core.metrics.CostCounters` once at the end.
 
+What is genuinely wide stays numpy: the modeled-client plane (one
+:func:`~repro.core.dissemination.filtering.forward_distributed_many`
+call over a pair's whole client block per delivery), the batched
+message-loss draw, the :class:`~repro.traces.schedule.UpdateSchedule`
+arrays and the centralised source's
+:class:`~repro.core.dissemination.filtering.ArraySourceTagger`.
+
 The scalar engine stays the **oracle**: this class subclasses it, builds
-its arrays from the scalar preparation (children maps, receive
+its groups from the scalar preparation (children maps, receive
 coherencies, delivery logs), reuses its scoring, and replaces the event
 loop and the edge-store port.  ``tests/engine/test_vectorized_golden.py`` pins
 bit-identical results (loss, per-pair losses, every counter field)
@@ -42,7 +51,7 @@ timeline inline, each entry before the unit at the same instant (the
 tie-break the scalar event queue produces), arrivals at crashed or
 departed repositories and sends over down links become drops before
 the Bernoulli loss stream is consumed, and this class overrides the
-edge-store port to patch the edge-group arrays -- groups that exist
+edge-store port to patch the edge-group columns -- groups that exist
 only in a rebuilt graph are materialised on first use.
 
 Not supported here -- the factory
@@ -58,10 +67,11 @@ from repro.core.dissemination import DisseminationPolicy
 from repro.core.dissemination.filtering import (
     FILTERED_POLICIES,
     ArraySourceTagger,
-    forward_centralized_many,
+    forward_centralized,
+    forward_distributed,
     forward_distributed_many,
-    forward_eq3_only_many,
-    forward_flooding_many,
+    forward_eq3_only,
+    forward_flooding,
     quantise_tolerance,
 )
 from repro.core.metrics import ArrayCounters
@@ -73,18 +83,39 @@ from repro.sim.kernel import BatchKernel
 
 __all__ = ["VectorizedSimulation"]
 
-# Branch-free-ish policy dispatch for the hot loop.
-_DISTRIBUTED, _EQ3_ONLY, _FLOODING, _CENTRALIZED = range(4)
-_POLICY_KIND = {
-    "distributed": _DISTRIBUTED,
-    "eq3_only": _EQ3_ONLY,
-    "flooding": _FLOODING,
-    "centralized": _CENTRALIZED,
+
+def _mask_distributed(value, last, cs, parent_receive_c, tag):
+    return [
+        forward_distributed(value, sent, c, parent_receive_c)
+        for sent, c in zip(last, cs)
+    ]
+
+
+def _mask_eq3_only(value, last, cs, parent_receive_c, tag):
+    return [forward_eq3_only(value, sent, c) for sent, c in zip(last, cs)]
+
+
+def _mask_flooding(value, last, cs, parent_receive_c, tag):
+    return [forward_flooding(value, sent) for sent in last]
+
+
+def _mask_centralized(value, last, cs, parent_receive_c, tag):
+    return [forward_centralized(c, tag) for c in cs]
+
+
+# One update against one edge group's columns -> one forward flag per
+# dependent.  A uniform signature, so ``__init__`` binds the policy's
+# entry once and the hot loop never branches on the policy.
+_MASK_OF = {
+    "distributed": _mask_distributed,
+    "eq3_only": _mask_eq3_only,
+    "flooding": _mask_flooding,
+    "centralized": _mask_centralized,
 }
 
 
 class VectorizedSimulation(DisseminationSimulation):
-    """Array-backed engine, bit-identical to the scalar oracle."""
+    """Batch-kernel engine, bit-identical to the scalar oracle."""
 
     def __init__(
         self,
@@ -99,95 +130,58 @@ class VectorizedSimulation(DisseminationSimulation):
                 f"VectorizedSimulation supports policies {list(FILTERED_POLICIES)}, "
                 f"got {name!r}"
             )
-        self._policy_kind = _POLICY_KIND[name]
+        self._mask = _MASK_OF[name]
+        # The centralised policy serves at quantised tolerances, keeps no
+        # per-edge last-sent state, and examines updates at the source.
+        self._centralized = name == "centralized"
         self._batch_kernel: BatchKernel | None = None
-        self._build_arrays()
+        self._build_groups()
 
     # ------------------------------------------------------------------
 
-    def _build_arrays(self) -> None:
-        """Regroup the scalar preparation into struct-of-arrays form."""
+    def _build_groups(self) -> None:
+        """Regroup the scalar preparation into edge groups."""
         setup = self.setup
-        network = setup.network
-        centralized = self._policy_kind == _CENTRALIZED
+        self._gid_of: dict[tuple[int, int], int] = {}
+        self._g_node: list[int] = []
+        self._g_item: list[int] = []
+        self._g_issrc: list[bool] = []
+        self._g_prc: list[float] = []
+        self._g_child_gid: list[list[int]] = []
+        self._g_cs: list[list[float]] = []
+        self._g_last: list[list[float]] = []
+        self._g_delay: list[list[float]] = []
+        self._g_log: list[list | None] = []
+        self._g_ctol: list[np.ndarray | None] = []
+        self._g_clast: list[np.ndarray | None] = []
+        self._root_gid: dict[int, int] = {item_id: -1 for item_id in setup.traces}
 
         # One group per (node, item) that sends and/or receives; senders
         # first so the source groups get low ids, then pure receivers.
-        gid_of: dict[tuple[int, int], int] = {}
         for key in self._children:
-            gid_of[key] = len(gid_of)
+            self._new_group(key)
         for key in self._receive_c:
-            if key not in gid_of:
-                gid_of[key] = len(gid_of)
-        self._gid_of = gid_of
-
-        n = len(gid_of)
-        self._g_node: list[int] = [0] * n
-        self._g_item: list[int] = [0] * n
-        self._g_issrc: list[bool] = [False] * n
-        self._g_prc: list[float] = [0.0] * n
-        self._g_child_gid: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        self._g_cs: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        self._g_last: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        self._g_delay: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        self._g_log: list[list | None] = [None] * n
-        self._g_ctol: list[np.ndarray | None] = [None] * n
-        self._g_clast: list[np.ndarray | None] = [None] * n
-
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_f = np.empty(0)
-        for key, gid in gid_of.items():
-            node, item_id = key
+            if key not in self._gid_of:
+                self._new_group(key)
+        for (node, item_id), children in self._children.items():
+            gid = self._gid_of[(node, item_id)]
             initial = setup.traces[item_id].initial_value
-            children = self._children.get(key)
-            if children:
-                try:
-                    child_gids = np.array(
-                        [gid_of[(child, item_id)] for child, _c in children],
-                        dtype=np.int64,
-                    )
-                except KeyError as exc:
+            for child, c in children:
+                child_gid = self._gid_of.get((child, item_id))
+                if child_gid is None:
                     raise SimulationError(
-                        f"child group missing for edge from node {node}, "
-                        f"item {item_id}: {exc}"
-                    ) from None
-                cs = np.array(
-                    [
-                        quantise_tolerance(c) if centralized else c
-                        for _child, c in children
-                    ]
-                )
-                delays = np.array(
-                    [network.delay_s(node, child) for child, _c in children]
-                )
-                last = np.full(len(children), initial)
-            else:
-                child_gids, cs, delays, last = empty_i, empty_f, empty_f, empty_f
-            self._g_node[gid] = node
-            self._g_item[gid] = item_id
-            self._g_issrc[gid] = node == self._root_of[item_id]
-            self._g_prc[gid] = (
-                0.0 if self._g_issrc[gid] else self._receive_c[key]
-            )
-            self._g_child_gid[gid] = child_gids
-            self._g_cs[gid] = cs
-            self._g_delay[gid] = delays
-            self._g_last[gid] = last
-            self._g_log[gid] = self._deliveries.get(key)
-            self._g_ctol[gid] = self._client_tols.get(key)
-            self._g_clast[gid] = self._client_last.get(key)
+                        f"child group missing for edge from node {node} to "
+                        f"node {child}, item {item_id}"
+                    )
+                self._add_dependent(gid, child_gid, c, initial)
 
-        self._root_gid: dict[int, int] = {
-            item_id: gid_of.get((self._root_of[item_id], item_id), -1)
-            for item_id in setup.traces
-        }
-        # Dense per-node arrays cover the whole topology: churn can wire
+        # Dense per-node lists cover the whole topology: churn can wire
         # repositories the initial graph never held.
         n_nodes = setup.network.topology.n_nodes
-        self._busy = np.zeros(n_nodes)
+        self._busy = [0.0] * n_nodes
         self._acounters = ArrayCounters(n_nodes)
 
-        if centralized:
+        if self._centralized:
             # One tolerance per edge: the tagger counts them, so later
             # rewires only have to report each edge they add or remove.
             tolerances: dict[int, list[float]] = {i: [] for i in setup.traces}
@@ -199,111 +193,143 @@ class VectorizedSimulation(DisseminationSimulation):
                     item_id, tolerances[item_id], trace.initial_value
                 )
 
+    def _new_group(self, key: tuple[int, int]) -> int:
+        """Append an edge group with no dependents for ``key`` = (node,
+        item); it picks up the pair's state (delivery log, receive
+        coherency, client plane) by reference."""
+        node, item_id = key
+        gid = len(self._gid_of)
+        self._gid_of[key] = gid
+        issrc = node == self._root_of[item_id]
+        self._g_node.append(node)
+        self._g_item.append(item_id)
+        self._g_issrc.append(issrc)
+        self._g_prc.append(0.0 if issrc else self._receive_c.get(key, 0.0))
+        self._g_child_gid.append([])
+        self._g_cs.append([])
+        self._g_last.append([])
+        self._g_delay.append([])
+        self._g_log.append(self._deliveries.get(key))
+        self._g_ctol.append(self._client_tols.get(key))
+        self._g_clast.append(self._client_last.get(key))
+        if issrc:
+            self._root_gid[item_id] = gid
+        return gid
+
+    def _add_dependent(
+        self, gid: int, child_gid: int, c: float, initial: float
+    ) -> None:
+        """Append one dependent to all four columns of group ``gid``."""
+        self._g_child_gid[gid].append(child_gid)
+        self._g_cs[gid].append(quantise_tolerance(c) if self._centralized else c)
+        self._g_last[gid].append(initial)
+        self._g_delay[gid].append(
+            self.setup.network.delay_s(self._g_node[gid], self._g_node[child_gid])
+        )
+
     # ------------------------------------------------------------------
 
     def _process_group(
         self, gid: int, t: float, value: float, tag, update_id: int = -1
     ) -> None:
-        """Decide, queue and dispatch one update against one edge group.
+        """Decide, queue and dispatch one update against one edge group
+        (one with dependents: the drain loop skips the leaves).
 
-        The vectorized mirror of the scalar ``_process_at_node`` child
-        loop: one decision call over all dependents, one ``cumsum`` for
-        the FIFO departures, one batched loss draw, then tuple pushes.
-        Span emission is batched too -- one observer call per decision
-        stage, never per child.
+        The scalar ``_process_at_node`` child loop over flat columns:
+        one decision per dependent, the FIFO station's chain of
+        departures, one batched loss draw, then tuple pushes.  Span
+        emission is batched -- one observer call per decision stage,
+        never per child.
         """
         cs = self._g_cs[gid]
-        n_children = cs.size
-        if not n_children:
-            return
-        kind = self._policy_kind
         last = self._g_last[gid]
-        if kind == _DISTRIBUTED:
-            mask = forward_distributed_many(value, last, cs, self._g_prc[gid])
-        elif kind == _EQ3_ONLY:
-            mask = forward_eq3_only_many(value, last, cs)
-        elif kind == _FLOODING:
-            mask = forward_flooding_many(value, last)
-        else:
-            mask = forward_centralized_many(cs, tag)
+        mask = self._mask(value, last, cs, self._g_prc[gid], tag)
         node = self._g_node[gid]
         is_source = self._g_issrc[gid]
         counters = self._acounters
-        counters.record_checks(node, is_source, n_children)
+        counters.record_checks(node, is_source, len(cs))
+        child_gids = self._g_child_gid[gid]
+        node_of = self._g_node
         observer = self.observer
         if observer is not None:
-            node_of = self._g_node
             observer.on_check_batch(
                 update_id, self._g_item[gid], t, node,
-                [node_of[g] for g in self._g_child_gid[gid].tolist()],
-                mask.tolist(), is_source,
+                [node_of[g] for g in child_gids], mask, is_source,
             )
-        n_forward = int(np.count_nonzero(mask))
-        if not n_forward:
+        if True not in mask:
             return
-        if kind != _CENTRALIZED:
-            last[mask] = value
 
-        # FIFO station: the scalar engine chains busy_until additions one
-        # submit at a time; cumsum with the start folded into the first
-        # element reproduces that chain bit for bit.
-        busy = self._busy
-        backlog = busy[node]
-        start = t if t > backlog else backlog
-        departures = np.full(n_forward, self._comp_delay_s)
-        departures[0] = start + self._comp_delay_s
-        np.cumsum(departures, out=departures)
-        busy[node] = departures[-1]
-        counters.record_messages(node, is_source, n_forward)
-
-        arrivals = departures + self._g_delay[gid][mask]
-        targets = self._g_child_gid[gid][mask]
+        # FIFO station: each forwarded copy departs one computational
+        # delay after the previous one, the first after the later of now
+        # and the node's backlog -- FifoStation.submit's own additions.
+        comp_delay = self._comp_delay_s
+        delays = self._g_delay[gid]
+        keeps_last = not self._centralized
+        backlog = self._busy[node]
+        departure = t if t > backlog else backlog
+        arrivals: list[float] = []
+        targets: list[int] = []
+        for i, forward in enumerate(mask):
+            if forward:
+                if keeps_last:
+                    last[i] = value
+                departure += comp_delay
+                arrivals.append(departure + delays[i])
+                targets.append(child_gids[i])
+        self._busy[node] = departure
+        counters.record_messages(node, is_source, len(targets))
         if observer is not None:
             observer.on_forward_batch(
                 update_id, self._g_item[gid], t, node,
-                [node_of[g] for g in targets.tolist()],
-                (arrivals - t).tolist(),
+                [node_of[g] for g in targets],
+                [arrival - t for arrival in arrivals],
             )
         if self._down_links:
             # Partition filter before the loss draw: the Bernoulli
             # stream is only consumed for messages that actually enter
             # the network, exactly like the scalar child loop.
             down = self._down_links
-            node_of = self._g_node
-            kept_link = np.fromiter(
-                ((node, node_of[target]) not in down for target in targets.tolist()),
-                dtype=bool,
-                count=targets.size,
+            arrivals, targets = self._drop_unkept(
+                [(node, node_of[g]) not in down for g in targets],
+                arrivals, targets, "partition", update_id, gid, t,
             )
-            n_link_dropped = targets.size - int(np.count_nonzero(kept_link))
-            if n_link_dropped:
-                counters.drops += n_link_dropped
-                if observer is not None:
-                    observer.on_drop_batch(
-                        update_id, self._g_item[gid], t, node,
-                        [node_of[g] for g in targets[~kept_link].tolist()],
-                        "partition",
-                    )
-                arrivals = arrivals[kept_link]
-                targets = targets[kept_link]
-        if self._loss_rng is not None and targets.size:
+        if self._loss_rng is not None and targets:
             # Same stream, same order: one batched draw consumes the
             # generator exactly like the scalar per-message draws.
-            kept = self._loss_rng.random(targets.size) >= self._loss_probability
-            dropped = int(targets.size) - int(np.count_nonzero(kept))
-            if dropped:
-                counters.drops += dropped
-                if observer is not None:
-                    observer.on_drop_batch(
-                        update_id, self._g_item[gid], t, node,
-                        [self._g_node[g] for g in targets[~kept].tolist()],
-                        "loss",
-                    )
-                arrivals = arrivals[kept]
-                targets = targets[kept]
+            kept = self._loss_rng.random(len(targets)) >= self._loss_probability
+            arrivals, targets = self._drop_unkept(
+                kept.tolist(), arrivals, targets, "loss", update_id, gid, t
+            )
         push = self._batch_kernel.push
-        for arrival, target in zip(arrivals.tolist(), targets.tolist()):
+        for arrival, target in zip(arrivals, targets):
             push(arrival, target, value, tag, update_id, node)
+
+    def _drop_unkept(
+        self,
+        kept: list[bool],
+        arrivals: list[float],
+        targets: list[int],
+        reason: str,
+        update_id: int,
+        gid: int,
+        t: float,
+    ) -> tuple[list[float], list[int]]:
+        """Count the messages ``kept`` flags False as drops (the sender
+        already paid for them) and return the surviving cohort."""
+        if False not in kept:
+            return arrivals, targets
+        self._acounters.drops += kept.count(False)
+        if self.observer is not None:
+            node_of = self._g_node
+            self.observer.on_drop_batch(
+                update_id, self._g_item[gid], t, node_of[gid],
+                [node_of[g] for g, keep in zip(targets, kept) if not keep],
+                reason,
+            )
+        return (
+            [arrival for arrival, keep in zip(arrivals, kept) if keep],
+            [target for target, keep in zip(targets, kept) if keep],
+        )
 
     def run(self) -> SimulationResult:
         """Drain the merged source/delivery timeline, then score."""
@@ -313,8 +339,10 @@ class VectorizedSimulation(DisseminationSimulation):
         source_times = schedule.times.tolist()
         source_items = schedule.item_ids.tolist()
         source_values = schedule.values.tolist()
-        centralized = self._policy_kind == _CENTRALIZED
+        centralized = self._centralized
         root_gid = self._root_gid
+        # Most groups are leaves; an empty column spares them the call.
+        has_dependents = self._g_cs
         counters = self._acounters
         observer = self.observer
         core = self._reconfig
@@ -367,7 +395,7 @@ class VectorizedSimulation(DisseminationSimulation):
                         )
                     tag = None
                 gid = root_gid[item_id]
-                if gid >= 0:
+                if gid >= 0 and has_dependents[gid]:
                     self._process_group(gid, source_times[unit], value, tag, unit)
             else:
                 # A delivery tuple: (time, seq, gid, value, tag,
@@ -405,7 +433,8 @@ class VectorizedSimulation(DisseminationSimulation):
                         clast[mask] = value
                     counters.client_checks += int(tols.size)
                     counters.client_messages += served
-                self._process_group(gid, t, value, tag, update_id)
+                if has_dependents[gid]:
+                    self._process_group(gid, t, value, tag, update_id)
         while ci < nc:
             # Entries past the last unit still close/open scoring
             # segments and count ticks; the scalar kernel runs them too.
@@ -418,65 +447,39 @@ class VectorizedSimulation(DisseminationSimulation):
         return self._score(schedule.span)
 
     # ------------------------------------------------------------------
-    # Edge-store port: the same surgery on the edge-group arrays.  The
+    # Edge-store port: the same surgery on the edge-group columns.  The
     # scalar tables this class was built from (children maps, the policy
     # object) are construction inputs only and are not kept current.
     # ------------------------------------------------------------------
 
     def message_counts(self) -> dict[int, int]:
-        """Sparsify the dense per-node message tallies into the exact
-        dict the scalar ``CostCounters.per_node_messages`` holds at the
-        same event boundary (all-positive entries; order is irrelevant
-        to the drift estimator)."""
-        node_messages = self._acounters.node_messages
-        return {
-            int(node): int(node_messages[node])
-            for node in np.nonzero(node_messages)[0]
-        }
+        # The exact dict the scalar CostCounters.per_node_messages holds
+        # at the same event boundary (order is irrelevant to the drift
+        # estimator).
+        return self._acounters.message_counts()
 
     def _ensure_group(self, node: int, item_id: int) -> int:
         """The edge group for ``(node, item_id)``, created if absent.
 
         Rebuilds can wire pairs that never sent or received in the
         original graph (a late joiner, a relay acquiring a new item
-        through augmentation); such groups start empty and pick up the
-        pair's state (delivery log, receive coherency, client plane) by
-        reference.
+        through augmentation); such groups start with no dependents.
         """
-        key = (node, item_id)
-        gid = self._gid_of.get(key)
-        if gid is not None:
-            return gid
-        gid = len(self._gid_of)
-        self._gid_of[key] = gid
-        issrc = node == self._root_of[item_id]
-        self._g_node.append(node)
-        self._g_item.append(item_id)
-        self._g_issrc.append(issrc)
-        self._g_prc.append(0.0 if issrc else self._receive_c.get(key, 0.0))
-        self._g_child_gid.append(np.empty(0, dtype=np.int64))
-        self._g_cs.append(np.empty(0))
-        self._g_last.append(np.empty(0))
-        self._g_delay.append(np.empty(0))
-        self._g_log.append(self._deliveries.get(key))
-        self._g_ctol.append(self._client_tols.get(key))
-        self._g_clast.append(self._client_last.get(key))
-        if issrc:
-            self._root_gid[item_id] = gid
-        return gid
+        gid = self._gid_of.get((node, item_id))
+        return self._new_group((node, item_id)) if gid is None else gid
 
     def unwire(self, parent: int, child: int, item_id: int, c: float) -> None:
         gid = self._gid_of[(parent, item_id)]
-        hits = np.nonzero(self._g_child_gid[gid] == self._gid_of[(child, item_id)])[0]
-        if not hits.size:
+        try:
+            i = self._g_child_gid[gid].index(self._gid_of[(child, item_id)])
+        except ValueError:
             raise SimulationError(
                 f"edge group for node {parent} holds no dependent for "
                 f"node {child}, item {item_id}"
-            )
-        i = int(hits[0])
+            ) from None
         for column in (self._g_child_gid, self._g_cs, self._g_last, self._g_delay):
-            column[gid] = np.delete(column[gid], i)
-        if self._policy_kind == _CENTRALIZED:
+            del column[gid][i]
+        if self._centralized:
             self._tagger.remove_tolerance(item_id, c)
 
     def unsubscribe(self, node: int, item_id: int) -> None:
@@ -496,14 +499,7 @@ class VectorizedSimulation(DisseminationSimulation):
         self._receive_c[key] = c
         gid = self._ensure_group(parent, item_id)
         child_gid = self._ensure_group(child, item_id)
-        centralized = self._policy_kind == _CENTRALIZED
-        for column, entry in (
-            (self._g_child_gid, np.int64(child_gid)),
-            (self._g_cs, quantise_tolerance(c) if centralized else c),
-            (self._g_last, initial),
-            (self._g_delay, self.setup.network.delay_s(parent, child)),
-        ):
-            column[gid] = np.append(column[gid], entry)
+        self._add_dependent(gid, child_gid, c, initial)
         # The pair's receive coherency just changed and its delivery log
         # may be new: refresh the group's scalars so in-flight and
         # future deliveries see current state.
@@ -511,7 +507,7 @@ class VectorizedSimulation(DisseminationSimulation):
         self._g_log[child_gid] = self._deliveries.get(key)
         self._g_ctol[child_gid] = self._client_tols.get(key)
         self._g_clast[child_gid] = self._client_last.get(key)
-        if centralized:
+        if self._centralized:
             self._tagger.add_tolerance(item_id, c, initial)
 
     def _events_processed(self) -> int:

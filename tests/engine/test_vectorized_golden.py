@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.dissemination.filtering import FILTERED_POLICIES
+from repro.core.dissemination.filtering import FILTERED_POLICIES, quantise_tolerance
 from repro.engine.builder import build_setup
 from repro.engine.churn import ChurnEvent, ChurnSchedule
 from repro.engine.config import SCALE_PRESETS
+from repro.engine.failures import FailureEvent, FailureSchedule
 from repro.engine.simulation import (
     DisseminationSimulation,
     make_simulation,
@@ -26,7 +27,7 @@ from repro.engine.simulation import (
 )
 from repro.engine.sweep import run_sweep
 from repro.engine.vectorized import VectorizedSimulation
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.workloads import DiurnalWorkload, FlashCrowdWorkload, Table1Workload
 
 BASE = SCALE_PRESETS["tiny"].with_(n_items=3, trace_samples=300)
@@ -126,3 +127,66 @@ def test_shared_setup_reuse_is_stateless():
     second = VectorizedSimulation(setup).run()
     oracle = DisseminationSimulation(setup).run()
     assert first == second == oracle
+
+
+@pytest.mark.parametrize("policy", sorted(FILTERED_POLICIES))
+def test_bit_identity_on_a_wide_group_with_partition_before_loss(policy):
+    """No cooperation: the source's edge group holds every interested
+    repository, so one cohort is >= 15 wide -- and some of it crosses a
+    down link, which must drop before the loss stream is drawn."""
+    failures = FailureSchedule(
+        (
+            FailureEvent.link_down(30.0, 0, 2),
+            FailureEvent.link_down(30.0, 0, 7),
+            FailureEvent.link_up(200.0, 0, 2),
+        )
+    )
+    config = BASE.with_(
+        policy=policy,
+        offered_degree=BASE.n_repositories,
+        subscription_probability=0.9,
+        message_loss_probability=0.05,
+        failures=failures,
+        seed=77,
+    )
+    vectorized = VectorizedSimulation(build_setup(config))
+    assert max(len(cs) for cs in vectorized._g_cs) >= 15
+    vector = vectorized.run()
+    assert vector == run_simulation(config.with_(kernel="scalar"))
+    assert vector.counters.drops > 0
+
+
+def test_wire_unwire_wire_keeps_the_four_columns_aligned():
+    sim = VectorizedSimulation(build_setup(BASE.with_(policy="centralized")))
+    (parent, item_id), children = next(iter(sim._children.items()))
+    gid = sim._gid_of[(parent, item_id)]
+
+    def rows():
+        """The group's dependents, one (child gid, c, last, delay) each;
+        strict: columns of unequal length fail the zip."""
+        return list(
+            zip(sim._g_child_gid[gid], sim._g_cs[gid], sim._g_last[gid],
+                sim._g_delay[gid], strict=True)
+        )
+
+    before = rows()
+    child, c = children[0]
+    absent = next(
+        node for node, item in sim._gid_of
+        if item == item_id and node != parent and node not in dict(children)
+    )
+
+    with pytest.raises(SimulationError, match="holds no dependent"):
+        sim.unwire(parent, absent, item_id, c)
+    assert rows() == before
+
+    sim.wire(parent, absent, item_id, c, initial=1.5)
+    sim.unwire(parent, child, item_id, c)
+    sim.wire(parent, child, item_id, c, initial=2.5)
+
+    child_gid, served_c, _last, delay = before[0]
+    assert rows() == before[1:] + [
+        (sim._gid_of[(absent, item_id)], quantise_tolerance(c), 1.5,
+         sim.setup.network.delay_s(parent, absent)),
+        (child_gid, served_c, 2.5, delay),
+    ]

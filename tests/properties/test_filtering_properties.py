@@ -108,14 +108,8 @@ import numpy as np
 from repro.core.dissemination.filtering import (
     MIN_TOLERANCE,
     ArraySourceTagger,
-    forward_centralized,
-    forward_centralized_many,
     forward_distributed,
     forward_distributed_many,
-    forward_eq3_only,
-    forward_eq3_only_many,
-    forward_flooding,
-    forward_flooding_many,
     quantise_tolerance,
     validate_tolerance,
 )
@@ -172,18 +166,9 @@ def test_vectorized_forward_tests_match_scalar_elementwise(case):
     cs_arr = np.asarray(cs, dtype=np.float64)
 
     dist = forward_distributed_many(value, last_arr, cs_arr, prc)
-    eq3 = forward_eq3_only_many(value, last_arr, cs_arr)
-    flood = forward_flooding_many(value, last_arr)
-    qcs = np.asarray([quantise_tolerance(c) for c in cs])
-    cent = forward_centralized_many(qcs, tag=quantise_tolerance(cs[0]))
 
     for i in range(n):
         assert dist[i] == forward_distributed(value, lasts[i], cs[i], prc)
-        assert eq3[i] == forward_eq3_only(value, lasts[i], cs[i])
-        assert flood[i] == forward_flooding(value, lasts[i])
-        assert cent[i] == forward_centralized(
-            quantise_tolerance(cs[i]), quantise_tolerance(cs[0])
-        )
 
 
 @given(
