@@ -98,8 +98,9 @@ def merge_reports(
         "queue_stalls": sum(r.queue_stalls for r in reports),
         "protocol_errors": sum(r.protocol_errors for r in reports),
         "resync_frames": sum(r.resync_frames for r in reports),
-        # Replay-window wall time (epoch to finish), excluding the
-        # per-process spawn + rebuild that precedes the epoch.
+        # Replay-window wall time, from the ``start`` command (the
+        # barrier ahead of the epoch included) to the report; excludes
+        # the per-process spawn + rebuild that precedes it.
         "worker_wall_seconds": max((r.wall_seconds for r in reports), default=0.0),
     }
     heartbeats = sum(r.heartbeats for r in reports)

@@ -8,10 +8,10 @@ only the nodes its shard owns (:mod:`repro.fleet.sharding`).
 The worker is a thin driver of the shared socket runtime
 (:mod:`repro.live.wire`), the same one the single-process TCP transport
 drives: it only says where a destination lives.  A same-shard delivery
-goes onto the local due queue; a cross-shard delivery is wrapped in a
-:class:`~repro.live.protocol.Forward` frame and sent over the worker's
-single multiplexed link to the destination's owner, through a
-:class:`~repro.live.wire.SendQueue` with watermark backpressure.
+goes onto the local due queue; a cross-shard delivery is queued on the
+worker's single multiplexed link to the destination's owner, behind a
+:class:`~repro.live.wire.SendQueue`'s backpressure, and leaves as a row
+of the :class:`~repro.live.protocol.Forwards` frame the link writes.
 
 Timing: the supervisor broadcasts one monotonic-clock epoch; every
 worker paces its due queue against it, and nodes *process* each message
@@ -32,7 +32,8 @@ lives on that peer, charged into the run's
 The worker talks to the supervisor over a ``multiprocessing`` pipe:
 ``("ready", port)`` after binding, then obeys ``start`` / ``stats?`` /
 ``sever`` / ``finish`` commands and answers ``finish`` with its
-:class:`WorkerReport`.
+:class:`WorkerReport`.  Anything that raises on the way -- a due-queue
+action included -- goes home as ``("fatal", traceback)``.
 """
 
 from __future__ import annotations
@@ -137,8 +138,10 @@ def worker_main(worker_id: int, spec: FleetSpec, conn) -> None:
 async def _run_worker(worker_id: int, spec: FleetSpec, conn) -> None:
     shard = _Shard(worker_id, spec, conn)
     conn.send(("ready", worker_id, await shard.server.listen(spec.host)))
-    await shard.obey()
-    await shard.close()
+    try:
+        await shard.obey()
+    finally:
+        await shard.close()
     conn.send(("report", worker_id, shard.final_report()))
 
 
@@ -183,6 +186,7 @@ class _Shard(WireRuntime):
         super().__init__(
             network,
             self.report,
+            hosted=self.local_repos | self.local_clients,
             src=worker_id,
             time_scale=spec.time_scale,
             host=spec.host,
@@ -208,6 +212,7 @@ class _Shard(WireRuntime):
         loop = asyncio.get_running_loop()
         conn, worker_id, report = self.conn, self.src, self.report
         while True:
+            self.check()  # a dead due queue is fatal, not a silent stall
             if not await loop.run_in_executor(None, conn.poll, 0.05):
                 continue
             command = conn.recv()

@@ -15,10 +15,15 @@ Message types (the ``"type"`` field):
   detect re-established connections and trigger anti-entropy resync;
 - ``update`` -- one data-item update flowing down the ``d3g``
   (:class:`Update`);
-- ``forward`` -- a cross-worker envelope around an update
-  (:class:`Forward`): the fleet multiplexes every node of a worker over
-  one connection, so the frame carries the destination node id and the
-  absolute simulated arrival time the receiving worker should realise;
+- ``forwards`` -- the links' one data frame (:class:`Forwards`): every
+  update a link had queued when its pump woke, one row each.  A link
+  multiplexes many nodes over one connection, so a row carries the
+  destination node id and the absolute simulated arrival time the
+  receiver should realise.  JSON costs per call, not per byte, so a
+  hundred rows cost little more than one frame of their own would;
+- ``forward`` -- one such row as a frame of its own (:class:`Forward`).
+  The links no longer send it; it stays decodable as the unit the perf
+  ledger's codec probes time;
 - ``heartbeat`` -- connection liveness probe sent between updates so
   severed peers are noticed and reconnected (:class:`Heartbeat`);
   carries no data and stays out of the wire-conservation accounting;
@@ -38,9 +43,9 @@ Message types (the ``"type"`` field):
 
 The framing helpers are transport-agnostic: :func:`encode_message`
 returns the full frame, :func:`decode_payload` parses one frame body,
-:func:`read_message` is the asyncio stream reader used by the TCP
-transports, and :class:`FrameAssembler` reassembles frames from
-arbitrary byte chunks for callers that own their own socket loop.
+and :class:`FrameAssembler` reassembles frames from arbitrary byte
+chunks -- whatever one socket read returned -- for the frame server and
+for callers that own their own socket loop.
 Every malformed input -- garbage bytes, truncated frames, oversized
 length prefixes, unknown message types, wrong fields -- surfaces as a
 :class:`ProtocolError`, never as a raw ``json``/``struct``/``asyncio``
@@ -50,7 +55,7 @@ the run down.
 
 from __future__ import annotations
 
-import asyncio
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -62,6 +67,7 @@ __all__ = [
     "Hello",
     "Update",
     "Forward",
+    "Forwards",
     "Heartbeat",
     "Stats",
     "ResyncRequest",
@@ -71,7 +77,9 @@ __all__ = [
     "FrameAssembler",
     "encode_message",
     "decode_payload",
-    "read_message",
+    "check_version",
+    "forward_row",
+    "row_update",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
 ]
@@ -79,7 +87,7 @@ __all__ = [
 #: Version of the wire protocol; bumped on any frame-shape change.  A
 #: :class:`Hello` carrying a different version is rejected at handshake
 #: time instead of failing mysteriously mid-stream.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one frame body; a live update is tens of bytes and an
 #: anti-entropy batch a few kilobytes, so anything bigger means a
@@ -143,14 +151,15 @@ class Update:
 
 @dataclass(frozen=True)
 class Forward:
-    """Cross-worker envelope: one :class:`Update` plus fleet routing.
+    """Envelope around one :class:`Update`: the update plus its routing.
 
-    Fleet workers multiplex all their hosted nodes over a single
-    connection per peer worker, so the destination node id travels in
-    the frame; ``arrival_s`` is the absolute simulated arrival time the
-    sending node computed (sender-side queueing and link delay
-    included), which the receiving worker realises against its own
-    epoch-synchronised clock.
+    A link multiplexes many nodes over one connection, so the
+    destination node id travels with the update; ``arrival_s`` is the
+    absolute simulated arrival time the sending node computed
+    (sender-side queueing and link delay included), which the receiver
+    realises against its own epoch-synchronised clock.  These seven
+    fields, in this order, are one row of a :class:`Forwards` frame,
+    which is what the links send.
     """
 
     dst: int
@@ -165,24 +174,50 @@ class Forward:
 
     @classmethod
     def from_update(cls, dst: int, arrival_s: float, update: Update) -> "Forward":
-        return cls(
-            dst=dst,
-            arrival_s=arrival_s,
-            item_id=update.item_id,
-            value=update.value,
-            tag=update.tag,
-            seq=update.seq,
-            src=update.src,
-        )
+        return cls(*forward_row(dst, arrival_s, update))
 
     def to_update(self) -> Update:
-        return Update(
-            item_id=self.item_id,
-            value=self.value,
-            tag=self.tag,
-            seq=self.seq,
-            src=self.src,
-        )
+        return Update(self.item_id, self.value, self.tag, self.seq, self.src)
+
+
+@dataclass(frozen=True)
+class Forwards:
+    """The links' data frame: everything one link had queued at one wakeup.
+
+    Attributes:
+        rows: One ``[dst, arrival_s, item_id, value, tag, seq, src]``
+            list per update, oldest first -- :class:`Forward`'s fields,
+            positionally (:func:`forward_row` / :func:`row_update`).
+    """
+
+    rows: list
+
+    type: str = "forwards"
+
+    def __post_init__(self) -> None:
+        if type(self.rows) is not list:
+            raise ProtocolError(f"forwards rows must be a list, got {self.rows!r}")
+
+
+def forward_row(dst: int, arrival_s: float, u: Update) -> list:
+    """One update and its routing as a :class:`Forwards` row."""
+    return [dst, arrival_s, u.item_id, u.value, u.tag, u.seq, u.src]
+
+
+#: The JSON types a row may arrive with, field by field: ``bool`` is not
+#: an ``int`` here, but a whole number may stand in for a float.
+_ROW_SHAPES = frozenset(itertools.product(
+    [int], [int, float], [int], [int, float], [int, float, type(None)], [int], [int]
+))
+
+
+def row_update(row) -> tuple[int, float, Update]:
+    """One :class:`Forwards` row back into ``(dst, arrival_s, update)``;
+    :class:`ProtocolError` on the wrong arity or JSON types."""
+    if type(row) is not list or tuple(map(type, row)) not in _ROW_SHAPES:
+        raise ProtocolError(f"malformed forwards row: {row!r}")
+    dst, arrival_s, item_id, value, tag, seq, src = row
+    return dst, arrival_s, Update(item_id, value, tag, seq, src)
 
 
 @dataclass(frozen=True)
@@ -277,13 +312,15 @@ class Bye:
 
 
 Message = (
-    Hello | Update | Forward | Heartbeat | Stats | ResyncRequest | ResyncResponse | Bye
+    Hello | Update | Forward | Forwards | Heartbeat | Stats
+    | ResyncRequest | ResyncResponse | Bye
 )
 
 _DECODERS = {
     "hello": Hello,
     "update": Update,
     "forward": Forward,
+    "forwards": Forwards,
     "heartbeat": Heartbeat,
     "stats": Stats,
     "resync-request": ResyncRequest,
@@ -299,11 +336,16 @@ _TUPLE_FIELDS = {
 }
 
 
+#: One encoder for every frame: ``json.dumps`` with ``separators`` builds
+#: a fresh ``JSONEncoder`` per call, at nearly half a small frame's cost.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_message(message: Message) -> bytes:
     """Serialise one message into a complete length-prefixed frame."""
     # Every frame type is a flat dataclass, so its instance dict is the
     # body; ``asdict`` would deep-copy it first, at three times the cost.
-    body = json.dumps(vars(message), separators=(",", ":")).encode("utf-8")
+    body = _encode_json(vars(message)).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
     return _LENGTH.pack(len(body)) + body
@@ -354,24 +396,22 @@ def check_version(hello: Hello) -> None:
         )
 
 
-__all__.append("check_version")
-
-
 class FrameAssembler:
     """Incremental frame reassembly from arbitrary byte chunks.
 
     Transports that own their socket loop feed whatever the OS hands
     them -- half a length prefix, three frames and a bit, one byte at a
     time -- and get back complete decoded messages.  All framing
-    violations (oversized length prefix, undecodable body) raise
-    :class:`ProtocolError`; after an error the assembler is poisoned and
+    violations (oversized length prefix, undecodable body) are a
+    :class:`ProtocolError`; after one the assembler is poisoned and
     refuses further input, because a byte stream with a bad frame has no
     trustworthy resynchronisation point.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
-        self._poisoned = False
+        #: The framing error that poisoned this assembler, if any.
+        self.error: ProtocolError | None = None
 
     @property
     def pending_bytes(self) -> int:
@@ -381,58 +421,41 @@ class FrameAssembler:
     def feed(self, chunk: bytes) -> list[Message]:
         """Absorb one chunk and return every frame it completed.
 
+        Frames completed ahead of a bad one in the same chunk are
+        returned, not lost with it; the error then waits in
+        :attr:`error` and for the next call.
+
         Raises:
             ProtocolError: on an oversized length prefix or a malformed
-                frame body, and on any feed after a previous error.
+                frame body at the head of the chunk, and on any feed
+                after a previous error.
         """
-        if self._poisoned:
-            raise ProtocolError("assembler poisoned by an earlier framing error")
-        self._buffer.extend(chunk)
+        if self.error is not None:
+            raise self.error
+        buffer = self._buffer
+        buffer.extend(chunk)
         messages: list[Message] = []
-        while True:
-            if len(self._buffer) < _LENGTH.size:
-                return messages
-            (length,) = _LENGTH.unpack(bytes(self._buffer[: _LENGTH.size]))
-            if length > MAX_FRAME_BYTES:
-                self._poisoned = True
-                raise ProtocolError(
-                    f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}"
-                )
-            if len(self._buffer) < _LENGTH.size + length:
-                return messages
-            body = bytes(self._buffer[_LENGTH.size : _LENGTH.size + length])
-            del self._buffer[: _LENGTH.size + length]
-            try:
+        start = 0
+        try:
+            while len(buffer) - start >= _LENGTH.size:
+                (length,) = _LENGTH.unpack_from(buffer, start)
+                if length > MAX_FRAME_BYTES:
+                    raise ProtocolError(
+                        f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}"
+                    )
+                end = start + _LENGTH.size + length
+                if len(buffer) < end:
+                    break
+                body = bytes(buffer[start + _LENGTH.size : end])
+                start = end
                 messages.append(decode_payload(body))
-            except ProtocolError:
-                self._poisoned = True
+        except ProtocolError as exc:
+            self.error = exc
+            if not messages:
                 raise
+        del buffer[:start]
+        return messages
 
     def at_boundary(self) -> bool:
         """True when no partial frame is buffered (a clean EOF point)."""
         return not self._buffer
-
-
-async def read_message(reader: asyncio.StreamReader) -> Message | None:
-    """Read one framed message from an asyncio stream.
-
-    Returns ``None`` on a clean EOF at a frame boundary.
-
-    Raises:
-        ProtocolError: on a truncated frame or an oversized length
-            prefix.
-    """
-    try:
-        prefix = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError("connection closed mid-length-prefix") from None
-    (length,) = _LENGTH.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("connection closed mid-frame") from None
-    return decode_payload(body)

@@ -13,8 +13,8 @@ executes the network's workload replay and returns wire-level
 - :class:`TcpTransport` -- real localhost sockets.  A thin driver of
   the shared socket runtime (:mod:`repro.live.wire`, which states the
   delivery convention): every node listens on its own port, every hop
-  is a :class:`~repro.live.protocol.Forward` frame over a localhost
-  connection, and simulated time maps to the wall clock through
+  is a row of a :class:`~repro.live.protocol.Forwards` frame over a
+  localhost connection, and simulated time maps to the wall clock through
   ``time_scale`` (simulated seconds per wall second).  Messages still
   in flight when the quiescence budget runs out are counted as drops,
   keeping the conservation invariant exact.
@@ -258,6 +258,7 @@ class _TcpWire(WireRuntime):
         super().__init__(
             network,
             TransportStats(),
+            hosted={*network.repositories, *network.clients},
             src=network.source_node.node,
             time_scale=transport.time_scale,
             host=transport.host,
@@ -282,7 +283,7 @@ class _TcpWire(WireRuntime):
             # One listening port and one link per destination node.
             # Every repository and client is one in the static d3g, and
             # failover can route to any of them over ancestor edges.
-            for dst in sorted([*network.repositories, *network.clients]):
+            for dst in sorted(self.hosted):
                 self.connect(dst, await self.server.listen(self.host))
             # Queued ahead of the replay so a control event and an
             # update or delivery at the same instant apply the control
@@ -292,6 +293,10 @@ class _TcpWire(WireRuntime):
                 self.due.push(t, self.control, t, event)
             self.schedule_replay(duration, self.replay_finished)
             self.start(time.monotonic())
+            # It only ends early by an action raising: stop waiting then.
+            self._due_task.add_done_callback(
+                lambda _task: (self.replayed.set(), self.quiet.set())
+            )
             await self.replayed.wait()
             try:
                 await asyncio.wait_for(
@@ -300,6 +305,7 @@ class _TcpWire(WireRuntime):
                 )
             except (TimeoutError, asyncio.TimeoutError):
                 pass
+            self.check()
         finally:
             await self.close()
             # The closed links and server still call back into this

@@ -8,20 +8,24 @@ way; this module states that way once:
   control events, keyed by simulated due time and released against the
   wall clock in the engine kernel's tie-break order;
 - :class:`SendQueue` and :class:`Link` -- an outbound connection behind
-  watermark backpressure: handshake, pump, heartbeat, reconnect, close;
-- :class:`FrameServer` -- the inbound frame loops, which reject a bad
-  connection and never the run;
+  high-watermark backpressure: handshake, pump (whose unit of I/O is
+  what is queued right now, not one frame), heartbeat, reconnect, close;
+- :class:`FrameServer` -- the inbound loops, one socket read at a time,
+  which reject a bad connection and never the run;
 - :class:`WireRuntime` -- the data path over those pieces around one
   :class:`~repro.live.harness.LiveNetwork`.  A driver subclasses it to
   say where a destination lives (:meth:`WireRuntime.route`) and what
   else it judges or speaks.
 
-One delivery convention holds on every socket: a data frame is a
-:class:`~repro.live.protocol.Forward` carrying the destination node
-and the absolute simulated ``arrival_s`` the sending node computed; the
-sender writes it at once, the *receiver* holds it until ``arrival_s``
-comes due against the run's epoch, and the node then processes it *at
-that logical stamp*, not at the wall reading.  Coherency filtering,
+One delivery convention holds on every socket: a message travels as one
+row of a :class:`~repro.live.protocol.Forwards` frame, carrying the
+destination node and the absolute simulated ``arrival_s`` the sending
+node computed.  The sender never holds it back -- a link's pump writes
+everything queued as one frame each time it wakes, one row at a paced
+``time_scale`` and a hundred when the run is behind; the *receiver*
+holds it until ``arrival_s`` comes due against the run's epoch, and the
+node then processes it *at that logical stamp*, not at the wall
+reading.  Coherency filtering,
 queueing and fidelity scoring therefore see the computed dissemination
 schedule; what the sockets contribute is what is real about them --
 framing, backpressure, connection loss and reconnects, and frames that
@@ -40,7 +44,6 @@ import contextlib
 import heapq
 import itertools
 import time
-from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.metrics import CostCounters
@@ -48,7 +51,8 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.live.nodes import Outbound
 from repro.live.protocol import (
     Bye,
-    Forward,
+    Forwards,
+    FrameAssembler,
     Heartbeat,
     Hello,
     Message,
@@ -56,7 +60,8 @@ from repro.live.protocol import (
     Stats,
     check_version,
     encode_message,
-    read_message,
+    forward_row,
+    row_update,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness imports transport)
@@ -68,6 +73,7 @@ __all__ = [
     "reconcile",
     "DueQueue",
     "SendQueue",
+    "encode_backlog",
     "Link",
     "FrameServer",
     "WireRuntime",
@@ -172,35 +178,29 @@ class DueQueue:
             await action(*args)
 
 
-#: Send-queue depth at which producers block, and the depth the pump
-#: must drain to before they resume.
+#: Send-queue depth at which producers block until the pump takes the
+#: backlog.
 QUEUE_HIGH = 256
-QUEUE_LOW = 64
 
 
 class SendQueue:
-    """FIFO with high/low watermark backpressure.
+    """FIFO with high-watermark backpressure, emptied a backlog at a time.
 
     ``asyncio.Queue(maxsize=n)`` blocks producers the moment the queue
     is full and wakes them one slot at a time, which under a bursty
-    source turns into lockstep producer/consumer ping-pong.  Watermarks
-    give the link hysteresis: producers run freely until *high*, then
-    stall as a group until the pump drains the backlog below *low*.
-    The stall counter shows where backpressure actually bit.
+    source turns into lockstep producer/consumer ping-pong.  Here
+    producers run freely until *high*, then stall as a group until the
+    pump takes the whole backlog for its next write.  The stall counter
+    shows where backpressure actually bit.
     """
 
-    def __init__(self, high: int = QUEUE_HIGH, low: int = QUEUE_LOW) -> None:
+    def __init__(self, high: int = QUEUE_HIGH) -> None:
         if high < 1:
             raise ConfigurationError(f"high watermark must be >= 1, got {high!r}")
-        if not 0 <= low < high:
-            raise ConfigurationError(
-                f"low watermark must be in [0, high), got {low!r} for high {high!r}"
-            )
         self.high = high
-        self.low = low
         #: Times a producer blocked on the high watermark.
         self.stalls = 0
-        self._items: deque = deque()
+        self._items: list = []
         self._writable = asyncio.Event()
         self._writable.set()
         self._readable = asyncio.Event()
@@ -209,7 +209,7 @@ class SendQueue:
         return len(self._items)
 
     async def put(self, item) -> None:
-        """Enqueue, blocking while the backlog sits above the watermarks."""
+        """Enqueue, blocking while the backlog sits at the watermark."""
         if not self._writable.is_set():
             self.stalls += 1
             await self._writable.wait()
@@ -222,15 +222,28 @@ class SendQueue:
         if len(self._items) >= self.high:
             self._writable.clear()
 
-    async def get(self):
-        """Dequeue the oldest item, waiting for one when empty."""
-        while not self._items:
-            self._readable.clear()
-            await self._readable.wait()
-        item = self._items.popleft()
-        if not self._writable.is_set() and len(self._items) <= self.low:
-            self._writable.set()
-        return item
+    async def take(self) -> list:
+        """Everything queued, oldest first, waiting for an item when
+        empty; stalled producers resume."""
+        await self._readable.wait()
+        self._readable.clear()
+        backlog, self._items = self._items, []
+        self._writable.set()
+        return backlog
+
+
+def encode_backlog(backlog: list) -> bytes:
+    """The bytes of one write: everything a link had queued, in order,
+    each run of consecutive messages as one ``Forwards`` frame and the
+    control frames between the runs in their place."""
+    frames: list[Message] = []
+    for kind, run in itertools.groupby(backlog, type):
+        if kind is Outbound:
+            rows = [forward_row(out.dst, out.arrival_s, out.update) for out in run]
+            frames.append(Forwards(rows))
+        else:
+            frames.extend(run)
+    return b"".join(map(encode_message, frames))
 
 
 #: Connect retry policy: this many attempts, the pause before the next
@@ -242,15 +255,16 @@ RECONNECT_BACKOFF_S = 0.05
 class Link:
     """One outbound connection to a peer's :class:`FrameServer`.
 
-    Frames queue in :attr:`queue` and a pump task writes them in order;
-    the connection opens on first use and reopens, with a bumped
-    ``Hello.generation``, whenever it is found severed.  A data frame
-    the wire ate (reconnect exhausted, or severed mid-write -- the
-    receiver never parses a partial frame) is handed to ``on_drop``.
+    Messages (:class:`~repro.live.nodes.Outbound`) and control frames
+    queue in :attr:`queue`; each time the pump task wakes it writes the
+    whole backlog as one write (:func:`encode_backlog`).  The connection
+    opens on first use and reopens, with a bumped ``Hello.generation``,
+    whenever it is found severed.  Every message of a write the wire
+    ate (reconnect exhausted, or severed mid-write -- the receiver never
+    parses a partial frame) is handed to ``on_drop``, in order.
 
     Args:
-        on_drop: Called with each :class:`~repro.live.protocol.Forward`
-            the wire ate.
+        on_drop: Called with each message the wire ate.
         heartbeat_interval_s: Idle-probe period (0 disables).
         metrics: Optional metrics registry (traced runs): queue-depth
             gauge and heartbeat flush-latency histogram.
@@ -264,7 +278,7 @@ class Link:
         peer: int,
         host: str,
         port: int,
-        on_drop: Callable[[Forward], None],
+        on_drop: Callable[[Outbound], None],
         heartbeat_interval_s: float = 0.0,
         metrics=None,
         telemetry: Callable[[], Message] | None = None,
@@ -338,11 +352,12 @@ class Link:
 
     async def _pump(self) -> None:
         while True:
-            frame = await self.queue.get()
-            if not await self._write(encode_message(frame)) and isinstance(
-                frame, Forward
-            ):
-                self._on_drop(frame)
+            # Never waits for more: what queued during the last write.
+            backlog = await self.queue.take()
+            if not await self._write(encode_backlog(backlog)):
+                for item in backlog:
+                    if type(item) is Outbound:
+                        self._on_drop(item)
 
     async def _heartbeat(self, interval_s: float) -> None:
         probe = encode_message(Heartbeat(src=self.src))
@@ -390,14 +405,19 @@ class Link:
 #: cancelling the ones still open.
 HANDLER_EXIT_TIMEOUT_S = 5.0
 
+#: Most bytes one inbound read takes (a full backlog is a quarter of it).
+READ_CHUNK_BYTES = 1 << 16
+
 
 class FrameServer:
-    """The inbound side: listening ports and one frame loop per connection.
+    """The inbound side: listening ports and one read loop per connection.
 
-    Every malformed input -- oversized, garbage or truncated frame, a
-    ``Hello`` of another protocol version, a frame ``on_frame`` refuses
-    with :class:`~repro.live.protocol.ProtocolError` -- rejects that
-    connection, not the run; frames lost with it reconcile as drops.
+    Each read takes whatever the socket holds.  Every malformed input
+    -- oversized, garbage or truncated frame, a ``Hello`` of another
+    protocol version, a frame ``on_frame`` refuses with
+    :class:`~repro.live.protocol.ProtocolError` -- rejects that
+    connection, not the run; the frames ahead of it are served, the
+    frames lost with it reconcile as drops.
 
     Args:
         on_frame: Called with every frame that is not handshake,
@@ -427,17 +447,22 @@ class FrameServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._handlers.add(asyncio.current_task())
+        assembler = FrameAssembler()
         try:
-            while True:
-                message = await read_message(reader)
-                if message is None or isinstance(message, Bye):
-                    break
-                if isinstance(message, Hello):
-                    check_version(message)
-                    if self._on_hello is not None:
-                        self._on_hello(message)
-                elif not isinstance(message, Heartbeat):
-                    self._on_frame(message)
+            while chunk := await reader.read(READ_CHUNK_BYTES):
+                for message in assembler.feed(chunk):
+                    if isinstance(message, Bye):
+                        return
+                    if isinstance(message, Hello):
+                        check_version(message)
+                        if self._on_hello is not None:
+                            self._on_hello(message)
+                    elif not isinstance(message, Heartbeat):
+                        self._on_frame(message)
+                if assembler.error is not None:  # after the frames ahead of it
+                    raise assembler.error
+            if not assembler.at_boundary():
+                raise ProtocolError("connection closed mid-frame")
         except ProtocolError:
             self.protocol_errors += 1
         except asyncio.CancelledError:
@@ -475,11 +500,13 @@ class WireRuntime:
     The shared data path: :meth:`dispatch` counts each outbound message
     and either queues it locally or forwards it over the link
     :meth:`route` names; the frame server queues every inbound
-    ``Forward``; :meth:`deliver` runs when one comes due, processes it
-    at its logical stamp and dispatches what the node emits.
+    ``Forwards`` row; :meth:`deliver` runs when one comes due, processes
+    it at its logical stamp and dispatches what the node emits.
 
     Args:
         network: The built network whose nodes run here.
+        hosted: Ids of the nodes that take deliveries here; a row
+            naming any other is a protocol violation.
         stats: Wire accounting with ``sent`` / ``delivered`` /
             ``dropped`` / ``heartbeats`` / ``reconnects`` fields.
         src / host / heartbeat_interval_s: Handed to every link.
@@ -493,6 +520,7 @@ class WireRuntime:
         network: "LiveNetwork",
         stats,
         *,
+        hosted: set[int],
         src: int,
         time_scale: float,
         host: str,
@@ -501,6 +529,7 @@ class WireRuntime:
     ) -> None:
         self.network = network
         self.stats = stats
+        self.hosted = hosted
         self.src = src
         self.host = host
         self.heartbeat_interval_s = heartbeat_interval_s
@@ -540,7 +569,7 @@ class WireRuntime:
     def connect(self, peer: int, port: int) -> None:
         """Start the link toward ``peer``; it connects on first use."""
         self.links[peer] = Link(
-            self.src, peer, self.host, port, self._wire_drop,
+            self.src, peer, self.host, port, lambda out: self.drop(out, "wire"),
             self.heartbeat_interval_s,
             metrics=self.metrics,
             telemetry=self._telemetry if self.metrics is not None else None,
@@ -562,6 +591,13 @@ class WireRuntime:
         """Actions and frames queued here, not yet released or written."""
         return len(self.due) + sum(len(link.queue) for link in self.links.values())
 
+    def check(self) -> None:
+        """Raise :class:`SimulationError` if a due-queue action raised:
+        the queue stopped there and what is left would never run."""
+        task = self._due_task
+        if task is not None and task.done() and not task.cancelled():
+            raise SimulationError("a due-queue action raised") from task.exception()
+
     async def _source_update(self, t: float, item_id: int, value: float) -> None:
         # The source replays its own schedule, so it stamps the update
         # with the scheduled time, not the (sleep-slopped) wall reading.
@@ -580,9 +616,7 @@ class WireRuntime:
             if link is None:
                 self.due.push(out.arrival_s, self.deliver, out)
             else:
-                await link.queue.put(
-                    Forward.from_update(out.dst, out.arrival_s, out.update)
-                )
+                await link.queue.put(out)
 
     async def deliver(self, out: Outbound) -> None:
         reason = self.lost_on_arrival(out)
@@ -614,13 +648,15 @@ class WireRuntime:
         self.settled()
 
     def _on_frame(self, message: Message) -> None:
-        if isinstance(message, Forward):
-            self.due.push(message.arrival_s, self.deliver, _outbound(message))
-        else:
+        if not isinstance(message, Forwards):
             self.on_control_frame(message)
-
-    def _wire_drop(self, frame: Forward) -> None:
-        self.drop(_outbound(frame), "wire")
+            return
+        push, deliver, hosted = self.due.push, self.deliver, self.hosted
+        for row in message.rows:
+            dst, arrival_s, update = row_update(row)
+            if dst not in hosted:
+                raise ProtocolError(f"node {dst} does not live here")
+            push(arrival_s, deliver, Outbound(dst, update, arrival_s))
 
     def _telemetry(self) -> Stats:
         stats = self.stats
@@ -639,7 +675,3 @@ class WireRuntime:
         await self.server.close()
         self.stats.heartbeats += sum(link.heartbeats for link in self.links.values())
         self.stats.reconnects += sum(link.reconnects for link in self.links.values())
-
-
-def _outbound(frame: Forward) -> Outbound:
-    return Outbound(dst=frame.dst, update=frame.to_update(), arrival_s=frame.arrival_s)

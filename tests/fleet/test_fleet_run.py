@@ -5,16 +5,21 @@ scale): these tests check the supervisor/worker plumbing and the
 cross-process conservation and fidelity invariants, not statistics.
 """
 
+import multiprocessing
 import socket
+import threading
+import time
 
 import pytest
 
 from repro.engine.churn import synthetic_schedule
 from repro.engine.config import SimulationConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.fleet import run_fleet, run_fleet_loadgen
+from repro.fleet.worker import FleetSpec, worker_main
 from repro.live.harness import run_live
 from repro.live.loadgen import run_loadgen
+from repro.live.nodes import RepositoryNode
 
 pytestmark = pytest.mark.live
 
@@ -114,3 +119,41 @@ def test_fleet_rejects_unsupported_configs():
         )
     with pytest.raises(ConfigurationError):
         run_fleet(CONFIG, workers=CONFIG.n_repositories + 2)
+
+
+def test_fleet_worker_reports_a_raising_node_as_fatal(monkeypatch):
+    """A due-queue action that raises stops the shard's schedule; the
+    worker must tell the supervisor (which raises on ``fatal``) instead
+    of idling until somebody gives up on it.  Driven in a thread so the
+    node can be broken: a spawned worker would import a healthy one."""
+
+    def broken(self, update, now):
+        raise RuntimeError("node bug")
+
+    monkeypatch.setattr(RepositoryNode, "on_message", broken)
+    supervisor, worker = multiprocessing.Pipe()
+    spec = FleetSpec(config=CONFIG, n_workers=1, duration=40.0, time_scale=400.0)
+    raised = []
+
+    def body():
+        try:
+            worker_main(0, spec, worker)
+        except SimulationError as exc:  # worker_main re-raises after reporting
+            raised.append(exc)
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    try:
+        assert supervisor.poll(20.0)
+        tag, worker_id, port = supervisor.recv()
+        assert (tag, worker_id) == ("ready", 0)
+        supervisor.send(("start", {0: port}, time.monotonic()))
+        assert supervisor.poll(20.0)
+        tag, worker_id, traceback_text = supervisor.recv()
+    finally:
+        supervisor.send(("finish",))  # a worker that did not die must not linger
+        thread.join(timeout=20.0)
+    assert (tag, worker_id) == ("fatal", 0)
+    assert "due-queue action raised" in traceback_text
+    assert "RuntimeError: node bug" in traceback_text
+    assert len(raised) == 1 and not thread.is_alive()

@@ -1,4 +1,5 @@
-"""SendQueue watermark semantics: hysteresis, ordering, control bypass."""
+"""SendQueue semantics: high-watermark stalls, backlog drain, ordering,
+control bypass."""
 
 import asyncio
 
@@ -15,25 +16,25 @@ def run(coroutine):
 def test_watermarks_are_validated():
     with pytest.raises(ConfigurationError):
         SendQueue(high=0)
-    with pytest.raises(ConfigurationError):
-        SendQueue(high=4, low=4)
-    with pytest.raises(ConfigurationError):
-        SendQueue(high=4, low=-1)
+    assert SendQueue(high=1).high == 1
 
 
 def test_fifo_order_preserved():
     async def scenario():
-        queue = SendQueue(high=8, low=2)
+        queue = SendQueue(high=8)
         for i in range(5):
             await queue.put(i)
-        return [await queue.get() for _ in range(5)]
+        first = await queue.take()
+        await queue.put(5)
+        queue.put_nowait(6)
+        return first, await queue.take()
 
-    assert run(scenario()) == [0, 1, 2, 3, 4]
+    assert run(scenario()) == ([0, 1, 2, 3, 4], [5, 6])
 
 
-def test_put_blocks_at_high_and_resumes_below_low():
+def test_put_blocks_at_high_and_resumes_when_the_backlog_is_taken():
     async def scenario():
-        queue = SendQueue(high=3, low=1)
+        queue = SendQueue(high=3)
         for i in range(3):
             await queue.put(i)
 
@@ -42,20 +43,16 @@ def test_put_blocks_at_high_and_resumes_below_low():
         assert not blocked.done()  # producer stalled at the watermark
         assert queue.stalls == 1
 
-        await queue.get()  # depth 2: still above low, still stalled
-        await asyncio.sleep(0)
-        assert not blocked.done()
-
-        await queue.get()  # depth 1 == low: hysteresis releases
+        assert await queue.take() == [0, 1, 2]  # the pump's next write
         await blocked
-        return len(queue)
+        return len(queue), await queue.take()
 
-    assert run(scenario()) == 2
+    assert run(scenario()) == (1, [99])
 
 
 def test_put_nowait_jumps_backpressure():
     async def scenario():
-        queue = SendQueue(high=2, low=0)
+        queue = SendQueue(high=2)
         await queue.put("a")
         await queue.put("b")
         queue.put_nowait("control")  # never blocks, even when full
@@ -64,14 +61,13 @@ def test_put_nowait_jumps_backpressure():
     assert run(scenario()) == 3
 
 
-def test_get_waits_for_an_item():
+def test_take_waits_for_an_item():
     async def scenario():
         queue = SendQueue()
-        getter = asyncio.create_task(queue.get())
+        taker = asyncio.create_task(queue.take())
         await asyncio.sleep(0)
-        assert not getter.done()
+        assert not taker.done()
         await queue.put("late")
-        return await getter
+        return await taker, len(queue)
 
-    assert run(scenario()) == "late"
-
+    assert run(scenario()) == (["late"], 0)

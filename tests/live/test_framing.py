@@ -8,6 +8,7 @@ from repro.live.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     Forward,
+    Forwards,
     FrameAssembler,
     Heartbeat,
     Hello,
@@ -18,6 +19,8 @@ from repro.live.protocol import (
     check_version,
     decode_payload,
     encode_message,
+    forward_row,
+    row_update,
 )
 
 pytestmark = pytest.mark.live
@@ -120,3 +123,49 @@ def test_assembler_yields_frames_before_the_bad_one():
     assert assembler.feed(good) == [Heartbeat(src=9)]
     with pytest.raises(ProtocolError):
         assembler.feed(bad)
+
+
+def test_assembler_keeps_the_good_frames_that_share_a_chunk_with_a_bad_one():
+    good = [Heartbeat(src=1), Heartbeat(src=2)]
+    bad = struct.pack(">I", 3) + b"{{{"
+    chunk = b"".join(map(encode_message, good)) + bad + encode_message(Heartbeat(src=3))
+    assembler = FrameAssembler()
+    # Eager: the good frames come back now, the error stays behind them.
+    assert assembler.feed(chunk) == good
+    assert isinstance(assembler.error, ProtocolError)
+    with pytest.raises(ProtocolError):
+        assembler.feed(b"")  # poisoned: nothing after the bad frame is read
+
+    oversized = FrameAssembler()
+    assert oversized.feed(
+        encode_message(good[0]) + struct.pack(">I", MAX_FRAME_BYTES + 1)
+    ) == good[:1]
+    with pytest.raises(ProtocolError):
+        oversized.feed(b"")
+
+
+def test_forwards_rows_round_trip_and_reject_malformed_ones():
+    update = Update(item_id=5, value=2.5, tag=0.1, seq=11, src=6)
+    row = forward_row(42, 99.5, update)
+    assert row == [42, 99.5, 5, 2.5, 0.1, 11, 6]
+    frame = decode_payload(encode_message(Forwards(rows=[row]))[4:])
+    assert [row_update(r) for r in frame.rows] == [(42, 99.5, update)]
+    # A whole number may stand in for a float; nothing else bends.
+    assert row_update([1, 2, 0, 3, None, 1, 0])[2].value == 3
+    for bad in (
+        row[:-1],  # arity
+        row + [0],
+        [42.0, *row[1:]],  # a float node id
+        [True, *row[1:]],  # JSON true is not an int here
+        [*row[:3], "2.5", *row[4:]],
+        [*row[:4], [], *row[5:]],
+        {"dst": 42},
+        7,
+        None,
+    ):
+        with pytest.raises(ProtocolError):
+            row_update(bad)
+    with pytest.raises(ProtocolError):
+        decode_payload(b'{"type":"forwards","rows":7}')
+    with pytest.raises(ProtocolError):
+        decode_payload(b'{"type":"forwards"}')

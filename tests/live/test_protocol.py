@@ -11,6 +11,7 @@ from repro.live.protocol import (
     MAX_FRAME_BYTES,
     Bye,
     Forward,
+    Forwards,
     Heartbeat,
     Hello,
     ProtocolError,
@@ -20,8 +21,8 @@ from repro.live.protocol import (
     Update,
     decode_payload,
     encode_message,
-    read_message,
 )
+from repro.live.wire import FrameServer
 
 pytestmark = pytest.mark.live
 
@@ -54,6 +55,7 @@ def test_length_prefix_matches_body():
         Hello(src=3, generation=2),
         Update(item_id=3, value=101.37500000000001, tag=0.05, seq=42, src=7),
         Forward(dst=9, arrival_s=12.625, item_id=3, value=1.5, tag=None, seq=42, src=7),
+        Forwards(rows=[[9, 12.625, 3, 1.5, None, 42, 7], [4, 13.0, 0, 2.25, 0.05, 43, 9]]),
         Heartbeat(src=1),
         Stats(src=1, sent=10, delivered=8, dropped=1, pending=1),
         ResyncRequest(child=4, parent=2, round_no=1, sample=((0, 7), (3, 9))),
@@ -82,52 +84,63 @@ def test_decode_rejects_garbage():
         decode_payload(b'{"type": "update", "unexpected": 1}')
 
 
-def _feed(chunks):
-    """A StreamReader pre-loaded with byte chunks and EOF."""
-    reader = asyncio.StreamReader()
-    for chunk in chunks:
-        reader.feed_data(chunk)
-    reader.feed_eof()
-    return reader
+class _Stream:
+    """A connection that hands the server exactly ``chunks``, one per
+    socket read, then EOF -- the calls its read loop makes, no more."""
+
+    def __init__(self, chunks):
+        self._chunks = list(chunks)
+
+    async def read(self, _n):
+        return self._chunks.pop(0) if self._chunks else b""
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
 
 
-def test_read_message_reassembles_split_frames():
-    message = Update(item_id=1, value=2.5, tag=0.1, seq=9, src=3)
-    frame = encode_message(message)
+def _serve(chunks):
+    """Run the frame server's read loop over ``chunks``.  Returns the
+    frames it passed on and how many connections it rejected (0 or 1)."""
 
     async def scenario():
-        # Split mid-prefix and mid-body: the reader must reassemble.
-        reader = _feed([frame[:2], frame[2:7], frame[7:]])
-        return await read_message(reader)
+        frames = []
+        server = FrameServer(frames.append)
+        stream = _Stream(chunks)
+        await server._handle(stream, stream)
+        return frames, server.protocol_errors
 
-    assert asyncio.run(scenario()) == message
-
-
-def test_read_message_clean_eof_returns_none():
-    async def scenario():
-        return await read_message(_feed([]))
-
-    assert asyncio.run(scenario()) is None
+    return asyncio.run(scenario())
 
 
-def test_read_message_truncated_frame_raises():
-    frame = encode_message(Bye(src=0))
-
-    async def truncated_body():
-        await read_message(_feed([frame[:-2]]))
-
-    async def truncated_prefix():
-        await read_message(_feed([frame[:3]]))
-
-    with pytest.raises(ProtocolError):
-        asyncio.run(truncated_body())
-    with pytest.raises(ProtocolError):
-        asyncio.run(truncated_prefix())
+def test_chunked_reads_reassemble_split_frames():
+    first = ResyncRequest(child=1, parent=0, round_no=0, digest="d")
+    second = ResyncRequest(child=2, parent=0, round_no=1, sample=((0, 7),))
+    stream = encode_message(first) + encode_message(second)
+    # Split mid-prefix, mid-body and across the frame boundary: the
+    # server must reassemble whatever each read returns.
+    cuts = [0, 2, 9, len(encode_message(first)) + 3, len(stream)]
+    chunks = [stream[a:b] for a, b in zip(cuts, cuts[1:])]
+    assert _serve(chunks) == ([first, second], 0)
+    assert _serve([stream]) == ([first, second], 0)
 
 
-def test_read_message_rejects_oversized_length():
-    async def scenario():
-        await read_message(_feed([struct.pack(">I", MAX_FRAME_BYTES + 1)]))
+def test_chunked_reads_clean_eof_ends_the_connection_quietly():
+    assert _serve([]) == ([], 0)
+    frame = ResyncRequest(child=1, parent=0, round_no=0)
+    assert _serve([encode_message(frame)]) == ([frame], 0)
 
-    with pytest.raises(ProtocolError):
-        asyncio.run(scenario())
+
+def test_chunked_reads_reject_eof_inside_a_frame():
+    good = ResyncRequest(child=1, parent=0, round_no=0)
+    frame = encode_message(good)
+    # Mid-body and mid-prefix; the complete frame ahead is still served.
+    assert _serve([frame[:-2]]) == ([], 1)
+    assert _serve([frame[:3]]) == ([], 1)
+    assert _serve([frame + frame[:3]]) == ([good], 1)
+
+
+def test_chunked_reads_reject_an_oversized_length():
+    assert _serve([struct.pack(">I", MAX_FRAME_BYTES + 1)]) == ([], 1)

@@ -13,9 +13,17 @@ from repro.engine.simulation import run_simulation
 from repro.fleet import run_fleet
 from repro.fleet.worker import FleetSpec
 from repro.live import wire
-from repro.live.harness import run_live
-from repro.live.transport import TcpTransport, make_transport
-from repro.errors import ConfigurationError
+from repro.live.harness import build_live_network, run_live
+from repro.live.nodes import RepositoryNode
+from repro.live.protocol import (
+    Forward,
+    Forwards,
+    Hello,
+    ProtocolError,
+    encode_message,
+)
+from repro.live.transport import TcpTransport, _TcpWire, make_transport
+from repro.errors import ConfigurationError, SimulationError
 
 pytestmark = pytest.mark.live
 
@@ -178,3 +186,89 @@ def test_wall_budgets_are_not_options():
         "config", "n_workers", "duration", "time_scale", "n_clients",
         "client_seed", "heartbeat_interval_s", "host", "trace",
     }
+
+
+# Kept below the failure smoke on purpose: it expects the victim's link
+# to have connected before the crash severs it (~46 ms into the run), a
+# race a stalled loop loses (same at the parent with a 60 ms stall).
+# With these tests ahead of it that happened in ~1 of 8 runs under
+# ``python -X dev``; behind it, in none of 20.
+
+
+def test_tcp_paced_run_scores_exactly_the_inprocess_loss():
+    """The ledger's ``tcp_excess_loss_pp`` probe, pinned: at a pace the
+    wire keeps up with, every batch is one row written the moment it is
+    queued, and processing at the logical stamp makes the socket plane's
+    loss the in-process plane's, to the bit."""
+    config = SCALE_PRESETS["tiny"].with_(
+        n_items=12, comp_delay_ms=25.0, trace_samples=500
+    )
+    virtual = run_live(config, "inprocess")
+    result = run_live(config, "tcp", time_scale=200.0)
+    assert result.sent == virtual.sent
+    assert result.dropped == 0
+    assert result.loss_of_fidelity == virtual.loss_of_fidelity
+
+
+#: Well-formed frames no peer of this network would send: the parent's
+#: hang reproducer (a node nobody hosts), the same as a batch row, and
+#: rows of the wrong shape.
+ROGUE_FRAMES = {
+    "single-forward": Forward(
+        dst=10**6, arrival_s=1.0, item_id=0, value=1.0, tag=None, seq=1, src=0
+    ),
+    "unknown-node": Forwards([[10**6, 1.0, 0, 1.0, None, 1, 0]]),
+    "source-node": Forwards([[0, 1.0, 0, 1.0, None, 1, 0]]),
+    "short-row": Forwards([[1, 1.0, 0, 1.0, None, 1]]),
+    "string-value": Forwards([[1, 1.0, 0, "1.0", None, 1, 0]]),
+}
+
+
+@pytest.mark.parametrize("rogue", ROGUE_FRAMES.values(), ids=ROGUE_FRAMES)
+def test_tcp_rogue_frame_rejects_its_connection_not_the_run(rogue):
+    """It used to raise ``KeyError`` inside the due task, which nobody
+    watched: the run waited on its replay forever."""
+
+    async def scenario():
+        runtime = _TcpWire(TcpTransport(time_scale=200.0), build_live_network(CONFIG))
+        hosted = len(runtime.hosted)
+        running = asyncio.create_task(runtime.run(None))
+        while len(runtime.links) < hosted:
+            await asyncio.sleep(0.001)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", runtime.links[1].port
+        )
+        writer.write(encode_message(Hello(src=99)) + encode_message(rogue))
+        assert await reader.read() == b""  # the server hung up on us
+        writer.close()
+        await writer.wait_closed()
+        return await running, runtime.server.protocol_errors
+
+    stats, protocol_errors = asyncio.run(asyncio.wait_for(scenario(), timeout=20.0))
+    assert protocol_errors == 1
+    assert stats.conserved and stats.dropped == 0 and stats.sent > 0
+
+
+def test_rows_ahead_of_a_rogue_one_are_still_queued():
+    async def scenario():
+        runtime = _TcpWire(TcpTransport(), build_live_network(CONFIG))
+        good = [1, 2.5, 0, 1.0, None, 1, 0]
+        with pytest.raises(ProtocolError):
+            runtime._on_frame(Forwards([good, [10**6, *good[1:]], good]))
+        return len(runtime.due), runtime.due.latest()
+
+    assert asyncio.run(scenario()) == (1, 2.5)
+
+
+def test_tcp_run_ends_loudly_when_a_node_raises(monkeypatch):
+    """A due-queue action that raises stops the schedule; the run must
+    say so instead of waiting for a replay that cannot finish."""
+
+    def broken(self, update, now):
+        raise RuntimeError("node bug")
+
+    monkeypatch.setattr(RepositoryNode, "on_message", broken)
+    runtime = _TcpWire(TcpTransport(time_scale=800.0), build_live_network(CONFIG))
+    with pytest.raises(SimulationError, match="due-queue action raised") as caught:
+        asyncio.run(asyncio.wait_for(runtime.run(40.0), timeout=20.0))
+    assert isinstance(caught.value.__cause__, RuntimeError)

@@ -10,13 +10,15 @@ import pytest
 from repro.core.metrics import CostCounters
 from repro.errors import SimulationError
 from repro.live import wire
+from repro.live.nodes import Outbound
 from repro.live.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     Bye,
-    Forward,
+    Forwards,
     Hello,
     ResyncRequest,
+    Update,
     encode_message,
 )
 
@@ -41,10 +43,23 @@ def run(coroutine):
     return asyncio.run(asyncio.wait_for(coroutine, timeout=20.0))
 
 
-def frame(seq: int, arrival_s: float = 0.0) -> Forward:
-    return Forward(
-        dst=1, arrival_s=arrival_s, item_id=0, value=float(seq), tag=None, seq=seq, src=0
-    )
+def frame(seq: int) -> Outbound:
+    """One message as the runtime queues it on a link."""
+    update = Update(item_id=0, value=float(seq), tag=None, seq=seq, src=0)
+    return Outbound(dst=1, update=update, arrival_s=0.0)
+
+
+def batch(*seqs: int) -> bytes:
+    """The bytes a link writes for a backlog of those messages."""
+    return wire.encode_backlog([frame(seq) for seq in seqs])
+
+
+def seqs(frames) -> list:
+    """What a server passed on, one entry per frame: the seqs of a data
+    frame's rows, a control frame as itself."""
+    return [
+        [row[5] for row in f.rows] if isinstance(f, Forwards) else f for f in frames
+    ]
 
 
 async def until(condition, timeout: float = 5.0) -> None:
@@ -113,7 +128,8 @@ def test_link_reconnects_with_a_bumped_generation_after_sever():
         await link.queue.put(frame(1))
         await until(lambda: len(frames) == 1)
         link.sever()
-        await link.queue.put(frame(2))
+        for seq in (2, 3, 4):  # a backlog behind the severed connection
+            await link.queue.put(frame(seq))
         await until(lambda: len(frames) == 2)
         await link.close()
         await server.close()
@@ -121,7 +137,8 @@ def test_link_reconnects_with_a_bumped_generation_after_sever():
 
     hellos, frames, dropped, link = run(scenario())
     assert [(h.src, h.generation) for h in hellos] == [(7, 1), (7, 2)]
-    assert [f.seq for f in frames] == [1, 2]
+    # Conserved across the reconnect: everything queued landed, once.
+    assert seqs(frames) == [[1], [2, 3, 4]]
     assert dropped == []
     assert link.generation == 2 and link.reconnects == 1
 
@@ -138,14 +155,36 @@ def test_link_reports_a_wire_drop_when_attempts_run_out(monkeypatch):
         await link.queue.put(frame(1))
         link.queue.put_nowait(ResyncRequest(child=1, parent=0, round_no=0))
         await link.queue.put(frame(2))
-        await until(lambda: len(dropped) == 2)
+        await link.queue.put(frame(3))
+        await until(lambda: len(dropped) == 3)
         await link.close()
         return dropped, link
 
     dropped, link = run(scenario())
-    # Data frames are reported; the control frame between them is not.
-    assert [f.seq for f in dropped] == [1, 2]
+    # One eaten write: every message in it is reported, in order; the
+    # control frame between them is not.
+    assert dropped == [frame(1), frame(2), frame(3)]
     assert link.generation == 0 and link.reconnects == 0
+
+
+def test_link_writes_its_backlog_as_runs_of_data_around_control_frames():
+    control = ResyncRequest(child=1, parent=0, round_no=0)
+
+    async def scenario():
+        frames = []
+        server = wire.FrameServer(frames.append)
+        link = wire.Link(7, 1, HOST, await server.listen(HOST), lambda out: None)
+        # Queued without a yield, so one pump wakeup finds all four.
+        for item in (frame(1), control, frame(2), frame(3)):
+            link.queue.put_nowait(item)
+        await until(lambda: len(frames) == 3)
+        await link.queue.put(frame(4))  # paced: a backlog of one
+        await until(lambda: len(frames) == 4)
+        await link.close()
+        await server.close()
+        return frames
+
+    assert seqs(run(scenario())) == [[1], control, [2, 3], [4]]
 
 
 def test_link_heartbeats_only_while_idle():
@@ -167,16 +206,18 @@ def test_link_heartbeats_only_while_idle():
 
 
 @pytest.mark.parametrize(
-    "poison",
+    "poison, served",
     [
-        struct.pack(">I", MAX_FRAME_BYTES + 1),
-        struct.pack(">I", 9) + b"\xff not json",
-        encode_message(Hello(src=9, version=PROTOCOL_VERSION + 1)),
-        struct.pack(">I", 40) + b"{}",  # truncated: EOF mid-frame
+        (struct.pack(">I", MAX_FRAME_BYTES + 1), []),
+        (struct.pack(">I", 9) + b"\xff not json", []),
+        (encode_message(Hello(src=9, version=PROTOCOL_VERSION + 1)), []),
+        (struct.pack(">I", 40) + b"{}", []),  # truncated: EOF mid-frame
+        # Good frames that share a read with a bad one are still served.
+        (batch(8, 9) + struct.pack(">I", 9) + b"\xff not json" + batch(10), [[8, 9]]),
     ],
-    ids=["oversized", "garbage", "version-mismatch", "truncated"],
+    ids=["oversized", "garbage", "version-mismatch", "truncated", "good-then-garbage"],
 )
-def test_server_rejects_the_connection_not_the_run(poison):
+def test_server_rejects_the_connection_not_the_run(poison, served):
     async def scenario():
         frames = []
         server = wire.FrameServer(frames.append)
@@ -192,14 +233,14 @@ def test_server_rejects_the_connection_not_the_run(poison):
         # The same port still serves a well-behaved peer.
         link = wire.Link(7, 1, HOST, port, lambda f: None)
         await link.queue.put(frame(1))
-        await until(lambda: len(frames) == 1)
+        await until(lambda: len(frames) == len(served) + 1)
         await link.close()
         await server.close()
         return server.protocol_errors, frames
 
     errors, frames = run(scenario())
     assert errors == 1
-    assert [f.seq for f in frames] == [1]
+    assert seqs(frames) == [*served, [1]]
 
 
 def test_server_rejects_a_frame_the_driver_refuses():
@@ -209,7 +250,7 @@ def test_server_rejects_a_frame_the_driver_refuses():
 
         server = wire.FrameServer(refuse)
         reader, writer = await asyncio.open_connection(HOST, await server.listen(HOST))
-        writer.write(encode_message(Hello(src=9)) + encode_message(frame(1)))
+        writer.write(encode_message(Hello(src=9)) + batch(1))
         assert await reader.read() == b""
         writer.close()
         await writer.wait_closed()
@@ -229,7 +270,7 @@ def test_server_close_waits_for_handlers_then_cancels(monkeypatch):
 
         # A polite peer: its Bye lands while close() is already waiting.
         _r1, polite = await asyncio.open_connection(HOST, port)
-        polite.write(encode_message(Hello(src=1)) + encode_message(frame(1)))
+        polite.write(encode_message(Hello(src=1)) + batch(1))
         # A silent peer: never says Bye, never hangs up.
         _r2, silent = await asyncio.open_connection(HOST, port)
         silent.write(encode_message(Hello(src=2)))
