@@ -88,4 +88,6 @@ class CentralizedPolicy(DisseminationPolicy):
             raise DisseminationError(
                 f"edge {parent}->{child} for item {item_id} was never registered"
             ) from None
-        return ForwardDecision(forward=forward_centralized(c_serve, tag))
+        # No last-sent state here: the rule reads the tolerance and the tag.
+        forward = forward_centralized(value, value, c_serve, parent_receive_c, tag)
+        return ForwardDecision(forward=forward)

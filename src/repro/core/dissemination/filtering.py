@@ -19,7 +19,8 @@ Four layers:
 - the pure scalar functions (:func:`forward_distributed`,
   :func:`forward_eq3_only`, :func:`forward_flooding`,
   :func:`forward_centralized`, :func:`tag_for_update`) -- stateless,
-  trivially property-testable;
+  trivially property-testable, the four per-edge rules under one
+  signature and tabled by policy in :data:`FORWARD_RULES`;
 - the array forms that pay where the operand is genuinely wide
   (:func:`forward_distributed_many` over a repository's modeled-client
   block, :class:`ArraySourceTagger` over an item's unique tolerances)
@@ -52,14 +53,12 @@ __all__ = [
     "forward_centralized",
     "forward_distributed_many",
     "tag_for_update",
+    "FORWARD_RULES",
     "EdgeFilter",
     "SourceTagger",
     "ArraySourceTagger",
     "FILTERED_POLICIES",
 ]
-
-#: Policy names :class:`EdgeFilter` understands (the push policies).
-FILTERED_POLICIES = ("distributed", "centralized", "flooding", "eq3_only")
 
 _TOLERANCE_DECIMALS = 9
 
@@ -115,7 +114,8 @@ def validate_tolerance(c: float, context: str = "tolerance") -> float:
 
 
 def forward_distributed(
-    value: float, last_sent: float, c_serve: float, parent_receive_c: float
+    value: float, last_sent: float, c_serve: float, parent_receive_c: float,
+    tag: float | None = None,
 ) -> bool:
     """The distributed policy's Eq. (3)-or-Eq. (7) test.
 
@@ -132,20 +132,44 @@ def forward_distributed(
     return c_serve - deviation < parent_receive_c  # Eq. (7)
 
 
-def forward_eq3_only(value: float, last_sent: float, c_serve: float) -> bool:
+def forward_eq3_only(
+    value: float, last_sent: float, c_serve: float, parent_receive_c: float = 0.0,
+    tag: float | None = None,
+) -> bool:
     """Eq. (3) alone -- provably insufficient (the Figure 4 failure)."""
     return abs(value - last_sent) > c_serve
 
 
-def forward_flooding(value: float, last_value: float) -> bool:
+def forward_flooding(
+    value: float, last_sent: float, c_serve: float = 0.0,
+    parent_receive_c: float = 0.0, tag: float | None = None,
+) -> bool:
     """Forward every *distinct* value (repeats carry no information)."""
-    return value != last_value
+    return value != last_sent
 
 
-def forward_centralized(c_serve: float, tag: float) -> bool:
+def forward_centralized(
+    value: float, last_sent: float, c_serve: float, parent_receive_c: float,
+    tag: float,
+) -> bool:
     """Tag pruning: forward when the edge's tolerance is covered by the
     source's maximum-violated-tolerance tag (``c_serve <= tag``)."""
     return c_serve <= tag
+
+
+#: Policy name -> its pure per-edge rule, called as ``rule(value,
+#: last_sent, c_serve, parent_receive_c, tag)``: a caller binds its
+#: policy's entry once and never branches on the policy again (each
+#: rule ignores the operands its equation does not mention).
+FORWARD_RULES = {
+    "distributed": forward_distributed,
+    "centralized": forward_centralized,
+    "flooding": forward_flooding,
+    "eq3_only": forward_eq3_only,
+}
+
+#: Policy names :class:`EdgeFilter` understands (the push policies).
+FILTERED_POLICIES = tuple(FORWARD_RULES)
 
 
 def forward_distributed_many(
@@ -189,7 +213,7 @@ class EdgeFilter:
     functions, so the two planes cannot drift apart.
     """
 
-    __slots__ = ("policy", "c_serve", "last_sent")
+    __slots__ = ("policy", "c_serve", "last_sent", "_rule")
 
     def __init__(self, policy: str, c_serve: float, initial_value: float) -> None:
         if policy not in FILTERED_POLICIES:
@@ -203,6 +227,7 @@ class EdgeFilter:
             quantise_tolerance(c_serve) if policy == "centralized" else c_serve
         )
         self.last_sent = initial_value
+        self._rule = FORWARD_RULES[policy]
 
     def decide(
         self, value: float, parent_receive_c: float = 0.0, tag: float | None = None
@@ -216,20 +241,12 @@ class EdgeFilter:
             DisseminationError: for a centralised decision without a tag
                 (every centralised update must carry one).
         """
-        if self.policy == "distributed":
-            forward = forward_distributed(
-                value, self.last_sent, self.c_serve, parent_receive_c
+        rule = self._rule  # a local: a slot misses CPython's method-call cache
+        if tag is None and rule is forward_centralized:
+            raise DisseminationError(
+                "centralised dissemination requires a source tag on every update"
             )
-        elif self.policy == "eq3_only":
-            forward = forward_eq3_only(value, self.last_sent, self.c_serve)
-        elif self.policy == "flooding":
-            forward = forward_flooding(value, self.last_sent)
-        else:  # centralized
-            if tag is None:
-                raise DisseminationError(
-                    "centralised dissemination requires a source tag on every update"
-                )
-            forward = forward_centralized(self.c_serve, tag)
+        forward = rule(value, self.last_sent, self.c_serve, parent_receive_c, tag)
         if forward:
             self.last_sent = value
         return forward

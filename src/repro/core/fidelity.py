@@ -82,13 +82,18 @@ def violation_time(
             f"window starts {t_start!r})"
         )
 
+    # Sorted unique breakpoints, as np.unique gives them, without its
+    # wrapper: the concatenation is a fresh array, so it sorts in place.
     breaks = np.concatenate(([t_start], source_times, recv_times, [t_end]))
-    breaks = np.unique(breaks)
-    breaks = breaks[(breaks >= t_start) & (breaks <= t_end)]
+    breaks.sort()
+    distinct = np.empty(breaks.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(breaks[1:], breaks[:-1], out=distinct[1:])
+    breaks = breaks[distinct & (breaks >= t_start) & (breaks <= t_end)]
     if breaks.size < 2:
         return 0.0
     starts = breaks[:-1]
-    widths = np.diff(breaks)
+    widths = breaks[1:] - starts
     deviation = np.abs(
         _step_values_at(source_times, source_values, starts)
         - _step_values_at(recv_times, recv_values, starts)

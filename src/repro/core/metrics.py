@@ -162,19 +162,21 @@ class ArrayCounters:
     """Flat accumulator for the batch kernel's hot path.
 
     The scalar engine updates :class:`CostCounters` dicts once per
-    (update, dependent) pair.  This accumulator takes one call per edge
-    group instead and keeps the per-node tallies in two dense Python
-    lists indexed by node id (a list element ``+=`` costs a sixth of a
-    numpy one) and the scalar totals as plain ints, then folds
+    (update, dependent) pair.  The batch kernel's drain loop instead
+    bumps the two dense per-node lists held here (indexed by node id; a
+    list element ``+=`` costs a sixth of a numpy one) once per edge
+    group, keeps the remaining totals in its own locals and stores them
+    here when the loop ends.  :meth:`to_cost_counters` then folds
     everything into a :class:`CostCounters` -- equal, field for field,
     to what the scalar engine would have produced (dict equality is
     insertion-order-insensitive, so sparsifying at the end is safe).
+    Every check and message is tallied at its node, so the system-wide
+    totals are the lists' sums and only the source's share is kept
+    apart.
     """
 
     __slots__ = (
-        "messages",
         "source_checks",
-        "repository_checks",
         "source_messages",
         "deliveries",
         "drops",
@@ -185,9 +187,7 @@ class ArrayCounters:
     )
 
     def __init__(self, n_nodes: int) -> None:
-        self.messages = 0
         self.source_checks = 0
-        self.repository_checks = 0
         self.source_messages = 0
         self.deliveries = 0
         self.drops = 0
@@ -195,21 +195,6 @@ class ArrayCounters:
         self.client_messages = 0
         self.node_messages = [0] * n_nodes
         self.node_checks = [0] * n_nodes
-
-    def record_checks(self, node: int, is_source: bool, count: int) -> None:
-        """Count ``count`` coherency checks at ``node``."""
-        if is_source:
-            self.source_checks += count
-        else:
-            self.repository_checks += count
-        self.node_checks[node] += count
-
-    def record_messages(self, sender: int, is_source: bool, count: int) -> None:
-        """Count ``count`` update messages leaving ``sender``."""
-        self.messages += count
-        if is_source:
-            self.source_messages += count
-        self.node_messages[sender] += count
 
     def message_counts(self) -> dict[int, int]:
         """Messages sent so far per node, nodes that sent none left out
@@ -219,9 +204,9 @@ class ArrayCounters:
     def to_cost_counters(self) -> CostCounters:
         """Fold into the dict-backed form the rest of the repo consumes."""
         return CostCounters(
-            messages=self.messages,
+            messages=sum(self.node_messages),
             source_checks=self.source_checks,
-            repository_checks=self.repository_checks,
+            repository_checks=sum(self.node_checks) - self.source_checks,
             source_messages=self.source_messages,
             deliveries=self.deliveries,
             drops=self.drops,

@@ -146,8 +146,8 @@ class MultiSourceSimulation(DisseminationSimulation):
                 triples.append((self._multi.graphs[source], source, items))
         return triples
 
-    def _score(self, span: float):
-        result = super()._score(span)
+    def _score(self, span: float, events_processed: int):
+        result = super()._score(span, events_processed)
         result.extras["sources"] = list(self._multi.sources)
         result.extras["item_owner"] = dict(self._multi.item_owner)
         return result

@@ -47,7 +47,7 @@ from repro.engine.builder import SimulationSetup, build_setup
 from repro.engine.config import SimulationConfig
 from repro.engine.reconfig import ReconfigurationCore
 from repro.engine.results import SimulationResult
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.kernel import Simulator
 from repro.sim.queueing import FifoStation
 from repro.sim.rng import RandomStreams
@@ -76,6 +76,7 @@ class DisseminationSimulation:
         self.observer = observer
         self.kernel = Simulator()
         self.counters = CostCounters()
+        self._ran = False
         self._comp_delay_s = setup.config.comp_delay_ms / 1000.0
         self._source = setup.source
         self._loss_probability = setup.config.message_loss_probability
@@ -313,9 +314,16 @@ class DisseminationSimulation:
 
     # ------------------------------------------------------------------
 
-    def _update_schedule(self) -> UpdateSchedule:
-        """The run's source-update timeline (precomputed by the builder;
-        recomputed here only for hand-built setups)."""
+    def _begin_run(self) -> UpdateSchedule:
+        """Claim this object's one run and return its source-update
+        timeline (precomputed by the builder; recomputed here only for
+        hand-built setups).  A rerun is refused: the first run's result
+        holds the counters and logs a second one would write into."""
+        if self._ran:
+            raise SimulationError(
+                "a simulation runs once; build a new one (make_simulation(setup))"
+            )
+        self._ran = True
         schedule = getattr(self.setup, "update_schedule", None)
         if schedule is None:
             schedule = UpdateSchedule.from_traces(self.setup.traces)
@@ -323,7 +331,7 @@ class DisseminationSimulation:
 
     def run(self) -> SimulationResult:
         """Schedule all trace updates, run to quiescence, score fidelity."""
-        schedule = self._update_schedule()
+        schedule = self._begin_run()
         # Scheduled before the trace updates so that a control event
         # (churn, failure, drift tick) and an update or delivery at the
         # same instant apply the control event first: the kernel breaks
@@ -346,9 +354,9 @@ class DisseminationSimulation:
         ):
             self.kernel.schedule_at(t, self._on_source_update, item_id, v, update_id)
         self.kernel.run()
-        return self._score(schedule.span)
+        return self._score(schedule.span, self.kernel.events_processed)
 
-    def _score(self, span: float) -> SimulationResult:
+    def _score(self, span: float, events_processed: int) -> SimulationResult:
         accumulator = FidelityAccumulator()
         per_pair: dict[tuple[int, int], float] = {}
         for (repo, item_id), segments in self._reconfig.segments.items():
@@ -406,14 +414,10 @@ class DisseminationSimulation:
             tree_stats=self._reconfig.graph.stats(),
             effective_degree=self.setup.effective_degree,
             avg_comm_delay_ms=self.setup.avg_comm_delay_ms,
-            events_processed=self._events_processed(),
+            events_processed=events_processed,
             sim_span_s=span,
             extras=extras,
         )
-
-    def _events_processed(self) -> int:
-        """Kernel-event count for the result (hook for other kernels)."""
-        return self.kernel.events_processed
 
     def delivery_log(self, repo: int, item_id: int) -> list[tuple[float, float]]:
         """The (time, value) receive log for one repository/item pair."""
@@ -442,8 +446,8 @@ def make_simulation(
     offered degree        4     8    16    32   100  1000
     widest edge group     4     8    16    28    61   533
     =================  ====  ====  ====  ====  ====  ====
-    batch kernel       0.33  0.29  0.24  0.26  0.16  0.25
-    scalar kernel      0.81  0.77  0.66  0.67  0.65  0.80
+    batch kernel       0.19  0.17  0.14  0.16  0.12  0.21
+    scalar kernel      0.67  0.58  0.51  0.59  0.48  0.74
     =================  ====  ====  ====  ====  ====  ====
 
     ``observer`` (e.g. a :class:`repro.obs.trace.TraceRecorder`) is

@@ -17,24 +17,31 @@ flat lists, tuples and ints:
   degree of cooperation makes a group 1-4 wide, where one numpy call
   costs ~20 scalar decisions; lists win or tie at every width the repo
   can produce (see ``docs/architecture/vectorized-kernel.md``).
-- **Decisions.**  One update against a group is one comprehension over
-  its columns calling the pure scalar functions of
-  :mod:`repro.core.dissemination.filtering` -- the very functions the
-  scalar policies and the live nodes call.
-- **Queueing.**  The FIFO station's chained ``busy_until`` additions are
-  the same chain of float additions, on a per-node list.
+- **One loop.**  :meth:`VectorizedSimulation.run` is the whole hot
+  path: a source update and a delivery do their own bookkeeping and
+  fall through to one inline *edge-group step*, a single pass over the
+  group's columns that decides each dependent -- with the policy's entry
+  in :data:`~repro.core.dissemination.filtering.FORWARD_RULES`, the very
+  functions the scalar policies and the live nodes call -- chains the
+  FIFO station's departures (``FifoStation.submit``'s own float
+  additions, on a per-node list) and pushes each surviving message.
+  Per event that leaves the kernel's generator resume and one rule call
+  per dependent: 2.4 Python-level calls on the paper's base case.
 - **Events.**  A :class:`~repro.sim.kernel.BatchKernel` merges the
   precomputed source timeline with a tuple heap of in-flight
-  deliveries -- no per-message Event objects, no callback dispatch.
-- **Counters.**  :class:`~repro.core.metrics.ArrayCounters` accumulates
-  per-node tallies in flat lists, folded into
-  :class:`~repro.core.metrics.CostCounters` once at the end.
+  deliveries -- no per-message Event objects, no callback dispatch; the
+  loop pushes onto the kernel's ``heap`` itself, ``push``'s NaN/past
+  guard kept as one inline comparison.
+- **Counters.**  Per-node tallies are the flat lists of an
+  :class:`~repro.core.metrics.ArrayCounters`; the other totals are local
+  ints stored into it when the loop ends and folded into
+  :class:`~repro.core.metrics.CostCounters` from there.
 
 What is genuinely wide stays numpy: the modeled-client plane (one
 :func:`~repro.core.dissemination.filtering.forward_distributed_many`
-call over a pair's whole client block per delivery), the batched
-message-loss draw, the :class:`~repro.traces.schedule.UpdateSchedule`
-arrays and the centralised source's
+call over a pair's whole client block per delivery), the
+:class:`~repro.traces.schedule.UpdateSchedule` arrays and the
+centralised source's
 :class:`~repro.core.dissemination.filtering.ArraySourceTagger`.
 
 The scalar engine stays the **oracle**: this class subclasses it, builds
@@ -50,9 +57,10 @@ for the scalar engine: the drain loop applies the core's control
 timeline inline, each entry before the unit at the same instant (the
 tie-break the scalar event queue produces), arrivals at crashed or
 departed repositories and sends over down links become drops before
-the Bernoulli loss stream is consumed, and this class overrides the
-edge-store port to patch the edge-group columns -- groups that exist
-only in a rebuilt graph are materialised on first use.
+the Bernoulli loss stream is consumed (one scalar draw per message that
+enters the network, the oracle's own order), and this class overrides
+the edge-store port to patch the edge-group columns -- groups that
+exist only in a rebuilt graph are materialised on first use.
 
 Not supported here -- the factory
 (:func:`~repro.engine.simulation.make_simulation`) falls back to the
@@ -61,17 +69,18 @@ scalar engine for policies outside the four push policies.
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heappush
+from math import inf
+
 import numpy as np
 
 from repro.core.dissemination import DisseminationPolicy
+from repro.core.dissemination.base import SourceDecision
 from repro.core.dissemination.filtering import (
-    FILTERED_POLICIES,
+    FORWARD_RULES,
     ArraySourceTagger,
-    forward_centralized,
-    forward_distributed,
     forward_distributed_many,
-    forward_eq3_only,
-    forward_flooding,
     quantise_tolerance,
 )
 from repro.core.metrics import ArrayCounters
@@ -83,35 +92,7 @@ from repro.sim.kernel import BatchKernel
 
 __all__ = ["VectorizedSimulation"]
 
-
-def _mask_distributed(value, last, cs, parent_receive_c, tag):
-    return [
-        forward_distributed(value, sent, c, parent_receive_c)
-        for sent, c in zip(last, cs)
-    ]
-
-
-def _mask_eq3_only(value, last, cs, parent_receive_c, tag):
-    return [forward_eq3_only(value, sent, c) for sent, c in zip(last, cs)]
-
-
-def _mask_flooding(value, last, cs, parent_receive_c, tag):
-    return [forward_flooding(value, sent) for sent in last]
-
-
-def _mask_centralized(value, last, cs, parent_receive_c, tag):
-    return [forward_centralized(c, tag) for c in cs]
-
-
-# One update against one edge group's columns -> one forward flag per
-# dependent.  A uniform signature, so ``__init__`` binds the policy's
-# entry once and the hot loop never branches on the policy.
-_MASK_OF = {
-    "distributed": _mask_distributed,
-    "eq3_only": _mask_eq3_only,
-    "flooding": _mask_flooding,
-    "centralized": _mask_centralized,
-}
+_PASS_THROUGH = SourceDecision(disseminate=True, tag=None, checks=0)
 
 
 class VectorizedSimulation(DisseminationSimulation):
@@ -125,16 +106,15 @@ class VectorizedSimulation(DisseminationSimulation):
     ):
         super().__init__(setup, policy, observer=observer)
         name = getattr(self.policy, "name", None)
-        if name not in FILTERED_POLICIES:
+        if name not in FORWARD_RULES:
             raise ConfigurationError(
-                f"VectorizedSimulation supports policies {list(FILTERED_POLICIES)}, "
+                f"VectorizedSimulation supports policies {list(FORWARD_RULES)}, "
                 f"got {name!r}"
             )
-        self._mask = _MASK_OF[name]
+        self._rule = FORWARD_RULES[name]
         # The centralised policy serves at quantised tolerances, keeps no
         # per-edge last-sent state, and examines updates at the source.
         self._centralized = name == "centralized"
-        self._batch_kernel: BatchKernel | None = None
         self._build_groups()
 
     # ------------------------------------------------------------------
@@ -229,222 +209,241 @@ class VectorizedSimulation(DisseminationSimulation):
 
     # ------------------------------------------------------------------
 
-    def _process_group(
-        self, gid: int, t: float, value: float, tag, update_id: int = -1
-    ) -> None:
-        """Decide, queue and dispatch one update against one edge group
-        (one with dependents: the drain loop skips the leaves).
-
-        The scalar ``_process_at_node`` child loop over flat columns:
-        one decision per dependent, the FIFO station's chain of
-        departures, one batched loss draw, then tuple pushes.  Span
-        emission is batched -- one observer call per decision stage,
-        never per child.
-        """
-        cs = self._g_cs[gid]
-        last = self._g_last[gid]
-        mask = self._mask(value, last, cs, self._g_prc[gid], tag)
-        node = self._g_node[gid]
-        is_source = self._g_issrc[gid]
-        counters = self._acounters
-        counters.record_checks(node, is_source, len(cs))
-        child_gids = self._g_child_gid[gid]
-        node_of = self._g_node
-        observer = self.observer
-        if observer is not None:
-            observer.on_check_batch(
-                update_id, self._g_item[gid], t, node,
-                [node_of[g] for g in child_gids], mask, is_source,
-            )
-        if True not in mask:
-            return
-
-        # FIFO station: each forwarded copy departs one computational
-        # delay after the previous one, the first after the later of now
-        # and the node's backlog -- FifoStation.submit's own additions.
-        comp_delay = self._comp_delay_s
-        delays = self._g_delay[gid]
-        keeps_last = not self._centralized
-        backlog = self._busy[node]
-        departure = t if t > backlog else backlog
-        arrivals: list[float] = []
-        targets: list[int] = []
-        for i, forward in enumerate(mask):
-            if forward:
-                if keeps_last:
-                    last[i] = value
-                departure += comp_delay
-                arrivals.append(departure + delays[i])
-                targets.append(child_gids[i])
-        self._busy[node] = departure
-        counters.record_messages(node, is_source, len(targets))
-        if observer is not None:
-            observer.on_forward_batch(
-                update_id, self._g_item[gid], t, node,
-                [node_of[g] for g in targets],
-                [arrival - t for arrival in arrivals],
-            )
-        if self._down_links:
-            # Partition filter before the loss draw: the Bernoulli
-            # stream is only consumed for messages that actually enter
-            # the network, exactly like the scalar child loop.
-            down = self._down_links
-            arrivals, targets = self._drop_unkept(
-                [(node, node_of[g]) not in down for g in targets],
-                arrivals, targets, "partition", update_id, gid, t,
-            )
-        if self._loss_rng is not None and targets:
-            # Same stream, same order: one batched draw consumes the
-            # generator exactly like the scalar per-message draws.
-            kept = self._loss_rng.random(len(targets)) >= self._loss_probability
-            arrivals, targets = self._drop_unkept(
-                kept.tolist(), arrivals, targets, "loss", update_id, gid, t
-            )
-        push = self._batch_kernel.push
-        for arrival, target in zip(arrivals, targets):
-            push(arrival, target, value, tag, update_id, node)
-
-    def _drop_unkept(
-        self,
-        kept: list[bool],
-        arrivals: list[float],
-        targets: list[int],
-        reason: str,
-        update_id: int,
-        gid: int,
-        t: float,
-    ) -> tuple[list[float], list[int]]:
-        """Count the messages ``kept`` flags False as drops (the sender
-        already paid for them) and return the surviving cohort."""
-        if False not in kept:
-            return arrivals, targets
-        self._acounters.drops += kept.count(False)
-        if self.observer is not None:
-            node_of = self._g_node
-            self.observer.on_drop_batch(
-                update_id, self._g_item[gid], t, node_of[gid],
-                [node_of[g] for g, keep in zip(targets, kept) if not keep],
-                reason,
-            )
-        return (
-            [arrival for arrival, keep in zip(arrivals, kept) if keep],
-            [target for target, keep in zip(targets, kept) if keep],
-        )
-
     def run(self) -> SimulationResult:
-        """Drain the merged source/delivery timeline, then score."""
-        schedule = self._update_schedule()
+        """Drain the merged source/delivery timeline, then score.
+
+        One loop: the source branch and the delivery branch fall through
+        to the same edge-group step (the scalar ``_process_at_node``
+        child loop over flat columns), and every column, tally and
+        total it touches is a local.
+        """
+        schedule = self._begin_run()
         kernel = BatchKernel(schedule.times)
-        self._batch_kernel = kernel
+        heap, next_seq = kernel.heap, kernel.next_seq
         source_times = schedule.times.tolist()
         source_items = schedule.item_ids.tolist()
         source_values = schedule.values.tolist()
+        rule = self._rule
         centralized = self._centralized
-        root_gid = self._root_gid
-        # Most groups are leaves; an empty column spares them the call.
-        has_dependents = self._g_cs
+        keeps_last = not centralized
+        examine = self._tagger.examine if centralized else None
+        root_of, root_gid = self._root_of, self._root_gid
+        node_of, item_of = self._g_node, self._g_item
+        g_issrc, g_prc = self._g_issrc, self._g_prc
+        g_child, g_cs = self._g_child_gid, self._g_cs
+        g_last, g_delay = self._g_last, self._g_delay
+        g_log, g_ctol, g_clast = self._g_log, self._g_ctol, self._g_clast
+        busy, comp_delay = self._busy, self._comp_delay_s
         counters = self._acounters
+        node_checks, node_messages = counters.node_checks, counters.node_messages
+        source_messages = source_checks = 0
+        deliveries = drops = client_checks = client_messages = 0
         observer = self.observer
+
         core = self._reconfig
-        crashed, departed = core.crashed, core.departed
-        timeline = core.timeline(schedule.span)
-        ci, nc = 0, len(timeline)
+        crashed, departed, down = core.crashed, core.departed, core.down_links
+        loss_p = self._loss_probability
+        loss_random = None if self._loss_rng is None else self._loss_rng.random
+        # Only a lossy run or one with a failure schedule can drop a
+        # message at the sender; every other run skips both tests.
+        filtered = loss_random is not None or core.failures is not None
+        partitioned, lost = [], []
+        controls = deque(core.timeline(schedule.span))
+        reconfigures = bool(controls)
+
+        def apply_controls(through: float) -> float:
+            """Apply every control entry up to ``through``; return the
+            next one's instant."""
+            while controls and controls[0][0] <= through:
+                core.apply(*controls.popleft())
+            return controls[0][0] if controls else inf
+
+        next_control = apply_controls(-inf)
         for unit in kernel.drain():
-            if ci < nc:
-                # Same tie-break as the scalar event queue (control
-                # events are scheduled before everything else at run()
-                # start): an entry at t applies before the update or
-                # delivery at t.
-                t_unit = source_times[unit] if type(unit) is int else unit[0]
-                while ci < nc and timeline[ci][0] <= t_unit:
-                    core.apply(*timeline[ci])
-                    ci += 1
             if type(unit) is int:
                 # A fresh source update; the static schedule index is
                 # the update's stable trace id.
+                update_id = unit
+                t = source_times[unit]
+                if next_control <= t:
+                    # Same tie-break as the scalar event queue (control
+                    # events are scheduled before everything else at
+                    # run() start): an entry at t applies before the
+                    # update or delivery at t.
+                    next_control = apply_controls(t)
                 item_id = source_items[unit]
                 value = source_values[unit]
-                if nc:
+                if reconfigures:
                     # Keep the root's copy current for initial syncs and
                     # recovery resyncs (the scalar _on_source_update does
                     # this first).
                     self._source_value[item_id] = value
-                if centralized:
-                    decision = self._tagger.examine(item_id, value)
-                    if decision.checks:
-                        counters.record_checks(
-                            self._root_of[item_id], True, decision.checks
-                        )
-                    if observer is not None:
-                        observer.on_source(
-                            unit, item_id, source_times[unit],
-                            self._root_of[item_id],
-                            decision.checks, decision.disseminate,
-                        )
-                    if not decision.disseminate:
-                        continue
-                    tag = decision.tag
-                else:
-                    # The push policies' at_source is a free pass-through
-                    # (no checks, always disseminate) -- mirror the
-                    # scalar engine's span for it.
-                    if observer is not None:
-                        observer.on_source(
-                            unit, item_id, source_times[unit],
-                            self._root_of[item_id], 0, True,
-                        )
-                    tag = None
+                # Only the centralised source examines (and may suppress)
+                # an update; the other policies' at_source is a free
+                # pass-through, reported to the observer all the same.
+                decision = examine(item_id, value) if centralized else _PASS_THROUGH
+                if decision.checks:
+                    source_checks += decision.checks
+                    node_checks[root_of[item_id]] += decision.checks
+                if observer is not None:
+                    observer.on_source(
+                        unit, item_id, t, root_of[item_id],
+                        decision.checks, decision.disseminate,
+                    )
+                if not decision.disseminate:
+                    continue
+                tag = decision.tag
                 gid = root_gid[item_id]
-                if gid >= 0 and has_dependents[gid]:
-                    self._process_group(gid, source_times[unit], value, tag, unit)
+                if gid < 0:
+                    continue
             else:
                 # A delivery tuple: (time, seq, gid, value, tag,
                 # update_id, sender node).
                 t, _seq, gid, value, tag, update_id, src = unit
+                if next_control <= t:
+                    next_control = apply_controls(t)
                 if crashed or departed:
-                    node = self._g_node[gid]
+                    node = node_of[gid]
                     if node in crashed or node in departed:
                         # The sender paid for the message, but the
                         # repository left (or crashed) while it was in
                         # flight: a drop.
-                        counters.drops += 1
+                        drops += 1
                         if observer is not None:
                             observer.on_drop(
-                                update_id, self._g_item[gid], t, src, node,
+                                update_id, item_of[gid], t, src, node,
                                 "departed" if node in departed else "crash",
                             )
                         continue
-                counters.deliveries += 1
+                deliveries += 1
                 if observer is not None:
-                    observer.on_deliver(
-                        update_id, self._g_item[gid], t, self._g_node[gid]
-                    )
-                log = self._g_log[gid]
+                    observer.on_deliver(update_id, item_of[gid], t, node_of[gid])
+                log = g_log[gid]
                 if log is not None:
                     log.append((t, value))
-                tols = self._g_ctol[gid]
+                tols = g_ctol[gid]
                 if tols is not None:
-                    clast = self._g_clast[gid]
-                    mask = forward_distributed_many(
-                        value, clast, tols, self._g_prc[gid]
-                    )
+                    clast = g_clast[gid]
+                    mask = forward_distributed_many(value, clast, tols, g_prc[gid])
                     served = int(np.count_nonzero(mask))
                     if served:
                         clast[mask] = value
-                    counters.client_checks += int(tols.size)
-                    counters.client_messages += served
-                if has_dependents[gid]:
-                    self._process_group(gid, t, value, tag, update_id)
-        while ci < nc:
-            # Entries past the last unit still close/open scoring
-            # segments and count ticks; the scalar kernel runs them too.
-            core.apply(*timeline[ci])
-            ci += 1
+                    client_checks += int(tols.size)
+                    client_messages += served
+
+            # The edge-group step, shared by both branches.
+            cs = g_cs[gid]
+            if not cs:
+                continue  # a leaf, like most groups
+            last = g_last[gid]
+            prc = g_prc[gid]
+            node = node_of[gid]
+            children = g_child[gid]
+            delays = g_delay[gid]
+            # FIFO station: each forwarded copy departs one computational
+            # delay after the previous one, the first after the later of
+            # now and the node's backlog -- FifoStation.submit's own
+            # additions.
+            backlog = busy[node]
+            departure = t if t > backlog else backlog
+            if observer is not None:
+                self._observe_group(gid, update_id, t, value, tag, departure)
+            sent = 0
+            for i, c in enumerate(cs):
+                if rule(value, last[i], c, prc, tag):
+                    if keeps_last:
+                        last[i] = value
+                    departure += comp_delay
+                    sent += 1
+                    if filtered:
+                        # The scalar child loop's order: a down link eats
+                        # the message before the Bernoulli draw, so the
+                        # loss stream is consumed only for messages that
+                        # enter the network.
+                        child = node_of[children[i]]
+                        if down and (node, child) in down:
+                            partitioned.append(child)
+                            continue
+                        if loss_random is not None and loss_random() < loss_p:
+                            lost.append(child)
+                            continue
+                    arrival = departure + delays[i]
+                    if not arrival >= t:  # BatchKernel.push's guard
+                        raise SimulationError(
+                            f"cannot schedule at {arrival!r}: clock is already at {t!r}"
+                        )
+                    heappush(
+                        heap,
+                        (arrival, next_seq(), children[i], value, tag, update_id, node),
+                    )
+            n = len(cs)
+            node_checks[node] += n
+            if g_issrc[gid]:
+                source_checks += n
+                source_messages += sent
+            if sent:
+                busy[node] = departure
+                node_messages[node] += sent
+                if partitioned or lost:
+                    # Dropped at the sender, which already paid for them.
+                    drops += len(partitioned) + len(lost)
+                    if observer is not None:
+                        for cohort, reason in (
+                            (partitioned, "partition"), (lost, "loss")
+                        ):
+                            if cohort:
+                                observer.on_drop_batch(
+                                    update_id, item_of[gid], t, node, cohort, reason
+                                )
+                    partitioned, lost = [], []
+        # Entries past the last unit still close/open scoring segments
+        # and count ticks; the scalar kernel runs them too.
+        apply_controls(inf)
+        counters.source_messages = source_messages
+        counters.source_checks = source_checks
+        counters.deliveries = deliveries
+        counters.drops = drops
+        counters.client_checks = client_checks
+        counters.client_messages = client_messages
         # The core charged reconfiguration and resync cost into the
-        # scalar-side CostCounters; everything else was tallied in the
-        # arrays.  The two are disjoint, so a merge is the union.
+        # scalar-side CostCounters; everything else was tallied here.
+        # The two are disjoint, so a merge is the union.
         self.counters.merge(counters.to_cost_counters())
-        return self._score(schedule.span)
+        # The scalar kernel runs each control-timeline entry as one
+        # discrete event; here they were applied inline, so they are
+        # added back to keep the result field bit-identical.
+        return self._score(schedule.span, kernel.events_processed + core.applied)
+
+    def _observe_group(
+        self, gid: int, update_id: int, t: float, value: float, tag, departure: float
+    ) -> None:
+        """Tell the observer what the edge-group step is about to do.
+
+        The rules are pure, so evaluated before any last-sent value
+        moves they give the step's own decisions; the latencies repeat
+        its additions from ``departure``, the station's first free instant.
+        """
+        node_of = self._g_node
+        node, item_id = node_of[gid], self._g_item[gid]
+        children = [node_of[g] for g in self._g_child_gid[gid]]
+        rule, prc = self._rule, self._g_prc[gid]
+        mask = [
+            rule(value, sent, c, prc, tag)
+            for sent, c in zip(self._g_last[gid], self._g_cs[gid])
+        ]
+        self.observer.on_check_batch(
+            update_id, item_id, t, node, children, mask, self._g_issrc[gid]
+        )
+        targets, latencies = [], []
+        for child, delay, forward in zip(children, self._g_delay[gid], mask):
+            if forward:
+                departure += self._comp_delay_s
+                targets.append(child)
+                latencies.append(departure + delay - t)
+        if targets:
+            self.observer.on_forward_batch(
+                update_id, item_id, t, node, targets, latencies
+            )
 
     # ------------------------------------------------------------------
     # Edge-store port: the same surgery on the edge-group columns.  The
@@ -509,11 +508,3 @@ class VectorizedSimulation(DisseminationSimulation):
         self._g_clast[child_gid] = self._client_last.get(key)
         if self._centralized:
             self._tagger.add_tolerance(item_id, c, initial)
-
-    def _events_processed(self) -> int:
-        if self._batch_kernel is None:
-            return 0
-        # The scalar kernel schedules each control-timeline entry as one
-        # discrete event; the batch drain applies them inline, so they
-        # are added back here to keep the result field bit-identical.
-        return self._batch_kernel.events_processed + self._reconfig.applied

@@ -51,10 +51,12 @@ class EventQueue:
     The queue assigns sequence numbers itself so that two events scheduled
     for the same instant fire in the order they were scheduled.  Cancelled
     events stay in the heap but are skipped on ``pop`` (lazy deletion).
+    The heap holds ``(time, seq, event)`` tuples: ``seq`` is unique, so
+    :mod:`heapq` orders them in C without ever comparing two events.
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._next_seq = 0
         self._live = 0
 
@@ -76,7 +78,7 @@ class EventQueue:
             raise SimulationError(f"cannot schedule an event at negative time {time!r}")
         event = Event(time=time, seq=self._next_seq, callback=callback, args=args)
         self._next_seq += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, event.seq, event))
         self._live += 1
         return event
 
@@ -87,7 +89,7 @@ class EventQueue:
             SimulationError: if the queue holds no live events.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if event.cancelled:
                 continue
             self._live -= 1
@@ -106,11 +108,11 @@ class EventQueue:
         Raises:
             SimulationError: if the queue holds no live events.
         """
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             raise SimulationError("peek on an empty event queue")
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def clear(self) -> None:
         """Drop every pending event."""

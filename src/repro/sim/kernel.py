@@ -7,20 +7,18 @@ callbacks rather than using coroutine processes, which keeps the hot loop
 fast enough for the paper-scale experiments.
 
 :class:`BatchKernel` is the object-free sibling used by the vectorized
-engine (:mod:`repro.engine.vectorized`): instead of allocating one
-:class:`~repro.sim.events.Event` object and one callback dispatch per
-message, it merges a *pre-sorted static schedule* (every source update
-of the run, known up front as numpy arrays) with a plain tuple heap of
-in-flight deliveries.  Same-timestamp cohorts drain in FIFO scheduling
-order -- all static events at time ``t`` fire before any delivery at
-``t`` (they were scheduled first), and deliveries fire in push order --
-which reproduces the scalar kernel's ``(time, seq)`` tie-breaking
-exactly.
+engine (:mod:`repro.engine.vectorized`): no :class:`~repro.sim.events.
+Event` object and no callback dispatch per message, just one merge of
+the run's pre-sorted source-update schedule with a plain tuple heap of
+in-flight deliveries, in the scalar kernel's exact ``(time, seq)``
+order.  It is a merge and nothing more -- the engine's loop owns the
+work per unit and pushes onto the kernel's heap itself.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -149,10 +147,20 @@ class BatchKernel:
     timestamps fire in push (FIFO) order via the monotone ``seq``.
     Work pushed *at* the current timestamp while a cohort drains is
     picked up within the same cohort, exactly like the scalar queue.
+
+    Attributes:
+        now: Current simulated time in seconds (the last unit's).
+        events_processed: Work units drained so far (static + dynamic).
+        heap / next_seq: The dynamic heap and its FIFO tie-breaker,
+            public so a hot loop can enqueue without a Python-level
+            call: ``heappush(kernel.heap, (time, kernel.next_seq(),
+            *payload))`` is what :meth:`push` does.  The caller then
+            owns push's guard: ``time`` must not be NaN or earlier than
+            the unit being processed.
     """
 
-    __slots__ = ("_static_times", "_n_static", "_next_static", "_heap",
-                 "_seq", "_now", "_events_processed")
+    __slots__ = ("_static_times", "_next_static", "heap", "next_seq", "now",
+                 "events_processed")
 
     def __init__(self, static_times: "np.ndarray") -> None:
         times = np.ascontiguousarray(static_times, dtype=np.float64)
@@ -161,22 +169,11 @@ class BatchKernel:
         # A list: the drain compares one element per unit, and a float
         # compare costs a fraction of an np.float64 one.
         self._static_times: list[float] = times.tolist()
-        self._n_static = len(self._static_times)
         self._next_static = 0
-        self._heap: list[tuple] = []
-        self._seq = 0
-        self._now = 0.0
-        self._events_processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    @property
-    def events_processed(self) -> int:
-        """Number of work units drained so far (static + dynamic)."""
-        return self._events_processed
+        self.heap: list[tuple] = []
+        self.next_seq = itertools.count().__next__
+        self.now = 0.0
+        self.events_processed = 0
 
     def push(self, time: float, *payload: Any) -> None:
         """Enqueue one dynamic event at absolute simulated ``time``.
@@ -184,42 +181,39 @@ class BatchKernel:
         Raises:
             SimulationError: if ``time`` is NaN or in the simulated past.
         """
-        if time != time or time < self._now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule at {time!r}: clock is already at {self._now!r}"
+                f"cannot schedule at {time!r}: clock is already at {self.now!r}"
             )
-        heapq.heappush(self._heap, (time, self._seq) + payload)
-        self._seq += 1
+        heapq.heappush(self.heap, (time, self.next_seq()) + payload)
 
     def drain(self) -> Iterator[Any]:
         """Yield work units in ``(time, FIFO)`` order until both sources dry.
 
         Static units come out as their schedule index (``int``); dynamic
-        units come out as the exact tuple given to :meth:`push`
+        units come out as the exact tuple on the heap
         (``(time, seq, *payload)``).  The clock advances to each unit's
-        timestamp before it is yielded.
+        timestamp before it is yielded.  The cursor and the count live
+        in locals and are stored back per unit, so a drain abandoned
+        midway can be resumed by a fresh call.
         """
         static_times = self._static_times
-        heap = self._heap
+        n_static = len(static_times)
+        heap = self.heap
+        heappop = heapq.heappop
+        cursor = self._next_static
+        done = self.events_processed
         while True:
-            has_static = self._next_static < self._n_static
-            if heap:
-                if has_static and static_times[self._next_static] <= heap[0][0]:
-                    index = self._next_static
-                    self._next_static = index + 1
-                    self._now = static_times[index]
-                    self._events_processed += 1
-                    yield index
-                else:
-                    event = heapq.heappop(heap)
-                    self._now = event[0]
-                    self._events_processed += 1
-                    yield event
-            elif has_static:
-                index = self._next_static
-                self._next_static = index + 1
-                self._now = static_times[index]
-                self._events_processed += 1
-                yield index
+            if heap and not (
+                cursor < n_static and static_times[cursor] <= heap[0][0]
+            ):
+                unit = heappop(heap)
+                self.now = unit[0]
+            elif cursor < n_static:
+                unit = cursor
+                self.now = static_times[cursor]
+                self._next_static = cursor = cursor + 1
             else:
                 return
+            self.events_processed = done = done + 1
+            yield unit

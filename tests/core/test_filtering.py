@@ -36,9 +36,10 @@ def test_forward_flooding_skips_repeats_only():
 
 
 def test_forward_centralized_prunes_by_tag():
-    assert forward_centralized(0.3, tag=0.3)
-    assert forward_centralized(0.1, tag=0.3)
-    assert not forward_centralized(0.5, tag=0.3)
+    # The value and last-sent operands are ignored: the tag decides.
+    assert forward_centralized(1.0, 1.0, 0.3, 0.0, tag=0.3)
+    assert forward_centralized(1.0, 1.0, 0.1, 0.0, tag=0.3)
+    assert not forward_centralized(9.0, 1.0, 0.5, 0.0, tag=0.3)
 
 
 def test_tag_for_update_picks_max_violated():

@@ -5,7 +5,12 @@ import pytest
 from repro.core.dissemination import make_policy
 from repro.engine.builder import build_setup
 from repro.engine.config import SCALE_PRESETS
-from repro.engine.simulation import DisseminationSimulation, run_simulation
+from repro.engine.simulation import (
+    DisseminationSimulation,
+    make_simulation,
+    run_simulation,
+)
+from repro.errors import SimulationError
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +60,18 @@ def test_same_setup_same_result(tiny_setup_module):
     assert a.loss_of_fidelity == b.loss_of_fidelity
     assert a.messages == b.messages
     assert a.counters.source_checks == b.counters.source_checks
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+def test_a_simulation_runs_once_and_its_result_survives_the_refusal(kernel):
+    """A second run() used to merge the counters again on the batch
+    kernel -- silently rewriting the result already returned."""
+    setup = build_setup(SCALE_PRESETS["tiny"].with_(seed=5, kernel=kernel))
+    simulation = make_simulation(setup)
+    first = simulation.run()
+    with pytest.raises(SimulationError, match="build a new one"):
+        simulation.run()
+    assert first == make_simulation(setup).run()
 
 
 def test_run_simulation_end_to_end():

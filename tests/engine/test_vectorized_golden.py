@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.dissemination.filtering import FILTERED_POLICIES, quantise_tolerance
 from repro.engine.builder import build_setup
-from repro.engine.churn import ChurnEvent, ChurnSchedule
+from repro.engine.churn import ChurnEvent, ChurnSchedule, schedule_for_config
 from repro.engine.config import SCALE_PRESETS
 from repro.engine.failures import FailureEvent, FailureSchedule
 from repro.engine.simulation import (
@@ -104,6 +104,31 @@ def test_vectorized_kernel_runs_churn_setups_like_the_oracle():
     result = VectorizedSimulation(setup).run()
     assert result == DisseminationSimulation(setup).run()
     assert result.counters.reconfigurations == 2
+
+
+def test_centralised_churn_under_loss_equals_the_oracle():
+    """The policy that keeps no last-sent state meets rewires (the
+    tagger's tolerance counts move) and the per-message loss draw."""
+    config = BASE.with_(policy="centralized", message_loss_probability=0.05)
+    config = config.with_(
+        churn=schedule_for_config(config, joins=2, departs=2, updates=2)
+    )
+    scalar, vector = _pair(config)
+    assert scalar == vector
+    assert vector.counters.reconfigurations == 6
+    assert vector.counters.drops > 0
+
+
+@pytest.mark.parametrize("delay", [float("nan"), -1e9])
+def test_the_inline_heap_push_keeps_the_kernels_guard(delay):
+    """The drain loop enqueues with ``heappush(kernel.heap, ...)``
+    directly, so ``BatchKernel.push``'s NaN/past check is its own."""
+    sim = VectorizedSimulation(build_setup(BASE))
+    delays = sim._g_delay[sim._root_gid[0]]
+    assert delays  # item 0's source group has dependents to send to
+    delays[:] = [delay] * len(delays)
+    with pytest.raises(SimulationError, match="cannot schedule"):
+        sim.run()
 
 
 def test_vectorized_kernel_refuses_policies_outside_the_push_four():

@@ -63,22 +63,33 @@ def test_traced_failure_run_is_bit_identical_and_reconciles(kernel):
     assert any(ev.kind == "drop" for ev in recorder.events)
 
 
+def _span_multiset(config, kernel):
+    recorder = TraceRecorder(policy=config.policy)
+    run_simulation(config.with_(kernel=kernel), observer=recorder)
+    return sorted(
+        (ev.kind, ev.update_id, ev.item_id, ev.time, ev.node, ev.dst,
+         ev.forwarded, ev.reason or "")
+        for ev in recorder.events
+    )
+
+
 def test_scalar_and_vectorized_emit_identical_span_multisets():
     """Same update ids, same hops, same decisions -- kernel-independent."""
-    recorders = {}
-    for kernel in ("scalar", "vectorized"):
-        recorder = TraceRecorder(policy=BASE.policy)
-        run_simulation(BASE.with_(kernel=kernel), observer=recorder)
-        recorders[kernel] = recorder
+    assert _span_multiset(BASE, "scalar") == _span_multiset(BASE, "vectorized")
 
-    def key(recorder):
-        return sorted(
-            (ev.kind, ev.update_id, ev.item_id, ev.node, ev.dst,
-             ev.forwarded, ev.reason)
-            for ev in recorder.events
-        )
 
-    assert key(recorders["scalar"]) == key(recorders["vectorized"])
+def test_span_multisets_agree_under_loss_crashes_and_partitions():
+    """The drop path is where the kernels differ most in shape (per
+    message on the scalar one, per cohort and reason on the batch one);
+    the spans must not show it."""
+    config = BASE.with_(message_loss_probability=0.05, seed=7)
+    config = config.with_(
+        failures=failures_for_config(config, crashes=2, partitions=2)
+    )
+    spans = _span_multiset(config, "vectorized")
+    assert spans == _span_multiset(config, "scalar")
+    drop_reasons = {span[-1] for span in spans if span[0] == "drop"}
+    assert drop_reasons == {"loss", "partition", "crash"}
 
 
 @pytest.mark.live

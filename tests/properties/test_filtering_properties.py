@@ -186,3 +186,38 @@ def test_array_source_tagger_matches_scalar_tagger(cs, values, initial):
     array.add_item(0, unique, initial)
     for value in values:
         assert array.examine(0, value) == scalar.examine(0, value)
+
+
+# ---------------------------------------------------------------------------
+# The policy -> rule table the batch kernel binds its decision from.
+# ---------------------------------------------------------------------------
+
+from repro.core.dissemination.filtering import FORWARD_RULES
+
+
+def test_the_rule_table_covers_exactly_the_filtered_policies():
+    assert tuple(FORWARD_RULES) == FILTERED_POLICIES
+
+
+@pytest.mark.parametrize("policy", FILTERED_POLICIES)
+@given(
+    value=_value,
+    last=_value,
+    c=_tolerance,
+    prc=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+    tag=_tolerance,
+)
+@settings(max_examples=200, deadline=None)
+def test_each_rule_table_entry_is_its_edge_filters_decision(
+    policy, value, last, c, prc, tag
+):
+    """One positional signature for all four: the engine calls
+    ``rule(value, last_sent, c_serve, parent_receive_c, tag)`` and moves
+    ``last_sent`` itself, which must be what ``EdgeFilter.decide`` does
+    (its refusal of an untagged centralised update is pinned in
+    ``tests/core/test_filtering.py``)."""
+    edge = EdgeFilter(policy, c, last)
+    forward = FORWARD_RULES[policy](value, last, edge.c_serve, prc, tag)
+    assert edge.decide(value, prc, tag) is forward
+    assert edge.last_sent == (value if forward else last)
+

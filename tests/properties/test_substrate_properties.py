@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from heapq import heappush
+
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from repro.core.fidelity import violation_time
+from repro.errors import SimulationError
 from repro.sim.events import EventQueue
+from repro.sim.kernel import BatchKernel
 from repro.sim.queueing import FifoStation
 
 
@@ -30,6 +35,63 @@ def test_event_queue_pops_sorted_and_stable(times):
     for a, b in zip(popped, popped[1:]):
         if a.time == b.time:
             assert a.seq < b.seq
+
+
+# A coarse time grid, so static/dynamic and dynamic/dynamic ties are the
+# common case rather than a measure-zero one.
+_grid = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@given(
+    static=st.lists(_grid, max_size=12).map(sorted),
+    # Per drained unit: the (delay, enqueue directly?) of each message
+    # it sends.  Units past the script's end send nothing, so the drain
+    # always terminates.
+    script=st.lists(
+        st.lists(st.tuples(_grid, st.booleans()), max_size=3), max_size=30
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_batch_kernel_merges_both_entry_points_in_time_fifo_order(static, script):
+    """``push()`` and a direct ``heappush(kernel.heap, (t,
+    kernel.next_seq(), ...))`` are one queue: whatever the interleaving,
+    units drain by time, static before dynamic at a tie, dynamic ones in
+    the order they were enqueued."""
+    kernel = BatchKernel(np.array(static))
+    # The reference: every pending unit as (time, 0 = static / 1 =
+    # dynamic, FIFO ordinal); the next one out is simply the minimum.
+    pending = [(t, 0, index) for index, t in enumerate(static)]
+    sends = iter(script)
+    enqueued = yielded = 0
+    for unit in kernel.drain():
+        expected = min(pending)
+        pending.remove(expected)
+        if type(unit) is int:
+            assert (static[unit], 0, unit) == expected
+        else:
+            time, _seq, ordinal = unit
+            assert (time, 1, ordinal) == expected
+        yielded += 1
+        assert kernel.events_processed == yielded
+        assert kernel.now == expected[0]
+        for delay, direct in next(sends, ()):
+            t = kernel.now + delay
+            if direct:
+                heappush(kernel.heap, (t, kernel.next_seq(), enqueued))
+            else:
+                kernel.push(t, enqueued)
+            pending.append((t, 1, enqueued))
+            enqueued += 1
+    assert not pending
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 4.0])
+def test_batch_kernel_push_refuses_nan_and_the_past(bad):
+    kernel = BatchKernel(np.array([5.0]))
+    assert next(kernel.drain()) == 0 and kernel.now == 5.0
+    with pytest.raises(SimulationError, match="cannot schedule"):
+        kernel.push(bad, "payload")
+    assert not kernel.heap
 
 
 @given(
