@@ -6,21 +6,24 @@ Three guarantees live here:
    grows the loss of fidelity by less than 5 percentage points.
 2. Performance: on the ``scalability`` preset (10^3 repositories, 10^5+
    modeled clients) the vectorized kernel beats the scalar
-   oracle by at least 10x wall-clock while producing a bit-identical
+   oracle by at least 40x wall-clock while producing a bit-identical
    ``SimulationResult``.
 3. Performance, base case: on the ``paper`` preset (100 repositories,
    20 items, offered degree 4, no clients) -- edge groups 1-4 wide, the
    shape every paper figure runs -- the same kernel beats the scalar
    oracle by at least 1.5x, bit-identically, so ``kernel="auto"``
    picking the slower kernel cannot come back silently.  Measured:
-   ~2.3x.
+   ~3.5x.
 
 The client-plane pin trims the preset's trace length, item count and
 router mesh (set-up is identical for both kernels, so it would only
 dilute the measured ratio) but keeps the full thousand repositories and
 grows the client plane to 2 million modeled clients -- the regime the
-vectorized kernel exists for.  Measured speedup on the development
-container: ~25x.
+vectorized kernel exists for.  Measured on the development container:
+109x (scalar 24.1 s, vectorized 0.221 s; 65 322 681 client checks and
+50 360 058 client messages decided in 41 164 ``Staircase.serve`` calls
+of 1.89 runs on average, p99 6, max 8).  One numpy call sequence per
+delivery, the form before the staircase, read 35x (0.699 s).
 """
 
 import time
@@ -84,9 +87,9 @@ def _kernel_speedup(benchmark, config) -> float:
 
 
 def bench_vectorized_kernel_speedup(benchmark):
-    """The client-plane pin: >=10x over the scalar oracle, bit-identical."""
+    """The client-plane pin: >=40x over the scalar oracle, bit-identical."""
     speedup = _kernel_speedup(benchmark, SPEEDUP_CONFIG)
-    assert speedup >= 10.0, f"only {speedup:.1f}x: {benchmark.extra_info}"
+    assert speedup >= 40.0, f"only {speedup:.1f}x: {benchmark.extra_info}"
 
 
 def bench_base_case_kernel_speedup(benchmark):

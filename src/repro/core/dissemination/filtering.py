@@ -21,22 +21,30 @@ Four layers:
   :func:`forward_centralized`, :func:`tag_for_update`) -- stateless,
   trivially property-testable, the four per-edge rules under one
   signature and tabled by policy in :data:`FORWARD_RULES`;
-- the array forms that pay where the operand is genuinely wide
-  (:func:`forward_distributed_many` over a repository's modeled-client
-  block, :class:`ArraySourceTagger` over an item's unique tolerances)
-  -- one numpy call, elementwise bit-identical to the scalar functions;
-  the batch kernel (:mod:`repro.engine.vectorized`) uses them there and
-  the scalar functions on its 1-4 wide edge groups;
 - :class:`EdgeFilter` -- one edge's decision plus its per-edge state
   (``last_sent``), dispatching to the pure functions by policy name;
 - :class:`SourceTagger` -- the centralised policy's source-side
   examination (unique-tolerance list, per-tolerance last-sent values,
-  Figure 11(a) check counting).
+  Figure 11(a) check counting);
+- :class:`Staircase` -- the last-sent state of a whole *ascending
+  tolerance column* as runs of equal values, for the two places where
+  one update meets many tolerances: a repository's modeled-client block
+  (:meth:`Staircase.serve`, Eq. 3-or-Eq. 7 per client) and the
+  centralised source's unique tolerances (:meth:`Staircase.tag`,
+  wrapped per item by :class:`StaircaseTagger`).  Both rules are
+  monotone in the tolerance, so a run is decided by its end elements
+  and one ``bisect``, exactly; the batch kernel
+  (:mod:`repro.engine.vectorized`) uses it there and the scalar
+  functions on its 1-4 wide edge groups.
+  :func:`forward_distributed_many` is the elementwise numpy reference
+  the staircase is property-tested against.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 
 import numpy as np
 
@@ -56,7 +64,8 @@ __all__ = [
     "FORWARD_RULES",
     "EdgeFilter",
     "SourceTagger",
-    "ArraySourceTagger",
+    "Staircase",
+    "StaircaseTagger",
     "FILTERED_POLICIES",
 ]
 
@@ -184,6 +193,11 @@ def forward_distributed_many(
     ``abs``/compare/subtract agree exactly with Python-float arithmetic
     on the same operands.  ``parent_receive_c`` may be a scalar (all
     dependents hang off one serving node) or a parallel array.
+
+    Kept on purpose although no engine calls it any more: it is the
+    elementwise reference :meth:`Staircase.serve` is property-tested
+    against, and the perf ledger's ``core.filtering.many4_ns`` /
+    ``many1000_ns`` probes time it.
     """
     deviation = np.abs(value - last_sent)
     return (deviation > c_serve) | ((c_serve - deviation) < parent_receive_c)
@@ -266,6 +280,11 @@ class SourceTagger:
     CentralizedPolicy` (which feeds it from ``register_edge``) and the
     live :class:`~repro.live.nodes.SourceNode` (which feeds it from the
     LeLA-built ``d3g``).
+
+    Kept on purpose beside :class:`StaircaseTagger`: this dict-backed,
+    one-test-per-tolerance form is the scalar oracle's and the live
+    source's, and the reference the staircase tagger is property-tested
+    against.
     """
 
     def __init__(self) -> None:
@@ -330,92 +349,233 @@ class SourceTagger:
         return SourceDecision(disseminate=True, tag=tag, checks=checks)
 
 
-class ArraySourceTagger:
-    """Array-backed mirror of :class:`SourceTagger` for the vectorized kernel.
+class Staircase:
+    """Last-sent values over an ascending tolerance column, held as runs.
 
-    Keeps, per item, the ascending unique-tolerance array and a parallel
-    last-sent array, and examines a fresh update with three numpy ops
-    instead of a Python loop over tolerances.  Bit-identical to
-    :meth:`SourceTagger.examine`: the tag is the largest violated
-    tolerance (the last violated entry of an ascending array) and the
-    value is marked sent for every tolerance the tag covers.
+    A flat last-sent column in ascending tolerance order is a staircase:
+    a few runs of equal values.  The state is ``ends`` (each run's
+    exclusive end index, strictly increasing, the last one ``len(cs)``)
+    and ``vals`` (the value each run holds; adjacent runs differ, equal
+    neighbours are merged).  Both rules below are monotone in the
+    tolerance -- at one held value, if a tolerance is served (violated),
+    so is every smaller one -- so an update can only ever move a
+    *prefix* of a run, and a run is decided by its two end elements and
+    at most one ``bisect`` instead of one test per element.
 
-    Like the scalar tagger it counts the edges serving at each
-    tolerance, so reconfigurations call :meth:`add_tolerance` /
-    :meth:`remove_tolerance` once per wired / torn-down edge and the
-    unique list follows.
+    ``cs`` is any ascending sequence ``bisect`` can index: the batch
+    engine passes a read-only ``memoryview`` of a client block (no
+    per-client Python floats are kept alive), :class:`StaircaseTagger` a
+    plain list of unique tolerances.
+    """
+
+    __slots__ = ("cs", "ends", "vals")
+
+    def __init__(self, cs, initial_value: float) -> None:
+        self.cs = cs
+        n = len(cs)
+        self.ends = [n] if n else []
+        self.vals = [initial_value] if n else []
+
+    @classmethod
+    def compress(cls, cs, last_sent) -> "Staircase":
+        """The staircase of a flat last-sent column parallel to ``cs``."""
+        stairs = cls(cs, 0.0)
+        ends, vals = [], []
+        for end, held in enumerate(last_sent, start=1):
+            if vals and vals[-1] == held:
+                ends[-1] = end
+            else:
+                ends.append(end)
+                vals.append(held)
+        stairs.ends, stairs.vals = ends, vals
+        return stairs
+
+    def expand(self) -> list[float]:
+        """The flat last-sent column, one value per tolerance."""
+        flat: list[float] = []
+        start = 0
+        for end, held in zip(self.ends, self.vals):
+            flat.extend([held] * (end - start))
+            start = end
+        return flat
+
+    def serve(self, value: float, parent_receive_c: float) -> int:
+        """Apply :func:`forward_distributed` to every element and move
+        the served ones to ``value``; returns how many were served.
+
+        Exactly ``count_nonzero(forward_distributed_many(value, flat,
+        cs, parent_receive_c))`` followed by the masked store.  The rule
+        is monotone in ``c_serve`` in IEEE arithmetic as well (a
+        comparison, and ``c - deviation``, which rounds monotonically),
+        so each run's served set is a prefix.  "None" and "all" are read
+        off the run's first and last element; otherwise Eq. (7)'s
+        real-number boundary ``deviation + parent_receive_c`` places the
+        cut to within rounding, and the rule itself, asked about the
+        elements either side, settles it.
+        """
+        cs = self.cs
+        ends: list[int] = []
+        vals: list[float] = []
+        served = start = 0
+        for end, held in zip(self.ends, self.vals):
+            if not forward_distributed(value, held, cs[start], parent_receive_c):
+                cut = start
+            elif forward_distributed(value, held, cs[end - 1], parent_receive_c):
+                cut = end
+            else:
+                # cs[start] is served and cs[end - 1] is not, which
+                # bounds both walks.
+                cut = bisect_left(
+                    cs, abs(value - held) + parent_receive_c, start + 1, end - 1
+                )
+                while forward_distributed(value, held, cs[cut], parent_receive_c):
+                    cut += 1
+                while not forward_distributed(
+                    value, held, cs[cut - 1], parent_receive_c
+                ):
+                    cut -= 1
+            if cut > start:
+                served += cut - start
+                if vals and vals[-1] == value:
+                    ends[-1] = cut
+                else:
+                    ends.append(cut)
+                    vals.append(value)
+            if cut < end:
+                if vals and vals[-1] == held:
+                    ends[-1] = end
+                else:
+                    ends.append(end)
+                    vals.append(held)
+            start = end
+        self.ends, self.vals = ends, vals
+        return served
+
+    def tag(self, value: float) -> float | None:
+        """Section 5.2's source step: the largest violated tolerance
+        (``None`` when none is), after marking ``value`` sent for every
+        tolerance it covers -- :func:`tag_for_update` plus
+        :meth:`SourceTagger.examine`'s store.
+
+        Within a run the violated tolerances (``deviation > c``) are a
+        prefix, so scanning runs from the widest tolerance down, the
+        first run whose lowest tolerance is violated holds the tag, just
+        below the ``bisect_left`` position of the deviation (``c <
+        deviation`` is the rule's own comparison).  Everything up to the
+        tag then holds ``value``: one run.
+        """
+        cs, ends, vals = self.cs, self.ends, self.vals
+        for k in range(len(ends) - 1, -1, -1):
+            lo = ends[k - 1] if k else 0
+            deviation = abs(value - vals[k])
+            if cs[lo] < deviation:
+                hi = ends[k]
+                cut = bisect_left(cs, deviation, lo, hi)
+                # Runs below k are covered whole; run k too unless its
+                # tail survives the cut.
+                covered = k if cut < hi else k + 1
+                ends[:covered] = [cut]
+                vals[:covered] = [value]
+                if len(vals) > 1 and vals[1] == value:
+                    del ends[0], vals[0]
+                return cs[cut - 1]
+        return None
+
+
+_NO_TOLERANCES = SourceDecision(disseminate=False, tag=None, checks=0)
+
+
+class StaircaseTagger:
+    """The batch engine's :class:`SourceTagger`: per item, a
+    :class:`Staircase` over the ascending unique tolerances.
+
+    Bit-identical to :meth:`SourceTagger.examine` (property-tested
+    against it), at one ``bisect`` per run of equal last-sent values
+    instead of one test per tolerance.  Like the scalar tagger it counts
+    the edges serving at each tolerance, so reconfigurations call
+    :meth:`add_tolerance` / :meth:`remove_tolerance` once per wired /
+    torn-down edge and the unique list follows; a tolerance entering or
+    leaving the list -- rare -- expands the staircase to the flat
+    column, edits it and compresses it again.
     """
 
     def __init__(self) -> None:
-        # item -> (ascending quantised tolerances, parallel last-sent
-        # values, parallel serving-edge counts)
-        self._state: dict[
-            int, tuple["np.ndarray", "np.ndarray", "np.ndarray"]
-        ] = {}
+        # item -> (staircase over the ascending quantised tolerances,
+        # parallel serving-edge counts, the "nothing violated" decision:
+        # its checks -- the tolerance count -- is all that can change)
+        self._state: dict[int, tuple[Staircase, list[int], SourceDecision]] = {}
+
+    def _install(self, item_id: int, stairs: Staircase, counts: list[int]) -> None:
+        self._state[item_id] = (
+            stairs,
+            counts,
+            SourceDecision(disseminate=False, tag=None, checks=len(counts)),
+        )
 
     def add_item(
         self, item_id: int, tolerances: list[float], initial_value: float
     ) -> None:
         """Install one item from its edges' tolerances, one entry per
         edge in any order (repeats are what gets counted)."""
-        cs, counts = np.unique(
-            [quantise_tolerance(c) for c in tolerances], return_counts=True
+        counts = Counter(
+            quantise_tolerance(validate_tolerance(c, "source-tagger tolerance"))
+            for c in tolerances
         )
-        self._state[item_id] = (cs, np.full(cs.size, initial_value), counts)
+        cs = sorted(counts)
+        self._install(item_id, Staircase(cs, initial_value), [counts[c] for c in cs])
 
     def add_tolerance(self, item_id: int, c: float, initial_value: float) -> None:
         """One more edge serves at (quantised) ``c``; a new tolerance
         starts from ``initial_value``, an existing entry keeps its
         last-sent value -- like :meth:`SourceTagger.add_tolerance`."""
+        validate_tolerance(c, "source-tagger tolerance")
         c = quantise_tolerance(c)
-        cs, sent, counts = self._state.get(
-            item_id,
-            (np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)),
-        )
-        idx = int(np.searchsorted(cs, c))
-        if idx < cs.size and cs[idx] == c:
-            counts[idx] += 1
+        if item_id not in self._state:
+            self._install(item_id, Staircase([], initial_value), [])
+        stairs, counts, _quiet = self._state[item_id]
+        cs = stairs.cs
+        i = bisect_left(cs, c)
+        if i < len(cs) and cs[i] == c:
+            counts[i] += 1
             return
-        self._state[item_id] = (
-            np.insert(cs, idx, c),
-            np.insert(sent, idx, initial_value),
-            np.insert(counts, idx, 1),
-        )
+        last_sent = stairs.expand()
+        cs.insert(i, c)
+        last_sent.insert(i, initial_value)
+        counts.insert(i, 1)
+        self._install(item_id, Staircase.compress(cs, last_sent), counts)
 
     def remove_tolerance(self, item_id: int, c: float) -> None:
         """One edge serving at ``c`` is gone; forget the tolerance when
-        it was the last -- like :meth:`SourceTagger.remove_tolerance`."""
+        it was the last -- like :meth:`SourceTagger.remove_tolerance`.
+        Unknown pairs are ignored."""
         c = quantise_tolerance(c)
-        cs, sent, counts = self._state.get(item_id, (np.empty(0),) * 3)
-        hits = np.nonzero(cs == c)[0]
-        if not hits.size:
+        state = self._state.get(item_id)
+        if state is None:
             return
-        i = int(hits[0])
+        stairs, counts, _quiet = state
+        cs = stairs.cs
+        i = bisect_left(cs, c)
+        if i == len(cs) or cs[i] != c:
+            return
         if counts[i] > 1:
             counts[i] -= 1
-        else:
-            self._state[item_id] = (
-                np.delete(cs, i),
-                np.delete(sent, i),
-                np.delete(counts, i),
-            )
+            return
+        last_sent = stairs.expand()
+        del cs[i], last_sent[i], counts[i]
+        self._install(item_id, Staircase.compress(cs, last_sent), counts)
 
     def unique_tolerances(self, item_id: int) -> list[float]:
         """Ascending unique tolerances, as :class:`SourceTagger` reports."""
         state = self._state.get(item_id)
-        return [] if state is None else state[0].tolist()
+        return [] if state is None else list(state[0].cs)
 
     def examine(self, item_id: int, value: float) -> SourceDecision:
-        """Vectorised :meth:`SourceTagger.examine` (Section 5.2 source step)."""
+        """:meth:`SourceTagger.examine` (Section 5.2 source step)."""
         state = self._state.get(item_id)
-        if state is None or not state[0].size:
-            return SourceDecision(disseminate=False, tag=None, checks=0)
-        cs, sent, _counts = state
-        checks = int(cs.size)
-        violated = np.abs(value - sent) > cs
-        hits = np.nonzero(violated)[0]
-        if not hits.size:
-            return SourceDecision(disseminate=False, tag=None, checks=checks)
-        tag = float(cs[hits[-1]])
-        sent[cs <= tag] = value
-        return SourceDecision(disseminate=True, tag=tag, checks=checks)
+        if state is None:
+            return _NO_TOLERANCES
+        stairs, _counts, quiet = state
+        tag = stairs.tag(value)
+        if tag is None:
+            return quiet
+        return SourceDecision(disseminate=True, tag=tag, checks=quiet.checks)

@@ -61,9 +61,10 @@ class SimulationSetup:
     #: setups, which fall back to computing it at run start).
     update_schedule: UpdateSchedule | None = None
     #: Per (repository, item): the attached modeled clients' coherency
-    #: tolerances as a read-only float64 array.  ``None`` when
-    #: ``clients_per_repository == 0``.  Simulations copy the mutable
-    #: last-served state per run; a shared setup stays read-only.
+    #: tolerances as a read-only float64 array in ascending order.
+    #: ``None`` when ``clients_per_repository == 0``.  Simulations keep
+    #: their own last-served state per run; a shared setup stays
+    #: read-only.
     client_tolerances: dict[tuple[int, int], np.ndarray] | None = field(
         default=None, repr=False
     )
@@ -201,9 +202,12 @@ def _generate_client_tolerances(
     and requires a coherency in ``[c_repo, 2*c_repo)``, where ``c_repo``
     is the repository's own tolerance for the item -- clients can never
     be *more* stringent than the copy their repository receives (the
-    same Eq. (1) monotonicity the repository plane obeys).  Arrays are
-    frozen read-only; the per-run last-served state is copied by each
-    simulation.
+    same Eq. (1) monotonicity the repository plane obeys).  Each block
+    is sorted ascending -- the order inside a block is unobservable
+    (only the ``client_checks`` / ``client_messages`` totals leave it),
+    and the batch engine's :class:`~repro.core.dissemination.filtering.
+    Staircase` needs an ascending column -- and frozen read-only; the
+    per-run last-served state is each simulation's own.
     """
     n = config.clients_per_repository
     tolerances: dict[tuple[int, int], np.ndarray] = {}
@@ -219,6 +223,7 @@ def _generate_client_tolerances(
                 continue
             c_repo = requirements[item_id]
             tols = c_repo * (1.0 + rng.random(count))
+            tols.sort()
             tols.flags.writeable = False
             tolerances[(repo, item_id)] = tols
     return tolerances

@@ -93,17 +93,13 @@ class DisseminationSimulation:
         # Per (repo, item): delivery log [(time, value), ...].
         self._deliveries: dict[tuple[int, int], list[tuple[float, float]]] = {}
         # Modeled-client plane: per (repo, item), the clients' tolerance
-        # array (read-only, from the setup) and this run's own mutable
-        # last-served array, primed with the item's initial value.
-        self._client_tols: dict[tuple[int, int], np.ndarray] = {}
+        # array (read-only, the setup's own) and this run's mutable
+        # last-served array, made on the pair's first delivery (the
+        # batch engine keeps staircases instead and makes none).
+        self._client_tols: dict[tuple[int, int], np.ndarray] = (
+            getattr(setup, "client_tolerances", None) or {}
+        )
         self._client_last: dict[tuple[int, int], np.ndarray] = {}
-        client_tolerances = getattr(setup, "client_tolerances", None)
-        if client_tolerances:
-            for key, tols in client_tolerances.items():
-                self._client_tols[key] = tols
-                self._client_last[key] = np.full(
-                    tols.shape, setup.traces[key[1]].initial_value
-                )
         # All control state and every reconfiguration rule live in the
         # core; this engine is its edge store.  The availability sets
         # are bound once (the core mutates them in place) so the hot
@@ -202,8 +198,8 @@ class DisseminationSimulation:
         repository-local Eq. (3) + Eq. (7) test at the client's own
         tolerance, regardless of the repository-plane policy, and client
         traffic stays out of the repository-plane counters.  This scalar
-        per-client loop is the oracle the vectorized kernel's one-call
-        batch must agree with, client for client.
+        per-client loop is the oracle the vectorized kernel's per-run
+        ``Staircase.serve`` must agree with, client for client.
         """
         tols = self._client_tols.get((node, item_id))
         if tols is None:
@@ -213,7 +209,11 @@ class DisseminationSimulation:
             # The pair is mid-teardown (churn removed the subscription
             # while this message was in flight): nobody to serve from.
             return
-        last = self._client_last[(node, item_id)]
+        last = self._client_last.get((node, item_id))
+        if last is None:
+            last = self._client_last[(node, item_id)] = np.full(
+                tols.shape, self.setup.traces[item_id].initial_value
+            )
         sent = 0
         for index in range(len(tols)):
             if forward_distributed(value, last[index], tols[index], receive_c):

@@ -37,12 +37,17 @@ flat lists, tuples and ints:
   ints stored into it when the loop ends and folded into
   :class:`~repro.core.metrics.CostCounters` from there.
 
-What is genuinely wide stays numpy: the modeled-client plane (one
-:func:`~repro.core.dissemination.filtering.forward_distributed_many`
-call over a pair's whole client block per delivery), the
-:class:`~repro.traces.schedule.UpdateSchedule` arrays and the
-centralised source's
-:class:`~repro.core.dissemination.filtering.ArraySourceTagger`.
+What is genuinely wide stays numpy: the
+:class:`~repro.traces.schedule.UpdateSchedule` arrays.  The two places
+where one update meets a whole *column* of tolerances -- a pair's
+modeled-client block on every delivery, an item's unique tolerances at
+the centralised source -- hold their last-sent state as a
+:class:`~repro.core.dissemination.filtering.Staircase`: runs of equal
+values over the ascending column, each decided by its end elements and
+one ``bisect`` (a delivery to a ~250-client block costs ~2 runs).  The
+client tolerances themselves stay the setup's read-only arrays, seen
+through zero-copy ``memoryview``s; no per-client last-served array
+exists.
 
 The scalar engine stays the **oracle**: this class subclasses it, builds
 its groups from the scalar preparation (children maps, receive
@@ -73,14 +78,12 @@ from collections import deque
 from heapq import heappush
 from math import inf
 
-import numpy as np
-
 from repro.core.dissemination import DisseminationPolicy
 from repro.core.dissemination.base import SourceDecision
 from repro.core.dissemination.filtering import (
     FORWARD_RULES,
-    ArraySourceTagger,
-    forward_distributed_many,
+    Staircase,
+    StaircaseTagger,
     quantise_tolerance,
 )
 from repro.core.metrics import ArrayCounters
@@ -132,9 +135,16 @@ class VectorizedSimulation(DisseminationSimulation):
         self._g_last: list[list[float]] = []
         self._g_delay: list[list[float]] = []
         self._g_log: list[list | None] = []
-        self._g_ctol: list[np.ndarray | None] = []
-        self._g_clast: list[np.ndarray | None] = []
+        self._g_clients: list[Staircase | None] = []
         self._root_gid: dict[int, int] = {item_id: -1 for item_id in setup.traces}
+        # This run's whole client-plane state: one staircase per client
+        # block over a zero-copy view of the setup's ascending tolerance
+        # array.  Keyed by pair, so a block's last-served values survive
+        # ``unsubscribe`` -> ``wire``.
+        self._client_stairs = {
+            key: Staircase(memoryview(tols), setup.traces[key[1]].initial_value)
+            for key, tols in self._client_tols.items()
+        }
 
         # One group per (node, item) that sends and/or receives; senders
         # first so the source groups get low ids, then pure receivers.
@@ -167,7 +177,7 @@ class VectorizedSimulation(DisseminationSimulation):
             tolerances: dict[int, list[float]] = {i: [] for i in setup.traces}
             for (_node, item_id), children in self._children.items():
                 tolerances[item_id].extend(c for _child, c in children)
-            self._tagger = ArraySourceTagger()
+            self._tagger = StaircaseTagger()
             for item_id, trace in setup.traces.items():
                 self._tagger.add_item(
                     item_id, tolerances[item_id], trace.initial_value
@@ -190,8 +200,7 @@ class VectorizedSimulation(DisseminationSimulation):
         self._g_last.append([])
         self._g_delay.append([])
         self._g_log.append(self._deliveries.get(key))
-        self._g_ctol.append(self._client_tols.get(key))
-        self._g_clast.append(self._client_last.get(key))
+        self._g_clients.append(self._client_stairs.get(key))
         if issrc:
             self._root_gid[item_id] = gid
         return gid
@@ -232,7 +241,7 @@ class VectorizedSimulation(DisseminationSimulation):
         g_issrc, g_prc = self._g_issrc, self._g_prc
         g_child, g_cs = self._g_child_gid, self._g_cs
         g_last, g_delay = self._g_last, self._g_delay
-        g_log, g_ctol, g_clast = self._g_log, self._g_ctol, self._g_clast
+        g_log, g_clients = self._g_log, self._g_clients
         busy, comp_delay = self._busy, self._comp_delay_s
         counters = self._acounters
         node_checks, node_messages = counters.node_checks, counters.node_messages
@@ -321,15 +330,10 @@ class VectorizedSimulation(DisseminationSimulation):
                 log = g_log[gid]
                 if log is not None:
                     log.append((t, value))
-                tols = g_ctol[gid]
-                if tols is not None:
-                    clast = g_clast[gid]
-                    mask = forward_distributed_many(value, clast, tols, g_prc[gid])
-                    served = int(np.count_nonzero(mask))
-                    if served:
-                        clast[mask] = value
-                    client_checks += int(tols.size)
-                    client_messages += served
+                clients = g_clients[gid]
+                if clients is not None:
+                    client_checks += len(clients.cs)
+                    client_messages += clients.serve(value, g_prc[gid])
 
             # The edge-group step, shared by both branches.
             cs = g_cs[gid]
@@ -488,8 +492,7 @@ class VectorizedSimulation(DisseminationSimulation):
         # until a later rewire restores the subscription.
         super().unsubscribe(node, item_id)
         gid = self._gid_of[(node, item_id)]
-        self._g_ctol[gid] = None
-        self._g_clast[gid] = None
+        self._g_clients[gid] = None
 
     def wire(
         self, parent: int, child: int, item_id: int, c: float, initial: float
@@ -504,7 +507,6 @@ class VectorizedSimulation(DisseminationSimulation):
         # future deliveries see current state.
         self._g_prc[child_gid] = c
         self._g_log[child_gid] = self._deliveries.get(key)
-        self._g_ctol[child_gid] = self._client_tols.get(key)
-        self._g_clast[child_gid] = self._client_last.get(key)
+        self._g_clients[child_gid] = self._client_stairs.get(key)
         if self._centralized:
             self._tagger.add_tolerance(item_id, c, initial)

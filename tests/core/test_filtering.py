@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.dissemination.base import SourceDecision
 from repro.core.dissemination.filtering import (
-    ArraySourceTagger,
+    StaircaseTagger,
     EdgeFilter,
     SourceTagger,
     forward_centralized,
@@ -89,7 +90,7 @@ def test_source_tagger_tracks_unique_tolerances():
 
 
 def test_array_tagger_counts_edges_like_the_scalar_tagger():
-    scalar, array = SourceTagger(), ArraySourceTagger()
+    scalar, array = SourceTagger(), StaircaseTagger()
     edges = [0.3, 0.1, 0.3 + 1e-12, 0.5]
     for c in edges:
         scalar.add_tolerance(0, c, 1.0)
@@ -107,6 +108,41 @@ def test_array_tagger_counts_edges_like_the_scalar_tagger():
         tagger.remove_tolerance(0, 0.3)
         tagger.remove_tolerance(0, 0.3)
     assert array.unique_tolerances(0) == scalar.unique_tolerances(0) == [0.1, 0.2, 0.5]
+
+
+def test_staircase_tagger_rejects_sub_quantum_tolerances():
+    """Quantised, 1e-12 is 0.0 -- a tolerance every change violates."""
+    tagger = StaircaseTagger()
+    with pytest.raises(ConfigurationError, match="quantisation quantum"):
+        tagger.add_tolerance(0, 1e-12, 1.0)
+    with pytest.raises(ConfigurationError, match="quantisation quantum"):
+        tagger.add_item(0, [0.3, 1e-12], 1.0)
+    assert tagger.unique_tolerances(0) == []
+
+
+def test_a_new_tolerance_splits_the_run_it_lands_in():
+    tagger = StaircaseTagger()
+    tagger.add_item(0, [0.1, 0.3, 0.5], 1.0)
+
+    def runs():
+        stairs = tagger._state[0][0]
+        return stairs.ends, stairs.vals
+
+    assert runs() == ([3], [1.0])
+    tagger.add_tolerance(0, 0.2, 9.0)
+    assert runs() == ([1, 2, 4], [1.0, 9.0, 1.0])
+    # 0.2 (holding 9.0) and 0.1, 0.3 (holding 1.0) are violated, 0.5 is
+    # not: everything up to the tag collapses into one run.
+    assert tagger.examine(0, 1.35) == SourceDecision(True, tag=0.3, checks=4)
+    assert runs() == ([3, 4], [1.35, 1.0])
+    # Nothing violated: the one decision built when the tolerance count
+    # last moved.
+    quiet = tagger.examine(0, 1.36)
+    assert quiet == SourceDecision(False, tag=None, checks=4)
+    assert tagger.examine(0, 1.34) is quiet
+    tagger.remove_tolerance(0, 0.5)
+    assert runs() == ([3], [1.35])
+    assert tagger.examine(0, 1.36) == SourceDecision(False, tag=None, checks=3)
 
 
 def test_source_tagger_examination_marks_covered_tolerances():

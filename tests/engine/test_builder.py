@@ -110,3 +110,19 @@ def test_reuse_ignored_on_seed_change(setup):
     other = build_setup(setup.config.with_(seed=999), base=setup)
     assert other.network is not setup.network
     assert other.traces is not setup.traces
+
+
+def test_client_blocks_are_ascending_read_only_and_above_the_repository(setup):
+    """What the batch engine's ``Staircase`` rests on: an ascending
+    column it can view without copying, every client at most as
+    stringent as the copy its repository receives."""
+    clients = build_setup(setup.config.with_(clients_per_repository=40), base=setup)
+    blocks = clients.client_tolerances
+    subscribed = [p for p in clients.profiles.values() if p.requirements]
+    assert sum(len(tols) for tols in blocks.values()) == 40 * len(subscribed)
+    for (repo, item_id), tols in blocks.items():
+        c_repo = clients.profiles[repo].requirements[item_id]
+        assert np.all(tols[:-1] <= tols[1:])
+        assert not tols.flags.writeable
+        assert memoryview(tols).readonly
+        assert c_repo <= tols[0] and tols[-1] < 2.0 * c_repo

@@ -215,3 +215,47 @@ def test_wire_unwire_wire_keeps_the_four_columns_aligned():
          sim.setup.network.delay_s(parent, absent)),
         (child_gid, served_c, 2.5, delay),
     ]
+
+
+@pytest.mark.parametrize("policy", ["centralized", "distributed"])
+def test_wide_client_blocks_meet_reconfiguration(policy):
+    """Client blocks >= 200 wide (the staircase's regime, not the 10-50
+    of the tests above) under churn and loss: the repository drops two
+    of its items at the first update event and is re-wired for them as a
+    relay later, so its blocks' last-served runs must survive
+    ``unsubscribe`` -> ``wire``; ``centralized`` adds the staircase
+    tagger meeting the same rewires."""
+    config = BASE.with_(
+        policy=policy,
+        message_loss_probability=0.05,
+        clients_per_repository=600,
+        seed=17,
+    )
+    config = config.with_(
+        churn=schedule_for_config(config, joins=2, departs=2, updates=2)
+    )
+    setup = build_setup(config)
+    calls = []
+
+    class Recording(VectorizedSimulation):
+        def unsubscribe(self, node, item_id):
+            calls.append(("unsubscribe", (node, item_id)))
+            super().unsubscribe(node, item_id)
+
+        def wire(self, parent, child, item_id, c, initial):
+            calls.append(("wire", (child, item_id)))
+            super().wire(parent, child, item_id, c, initial)
+
+    vector = Recording(setup).run()
+    assert vector == DisseminationSimulation(setup).run()
+    assert vector.counters.client_messages > 0
+    assert vector.counters.reconfigurations == 6
+
+    unsubscribed, rewired = set(), set()
+    for call, pair in calls:
+        if call == "unsubscribe":
+            unsubscribed.add(pair)
+        elif pair in unsubscribed:
+            rewired.add(pair)
+    widths = [len(setup.client_tolerances.get(pair, ())) for pair in rewired]
+    assert widths and max(widths) >= 200

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.core.dissemination import make_policy
 from repro.core.dissemination.filtering import (
@@ -107,7 +107,7 @@ import numpy as np
 
 from repro.core.dissemination.filtering import (
     MIN_TOLERANCE,
-    ArraySourceTagger,
+    StaircaseTagger,
     forward_distributed,
     forward_distributed_many,
     quantise_tolerance,
@@ -182,10 +182,163 @@ def test_array_source_tagger_matches_scalar_tagger(cs, values, initial):
     for c in cs:
         scalar.add_tolerance(0, c, initial)
     unique = scalar.unique_tolerances(0)
-    array = ArraySourceTagger()
+    array = StaircaseTagger()
     array.add_item(0, unique, initial)
     for value in values:
         assert array.examine(0, value) == scalar.examine(0, value)
+
+
+# ---------------------------------------------------------------------------
+# The staircase: run-length last-sent state over an ascending column.
+# ---------------------------------------------------------------------------
+
+import math
+
+from repro.core.dissemination.base import SourceDecision
+from repro.core.dissemination.filtering import Staircase
+
+
+def _assert_canonical(stairs: Staircase) -> None:
+    """Run ends strictly increasing up to the column length, adjacent
+    held values different."""
+    assert all(a < b for a, b in zip(stairs.ends, stairs.ends[1:]))
+    assert (stairs.ends[-1] if stairs.ends else 0) == len(stairs.cs)
+    assert len(stairs.vals) == len(stairs.ends)
+    assert all(a != b for a, b in zip(stairs.vals, stairs.vals[1:]))
+
+
+@st.composite
+def _client_block_walks(draw):
+    """An ascending tolerance column with ties and one-ulp neighbours,
+    and a walk of (value, parent_receive_c) steps whose values come from
+    a small pool -- so they recur and runs re-merge -- seeded with
+    values that sit exactly a tolerance (and a tolerance less the parent
+    coherency) away from another pool value, where the rule's rounding
+    decides."""
+    column = []
+    for c in draw(st.lists(_tolerance, min_size=1, max_size=10)):
+        column.append(c)
+        for twin in draw(st.lists(st.sampled_from(["tie", "ulp"]), max_size=2)):
+            column.append(c if twin == "tie" else math.nextafter(c, math.inf))
+    column.sort()
+    prc = st.one_of(
+        st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=1e-15, allow_nan=False),
+        st.sampled_from(column),
+    )
+    pool = draw(st.lists(_value, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 3))):
+        anchor = draw(st.sampled_from(pool))
+        c = draw(st.sampled_from(column))
+        pool.append(anchor + c - draw(st.one_of(st.just(0.0), prc)))
+    steps = draw(
+        st.lists(st.tuples(st.sampled_from(pool), prc), min_size=1, max_size=25)
+    )
+    return column, draw(st.sampled_from(pool)), steps
+
+
+_ULP = 2.0 ** -52  # spacing of the floats in [1, 2)
+
+
+@given(_client_block_walks())
+# The bisect's guess, ``deviation + parent_receive_c``, rounds one way
+# and the rule's ``c - deviation`` the other.  Too low: the slack of the
+# three tied 0.5s is exactly 0 < 1e-20, served, though 0.5 + 1e-20 ==
+# 0.5 puts the cut before them.  Too high: (1 + 3u) - 1.5u ties to even
+# 1 + 2u, not below the parent's 1 + 2u, unserved, though 1.5u + (1 +
+# 2u) ties to even 1 + 4u, above it.
+@example(([0.25, 0.5, 0.5, 0.5, 0.75, 1.0], 0.0, [(0.5, 1e-20)]))
+@example(([1.0, 1.0 + 3 * _ULP, 1.5], 0.0, [(1.5 * _ULP, 1.0 + 2 * _ULP)]))
+@settings(max_examples=300, deadline=None)
+def test_staircase_serve_is_the_elementwise_rule_over_the_flat_column(case):
+    column, initial, steps = case
+    cs = np.asarray(column, dtype=np.float64)
+    cs.flags.writeable = False
+    stairs = Staircase(memoryview(cs), initial)
+    last_sent = np.full(cs.shape, initial)
+    for value, prc in steps:
+        mask = forward_distributed_many(value, last_sent, cs, prc)
+        last_sent[mask] = value
+        assert stairs.serve(value, prc) == np.count_nonzero(mask)
+        assert stairs.expand() == last_sent.tolist()
+        _assert_canonical(stairs)
+
+
+#: Tolerances on a coarse grid (hundredths), so "a new tolerance
+#: strictly between two existing ones" survives quantisation.
+_grid = st.integers(min_value=1, max_value=300)
+
+#: (what to do, which pool value, which grid point or edge).
+_tagger_op = st.tuples(
+    st.sampled_from(["examine", "examine", "add_new", "add_existing", "remove"]),
+    st.integers(0, 5),
+    _grid,
+)
+
+
+@given(
+    st.lists(_grid, min_size=1, max_size=6),
+    st.lists(_value, min_size=6, max_size=6),
+    st.lists(_tagger_op, min_size=1, max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_staircase_tagger_follows_the_scalar_tagger_through_rewires(
+    grid, pool, ops
+):
+    """Every decision, the unique list and the per-tolerance last-sent
+    column agree with :class:`SourceTagger` while edges come and go
+    mid-stream: a *new* tolerance lands inside a run with its own
+    initial value (the run must split -- the staircase stays the
+    canonical compression of the reference column), a second edge at an
+    existing tolerance only moves a count, and removals run the item
+    down to empty."""
+    scalar, stairs = SourceTagger(), StaircaseTagger()
+    edges = [k / 100.0 for k in grid]
+    for c in edges:
+        scalar.add_tolerance(0, c, pool[0])
+    stairs.add_item(0, edges, pool[0])
+
+    def check_state():
+        unique = scalar.unique_tolerances(0)
+        assert stairs.unique_tolerances(0) == unique
+        held = stairs._state[0][0]
+        reference = [scalar._last_sent[0][c] for c in unique]
+        assert held.expand() == reference
+        _assert_canonical(held)
+        assert stairs._state[0][2].checks == len(unique)
+
+    check_state()
+    for op, pick, arg in ops:
+        value = pool[pick]
+        if op == "examine":
+            assert stairs.examine(0, value) == scalar.examine(0, value)
+        elif op == "add_new":
+            c = arg / 100.0 + 0.005  # between grid points: new unless added before
+            for tagger in (scalar, stairs):
+                tagger.add_tolerance(0, c, value)
+            edges.append(c)
+        elif edges and op == "add_existing":
+            c = edges[arg % len(edges)]
+            before = stairs.unique_tolerances(0)
+            for tagger in (scalar, stairs):
+                tagger.add_tolerance(0, c, value)
+            edges.append(c)
+            assert stairs.unique_tolerances(0) == before
+        elif edges and op == "remove":
+            c = edges.pop(arg % len(edges))
+            for tagger in (scalar, stairs):
+                tagger.remove_tolerance(0, c)
+        check_state()
+
+    while edges:
+        c = edges.pop()
+        for tagger in (scalar, stairs):
+            tagger.remove_tolerance(0, c)
+        check_state()
+    nothing = SourceDecision(disseminate=False, tag=None, checks=0)
+    assert stairs.examine(0, pool[1]) == scalar.examine(0, pool[1]) == nothing
+    stairs.remove_tolerance(0, 0.5)  # unknown by now: ignored, like the scalar one
+    assert stairs.unique_tolerances(0) == []
 
 
 # ---------------------------------------------------------------------------
