@@ -22,8 +22,10 @@ does not -- the 0.25 s start barrier and a 0.1 s quiescence poll -- so
 the run must be long enough that delivery work, not those waits and not
 schedule pacing, decides the inequality.  8000 samples at 40 000x is
 ~231 000 deliveries: a 0.2 s pacing floor and ~0.45 s of fixed waits
-against 3.5 s of single-process work (fleet/single 1.6-1.8 on two
-cores).  At 500 samples and 2000x the single process finishes in ~0.3 s
+against ~2.4 s of single-process work (fleet/single 1.4-1.6 on two
+cores, 95-100 k against 145-155 k deliveries/s; it was 3.5 s and
+1.6-1.8 while the runtime still rebuilt every message per stage, so the
+margin the fixed waits eat is now thinner).  At 500 samples and 2000x the single process finishes in ~0.3 s
 against a 0.25 s floor and the gate would compare one fixed wait with
 another; at 4000 samples the waits are still a quarter of the fleet's
 window and the ratio reads 1.1-1.3.

@@ -73,12 +73,12 @@ class CostCounters:
             self.repository_checks += count
         self.per_node_checks[node] = self.per_node_checks.get(node, 0) + count
 
-    def record_message(self, sender: int, is_source: bool) -> None:
-        """Count one update message leaving ``sender``."""
-        self.messages += 1
+    def record_message(self, sender: int, is_source: bool, count: int = 1) -> None:
+        """Count ``count`` update messages leaving ``sender``."""
+        self.messages += count
         if is_source:
-            self.source_messages += 1
-        self.per_node_messages[sender] = self.per_node_messages.get(sender, 0) + 1
+            self.source_messages += count
+        self.per_node_messages[sender] = self.per_node_messages.get(sender, 0) + count
 
     def record_delivery(self) -> None:
         """Count one message arriving at a repository."""

@@ -238,7 +238,7 @@ class _Shard(WireRuntime):
             elif command[0] == "finish":
                 return
 
-    async def replay_finished(self) -> None:
+    def replay_finished(self) -> None:
         self.conn.send(("replay-done", self.src))
 
     def final_report(self) -> WorkerReport:

@@ -16,9 +16,10 @@ of servers:
 - :class:`~repro.live.nodes.ClientNode` attaches with per-item
   tolerances and measures *observed* fidelity.
 
-Node logic is sans-io: nodes consume messages and emit
-:class:`~repro.live.nodes.Outbound` envelopes, and a transport drives
-them.  Two transports exist (:mod:`repro.live.transport`): a
+Node logic is sans-io: nodes consume updates and emit messages -- the
+seven-field rows of a :class:`~repro.live.protocol.Forwards` frame, the
+one message shape from node to socket and back -- and a transport
+drives them.  Two transports exist (:mod:`repro.live.transport`): a
 deterministic in-process transport (virtual time, seeded delays --
 bit-reproducible, used for sim/live cross-validation) and localhost TCP
 (real asyncio sockets speaking the length-prefixed JSON protocol of

@@ -1,11 +1,18 @@
 """Sans-io node logic of the live repository network.
 
-A node consumes protocol messages and emits :class:`Outbound`
-envelopes; it never touches a socket or a clock directly.  The same
-node objects are therefore driven by both transports -- the
-deterministic virtual-time driver and the asyncio TCP driver
-(:mod:`repro.live.transport`) -- and by tests, without any divergence
-in dissemination behaviour.
+A node consumes updates and emits messages; it never touches a socket
+or a clock directly.  The same node objects are therefore driven by
+both transports -- the deterministic virtual-time driver and the
+asyncio TCP driver (:mod:`repro.live.transport`) -- and by tests,
+without any divergence in dissemination behaviour.
+
+The row is the message: a node emits the seven-field
+:class:`~repro.live.protocol.Forwards` row ``[dst, arrival_s, item_id,
+value, tag, seq, src]`` itself, the one shape every stage downstream
+schedules, queues, writes and reads back.  ``arrival_s`` is the
+*absolute* simulated arrival time (sender-side queueing and link delay
+included), so the virtual-time transport schedules the exact float the
+engine computes: ``now + (arrival - now)`` differs by an ULP.
 
 The coherency decisions are exactly the simulator's: every service
 edge holds an :class:`~repro.core.dissemination.filtering.EdgeFilter`
@@ -35,26 +42,7 @@ from repro.core.metrics import CostCounters
 from repro.live.protocol import Update
 from repro.sim.queueing import FifoStation
 
-__all__ = ["Outbound", "Edge", "SourceNode", "RepositoryNode", "ClientNode"]
-
-
-@dataclass(frozen=True)
-class Outbound:
-    """One message handed to the transport for delivery.
-
-    Attributes:
-        dst: Destination node id.
-        update: The wire message.
-        arrival_s: *Absolute* simulated time the message should arrive
-            (sender-side queueing and link delay already included).
-            Absolute rather than relative so the virtual-time transport
-            schedules the exact float the simulation engine computes --
-            ``now + (arrival - now)`` and ``arrival`` differ by an ULP.
-    """
-
-    dst: int
-    update: Update
-    arrival_s: float
+__all__ = ["Edge", "SourceNode", "RepositoryNode", "ClientNode"]
 
 
 @dataclass
@@ -117,51 +105,54 @@ class _ForwardingNode:
         parent_receive_c: float,
         seq: int,
         is_source: bool,
-    ) -> list[Outbound]:
-        out: list[Outbound] = []
-        observer = self.observer
+    ) -> list[list]:
+        """Filter one update over this node's edges; the rows to send."""
+        rows: list[list] = []
+        edges = self.edges.get(item_id)
+        if not edges:
+            return rows
+        node, observer = self.node, self.observer
+        submit, comp_delay_s = self.station.submit, self.comp_delay_s
         # The live plane numbers workload updates from 1 (seq); the
         # trace id is the schedule index, hence seq - 1.
         update_id = seq - 1
-        for edge in self.edges.get(item_id, ()):
+        checks = messages = 0
+        for edge in edges:
             if edge.is_client:
-                forward = edge.filter.decide(value, parent_receive_c, None)
-            else:
-                forward = edge.filter.decide(value, parent_receive_c, tag)
-                self.counters.record_check(self.node, is_source=is_source)
-                if observer is not None:
-                    observer.on_check(
-                        update_id, item_id, now, self.node, edge.child,
-                        1, forward, is_source,
-                    )
-            if not forward:
-                continue
-            departure = self.station.submit(now, self.comp_delay_s)
-            if edge.is_client:
+                if not edge.filter.decide(value, parent_receive_c, None):
+                    continue
+                departure = submit(now, comp_delay_s)
                 self.client_messages += 1
             else:
-                self.counters.record_message(self.node, is_source=is_source)
+                forward = edge.filter.decide(value, parent_receive_c, tag)
+                checks += 1
+                if observer is not None:
+                    observer.on_check(
+                        update_id, item_id, now, node, edge.child,
+                        1, forward, is_source,
+                    )
+                if not forward:
+                    continue
+                departure = submit(now, comp_delay_s)
+                messages += 1
                 if observer is not None:
                     observer.on_forward(
-                        update_id, item_id, now, self.node, edge.child,
+                        update_id, item_id, now, node, edge.child,
                         departure + edge.link_delay_s - now,
                     )
                 edge.last_seq = seq
                 edge.last_value = value
-            out.append(
-                Outbound(
-                    dst=edge.child,
-                    update=Update(
-                        item_id=item_id,
-                        value=value,
-                        tag=tag,
-                        seq=seq,
-                        src=self.node,
-                    ),
-                    arrival_s=departure + edge.link_delay_s,
-                )
+            rows.append(
+                [edge.child, departure + edge.link_delay_s, item_id, value, tag, seq, node]
             )
-        return out
+        # Charged once per call, not per edge: counters are only read
+        # between node calls (control instants), and a zero count must
+        # not create a per-node key.
+        if checks:
+            self.counters.record_check(node, is_source, checks)
+        if messages:
+            self.counters.record_message(node, is_source, messages)
+        return rows
 
 
 class SourceNode(_ForwardingNode):
@@ -187,7 +178,7 @@ class SourceNode(_ForwardingNode):
         #: source (the engine's ``_source_value`` equivalent).
         self.values: dict[int, float] = {}
 
-    def on_update(self, item_id: int, value: float, now: float) -> list[Outbound]:
+    def on_update(self, item_id: int, value: float, now: float) -> list[list]:
         """Handle one fresh workload update at the source."""
         self.values[item_id] = value
         self._seq += 1
@@ -234,25 +225,25 @@ class RepositoryNode(_ForwardingNode):
         #: the anti-entropy resync samples over.
         self.seqs: dict[int, int] = {}
 
-    def on_message(self, update: Update, now: float) -> list[Outbound]:
+    def receive(
+        self, item_id: int, value: float, tag: float | None, seq: int, now: float
+    ) -> list[list]:
         """Handle one pushed update: log it, then forward downstream."""
         self.counters.record_delivery()
         if self.observer is not None:
-            self.observer.on_deliver(update.seq - 1, update.item_id, now, self.node)
-        if update.seq > self.seqs.get(update.item_id, 0):
-            self.seqs[update.item_id] = update.seq
-        log = self.deliveries.get(update.item_id)
+            self.observer.on_deliver(seq - 1, item_id, now, self.node)
+        if seq > self.seqs.get(item_id, 0):
+            self.seqs[item_id] = seq
+        log = self.deliveries.get(item_id)
         if log is not None:
-            log.append((now, update.value))
+            log.append((now, value))
         return self._forward(
-            update.item_id,
-            update.value,
-            update.tag,
-            now,
-            parent_receive_c=self.receive_c.get(update.item_id, 0.0),
-            seq=update.seq,
-            is_source=False,
+            item_id, value, tag, now, self.receive_c.get(item_id, 0.0), seq, False
         )
+
+    def on_message(self, update: Update, now: float) -> list[list]:
+        """:meth:`receive`, from a typed :class:`~repro.live.protocol.Update`."""
+        return self.receive(update.item_id, update.value, update.tag, update.seq, now)
 
 
 @dataclass
@@ -275,9 +266,11 @@ class ClientNode:
     requirements: dict[int, float]
     deliveries: dict[int, list[tuple[float, float]]] = field(default_factory=dict)
 
-    def on_message(self, update: Update, now: float) -> list[Outbound]:
+    def receive(
+        self, item_id: int, value: float, tag: float | None, seq: int, now: float
+    ) -> list[list]:
         """Record one received update; clients never forward."""
-        log = self.deliveries.get(update.item_id)
+        log = self.deliveries.get(item_id)
         if log is not None:
-            log.append((now, update.value))
+            log.append((now, value))
         return []

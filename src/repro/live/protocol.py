@@ -13,17 +13,22 @@ Message types (the ``"type"`` field):
   first frame of every connection.  A version mismatch is a
   :class:`ProtocolError`; the fleet uses the generation counter to
   detect re-established connections and trigger anti-entropy resync;
-- ``update`` -- one data-item update flowing down the ``d3g``
-  (:class:`Update`);
+- ``update`` -- one data-item update (:class:`Update`).  No link sends
+  it; it remains a decodable frame type and a node's typed front door
+  (``RepositoryNode.on_message(update, now)``);
 - ``forwards`` -- the links' one data frame (:class:`Forwards`): every
   update a link had queued when its pump woke, one row each.  A link
   multiplexes many nodes over one connection, so a row carries the
   destination node id and the absolute simulated arrival time the
   receiver should realise.  JSON costs per call, not per byte, so a
-  hundred rows cost little more than one frame of their own would;
+  hundred rows cost little more than one frame of their own would.
+  The row is the message end to end: nodes emit it, the runtime queues
+  and writes it as it is, and the receiver validates it in place
+  (:func:`check_row`) instead of rebuilding an object from it;
 - ``forward`` -- one such row as a frame of its own (:class:`Forward`).
-  The links no longer send it; it stays decodable as the unit the perf
-  ledger's codec probes time;
+  No link sends it either; it remains decodable, is the typed way to
+  state a row (:func:`forward_row`), and is the unit the perf ledger's
+  codec probes time;
 - ``heartbeat`` -- connection liveness probe sent between updates so
   severed peers are noticed and reconnected (:class:`Heartbeat`);
   carries no data and stays out of the wire-conservation accounting;
@@ -79,7 +84,7 @@ __all__ = [
     "decode_payload",
     "check_version",
     "forward_row",
-    "row_update",
+    "check_row",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
 ]
@@ -187,7 +192,8 @@ class Forwards:
     Attributes:
         rows: One ``[dst, arrival_s, item_id, value, tag, seq, src]``
             list per update, oldest first -- :class:`Forward`'s fields,
-            positionally (:func:`forward_row` / :func:`row_update`).
+            positionally (:func:`forward_row` builds one from the typed
+            form, :func:`check_row` validates one off the wire).
     """
 
     rows: list
@@ -211,13 +217,11 @@ _ROW_SHAPES = frozenset(itertools.product(
 ))
 
 
-def row_update(row) -> tuple[int, float, Update]:
-    """One :class:`Forwards` row back into ``(dst, arrival_s, update)``;
-    :class:`ProtocolError` on the wrong arity or JSON types."""
+def check_row(row) -> None:
+    """Validate one :class:`Forwards` row in place; :class:`ProtocolError`
+    on the wrong arity or JSON types."""
     if type(row) is not list or tuple(map(type, row)) not in _ROW_SHAPES:
         raise ProtocolError(f"malformed forwards row: {row!r}")
-    dst, arrival_s, item_id, value, tag, seq, src = row
-    return dst, arrival_s, Update(item_id, value, tag, seq, src)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ executes the network's workload replay and returns wire-level
 :class:`TransportStats` whose conservation invariant
 ``sent == delivered + dropped`` always holds:
 
-- :class:`InProcessTransport` -- deterministic virtual time.  Delivery
-  events run on the same discrete-event kernel the simulator uses, with
-  the seeded topology delays (plus optional seeded jitter), so a run is
-  bit-reproducible for a fixed config seed.  This is the transport the
+- :class:`InProcessTransport` -- deterministic virtual time.  Deliveries
+  run through the same event merge the batch simulation kernel uses
+  (:class:`~repro.sim.kernel.BatchKernel`), with the seeded topology
+  delays (plus optional seeded jitter), so a run is bit-reproducible
+  for a fixed config seed.  This is the transport the
   ``live_crosscheck`` experiment validates the simulator against.
 - :class:`TcpTransport` -- real localhost sockets.  A thin driver of
   the shared socket runtime (:mod:`repro.live.wire`, which states the
@@ -27,8 +28,9 @@ delivers the instants): repository-plane frames toward a crashed node
 or over a down link become drops (charged into the network's
 :class:`~repro.core.metrics.CostCounters` like the engine's), and
 ``loss_probability > 0`` Bernoulli-drops frames from a seeded stream.
-The in-process transport schedules the timeline on its kernel ahead of
-the replay and reads the core's live ``crashed`` / ``down_links`` sets;
+The in-process transport merges the timeline into its kernel's schedule
+ahead of the replay and reads the core's live ``crashed`` /
+``down_links`` sets;
 it consumes the *same* ``message-loss`` stream in the same order as the
 engine, so a failure or adaptive run is still bit-reproducible.  The
 TCP transport queues the timeline on the runtime's due queue, likewise
@@ -46,10 +48,10 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.live.nodes import Outbound
 from repro.live.wire import (
     QUIESCE_TIMEOUT_S,
     Link,
@@ -57,7 +59,7 @@ from repro.live.wire import (
     reconcile,
     wall_factor,
 )
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import BatchKernel
 from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness builds us)
@@ -102,10 +104,13 @@ class TransportStats:
 class InProcessTransport:
     """Virtual-time driver: deterministic, reproducible, fast.
 
-    Replays the workload on a fresh discrete-event kernel.  Event
-    ordering matches the simulation engine's (FIFO tie-breaks in
-    scheduling order), and optional delivery jitter is drawn from a
-    seeded stream, so two runs of the same network are bit-identical.
+    Replays the workload on a fresh :class:`~repro.sim.kernel.
+    BatchKernel`: the control timeline and the source schedule are its
+    static schedule, the rows in flight its heap.  Event ordering
+    matches the simulation engine's (control before update before
+    delivery at one instant, FIFO among deliveries), and optional
+    delivery jitter is drawn from a seeded stream, so two runs of the
+    same network are bit-identical.
     """
 
     name = "inprocess"
@@ -125,10 +130,10 @@ class InProcessTransport:
 
     def run(self, network: "LiveNetwork", duration: float | None = None) -> TransportStats:
         stats = TransportStats()
-        kernel = Simulator()
         core = network.reconfig
         crashed, down = core.crashed, core.down_links
-        repo_ids = set(network.repositories)
+        counters, observer = network.counters, network.observer
+        repositories, clients = network.repositories, network.clients
         jitter_rng = (
             RandomStreams(self.seed).stream("live-jitter")
             if self.jitter_ms > 0.0
@@ -143,68 +148,69 @@ class InProcessTransport:
             else None
         )
 
-        observer = network.observer
+        def drop(row: list, now: float, reason: str) -> None:
+            stats.dropped += 1
+            counters.record_drop()
+            if observer is not None:
+                dst, _arrival_s, item_id, _value, _tag, seq, src = row
+                observer.on_drop(seq - 1, item_id, now, src, dst, reason)
 
-        def dispatch(outs: list[Outbound]) -> None:
-            for out in outs:
-                stats.sent += 1
-                if out.dst in repo_ids:
-                    if down and (out.update.src, out.dst) in down:
+        def dispatch(rows: list[list], now: float) -> None:
+            stats.sent += len(rows)
+            for row in rows:
+                dst = row[0]
+                if dst in repositories:
+                    if down and (row[6], dst) in down:
                         # Partition: decided before the loss draw, like
                         # the engine, so the Bernoulli stream is only
                         # consumed for frames that enter the network.
-                        stats.dropped += 1
-                        network.counters.record_drop()
-                        if observer is not None:
-                            observer.on_drop(
-                                out.update.seq - 1, out.update.item_id,
-                                kernel.now, out.update.src, out.dst, "partition",
-                            )
+                        drop(row, now, "partition")
                         continue
                     if (
                         loss_rng is not None
                         and loss_rng.random() < self.loss_probability
                     ):
-                        stats.dropped += 1
-                        network.counters.record_drop()
-                        if observer is not None:
-                            observer.on_drop(
-                                out.update.seq - 1, out.update.item_id,
-                                kernel.now, out.update.src, out.dst, "loss",
-                            )
+                        drop(row, now, "loss")
                         continue
-                arrival = out.arrival_s
+                arrival = row[1]
                 if jitter_rng is not None:
                     arrival += jitter_rng.random() * self.jitter_ms / 1000.0
-                kernel.schedule_at(arrival, deliver, out)
+                push(arrival, row)
 
-        def deliver(out: Outbound) -> None:
-            if out.dst in crashed:
+        def source_update(t: float, item_id: int, value: float) -> None:
+            dispatch(network.source_node.on_update(item_id, value, t), t)
+
+        # One stable sort merges the two time-ordered lists.  Controls
+        # are listed first, so a control event (failure, drift tick)
+        # applies ahead of an update at the same instant, and the kernel
+        # serves its schedule ahead of its heap: control < update <
+        # delivery, the engine's tie-break.
+        controls = [
+            (t, core.apply, event)
+            for t, event in core.timeline(network.span(duration))
+        ]
+        updates = [
+            (t, source_update, item_id, value)
+            for t, item_id, value in network.source_schedule(duration)
+        ]
+        schedule = sorted(controls + updates, key=itemgetter(0))
+        kernel = BatchKernel([entry[0] for entry in schedule])
+        push = kernel.push  # not the bare heap: keeps the clock guard
+        for unit in kernel.drain():
+            if type(unit) is int:
+                t, action, *args = schedule[unit]
+                action(t, *args)
+                continue
+            now, _order, row = unit
+            dst, _arrival_s, item_id, value, tag, seq, _src = row
+            if dst in crashed:
                 # Crashed while the frame was in flight: a drop, judged
                 # at arrival time exactly like the engine's _on_delivery.
-                stats.dropped += 1
-                network.counters.record_drop()
-                if observer is not None:
-                    observer.on_drop(
-                        out.update.seq - 1, out.update.item_id,
-                        kernel.now, out.update.src, out.dst, "crash",
-                    )
-                return
+                drop(row, now, "crash")
+                continue
             stats.delivered += 1
-            dispatch(network.node(out.dst).on_message(out.update, kernel.now))
-
-        def source_update(item_id: int, value: float) -> None:
-            dispatch(network.source_node.on_update(item_id, value, kernel.now))
-
-        # Scheduled before the replay so a control event (failure, drift
-        # tick) and an update or delivery at the same instant apply the
-        # control event first -- the engine's tie-break, reproduced on
-        # the same kernel.
-        for t, event in core.timeline(network.span(duration)):
-            kernel.schedule_at(t, core.apply, t, event)
-        for t, item_id, value in network.source_schedule(duration):
-            kernel.schedule_at(t, source_update, item_id, value)
-        kernel.run()
+            node = repositories.get(dst) or clients[dst]
+            dispatch(node.receive(item_id, value, tag, seq, now), now)
         if not stats.conserved:  # defensive: a drained kernel cannot leak
             raise SimulationError(
                 f"in-process transport leaked messages: {stats}"
@@ -309,9 +315,11 @@ class _TcpWire(WireRuntime):
         finally:
             await self.close()
             # The closed links and server still call back into this
-            # object (a reference cycle); let the network go with the
-            # run rather than at some later collector pass.
-            del self.network
+            # object (a reference cycle); let the network and the node
+            # table go with the run rather than at some later collector
+            # pass -- anything cached here that reaches a node would
+            # keep one network's delivery logs alive past its run.
+            del self.network, self.hosted
         stats.dropped = reconcile(
             stats.sent, stats.delivered, stats.dropped, network.counters
         )
@@ -320,45 +328,48 @@ class _TcpWire(WireRuntime):
     def route(self, dst: int) -> Link:
         return self.links[dst]
 
-    def lost_on_send(self, out: Outbound) -> str | None:
+    def lost_on_send(self, row: list) -> str | None:
         # Bernoulli loss; link-dead frames are skipped first so the
         # stream is only consumed for frames that would enter the
         # network (the engine's order).
         if (
             self.loss_rng is not None
-            and out.dst in self.repo_ids
+            and row[0] in self.repo_ids
             and not (
                 self.schedule is not None
-                and self.schedule.link_down_at(out.update.src, out.dst, out.arrival_s)
+                and self.schedule.link_down_at(row[6], row[0], row[1])
             )
             and self.loss_rng.random() < self.loss_probability
         ):
             return "loss"
         return None
 
-    def lost_on_arrival(self, out: Outbound) -> str | None:
+    def lost_on_arrival(self, row: list) -> str | None:
         # Judged by the frame's logical arrival against the schedule's
         # availability windows -- deterministic whatever the wall clock
         # did to the frame on its way.
-        if self.schedule is not None and out.dst in self.repo_ids:
-            if self.schedule.crashed_at(out.dst, out.arrival_s):
-                return "crash"
-            if self.schedule.link_down_at(out.update.src, out.dst, out.arrival_s):
-                return "partition"
+        schedule = self.schedule
+        if schedule is None or row[0] not in self.repo_ids:
+            return None
+        dst, arrival_s, src = row[0], row[1], row[6]
+        if schedule.crashed_at(dst, arrival_s):
+            return "crash"
+        if schedule.link_down_at(src, dst, arrival_s):
+            return "partition"
         return None
 
     def settled(self) -> None:
         if self.replayed.is_set() and self.stats.in_flight == 0:
             self.quiet.set()
 
-    async def control(self, t: float, event) -> None:
+    def control(self, t: float, event) -> None:
         self.network.reconfig.apply(t, event)
         if event.kind == "crash":
             # Sever the victim's connection for real; its link
             # reconnects on demand.
             self.links[event.repository].sever()
 
-    async def replay_finished(self) -> None:
+    def replay_finished(self) -> None:
         self.replayed.set()
         self.settled()
 

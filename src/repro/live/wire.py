@@ -17,10 +17,14 @@ way; this module states that way once:
   say where a destination lives (:meth:`WireRuntime.route`) and what
   else it judges or speaks.
 
-One delivery convention holds on every socket: a message travels as one
-row of a :class:`~repro.live.protocol.Forwards` frame, carrying the
-destination node and the absolute simulated ``arrival_s`` the sending
-node computed.  The sender never holds it back -- a link's pump writes
+One delivery convention holds on every socket, and one message shape
+from end to end: a message is the seven-field row ``[dst, arrival_s,
+item_id, value, tag, seq, src]`` the sending node emitted -- the
+destination node and the absolute simulated ``arrival_s`` it computed
+included -- and that same list is what the due queue holds, what a link
+queues, what a :class:`~repro.live.protocol.Forwards` frame carries and
+what the receiver validates in place and queues again.  The sender
+never holds it back -- a link's pump writes
 everything queued as one frame each time it wakes, one row at a paced
 ``time_scale`` and a hundred when the run is behind; the *receiver*
 holds it until ``arrival_s`` comes due against the run's epoch, and the
@@ -48,7 +52,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.metrics import CostCounters
 from repro.errors import ConfigurationError, SimulationError
-from repro.live.nodes import Outbound
 from repro.live.protocol import (
     Bye,
     Forwards,
@@ -58,10 +61,9 @@ from repro.live.protocol import (
     Message,
     ProtocolError,
     Stats,
+    check_row,
     check_version,
     encode_message,
-    forward_row,
-    row_update,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness imports transport)
@@ -130,6 +132,13 @@ class DueQueue:
     A plain FIFO would let one long-delay frame head-of-line-block
     frames due sooner; the heap releases each at its own due time, with
     a push counter breaking ties (per-edge FIFO preserved).
+
+    Actions are plain calls.  The one thing a producer ever waits for
+    is a send queue at its high watermark, and the waiting happens
+    here, between actions: one that fills a queue names it
+    (:meth:`hold`), and nothing further is released until that queue's
+    pump has taken the backlog -- producers stall as a group, and a
+    queue overshoots by at most what one action emits.
     """
 
     def __init__(self, time_scale: float) -> None:
@@ -141,6 +150,7 @@ class DueQueue:
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._order = itertools.count()
         self._wakeup = asyncio.Event()
+        self._held: set[SendQueue] = set()
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -154,13 +164,17 @@ class DueQueue:
         return max((entry[0] for entry in self._heap), default=0.0)
 
     def push(self, due_s: float, action: Callable, *args) -> None:
-        """Queue ``await action(*args)`` for simulated time ``due_s``."""
+        """Queue ``action(*args)`` for simulated time ``due_s``."""
         heapq.heappush(self._heap, (due_s, next(self._order), action, args))
         self._wakeup.set()
 
+    def hold(self, queue: "SendQueue") -> None:
+        """Release no further action until ``queue``'s backlog is taken."""
+        self._held.add(queue)
+
     async def run(self) -> None:
         """Release actions in ``(due, push order)`` until cancelled."""
-        heap, wakeup = self._heap, self._wakeup
+        heap, wakeup, held = self._heap, self._wakeup, self._held
         while True:
             delay = None  # empty: sleep until the first push
             if heap:
@@ -175,7 +189,9 @@ class DueQueue:
                     pass
                 continue  # re-evaluate the heap top either way
             _due, _order, action, args = heapq.heappop(heap)
-            await action(*args)
+            action(*args)
+            while held:
+                await held.pop().writable()
 
 
 #: Send-queue depth at which producers block until the pump takes the
@@ -191,7 +207,9 @@ class SendQueue:
     source turns into lockstep producer/consumer ping-pong.  Here
     producers run freely until *high*, then stall as a group until the
     pump takes the whole backlog for its next write.  The stall counter
-    shows where backpressure actually bit.
+    shows where backpressure actually bit.  A producer that can wait
+    calls :meth:`put`; the runtime's are plain calls, so it enqueues
+    with :meth:`put_nowait` and its due queue waits (:meth:`writable`).
     """
 
     def __init__(self, high: int = QUEUE_HIGH) -> None:
@@ -208,19 +226,26 @@ class SendQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    async def put(self, item) -> None:
-        """Enqueue, blocking while the backlog sits at the watermark."""
+    async def writable(self) -> None:
+        """Wait, counting a stall, while the backlog sits at the watermark."""
         if not self._writable.is_set():
             self.stalls += 1
             await self._writable.wait()
+
+    async def put(self, item) -> None:
+        """Enqueue, blocking while the backlog sits at the watermark."""
+        await self.writable()
         self.put_nowait(item)
 
-    def put_nowait(self, item) -> None:
-        """Enqueue without ever blocking (control frames jump backpressure)."""
+    def put_nowait(self, item) -> bool:
+        """Enqueue without ever blocking (control frames jump
+        backpressure); true when the backlog now sits at the watermark."""
         self._items.append(item)
         self._readable.set()
         if len(self._items) >= self.high:
             self._writable.clear()
+            return True
+        return False
 
     async def take(self) -> list:
         """Everything queued, oldest first, waiting for an item when
@@ -234,13 +259,13 @@ class SendQueue:
 
 def encode_backlog(backlog: list) -> bytes:
     """The bytes of one write: everything a link had queued, in order,
-    each run of consecutive messages as one ``Forwards`` frame and the
-    control frames between the runs in their place."""
+    each run of consecutive messages (rows, plain lists) as one
+    ``Forwards`` frame and the control frames between the runs in their
+    place."""
     frames: list[Message] = []
     for kind, run in itertools.groupby(backlog, type):
-        if kind is Outbound:
-            rows = [forward_row(out.dst, out.arrival_s, out.update) for out in run]
-            frames.append(Forwards(rows))
+        if kind is list:
+            frames.append(Forwards(list(run)))
         else:
             frames.extend(run)
     return b"".join(map(encode_message, frames))
@@ -255,8 +280,8 @@ RECONNECT_BACKOFF_S = 0.05
 class Link:
     """One outbound connection to a peer's :class:`FrameServer`.
 
-    Messages (:class:`~repro.live.nodes.Outbound`) and control frames
-    queue in :attr:`queue`; each time the pump task wakes it writes the
+    Messages (rows, as the nodes emit them) and control frames queue
+    in :attr:`queue`; each time the pump task wakes it writes the
     whole backlog as one write (:func:`encode_backlog`).  The connection
     opens on first use and reopens, with a bumped ``Hello.generation``,
     whenever it is found severed.  Every message of a write the wire
@@ -278,7 +303,7 @@ class Link:
         peer: int,
         host: str,
         port: int,
-        on_drop: Callable[[Outbound], None],
+        on_drop: Callable[[list], None],
         heartbeat_interval_s: float = 0.0,
         metrics=None,
         telemetry: Callable[[], Message] | None = None,
@@ -356,7 +381,7 @@ class Link:
             backlog = await self.queue.take()
             if not await self._write(encode_backlog(backlog)):
                 for item in backlog:
-                    if type(item) is Outbound:
+                    if type(item) is list:
                         self._on_drop(item)
 
     async def _heartbeat(self, interval_s: float) -> None:
@@ -497,11 +522,12 @@ class WireRuntime:
     """The sans-io nodes of one network behind a due queue, links and a
     frame server.
 
-    The shared data path: :meth:`dispatch` counts each outbound message
-    and either queues it locally or forwards it over the link
-    :meth:`route` names; the frame server queues every inbound
-    ``Forwards`` row; :meth:`deliver` runs when one comes due, processes
-    it at its logical stamp and dispatches what the node emits.
+    The shared data path, one row (see the module docstring) all the
+    way: :meth:`dispatch` counts each row a node emitted and either
+    queues it locally or on the link :meth:`route` names; the frame
+    server validates and queues every inbound ``Forwards`` row;
+    :meth:`deliver` runs when one comes due, has the node process it at
+    its logical stamp and dispatches what the node emits.
 
     Args:
         network: The built network whose nodes run here.
@@ -529,7 +555,9 @@ class WireRuntime:
     ) -> None:
         self.network = network
         self.stats = stats
-        self.hosted = hosted
+        #: The nodes that take deliveries here, by id (released with
+        #: ``network``: see ``_TcpWire.run``).
+        self.hosted = {dst: network.node(dst) for dst in hosted}
         self.src = src
         self.host = host
         self.heartbeat_interval_s = heartbeat_interval_s
@@ -545,12 +573,12 @@ class WireRuntime:
         """The link toward ``dst``'s host, or ``None`` when it lives here."""
         raise NotImplementedError
 
-    def lost_on_send(self, out: Outbound) -> str | None:
-        """Why ``out`` never enters the network (a drop reason), if so."""
+    def lost_on_send(self, row: list) -> str | None:
+        """Why ``row`` never enters the network (a drop reason), if so."""
         return None
 
-    def lost_on_arrival(self, out: Outbound) -> str | None:
-        """Why ``out`` is lost at its arrival stamp (a drop reason), if so."""
+    def lost_on_arrival(self, row: list) -> str | None:
+        """Why ``row`` is lost at its arrival stamp (a drop reason), if so."""
         return None
 
     def on_hello(self, hello: Hello) -> None:
@@ -569,7 +597,7 @@ class WireRuntime:
     def connect(self, peer: int, port: int) -> None:
         """Start the link toward ``peer``; it connects on first use."""
         self.links[peer] = Link(
-            self.src, peer, self.host, port, lambda out: self.drop(out, "wire"),
+            self.src, peer, self.host, port, lambda row: self.drop(row, "wire"),
             self.heartbeat_interval_s,
             metrics=self.metrics,
             telemetry=self._telemetry if self.metrics is not None else None,
@@ -577,7 +605,7 @@ class WireRuntime:
 
     def schedule_replay(self, duration: float | None, then: Callable) -> None:
         """Queue the source replay and, behind everything queued so far,
-        ``then`` (an async callable)."""
+        ``then()``."""
         for t, item_id, value in self.network.source_schedule(duration):
             self.due.push(t, self._source_update, t, item_id, value)
         self.due.push(self.due.latest(), then)
@@ -598,41 +626,40 @@ class WireRuntime:
         if task is not None and task.done() and not task.cancelled():
             raise SimulationError("a due-queue action raised") from task.exception()
 
-    async def _source_update(self, t: float, item_id: int, value: float) -> None:
+    def _source_update(self, t: float, item_id: int, value: float) -> None:
         # The source replays its own schedule, so it stamps the update
         # with the scheduled time, not the (sleep-slopped) wall reading.
-        await self.dispatch(self.network.source_node.on_update(item_id, value, t))
+        self.dispatch(self.network.source_node.on_update(item_id, value, t))
 
-    async def dispatch(self, outs: list[Outbound]) -> None:
-        # Counted before the first await, so a suspended dispatch never
-        # reads as quiescent.
-        self.stats.sent += len(outs)
-        for out in outs:
-            reason = self.lost_on_send(out)
+    def dispatch(self, rows: list[list]) -> None:
+        self.stats.sent += len(rows)
+        for row in rows:
+            reason = self.lost_on_send(row)
             if reason is not None:
-                self.drop(out, reason)
+                self.drop(row, reason)
                 continue
-            link = self.route(out.dst)
+            link = self.route(row[0])
             if link is None:
-                self.due.push(out.arrival_s, self.deliver, out)
+                self.due.push(row[1], self.deliver, row)
             else:
-                await link.queue.put(out)
+                queue = link.queue
+                if queue.put_nowait(row):
+                    self.due.hold(queue)
 
-    async def deliver(self, out: Outbound) -> None:
-        reason = self.lost_on_arrival(out)
+    def deliver(self, row: list) -> None:
+        reason = self.lost_on_arrival(row)
         if reason is not None:
-            self.drop(out, reason)
+            self.drop(row, reason)
             return
         # Processed at the logical arrival stamp (see the module
         # docstring), so downstream filtering and scoring are free of
         # wall jitter.
-        await self.dispatch(
-            self.network.node(out.dst).on_message(out.update, out.arrival_s)
-        )
+        dst, arrival_s, item_id, value, tag, seq, _src = row
+        self.dispatch(self.hosted[dst].receive(item_id, value, tag, seq, arrival_s))
         self.stats.delivered += 1
         self.settled()
 
-    def drop(self, out: Outbound, reason: str) -> None:
+    def drop(self, row: list, reason: str) -> None:
         """Count one lost message, engine-comparably."""
         self.stats.dropped += 1
         if reason != "wire":
@@ -641,10 +668,8 @@ class WireRuntime:
             self.network.counters.record_drop()
         observer = self.network.observer
         if observer is not None:
-            observer.on_drop(
-                out.update.seq - 1, out.update.item_id,
-                out.arrival_s, out.update.src, out.dst, reason,
-            )
+            dst, arrival_s, item_id, _value, _tag, seq, src = row
+            observer.on_drop(seq - 1, item_id, arrival_s, src, dst, reason)
         self.settled()
 
     def _on_frame(self, message: Message) -> None:
@@ -653,10 +678,10 @@ class WireRuntime:
             return
         push, deliver, hosted = self.due.push, self.deliver, self.hosted
         for row in message.rows:
-            dst, arrival_s, update = row_update(row)
-            if dst not in hosted:
-                raise ProtocolError(f"node {dst} does not live here")
-            push(arrival_s, deliver, Outbound(dst, update, arrival_s))
+            check_row(row)
+            if row[0] not in hosted:
+                raise ProtocolError(f"node {row[0]} does not live here")
+            push(row[1], deliver, row)
 
     def _telemetry(self) -> Stats:
         stats = self.stats

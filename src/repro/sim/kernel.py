@@ -7,7 +7,8 @@ callbacks rather than using coroutine processes, which keeps the hot loop
 fast enough for the paper-scale experiments.
 
 :class:`BatchKernel` is the object-free sibling used by the vectorized
-engine (:mod:`repro.engine.vectorized`): no :class:`~repro.sim.events.
+engine (:mod:`repro.engine.vectorized`) and the in-process live
+transport (:mod:`repro.live.transport`): no :class:`~repro.sim.events.
 Event` object and no callback dispatch per message, just one merge of
 the run's pre-sorted source-update schedule with a plain tuple heap of
 in-flight deliveries, in the scalar kernel's exact ``(time, seq)``

@@ -127,10 +127,10 @@ def test_fleet_worker_reports_a_raising_node_as_fatal(monkeypatch):
     of idling until somebody gives up on it.  Driven in a thread so the
     node can be broken: a spawned worker would import a healthy one."""
 
-    def broken(self, update, now):
+    def broken(self, item_id, value, tag, seq, now):
         raise RuntimeError("node bug")
 
-    monkeypatch.setattr(RepositoryNode, "on_message", broken)
+    monkeypatch.setattr(RepositoryNode, "receive", broken)
     supervisor, worker = multiprocessing.Pipe()
     spec = FleetSpec(config=CONFIG, n_workers=1, duration=40.0, time_scale=400.0)
     raised = []

@@ -16,11 +16,11 @@ from repro.live.protocol import (
     ResyncRequest,
     ResyncResponse,
     Update,
+    check_row,
     check_version,
     decode_payload,
     encode_message,
     forward_row,
-    row_update,
 )
 
 pytestmark = pytest.mark.live
@@ -149,9 +149,10 @@ def test_forwards_rows_round_trip_and_reject_malformed_ones():
     row = forward_row(42, 99.5, update)
     assert row == [42, 99.5, 5, 2.5, 0.1, 11, 6]
     frame = decode_payload(encode_message(Forwards(rows=[row]))[4:])
-    assert [row_update(r) for r in frame.rows] == [(42, 99.5, update)]
+    assert frame.rows == [row]
+    check_row(frame.rows[0])
     # A whole number may stand in for a float; nothing else bends.
-    assert row_update([1, 2, 0, 3, None, 1, 0])[2].value == 3
+    check_row([1, 2, 0, 3, None, 1, 0])
     for bad in (
         row[:-1],  # arity
         row + [0],
@@ -164,7 +165,7 @@ def test_forwards_rows_round_trip_and_reject_malformed_ones():
         None,
     ):
         with pytest.raises(ProtocolError):
-            row_update(bad)
+            check_row(bad)
     with pytest.raises(ProtocolError):
         decode_payload(b'{"type":"forwards","rows":7}')
     with pytest.raises(ProtocolError):

@@ -4,11 +4,13 @@ import pytest
 
 from repro.engine.churn import schedule_for_config
 from repro.engine.config import SCALE_PRESETS, SimulationConfig
+from repro.engine.failures import FailureEvent, FailureSchedule
 from repro.engine.simulation import run_simulation
 from repro.errors import ConfigurationError
 from repro.experiments.cache import fingerprint
 from repro.live.harness import build_live_network, run_live
 from repro.errors import SimulationError
+from repro.obs.trace import TraceRecorder
 
 pytestmark = pytest.mark.live
 
@@ -147,6 +149,59 @@ def test_live_failures_match_simulator_exactly(policy):
     assert live.counters.edges_added > 0
     assert live.counters.resyncs == 2
     assert live.counters.resync_messages <= live.counters.resync_checks
+
+
+#: No network delay and a whole second of computation per copy: every
+#: delivery lands on one of the traces' whole-second sample instants, so
+#: updates, deliveries and a crash placed there share an instant.
+TIED = CONFIG.with_(comm_target_ms=0.0, comp_delay_ms=1000.0)
+
+
+def _delivery_at_an_update_instant(config) -> tuple[int, float]:
+    """``(repository, t)``: a delivery reaches it at an instant the
+    source also publishes at, read off a failure-free run's logs."""
+    network = build_live_network(config)
+    run_live(config, network=network)
+    publishes = {t for t, _item_id, _value in network.source_schedule()}
+    for repo, node in sorted(network.repositories.items()):
+        for log in node.deliveries.values():
+            for t, _value in log[1:]:  # log[0] primes the copy
+                if t in publishes and 50.0 <= t <= 200.0:
+                    return repo, t
+    raise AssertionError("no delivery shares an instant with an update")
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.05])
+@pytest.mark.parametrize("policy", ["distributed", "centralized"])
+def test_crash_update_and_delivery_at_one_instant_apply_in_engine_order(policy, loss):
+    """Control < update < delivery at equal instants: the crash applies
+    first, so the delivery of that same instant is a ``crash`` drop --
+    and the whole run equals the simulator's, whose tie-break it is."""
+    base = TIED.with_(policy=policy, message_loss_probability=loss)
+    # Nothing before ``t`` changes when the crash is added at ``t``.
+    repo, t = _delivery_at_an_update_instant(base)
+    config = base.with_(
+        failures=FailureSchedule(
+            (FailureEvent.crash(t, repo), FailureEvent.recover(t + 30.0, repo))
+        )
+    )
+    network = build_live_network(config)
+    recorder = TraceRecorder(policy=policy)
+    network.attach_observer(recorder)
+    live = run_live(config, network=network)
+    assert any(
+        (e.kind, e.reason, e.dst, e.time) == ("drop", "crash", repo, t)
+        for e in recorder.events
+    )
+    sim = run_simulation(config)
+    assert live.loss_of_fidelity == sim.loss_of_fidelity
+    assert live.messages == sim.messages
+    assert live.counters.deliveries == sim.counters.deliveries
+    assert live.counters.drops == sim.counters.drops
+    # Jitter moves the deliveries off the shared instants, reproducibly.
+    first = run_live(config, jitter_ms=5.0)
+    assert _result_digest(first) == _result_digest(run_live(config, jitter_ms=5.0))
+    assert _result_digest(first) != _result_digest(live)
 
 
 def test_live_rejects_unknown_transport_and_bad_duration():

@@ -1,8 +1,10 @@
 """Localhost TCP smoke: real sockets, real frames, conserved messages."""
 
 import asyncio
+import gc
 import inspect
 import socket
+import weakref
 
 import pytest
 
@@ -264,11 +266,25 @@ def test_tcp_run_ends_loudly_when_a_node_raises(monkeypatch):
     """A due-queue action that raises stops the schedule; the run must
     say so instead of waiting for a replay that cannot finish."""
 
-    def broken(self, update, now):
+    def broken(self, item_id, value, tag, seq, now):
         raise RuntimeError("node bug")
 
-    monkeypatch.setattr(RepositoryNode, "on_message", broken)
+    monkeypatch.setattr(RepositoryNode, "receive", broken)
     runtime = _TcpWire(TcpTransport(time_scale=800.0), build_live_network(CONFIG))
     with pytest.raises(SimulationError, match="due-queue action raised") as caught:
         asyncio.run(asyncio.wait_for(runtime.run(40.0), timeout=20.0))
     assert isinstance(caught.value.__cause__, RuntimeError)
+
+
+def test_a_finished_tcp_runtime_no_longer_reaches_the_networks_nodes():
+    """The runtime sits in a reference cycle with its closed links and
+    server; what it cached for the hot path must go where ``network``
+    goes, or one run's delivery logs outlive the run with it."""
+    network = build_live_network(CONFIG)
+    node = weakref.ref(next(iter(network.repositories.values())))
+    runtime = _TcpWire(TcpTransport(time_scale=800.0), network)
+    stats = asyncio.run(asyncio.wait_for(runtime.run(40.0), timeout=20.0))
+    assert stats.conserved and stats.delivered > 0
+    del network
+    gc.collect()  # the network is a cycle of its own (its core points back)
+    assert node() is None  # while ``runtime`` is still alive right here

@@ -8,9 +8,10 @@ import time
 import pytest
 
 from repro.core.metrics import CostCounters
+from repro.engine.config import SimulationConfig
 from repro.errors import SimulationError
 from repro.live import wire
-from repro.live.nodes import Outbound
+from repro.live.harness import build_live_network
 from repro.live.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -18,9 +19,9 @@ from repro.live.protocol import (
     Forwards,
     Hello,
     ResyncRequest,
-    Update,
     encode_message,
 )
+from repro.live.transport import TransportStats
 
 pytestmark = pytest.mark.live
 
@@ -43,10 +44,9 @@ def run(coroutine):
     return asyncio.run(asyncio.wait_for(coroutine, timeout=20.0))
 
 
-def frame(seq: int) -> Outbound:
-    """One message as the runtime queues it on a link."""
-    update = Update(item_id=0, value=float(seq), tag=None, seq=seq, src=0)
-    return Outbound(dst=1, update=update, arrival_s=0.0)
+def frame(seq: int) -> list:
+    """One message as the runtime queues it on a link: a row."""
+    return [1, 0.0, 0, float(seq), None, seq, 0]
 
 
 def batch(*seqs: int) -> bytes:
@@ -77,7 +77,7 @@ def test_due_queue_releases_by_due_time_then_push_order():
         due = wire.DueQueue(time_scale=1000.0)
         released = []
 
-        async def note(tag):
+        def note(tag):
             released.append(tag)
 
         for tag, at in (("c", 30.0), ("a1", 10.0), ("b", 20.0), ("a2", 10.0)):
@@ -98,7 +98,7 @@ def test_due_queue_wakes_early_for_an_earlier_action():
         due = wire.DueQueue(time_scale=1.0)
         released = []
 
-        async def note(tag):
+        def note(tag):
             released.append((tag, due.now()))
 
         due.epoch = time.monotonic()
@@ -295,6 +295,94 @@ def test_server_close_waits_for_handlers_then_cancels(monkeypatch):
     assert 0.2 <= waited < 2.0  # the silent handler used the whole budget
     assert done == [True, True]
     assert others == set()
+
+
+# ---- backpressure: dispatch never waits, the due queue does ----
+
+
+class _OneLink(wire.WireRuntime):
+    """Every destination sits behind the one link, toward peer 0."""
+
+    def route(self, dst):
+        return self.links[0]
+
+
+def one_link_runtime() -> _OneLink:
+    network = build_live_network(
+        SimulationConfig(n_repositories=5, n_routers=15, n_items=2, trace_samples=80)
+    )
+    return _OneLink(
+        network, TransportStats(), hosted=set(network.repositories), src=0,
+        time_scale=1000.0, host=HOST, heartbeat_interval_s=0.0,
+    )
+
+
+def test_an_action_that_fills_a_send_queue_holds_the_next_one_until_it_is_taken():
+    fan_out = 3
+    total = wire.QUEUE_HIGH + fan_out - 1
+
+    async def scenario():
+        frames, depths = [], []
+        server = wire.FrameServer(frames.append)
+        runtime = one_link_runtime()
+        runtime.connect(0, await server.listen(HOST))
+        queue = runtime.links[0].queue
+
+        def depth():
+            depths.append((len(queue), queue.stalls))
+
+        # All due at once: the loop releases them back to back and only
+        # yields to the pump where backpressure makes it.
+        below = [frame(seq) for seq in range(wire.QUEUE_HIGH - 1)]
+        over = [frame(seq) for seq in range(len(below), len(below) + fan_out)]
+        for action, args in (
+            (runtime.dispatch, (below,)), (depth, ()),  # free-running below high
+            (runtime.dispatch, (over,)), (depth, ()),  # reached high: held
+        ):
+            runtime.due.push(0.0, action, *args)
+        runtime.start(time.monotonic())
+        await until(lambda: len(depths) == 2 and sum(map(len, seqs(frames))) == total)
+        await runtime.close()
+        await server.close()
+        return depths, frames, runtime.stats
+
+    depths, frames, stats = run(scenario())
+    # The first probe ran with the backlog still queued, the second only
+    # once the pump had taken all of it -- one stall, counted.
+    assert depths == [(wire.QUEUE_HIGH - 1, 0), (0, 1)]
+    # One write: the queue peaked at high + fan_out - 1 and went out whole.
+    assert seqs(frames) == [list(range(total))]
+    assert stats.sent == total and stats.dropped == 0
+
+
+def test_a_dead_link_under_a_stall_reports_the_eaten_write_in_order(monkeypatch):
+    monkeypatch.setattr(wire, "RECONNECT_BACKOFF_S", 0.001)
+
+    async def scenario():
+        frames, dropped, released = [], [], []
+        server = wire.FrameServer(frames.append)
+        runtime = one_link_runtime()
+        link = runtime.links[0] = wire.Link(
+            0, 0, HOST, await server.listen(HOST), dropped.append
+        )
+        runtime.start(time.monotonic())
+        runtime.due.push(0.0, runtime.dispatch, [frame(0)])
+        await until(lambda: len(frames) == 1)
+        await server.close()  # nobody listens there any more ...
+        link.sever()  # ... and the connection under the link is gone
+        eaten = [frame(seq) for seq in range(1, wire.QUEUE_HIGH + 1)]
+        runtime.due.push(0.0, runtime.dispatch, eaten)
+        runtime.due.push(0.0, released.append, "next")
+        await until(lambda: released and len(dropped) >= len(eaten))
+        await runtime.close()
+        return dropped, eaten, link, runtime.stats
+
+    dropped, eaten, link, stats = run(scenario())
+    # The pump taking the backlog released the held action, and the
+    # write the wire then ate is reported whole, oldest row first.
+    assert dropped == eaten
+    assert link.queue.stalls == 1 and len(link.queue) == 0
+    assert stats.sent == 1 + len(eaten)
 
 
 # ---- end-of-run reconciliation ----

@@ -17,35 +17,24 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.live.nodes import Outbound
 from repro.live.protocol import (
     Forwards,
     FrameAssembler,
     Heartbeat,
     ResyncRequest,
     ResyncResponse,
-    Update,
-    forward_row,
-    row_update,
+    check_row,
 )
 from repro.live.wire import encode_backlog
 
 _ids = st.integers(min_value=0, max_value=2**40)
 _floats = st.floats(allow_nan=False, allow_infinity=False)
 
-_messages = st.builds(
-    Outbound,
-    dst=_ids,
-    update=st.builds(
-        Update,
-        item_id=_ids,
-        value=_floats,
-        tag=st.none() | _floats,
-        seq=_ids,
-        src=_ids,
-    ),
-    arrival_s=_floats,
-)
+#: Rows, as the runtime queues them: dst, arrival_s, item_id, value,
+#: tag, seq, src.
+_messages = st.tuples(
+    _ids, _floats, _ids, _floats, st.none() | _floats, _ids, _ids
+).map(list)
 _controls = st.one_of(
     st.builds(Heartbeat, src=_ids),
     st.builds(
@@ -71,8 +60,8 @@ _controls = st.one_of(
 def _bits(message) -> tuple:
     """A message as a comparable tuple with every float as its 8 bytes,
     so ``-0.0`` is not ``0.0`` and nothing compares by tolerance."""
-    if isinstance(message, Outbound):
-        fields = tuple(forward_row(message.dst, message.arrival_s, message.update))
+    if isinstance(message, list):
+        fields = tuple(message)
     else:
         fields = tuple(vars(message).values())
 
@@ -100,10 +89,9 @@ def test_any_backlog_round_trips_through_any_chunking(backlog, cuts):
         for frame in assembler.feed(stream[start:end]):
             if isinstance(frame, Forwards):
                 assert frame.rows  # a run is never empty
-                received.extend(
-                    Outbound(dst, update, arrival_s)
-                    for dst, arrival_s, update in map(row_update, frame.rows)
-                )
+                for row in frame.rows:
+                    check_row(row)
+                received.extend(frame.rows)
             else:
                 received.append(frame)
     assert assembler.at_boundary() and assembler.error is None
@@ -117,7 +105,7 @@ def test_runs_of_messages_share_a_frame_and_control_frames_keep_their_place(back
     shape = [len(f.rows) if isinstance(f, Forwards) else "control" for f in frames]
     expected: list = []
     for item in backlog:
-        if not isinstance(item, Outbound):
+        if not isinstance(item, list):
             expected.append("control")
         elif expected and expected[-1] != "control":
             expected[-1] += 1
