@@ -25,8 +25,34 @@ __all__ = [
     "violation_time",
     "loss_of_fidelity",
     "segmented_loss",
+    "unzip_log",
+    "scoring_windows",
     "FidelityAccumulator",
 ]
+
+
+def unzip_log(log) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """A ``(time, value)`` delivery log as its two columns.
+
+    Every scorer unpacks it into the ``recv_times, recv_values``
+    arguments of :func:`loss_of_fidelity` / :func:`segmented_loss`; one
+    ``zip`` splits the log at C speed.  An empty log gives two empty
+    columns, which the scorers reject themselves.
+    """
+    return tuple(zip(*log)) or ((), ())
+
+
+def scoring_windows(
+    traces, duration: float | None = None
+) -> dict[int, tuple[float, float]]:
+    """Each item's observation window ``(t_start, t_end)``: its trace's
+    first and last sample, the end clipped to ``duration`` seconds past
+    the start when given.  Computed once per item, not once per pair."""
+    windows = {}
+    for item_id, trace in traces.items():
+        t0, t1 = float(trace.times[0]), float(trace.times[-1])
+        windows[item_id] = (t0, t1 if duration is None else min(t1, t0 + duration))
+    return windows
 
 
 def _step_values_at(

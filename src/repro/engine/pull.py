@@ -24,7 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.fidelity import FidelityAccumulator, loss_of_fidelity
+from repro.core.fidelity import (
+    FidelityAccumulator,
+    loss_of_fidelity,
+    scoring_windows,
+    unzip_log,
+)
 from repro.core.metrics import CostCounters
 from repro.engine.builder import SimulationSetup
 from repro.errors import ConfigurationError
@@ -157,18 +162,14 @@ class PullSimulation:
         accumulator = FidelityAccumulator()
         per_pair: dict[tuple[int, int], float] = {}
         span = 0.0
+        windows = scoring_windows(self.setup.traces)
         for (repo, item_id), log in self._deliveries.items():
             trace = self.setup.traces[item_id]
             span = max(span, trace.span)
             c = self.setup.profiles[repo].requirements[item_id]
+            t0, t1 = windows[item_id]
             loss = loss_of_fidelity(
-                trace.times,
-                trace.values,
-                [t for t, _ in log],
-                [v for _, v in log],
-                c,
-                t_start=float(trace.times[0]),
-                t_end=float(trace.times[-1]),
+                trace.times, trace.values, *unzip_log(log), c, t_start=t0, t_end=t1
             )
             accumulator.add(repo, item_id, loss)
             per_pair[(repo, item_id)] = loss

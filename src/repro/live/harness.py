@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 from repro.core.clients import ClientPopulation
 from repro.core.dissemination.filtering import EdgeFilter, SourceTagger
-from repro.core.fidelity import FidelityAccumulator, loss_of_fidelity, segmented_loss
+from repro.core.fidelity import (
+    FidelityAccumulator,
+    loss_of_fidelity,
+    scoring_windows,
+    segmented_loss,
+    unzip_log,
+)
 from repro.core.metrics import CostCounters
 from repro.core.tree import TreeStats
 from repro.engine.builder import SimulationSetup, build_setup
@@ -404,17 +410,14 @@ def _score(
     accumulator = FidelityAccumulator()
     per_pair: dict[tuple[int, int], float] = {}
     segments = network.reconfig.segments
+    windows = scoring_windows(network.setup.traces, duration)
     for repo, profile in network.setup.profiles.items():
         if only is not None and repo not in only:
             continue
         node = network.repositories[repo]
         for item_id in profile.requirements:
             trace = network.setup.traces[item_id]
-            log = node.deliveries[item_id]
-            t0 = float(trace.times[0])
-            t1 = float(trace.times[-1])
-            if duration is not None:
-                t1 = min(t1, t0 + duration)
+            t0, t1 = windows[item_id]
             # The core's availability segments, through the function the
             # engine scores with: a pair no failure touched is one open
             # segment, which is loss_of_fidelity over the window, bit
@@ -423,8 +426,7 @@ def _score(
             loss = segmented_loss(
                 trace.times,
                 trace.values,
-                [entry[0] for entry in log],
-                [entry[1] for entry in log],
+                *unzip_log(node.deliveries[item_id]),
                 segments[(repo, item_id)],
                 t0,
                 t1,
@@ -447,22 +449,18 @@ def _score_clients(
     workers score the clients attached to their shard's repositories).
     """
     observed: dict[int, dict[int, float]] = {}
+    windows = scoring_windows(network.setup.traces, duration)
     for client_node in network.clients.values():
         if only is not None and client_node.node not in only:
             continue
         per_item: dict[int, float] = {}
         for item_id, tolerance in sorted(client_node.requirements.items()):
             trace = network.setup.traces[item_id]
-            log = client_node.deliveries[item_id]
-            t0 = float(trace.times[0])
-            t1 = float(trace.times[-1])
-            if duration is not None:
-                t1 = min(t1, t0 + duration)
+            t0, t1 = windows[item_id]
             per_item[item_id] = loss_of_fidelity(
                 trace.times,
                 trace.values,
-                [entry[0] for entry in log],
-                [entry[1] for entry in log],
+                *unzip_log(client_node.deliveries[item_id]),
                 tolerance,
                 t_start=t0,
                 t_end=t1,

@@ -6,7 +6,9 @@ import pytest
 from repro.core.fidelity import (
     FidelityAccumulator,
     loss_of_fidelity,
+    scoring_windows,
     segmented_loss,
+    unzip_log,
     violation_time,
 )
 from repro.errors import ConfigurationError
@@ -124,6 +126,36 @@ def test_violation_never_exceeds_the_window_by_a_float_ulp():
 # ----------------------------------------------------------------------
 # Accumulator
 # ----------------------------------------------------------------------
+
+
+def test_unzip_log_is_the_two_comprehensions():
+    log = [(0.0, 5.0), (1.5, 6.0), (1.5, 7.0)]
+    times, values = unzip_log(log)
+    assert list(times) == [entry[0] for entry in log]
+    assert list(values) == [entry[1] for entry in log]
+    src = np.array([0.0, 1.0, 2.0]), np.array([5.0, 6.5, 7.0])
+    assert loss_of_fidelity(*src, *unzip_log(log), 0.4, 0.0, 2.0) == loss_of_fidelity(
+        *src, [0.0, 1.5, 1.5], [5.0, 6.0, 7.0], 0.4, 0.0, 2.0
+    )
+
+
+def test_unzip_log_of_an_empty_log_is_rejected_by_the_scorer():
+    assert unzip_log([]) == ((), ())
+    with pytest.raises(ConfigurationError, match="at least one sample"):
+        loss_of_fidelity([0.0], [1.0], *unzip_log([]), 0.5, 0.0, 1.0)
+
+
+def test_scoring_windows_span_each_trace_and_clip_to_a_duration():
+    class Item:
+        def __init__(self, *times):
+            self.times = np.array(times)
+
+    traces = {0: Item(1.0, 4.0, 9.0), 1: Item(2.0, 3.0)}
+    assert scoring_windows(traces) == {0: (1.0, 9.0), 1: (2.0, 3.0)}
+    assert scoring_windows(traces, duration=5.0) == {0: (1.0, 6.0), 1: (2.0, 3.0)}
+    assert all(
+        type(edge) is float for window in scoring_windows(traces).values() for edge in window
+    )
 
 
 def test_accumulator_repository_mean():

@@ -152,6 +152,15 @@ def test_delivery_log_primed_and_ordered(tiny_setup_module):
     assert times == sorted(times)
 
 
+def test_scoring_a_pair_without_a_delivery_log_is_a_simulation_error(
+    tiny_setup_module,
+):
+    sim = DisseminationSimulation(tiny_setup_module)
+    del sim._deliveries[next(iter(sim._deliveries))]
+    with pytest.raises(SimulationError, match="no delivery log"):
+        sim.run()
+
+
 def test_chain_has_higher_loss_than_balanced_tree():
     base = SCALE_PRESETS["tiny"].with_(t_percent=100.0)
     chain = run_simulation(base.with_(offered_degree=1))

@@ -13,9 +13,13 @@ breakdowns and client-plane totals), and the event count.
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
 
+import repro.engine.vectorized as vectorized_module
 from repro.core.dissemination.filtering import FILTERED_POLICIES, quantise_tolerance
+from repro.engine.adaptive import AdaptivePolicy
 from repro.engine.builder import build_setup
 from repro.engine.churn import ChurnEvent, ChurnSchedule, schedule_for_config
 from repro.engine.config import SCALE_PRESETS
@@ -28,6 +32,7 @@ from repro.engine.simulation import (
 from repro.engine.sweep import run_sweep
 from repro.engine.vectorized import VectorizedSimulation
 from repro.errors import ConfigurationError, SimulationError
+from repro.obs.trace import TraceRecorder
 from repro.workloads import DiurnalWorkload, FlashCrowdWorkload, Table1Workload
 
 BASE = SCALE_PRESETS["tiny"].with_(n_items=3, trace_samples=300)
@@ -259,3 +264,108 @@ def test_wide_client_blocks_meet_reconfiguration(policy):
             rewired.add(pair)
     widths = [len(setup.client_tolerances.get(pair, ())) for pair in rewired]
     assert widths and max(widths) >= 200
+
+
+# ----------------------------------------------------------------------
+# Leaf landings: a copy sent to a pair with no dependents is applied at
+# the push site in a static, unobserved run, and on the heap otherwise.
+# ----------------------------------------------------------------------
+
+
+def _counted_run(monkeypatch, config, observer=None):
+    """Run ``config`` on the batch engine; return the simulation, its
+    result and how many tuples it pushed onto the heap."""
+    pushed = []
+
+    def counting_heappush(heap, item):
+        pushed.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(vectorized_module, "heappush", counting_heappush)
+    sim = VectorizedSimulation(build_setup(config), observer=observer)
+    return sim, sim.run(), len(pushed)
+
+
+def _logs(sim):
+    return {key: sim.delivery_log(*key) for key in sim._deliveries}
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.05])
+@pytest.mark.parametrize("shape", ["all_leaf", "chain"])
+def test_all_leaf_and_chain_shapes_match_the_oracle_log_by_log(
+    monkeypatch, shape, loss
+):
+    """The two ends of the landing share: with no cooperation every
+    repository hangs off the source and the heap is never used; at
+    degree 1 the d3g is per-item chains and only their tails land."""
+    degree = BASE.n_repositories if shape == "all_leaf" else 1
+    config = BASE.with_(
+        offered_degree=degree,
+        message_loss_probability=loss,
+        clients_per_repository=20,
+        seed=3913,
+    )
+    sim, vector, pushed = _counted_run(monkeypatch, config)
+    oracle = DisseminationSimulation(build_setup(config))
+    assert vector == oracle.run()
+    assert _logs(sim) == _logs(oracle)
+    assert vector.counters.deliveries > 0
+    assert (vector.counters.drops > 0) == (loss > 0.0)
+    if shape == "all_leaf":
+        assert pushed == 0
+    else:
+        assert 0 < pushed < vector.counters.deliveries
+
+
+def _span_multiset(recorder):
+    return sorted(
+        (ev.kind, ev.update_id, ev.item_id, ev.time, ev.node, ev.dst,
+         ev.forwarded, ev.reason or "")
+        for ev in recorder.events
+    )
+
+
+def _excluded(kind):
+    """A lossy config of the named run kind; any other name is the
+    plain static run."""
+    config = BASE.with_(message_loss_probability=0.02, seed=7)
+    if kind == "churn":
+        return config.with_(
+            churn=schedule_for_config(config, joins=1, departs=1, updates=1)
+        )
+    if kind == "failures":
+        return config.with_(
+            failures=FailureSchedule((FailureEvent.link_down(30.0, 0, 2),))
+        )
+    if kind == "adaptive":
+        # Never crosses the threshold: the ticks alone are a timeline.
+        return config.with_(adaptive=AdaptivePolicy(window=100.0, threshold=0.75))
+    return config
+
+
+@pytest.mark.parametrize("kind", ["observer", "churn", "failures", "adaptive"])
+def test_runs_that_can_move_or_watch_a_pair_keep_the_heap_path(monkeypatch, kind):
+    """A control timeline or an observer sends every delivery through
+    the heap, as before: result, logs and spans equal the oracle's."""
+    config = _excluded(kind)
+    recorder = TraceRecorder(policy=config.policy) if kind == "observer" else None
+    sim, vector, pushed = _counted_run(monkeypatch, config, observer=recorder)
+    # Every message that entered the network was pushed (the in-flight
+    # drops of a crash or departure were pushed too).
+    assert pushed >= vector.counters.deliveries > 0
+
+    oracle_recorder = TraceRecorder(policy=config.policy)
+    oracle = DisseminationSimulation(build_setup(config), observer=oracle_recorder)
+    assert vector == oracle.run()
+    assert _logs(sim) == _logs(oracle)
+
+    if recorder is None:  # the same run's spans, observed on the batch engine
+        recorder = TraceRecorder(policy=config.policy)
+        run_simulation(config.with_(kernel="vectorized"), observer=recorder)
+    assert _span_multiset(recorder) == _span_multiset(oracle_recorder)
+
+
+def test_the_static_unobserved_run_is_the_one_that_lands(monkeypatch):
+    """The same config as the excluded kinds, with nothing attached."""
+    _sim, vector, pushed = _counted_run(monkeypatch, _excluded("static"))
+    assert 0 < pushed < vector.counters.deliveries
