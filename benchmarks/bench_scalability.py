@@ -35,8 +35,8 @@ import time
 
 from repro.engine.builder import build_setup
 from repro.engine.config import SCALE_PRESETS
-from repro.engine.simulation import DisseminationSimulation
-from repro.engine.vectorized import VectorizedSimulation
+from repro.engine.oracle import DisseminationSimulation
+from repro.engine.simulation import VectorizedSimulation
 from repro.experiments import api
 
 #: The scalability preset, trimmed where both kernels pay identically.

@@ -18,7 +18,7 @@ from repro.core.items import DataItem
 from repro.core.lela import build_d3g
 from repro.engine import SCALE_PRESETS
 from repro.engine.builder import SimulationSetup
-from repro.engine.simulation import DisseminationSimulation
+from repro.engine.simulation import make_simulation
 from repro.network.model import build_network
 from repro.traces.model import Trace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
@@ -88,7 +88,7 @@ def main() -> None:
         effective_degree=3,
         avg_comm_delay_ms=network.mean_repo_delay_ms(),
     )
-    result = DisseminationSimulation(setup).run()
+    result = make_simulation(setup).run()
 
     print("Sensor dissemination network")
     print("-" * 52)

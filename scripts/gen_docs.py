@@ -36,14 +36,14 @@ API_MODULES = (
     "repro.engine.config",
     "repro.engine.builder",
     "repro.engine.simulation",
-    "repro.engine.vectorized",
+    "repro.engine.oracle",
     "repro.engine.sweep",
     "repro.engine.churn",
     "repro.engine.failures",
     "repro.engine.adaptive",
     "repro.engine.reconfig",
     "repro.engine.results",
-    "repro.core.dissemination.base",
+    "repro.core.dissemination.policy",
     "repro.core.dissemination.filtering",
     "repro.live.harness",
     "repro.live.protocol",

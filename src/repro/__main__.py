@@ -266,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernel", default=None, choices=sorted(KERNELS),
-        help="engine kernel: auto (vectorized where supported, default), "
-        "scalar (the oracle), or vectorized (error if unsupported); "
-        "results are bit-identical either way",
+        help="debugging switch: scalar runs the per-event reference "
+        "engine; results are bit-identical (auto and vectorized both "
+        "mean the engine)",
     )
     parser.add_argument(
         "--clients", type=int, default=None, metavar="N",
@@ -497,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--kernel", dest="obs_kernel", default=None,
             choices=sorted(KERNELS),
-            help="engine kernel; traced spans are identical either way "
-            "(default: auto)",
+            help="debugging switch: scalar runs the per-event reference "
+            "engine; results -- traced spans included -- are bit-identical",
         )
         _fault_options(
             sub, "obs_",

@@ -2,12 +2,11 @@
 
 Every dissemination policy ultimately answers one question per
 (update, service edge): *should this update be forwarded to dependent
-R for item x?*  The four :class:`~repro.core.dissemination.base.
-DisseminationPolicy` subclasses each used to inline their own copy of
-that test; this module hoists the decisions into pure functions so that
+R for item x?*  This module states the answers once, as pure functions,
+so that
 
-- the simulation policies (:mod:`repro.core.dissemination.distributed`
-  and friends) and
+- the reference policy table (:mod:`repro.core.dissemination.policy`),
+- the production engine's flat loop (:mod:`repro.engine.simulation`) and
 - the live repository servers (:mod:`repro.live.nodes`)
 
 share **one** code path, and the simulator can be cross-validated
@@ -25,7 +24,7 @@ Four layers:
   (``last_sent``), dispatching to the pure functions by policy name;
 - :class:`SourceTagger` -- the centralised policy's source-side
   examination (unique-tolerance list, per-tolerance last-sent values,
-  Figure 11(a) check counting);
+  Figure 11(a) check counting), answering with a :class:`SourceDecision`;
 - :class:`Staircase` -- the last-sent state of a whole *ascending
   tolerance column* as runs of equal values, for the two places where
   one update meets many tolerances: a repository's modeled-client block
@@ -33,8 +32,8 @@ Four layers:
   centralised source's unique tolerances (:meth:`Staircase.tag`,
   wrapped per item by :class:`StaircaseTagger`).  Both rules are
   monotone in the tolerance, so a run is decided by its end elements
-  and one ``bisect``, exactly; the batch kernel
-  (:mod:`repro.engine.vectorized`) uses it there and the scalar
+  and one ``bisect``, exactly; the production engine
+  (:mod:`repro.engine.simulation`) uses it there and the scalar
   functions on its 1-4 wide edge groups.
   :func:`forward_distributed_many` is the elementwise numpy reference
   the staircase is property-tested against.
@@ -45,10 +44,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dissemination.base import SourceDecision
 from repro.errors import ConfigurationError, DisseminationError
 
 __all__ = [
@@ -63,6 +62,8 @@ __all__ = [
     "tag_for_update",
     "FORWARD_RULES",
     "EdgeFilter",
+    "SourceDecision",
+    "PASS_THROUGH",
     "SourceTagger",
     "Staircase",
     "StaircaseTagger",
@@ -222,9 +223,9 @@ class EdgeFilter:
     """One service edge's forwarding decision plus its per-edge state.
 
     The live :class:`~repro.live.nodes.RepositoryNode` keeps one filter
-    per (dependent, item); the sim policies keep equivalent state in
-    bulk dictionaries but route every decision through the same pure
-    functions, so the two planes cannot drift apart.
+    per (dependent, item) and the reference policy table
+    (:class:`~repro.core.dissemination.policy.DisseminationPolicy`) one
+    per ``(parent, child, item)``, so the two planes cannot drift apart.
     """
 
     __slots__ = ("policy", "c_serve", "last_sent", "_rule")
@@ -248,8 +249,7 @@ class EdgeFilter:
     ) -> bool:
         """Should this value be forwarded over the edge?
 
-        Mirrors :meth:`DisseminationPolicy.decide` for a single edge,
-        including the state update on a positive decision.
+        Includes the state update on a positive decision.
 
         Raises:
             DisseminationError: for a centralised decision without a tag
@@ -266,6 +266,30 @@ class EdgeFilter:
         return forward
 
 
+@dataclass(frozen=True)
+class SourceDecision:
+    """Outcome of the source-side examination of one update.
+
+    Attributes:
+        disseminate: When false the update is dropped at the source
+            (no dependent can need it).
+        tag: Opaque value forwarded with the update (the centralised
+            policy's maximum violated tolerance).
+        checks: Number of source-side checks this examination cost;
+            feeds the Figure 11(a) metric.
+    """
+
+    disseminate: bool
+    tag: float | None = None
+    checks: int = 0
+
+
+#: What every source but the centralised one decides, for free: it has
+#: no source-global state, so the update goes to the root's dependents
+#: like any other node's.
+PASS_THROUGH = SourceDecision(disseminate=True, tag=None, checks=0)
+
+
 class SourceTagger:
     """The centralised policy's source-side state and examination.
 
@@ -276,8 +300,8 @@ class SourceTagger:
     overhead), tag the update with the largest violated one, and mark
     the value as sent for every tolerance the tag covers.
 
-    Shared by :class:`~repro.core.dissemination.centralized.
-    CentralizedPolicy` (which feeds it from ``register_edge``) and the
+    Shared by the centralised :class:`~repro.core.dissemination.policy.
+    DisseminationPolicy` (which feeds it from ``register_edge``) and the
     live :class:`~repro.live.nodes.SourceNode` (which feeds it from the
     LeLA-built ``d3g``).
 

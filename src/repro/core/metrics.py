@@ -15,8 +15,8 @@ convention of keeping client-serving cost out of the repository-plane
 message economy (:mod:`repro.live.nodes` does the same with its
 ``client_messages`` attribute).
 
-:class:`ArrayCounters` is the flat accumulator the batch kernel
-(:mod:`repro.engine.vectorized`) uses on its hot path: per-node tallies
+:class:`ArrayCounters` is the flat accumulator the engine
+(:mod:`repro.engine.simulation`) uses on its hot path: per-node tallies
 live in dense lists instead of dicts, and are folded into an ordinary
 :class:`CostCounters` once at the end of the run.
 """

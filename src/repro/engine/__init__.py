@@ -4,7 +4,9 @@ Glues the substrates together: builds the physical network, the
 workload's update traces and the interest profiles from a
 :class:`~repro.engine.config.SimulationConfig`, constructs the ``d3g``
 with LeLA, and drives the chosen dissemination policy through the
-discrete-event kernel.  The single entry point most callers need is
+engine's flat loop (:mod:`repro.engine.simulation`; the per-event
+reference it is checked against is :mod:`repro.engine.oracle`).  The
+single entry point most callers need is
 :func:`~repro.engine.simulation.run_simulation`.
 """
 
@@ -33,14 +35,14 @@ from repro.engine.failures import (
     failures_for_config,
     synthetic_failures,
 )
+from repro.engine.oracle import DisseminationSimulation
 from repro.engine.results import SimulationResult
 from repro.engine.simulation import (
-    DisseminationSimulation,
+    VectorizedSimulation,
     make_simulation,
     run_simulation,
 )
 from repro.engine.sweep import resolve_jobs, run_sweep
-from repro.engine.vectorized import VectorizedSimulation
 
 __all__ = [
     "SimulationConfig",

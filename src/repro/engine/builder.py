@@ -45,7 +45,7 @@ __all__ = [
 
 @dataclass
 class SimulationSetup:
-    """Everything :class:`~repro.engine.simulation.DisseminationSimulation`
+    """Everything :func:`~repro.engine.simulation.make_simulation`
     needs, plus the derived quantities experiments report."""
 
     config: SimulationConfig

@@ -25,12 +25,11 @@ from repro.workloads import Table1Workload, Workload
 
 __all__ = ["SimulationConfig", "SCALE_PRESETS", "KERNELS"]
 
-#: Engine kernels a config may request.  ``auto`` picks the vectorized
-#: batch-kernel engine whenever the run supports it (one of the four
-#: push policies) and falls back to the scalar oracle otherwise;
-#: ``scalar``/``vectorized`` force one side (``vectorized`` errors when
-#: the run is unsupported).  Both produce bit-identical results -- the
-#: golden suite in ``tests/engine/test_vectorized_golden.py`` pins it.
+#: Spellings ``SimulationConfig.kernel`` accepts.  There is one engine:
+#: ``auto`` and ``vectorized`` both mean it.  ``scalar`` runs the
+#: per-event reference oracle (:mod:`repro.engine.oracle`) instead, for
+#: debugging; results are bit-identical -- the golden suite in
+#: ``tests/engine/test_vectorized_golden.py`` pins it.
 KERNELS = ("auto", "scalar", "vectorized")
 
 
@@ -65,8 +64,8 @@ class SimulationConfig:
             replay -- stays fully value-determined.
         subscription_probability: P(repository wants an item) (paper: 0.5).
         t_percent: The paper's T -- % of items with stringent tolerances.
-        policy: Dissemination policy name (see
-            :func:`repro.core.dissemination.make_policy`).
+        policy: Dissemination policy name, one of
+            :data:`~repro.core.dissemination.filtering.FILTERED_POLICIES`.
         offered_degree: Cooperative resources each node offers (the
             sweep variable of Figures 3/7/8; the paper's ``cResources``
             when ``controlled_cooperation`` is on).
@@ -77,14 +76,11 @@ class SimulationConfig:
         message_loss_probability: Failure-injection knob -- probability
             an update message is silently lost in the network (the paper
             assumes a reliable network; 0 reproduces it).
-        kernel: Which engine runs the event loop: ``auto`` (default)
-            uses the vectorized batch kernel whenever the run
-            supports it and the scalar oracle otherwise; ``scalar``
-            forces the oracle; ``vectorized`` forces the batch kernel
-            and errors when the run is unsupported (a policy outside
-            the four push policies).  The two kernels are
-            bit-identical wherever both apply, so this knob never
-            changes results -- only wall-clock.
+        kernel: ``auto`` (default) and ``vectorized`` both run the
+            engine; ``scalar`` runs the per-event reference oracle the
+            engine is tested against.  The two are bit-identical on
+            every run, so this debugging switch never changes results
+            -- only wall-clock.
         clients_per_repository: Modeled end-clients attached to each
             repository (0 reproduces the paper's repository-only plane).
             Each client subscribes to one of its repository's items and
@@ -120,8 +116,7 @@ class SimulationConfig:
             only the changed service edges live, charging every rewire
             into reconfiguration cost.  Composable with workloads and
             loss; mutually exclusive with ``churn`` and ``failures``
-            (all three reconfigure the same graph), and restricted to
-            the four push policies both kernels share.
+            (all three reconfigure the same graph).
     """
 
     seed: int = 20020812
@@ -181,14 +176,14 @@ class SimulationConfig:
                 "(build one with repro.workloads.make_workload)"
             )
         self.workload.validate()
+        if self.policy not in FILTERED_POLICIES:
+            raise ConfigurationError(
+                f"the engine supports policies {list(FILTERED_POLICIES)}, "
+                f"got {self.policy!r}"
+            )
         if self.kernel not in KERNELS:
             raise ConfigurationError(
                 f"kernel must be one of {list(KERNELS)}, got {self.kernel!r}"
-            )
-        if self.kernel == "vectorized" and self.policy not in FILTERED_POLICIES:
-            raise ConfigurationError(
-                f"kernel='vectorized' supports policies {list(FILTERED_POLICIES)}, "
-                f"got {self.policy!r}"
             )
         if self.clients_per_repository < 0:
             raise ConfigurationError("clients_per_repository must be >= 0")
@@ -247,11 +242,6 @@ class SimulationConfig:
                     "adaptive re-optimization cannot be combined with a "
                     "failure schedule in one run: failover and drift-triggered "
                     "rewiring would contend for the same edges"
-                )
-            if self.policy not in FILTERED_POLICIES:
-                raise ConfigurationError(
-                    f"adaptive re-optimization supports policies "
-                    f"{list(FILTERED_POLICIES)}, got {self.policy!r}"
                 )
 
     def with_(self, **overrides) -> "SimulationConfig":

@@ -26,7 +26,7 @@ from repro.core.preference import get_preference_function
 from repro.engine.builder import SimulationSetup, build_setup
 from repro.engine.config import SimulationConfig
 from repro.engine.pull import PullSimulation, TtrConfig
-from repro.engine.simulation import DisseminationSimulation
+from repro.engine.simulation import make_simulation
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomStreams
 
@@ -124,7 +124,7 @@ def run_hybrid_simulation(
             effective_degree=full_setup.effective_degree,
             avg_comm_delay_ms=full_setup.avg_comm_delay_ms,
         )
-        push_result = DisseminationSimulation(push_setup).run()
+        push_result = make_simulation(push_setup).run()
         per_pair.update(push_result.extras["per_pair_loss"])
         push_messages = push_result.messages
 

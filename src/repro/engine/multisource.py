@@ -12,24 +12,24 @@ straightforward"*.  This module implements it:
   serving three dependents for source A's items has three fewer
   connections to offer source B (built sequentially, the paper's
   one-at-a-time spirit).
-- The event-driven simulation is shared: one kernel, one FIFO station
-  per node, so a repository relaying items of several sources queues
-  all of that work in one place (unlike the push/pull hybrid, nothing
-  is approximated here).
+- The simulation is shared: the engine takes one ``(graph, root, item
+  ids)`` tree per source and keeps one FIFO backlog per node, so a
+  repository relaying items of several sources queues all of that work
+  in one place (unlike the push/pull hybrid, nothing is approximated
+  here).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.dissemination import DisseminationPolicy
 from repro.core.interests import InterestProfile
 from repro.core.lela import LelaBuilder
 from repro.core.preference import get_preference_function
 from repro.core.tree import DisseminationGraph
 from repro.engine.builder import SimulationSetup, build_setup
 from repro.engine.config import SimulationConfig
-from repro.engine.simulation import DisseminationSimulation
+from repro.engine.simulation import VectorizedSimulation
 from repro.errors import ConfigurationError, TreeConstructionError
 from repro.sim.rng import RandomStreams
 
@@ -129,16 +129,16 @@ def build_multisource_setup(
     )
 
 
-class MultiSourceSimulation(DisseminationSimulation):
-    """The shared-kernel simulation over several per-source trees."""
+class MultiSourceSimulation(VectorizedSimulation):
+    """The engine over several per-source trees."""
 
-    def __init__(
-        self, multi: MultiSourceSetup, policy: DisseminationPolicy | None = None
-    ) -> None:
+    def __init__(self, multi: MultiSourceSetup) -> None:
         self._multi = multi
-        super().__init__(multi.base, policy)
+        super().__init__(multi.base, trees=self._graphs())
 
     def _graphs(self):
+        """One ``(graph, root, item ids)`` triple per source that owns
+        items; the reference oracle accepts the same list as ``trees``."""
         triples = []
         for source in self._multi.sources:
             items = self._multi.items_of(source)

@@ -36,7 +36,6 @@ def _plan(ctx: api.ExperimentContext):
             offered_degree=min(100, n),
             controlled_cooperation=True,
             policy=ctx.params["policy"],
-            kernel=ctx.params["kernel"],
         )
         for n in repo_counts
     )
@@ -77,9 +76,6 @@ SPEC = api.register(api.ExperimentSpec(
                       "coherency-stringency mix (T%)"),
         api.ParamSpec("policy", "str", "distributed",
                       "dissemination policy"),
-        api.ParamSpec("kernel", "str", "auto",
-                      "engine kernel (auto/scalar/vectorized; results "
-                      "are bit-identical, only wall-clock differs)"),
     ),
     plan=_plan,
     collect=_collect,

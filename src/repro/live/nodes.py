@@ -17,9 +17,9 @@ engine computes: ``now + (arrival - now)`` differs by an ULP.
 The coherency decisions are exactly the simulator's: every service
 edge holds an :class:`~repro.core.dissemination.filtering.EdgeFilter`
 and the source holds a :class:`~repro.core.dissemination.filtering.
-SourceTagger` when the centralised policy runs -- the same shared code
-path the :class:`~repro.core.dissemination.base.DisseminationPolicy`
-subclasses route through.  Timing semantics also mirror the engine:
+SourceTagger` when the centralised policy runs -- the very objects the
+reference :class:`~repro.core.dissemination.policy.DisseminationPolicy`
+tables.  Timing semantics also mirror the engine:
 each forwarded copy costs ``comp_delay`` of serialised server time at
 the sending node (a :class:`~repro.sim.queueing.FifoStation`) before it
 leaves, then travels the end-to-end network delay.

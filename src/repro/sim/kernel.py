@@ -2,12 +2,12 @@
 
 A :class:`Simulator` owns a clock and an :class:`~repro.sim.events.EventQueue`
 and runs callbacks in simulated-time order.  It is deliberately minimal:
-the dissemination engine in :mod:`repro.engine.simulation` schedules plain
+the reference engine in :mod:`repro.engine.oracle` schedules plain
 callbacks rather than using coroutine processes, which keeps the hot loop
 fast enough for the paper-scale experiments.
 
-:class:`BatchKernel` is the object-free sibling used by the vectorized
-engine (:mod:`repro.engine.vectorized`) and the in-process live
+:class:`BatchKernel` is the object-free sibling used by the engine
+(:mod:`repro.engine.simulation`) and the in-process live
 transport (:mod:`repro.live.transport`): no :class:`~repro.sim.events.
 Event` object and no callback dispatch per message, just one merge of
 the run's pre-sorted source-update schedule with a plain tuple heap of

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core.dissemination.centralized import CentralizedPolicy, tag_for_update
+from repro.core.dissemination import make_policy as _make_policy
+from repro.core.dissemination.filtering import tag_for_update
 from repro.errors import DisseminationError
 
 
 def make_policy():
     """Three repositories at tolerances 0.1 / 0.3 / 0.5, initial value 1.0."""
-    policy = CentralizedPolicy()
+    policy = _make_policy("centralized")
     policy.register_edge(0, 1, 7, 0.1, 1.0)
     policy.register_edge(0, 2, 7, 0.3, 1.0)
     policy.register_edge(2, 3, 7, 0.5, 1.0)
@@ -90,7 +91,7 @@ def test_cumulative_small_moves_eventually_tagged():
 
 
 def test_float_noise_in_tolerances_collapses():
-    policy = CentralizedPolicy()
+    policy = _make_policy("centralized")
     policy.register_edge(0, 1, 7, 0.1, 1.0)
     policy.register_edge(0, 2, 7, 0.1 + 1e-12, 1.0)
     assert len(policy.unique_tolerances(7)) == 1

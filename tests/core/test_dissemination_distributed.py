@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.dissemination.distributed import (
-    DistributedPolicy,
-    should_forward_distributed,
+from repro.core.dissemination import make_policy as _make_policy
+from repro.core.dissemination.filtering import (
+    forward_distributed as should_forward_distributed,
 )
 from repro.errors import DisseminationError
 
@@ -47,7 +47,7 @@ def test_negative_direction_symmetric():
 
 
 def make_policy():
-    policy = DistributedPolicy()
+    policy = _make_policy("distributed")
     policy.register_edge(parent=0, child=1, item_id=7, c_serve=0.5, initial_value=1.0)
     return policy
 
@@ -78,7 +78,7 @@ def test_decide_keeps_last_sent_on_suppress():
 
 
 def test_each_edge_has_independent_state():
-    policy = DistributedPolicy()
+    policy = _make_policy("distributed")
     policy.register_edge(0, 1, 7, 0.5, 1.0)
     policy.register_edge(0, 2, 7, 0.1, 1.0)
     assert not policy.decide(0, 1, 7, 1.2, 0.0, None).forward

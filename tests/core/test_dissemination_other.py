@@ -3,20 +3,18 @@
 import pytest
 
 from repro.core.dissemination import available_policies, make_policy
-from repro.core.dissemination.eq3only import Eq3OnlyPolicy
-from repro.core.dissemination.flooding import FloodingPolicy
 from repro.errors import ConfigurationError, DisseminationError
 
 
 def test_flooding_forwards_every_distinct_value():
-    policy = FloodingPolicy()
+    policy = make_policy("flooding")
     policy.register_edge(0, 1, 7, 0.5, 1.0)
     assert policy.decide(0, 1, 7, 1.01, 0.0, None).forward
     assert policy.decide(0, 1, 7, 1.02, 0.0, None).forward
 
 
 def test_flooding_skips_pure_repeats():
-    policy = FloodingPolicy()
+    policy = make_policy("flooding")
     policy.register_edge(0, 1, 7, 0.5, 1.0)
     assert not policy.decide(0, 1, 7, 1.0, 0.0, None).forward  # initial repeat
     assert policy.decide(0, 1, 7, 1.5, 0.0, None).forward
@@ -24,13 +22,13 @@ def test_flooding_skips_pure_repeats():
 
 
 def test_flooding_source_passthrough():
-    policy = FloodingPolicy()
+    policy = make_policy("flooding")
     decision = policy.at_source(7, 2.0)
     assert decision.disseminate and decision.checks == 0
 
 
 def test_eq3_only_suppresses_within_tolerance():
-    policy = Eq3OnlyPolicy()
+    policy = make_policy("eq3_only")
     policy.register_edge(0, 1, 7, 0.5, 1.0)
     assert not policy.decide(0, 1, 7, 1.4, 0.3, None).forward
     assert policy.decide(0, 1, 7, 1.6, 0.3, None).forward
@@ -39,13 +37,13 @@ def test_eq3_only_suppresses_within_tolerance():
 def test_eq3_only_ignores_parent_receive_c():
     # This is exactly what makes it unsound: a tiny remaining slack does
     # not trigger a forward.
-    policy = Eq3OnlyPolicy()
+    policy = make_policy("eq3_only")
     policy.register_edge(0, 1, 7, 0.5, 1.0)
     assert not policy.decide(0, 1, 7, 1.49, parent_receive_c=0.3, tag=None).forward
 
 
 def test_eq3_only_unregistered_edge_raises():
-    policy = Eq3OnlyPolicy()
+    policy = make_policy("eq3_only")
     with pytest.raises(DisseminationError):
         policy.decide(0, 1, 7, 1.0, 0.0, None)
 

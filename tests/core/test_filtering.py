@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.dissemination.base import SourceDecision
+from repro.core.dissemination.filtering import SourceDecision
 from repro.core.dissemination.filtering import (
     StaircaseTagger,
     EdgeFilter,

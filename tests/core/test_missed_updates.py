@@ -11,17 +11,16 @@ repository P and c_q = 0.5 at its dependent Q:
   which Q's copy tracks within 0.5 for the whole run.
 """
 
-from repro.core.dissemination.distributed import DistributedPolicy
-from repro.core.dissemination.eq3only import Eq3OnlyPolicy
+from repro.core.dissemination import make_policy
 
 SOURCE_VALUES = [1.0, 1.2, 1.4, 1.5, 1.7, 2.0]
 C_P = 0.3
 C_Q = 0.5
 
 
-def drive(policy_class):
+def drive(policy_name):
     """Drive the source sequence through S -> P -> Q; return receive logs."""
-    policy = policy_class()
+    policy = make_policy(policy_name)
     policy.register_edge("S", "P", 0, C_P, SOURCE_VALUES[0])
     policy.register_edge("P", "Q", 0, C_Q, SOURCE_VALUES[0])
     p_log, q_log = [], []
@@ -34,7 +33,7 @@ def drive(policy_class):
 
 
 def test_eq3_only_reproduces_figure4_miss():
-    p_log, q_log = drive(Eq3OnlyPolicy)
+    p_log, q_log = drive("eq3_only")
     # P sees the values the paper shows at P: 1.4, 1.7, 2.0.
     assert p_log == [1.4, 1.7, 2.0]
     # Q misses 1.4 and therefore is stuck at 1.0 until 1.7 arrives --
@@ -47,7 +46,7 @@ def test_eq3_only_reproduces_figure4_miss():
 
 
 def test_distributed_guard_forwards_the_crucial_update():
-    p_log, q_log = drive(DistributedPolicy)
+    p_log, q_log = drive("distributed")
     assert p_log == [1.4, 1.7, 2.0]
     # Eq. (7): slack at Q after 1.4 is 0.5 - 0.4 = 0.1 < c_p = 0.3.
     assert q_log[0] == 1.4
@@ -56,7 +55,7 @@ def test_distributed_guard_forwards_the_crucial_update():
 
 
 def test_distributed_q_always_coherent_at_decision_points():
-    _, q_log = drive(DistributedPolicy)
+    _, q_log = drive("distributed")
     held = SOURCE_VALUES[0]
     log = list(q_log)
     for value in SOURCE_VALUES[1:]:
@@ -65,8 +64,8 @@ def test_distributed_q_always_coherent_at_decision_points():
         assert abs(value - held) <= C_Q + 1e-12
 
 
-def _max_deviation_at_q(policy_class):
-    _, q_log = drive(policy_class)
+def _max_deviation_at_q(policy_name):
+    _, q_log = drive(policy_name)
     held = SOURCE_VALUES[0]
     log = list(q_log)
     worst = 0.0
@@ -81,5 +80,5 @@ def test_eq3_only_drives_q_to_the_tolerance_boundary():
     # While the source sits at 1.5, Q still holds 1.0: the deviation is
     # exactly c_q -- one more cent and Q is incoherent with no message in
     # flight.  The guard keeps Q far inside the band instead.
-    assert _max_deviation_at_q(Eq3OnlyPolicy) >= C_Q - 1e-12
-    assert _max_deviation_at_q(DistributedPolicy) <= 0.31
+    assert _max_deviation_at_q("eq3_only") >= C_Q - 1e-12
+    assert _max_deviation_at_q("distributed") <= 0.31

@@ -220,7 +220,7 @@ def test_depart_then_rejoin_is_served_again():
 
 
 def test_rejoiner_receives_deliveries_after_rejoin():
-    from repro.engine.simulation import DisseminationSimulation
+    from repro.engine.oracle import DisseminationSimulation
 
     schedule = ChurnSchedule(
         (ChurnEvent.depart(50.0, 3), ChurnEvent.join(150.0, 3))

@@ -55,6 +55,17 @@ def test_vectorized_kernel_takes_churn_and_rejects_exotic_policies():
         SimulationConfig(kernel="vectorized", policy="pull")
 
 
+@pytest.mark.parametrize("kernel", ["auto", "scalar", "vectorized"])
+def test_unknown_policy_rejected_at_construction_under_every_kernel(kernel):
+    """It used to construct and fail inside ``make_policy`` at run time."""
+    with pytest.raises(ConfigurationError, match="supports policies"):
+        SimulationConfig(kernel=kernel, policy="bogus")
+    from repro.engine.adaptive import AdaptivePolicy
+
+    with pytest.raises(ConfigurationError, match="supports policies"):
+        SimulationConfig(policy="bogus", adaptive=AdaptivePolicy())
+
+
 def test_churn_tolerances_validated_at_build_time():
     from repro.engine.churn import ChurnEvent, ChurnSchedule
 

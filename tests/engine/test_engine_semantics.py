@@ -9,7 +9,7 @@ from repro.core.items import DataItem
 from repro.core.lela import build_d3g
 from repro.engine.builder import SimulationSetup, build_setup
 from repro.engine.config import SCALE_PRESETS
-from repro.engine.simulation import DisseminationSimulation
+from repro.engine.oracle import DisseminationSimulation
 from repro.network.model import build_network
 from repro.traces.model import Trace
 

@@ -69,6 +69,27 @@ def test_simulation_runs_and_scores(config, multi):
     assert result.extras["sources"] == multi.sources
 
 
+@pytest.mark.parametrize("policy", ["distributed", "centralized"])
+@pytest.mark.parametrize("n_sources", [1, 3])
+def test_engine_equals_the_reference_oracle(config, n_sources, policy):
+    """Multi-source runs on the engine; the per-event oracle, handed the
+    same per-source trees, must agree on everything."""
+    from repro.engine.oracle import DisseminationSimulation
+
+    multi = build_multisource_setup(config.with_(policy=policy), n_sources)
+    engine = MultiSourceSimulation(multi)
+    oracle = DisseminationSimulation(multi.base, trees=engine._graphs())
+    result, reference = engine.run(), oracle.run()
+    assert {k: v.hex() for k, v in result.extras["per_pair_loss"].items()} == {
+        k: v.hex() for k, v in reference.extras["per_pair_loss"].items()
+    }
+    # The multi-source class's own two additions to the result.
+    for key in ("sources", "item_owner"):
+        reference.extras[key] = result.extras[key]
+    assert result == reference
+    assert result.messages > 0
+
+
 def test_one_source_matches_single_source_engine(config):
     from repro.engine.simulation import run_simulation
 

@@ -355,8 +355,8 @@ def test_a_finished_plane_is_freed_without_a_collector_pass():
 
     from repro.engine.builder import build_setup
     from repro.engine.config import SCALE_PRESETS
-    from repro.engine.simulation import DisseminationSimulation
-    from repro.engine.vectorized import VectorizedSimulation
+    from repro.engine.oracle import DisseminationSimulation
+    from repro.engine.simulation import VectorizedSimulation
     from repro.live import build_live_network
 
     config = SCALE_PRESETS["tiny"].with_(n_items=2, trace_samples=50)

@@ -5,11 +5,8 @@ import pytest
 from repro.core.dissemination import make_policy
 from repro.engine.builder import build_setup
 from repro.engine.config import SCALE_PRESETS
-from repro.engine.simulation import (
-    DisseminationSimulation,
-    make_simulation,
-    run_simulation,
-)
+from repro.engine.oracle import DisseminationSimulation
+from repro.engine.simulation import make_simulation, run_simulation
 from repro.errors import SimulationError
 
 

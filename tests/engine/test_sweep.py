@@ -93,7 +93,9 @@ def test_submission_order_does_not_change_per_config_results():
 
 def test_worker_errors_propagate():
     good = BASE.with_(offered_degree=2)
-    bad = BASE.with_(policy="no-such-policy")
+    # Constructs, then fails in the worker's build_setup (an unknown
+    # policy no longer constructs at all).
+    bad = BASE.with_(preference="no-such-preference")
     with pytest.raises(Exception):
         run_sweep([good, bad], jobs=2)
 

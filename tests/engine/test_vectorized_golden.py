@@ -17,21 +17,21 @@ import heapq
 
 import pytest
 
-import repro.engine.vectorized as vectorized_module
+import repro.engine.simulation as vectorized_module
 from repro.core.dissemination.filtering import FILTERED_POLICIES, quantise_tolerance
 from repro.engine.adaptive import AdaptivePolicy
 from repro.engine.builder import build_setup
 from repro.engine.churn import ChurnEvent, ChurnSchedule, schedule_for_config
 from repro.engine.config import SCALE_PRESETS
 from repro.engine.failures import FailureEvent, FailureSchedule
+from repro.engine.oracle import DisseminationSimulation
 from repro.engine.simulation import (
-    DisseminationSimulation,
+    VectorizedSimulation,
     make_simulation,
     run_simulation,
 )
 from repro.engine.sweep import run_sweep
-from repro.engine.vectorized import VectorizedSimulation
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.obs.trace import TraceRecorder
 from repro.workloads import DiurnalWorkload, FlashCrowdWorkload, Table1Workload
 
@@ -136,20 +136,6 @@ def test_the_inline_heap_push_keeps_the_kernels_guard(delay):
         sim.run()
 
 
-def test_vectorized_kernel_refuses_policies_outside_the_push_four():
-    from repro.core.dissemination import DistributedPolicy
-
-    class Exotic(DistributedPolicy):
-        name = "exotic"
-
-    setup = build_setup(BASE)
-    with pytest.raises(ConfigurationError):
-        VectorizedSimulation(setup, Exotic())
-    with pytest.raises(ConfigurationError):
-        make_simulation(build_setup(BASE.with_(kernel="vectorized")), Exotic())
-    assert type(make_simulation(setup, Exotic())) is DisseminationSimulation
-
-
 def test_shared_setup_reuse_is_stateless():
     """One built setup can back many runs without cross-contamination."""
     setup = build_setup(BASE.with_(clients_per_repository=25))
@@ -188,7 +174,13 @@ def test_bit_identity_on_a_wide_group_with_partition_before_loss(policy):
 
 def test_wire_unwire_wire_keeps_the_four_columns_aligned():
     sim = VectorizedSimulation(build_setup(BASE.with_(policy="centralized")))
-    (parent, item_id), children = next(iter(sim._children.items()))
+    graph = sim.setup.graph
+    parent, item_id, children = next(
+        (node, item, graph.children_for_item(node, item))
+        for node in graph.nodes
+        for item in sim.setup.traces
+        if graph.children_for_item(node, item)
+    )
     gid = sim._gid_of[(parent, item_id)]
 
     def rows():

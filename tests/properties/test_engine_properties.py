@@ -13,8 +13,8 @@ from hypothesis import given, settings
 
 from repro.engine.builder import build_setup
 from repro.engine.config import SimulationConfig
-from repro.engine.simulation import DisseminationSimulation, run_simulation
-from repro.engine.vectorized import VectorizedSimulation
+from repro.engine.oracle import DisseminationSimulation
+from repro.engine.simulation import VectorizedSimulation, run_simulation
 
 _BASE = dict(
     n_repositories=8,

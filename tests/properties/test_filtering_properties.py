@@ -4,7 +4,7 @@ The live repository network and the simulation policies share the pure
 decision code in :mod:`repro.core.dissemination.filtering`; these
 properties pin the contract the ``live_crosscheck`` experiment rests
 on -- for *every* (update, edge) pair, a
-:class:`~repro.core.dissemination.base.DisseminationPolicy` and the
+:class:`~repro.core.dissemination.policy.DisseminationPolicy` and the
 equivalent per-edge :class:`~repro.core.dissemination.filtering.
 EdgeFilter` (plus :class:`~repro.core.dissemination.filtering.
 SourceTagger` at the source) make identical decisions over identical
@@ -194,7 +194,7 @@ def test_array_source_tagger_matches_scalar_tagger(cs, values, initial):
 
 import math
 
-from repro.core.dissemination.base import SourceDecision
+from repro.core.dissemination.filtering import SourceDecision
 from repro.core.dissemination.filtering import Staircase
 
 

@@ -16,8 +16,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.dissemination.centralized import CentralizedPolicy
-from repro.core.dissemination.distributed import DistributedPolicy
+from repro.core.dissemination import make_policy
 
 _TOL = 1e-9
 
@@ -36,7 +35,7 @@ tolerances_strategy = st.lists(
 
 def run_distributed_chain(values: list[float], chain_cs: list[float]) -> list[list[float]]:
     """Drive a zero-delay chain source -> n0 -> n1 -> ...; return holdings."""
-    policy = DistributedPolicy()
+    policy = make_policy("distributed")
     initial = values[0]
     n = len(chain_cs)
     for i in range(n):
@@ -71,7 +70,7 @@ def test_distributed_chain_always_coherent(values, cs):
 @settings(max_examples=200, deadline=None)
 def test_centralized_chain_always_coherent(values, cs):
     chain_cs = sorted(cs)
-    policy = CentralizedPolicy()
+    policy = make_policy("centralized")
     initial = values[0]
     n = len(chain_cs)
     for i in range(n):
@@ -103,7 +102,7 @@ def test_centralized_tagging_invariants(values, cs):
     adversarial sequences can legitimately split the two policies.)
     """
     chain_cs = sorted(set(round(c, 9) for c in cs))
-    policy = CentralizedPolicy()
+    policy = make_policy("centralized")
     initial = values[0]
     for i, c in enumerate(chain_cs):
         policy.register_edge(i - 1, i, 0, c, initial)
@@ -128,7 +127,7 @@ def test_distributed_suppression_is_safe(values, cs):
     """Whenever the distributed policy suppresses, the slack really was
     large enough that the child could absorb any parent-invisible move."""
     chain_cs = sorted(cs)
-    policy = DistributedPolicy()
+    policy = make_policy("distributed")
     initial = values[0]
     policy.register_edge("p", "q", 0, chain_cs[-1], initial)
     last_sent = initial
