@@ -17,18 +17,20 @@ comparison isolates transport capacity:
   redundant config rebuilds happen before it and amortise over run
   length, so they are deliberately excluded.
 
-Sizing: the fleet's window always carries fixed waits the single process
-does not -- the 0.25 s start barrier and a 0.1 s quiescence poll -- so
-the run must be long enough that delivery work, not those waits and not
-schedule pacing, decides the inequality.  8000 samples at 40 000x is
-~231 000 deliveries: a 0.2 s pacing floor and ~0.45 s of fixed waits
-against ~2.4 s of single-process work (fleet/single 1.4-1.6 on two
-cores, 95-100 k against 145-155 k deliveries/s; it was 3.5 s and
-1.6-1.8 while the runtime still rebuilt every message per stage, so the
-margin the fixed waits eat is now thinner).  At 500 samples and 2000x the single process finishes in ~0.3 s
-against a 0.25 s floor and the gate would compare one fixed wait with
-another; at 4000 samples the waits are still a quarter of the fleet's
-window and the ratio reads 1.1-1.3.
+Sizing: the fleet's window carries no fixed wait of its own any more --
+the epoch is the ``start`` command and the supervisor ends the run one
+pipe round trip after the last worker reports itself idle (it used to
+hold a 0.25 s start barrier and two 0.1 s quiescence polls, ~0.45 s,
+and the run was sized at 8000 samples to drown them).  What still has
+to be true is that delivery work, not schedule pacing, decides the
+inequality: 4000 samples at 40 000x is ~116 000 deliveries and a 0.1 s
+pacing floor against ~1.1 s of single-process work.  Ten readings on
+two cores: fleet/single 1.41-2.30 (0.56-0.74 s windows, 158-209 k
+against 88-114 k deliveries/s), where the polling supervisor read
+1.06-1.15 at this size and 1.28-1.48 at 8000; 8000 now reads 1.32-1.98,
+no better a margin for twice the time, so the run is the shorter one.
+At 500 samples and 2000x the single process finishes in ~0.3 s against
+a 0.25 s floor and the gate would compare pacing with pacing.
 
 Skipped on boxes without two cores (the claim is about parallelism) or
 without localhost sockets.
@@ -56,7 +58,7 @@ WORKERS = 2
 
 
 def _config():
-    return SCALE_PRESETS["tiny"].with_(**{**BENCH_OVERRIDES, "trace_samples": 8000})
+    return SCALE_PRESETS["tiny"].with_(**{**BENCH_OVERRIDES, "trace_samples": 4000})
 
 
 def _require_sockets():

@@ -52,6 +52,7 @@ API_MODULES = (
     "repro.fleet.sharding",
     "repro.fleet.antientropy",
     "repro.fleet.worker",
+    "repro.fleet.quiescence",
     "repro.fleet.supervisor",
     "repro.workloads",
     "repro.workloads.base",
@@ -162,10 +163,10 @@ def _render_help() -> str:
         "coherency filter the simulator uses.\n\n"
         + live_sections +
         "## `python -m repro fleet`\n\n"
-        "Shard the live repository network across worker processes: a "
-        "supervisor computes the shard plan from the frozen config, "
-        "spawns the fleet, and merges per-worker reports into one "
-        "conserved result.\n\n"
+        "Shard the live repository network across worker processes: every "
+        "worker computes the same shard plan from the frozen config, and a "
+        "supervisor spawns the fleet, waits for it to go quiet, and merges "
+        "per-worker reports into one conserved result.\n\n"
         + fleet_sections +
         "## `python -m repro obs`\n\n"
         "Observe a traced run: per-update spans, the metrics snapshot, "

@@ -15,8 +15,11 @@ transport drives too:
   of a repository against its parent after a severed link;
 - :mod:`repro.fleet.worker` -- the per-process driver of that runtime
   (shard routing, supervisor pipe, anti-entropy sessions, report);
-- :mod:`repro.fleet.supervisor` -- process orchestration and the
-  fleet-wide merged :class:`~repro.live.harness.LiveRunResult`.
+- :mod:`repro.fleet.quiescence` -- when the run is over: the
+  four-counter termination rule over the workers' snapshots, sans-io;
+- :mod:`repro.fleet.supervisor` -- process orchestration, the
+  event-driven control loop and the fleet-wide merged
+  :class:`~repro.live.harness.LiveRunResult`.
 """
 
 from repro.fleet.antientropy import (

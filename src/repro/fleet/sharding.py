@@ -5,7 +5,7 @@ Every fleet process rebuilds the full network from the frozen
 bit-reproducible), so the shard plan only has to say *which* nodes each
 worker activates -- no node state ever crosses a process boundary.
 The plan itself is a pure function of the setup, computed identically
-by the supervisor and by every worker.
+by every worker (the supervisor needs none).
 
 Assignment walks the union dissemination graph breadth-first from the
 source and cuts the visit order into near-equal contiguous blocks, one
@@ -26,7 +26,7 @@ from repro.core.clients import ClientPopulation
 from repro.engine.builder import SimulationSetup
 from repro.errors import ConfigurationError
 
-__all__ = ["ShardPlan", "plan_shards"]
+__all__ = ["ShardPlan", "check_worker_count", "plan_shards"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,26 @@ class ShardPlan:
         return sizes
 
 
+def check_worker_count(n_workers: int, n_nodes: int) -> None:
+    """Refuse a fleet no plan can fill: every worker hosts a node.
+
+    ``n_nodes`` is the source plus every repository, which a config
+    states without a build (``n_repositories + 1``) -- the supervisor
+    checks it that way before it starts a process.
+
+    Raises:
+        ConfigurationError: on a non-positive worker count or more
+            workers than nodes.
+    """
+    if n_workers < 1:
+        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers!r}")
+    if n_workers > n_nodes:
+        raise ConfigurationError(
+            f"{n_workers} workers for {n_nodes} nodes; every "
+            "worker must host at least one node"
+        )
+
+
 def plan_shards(
     setup: SimulationSetup,
     n_workers: int,
@@ -84,13 +104,7 @@ def plan_shards(
             workers than repositories + source.
     """
     graph = setup.graph
-    if n_workers < 1:
-        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers!r}")
-    if n_workers > len(graph.nodes):
-        raise ConfigurationError(
-            f"{n_workers} workers for {len(graph.nodes)} nodes; every "
-            "worker must host at least one node"
-        )
+    check_worker_count(n_workers, len(graph.nodes))
 
     # Union child adjacency over all items, children in first-seen order.
     children: dict[int, list[int]] = {}

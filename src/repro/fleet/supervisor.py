@@ -1,20 +1,33 @@
 """The fleet supervisor: launch workers, coordinate, merge the result.
 
 :func:`run_fleet` is the fleet twin of :func:`~repro.live.harness.
-run_live`: it computes the shard plan from the frozen config, spawns N
-worker processes (:mod:`repro.fleet.worker`), hands them a shared
-monotonic-clock epoch and the port map, waits for the source replay and
-fleet-wide quiescence, and folds the per-worker reports into one
-:class:`~repro.live.harness.LiveRunResult` via :func:`merge_reports`.
+run_live`: it spawns N worker processes (:mod:`repro.fleet.worker`),
+conducts them over their pipes (:func:`supervise`) and folds the
+per-worker reports into one :class:`~repro.live.harness.LiveRunResult`
+via :func:`merge_reports`.  It builds nothing itself: every worker
+rebuilds the setup and the shard plan from the frozen config, and what
+the result needs of them (tree shape, degree, mean delay) rides home in
+the source owner's report.
+
+The control plane is event-driven.  The workers' messages are ``ready``
+(port bound), ``replay-done`` (source owner: the source schedule is
+through), ``idle`` (its counters, unasked, each time the worker runs
+out of local work once told to ``quiesce``), ``stats`` (the counters and
+what is pending, asked for), ``report`` and ``fatal``; the supervisor's
+are ``start`` (port map + epoch: its own monotonic reading as it sends
+the command), ``sever``, ``quiesce``, ``stats?`` and ``finish``.  The
+supervisor blocks on the pipes until a worker speaks; *when* the fleet
+is quiet is decided by :mod:`repro.fleet.quiescence` from the pushed
+snapshots and one confirming ``stats?`` wave.
 
 Conservation is enforced at the merge: a cross-worker frame is counted
 ``sent`` by its sender and ``delivered`` by its receiver, so per-worker
 reports do not individually conserve -- only their sum can.  Whatever
-the quiescence window leaves in flight is reconciled into ``dropped``
-(wire level) and ``counters.drops`` (repository-plane level), keeping
-both ``sent == delivered + dropped`` and ``messages == deliveries +
-drops`` exact, the same invariants the single-process transports end
-with.
+a timed-out quiescence wait leaves in flight is reconciled into
+``dropped`` (wire level) and ``counters.drops`` (repository-plane
+level), keeping both ``sent == delivered + dropped`` and ``messages ==
+deliveries + drops`` exact, the same invariants the single-process
+transports end with.
 
 The fleet runs static membership on a reliable local wire: churn,
 failure schedules, adaptive re-optimization and seeded message loss
@@ -27,6 +40,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import repro
@@ -35,36 +49,39 @@ from repro.core.metrics import CostCounters
 from repro.engine.builder import build_setup
 from repro.engine.config import SimulationConfig
 from repro.errors import ConfigurationError, SimulationError
-from repro.fleet.sharding import plan_shards
+from repro.fleet.quiescence import QuiescenceDetector, Snapshot, residual
+from repro.fleet.sharding import check_worker_count
 from repro.fleet.worker import FleetSpec, WorkerReport, worker_main
 from repro.live.harness import LiveRunResult
 from repro.live.loadgen import LoadgenReport, client_reports, generate_clients
 from repro.live.wire import QUIESCE_TIMEOUT_S, reconcile, wall_factor
 from repro.obs.logsetup import get_logger
 
-__all__ = ["merge_reports", "run_fleet", "run_fleet_loadgen"]
+__all__ = ["merge_reports", "run_fleet", "run_fleet_loadgen", "supervise"]
 
 log = get_logger("repro.fleet.supervisor")
 
-#: How often the supervisor polls worker stats during quiescence.
-_POLL_S = 0.1
+#: Wall seconds the workers get to build, bind and say ``ready``, to
+#: answer a ``stats?`` wave, and (at the 60x default pace, stretched by
+#: ``wall_factor``) to score and send their reports.
+READY_TIMEOUT_S = 120.0
+WAVE_TIMEOUT_S = 30.0
+REPORT_TIMEOUT_S = 60.0
 
 
 def merge_reports(
     reports: list[WorkerReport],
     *,
-    tree_stats=None,
-    effective_degree: int = 0,
-    avg_comm_delay_ms: float = 0.0,
     wall_seconds: float = 0.0,
     extras: dict | None = None,
 ) -> LiveRunResult:
     """Fold per-worker reports into one fleet-wide result.
 
     Pure and deterministic over the report list: counters add, fidelity
-    re-accumulates from the per-pair losses, and both conservation
-    invariants are restored by attributing the residual in-flight count
-    to drops.
+    re-accumulates from the per-pair losses, the network's shape is read
+    off the source owner's report (the one that carries it), and both
+    conservation invariants are restored by attributing the residual
+    in-flight count to drops.
 
     Raises:
         SimulationError: when the fleet delivered more than it sent or
@@ -77,7 +94,12 @@ def merge_reports(
     client_loss: dict[int, dict[int, float]] = {}
     sent = delivered = dropped = 0
     span = 0.0
+    tree_stats, effective_degree, avg_comm_delay_ms = None, 0, 0.0
     for report in reports:
+        if report.tree_stats is not None:
+            tree_stats = report.tree_stats
+            effective_degree = report.effective_degree
+            avg_comm_delay_ms = report.avg_comm_delay_ms
         counters.merge(report.counters)
         sent += report.sent
         delivered += report.delivered
@@ -98,9 +120,9 @@ def merge_reports(
         "queue_stalls": sum(r.queue_stalls for r in reports),
         "protocol_errors": sum(r.protocol_errors for r in reports),
         "resync_frames": sum(r.resync_frames for r in reports),
-        # Replay-window wall time, from the ``start`` command (the
-        # barrier ahead of the epoch included) to the report; excludes
-        # the per-process spawn + rebuild that precedes it.
+        # Replay-window wall time, from the ``start`` command to the
+        # report (the quiescence wait included); excludes the
+        # per-process spawn + rebuild that precedes it.
         "worker_wall_seconds": max((r.wall_seconds for r in reports), default=0.0),
     }
     heartbeats = sum(r.heartbeats for r in reports)
@@ -154,42 +176,165 @@ def _validate(config: SimulationConfig) -> None:
         )
 
 
-def _recv(conn, supervisor_state: dict):
-    """One message off ``conn``: ``fatal`` raises with the worker
-    traceback, ``replay-done`` is noted in the state dict and swallowed
-    (``None``), anything else is returned."""
-    try:
-        message = conn.recv()
-    except EOFError:
-        raise SimulationError(
-            "fleet worker died without a word (spawned processes "
-            "must be able to import the parent __main__ module)"
-        ) from None
-    if message[0] == "fatal":
-        raise SimulationError(f"fleet worker {message[1]} crashed:\n{message[2]}")
-    if message[0] == "replay-done":
-        supervisor_state["replay_done"] = True
-        return None
-    return message
+def _incoming(conns, timeout: float | None) -> list[tuple]:
+    """One message from every worker that has spoken, blocking up to
+    ``timeout`` seconds (``None``: until one does) for the first.
+
+    Raises:
+        SimulationError: when a worker sent ``fatal`` (its traceback is
+            the message) or closed its pipe without one.
+    """
+    messages = []
+    for conn in wait(conns, timeout):
+        try:
+            message = conn.recv()
+        except EOFError:
+            raise SimulationError(
+                "fleet worker died without a word (spawned processes "
+                "must be able to import the parent __main__ module)"
+            ) from None
+        if message[0] == "fatal":
+            raise SimulationError(f"fleet worker {message[1]} crashed:\n{message[2]}")
+        messages.append(message)
+    return messages
 
 
-def _expect(conn, wanted: str, timeout: float, supervisor_state: dict):
-    """Read ``conn`` until a ``wanted``-tagged message arrives."""
+def _gather(conns, wanted: str, timeout: float, note) -> dict[int, tuple]:
+    """One ``wanted`` message from every worker, by worker id; whatever
+    else the workers say meanwhile goes to ``note``.
+
+    Listens only to the workers still owed one: a worker exits once its
+    ``report`` is out, and a pipe at end-of-file reads as ready.
+    """
     deadline = time.monotonic() + timeout
-    while True:
+    got: dict[int, tuple] = {}
+    while len(got) < len(conns):
         remaining = deadline - time.monotonic()
-        if remaining <= 0 or not conn.poll(remaining):
+        owing = [conn for worker, conn in enumerate(conns) if worker not in got]
+        messages = _incoming(owing, remaining) if remaining > 0 else []
+        if not messages:
             raise SimulationError(
                 f"fleet worker did not answer with {wanted!r} within "
                 f"{timeout:.1f}s"
             )
-        message = _recv(conn, supervisor_state)
-        if message is None:
-            continue
-        if message[0] == wanted:
-            return message
-        if message[0] != "stats":  # a stale poll answer is just superseded
+        for message in messages:
+            if message[0] == wanted:
+                got[message[1]] = message
+            else:
+                note(message)
+    return got
+
+
+def _broadcast(conns, command: tuple) -> None:
+    for conn in conns:
+        conn.send(command)
+
+
+def supervise(
+    conns,
+    *,
+    time_scale: float,
+    sever_at_s: float | None,
+    sever_worker: int,
+) -> tuple[list[WorkerReport], dict]:
+    """Conduct one run over the workers' pipes: ``ready`` -> ``start``
+    -> ``quiesce`` -> ``finish`` -> reports.
+
+    Blocks on the pipes, never on a timer: between ``start`` and
+    ``finish`` the only time-outs are a pending severance and the
+    quiescence deadline.  The decision that the fleet is quiet is
+    :class:`~repro.fleet.quiescence.QuiescenceDetector`'s; this function
+    feeds it the workers' pushed ``idle`` snapshots and runs the
+    ``stats?`` wave it asks for.
+
+    Args:
+        conns: The supervisor's end of each worker's pipe, indexed by
+            worker id.  Anything that speaks the worker's side of the
+            protocol will do (the tests script it from threads).
+        time_scale / sever_at_s / sever_worker: As in :func:`run_fleet`.
+
+    Returns:
+        The reports in worker-id order, and the control plane's own
+        extras: ``quiesce_waves`` (``stats?`` waves run) and, only when
+        the deadline passed first, ``quiesce_timed_out``.
+
+    Raises:
+        SimulationError: when a worker crashes, hangs up, stops
+            answering or says something the protocol has no place for.
+    """
+    stretch = wall_factor(time_scale)
+    detector = QuiescenceDetector(len(conns))
+    replay_done = False
+    waves = 0
+
+    def note(message: tuple) -> None:
+        nonlocal replay_done
+        if message[0] == "replay-done":
+            replay_done = True
+        elif message[0] == "idle":
+            detector.push(*message[1:])
+        else:
             raise SimulationError(f"unexpected fleet control message {message!r}")
+
+    def wave() -> dict[int, Snapshot]:
+        nonlocal waves
+        waves += 1
+        _broadcast(conns, ("stats?",))
+        replies = _gather(conns, "stats", WAVE_TIMEOUT_S, note)
+        return {worker: message[2:] for worker, message in replies.items()}
+
+    # Build + bind can take a while on big presets.
+    ready = _gather(conns, "ready", READY_TIMEOUT_S, note)
+    ports = {worker: message[2] for worker, message in ready.items()}
+    log.debug("fleet: all workers ready, ports=%s", ports)
+
+    # Simulated time zero is now.  A worker that reads the command a
+    # moment later releases its first actions that much late, which the
+    # open-loop replay absorbs like any other lateness.
+    epoch = time.monotonic()
+    _broadcast(conns, ("start", ports, epoch))
+
+    sever_due = None if sever_at_s is None else epoch + sever_at_s / time_scale
+    deadline: float | None = None  # set when `quiesce` goes out
+    extras: dict = {}
+    while True:
+        now = time.monotonic()
+        if sever_due is not None and now >= sever_due:
+            conns[sever_worker].send(("sever",))
+            sever_due = None
+        if deadline is None:
+            # A late severance fires before quiescing.
+            if replay_done and sever_due is None:
+                _broadcast(conns, ("quiesce",))
+                deadline = now + QUIESCE_TIMEOUT_S * stretch
+        elif detector.candidate():
+            detector.open_wave()
+            for worker, snapshot in wave().items():
+                detector.answer(worker, *snapshot)
+            if detector.quiet():
+                break
+            continue  # refuted: the worker that moved will push again
+        elif now >= deadline:
+            snapshots = wave()
+            log.warning(
+                "fleet: not quiet %.1fs after the replay, finishing anyway: "
+                "%d rows neither delivered nor dropped (reconciled as "
+                "drops), pending by worker %s",
+                QUIESCE_TIMEOUT_S * stretch,
+                residual(snapshots),
+                {worker: s[3] for worker, s in sorted(snapshots.items())},
+            )
+            extras["quiesce_timed_out"] = True
+            break
+        wake = sever_due if sever_due is not None else deadline
+        for message in _incoming(conns, None if wake is None else max(0.0, wake - now)):
+            note(message)
+
+    log.debug("fleet: quiesced, collecting reports")
+    _broadcast(conns, ("finish",))
+    reports = _gather(conns, "report", REPORT_TIMEOUT_S * stretch, note)
+    extras["quiesce_waves"] = waves
+    return [message[2] for _worker, message in sorted(reports.items())], extras
 
 
 def run_fleet(
@@ -238,9 +383,9 @@ def run_fleet(
         SimulationError: when a worker crashes or stops responding.
     """
     _validate(config)
-    setup = build_setup(config)
-    plan = plan_shards(setup, workers)  # validates the worker count
-    stretch = wall_factor(time_scale)
+    # Every worker builds the setup and plans the shards; the supervisor
+    # needs neither, only to refuse a fleet no plan can fill.
+    check_worker_count(workers, config.n_repositories + 1)
     spec = FleetSpec(
         config=config,
         n_workers=workers,
@@ -266,7 +411,6 @@ def run_fleet(
     conns = []
     procs = []
     wall_start = time.perf_counter()
-    state = {"replay_done": False}
     try:
         for worker_id in range(workers):
             parent_conn, child_conn = ctx.Pipe()
@@ -280,67 +424,14 @@ def run_fleet(
             child_conn.close()
             conns.append(parent_conn)
             procs.append(proc)
-
         log.debug("fleet: %d workers spawned (trace=%s)", workers, spec.trace)
-        # Build + bind can take a while on big presets.
-        ports: dict[int, int] = {}
-        for conn in conns:
-            _tag, worker_id, port = _expect(conn, "ready", 120.0, state)
-            ports[worker_id] = port
-        log.debug("fleet: all workers ready, ports=%s", ports)
 
-        epoch = time.monotonic() + 0.25
-        for conn in conns:
-            conn.send(("start", ports, epoch))
-
-        sever_due = (
-            epoch + sever_at_s / time_scale if sever_at_s is not None else None
+        reports, extras = supervise(
+            conns,
+            time_scale=time_scale,
+            sever_at_s=sever_at_s,
+            sever_worker=sever_worker,
         )
-        severed = False
-        quiesce_deadline: float | None = None
-        last_totals: tuple[int, int, int] | None = None
-        while True:
-            now = time.monotonic()
-            if sever_due is not None and not severed and now >= sever_due:
-                conns[sever_worker].send(("sever",))
-                severed = True
-            # Drain asynchronous worker messages (replay-done, fatal).
-            for conn in conns:
-                while conn.poll(0):
-                    _recv(conn, state)
-            # A late severance fires before quiescing.
-            if state["replay_done"] and (sever_due is None or severed):
-                if quiesce_deadline is None:
-                    quiesce_deadline = time.monotonic() + QUIESCE_TIMEOUT_S * stretch
-                for conn in conns:
-                    conn.send(("stats?",))
-                totals = [0, 0, 0]
-                pending = 0
-                for conn in conns:
-                    message = _expect(conn, "stats", 30.0, state)
-                    totals[0] += message[2]
-                    totals[1] += message[3]
-                    totals[2] += message[4]
-                    pending += message[5]
-                snapshot = tuple(totals)
-                if (
-                    pending == 0
-                    and snapshot == last_totals
-                    and totals[0] == totals[1] + totals[2]
-                ):
-                    break  # two stable, conserved snapshots: quiet
-                last_totals = snapshot
-                if time.monotonic() > quiesce_deadline:
-                    break  # give up; residual reconciles to drops
-            time.sleep(_POLL_S)
-
-        log.debug("fleet: quiesced, collecting reports")
-        for conn in conns:
-            conn.send(("finish",))
-        reports: list[WorkerReport] = []
-        for conn in conns:
-            message = _expect(conn, "report", 60.0 * stretch, state)
-            reports.append(message[2])
         for proc in procs:
             proc.join(timeout=30.0)
     finally:
@@ -356,28 +447,21 @@ def run_fleet(
             os.environ["PYTHONPATH"] = old_pythonpath
 
     if trace_recorder is not None:
-        # Worker-id order keeps the merged stream deterministic over
-        # shard assignment; update ids are already fleet-global.
-        for report in sorted(reports, key=lambda r: r.worker):
+        # Update ids are already fleet-global; worker-id order keeps the
+        # merged stream deterministic over shard assignment.
+        for report in reports:
             trace_recorder.absorb(report.spans)
             trace_recorder.metrics.absorb(
                 report.metrics_snapshot, gauge_prefix=f"worker{report.worker}."
             )
 
-    extras = {
-        "workload": config.workload.name,
-        "policy": config.policy,
-        "time_scale": time_scale,
-    }
+    extras.update(
+        workload=config.workload.name, policy=config.policy, time_scale=time_scale
+    )
     if sever_at_s is not None:
         extras["severed_worker"] = sever_worker
     return merge_reports(
-        reports,
-        tree_stats=setup.graph.stats(),
-        effective_degree=setup.effective_degree,
-        avg_comm_delay_ms=setup.avg_comm_delay_ms,
-        wall_seconds=time.perf_counter() - wall_start,
-        extras=extras,
+        reports, wall_seconds=time.perf_counter() - wall_start, extras=extras
     )
 
 

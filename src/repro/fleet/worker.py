@@ -13,12 +13,14 @@ worker's single multiplexed link to the destination's owner, behind a
 :class:`~repro.live.wire.SendQueue`'s backpressure, and leaves as a row
 of the :class:`~repro.live.protocol.Forwards` frame the link writes.
 
-Timing: the supervisor broadcasts one monotonic-clock epoch; every
-worker paces its due queue against it, and nodes *process* each message
-at its logical ``arrival_s`` stamp (the runtime's one delivery
-convention), not through the wall-clock slop of N racing processes.
-That is what lets a fleet run agree with the single-process run on
-fidelity to within a fraction of a point.
+Timing: the ``start`` command carries one monotonic-clock epoch, the
+supervisor's reading as it sent the command; every worker paces its due
+queue against it, and nodes *process* each message at its logical
+``arrival_s`` stamp (the runtime's one delivery convention), not
+through the wall-clock slop of N racing processes -- the moment a
+worker takes to read ``start`` included.  That is what lets a fleet run
+agree with the single-process run on fidelity to within a fraction of a
+point.
 
 Liveness and recovery come with the runtime's links (versioned
 ``Hello`` with a connection generation, heartbeats, reconnect with
@@ -30,10 +32,18 @@ lives on that peer, charged into the run's
 :class:`~repro.core.metrics.CostCounters`.
 
 The worker talks to the supervisor over a ``multiprocessing`` pipe:
-``("ready", port)`` after binding, then obeys ``start`` / ``stats?`` /
-``sever`` / ``finish`` commands and answers ``finish`` with its
-:class:`WorkerReport`.  Anything that raises on the way -- a due-queue
-action included -- goes home as ``("fatal", traceback)``.
+``("ready", worker, port)`` after binding, then obeys ``start`` (port
+map + epoch), ``sever``, ``quiesce``, ``stats?`` and ``finish``.  It
+answers ``stats?`` at once with ``("stats", worker, sent, delivered,
+dropped, pending)`` and ``finish`` with ``("report", worker,
+WorkerReport)``; unasked, the source owner says ``("replay-done",
+worker)`` when the source schedule is through, and after ``quiesce``
+every worker pushes ``("idle", worker, sent, delivered, dropped)``
+each time it runs out of local work -- due heap and session table both
+empty -- which is all the supervisor waits on
+(:mod:`repro.fleet.quiescence`).  Anything that raises on the way -- a
+due-queue action included -- goes home as ``("fatal", worker,
+traceback)``.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ import traceback
 from dataclasses import dataclass, field
 
 from repro.core.metrics import CostCounters
+from repro.core.tree import TreeStats
 from repro.engine.builder import build_setup
 from repro.engine.config import SimulationConfig
 from repro.fleet.antientropy import ChildSession, ParentView
@@ -60,6 +71,7 @@ from repro.live.wire import Link, WireRuntime
 from repro.obs.trace import TraceRecorder
 
 __all__ = ["FleetSpec", "WorkerReport", "worker_main"]
+
 
 @dataclass(frozen=True)
 class FleetSpec:
@@ -122,6 +134,11 @@ class WorkerReport:
     metrics_snapshot: dict = field(default_factory=dict)
     #: Peer :class:`~repro.live.protocol.Stats` frames absorbed.
     stats_frames: int = 0
+    #: The network's shape, the same from every rebuild; the source
+    #: owner alone reports it (the supervisor builds nothing to ask).
+    tree_stats: TreeStats | None = None
+    effective_degree: int = 0
+    avg_comm_delay_ms: float = 0.0
 
 
 def worker_main(worker_id: int, spec: FleetSpec, conn) -> None:
@@ -201,9 +218,37 @@ class _Shard(WireRuntime):
         #: Child-side anti-entropy sessions by (child, parent).
         self.sessions: dict[tuple[int, int], ChildSession] = {}
         self.peer_generation: dict[int, int] = {}
+        #: Set by ``quiesce``: from then on going idle is news.
+        self.quiescing = False
 
     def route(self, dst: int) -> Link | None:
         return self.links.get(self.plan.owner[dst])
+
+    def pending(self) -> int:
+        """Also the open sessions: a resync frame on the wire is in no
+        queue and in no counter, but its session is waiting for it."""
+        return super().pending() + len(self.sessions)
+
+    def push_if_idle(self) -> None:
+        """Once told to ``quiesce``: tell the supervisor, with a counter
+        snapshot, if there is nothing left to do here.  Called wherever
+        that can become true -- a message reached its fate, a session
+        closed, ``quiesce`` itself arrived.
+
+        Here means the due heap and the session table.  A row still in
+        a link queue or on the wire shows as ``sent - delivered -
+        dropped > 0`` across the fleet, and landing makes its receiver
+        busy and then idle again, so somebody pushes after it.
+        """
+        if self.quiescing and not self.due and not self.sessions:
+            report = self.report
+            self.conn.send(
+                ("idle", self.src, report.sent, report.delivered, report.dropped)
+            )
+
+    #: The runtime's hook -- one message reached its fate -- is one of
+    #: those places (an alias, not a second call per delivery).
+    settled = push_if_idle
 
     # ---- supervisor control channel ----
 
@@ -235,6 +280,9 @@ class _Shard(WireRuntime):
             elif command[0] == "sever":
                 for link in self.links.values():
                     link.sever()
+            elif command[0] == "quiesce":
+                self.quiescing = True
+                self.push_if_idle()
             elif command[0] == "finish":
                 return
 
@@ -258,6 +306,9 @@ class _Shard(WireRuntime):
         senders = [network.repositories[r] for r in self.local_repos]
         if self.owns_source:
             senders.append(network.source_node)
+            report.tree_stats = network.setup.graph.stats()
+            report.effective_degree = network.setup.effective_degree
+            report.avg_comm_delay_ms = network.setup.avg_comm_delay_ms
         report.client_messages = sum(node.client_messages for node in senders)
         if self.recorder is not None:
             metrics = self.recorder.metrics
@@ -326,6 +377,7 @@ class _Shard(WireRuntime):
             session.cost.checks, session.cost.transferred
         )
         del self.sessions[key]
+        self.push_if_idle()
 
     def on_control_frame(self, message) -> None:
         report = self.report
