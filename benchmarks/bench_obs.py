@@ -46,13 +46,15 @@ MAX_US_PER_SPAN = 5.0
 class _SiteCounter:
     """An observer that counts the guards that let it in.
 
-    The batch kernel's drain loop tests ``observer is not None`` once per
-    work unit (a source update's ``on_source``, a delivery's
-    ``on_deliver``, or the ``on_drop`` of a message that reached a crashed
-    or departed repository), once per edge-group step (``on_check_batch``;
-    the step's ``on_forward_batch`` rides on the same test) and once more
-    in a step that dropped at the sender (``on_drop_batch``, up to two
-    calls per test, so drops overcount) -- never per dependent.
+    The engine's loop tests ``observer is not None`` once per work unit
+    (a source update's ``on_source``, a delivery's ``on_deliver``, or the
+    ``on_drop`` of a message that reached a crashed or departed
+    repository), once per edge-group step (whose ``on_check`` calls, one
+    per dependent, and ``on_forward`` calls ride on the same test) and
+    once more in a step that dropped at the sender (one ``on_drop`` per
+    lost copy) -- never per dependent.  Counting every ``on_check`` and
+    ``on_drop`` call therefore overcounts the guards, which only makes
+    the pin stricter.
     """
 
     def __init__(self) -> None:
@@ -61,9 +63,9 @@ class _SiteCounter:
     def _site(self, *_span) -> None:
         self.sites += 1
 
-    on_source = on_deliver = on_drop = on_check_batch = on_drop_batch = _site
+    on_source = on_deliver = on_drop = on_check = _site
 
-    def on_forward_batch(self, *_span) -> None:
+    def on_forward(self, *_span) -> None:
         pass
 
 

@@ -48,6 +48,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "FailureEvent",
     "FailureSchedule",
+    "in_windows",
     "synthetic_failures",
     "failures_for_config",
     "parse_failure_spec",
@@ -254,21 +255,22 @@ class FailureSchedule:
     def crashed_at(self, node: int, t: float) -> bool:
         """Was ``node`` inside a crash window at simulated time ``t``?
 
-        For planes that cannot apply events at exact instants (the
-        wall-clock TCP transport): judging a frame by its logical
-        arrival time against the half-open windows reproduces the
-        kernels' tie-break -- a message arriving exactly at the recovery
-        instant is delivered, one at the crash instant is dropped.
-        Recomputes the windows per call; schedules are a few events.
+        Judging a message by its logical arrival time against the
+        half-open windows reproduces the kernels' tie-break -- one
+        arriving exactly at the recovery instant is delivered, one at
+        the crash instant is dropped -- on any clock.  Recomputes the
+        windows per call; a hot path (the live runtime) builds them once
+        and asks :func:`in_windows`.
         """
-        return _inside(self.crash_windows().get(node, ()), t)
+        return in_windows(self.crash_windows().get(node, ()), t)
 
     def link_down_at(self, sender: int, receiver: int, t: float) -> bool:
         """Was the ``(sender, receiver)`` service link down at time ``t``?"""
-        return _inside(self.link_windows().get((sender, receiver), ()), t)
+        return in_windows(self.link_windows().get((sender, receiver), ()), t)
 
 
-def _inside(windows, t: float) -> bool:
+def in_windows(windows, t: float) -> bool:
+    """Is ``t`` inside any of the half-open ``[start, end-or-None)`` windows?"""
     return any(t >= start and (end is None or t < end) for start, end in windows)
 
 

@@ -591,9 +591,9 @@ class VectorizedSimulation(SimulationBase):
                         for cohort, reason in (
                             (partitioned, "partition"), (lost, "loss")
                         ):
-                            if cohort:
-                                observer.on_drop_batch(
-                                    update_id, item_of[gid], t, node, cohort, reason
+                            for child in cohort:
+                                observer.on_drop(
+                                    update_id, item_of[gid], t, node, child, reason
                                 )
                     partitioned, lost = [], []
         # Entries past the last unit still close/open scoring segments
@@ -626,27 +626,21 @@ class VectorizedSimulation(SimulationBase):
         moves they give the step's own decisions; the latencies repeat
         its additions from ``departure``, the station's first free instant.
         """
-        node_of = self._g_node
+        node_of, observer = self._g_node, self.observer
         node, item_id = node_of[gid], self._g_item[gid]
         children = [node_of[g] for g in self._g_child_gid[gid]]
-        rule, prc = self._rule, self._g_prc[gid]
-        mask = [
-            rule(value, sent, c, prc, tag)
-            for sent, c in zip(self._g_last[gid], self._g_cs[gid])
-        ]
-        self.observer.on_check_batch(
-            update_id, item_id, t, node, children, mask, self._g_issrc[gid]
-        )
-        targets, latencies = [], []
-        for child, delay, forward in zip(children, self._g_delay[gid], mask):
+        rule, prc, is_source = self._rule, self._g_prc[gid], self._g_issrc[gid]
+        fired = []
+        for child, sent, c in zip(children, self._g_last[gid], self._g_cs[gid]):
+            forward = rule(value, sent, c, prc, tag)
+            fired.append(forward)
+            observer.on_check(update_id, item_id, t, node, child, 1, forward, is_source)
+        for child, delay, forward in zip(children, self._g_delay[gid], fired):
             if forward:
                 departure += self._comp_delay_s
-                targets.append(child)
-                latencies.append(departure + delay - t)
-        if targets:
-            self.observer.on_forward_batch(
-                update_id, item_id, t, node, targets, latencies
-            )
+                observer.on_forward(
+                    update_id, item_id, t, node, child, departure + delay - t
+                )
 
     # ------------------------------------------------------------------
     # Edge-store port: the same surgery on the edge-group columns.

@@ -5,9 +5,11 @@ builder is bit-reproducible, so all workers agree on every node, edge,
 filter and trace without shipping a byte of state -- then activates
 only the nodes its shard owns (:mod:`repro.fleet.sharding`).
 
-The worker is a thin driver of the shared socket runtime
-(:mod:`repro.live.wire`), the same one the single-process TCP transport
-drives: it only says where a destination lives.  A same-shard delivery
+The worker is a thin driver of the shared runtime
+(:mod:`repro.live.wire`), the same one both single-process transports
+drive: it only says where a destination lives (the runtime's
+loss-and-failure judgement rides along inert -- the supervisor refuses
+both).  A same-shard delivery
 goes onto the local due queue; a cross-shard delivery is queued on the
 worker's single multiplexed link to the destination's owner, behind a
 :class:`~repro.live.wire.SendQueue`'s backpressure, and leaves as a row

@@ -19,10 +19,11 @@ of servers:
 Node logic is sans-io: nodes consume updates and emit messages -- the
 seven-field rows of a :class:`~repro.live.protocol.Forwards` frame, the
 one message shape from node to socket and back -- and a transport
-drives them.  Two transports exist (:mod:`repro.live.transport`): a
-deterministic in-process transport (virtual time, seeded delays --
-bit-reproducible, used for sim/live cross-validation) and localhost TCP
-(real asyncio sockets speaking the length-prefixed JSON protocol of
+drives them.  Two transports exist (:mod:`repro.live.transport`), both
+drivers of the one runtime in :mod:`repro.live.wire`: a deterministic
+in-process transport (virtual time, seeded delays -- bit-reproducible,
+used for sim/live cross-validation) and localhost TCP (real asyncio
+sockets speaking the length-prefixed JSON protocol of
 :mod:`repro.live.protocol`).  :func:`~repro.live.harness.run_live`
 turns an unchanged :class:`~repro.engine.config.SimulationConfig` into
 a running network and collects a

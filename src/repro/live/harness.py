@@ -118,17 +118,18 @@ class LiveNetwork:
     """A built-but-not-yet-running live network.
 
     Holds the engine setup, the sans-io nodes, and the lookup tables a
-    transport needs (node handlers, edge pairs, the source schedule and
-    the control timeline).
+    transport needs (node handlers, the source schedule and the control
+    timeline).
 
     It is also the live plane's
     :class:`~repro.engine.reconfig.EdgeStore`: :attr:`reconfig` -- the
     same :class:`~repro.engine.reconfig.ReconfigurationCore` both
     simulation kernels run -- decides every failover, resync and
     adaptive rewire, and :meth:`wire` / :meth:`unwire` and friends only
-    patch the nodes' edge lists, filters and logs.  Both transports
-    apply the core's timeline and read its ``crashed`` / ``down_links``
-    sets, so an in-process run stays bit-identical to the simulation.
+    patch the nodes' edge lists, filters and logs.  The runtime every
+    transport drives (:mod:`repro.live.wire`) applies the core's
+    timeline and judges loss and failures by the engine's rule, so an
+    in-process run stays bit-identical to the simulation.
     """
 
     def __init__(
@@ -148,7 +149,7 @@ class LiveNetwork:
         #: Control state and rules (failover, resync, adaptive rewires).
         self.reconfig = ReconfigurationCore.for_setup(setup, self, counters)
         #: Out-of-band trace observer (see :meth:`attach_observer`);
-        #: transports consult it at their drop sites.
+        #: the runtime consults it at its drop site.
         self.observer = None
 
     def attach_observer(self, observer) -> None:
@@ -171,19 +172,6 @@ class LiveNetwork:
         if repo is not None:
             return repo
         return self.clients[node_id]
-
-    def all_node_ids(self) -> list[int]:
-        """Every transport endpoint: source, repositories, clients."""
-        return [self.source_node.node, *self.repositories, *self.clients]
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        """Every (sender, receiver) pair a message can flow over."""
-        pairs: set[tuple[int, int]] = set()
-        for sender in (self.source_node, *self.repositories.values()):
-            for edges in sender.edges.values():
-                for edge in edges:
-                    pairs.add((sender.node, edge.child))
-        return sorted(pairs)
 
     def source_schedule(self, duration: float | None = None) -> list[tuple[float, int, float]]:
         """The workload replay: (time, item, value), time-ordered.
@@ -209,7 +197,6 @@ class LiveNetwork:
                 schedule.append((float(t), item_id, float(v)))
         schedule.sort(key=lambda entry: entry[0])
         return schedule
-
 
     def span(self, duration: float | None = None) -> float:
         """The scoring horizon: the longest trace's span, truncated to
@@ -291,9 +278,10 @@ def build_live_network(
             (live membership is static for now); a failure schedule
             (``config.failures``) and seeded message loss
             (``config.message_loss_probability``) are both supported --
-            the transports execute them through the network's
-            :class:`~repro.engine.reconfig.ReconfigurationCore` and
-            their own seeded Bernoulli streams.
+            the runtime (:mod:`repro.live.wire`) executes them through
+            the network's
+            :class:`~repro.engine.reconfig.ReconfigurationCore` and the
+            engine's seeded Bernoulli stream.
         clients: Optional end-client population to attach; each client
             becomes a dependent of its repository, filtered at its own
             tolerance.
@@ -484,8 +472,9 @@ def run_live(
 
     Failure schedules (``config.failures``) and seeded message loss
     (``config.message_loss_probability``) run for real: both transports
-    drop by schedule and by their seeded Bernoulli streams, the TCP
-    transport additionally heartbeats its connections and reconnects
+    drop by schedule and by the seeded Bernoulli stream -- one rule, the
+    engine's, applied by the runtime they share -- the TCP transport
+    additionally heartbeats its connections and reconnects
     severed ones with exponential backoff, and fidelity is scored over
     the availability segments exactly like the engine.  The TCP wall
     budgets (quiescence wait, reconnect policy, queue watermarks) are
@@ -518,10 +507,8 @@ def run_live(
         network = build_live_network(config, clients=clients)
     driver = make_transport(
         transport,
-        seed=config.seed,
         jitter_ms=jitter_ms,
         time_scale=time_scale,
-        loss_probability=config.message_loss_probability,
         heartbeat_interval_s=heartbeat_interval_s,
     )
     start = time.perf_counter()

@@ -1,21 +1,31 @@
-"""The socket runtime both real-socket planes drive.
+"""The runtime all three live planes drive.
 
-The single-process TCP transport (:mod:`repro.live.transport`) and the
-fleet worker (:mod:`repro.fleet.worker`) move the same frames the same
-way; this module states that way once:
+The in-process and TCP transports (:mod:`repro.live.transport`) and the
+fleet worker (:mod:`repro.fleet.worker`) run one data path; this module
+states it once, and a driver swaps two operations -- where a
+destination lives and which clock releases the due queue:
 
-- :class:`DueQueue` -- the one heap of source updates, deliveries and
-  control events, keyed by simulated due time and released against the
-  wall clock in the engine kernel's tie-break order;
+- :class:`DueQueue` -- the one heap of control events, source updates
+  and deliveries, keyed by simulated due time and released in the engine
+  kernel's tie-break order, against the wall clock (:meth:`DueQueue.run`)
+  or on a virtual one (:meth:`DueQueue.drain`);
 - :class:`SendQueue` and :class:`Link` -- an outbound connection behind
   high-watermark backpressure: handshake, pump (whose unit of I/O is
   what is queued right now, not one frame), heartbeat, reconnect, close;
 - :class:`FrameServer` -- the inbound loops, one socket read at a time,
   which reject a bad connection and never the run;
 - :class:`WireRuntime` -- the data path over those pieces around one
-  :class:`~repro.live.harness.LiveNetwork`.  A driver subclasses it to
-  say where a destination lives (:meth:`WireRuntime.route`) and what
-  else it judges or speaks.
+  :class:`~repro.live.harness.LiveNetwork`, the loss-and-failure
+  judgement included.  A driver subclasses it to say where a
+  destination lives (:meth:`WireRuntime.route`) and what is real about
+  its clock or its sockets.
+
+Loss and failures are judged once, here, by the engine's rule: a
+repository-plane row meets a down link and then the seeded Bernoulli
+draw at the instant it is *sent* (:meth:`WireRuntime.dispatch`) and a
+crashed destination at the instant it *arrives*
+(:meth:`WireRuntime.deliver`); a row in flight when its link goes down
+is delivered on every plane.
 
 One delivery convention holds on every socket, and one message shape
 from end to end: a message is the seven-field row ``[dst, arrival_s,
@@ -24,17 +34,16 @@ destination node and the absolute simulated ``arrival_s`` it computed
 included -- and that same list is what the due queue holds, what a link
 queues, what a :class:`~repro.live.protocol.Forwards` frame carries and
 what the receiver validates in place and queues again.  The sender
-never holds it back -- a link's pump writes
-everything queued as one frame each time it wakes, one row at a paced
-``time_scale`` and a hundred when the run is behind; the *receiver*
-holds it until ``arrival_s`` comes due against the run's epoch, and the
-node then processes it *at that logical stamp*, not at the wall
-reading.  Coherency filtering,
-queueing and fidelity scoring therefore see the computed dissemination
-schedule; what the sockets contribute is what is real about them --
-framing, backpressure, connection loss and reconnects, and frames that
-never land.  Those are reconciled into drops on both accounting planes
-by :func:`reconcile` when the run ends.
+never holds it back -- a link's pump writes everything queued as one
+frame each time it wakes, one row at a paced ``time_scale`` and a
+hundred when the run is behind; the *receiver* holds it until
+``arrival_s`` comes due against the run's epoch, and the node then
+processes it *at that logical stamp*, not at the wall reading.
+Coherency filtering, queueing and fidelity scoring therefore see the
+computed dissemination schedule; what the sockets contribute is what is
+real about them -- framing, backpressure, connection loss and
+reconnects, and frames that never land.  Those are reconciled into
+drops on both accounting planes by :func:`reconcile` when the run ends.
 
 The wall budgets below absorb scheduler and socket slop.  No caller
 ever needed a second value for any of them, so they are constants, each
@@ -48,9 +57,11 @@ import contextlib
 import heapq
 import itertools
 import time
+from math import inf
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.metrics import CostCounters
+from repro.engine.failures import in_windows
 from repro.errors import ConfigurationError, SimulationError
 from repro.live.protocol import (
     Bye,
@@ -65,6 +76,7 @@ from repro.live.protocol import (
     check_version,
     encode_message,
 )
+from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness imports transport)
     from repro.live.harness import LiveNetwork
@@ -127,26 +139,31 @@ def reconcile(sent: int, delivered: int, dropped: int, counters: CostCounters) -
 
 
 class DueQueue:
-    """Actions keyed by simulated due time, released against the wall clock.
+    """Actions keyed by simulated due time, released by one of two clocks.
 
     A plain FIFO would let one long-delay frame head-of-line-block
     frames due sooner; the heap releases each at its own due time, with
-    a push counter breaking ties (per-edge FIFO preserved).
+    a push counter breaking ties (per-edge FIFO preserved), in the same
+    order against the wall clock (:meth:`run`) and on a virtual clock
+    that jumps from one due time to the next (:meth:`drain`).
 
     Actions are plain calls.  The one thing a producer ever waits for
-    is a send queue at its high watermark, and the waiting happens
-    here, between actions: one that fills a queue names it
+    is a send queue at its high watermark, and the waiting happens in
+    :meth:`run`, between actions: one that fills a queue names it
     (:meth:`hold`), and nothing further is released until that queue's
     pump has taken the backlog -- producers stall as a group, and a
     queue overshoots by at most what one action emits.
     """
 
-    def __init__(self, time_scale: float) -> None:
+    def __init__(self, time_scale: float = 1.0) -> None:
         #: Simulated seconds per wall second.
         self.time_scale = time_scale
         #: ``time.monotonic()`` reading that is simulated time zero; the
         #: driver sets it before :meth:`run` (fleet workers share one).
         self.epoch = 0.0
+        #: The virtual clock: the due time :meth:`drain` released last
+        #: (:meth:`run` never moves it: a late frame is due in the past).
+        self.released = -inf
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._order = itertools.count()
         self._wakeup = asyncio.Event()
@@ -164,7 +181,16 @@ class DueQueue:
         return max((entry[0] for entry in self._heap), default=0.0)
 
     def push(self, due_s: float, action: Callable, *args) -> None:
-        """Queue ``action(*args)`` for simulated time ``due_s``."""
+        """Queue ``action(*args)`` for simulated time ``due_s``.
+
+        Raises:
+            SimulationError: if ``due_s`` is NaN or earlier than the
+                virtual clock (the engine kernel's guard).
+        """
+        if not due_s >= self.released:
+            raise SimulationError(
+                f"cannot schedule at {due_s!r}: clock is already at {self.released!r}"
+            )
         heapq.heappush(self._heap, (due_s, next(self._order), action, args))
         self._wakeup.set()
 
@@ -172,8 +198,17 @@ class DueQueue:
         """Release no further action until ``queue``'s backlog is taken."""
         self._held.add(queue)
 
+    def drain(self) -> None:
+        """Release every action in ``(due, push order)`` on the virtual
+        clock: no sleep, no event loop, no link to wait for."""
+        heap, heappop = self._heap, heapq.heappop
+        while heap:
+            self.released, _order, action, args = heappop(heap)
+            action(*args)
+
     async def run(self) -> None:
-        """Release actions in ``(due, push order)`` until cancelled."""
+        """Release actions in ``(due, push order)`` against the wall
+        clock until cancelled."""
         heap, wakeup, held = self._heap, self._wakeup, self._held
         while True:
             delay = None  # empty: sleep until the first push
@@ -523,38 +558,50 @@ class WireRuntime:
     frame server.
 
     The shared data path, one row (see the module docstring) all the
-    way: :meth:`dispatch` counts each row a node emitted and either
-    queues it locally or on the link :meth:`route` names; the frame
-    server validates and queues every inbound ``Forwards`` row;
-    :meth:`deliver` runs when one comes due, has the node process it at
-    its logical stamp and dispatches what the node emits.
+    way: :meth:`dispatch` counts each row a node emitted, judges it at
+    its send instant and either queues it locally or on the link
+    :meth:`route` names; the frame server validates and queues every
+    inbound ``Forwards`` row; :meth:`deliver` runs when one comes due,
+    judges it at its arrival stamp, has the node process it at that
+    stamp and dispatches what the node emits.
+
+    The judgement reads the run's own config (seed, loss probability)
+    and its failure schedule's half-open windows, built once; a run with
+    neither loss nor failures skips it whole.
 
     Args:
         network: The built network whose nodes run here.
-        hosted: Ids of the nodes that take deliveries here; a row
-            naming any other is a protocol violation.
         stats: Wire accounting with ``sent`` / ``delivered`` /
             ``dropped`` / ``heartbeats`` / ``reconnects`` fields.
+        hosted: Ids of the nodes that take deliveries here (default:
+            every repository and client); a row naming any other is a
+            protocol violation.
         src / host / heartbeat_interval_s: Handed to every link.
         time_scale: Simulated seconds per wall second.
         metrics: Optional metrics registry; when given, links export
             their gauges and heartbeats carry a ``Stats`` frame.
     """
 
+    #: Seeded slop (a call, seconds) a driver's clock adds to a local
+    #: delivery's arrival stamp, drawn only for rows that enter the network.
+    jitter: Callable[[], float] | None = None
+
     def __init__(
         self,
         network: "LiveNetwork",
         stats,
         *,
-        hosted: set[int],
+        hosted: set[int] | None = None,
         src: int,
-        time_scale: float,
-        host: str,
-        heartbeat_interval_s: float,
+        time_scale: float = 1.0,
+        host: str = "127.0.0.1",
+        heartbeat_interval_s: float = 0.0,
         metrics=None,
     ) -> None:
         self.network = network
         self.stats = stats
+        if hosted is None:
+            hosted = {*network.repositories, *network.clients}
         #: The nodes that take deliveries here, by id (released with
         #: ``network``: see ``_TcpWire.run``).
         self.hosted = {dst: network.node(dst) for dst in hosted}
@@ -566,6 +613,22 @@ class WireRuntime:
         self.server = FrameServer(self._on_frame, self.on_hello)
         self.links: dict[int, Link] = {}
         self._due_task: asyncio.Task | None = None
+        config, schedule = network.setup.config, network.reconfig.failures
+        # Only the repository plane is judged (ids: nothing cached here
+        # may keep a node alive past the run).
+        self._repositories = frozenset(network.repositories)
+        self._loss_p = config.message_loss_probability
+        # The engine's stream, consumed in the engine's order (per row,
+        # after the link test): a loss run matches it bit for bit.
+        self._loss_random = (
+            RandomStreams(config.seed).stream("message-loss").random
+            if self._loss_p > 0.0
+            else None
+        )
+        self._down = {} if schedule is None else schedule.link_windows()
+        self._crashes = {} if schedule is None else schedule.crash_windows()
+        #: The engine's ``filtered``: can this run drop at the sender?
+        self._judged = self._loss_random is not None or schedule is not None
 
     # -- what a driver says: route(), and the rest where it matters --
 
@@ -573,13 +636,9 @@ class WireRuntime:
         """The link toward ``dst``'s host, or ``None`` when it lives here."""
         raise NotImplementedError
 
-    def lost_on_send(self, row: list) -> str | None:
-        """Why ``row`` never enters the network (a drop reason), if so."""
-        return None
-
-    def lost_on_arrival(self, row: list) -> str | None:
-        """Why ``row`` is lost at its arrival stamp (a drop reason), if so."""
-        return None
+    def control(self, t: float, event) -> None:
+        """One entry of the core's control timeline came due."""
+        self.network.reconfig.apply(t, event)
 
     def on_hello(self, hello: Hello) -> None:
         """An inbound connection greeted."""
@@ -597,18 +656,29 @@ class WireRuntime:
     def connect(self, peer: int, port: int) -> None:
         """Start the link toward ``peer``; it connects on first use."""
         self.links[peer] = Link(
-            self.src, peer, self.host, port, lambda row: self.drop(row, "wire"),
+            self.src, peer, self.host, port,
+            lambda row: self.drop(row, "wire", row[1]),
             self.heartbeat_interval_s,
             metrics=self.metrics,
             telemetry=self._telemetry if self.metrics is not None else None,
         )
 
-    def schedule_replay(self, duration: float | None, then: Callable) -> None:
-        """Queue the source replay and, behind everything queued so far,
-        ``then()``."""
-        for t, item_id, value in self.network.source_schedule(duration):
-            self.due.push(t, self._source_update, t, item_id, value)
-        self.due.push(self.due.latest(), then)
+    def schedule_replay(
+        self, duration: float | None, then: Callable | None = None
+    ) -> None:
+        """Queue the core's control timeline, the source replay behind
+        it and, behind everything queued so far, ``then()`` if given.
+
+        Controls first, so a control event applies ahead of an update
+        or a delivery at the same instant -- the engine's tie-break.
+        """
+        network, push = self.network, self.due.push
+        for t, event in network.reconfig.timeline(network.span(duration)):
+            push(t, self.control, t, event)
+        for t, item_id, value in network.source_schedule(duration):
+            push(t, self._source_update, t, item_id, value)
+        if then is not None:
+            push(self.due.latest(), then)
 
     def start(self, epoch: float) -> None:
         """Start releasing the due queue against ``epoch``."""
@@ -629,17 +699,29 @@ class WireRuntime:
     def _source_update(self, t: float, item_id: int, value: float) -> None:
         # The source replays its own schedule, so it stamps the update
         # with the scheduled time, not the (sleep-slopped) wall reading.
-        self.dispatch(self.network.source_node.on_update(item_id, value, t))
+        self.dispatch(self.network.source_node.on_update(item_id, value, t), t)
 
-    def dispatch(self, rows: list[list]) -> None:
+    def dispatch(self, rows: list[list], now: float) -> None:
+        """Send the rows a node emitted at simulated instant ``now``."""
         self.stats.sent += len(rows)
+        judged, jitter = self._judged, self.jitter
         for row in rows:
-            reason = self.lost_on_send(row)
-            if reason is not None:
-                self.drop(row, reason)
-                continue
-            link = self.route(row[0])
+            dst = row[0]
+            if judged and dst in self._repositories:
+                # A down link eats the row before the Bernoulli draw, so
+                # the loss stream is consumed only for rows that enter
+                # the network.
+                down = self._down.get((row[6], dst))
+                if down and in_windows(down, now):
+                    self.drop(row, "partition", now)
+                    continue
+                if self._loss_random is not None and self._loss_random() < self._loss_p:
+                    self.drop(row, "loss", now)
+                    continue
+            link = self.route(dst)
             if link is None:
+                if jitter is not None:
+                    row[1] += jitter()
                 self.due.push(row[1], self.deliver, row)
             else:
                 queue = link.queue
@@ -647,20 +729,23 @@ class WireRuntime:
                     self.due.hold(queue)
 
     def deliver(self, row: list) -> None:
-        reason = self.lost_on_arrival(row)
-        if reason is not None:
-            self.drop(row, reason)
-            return
-        # Processed at the logical arrival stamp (see the module
-        # docstring), so downstream filtering and scoring are free of
-        # wall jitter.
+        # Judged and processed at the logical arrival stamp (see the
+        # module docstring), so the crash test, downstream filtering and
+        # scoring are free of wall jitter.
         dst, arrival_s, item_id, value, tag, seq, _src = row
-        self.dispatch(self.hosted[dst].receive(item_id, value, tag, seq, arrival_s))
+        if self._crashes:
+            crashes = self._crashes.get(dst)
+            if crashes and in_windows(crashes, arrival_s):
+                self.drop(row, "crash", arrival_s)
+                return
+        self.dispatch(
+            self.hosted[dst].receive(item_id, value, tag, seq, arrival_s), arrival_s
+        )
         self.stats.delivered += 1
         self.settled()
 
-    def drop(self, row: list, reason: str) -> None:
-        """Count one lost message, engine-comparably."""
+    def drop(self, row: list, reason: str, t: float) -> None:
+        """Count one message lost at instant ``t``, engine-comparably."""
         self.stats.dropped += 1
         if reason != "wire":
             # A wire loss may be a client-plane frame; reconcile()
@@ -668,8 +753,8 @@ class WireRuntime:
             self.network.counters.record_drop()
         observer = self.network.observer
         if observer is not None:
-            dst, arrival_s, item_id, _value, _tag, seq, src = row
-            observer.on_drop(seq - 1, item_id, arrival_s, src, dst, reason)
+            dst, _arrival_s, item_id, _value, _tag, seq, src = row
+            observer.on_drop(seq - 1, item_id, t, src, dst, reason)
         self.settled()
 
     def _on_frame(self, message: Message) -> None:

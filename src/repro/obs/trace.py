@@ -9,7 +9,9 @@ on any plane -- or merged across fleet shards -- tells one coherent
 story per update.
 
 A trace is a flat list of :class:`SpanEvent` records, one per hop-level
-decision:
+decision, and there is one hook per kind -- ``on_source``, ``on_check``,
+``on_forward``, ``on_drop``, ``on_deliver`` -- which both engines, the
+live nodes and the live runtime call per decision:
 
 ``source``
     The origin examined the update (``checks`` bookkeeping for
@@ -22,7 +24,9 @@ decision:
     A message left on an edge (sums to ``CostCounters.messages``).
 ``drop``
     A message died in flight -- ``reason`` is one of ``partition``,
-    ``loss``, ``crash``, ``departed`` or ``wire``
+    ``loss``, ``crash``, ``departed`` or ``wire``, and ``time`` the
+    instant of that decision: the send instant for ``partition`` and
+    ``loss``, the arrival stamp for the rest
     (sums to ``CostCounters.drops``).
 ``deliver``
     A repository applied the update (sums to
@@ -49,7 +53,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -143,7 +147,7 @@ class TraceRecorder:
         self._filter_reason = FILTER_REASONS.get(policy, "filtered")
 
     # ------------------------------------------------------------------
-    # Hook methods (scalar kernel, live nodes, transports)
+    # Hook methods: one vocabulary for every engine, node and runtime
     # ------------------------------------------------------------------
 
     def on_source(
@@ -255,91 +259,6 @@ class TraceRecorder:
                 node=node,
             )
         )
-
-    # ------------------------------------------------------------------
-    # Batched hooks (vectorized kernel: one call per dissemination group)
-    # ------------------------------------------------------------------
-
-    def on_check_batch(
-        self,
-        update_id: int,
-        item_id: int,
-        t: float,
-        node: int,
-        children: Sequence[int],
-        forwarded: Sequence[bool],
-        is_source: bool,
-    ) -> None:
-        """One batched edge-filter evaluation over a node's children."""
-        reason = self._filter_reason
-        append = self.events.append
-        for child, fired in zip(children, forwarded):
-            append(
-                SpanEvent(
-                    kind="check",
-                    update_id=update_id,
-                    item_id=item_id,
-                    time=t,
-                    node=node,
-                    dst=int(child),
-                    checks=1,
-                    forwarded=bool(fired),
-                    reason=None if fired else reason,
-                    is_source=is_source,
-                )
-            )
-
-    def on_forward_batch(
-        self,
-        update_id: int,
-        item_id: int,
-        t: float,
-        node: int,
-        children: Sequence[int],
-        latencies_s: Sequence[float],
-    ) -> None:
-        """Batched forwards from ``node`` (one span per surviving edge)."""
-        append = self.events.append
-        for child, latency_s in zip(children, latencies_s):
-            append(
-                SpanEvent(
-                    kind="forward",
-                    update_id=update_id,
-                    item_id=item_id,
-                    time=t,
-                    node=node,
-                    dst=int(child),
-                )
-            )
-            self.metrics.histogram(f"edge_latency_ms[{node}->{int(child)}]").observe(
-                float(latency_s) * 1000.0
-            )
-
-    def on_drop_batch(
-        self,
-        update_id: int,
-        item_id: int,
-        t: float,
-        node: int,
-        children: Sequence[int],
-        reason: str,
-    ) -> None:
-        """Batched in-flight drops from ``node``, one shared reason."""
-        append = self.events.append
-        for child in children:
-            append(
-                SpanEvent(
-                    kind="drop",
-                    update_id=update_id,
-                    item_id=item_id,
-                    time=t,
-                    node=node,
-                    dst=int(child),
-                    reason=reason,
-                )
-            )
-        if children:
-            self.metrics.counter(f"drops[{reason}]").inc(len(children))
 
     # ------------------------------------------------------------------
     # Aggregation

@@ -7,13 +7,16 @@ callbacks rather than using coroutine processes, which keeps the hot loop
 fast enough for the paper-scale experiments.
 
 :class:`BatchKernel` is the object-free sibling used by the engine
-(:mod:`repro.engine.simulation`) and the in-process live
-transport (:mod:`repro.live.transport`): no :class:`~repro.sim.events.
+(:mod:`repro.engine.simulation`): no :class:`~repro.sim.events.
 Event` object and no callback dispatch per message, just one merge of
 the run's pre-sorted source-update schedule with a plain tuple heap of
 in-flight deliveries, in the scalar kernel's exact ``(time, seq)``
 order.  It is a merge and nothing more -- the engine's loop owns the
 work per unit and pushes onto the kernel's heap itself.
+
+The live planes keep the same order and the same push guard on their
+own heap, :class:`repro.live.wire.DueQueue`, whose virtual clock
+(``drain()``) is what the in-process transport runs on.
 """
 
 from __future__ import annotations

@@ -178,7 +178,7 @@ def test_wall_budgets_are_not_options():
         "heartbeat_interval_s", "clients", "network",
     }
     assert keywords(TcpTransport) == {
-        "time_scale", "host", "loss_probability", "seed", "heartbeat_interval_s",
+        "time_scale", "host", "heartbeat_interval_s",
     }
     assert keywords(run_fleet) == {
         "config", "workers", "duration", "time_scale", "heartbeat_interval_s",

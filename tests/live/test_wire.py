@@ -336,8 +336,8 @@ def test_an_action_that_fills_a_send_queue_holds_the_next_one_until_it_is_taken(
         below = [frame(seq) for seq in range(wire.QUEUE_HIGH - 1)]
         over = [frame(seq) for seq in range(len(below), len(below) + fan_out)]
         for action, args in (
-            (runtime.dispatch, (below,)), (depth, ()),  # free-running below high
-            (runtime.dispatch, (over,)), (depth, ()),  # reached high: held
+            (runtime.dispatch, (below, 0.0)), (depth, ()),  # free-running below high
+            (runtime.dispatch, (over, 0.0)), (depth, ()),  # reached high: held
         ):
             runtime.due.push(0.0, action, *args)
         runtime.start(time.monotonic())
@@ -366,12 +366,12 @@ def test_a_dead_link_under_a_stall_reports_the_eaten_write_in_order(monkeypatch)
             0, 0, HOST, await server.listen(HOST), dropped.append
         )
         runtime.start(time.monotonic())
-        runtime.due.push(0.0, runtime.dispatch, [frame(0)])
+        runtime.due.push(0.0, runtime.dispatch, [frame(0)], 0.0)
         await until(lambda: len(frames) == 1)
         await server.close()  # nobody listens there any more ...
         link.sever()  # ... and the connection under the link is gone
         eaten = [frame(seq) for seq in range(1, wire.QUEUE_HIGH + 1)]
-        runtime.due.push(0.0, runtime.dispatch, eaten)
+        runtime.due.push(0.0, runtime.dispatch, eaten, 0.0)
         runtime.due.push(0.0, released.append, "next")
         await until(lambda: released and len(dropped) >= len(eaten))
         await runtime.close()
