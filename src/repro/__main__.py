@@ -965,7 +965,7 @@ def main(argv: list[str] | None = None) -> None:
         print(f"client checks/serves  : {result.counters.client_checks}"
               f"/{result.counters.client_messages}")
     if args.churn is not None:
-        print(f"churn events          : {result.counters.reconfigurations}")
+        print(f"churn events          : {result.extras['churn_events']}")
         print(f"reconfiguration cost  : {result.reconfiguration_cost} "
               "resubscriptions")
         print(f"reconfiguration drops : {result.counters.drops}")

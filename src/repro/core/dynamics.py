@@ -65,10 +65,6 @@ def edges_of(graph: DisseminationGraph) -> frozenset:
     return frozenset(edges)
 
 
-#: Backwards-compatible private alias (pre-adaptive callers).
-_edges_of = edges_of
-
-
 class DynamicMembership:
     """A living repository network: join, leave, change requirements.
 
@@ -175,7 +171,7 @@ class DynamicMembership:
             raise TreeConstructionError(
                 f"repository {profile.repository} already joined"
             )
-        before = _edges_of(self.graph)
+        before = edges_of(self.graph)
         self._profiles[profile.repository] = profile
         self._join_order.append(profile.repository)
         # Incremental: insert into the live graph with updated budgets.
@@ -191,18 +187,18 @@ class DynamicMembership:
         builder.insert(profile)
         if validate:
             self.validate()
-        after = _edges_of(self.graph)
+        after = edges_of(self.graph)
         return ReconfigurationDiff(added=after - before, removed=before - after)
 
     def leave(self, repo: int) -> ReconfigurationDiff:
         """Remove a repository; the algorithm is reapplied (rebuild)."""
         if repo not in self._profiles:
             raise TreeConstructionError(f"repository {repo} is not a member")
-        before = _edges_of(self.graph)
+        before = edges_of(self.graph)
         del self._profiles[repo]
         self._join_order.remove(repo)
         self.graph = self._rebuild()
-        after = _edges_of(self.graph)
+        after = edges_of(self.graph)
         return ReconfigurationDiff(added=after - before, removed=before - after)
 
     def update_requirements(self, profile: InterestProfile) -> ReconfigurationDiff:
@@ -211,8 +207,8 @@ class DynamicMembership:
             raise TreeConstructionError(
                 f"repository {profile.repository} is not a member"
             )
-        before = _edges_of(self.graph)
+        before = edges_of(self.graph)
         self._profiles[profile.repository] = profile
         self.graph = self._rebuild()
-        after = _edges_of(self.graph)
+        after = edges_of(self.graph)
         return ReconfigurationDiff(added=after - before, removed=before - after)

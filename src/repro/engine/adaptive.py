@@ -27,9 +27,12 @@ a :class:`~repro.engine.config.SimulationConfig` carrying an
 vectorized and the live in-process transport all make bit-identical
 rewiring decisions.
 
-The policy is mutually exclusive with churn and failure schedules for
-now: all three reconfigure the same graph, and composing their rebuild
-rules is future work (the interaction matrix is documented in
+The controller proposes graphs; it does not wire them.  In a run that
+also churns or fails, the reconfiguration core
+(:mod:`repro.engine.reconfig`) rebinds :attr:`AdaptiveController.graph`
+and :attr:`AdaptiveController.profiles` to the current graph and members
+before each tick, and wires what comes back by the same rule as a churn
+rebuild (the interaction matrix is documented in
 ``docs/architecture/adaptive.md``).
 """
 
@@ -167,6 +170,8 @@ class AdaptiveController:
     Attributes:
         graph: The current dissemination graph (never mutated in place;
             rebuilds rebind it).
+        profiles: The members LeLA re-runs over, in insertion order
+            (initially every repository, ascending).
         policy: The driving :class:`AdaptivePolicy`.
         ticks: Drift evaluations performed.
         triggered: Ticks whose drift crossed the threshold.
@@ -188,7 +193,7 @@ class AdaptiveController:
         self._preference = get_preference_function(config.preference)
         self._p_percent = config.p_percent
         self._seed = config.seed
-        self._profiles = [setup.profiles[r] for r in sorted(setup.profiles)]
+        self.profiles = [setup.profiles[r] for r in sorted(setup.profiles)]
         self._estimator = DriftEstimator()
         self._last_rewire: float | None = None
         self.ticks = 0
@@ -246,7 +251,7 @@ class AdaptiveController:
         else:
             load = dict(drifts)
         new_graph = reoptimize_d3g(
-            profiles=self._profiles,
+            profiles=self.profiles,
             source=self._source,
             comm_delay_ms=self._delay_ms,
             offered_degree=self._degree,

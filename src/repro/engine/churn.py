@@ -194,6 +194,20 @@ class ChurnSchedule:
                         f"(universe has {n_items} items)"
                     )
 
+    def departure_windows(self) -> dict[int, list[tuple[float, float | None]]]:
+        """Per repository: half-open ``[t_depart, t_rejoin-or-None)``
+        windows, the departure-side twin of
+        :meth:`~repro.engine.failures.FailureSchedule.crash_windows` (churn
+        applies before same-instant deliveries)."""
+        windows: dict[int, list[tuple[float, float | None]]] = {}
+        for event in self.events:
+            spans = windows.get(event.repository)
+            if event.kind == "depart":
+                windows.setdefault(event.repository, []).append((float(event.time), None))
+            elif event.kind == "join" and spans:
+                spans[-1] = (spans[-1][0], float(event.time))
+        return windows
+
     def initial_members(self, repositories: Iterable[int]) -> list[int]:
         """Validate against a repository pool; return the initial members.
 

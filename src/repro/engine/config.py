@@ -105,18 +105,19 @@ class SimulationConfig:
             count as drops, orphaned dependents fail over to a backup
             parent (charged as reconfiguration cost), and recovering
             repositories anti-entropy-resync only their missed
-            update-set.  Mutually exclusive with ``churn`` (planned and
-            unplanned membership change use different graph-evolution
-            machinery).
+            update-set.
         adaptive: Optional online re-optimization policy (see
             :mod:`repro.engine.adaptive`).  ``None`` reproduces the
             paper's static ``d3g``.  When set, both kernels run a
             drift-triggered controller that re-applies LeLA with
             observed load folded into the level ranking and rewires
             only the changed service edges live, charging every rewire
-            into reconfiguration cost.  Composable with workloads and
-            loss; mutually exclusive with ``churn`` and ``failures``
-            (all three reconfigure the same graph).
+            into reconfiguration cost.
+
+            ``churn``, ``failures`` and ``adaptive`` compose: each source
+            proposes the next graph or moves edges within it, and
+            :class:`~repro.engine.reconfig.ReconfigurationCore` wires the
+            result under the current members and live set.
     """
 
     seed: int = 20020812
@@ -218,31 +219,12 @@ class SimulationConfig:
             # normalise for the same single-path/hash-bucket reasons.
             object.__setattr__(self, "failures", None)
         if self.failures is not None:
-            if self.churn is not None:
-                raise ConfigurationError(
-                    "churn and failure schedules cannot be combined in one "
-                    "run: planned membership change rebuilds the graph while "
-                    "unplanned failure reroutes within it"
-                )
             self.failures.validate_nodes(self.n_repositories)
-        if self.adaptive is not None:
-            if not isinstance(self.adaptive, AdaptivePolicy):
-                raise ConfigurationError(
-                    "adaptive must be an AdaptivePolicy or None, got "
-                    f"{type(self.adaptive).__name__}"
-                )
-            if self.churn is not None:
-                raise ConfigurationError(
-                    "adaptive re-optimization cannot be combined with a churn "
-                    "schedule in one run: both rebuild the dissemination graph "
-                    "and their rebuild rules do not compose (yet)"
-                )
-            if self.failures is not None:
-                raise ConfigurationError(
-                    "adaptive re-optimization cannot be combined with a "
-                    "failure schedule in one run: failover and drift-triggered "
-                    "rewiring would contend for the same edges"
-                )
+        if self.adaptive is not None and not isinstance(self.adaptive, AdaptivePolicy):
+            raise ConfigurationError(
+                "adaptive must be an AdaptivePolicy or None, got "
+                f"{type(self.adaptive).__name__}"
+            )
 
     def with_(self, **overrides) -> "SimulationConfig":
         """Return a copy with the given fields replaced."""

@@ -11,43 +11,46 @@ way: an ordered piece of edge surgery on a running network.
 
 :class:`ReconfigurationCore` owns that surgery.  It is sans-io: it holds
 all *control* state -- who serves whom (``parent_of``) and where each
-dependent's home is (``home_parent``), who is ``crashed`` or
+dependent's home is (``home_parent``), who is a member, ``crashed`` or
 ``departed``, which links are down, the ``[start, end, c]``
-fidelity-scoring ``segments``, the current graph -- and all the *rules*:
+fidelity-scoring ``segments``, the one current ``graph`` -- and all the
+*rules*.  The three sources compose because they share them:
 
-- a churn event becomes a membership diff
-  (:class:`~repro.core.dynamics.DynamicMembership`) plus segment
-  bookkeeping;
+- a churn event (:class:`~repro.core.dynamics.DynamicMembership`) and
+  an adaptive rewire (:class:`~repro.engine.adaptive.AdaptiveController`)
+  each *propose* the next graph -- a join inserts into the current
+  graph, a departure or a requirement change re-runs LeLA over the
+  current members, a rewire re-optimizes them under load -- and one
+  rule wires it (:meth:`~ReconfigurationCore._retarget`):
+  the proposed graph's edges, every crashed parent replaced by its
+  nearest non-crashed ancestor, diffed against what is *wired*;
 - a crash fails the orphaned dependents over to the nearest live
   ancestor; a recovery resyncs only the copies that diverged (one
   compare round, then transfer -- the ``setdiscovery`` shape) and then
   re-homes the dependents;
-- a drift tick asks the run's
-  :class:`~repro.engine.adaptive.AdaptiveController` for a rewire;
+- a pair is owed fidelity while its repository is a member, is not
+  crashed and requires the item, at its current tolerance: one
+  predicate opens and closes every scoring segment, and :meth:`score`
+  walks them;
 - and the single :meth:`~ReconfigurationCore.apply_diff` turns any of
   those diffs into edge operations: removals in sorted-tuple order,
   additions root-downward per item tree, a new subscription (or a
   rejoiner) initial-syncing its parent's copy while a re-homed child
-  keeps its own, the receive coherency dropped when the rebuilt graph
-  drops the pair, the cost charged to
+  keeps its own, the receive coherency dropped when the diff leaves the
+  pair without a parent, the cost charged to
   :class:`~repro.core.metrics.CostCounters`.
 
 It touches the plane it runs on only through the :class:`EdgeStore`
-port.  The scalar engine (dict tables + policy object), the vectorized
-engine (edge-group arrays) and the live network (sans-io nodes, under
-either transport) each implement that port in a few dozen lines of pure
-table surgery -- no ordering, no initial-value choice, no cost charging
--- which is what makes the three planes bit-identical by construction
+port.  The reference oracle (dict tables + policy object), the engine
+(edge-group lists) and the live network (sans-io nodes, under either
+transport) each implement that port in a few dozen lines of pure table
+surgery -- no ordering, no initial-value choice, no cost charging --
+which is what makes the three planes bit-identical by construction
 rather than by golden suite.
 
 :meth:`~ReconfigurationCore.timeline` hands every plane the run's one
 time-ordered list of control instants; a plane applies each entry
 *before* any update or delivery at the same instant.
-
-Not covered (refused with a ``ConfigurationError`` upstream): composing
-churn, failures and adaptation in one run
-(:mod:`repro.engine.config`), churn on the live network, and any source
-on the fleet.  Lifting those is now a change to this module alone.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ import weakref
 from typing import Protocol
 
 from repro.core.dynamics import ReconfigurationDiff
+from repro.core.fidelity import (
+    FidelityAccumulator,
+    scoring_windows,
+    segmented_loss,
+    unzip_log,
+)
 from repro.core.interests import InterestProfile
 from repro.core.metrics import CostCounters
 from repro.engine.builder import make_adaptive_controller, make_membership
@@ -97,11 +106,6 @@ class EdgeStore(Protocol):
         """Cumulative per-node sent-message counts (the drift signal)."""
 
 
-def _close(segments: list, now: float) -> None:
-    if segments and segments[-1][1] is None:
-        segments[-1][1] = now
-
-
 class ReconfigurationCore:
     """Control state and rules for one run on one plane.
 
@@ -111,7 +115,7 @@ class ReconfigurationCore:
             the object that owns the core).
         counters: Where reconfiguration and resync cost is charged.
         trees: ``(graph, root, item ids)`` per source, as wired (kept
-            as :attr:`trees`).
+            as :attr:`trees`; the first graph starts as :attr:`graph`).
         profiles: ``repository -> InterestProfile`` (scoring segments,
             and the profile a requirement-less join comes back with).
         churn: The run's :class:`~repro.engine.churn.ChurnSchedule`.
@@ -123,10 +127,14 @@ class ReconfigurationCore:
             :class:`~repro.engine.adaptive.AdaptiveController`.
 
     Attributes:
+        graph: The current single-source graph: what every rebuild
+            starts from, rebound by each one that is wired.
+        members: ``repository -> InterestProfile``, the current members
+            in join order with their current requirements.
         parent_of: ``(child, item) -> (parent, serve coherency)`` for
             every wired edge, kept current by :meth:`apply_diff`.
-        home_parent: ``(child, item) -> parent`` as built; failover
-            moves dependents away, recovery brings them back here.
+        home_parent: ``(child, item) -> parent`` in :attr:`graph`;
+            failover moves dependents away, recovery brings them back.
         crashed / departed / down_links: Who and what is unavailable
             right now.  Planes read these sets on their hot paths (a
             message toward a crashed or departed node, or over a down
@@ -167,24 +175,23 @@ class ReconfigurationCore:
         self.down_links: set[tuple[int, int]] = set()
         self.applied = 0
         self.trees = trees
-        self._tree_of: dict[int, tuple] = {}
+        self.graph = trees[0][0]
+        self._root_of: dict[int, int] = {}
         self.parent_of: dict[tuple[int, int], tuple[int, float]] = {}
         for graph, root, item_ids in trees:
             item_ids = set(item_ids)
             for item_id in item_ids:
-                self._tree_of[item_id] = (graph, root)
+                self._root_of[item_id] = root
             for node, state in graph.nodes.items():
                 for item_id, parent in state.parent_for.items():
                     if item_id in item_ids:
-                        self.parent_of[(node, item_id)] = (
-                            parent,
-                            state.receive_c[item_id],
-                        )
+                        self.parent_of[(node, item_id)] = (parent, state.receive_c[item_id])
         self.home_parent = {key: edge[0] for key, edge in self.parent_of.items()}
-        members = None if membership is None else set(membership.members)
+        joined = sorted(profiles) if membership is None else membership.members
+        self.members = {repo: profiles[repo] for repo in joined}
         self.segments: dict[tuple[int, int], list[list]] = {}
         for repo, profile in profiles.items():
-            if members is not None and repo not in members:
+            if repo not in self.members:
                 continue  # late joiner: scoring starts at its join event
             for item_id, c_own in profile.requirements.items():
                 self.segments[(repo, item_id)] = [[0.0, None, c_own]]
@@ -194,7 +201,7 @@ class ReconfigurationCore:
         """The core for one run of ``setup.config`` on ``store``.
 
         The membership and the adaptive controller are built fresh per
-        run (both rebind their graph mid-run; a shared setup must stay
+        run (both rebuild graphs mid-run; a shared setup must stay
         read-only), and deterministically, so every plane starts from a
         graph bit-identical to ``setup.graph``.
         """
@@ -211,31 +218,8 @@ class ReconfigurationCore:
             churn=config.churn,
             membership=membership,
             failures=config.failures,
-            adaptive=(
-                make_adaptive_controller(setup)
-                if config.adaptive is not None
-                else None
-            ),
+            adaptive=make_adaptive_controller(setup) if config.adaptive is not None else None,
         )
-
-    # ------------------------------------------------------------------
-    # The current graph
-    # ------------------------------------------------------------------
-
-    @property
-    def graph(self):
-        """The live single-source graph (rebound by churn rebuilds and
-        adaptive re-optimizations)."""
-        if self.membership is not None:
-            return self.membership.graph
-        if self.adaptive is not None:
-            return self.adaptive.graph
-        return self.trees[0][0]
-
-    def _graph_of(self, item_id: int):
-        if self.membership is not None or self.adaptive is not None:
-            return self.graph
-        return self._tree_of[item_id][0]
 
     # ------------------------------------------------------------------
     # The control timeline
@@ -252,6 +236,8 @@ class ReconfigurationCore:
         :meth:`apply`) before any source update or delivery at ``t`` --
         a crash at ``t`` drops the delivery at ``t``, a tick at ``t``
         snapshots the counters before the update at ``t`` moves them.
+        At one instant, churn comes before failures and both before a
+        tick.
         """
         entries: list[tuple[float, object]] = []
         for schedule in (self.churn, self.failures):
@@ -273,8 +259,38 @@ class ReconfigurationCore:
             self._apply_failure(event, now)
 
     # ------------------------------------------------------------------
-    # The one diff application
+    # The one rewiring rule and the one diff application
     # ------------------------------------------------------------------
+
+    def _retarget(self, graph, now: float, resync: frozenset = frozenset()) -> None:
+        """Make ``graph`` current and wire it.
+
+        The target is every edge of ``graph``, except that a crashed
+        parent is replaced by its nearest non-crashed ancestor in
+        ``graph`` (the source never crashes, so the walk always ends);
+        the diff is taken against what is wired, so whatever moved an
+        edge before -- failover, an earlier rebuild -- the result is the
+        same wiring.
+        """
+        self.graph = graph
+        self.home_parent = home = {
+            (node, item_id): parent
+            for node, state in graph.nodes.items()
+            for item_id, parent in state.parent_for.items()
+        }
+        target = set()
+        for (child, item_id), parent in home.items():
+            while parent in self.crashed:
+                parent = home[(parent, item_id)]
+            target.add((parent, child, item_id, graph.nodes[child].receive_c[item_id]))
+        wired = {(p, ch, it, c) for (ch, it), (p, c) in self.parent_of.items()}
+        self.apply_diff(
+            ReconfigurationDiff(
+                added=frozenset(target - wired), removed=frozenset(wired - target)
+            ),
+            now,
+            resync,
+        )
 
     def apply_diff(self, diff, now: float, resync: frozenset = frozenset()) -> None:
         """Tear down removed service edges, wire up added ones.
@@ -291,21 +307,18 @@ class ReconfigurationCore:
             n_added=len(diff.added), n_removed=len(diff.removed)
         )
         store = self.store
+        rewired = {(child, item_id) for _parent, child, item_id, _c in diff.added}
         for parent, child, item_id, c in sorted(diff.removed):
             store.unwire(parent, child, item_id, c)
             if self._parent(child, item_id) == parent:
                 del self.parent_of[(child, item_id)]
-            state = self._graph_of(item_id).nodes.get(child)
-            if state is None or item_id not in state.receive_c:
+            if (child, item_id) not in rewired:
                 # The child no longer receives the item at all (departed,
                 # or the rebuild dropped the relay).
                 store.unsubscribe(child, item_id)
         # Parents must hold a current copy before their children sync
         # from them, so wire additions root-downward per item tree.
-        added = sorted(
-            diff.added,
-            key=lambda e: (e[2], self._graph_of(e[2]).item_depth(e[1], e[2]), e),
-        )
+        added = sorted(diff.added, key=lambda e: (e[2], self._depth(e[1], e[2]), e))
         for parent, child, item_id, c in added:
             log = store.log(child, item_id)
             if log is None or child in resync:
@@ -320,9 +333,18 @@ class ReconfigurationCore:
             store.wire(parent, child, item_id, c, log[-1][1])
             self.parent_of[(child, item_id)] = (parent, c)
 
+    def _depth(self, node: int, item_id: int) -> int:
+        """Hops from the item's root to ``node`` along its home tree."""
+        depth = 0
+        parent = self.home_parent.get((node, item_id))
+        while parent is not None:
+            depth += 1
+            parent = self.home_parent.get((parent, item_id))
+        return depth
+
     def current_value(self, node: int, item_id: int) -> float:
         """The copy ``node`` holds for ``item_id`` right now."""
-        if node == self._tree_of[item_id][1]:
+        if node == self._root_of[item_id]:
             return self.store.source_value(item_id)
         log = self.store.log(node, item_id)
         if log is None:
@@ -332,55 +354,112 @@ class ReconfigurationCore:
         return log[-1][1]
 
     # ------------------------------------------------------------------
+    # Fidelity owed, and scored
+    # ------------------------------------------------------------------
+
+    def _owe(self, repo: int, now: float) -> None:
+        """Open and close ``repo``'s scoring segments by the one rule: a
+        pair is owed while its repository is a member, is not crashed
+        and requires the item, at its current tolerance."""
+        profile = self.members.get(repo)
+        owed = {} if profile is None or repo in self.crashed else profile.requirements
+        segments = self.segments
+        held = {item_id for r, item_id in segments if r == repo}
+        # Ascending ids: new keys, and with them the scoring order, come
+        # out the same whatever event opened them.
+        for item_id in sorted(held | set(owed)):
+            spans = segments.get((repo, item_id))
+            open_c = spans[-1][2] if spans and spans[-1][1] is None else None
+            c = owed.get(item_id)
+            if open_c == c:
+                continue
+            if open_c is not None:
+                spans[-1][1] = now
+            if c is not None:
+                segments.setdefault((repo, item_id), []).append([now, None, c])
+
+    def score(self, traces, duration: float | None = None, only=None):
+        """``(accumulator, (repository, item) -> loss %)`` from the
+        store's delivery logs, over every pair of :attr:`segments` in
+        order and inside the item's window (truncated to ``duration``):
+        a pair no reconfiguration touched is one open segment, plain loss
+        of fidelity bit for bit, and a pair never owed inside its window
+        is left out.  ``only`` keeps a subset of repositories (a fleet
+        worker scores its own shard)."""
+        accumulator = FidelityAccumulator()
+        per_pair: dict[tuple[int, int], float] = {}
+        windows = scoring_windows(traces, duration)
+        for (repo, item_id), segments in self.segments.items():
+            if only is not None and repo not in only:
+                continue
+            log = self.store.log(repo, item_id)
+            if log is None:
+                # Never wired for the item (cannot happen after LeLA
+                # validation, but fail loud rather than silently).
+                raise SimulationError(
+                    f"repository {repo} has no delivery log for item {item_id}"
+                )
+            trace = traces[item_id]
+            t0, t1 = windows[item_id]
+            loss = segmented_loss(
+                trace.times, trace.values, *unzip_log(log), segments, t0, t1
+            )
+            if loss is None:
+                continue
+            accumulator.add(repo, item_id, loss)
+            per_pair[(repo, item_id)] = loss
+        return accumulator, per_pair
+
+    def extras(self) -> dict:
+        """What each of the run's sources did, as result extras."""
+        extras: dict = {}
+        if self.membership is not None:
+            extras["churn_events"] = len(self.churn)
+            extras["final_members"] = len(self.members)
+        if self.failures is not None:
+            extras["failure_events"] = len(self.failures)
+            extras["crashes"] = self.failures.count("crash")
+            extras["partitions"] = self.failures.count("link_down")
+        if self.adaptive is not None:
+            extras["adaptive_ticks"] = self.adaptive.ticks
+            extras["adaptive_triggered"] = self.adaptive.triggered
+            extras["adaptive_rewires"] = self.adaptive.rewires
+        return extras
+
+    # ------------------------------------------------------------------
     # Churn
     # ------------------------------------------------------------------
 
     def _on_churn(self, event: ChurnEvent, now: float) -> None:
         """Apply one membership change to the running network."""
         repo = event.repository
+        membership = self.membership
+        profile = event.profile()
+        if profile is None:  # a departure, or a join without requirements
+            profile = self.profiles[repo]
         resync: frozenset = frozenset()
-        if event.kind == "join":
-            profile = event.profile()
-            if profile is None:
-                profile = self.profiles[repo]
+        if event.kind == "depart":
+            membership.leave(repo)
+            self.departed.add(repo)
+            del self.members[repo]
+        elif event.kind == "join":
             if repo in self.departed:
                 # A rejoining repository comes back with stale state: it
                 # must receive deliveries again and initial-sync fresh
                 # copies rather than resume from its pre-departure ones.
                 self.departed.discard(repo)
                 resync = frozenset((repo,))
-            diff = self.membership.join(profile)
-            for item_id in sorted(profile.requirements):
-                self.segments.setdefault((repo, item_id), []).append(
-                    [now, None, profile.requirements[item_id]]
-                )
-        elif event.kind == "depart":
-            diff = self.membership.leave(repo)
-            self.departed.add(repo)
-            self._close_segments(repo, now)
+            # A join inserts into what is current (an adaptive rewire
+            # included); a departure or an update re-runs LeLA over the
+            # members in join order, from scratch.
+            membership.graph = self.graph
+            membership.join(profile)
+            self.members[repo] = profile
         else:  # coherency / data-needs change
-            old = dict(self.membership.profile_of(repo).requirements)
-            new = dict(event.requirements)
-            diff = self.membership.update_requirements(
-                InterestProfile(repository=repo, requirements=new)
-            )
-            for item_id in sorted(set(old) | set(new)):
-                old_c, new_c = old.get(item_id), new.get(item_id)
-                if old_c == new_c:
-                    continue  # untouched requirement: segment stays open
-                if old_c is not None:
-                    _close(self.segments.get((repo, item_id)), now)
-                if new_c is not None:
-                    self.segments.setdefault((repo, item_id), []).append(
-                        [now, None, new_c]
-                    )
-        self.apply_diff(diff, now, resync=resync)
-
-    def _close_segments(self, repo: int, now: float) -> None:
-        """Fidelity is only owed while the repository is a live member."""
-        for (r, _item_id), segments in self.segments.items():
-            if r == repo:
-                _close(segments, now)
+            membership.update_requirements(profile)
+            self.members[repo] = profile
+        self._owe(repo, now)
+        self._retarget(membership.graph, now, resync)
 
     # ------------------------------------------------------------------
     # Unplanned failures
@@ -397,13 +476,11 @@ class ReconfigurationCore:
         repo = event.repository
         if event.kind == "crash":
             self.crashed.add(repo)
-            self._close_segments(repo, now)
+            self._owe(repo, now)
             self._fail_over(repo, now)
         else:  # recover
             self.crashed.discard(repo)
-            for (r, _item_id), segments in self.segments.items():
-                if r == repo and segments and segments[-1][1] is not None:
-                    segments.append([now, None, segments[-1][2]])
+            self._owe(repo, now)
             self._resync(repo, now)
             self._restore_home(repo, now)
 
@@ -479,12 +556,16 @@ class ReconfigurationCore:
     # ------------------------------------------------------------------
 
     def _on_tick(self, now: float) -> None:
-        """One drift evaluation; apply the rewire diff if one fires."""
-        diff = self.adaptive.on_tick(now, self.store.message_counts())
+        """One drift evaluation; wire the re-optimized graph if one fires."""
+        adaptive = self.adaptive
+        # Re-optimize what is current: the graph and the members in join
+        # order with their current profiles.
+        adaptive.graph, adaptive.profiles = self.graph, list(self.members.values())
+        diff = adaptive.on_tick(now, self.store.message_counts())
         metrics = getattr(self.observer, "metrics", None)
         if metrics is not None:
             metrics.counter("adaptive.ticks").inc()
-            drifts = self.adaptive.last_drifts
+            drifts = adaptive.last_drifts
             if drifts:
                 metrics.gauge("adaptive.max_drift").set(max(drifts.values()))
                 hist = metrics.histogram(
@@ -495,4 +576,4 @@ class ReconfigurationCore:
             if diff is not None:
                 metrics.counter("adaptive.rewires").inc()
         if diff is not None:
-            self.apply_diff(diff, now)
+            self._retarget(adaptive.graph, now)

@@ -106,12 +106,6 @@ from repro.core.dissemination.filtering import (
     StaircaseTagger,
     quantise_tolerance,
 )
-from repro.core.fidelity import (
-    FidelityAccumulator,
-    scoring_windows,
-    segmented_loss,
-    unzip_log,
-)
 from repro.core.metrics import ArrayCounters, CostCounters
 from repro.engine.builder import SimulationSetup, build_setup
 from repro.engine.config import SimulationConfig
@@ -218,48 +212,12 @@ class SimulationBase:
         return schedule
 
     def _score(self, span: float, events_processed: int) -> SimulationResult:
-        accumulator = FidelityAccumulator()
-        per_pair: dict[tuple[int, int], float] = {}
-        windows = scoring_windows(self.setup.traces)
-        for (repo, item_id), segments in self._reconfig.segments.items():
-            trace = self.setup.traces[item_id]
-            log = self._deliveries.get((repo, item_id))
-            if log is None:
-                # Never wired for the item (cannot happen after LeLA
-                # validation, but fail loud rather than silently).
-                raise SimulationError(
-                    f"repository {repo} has no delivery log for item {item_id}"
-                )
-            # A single open segment covering t0 (static membership, no
-            # failure touched the pair) scores exactly as the churn-free
-            # engine always has, bit for bit; otherwise the loss is
-            # duration-weighted over the live intervals.  None means the
-            # requirement was never live inside the window (e.g. a join
-            # past the last trace sample): nothing to score.
-            t0, t1 = windows[item_id]
-            loss = segmented_loss(
-                trace.times, trace.values, *unzip_log(log), segments, t0, t1
-            )
-            if loss is None:
-                continue
-            accumulator.add(repo, item_id, loss)
-            per_pair[(repo, item_id)] = loss
+        accumulator, per_pair = self._reconfig.score(self.setup.traces)
         extras: dict = {
             "per_pair_loss": per_pair,
             "workload": self.setup.config.workload.name,
+            **self._reconfig.extras(),
         }
-        core = self._reconfig
-        if core.membership is not None:
-            extras["churn_events"] = len(core.churn)
-            extras["final_members"] = len(core.membership.members)
-        if core.failures is not None:
-            extras["failure_events"] = len(core.failures)
-            extras["crashes"] = core.failures.count("crash")
-            extras["partitions"] = core.failures.count("link_down")
-        if core.adaptive is not None:
-            extras["adaptive_ticks"] = core.adaptive.ticks
-            extras["adaptive_triggered"] = core.adaptive.triggered
-            extras["adaptive_rewires"] = core.adaptive.rewires
         return SimulationResult(
             loss_of_fidelity=accumulator.system_loss(),
             per_repository_loss=accumulator.per_repository(),

@@ -63,7 +63,6 @@ from repro.fleet.antientropy import ChildSession, ParentView
 from repro.fleet.sharding import plan_shards
 from repro.live.harness import (
     _client_node_base,
-    _score,
     _score_clients,
     build_live_network,
 )
@@ -298,9 +297,10 @@ class _Shard(WireRuntime):
         report.queue_stalls = sum(link.queue.stalls for link in self.links.values())
         report.protocol_errors = self.server.protocol_errors
         # The supervisor re-accumulates fidelity from the pairs.
-        _accumulator, report.per_pair_loss, report.span_s = _score(
-            network, spec.duration, only=self.local_repos
+        _accumulator, report.per_pair_loss = network.reconfig.score(
+            network.setup.traces, spec.duration, only=self.local_repos
         )
+        report.span_s = network.span(spec.duration)
         if self.local_clients:
             report.client_loss = _score_clients(
                 network, spec.duration, only=self.local_clients

@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.core.clients import ClientPopulation
 from repro.core.dissemination.filtering import EdgeFilter, SourceTagger
-from repro.core.fidelity import (
-    FidelityAccumulator,
-    loss_of_fidelity,
-    scoring_windows,
-    segmented_loss,
-    unzip_log,
-)
+from repro.core.fidelity import loss_of_fidelity, scoring_windows, unzip_log
 from repro.core.metrics import CostCounters
 from repro.core.tree import TreeStats
 from repro.engine.builder import SimulationSetup, build_setup
@@ -124,12 +118,13 @@ class LiveNetwork:
     It is also the live plane's
     :class:`~repro.engine.reconfig.EdgeStore`: :attr:`reconfig` -- the
     same :class:`~repro.engine.reconfig.ReconfigurationCore` both
-    simulation kernels run -- decides every failover, resync and
-    adaptive rewire, and :meth:`wire` / :meth:`unwire` and friends only
-    patch the nodes' edge lists, filters and logs.  The runtime every
-    transport drives (:mod:`repro.live.wire`) applies the core's
-    timeline and judges loss and failures by the engine's rule, so an
-    in-process run stays bit-identical to the simulation.
+    simulation kernels run -- decides every churn rebuild, failover,
+    resync and adaptive rewire, and :meth:`wire` / :meth:`unwire` and
+    friends only patch the nodes' edge lists, filters and logs.  The
+    runtime every transport drives (:mod:`repro.live.wire`) applies the
+    core's timeline and judges loss, failures and departures by the
+    engine's rule, so an in-process run stays bit-identical to the
+    simulation.
     """
 
     def __init__(
@@ -146,7 +141,7 @@ class LiveNetwork:
         self.repositories = repositories
         #: transport node id -> client node.
         self.clients = clients
-        #: Control state and rules (failover, resync, adaptive rewires).
+        #: Control state and rules (churn, failover, resync, rewires).
         self.reconfig = ReconfigurationCore.for_setup(setup, self, counters)
         #: Out-of-band trace observer (see :meth:`attach_observer`);
         #: the runtime consults it at its drop site.
@@ -267,46 +262,32 @@ def build_live_network(
 
     The build reuses :func:`~repro.engine.builder.build_setup` -- same
     topology, traces, profiles and LeLA ``d3g`` as a simulation of the
-    same config -- then instantiates one sans-io node per graph member
-    with a shared :class:`~repro.core.dissemination.filtering.EdgeFilter`
-    per service edge (and the
+    same config -- then instantiates one sans-io node per repository
+    (late joiners included) with a shared
+    :class:`~repro.core.dissemination.filtering.EdgeFilter` per service
+    edge of the initial graph (and the
     :class:`~repro.core.dissemination.filtering.SourceTagger` when the
     centralised policy runs).
 
     Args:
-        config: The run's full parameterisation.  Must be churn-free
-            (live membership is static for now); a failure schedule
-            (``config.failures``) and seeded message loss
-            (``config.message_loss_probability``) are both supported --
-            the runtime (:mod:`repro.live.wire`) executes them through
-            the network's
-            :class:`~repro.engine.reconfig.ReconfigurationCore` and the
-            engine's seeded Bernoulli stream.
+        config: The run's full parameterisation.  Churn, failures,
+            adaptive rewiring and seeded message loss all run: the
+            runtime (:mod:`repro.live.wire`) executes the network's
+            :class:`~repro.engine.reconfig.ReconfigurationCore` timeline
+            and judges loss, crashes and departures by the engine's
+            rule.
         clients: Optional end-client population to attach; each client
             becomes a dependent of its repository, filtered at its own
-            tolerance.
+            tolerance, and is served whenever its repository receives
+            the item.
         setup: Optional prebuilt setup for exactly this config (skips
             rebuilding the topology/traces/``d3g``; the loadgen path
             shares one build across population generation and the run).
 
     Raises:
-        ConfigurationError: on churn configs, or clients attached to
-            unknown repositories.
+        ConfigurationError: on clients attached to unknown repositories
+            or wanting unknown items.
     """
-    if config.churn is not None:
-        raise ConfigurationError(
-            "the live network runs static membership; strip the churn "
-            "schedule from the config before running live"
-        )
-    if config.adaptive is not None and clients is not None and len(clients):
-        # A rewire that drops a (repository, item) pair stops the
-        # engine's client service for it, but a live client edge is
-        # attached state; until client re-attachment is wired through
-        # the rewiring path the combination would silently diverge.
-        raise ConfigurationError(
-            "adaptive re-optimization does not support an attached live "
-            "client population yet; drop the clients or the adaptive policy"
-        )
     if setup is None:
         setup = build_setup(config)
     counters = CostCounters()
@@ -319,12 +300,16 @@ def build_live_network(
         tagger = SourceTagger()
 
     source_node = SourceNode(source, comp_delay_s, counters, tagger=tagger)
+    # A node per repository: a late joiner receives nothing until the
+    # core wires it in.
     repositories: dict[int, RepositoryNode] = {
         node: RepositoryNode(
-            node, comp_delay_s, counters, receive_c=dict(state.receive_c)
+            node,
+            comp_delay_s,
+            counters,
+            receive_c=graph.nodes[node].receive_c if node in graph.nodes else {},
         )
-        for node, state in graph.nodes.items()
-        if node != source
+        for node in setup.profiles
     }
 
     network = LiveNetwork(setup, counters, source_node, repositories, {})
@@ -363,11 +348,10 @@ def build_live_network(
                         f"client {client.client_id} wants unknown item {item_id}"
                     )
                 client_node.deliveries[item_id] = [(0.0, trace.initial_value)]
-                if item_id not in repo.receive_c:
-                    # The repository does not carry the item; the client
-                    # stays on the priming value and the requirement-met
-                    # report will flag it.
-                    continue
+                # Attached whether or not the repository carries the item:
+                # a client is served only while it does (until then it
+                # stays on the priming value, and the requirement-met
+                # report flags it).
                 repo.add_edge(
                     item_id,
                     node_id,
@@ -382,48 +366,6 @@ def build_live_network(
                 )
             client_nodes[node_id] = client_node
     return network
-
-
-def _score(
-    network: LiveNetwork,
-    duration: float | None,
-    only: set[int] | None = None,
-) -> tuple[FidelityAccumulator, dict[tuple[int, int], float], float]:
-    """Observed fidelity from the delivery logs, sim-identically.
-
-    ``only`` restricts scoring to a subset of repositories -- fleet
-    workers score just their own shard and the supervisor re-merges the
-    per-pair losses.
-    """
-    accumulator = FidelityAccumulator()
-    per_pair: dict[tuple[int, int], float] = {}
-    segments = network.reconfig.segments
-    windows = scoring_windows(network.setup.traces, duration)
-    for repo, profile in network.setup.profiles.items():
-        if only is not None and repo not in only:
-            continue
-        node = network.repositories[repo]
-        for item_id in profile.requirements:
-            trace = network.setup.traces[item_id]
-            t0, t1 = windows[item_id]
-            # The core's availability segments, through the function the
-            # engine scores with: a pair no failure touched is one open
-            # segment, which is loss_of_fidelity over the window, bit
-            # for bit; a failed one is duration-weighted over the
-            # intervals the repository was actually up.
-            loss = segmented_loss(
-                trace.times,
-                trace.values,
-                *unzip_log(node.deliveries[item_id]),
-                segments[(repo, item_id)],
-                t0,
-                t1,
-            )
-            if loss is None:
-                continue  # never up inside the window: nothing owed
-            accumulator.add(repo, item_id, loss)
-            per_pair[(repo, item_id)] = loss
-    return accumulator, per_pair, network.span(duration)
 
 
 def _score_clients(
@@ -470,13 +412,14 @@ def run_live(
 ) -> LiveRunResult:
     """Build, run and score one live network end to end.
 
-    Failure schedules (``config.failures``) and seeded message loss
-    (``config.message_loss_probability``) run for real: both transports
-    drop by schedule and by the seeded Bernoulli stream -- one rule, the
-    engine's, applied by the runtime they share -- the TCP transport
-    additionally heartbeats its connections and reconnects
-    severed ones with exponential backoff, and fidelity is scored over
-    the availability segments exactly like the engine.  The TCP wall
+    Churn and failure schedules (``config.churn``, ``config.failures``)
+    and seeded message loss (``config.message_loss_probability``) run
+    for real: both transports drop by schedule and by the seeded
+    Bernoulli stream -- one rule, the engine's, applied by the runtime
+    they share -- the TCP transport additionally heartbeats its
+    connections and reconnects severed ones with exponential backoff,
+    and fidelity is scored over the availability segments exactly like
+    the engine.  The TCP wall
     budgets (quiescence wait, reconnect policy, queue watermarks) are
     constants of :mod:`repro.live.wire`, not options.
 
@@ -515,7 +458,8 @@ def run_live(
     stats: TransportStats = driver.run(network, duration=duration)
     wall = time.perf_counter() - start
 
-    accumulator, per_pair, span = _score(network, duration)
+    core = network.reconfig
+    accumulator, per_pair = core.score(network.setup.traces, duration)
     extras: dict = {
         "per_pair_loss": per_pair,
         "workload": config.workload.name,
@@ -527,20 +471,12 @@ def run_live(
             node.client_messages
             for node in (network.source_node, *network.repositories.values())
         )
-    core = network.reconfig
+    extras.update(core.extras())
     if core.failures is not None:
-        schedule = core.failures
-        extras["failure_events"] = len(schedule)
-        extras["crashes"] = schedule.count("crash")
-        extras["partitions"] = schedule.count("link_down")
         if stats.heartbeats:
             extras["heartbeats"] = stats.heartbeats
         if stats.reconnects:
             extras["reconnects"] = stats.reconnects
-    if core.adaptive is not None:
-        extras["adaptive_ticks"] = core.adaptive.ticks
-        extras["adaptive_triggered"] = core.adaptive.triggered
-        extras["adaptive_rewires"] = core.adaptive.rewires
     return LiveRunResult(
         loss_of_fidelity=accumulator.system_loss(),
         per_repository_loss=accumulator.per_repository(),
@@ -549,7 +485,7 @@ def run_live(
         tree_stats=core.graph.stats(),
         effective_degree=network.setup.effective_degree,
         avg_comm_delay_ms=network.setup.avg_comm_delay_ms,
-        sim_span_s=span,
+        sim_span_s=network.span(duration),
         transport=driver.name,
         wall_seconds=wall,
         sent=stats.sent,

@@ -92,9 +92,14 @@ class _ForwardingNode:
         link_delay_s: float,
         is_client: bool = False,
     ) -> None:
-        self.edges.setdefault(item_id, []).append(
-            Edge(child, c_serve, filter, link_delay_s, is_client)
-        )
+        edges = self.edges.setdefault(item_id, [])
+        at = len(edges)
+        if not is_client:
+            # Dependents ahead of clients, wherever a rewire lands them:
+            # client service never delays the repository plane.
+            while at and edges[at - 1].is_client:
+                at -= 1
+        edges.insert(at, Edge(child, c_serve, filter, link_delay_s, is_client))
 
     def _forward(
         self,
@@ -102,11 +107,16 @@ class _ForwardingNode:
         value: float,
         tag: float | None,
         now: float,
-        parent_receive_c: float,
+        parent_receive_c: float | None,
         seq: int,
         is_source: bool,
     ) -> list[list]:
-        """Filter one update over this node's edges; the rows to send."""
+        """Filter one update over this node's edges; the rows to send.
+
+        ``parent_receive_c`` is ``None`` when the node no longer receives
+        the item (an in-flight copy of an unsubscribed pair): then no
+        client is served from it, the reference oracle's rule.
+        """
         rows: list[list] = []
         edges = self.edges.get(item_id)
         if not edges:
@@ -119,7 +129,9 @@ class _ForwardingNode:
         checks = messages = 0
         for edge in edges:
             if edge.is_client:
-                if not edge.filter.decide(value, parent_receive_c, None):
+                if parent_receive_c is None or not edge.filter.decide(
+                    value, parent_receive_c, None
+                ):
                     continue
                 departure = submit(now, comp_delay_s)
                 self.client_messages += 1
@@ -238,7 +250,7 @@ class RepositoryNode(_ForwardingNode):
         if log is not None:
             log.append((now, value))
         return self._forward(
-            item_id, value, tag, now, self.receive_c.get(item_id, 0.0), seq, False
+            item_id, value, tag, now, self.receive_c.get(item_id), seq, False
         )
 
     def on_message(self, update: Update, now: float) -> list[list]:

@@ -20,10 +20,10 @@ destination lives and which clock releases the due queue:
   destination lives (:meth:`WireRuntime.route`) and what is real about
   its clock or its sockets.
 
-Loss and failures are judged once, here, by the engine's rule: a
-repository-plane row meets a down link and then the seeded Bernoulli
-draw at the instant it is *sent* (:meth:`WireRuntime.dispatch`) and a
-crashed destination at the instant it *arrives*
+Loss, failures and departures are judged once, here, by the engine's
+rule: a repository-plane row meets a down link and then the seeded
+Bernoulli draw at the instant it is *sent* (:meth:`WireRuntime.dispatch`)
+and a departed or crashed destination at the instant it *arrives*
 (:meth:`WireRuntime.deliver`); a row in flight when its link goes down
 is delivered on every plane.
 
@@ -566,8 +566,8 @@ class WireRuntime:
     stamp and dispatches what the node emits.
 
     The judgement reads the run's own config (seed, loss probability)
-    and its failure schedule's half-open windows, built once; a run with
-    neither loss nor failures skips it whole.
+    and the half-open windows of its failure and churn schedules, built
+    once; a run with none of the three skips it whole.
 
     Args:
         network: The built network whose nodes run here.
@@ -613,7 +613,8 @@ class WireRuntime:
         self.server = FrameServer(self._on_frame, self.on_hello)
         self.links: dict[int, Link] = {}
         self._due_task: asyncio.Task | None = None
-        config, schedule = network.setup.config, network.reconfig.failures
+        core = network.reconfig
+        config, schedule = network.setup.config, core.failures
         # Only the repository plane is judged (ids: nothing cached here
         # may keep a node alive past the run).
         self._repositories = frozenset(network.repositories)
@@ -626,7 +627,16 @@ class WireRuntime:
             else None
         )
         self._down = {} if schedule is None else schedule.link_windows()
-        self._crashes = {} if schedule is None else schedule.crash_windows()
+        #: Per node, ``[(reason, windows), ...]``: the half-open windows a
+        #: delivery to it is a drop in, departures ahead of crashes (the
+        #: engine's precedence).
+        self._away: dict[int, list[tuple]] = {}
+        for reason, windows in (
+            ("departed", {} if core.churn is None else core.churn.departure_windows()),
+            ("crash", {} if schedule is None else schedule.crash_windows()),
+        ):
+            for node, spans in windows.items():
+                self._away.setdefault(node, []).append((reason, spans))
         #: The engine's ``filtered``: can this run drop at the sender?
         self._judged = self._loss_random is not None or schedule is not None
 
@@ -730,14 +740,14 @@ class WireRuntime:
 
     def deliver(self, row: list) -> None:
         # Judged and processed at the logical arrival stamp (see the
-        # module docstring), so the crash test, downstream filtering and
-        # scoring are free of wall jitter.
+        # module docstring), so the availability test, downstream
+        # filtering and scoring are free of wall jitter.
         dst, arrival_s, item_id, value, tag, seq, _src = row
-        if self._crashes:
-            crashes = self._crashes.get(dst)
-            if crashes and in_windows(crashes, arrival_s):
-                self.drop(row, "crash", arrival_s)
-                return
+        if self._away:
+            for reason, windows in self._away.get(dst, ()):
+                if in_windows(windows, arrival_s):
+                    self.drop(row, reason, arrival_s)
+                    return
         self.dispatch(
             self.hosted[dst].receive(item_id, value, tag, seq, arrival_s), arrival_s
         )

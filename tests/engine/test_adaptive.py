@@ -3,7 +3,7 @@
 Covers the pieces below the kernels: policy validation and CLI-spec
 parsing, the drift estimator's windowing arithmetic, the controller's
 trigger/cooldown/cap gates, the load-aware LeLA hook, and the config
-plumbing (mutual exclusions, builder factory).
+plumbing (composition with churn and failures, builder factory).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.engine.builder import build_setup, make_adaptive_controller
 from repro.engine.churn import ChurnEvent, ChurnSchedule
 from repro.engine.config import SCALE_PRESETS
 from repro.engine.failures import FailureEvent, FailureSchedule
+from repro.engine.simulation import run_simulation
 from repro.errors import ConfigurationError, TreeConstructionError
 from repro.workloads import FlashCrowdWorkload
 
@@ -87,16 +88,30 @@ def test_spec_parsing_rejects_bad_entries(text):
 # ---------------------------------------------------------------- config
 
 
-def test_config_rejects_adaptive_with_churn():
-    schedule = ChurnSchedule(events=(ChurnEvent.depart(1.0e9, 1),))
-    with pytest.raises(ConfigurationError):
-        BASE.with_(adaptive=POLICY, churn=schedule)
+def _composed_run_equals_the_oracle(config):
+    engine = run_simulation(config)
+    assert engine == run_simulation(config.with_(kernel="scalar"))
+    assert engine.counters.deliveries + engine.counters.drops == engine.counters.messages
+    assert engine.extras["adaptive_ticks"] > 0
+    return engine
 
 
-def test_config_rejects_adaptive_with_failures():
-    schedule = FailureSchedule(events=(FailureEvent.crash(10.0, 1),))
-    with pytest.raises(ConfigurationError):
-        BASE.with_(adaptive=POLICY, failures=schedule)
+def test_adaptive_composes_with_churn():
+    schedule = ChurnSchedule(
+        events=(ChurnEvent.depart(40.0, 1), ChurnEvent.join(90.0, 1))
+    )
+    config = BASE.with_(workload=FlashCrowdWorkload(), adaptive=POLICY, churn=schedule)
+    assert _composed_run_equals_the_oracle(config).extras["churn_events"] == 2
+
+
+def test_adaptive_composes_with_failures():
+    schedule = FailureSchedule(
+        events=(FailureEvent.crash(10.0, 1), FailureEvent.recover(60.0, 1))
+    )
+    config = BASE.with_(
+        workload=FlashCrowdWorkload(), adaptive=POLICY, failures=schedule
+    )
+    assert _composed_run_equals_the_oracle(config).extras["crashes"] == 1
 
 
 def test_config_accepts_adaptive_for_every_push_policy():

@@ -241,12 +241,12 @@ def test_rejoiner_receives_deliveries_after_rejoin():
 def test_membership_replay_matches_setup_graph():
     """The simulation's fresh membership rebuild is bit-identical to the
     graph the builder stored on the (shared, read-only) setup."""
-    from repro.core.dynamics import _edges_of
+    from repro.core.dynamics import edges_of
 
     config = churned(joins=2, departs=1, updates=1)
     setup = build_setup(config)
     membership = make_membership(setup)
-    assert _edges_of(membership.graph) == _edges_of(setup.graph)
+    assert edges_of(membership.graph) == edges_of(setup.graph)
 
 
 def test_setup_reuse_is_safe_after_a_churned_run():

@@ -137,15 +137,19 @@ def test_parse_failure_spec():
 # --- config integration and generation ------------------------------------
 
 
-def test_config_carries_schedule_and_rejects_churn_mix():
+def test_config_carries_schedule_and_composes_with_churn():
     schedule = failures_for_config(BASE, crashes=1, partitions=1)
     config = BASE.with_(failures=schedule)
     assert config.failures is schedule
     from repro.engine.churn import schedule_for_config
 
     churn = schedule_for_config(BASE, joins=1, departs=1, updates=1)
-    with pytest.raises(ConfigurationError):
-        config.with_(churn=churn)
+    mixed = config.with_(churn=churn)
+    engine = run_simulation(mixed)
+    assert engine == run_simulation(mixed.with_(kernel="scalar"))
+    assert engine.counters.deliveries + engine.counters.drops == engine.counters.messages
+    assert engine.extras["churn_events"] == len(churn)
+    assert engine.extras["failure_events"] == len(schedule)
     # An empty schedule normalises to None (cache-key friendly).
     assert BASE.with_(failures=FailureSchedule()).failures is None
 

@@ -11,11 +11,22 @@ port implementation does the surgery it is told to.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.dissemination.filtering import SourceTagger
-from repro.core.dynamics import DynamicMembership, ReconfigurationDiff
+from repro.core.dynamics import DynamicMembership, ReconfigurationDiff, edges_of
 from repro.core.interests import InterestProfile
+from repro.core.lela import reoptimize_d3g
 from repro.core.metrics import CostCounters
 from repro.core.tree import DisseminationGraph
 from repro.engine.churn import ChurnEvent, ChurnSchedule
@@ -374,3 +385,168 @@ def test_a_finished_plane_is_freed_without_a_collector_pass():
             assert ref() is None
     finally:
         gc.enable()
+
+
+# ----------------------------------------------------------------------
+# Composition: churn, failures and rewires interleaved (stateful)
+# ----------------------------------------------------------------------
+
+REPOS = (1, 2, 3, 4, 5)
+ITEMS = (0, 1)
+REQUIREMENTS = st.dictionaries(
+    st.sampled_from(ITEMS), st.sampled_from((0.1, 0.25, 0.5, 1.0)), min_size=1
+)
+
+
+def _delay(u: int, v: int) -> float:
+    return 1.0 + (3 * u + 7 * v) % 5
+
+
+class Reoptimizer:
+    """Stands in for the adaptive controller: every tick re-runs LeLA
+    over the graph's members, as the core hands them over, under a drawn
+    load, and always proposes the result."""
+
+    def __init__(self) -> None:
+        self.graph = None
+        self.profiles: list[InterestProfile] = []
+        self.last_drifts: dict = {}
+        self.load: dict[int, float] = {}
+
+    def tick_times(self, span):
+        return []
+
+    def on_tick(self, now, message_counts):
+        self.graph = reoptimize_d3g(
+            self.profiles, 0, _delay, 2,
+            rng=np.random.default_rng(0), node_load=self.load,
+        )
+        return diff()
+
+
+class ComposedCore(RuleBasedStateMachine):
+    """Join, depart, update, crash, recover and tick in any order; after
+    each, the wiring and the owed fidelity follow from the members, the
+    live set and the current graph alone."""
+
+    @initialize(requirements=st.lists(REQUIREMENTS, min_size=5, max_size=5))
+    def build(self, requirements):
+        self.profiles = {
+            r: InterestProfile(r, req) for r, req in zip(REPOS, requirements)
+        }
+        membership = DynamicMembership(source=0, comm_delay_ms=_delay, offered_degree=2)
+        for repo in REPOS[:3]:  # 4 and 5 join late, if at all
+            membership.join(self.profiles[repo])
+        self.store = FakeStore(membership.graph)
+        self.adaptive = Reoptimizer()
+        self.core = ReconfigurationCore(
+            self.store, CostCounters(), [(membership.graph, 0, list(ITEMS))],
+            self.profiles, membership=membership, adaptive=self.adaptive,
+        )
+        self.members = {r: self.profiles[r] for r in REPOS[:3]}
+        self.crashed: set[int] = set()
+        self.now = 0.0
+
+    def _apply(self, event) -> None:
+        self.now += 1.0
+        for item in ITEMS:  # the source moves on between control instants
+            self.store.source[item] = self.now
+        self.core.apply(self.now, event)
+
+    @precondition(lambda self: len(self.members) < len(REPOS))
+    @rule(data=st.data(), requirements=st.none() | REQUIREMENTS)
+    def join(self, data, requirements):
+        repo = data.draw(st.sampled_from(sorted(set(REPOS) - set(self.members))))
+        self._apply(ChurnEvent.join(self.now + 1.0, repo, requirements))
+        self.members[repo] = (
+            self.profiles[repo]
+            if requirements is None
+            else InterestProfile(repo, requirements)
+        )
+
+    @precondition(lambda self: len(self.members) > 1)
+    @rule(data=st.data())
+    def depart(self, data):
+        repo = data.draw(st.sampled_from(sorted(self.members)))
+        self._apply(ChurnEvent.depart(self.now + 1.0, repo))
+        del self.members[repo]
+        self._assert_plain_lela()
+
+    @precondition(lambda self: self.members)
+    @rule(data=st.data(), requirements=REQUIREMENTS)
+    def update(self, data, requirements):
+        repo = data.draw(st.sampled_from(sorted(self.members)))
+        self._apply(ChurnEvent.update(self.now + 1.0, repo, requirements))
+        self.members[repo] = InterestProfile(repo, requirements)
+        self._assert_plain_lela()
+
+    def _assert_plain_lela(self):
+        # A departure or an update re-runs plain LeLA over the members in
+        # join order: whatever an earlier tick chose under load is gone.
+        plain = reoptimize_d3g(
+            list(self.members.values()), 0, _delay, 2, rng=np.random.default_rng(0)
+        )
+        assert edges_of(self.core.graph) == edges_of(plain)
+
+    @rule(repo=st.sampled_from(REPOS))
+    def crash(self, repo):
+        if repo not in self.crashed:
+            self._apply(FailureEvent.crash(self.now + 1.0, repo))
+            self.crashed.add(repo)
+
+    @precondition(lambda self: self.crashed)
+    @rule(data=st.data())
+    def recover(self, data):
+        repo = data.draw(st.sampled_from(sorted(self.crashed)))
+        self._apply(FailureEvent.recover(self.now + 1.0, repo))
+        self.crashed.discard(repo)
+
+    @rule(load=st.dictionaries(st.sampled_from(REPOS), st.floats(0.0, 4.0)))
+    def tick(self, load):
+        self.adaptive.load = load
+        self._apply(None)
+
+    @invariant()
+    def wiring_follows_members_liveness_and_eq1(self):
+        if not hasattr(self, "core"):
+            return
+        core, store = self.core, self.store
+        assert {(p, ch, it) for (ch, it), (p, _c) in core.parent_of.items()} == store.edges
+        for parent, child, item in store.edges:
+            assert child in self.members
+            assert parent == 0 or parent in self.members
+            assert parent not in core.departed
+            if parent in self.crashed:
+                ancestor = core.home_parent.get((child, item))
+                while ancestor is not None:
+                    assert ancestor in self.crashed
+                    ancestor = core.home_parent.get((ancestor, item))
+            if parent != 0:  # Eq. (1): the parent is at least as stringent
+                assert store.receive_c[(parent, item)] <= store.receive_c[(child, item)]
+        for repo, profile in self.members.items():
+            for item, c in profile.requirements.items():
+                assert store.receive_c[(repo, item)] <= c
+
+    @invariant()
+    def open_segments_are_exactly_the_owed_pairs(self):
+        if not hasattr(self, "core"):
+            return
+        open_spans = {
+            key: spans[-1][2]
+            for key, spans in self.core.segments.items()
+            if spans[-1][1] is None
+        }
+        assert open_spans == {
+            (repo, item): c
+            for repo, profile in self.members.items()
+            if repo not in self.crashed
+            for item, c in profile.requirements.items()
+        }
+        for spans in self.core.segments.values():
+            assert all(end is not None and start <= end for start, end, _c in spans[:-1])
+
+
+TestComposedCore = ComposedCore.TestCase
+TestComposedCore.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None
+)

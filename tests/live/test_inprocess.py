@@ -2,13 +2,19 @@
 
 import pytest
 
+from repro.core.dissemination.filtering import EdgeFilter
+from repro.core.metrics import CostCounters
+from repro.engine.adaptive import AdaptivePolicy
 from repro.engine.churn import schedule_for_config
 from repro.engine.config import SCALE_PRESETS, SimulationConfig
 from repro.engine.failures import FailureEvent, FailureSchedule
 from repro.engine.simulation import run_simulation
 from repro.errors import ConfigurationError
 from repro.experiments.cache import fingerprint
+from repro.experiments.live_crosscheck import ADAPTIVE_BASE
 from repro.live.harness import build_live_network, run_live
+from repro.live.loadgen import generate_clients
+from repro.live.nodes import RepositoryNode
 from repro.errors import SimulationError
 from repro.obs.trace import TraceRecorder
 
@@ -101,13 +107,61 @@ def test_result_is_simulator_shaped():
     assert result.wall_seconds > 0.0
 
 
-def test_live_rejects_churn_configs():
+def test_live_runs_churn_configs_like_the_oracle():
+    """Late joiners have nodes from the start, and a delivery to a
+    departed repository drops at its arrival stamp, as in the engine."""
     config = SCALE_PRESETS["tiny"]
     churned = config.with_(
         churn=schedule_for_config(config, joins=1, departs=1, updates=1)
     )
-    with pytest.raises(ConfigurationError):
-        build_live_network(churned)
+    live = run_live(churned)
+    oracle = run_simulation(churned.with_(kernel="scalar"))
+    assert live.conserved
+    assert live.counters.reconfigurations > 0
+    assert live.counters == oracle.counters
+    assert live.loss_of_fidelity == oracle.loss_of_fidelity
+    assert live.extras["per_pair_loss"] == oracle.extras["per_pair_loss"]
+    assert live.tree_stats == oracle.tree_stats
+
+
+def test_adaptive_clients_leave_the_repository_plane_untouched():
+    """Attached clients ride out every rewire: a re-wired dependent is
+    served ahead of them, and no client row leaves a pair its repository
+    no longer receives."""
+    config = ADAPTIVE_BASE.with_(
+        adaptive=AdaptivePolicy(window=30.0, threshold=0.75, max_rewires=4)
+    )
+    network = build_live_network(config, clients=generate_clients(config, 24))
+    unsubscribed_rows = []
+    for node in network.repositories.values():
+        def receive(item_id, value, tag, seq, now, node=node, inner=node.receive):
+            rows = inner(item_id, value, tag, seq, now)
+            if item_id not in node.receive_c:
+                unsubscribed_rows.extend(r for r in rows if r[0] in network.clients)
+            return rows
+
+        node.receive = receive
+    served = run_live(config, network=network)
+    plain = run_live(config)
+    assert served.extras["adaptive_rewires"] > 0
+    assert served.extras["client_messages"] > 0
+    assert unsubscribed_rows == []
+    assert served.counters == plain.counters
+    assert served.loss_of_fidelity == plain.loss_of_fidelity
+    assert served.extras["per_pair_loss"] == plain.extras["per_pair_loss"]
+    assert served.tree_stats == plain.tree_stats
+
+
+def test_no_client_is_served_from_a_pair_its_repository_no_longer_receives():
+    """The reference oracle's rule: no receive coherency, no client
+    service -- even for a copy that was in flight at the unsubscribe."""
+    node = RepositoryNode(1, 0.001, CostCounters(), receive_c={0: 0.5})
+    node.deliveries[0] = [(0.0, 1.0)]
+    node.add_edge(0, 99, 0.1, EdgeFilter("distributed", 0.1, 1.0), 0.0, is_client=True)
+    assert [row[0] for row in node.receive(0, 5.0, None, 1, 1.0)] == [99]
+    del node.receive_c[0]
+    assert node.receive(0, 9.0, None, 2, 2.0) == []
+    assert node.deliveries[0][-1] == (2.0, 9.0)  # the copy is still logged
 
 
 def test_live_loss_injection_matches_simulator_exactly():

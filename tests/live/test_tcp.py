@@ -9,6 +9,7 @@ import weakref
 import pytest
 
 from repro.engine import SCALE_PRESETS
+from repro.engine.churn import schedule_for_config
 from repro.engine.config import SimulationConfig
 from repro.engine.failures import failures_for_config
 from repro.engine.simulation import run_simulation
@@ -157,6 +158,20 @@ def test_tcp_failure_smoke_conserves_under_crashes_and_loss():
     assert result.extras["partitions"] == 1
     assert result.extras["heartbeats"] > 0
     assert result.extras["reconnects"] >= 0
+
+
+def test_tcp_churn_smoke_conserves_and_reconfigures():
+    """Joins, departures and a requirement change over real sockets: a
+    delivery to a departed repository drops at its arrival stamp, so the
+    drop economy stays exact."""
+    config = CONFIG.with_(
+        churn=schedule_for_config(CONFIG, joins=1, departs=1, updates=1)
+    )
+    result = run_live(config, "tcp", time_scale=800.0)
+    assert result.conserved
+    assert result.sent == result.delivered + result.dropped
+    assert result.counters.reconfigurations > 0
+    assert result.extras["churn_events"] == len(config.churn)
 
 
 def test_tcp_transport_validates_parameters():

@@ -16,7 +16,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core.dynamics import DynamicMembership, ReconfigurationDiff
-from repro.core.dynamics import _edges_of  # the canonical edge view
+from repro.core.dynamics import edges_of  # the canonical edge view
 from repro.core.interests import InterestProfile
 
 
@@ -98,13 +98,13 @@ def test_rebuild_in_join_order_is_deterministic_across_seeds(profiles, seed):
     """
     a, _ = _build(profiles, seed)
     b, _ = _build(profiles, seed)
-    assert _edges_of(a.graph) == _edges_of(b.graph)
+    assert edges_of(a.graph) == edges_of(b.graph)
     if len(profiles) > 1:
         victim = profiles[len(profiles) // 2].repository
         diff_a = a.leave(victim)
         diff_b = b.leave(victim)
         assert diff_a == diff_b
-        assert _edges_of(a.graph) == _edges_of(b.graph)
+        assert edges_of(a.graph) == edges_of(b.graph)
         a.graph.validate()
 
 
@@ -130,4 +130,4 @@ def test_leave_then_rebuild_matches_fresh_membership(profiles, seed):
         fresh._profiles[profile.repository] = profile
         fresh._join_order.append(profile.repository)
     fresh.graph = fresh._rebuild()
-    assert _edges_of(membership.graph) == _edges_of(fresh.graph)
+    assert edges_of(membership.graph) == edges_of(fresh.graph)

@@ -1,21 +1,22 @@
-"""Wire conservation under every reconfiguration source.
+"""Wire conservation under every reconfiguration source and mix.
 
-The repo now has three distinct ways to change the dissemination tree
+The repo has three distinct ways to change the dissemination tree
 mid-run -- planned churn, unplanned failures, and drift-triggered
-adaptive rewiring.  All three are decided by the one
-:class:`~repro.engine.reconfig.ReconfigurationCore` and executed by
+adaptive rewiring -- and they compose.  All of them are decided by the
+one :class:`~repro.engine.reconfig.ReconfigurationCore` and executed by
 three planes (scalar kernel, vectorized kernel, in-process live
 network) that retarget live edges while updates are in flight, which is
 exactly where a charging bug would hide.  This module pins the shared
-invariant once, parametrized over plane x source:
+invariant once, parametrized over plane x source (each source alone and
+every mix of them) x loss:
 
 - ``deliveries + drops == messages`` (nothing double-charged, nothing
-  silently freed);
+  silently freed), and ``sent == delivered + dropped`` on the wire;
 - the fidelity score stays a percentage;
 - the run really did reconfigure (the parametrization is not vacuous);
-- every plane that runs a source agrees with the scalar oracle bit for
-  bit, and a plane that does not run it refuses with a
-  ``ConfigurationError`` (today: churn on the live network).
+- every plane agrees with the scalar oracle bit for bit; a plane that
+  does not run a source refuses it with a ``ConfigurationError``
+  (:data:`REFUSED`, empty today).
 """
 
 from __future__ import annotations
@@ -51,28 +52,38 @@ def _churn_config():
     return BASE.with_(churn=schedule)
 
 
-def _failures_config():
-    schedule = FailureSchedule(
-        (
-            FailureEvent.crash(30.0, 3),
-            FailureEvent.recover(70.0, 3),
-            FailureEvent.crash(55.0, 5),
-        )
+_FAILURES = FailureSchedule(
+    (
+        FailureEvent.crash(30.0, 3),
+        FailureEvent.recover(70.0, 3),
+        FailureEvent.crash(55.0, 5),
     )
-    return BASE.with_(failures=schedule)
+)
+
+_ADAPTIVE = {
+    "workload": FlashCrowdWorkload(),
+    "adaptive": AdaptivePolicy(window=20.0, threshold=0.5, max_rewires=2),
+}
+
+
+def _failures_config():
+    return BASE.with_(failures=_FAILURES)
 
 
 def _adaptive_config():
-    return BASE.with_(
-        workload=FlashCrowdWorkload(),
-        adaptive=AdaptivePolicy(window=20.0, threshold=0.5, max_rewires=2),
-    )
+    return BASE.with_(**_ADAPTIVE)
 
 
 SOURCES = {
     "churn": _churn_config,
     "failures": _failures_config,
     "adaptive": _adaptive_config,
+    "churn+failures": lambda: _churn_config().with_(failures=_FAILURES),
+    "churn+adaptive": lambda: _churn_config().with_(**_ADAPTIVE),
+    "failures+adaptive": lambda: _failures_config().with_(**_ADAPTIVE),
+    "churn+failures+adaptive": lambda: _churn_config().with_(
+        failures=_FAILURES, **_ADAPTIVE
+    ),
 }
 
 PLANES = {
@@ -82,15 +93,17 @@ PLANES = {
 }
 
 #: plane x source cells that are refused rather than run.
-REFUSED = {("inprocess", "churn")}
+REFUSED: set[tuple[str, str]] = set()
 
 
 def _assert_reconfigured(source: str, result) -> None:
     assert result.counters.reconfigurations > 0
-    if source == "adaptive":
+    if "adaptive" in source:
         assert result.extras["adaptive_rewires"] > 0
-    elif source == "failures":
+    if "failures" in source:
         assert result.extras["failure_events"] > 0
+    if "churn" in source:
+        assert result.extras["churn_events"] > 0
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.05])
@@ -101,7 +114,7 @@ def test_deliveries_plus_drops_equal_messages(source, loss):
     counters = scalar.counters
     assert counters.deliveries + counters.drops == counters.messages
     if loss == 0.0:
-        assert counters.drops == 0 or source == "failures"
+        assert counters.drops == 0 or "failures" in source
     assert 0.0 <= scalar.loss_of_fidelity <= 100.0
     _assert_reconfigured(source, scalar)
     assert run_simulation(config.with_(kernel="vectorized")) == scalar
@@ -110,17 +123,20 @@ def test_deliveries_plus_drops_equal_messages(source, loss):
 @pytest.mark.parametrize("source", sorted(SOURCES))
 @pytest.mark.parametrize("plane", sorted(PLANES))
 def test_every_plane_runs_the_source_like_the_oracle_or_refuses(plane, source):
-    config = SOURCES[source]().with_(message_loss_probability=0.05)
-    if (plane, source) in REFUSED:
-        with pytest.raises(ConfigurationError):
-            PLANES[plane](config)
-        return
-    result = PLANES[plane](config)
-    oracle = PLANES["scalar"](config)
-    counters = result.counters
-    assert counters.deliveries + counters.drops == counters.messages
-    assert counters.reconfigurations > 0
-    assert counters == oracle.counters
-    assert result.loss_of_fidelity == oracle.loss_of_fidelity
-    assert result.per_repository_loss == oracle.per_repository_loss
-    assert result.tree_stats == oracle.tree_stats
+    for loss in (0.0, 0.05):
+        config = SOURCES[source]().with_(message_loss_probability=loss)
+        if (plane, source) in REFUSED:
+            with pytest.raises(ConfigurationError):
+                PLANES[plane](config)
+            continue
+        result = PLANES[plane](config)
+        oracle = PLANES["scalar"](config)
+        counters = result.counters
+        assert counters.deliveries + counters.drops == counters.messages
+        assert getattr(result, "conserved", True)
+        _assert_reconfigured(source, result)
+        assert counters == oracle.counters
+        assert result.loss_of_fidelity == oracle.loss_of_fidelity
+        assert result.per_repository_loss == oracle.per_repository_loss
+        assert result.extras["per_pair_loss"] == oracle.extras["per_pair_loss"]
+        assert result.tree_stats == oracle.tree_stats
