@@ -25,7 +25,7 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
     extras_require={
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        "test": ["pytest", "hypothesis", "pytest-benchmark", "networkx"],
         "docs": ["mkdocs"],
     },
 )

@@ -11,15 +11,14 @@ substrate from scratch:
   source, N repositories and M routers.
 - :mod:`repro.network.routing` -- shortest-path delays and hop counts
   between the source and the repositories (one Dijkstra per logical
-  node, bit-identical to the paper's Floyd-Warshall, which is kept as
-  the reference).
+  node, bit-identical to the paper's Floyd-Warshall).
 - :mod:`repro.network.model` -- the :class:`~repro.network.model.NetworkModel`
   facade the engine queries for end-to-end delays.
 """
 
 from repro.network.delays import ParetoDelayModel
 from repro.network.model import NetworkModel, build_network
-from repro.network.routing import RoutingTables, floyd_warshall
+from repro.network.routing import RoutingTables
 from repro.network.topology import Topology, generate_topology
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "NetworkModel",
     "build_network",
     "RoutingTables",
-    "floyd_warshall",
     "Topology",
     "generate_topology",
 ]

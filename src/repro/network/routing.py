@@ -1,28 +1,24 @@
 """Shortest-path routing between the logical nodes.
 
-The paper generates routing tables for every node with the Floyd-Warshall
-all-pairs shortest-path algorithm (Section 6.1, citing Cormen et al.).
-The engine only ever asks for the delay and hop count between the source
+The paper routes with Floyd-Warshall (Section 6.1, citing Cormen et
+al.).  The engine only asks for delays and hop counts between the source
 and the repositories, so :func:`build_routing` runs one heap Dijkstra
-from each of those logical nodes over the whole physical graph and keeps
-the logical x logical block, O(S * E log n) for S logical nodes, instead
-of the dense O(n^3) recurrence over all n physical nodes.
+from each of those logical nodes over the physical graph instead of the
+dense O(n^3) recurrence over all n physical nodes.
 
 The tables are **bit-identical** to the logical block of what
 Floyd-Warshall computes.  Its float for a pair is not the left-to-right
-sum of the path's link delays: the recurrence eliminates interior nodes
-in increasing id, and each elimination adds the two path segments beside
-the node, so the association order of the sum is fixed by the node ids
-along the path.  :func:`elimination_order_sum` replays exactly that
-order; :func:`floyd_warshall` stays here as the dense reference the
-tests compare against (it is the definition of the bits), and nothing
-selects it at run time.
-
-Outputs (ids ``0 .. n_repositories``, source first; the multi-source
-extension names the routers it re-purposes as extra endpoints):
-
-- ``dist_ms``: minimal end-to-end delay between every logical pair,
-- ``hops``: hop count along those minimal-delay paths.
+sum of the path's link delays: interior nodes are eliminated in
+increasing id, each elimination adding the two path segments beside the
+node.  Walked from the root, a stack of ``(id, segment to the left)``
+kept in decreasing id replays that order, and the stack after a path
+prefix depends on that prefix alone: in a shortest-path tree a node's
+stack is its parent's plus one step, and a pair's float is the far end's
+parent's stack folded onto the last link.  Walking from the other end
+gives the same float (each elimination adds the same two segments the
+other way round), so each unordered pair is computed once, from the
+smaller id's tree, and mirrored.  The dense reference that defines the
+bits lives with the tests.
 """
 
 from __future__ import annotations
@@ -36,12 +32,7 @@ import numpy as np
 from repro.errors import TopologyError
 from repro.network.topology import Topology
 
-__all__ = [
-    "RoutingTables",
-    "build_routing",
-    "elimination_order_sum",
-    "floyd_warshall",
-]
+__all__ = ["RoutingTables", "build_routing"]
 
 _INF = np.inf
 
@@ -74,87 +65,93 @@ def _cheapest_links(topology: Topology) -> dict[tuple[int, int], float]:
     return cheapest
 
 
-def floyd_warshall(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
-    """Dense all-pairs ``(dist_ms, hops)`` over every physical node.
-
-    The reference :func:`build_routing` must match bit for bit on the
-    logical block: the classic O(n^3) recurrence, with the k-loop in
-    Python and the (i, j) relaxation vectorised.  Delay ties are broken
-    toward fewer hops, so hop counts are well defined.  Both arrays are
-    float; unreachable pairs hold ``inf``.
-    """
-    n = topology.n_nodes
-    dist = np.full((n, n), _INF)
-    hops = np.full((n, n), _INF)
-    np.fill_diagonal(dist, 0.0)
-    np.fill_diagonal(hops, 0.0)
-    for (u, v), delay in _cheapest_links(topology).items():
-        dist[u, v] = dist[v, u] = delay
-        hops[u, v] = hops[v, u] = 1.0
-    for k in range(n):
-        via_dist = dist[:, k, None] + dist[None, k, :]
-        via_hops = hops[:, k, None] + hops[None, k, :]
-        update = (via_dist < dist) | ((via_dist == dist) & (via_hops < hops))
-        dist[update] = via_dist[update]
-        hops[update] = via_hops[update]
-    return dist, hops
-
-
-def elimination_order_sum(interior: list[int], delays: list[float]) -> float:
-    """Add a path's link delays in the order Floyd-Warshall adds them.
-
-    ``interior`` holds the ids of the path's interior nodes in path
-    order and ``delays`` its ``len(interior) + 1`` link delays.
-    Floyd-Warshall first sees the path when ``k`` reaches its largest
-    interior id, as the sum of the two sub-paths that node splits it
-    into, each of which it first saw the same way: interior nodes are
-    eliminated in increasing id, each elimination adding the segments on
-    either side.  A stack of ``(id, segment to the left)`` kept in
-    decreasing id replays that in one pass: a node is eliminated as soon
-    as a larger id (or the path's end) closes the segment to its right.
-    """
-    stack: list[tuple[int, float]] = []
-    for node, segment in zip(interior, delays):
-        while stack and stack[-1][0] < node:
-            segment = stack.pop()[1] + segment
-        stack.append((node, segment))
-    total = delays[-1]
-    while stack:
-        total = stack.pop()[1] + total
-    return total
-
-
-def _shortest_path_tree(
-    adjacency: list[list[tuple[int, float]]], root: int
+def _owed_tree(
+    adjacency: list[list[tuple[int, float]]],
+    leaves: list[list[tuple[int, float]]],
+    root: int,
+    owed: set[int],
+    exhaust: bool,
 ) -> tuple[list[int], list[float], list[int]]:
-    """Heap Dijkstra from ``root`` keyed on ``(delay, hops)``.
+    """Heap Dijkstra from ``root`` keyed on ``(delay, hops, node)``.
 
-    Returns, per node, its predecessor toward ``root`` (``-1`` for the
-    root and for unreached nodes), the delay of the link to that
-    predecessor, and its hop count.  Delay ties break toward fewer hops.
+    Delay ties break toward fewer hops.  A degree-1 neighbour (listed in
+    ``leaves``, not ``adjacency``) is settled with its only neighbour,
+    without the heap: its parent is forced and it relaxes nothing.  The
+    search stops once every node in ``owed`` is settled, unless
+    ``exhaust``.  Returns, per node, its parent toward ``root`` (``-1``
+    if never reached), the link delay to it and its hop count, final for
+    settled nodes only.
     """
     n = len(adjacency)
-    best = [(_INF, 0)] * n
+    best = [_INF] * n
+    best_hops = [0] * n
     parent = [-1] * n
     parent_delay = [0.0] * n
     done = [False] * n
-    best[root] = (0.0, 0)
+    remaining = len(owed)
     heap = [(0.0, 0, root)]
     while heap:
         dist, hop, u = heappop(heap)
         if done[u]:
             continue
         done[u] = True
+        if u in owed:
+            remaining -= 1
+        hop += 1
+        for v, delay in leaves[u]:
+            if not done[v]:
+                done[v] = True
+                best_hops[v] = hop
+                parent[v] = u
+                parent_delay[v] = delay
+                if v in owed:
+                    remaining -= 1
+        if not remaining and not exhaust:
+            break
         for v, delay in adjacency[u]:
             if done[v]:
                 continue
-            key = (dist + delay, hop + 1)
-            if key < best[v]:
-                best[v] = key
+            via = dist + delay
+            if via < best[v] or (via == best[v] and hop < best_hops[v]):
+                best[v] = via
+                best_hops[v] = hop
                 parent[v] = u
                 parent_delay[v] = delay
-                heappush(heap, key + (v,))
-    return parent, parent_delay, [hop for _, hop in best]
+                heappush(heap, (via, hop, v))
+    return parent, parent_delay, best_hops
+
+
+def _elimination_sums(
+    parent: list[int], parent_delay: list[float], root: int, ends: list[int]
+) -> list[float]:
+    """Each end's path delay from ``root``, in Floyd-Warshall's order.
+
+    ``stacks`` maps a node to the elimination stack after its path from
+    ``root``, a persistent ``(id, segment, below)`` tuple (``None`` when
+    empty) built from its parent's in one step, only for ancestors of
+    ``ends``.
+    """
+    stacks: dict[int, tuple | None] = {root: None}
+    sums = []
+    for end in ends:
+        chain = []
+        node = parent[end]
+        while node not in stacks:
+            chain.append(node)
+            node = parent[node]
+        below = stacks[node]
+        for node in reversed(chain):
+            segment = parent_delay[node]
+            while below is not None and below[0] < node:
+                segment = below[1] + segment
+                below = below[2]
+            below = stacks[node] = (node, segment, below)
+        total = parent_delay[end]
+        while below is not None:
+            total = below[1] + total
+            below = below[2]
+        sums.append(total)
+    return sums
 
 
 def build_routing(
@@ -174,35 +171,35 @@ def build_routing(
     """
     n_logical = 1 + topology.n_repositories
     endpoints = sorted({*range(n_logical), *extra_endpoints})
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(topology.n_nodes)]
+    links: list[list[tuple[int, float]]] = [[] for _ in range(topology.n_nodes)]
     for (u, v), delay in _cheapest_links(topology).items():
-        adjacency[u].append((v, delay))
-        adjacency[v].append((u, delay))
+        links[u].append((v, delay))
+        links[v].append((u, delay))
+    adjacency = [[(v, d) for v, d in near if len(links[v]) > 1] for near in links]
+    leaves = [[(v, d) for v, d in near if len(links[v]) == 1] for near in links]
     size = endpoints[-1] + 1
     dist = np.full((size, size), np.nan)
     hops = np.full((size, size), -1, dtype=np.int64)
+    dist[endpoints, endpoints] = 0.0
+    hops[endpoints, endpoints] = 0
 
+    # A root owes only the endpoints after it.  The source's search runs
+    # to completion: connectivity is a property of the whole physical
+    # graph, so a router-only island is refused though no query crosses it.
     for position, root in enumerate(endpoints):
-        parent, parent_delay, tree_hops = _shortest_path_tree(adjacency, root)
-        if root == topology.source and parent.count(-1) > 1:
-            # Connectivity is a property of the whole physical graph: a
-            # router-only island is refused although no query crosses it.
+        owed = endpoints[position + 1 :]
+        exhaust = root == topology.source
+        if not owed and not exhaust:
+            continue
+        parent, parent_delay, tree_hops = _owed_tree(
+            adjacency, leaves, root, set(owed), exhaust
+        )
+        if exhaust and parent.count(-1) > 1:
             raise TopologyError("topology is disconnected; routing undefined")
-        dist[root, root] = 0.0
-        hops[root, root] = 0
-        # Each unordered pair is taken once, from the smaller id's tree,
-        # and mirrored: the elimination-order sum does not depend on the
-        # direction the path is walked in.
-        for other in endpoints[position + 1 :]:
-            interior: list[int] = []
-            delays = [parent_delay[other]]
-            node = parent[other]
-            while node != root:
-                interior.append(node)
-                delays.append(parent_delay[node])
-                node = parent[node]
-            dist[root, other] = dist[other, root] = elimination_order_sum(
-                interior, delays
-            )
-            hops[root, other] = hops[other, root] = tree_hops[other]
+        dist[root, owed] = _elimination_sums(parent, parent_delay, root, owed)
+        hops[root, owed] = [tree_hops[node] for node in owed]
+    ids = np.array(endpoints)
+    small, large = (ids[k] for k in np.triu_indices(len(ids), 1))
+    dist[large, small] = dist[small, large]
+    hops[large, small] = hops[small, large]
     return RoutingTables(dist_ms=dist, hops=hops)

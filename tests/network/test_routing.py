@@ -1,7 +1,8 @@
 """Unit tests for shortest-path routing between the logical nodes.
 
 ``build_routing`` is held bit-identical to the logical block of the
-dense Floyd-Warshall reference, and validated against networkx.
+dense Floyd-Warshall reference and to the per-pair walk it replaced
+(both in ``reference_routing.py``), and validated against networkx.
 """
 
 import networkx as nx
@@ -14,12 +15,10 @@ from repro.engine.builder import build_setup
 from repro.engine.config import SCALE_PRESETS
 from repro.errors import TopologyError
 from repro.network.delays import ConstantDelayModel, ParetoDelayModel
-from repro.network.routing import (
-    build_routing,
-    elimination_order_sum,
-    floyd_warshall,
-)
+from repro.network.routing import build_routing
 from repro.network.topology import Topology, generate_topology
+
+from reference_routing import elimination_order_sum, floyd_warshall, per_pair_routing
 
 
 def small_topology():
@@ -118,6 +117,8 @@ def test_disconnected_graph_rejected():
 
 def test_router_only_island_rejected():
     # Source and repository are linked; routers 2-3 hang off nothing.
+    # The source's search settles everything the source owes at once,
+    # yet it runs to the end: that run is the connectivity check.
     edges = np.array([[0, 1], [2, 3]])
     delays = np.array([1.0, 1.0])
     topo = Topology(n_repositories=1, n_routers=2, edges=edges, delays_ms=delays)
@@ -231,7 +232,8 @@ def test_paper_network_matches_reference_bitwise():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_constant_delay_topologies_match_reference(seed, delay_ms):
     """Equal link delays tie many paths exactly in the reals; which of
-    them supplies the float is not pinned, the hop count is."""
+    them supplies the float is not pinned against Floyd-Warshall, the
+    hop count is (the per-pair walk pins the float exactly, below)."""
     topo = generate_topology(
         8, 25, np.random.default_rng(seed), ConstantDelayModel(delay_ms)
     )
@@ -240,3 +242,107 @@ def test_constant_delay_topologies_match_reference(seed, delay_ms):
     assert np.array_equal(routing.hops, ref_hops)
     assert routing.dist_ms == pytest.approx(ref_dist)
     assert routing.dist_ms == pytest.approx(delay_ms * routing.hops)
+
+
+# -- exact equality with the per-pair walk ------------------------------
+
+DELAY_MODELS = {
+    "pareto": ParetoDelayModel(),
+    "constant-0.1": ConstantDelayModel(0.1),
+    "constant-7": ConstantDelayModel(7.0),
+}
+
+
+def assert_equal_to_per_pair_walk(topo, extra_endpoints=()):
+    routing = build_routing(topo, extra_endpoints)
+    reference = per_pair_routing(topo, extra_endpoints)
+    assert np.array_equal(routing.dist_ms, reference.dist_ms, equal_nan=True)
+    assert np.array_equal(routing.hops, reference.hops)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_repositories=st.integers(1, 15),
+    n_routers=st.integers(0, 40),
+    avg_degree=st.sampled_from([2.0, 3.0, 4.5]),
+    delay_model=st.sampled_from(sorted(DELAY_MODELS)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_shared_stacks_match_per_pair_walk_exactly(
+    n_repositories, n_routers, avg_degree, delay_model, seed, data
+):
+    """Same trees, ties included, and the same float for every pair --
+    also where constant delays tie many paths -- with and without
+    extra endpoints."""
+    topo = generate_topology(
+        n_repositories,
+        n_routers,
+        np.random.default_rng(seed),
+        DELAY_MODELS[delay_model],
+        avg_degree=avg_degree,
+    )
+    routers = topo.router_ids.tolist()
+    extra = data.draw(st.lists(st.sampled_from(routers), max_size=3)) if routers else []
+    assert_equal_to_per_pair_walk(topo, extra)
+
+
+@st.composite
+def tied_graphs(draw):
+    """Small connected graphs over a few coarse delays: delay ties in
+    the reals and in floats, multi-edges, leaves and cycles."""
+    n_repositories = draw(st.integers(1, 8))
+    n_routers = draw(st.integers(0, 12))
+    n = 1 + n_repositories + n_routers
+    order = draw(st.permutations(range(n)))
+    edges = [(order[i], order[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    node = st.integers(0, n - 1)
+    edges += draw(
+        st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=2 * n)
+    )
+    delays = draw(
+        st.lists(
+            st.sampled_from([0.1, 0.2, 0.3, 0.7, 7.0]),
+            min_size=len(edges),
+            max_size=len(edges),
+        )
+    )
+    return Topology(
+        n_repositories=n_repositories,
+        n_routers=n_routers,
+        edges=np.array(edges, dtype=np.int64),
+        delays_ms=np.array(delays),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(topo=tied_graphs())
+def test_tie_heavy_graphs_match_per_pair_walk_exactly(topo):
+    assert_equal_to_per_pair_walk(topo)
+
+
+def test_two_leaves_route_each_other():
+    topo = Topology(
+        n_repositories=1, n_routers=0, edges=np.array([[1, 0]]), delays_ms=np.array([A])
+    )
+    routing = build_routing(topo)
+    assert routing.dist_ms.tolist() == [[0.0, A], [A, 0.0]]
+    assert routing.hops.tolist() == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_last_endpoint_and_early_stops_leave_no_hole(extra):
+    """The last endpoint runs no search and every other root stops
+    early, yet its diagonal is 0 and the endpoint block is full."""
+    topo = generate_topology(12, 40, np.random.default_rng(9), ParetoDelayModel())
+    routers = [topo.n_nodes - 1, topo.n_nodes - 5] if extra else []
+    routing = build_routing(topo, extra_endpoints=routers)
+    endpoints = [*range(13), *routers]
+    block = np.ix_(endpoints, endpoints)
+    last = max(endpoints)
+    assert routing.dist_ms[last, last] == 0.0
+    assert routing.hops[last, last] == 0
+    assert np.isfinite(routing.dist_ms[block]).all()
+    off_diagonal = ~np.eye(len(endpoints), dtype=bool)
+    assert (routing.dist_ms[block][off_diagonal] > 0).all()
+    assert (routing.hops[block][off_diagonal] > 0).all()
