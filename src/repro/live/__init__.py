@@ -23,8 +23,8 @@ drives them.  Two transports exist (:mod:`repro.live.transport`), both
 drivers of the one runtime in :mod:`repro.live.wire`: a deterministic
 in-process transport (virtual time, seeded delays -- bit-reproducible,
 used for sim/live cross-validation) and localhost TCP (real asyncio
-sockets speaking the length-prefixed JSON protocol of
-:mod:`repro.live.protocol`).  :func:`~repro.live.harness.run_live`
+sockets speaking the length-prefixed protocol of
+:mod:`repro.live.protocol`: packed rows for data, JSON for control).  :func:`~repro.live.harness.run_live`
 turns an unchanged :class:`~repro.engine.config.SimulationConfig` into
 a running network and collects a
 :class:`~repro.live.harness.LiveRunResult` shaped like

@@ -1,10 +1,13 @@
 """Wire protocol of the live repository network and the fleet.
 
-Frames are length-prefixed JSON: a 4-byte big-endian unsigned length
-followed by exactly that many bytes of UTF-8 JSON.  JSON keeps the
-protocol dependency-free (the container ships no msgpack) while staying
-self-describing; floats round-trip exactly because Python's JSON
-encoder emits ``repr``-faithful doubles.
+Every frame is a 4-byte big-endian unsigned length followed by exactly
+that many bytes of body.  A ``forwards`` body -- the links' one data
+frame, the hot path -- is binary: the kind byte :data:`ROWS_KIND`, then
+one fixed 44-byte :data:`ROW` record per update, packed and unpacked
+with no float ever turned into text.  Every other body is a UTF-8 JSON
+object, whose first byte is ``{``: stdlib-only and self-describing, and
+exact for floats because Python's JSON encoder emits ``repr``-faithful
+doubles.
 
 Message types (the ``"type"`` field):
 
@@ -16,19 +19,19 @@ Message types (the ``"type"`` field):
 - ``update`` -- one data-item update (:class:`Update`).  No link sends
   it; it remains a decodable frame type and a node's typed front door
   (``RepositoryNode.on_message(update, now)``);
-- ``forwards`` -- the links' one data frame (:class:`Forwards`): every
+- ``forwards`` -- the links' data frame (:class:`Forwards`): every
   update a link had queued when its pump woke, one row each.  A link
   multiplexes many nodes over one connection, so a row carries the
   destination node id and the absolute simulated arrival time the
-  receiver should realise.  JSON costs per call, not per byte, so a
-  hundred rows cost little more than one frame of their own would.
-  The row is the message end to end: nodes emit it, the runtime queues
-  and writes it as it is, and the receiver validates it in place
-  (:func:`check_row`) instead of rebuilding an object from it;
-- ``forward`` -- one such row as a frame of its own (:class:`Forward`).
-  No link sends it either; it remains decodable, is the typed way to
-  state a row (:func:`forward_row`), and is the unit the perf ledger's
-  codec probes time;
+  receiver should realise.  The row is the message end to end: nodes
+  emit it, the runtime queues it and :func:`encode_rows` packs it as it
+  is; the receiver unpacks it as a tuple of the same seven fields,
+  whose types the record fixes (the runtime checks what it cannot: a
+  finite stamp and value, a destination hosted there);
+- ``forward`` -- one such row as a JSON frame of its own
+  (:class:`Forward`).  No link sends it; it remains decodable, is the
+  typed way to state a row (:func:`forward_row`), and is the unit the
+  perf ledger's codec probes time;
 - ``heartbeat`` -- connection liveness probe sent between updates so
   severed peers are noticed and reconnected (:class:`Heartbeat`);
   carries no data and stays out of the wire-conservation accounting;
@@ -52,15 +55,14 @@ and :class:`FrameAssembler` reassembles frames from arbitrary byte
 chunks -- whatever one socket read returned -- for the frame server and
 for callers that own their own socket loop.
 Every malformed input -- garbage bytes, truncated frames, oversized
-length prefixes, unknown message types, wrong fields -- surfaces as a
-:class:`ProtocolError`, never as a raw ``json``/``struct``/``asyncio``
-exception, so connection handlers can reject a bad peer without taking
-the run down.
+length prefixes, unknown message types, wrong fields, a row that does
+not pack -- surfaces as a :class:`ProtocolError`, never as a raw
+``json``/``struct``/``asyncio`` exception, so connection handlers can
+reject a bad peer without taking the run down.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -83,16 +85,18 @@ __all__ = [
     "encode_message",
     "decode_payload",
     "check_version",
+    "encode_rows",
     "forward_row",
-    "check_row",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
+    "ROW",
+    "ROWS_KIND",
 ]
 
 #: Version of the wire protocol; bumped on any frame-shape change.  A
 #: :class:`Hello` carrying a different version is rejected at handshake
 #: time instead of failing mysteriously mid-stream.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Upper bound on one frame body; a live update is tens of bytes and an
 #: anti-entropy batch a few kilobytes, so anything bigger means a
@@ -100,6 +104,15 @@ PROTOCOL_VERSION = 4
 MAX_FRAME_BYTES = 1 << 20
 
 _LENGTH = struct.Struct(">I")
+
+#: One ``forwards`` row on the wire, little-endian and 44 bytes: dst,
+#: arrival_s, item_id, value, tag (NaN stands for ``None``), seq, src.
+ROW = struct.Struct("<ididdqi")
+
+#: First body byte of a packed ``forwards`` frame; a JSON body's is ``{``.
+ROWS_KIND = b"\x01"
+
+_NAN = float("nan")
 
 
 class ProtocolError(ReproError):
@@ -190,19 +203,16 @@ class Forwards:
     """The links' data frame: everything one link had queued at one wakeup.
 
     Attributes:
-        rows: One ``[dst, arrival_s, item_id, value, tag, seq, src]``
-            list per update, oldest first -- :class:`Forward`'s fields,
-            positionally (:func:`forward_row` builds one from the typed
-            form, :func:`check_row` validates one off the wire).
+        rows: One ``(dst, arrival_s, item_id, value, tag, seq, src)``
+            row per update, oldest first -- :class:`Forward`'s fields,
+            positionally: lists as the nodes emit them
+            (:func:`forward_row` builds one from the typed form), tuples
+            as :func:`decode_payload` unpacks them.
     """
 
     rows: list
 
     type: str = "forwards"
-
-    def __post_init__(self) -> None:
-        if type(self.rows) is not list:
-            raise ProtocolError(f"forwards rows must be a list, got {self.rows!r}")
 
 
 def forward_row(dst: int, arrival_s: float, u: Update) -> list:
@@ -210,18 +220,40 @@ def forward_row(dst: int, arrival_s: float, u: Update) -> list:
     return [dst, arrival_s, u.item_id, u.value, u.tag, u.seq, u.src]
 
 
-#: The JSON types a row may arrive with, field by field: ``bool`` is not
-#: an ``int`` here, but a whole number may stand in for a float.
-_ROW_SHAPES = frozenset(itertools.product(
-    [int], [int, float], [int], [int, float], [int, float, type(None)], [int], [int]
-))
+def encode_rows(rows) -> bytes:
+    """One complete packed ``forwards`` frame: the kind byte and one
+    :data:`ROW` record per row, in order.
+
+    Raises:
+        ProtocolError: when a row does not pack -- the wrong arity, a
+            field that is not a number, an id outside its record field's
+            range -- or the frame would exceed :data:`MAX_FRAME_BYTES`.
+    """
+    pack = ROW.pack
+    try:
+        records = [
+            pack(dst, arrival_s, item_id, value, _NAN if tag is None else tag, seq, src)
+            for dst, arrival_s, item_id, value, tag, seq, src in rows
+        ]
+    except (struct.error, TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"forwards row does not pack: {exc}") from None
+    length = 1 + ROW.size * len(records)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    return _LENGTH.pack(length) + ROWS_KIND + b"".join(records)
 
 
-def check_row(row) -> None:
-    """Validate one :class:`Forwards` row in place; :class:`ProtocolError`
-    on the wrong arity or JSON types."""
-    if type(row) is not list or tuple(map(type, row)) not in _ROW_SHAPES:
-        raise ProtocolError(f"malformed forwards row: {row!r}")
+def _decode_rows(body: bytes) -> Forwards:
+    if len(body) % ROW.size != 1:
+        raise ProtocolError(
+            f"forwards body of {len(body)} bytes is not the kind byte "
+            f"and whole {ROW.size}-byte rows"
+        )
+    return Forwards([
+        (dst, arrival_s, item_id, value, None if tag != tag else tag, seq, src)
+        for dst, arrival_s, item_id, value, tag, seq, src
+        in ROW.iter_unpack(memoryview(body)[1:])
+    ])
 
 
 @dataclass(frozen=True)
@@ -324,7 +356,6 @@ _DECODERS = {
     "hello": Hello,
     "update": Update,
     "forward": Forward,
-    "forwards": Forwards,
     "heartbeat": Heartbeat,
     "stats": Stats,
     "resync-request": ResyncRequest,
@@ -347,6 +378,8 @@ _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 def encode_message(message: Message) -> bytes:
     """Serialise one message into a complete length-prefixed frame."""
+    if type(message) is Forwards:
+        return encode_rows(message.rows)
     # Every frame type is a flat dataclass, so its instance dict is the
     # body; ``asdict`` would deep-copy it first, at three times the cost.
     body = _encode_json(vars(message)).encode("utf-8")
@@ -359,9 +392,11 @@ def decode_payload(body: bytes) -> Message:
     """Parse one frame body back into its message dataclass.
 
     Raises:
-        ProtocolError: on non-JSON bodies, unknown types, or field
-            mismatches.
+        ProtocolError: on a packed body that is not whole rows, on
+            non-JSON bodies, unknown types, or field mismatches.
     """
+    if body[:1] == ROWS_KIND:
+        return _decode_rows(body)
     try:
         document = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

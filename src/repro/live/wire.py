@@ -32,8 +32,9 @@ from end to end: a message is the seven-field row ``[dst, arrival_s,
 item_id, value, tag, seq, src]`` the sending node emitted -- the
 destination node and the absolute simulated ``arrival_s`` it computed
 included -- and that same list is what the due queue holds, what a link
-queues, what a :class:`~repro.live.protocol.Forwards` frame carries and
-what the receiver validates in place and queues again.  The sender
+queues and what a :class:`~repro.live.protocol.Forwards` frame packs;
+the receiver unpacks it as a tuple of the same fields, checks what the
+record cannot state and queues it again.  The sender
 never holds it back -- a link's pump writes everything queued as one
 frame each time it wakes, one row at a paced ``time_scale`` and a
 hundred when the run is behind; the *receiver* holds it until
@@ -57,7 +58,7 @@ import contextlib
 import heapq
 import itertools
 import time
-from math import inf
+from math import inf, isfinite
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.metrics import CostCounters
@@ -72,9 +73,9 @@ from repro.live.protocol import (
     Message,
     ProtocolError,
     Stats,
-    check_row,
     check_version,
     encode_message,
+    encode_rows,
 )
 from repro.sim.rng import RandomStreams
 
@@ -294,16 +295,16 @@ class SendQueue:
 
 def encode_backlog(backlog: list) -> bytes:
     """The bytes of one write: everything a link had queued, in order,
-    each run of consecutive messages (rows, plain lists) as one
-    ``Forwards`` frame and the control frames between the runs in their
-    place."""
-    frames: list[Message] = []
+    each run of consecutive messages (rows, plain lists) as one packed
+    ``forwards`` frame (:func:`~repro.live.protocol.encode_rows`) and
+    the control frames between the runs in their place."""
+    frames: list[bytes] = []
     for kind, run in itertools.groupby(backlog, type):
         if kind is list:
-            frames.append(Forwards(list(run)))
+            frames.append(encode_rows(run))
         else:
-            frames.extend(run)
-    return b"".join(map(encode_message, frames))
+            frames.extend(map(encode_message, run))
+    return b"".join(frames)
 
 
 #: Connect retry policy: this many attempts, the pause before the next
@@ -771,11 +772,14 @@ class WireRuntime:
         if not isinstance(message, Forwards):
             self.on_control_frame(message)
             return
+        # The record fixes each field's type; what it cannot state is
+        # checked here, per row, so the rows ahead of a bad one queue.
         push, deliver, hosted = self.due.push, self.deliver, self.hosted
         for row in message.rows:
-            check_row(row)
             if row[0] not in hosted:
                 raise ProtocolError(f"node {row[0]} does not live here")
+            if not (isfinite(row[1]) and isfinite(row[3])):
+                raise ProtocolError(f"non-finite stamp or value in row {row!r}")
             push(row[1], deliver, row)
 
     def _telemetry(self) -> Stats:

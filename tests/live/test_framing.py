@@ -15,11 +15,13 @@ from repro.live.protocol import (
     ProtocolError,
     ResyncRequest,
     ResyncResponse,
+    ROW,
+    ROWS_KIND,
     Update,
-    check_row,
     check_version,
     decode_payload,
     encode_message,
+    encode_rows,
     forward_row,
 )
 
@@ -149,24 +151,56 @@ def test_forwards_rows_round_trip_and_reject_malformed_ones():
     row = forward_row(42, 99.5, update)
     assert row == [42, 99.5, 5, 2.5, 0.1, 11, 6]
     frame = decode_payload(encode_message(Forwards(rows=[row]))[4:])
-    assert frame.rows == [row]
-    check_row(frame.rows[0])
-    # A whole number may stand in for a float; nothing else bends.
-    check_row([1, 2, 0, 3, None, 1, 0])
+    assert frame.rows == [tuple(row)]
+    # A whole number may stand in for a float; it comes back a float.
+    (back,) = decode_payload(encode_rows([[1, 2, 0, 3, None, 1, 0]])[4:]).rows
+    assert back == (1, 2.0, 0, 3.0, None, 1, 0)
+    assert type(back[1]) is float and type(back[3]) is float
+    body = encode_rows([row])[4:]
     for bad in (
-        row[:-1],  # arity
-        row + [0],
-        [42.0, *row[1:]],  # a float node id
-        [True, *row[1:]],  # JSON true is not an int here
-        [*row[:3], "2.5", *row[4:]],
-        [*row[:4], [], *row[5:]],
+        body[:-1],  # a row cut short
+        body + b"\0",  # a byte past the last row
+        body + body[1:][:-4],  # a row and most of another
+    ):
+        with pytest.raises(ProtocolError):
+            decode_payload(bad)
+    assert decode_payload(ROWS_KIND).rows == []
+    assert len(body) == 1 + ROW.size
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [42, 99.5, 5, "2.5", 0.1, 11, 6],  # a string value
+        [42, 99.5, 5, 2.5, "0.1", 11, 6],  # a string tag
+        [42, None, 5, 2.5, 0.1, 11, 6],  # no arrival stamp
+        [42.0, 99.5, 5, 2.5, 0.1, 11, 6],  # a float node id
+        [2**31, 99.5, 5, 2.5, 0.1, 11, 6],  # dst past int32
+        [42, 99.5, -(2**31) - 1, 2.5, 0.1, 11, 6],  # item id below int32
+        [42, 99.5, 5, 2.5, 0.1, 2**63, 6],  # seq past int64
+        [42, 99.5, 5, 10**400, 0.1, 11, 6],  # no double holds it
+        [42, 99.5, 5, 2.5, 0.1, 11],  # arity
+        [42, 99.5, 5, 2.5, 0.1, 11, 6, 0],
         {"dst": 42},
         7,
         None,
-    ):
-        with pytest.raises(ProtocolError):
-            check_row(bad)
+    ],
+    ids=[
+        "string-value", "string-tag", "none-arrival", "float-dst", "dst-range",
+        "item-range", "seq-range", "huge-value", "short", "long", "dict", "int",
+        "none",
+    ],
+)
+def test_a_row_that_does_not_pack_is_a_protocol_error(row):
+    """Whatever the record cannot hold is refused at the sender as a
+    protocol error, never leaked as ``struct.error``."""
     with pytest.raises(ProtocolError):
-        decode_payload(b'{"type":"forwards","rows":7}')
+        encode_rows([[1, 0.5, 0, 1.0, None, 1, 0], row])
     with pytest.raises(ProtocolError):
-        decode_payload(b'{"type":"forwards"}')
+        encode_message(Forwards(rows=[row]))
+
+
+def test_a_forwards_frame_that_would_exceed_the_bound_is_refused():
+    rows = [[1, 0.5, 0, 1.0, None, 1, 0]] * (MAX_FRAME_BYTES // ROW.size + 1)
+    with pytest.raises(ProtocolError):
+        encode_rows(rows)

@@ -9,6 +9,9 @@ import pytest
 
 from repro.live.protocol import (
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
+    ROW,
+    ROWS_KIND,
     Bye,
     Forward,
     Forwards,
@@ -19,6 +22,7 @@ from repro.live.protocol import (
     ResyncResponse,
     Stats,
     Update,
+    check_version,
     decode_payload,
     encode_message,
 )
@@ -55,7 +59,6 @@ def test_length_prefix_matches_body():
         Hello(src=3, generation=2),
         Update(item_id=3, value=101.37500000000001, tag=0.05, seq=42, src=7),
         Forward(dst=9, arrival_s=12.625, item_id=3, value=1.5, tag=None, seq=42, src=7),
-        Forwards(rows=[[9, 12.625, 3, 1.5, None, 42, 7], [4, 13.0, 0, 2.25, 0.05, 43, 9]]),
         Heartbeat(src=1),
         Stats(src=1, sent=10, delivered=8, dropped=1, pending=1),
         ResyncRequest(child=4, parent=2, round_no=1, sample=((0, 7), (3, 9))),
@@ -71,6 +74,47 @@ def test_frame_body_is_the_asdict_json(message):
     ``asdict``; for these flat frames the bytes must be the same."""
     body = json.dumps(asdict(message), separators=(",", ":")).encode("utf-8")
     assert encode_message(message) == struct.pack(">I", len(body)) + body
+
+
+#: One row's exact bytes: dst 9, arrival 12.625, item 3, value 1.5, tag
+#: 0.25, seq 42, src 7 -- little-endian int32, double, int32, double,
+#: double, int64, int32.
+ROW_GOLDEN = (
+    "09000000" "0000000000402940" "03000000" "000000000000f83f"
+    "000000000000d03f" "2a00000000000000" "07000000"
+)
+
+
+def test_forwards_row_layout_is_pinned_to_the_protocol_version():
+    """The packed row is the protocol: changing its layout without
+    bumping ``PROTOCOL_VERSION`` must fail here, so peers of two builds
+    reject each other at ``Hello`` instead of misreading each other."""
+    assert PROTOCOL_VERSION == 5
+    assert ROW.size == 44
+    row = [9, 12.625, 3, 1.5, 0.25, 42, 7]
+    frame = encode_message(Forwards(rows=[row]))
+    assert frame == struct.pack(">I", 45) + ROWS_KIND + bytes.fromhex(ROW_GOLDEN)
+    assert ROWS_KIND != b"{"  # a JSON body can never look packed
+    assert decode_payload(frame[4:]) == Forwards(rows=[tuple(row)])
+    # ``None`` travels as a NaN tag and comes back as ``None``.
+    none_tag = encode_message(Forwards(rows=[[*row[:4], None, *row[5:]]]))
+    assert ROW.unpack(none_tag[5:])[4] != ROW.unpack(none_tag[5:])[4]
+    assert decode_payload(none_tag[4:]).rows[0][4] is None
+
+
+def test_a_version_4_peer_is_rejected():
+    check_version(Hello(src=0, version=5))
+    with pytest.raises(ProtocolError, match="version 4"):
+        check_version(Hello(src=0, version=4))
+    hello = decode_payload(encode_message(Hello(src=0, version=4))[4:])
+    with pytest.raises(ProtocolError):
+        check_version(hello)
+
+
+def test_a_json_forwards_frame_is_an_unknown_type():
+    """Version 4's data frame: no longer a message type of this protocol."""
+    with pytest.raises(ProtocolError, match="unknown message type 'forwards'"):
+        decode_payload(b'{"rows":[[9,12.625,3,1.5,null,42,7]],"type":"forwards"}')
 
 
 def test_decode_rejects_garbage():

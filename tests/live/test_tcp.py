@@ -3,7 +3,9 @@
 import asyncio
 import gc
 import inspect
+import math
 import socket
+import struct
 import weakref
 
 import pytest
@@ -23,7 +25,9 @@ from repro.live.protocol import (
     Forwards,
     Hello,
     ProtocolError,
+    decode_payload,
     encode_message,
+    encode_rows,
 )
 from repro.live.transport import TcpTransport, _TcpWire, make_transport
 from repro.errors import ConfigurationError, SimulationError
@@ -227,17 +231,27 @@ def test_tcp_paced_run_scores_exactly_the_inprocess_loss():
     assert result.loss_of_fidelity == virtual.loss_of_fidelity
 
 
-#: Well-formed frames no peer of this network would send: the parent's
-#: hang reproducer (a node nobody hosts), the same as a batch row, and
-#: rows of the wrong shape.
+def _frame(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+#: Frames no peer of this network would send: a row for a node nobody
+#: hosts (this once hung the run), alone and in a batch, a body that is
+#: not whole rows, the version-4 JSON data frame, and rows whose stamp
+#: or value no clock or trace could produce.
 ROGUE_FRAMES = {
-    "single-forward": Forward(
+    "single-forward": encode_message(Forward(
         dst=10**6, arrival_s=1.0, item_id=0, value=1.0, tag=None, seq=1, src=0
+    )),
+    "unknown-node": encode_message(Forwards([[10**6, 1.0, 0, 1.0, None, 1, 0]])),
+    "source-node": encode_message(Forwards([[0, 1.0, 0, 1.0, None, 1, 0]])),
+    "short-row": _frame(encode_rows([[1, 1.0, 0, 1.0, None, 1, 0]])[4:-1]),
+    "json-forwards": _frame(
+        b'{"rows":[[1,1.0,0,1.0,null,1,0]],"type":"forwards"}'
     ),
-    "unknown-node": Forwards([[10**6, 1.0, 0, 1.0, None, 1, 0]]),
-    "source-node": Forwards([[0, 1.0, 0, 1.0, None, 1, 0]]),
-    "short-row": Forwards([[1, 1.0, 0, 1.0, None, 1]]),
-    "string-value": Forwards([[1, 1.0, 0, "1.0", None, 1, 0]]),
+    "nan-arrival": encode_message(Forwards([[1, math.nan, 0, 1.0, None, 1, 0]])),
+    "inf-arrival": encode_message(Forwards([[1, math.inf, 0, 1.0, None, 1, 0]])),
+    "nan-value": encode_message(Forwards([[1, 1.0, 0, math.nan, None, 1, 0]])),
 }
 
 
@@ -255,7 +269,7 @@ def test_tcp_rogue_frame_rejects_its_connection_not_the_run(rogue):
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", runtime.links[1].port
         )
-        writer.write(encode_message(Hello(src=99)) + encode_message(rogue))
+        writer.write(encode_message(Hello(src=99)) + rogue)
         assert await reader.read() == b""  # the server hung up on us
         writer.close()
         await writer.wait_closed()
@@ -266,12 +280,18 @@ def test_tcp_rogue_frame_rejects_its_connection_not_the_run(rogue):
     assert stats.conserved and stats.dropped == 0 and stats.sent > 0
 
 
-def test_rows_ahead_of_a_rogue_one_are_still_queued():
+@pytest.mark.parametrize(
+    "rogue",
+    [[10**6, 2.5, 0, 1.0, None, 1, 0], [1, math.nan, 0, 1.0, None, 1, 0]],
+    ids=["unknown-node", "nan-arrival"],
+)
+def test_rows_ahead_of_a_rogue_one_are_still_queued(rogue):
     async def scenario():
         runtime = _TcpWire(TcpTransport(), build_live_network(CONFIG))
         good = [1, 2.5, 0, 1.0, None, 1, 0]
+        frame = decode_payload(encode_rows([good, rogue, good])[4:])
         with pytest.raises(ProtocolError):
-            runtime._on_frame(Forwards([good, [10**6, *good[1:]], good]))
+            runtime._on_frame(frame)
         return len(runtime.due), runtime.due.latest()
 
     assert asyncio.run(scenario()) == (1, 2.5)
