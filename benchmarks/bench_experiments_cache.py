@@ -1,8 +1,8 @@
 """Benchmark: the content-addressed experiment cache, warm vs. cold.
 
-Runs the *entire* experiment registry (the full ``run_all --preset
-tiny`` workload) through the unified execution plane twice against one
-cache directory:
+Runs the *entire* experiment registry (the full ``experiments run
+--preset tiny`` workload) through the unified execution plane twice
+against one cache directory:
 
 - **cold**: every distinct sweep point and auxiliary point (pull,
   hybrid, trace statistics) is simulated and stored;

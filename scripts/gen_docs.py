@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Generate the derived documentation pages (CLI + API reference).
 
-Renders ``python -m repro --help`` and ``run_all --help`` into
-``docs/cli.md``, and a docstring-driven API reference for the public
+Renders the ``--help`` of ``python -m repro`` and of every subcommand
+into ``docs/cli.md``, and a docstring-driven API reference for the public
 modules into ``docs/api/``.  Everything is generated deterministically
 from the package itself (argparse output width is pinned, docstring
 roles are rewritten to plain markdown), so the pages can never drift
@@ -83,100 +83,43 @@ def _mdify(docstring: str) -> str:
     return text.strip()
 
 
-def _subparser(parser, *path):
-    """Walk argparse's subcommand tree (for rendering nested help)."""
-    for name in path:
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction) and name in action.choices:
-                parser = action.choices[name]
-                break
-        else:
-            raise KeyError(f"no subcommand {name!r}")
-    return parser
+def _subcommands(parser) -> dict:
+    """``name -> parser`` of each subcommand of ``parser``, in order."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
 
 
 def _render_help() -> str:
-    from repro.__main__ import build_parser as cli_parser
-    from repro.experiments.run_all import build_parser as run_all_parser
+    from repro.__main__ import build_parser
 
     old_columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = _HELP_COLUMNS
     try:
-        parser = cli_parser()
-        cli_help = parser.format_help()
-        experiments_help = {
-            action: _subparser(parser, "experiments", action).format_help()
-            for action in ("list", "show", "run")
-        }
-        live_help = {
-            action: _subparser(parser, "live", action).format_help()
-            for action in ("run", "loadgen")
-        }
-        fleet_help = {
-            action: _subparser(parser, "fleet", action).format_help()
-            for action in ("run", "loadgen")
-        }
-        obs_help = {
-            action: _subparser(parser, "obs", action).format_help()
-            for action in ("trace", "metrics", "explain")
-        }
-        run_all_help = run_all_parser().format_help()
+        parser = build_parser()
+        sections = [
+            "## `python -m repro`\n\n"
+            "Run one dissemination simulation or a degree sweep.\n\n"
+            "```text\n" + parser.format_help().rstrip() + "\n```\n"
+        ]
+        for command, group in _subcommands(parser).items():
+            sections.append(f"## `python -m repro {command}`\n\n{group.description}\n")
+            sections += [
+                f"### `python -m repro {command} {action}`\n\n"
+                "```text\n" + leaf.format_help().rstrip() + "\n```\n"
+                for action, leaf in _subcommands(group).items()
+            ]
     finally:
         if old_columns is None:
             del os.environ["COLUMNS"]
         else:
             os.environ["COLUMNS"] = old_columns
-    experiment_sections = "".join(
-        f"### `python -m repro experiments {action}`\n\n"
-        "```text\n" + text.rstrip() + "\n```\n\n"
-        for action, text in experiments_help.items()
-    )
-    live_sections = "".join(
-        f"### `python -m repro live {action}`\n\n"
-        "```text\n" + text.rstrip() + "\n```\n\n"
-        for action, text in live_help.items()
-    )
-    fleet_sections = "".join(
-        f"### `python -m repro fleet {action}`\n\n"
-        "```text\n" + text.rstrip() + "\n```\n\n"
-        for action, text in fleet_help.items()
-    )
-    obs_sections = "".join(
-        f"### `python -m repro obs {action}`\n\n"
-        "```text\n" + text.rstrip() + "\n```\n\n"
-        for action, text in obs_help.items()
-    )
     return (
         "# CLI reference\n\n"
         "*Generated by `scripts/gen_docs.py` — do not edit by hand; "
         "regenerate with `PYTHONPATH=src python scripts/gen_docs.py`.*\n\n"
-        "## `python -m repro`\n\n"
-        "Run one dissemination simulation or a degree sweep.\n\n"
-        "```text\n" + cli_help.rstrip() + "\n```\n\n"
-        "## `python -m repro experiments`\n\n"
-        "Discover and run the declarative experiment registry through the "
-        "shared cached execution plane.\n\n"
-        + experiment_sections +
-        "## `python -m repro live`\n\n"
-        "Run the cooperative repository network for real: live servers "
-        "replaying the config's workload through the same LeLA `d3g` and "
-        "coherency filter the simulator uses.\n\n"
-        + live_sections +
-        "## `python -m repro fleet`\n\n"
-        "Shard the live repository network across worker processes: every "
-        "worker computes the same shard plan from the frozen config, and a "
-        "supervisor spawns the fleet, waits for it to go quiet, and merges "
-        "per-worker reports into one conserved result.\n\n"
-        + fleet_sections +
-        "## `python -m repro obs`\n\n"
-        "Observe a traced run: per-update spans, the metrics snapshot, "
-        "and the fidelity-violation explainer that names the hop and "
-        "reason behind every loss segment.\n\n"
-        + obs_sections +
-        "## `python -m repro.experiments.run_all`\n\n"
-        "Regenerate every table and figure of the paper (one deduplicated "
-        "sweep; warm reruns skip simulation via the result cache).\n\n"
-        "```text\n" + run_all_help.rstrip() + "\n```\n"
+        + "\n".join(sections)
     )
 
 

@@ -17,7 +17,7 @@ one programmatic entry point; from the command line::
 
     python -m repro experiments list
     python -m repro experiments run figure3 figure8 --preset tiny --jobs 4
-    python -m repro.experiments.run_all --preset small
+    python -m repro experiments run --preset small   # every experiment
 """
 
 from repro.experiments.runner import (

@@ -287,7 +287,7 @@ class ExperimentSpec:
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
 #: The built-in experiments in the paper's presentation order (also
-#: the default ``run_all`` order).
+#: the order a bare ``experiments run`` runs them in).
 _BUILTIN_NAMES = (
     "table1",
     "figure3",

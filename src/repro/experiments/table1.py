@@ -7,7 +7,7 @@ trace property the dissemination algorithms actually feel.
 
 The experiment plans no simulation configs -- its work is pure trace
 statistics -- but it still rides the registry's cache plane, so a warm
-``run_all`` recalls the stats without regenerating any trace.
+``experiments run`` recalls the stats without regenerating any trace.
 """
 
 from __future__ import annotations

@@ -52,10 +52,23 @@ def test_derived_docs_are_in_sync(gen_docs):
     )
 
 
-def test_cli_reference_covers_both_entry_points(gen_docs):
+def test_cli_reference_covers_every_leaf_command(gen_docs):
     cli_md = (REPO_ROOT / "docs" / "cli.md").read_text()
-    assert "python -m repro`" in cli_md
-    assert "python -m repro.experiments.run_all" in cli_md
+    assert "## `python -m repro`" in cli_md
+    for leaf in (
+        "experiments list",
+        "experiments show",
+        "experiments run",
+        "live run",
+        "live loadgen",
+        "fleet run",
+        "fleet loadgen",
+        "obs trace",
+        "obs metrics",
+        "obs explain",
+    ):
+        assert f"### `python -m repro {leaf}`" in cli_md
+        assert f"usage: repro {leaf} " in cli_md
     assert "--workload" in cli_md
     assert "--churn" in cli_md
     assert "--jobs" in cli_md

@@ -17,7 +17,7 @@ from repro.experiments.cache import ResultCache, fingerprint
 
 TINY = dict(n_items=6, trace_samples=300)
 
-#: A light but representative slice of run_all: a plain sweep figure, a
+#: A light but representative slice of the full registry run: a plain sweep figure, a
 #: non-sweep payload (table1), and both auxiliary planes (pull, hybrid).
 SUBSET = ["table1", "figure11", "pull_baseline", "hybrid_tradeoff"]
 

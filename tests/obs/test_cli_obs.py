@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.__main__ import build_parser, main as cli_main
+from repro.__main__ import build_parser, command_options, main as cli_main
 
 
 def test_obs_trace_prints_spans_and_reconciles(capsys):
@@ -68,12 +68,16 @@ def test_obs_options_do_not_clobber_top_level():
         ["--preset", "small", "obs", "trace", "--preset", "tiny"]
     )
     assert args.preset == "small"
-    assert args.obs_preset == "tiny"
+    assert command_options(args).preset == "tiny"
+    args = build_parser().parse_args(["--preset", "small", "obs", "trace"])
+    assert args.preset == "small"
+    assert command_options(args).preset == "tiny"
 
 
-def test_obs_rejects_unknown_kernel():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["obs", "trace", "--kernel", "quantum"])
+def test_obs_kernel_is_not_an_option():
+    for action in ("trace", "metrics", "explain"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["obs", action, "--kernel", "scalar"])
 
 
 def test_log_level_flag_accepted_and_quiet_at_error(capsys):

@@ -1,12 +1,9 @@
-"""Tests for the ``python -m repro`` CLI and the run_all driver."""
+"""Tests for the ``python -m repro`` CLI."""
 
 import pytest
 
-from repro.__main__ import build_parser, main as cli_main
-from repro.experiments.run_all import (
-    build_parser as run_all_parser,
-    main as run_all_main,
-)
+from repro.__main__ import build_parser, command_options, main as cli_main
+from repro.engine import SCALE_PRESETS
 
 
 def test_parser_defaults():
@@ -41,6 +38,25 @@ def test_cli_controlled_mode(capsys):
     cli_main(["--preset", "tiny", "--controlled", "--degree", "20"])
     out = capsys.readouterr().out
     assert "Eq. 2 controlled" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--t", "150"],
+        ["--degree", "0"],
+        ["--degrees", "2,-1"],
+        ["--clients", "-1"],
+        ["--comp-delay", "-5"],
+        ["--degrees", ","],
+    ],
+)
+def test_cli_default_command_rejects_bad_values_cleanly(argv, capsys):
+    """A bad value exits with a message, not a traceback, and runs nothing."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["--preset", "tiny", *argv])
+    assert excinfo.value.code not in (0, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_delay_overrides(capsys):
@@ -131,18 +147,34 @@ def test_cli_experiments_show_unknown_rejected(capsys):
         cli_main(["experiments", "show", "figure99"])
 
 
-def test_cli_experiments_options_do_not_clobber_top_level():
-    """The subcommand's --preset/--jobs live on their own dests, so an
-    explicit top-level value is never overwritten by subparser defaults."""
+def test_cli_experiments_options_do_not_clobber_top_level(capsys):
+    """An explicit top-level --preset survives the subcommand's default,
+    and the subcommand runs on its own options only."""
     args = build_parser().parse_args(
         ["--preset", "paper", "experiments", "run", "figure3"]
     )
     assert args.preset == "paper"
-    assert args.exp_preset == "small"
-    args = build_parser().parse_args(
+    assert command_options(args).preset == "small"
+    own = command_options(build_parser().parse_args(
         ["experiments", "run", "figure3", "--preset", "tiny", "--jobs", "4"]
-    )
-    assert args.exp_preset == "tiny" and args.exp_jobs == 4
+    ))
+    assert (own.preset, own.jobs) == ("tiny", 4)
+    cli_main(["--preset", "paper", "experiments", "show", "figure3"])
+    assert "plan (tiny preset):" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("action", [["show", "figure3"], ["run", "figure3"]])
+def test_cli_experiments_preset_choices_are_the_scale_presets(action, capsys):
+    for preset in SCALE_PRESETS:
+        own = command_options(build_parser().parse_args(
+            ["experiments", *action, "--preset", preset]
+        ))
+        assert own.preset == preset
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["experiments", *action, "--preset", "galactic"]
+        )
+    assert "scalability" in capsys.readouterr().err
 
 
 def test_cli_experiments_run_with_params(capsys, tmp_path):
@@ -173,7 +205,7 @@ def test_cli_experiments_run_no_cache(capsys, tmp_path):
     cli_main(["experiments", "run", "figure11", "--preset", "tiny",
               "--no-cache"])
     out = capsys.readouterr().out
-    assert "0 cached, 2 simulated" in out
+    assert "0 cached, 2 simulated]" in out
     assert "[artifacts:" not in out
 
 
@@ -186,9 +218,27 @@ def test_cli_experiments_run_rejects_bad_param(tmp_path):
                   "--no-cache", "--param", "not-a-pair"])
 
 
-def test_run_all_knows_every_experiment():
-    offered = run_all_parser().format_help()
-    for name in {
+def test_cli_experiments_run_without_names_runs_the_registry_in_order(
+    monkeypatch,
+):
+    """No names means every registered experiment, in registry order;
+    checked on the names handed to the runner, without running them."""
+    from repro.experiments import api
+
+    class Planned(Exception):
+        pass
+
+    requested = []
+
+    def record(names, **kwargs):
+        requested.append(list(names))
+        raise Planned
+
+    monkeypatch.setattr(api, "run_experiments", record)
+    with pytest.raises(Planned):
+        cli_main(["experiments", "run", "--preset", "tiny", "--no-cache"])
+    assert requested == [api.available_experiments()]
+    assert set(requested[0]) >= {
         "table1",
         "figure3",
         "figure5",
@@ -207,36 +257,36 @@ def test_run_all_knows_every_experiment():
         "workload_sensitivity",
         "adaptive_tradeoff",
         "live_crosscheck",
-    }:
-        assert repr(name) in offered
+    }
 
 
-def test_run_all_rejects_unknown_experiment():
+def test_cli_experiments_run_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
-        run_all_main(["--only", "figure99"])
+        cli_main(["experiments", "run", "figure99"])
 
 
-def test_run_all_single_experiment(capsys):
-    run_all_main(["--preset", "tiny", "--only", "table1"])
+def test_cli_experiments_run_single_experiment(capsys):
+    cli_main(["experiments", "run", "table1", "--preset", "tiny"])
     out = capsys.readouterr().out
     assert "MSFT" in out
-    assert "table1 done" in out
+    assert "[table1 done in" in out
 
 
-def test_run_all_accepts_jobs(capsys):
-    run_all_main(["--preset", "tiny", "--jobs", "2", "--only", "figure11"])
+def test_cli_experiments_run_accepts_jobs(capsys):
+    cli_main(["experiments", "run", "figure11", "--preset", "tiny",
+              "--jobs", "2"])
     out = capsys.readouterr().out
-    assert "figure11 done" in out
+    assert "[figure11 done in" in out
 
 
-def test_run_all_warm_rerun_skips_simulation(capsys, tmp_path):
-    """Acceptance: a warm run_all performs zero new simulations and its
+def test_cli_experiments_warm_rerun_skips_simulation(capsys, tmp_path):
+    """Acceptance: a warm run performs zero new simulations and its
     output is identical to the cold run's (modulo timing lines)."""
-    argv = ["--preset", "tiny", "--only", "table1", "figure11",
-            "pull_baseline", "--cache-dir", str(tmp_path)]
-    run_all_main(argv)
+    argv = ["experiments", "run", "table1", "figure11", "pull_baseline",
+            "--preset", "tiny", "--cache-dir", str(tmp_path)]
+    cli_main(argv)
     cold = capsys.readouterr().out
-    run_all_main(argv)
+    cli_main(argv)
     warm = capsys.readouterr().out
     assert "0 cached, 7 simulated]" in cold  # 2 sweep + 4 pull + 1 table1
     assert "7 cached, 0 simulated]" in warm
@@ -248,16 +298,8 @@ def test_run_all_warm_rerun_skips_simulation(capsys, tmp_path):
     assert stable(cold) == stable(warm)
 
 
-def test_run_all_no_cache_recomputes(capsys):
-    argv = ["--preset", "tiny", "--only", "figure11", "--no-cache"]
-    run_all_main(argv)
-    out = capsys.readouterr().out
-    assert "0 cached, 2 simulated]" in out
-    assert "[artifacts:" not in out
-
-
 # ----------------------------------------------------------------------
-# Seed threading through the registry runner (experiments run / run_all)
+# Seed threading through the registry runner (experiments run)
 # ----------------------------------------------------------------------
 
 
@@ -278,19 +320,10 @@ def test_cli_experiments_run_seed_override_changes_results(capsys):
     cli_main(argv + ["--seed", "4242"])
     overridden = capsys.readouterr().out
     assert "Figure 11" in overridden
+    assert "[figure11 done in" in overridden
     # A different master seed regenerates topology/traces/interests, so
     # the reported numbers move; identical output would mean the seed
     # never reached the configs.
-    assert default_seed != overridden
-
-
-def test_run_all_seed_override(capsys):
-    run_all_main(["--preset", "tiny", "--only", "figure11", "--no-cache"])
-    default_seed = capsys.readouterr().out
-    run_all_main(["--preset", "tiny", "--only", "figure11", "--no-cache",
-                  "--seed", "4242"])
-    overridden = capsys.readouterr().out
-    assert "figure11 done" in overridden
     assert default_seed.splitlines()[:-1] != overridden.splitlines()[:-1]
 
 
@@ -334,7 +367,10 @@ def test_cli_live_options_do_not_clobber_top_level():
         ["--preset", "paper", "live", "run", "--preset", "tiny"]
     )
     assert args.preset == "paper"
-    assert args.live_preset == "tiny"
+    assert command_options(args).preset == "tiny"
+    args = build_parser().parse_args(["--preset", "paper", "live", "run"])
+    assert args.preset == "paper"
+    assert command_options(args).preset == "tiny"
 
 
 def test_cli_live_rejects_bad_transport_and_jobs():
@@ -342,3 +378,17 @@ def test_cli_live_rejects_bad_transport_and_jobs():
         build_parser().parse_args(["live", "run", "--transport", "udp"])
     with pytest.raises(SystemExit):
         cli_main(["live", "loadgen", "--preset", "tiny", "--jobs", "0"])
+
+
+@pytest.mark.parametrize("command", ["live", "fleet"])
+def test_cli_loadgen_jobs_counts_clients_at_parse_time(command, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "loadgen", "--jobs", "0"])
+    assert "synthetic clients" in capsys.readouterr().err
+    own = command_options(build_parser().parse_args([command, "loadgen"]))
+    assert own.n_clients >= 1
+
+
+def test_cli_kernel_is_no_option():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--kernel", "scalar"])
