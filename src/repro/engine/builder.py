@@ -243,8 +243,12 @@ def build_setup(
         base: An earlier setup to recycle expensive pieces from.  Sweeps
             that only vary, say, the offered degree reuse the network,
             traces and interest profiles unchanged (the builder checks
-            which config fields actually affect each piece).
+            which config fields actually affect each piece).  A base
+            built for this very config is returned as is: setups are
+            read-only.
     """
+    if base is not None and base.config == config:
+        return base
     streams = RandomStreams(config.seed)
 
     if base is not None and _fields_match(config, base.config, _NETWORK_FIELDS):

@@ -60,7 +60,8 @@ def split_profiles(
     rest pull.  Repositories with an empty part are omitted from that
     plane.
     """
-    if threshold_c <= 0:
+    # Written so NaN fails too; +inf is legal (everything pushes).
+    if not threshold_c > 0:
         raise ConfigurationError(f"threshold_c must be positive, got {threshold_c!r}")
     push: dict[int, InterestProfile] = {}
     pull: dict[int, InterestProfile] = {}

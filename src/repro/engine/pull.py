@@ -22,6 +22,7 @@ O(repositories x items) work where the push source does O(degree).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.fidelity import (
@@ -65,6 +66,13 @@ class TtrConfig:
             raise ConfigurationError(
                 f"mode must be 'fixed' or 'adaptive', got {self.mode!r}"
             )
+        for name in ("ttr_s", "ttr_min_s", "ttr_max_s", "shrink", "grow"):
+            # NaN passes the one-sided checks below, and a non-finite
+            # TTR schedules a poll the event queue refuses mid-run.
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}"
+                )
         if self.ttr_s <= 0:
             raise ConfigurationError(f"ttr_s must be positive, got {self.ttr_s!r}")
         if not 0 < self.ttr_min_s <= self.ttr_max_s:

@@ -10,7 +10,7 @@ completion order.
 
 The determinism guarantee rests on two facts:
 
-- A config fully determines its result.  Every random stream is named
+- A point fully determines its result.  Every random stream is named
   and derived from ``config.seed``, and setup recycling (``base=`` in
   :func:`~repro.engine.builder.build_setup`) only reuses pieces whose
   governing fields match -- plus the network-rescale path always scales
@@ -19,15 +19,13 @@ The determinism guarantee rests on two facts:
   recycled setup is bit-for-bit the setup a fresh build would produce.
   Worker-local recycling is therefore pure optimisation, never
   observable in the results.
-- Merging is keyed by the config, not by completion order.  Each worker
-  returns ``(position, result)`` pairs; the merge places results by the
-  position of the *distinct* config in the submission order and then
-  re-expands duplicates, so shuffling workers, chunks or finish times
-  cannot reorder or alter the output.
+- Merging is by input position, not completion order: :func:`fan_out`
+  concatenates its contiguous chunks' results in chunk order, so
+  shuffling workers or finish times cannot reorder or alter the output.
 
-Workers run contiguous chunks of the distinct-config list and chain
-``base=`` recycling through a per-process cache (``_WORKER_BASE``), so
-the expensive pieces -- topology generation, shortest-path routing,
+Every point builds its setup through :func:`recycled_setup`, which
+chains ``base=`` recycling through a per-process memo (``_WORKER_BASE``),
+so the expensive pieces -- topology generation, shortest-path routing,
 trace synthesis -- are rebuilt only when a chunk actually crosses a
 boundary in the governing fields, exactly as in a serial sweep.
 """
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.engine.builder import SimulationSetup, build_setup
 from repro.engine.config import SimulationConfig
@@ -44,12 +42,12 @@ from repro.engine.results import SimulationResult
 from repro.engine.simulation import make_simulation
 from repro.errors import ConfigurationError
 
-__all__ = ["resolve_jobs", "run_sweep"]
+__all__ = ["fan_out", "recycled_setup", "resolve_jobs", "run_sweep", "simulate"]
 
-#: Per-worker-process setup cache: the last setup built in this process,
+#: Per-process setup memo: the last setup built in this process,
 #: recycled into the next point's ``build_setup(..., base=...)``.  Lives
 #: at module scope so it survives across chunks handed to the same
-#: worker.  Never leaves the worker, so it cannot leak between jobs
+#: worker.  Never leaves the process, so it cannot leak between jobs
 #: counts or affect merged output.
 _WORKER_BASE: SimulationSetup | None = None
 
@@ -73,24 +71,22 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _run_point(config: SimulationConfig) -> SimulationResult:
-    """Run one sweep point, recycling setup pieces from the previous one."""
+def recycled_setup(config: SimulationConfig) -> SimulationSetup:
+    """This process's setup for ``config``, recycled from the last one built.
+
+    Setups are read-only, so every point of a chunk may share one.
+    """
     global _WORKER_BASE
-    setup = build_setup(config, base=_WORKER_BASE)
-    _WORKER_BASE = setup
-    return make_simulation(setup).run()
+    _WORKER_BASE = build_setup(config, base=_WORKER_BASE)
+    return _WORKER_BASE
 
 
-def _run_chunk(
-    chunk: Sequence[tuple[int, SimulationConfig]]
-) -> list[tuple[int, SimulationResult]]:
-    """Worker entry point: run ``(position, config)`` pairs in order."""
-    return [(position, _run_point(config)) for position, config in chunk]
+def simulate(config: SimulationConfig) -> SimulationResult:
+    """Run one sweep point on this process's recycled setup."""
+    return make_simulation(recycled_setup(config)).run()
 
 
-def _contiguous_chunks(
-    items: Sequence[tuple[int, SimulationConfig]], n_chunks: int
-) -> list[list[tuple[int, SimulationConfig]]]:
+def _contiguous_chunks(items: Sequence[Any], n_chunks: int) -> list[list[Any]]:
     """Split into at most ``n_chunks`` contiguous, near-equal chunks.
 
     Contiguity matters: neighbouring sweep points usually differ in one
@@ -100,13 +96,40 @@ def _contiguous_chunks(
     n = len(items)
     n_chunks = max(1, min(n_chunks, n))
     size, extra = divmod(n, n_chunks)
-    chunks: list[list[tuple[int, SimulationConfig]]] = []
+    chunks: list[list[Any]] = []
     start = 0
     for i in range(n_chunks):
         end = start + size + (1 if i < extra else 0)
         chunks.append(list(items[start:end]))
         start = end
     return chunks
+
+
+def _run_chunk(worker: Callable[[Any], Any], chunk: Sequence[Any]) -> list[Any]:
+    """Worker-process entry point: run one chunk's points in order."""
+    return [worker(point) for point in chunk]
+
+
+def fan_out(
+    worker: Callable[[Any], Any], points: Sequence[Any], jobs: int | None = 1
+) -> list[Any]:
+    """``[worker(p) for p in points]``, one contiguous chunk per process.
+
+    Args:
+        worker: A module-level (picklable) function whose output depends
+            only on its input, so the result is the same for every
+            worker count.
+        points: The inputs, in the order the caller wants results back.
+        jobs: Worker processes.  ``1`` runs everything serially
+            in-process (no executor, no pickling); ``None`` or ``0`` use
+            one worker per available CPU.
+    """
+    chunks = _contiguous_chunks(points, resolve_jobs(jobs))
+    if len(chunks) == 1:
+        return _run_chunk(worker, points)
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        done = pool.map(_run_chunk, [worker] * len(chunks), chunks)
+        return [result for chunk_results in done for result in chunk_results]
 
 
 def run_sweep(
@@ -117,9 +140,7 @@ def run_sweep(
     Args:
         configs: The sweep points, in the order the caller wants the
             results back.
-        jobs: Worker processes to fan out over.  ``1`` runs everything
-            serially in-process (no executor, no pickling); ``None`` or
-            ``0`` use one worker per available CPU.
+        jobs: Worker processes to fan out over (see :func:`fan_out`).
 
     Returns:
         One :class:`SimulationResult` per input config, in input order.
@@ -127,29 +148,7 @@ def run_sweep(
         and share one result object.
     """
     ordered = list(configs)
-    n_jobs = resolve_jobs(jobs)
-
-    # Deduplicate while preserving first-appearance order; the merge is
-    # keyed by the config itself (frozen dataclass => hashable).
-    distinct: list[SimulationConfig] = []
-    position_of: dict[SimulationConfig, int] = {}
-    for config in ordered:
-        if config not in position_of:
-            position_of[config] = len(distinct)
-            distinct.append(config)
-
-    merged: list[SimulationResult | None] = [None] * len(distinct)
-    if n_jobs <= 1 or len(distinct) <= 1:
-        base: SimulationSetup | None = None
-        for position, config in enumerate(distinct):
-            setup = build_setup(config, base=base)
-            base = setup
-            merged[position] = make_simulation(setup).run()
-    else:
-        chunks = _contiguous_chunks(list(enumerate(distinct)), n_jobs)
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for pairs in pool.map(_run_chunk, chunks):
-                for position, result in pairs:
-                    merged[position] = result
-
-    return [merged[position_of[config]] for config in ordered]
+    # Frozen dataclass => hashable; dict keys keep first-appearance order.
+    distinct = list(dict.fromkeys(ordered))
+    by_config = dict(zip(distinct, fan_out(simulate, distinct, jobs)))
+    return [by_config[config] for config in ordered]

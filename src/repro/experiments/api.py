@@ -16,10 +16,12 @@ data rather than an ad-hoc module entry point.  A spec declares
 
 The unified runner (:func:`run_experiments`) executes the **union** of
 all requested experiments' plans through one deduplicated
-:func:`~repro.engine.sweep.run_sweep` fan-out, backed by a
-content-addressed :class:`~repro.experiments.cache.ResultCache`: a
-config shared by several figures is simulated once, and a warm rerun
-skips simulation entirely.  Collected payloads are persisted as
+:func:`~repro.engine.sweep.fan_out`, backed by a content-addressed
+:class:`~repro.experiments.cache.ResultCache`: a config shared by
+several figures is simulated once, and a warm rerun skips simulation
+entirely.  Points outside the config grid (pull and hybrid variants,
+trace statistics) go through the same lookup, fan-out and store via
+:meth:`ExperimentContext.run`.  Collected payloads are persisted as
 schema-versioned JSON artifacts per experiment.
 
 Discoverability is wired into the CLI::
@@ -35,14 +37,13 @@ import dataclasses
 import importlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.engine.config import SimulationConfig
 from repro.engine.results import SimulationResult
-from repro.engine.sweep import resolve_jobs, run_sweep
+from repro.engine.sweep import fan_out, simulate
 from repro.errors import ConfigurationError
 from repro.experiments.cache import ResultCache, fingerprint
 from repro.experiments.runner import preset_config
@@ -61,9 +62,6 @@ __all__ = [
     "load_builtin_experiments",
     "run_experiment",
     "run_experiments",
-    "parallel_map",
-    "cached_parallel_map",
-    "shared_setup",
     "to_jsonable",
     "write_artifact",
 ]
@@ -178,9 +176,9 @@ class ExperimentContext:
         cache: Content-addressed result cache, or ``None`` (disabled).
         overrides: Raw :class:`SimulationConfig` field overrides applied
             on top of the preset.
-        stats: When set, auxiliary-plane work (``cached`` /
-            :func:`cached_parallel_map`) is tallied here, cache or no
-            cache, so run summaries report what was actually computed.
+        stats: When set, auxiliary points (:meth:`run`) are tallied here,
+            cache or no cache, so run summaries report what was
+            actually computed.
     """
 
     preset: str = "small"
@@ -194,32 +192,24 @@ class ExperimentContext:
         """The preset config with the context's overrides applied."""
         return preset_config(self.preset, **dict(self.overrides))
 
-    def count_aux(self, hits: int = 0, computed: int = 0) -> None:
-        """Tally auxiliary-plane points into the run's stats, if any."""
+    def run(
+        self,
+        keys: Sequence[Any],
+        points: Sequence[Any],
+        worker: Callable[[Any], Any],
+    ) -> list[Any]:
+        """``[worker(p) for p in points]`` through the sweep points' cached,
+        deduplicated fan-out, for collect-phase work outside the config
+        grid (pull, hybrid, trace statistics).
+
+        ``keys[i]`` is the content key of ``points[i]``; ``worker`` must
+        be a module-level function of its input only.
+        """
+        values, distinct, hits = _execute(keys, points, worker, self.jobs, self.cache)
         if self.stats is not None:
             self.stats.aux_hits += hits
-            self.stats.aux_computed += computed
-
-    def cached(self, key: Any, compute: Callable[[], Any]) -> Any:
-        """Content-addressed memo for collect-phase auxiliary work.
-
-        Used by experiments whose drivers sit outside the plain
-        config-sweep plane (pull, hybrid, trace statistics) so their
-        points are cached -- and skipped on warm reruns -- exactly like
-        sweep points.
-        """
-        if self.cache is None:
-            value = compute()
-            self.count_aux(computed=1)
-            return value
-        value = self.cache.get(key, _EXECUTE_MISS)
-        if value is _EXECUTE_MISS:
-            value = compute()
-            self.cache.put(key, value)
-            self.count_aux(computed=1)
-        else:
-            self.count_aux(hits=1)
-        return value
+            self.stats.aux_computed += distinct - hits
+        return values
 
 
 @dataclass(frozen=True)
@@ -409,8 +399,41 @@ class ExecutionStats:
         return self.cache_hits + self.aux_hits
 
 
-def _sim_key(config: SimulationConfig) -> tuple:
-    return ("sim", config)
+_MISS = object()
+
+
+def _execute(
+    keys: Sequence[Any],
+    points: Sequence[Any],
+    worker: Callable[[Any], Any],
+    jobs: int | None,
+    cache: ResultCache | None,
+) -> tuple[list[Any], int, int]:
+    """Look up, compute and store every point: the one cached fan-out.
+
+    Points are deduplicated by key, cache hits are answered from
+    ``cache``, and the misses run through one
+    :func:`~repro.engine.sweep.fan_out` (bit-identical for every
+    ``jobs`` value) and are stored.
+
+    Returns:
+        ``(values aligned to keys, distinct keys, cache hits)``.
+    """
+    point_of = dict(zip(keys, points, strict=True))
+    values: dict[Any, Any] = {}
+    misses: list[Any] = []
+    for key in point_of:
+        value = _MISS if cache is None else cache.get(key, _MISS)
+        if value is _MISS:
+            misses.append(key)
+        else:
+            values[key] = value
+    computed = fan_out(worker, [point_of[key] for key in misses], jobs)
+    for key, value in zip(misses, computed):
+        values[key] = value
+        if cache is not None:
+            cache.put(key, value)
+    return [values[key] for key in keys], len(point_of), len(point_of) - len(misses)
 
 
 def execute_plan(
@@ -423,46 +446,19 @@ def execute_plan(
 
     Results are aligned to the input order; duplicated configs share one
     result object.  With a cache, previously simulated configs are
-    answered from disk; everything else goes through one
-    :func:`~repro.engine.sweep.run_sweep` call (bit-identical for every
-    ``jobs`` value).
+    answered from disk; everything else is simulated (bit-identical for
+    every ``jobs`` value).
     """
     ordered = list(configs)
-    stats = stats if stats is not None else ExecutionStats()
-    stats.planned += len(ordered)
-
-    distinct: list[SimulationConfig] = []
-    seen: set[SimulationConfig] = set()
-    for config in ordered:
-        if config not in seen:
-            seen.add(config)
-            distinct.append(config)
-    stats.distinct += len(distinct)
-
-    results: dict[SimulationConfig, SimulationResult] = {}
-    misses: list[SimulationConfig] = []
-    if cache is None:
-        misses = distinct
-    else:
-        for config in distinct:
-            hit = cache.get(_sim_key(config), _EXECUTE_MISS)
-            if hit is _EXECUTE_MISS:
-                misses.append(config)
-            else:
-                results[config] = hit
-        stats.cache_hits += len(distinct) - len(misses)
-
-    if misses:
-        for config, result in zip(misses, run_sweep(misses, jobs=jobs)):
-            results[config] = result
-            if cache is not None:
-                cache.put(_sim_key(config), result)
-        stats.simulated += len(misses)
-
-    return [results[config] for config in ordered]
-
-
-_EXECUTE_MISS = object()
+    results, distinct, hits = _execute(
+        [("sim", config) for config in ordered], ordered, simulate, jobs, cache
+    )
+    if stats is not None:
+        stats.planned += len(ordered)
+        stats.distinct += distinct
+        stats.cache_hits += hits
+        stats.simulated += distinct - hits
+    return results
 
 
 def run_experiment(
@@ -474,16 +470,11 @@ def run_experiment(
     overrides: Mapping[str, Any] | None = None,
 ) -> Any:
     """Plan, execute and collect one experiment; return its payload."""
-    spec = get_experiment(name)
-    ctx = ExperimentContext(
-        preset=preset,
-        params=spec.resolve_params(params),
-        jobs=jobs,
-        cache=cache,
-        overrides=dict(overrides or {}),
+    report = run_experiments(
+        [name], preset, jobs, cache,
+        params_by_name={name: params or {}}, overrides=overrides,
     )
-    results = execute_plan(spec.plan(ctx), jobs=jobs, cache=cache)
-    return spec.collect(ctx, tuple(results))
+    return report.payloads[name]
 
 
 @dataclass
@@ -597,79 +588,6 @@ def run_experiments(
         registry.write_json(Path(artifacts_dir) / "metrics.json")
 
     return report
-
-
-def parallel_map(worker: Callable[[Any], Any], points: Sequence[Any],
-                 jobs: int | None = 1) -> list[Any]:
-    """Order-preserving map, fanned out over processes when ``jobs > 1``.
-
-    ``worker`` must be a module-level (picklable) function whose output
-    depends only on its input, so the merge -- keyed by input position --
-    is deterministic for every worker count.
-    """
-    points = list(points)
-    n_jobs = resolve_jobs(jobs)
-    if n_jobs <= 1 or len(points) <= 1:
-        return [worker(point) for point in points]
-    with ProcessPoolExecutor(max_workers=min(n_jobs, len(points))) as pool:
-        return list(pool.map(worker, points))
-
-
-def cached_parallel_map(
-    ctx: ExperimentContext,
-    keys: Sequence[Any],
-    points: Sequence[Any],
-    worker: Callable[[Any], Any],
-) -> list[Any]:
-    """Cached, order-preserving fan-out for auxiliary experiment planes.
-
-    The pull/hybrid drivers sit outside the plain config sweep but obey
-    the same contract -- each point's result is fully determined by its
-    inputs -- so they share its machinery: ``keys[i]`` is the content
-    key for ``points[i]``; cache hits are answered from disk, misses run
-    through :func:`parallel_map` over ``ctx.jobs`` and are stored.
-    """
-    if len(keys) != len(points):
-        raise ConfigurationError(
-            f"cached_parallel_map needs one key per point, "
-            f"got {len(keys)} keys for {len(points)} points"
-        )
-    results: dict[int, Any] = {}
-    miss_positions: list[int] = []
-    for i, key in enumerate(keys):
-        if ctx.cache is not None:
-            hit = ctx.cache.get(key, _EXECUTE_MISS)
-            if hit is not _EXECUTE_MISS:
-                results[i] = hit
-                continue
-        miss_positions.append(i)
-    ctx.count_aux(hits=len(points) - len(miss_positions),
-                  computed=len(miss_positions))
-    computed = parallel_map(
-        worker, [points[i] for i in miss_positions], jobs=ctx.jobs
-    )
-    for i, value in zip(miss_positions, computed):
-        results[i] = value
-        if ctx.cache is not None:
-            ctx.cache.put(keys[i], value)
-    return [results[i] for i in range(len(points))]
-
-
-#: Per-process setup memo for auxiliary-plane workers: the variants of
-#: one experiment share a config, so each process builds its
-#: :class:`~repro.engine.builder.SimulationSetup` once.  Never leaves
-#: the process, so it cannot affect merged output.
-_SHARED_SETUP: tuple[SimulationConfig, Any] | None = None
-
-
-def shared_setup(config: SimulationConfig):
-    """Build (or recall) this process's setup for ``config``."""
-    from repro.engine.builder import build_setup
-
-    global _SHARED_SETUP
-    if _SHARED_SETUP is None or _SHARED_SETUP[0] != config:
-        _SHARED_SETUP = (config, build_setup(config))
-    return _SHARED_SETUP[1]
 
 
 def to_jsonable(obj: Any) -> Any:

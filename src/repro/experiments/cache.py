@@ -31,7 +31,7 @@ import os
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "fingerprint",
     "CacheStats",
     "ResultCache",
-    "cached_compute",
     "default_cache_root",
 ]
 
@@ -50,8 +49,6 @@ CACHE_SCHEMA_VERSION = 1
 
 #: Environment variable overriding the default on-disk cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-_MISS = object()
 
 
 def default_cache_root() -> Path:
@@ -198,10 +195,6 @@ class ResultCache:
         self.stats.hits += 1
         return value
 
-    def contains(self, key: Any) -> bool:
-        """Whether ``key`` has a stored value (no counters touched)."""
-        return self._path(fingerprint(key)).exists()
-
     def put(self, key: Any, value: Any) -> None:
         """Store ``value`` under ``key`` (atomic rename, last write wins)."""
         path = self._path(fingerprint(key))
@@ -211,18 +204,3 @@ class ResultCache:
             pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
         self.stats.writes += 1
-
-    def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
-        """Return the cached value for ``key``, computing and storing on miss."""
-        value = self.get(key, _MISS)
-        if value is _MISS:
-            value = compute()
-            self.put(key, value)
-        return value
-
-
-def cached_compute(cache: ResultCache | None, key: Any, compute: Callable[[], Any]) -> Any:
-    """``cache.get_or_compute`` that tolerates a disabled (``None``) cache."""
-    if cache is None:
-        return compute()
-    return cache.get_or_compute(key, compute)

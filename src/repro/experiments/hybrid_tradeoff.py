@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.engine.config import SimulationConfig
 from repro.engine.hybrid import run_hybrid_simulation
+from repro.engine.sweep import recycled_setup
 from repro.experiments import api
 from repro.experiments.defaults import DEFAULT_THRESHOLDS
 from repro.experiments.runner import ExperimentResult, Series, report
@@ -27,7 +28,7 @@ def _run_hybrid_point(point: tuple[SimulationConfig, float]):
     """Worker entry: one hybrid simulation, deterministic in its inputs."""
     config, threshold = point
     return run_hybrid_simulation(
-        config, threshold_c=threshold, base=api.shared_setup(config)
+        config, threshold_c=threshold, base=recycled_setup(config)
     )
 
 
@@ -49,8 +50,7 @@ def _collect(ctx: api.ExperimentContext, results) -> ExperimentResult:
     config = _config(ctx)
     thresholds = ctx.params["thresholds"]
 
-    hybrids = api.cached_parallel_map(
-        ctx,
+    hybrids = ctx.run(
         keys=[("hybrid", config, threshold) for threshold in thresholds],
         points=[(config, threshold) for threshold in thresholds],
         worker=_run_hybrid_point,

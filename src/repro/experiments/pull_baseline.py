@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from repro.engine.config import SimulationConfig
 from repro.engine.pull import TtrConfig, run_pull_simulation
+from repro.engine.sweep import recycled_setup
 from repro.experiments import api
 from repro.experiments.defaults import DEFAULT_TTRS
 from repro.experiments.runner import ExperimentResult, Series
@@ -33,7 +34,7 @@ __all__ = ["SPEC"]
 def _run_pull_point(point: tuple[SimulationConfig, TtrConfig]):
     """Worker entry: one pull simulation, deterministic in its inputs."""
     config, ttr = point
-    return run_pull_simulation(api.shared_setup(config), ttr)
+    return run_pull_simulation(recycled_setup(config), ttr)
 
 
 def _variants(ctx: api.ExperimentContext) -> list[tuple[str, TtrConfig]]:
@@ -69,8 +70,7 @@ def _collect(ctx: api.ExperimentContext, results) -> ExperimentResult:
     messages: list[float] = [float(push.messages)]
 
     variants = _variants(ctx)
-    pulls = api.cached_parallel_map(
-        ctx,
+    pulls = ctx.run(
         keys=[("pull", config, ttr) for _label, ttr in variants],
         points=[(config, ttr) for _label, ttr in variants],
         worker=_run_pull_point,

@@ -20,7 +20,9 @@ from repro.traces.stats import TraceStats, format_table1, summarize
 __all__ = ["SPEC"]
 
 
-def _compute_stats(n_samples: int, seed: int) -> list[TraceStats]:
+def _compute_stats(point: tuple[int, int]) -> list[TraceStats]:
+    """Worker entry: the six tickers' statistics for ``(n_samples, seed)``."""
+    n_samples, seed = point
     streams = RandomStreams(seed)
     stats = []
     for i, spec in enumerate(PAPER_TICKERS):
@@ -34,12 +36,9 @@ def _plan(ctx: api.ExperimentContext):
 
 
 def _collect(ctx: api.ExperimentContext, results) -> list[TraceStats]:
-    n_samples = ctx.params["n_samples"]
-    seed = ctx.params["seed"]
-    return ctx.cached(
-        ("table1", n_samples, seed),
-        lambda: _compute_stats(n_samples, seed),
-    )
+    point = (ctx.params["n_samples"], ctx.params["seed"])
+    [stats] = ctx.run(keys=[("table1", *point)], points=[point], worker=_compute_stats)
+    return stats
 
 
 def _render(stats: list[TraceStats]) -> str:

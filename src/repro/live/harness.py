@@ -34,6 +34,7 @@ from repro.live.transport import (
     TransportStats,
     make_transport,
 )
+from repro.traces.schedule import UpdateSchedule
 
 __all__ = [
     "LiveNetwork",
@@ -175,29 +176,37 @@ class LiveNetwork:
         same-instant updates replay in exactly the order the simulation
         kernel's FIFO tie-break executes them.
 
+        It is the builder's :class:`~repro.traces.schedule.UpdateSchedule`
+        -- the very timeline both simulation kernels consume -- as tuples.
+
         Args:
             duration: When set, truncate the replay to the first
                 ``duration`` simulated seconds of each trace.
         """
-        schedule: list[tuple[float, int, float]] = []
-        for item_id, trace in self.setup.traces.items():
-            changes = trace.changes()
-            t_end = (
-                float(trace.times[0]) + duration if duration is not None else None
-            )
-            # Index 0 is the priming value everyone already holds.
-            for t, v in zip(changes.times[1:], changes.values[1:]):
-                if t_end is not None and float(t) > t_end:
-                    break
-                schedule.append((float(t), item_id, float(v)))
-        schedule.sort(key=lambda entry: entry[0])
-        return schedule
+        timeline = self._timeline()
+        rows = zip(
+            timeline.times.tolist(), timeline.item_ids.tolist(), timeline.values.tolist()
+        )
+        if duration is None:
+            return list(rows)
+        t_end = {
+            item_id: float(trace.times[0]) + duration
+            for item_id, trace in self.setup.traces.items()
+        }
+        return [row for row in rows if row[0] <= t_end[row[1]]]
 
     def span(self, duration: float | None = None) -> float:
         """The scoring horizon: the longest trace's span, truncated to
         ``duration`` when the replay is."""
-        span = max((trace.span for trace in self.setup.traces.values()), default=0.0)
+        span = self._timeline().span
         return span if duration is None else min(span, duration)
+
+    def _timeline(self) -> UpdateSchedule:
+        # Recomputed only for hand-built setups, as the kernels do.
+        timeline = self.setup.update_schedule
+        if timeline is None:
+            timeline = UpdateSchedule.from_traces(self.setup.traces)
+        return timeline
 
     # -- edge-store port (driven by repro.engine.reconfig) --
 

@@ -89,6 +89,12 @@ def test_reuse_shares_unchanged_pieces(setup):
     assert other.graph is not setup.graph
 
 
+def test_reuse_returns_a_base_built_for_the_same_config(setup):
+    # Setups are read-only, so an exact match is shared whole.
+    assert build_setup(setup.config, base=setup) is setup
+    assert build_setup(setup.config.with_(), base=setup) is setup
+
+
 def test_reuse_rebuilds_interests_on_t_change(setup):
     other = build_setup(setup.config.with_(t_percent=10.0), base=setup)
     assert other.network is setup.network

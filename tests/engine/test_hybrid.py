@@ -1,5 +1,7 @@
 """Tests for the adaptive push-pull hybrid plane split."""
 
+import math
+
 import pytest
 
 from repro.core.interests import InterestProfile
@@ -33,6 +35,11 @@ def test_split_boundary_is_inclusive_for_push():
 def test_split_invalid_threshold():
     with pytest.raises(ConfigurationError):
         split_profiles(profiles(), 0.0)
+    with pytest.raises(ConfigurationError):
+        split_profiles(profiles(), math.nan)
+    # +inf is legal: every subscription pushes.
+    push, pull = split_profiles(profiles(), math.inf)
+    assert set(push) == {1, 2, 3} and not pull
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 """Tests for the pull-based baselines (fixed and adaptive TTR)."""
 
+import math
+
 import pytest
 
 from repro.engine.builder import build_setup
@@ -29,6 +31,13 @@ def test_ttr_config_validation():
         TtrConfig(shrink=1.5)
     with pytest.raises(ConfigurationError):
         TtrConfig(grow=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            TtrConfig(ttr_s=bad)
+    with pytest.raises(ConfigurationError):
+        TtrConfig(grow=math.nan)
+    with pytest.raises(ConfigurationError):
+        TtrConfig(ttr_min_s=1.0, ttr_max_s=math.inf)
 
 
 def test_fixed_pull_produces_result(setup):

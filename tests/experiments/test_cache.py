@@ -22,9 +22,9 @@ TINY = dict(n_items=6, trace_samples=300)
 SUBSET = ["table1", "figure11", "pull_baseline", "hybrid_tradeoff"]
 
 
-def _run_subset(cache):
+def _run_subset(cache, jobs=1):
     return api.run_experiments(
-        SUBSET, preset="tiny", cache=cache, overrides=TINY
+        SUBSET, preset="tiny", jobs=jobs, cache=cache, overrides=TINY
     )
 
 
@@ -102,13 +102,16 @@ def test_result_cache_treats_corruption_as_miss(tmp_path):
     assert cache.get("key", default="fallback") == "fallback"
 
 
-def test_get_or_compute_computes_once(tmp_path):
-    cache = ResultCache(tmp_path)
+def test_context_run_computes_once(tmp_path):
+    ctx = api.ExperimentContext(
+        cache=ResultCache(tmp_path), stats=api.ExecutionStats()
+    )
     calls = []
     for _ in range(2):
-        value = cache.get_or_compute("k", lambda: calls.append(1) or 42)
-    assert value == 42
-    assert calls == [1]
+        values = ctx.run(["k", "k"], [41, 41], lambda p: calls.append(1) or p + 1)
+    assert values == [42, 42]
+    assert calls == [1]  # deduplicated within a run, then a cache hit
+    assert (ctx.stats.aux_computed, ctx.stats.aux_hits) == (1, 1)
 
 
 # ---------------------------------------------------- warm == cold
@@ -175,10 +178,17 @@ def test_cache_does_not_leak_across_different_configs(tmp_path):
 
 
 def test_parallel_and_serial_share_the_cache(tmp_path):
-    """jobs=N and jobs=1 produce (and reuse) identical entries."""
+    """jobs=N and jobs=1 produce (and reuse) identical entries, for
+    sweep points and auxiliary points (pull, hybrid, table1) alike."""
     cache = ResultCache(tmp_path)
-    parallel = _figure11(jobs=2, cache=cache)
+    parallel = _run_subset(cache, jobs=2)
+    assert parallel.stats.simulated == 2  # figure11's two points
+    assert parallel.stats.aux_computed == 10
+    assert parallel.payloads == _run_subset(cache=None).payloads
     before = cache.stats.snapshot()
-    serial = _figure11(jobs=1, cache=cache)
-    assert serial == parallel
-    assert cache.stats.hits - before.hits == 2  # both points answered warm
+    serial = _run_subset(cache, jobs=1)
+    assert serial.payloads == parallel.payloads
+    assert serial.stats.total_simulated == 0
+    assert serial.stats.aux_computed == 0
+    # Every point answered warm.
+    assert cache.stats.hits - before.hits == 2 + 10
