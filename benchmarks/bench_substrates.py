@@ -22,9 +22,9 @@ def bench_kernel_throughput(benchmark):
 
         def chain(n):
             if n:
-                sim.schedule(0.001, chain, n - 1)
+                sim.schedule_at(sim.now + 0.001, chain, n - 1)
 
-        sim.schedule(0.0, chain, 10_000)
+        sim.schedule_at(0.0, chain, 10_000)
         sim.run()
         return sim.events_processed
 

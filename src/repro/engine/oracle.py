@@ -2,7 +2,7 @@
 
 Same simulation as :mod:`repro.engine.simulation` (its module docstring
 states the semantics), written the obvious way: every trace update and
-every in-flight message is one :class:`~repro.sim.events.Event` on a
+every in-flight message is one scheduled callback on a
 :class:`~repro.sim.kernel.Simulator`, a node is a
 :class:`~repro.sim.queueing.FifoStation`, and every (update, dependent)
 pair is one call on a
@@ -73,7 +73,7 @@ class DisseminationSimulation(SimulationBase):
         for graph, root, item_ids in self._reconfig.trees:
             for node in graph.nodes:
                 if node not in self._stations:
-                    self._stations[node] = FifoStation(name=f"node{node}")
+                    self._stations[node] = FifoStation()
             for item_id in item_ids:
                 initial = setup.traces[item_id].initial_value
                 for node, state in graph.nodes.items():
@@ -234,7 +234,7 @@ class DisseminationSimulation(SimulationBase):
     ) -> None:
         for node in (parent, child):
             if node not in self._stations:
-                self._stations[node] = FifoStation(name=f"node{node}")
+                self._stations[node] = FifoStation()
         self._receive_c[(child, item_id)] = c
         self._children.setdefault((parent, item_id), []).append((child, c))
         self.policy.register_edge(parent, child, item_id, c, initial)

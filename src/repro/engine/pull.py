@@ -68,7 +68,7 @@ class TtrConfig:
             )
         for name in ("ttr_s", "ttr_min_s", "ttr_max_s", "shrink", "grow"):
             # NaN passes the one-sided checks below, and a non-finite
-            # TTR schedules a poll the event queue refuses mid-run.
+            # TTR schedules a poll the simulator refuses mid-run.
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(
                     f"{name} must be finite, got {getattr(self, name)!r}"
@@ -100,7 +100,7 @@ class PullSimulation:
         self.ttr = ttr
         self.kernel = Simulator()
         self.counters = CostCounters()
-        self._source_station = FifoStation(name="source")
+        self._source_station = FifoStation()
         self._comp_delay_s = setup.config.comp_delay_ms / 1000.0
         self._deliveries: dict[tuple[int, int], list[tuple[float, float]]] = {}
         self._current_ttr: dict[tuple[int, int], float] = {}

@@ -30,9 +30,9 @@ deliveries + drops`` exact, the same invariants the single-process
 transports end with.
 
 The fleet runs static membership on a reliable local wire: churn,
-failure schedules, adaptive re-optimization and seeded message loss
-are all rejected up front rather than silently diverging from the
-engine's semantics for them.
+failure schedules, adaptive re-optimization, seeded message loss and
+modeled clients are all rejected up front rather than silently
+diverging from the engine's semantics for them.
 """
 
 from __future__ import annotations
@@ -52,7 +52,11 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.fleet.quiescence import QuiescenceDetector, Snapshot, residual
 from repro.fleet.sharding import check_worker_count
 from repro.fleet.worker import FleetSpec, WorkerReport, worker_main
-from repro.live.harness import LiveRunResult
+from repro.live.harness import (
+    LiveRunResult,
+    check_duration,
+    refuse_modeled_clients,
+)
 from repro.live.loadgen import LoadgenReport, client_reports, generate_clients
 from repro.live.wire import QUIESCE_TIMEOUT_S, reconcile, wall_factor
 from repro.obs.logsetup import get_logger
@@ -154,7 +158,9 @@ def merge_reports(
     )
 
 
-def _validate(config: SimulationConfig) -> None:
+def _validate(config: SimulationConfig, duration: float | None) -> None:
+    check_duration(duration)
+    refuse_modeled_clients(config)
     if config.churn is not None:
         raise ConfigurationError(
             "the fleet runs static membership; strip the churn schedule"
@@ -354,7 +360,8 @@ def run_fleet(
 
     Args:
         config: The run's full parameterisation; must be churn-,
-            failure-, adaptive- and loss-free (see module docstring).
+            failure-, adaptive-, loss- and modeled-client-free (see
+            module docstring).
         workers: Worker process count (1 is a degenerate all-local
             fleet, handy for debugging).
         duration: Optional replay truncation, as in ``run_live``.
@@ -382,7 +389,7 @@ def run_fleet(
         ConfigurationError: on unsupported configs or worker counts.
         SimulationError: when a worker crashes or stops responding.
     """
-    _validate(config)
+    _validate(config, duration)
     # Every worker builds the setup and plans the shards; the supervisor
     # needs neither, only to refuse a fleet no plan can fill.
     check_worker_count(workers, config.n_repositories + 1)

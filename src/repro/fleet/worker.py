@@ -368,7 +368,7 @@ class _Shard(WireRuntime):
 
     def _finish_session(self, key: tuple[int, int], session: ChildSession) -> None:
         repo = self.network.repositories[key[0]]
-        now = self.due.now()
+        now = self.due.wall_now()
         for item_id, seq, value in session.missing:
             if seq > repo.seqs.get(item_id, 0):
                 repo.seqs[item_id] = seq

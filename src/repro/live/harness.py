@@ -40,6 +40,8 @@ __all__ = [
     "LiveNetwork",
     "LiveRunResult",
     "build_live_network",
+    "check_duration",
+    "refuse_modeled_clients",
     "run_live",
 ]
 
@@ -257,6 +259,31 @@ class LiveNetwork:
         return dict(self.counters.per_node_messages)
 
 
+def check_duration(duration: float | None) -> None:
+    """Refuse a replay truncation that is not a positive number.
+
+    Raises:
+        ConfigurationError: when ``duration`` is zero, negative or NaN.
+    """
+    if duration is not None and not duration > 0:
+        raise ConfigurationError(f"duration must be positive, got {duration!r}")
+
+
+def refuse_modeled_clients(config: SimulationConfig) -> None:
+    """The live planes run no modeled-client plane; refuse a config that
+    asks for one rather than silently dropping it.
+
+    Raises:
+        ConfigurationError: when ``config.clients_per_repository > 0``.
+    """
+    if config.clients_per_repository > 0:
+        raise ConfigurationError(
+            "the live planes do not run modeled clients "
+            f"(clients_per_repository={config.clients_per_repository}); set it "
+            "to 0 and attach clients with `live loadgen` or `fleet loadgen`"
+        )
+
+
 def _client_node_base(setup: SimulationSetup) -> int:
     """First transport node id free for clients (above the topology)."""
     return setup.network.topology.n_nodes
@@ -294,9 +321,11 @@ def build_live_network(
             shares one build across population generation and the run).
 
     Raises:
-        ConfigurationError: on clients attached to unknown repositories
-            or wanting unknown items.
+        ConfigurationError: on modeled clients
+            (``config.clients_per_repository > 0``), or on clients
+            attached to unknown repositories or wanting unknown items.
     """
+    refuse_modeled_clients(config)
     if setup is None:
         setup = build_setup(config)
     counters = CostCounters()
@@ -448,8 +477,7 @@ def run_live(
             ``network`` is given).
         network: Optional prebuilt network for exactly this config.
     """
-    if duration is not None and duration <= 0:
-        raise ConfigurationError(f"duration must be positive, got {duration!r}")
+    check_duration(duration)
     if config.adaptive is not None and transport != InProcessTransport.name:
         raise ConfigurationError(
             "adaptive re-optimization needs virtual-time counter "

@@ -72,7 +72,7 @@ class _ForwardingNode:
         self.node = node
         self.comp_delay_s = comp_delay_s
         self.counters = counters
-        self.station = FifoStation(name=f"live-node{node}")
+        self.station = FifoStation()
         #: item_id -> service edges, in ``d3g`` child order.
         self.edges: dict[int, list[Edge]] = {}
         #: Client-plane messages sent (kept out of ``counters``).

@@ -5,10 +5,11 @@ fleet worker (:mod:`repro.fleet.worker`) run one data path; this module
 states it once, and a driver swaps two operations -- where a
 destination lives and which clock releases the due queue:
 
-- :class:`DueQueue` -- the one heap of control events, source updates
-  and deliveries, keyed by simulated due time and released in the engine
-  kernel's tie-break order, against the wall clock (:meth:`DueQueue.run`)
-  or on a virtual one (:meth:`DueQueue.drain`);
+- :class:`DueQueue` -- the simulator's callback heap
+  (:class:`~repro.sim.kernel.Simulator`) holding control events, source
+  updates and deliveries, keyed by simulated due time and released in
+  ``(due, push order)``, against the wall clock (:meth:`DueQueue.run`)
+  or on the simulator's virtual one (:meth:`DueQueue.drain`);
 - :class:`SendQueue` and :class:`Link` -- an outbound connection behind
   high-watermark backpressure: handshake, pump (whose unit of I/O is
   what is queued right now, not one frame), heartbeat, reconnect, close;
@@ -77,6 +78,7 @@ from repro.live.protocol import (
     encode_message,
     encode_rows,
 )
+from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness imports transport)
@@ -139,41 +141,45 @@ def reconcile(sent: int, delivered: int, dropped: int, counters: CostCounters) -
     return sent - delivered
 
 
-class DueQueue:
-    """Actions keyed by simulated due time, released by one of two clocks.
+class DueQueue(Simulator):
+    """The callback heap with a wall clock beside its virtual one.
 
     A plain FIFO would let one long-delay frame head-of-line-block
-    frames due sooner; the heap releases each at its own due time, with
-    a push counter breaking ties (per-edge FIFO preserved), in the same
-    order against the wall clock (:meth:`run`) and on a virtual clock
-    that jumps from one due time to the next (:meth:`drain`).
+    frames due sooner; the heap releases each action at its own due
+    time, ties in push order (per-edge FIFO preserved).  Heap, push
+    counter, guard and virtual clock are :class:`~repro.sim.kernel.
+    Simulator`'s: :meth:`push` is ``schedule_at`` and :meth:`drain` is
+    its ``run``, which jumps from one due time to the next.  The
+    virtual clock starts at ``-inf`` and only :meth:`drain` moves it;
+    :meth:`run` releases the same heap in the same order against the
+    wall clock and never moves it, so a frame that lands late is due in
+    the past and simply released at once.
 
     Actions are plain calls.  The one thing a producer ever waits for
     is a send queue at its high watermark, and the waiting happens in
     :meth:`run`, between actions: one that fills a queue names it
     (:meth:`hold`), and nothing further is released until that queue's
     pump has taken the backlog -- producers stall as a group, and a
-    queue overshoots by at most what one action emits.
+    queue overshoots by at most what one action emits.  The loop sees
+    an action's own pushes when the action returns; a push from another
+    task must :meth:`wake` it.
     """
 
+    push = Simulator.schedule_at
+    drain = Simulator.run
+
     def __init__(self, time_scale: float = 1.0) -> None:
+        super().__init__()
+        self.now = -inf
         #: Simulated seconds per wall second.
         self.time_scale = time_scale
         #: ``time.monotonic()`` reading that is simulated time zero; the
         #: driver sets it before :meth:`run` (fleet workers share one).
         self.epoch = 0.0
-        #: The virtual clock: the due time :meth:`drain` released last
-        #: (:meth:`run` never moves it: a late frame is due in the past).
-        self.released = -inf
-        self._heap: list[tuple[float, int, Callable, tuple]] = []
-        self._order = itertools.count()
         self._wakeup = asyncio.Event()
         self._held: set[SendQueue] = set()
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def now(self) -> float:
+    def wall_now(self) -> float:
         """The wall clock read in simulated seconds."""
         return (time.monotonic() - self.epoch) * self.time_scale
 
@@ -181,38 +187,21 @@ class DueQueue:
         """The furthest due time queued (0 when empty)."""
         return max((entry[0] for entry in self._heap), default=0.0)
 
-    def push(self, due_s: float, action: Callable, *args) -> None:
-        """Queue ``action(*args)`` for simulated time ``due_s``.
-
-        Raises:
-            SimulationError: if ``due_s`` is NaN or earlier than the
-                virtual clock (the engine kernel's guard).
-        """
-        if not due_s >= self.released:
-            raise SimulationError(
-                f"cannot schedule at {due_s!r}: clock is already at {self.released!r}"
-            )
-        heapq.heappush(self._heap, (due_s, next(self._order), action, args))
+    def wake(self) -> None:
+        """Have :meth:`run` look at the heap again (a push from another
+        task may be due sooner than what it sleeps toward)."""
         self._wakeup.set()
 
     def hold(self, queue: "SendQueue") -> None:
         """Release no further action until ``queue``'s backlog is taken."""
         self._held.add(queue)
 
-    def drain(self) -> None:
-        """Release every action in ``(due, push order)`` on the virtual
-        clock: no sleep, no event loop, no link to wait for."""
-        heap, heappop = self._heap, heapq.heappop
-        while heap:
-            self.released, _order, action, args = heappop(heap)
-            action(*args)
-
     async def run(self) -> None:
         """Release actions in ``(due, push order)`` against the wall
         clock until cancelled."""
         heap, wakeup, held = self._heap, self._wakeup, self._held
         while True:
-            delay = None  # empty: sleep until the first push
+            delay = None  # empty: sleep until the first wake
             if heap:
                 delay = self.epoch + heap[0][0] / self.time_scale - time.monotonic()
             if delay is None or delay > 0:
@@ -224,7 +213,7 @@ class DueQueue:
                 except (TimeoutError, asyncio.TimeoutError):
                     pass
                 continue  # re-evaluate the heap top either way
-            _due, _order, action, args = heapq.heappop(heap)
+            _due, _seq, action, args = heapq.heappop(heap)
             action(*args)
             while held:
                 await held.pop().writable()
@@ -690,6 +679,7 @@ class WireRuntime:
             push(t, self._source_update, t, item_id, value)
         if then is not None:
             push(self.due.latest(), then)
+        self.due.wake()
 
     def start(self, epoch: float) -> None:
         """Start releasing the due queue against ``epoch``."""
@@ -773,7 +763,9 @@ class WireRuntime:
             self.on_control_frame(message)
             return
         # The record fixes each field's type; what it cannot state is
-        # checked here, per row, so the rows ahead of a bad one queue.
+        # checked here, per row, so the rows ahead of a bad one queue
+        # (and the due loop, woken first, sees them even then).
+        self.due.wake()
         push, deliver, hosted = self.due.push, self.deliver, self.hosted
         for row in message.rows:
             if row[0] not in hosted:

@@ -1,22 +1,23 @@
 """The discrete-event simulators.
 
-A :class:`Simulator` owns a clock and an :class:`~repro.sim.events.EventQueue`
-and runs callbacks in simulated-time order.  It is deliberately minimal:
-the reference engine in :mod:`repro.engine.oracle` schedules plain
-callbacks rather than using coroutine processes, which keeps the hot loop
-fast enough for the paper-scale experiments.
+:class:`Simulator` is the one callback heap: ``(time, seq, callback,
+args)`` tuples on a plain :mod:`heapq` list, released in ``(time, push
+order)`` -- ``seq`` is unique, so the heap orders entries in C and never
+compares two callbacks.  The reference engine in
+:mod:`repro.engine.oracle` and the pull baseline in
+:mod:`repro.engine.pull` schedule plain callbacks on it, and the live
+planes' due queue, :class:`repro.live.wire.DueQueue`, is the same heap
+with a wall clock beside the virtual one (its virtual clock is what the
+in-process transport runs on).
 
 :class:`BatchKernel` is the object-free sibling used by the engine
-(:mod:`repro.engine.simulation`): no :class:`~repro.sim.events.
-Event` object and no callback dispatch per message, just one merge of
-the run's pre-sorted source-update schedule with a plain tuple heap of
-in-flight deliveries, in the scalar kernel's exact ``(time, seq)``
+(:mod:`repro.engine.simulation`): no callback dispatch per message,
+just one merge of the run's pre-sorted source-update schedule with a
+plain tuple heap of in-flight deliveries, in the same ``(time, seq)``
 order.  It is a merge and nothing more -- the engine's loop owns the
-work per unit and pushes onto the kernel's heap itself.
-
-The live planes keep the same order and the same push guard on their
-own heap, :class:`repro.live.wire.DueQueue`, whose virtual clock
-(``drain()``) is what the in-process transport runs on.
+work per unit and pushes onto the kernel's heap itself.  It is kept
+apart on purpose: the oracle-vs-engine goldens compare two independent
+implementations of the order.
 """
 
 from __future__ import annotations
@@ -28,75 +29,45 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventQueue
 
 __all__ = ["Simulator", "BatchKernel"]
 
 
 class Simulator:
-    """Runs events in non-decreasing simulated-time order.
+    """Runs callbacks in ``(time, push order)``; the clock never runs
+    backwards.
 
-    The clock only moves when events fire; it never runs backwards.
+    Attributes:
+        now: Current simulated time in seconds: the time of the callback
+            released last.
+        events_processed: Callbacks released so far.
     """
 
     def __init__(self) -> None:
-        self._queue = EventQueue()
-        self._now = 0.0
-        self._events_processed = 0
+        self.now = 0.0
+        self.events_processed = 0
+        self._heap: list[tuple[float, int, Callable[..., Any], tuple]] = []
+        self._seq = itertools.count().__next__
         self._running = False
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+    def __len__(self) -> int:
+        return len(self._heap)
 
-    @property
-    def events_processed(self) -> int:
-        """Number of events executed so far."""
-        return self._events_processed
-
-    @property
-    def pending(self) -> int:
-        """Number of live events still scheduled."""
-        return len(self._queue)
-
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now.
-
-        Raises:
-            SimulationError: if ``delay`` is negative or NaN.
-        """
-        if delay != delay or delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay!r}")
-        return self._queue.push(self._now + delay, callback, *args)
-
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute simulated ``time``.
 
         Raises:
-            SimulationError: if ``time`` is in the simulated past.
+            SimulationError: if ``time`` is NaN or in the simulated past.
         """
-        if time < self._now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule at {time!r}: clock is already at {self._now!r}"
+                f"cannot schedule at {time!r}: clock is already at {self.now!r}"
             )
-        return self._queue.push(time, callback, *args)
+        heapq.heappush(self._heap, (time, self._seq(), callback, args))
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (idempotent)."""
-        self._queue.cancel(event)
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Run events until the queue drains, ``until`` passes, or a budget.
-
-        Args:
-            until: Stop (with the clock advanced to ``until``) once the next
-                event would fire strictly after this time.
-            max_events: Optional hard cap on events executed by this call;
-                a guard against runaway schedules in tests.
-
-        Returns:
-            The number of events executed by this call.
+    def run(self) -> None:
+        """Release callbacks until the heap is empty, callbacks scheduled
+        while it runs included, moving the clock to each one's time.
 
         Raises:
             SimulationError: on re-entrant ``run`` calls.
@@ -104,32 +75,16 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
         self._running = True
-        executed = 0
+        heap, heappop = self._heap, heapq.heappop
+        released = 0
         try:
-            while self._queue:
-                next_time = self._queue.peek_time()
-                if until is not None and next_time > until:
-                    self._now = max(self._now, until)
-                    break
-                if max_events is not None and executed >= max_events:
-                    break
-                event = self._queue.pop()
-                self._now = event.time
-                event.callback(*event.args)
-                executed += 1
-                self._events_processed += 1
-            else:
-                if until is not None:
-                    self._now = max(self._now, until)
+            while heap:
+                self.now, _seq, callback, args = heappop(heap)
+                callback(*args)
+                released += 1
         finally:
+            self.events_processed += released
             self._running = False
-        return executed
-
-    def reset(self) -> None:
-        """Clear all pending events and rewind the clock to zero."""
-        self._queue.clear()
-        self._now = 0.0
-        self._events_processed = 0
 
 
 class BatchKernel:

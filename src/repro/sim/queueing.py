@@ -29,8 +29,7 @@ class FifoStation:
     their own follow-up events on the kernel.
     """
 
-    def __init__(self, name: str = "") -> None:
-        self.name = name
+    def __init__(self) -> None:
         self._busy_until = 0.0
         self._jobs_served = 0
         self._busy_time = 0.0
@@ -61,11 +60,11 @@ class FifoStation:
             The simulated time at which the job finishes service.
 
         Raises:
-            SimulationError: on negative arrival or service times.
+            SimulationError: on negative or NaN arrival or service times.
         """
-        if arrival < 0:
+        if not arrival >= 0:
             raise SimulationError(f"arrival must be non-negative, got {arrival!r}")
-        if service_time < 0:
+        if not service_time >= 0:
             raise SimulationError(
                 f"service_time must be non-negative, got {service_time!r}"
             )
@@ -75,21 +74,3 @@ class FifoStation:
         self._jobs_served += 1
         self._busy_time += service_time
         return completion
-
-    def queue_delay(self, arrival: float) -> float:
-        """Waiting time a job arriving now would spend before service."""
-        backlog = self._busy_until - arrival
-        return backlog if backlog > 0 else 0.0
-
-    def utilisation(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` the server spent busy."""
-        if horizon <= 0:
-            return 0.0
-        ratio = self._busy_time / horizon
-        return ratio if ratio < 1.0 else 1.0
-
-    def reset(self) -> None:
-        """Forget all queueing state."""
-        self._busy_until = 0.0
-        self._jobs_served = 0
-        self._busy_time = 0.0

@@ -6,6 +6,7 @@ cross-process conservation and fidelity invariants, not statistics.
 """
 
 import logging
+import math
 import multiprocessing
 import socket
 import threading
@@ -133,6 +134,26 @@ def test_fleet_rejects_unsupported_configs():
         run_fleet(CONFIG, workers=CONFIG.n_repositories + 2)
     with pytest.raises(ConfigurationError, match="n_workers must be >= 1"):
         run_fleet(CONFIG, workers=0)
+    for bad in (-1.0, 0.0, math.nan):
+        with pytest.raises(ConfigurationError, match="duration must be positive"):
+            run_fleet(CONFIG, workers=2, duration=bad)
+    assert multiprocessing.active_children() == []  # refused before any spawn
+
+
+@pytest.mark.parametrize(
+    "plane",
+    [
+        lambda config: run_live(config, "inprocess"),
+        lambda config: run_live(config, "tcp"),
+        lambda config: run_fleet(config, workers=2),
+    ],
+    ids=["inprocess", "tcp", "fleet"],
+)
+def test_live_planes_refuse_modeled_clients(plane):
+    """No live plane runs the modeled-client plane; dropping it silently
+    would report zero client checks where the simulation counts them."""
+    with pytest.raises(ConfigurationError, match="live loadgen"):
+        plane(CONFIG.with_(clients_per_repository=5))
     assert multiprocessing.active_children() == []  # refused before any spawn
 
 

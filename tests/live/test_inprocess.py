@@ -1,5 +1,7 @@
 """The deterministic in-process live network vs the simulator."""
 
+import math
+
 import pytest
 
 from repro.core.dissemination.filtering import EdgeFilter
@@ -12,7 +14,7 @@ from repro.engine.simulation import run_simulation
 from repro.errors import ConfigurationError
 from repro.experiments.cache import fingerprint
 from repro.experiments.live_crosscheck import ADAPTIVE_BASE
-from repro.live.harness import build_live_network, run_live
+from repro.live.harness import build_live_network, check_duration, run_live
 from repro.live.loadgen import generate_clients
 from repro.live.nodes import RepositoryNode
 from repro.errors import SimulationError
@@ -261,8 +263,22 @@ def test_crash_update_and_delivery_at_one_instant_apply_in_engine_order(policy, 
 def test_live_rejects_unknown_transport_and_bad_duration():
     with pytest.raises(ConfigurationError):
         run_live(CONFIG, "carrier-pigeon")
-    with pytest.raises(ConfigurationError):
-        run_live(CONFIG, duration=-1.0)
+    for bad in (-1.0, 0.0, math.nan):
+        with pytest.raises(ConfigurationError, match="duration must be positive"):
+            run_live(CONFIG, duration=bad)
+
+
+@pytest.mark.parametrize("bad", [-math.inf, -1.0, 0.0, math.nan])
+def test_check_duration_refuses_what_is_not_positive(bad):
+    # The one check both live planes call: "not > 0", so NaN is refused
+    # too, where "<= 0" would let it through.
+    with pytest.raises(ConfigurationError, match="duration must be positive"):
+        check_duration(bad)
+
+
+def test_check_duration_accepts_no_truncation_and_any_positive_span():
+    for good in (None, 1e-9, 30.0):
+        check_duration(good)
 
 
 def test_inprocess_transport_cannot_leak(monkeypatch):

@@ -1,6 +1,7 @@
 """The shared socket runtime's pieces, driven directly over localhost."""
 
 import asyncio
+import math
 import socket
 import struct
 import time
@@ -99,13 +100,14 @@ def test_due_queue_wakes_early_for_an_earlier_action():
         released = []
 
         def note(tag):
-            released.append((tag, due.now()))
+            released.append((tag, due.wall_now()))
 
         due.epoch = time.monotonic()
         due.push(30.0, note, "far")  # half a minute out: the loop sleeps on it
         task = asyncio.create_task(due.run())
         await asyncio.sleep(0.02)
         due.push(0.05, note, "near")
+        due.wake()  # pushed from outside the loop's own actions
         await until(lambda: released)
         task.cancel()
         await asyncio.gather(task, return_exceptions=True)
@@ -118,6 +120,64 @@ def test_due_queue_wakes_early_for_an_earlier_action():
 
 
 # ---- Link + FrameServer ----
+
+
+def test_due_queue_wall_run_never_moves_the_virtual_clock():
+    async def scenario():
+        due = wire.DueQueue(time_scale=1000.0)
+        assert due.now == -math.inf and due.latest() == 0.0
+        released = []
+        due.push(5.0, released.append, "on the wall clock")
+        due.epoch = time.monotonic()
+        task = asyncio.create_task(due.run())
+        await until(lambda: released)
+        task.cancel()
+        await asyncio.gather(task, return_exceptions=True)
+        return due
+
+    due = run(scenario())
+    assert due.now == -math.inf and due.events_processed == 0
+    due.push(-1.0, print)  # so a frame due before 5.0 is still accepted
+    due.drain()  # only the virtual drain moves the clock
+    assert due.now == -1.0 and due.events_processed == 1
+
+
+def test_due_queue_wall_now_reads_simulated_seconds_since_the_epoch():
+    due = wire.DueQueue(time_scale=10.0)
+    due.epoch = time.monotonic() - 2.0
+    assert 20.0 <= due.wall_now() < 30.0
+
+
+def test_an_inbound_frame_wakes_the_due_loop():
+    async def scenario():
+        runtime = one_link_runtime()
+        delivered = []
+        runtime.deliver = delivered.append
+        runtime.start(time.monotonic())
+        await asyncio.sleep(0.02)  # the loop now sleeps until a wake
+        row = (min(runtime.hosted), 0.0, 0, 1.0, None, 1, 0)
+        runtime._on_frame(Forwards([row]))
+        await until(lambda: delivered, timeout=2.0)
+        await runtime.close()
+        return delivered, row
+
+    delivered, row = run(scenario())
+    assert delivered == [row]
+
+
+def test_schedule_replay_wakes_the_due_loop():
+    async def scenario():
+        runtime = one_link_runtime()
+        runtime.control = runtime._source_update = lambda *args: None
+        done = []
+        runtime.start(time.monotonic())
+        await asyncio.sleep(0.02)  # the loop now sleeps until a wake
+        runtime.schedule_replay(None, then=lambda: done.append(runtime.due.wall_now()))
+        await until(lambda: done, timeout=2.0)
+        await runtime.close()
+        return done
+
+    assert len(run(scenario())) == 1
 
 
 def test_link_reconnects_with_a_bumped_generation_after_sever():
@@ -367,12 +427,14 @@ def test_a_dead_link_under_a_stall_reports_the_eaten_write_in_order(monkeypatch)
         )
         runtime.start(time.monotonic())
         runtime.due.push(0.0, runtime.dispatch, [frame(0)], 0.0)
+        runtime.due.wake()
         await until(lambda: len(frames) == 1)
         await server.close()  # nobody listens there any more ...
         link.sever()  # ... and the connection under the link is gone
         eaten = [frame(seq) for seq in range(1, wire.QUEUE_HIGH + 1)]
         runtime.due.push(0.0, runtime.dispatch, eaten, 0.0)
         runtime.due.push(0.0, released.append, "next")
+        runtime.due.wake()
         await until(lambda: released and len(dropped) >= len(eaten))
         await runtime.close()
         return dropped, eaten, link, runtime.stats

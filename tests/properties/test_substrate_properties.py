@@ -6,13 +6,10 @@ from heapq import heappush
 
 import hypothesis.strategies as st
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
 from repro.core.fidelity import violation_time
-from repro.errors import SimulationError
-from repro.sim.events import EventQueue
-from repro.sim.kernel import BatchKernel
+from repro.sim.kernel import BatchKernel, Simulator
 from repro.sim.queueing import FifoStation
 
 
@@ -24,17 +21,15 @@ from repro.sim.queueing import FifoStation
     )
 )
 @settings(max_examples=200, deadline=None)
-def test_event_queue_pops_sorted_and_stable(times):
-    q = EventQueue()
+def test_simulator_releases_sorted_and_stable(times):
+    sim = Simulator()
+    released = []
     for i, t in enumerate(times):
-        q.push(t, lambda: None, i)
-    popped = [q.pop() for _ in range(len(times))]
-    # Sorted by time...
-    assert all(a.time <= b.time for a, b in zip(popped, popped[1:]))
-    # ...and stable within equal times.
-    for a, b in zip(popped, popped[1:]):
-        if a.time == b.time:
-            assert a.seq < b.seq
+        sim.schedule_at(t, lambda i, t: released.append((t, i)), i, t)
+    sim.run()
+    # Sorted by time, stable within equal times: by (time, push order).
+    assert released == sorted((t, i) for i, t in enumerate(times))
+    assert sim.events_processed == len(times) and sim.now == max(times)
 
 
 # A coarse time grid, so static/dynamic and dynamic/dynamic ties are the
@@ -83,15 +78,6 @@ def test_batch_kernel_merges_both_entry_points_in_time_fifo_order(static, script
             pending.append((t, 1, enqueued))
             enqueued += 1
     assert not pending
-
-
-@pytest.mark.parametrize("bad", [float("nan"), 4.0])
-def test_batch_kernel_push_refuses_nan_and_the_past(bad):
-    kernel = BatchKernel(np.array([5.0]))
-    assert next(kernel.drain()) == 0 and kernel.now == 5.0
-    with pytest.raises(SimulationError, match="cannot schedule"):
-        kernel.push(bad, "payload")
-    assert not kernel.heap
 
 
 @given(

@@ -1,48 +1,34 @@
-"""Unit tests for the discrete-event simulator."""
+"""Unit tests for the callback heap and the guard every scheduler shares."""
 
+import math
+import time
+
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.kernel import Simulator
+from repro.live.wire import DueQueue
+from repro.sim.kernel import BatchKernel, Simulator
 
 
 def test_clock_starts_at_zero():
     sim = Simulator()
     assert sim.now == 0.0
     assert sim.events_processed == 0
-    assert sim.pending == 0
+    assert len(sim) == 0
 
 
 def test_run_executes_in_time_order():
     sim = Simulator()
     fired = []
-    sim.schedule(3.0, fired.append, 3)
-    sim.schedule(1.0, fired.append, 1)
-    sim.schedule(2.0, fired.append, 2)
-    executed = sim.run()
-    assert executed == 3
+    sim.schedule_at(3.0, fired.append, 3)
+    sim.schedule_at(1.0, fired.append, 1)
+    sim.schedule_at(2.0, fired.append, 2)
+    assert len(sim) == 3
+    sim.run()
     assert fired == [1, 2, 3]
     assert sim.now == 3.0
-
-
-def test_schedule_negative_delay_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule(-1.0, lambda: None)
-
-
-def test_schedule_nan_delay_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule(float("nan"), lambda: None)
-
-
-def test_schedule_at_past_rejected():
-    sim = Simulator()
-    sim.schedule(5.0, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.schedule_at(1.0, lambda: None)
+    assert sim.events_processed == 3 and len(sim) == 0
 
 
 def test_events_can_schedule_more_events():
@@ -52,40 +38,12 @@ def test_events_can_schedule_more_events():
     def chain(n):
         fired.append(n)
         if n < 5:
-            sim.schedule(1.0, chain, n + 1)
+            sim.schedule_at(sim.now + 1.0, chain, n + 1)
 
-    sim.schedule(0.0, chain, 0)
+    sim.schedule_at(0.0, chain, 0)
     sim.run()
     assert fired == [0, 1, 2, 3, 4, 5]
     assert sim.now == 5.0
-
-
-def test_run_until_stops_before_later_events():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, "a")
-    sim.schedule(10.0, fired.append, "b")
-    sim.run(until=5.0)
-    assert fired == ["a"]
-    assert sim.now == 5.0
-    assert sim.pending == 1
-    sim.run()
-    assert fired == ["a", "b"]
-
-
-def test_run_until_with_empty_queue_advances_clock():
-    sim = Simulator()
-    sim.run(until=7.0)
-    assert sim.now == 7.0
-
-
-def test_run_max_events_budget():
-    sim = Simulator()
-    for i in range(10):
-        sim.schedule(float(i), lambda: None)
-    executed = sim.run(max_events=4)
-    assert executed == 4
-    assert sim.pending == 6
 
 
 def test_run_is_not_reentrant():
@@ -98,62 +56,27 @@ def test_run_is_not_reentrant():
         except SimulationError as exc:
             errors.append(exc)
 
-    sim.schedule(1.0, recurse)
+    sim.schedule_at(1.0, recurse)
     sim.run()
     assert len(errors) == 1
 
 
-def test_cancel_prevents_execution():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(1.0, fired.append, "x")
-    sim.cancel(event)
-    sim.run()
-    assert fired == []
-
-
 def test_events_processed_accumulates_across_runs():
     sim = Simulator()
-    sim.schedule(1.0, lambda: None)
+    sim.schedule_at(1.0, lambda: None)
     sim.run()
-    sim.schedule(1.0, lambda: None)
+    sim.schedule_at(1.0, lambda: None)
     sim.run()
     assert sim.events_processed == 2
-
-
-def test_reset_rewinds_everything():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    sim.schedule(5.0, lambda: None)
-    sim.reset()
-    assert sim.now == 0.0
-    assert sim.pending == 0
-    assert sim.events_processed == 0
 
 
 def test_same_time_events_fire_in_schedule_order():
     sim = Simulator()
     fired = []
     for i in range(5):
-        sim.schedule(1.0, fired.append, i)
+        sim.schedule_at(1.0, fired.append, i)
     sim.run()
     assert fired == [0, 1, 2, 3, 4]
-
-
-def test_tie_break_is_fifo_across_schedule_and_schedule_at():
-    """Identical timestamps fire in submission order regardless of how
-    they were submitted -- the determinism the sweep-merge layer relies
-    on (a config's event order, hence its result, never depends on
-    incidental heap layout)."""
-    sim = Simulator()
-    fired = []
-    sim.schedule_at(2.0, fired.append, "at-first")
-    sim.schedule(2.0, fired.append, "delay-second")
-    sim.schedule_at(2.0, fired.append, "at-third")
-    sim.schedule_at(1.0, fired.append, "earlier")
-    sim.run()
-    assert fired == ["earlier", "at-first", "delay-second", "at-third"]
 
 
 def test_tie_break_is_fifo_for_events_scheduled_mid_callback():
@@ -166,7 +89,7 @@ def test_tie_break_is_fifo_for_events_scheduled_mid_callback():
         fired.append(label)
         if label == "a":
             # Same timestamp as the already-queued "b" and "c".
-            sim.schedule(0.0, fired.append, "a-child")
+            sim.schedule_at(sim.now, fired.append, "a-child")
 
     sim.schedule_at(1.0, cascade, "a")
     sim.schedule_at(1.0, cascade, "b")
@@ -175,13 +98,99 @@ def test_tie_break_is_fifo_for_events_scheduled_mid_callback():
     assert fired == ["a", "b", "c", "a-child"]
 
 
-def test_tie_break_survives_interleaved_cancellation():
-    """Cancelling one of several same-time events leaves the remaining
-    submission order intact (lazy deletion must not reorder the heap)."""
+def test_run_on_an_empty_heap_leaves_the_clock():
+    sim = Simulator()
+    sim.schedule_at(2.0, lambda: None)
+    sim.run()
+    sim.run()
+    assert sim.now == 2.0 and sim.events_processed == 1
+
+
+def test_len_counts_callbacks_not_yet_released():
+    sim = Simulator()
+    seen = []
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule_at(t, lambda: seen.append(len(sim)))
+    sim.run()
+    assert seen == [2, 1, 0]  # a callback is off the heap when it runs
+
+
+def test_a_raising_callback_stops_the_run_and_leaves_the_rest_queued():
     sim = Simulator()
     fired = []
-    events = [sim.schedule(1.0, fired.append, i) for i in range(6)]
-    sim.cancel(events[1])
-    sim.cancel(events[4])
-    sim.run()
-    assert fired == [0, 2, 3, 5]
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.schedule_at(1.0, fired.append, 1)
+    sim.schedule_at(2.0, boom)
+    sim.schedule_at(3.0, fired.append, 3)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    # The clock stands at the failed callback; only completed ones count.
+    assert fired == [1] and sim.now == 2.0
+    assert sim.events_processed == 1 and len(sim) == 1
+    sim.run()  # not left marked as running
+    assert fired == [1, 3] and sim.events_processed == 2
+
+
+# ---- the push guard, on every scheduler ----
+#
+# Each factory returns ``(push(time), queued())`` for a fresh scheduler
+# whose clock has released one unit at ``clock`` (``None``: never run).
+
+
+def _simulator(clock):
+    sim = Simulator()
+    if clock is not None:
+        sim.schedule_at(clock, lambda: None)
+        sim.run()
+    return lambda t: sim.schedule_at(t, lambda: None), lambda: len(sim)
+
+
+def _batch_kernel(clock):
+    kernel = BatchKernel(np.array([] if clock is None else [clock]))
+    if clock is not None:
+        assert next(kernel.drain()) == 0
+    return lambda t: kernel.push(t, "payload"), lambda: len(kernel.heap)
+
+
+def _due_queue(clock):
+    due = DueQueue(time_scale=1.0)
+    # The wall clock reads 100 s: far past every time below, and it
+    # never moves the guard -- a frame that lands late is due in the
+    # past, and simply released at once.
+    due.epoch = time.monotonic() - 100.0
+    if clock is not None:
+        due.push(clock, lambda: None)
+        due.drain()
+    return lambda t: due.push(t, lambda: None), lambda: len(due)
+
+
+@pytest.mark.parametrize(
+    "scheduler", [_simulator, _batch_kernel, _due_queue],
+    ids=["Simulator.schedule_at", "BatchKernel.push", "DueQueue.push"],
+)
+@pytest.mark.parametrize(
+    "clock, at, refused",
+    [
+        (None, math.nan, {_simulator, _batch_kernel, _due_queue}),
+        # The virtual clocks of the simulators start at zero, the due
+        # queue's at -inf.
+        (None, -0.5, {_simulator, _batch_kernel}),
+        (5.0, 4.999, {_simulator, _batch_kernel, _due_queue}),
+        (5.0, math.nan, {_simulator, _batch_kernel, _due_queue}),
+        (5.0, 5.0, set()),  # the current instant is not the past
+    ],
+    ids=["nan", "negative-at-the-start", "past-after-a-run", "nan-after-a-run",
+         "the-current-instant"],
+)
+def test_every_scheduler_refuses_nan_and_the_past(scheduler, clock, at, refused):
+    push, queued = scheduler(clock)
+    if scheduler in refused:
+        with pytest.raises(SimulationError, match="cannot schedule at"):
+            push(at)
+        assert queued() == 0
+    else:
+        push(at)
+        assert queued() == 1

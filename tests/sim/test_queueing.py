@@ -43,11 +43,20 @@ def test_negative_service_rejected():
         station.submit(1.0, -0.1)
 
 
-def test_queue_delay_reports_backlog():
+def test_nan_arrival_rejected():
     station = FifoStation()
-    station.submit(0.0, 2.0)
-    assert station.queue_delay(0.5) == 1.5
-    assert station.queue_delay(5.0) == 0.0
+    with pytest.raises(SimulationError, match="arrival must be non-negative"):
+        station.submit(float("nan"), 1.0)
+    assert station.jobs_served == 0 and station.busy_until == 0.0
+
+
+def test_nan_service_rejected():
+    # A NaN service time would poison busy_until, and with it every
+    # completion time the station hands out after it.
+    station = FifoStation()
+    with pytest.raises(SimulationError, match="service_time must be non-negative"):
+        station.submit(1.0, float("nan"))
+    assert station.jobs_served == 0 and station.busy_until == 0.0
 
 
 def test_jobs_and_busy_time_accounting():
@@ -56,23 +65,6 @@ def test_jobs_and_busy_time_accounting():
     station.submit(0.0, 2.0)
     assert station.jobs_served == 2
     assert station.busy_time == 3.0
-
-
-def test_utilisation():
-    station = FifoStation()
-    station.submit(0.0, 2.0)
-    assert station.utilisation(4.0) == 0.5
-    assert station.utilisation(1.0) == 1.0  # clamped
-    assert station.utilisation(0.0) == 0.0
-
-
-def test_reset_clears_state():
-    station = FifoStation()
-    station.submit(0.0, 5.0)
-    station.reset()
-    assert station.busy_until == 0.0
-    assert station.jobs_served == 0
-    assert station.busy_time == 0.0
 
 
 def test_saturation_grows_backlog_linearly():
