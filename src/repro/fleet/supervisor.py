@@ -1,13 +1,22 @@
 """The fleet supervisor: launch workers, coordinate, merge the result.
 
 :func:`run_fleet` is the fleet twin of :func:`~repro.live.harness.
-run_live`: it spawns N worker processes (:mod:`repro.fleet.worker`),
+run_live`: it starts N worker processes (:mod:`repro.fleet.worker`),
 conducts them over their pipes (:func:`supervise`) and folds the
 per-worker reports into one :class:`~repro.live.harness.LiveRunResult`
 via :func:`merge_reports`.  It builds nothing itself: every worker
 rebuilds the setup and the shard plan from the frozen config, and what
 the result needs of them (tree shape, degree, mean delay) rides home in
 the source owner's report.
+
+Workers are forks of a ``forkserver`` that has imported
+:mod:`repro.fleet.worker`: the interpreter start and that import are
+paid once per supervisor process, when its first fleet starts, and
+each worker is a fork of that import-only server.  The server never
+runs a worker itself, so no run leaks into the next.  A worker
+writes to the caller's standard error as it is when the worker starts
+(not the server's), and the server is stopped and waited for when the
+supervisor process exits.
 
 The control plane is event-driven.  The workers' messages are ``ready``
 (port bound), ``replay-done`` (source owner: the source schedule is
@@ -38,8 +47,10 @@ diverging from the engine's semantics for them.
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import os
 import time
+from multiprocessing import forkserver, reduction, util
 from multiprocessing.connection import wait
 from pathlib import Path
 
@@ -71,6 +82,34 @@ log = get_logger("repro.fleet.supervisor")
 READY_TIMEOUT_S = 120.0
 WAVE_TIMEOUT_S = 30.0
 REPORT_TIMEOUT_S = 60.0
+
+
+class _CallerStderr:
+    """The caller's fd 2 as it is when ``Process.start`` runs.
+
+    A forkserver child inherits the server's descriptors, fixed when the
+    server started.  Pickled into a worker's arguments -- which happens
+    only inside ``Process.start`` -- this object arrives in the worker
+    as a duplicate of the caller's *current* fd 2, which the worker puts
+    on its own fd 2 first thing.  So worker output lands where the
+    caller's stderr points now (a ``capfd`` capture, the perf ledger's
+    log file), as it did when every worker was a fresh interpreter.
+    """
+
+    def __reduce__(self):
+        # ``DupFd`` asks the starting ``Popen`` to pass the descriptor
+        # along; unpickling detaches it into a plain descriptor number.
+        return operator.methodcaller("detach"), (reduction.DupFd(2),)
+
+
+# At exit, stop the worker server (if this process started one) and wait
+# for it.  Left alone, it ends a moment *after* this process, once it
+# sees the process's end of its "alive" pipe close.  ``multiprocessing``'s
+# exit handler runs this finalizer after it has terminated and joined
+# any daemonic worker still alive (negative priority): the server waits
+# for every holder of that pipe, workers included.  A forked copy of
+# this process does not run it.
+util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
 
 
 def merge_reports(
@@ -126,8 +165,11 @@ def merge_reports(
         "resync_frames": sum(r.resync_frames for r in reports),
         # Replay-window wall time, from the ``start`` command to the
         # report (the quiescence wait included); excludes the
-        # per-process spawn + rebuild that precedes it.
+        # per-process start + rebuild that precedes it.
         "worker_wall_seconds": max((r.wall_seconds for r in reports), default=0.0),
+        # Workers are the server's children, not the caller's, so the
+        # caller's RUSAGE_CHILDREN never sees them; each says its own.
+        "worker_peak_rss_mb": max((r.peak_rss_mb for r in reports), default=0.0),
     }
     heartbeats = sum(r.heartbeats for r in reports)
     if heartbeats:
@@ -196,8 +238,8 @@ def _incoming(conns, timeout: float | None) -> list[tuple]:
             message = conn.recv()
         except EOFError:
             raise SimulationError(
-                "fleet worker died without a word (spawned processes "
-                "must be able to import the parent __main__ module)"
+                "fleet worker died without a word (workers re-import the "
+                "parent __main__ module, so it must be importable)"
             ) from None
         if message[0] == "fatal":
             raise SimulationError(f"fleet worker {message[1]} crashed:\n{message[2]}")
@@ -404,9 +446,12 @@ def run_fleet(
         trace=trace_recorder is not None,
     )
 
-    ctx = multiprocessing.get_context("spawn")
-    # Spawned children re-import repro from PYTHONPATH, not from the
-    # parent's already-populated sys.path; make sure they can.
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload(["repro.fleet.worker"])
+    # The server imports the preload from PYTHONPATH: it is a fresh
+    # interpreter started with this environment on the first fleet, and
+    # it neither applies our sys.path nor reports a failed preload (it
+    # would just fork workers that import everything themselves).
     src_dir = str(Path(repro.__file__).resolve().parent.parent)
     old_pythonpath = os.environ.get("PYTHONPATH")
     parts = (old_pythonpath or "").split(os.pathsep) if old_pythonpath else []
@@ -423,7 +468,7 @@ def run_fleet(
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=worker_main,
-                args=(worker_id, spec, child_conn),
+                args=(worker_id, spec, child_conn, _CallerStderr()),
                 name=f"fleet-worker-{worker_id}",
                 daemon=True,
             )
@@ -431,7 +476,7 @@ def run_fleet(
             child_conn.close()
             conns.append(parent_conn)
             procs.append(proc)
-        log.debug("fleet: %d workers spawned (trace=%s)", workers, spec.trace)
+        log.debug("fleet: %d workers started (trace=%s)", workers, spec.trace)
 
         reports, extras = supervise(
             conns,

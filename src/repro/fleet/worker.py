@@ -33,6 +33,11 @@ frames possibly unsent, and starts a sample-based anti-entropy session
 lives on that peer, charged into the run's
 :class:`~repro.core.metrics.CostCounters`.
 
+The process is a fork of the supervisor's ``forkserver``, which has
+imported this module but never run a worker; the supervisor hands it a
+duplicate of its current standard error, which becomes the worker's
+fd 2 before anything runs.
+
 The worker talks to the supervisor over a ``multiprocessing`` pipe:
 ``("ready", worker, port)`` after binding, then obeys ``start`` (port
 map + epoch), ``sever``, ``quiesce``, ``stats?`` and ``finish``.  It
@@ -51,6 +56,8 @@ traceback)``.
 from __future__ import annotations
 
 import asyncio
+import os
+import resource
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -78,7 +85,8 @@ __all__ = ["FleetSpec", "WorkerReport", "worker_main"]
 class FleetSpec:
     """Everything a worker needs to rebuild and run its shard.
 
-    Picklable by construction: it crosses the ``spawn`` boundary.
+    Picklable by construction: it crosses the process boundary in each
+    worker's arguments.
     """
 
     config: SimulationConfig
@@ -92,7 +100,7 @@ class FleetSpec:
     #: Attach a span recorder on every worker and ship the spans plus a
     #: metrics snapshot home in the report.  Deliberately NOT part of
     #: the run's :class:`~repro.engine.config.SimulationConfig` -- the
-    #: flag crosses the spawn pipe out-of-band, so cache fingerprints
+    #: flag crosses the process boundary out-of-band, so cache fingerprints
     #: and dissemination behaviour are untouched (traced fleet runs are
     #: bit-identical to untraced ones).
     trace: bool = False
@@ -140,10 +148,21 @@ class WorkerReport:
     tree_stats: TreeStats | None = None
     effective_degree: int = 0
     avg_comm_delay_ms: float = 0.0
+    #: This process's peak resident set (``ru_maxrss``), in MiB.
+    peak_rss_mb: float = 0.0
 
 
-def worker_main(worker_id: int, spec: FleetSpec, conn) -> None:
-    """Process entry point: run the shard, report, exit."""
+def worker_main(
+    worker_id: int, spec: FleetSpec, conn, stderr_fd: int | None = None
+) -> None:
+    """Process entry point: run the shard, report, exit.
+
+    ``stderr_fd``, when given, is the caller's standard error: it
+    replaces this process's fd 2 before anything else runs.
+    """
+    if stderr_fd is not None:
+        os.dup2(stderr_fd, 2)
+        os.close(stderr_fd)
     try:
         asyncio.run(_run_worker(worker_id, spec, conn))
     except BaseException:
@@ -312,6 +331,8 @@ class _Shard(WireRuntime):
             report.effective_degree = network.setup.effective_degree
             report.avg_comm_delay_ms = network.setup.avg_comm_delay_ms
         report.client_messages = sum(node.client_messages for node in senders)
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        report.peak_rss_mb = peak_kib / 1024.0
         if self.recorder is not None:
             metrics = self.recorder.metrics
             for name in (

@@ -91,6 +91,16 @@ def test_extras_aggregate_per_worker_health():
     assert "reconnects" not in merged.extras
 
 
+def test_worker_peak_rss_is_the_largest_worker_s_own():
+    """Workers are not the caller's children, so the caller's
+    ``RUSAGE_CHILDREN`` misses them; the merge keeps their own peak."""
+    merged = merge_reports(
+        [_report(0, peak_rss_mb=80.5), _report(1, peak_rss_mb=92.25)]
+    )
+    assert merged.extras["worker_peak_rss_mb"] == 92.25
+    assert merge_reports([]).extras["worker_peak_rss_mb"] == 0.0
+
+
 def test_counters_fold_commutes():
     a = _report(0, sent=3, delivered=3)
     a.counters.messages = 3

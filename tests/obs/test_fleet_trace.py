@@ -46,6 +46,7 @@ def _require_localhost_sockets():
 def _normalize(result):
     extras = dict(result.extras)
     extras.pop("worker_wall_seconds", None)
+    extras.pop("worker_peak_rss_mb", None)
     return dataclasses.replace(result, wall_seconds=0.0, extras=extras)
 
 
