@@ -49,7 +49,9 @@ built by name with :func:`~repro.core.dissemination.policy.make_policy`:
     cleanly prunes whole subtrees.  Also 100% fidelity under zero
     delays, at the cost of more source-side checks.  The source-side
     state machine is :class:`~repro.core.dissemination.filtering.
-    SourceTagger`, shared verbatim with the live
+    SourceTagger` in the reference policy table, and its staircase form
+    :class:`~repro.core.dissemination.filtering.StaircaseTagger`
+    (property-tested against it) in the engine and the live
     :class:`~repro.live.nodes.SourceNode`.
 
 ``flooding`` -- the "all updates" baseline (Figure 8).

@@ -7,7 +7,7 @@ so that
 
 - the reference policy table (:mod:`repro.core.dissemination.policy`),
 - the production engine's flat loop (:mod:`repro.engine.simulation`) and
-- the live repository servers (:mod:`repro.live.nodes`)
+- the live nodes' edge groups (:mod:`repro.live.nodes`)
 
 share **one** code path, and the simulator can be cross-validated
 against a running network (the ``live_crosscheck`` experiment) without
@@ -30,7 +30,8 @@ Four layers:
   one update meets many tolerances: a repository's modeled-client block
   (:meth:`Staircase.serve`, Eq. 3-or-Eq. 7 per client) and the
   centralised source's unique tolerances (:meth:`Staircase.tag`,
-  wrapped per item by :class:`StaircaseTagger`).  Both rules are
+  wrapped per item by :class:`StaircaseTagger`, which the engine and
+  the live source run).  Both rules are
   monotone in the tolerance, so a run is decided by its end elements
   and one ``bisect``, exactly; the production engine
   (:mod:`repro.engine.simulation`) uses it there and the scalar
@@ -222,10 +223,11 @@ def tag_for_update(
 class EdgeFilter:
     """One service edge's forwarding decision plus its per-edge state.
 
-    The live :class:`~repro.live.nodes.RepositoryNode` keeps one filter
-    per (dependent, item) and the reference policy table
-    (:class:`~repro.core.dissemination.policy.DisseminationPolicy`) one
-    per ``(parent, child, item)``, so the two planes cannot drift apart.
+    The reference policy table
+    (:class:`~repro.core.dissemination.policy.DisseminationPolicy`)
+    keeps one per ``(parent, child, item)``; the live ``add_edge``
+    copies one's rule, stored tolerance and initial value into an
+    :class:`~repro.live.nodes.EdgeGroup`, so both planes cannot drift.
     """
 
     __slots__ = ("policy", "c_serve", "last_sent", "_rule")
@@ -300,15 +302,14 @@ class SourceTagger:
     overhead), tag the update with the largest violated one, and mark
     the value as sent for every tolerance the tag covers.
 
-    Shared by the centralised :class:`~repro.core.dissemination.policy.
-    DisseminationPolicy` (which feeds it from ``register_edge``) and the
-    live :class:`~repro.live.nodes.SourceNode` (which feeds it from the
-    LeLA-built ``d3g``).
+    Run by the centralised :class:`~repro.core.dissemination.policy.
+    DisseminationPolicy` (which feeds it from ``register_edge``), the
+    reference oracle's table.
 
     Kept on purpose beside :class:`StaircaseTagger`: this dict-backed,
-    one-test-per-tolerance form is the scalar oracle's and the live
-    source's, and the reference the staircase tagger is property-tested
-    against.
+    one-test-per-tolerance form is the scalar oracle's, and the
+    reference the staircase tagger -- the engine's and the live
+    source's -- is property-tested against.
     """
 
     def __init__(self) -> None:
@@ -510,7 +511,7 @@ _NO_TOLERANCES = SourceDecision(disseminate=False, tag=None, checks=0)
 
 
 class StaircaseTagger:
-    """The batch engine's :class:`SourceTagger`: per item, a
+    """The engine's and the live source's :class:`SourceTagger`: per item, a
     :class:`Staircase` over the ascending unique tolerances.
 
     Bit-identical to :meth:`SourceTagger.examine` (property-tested

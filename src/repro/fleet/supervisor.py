@@ -46,6 +46,7 @@ diverging from the engine's semantics for them.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import operator
 import os
@@ -66,6 +67,7 @@ from repro.fleet.worker import FleetSpec, WorkerReport, worker_main
 from repro.live.harness import (
     LiveRunResult,
     check_duration,
+    check_pacing,
     refuse_modeled_clients,
 )
 from repro.live.loadgen import LoadgenReport, client_reports, generate_clients
@@ -200,8 +202,10 @@ def merge_reports(
     )
 
 
-def _validate(config: SimulationConfig, duration: float | None) -> None:
-    check_duration(duration)
+def _validate(spec: FleetSpec, sever_at_s: float | None, sever_worker: int) -> None:
+    """Refuse, before any process starts, what the fleet cannot run."""
+    config, workers = spec.config, spec.n_workers
+    check_duration(spec.duration)
     refuse_modeled_clients(config)
     if config.churn is not None:
         raise ConfigurationError(
@@ -221,6 +225,22 @@ def _validate(config: SimulationConfig, duration: float | None) -> None:
         raise ConfigurationError(
             "the fleet wire is reliable TCP; seeded message loss is a "
             "single-process live feature"
+        )
+    # Every worker builds the setup and plans the shards; the supervisor
+    # needs neither, only to refuse a fleet no plan can fill.
+    check_worker_count(workers, config.n_repositories + 1)
+    check_pacing(spec.time_scale, spec.heartbeat_interval_s)
+    if spec.n_clients < 0:
+        raise ConfigurationError(f"n_clients must be >= 0, got {spec.n_clients!r}")
+    # A NaN instant never comes due, so the supervisor would wait for it
+    # forever; an infinite one overflows the pipe wait.
+    if sever_at_s is not None and not (math.isfinite(sever_at_s) and sever_at_s >= 0):
+        raise ConfigurationError(
+            f"sever_at_s must be finite and >= 0, got {sever_at_s!r}"
+        )
+    if sever_worker not in range(workers):
+        raise ConfigurationError(
+            f"sever_worker must name one of the {workers} workers, got {sever_worker!r}"
         )
 
 
@@ -431,10 +451,6 @@ def run_fleet(
         ConfigurationError: on unsupported configs or worker counts.
         SimulationError: when a worker crashes or stops responding.
     """
-    _validate(config, duration)
-    # Every worker builds the setup and plans the shards; the supervisor
-    # needs neither, only to refuse a fleet no plan can fill.
-    check_worker_count(workers, config.n_repositories + 1)
     spec = FleetSpec(
         config=config,
         n_workers=workers,
@@ -445,6 +461,7 @@ def run_fleet(
         heartbeat_interval_s=heartbeat_interval_s,
         trace=trace_recorder is not None,
     )
+    _validate(spec, sever_at_s, sever_worker)
 
     ctx = multiprocessing.get_context("forkserver")
     ctx.set_forkserver_preload(["repro.fleet.worker"])

@@ -1,15 +1,15 @@
 """The fleet worker: one process hosting one shard of the live network.
 
 Every worker rebuilds the *full* network from the frozen config -- the
-builder is bit-reproducible, so all workers agree on every node, edge,
-filter and trace without shipping a byte of state -- then activates
+builder is bit-reproducible, so all workers agree on every node, edge
+and trace without shipping a byte of state -- then activates
 only the nodes its shard owns (:mod:`repro.fleet.sharding`).
 
 The worker is a thin driver of the shared runtime
-(:mod:`repro.live.wire`), the same one both single-process transports
-drive: it only says where a destination lives (the runtime's
-loss-and-failure judgement rides along inert -- the supervisor refuses
-both).  A same-shard delivery
+(:mod:`repro.live.wire`), the same one both single-process wires
+(:mod:`repro.live.transport`) drive: it only says where a destination
+lives (the runtime's loss-and-failure judgement rides along inert --
+the supervisor refuses both).  A same-shard delivery
 goes onto the local due queue; a cross-shard delivery is queued on the
 worker's single multiplexed link to the destination's owner, behind a
 :class:`~repro.live.wire.SendQueue`'s backpressure, and leaves as a row
@@ -380,11 +380,12 @@ class _Shard(WireRuntime):
                 self._send_control(parent, session.next_request())
 
     def _parent_heads_for(self, parent: int, child: int) -> dict[int, tuple[int, float]]:
+        # The dependents' groups only: a client is nobody's resync peer.
         heads: dict[int, tuple[int, float]] = {}
-        for item_id, edges in self.network._sender(parent).edges.items():
-            for edge in edges:
-                if not edge.is_client and edge.child == child:
-                    heads[item_id] = (edge.last_seq, edge.last_value)
+        for item_id, group in self.network._sender(parent).edges.items():
+            for i, dependent in enumerate(group.child):
+                if dependent == child:
+                    heads[item_id] = (group.last_seq[i], group.last[i])
         return heads
 
     def _finish_session(self, key: tuple[int, int], session: ChildSession) -> None:

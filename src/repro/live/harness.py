@@ -4,9 +4,9 @@ live network and collect a simulator-shaped result.
 :func:`build_live_network` reuses the engine's builder verbatim -- the
 same seeded topology, workload traces, interest profiles and LeLA-built
 ``d3g`` a simulation run would use -- and wires them into sans-io nodes
-(:mod:`repro.live.nodes`).  :func:`run_live` drives the network with a
-transport (:mod:`repro.live.transport`) and scores *observed* fidelity
-from the delivery logs with the same
+(:mod:`repro.live.nodes`).  :func:`run_live` drives the network on the
+wire its transport name picks (:mod:`repro.live.transport`) and scores
+*observed* fidelity from the delivery logs with the same
 :func:`~repro.core.fidelity.loss_of_fidelity` computation the simulator
 uses, returning a :class:`LiveRunResult` shaped like
 :class:`~repro.engine.results.SimulationResult` so experiments can
@@ -16,11 +16,12 @@ experiment does exactly that).
 
 from __future__ import annotations
 
+import asyncio
 import time
 from dataclasses import dataclass, field
 
 from repro.core.clients import ClientPopulation
-from repro.core.dissemination.filtering import EdgeFilter, SourceTagger
+from repro.core.dissemination.filtering import EdgeFilter, StaircaseTagger
 from repro.core.fidelity import loss_of_fidelity, scoring_windows, unzip_log
 from repro.core.metrics import CostCounters
 from repro.core.tree import TreeStats
@@ -29,11 +30,7 @@ from repro.engine.config import SimulationConfig
 from repro.engine.reconfig import ReconfigurationCore
 from repro.errors import ConfigurationError
 from repro.live.nodes import ClientNode, RepositoryNode, SourceNode
-from repro.live.transport import (
-    InProcessTransport,
-    TransportStats,
-    make_transport,
-)
+from repro.live.transport import TcpWire, VirtualWire
 from repro.traces.schedule import UpdateSchedule
 
 __all__ = [
@@ -41,6 +38,7 @@ __all__ = [
     "LiveRunResult",
     "build_live_network",
     "check_duration",
+    "check_pacing",
     "refuse_modeled_clients",
     "run_live",
 ]
@@ -115,7 +113,7 @@ class LiveNetwork:
     """A built-but-not-yet-running live network.
 
     Holds the engine setup, the sans-io nodes, and the lookup tables a
-    transport needs (node handlers, the source schedule and the control
+    runtime needs (node handlers, the source schedule and the control
     timeline).
 
     It is also the live plane's
@@ -123,11 +121,11 @@ class LiveNetwork:
     same :class:`~repro.engine.reconfig.ReconfigurationCore` both
     simulation kernels run -- decides every churn rebuild, failover,
     resync and adaptive rewire, and :meth:`wire` / :meth:`unwire` and
-    friends only patch the nodes' edge lists, filters and logs.  The
-    runtime every transport drives (:mod:`repro.live.wire`) applies the
-    core's timeline and judges loss, failures and departures by the
-    engine's rule, so an in-process run stays bit-identical to the
-    simulation.
+    friends only patch the nodes' edge groups, the source's tagger and
+    the logs.  The runtime every live plane drives
+    (:mod:`repro.live.wire`) applies the core's timeline and judges
+    loss, failures and departures by the engine's rule, so an
+    in-process run stays bit-identical to the simulation.
     """
 
     def __init__(
@@ -218,14 +216,11 @@ class LiveNetwork:
         return self.repositories[node]
 
     def unwire(self, parent: int, child: int, item_id: int, c: float) -> None:
-        sender = self._sender(parent)
-        edges = sender.edges.get(item_id)
-        if edges is not None:
-            # Client edges stay put: attached clients ride out a rewire
-            # on their repository, like the engine's modeled clients.
-            edges[:] = [e for e in edges if e.is_client or e.child != child]
-            if not edges:
-                del sender.edges[item_id]
+        # Only the dependents' group: attached clients ride out a rewire
+        # on their repository, like the engine's modeled clients.
+        group = self._sender(parent).edges.get(item_id)
+        if group is not None:
+            group.unwire(child)
         if self.source_node.tagger is not None:
             self.source_node.tagger.remove_tolerance(item_id, c)
 
@@ -235,13 +230,9 @@ class LiveNetwork:
         self.repositories[child].receive_c[item_id] = c
         if self.source_node.tagger is not None:
             self.source_node.tagger.add_tolerance(item_id, c, initial)
-        self._sender(parent).add_edge(
-            item_id,
-            child,
-            c,
-            EdgeFilter(self.setup.config.policy, c, initial),
-            self.setup.network.delay_s(parent, child),
-        )
+        edge = EdgeFilter(self.setup.config.policy, c, initial)
+        delay_s = self.setup.network.delay_s(parent, child)
+        self._sender(parent).add_edge(item_id, child, c, edge, delay_s)
 
     def unsubscribe(self, node: int, item_id: int) -> None:
         self.repositories[node].receive_c.pop(item_id, None)
@@ -267,6 +258,21 @@ def check_duration(duration: float | None) -> None:
     """
     if duration is not None and not duration > 0:
         raise ConfigurationError(f"duration must be positive, got {duration!r}")
+
+
+def check_pacing(
+    time_scale: float, heartbeat_interval_s: float, jitter_ms: float = 0.0
+) -> None:
+    """Refuse a time scale that is not positive and a negative
+    heartbeat or jitter (NaN fails each test) with ConfigurationError."""
+    if not time_scale > 0:
+        raise ConfigurationError(f"time_scale must be positive, got {time_scale!r}")
+    if not heartbeat_interval_s >= 0:
+        raise ConfigurationError(
+            f"heartbeat_interval_s must be >= 0, got {heartbeat_interval_s!r}"
+        )
+    if not jitter_ms >= 0:
+        raise ConfigurationError(f"jitter_ms must be >= 0, got {jitter_ms!r}")
 
 
 def refuse_modeled_clients(config: SimulationConfig) -> None:
@@ -299,11 +305,12 @@ def build_live_network(
     The build reuses :func:`~repro.engine.builder.build_setup` -- same
     topology, traces, profiles and LeLA ``d3g`` as a simulation of the
     same config -- then instantiates one sans-io node per repository
-    (late joiners included) with a shared
-    :class:`~repro.core.dissemination.filtering.EdgeFilter` per service
-    edge of the initial graph (and the
-    :class:`~repro.core.dissemination.filtering.SourceTagger` when the
-    centralised policy runs).
+    (late joiners included), wires every service edge of the initial
+    graph into the nodes' edge groups (normalised through
+    :class:`~repro.core.dissemination.filtering.EdgeFilter`) and gives
+    the source the engine's
+    :class:`~repro.core.dissemination.filtering.StaircaseTagger` when
+    the centralised policy runs.
 
     Args:
         config: The run's full parameterisation.  Churn, failures,
@@ -333,10 +340,7 @@ def build_live_network(
     graph = setup.graph
     source = setup.source
 
-    tagger: SourceTagger | None = None
-    if config.policy == "centralized":
-        tagger = SourceTagger()
-
+    tagger = StaircaseTagger() if config.policy == "centralized" else None
     source_node = SourceNode(source, comp_delay_s, counters, tagger=tagger)
     # A node per repository: a late joiner receives nothing until the
     # core wires it in.
@@ -389,19 +393,12 @@ def build_live_network(
                 # Attached whether or not the repository carries the item:
                 # a client is served only while it does (until then it
                 # stays on the priming value, and the requirement-met
-                # report flags it).
-                repo.add_edge(
-                    item_id,
-                    node_id,
-                    tolerance,
-                    # Client service is repository-local filtering: the
-                    # Eq. (3) + Eq. (7) test at the client's tolerance,
-                    # whatever policy runs in the repository plane
-                    # (clients are invisible to the source's tagging).
-                    EdgeFilter("distributed", tolerance, trace.initial_value),
-                    link_delay_s=0.0,
-                    is_client=True,
-                )
+                # report flags it).  Client service is repository-local
+                # filtering: the Eq. (3) + Eq. (7) test at the client's
+                # tolerance, whatever policy runs in the repository plane
+                # (clients are invisible to the source's tagging).
+                edge = EdgeFilter("distributed", tolerance, trace.initial_value)
+                repo.add_edge(item_id, node_id, tolerance, edge, 0.0, is_client=True)
             client_nodes[node_id] = client_node
     return network
 
@@ -476,23 +473,31 @@ def run_live(
         clients: Optional end-client population to attach (ignored when
             ``network`` is given).
         network: Optional prebuilt network for exactly this config.
+
+    Raises:
+        ConfigurationError: before anything runs, on an unknown transport,
+            a bad duration or pacing, or adaptive rewiring over TCP.
     """
     check_duration(duration)
-    if config.adaptive is not None and transport != InProcessTransport.name:
+    check_pacing(time_scale, heartbeat_interval_s, jitter_ms)
+    if transport not in ("inprocess", "tcp"):
+        raise ConfigurationError(
+            f"unknown live transport {transport!r}; choose from ['inprocess', 'tcp']"
+        )
+    if config.adaptive is not None and transport != "inprocess":
         raise ConfigurationError(
             "adaptive re-optimization needs virtual-time counter "
             "snapshots; run it on the inprocess transport"
         )
     if network is None:
         network = build_live_network(config, clients=clients)
-    driver = make_transport(
-        transport,
-        jitter_ms=jitter_ms,
-        time_scale=time_scale,
-        heartbeat_interval_s=heartbeat_interval_s,
-    )
     start = time.perf_counter()
-    stats: TransportStats = driver.run(network, duration=duration)
+    if transport == "inprocess":
+        stats = VirtualWire(network, jitter_ms).run(duration)
+    else:
+        stats = asyncio.run(
+            TcpWire(network, time_scale, heartbeat_interval_s).run(duration)
+        )
     wall = time.perf_counter() - start
 
     core = network.reconfig
@@ -523,7 +528,7 @@ def run_live(
         effective_degree=network.setup.effective_degree,
         avg_comm_delay_ms=network.setup.avg_comm_delay_ms,
         sim_span_s=network.span(duration),
-        transport=driver.name,
+        transport=transport,
         wall_seconds=wall,
         sent=stats.sent,
         delivered=stats.delivered,

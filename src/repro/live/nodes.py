@@ -2,33 +2,34 @@
 
 A node consumes updates and emits messages; it never touches a socket
 or a clock directly.  The same node objects are therefore driven by
-both transports -- the deterministic virtual-time driver and the
-asyncio TCP driver (:mod:`repro.live.transport`) -- and by tests,
-without any divergence in dissemination behaviour.
+every runtime -- the deterministic virtual-time wire, the asyncio TCP
+wire (:mod:`repro.live.transport`) and the fleet worker -- and by
+tests, without any divergence in dissemination behaviour.
 
 The row is the message: a node emits the seven-field
 :class:`~repro.live.protocol.Forwards` row ``[dst, arrival_s, item_id,
 value, tag, seq, src]`` itself, the one shape every stage downstream
 schedules, queues, writes and reads back.  ``arrival_s`` is the
 *absolute* simulated arrival time (sender-side queueing and link delay
-included), so the virtual-time transport schedules the exact float the
+included), so the virtual-time wire schedules the exact float the
 engine computes: ``now + (arrival - now)`` differs by an ULP.
 
-The coherency decisions are exactly the simulator's: every service
-edge holds an :class:`~repro.core.dissemination.filtering.EdgeFilter`
-and the source holds a :class:`~repro.core.dissemination.filtering.
-SourceTagger` when the centralised policy runs -- the very objects the
-reference :class:`~repro.core.dissemination.policy.DisseminationPolicy`
-tables.  Timing semantics also mirror the engine:
-each forwarded copy costs ``comp_delay`` of serialised server time at
-the sending node (a :class:`~repro.sim.queueing.FifoStation`) before it
-leaves, then travels the end-to-end network delay.
+The coherency decisions are exactly the simulator's: a node forwards
+over one :class:`EdgeGroup` of columns per item with the policy's
+:data:`~repro.core.dissemination.filtering.FORWARD_RULES` entry, and
+the centralised source tags with the engine's
+:class:`~repro.core.dissemination.filtering.StaircaseTagger`.  Timing
+semantics also mirror the engine: each forwarded copy costs
+``comp_delay`` of serialised server time at the sending node (a
+:class:`~repro.sim.queueing.FifoStation`) before it leaves, then
+travels the end-to-end network delay.
 
 Client service: an attached client is a dependent of its repository,
 filtered per (client, item) with the repository-local Eq. (3) + Eq. (7)
 test at the client's own tolerance (regardless of the repository-plane
 policy -- clients are invisible to the source, so tag pruning cannot
-cover them).  Client traffic is counted separately from the
+cover them).  Clients have their own group, served after the
+dependents', and their traffic is counted apart from the
 repository-plane :class:`~repro.core.metrics.CostCounters` so live
 message counts stay comparable with the simulator's.
 """
@@ -37,32 +38,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.dissemination.filtering import EdgeFilter, SourceTagger
+from repro.core.dissemination.filtering import (
+    FORWARD_RULES,
+    EdgeFilter,
+    StaircaseTagger,
+)
 from repro.core.metrics import CostCounters
 from repro.live.protocol import Update
 from repro.sim.queueing import FifoStation
 
-__all__ = ["Edge", "SourceNode", "RepositoryNode", "ClientNode"]
+__all__ = ["EdgeGroup", "SourceNode", "RepositoryNode", "ClientNode"]
 
 
-@dataclass
-class Edge:
-    """One service edge a node pushes an item over.
+class EdgeGroup:
+    """One node's dependents for one item, as parallel columns.
 
-    ``last_seq``/``last_value`` record the head of what this edge has
-    actually forwarded (not everything the source published -- the
-    coherency filter prunes).  The fleet's anti-entropy resync compares
-    a child's received heads against exactly these per-edge forwarded
-    heads, so filtering decisions never read as false "missed updates".
+    ``child[i]`` is served at tolerance ``cs[i]`` over a ``delay[i]``
+    second link; ``last[i]`` is the last value sent to it and
+    ``last_seq[i]`` that value's seq (0 until the first forward), the
+    head the fleet's anti-entropy resync compares a child against.
+    ``rule`` is the policy's ``FORWARD_RULES`` entry.
     """
 
-    child: int
-    c_serve: float
-    filter: EdgeFilter
-    link_delay_s: float
-    is_client: bool = False
-    last_seq: int = 0
-    last_value: float = 0.0
+    __slots__ = ("rule", "child", "cs", "last", "delay", "last_seq")
+
+    def __init__(self, rule) -> None:
+        self.rule = rule
+        self.child, self.cs, self.last, self.delay, self.last_seq = [], [], [], [], []
+
+    def wire(self, child: int, c_serve: float, initial: float, delay_s: float) -> None:
+        self.child.append(child)
+        self.cs.append(c_serve)
+        self.last.append(initial)
+        self.delay.append(delay_s)
+        self.last_seq.append(0)
+
+    def unwire(self, child: int) -> None:
+        """Drop ``child``'s entry; an absent child changes nothing."""
+        if child in self.child:
+            i = self.child.index(child)
+            for column in (self.child, self.cs, self.last, self.delay, self.last_seq):
+                del column[i]
 
 
 class _ForwardingNode:
@@ -73,8 +89,10 @@ class _ForwardingNode:
         self.comp_delay_s = comp_delay_s
         self.counters = counters
         self.station = FifoStation()
-        #: item_id -> service edges, in ``d3g`` child order.
-        self.edges: dict[int, list[Edge]] = {}
+        #: item_id -> repository-plane dependents, in wiring order.
+        self.edges: dict[int, EdgeGroup] = {}
+        #: item_id -> attached clients, in attachment order.
+        self.client_edges: dict[int, EdgeGroup] = {}
         #: Client-plane messages sent (kept out of ``counters``).
         self.client_messages = 0
         #: Out-of-band trace observer (attached by the harness when the
@@ -92,14 +110,15 @@ class _ForwardingNode:
         link_delay_s: float,
         is_client: bool = False,
     ) -> None:
-        edges = self.edges.setdefault(item_id, [])
-        at = len(edges)
-        if not is_client:
-            # Dependents ahead of clients, wherever a rewire lands them:
-            # client service never delays the repository plane.
-            while at and edges[at - 1].is_client:
-                at -= 1
-        edges.insert(at, Edge(child, c_serve, filter, link_delay_s, is_client))
+        """Wire a dependent (a client with ``is_client``) from ``filter``'s
+        rule, stored tolerance and initial value, keeping no reference."""
+        # ``c_serve`` is unused; it stays because the perf ledger's
+        # frozen ``live.nodes.on_message_ns`` probe passes it.
+        groups = self.client_edges if is_client else self.edges
+        group = groups.get(item_id)
+        if group is None:
+            group = groups[item_id] = EdgeGroup(FORWARD_RULES[filter.policy])
+        group.wire(child, filter.c_serve, filter.last_sent, link_delay_s)
 
     def _forward(
         self,
@@ -118,61 +137,58 @@ class _ForwardingNode:
         client is served from it, the reference oracle's rule.
         """
         rows: list[list] = []
-        edges = self.edges.get(item_id)
-        if not edges:
-            return rows
-        node, observer = self.node, self.observer
+        node = self.node
         submit, comp_delay_s = self.station.submit, self.comp_delay_s
-        # The live plane numbers workload updates from 1 (seq); the
-        # trace id is the schedule index, hence seq - 1.
-        update_id = seq - 1
-        checks = messages = 0
-        for edge in edges:
-            if edge.is_client:
-                if parent_receive_c is None or not edge.filter.decide(
-                    value, parent_receive_c, None
-                ):
-                    continue
-                departure = submit(now, comp_delay_s)
-                self.client_messages += 1
-            else:
-                forward = edge.filter.decide(value, parent_receive_c, tag)
-                checks += 1
+        group = self.edges.get(item_id)
+        if group is not None and group.child:
+            # The trace id is the schedule index; seqs count from 1.
+            observer, update_id, messages = self.observer, seq - 1, 0
+            rule, cs, last, delay = group.rule, group.cs, group.last, group.delay
+            last_seq = group.last_seq
+            for i, child in enumerate(group.child):
+                forward = rule(value, last[i], cs[i], parent_receive_c, tag)
                 if observer is not None:
                     observer.on_check(
-                        update_id, item_id, now, node, edge.child,
-                        1, forward, is_source,
+                        update_id, item_id, now, node, child, 1, forward, is_source
                     )
                 if not forward:
                     continue
-                departure = submit(now, comp_delay_s)
+                last[i] = value
+                last_seq[i] = seq
+                arrival = submit(now, comp_delay_s) + delay[i]
                 messages += 1
                 if observer is not None:
                     observer.on_forward(
-                        update_id, item_id, now, node, edge.child,
-                        departure + edge.link_delay_s - now,
+                        update_id, item_id, now, node, child, arrival - now
                     )
-                edge.last_seq = seq
-                edge.last_value = value
-            rows.append(
-                [edge.child, departure + edge.link_delay_s, item_id, value, tag, seq, node]
-            )
-        # Charged once per call, not per edge: counters are only read
-        # between node calls (control instants), and a zero count must
-        # not create a per-node key.
-        if checks:
-            self.counters.record_check(node, is_source, checks)
-        if messages:
-            self.counters.record_message(node, is_source, messages)
+                rows.append([child, arrival, item_id, value, tag, seq, node])
+            # Charged once per call, not per edge: counters are only
+            # read between node calls (control instants), and a zero
+            # count must not create a per-node key.
+            self.counters.record_check(node, is_source, len(group.child))
+            if messages:
+                self.counters.record_message(node, is_source, messages)
+        clients = self.client_edges.get(item_id)
+        if clients is not None and parent_receive_c is not None:
+            rule, cs, last = clients.rule, clients.cs, clients.last
+            for i, child in enumerate(clients.child):
+                if rule(value, last[i], cs[i], parent_receive_c, None):
+                    last[i] = value
+                    self.client_messages += 1
+                    rows.append(
+                        [child, submit(now, comp_delay_s) + clients.delay[i],
+                         item_id, value, tag, seq, node]
+                    )
         return rows
 
 
 class SourceNode(_ForwardingNode):
     """Replays the workload: examines fresh updates and pushes them.
 
-    For the centralised policy the node holds the shared
-    :class:`SourceTagger`; the other policies pass every update through
-    untagged, exactly like their ``at_source`` hooks.
+    For the centralised policy the node holds the engine's
+    :class:`~repro.core.dissemination.filtering.StaircaseTagger`; the
+    other policies pass every update through untagged, exactly like
+    their ``at_source`` hooks.
     """
 
     def __init__(
@@ -180,7 +196,7 @@ class SourceNode(_ForwardingNode):
         node: int,
         comp_delay_s: float,
         counters: CostCounters,
-        tagger: SourceTagger | None = None,
+        tagger: StaircaseTagger | None = None,
     ) -> None:
         super().__init__(node, comp_delay_s, counters)
         self.tagger = tagger

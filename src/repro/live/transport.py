@@ -1,13 +1,14 @@
-"""Transports that drive the sans-io live network.
+"""The two single-process wires that drive the sans-io live network.
 
 Two drivers of one runtime (:mod:`repro.live.wire`, which states the
-data path, the delivery convention and the loss-and-failure judgement)
-with one contract -- ``run(network, duration)`` replays the network's
-workload and returns wire-level :class:`TransportStats` whose invariant
-``sent == delivered + dropped`` always holds.  They differ in where a
-destination lives and which clock releases the due queue, only:
+data path, the delivery convention and the loss-and-failure judgement),
+each built on one network, with one contract -- ``run(duration)``
+replays the workload and returns wire-level :class:`TransportStats`
+whose invariant ``sent == delivered + dropped`` always holds.  They
+differ in where a destination lives and which clock releases the due
+queue, only; :func:`~repro.live.harness.run_live` picks one by name:
 
-- :class:`InProcessTransport` -- every node lives here and the due
+- :class:`VirtualWire` (``inprocess``) -- every node lives here and the due
   queue is drained on its virtual clock: no link, no port, no event
   loop.  With the seeded topology delays (plus optional seeded jitter)
   a run is bit-reproducible for a fixed config seed, and bit-identical
@@ -15,7 +16,7 @@ destination lives and which clock releases the due queue, only:
   in the same order as the engine, under failures and adaptive
   rewiring too.  This is the transport the ``live_crosscheck``
   experiment validates the simulator against.
-- :class:`TcpTransport` -- every node listens on its own localhost
+- :class:`TcpWire` (``tcp``, awaited) -- every node listens on its own localhost
   port, every hop is a row of a :class:`~repro.live.protocol.Forwards`
   frame over a real connection, and simulated time maps to the wall
   clock through ``time_scale`` (simulated seconds per wall second).
@@ -43,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.live.wire import (
     QUIESCE_TIMEOUT_S,
     Link,
@@ -56,7 +57,7 @@ from repro.sim.rng import RandomStreams
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness builds us)
     from repro.live.harness import LiveNetwork
 
-__all__ = ["TransportStats", "InProcessTransport", "TcpTransport", "make_transport"]
+__all__ = ["TransportStats", "VirtualWire", "TcpWire"]
 
 
 @dataclass
@@ -92,103 +93,69 @@ class TransportStats:
         return self.sent == self.delivered + self.dropped
 
 
-class InProcessTransport:
+class VirtualWire(WireRuntime):
     """Virtual-time driver: deterministic, reproducible, fast.
 
     Every node is hosted here, so no row ever meets a link, a port or
     an event loop: the runtime's due queue is drained on its virtual
     clock.  Event ordering matches the simulation engine's (control
     before update before delivery at one instant, FIFO among
-    deliveries), and optional delivery jitter is drawn from a seeded
-    stream, so two runs of the same network are bit-identical.
+    deliveries), and optional delivery jitter (up to ``jitter_ms``) is
+    drawn from a seeded stream, so two runs of a network are identical.
     """
 
-    name = "inprocess"
-
-    def __init__(self, jitter_ms: float = 0.0) -> None:
-        if jitter_ms < 0:
-            raise ConfigurationError(f"jitter_ms must be >= 0, got {jitter_ms!r}")
-        self.jitter_ms = jitter_ms
-
-    def run(self, network: "LiveNetwork", duration: float | None = None) -> TransportStats:
-        return _VirtualWire(self, network).run(duration)
-
-
-class _VirtualWire(WireRuntime):
-    """Every destination lives here; the clock is the due queue's own."""
-
-    def __init__(self, transport: InProcessTransport, network: "LiveNetwork") -> None:
+    def __init__(self, network: "LiveNetwork", jitter_ms: float = 0.0) -> None:
         super().__init__(network, TransportStats(), src=network.source_node.node)
-        if transport.jitter_ms > 0.0:
-            seed, jitter_ms = network.setup.config.seed, transport.jitter_ms
+        if jitter_ms > 0.0:
+            seed = network.setup.config.seed
             random = RandomStreams(seed).stream("live-jitter").random
             self.jitter = lambda: random() * jitter_ms / 1000.0
 
     def route(self, dst: int) -> None:
         return None
 
-    def run(self, duration: float | None) -> TransportStats:
+    def run(self, duration: float | None = None) -> TransportStats:
         self.schedule_replay(duration)
         self.due.drain()
-        del self.network, self.hosted  # a reference cycle: see _TcpWire.run
+        del self.network, self.hosted  # a reference cycle: see TcpWire.run
         if not self.stats.conserved:  # defensive: a drained queue cannot leak
             raise SimulationError(f"in-process transport leaked messages: {self.stats}")
         return self.stats
 
 
-@dataclass
-class TcpTransport:
+class TcpWire(WireRuntime):
     """Localhost TCP driver: every hop crosses a real socket.
 
-    ``time_scale`` maps simulated seconds to wall seconds (``600`` runs
-    a 600 s trace in about one wall second).  Once the replay is
-    through, the run waits up to
+    Every destination is remote, one link each; a crash severs the
+    victim's connection for real.  ``time_scale`` maps simulated to
+    wall seconds (``600`` runs a 600 s trace in about one wall second);
+    links probe every ``heartbeat_interval_s`` wall seconds on failure
+    runs only (0 disables).  Once the replay is through, the run waits up to
     :data:`~repro.live.wire.QUIESCE_TIMEOUT_S` wall seconds (stretched
     at slow paces) for in-flight messages to land; whatever remains is
     counted as dropped.
     """
 
-    name = "tcp"
-    time_scale: float = 60.0
-    host: str = "127.0.0.1"
-    heartbeat_interval_s: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.time_scale <= 0:
-            raise ConfigurationError(
-                f"time_scale must be positive, got {self.time_scale!r}"
-            )
-        if self.heartbeat_interval_s < 0:
-            raise ConfigurationError(
-                f"heartbeat_interval_s must be >= 0, got {self.heartbeat_interval_s!r}"
-            )
-
-    def run(self, network: "LiveNetwork", duration: float | None = None) -> TransportStats:
-        return asyncio.run(_TcpWire(self, network).run(duration))
-
-
-class _TcpWire(WireRuntime):
-    """Every destination is remote, one link each, and a crash severs
-    the victim's connection for real."""
-
-    def __init__(self, transport: TcpTransport, network: "LiveNetwork") -> None:
+    def __init__(
+        self,
+        network: "LiveNetwork",
+        time_scale: float = 60.0,
+        heartbeat_interval_s: float = 0.5,
+    ) -> None:
         super().__init__(
             network,
             TransportStats(),
             src=network.source_node.node,
-            time_scale=transport.time_scale,
-            host=transport.host,
+            time_scale=time_scale,
             # Liveness probes matter where connections get severed.
             heartbeat_interval_s=(
-                transport.heartbeat_interval_s
-                if network.reconfig.failures is not None
-                else 0.0
+                heartbeat_interval_s if network.reconfig.failures is not None else 0.0
             ),
         )
         self.replayed = asyncio.Event()
         self.quiet = asyncio.Event()
 
-    async def run(self, duration: float | None) -> TransportStats:
+    async def run(self, duration: float | None = None) -> TransportStats:
         network, stats = self.network, self.stats
         try:
             # One listening port and one link per destination node.
@@ -244,26 +211,3 @@ class _TcpWire(WireRuntime):
         self.replayed.set()
         self.settled()
 
-
-def make_transport(
-    name: str,
-    *,
-    jitter_ms: float = 0.0,
-    time_scale: float = 60.0,
-    heartbeat_interval_s: float = 0.5,
-):
-    """Build a transport by registry name (``inprocess`` or ``tcp``).
-
-    Raises:
-        ConfigurationError: on an unknown transport name.
-    """
-    if name == InProcessTransport.name:
-        return InProcessTransport(jitter_ms=jitter_ms)
-    if name == TcpTransport.name:
-        return TcpTransport(
-            time_scale=time_scale, heartbeat_interval_s=heartbeat_interval_s
-        )
-    raise ConfigurationError(
-        f"unknown live transport {name!r}; choose from "
-        f"{[InProcessTransport.name, TcpTransport.name]}"
-    )

@@ -1,6 +1,6 @@
 """The runtime all three live planes drive.
 
-The in-process and TCP transports (:mod:`repro.live.transport`) and the
+The in-process and TCP wires (:mod:`repro.live.transport`) and the
 fleet worker (:mod:`repro.fleet.worker`) run one data path; this module
 states it once, and a driver swaps two operations -- where a
 destination lives and which clock releases the due queue:
@@ -593,7 +593,7 @@ class WireRuntime:
         if hosted is None:
             hosted = {*network.repositories, *network.clients}
         #: The nodes that take deliveries here, by id (released with
-        #: ``network``: see ``_TcpWire.run``).
+        #: ``network``: see ``TcpWire.run``).
         self.hosted = {dst: network.node(dst) for dst in hosted}
         self.src = src
         self.host = host

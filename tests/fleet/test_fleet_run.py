@@ -140,6 +140,40 @@ def test_fleet_rejects_unsupported_configs():
     assert multiprocessing.active_children() == []  # refused before any spawn
 
 
+#: Inputs refused before any worker starts.  Before the check, a NaN
+#: ``sever_at_s`` hung the supervisor (the instant never came due), an
+#: infinite one overflowed its pipe wait, ``sever_worker=5`` raised
+#: ``IndexError`` mid-run, ``n_clients=-3`` crashed every worker,
+#: ``time_scale=0`` divided by zero after the workers had started and a
+#: negative or NaN pace or heartbeat "ran".
+BAD_FLEET_INPUTS = {
+    "time-scale-zero": ({"time_scale": 0.0}, "time_scale must be positive"),
+    "time-scale-negative": ({"time_scale": -60.0}, "time_scale must be positive"),
+    "time-scale-nan": ({"time_scale": math.nan}, "time_scale must be positive"),
+    "heartbeat-negative": ({"heartbeat_interval_s": -1.0}, "heartbeat_interval_s"),
+    "heartbeat-nan": ({"heartbeat_interval_s": math.nan}, "heartbeat_interval_s"),
+    "sever-at-nan": ({"sever_at_s": math.nan}, "sever_at_s must be finite"),
+    "sever-at-inf": ({"sever_at_s": math.inf}, "sever_at_s must be finite"),
+    "sever-at-negative": ({"sever_at_s": -5.0}, "sever_at_s must be finite"),
+    "sever-worker-5-of-2": ({"sever_worker": 5}, "sever_worker must name one"),
+    "sever-worker-negative": ({"sever_worker": -1}, "sever_worker must name one"),
+    "n-clients-negative": ({"n_clients": -3}, "n_clients must be >= 0"),
+}
+
+
+@pytest.mark.parametrize(
+    "bad, message", BAD_FLEET_INPUTS.values(), ids=BAD_FLEET_INPUTS
+)
+def test_fleet_refuses_bad_inputs_before_any_worker_starts(bad, message, monkeypatch):
+    def no_workers(*args, **kwargs):
+        raise AssertionError("a worker context was opened for a refused run")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_workers)
+    with pytest.raises(ConfigurationError, match=message):
+        run_fleet(CONFIG, workers=2, **{"time_scale": 600.0, "sever_at_s": 5.0, **bad})
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize(
     "plane",
     [

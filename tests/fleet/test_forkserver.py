@@ -36,9 +36,10 @@ CONFIG = SimulationConfig(
 )
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
-#: ``run_fleet`` does not vet ``n_clients``; every worker's client
-#: generator refuses it while building, and the worker says ``fatal``.
-CRASHING = {"n_clients": -1}
+#: ``run_fleet`` does not vet ``client_seed``; every worker's client
+#: generator seeds its stream with it while building, numpy refuses a
+#: negative seed, and the worker says ``fatal``.
+CRASHING = {"n_clients": 2, "client_seed": -1}
 
 #: A tiny fleet, then a child of the same server whose target is a
 #: builtin (it imports nothing from repro): its exit code says whether
@@ -158,7 +159,7 @@ def test_error_paths_leave_the_server_fit_for_the_next_run():
     """A crashed fleet, then a severed one, then a clean run on the same
     server: the last must pass what a run in a fresh process passes,
     and no run may leave a worker behind."""
-    with pytest.raises(SimulationError, match="n_clients must be >= 1"):
+    with pytest.raises(SimulationError, match="expected non-negative integer"):
         run_fleet(CONFIG, workers=2, time_scale=400.0, **CRASHING)
     server = forkserver._forkserver._forkserver_pid
     assert multiprocessing.active_children() == []

@@ -14,7 +14,13 @@ from repro.engine.simulation import run_simulation
 from repro.errors import ConfigurationError
 from repro.experiments.cache import fingerprint
 from repro.experiments.live_crosscheck import ADAPTIVE_BASE
-from repro.live.harness import build_live_network, check_duration, run_live
+from repro.live import harness
+from repro.live.harness import (
+    build_live_network,
+    check_duration,
+    check_pacing,
+    run_live,
+)
 from repro.live.loadgen import generate_clients
 from repro.live.nodes import RepositoryNode
 from repro.errors import SimulationError
@@ -279,6 +285,48 @@ def test_check_duration_refuses_what_is_not_positive(bad):
 def test_check_duration_accepts_no_truncation_and_any_positive_span():
     for good in (None, 1e-9, 30.0):
         check_duration(good)
+
+
+#: Pacing inputs no run can honour, each with the message that names it.
+#: NaN passes a ``< 0`` / ``<= 0`` guard, so every one is worded "not".
+BAD_PACING = {
+    "time-scale-zero": ({"time_scale": 0.0}, "time_scale must be positive"),
+    "time-scale-negative": ({"time_scale": -60.0}, "time_scale must be positive"),
+    "time-scale-nan": ({"time_scale": math.nan}, "time_scale must be positive"),
+    "heartbeat-negative": ({"heartbeat_interval_s": -1.0}, "heartbeat_interval_s"),
+    "heartbeat-nan": ({"heartbeat_interval_s": math.nan}, "heartbeat_interval_s"),
+    "jitter-negative": ({"jitter_ms": -1.0}, "jitter_ms must be >= 0"),
+    "jitter-nan": ({"jitter_ms": math.nan}, "jitter_ms must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("pacing, message", BAD_PACING.values(), ids=BAD_PACING)
+def test_check_pacing_refuses_what_no_run_can_honour(pacing, message):
+    with pytest.raises(ConfigurationError, match=message):
+        check_pacing(**{"time_scale": 60.0, "heartbeat_interval_s": 0.5, **pacing})
+
+
+def test_check_pacing_accepts_the_defaults_and_disabled_probes():
+    check_pacing(60.0, 0.5)
+    check_pacing(1e-3, 0.0, 0.0)
+    check_pacing(5000.0, 2.0, 5.0)
+
+
+@pytest.mark.parametrize("transport", ["inprocess", "tcp"])
+@pytest.mark.parametrize("pacing, message", BAD_PACING.values(), ids=BAD_PACING)
+def test_run_live_refuses_bad_pacing_before_it_builds(
+    transport, pacing, message, monkeypatch
+):
+    """A NaN pace once "ran" a TCP network for 9 ms and returned a result,
+    and a NaN jitter silently ran without jitter; both planes refuse
+    every bad pacing input, whichever plane reads it, up front."""
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a network was built for a refused run")
+
+    monkeypatch.setattr(harness, "build_live_network", no_build)
+    with pytest.raises(ConfigurationError, match=message):
+        run_live(CONFIG, transport, **pacing)
 
 
 def test_inprocess_transport_cannot_leak(monkeypatch):

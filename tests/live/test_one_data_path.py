@@ -3,7 +3,7 @@
 Loss and failures are judged by ``WireRuntime`` itself, by the engine's
 rule -- a down link and then the Bernoulli draw at the *send* instant, a
 crashed destination at the *arrival* stamp -- so every test here runs
-twice, on the virtual clock and on a ``_TcpWire`` whose links are stubs:
+twice, on the virtual clock and on a ``TcpWire`` whose links are stubs:
 rows are judged by their stamps, and nothing waits for a wall clock.
 """
 
@@ -24,12 +24,7 @@ from repro.engine.simulation import run_simulation
 from repro.live import wire
 from repro.live.harness import build_live_network, run_live
 from repro.live.loadgen import generate_clients
-from repro.live.transport import (
-    InProcessTransport,
-    TcpTransport,
-    _TcpWire,
-    _VirtualWire,
-)
+from repro.live.transport import TcpWire, VirtualWire
 from repro.obs.trace import TraceRecorder
 
 pytestmark = pytest.mark.live
@@ -65,11 +60,11 @@ class _Draws:
 
 
 def virtual(network):
-    return _VirtualWire(InProcessTransport(), network)
+    return VirtualWire(network)
 
 
 def tcp(network):
-    runtime = _TcpWire(TcpTransport(), network)
+    runtime = TcpWire(network)
     # A link is its queue as far as dispatch can tell; no socket opens.
     runtime.links = defaultdict(lambda: SimpleNamespace(queue=wire.SendQueue()))
     return runtime

@@ -29,7 +29,7 @@ from repro.live.protocol import (
     encode_message,
     encode_rows,
 )
-from repro.live.transport import TcpTransport, _TcpWire, make_transport
+from repro.live.transport import TcpWire
 from repro.errors import ConfigurationError, SimulationError
 
 pytestmark = pytest.mark.live
@@ -179,10 +179,10 @@ def test_tcp_churn_smoke_conserves_and_reconfigures():
 
 
 def test_tcp_transport_validates_parameters():
-    with pytest.raises(ConfigurationError):
-        TcpTransport(time_scale=0.0)
-    with pytest.raises(ConfigurationError):
-        make_transport("udp")
+    with pytest.raises(ConfigurationError, match="time_scale must be positive"):
+        run_live(CONFIG, "tcp", time_scale=0.0)
+    with pytest.raises(ConfigurationError, match="unknown live transport"):
+        run_live(CONFIG, "udp")
 
 
 def test_wall_budgets_are_not_options():
@@ -196,8 +196,8 @@ def test_wall_budgets_are_not_options():
         "config", "transport", "duration", "time_scale", "jitter_ms",
         "heartbeat_interval_s", "clients", "network",
     }
-    assert keywords(TcpTransport) == {
-        "time_scale", "host", "heartbeat_interval_s",
+    assert keywords(TcpWire) == {
+        "network", "time_scale", "heartbeat_interval_s",
     }
     assert keywords(run_fleet) == {
         "config", "workers", "duration", "time_scale", "heartbeat_interval_s",
@@ -261,7 +261,7 @@ def test_tcp_rogue_frame_rejects_its_connection_not_the_run(rogue):
     watched: the run waited on its replay forever."""
 
     async def scenario():
-        runtime = _TcpWire(TcpTransport(time_scale=200.0), build_live_network(CONFIG))
+        runtime = TcpWire(build_live_network(CONFIG), time_scale=200.0)
         hosted = len(runtime.hosted)
         running = asyncio.create_task(runtime.run(None))
         while len(runtime.links) < hosted:
@@ -287,7 +287,7 @@ def test_tcp_rogue_frame_rejects_its_connection_not_the_run(rogue):
 )
 def test_rows_ahead_of_a_rogue_one_are_still_queued(rogue):
     async def scenario():
-        runtime = _TcpWire(TcpTransport(), build_live_network(CONFIG))
+        runtime = TcpWire(build_live_network(CONFIG))
         good = [1, 2.5, 0, 1.0, None, 1, 0]
         frame = decode_payload(encode_rows([good, rogue, good])[4:])
         with pytest.raises(ProtocolError):
@@ -305,7 +305,7 @@ def test_tcp_run_ends_loudly_when_a_node_raises(monkeypatch):
         raise RuntimeError("node bug")
 
     monkeypatch.setattr(RepositoryNode, "receive", broken)
-    runtime = _TcpWire(TcpTransport(time_scale=800.0), build_live_network(CONFIG))
+    runtime = TcpWire(build_live_network(CONFIG), time_scale=800.0)
     with pytest.raises(SimulationError, match="due-queue action raised") as caught:
         asyncio.run(asyncio.wait_for(runtime.run(40.0), timeout=20.0))
     assert isinstance(caught.value.__cause__, RuntimeError)
@@ -317,7 +317,7 @@ def test_a_finished_tcp_runtime_no_longer_reaches_the_networks_nodes():
     goes, or one run's delivery logs outlive the run with it."""
     network = build_live_network(CONFIG)
     node = weakref.ref(next(iter(network.repositories.values())))
-    runtime = _TcpWire(TcpTransport(time_scale=800.0), network)
+    runtime = TcpWire(network, time_scale=800.0)
     stats = asyncio.run(asyncio.wait_for(runtime.run(40.0), timeout=20.0))
     assert stats.conserved and stats.delivered > 0
     del network

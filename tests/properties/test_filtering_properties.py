@@ -5,10 +5,10 @@ decision code in :mod:`repro.core.dissemination.filtering`; these
 properties pin the contract the ``live_crosscheck`` experiment rests
 on -- for *every* (update, edge) pair, a
 :class:`~repro.core.dissemination.policy.DisseminationPolicy` and the
-equivalent per-edge :class:`~repro.core.dissemination.filtering.
-EdgeFilter` (plus :class:`~repro.core.dissemination.filtering.
-SourceTagger` at the source) make identical decisions over identical
-update sequences.
+live nodes (a :class:`~repro.live.nodes.SourceNode` tagging with the
+:class:`~repro.core.dissemination.filtering.StaircaseTagger`, a
+:class:`~repro.live.nodes.RepositoryNode` forwarding over its edge
+group) make identical decisions over identical update sequences.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ from repro.core.dissemination.filtering import (
     FILTERED_POLICIES,
     EdgeFilter,
     SourceTagger,
+    StaircaseTagger,
 )
+from repro.core.metrics import CostCounters
+from repro.live.nodes import RepositoryNode, SourceNode
 
 _value = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -50,32 +53,62 @@ def _scenarios(draw):
 @given(_scenarios())
 @settings(max_examples=200, deadline=None)
 def test_policy_and_edge_filters_agree_on_every_decision(scenario):
+    """The live side is the nodes themselves: a source tagging with the
+    engine's tagger relays each update to a repository whose edge group
+    serves the same children the policy tables."""
     policy_name, c_serves, parent_receive_c, values, initial = scenario
     policy = make_policy(policy_name)
-    parent, item_id = 0, 0
-    filters: list[EdgeFilter] = []
-    tagger = SourceTagger() if policy_name == "centralized" else None
+    source_id, parent, item_id = 0, 100, 0
+    counters = CostCounters()
+    repository = RepositoryNode(parent, 0.0, counters, {item_id: parent_receive_c})
     for child, c_serve in enumerate(c_serves, start=1):
-        policy.register_edge(parent, child, item_id, c_serve, initial)
-        filters.append(EdgeFilter(policy_name, c_serve, initial))
-        if tagger is not None:
+        policy.register_edge(source_id, child, item_id, c_serve, initial)
+        repository.add_edge(
+            item_id, child, c_serve, EdgeFilter(policy_name, c_serve, initial), 0.0
+        )
+    tagger = StaircaseTagger() if policy_name == "centralized" else None
+    source = SourceNode(source_id, 0.0, counters, tagger=tagger)
+    if tagger is not None:
+        for c_serve in c_serves:
             tagger.add_tolerance(item_id, c_serve, initial)
+        # The relay edge serves at the smallest tolerance, which leaves
+        # the unique list alone and is covered by every tag: it carries
+        # each disseminated update, tag included, to the repository.
+        relay_c = min(c_serves)
+        tagger.add_tolerance(item_id, relay_c, initial)
+        source.add_edge(
+            item_id, parent, relay_c, EdgeFilter(policy_name, relay_c, initial), 0.0
+        )
 
-    for value in values:
+    for seq, value in enumerate(values, start=1):
+        now = float(seq)
         decision = policy.at_source(item_id, value)
-        if tagger is not None:
-            live_decision = tagger.examine(item_id, value)
-            assert live_decision == decision
-        else:
+        checks = counters.source_checks
+        relayed = source.on_update(item_id, value, now)
+        if tagger is None:
             assert decision.disseminate and decision.tag is None
+            assert relayed == [] and counters.source_checks == checks == 0
+            tag = None
+        else:
+            assert bool(relayed) == decision.disseminate
+            # The examination's checks, plus the relay edge's one when
+            # the update went out.
+            assert counters.source_checks - checks == (
+                decision.checks + decision.disseminate
+            )
+            tag = relayed[0][4] if relayed else None
+            assert tag == decision.tag
         if not decision.disseminate:
             continue
-        for child, filt in enumerate(filters, start=1):
-            sim_forward = policy.decide(
-                parent, child, item_id, value, parent_receive_c, decision.tag
+        rows = repository.receive(item_id, value, tag, seq, now)
+        forwarded = {
+            child
+            for child in range(1, len(c_serves) + 1)
+            if policy.decide(
+                source_id, child, item_id, value, parent_receive_c, decision.tag
             ).forward
-            live_forward = filt.decide(value, parent_receive_c, decision.tag)
-            assert sim_forward == live_forward
+        }
+        assert {row[0] for row in rows} == forwarded
 
 
 @given(

@@ -33,15 +33,18 @@ def _filter(policy: str, c_serve: float, is_client: bool) -> EdgeFilter:
 
 
 def _charge_per_edge(counters, filters, value, tag, parent_receive_c, is_source):
-    """The reference: one ``record_*`` call per edge, as decided."""
+    """The reference: one ``record_*`` call per edge, as decided; returns
+    how many clients were served."""
+    served = 0
     for edge_filter, is_client in filters:
         if is_client:
-            edge_filter.decide(value, parent_receive_c, None)
+            served += edge_filter.decide(value, parent_receive_c, None)
             continue
         forward = edge_filter.decide(value, parent_receive_c, tag)
         counters.record_check(NODE, is_source)
         if forward:
             counters.record_message(NODE, is_source)
+    return served
 
 
 @given(
@@ -69,11 +72,15 @@ def test_one_forward_call_leaves_what_per_edge_charging_leaves(
         rows = node._forward(
             ITEM, value, tag, float(seq), parent_receive_c, seq, is_source
         )
-        _charge_per_edge(reference, twins, value, tag, parent_receive_c, is_source)
+        served = _charge_per_edge(
+            reference, twins, value, tag, parent_receive_c, is_source
+        )
         assert node.counters == reference  # every scalar, both per-node dicts
-        # And the rows it emitted are the messages it charged for.
+        # And the rows it emitted are the messages it charged for, and
+        # the clients the per-edge filters serve.
         to_repositories = [row for row in rows if not edges[row[0] - 10][1]]
         assert len(to_repositories) == reference.messages - charged
+        assert len(rows) - len(to_repositories) == served
     assert node.client_messages + reference.messages == node.station.jobs_served
     if all(is_client for _c, is_client in edges):
         assert node.counters == CostCounters()  # nothing charged, no key created

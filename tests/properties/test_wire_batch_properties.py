@@ -33,7 +33,7 @@ from repro.live.protocol import (
     ResyncRequest,
     ResyncResponse,
 )
-from repro.live.transport import TcpTransport, _TcpWire
+from repro.live.transport import TcpWire
 from repro.live.wire import DueQueue, encode_backlog
 
 _ids = st.integers(min_value=0, max_value=2**40)
@@ -135,10 +135,10 @@ def test_runs_of_messages_share_a_frame_and_control_frames_keep_their_place(back
 
 
 @functools.cache
-def _runtime() -> _TcpWire:
+def _runtime() -> TcpWire:
     """A TCP runtime over a small network; only its inbound check runs."""
     config = SimulationConfig(n_repositories=5, n_routers=15, n_items=2, trace_samples=80)
-    return _TcpWire(TcpTransport(), build_live_network(config))
+    return TcpWire(build_live_network(config))
 
 
 #: 44 bytes of anything, or a record packed from fields that are each in
