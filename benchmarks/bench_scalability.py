@@ -1,6 +1,6 @@
 """Benchmark: Section 6.3.5 scalability, plus the batch-kernel pins.
 
-Four guarantees live here:
+Five guarantees live here:
 
 1. Shape: tripling the repository count under controlled cooperation
    grows the loss of fidelity by less than 5 percentage points.
@@ -19,6 +19,12 @@ Four guarantees live here:
    source every receiving edge group is a leaf, so the batch kernel
    lands every delivery at its push site and its heap stays empty --
    and the result is still the scalar oracle's, bit for bit.
+5. Memory: building the full ``scalability`` preset and running the
+   engine once peaks at no more than 230 MiB RSS.  Delivery logs are
+   flat ``[t0, v0, t1, v1, ...]`` lists, with no ``(time, value)``
+   tuple per delivery (about 112 B each, GC-tracked).  Measured on the
+   development container (2 CPUs, CPython 3.11): 325.6 MiB with one
+   tuple per delivery, 195.5 MiB flat.
 
 The client-plane pin trims the preset's trace length, item count and
 router mesh (set-up is identical for both kernels, so it would only
@@ -31,8 +37,12 @@ of 1.89 runs on average, p99 6, max 8).  One numpy call sequence per
 delivery, the form before the staircase, read 35x (0.699 s).
 """
 
+import os
+import subprocess
+import sys
 import time
 
+import repro
 from repro.engine.builder import build_setup
 from repro.engine.config import SCALE_PRESETS
 from repro.engine.oracle import DisseminationSimulation
@@ -117,3 +127,34 @@ def bench_no_cooperation_lands_every_delivery(benchmark):
         issrc or not cs for issrc, cs in zip(sim._g_issrc, sim._g_cs, strict=True)
     )
     _kernel_speedup(benchmark, NO_COOPERATION_CONFIG)
+
+
+#: One ``scalability`` engine run, alone in its interpreter, printing its
+#: peak resident set in MiB (Linux reports ``ru_maxrss`` in KiB).
+_PEAK_RSS_SCRIPT = """
+import resource
+from repro.engine.builder import build_setup
+from repro.engine.config import SCALE_PRESETS
+from repro.engine.simulation import make_simulation
+make_simulation(build_setup(SCALE_PRESETS["scalability"])).run()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def bench_scalability_peak_rss(benchmark):
+    """The memory pin: <= 230 MiB peak RSS for set-up plus one engine run
+    on the full preset, in a fresh process so that nothing an earlier
+    bench allocated counts."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = benchmark.pedantic(
+        subprocess.run,
+        args=([sys.executable, "-c", _PEAK_RSS_SCRIPT],),
+        kwargs=dict(env=env, capture_output=True, text=True, check=True),
+        rounds=1,
+        iterations=1,
+    )
+    peak_mib = float(done.stdout.split()[-1])
+    benchmark.extra_info["peak_rss_mib"] = round(peak_mib, 1)
+    assert peak_mib <= 230.0, f"peak RSS {peak_mib:.1f} MiB"

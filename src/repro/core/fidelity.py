@@ -31,15 +31,28 @@ __all__ = [
 ]
 
 
-def unzip_log(log) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """A ``(time, value)`` delivery log as its two columns.
+def unzip_log(log) -> tuple[np.ndarray, np.ndarray]:
+    """A flat delivery log ``[t0, v0, t1, v1, ...]`` as its two columns.
 
-    Every scorer unpacks it into the ``recv_times, recv_values``
-    arguments of :func:`loss_of_fidelity` / :func:`segmented_loss`; one
-    ``zip`` splits the log at C speed.  An empty log gives two empty
-    columns, which the scorers reject themselves.
+    Every plane keeps a pair's receive step function in that layout --
+    two ``append`` calls per delivery, no object per delivery -- and
+    every scorer unpacks it into the ``recv_times, recv_values``
+    arguments of :func:`loss_of_fidelity` / :func:`segmented_loss`: one
+    array, sliced ``[0::2]`` and ``[1::2]``.  An empty log gives two
+    empty columns, which the scorers reject themselves.
+
+    Raises:
+        ConfigurationError: on an odd-length log: a time without its
+            value, which one missed ``append`` leaves.
     """
-    return tuple(zip(*log)) or ((), ())
+    if len(log) % 2:
+        raise ConfigurationError(
+            f"a flat delivery log pairs each time with a value, got {len(log)} entries"
+        )
+    if not log:
+        return (), ()
+    flat = np.array(log, dtype=float)
+    return flat[0::2], flat[1::2]
 
 
 def scoring_windows(
@@ -87,7 +100,8 @@ def violation_time(
 
     Raises:
         ConfigurationError: on an empty/invalid window, a non-positive
-            tolerance, or series that do not cover ``t_start``.
+            tolerance, time and value columns of unequal length, or
+            series that do not cover ``t_start``.
     """
     if c <= 0:
         raise ConfigurationError(f"tolerance must be positive, got {c!r}")
@@ -99,6 +113,12 @@ def violation_time(
     source_values = np.asarray(source_values, dtype=float)
     recv_times = np.asarray(recv_times, dtype=float)
     recv_values = np.asarray(recv_values, dtype=float)
+    if source_times.size != source_values.size or recv_times.size != recv_values.size:
+        raise ConfigurationError(
+            "each step function needs one value per time (source "
+            f"{source_times.size}/{source_values.size}, recv "
+            f"{recv_times.size}/{recv_values.size})"
+        )
     if source_times.size == 0 or recv_times.size == 0:
         raise ConfigurationError("both step functions need at least one sample")
     if source_times[0] > t_start or recv_times[0] > t_start:

@@ -130,7 +130,8 @@ class DisseminationSimulation(SimulationBase):
             self.observer.on_deliver(update_id, item_id, self.kernel.now, node)
         log = self._deliveries.get((node, item_id))
         if log is not None:
-            log.append((self.kernel.now, value))
+            log.append(self.kernel.now)
+            log.append(value)
         self._serve_clients(node, item_id, value)
         self._process_at_node(node, item_id, value, tag, update_id)
 

@@ -102,7 +102,8 @@ class PullSimulation:
         self.counters = CostCounters()
         self._source_station = FifoStation()
         self._comp_delay_s = setup.config.comp_delay_ms / 1000.0
-        self._deliveries: dict[tuple[int, int], list[tuple[float, float]]] = {}
+        # Per (repo, item): flat receive log [t0, v0, t1, v1, ...].
+        self._deliveries: dict[tuple[int, int], list[float]] = {}
         self._current_ttr: dict[tuple[int, int], float] = {}
         self._end_s = max(float(t.times[-1]) for t in setup.traces.values())
 
@@ -135,8 +136,9 @@ class PullSimulation:
         self.counters.record_delivery()
         key = (repo, item_id)
         log = self._deliveries[key]
-        previous = log[-1][1]
-        log.append((self.kernel.now, value))
+        previous = log[-1]
+        log.append(self.kernel.now)
+        log.append(value)
 
         ttr = self._current_ttr[key]
         if self.ttr.mode == "adaptive":
@@ -159,7 +161,7 @@ class PullSimulation:
             for item_id in profile.requirements:
                 key = (repo, item_id)
                 initial = self.setup.traces[item_id].initial_value
-                self._deliveries[key] = [(0.0, initial)]
+                self._deliveries[key] = [0.0, initial]
                 self._current_ttr[key] = self.ttr.ttr_s
                 # De-phase the first polls deterministically so the whole
                 # fleet does not hit the source in the same instant.

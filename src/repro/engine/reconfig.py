@@ -96,8 +96,9 @@ class EdgeStore(Protocol):
         is kept: the elapsed interval is still scored)."""
 
     def log(self, node: int, item_id: int, create: bool = False) -> list | None:
-        """The pair's mutable ``[(time, value), ...]`` delivery log, or
-        ``None``; ``create`` starts an empty one instead."""
+        """The pair's mutable delivery log, flat ``[t0, v0, t1, v1, ...]``
+        (so ``log[-1]`` is the value held), or ``None``; ``create``
+        starts an empty one instead."""
 
     def source_value(self, item_id: int) -> float:
         """The freshest value the item's source has seen."""
@@ -327,10 +328,11 @@ class ReconfigurationCore:
                 # as reconfiguration cost, not as an update message).
                 if log is None:
                     log = store.log(child, item_id, create=True)
-                log.append((now, self.current_value(parent, item_id)))
+                log.append(now)
+                log.append(self.current_value(parent, item_id))
             # A re-homed subscription falls through: the child keeps its
             # own copy, and either way the log tail is what it holds.
-            store.wire(parent, child, item_id, c, log[-1][1])
+            store.wire(parent, child, item_id, c, log[-1])
             self.parent_of[(child, item_id)] = (parent, c)
 
     def _depth(self, node: int, item_id: int) -> int:
@@ -351,7 +353,7 @@ class ReconfigurationCore:
             raise SimulationError(
                 f"node {node} has no copy of item {item_id} to serve from"
             )
-        return log[-1][1]
+        return log[-1]
 
     # ------------------------------------------------------------------
     # Fidelity owed, and scored
@@ -545,8 +547,9 @@ class ReconfigurationCore:
             checks += 1
             value = self.current_value(provider, item_id)
             log = self.store.log(repo, item_id)
-            if value != log[-1][1]:
-                log.append((now, value))
+            if value != log[-1]:
+                log.append(now)
+                log.append(value)
                 messages += 1
         if checks:
             self.counters.record_resync(checks, messages)

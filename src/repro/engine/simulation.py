@@ -170,15 +170,16 @@ class SimulationBase:
         )
         self._reconfig.observer = observer
         self._root_of: dict[int, int] = {}
-        # Per (repo, item): delivery log [(time, value), ...].
-        self._deliveries: dict[tuple[int, int], list[tuple[float, float]]] = {}
+        # Per (repo, item): delivery log, flat [t0, v0, t1, v1, ...] --
+        # two appends per delivery, no tuple.
+        self._deliveries: dict[tuple[int, int], list[float]] = {}
         for graph, root, item_ids in self._reconfig.trees:
             for item_id in item_ids:
                 self._root_of[item_id] = root
                 initial = setup.traces[item_id].initial_value
                 for node, state in graph.nodes.items():
                     if node != root and item_id in state.receive_c:
-                        self._deliveries[(node, item_id)] = [(0.0, initial)]
+                        self._deliveries[(node, item_id)] = [0.0, initial]
 
     # ------------------------------------------------------------------
     # The store-independent half of the edge-store port
@@ -233,14 +234,17 @@ class SimulationBase:
     def delivery_log(self, repo: int, item_id: int) -> list[tuple[float, float]]:
         """The (time, value) receive log for one repository/item pair.
 
-        Entries are in arrival order -- by time, then push order -- on
-        both classes: the reference pops events in that order, and the
-        engine either pops its heap in it or, for a pair with
-        no dependents in a static run, appends each arrival where it is
-        sent, which is the same order (see
+        A tuple view, built on call: the engine and the reference keep
+        each pair's log flat, ``[t0, v0, t1, v1, ...]``, with no object
+        per delivery.  Entries are in arrival order -- by time, then
+        push order -- on both classes: the reference pops events in
+        that order, and the engine either pops its heap in it or, for a
+        pair with no dependents in a static run, appends each arrival
+        where it is sent, which is the same order (see
         ``docs/architecture/vectorized-kernel.md``, "Leaf landings").
         """
-        return list(self._deliveries.get((repo, item_id), []))
+        log = self._deliveries.get((repo, item_id), [])
+        return list(zip(log[0::2], log[1::2]))
 
 
 class VectorizedSimulation(SimulationBase):
@@ -471,7 +475,8 @@ class VectorizedSimulation(SimulationBase):
                     observer.on_deliver(update_id, item_of[gid], t, node_of[gid])
                 log = g_log[gid]
                 if log is not None:
-                    log.append((t, value))
+                    log.append(t)
+                    log.append(value)
                 clients = g_clients[gid]
                 if clients is not None:
                     client_checks += len(clients.cs)
@@ -524,7 +529,8 @@ class VectorizedSimulation(SimulationBase):
                         landed += 1
                         log = g_log[child_gid]
                         if log is not None:
-                            log.append((arrival, value))
+                            log.append(arrival)
+                            log.append(value)
                         clients = g_clients[child_gid]
                         if clients is not None:
                             client_checks += len(clients.cs)

@@ -396,7 +396,8 @@ class _Shard(WireRuntime):
                 repo.seqs[item_id] = seq
                 log = repo.deliveries.get(item_id)
                 if log is not None:
-                    log.append((now, value))
+                    log.append(now)
+                    log.append(value)
         self.network.counters.record_resync(
             session.cost.checks, session.cost.transferred
         )

@@ -364,7 +364,7 @@ def build_live_network(
                 network.wire(node, child, item_id, c_serve, initial)
         for node, repo in repositories.items():
             if item_id in repo.receive_c:
-                repo.deliveries[item_id] = [(0.0, initial)]
+                repo.deliveries[item_id] = [0.0, initial]
 
     client_nodes = network.clients
     if clients is not None and len(clients):
@@ -389,7 +389,7 @@ def build_live_network(
                     raise ConfigurationError(
                         f"client {client.client_id} wants unknown item {item_id}"
                     )
-                client_node.deliveries[item_id] = [(0.0, trace.initial_value)]
+                client_node.deliveries[item_id] = [0.0, trace.initial_value]
                 # Attached whether or not the repository carries the item:
                 # a client is served only while it does (until then it
                 # stays on the priming value, and the requirement-met

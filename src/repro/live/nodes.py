@@ -247,8 +247,9 @@ class RepositoryNode(_ForwardingNode):
         super().__init__(node, comp_delay_s, counters)
         #: item_id -> coherency at which this node receives it (Eq. 7's c_p).
         self.receive_c = dict(receive_c)
-        #: item_id -> [(arrival sim-time, value), ...]; primed by the harness.
-        self.deliveries: dict[int, list[tuple[float, float]]] = {}
+        #: item_id -> flat receive log ``[t0, v0, t1, v1, ...]`` (arrival
+        #: sim-time, value); primed by the harness.
+        self.deliveries: dict[int, list[float]] = {}
         #: item_id -> highest source seq received -- the per-item heads
         #: the anti-entropy resync samples over.
         self.seqs: dict[int, int] = {}
@@ -264,7 +265,8 @@ class RepositoryNode(_ForwardingNode):
             self.seqs[item_id] = seq
         log = self.deliveries.get(item_id)
         if log is not None:
-            log.append((now, value))
+            log.append(now)
+            log.append(value)
         return self._forward(
             item_id, value, tag, now, self.receive_c.get(item_id), seq, False
         )
@@ -284,15 +286,16 @@ class ClientNode:
             realises.
         repository: The repository it reads from.
         requirements: ``item_id -> c`` tolerances it needs.
-        deliveries: ``item_id -> [(arrival sim-time, value), ...]``;
-            primed by the harness, appended per received update.
+        deliveries: ``item_id ->`` flat receive log ``[t0, v0, t1, v1,
+            ...]`` (arrival sim-time, value); primed by the harness,
+            two appends per received update.
     """
 
     node: int
     client_id: int
     repository: int
     requirements: dict[int, float]
-    deliveries: dict[int, list[tuple[float, float]]] = field(default_factory=dict)
+    deliveries: dict[int, list[float]] = field(default_factory=dict)
 
     def receive(
         self, item_id: int, value: float, tag: float | None, seq: int, now: float
@@ -300,5 +303,6 @@ class ClientNode:
         """Record one received update; clients never forward."""
         log = self.deliveries.get(item_id)
         if log is not None:
-            log.append((now, value))
+            log.append(now)
+            log.append(value)
         return []

@@ -129,10 +129,10 @@ def test_violation_never_exceeds_the_window_by_a_float_ulp():
 
 
 def test_unzip_log_is_the_two_comprehensions():
-    log = [(0.0, 5.0), (1.5, 6.0), (1.5, 7.0)]
+    log = [0.0, 5.0, 1.5, 6.0, 1.5, 7.0]
     times, values = unzip_log(log)
-    assert list(times) == [entry[0] for entry in log]
-    assert list(values) == [entry[1] for entry in log]
+    assert list(times) == [log[i] for i in range(0, len(log), 2)]
+    assert list(values) == [log[i] for i in range(1, len(log), 2)]
     src = np.array([0.0, 1.0, 2.0]), np.array([5.0, 6.5, 7.0])
     assert loss_of_fidelity(*src, *unzip_log(log), 0.4, 0.0, 2.0) == loss_of_fidelity(
         *src, [0.0, 1.5, 1.5], [5.0, 6.0, 7.0], 0.4, 0.0, 2.0
@@ -143,6 +143,24 @@ def test_unzip_log_of_an_empty_log_is_rejected_by_the_scorer():
     assert unzip_log([]) == ((), ())
     with pytest.raises(ConfigurationError, match="at least one sample"):
         loss_of_fidelity([0.0], [1.0], *unzip_log([]), 0.5, 0.0, 1.0)
+
+
+def test_unzip_log_refuses_an_odd_length_log():
+    # One missed append leaves a time without its value.
+    with pytest.raises(ConfigurationError, match="3 entries"):
+        unzip_log([0.0, 5.0, 1.5])
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_receive_columns_of_unequal_length_are_refused(swap):
+    src = np.array([0.0, 1.0, 2.0]), np.array([5.0, 6.5, 7.0])
+    recv = [0.0, 1.5, 1.8], [5.0, 6.0]
+    if swap:
+        recv = recv[::-1]
+    with pytest.raises(ConfigurationError, match="one value per time"):
+        loss_of_fidelity(*src, *recv, 0.4, 0.0, 2.0)
+    with pytest.raises(ConfigurationError, match="one value per time"):
+        violation_time(*recv, *src, 0.4, 0.0, 2.0)  # as the source columns
 
 
 def test_scoring_windows_span_each_trace_and_clip_to_a_duration():

@@ -64,7 +64,7 @@ class FakeStore:
         for node, state in graph.nodes.items():
             for item, parent in state.parent_for.items():
                 self.wire(parent, node, item, state.receive_c[item], INITIAL)
-                self.logs[(node, item)] = [(0.0, INITIAL)]
+                self.logs[(node, item)] = [0.0, INITIAL]
         self.ops.clear()
 
     def unwire(self, parent, child, item_id, c):
@@ -92,6 +92,11 @@ class FakeStore:
 
     def message_counts(self):
         return dict(self.sent)
+
+
+def pairs(log):
+    """A flat ``[t0, v0, t1, v1, ...]`` log as its ``(time, value)`` pairs."""
+    return list(zip(log[0::2], log[1::2]))
 
 
 def make_core(graph, items=(0,), **sources):
@@ -153,15 +158,15 @@ def test_new_subscription_syncs_parent_copy_rehomed_child_keeps_its_own():
     after.add_node(2, 1, {0: C})
     after.connect(0, 2, 0, C)
     rebuilt(core, after)
-    store.logs[(1, 0)].append((3.0, 1.8))  # the parent moved on
-    store.logs[(2, 0)].append((2.0, 1.4))  # the child lags behind it
+    store.logs[(1, 0)].extend((3.0, 1.8))  # the parent moved on
+    store.logs[(2, 0)].extend((2.0, 1.4))  # the child lags behind it
     core.apply_diff(
         diff(added=[(1, 7, 0, C), (0, 2, 0, C)], removed=[(1, 2, 0, C)]), now=5.0
     )
     assert ("wire", 1, 7, 0, 1.8) in store.ops  # new: the parent's copy...
-    assert store.logs[(7, 0)] == [(5.0, 1.8)]  # ...initial-synced at `now`
+    assert pairs(store.logs[(7, 0)]) == [(5.0, 1.8)]  # ...initial-synced at `now`
     assert ("wire", 0, 2, 0, 1.4) in store.ops  # re-homed: its own copy
-    assert store.logs[(2, 0)][-1] == (2.0, 1.4)  # and no sync entry
+    assert store.logs[(2, 0)][-2:] == [2.0, 1.4]  # and no sync entry
 
 
 def test_rejoiner_resyncs_even_though_it_still_holds_a_log():
@@ -171,7 +176,7 @@ def test_rejoiner_resyncs_even_though_it_still_holds_a_log():
     core.apply_diff(diff(removed=[(0, 1, 0, C)]), now=1.0)
     core.apply_diff(diff(added=[(0, 1, 0, C)]), now=9.0, resync=frozenset({1}))
     assert store.ops[-1] == ("wire", 0, 1, 0, 2.5)  # from the source's value
-    assert store.logs[(1, 0)] == [(0.0, INITIAL), (9.0, 2.5)]
+    assert pairs(store.logs[(1, 0)]) == [(0.0, INITIAL), (9.0, 2.5)]
 
 
 def test_pair_dropped_by_the_rebuilt_graph_is_unsubscribed_but_keeps_its_log():
@@ -181,7 +186,7 @@ def test_pair_dropped_by_the_rebuilt_graph_is_unsubscribed_but_keeps_its_log():
     core.apply_diff(diff(removed=[(1, 2, 0, C)]), now=4.0)
     assert store.ops == [("unwire", 1, 2, 0), ("unsubscribe", 2, 0)]
     assert (2, 0) not in core.parent_of and (2, 0) not in store.receive_c
-    assert store.logs[(2, 0)] == [(0.0, INITIAL)]
+    assert pairs(store.logs[(2, 0)]) == [(0.0, INITIAL)]
 
 
 def test_syncing_from_a_parent_without_a_copy_fails_loudly():
@@ -232,8 +237,8 @@ def test_crash_fails_dependents_over_and_recovery_resyncs_only_what_diverged():
     store.source[0] = 5.0  # item 0 moves while node 1 is down; item 1 does not
     core.apply(*timeline[1])
     assert core.crashed == set()
-    assert store.logs[(1, 0)] == [(0.0, INITIAL), (20.0, 5.0)]
-    assert store.logs[(1, 1)] == [(0.0, INITIAL)]
+    assert pairs(store.logs[(1, 0)]) == [(0.0, INITIAL), (20.0, 5.0)]
+    assert pairs(store.logs[(1, 1)]) == [(0.0, INITIAL)]
     assert (counters.resyncs, counters.resync_checks, counters.resync_messages) == (1, 2, 1)
     # ...and only then are the dependents wired back home, keeping their copies.
     assert store.ops == [
@@ -318,7 +323,7 @@ def test_churn_events_keep_segments_departed_set_and_edges_in_step():
     timeline = core.timeline(span=100.0)
     core.apply(*timeline[0])
     assert core.segments[(3, 0)] == [[5.0, None, C]]
-    assert store.logs[(3, 0)] == [(5.0, INITIAL)]
+    assert pairs(store.logs[(3, 0)]) == [(5.0, INITIAL)]
     core.apply(*timeline[1])
     assert core.departed == {2}
     assert core.segments[(2, 0)] == [[0.0, 10.0, C]]
@@ -326,11 +331,11 @@ def test_churn_events_keep_segments_departed_set_and_edges_in_step():
     store.source[0] = 3.0
     for key in store.logs:
         if key != (2, 0):
-            store.logs[key].append((15.0, 3.0))
+            store.logs[key].extend((15.0, 3.0))
     core.apply(*timeline[2])
     assert core.departed == set()
     assert core.segments[(2, 0)] == [[0.0, 10.0, C], [20.0, None, C]]
-    assert store.logs[(2, 0)][-1] == (20.0, 3.0)  # fresh copy, not the stale one
+    assert store.logs[(2, 0)][-2:] == [20.0, 3.0]  # fresh copy, not the stale one
     assert {(p, ch) for (ch, _i), (p, _c) in core.parent_of.items()} == {
         (p, ch) for p, ch, _i in store.edges
     }

@@ -149,7 +149,7 @@ def test_client_plane_rows_are_never_judged(judged):
     assert draws.n == 0 and drops() == []
     stats = runtime.stats
     assert (stats.sent, stats.delivered, stats.dropped) == (1, 1, 0)
-    assert client.deliveries[item_id][-1] == (35.0, 1.0)
+    assert client.deliveries[item_id][-2:] == [35.0, 1.0]
 
 
 # ---- the whole run: span for span the oracle's, and no event loop ----
