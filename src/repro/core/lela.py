@@ -27,7 +27,7 @@ from repro.core.interests import InterestProfile
 from repro.core.preference import PreferenceFunction, preference_p1
 from repro.core.tree import DisseminationGraph
 
-__all__ = ["LelaBuilder", "build_d3g", "reoptimize_d3g"]
+__all__ = ["LelaBuilder", "build_d3g"]
 
 
 @dataclass
@@ -268,7 +268,13 @@ def build_d3g(
         p_percent: Load-controller admission band (default 5%).
         rng: Random stream for augmentation's random-parent rule.
         node_load: Observed-load weights demoting hot candidates (see
-            :class:`LelaBuilder`).  ``None``/empty is plain LeLA.
+            :class:`LelaBuilder`).  ``None``/empty is plain LeLA: over the
+            same insertion order and random stream it reproduces the
+            original graph bit-exactly, which is why online adaptation
+            (:mod:`repro.engine.adaptive`) can rebuild under load and
+            apply only the edge-level
+            :class:`~repro.core.dynamics.ReconfigurationDiff` between the
+            old and new graphs to the running system.
 
     Returns:
         The constructed, validated :class:`DisseminationGraph`.
@@ -291,35 +297,3 @@ def build_d3g(
     graph.validate(max_dependents=budgets)
     return graph
 
-
-def reoptimize_d3g(
-    profiles: list[InterestProfile],
-    source: int,
-    comm_delay_ms,
-    offered_degree: dict[int, int] | int,
-    preference: PreferenceFunction = preference_p1,
-    p_percent: float = 5.0,
-    rng: np.random.Generator | None = None,
-    node_load: dict[int, float] | None = None,
-) -> DisseminationGraph:
-    """Re-run LeLA with observed load folded into the level ranking.
-
-    The paper re-applies the algorithm whenever requirements change
-    (Section 4); online adaptation re-applies it when *observed traffic*
-    drifts instead.  The re-optimization is realized as a deterministic
-    load-aware rebuild over the same insertion order and random stream:
-    with an empty ``node_load`` it reproduces the original graph
-    bit-exactly, and incrementality comes from applying only the
-    edge-level :class:`~repro.core.dynamics.ReconfigurationDiff` between
-    the old and new graphs to the running system.
-    """
-    return build_d3g(
-        profiles=profiles,
-        source=source,
-        comm_delay_ms=comm_delay_ms,
-        offered_degree=offered_degree,
-        preference=preference,
-        p_percent=p_percent,
-        rng=rng,
-        node_load=node_load,
-    )

@@ -8,8 +8,8 @@ calibration traffic becomes a hotspot when its items burst.  This module
 closes the loop -- it watches the per-node traffic the running kernel
 already counts, estimates drift over sliding windows, and when the drift
 exceeds a configurable threshold it re-runs LeLA with the observed load
-folded into the level ranking (:func:`repro.core.lela.reoptimize_d3g`)
-and applies only the edge-level
+folded into the level ranking (:func:`repro.core.lela.build_d3g` with
+``node_load``) and applies only the edge-level
 :class:`~repro.core.dynamics.ReconfigurationDiff` through the same
 live-rewiring path churn and failover use.  Every applied rewire is
 charged into ``CostCounters.reconfigurations`` /
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import math
 
 from repro.core.dynamics import ReconfigurationDiff, edges_of
-from repro.core.lela import reoptimize_d3g
+from repro.core.lela import build_d3g
 from repro.core.preference import get_preference_function
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomStreams
@@ -250,7 +250,7 @@ class AdaptiveController:
             load = {node: drifts[node] for node in hot}
         else:
             load = dict(drifts)
-        new_graph = reoptimize_d3g(
+        new_graph = build_d3g(
             profiles=self.profiles,
             source=self._source,
             comm_delay_ms=self._delay_ms,

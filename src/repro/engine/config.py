@@ -14,6 +14,7 @@ ratio (router:repository, change rate, delay scales) intact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.core.dissemination.filtering import FILTERED_POLICIES, validate_tolerance
@@ -155,18 +156,27 @@ class SimulationConfig:
             raise ConfigurationError("n_items must be >= 1")
         if self.trace_samples < 2:
             raise ConfigurationError("trace_samples must be >= 2")
-        if self.comp_delay_ms < 0:
-            raise ConfigurationError("comp_delay_ms must be >= 0")
-        if self.link_delay_mean_ms < 0:
-            raise ConfigurationError("link_delay_mean_ms must be >= 0")
-        if self.comm_target_ms is not None and self.comm_target_ms < 0:
-            raise ConfigurationError("comm_target_ms must be >= 0 when set")
+        # Written so that NaN fails too: every comparison with it is false.
+        if not math.isfinite(self.avg_degree):
+            raise ConfigurationError("avg_degree must be finite")
+        if not math.isfinite(self.comp_delay_ms) or self.comp_delay_ms < 0:
+            raise ConfigurationError("comp_delay_ms must be finite and >= 0")
+        if not math.isfinite(self.link_delay_mean_ms) or self.link_delay_mean_ms < 0:
+            raise ConfigurationError("link_delay_mean_ms must be finite and >= 0")
+        if not math.isfinite(self.link_delay_min_ms):
+            raise ConfigurationError("link_delay_min_ms must be finite")
+        if self.comm_target_ms is not None and (
+            not math.isfinite(self.comm_target_ms) or self.comm_target_ms < 0
+        ):
+            raise ConfigurationError("comm_target_ms must be finite and >= 0 when set")
+        if not math.isfinite(self.p_percent) or self.p_percent < 0:
+            raise ConfigurationError("p_percent must be finite and >= 0")
         if self.offered_degree < 1:
             raise ConfigurationError("offered_degree must be >= 1")
         if not 0.0 <= self.t_percent <= 100.0:
             raise ConfigurationError("t_percent must be in [0, 100]")
-        if self.interest_fraction_f <= 0:
-            raise ConfigurationError("interest_fraction_f must be positive")
+        if not math.isfinite(self.interest_fraction_f) or self.interest_fraction_f <= 0:
+            raise ConfigurationError("interest_fraction_f must be finite and positive")
         if not 0.0 <= self.message_loss_probability < 1.0:
             raise ConfigurationError(
                 "message_loss_probability must be in [0, 1)"

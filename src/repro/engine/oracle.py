@@ -44,7 +44,6 @@ class DisseminationSimulation(SimulationBase):
         setup: As for :class:`~repro.engine.simulation.SimulationBase`.
         policy: The policy object to drive; ``None`` builds the config's.
         observer: As for the base.
-        trees: As for the base.
     """
 
     def __init__(
@@ -52,9 +51,8 @@ class DisseminationSimulation(SimulationBase):
         setup: SimulationSetup,
         policy: DisseminationPolicy | None = None,
         observer=None,
-        trees=None,
     ):
-        super().__init__(setup, observer, trees)
+        super().__init__(setup, observer)
         self.policy = policy if policy is not None else make_policy(setup.config.policy)
         self.kernel = Simulator()
         self._stations: dict[int, FifoStation] = {}
@@ -70,22 +68,20 @@ class DisseminationSimulation(SimulationBase):
         self._departed = self._reconfig.departed
         self._crashed = self._reconfig.crashed
         self._down_links = self._reconfig.down_links
-        for graph, root, item_ids in self._reconfig.trees:
-            for node in graph.nodes:
-                if node not in self._stations:
-                    self._stations[node] = FifoStation()
-            for item_id in item_ids:
-                initial = setup.traces[item_id].initial_value
-                for node, state in graph.nodes.items():
-                    children = graph.children_for_item(node, item_id)
-                    if children:
-                        self._children[(node, item_id)] = children
-                        for child, c_serve in children:
-                            self.policy.register_edge(
-                                node, child, item_id, c_serve, initial
-                            )
-                    if node != root and item_id in state.receive_c:
-                        self._receive_c[(node, item_id)] = state.receive_c[item_id]
+        graph = self._reconfig.graph
+        for node in graph.nodes:
+            self._stations[node] = FifoStation()
+        for item_id, trace in setup.traces.items():
+            for node, state in graph.nodes.items():
+                children = graph.children_for_item(node, item_id)
+                if children:
+                    self._children[(node, item_id)] = children
+                    for child, c_serve in children:
+                        self.policy.register_edge(
+                            node, child, item_id, c_serve, trace.initial_value
+                        )
+                if node != self._source and item_id in state.receive_c:
+                    self._receive_c[(node, item_id)] = state.receive_c[item_id]
 
     # ------------------------------------------------------------------
 
@@ -93,7 +89,7 @@ class DisseminationSimulation(SimulationBase):
         self, item_id: int, value: float, update_id: int = -1
     ) -> None:
         self._source_value[item_id] = value
-        root = self._root_of[item_id]
+        root = self._source
         decision = self.policy.at_source(item_id, value)
         if decision.checks:
             self.counters.record_check(root, is_source=True, count=decision.checks)
@@ -172,7 +168,7 @@ class DisseminationSimulation(SimulationBase):
         if not children:
             return
         now = self.kernel.now
-        is_source = node == self._root_of[item_id]
+        is_source = node == self._source
         parent_receive_c = 0.0 if is_source else self._receive_c[(node, item_id)]
         station = self._stations[node]
         observer = self.observer

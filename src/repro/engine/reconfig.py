@@ -115,8 +115,8 @@ class ReconfigurationCore:
             must outlive the core's use of it, which it does when it is
             the object that owns the core).
         counters: Where reconfiguration and resync cost is charged.
-        trees: ``(graph, root, item ids)`` per source, as wired (kept
-            as :attr:`trees`; the first graph starts as :attr:`graph`).
+        graph: The graph as wired; it starts as :attr:`graph`.
+        source: The node that roots every item (:attr:`source`).
         profiles: ``repository -> InterestProfile`` (scoring segments,
             and the profile a requirement-less join comes back with).
         churn: The run's :class:`~repro.engine.churn.ChurnSchedule`.
@@ -128,8 +128,9 @@ class ReconfigurationCore:
             :class:`~repro.engine.adaptive.AdaptiveController`.
 
     Attributes:
-        graph: The current single-source graph: what every rebuild
-            starts from, rebound by each one that is wired.
+        graph: The current graph: what every rebuild starts from,
+            rebound by each one that is wired.
+        source: The node that roots every item's tree.
         members: ``repository -> InterestProfile``, the current members
             in join order with their current requirements.
         parent_of: ``(child, item) -> (parent, serve coherency)`` for
@@ -151,7 +152,8 @@ class ReconfigurationCore:
         self,
         store: EdgeStore,
         counters: CostCounters,
-        trees,
+        graph,
+        source: int,
         profiles: dict[int, InterestProfile],
         *,
         churn=None,
@@ -175,18 +177,13 @@ class ReconfigurationCore:
         self.departed: set[int] = set()
         self.down_links: set[tuple[int, int]] = set()
         self.applied = 0
-        self.trees = trees
-        self.graph = trees[0][0]
-        self._root_of: dict[int, int] = {}
-        self.parent_of: dict[tuple[int, int], tuple[int, float]] = {}
-        for graph, root, item_ids in trees:
-            item_ids = set(item_ids)
-            for item_id in item_ids:
-                self._root_of[item_id] = root
-            for node, state in graph.nodes.items():
-                for item_id, parent in state.parent_for.items():
-                    if item_id in item_ids:
-                        self.parent_of[(node, item_id)] = (parent, state.receive_c[item_id])
+        self.graph = graph
+        self.source = source
+        self.parent_of: dict[tuple[int, int], tuple[int, float]] = {
+            (node, item_id): (parent, state.receive_c[item_id])
+            for node, state in graph.nodes.items()
+            for item_id, parent in state.parent_for.items()
+        }
         self.home_parent = {key: edge[0] for key, edge in self.parent_of.items()}
         joined = sorted(profiles) if membership is None else membership.members
         self.members = {repo: profiles[repo] for repo in joined}
@@ -198,7 +195,7 @@ class ReconfigurationCore:
                 self.segments[(repo, item_id)] = [[0.0, None, c_own]]
 
     @classmethod
-    def for_setup(cls, setup, store, counters, trees=None) -> "ReconfigurationCore":
+    def for_setup(cls, setup, store, counters) -> "ReconfigurationCore":
         """The core for one run of ``setup.config`` on ``store``.
 
         The membership and the adaptive controller are built fresh per
@@ -208,13 +205,11 @@ class ReconfigurationCore:
         """
         config = setup.config
         membership = make_membership(setup) if config.churn is not None else None
-        if trees is None:
-            graph = setup.graph if membership is None else membership.graph
-            trees = [(graph, setup.source, list(setup.traces))]
         return cls(
             store,
             counters,
-            trees,
+            setup.graph if membership is None else membership.graph,
+            setup.source,
             setup.profiles,
             churn=config.churn,
             membership=membership,
@@ -346,7 +341,7 @@ class ReconfigurationCore:
 
     def current_value(self, node: int, item_id: int) -> float:
         """The copy ``node`` holds for ``item_id`` right now."""
-        if node == self._root_of[item_id]:
+        if node == self.source:
             return self.store.source_value(item_id)
         log = self.store.log(node, item_id)
         if log is None:
@@ -492,8 +487,9 @@ class ReconfigurationCore:
 
     def _live_parent(self, node: int, item_id: int) -> int | None:
         """The nearest non-crashed ancestor serving ``item_id`` above
-        ``node``, or ``None`` when the walk leaves the tree (the node
-        roots the item, as multi-source roots do)."""
+        ``node``, or ``None`` when the walk leaves the tree: the node
+        roots the item, or every ancestor is crashed (the rules do not
+        assume that a tree's root stays up)."""
         parent = self._parent(node, item_id)
         while parent is not None and parent in self.crashed:
             parent = self._parent(parent, item_id)

@@ -31,10 +31,10 @@ and reconfiguration sources.
 The engine's hot path touches only flat lists, tuples and ints:
 
 - **Edge groups.**  Each (node, item) pair that sends or receives
-  becomes one integer group id, built straight from the run's
-  ``(graph, root, item ids)`` trees.  A group stores its dependents as
-  four parallel *Python lists* -- child group ids, serving tolerances
-  (quantised for the centralised policy, exactly as
+  becomes one integer group id, built straight from the run's graph.
+  A group stores its dependents as four parallel *Python lists* --
+  child group ids, serving tolerances (quantised for the centralised
+  policy, exactly as
   :class:`~repro.core.dissemination.filtering.EdgeFilter` stores them),
   per-edge last-sent values, and precomputed end-to-end delays -- plus
   the scalars the decision needs (the node's own receive coherency,
@@ -142,12 +142,9 @@ class SimulationBase:
             ``is not None`` guards, so an unobserved run does no extra
             work and an observed run is bit-identical (the observer
             records decisions; it never makes them).
-        trees: ``(graph, root, item ids)`` triples to wire up; ``None``
-            for the setup's single graph serving every item (the
-            multi-source extension passes one triple per source).
     """
 
-    def __init__(self, setup: SimulationSetup, observer=None, trees=None):
+    def __init__(self, setup: SimulationSetup, observer=None):
         self.setup = setup
         self.observer = observer
         self.counters = CostCounters()
@@ -165,21 +162,18 @@ class SimulationBase:
         self._client_tols = getattr(setup, "client_tolerances", None) or {}
         # All control state and every reconfiguration rule live in the
         # core; the engine is its edge store.
-        self._reconfig = ReconfigurationCore.for_setup(
-            setup, self, self.counters, trees
-        )
+        self._reconfig = ReconfigurationCore.for_setup(setup, self, self.counters)
         self._reconfig.observer = observer
-        self._root_of: dict[int, int] = {}
+        # The root of every item's tree (``setup.source`` is a property).
+        self._source = setup.source
         # Per (repo, item): delivery log, flat [t0, v0, t1, v1, ...] --
         # two appends per delivery, no tuple.
         self._deliveries: dict[tuple[int, int], list[float]] = {}
-        for graph, root, item_ids in self._reconfig.trees:
-            for item_id in item_ids:
-                self._root_of[item_id] = root
-                initial = setup.traces[item_id].initial_value
-                for node, state in graph.nodes.items():
-                    if node != root and item_id in state.receive_c:
-                        self._deliveries[(node, item_id)] = [0.0, initial]
+        graph = self._reconfig.graph
+        for item_id, trace in setup.traces.items():
+            for node, state in graph.nodes.items():
+                if node != self._source and item_id in state.receive_c:
+                    self._deliveries[(node, item_id)] = [0.0, trace.initial_value]
 
     # ------------------------------------------------------------------
     # The store-independent half of the edge-store port
@@ -251,8 +245,8 @@ class VectorizedSimulation(SimulationBase):
     """The engine: edge-group columns drained by one flat loop,
     bit-identical to the reference oracle."""
 
-    def __init__(self, setup: SimulationSetup, observer=None, trees=None):
-        super().__init__(setup, observer, trees)
+    def __init__(self, setup: SimulationSetup, observer=None):
+        super().__init__(setup, observer)
         name = setup.config.policy
         self._rule = FORWARD_RULES[name]
         # The centralised policy serves at quantised tolerances, keeps no
@@ -287,13 +281,12 @@ class VectorizedSimulation(SimulationBase):
         # One tolerance per edge: the centralised tagger counts them, so
         # later rewires only have to report each edge they add or remove.
         tolerances: dict[int, list[float]] = {i: [] for i in setup.traces}
-        for graph, _root, item_ids in self._reconfig.trees:
-            for item_id in item_ids:
-                initial = setup.traces[item_id].initial_value
-                for node in graph.nodes:
-                    for child, c in graph.children_for_item(node, item_id):
-                        self._connect(node, child, item_id, c, initial)
-                        tolerances[item_id].append(c)
+        graph = self._reconfig.graph
+        for item_id, trace in setup.traces.items():
+            for node in graph.nodes:
+                for child, c in graph.children_for_item(node, item_id):
+                    self._connect(node, child, item_id, c, trace.initial_value)
+                    tolerances[item_id].append(c)
         if self._centralized:
             self._tagger = StaircaseTagger()
             for item_id, trace in setup.traces.items():
@@ -303,7 +296,7 @@ class VectorizedSimulation(SimulationBase):
 
     def _group(self, node: int, item_id: int) -> int:
         """The edge group for ``(node, item_id)``, appended with no
-        dependents when absent: the initial trees make one per pair that
+        dependents when absent: the initial graph makes one per pair that
         sends or receives, and a rebuild can wire pairs that did neither
         in the original graph (a late joiner, a relay acquiring a new
         item through augmentation)."""
@@ -311,7 +304,7 @@ class VectorizedSimulation(SimulationBase):
         gid = self._gid_of.get(key)
         if gid is None:
             gid = self._gid_of[key] = len(self._g_node)
-            issrc = node == self._root_of[item_id]
+            issrc = node == self._source
             self._g_node.append(node)
             self._g_item.append(item_id)
             self._g_issrc.append(issrc)
@@ -364,7 +357,7 @@ class VectorizedSimulation(SimulationBase):
         centralized = self._centralized
         keeps_last = not centralized
         examine = self._tagger.examine if centralized else None
-        root_of, root_gid = self._root_of, self._root_gid
+        source, root_gid = self._source, self._root_gid
         node_of, item_of = self._g_node, self._g_item
         g_issrc, g_prc = self._g_issrc, self._g_prc
         g_child, g_cs = self._g_child_gid, self._g_cs
@@ -439,10 +432,10 @@ class VectorizedSimulation(SimulationBase):
                 decision = examine(item_id, value) if centralized else PASS_THROUGH
                 if decision.checks:
                     source_checks += decision.checks
-                    node_checks[root_of[item_id]] += decision.checks
+                    node_checks[source] += decision.checks
                 if observer is not None:
                     observer.on_source(
-                        unit, item_id, t, root_of[item_id],
+                        unit, item_id, t, source,
                         decision.checks, decision.disseminate,
                     )
                 if not decision.disseminate:

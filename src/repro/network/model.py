@@ -10,7 +10,6 @@ routing tables and answers delay/hop queries between *logical* nodes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -87,18 +86,6 @@ class NetworkModel:
         if n < 2:
             return 0.0
         return float(table[:n, :n][~np.eye(n, dtype=bool)].mean())
-
-    def with_endpoints(self, routers: Iterable[int]) -> "NetworkModel":
-        """Return a copy that also answers queries about ``routers``.
-
-        The multi-source extension re-purposes routers as sources; the
-        routing tables otherwise stop at the last repository.
-        """
-        raw = self.raw or self
-        extended = NetworkModel(
-            topology=raw.topology, routing=build_routing(raw.topology, routers)
-        )
-        return extended if self.raw is None else extended._uniformly_scaled(self.scale)
 
     def scaled_delays(self, mean_ms: float) -> "NetworkModel":
         """Return a copy with all link delays rescaled to a new mean.

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable
 
 import numpy as np
 
@@ -42,8 +41,7 @@ class RoutingTables:
     """Routing state between the logical nodes (source + repositories).
 
     Both tables are indexed by physical node id and span the logical
-    nodes, ids ``0 .. n_repositories`` (further, only when
-    :func:`build_routing` was given extra endpoints).
+    nodes only, ids ``0 .. n_repositories``.
 
     Attributes:
         dist_ms: (s, s) minimal path delay in milliseconds.
@@ -154,40 +152,33 @@ def _elimination_sums(
     return sums
 
 
-def build_routing(
-    topology: Topology, extra_endpoints: Iterable[int] = ()
-) -> RoutingTables:
-    """Compute the routing tables between a topology's endpoints.
+def build_routing(topology: Topology) -> RoutingTables:
+    """Compute the routing tables between a topology's logical nodes.
 
     Args:
         topology: The physical graph.
-        extra_endpoints: Router ids to route as well (the multi-source
-            extension re-purposes routers as sources).  The tables then
-            span ids up to the largest one, ``nan`` / ``-1`` wherever a
-            node that is not an endpoint is involved.
 
     Raises:
         TopologyError: if the topology is disconnected.
     """
     n_logical = 1 + topology.n_repositories
-    endpoints = sorted({*range(n_logical), *extra_endpoints})
     links: list[list[tuple[int, float]]] = [[] for _ in range(topology.n_nodes)]
     for (u, v), delay in _cheapest_links(topology).items():
         links[u].append((v, delay))
         links[v].append((u, delay))
     adjacency = [[(v, d) for v, d in near if len(links[v]) > 1] for near in links]
     leaves = [[(v, d) for v, d in near if len(links[v]) == 1] for near in links]
-    size = endpoints[-1] + 1
-    dist = np.full((size, size), np.nan)
-    hops = np.full((size, size), -1, dtype=np.int64)
-    dist[endpoints, endpoints] = 0.0
-    hops[endpoints, endpoints] = 0
+    # Every entry is written below; the fill only makes a missed one show.
+    dist = np.full((n_logical, n_logical), np.nan)
+    hops = np.full((n_logical, n_logical), -1, dtype=np.int64)
+    np.fill_diagonal(dist, 0.0)
+    np.fill_diagonal(hops, 0)
 
-    # A root owes only the endpoints after it.  The source's search runs
-    # to completion: connectivity is a property of the whole physical
+    # A root owes only the logical nodes after it.  The source's search
+    # runs to completion: connectivity is a property of the whole physical
     # graph, so a router-only island is refused though no query crosses it.
-    for position, root in enumerate(endpoints):
-        owed = endpoints[position + 1 :]
+    for root in range(n_logical):
+        owed = list(range(root + 1, n_logical))
         exhaust = root == topology.source
         if not owed and not exhaust:
             continue
@@ -198,8 +189,7 @@ def build_routing(
             raise TopologyError("topology is disconnected; routing undefined")
         dist[root, owed] = _elimination_sums(parent, parent_delay, root, owed)
         hops[root, owed] = [tree_hops[node] for node in owed]
-    ids = np.array(endpoints)
-    small, large = (ids[k] for k in np.triu_indices(len(ids), 1))
+    small, large = np.triu_indices(n_logical, 1)
     dist[large, small] = dist[small, large]
     hops[large, small] = hops[small, large]
     return RoutingTables(dist_ms=dist, hops=hops)

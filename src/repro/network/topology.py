@@ -49,13 +49,9 @@ class Topology:
     delays_ms: np.ndarray
     source: int = 0
     repository_ids: np.ndarray = field(init=False)
-    router_ids: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.repository_ids = np.arange(1, 1 + self.n_repositories)
-        self.router_ids = np.arange(
-            1 + self.n_repositories, 1 + self.n_repositories + self.n_routers
-        )
         if self.edges.shape[0] != self.delays_ms.shape[0]:
             raise TopologyError("edges and delays_ms must have the same length")
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.dynamics import edges_of
-from repro.core.lela import LelaBuilder, build_d3g, reoptimize_d3g
+from repro.core.lela import LelaBuilder, build_d3g
 from repro.engine.adaptive import (
     AdaptiveController,
     AdaptivePolicy,
@@ -232,7 +232,7 @@ def test_empty_load_reoptimization_reproduces_the_original_graph():
     from repro.core.preference import get_preference_function
     from repro.sim.rng import RandomStreams
 
-    rebuilt = reoptimize_d3g(
+    rebuilt = build_d3g(
         profiles=[setup.profiles[r] for r in sorted(setup.profiles)],
         source=setup.source,
         comm_delay_ms=setup.network.delay_ms,
@@ -253,7 +253,7 @@ def test_nonzero_load_can_change_the_graph():
     # Penalise every non-source repository heavily: the level ranking
     # must reshuffle somewhere on a 20-repository grid.
     load = {node: 50.0 for node in setup.graph.nodes if node != setup.source}
-    rebuilt = reoptimize_d3g(
+    rebuilt = build_d3g(
         profiles=[setup.profiles[r] for r in sorted(setup.profiles)],
         source=setup.source,
         comm_delay_ms=setup.network.delay_ms,

@@ -299,12 +299,8 @@ def test_schedule_referencing_unknown_repository_rejected():
         build_setup(BASE.with_(churn=schedule))
 
 
-def test_hybrid_and_multisource_reject_churn():
+def test_hybrid_rejects_churn():
     from repro.engine.hybrid import run_hybrid_simulation
-    from repro.engine.multisource import build_multisource_setup
 
-    config = churned(joins=1)
     with pytest.raises(ConfigurationError):
-        run_hybrid_simulation(config)
-    with pytest.raises(ConfigurationError):
-        build_multisource_setup(config, n_sources=2)
+        run_hybrid_simulation(churned(joins=1))

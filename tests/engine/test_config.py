@@ -1,5 +1,7 @@
 """Unit tests for simulation configuration and presets."""
 
+import math
+
 import pytest
 
 from repro.engine.config import SCALE_PRESETS, SimulationConfig
@@ -121,11 +123,30 @@ def test_config_is_frozen():
         {"offered_degree": 0},
         {"t_percent": 150.0},
         {"interest_fraction_f": 0.0},
+        {"p_percent": -1.0},
     ],
 )
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ConfigurationError):
         SimulationConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "comp_delay_ms",
+        "link_delay_mean_ms",
+        "link_delay_min_ms",
+        "comm_target_ms",
+        "avg_degree",
+        "interest_fraction_f",
+        "p_percent",
+    ],
+)
+def test_non_finite_float_fields_are_refused_by_name(name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        SimulationConfig(**{name: value})
 
 
 def test_with_revalidates():

@@ -26,7 +26,7 @@ from hypothesis.stateful import (
 from repro.core.dissemination.filtering import SourceTagger
 from repro.core.dynamics import DynamicMembership, ReconfigurationDiff, edges_of
 from repro.core.interests import InterestProfile
-from repro.core.lela import reoptimize_d3g
+from repro.core.lela import build_d3g
 from repro.core.metrics import CostCounters
 from repro.core.tree import DisseminationGraph
 from repro.engine.churn import ChurnEvent, ChurnSchedule
@@ -53,7 +53,7 @@ def chain(root: int, *nodes: int, items=(0,)) -> DisseminationGraph:
 class FakeStore:
     """A dict-backed edge store that records what it was told to do."""
 
-    def __init__(self, graph: DisseminationGraph, items=(0,)) -> None:
+    def __init__(self, graph: DisseminationGraph) -> None:
         self.ops: list[tuple] = []
         self.edges: set[tuple[int, int, int]] = set()
         self.receive_c: dict[tuple[int, int], float] = {}
@@ -99,8 +99,8 @@ def pairs(log):
     return list(zip(log[0::2], log[1::2]))
 
 
-def make_core(graph, items=(0,), **sources):
-    store = FakeStore(graph, items)
+def make_core(graph, **sources):
+    store = FakeStore(graph)
     profiles = {
         node: InterestProfile(node, dict(state.own_c))
         for node, state in graph.nodes.items()
@@ -108,7 +108,7 @@ def make_core(graph, items=(0,), **sources):
     }
     counters = CostCounters()
     core = ReconfigurationCore(
-        store, counters, [(graph, graph.source, list(items))], profiles, **sources
+        store, counters, graph, graph.source, profiles, **sources
     )
     return core, store, counters
 
@@ -213,17 +213,16 @@ def test_tagger_keeps_a_shared_tolerance_until_its_last_edge_goes():
 # Failures: failover, resync, re-home
 # ----------------------------------------------------------------------
 
-def failure_core(graph, *events, items=(0,)):
+def failure_core(graph, *events):
     schedule = FailureSchedule(tuple(events))
-    core, store, counters = make_core(graph, items, failures=schedule)
+    core, store, counters = make_core(graph, failures=schedule)
     return core, store, counters, core.timeline(span=100.0)
 
 
 def test_crash_fails_dependents_over_and_recovery_resyncs_only_what_diverged():
     graph = chain(0, 1, 2, items=(0, 1))
     core, store, counters, timeline = failure_core(
-        graph, FailureEvent.crash(10.0, 1), FailureEvent.recover(20.0, 1),
-        items=(0, 1),
+        graph, FailureEvent.crash(10.0, 1), FailureEvent.recover(20.0, 1)
     )
     core.apply(*timeline[0])
     assert core.crashed == {1}
@@ -269,7 +268,8 @@ def test_parent_and_grandparent_down_reach_the_nearest_live_ancestor():
 
 
 def test_whole_ancestry_down_dependents_wait_and_resync_skips():
-    # A tree whose root can crash too (a multi-source root is just a node).
+    # The rules do not assume that a tree's root stays up: here it crashes
+    # too, and the walk up from a dependent leaves the tree.
     graph = chain(5, 1, 2)
     core, store, counters, timeline = failure_core(
         graph,
@@ -309,7 +309,7 @@ def churn_core(*events):
         membership.join(profiles[repo])
     store = FakeStore(membership.graph)
     core = ReconfigurationCore(
-        store, CostCounters(), [(membership.graph, 0, [0])], profiles,
+        store, CostCounters(), membership.graph, 0, profiles,
         churn=ChurnSchedule(events=tuple(events)), membership=membership,
     )
     return core, store
@@ -422,7 +422,7 @@ class Reoptimizer:
         return []
 
     def on_tick(self, now, message_counts):
-        self.graph = reoptimize_d3g(
+        self.graph = build_d3g(
             self.profiles, 0, _delay, 2,
             rng=np.random.default_rng(0), node_load=self.load,
         )
@@ -445,7 +445,7 @@ class ComposedCore(RuleBasedStateMachine):
         self.store = FakeStore(membership.graph)
         self.adaptive = Reoptimizer()
         self.core = ReconfigurationCore(
-            self.store, CostCounters(), [(membership.graph, 0, list(ITEMS))],
+            self.store, CostCounters(), membership.graph, 0,
             self.profiles, membership=membership, adaptive=self.adaptive,
         )
         self.members = {r: self.profiles[r] for r in REPOS[:3]}
@@ -488,7 +488,7 @@ class ComposedCore(RuleBasedStateMachine):
     def _assert_plain_lela(self):
         # A departure or an update re-runs plain LeLA over the members in
         # join order: whatever an earlier tick chose under load is gone.
-        plain = reoptimize_d3g(
+        plain = build_d3g(
             list(self.members.values()), 0, _delay, 2, rng=np.random.default_rng(0)
         )
         assert edges_of(self.core.graph) == edges_of(plain)

@@ -2,7 +2,7 @@
 
 - :func:`floyd_warshall` -- the paper's dense all-pairs recurrence; it
   defines the bits of every routing float.
-- :func:`per_pair_routing` -- one Dijkstra per endpoint, then one walk
+- :func:`per_pair_routing` -- one Dijkstra per logical node, then one walk
   per pair back to the root, summed by :func:`elimination_order_sum`.
   ``build_routing`` computed the tables this way before it shared the
   elimination stacks along each shortest-path tree.
@@ -13,7 +13,6 @@ None of this runs outside the tests.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Iterable
 
 import numpy as np
 
@@ -106,27 +105,23 @@ def _shortest_path_tree(
     return parent, parent_delay, [hop for _, hop in best]
 
 
-def per_pair_routing(
-    topology: Topology, extra_endpoints: Iterable[int] = ()
-) -> RoutingTables:
+def per_pair_routing(topology: Topology) -> RoutingTables:
     """``build_routing``'s tables, one full tree and one walk per pair."""
     n_logical = 1 + topology.n_repositories
-    endpoints = sorted({*range(n_logical), *extra_endpoints})
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(topology.n_nodes)]
     for (u, v), delay in _cheapest_links(topology).items():
         adjacency[u].append((v, delay))
         adjacency[v].append((u, delay))
-    size = endpoints[-1] + 1
-    dist = np.full((size, size), np.nan)
-    hops = np.full((size, size), -1, dtype=np.int64)
+    dist = np.full((n_logical, n_logical), np.nan)
+    hops = np.full((n_logical, n_logical), -1, dtype=np.int64)
 
-    for position, root in enumerate(endpoints):
+    for root in range(n_logical):
         parent, parent_delay, tree_hops = _shortest_path_tree(adjacency, root)
         if root == topology.source and parent.count(-1) > 1:
             raise TopologyError("topology is disconnected; routing undefined")
         dist[root, root] = 0.0
         hops[root, root] = 0
-        for other in endpoints[position + 1 :]:
+        for other in range(root + 1, n_logical):
             interior: list[int] = []
             delays = [parent_delay[other]]
             node = parent[other]

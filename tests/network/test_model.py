@@ -77,28 +77,6 @@ def test_rescaled_copies_share_the_raw_link_set_and_hop_table(network):
     assert not network.routing.hops.flags.writeable
 
 
-@pytest.mark.parametrize("target_ms", [None, 40.0, 0.0])
-def test_with_endpoints_routes_routers_at_the_same_scale(network, target_ms):
-    """Routers become queryable, the logical block keeps its bits, and
-    extending commutes with rescaling."""
-    routers = [network.topology.n_nodes - 1, network.topology.n_nodes - 2]
-    scaled = network if target_ms is None else network.with_repo_mean_delay(target_ms)
-    extended = scaled.with_endpoints(routers)
-    n = 1 + network.topology.n_repositories
-    assert np.array_equal(extended.routing.dist_ms[:n, :n], scaled.routing.dist_ms)
-    assert extended.mean_repo_delay_ms() == scaled.mean_repo_delay_ms()
-    assert extended.mean_repo_hops() == scaled.mean_repo_hops()
-    assert extended.hops(routers[0], 3) > 0
-    assert extended.delay_ms(routers[0], 3) == extended.delay_ms(3, routers[0])
-    with pytest.raises(IndexError):
-        scaled.delay_ms(routers[0], 3)
-    if target_ms is not None:
-        other_way = network.with_endpoints(routers).with_repo_mean_delay(target_ms)
-        assert np.array_equal(
-            extended.routing.dist_ms, other_way.routing.dist_ms, equal_nan=True
-        )
-
-
 def test_rescale_from_zero_scaled_copy_stays_zero(network):
     """Scaling up from a zero-collapsed copy keeps the old semantics:
     a zero network stays zero (the idealised-network case must not be

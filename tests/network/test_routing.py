@@ -199,22 +199,6 @@ def test_random_pareto_topologies_match_reference_bitwise(
     assert_bit_identical_to_reference(topo)
 
 
-def test_extra_endpoints_match_reference_and_nothing_else_is_filled():
-    topo = generate_topology(6, 20, np.random.default_rng(4), ParetoDelayModel())
-    routers = [topo.n_nodes - 1, topo.n_nodes - 3]
-    routing = build_routing(topo, extra_endpoints=routers)
-    endpoints = np.array([*range(7), *routers])
-    block = np.ix_(endpoints, endpoints)
-    ref_dist, ref_hops = floyd_warshall(topo)
-    assert routing.dist_ms.shape == ref_dist.shape
-    assert np.array_equal(routing.dist_ms[block], ref_dist[block])
-    assert np.array_equal(routing.hops[block], ref_hops[block])
-    unset = np.ones(ref_dist.shape, dtype=bool)
-    unset[block] = False
-    assert np.isnan(routing.dist_ms[unset]).all()
-    assert (routing.hops[unset] == -1).all()
-
-
 @pytest.mark.parametrize("seed", [3913, 20020812])
 @pytest.mark.parametrize("preset", ["tiny", "small"])
 def test_builder_networks_match_reference_bitwise(preset, seed):
@@ -253,9 +237,9 @@ DELAY_MODELS = {
 }
 
 
-def assert_equal_to_per_pair_walk(topo, extra_endpoints=()):
-    routing = build_routing(topo, extra_endpoints)
-    reference = per_pair_routing(topo, extra_endpoints)
+def assert_equal_to_per_pair_walk(topo):
+    routing = build_routing(topo)
+    reference = per_pair_routing(topo)
     assert np.array_equal(routing.dist_ms, reference.dist_ms, equal_nan=True)
     assert np.array_equal(routing.hops, reference.hops)
 
@@ -267,14 +251,12 @@ def assert_equal_to_per_pair_walk(topo, extra_endpoints=()):
     avg_degree=st.sampled_from([2.0, 3.0, 4.5]),
     delay_model=st.sampled_from(sorted(DELAY_MODELS)),
     seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
 )
 def test_shared_stacks_match_per_pair_walk_exactly(
-    n_repositories, n_routers, avg_degree, delay_model, seed, data
+    n_repositories, n_routers, avg_degree, delay_model, seed
 ):
     """Same trees, ties included, and the same float for every pair --
-    also where constant delays tie many paths -- with and without
-    extra endpoints."""
+    also where constant delays tie many paths."""
     topo = generate_topology(
         n_repositories,
         n_routers,
@@ -282,9 +264,7 @@ def test_shared_stacks_match_per_pair_walk_exactly(
         DELAY_MODELS[delay_model],
         avg_degree=avg_degree,
     )
-    routers = topo.router_ids.tolist()
-    extra = data.draw(st.lists(st.sampled_from(routers), max_size=3)) if routers else []
-    assert_equal_to_per_pair_walk(topo, extra)
+    assert_equal_to_per_pair_walk(topo)
 
 
 @st.composite
@@ -330,19 +310,16 @@ def test_two_leaves_route_each_other():
     assert routing.hops.tolist() == [[0, 1], [1, 0]]
 
 
-@pytest.mark.parametrize("extra", [False, True])
-def test_last_endpoint_and_early_stops_leave_no_hole(extra):
-    """The last endpoint runs no search and every other root stops
-    early, yet its diagonal is 0 and the endpoint block is full."""
+def test_last_endpoint_and_early_stops_leave_no_hole():
+    """The last logical node runs no search and every other root stops
+    early, yet its diagonal is 0 and the table is full; routers are not
+    in it."""
     topo = generate_topology(12, 40, np.random.default_rng(9), ParetoDelayModel())
-    routers = [topo.n_nodes - 1, topo.n_nodes - 5] if extra else []
-    routing = build_routing(topo, extra_endpoints=routers)
-    endpoints = [*range(13), *routers]
-    block = np.ix_(endpoints, endpoints)
-    last = max(endpoints)
-    assert routing.dist_ms[last, last] == 0.0
-    assert routing.hops[last, last] == 0
-    assert np.isfinite(routing.dist_ms[block]).all()
-    off_diagonal = ~np.eye(len(endpoints), dtype=bool)
-    assert (routing.dist_ms[block][off_diagonal] > 0).all()
-    assert (routing.hops[block][off_diagonal] > 0).all()
+    routing = build_routing(topo)
+    assert routing.dist_ms.shape == routing.hops.shape == (13, 13)
+    assert routing.dist_ms[12, 12] == 0.0
+    assert routing.hops[12, 12] == 0
+    assert np.isfinite(routing.dist_ms).all()
+    off_diagonal = ~np.eye(13, dtype=bool)
+    assert (routing.dist_ms[off_diagonal] > 0).all()
+    assert (routing.hops[off_diagonal] > 0).all()

@@ -23,7 +23,6 @@ def test_node_counts_and_id_layout():
     assert topo.n_nodes == 41
     assert topo.source == 0
     assert list(topo.repository_ids) == list(range(1, 11))
-    assert list(topo.router_ids) == list(range(11, 41))
 
 
 def test_generated_topology_is_connected():

@@ -49,6 +49,9 @@ def test_cli_controlled_mode(capsys):
         ["--clients", "-1"],
         ["--comp-delay", "-5"],
         ["--degrees", ","],
+        ["--comp-delay", "inf"],
+        ["--comp-delay", "nan"],
+        ["--comm-delay", "inf"],
     ],
 )
 def test_cli_default_command_rejects_bad_values_cleanly(argv, capsys):
