@@ -24,7 +24,7 @@ hangs off the ``live`` subcommand::
 
     python -m repro live run --preset tiny
     python -m repro live run --transport tcp --time-scale 600 --duration 60
-    python -m repro live loadgen --jobs 16 --preset tiny
+    python -m repro live run --preset tiny --clients 16
 
 The multi-process fleet (the live network sharded across worker
 processes, with sample-based anti-entropy resync on reconnect) hangs
@@ -32,7 +32,7 @@ off the ``fleet`` subcommand::
 
     python -m repro fleet run --workers 4 --preset tiny --time-scale 600
     python -m repro fleet run --workers 2 --crosscheck --duration 60
-    python -m repro fleet loadgen --workers 4 --jobs 1000 --preset tiny
+    python -m repro fleet run --workers 4 --preset tiny --clients 50
 
 The observability layer (per-update trace spans, the metrics registry
 and the fidelity-violation explainer) hangs off the ``obs``
@@ -275,11 +275,6 @@ _OPTIONS = {
         "simulated time, exercising reconnect + anti-entropy resync "
         "(default: off)",
     ),
-    "n_clients": _option(
-        "--jobs", keyword="n_clients",
-        type=_int_at_least(1, "it counts synthetic clients"), metavar="N",
-        help="number of synthetic clients (default: %(default)s)",
-    ),
     "crosscheck": _option(
         "--crosscheck", action="store_true",
         help="also run the single-process inprocess transport on the "
@@ -366,6 +361,15 @@ def _run_keywords(args) -> dict:
     }
 
 
+def _print_clients(config, counters) -> None:
+    """The modeled-client lines, the same on every plane."""
+    if config.clients_per_repository:
+        clients = config.n_repositories * config.clients_per_repository
+        print(f"modeled clients       : {clients}")
+        print(f"client checks/serves  : {counters.client_checks}"
+              f"/{counters.client_messages}")
+
+
 def _simulate(args) -> None:
     """The default command: one simulation, or a degree sweep."""
     config = _config_from_args(args)
@@ -391,11 +395,7 @@ def _simulate(args) -> None:
     print(f"messages              : {result.messages}")
     print(f"source checks         : {result.source_checks}")
     print(f"events processed      : {result.events_processed}")
-    if config.clients_per_repository:
-        clients = config.n_repositories * config.clients_per_repository
-        print(f"modeled clients       : {clients}")
-        print(f"client checks/serves  : {result.counters.client_checks}"
-              f"/{result.counters.client_messages}")
+    _print_clients(config, result.counters)
     if args.churn is not None:
         print(f"churn events          : {result.extras['churn_events']}")
         print(f"reconfiguration cost  : {result.reconfiguration_cost} "
@@ -515,7 +515,7 @@ def _experiments_run(args) -> None:
         print(f"\n[artifacts: {artifacts_dir}]")
 
 
-def _print_run(header: str, result) -> None:
+def _print_run(header: str, config, result) -> None:
     """The report lines every live and fleet run shares."""
     rate = result.delivered / result.wall_seconds if result.wall_seconds else 0.0
     print(header)
@@ -526,6 +526,7 @@ def _print_run(header: str, result) -> None:
     print(f"replayed span             : {result.sim_span_s:.0f} s simulated")
     print(f"wall time                 : {result.wall_seconds:.2f} s "
           f"({rate:.0f} deliveries/s)")
+    _print_clients(config, result.counters)
 
 
 def _live_run(args) -> None:
@@ -535,7 +536,7 @@ def _live_run(args) -> None:
     result = run_live(config, **_run_keywords(args))
     _print_run(f"preset={args.preset} policy={args.policy} "
                f"transport={result.transport} "
-               f"workload={config.workload.describe()}", result)
+               f"workload={config.workload.describe()}", config, result)
     if args.failures is not None:
         print(f"failure events            : "
               f"{result.extras.get('failure_events', 0)} "
@@ -557,32 +558,15 @@ def _live_run(args) -> None:
               f"({result.counters.resubscriptions} resubscriptions)")
 
 
-def _live_loadgen(args) -> None:
-    from repro.live import run_loadgen
+def _fleet_run(args) -> None:
+    from repro.fleet import run_fleet
+    from repro.live import run_live
 
     config = _config_from_args(args)
-    report = run_loadgen(config, **_run_keywords(args))
-    result = report.result
-    print(f"preset={args.preset} policy={args.policy} "
-          f"transport={result.transport} clients={args.n_clients}")
-    print(f"network loss of fidelity  : {result.loss_of_fidelity:.3f} %")
-    print(f"client requirements met   : {report.n_met}/{report.n_requirements} "
-          f"({100.0 * report.met_fraction:.0f}%)")
-    print(f"client messages           : "
-          f"{result.extras.get('client_messages', 0)}")
-    print(f"{'client':>6} {'repo':>5} {'items':>5} {'met':>4} "
-          f"{'worst observed loss%':>21}")
-    for client in report.clients:
-        worst = max(client.observed_loss.values(), default=0.0)
-        print(f"{client.client_id:>6} {client.repository:>5} "
-              f"{len(client.requirements):>5} "
-              f"{sum(client.met.values()):>4} {worst:>21.3f}")
-
-
-def _print_fleet_result(result, args) -> None:
+    result = run_fleet(config, **_run_keywords(args))
     _print_run(f"preset={args.preset} policy={args.policy} "
                f"workers={result.extras['workers']} "
-               f"shards={result.extras['shard_sizes']}", result)
+               f"shards={result.extras['shard_sizes']}", config, result)
     print(f"queue stalls              : {result.extras['queue_stalls']}")
     if result.extras.get("reconnects") or result.counters.resyncs:
         print(f"reconnects                : "
@@ -590,15 +574,6 @@ def _print_fleet_result(result, args) -> None:
         print(f"resyncs (checks/msgs)     : {result.counters.resyncs} "
               f"({result.counters.resync_checks}"
               f"/{result.counters.resync_messages})")
-
-
-def _fleet_run(args) -> None:
-    from repro.fleet import run_fleet
-    from repro.live import run_live
-
-    config = _config_from_args(args)
-    result = run_fleet(config, **_run_keywords(args))
-    _print_fleet_result(result, args)
     if not result.conserved:
         raise SystemExit("fleet run violated wire conservation")
     if args.crosscheck:
@@ -611,20 +586,6 @@ def _fleet_run(args) -> None:
                 f"fleet fidelity diverged from the single-process run by "
                 f"{gap:.3f} pp (> 0.5 pp)"
             )
-
-
-def _fleet_loadgen(args) -> None:
-    from repro.fleet import run_fleet_loadgen
-
-    config = _config_from_args(args)
-    report = run_fleet_loadgen(config, **_run_keywords(args))
-    result = report.result
-    _print_fleet_result(result, args)
-    print(f"clients (sharded)         : {args.n_clients}")
-    print(f"client requirements met   : {report.n_met}/{report.n_requirements} "
-          f"({100.0 * report.met_fraction:.0f}%)")
-    print(f"client messages           : "
-          f"{result.extras.get('client_messages', 0)}")
 
 
 def _obs_run(args):
@@ -754,9 +715,9 @@ def _obs_explain(args) -> None:
 
 _RUN = ("preset", "policy", "t", "seed")
 _LIVE = _RUN + ("transport", "time_scale", "duration", "failures", "loss",
-                "adaptive", "heartbeat_interval")
+                "adaptive", "heartbeat_interval", "clients")
 _FLEET = ("workers",) + _RUN + ("time_scale", "duration",
-                                "heartbeat_interval", "sever_at")
+                                "heartbeat_interval", "sever_at", "clients")
 _OBS = _RUN + ("failures", "loss", "json")
 
 #: The subcommands: ``command -> (help, description, actions)``, each
@@ -783,20 +744,17 @@ _COMMANDS = {
         },
     ),
     "live": (
-        "the live repository network: run | loadgen",
+        "the live repository network: run",
         "Run the cooperative repository network for real: actual "
         "servers replaying the config's workload through the same "
         "LeLA d3g and coherency filter the simulator uses.",
         {
             "run": (_live_run, "replay the workload through a live network",
                     _LIVE),
-            "loadgen": (_live_loadgen,
-                        "attach synthetic clients and report observed fidelity",
-                        _LIVE + ("n_clients",), {"n_clients": 8}),
         },
     ),
     "fleet": (
-        "the multi-process live fleet: run | loadgen",
+        "the multi-process live fleet: run",
         "Run the live repository network sharded across worker "
         "processes: each worker hosts a shard of the d3g, workers "
         "speak the hardened wire protocol over localhost TCP, and "
@@ -805,9 +763,6 @@ _COMMANDS = {
         {
             "run": (_fleet_run, "replay the workload through a sharded fleet",
                     _FLEET + ("crosscheck",)),
-            "loadgen": (_fleet_loadgen,
-                        "shard synthetic clients across the fleet and report",
-                        _FLEET + ("n_clients",), {"n_clients": 64}),
         },
     ),
     "obs": (

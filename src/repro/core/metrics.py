@@ -10,10 +10,9 @@ Besides fidelity, the paper measures:
   at the source than the distributed policy does).
 
 The modeled-client plane (``clients_per_repository``) gets separate
-``client_checks``/``client_messages`` fields, mirroring the live layer's
-convention of keeping client-serving cost out of the repository-plane
-message economy (:mod:`repro.live.nodes` does the same with its
-``client_messages`` attribute).
+``client_checks``/``client_messages`` fields, keeping client-serving
+cost out of the repository-plane message economy on every plane (the
+engine, its oracle and the live repositories all charge them here).
 
 :class:`ArrayCounters` is the flat accumulator the engine
 (:mod:`repro.engine.simulation`) uses on its hot path: per-node tallies
@@ -115,8 +114,7 @@ class CostCounters:
 
         ``checks`` filter evaluations were performed (one per attached
         client) and ``messages`` of them forwarded.  Kept out of the
-        repository-plane ``messages``/``*_checks`` economy, matching the
-        live layer's separate client accounting.
+        repository-plane ``messages``/``*_checks`` economy.
         """
         self.client_checks += checks
         self.client_messages += messages

@@ -198,11 +198,17 @@ def _generate_client_tolerances(
 ) -> dict[tuple[int, int], np.ndarray]:
     """Attach ``clients_per_repository`` modeled clients to each repository.
 
-    Each client subscribes to one of its repository's items (uniformly)
-    and requires a coherency in ``[c_repo, 2*c_repo)``, where ``c_repo``
-    is the repository's own tolerance for the item -- clients can never
-    be *more* stringent than the copy their repository receives (the
-    same Eq. (1) monotonicity the repository plane obeys).  Each block
+    Clients connect to repositories, not to the source, and Section 1.2
+    defines a repository's requirement from theirs: *"the coherency
+    requirement for data item x at a repository R is defined to be the
+    most stringent coherency requirement across all clients that obtain
+    x from R"*.  So each client subscribes to one of its repository's
+    items (uniformly) and requires a coherency in ``[c_repo,
+    2*c_repo)``, where ``c_repo`` is the repository's own tolerance for
+    the item -- clients can never be *more* stringent than the copy
+    their repository receives (the same Eq. (1) monotonicity the
+    repository plane obeys).  Every plane serves these blocks: the
+    engine, its reference oracle and the live and fleet repositories.  Each block
     is sorted ascending -- the order inside a block is unobservable
     (only the ``client_checks`` / ``client_messages`` totals leave it),
     and the batch engine's :class:`~repro.core.dissemination.filtering.

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.core.dissemination.filtering import FILTERED_POLICIES, validate_tolerance
 from repro.engine.adaptive import AdaptivePolicy
 from repro.engine.churn import ChurnSchedule
@@ -32,6 +34,17 @@ __all__ = ["SimulationConfig", "SCALE_PRESETS", "KERNELS"]
 #: debugging; results are bit-identical -- the golden suite in
 #: ``tests/engine/test_vectorized_golden.py`` pins it.
 KERNELS = ("auto", "scalar", "vectorized")
+
+#: The integer fields and the smallest value each accepts.
+_INTEGER_MINIMA = {
+    "seed": 0,
+    "n_repositories": 1,
+    "n_routers": 0,
+    "n_items": 1,
+    "trace_samples": 2,
+    "offered_degree": 1,
+    "clients_per_repository": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -86,10 +99,11 @@ class SimulationConfig:
             repository (0 reproduces the paper's repository-only plane).
             Each client subscribes to one of its repository's items and
             is served by the repository-local Eq. (3) + Eq. (7) filter
-            at the client's own (less stringent) tolerance, exactly as
-            the live layer serves its clients; client traffic is
-            accounted separately (``client_checks``/``client_messages``)
-            and never feeds back into repository-plane queueing.
+            at the client's own (less stringent) tolerance, by the same
+            rule on every plane (engine, oracle, in-process, TCP,
+            fleet); client traffic is accounted separately
+            (``client_checks``/``client_messages``) and never feeds back
+            into repository-plane queueing.
         churn: Optional mid-run churn schedule (timed joins, departures
             and coherency changes; see :mod:`repro.engine.churn`).
             ``None`` -- or an empty schedule, which is normalised to
@@ -148,14 +162,14 @@ class SimulationConfig:
     adaptive: AdaptivePolicy | None = None
 
     def __post_init__(self) -> None:
-        if self.n_repositories < 1:
-            raise ConfigurationError("n_repositories must be >= 1")
-        if self.n_routers < 0:
-            raise ConfigurationError("n_routers must be >= 0")
-        if self.n_items < 1:
-            raise ConfigurationError("n_items must be >= 1")
-        if self.trace_samples < 2:
-            raise ConfigurationError("trace_samples must be >= 2")
+        for name, low in _INTEGER_MINIMA.items():
+            value = getattr(self, name)
+            # bool is an int subclass; a float (NaN included) is refused
+            # here rather than deep inside the build.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigurationError(f"{name} must be >= {low}")
         # Written so that NaN fails too: every comparison with it is false.
         if not math.isfinite(self.avg_degree):
             raise ConfigurationError("avg_degree must be finite")
@@ -171,8 +185,6 @@ class SimulationConfig:
             raise ConfigurationError("comm_target_ms must be finite and >= 0 when set")
         if not math.isfinite(self.p_percent) or self.p_percent < 0:
             raise ConfigurationError("p_percent must be finite and >= 0")
-        if self.offered_degree < 1:
-            raise ConfigurationError("offered_degree must be >= 1")
         if not 0.0 <= self.t_percent <= 100.0:
             raise ConfigurationError("t_percent must be in [0, 100]")
         if not math.isfinite(self.interest_fraction_f) or self.interest_fraction_f <= 0:
@@ -196,8 +208,6 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"kernel must be one of {list(KERNELS)}, got {self.kernel!r}"
             )
-        if self.clients_per_repository < 0:
-            raise ConfigurationError("clients_per_repository must be >= 0")
         if self.churn is not None and not isinstance(self.churn, ChurnSchedule):
             raise ConfigurationError(
                 f"churn must be a ChurnSchedule or None, got {type(self.churn).__name__}"

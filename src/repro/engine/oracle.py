@@ -134,12 +134,12 @@ class DisseminationSimulation(SimulationBase):
     def _serve_clients(self, node: int, item_id: int, value: float) -> None:
         """Filter one fresh copy to the repository's modeled clients.
 
-        Mirrors the live layer: every client is served by the
-        repository-local Eq. (3) + Eq. (7) test at the client's own
-        tolerance, regardless of the repository-plane policy, and client
-        traffic stays out of the repository-plane counters.  This
-        per-client loop is the oracle the engine's per-run
-        ``Staircase.serve`` must agree with, client for client.
+        Every client is served by the repository-local Eq. (3) + Eq. (7)
+        test at the client's own tolerance, regardless of the
+        repository-plane policy, and client traffic stays out of the
+        repository-plane counters.  This per-client loop is the oracle
+        the engine's and the live repositories' ``Staircase.serve`` must
+        agree with, client for client.
         """
         tols = self._client_tols.get((node, item_id))
         if tols is None:

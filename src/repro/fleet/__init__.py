@@ -2,8 +2,8 @@
 
 The fleet runs the same sans-io nodes as the single-process live layer
 (:mod:`repro.live.nodes`), but spread over N worker processes, each
-hosting a shard of the repositories (plus the clients attached to
-them), speaking the hardened wire protocol of
+hosting a shard of the repositories (each serving its own modeled
+clients), speaking the hardened wire protocol of
 :mod:`repro.live.protocol` over worker-to-worker TCP links -- the links,
 send queues, frame server and due-time pacing of the shared socket
 runtime (:mod:`repro.live.wire`), which the single-process TCP
@@ -31,7 +31,7 @@ from repro.fleet.antientropy import (
     run_resync,
 )
 from repro.fleet.sharding import ShardPlan, plan_shards
-from repro.fleet.supervisor import merge_reports, run_fleet, run_fleet_loadgen
+from repro.fleet.supervisor import merge_reports, run_fleet
 from repro.fleet.worker import WorkerReport
 
 __all__ = [
@@ -45,6 +45,5 @@ __all__ = [
     "merge_reports",
     "plan_shards",
     "run_fleet",
-    "run_fleet_loadgen",
     "run_resync",
 ]

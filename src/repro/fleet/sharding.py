@@ -13,8 +13,8 @@ per worker.  BFS order keeps subtrees together, so most service edges
 stay worker-local and the cross-process link traffic is roughly the
 cut between consecutive d3g levels rather than a random half of all
 edges.  The source always lands on worker 0 (it heads the visit
-order), and every client lives with its repository's worker so the
-client plane never crosses a process boundary.
+order).  A repository's modeled clients are state on the repository
+node itself, so they live wherever it does.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.clients import ClientPopulation
 from repro.engine.builder import SimulationSetup
 from repro.errors import ConfigurationError
 
@@ -36,8 +35,7 @@ class ShardPlan:
     Attributes:
         n_workers: Fleet size.
         owner: ``node_id -> worker`` for the source and every
-            repository (clients are added by :func:`plan_shards` when a
-            population is supplied).
+            repository.
         source: The source's node id (always owned by worker 0).
     """
 
@@ -81,23 +79,13 @@ def check_worker_count(n_workers: int, n_nodes: int) -> None:
         )
 
 
-def plan_shards(
-    setup: SimulationSetup,
-    n_workers: int,
-    clients: ClientPopulation | None = None,
-    client_node_base: int | None = None,
-) -> ShardPlan:
+def plan_shards(setup: SimulationSetup, n_workers: int) -> ShardPlan:
     """Compute the fleet's shard assignment for one built setup.
 
     Args:
         setup: The run's built setup (graph + traces).
         n_workers: Number of worker processes; capped by the node count
             (a worker with nothing to host is a configuration error).
-        clients: Optional population; each client's transport node id
-            (``client_node_base + index``) is assigned to its
-            repository's worker.
-        client_node_base: First client transport node id; required when
-            ``clients`` is given.
 
     Raises:
         ConfigurationError: on a non-positive worker count or more
@@ -141,13 +129,4 @@ def plan_shards(
         for node in order[start : start + size]:
             owner[node] = worker
         start += size
-
-    if clients is not None and len(clients):
-        if client_node_base is None:
-            raise ConfigurationError(
-                "client_node_base is required when assigning clients"
-            )
-        for offset, client in enumerate(clients.clients):
-            owner[client_node_base + offset] = owner[client.repository]
-
     return ShardPlan(n_workers=n_workers, owner=owner, source=source)

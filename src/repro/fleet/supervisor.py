@@ -39,9 +39,10 @@ deliveries + drops`` exact, the same invariants the single-process
 transports end with.
 
 The fleet runs static membership on a reliable local wire: churn,
-failure schedules, adaptive re-optimization, seeded message loss and
-modeled clients are all rejected up front rather than silently
-diverging from the engine's semantics for them.
+failure schedules, adaptive re-optimization and seeded message loss
+are all rejected up front rather than silently diverging from the
+engine's semantics for them.  Modeled clients run as on every plane:
+each repository serves its own, so they shard with it.
 """
 
 from __future__ import annotations
@@ -58,23 +59,16 @@ from pathlib import Path
 import repro
 from repro.core.fidelity import FidelityAccumulator
 from repro.core.metrics import CostCounters
-from repro.engine.builder import build_setup
 from repro.engine.config import SimulationConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.fleet.quiescence import QuiescenceDetector, Snapshot, residual
 from repro.fleet.sharding import check_worker_count
 from repro.fleet.worker import FleetSpec, WorkerReport, worker_main
-from repro.live.harness import (
-    LiveRunResult,
-    check_duration,
-    check_pacing,
-    refuse_modeled_clients,
-)
-from repro.live.loadgen import LoadgenReport, client_reports, generate_clients
+from repro.live.harness import LiveRunResult, check_duration, check_pacing
 from repro.live.wire import QUIESCE_TIMEOUT_S, reconcile, wall_factor
 from repro.obs.logsetup import get_logger
 
-__all__ = ["merge_reports", "run_fleet", "run_fleet_loadgen", "supervise"]
+__all__ = ["merge_reports", "run_fleet", "supervise"]
 
 log = get_logger("repro.fleet.supervisor")
 
@@ -136,7 +130,6 @@ def merge_reports(
     counters = CostCounters()
     accumulator = FidelityAccumulator()
     per_pair: dict[tuple[int, int], float] = {}
-    client_loss: dict[int, dict[int, float]] = {}
     sent = delivered = dropped = 0
     span = 0.0
     tree_stats, effective_degree, avg_comm_delay_ms = None, 0, 0.0
@@ -153,7 +146,6 @@ def merge_reports(
         for (repo, item_id), loss in report.per_pair_loss.items():
             accumulator.add(repo, item_id, loss)
             per_pair[(repo, item_id)] = loss
-        client_loss.update(report.client_loss)
 
     # In flight at the finish line: the wire ate it, on both planes.
     dropped = reconcile(sent, delivered, dropped, counters)
@@ -179,9 +171,6 @@ def merge_reports(
     reconnects = sum(r.reconnects for r in reports)
     if reconnects:
         merged_extras["reconnects"] = reconnects
-    if client_loss or any(r.client_messages for r in reports):
-        merged_extras["client_loss"] = client_loss
-        merged_extras["client_messages"] = sum(r.client_messages for r in reports)
     if extras:
         merged_extras.update(extras)
 
@@ -206,7 +195,6 @@ def _validate(spec: FleetSpec, sever_at_s: float | None, sever_worker: int) -> N
     """Refuse, before any process starts, what the fleet cannot run."""
     config, workers = spec.config, spec.n_workers
     check_duration(spec.duration)
-    refuse_modeled_clients(config)
     if config.churn is not None:
         raise ConfigurationError(
             "the fleet runs static membership; strip the churn schedule"
@@ -230,8 +218,6 @@ def _validate(spec: FleetSpec, sever_at_s: float | None, sever_worker: int) -> N
     # needs neither, only to refuse a fleet no plan can fill.
     check_worker_count(workers, config.n_repositories + 1)
     check_pacing(spec.time_scale, spec.heartbeat_interval_s)
-    if spec.n_clients < 0:
-        raise ConfigurationError(f"n_clients must be >= 0, got {spec.n_clients!r}")
     # A NaN instant never comes due, so the supervisor would wait for it
     # forever; an infinite one overflows the pipe wait.
     if sever_at_s is not None and not (math.isfinite(sever_at_s) and sever_at_s >= 0):
@@ -412,8 +398,6 @@ def run_fleet(
     duration: float | None = None,
     time_scale: float = 60.0,
     heartbeat_interval_s: float = 0.5,
-    n_clients: int = 0,
-    client_seed: int | None = None,
     sever_at_s: float | None = None,
     sever_worker: int = 0,
     trace_recorder=None,
@@ -422,18 +406,13 @@ def run_fleet(
 
     Args:
         config: The run's full parameterisation; must be churn-,
-            failure-, adaptive-, loss- and modeled-client-free (see
-            module docstring).
+            failure-, adaptive- and loss-free (see module docstring).
         workers: Worker process count (1 is a degenerate all-local
             fleet, handy for debugging).
         duration: Optional replay truncation, as in ``run_live``.
         time_scale: Simulated seconds per wall second.
         heartbeat_interval_s: Per-link liveness probe interval (0
             disables).
-        n_clients: Synthetic loadgen clients to shard across workers
-            (0 = no client plane).
-        client_seed: Seed for the client population (config seed when
-            ``None``).
         sever_at_s: Optional fault-injection hook -- at this simulated
             time, ``sever_worker``'s outbound links are severed so the
             reconnect + anti-entropy path runs for real.
@@ -456,8 +435,6 @@ def run_fleet(
         n_workers=workers,
         duration=duration,
         time_scale=time_scale,
-        n_clients=n_clients,
-        client_seed=client_seed,
         heartbeat_interval_s=heartbeat_interval_s,
         trace=trace_recorder is not None,
     )
@@ -532,34 +509,3 @@ def run_fleet(
     return merge_reports(
         reports, wall_seconds=time.perf_counter() - wall_start, extras=extras
     )
-
-
-def run_fleet_loadgen(
-    config: SimulationConfig,
-    n_clients: int,
-    *,
-    workers: int,
-    seed: int | None = None,
-    duration: float | None = None,
-    time_scale: float = 60.0,
-    **fleet_knobs,
-) -> LoadgenReport:
-    """Shard the load generator across a fleet and merge the report.
-
-    The population is generated from the same seeded stream the workers
-    use (each worker regenerates it deterministically and hosts the
-    clients of its shard's repositories), so the requirement-met table
-    is computed against exactly the clients that ran.
-    """
-    setup = build_setup(config)
-    population = generate_clients(config, n_clients, seed=seed, setup=setup)
-    result = run_fleet(
-        config,
-        workers=workers,
-        duration=duration,
-        time_scale=time_scale,
-        n_clients=n_clients,
-        client_seed=seed,
-        **fleet_knobs,
-    )
-    return client_reports(result, population, setup)

@@ -68,12 +68,7 @@ from repro.engine.builder import build_setup
 from repro.engine.config import SimulationConfig
 from repro.fleet.antientropy import ChildSession, ParentView
 from repro.fleet.sharding import plan_shards
-from repro.live.harness import (
-    _client_node_base,
-    _score_clients,
-    build_live_network,
-)
-from repro.live.loadgen import generate_clients
+from repro.live.harness import build_live_network
 from repro.live.protocol import Hello, ResyncRequest, ResyncResponse, Stats
 from repro.live.wire import Link, WireRuntime
 from repro.obs.trace import TraceRecorder
@@ -93,8 +88,6 @@ class FleetSpec:
     n_workers: int
     duration: float | None = None
     time_scale: float = 60.0
-    n_clients: int = 0
-    client_seed: int | None = None
     heartbeat_interval_s: float = 0.5
     host: str = "127.0.0.1"
     #: Attach a span recorder on every worker and ship the spans plus a
@@ -128,12 +121,10 @@ class WorkerReport:
     queue_stalls: int = 0
     protocol_errors: int = 0
     n_local_nodes: int = 0
-    client_messages: int = 0
     span_s: float = 0.0
     wall_seconds: float = 0.0
     counters: CostCounters = field(default_factory=CostCounters)
     per_pair_loss: dict = field(default_factory=dict)
-    client_loss: dict = field(default_factory=dict)
     #: Trace spans recorded on this shard (empty unless ``spec.trace``);
     #: the supervisor merges them into the caller's recorder with
     #: update ids stable across shards.
@@ -194,21 +185,10 @@ class _Shard(WireRuntime):
     def __init__(self, worker_id: int, spec: FleetSpec, conn) -> None:
         config = spec.config
         setup = build_setup(config)
-        clients = (
-            generate_clients(config, spec.n_clients, seed=spec.client_seed, setup=setup)
-            if spec.n_clients
-            else None
-        )
-        network = build_live_network(config, clients=clients, setup=setup)
-        self.plan = plan_shards(
-            setup,
-            spec.n_workers,
-            clients=clients,
-            client_node_base=_client_node_base(setup) if clients is not None else None,
-        )
+        network = build_live_network(config, setup=setup)
+        self.plan = plan_shards(setup, spec.n_workers)
         local_nodes = set(self.plan.nodes_of(worker_id))
         self.local_repos = {r for r in network.repositories if r in local_nodes}
-        self.local_clients = {c for c in network.clients if c in local_nodes}
         self.owns_source = self.plan.owner[self.plan.source] == worker_id
 
         self.report = WorkerReport(
@@ -223,7 +203,7 @@ class _Shard(WireRuntime):
         super().__init__(
             network,
             self.report,
-            hosted=self.local_repos | self.local_clients,
+            hosted=self.local_repos,
             src=worker_id,
             time_scale=spec.time_scale,
             host=spec.host,
@@ -320,17 +300,10 @@ class _Shard(WireRuntime):
             network.setup.traces, spec.duration, only=self.local_repos
         )
         report.span_s = network.span(spec.duration)
-        if self.local_clients:
-            report.client_loss = _score_clients(
-                network, spec.duration, only=self.local_clients
-            )
-        senders = [network.repositories[r] for r in self.local_repos]
         if self.owns_source:
-            senders.append(network.source_node)
             report.tree_stats = network.setup.graph.stats()
             report.effective_degree = network.setup.effective_degree
             report.avg_comm_delay_ms = network.setup.avg_comm_delay_ms
-        report.client_messages = sum(node.client_messages for node in senders)
         peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         report.peak_rss_mb = peak_kib / 1024.0
         if self.recorder is not None:
@@ -380,7 +353,6 @@ class _Shard(WireRuntime):
                 self._send_control(parent, session.next_request())
 
     def _parent_heads_for(self, parent: int, child: int) -> dict[int, tuple[int, float]]:
-        # The dependents' groups only: a client is nobody's resync peer.
         heads: dict[int, tuple[int, float]] = {}
         for item_id, group in self.network._sender(parent).edges.items():
             for i, dependent in enumerate(group.child):

@@ -10,12 +10,12 @@ and executes them as a network of servers:
 
 - :class:`~repro.live.nodes.SourceNode` replays a registered workload
   in real or time-scaled time;
-- :class:`~repro.live.nodes.RepositoryNode` receives pushes, applies
-  the shared coherency rule over its per-item edge columns
+- :class:`~repro.live.nodes.RepositoryNode` receives pushes, serves
+  its modeled clients with the engine's
+  :class:`~repro.core.dissemination.filtering.Staircase`, applies the
+  shared coherency rule over its per-item edge columns
   (:class:`~repro.live.nodes.EdgeGroup`), and forwards along the
-  ``d3g``;
-- :class:`~repro.live.nodes.ClientNode` attaches with per-item
-  tolerances and measures *observed* fidelity.
+  ``d3g``.
 
 Node logic is sans-io: nodes consume updates and emit messages -- the
 seven-field rows of a :class:`~repro.live.protocol.Forwards` frame, the
@@ -35,12 +35,5 @@ a running network and collects a
 """
 
 from repro.live.harness import LiveRunResult, build_live_network, run_live
-from repro.live.loadgen import LoadgenReport, run_loadgen
 
-__all__ = [
-    "LiveRunResult",
-    "build_live_network",
-    "run_live",
-    "LoadgenReport",
-    "run_loadgen",
-]
+__all__ = ["LiveRunResult", "build_live_network", "run_live"]

@@ -20,16 +20,14 @@ import asyncio
 import time
 from dataclasses import dataclass, field
 
-from repro.core.clients import ClientPopulation
-from repro.core.dissemination.filtering import EdgeFilter, StaircaseTagger
-from repro.core.fidelity import loss_of_fidelity, scoring_windows, unzip_log
+from repro.core.dissemination.filtering import EdgeFilter, Staircase, StaircaseTagger
 from repro.core.metrics import CostCounters
 from repro.core.tree import TreeStats
 from repro.engine.builder import SimulationSetup, build_setup
 from repro.engine.config import SimulationConfig
 from repro.engine.reconfig import ReconfigurationCore
 from repro.errors import ConfigurationError
-from repro.live.nodes import ClientNode, RepositoryNode, SourceNode
+from repro.live.nodes import RepositoryNode, SourceNode
 from repro.live.transport import TcpWire, VirtualWire
 from repro.traces.schedule import UpdateSchedule
 
@@ -39,7 +37,6 @@ __all__ = [
     "build_live_network",
     "check_duration",
     "check_pacing",
-    "refuse_modeled_clients",
     "run_live",
 ]
 
@@ -57,8 +54,8 @@ class LiveRunResult:
         loss_of_fidelity: System-wide mean *observed* loss of fidelity,
             percent (0 is perfect).
         per_repository_loss: Mean observed loss per repository.
-        counters: Repository-plane message/check accounting (client
-            traffic is tallied separately in ``extras``).
+        counters: Message/check accounting; the modeled clients'
+            service is its ``client_checks`` / ``client_messages``.
         tree_stats: Shape of the ``d3g`` the network ran.
         effective_degree: Degree of cooperation enforced by the build.
         avg_comm_delay_ms: Mean node-to-node delay of the topology.
@@ -67,7 +64,8 @@ class LiveRunResult:
         wall_seconds: Wall-clock duration of the run.
         sent / delivered / dropped: Wire-level message conservation
             (``sent == delivered + dropped`` always holds at rest).
-        extras: Free-form additions (client-plane observations).
+        extras: Free-form additions (per-pair loss, reconfiguration
+            and wire tallies).
     """
 
     loss_of_fidelity: float
@@ -134,14 +132,11 @@ class LiveNetwork:
         counters: CostCounters,
         source_node: SourceNode,
         repositories: dict[int, RepositoryNode],
-        clients: dict[int, ClientNode],
     ) -> None:
         self.setup = setup
         self.counters = counters
         self.source_node = source_node
         self.repositories = repositories
-        #: transport node id -> client node.
-        self.clients = clients
         #: Control state and rules (churn, failover, resync, rewires).
         self.reconfig = ReconfigurationCore.for_setup(setup, self, counters)
         #: Out-of-band trace observer (see :meth:`attach_observer`);
@@ -161,13 +156,6 @@ class LiveNetwork:
         self.source_node.observer = observer
         for repo in self.repositories.values():
             repo.observer = observer
-
-    def node(self, node_id: int):
-        """The message handler for one destination node id."""
-        repo = self.repositories.get(node_id)
-        if repo is not None:
-            return repo
-        return self.clients[node_id]
 
     def source_schedule(self, duration: float | None = None) -> list[tuple[float, int, float]]:
         """The workload replay: (time, item, value), time-ordered.
@@ -216,8 +204,8 @@ class LiveNetwork:
         return self.repositories[node]
 
     def unwire(self, parent: int, child: int, item_id: int, c: float) -> None:
-        # Only the dependents' group: attached clients ride out a rewire
-        # on their repository, like the engine's modeled clients.
+        # Only the dependents' group: the child's modeled clients ride
+        # out a rewire, as in the engine.
         group = self._sender(parent).edges.get(item_id)
         if group is not None:
             group.unwire(child)
@@ -275,30 +263,8 @@ def check_pacing(
         raise ConfigurationError(f"jitter_ms must be >= 0, got {jitter_ms!r}")
 
 
-def refuse_modeled_clients(config: SimulationConfig) -> None:
-    """The live planes run no modeled-client plane; refuse a config that
-    asks for one rather than silently dropping it.
-
-    Raises:
-        ConfigurationError: when ``config.clients_per_repository > 0``.
-    """
-    if config.clients_per_repository > 0:
-        raise ConfigurationError(
-            "the live planes do not run modeled clients "
-            f"(clients_per_repository={config.clients_per_repository}); set it "
-            "to 0 and attach clients with `live loadgen` or `fleet loadgen`"
-        )
-
-
-def _client_node_base(setup: SimulationSetup) -> int:
-    """First transport node id free for clients (above the topology)."""
-    return setup.network.topology.n_nodes
-
-
 def build_live_network(
-    config: SimulationConfig,
-    clients: ClientPopulation | None = None,
-    setup: SimulationSetup | None = None,
+    config: SimulationConfig, setup: SimulationSetup | None = None
 ) -> LiveNetwork:
     """Assemble the live network for an unchanged simulation config.
 
@@ -310,7 +276,10 @@ def build_live_network(
     :class:`~repro.core.dissemination.filtering.EdgeFilter`) and gives
     the source the engine's
     :class:`~repro.core.dissemination.filtering.StaircaseTagger` when
-    the centralised policy runs.
+    the centralised policy runs.  Each repository gets one
+    :class:`~repro.core.dissemination.filtering.Staircase` per item
+    over the setup's read-only block of modeled-client tolerances
+    (``clients_per_repository``), as the engine does.
 
     Args:
         config: The run's full parameterisation.  Churn, failures,
@@ -319,20 +288,10 @@ def build_live_network(
             :class:`~repro.engine.reconfig.ReconfigurationCore` timeline
             and judges loss, crashes and departures by the engine's
             rule.
-        clients: Optional end-client population to attach; each client
-            becomes a dependent of its repository, filtered at its own
-            tolerance, and is served whenever its repository receives
-            the item.
         setup: Optional prebuilt setup for exactly this config (skips
-            rebuilding the topology/traces/``d3g``; the loadgen path
-            shares one build across population generation and the run).
-
-    Raises:
-        ConfigurationError: on modeled clients
-            (``config.clients_per_repository > 0``), or on clients
-            attached to unknown repositories or wanting unknown items.
+            rebuilding the topology/traces/``d3g``; a fleet worker
+            shares one build between its network and its shard plan).
     """
-    refuse_modeled_clients(config)
     if setup is None:
         setup = build_setup(config)
     counters = CostCounters()
@@ -354,7 +313,7 @@ def build_live_network(
         for node in setup.profiles
     }
 
-    network = LiveNetwork(setup, counters, source_node, repositories, {})
+    network = LiveNetwork(setup, counters, source_node, repositories)
     # Wire the d3g exactly as the engine's _prepare does: items in trace
     # order, nodes in graph order, children in child-table order.
     for item_id in setup.traces:
@@ -366,72 +325,13 @@ def build_live_network(
             if item_id in repo.receive_c:
                 repo.deliveries[item_id] = [0.0, initial]
 
-    client_nodes = network.clients
-    if clients is not None and len(clients):
-        base = _client_node_base(setup)
-        for offset, client in enumerate(clients.clients):
-            repo = repositories.get(client.repository)
-            if repo is None:
-                raise ConfigurationError(
-                    f"client {client.client_id} attaches to unknown "
-                    f"repository {client.repository}"
-                )
-            node_id = base + offset
-            client_node = ClientNode(
-                node=node_id,
-                client_id=client.client_id,
-                repository=client.repository,
-                requirements=dict(client.requirements),
-            )
-            for item_id, tolerance in sorted(client.requirements.items()):
-                trace = setup.traces.get(item_id)
-                if trace is None:
-                    raise ConfigurationError(
-                        f"client {client.client_id} wants unknown item {item_id}"
-                    )
-                client_node.deliveries[item_id] = [0.0, trace.initial_value]
-                # Attached whether or not the repository carries the item:
-                # a client is served only while it does (until then it
-                # stays on the priming value, and the requirement-met
-                # report flags it).  Client service is repository-local
-                # filtering: the Eq. (3) + Eq. (7) test at the client's
-                # tolerance, whatever policy runs in the repository plane
-                # (clients are invisible to the source's tagging).
-                edge = EdgeFilter("distributed", tolerance, trace.initial_value)
-                repo.add_edge(item_id, node_id, tolerance, edge, 0.0, is_client=True)
-            client_nodes[node_id] = client_node
+    # Over a zero-copy view of each read-only block, as the engine's
+    # ``_client_stairs``.
+    for (node, item_id), tols in (setup.client_tolerances or {}).items():
+        repositories[node].clients[item_id] = Staircase(
+            memoryview(tols), setup.traces[item_id].initial_value
+        )
     return network
-
-
-def _score_clients(
-    network: LiveNetwork,
-    duration: float | None,
-    only: set[int] | None = None,
-) -> dict[int, dict[int, float]]:
-    """Observed per-client loss at each client's own tolerance.
-
-    ``only`` restricts scoring to a subset of client *node ids* (fleet
-    workers score the clients attached to their shard's repositories).
-    """
-    observed: dict[int, dict[int, float]] = {}
-    windows = scoring_windows(network.setup.traces, duration)
-    for client_node in network.clients.values():
-        if only is not None and client_node.node not in only:
-            continue
-        per_item: dict[int, float] = {}
-        for item_id, tolerance in sorted(client_node.requirements.items()):
-            trace = network.setup.traces[item_id]
-            t0, t1 = windows[item_id]
-            per_item[item_id] = loss_of_fidelity(
-                trace.times,
-                trace.values,
-                *unzip_log(client_node.deliveries[item_id]),
-                tolerance,
-                t_start=t0,
-                t_end=t1,
-            )
-        observed[client_node.client_id] = per_item
-    return observed
 
 
 def run_live(
@@ -442,7 +342,6 @@ def run_live(
     time_scale: float = 60.0,
     jitter_ms: float = 0.0,
     heartbeat_interval_s: float = 0.5,
-    clients: ClientPopulation | None = None,
     network: LiveNetwork | None = None,
 ) -> LiveRunResult:
     """Build, run and score one live network end to end.
@@ -470,8 +369,6 @@ def run_live(
         jitter_ms: Seeded per-delivery jitter bound (in-process only).
         heartbeat_interval_s: Wall seconds between TCP liveness probes
             per connection (failure runs only; 0 disables).
-        clients: Optional end-client population to attach (ignored when
-            ``network`` is given).
         network: Optional prebuilt network for exactly this config.
 
     Raises:
@@ -490,7 +387,7 @@ def run_live(
             "snapshots; run it on the inprocess transport"
         )
     if network is None:
-        network = build_live_network(config, clients=clients)
+        network = build_live_network(config)
     start = time.perf_counter()
     if transport == "inprocess":
         stats = VirtualWire(network, jitter_ms).run(duration)
@@ -507,12 +404,6 @@ def run_live(
         "workload": config.workload.name,
         "policy": config.policy,
     }
-    if network.clients:
-        extras["client_loss"] = _score_clients(network, duration)
-        extras["client_messages"] = sum(
-            node.client_messages
-            for node in (network.source_node, *network.repositories.values())
-        )
     extras.update(core.extras())
     if core.failures is not None:
         if stats.heartbeats:

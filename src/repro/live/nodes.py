@@ -24,30 +24,31 @@ semantics also mirror the engine: each forwarded copy costs
 :class:`~repro.sim.queueing.FifoStation`) before it leaves, then
 travels the end-to-end network delay.
 
-Client service: an attached client is a dependent of its repository,
-filtered per (client, item) with the repository-local Eq. (3) + Eq. (7)
-test at the client's own tolerance (regardless of the repository-plane
-policy -- clients are invisible to the source, so tag pruning cannot
-cover them).  Clients have their own group, served after the
-dependents', and their traffic is counted apart from the
-repository-plane :class:`~repro.core.metrics.CostCounters` so live
-message counts stay comparable with the simulator's.
+Client service is the engine's modeled-client plane: a repository
+holds, per item, one :class:`~repro.core.dissemination.filtering.
+Staircase` over the setup's read-only block of client tolerances and
+serves it on every delivery while it still receives the item -- the
+repository-local Eq. (3) + Eq. (7) test at each client's own
+tolerance, whatever the repository-plane policy.  Clients are not
+transport nodes: they cost no frame and no station time, and only the
+``client_checks`` / ``client_messages`` totals of
+:class:`~repro.core.metrics.CostCounters` record them, exactly as in
+the engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.dissemination.filtering import (
     FORWARD_RULES,
     EdgeFilter,
+    Staircase,
     StaircaseTagger,
 )
 from repro.core.metrics import CostCounters
 from repro.live.protocol import Update
 from repro.sim.queueing import FifoStation
 
-__all__ = ["EdgeGroup", "SourceNode", "RepositoryNode", "ClientNode"]
+__all__ = ["EdgeGroup", "SourceNode", "RepositoryNode"]
 
 
 class EdgeGroup:
@@ -91,10 +92,6 @@ class _ForwardingNode:
         self.station = FifoStation()
         #: item_id -> repository-plane dependents, in wiring order.
         self.edges: dict[int, EdgeGroup] = {}
-        #: item_id -> attached clients, in attachment order.
-        self.client_edges: dict[int, EdgeGroup] = {}
-        #: Client-plane messages sent (kept out of ``counters``).
-        self.client_messages = 0
         #: Out-of-band trace observer (attached by the harness when the
         #: run is traced; see :mod:`repro.obs.trace`).  Write-only: it
         #: records decisions, never makes them, so attaching one keeps
@@ -108,16 +105,14 @@ class _ForwardingNode:
         c_serve: float,
         filter: EdgeFilter,
         link_delay_s: float,
-        is_client: bool = False,
     ) -> None:
-        """Wire a dependent (a client with ``is_client``) from ``filter``'s
-        rule, stored tolerance and initial value, keeping no reference."""
+        """Wire a dependent from ``filter``'s rule, stored tolerance and
+        initial value, keeping no reference."""
         # ``c_serve`` is unused; it stays because the perf ledger's
         # frozen ``live.nodes.on_message_ns`` probe passes it.
-        groups = self.client_edges if is_client else self.edges
-        group = groups.get(item_id)
+        group = self.edges.get(item_id)
         if group is None:
-            group = groups[item_id] = EdgeGroup(FORWARD_RULES[filter.policy])
+            group = self.edges[item_id] = EdgeGroup(FORWARD_RULES[filter.policy])
         group.wire(child, filter.c_serve, filter.last_sent, link_delay_s)
 
     def _forward(
@@ -133,8 +128,7 @@ class _ForwardingNode:
         """Filter one update over this node's edges; the rows to send.
 
         ``parent_receive_c`` is ``None`` when the node no longer receives
-        the item (an in-flight copy of an unsubscribed pair): then no
-        client is served from it, the reference oracle's rule.
+        the item (an in-flight copy of an unsubscribed pair).
         """
         rows: list[list] = []
         node = self.node
@@ -168,17 +162,6 @@ class _ForwardingNode:
             self.counters.record_check(node, is_source, len(group.child))
             if messages:
                 self.counters.record_message(node, is_source, messages)
-        clients = self.client_edges.get(item_id)
-        if clients is not None and parent_receive_c is not None:
-            rule, cs, last = clients.rule, clients.cs, clients.last
-            for i, child in enumerate(clients.child):
-                if rule(value, last[i], cs[i], parent_receive_c, None):
-                    last[i] = value
-                    self.client_messages += 1
-                    rows.append(
-                        [child, submit(now, comp_delay_s) + clients.delay[i],
-                         item_id, value, tag, seq, node]
-                    )
         return rows
 
 
@@ -253,12 +236,19 @@ class RepositoryNode(_ForwardingNode):
         #: item_id -> highest source seq received -- the per-item heads
         #: the anti-entropy resync samples over.
         self.seqs: dict[int, int] = {}
+        #: item_id -> the modeled clients' last-served state over their
+        #: ascending tolerance block; built by the harness, kept across
+        #: an unsubscribe so a later rewire resumes it.
+        self.clients: dict[int, Staircase] = {}
 
     def receive(
         self, item_id: int, value: float, tag: float | None, seq: int, now: float
     ) -> list[list]:
-        """Handle one pushed update: log it, then forward downstream."""
-        self.counters.record_delivery()
+        """Handle one pushed update: log it, serve the modeled clients
+        while the node still receives the item (the reference oracle's
+        rule), then forward downstream."""
+        counters = self.counters
+        counters.record_delivery()
         if self.observer is not None:
             self.observer.on_deliver(seq - 1, item_id, now, self.node)
         if seq > self.seqs.get(item_id, 0):
@@ -267,42 +257,14 @@ class RepositoryNode(_ForwardingNode):
         if log is not None:
             log.append(now)
             log.append(value)
-        return self._forward(
-            item_id, value, tag, now, self.receive_c.get(item_id), seq, False
-        )
+        receive_c = self.receive_c.get(item_id)
+        clients = self.clients.get(item_id)
+        if clients is not None and receive_c is not None:
+            counters.record_client_serving(
+                len(clients.cs), clients.serve(value, receive_c)
+            )
+        return self._forward(item_id, value, tag, now, receive_c, seq, False)
 
     def on_message(self, update: Update, now: float) -> list[list]:
         """:meth:`receive`, from a typed :class:`~repro.live.protocol.Update`."""
         return self.receive(update.item_id, update.value, update.tag, update.seq, now)
-
-
-@dataclass
-class ClientNode:
-    """An attached end client: receives its filtered stream, measures.
-
-    Attributes:
-        node: Transport-level node id (outside the repository id space).
-        client_id: The :class:`~repro.core.clients.Client` this node
-            realises.
-        repository: The repository it reads from.
-        requirements: ``item_id -> c`` tolerances it needs.
-        deliveries: ``item_id ->`` flat receive log ``[t0, v0, t1, v1,
-            ...]`` (arrival sim-time, value); primed by the harness,
-            two appends per received update.
-    """
-
-    node: int
-    client_id: int
-    repository: int
-    requirements: dict[int, float]
-    deliveries: dict[int, list[float]] = field(default_factory=dict)
-
-    def receive(
-        self, item_id: int, value: float, tag: float | None, seq: int, now: float
-    ) -> list[list]:
-        """Record one received update; clients never forward."""
-        log = self.deliveries.get(item_id)
-        if log is not None:
-            log.append(now)
-            log.append(value)
-        return []

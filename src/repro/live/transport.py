@@ -65,8 +65,7 @@ class TransportStats:
     """Wire-level accounting of one live run.
 
     Attributes:
-        sent: Messages handed to the transport (repository plane and
-            client plane alike).
+        sent: Messages handed to the transport.
         delivered: Messages that reached their destination node.
         dropped: Messages the transport gave up on: failure-schedule and
             Bernoulli-loss drops on either transport, plus whatever the
@@ -159,7 +158,7 @@ class TcpWire(WireRuntime):
         network, stats = self.network, self.stats
         try:
             # One listening port and one link per destination node.
-            # Every repository and client is one in the static d3g, and
+            # Every repository is one in the static d3g, and
             # failover can route to any of them over ancestor edges.
             for dst in sorted(self.hosted):
                 self.connect(dst, await self.server.listen(self.host))

@@ -564,8 +564,8 @@ class WireRuntime:
         stats: Wire accounting with ``sent`` / ``delivered`` /
             ``dropped`` / ``heartbeats`` / ``reconnects`` fields.
         hosted: Ids of the nodes that take deliveries here (default:
-            every repository and client); a row naming any other is a
-            protocol violation.
+            every repository); a row naming any other is a protocol
+            violation.
         src / host / heartbeat_interval_s: Handed to every link.
         time_scale: Simulated seconds per wall second.
         metrics: Optional metrics registry; when given, links export
@@ -590,11 +590,12 @@ class WireRuntime:
     ) -> None:
         self.network = network
         self.stats = stats
+        repositories = network.repositories
         if hosted is None:
-            hosted = {*network.repositories, *network.clients}
+            hosted = repositories
         #: The nodes that take deliveries here, by id (released with
         #: ``network``: see ``TcpWire.run``).
-        self.hosted = {dst: network.node(dst) for dst in hosted}
+        self.hosted = {dst: repositories[dst] for dst in hosted}
         self.src = src
         self.host = host
         self.heartbeat_interval_s = heartbeat_interval_s
@@ -748,10 +749,7 @@ class WireRuntime:
     def drop(self, row: list, reason: str, t: float) -> None:
         """Count one message lost at instant ``t``, engine-comparably."""
         self.stats.dropped += 1
-        if reason != "wire":
-            # A wire loss may be a client-plane frame; reconcile()
-            # charges the repository plane's share when the run ends.
-            self.network.counters.record_drop()
+        self.network.counters.record_drop()
         observer = self.network.observer
         if observer is not None:
             dst, _arrival_s, item_id, _value, _tag, seq, src = row

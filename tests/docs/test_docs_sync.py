@@ -60,9 +60,7 @@ def test_cli_reference_covers_every_leaf_command(gen_docs):
         "experiments show",
         "experiments run",
         "live run",
-        "live loadgen",
         "fleet run",
-        "fleet loadgen",
         "obs trace",
         "obs metrics",
         "obs explain",

@@ -149,6 +149,44 @@ def test_non_finite_float_fields_are_refused_by_name(name, value):
         SimulationConfig(**{name: value})
 
 
+INTEGER_FIELDS = (
+    "seed",
+    "n_repositories",
+    "n_routers",
+    "n_items",
+    "trace_samples",
+    "offered_degree",
+    "clients_per_repository",
+)
+
+#: Before the check, ``n_items=2.5`` died mid-build with a bare
+#: ``TypeError``, ``n_repositories=nan`` with numpy's ``AxisError``,
+#: ``seed=-1`` with a bare ``ValueError``; ``clients_per_repository=nan``
+#: ran with no clients and ``n_items=True`` as one item.
+BAD_INTEGERS = [
+    (name, value, f"{name} must be an integer")
+    for name in INTEGER_FIELDS
+    for value in (2.5, 3.0, math.nan, True)
+] + [("seed", -1, "seed must be >= 0")]
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    BAD_INTEGERS,
+    ids=[f"{name}={value!r}" for name, value, _ in BAD_INTEGERS],
+)
+def test_non_integer_integer_fields_are_refused_by_name(name, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        SimulationConfig(**{name: value})
+
+
+def test_numpy_integers_are_accepted():
+    import numpy as np
+
+    config = SimulationConfig(**{name: np.int64(3) for name in INTEGER_FIELDS})
+    assert config == SimulationConfig(**{name: 3 for name in INTEGER_FIELDS})
+
+
 def test_with_revalidates():
     config = SimulationConfig()
     with pytest.raises(ConfigurationError):

@@ -17,7 +17,6 @@ from repro.engine.failures import failures_for_config
 from repro.engine.pull import PullSimulation, TtrConfig
 from repro.engine.simulation import make_simulation
 from repro.live.harness import build_live_network, run_live
-from repro.live.loadgen import generate_clients
 
 TINY = SCALE_PRESETS["tiny"].with_(offered_degree=4)
 
@@ -81,16 +80,10 @@ def test_pull_appends_flat():
 
 
 @pytest.mark.live
-def test_live_repository_and_client_nodes_append_flat():
-    network = build_live_network(TINY, clients=generate_clients(TINY, 12))
+def test_live_repository_nodes_append_flat():
+    network = build_live_network(TINY)
     run_live(TINY, network=network)
     for node, repo in network.repositories.items():
         for item_id, log in repo.deliveries.items():
             assert_flat(log)
             assert network.reconfig.current_value(node, item_id) == log[-1]
-    client_logs = [
-        log for client in network.clients.values() for log in client.deliveries.values()
-    ]
-    assert client_logs and any(len(log) > 2 for log in client_logs)
-    for log in client_logs:
-        assert_flat(log)

@@ -18,11 +18,10 @@ import pytest
 from repro.engine.churn import synthetic_schedule
 from repro.engine.config import SimulationConfig
 from repro.errors import ConfigurationError, SimulationError
-from repro.fleet import run_fleet, run_fleet_loadgen, supervisor
+from repro.fleet import run_fleet, supervisor
 from repro.fleet.antientropy import ChildSession
 from repro.fleet.worker import FleetSpec, WorkerReport, _Shard, worker_main
 from repro.live.harness import run_live
-from repro.live.loadgen import run_loadgen
 from repro.live.nodes import RepositoryNode
 
 pytestmark = pytest.mark.live
@@ -102,18 +101,6 @@ def test_fleet_sever_reconnects_resyncs_and_conserves():
     assert 0.0 <= result.loss_of_fidelity <= 100.0
 
 
-def test_fleet_loadgen_agrees_with_single_process():
-    fleet = run_fleet_loadgen(
-        CONFIG, 8, workers=2, duration=40.0, time_scale=400.0
-    )
-    single = run_loadgen(CONFIG, 8, duration=40.0)
-    assert fleet.result.conserved
-    assert fleet.n_requirements == single.n_requirements
-    assert fleet.n_met == single.n_met
-    assert [c.met for c in fleet.clients] == [c.met for c in single.clients]
-    assert fleet.result.extras["client_messages"] > 0
-
-
 def test_fleet_rejects_unsupported_configs():
     schedule = synthetic_schedule(
         repositories=range(1, CONFIG.n_repositories + 1),
@@ -143,8 +130,7 @@ def test_fleet_rejects_unsupported_configs():
 #: Inputs refused before any worker starts.  Before the check, a NaN
 #: ``sever_at_s`` hung the supervisor (the instant never came due), an
 #: infinite one overflowed its pipe wait, ``sever_worker=5`` raised
-#: ``IndexError`` mid-run, ``n_clients=-3`` crashed every worker,
-#: ``time_scale=0`` divided by zero after the workers had started and a
+#: ``IndexError`` mid-run, ``time_scale=0`` divided by zero after the workers had started and a
 #: negative or NaN pace or heartbeat "ran".
 BAD_FLEET_INPUTS = {
     "time-scale-zero": ({"time_scale": 0.0}, "time_scale must be positive"),
@@ -157,7 +143,6 @@ BAD_FLEET_INPUTS = {
     "sever-at-negative": ({"sever_at_s": -5.0}, "sever_at_s must be finite"),
     "sever-worker-5-of-2": ({"sever_worker": 5}, "sever_worker must name one"),
     "sever-worker-negative": ({"sever_worker": -1}, "sever_worker must name one"),
-    "n-clients-negative": ({"n_clients": -3}, "n_clients must be >= 0"),
 }
 
 
@@ -172,23 +157,6 @@ def test_fleet_refuses_bad_inputs_before_any_worker_starts(bad, message, monkeyp
     with pytest.raises(ConfigurationError, match=message):
         run_fleet(CONFIG, workers=2, **{"time_scale": 600.0, "sever_at_s": 5.0, **bad})
     assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize(
-    "plane",
-    [
-        lambda config: run_live(config, "inprocess"),
-        lambda config: run_live(config, "tcp"),
-        lambda config: run_fleet(config, workers=2),
-    ],
-    ids=["inprocess", "tcp", "fleet"],
-)
-def test_live_planes_refuse_modeled_clients(plane):
-    """No live plane runs the modeled-client plane; dropping it silently
-    would report zero client checks where the simulation counts them."""
-    with pytest.raises(ConfigurationError, match="live loadgen"):
-        plane(CONFIG.with_(clients_per_repository=5))
-    assert multiprocessing.active_children() == []  # refused before any spawn
 
 
 def test_fleet_worker_reports_a_raising_node_as_fatal(monkeypatch):

@@ -6,6 +6,7 @@ show in a result, in where worker output goes, or in what is left
 running afterwards.
 """
 
+import copy
 import json
 import multiprocessing
 import os
@@ -36,10 +37,12 @@ CONFIG = SimulationConfig(
 )
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
-#: ``run_fleet`` does not vet ``client_seed``; every worker's client
-#: generator seeds its stream with it while building, numpy refuses a
-#: negative seed, and the worker says ``fatal``.
-CRASHING = {"n_clients": 2, "client_seed": -1}
+#: A config whose seed went negative after it was validated: unpickling
+#: the worker's spec does not re-run ``__post_init__``, so every worker
+#: seeds its build with it, numpy refuses a negative seed, and the
+#: worker says ``fatal``.
+CRASHING = copy.copy(CONFIG)
+object.__setattr__(CRASHING, "seed", -1)
 
 #: A tiny fleet, then a child of the same server whose target is a
 #: builtin (it imports nothing from repro): its exit code says whether
@@ -160,7 +163,7 @@ def test_error_paths_leave_the_server_fit_for_the_next_run():
     server: the last must pass what a run in a fresh process passes,
     and no run may leave a worker behind."""
     with pytest.raises(SimulationError, match="expected non-negative integer"):
-        run_fleet(CONFIG, workers=2, time_scale=400.0, **CRASHING)
+        run_fleet(CRASHING, workers=2, time_scale=400.0)
     server = forkserver._forkserver._forkserver_pid
     assert multiprocessing.active_children() == []
     assert _children_of(server) == []

@@ -1,4 +1,4 @@
-"""Shard-plan invariants: total, near-equal, deterministic, co-located."""
+"""Shard-plan invariants: total, near-equal, deterministic."""
 
 import pytest
 
@@ -6,8 +6,6 @@ from repro.engine.builder import build_setup
 from repro.engine.config import SCALE_PRESETS
 from repro.errors import ConfigurationError
 from repro.fleet.sharding import plan_shards
-from repro.live.harness import _client_node_base
-from repro.live.loadgen import generate_clients
 
 CONFIG = SCALE_PRESETS["tiny"]
 
@@ -57,25 +55,3 @@ def test_worker_count_is_validated(setup):
         plan_shards(setup, 0)
     with pytest.raises(ConfigurationError):
         plan_shards(setup, len(setup.graph.nodes) + 1)
-
-
-def test_clients_live_with_their_repository(setup):
-    clients = generate_clients(CONFIG, 12, setup=setup)
-    base = _client_node_base(setup)
-    plan = plan_shards(setup, 3, clients=clients, client_node_base=base)
-    for offset, client in enumerate(clients.clients):
-        assert plan.owner[base + offset] == plan.owner[client.repository]
-
-
-def test_client_ids_start_above_the_physical_topology(setup):
-    """Routers own the ids past the repositories, and the routing tables
-    only span the logical nodes, so the base is the topology's count."""
-    topology = setup.network.topology
-    assert _client_node_base(setup) == topology.n_nodes
-    assert topology.n_nodes > setup.network.routing.dist_ms.shape[0]
-
-
-def test_clients_require_a_node_base(setup):
-    clients = generate_clients(CONFIG, 4, setup=setup)
-    with pytest.raises(ConfigurationError):
-        plan_shards(setup, 2, clients=clients)

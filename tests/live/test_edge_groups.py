@@ -1,9 +1,10 @@
 """The live nodes' edge columns stay straight through rewiring.
 
 A node holds, per item, one :class:`~repro.live.nodes.EdgeGroup` for
-its repository-plane dependents and one for its attached clients.
-Rewiring edits the dependents' columns only; the fleet's anti-entropy
-heads read the same columns.
+its repository-plane dependents, and a repository one
+:class:`~repro.core.dissemination.filtering.Staircase` for its modeled
+clients.  Rewiring edits the dependents' columns only; the fleet's
+anti-entropy heads read the same columns.
 """
 
 import multiprocessing
@@ -14,7 +15,6 @@ from repro.core.dissemination.filtering import FORWARD_RULES
 from repro.engine.config import SimulationConfig
 from repro.fleet.worker import FleetSpec, _Shard
 from repro.live.harness import build_live_network
-from repro.live.loadgen import generate_clients
 from repro.live.nodes import EdgeGroup
 from repro.live.transport import VirtualWire
 
@@ -23,6 +23,7 @@ pytestmark = pytest.mark.live
 CONFIG = SimulationConfig(
     n_repositories=5, n_routers=15, n_items=2, trace_samples=80
 )
+CLIENTS = CONFIG.with_(clients_per_repository=12)
 
 
 def _columns(group: EdgeGroup) -> tuple[list, ...]:
@@ -49,28 +50,27 @@ def test_edge_group_unwire_of_an_absent_child_changes_nothing():
     assert _columns(group) == ([4], [0.2], [1.0], [0.02], [0])
 
 
-def test_network_unwire_leaves_the_client_group_untouched():
-    network = build_live_network(CONFIG, clients=generate_clients(CONFIG, 12))
-    served = [
-        (node, item_id)
-        for node in _senders(network)
-        for item_id, clients in node.client_edges.items()
-        if clients.child and node.edges.get(item_id) and node.edges[item_id].child
-    ]
-    assert served  # a repository that serves both planes for one item
-    for node, item_id in served:
-        clients = node.client_edges[item_id]
-        before = _columns(clients)
-        # Naming a client unwires nothing: clients are not d3g edges.
-        dependents = _columns(node.edges[item_id])
-        for client, c in zip(before[0], before[1]):
-            network.unwire(node.node, client, item_id, c)
-        assert _columns(node.edges[item_id]) == dependents
-        # Unwiring every dependent leaves the clients where they were.
-        for child, c in zip(dependents[0], dependents[1]):
-            network.unwire(node.node, child, item_id, c)
-        assert node.edges[item_id].child == []
-        assert _columns(clients) == before
+def _stairs(network) -> dict:
+    return {
+        (node, item_id): (stairs, list(stairs.ends), list(stairs.vals))
+        for node, repo in network.repositories.items()
+        for item_id, stairs in repo.clients.items()
+    }
+
+
+def test_rewiring_leaves_the_modeled_clients_untouched():
+    network = build_live_network(CLIENTS)
+    VirtualWire(network).run()
+    before = _stairs(network)
+    # Served: some block's last-served state moved off one run.
+    assert any(len(ends) > 1 for _s, ends, _v in before.values())
+    for node in _senders(network):
+        for item_id, group in node.edges.items():
+            for child, c in zip(list(group.child), list(group.cs)):
+                network.unwire(node.node, child, item_id, c)
+                network.unsubscribe(child, item_id)
+            assert group.child == []
+    assert _stairs(network) == before
 
 
 def test_rewiring_a_child_restarts_its_last_value_and_seq():
@@ -100,23 +100,14 @@ def test_rewiring_a_child_restarts_its_last_value_and_seq():
     )
 
 
-def test_anti_entropy_heads_never_list_a_client():
+def test_anti_entropy_heads_read_the_dependents_columns():
     supervisor_end, worker_end = multiprocessing.Pipe()
     try:
-        shard = _Shard(
-            0, FleetSpec(config=CONFIG, n_workers=1, n_clients=12), worker_end
-        )
+        shard = _Shard(0, FleetSpec(config=CLIENTS, n_workers=1), worker_end)
         network = shard.network
         VirtualWire(network).run()
-        clients = set(network.clients)
-        assert any(
-            group.child
-            for repo in network.repositories.values()
-            for group in repo.client_edges.values()
-        )
+        assert network.counters.client_messages > 0
         for parent in (network.source_node.node, *network.repositories):
-            for client in clients:
-                assert shard._parent_heads_for(parent, client) == {}
             for item_id, group in network._sender(parent).edges.items():
                 for i, child in enumerate(group.child):
                     heads = shard._parent_heads_for(parent, child)

@@ -1,10 +1,11 @@
 """The deterministic in-process live network vs the simulator."""
 
+import dataclasses
 import math
 
 import pytest
 
-from repro.core.dissemination.filtering import EdgeFilter
+from repro.core.dissemination.filtering import Staircase
 from repro.core.metrics import CostCounters
 from repro.engine.adaptive import AdaptivePolicy
 from repro.engine.churn import schedule_for_config
@@ -21,7 +22,6 @@ from repro.live.harness import (
     check_pacing,
     run_live,
 )
-from repro.live.loadgen import generate_clients
 from repro.live.nodes import RepositoryNode
 from repro.errors import SimulationError
 from repro.obs.trace import TraceRecorder
@@ -133,28 +133,34 @@ def test_live_runs_churn_configs_like_the_oracle():
 
 
 def test_adaptive_clients_leave_the_repository_plane_untouched():
-    """Attached clients ride out every rewire: a re-wired dependent is
-    served ahead of them, and no client row leaves a pair its repository
-    no longer receives."""
-    config = ADAPTIVE_BASE.with_(
+    """Modeled clients ride out every rewire: the repository plane runs
+    as without them, no client is served from a pair its repository no
+    longer receives, and the client totals are the engine's."""
+    plain_config = ADAPTIVE_BASE.with_(
         adaptive=AdaptivePolicy(window=30.0, threshold=0.75, max_rewires=4)
     )
-    network = build_live_network(config, clients=generate_clients(config, 24))
-    unsubscribed_rows = []
+    config = plain_config.with_(clients_per_repository=24)
+    network = build_live_network(config)
+    counters = network.counters
+    unsubscribed_serves = []
     for node in network.repositories.values():
         def receive(item_id, value, tag, seq, now, node=node, inner=node.receive):
+            checks = counters.client_checks
             rows = inner(item_id, value, tag, seq, now)
-            if item_id not in node.receive_c:
-                unsubscribed_rows.extend(r for r in rows if r[0] in network.clients)
+            if item_id not in node.receive_c and counters.client_checks != checks:
+                unsubscribed_serves.append((node.node, item_id))
             return rows
 
         node.receive = receive
     served = run_live(config, network=network)
-    plain = run_live(config)
+    plain = run_live(plain_config)
     assert served.extras["adaptive_rewires"] > 0
-    assert served.extras["client_messages"] > 0
-    assert unsubscribed_rows == []
-    assert served.counters == plain.counters
+    assert served.counters.client_messages > 0
+    assert unsubscribed_serves == []
+    assert served.counters == run_simulation(config).counters
+    assert dataclasses.replace(
+        served.counters, client_checks=0, client_messages=0
+    ) == plain.counters
     assert served.loss_of_fidelity == plain.loss_of_fidelity
     assert served.extras["per_pair_loss"] == plain.extras["per_pair_loss"]
     assert served.tree_stats == plain.tree_stats
@@ -163,13 +169,25 @@ def test_adaptive_clients_leave_the_repository_plane_untouched():
 def test_no_client_is_served_from_a_pair_its_repository_no_longer_receives():
     """The reference oracle's rule: no receive coherency, no client
     service -- even for a copy that was in flight at the unsubscribe."""
-    node = RepositoryNode(1, 0.001, CostCounters(), receive_c={0: 0.5})
+    counters = CostCounters()
+    node = RepositoryNode(1, 0.001, counters, receive_c={0: 0.5})
     node.deliveries[0] = [0.0, 1.0]
-    node.add_edge(0, 99, 0.1, EdgeFilter("distributed", 0.1, 1.0), 0.0, is_client=True)
-    assert [row[0] for row in node.receive(0, 5.0, None, 1, 1.0)] == [99]
+    node.clients[0] = Staircase([0.1, 0.2], 1.0)
+
+    def served() -> tuple[int, int]:
+        return counters.client_checks, counters.client_messages
+
+    node.receive(0, 5.0, None, 1, 1.0)
+    assert served() == (2, 2)
     del node.receive_c[0]
-    assert node.receive(0, 9.0, None, 2, 2.0) == []
+    node.receive(0, 9.0, None, 2, 2.0)
+    assert served() == (2, 2)
     assert node.deliveries[0][-2:] == [2.0, 9.0]  # the copy is still logged
+    # A later rewire resumes the kept last-served state: both clients
+    # still hold 5.0, so 9.0 reaches both.
+    node.receive_c[0] = 0.5
+    node.receive(0, 9.0, None, 3, 3.0)
+    assert served() == (4, 4)
 
 
 def test_live_loss_injection_matches_simulator_exactly():

@@ -23,7 +23,6 @@ from repro.engine.failures import (
 from repro.engine.simulation import run_simulation
 from repro.live import wire
 from repro.live.harness import build_live_network, run_live
-from repro.live.loadgen import generate_clients
 from repro.live.transport import TcpWire, VirtualWire
 from repro.obs.trace import TraceRecorder
 
@@ -72,13 +71,12 @@ def tcp(network):
 
 @pytest.fixture(params=[virtual, tcp])
 def judged(request, monkeypatch):
-    """``judged(draw, n_clients=0)`` -> (runtime, draws, drop spans)."""
+    """``judged(draw)`` -> (runtime, draws, drop spans)."""
 
-    def build(draw: float, n_clients: int = 0):
+    def build(draw: float):
         draws = _Draws(draw)
         monkeypatch.setattr(wire, "RandomStreams", lambda _seed: draws)
-        clients = generate_clients(CONFIG, n_clients) if n_clients else None
-        network = build_live_network(CONFIG, clients=clients)
+        network = build_live_network(CONFIG)
         recorder = TraceRecorder(policy=CONFIG.policy)
         network.attach_observer(recorder)
 
@@ -136,20 +134,6 @@ def test_a_crash_is_judged_at_the_arrival_stamp(judged):
     runtime.deliver(row(1, 35.0, seq=5))  # somebody else's crash
     assert drops() == [("crash", 30.0, 1, 0, 2), ("crash", 39.9, 2, 0, 2)]
     assert runtime.stats.delivered == 3 and runtime.stats.dropped == 2
-
-
-def test_client_plane_rows_are_never_judged(judged):
-    runtime, draws, drops = judged(0.0, n_clients=6)  # a judged row is lost
-    network = runtime.network
-    client = next(c for c in network.clients.values() if c.repository == 2)
-    item_id = next(iter(client.requirements))
-    to_client = row(client.node, 35.0, seq=1, src=2, item_id=item_id)
-    runtime.dispatch([to_client], 35.0)  # its repository is down: no matter
-    runtime.deliver(to_client)
-    assert draws.n == 0 and drops() == []
-    stats = runtime.stats
-    assert (stats.sent, stats.delivered, stats.dropped) == (1, 1, 0)
-    assert client.deliveries[item_id][-2:] == [35.0, 1.0]
 
 
 # ---- the whole run: span for span the oracle's, and no event loop ----

@@ -194,18 +194,18 @@ def test_wall_budgets_are_not_options():
 
     assert keywords(run_live) == {
         "config", "transport", "duration", "time_scale", "jitter_ms",
-        "heartbeat_interval_s", "clients", "network",
+        "heartbeat_interval_s", "network",
     }
     assert keywords(TcpWire) == {
         "network", "time_scale", "heartbeat_interval_s",
     }
     assert keywords(run_fleet) == {
         "config", "workers", "duration", "time_scale", "heartbeat_interval_s",
-        "n_clients", "client_seed", "sever_at_s", "sever_worker", "trace_recorder",
+        "sever_at_s", "sever_worker", "trace_recorder",
     }
     assert keywords(FleetSpec) == {
-        "config", "n_workers", "duration", "time_scale", "n_clients",
-        "client_seed", "heartbeat_interval_s", "host", "trace",
+        "config", "n_workers", "duration", "time_scale",
+        "heartbeat_interval_s", "host", "trace",
     }
 
 

@@ -357,12 +357,32 @@ def test_cli_live_run_is_deterministic(capsys):
     assert stable(first) == stable(second)
 
 
-def test_cli_live_loadgen(capsys):
-    cli_main(["live", "loadgen", "--preset", "tiny", "--duration", "60",
-              "--jobs", "5"])
-    out = capsys.readouterr().out
-    assert "clients=5" in out
-    assert "client requirements met" in out
+def _client_lines(out: str) -> list[str]:
+    return [
+        line for line in out.splitlines()
+        if line.startswith(("modeled clients", "client checks/serves"))
+    ]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["live", "run"],
+        ["fleet", "run", "--workers", "2", "--time-scale", "2000"],
+    ],
+    ids=["live", "fleet"],
+)
+def test_cli_run_clients_print_the_default_commands_client_lines(command, capsys):
+    """``--clients`` runs the engine's modeled clients on every plane,
+    and every command reports them in the same two lines."""
+    cli_main(["--preset", "tiny", "--clients", "3"])
+    engine = _client_lines(capsys.readouterr().out)
+    cli_main([*command, "--preset", "tiny", "--clients", "3"])
+    lines = _client_lines(capsys.readouterr().out)
+    assert lines == engine
+    assert lines[0] == "modeled clients       : 60"
+    checks, serves = lines[1].split(": ")[1].split("/")
+    assert int(checks) >= int(serves) > 0
 
 
 def test_cli_live_options_do_not_clobber_top_level():
@@ -380,16 +400,7 @@ def test_cli_live_rejects_bad_transport_and_jobs():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["live", "run", "--transport", "udp"])
     with pytest.raises(SystemExit):
-        cli_main(["live", "loadgen", "--preset", "tiny", "--jobs", "0"])
-
-
-@pytest.mark.parametrize("command", ["live", "fleet"])
-def test_cli_loadgen_jobs_counts_clients_at_parse_time(command, capsys):
-    with pytest.raises(SystemExit):
-        build_parser().parse_args([command, "loadgen", "--jobs", "0"])
-    assert "synthetic clients" in capsys.readouterr().err
-    own = command_options(build_parser().parse_args([command, "loadgen"]))
-    assert own.n_clients >= 1
+        build_parser().parse_args(["live", "run", "--jobs", "2"])
 
 
 def test_cli_kernel_is_no_option():
