@@ -2,21 +2,24 @@
 
 Two guarantees live here:
 
-1. **Disabled hooks are free.** With no observer attached the only cost
-   the trace layer adds to the hot loop is an ``is not None`` branch per
-   hook site.  The pin measures that branch cost directly (a tight
-   microbenchmark) and multiplies it by the number of hook sites the run
-   actually executes (counted by an observer that does nothing else),
-   then asserts the estimate stays under 2% of the untraced wall time on
-   the Table 1-calibrated default workload.
+1. **Disabled hooks are nearly free.** With no observer attached the
+   only cost the trace layer adds to the hot loop is an ``is not None``
+   branch per hook site.  The pin measures that branch cost directly (a
+   tight microbenchmark), multiplies it by the number of hook sites the
+   run actually executes per work unit (counted by an observer that does
+   nothing else, over ``events_processed``), and asserts the estimate
+   stays under ``MAX_DORMANT_NS_PER_UNIT`` on the Table 1-calibrated
+   default workload.
 2. **Enabled tracing has a bounded cost per span.** Attaching a
    ``TraceRecorder`` -- which materialises a span per
    source/check/forward/drop/deliver decision plus edge-latency
    histograms -- must cost at most ``MAX_US_PER_SPAN`` of extra wall
    time per span recorded, and the traced result must remain
-   bit-identical.  The pin is on that *absolute* cost, not on the ratio
-   to the untraced run: a ratio moves with its denominator, so it would
-   fail every time the engine itself got faster.
+   bit-identical.
+
+Both pins are on an *absolute* cost, not on a ratio to the untraced
+run: a ratio moves with its denominator, so it would fail every time the
+engine itself got faster.
 
 Wall times are the best of ``ROUNDS`` rounds on each side, which sheds
 the first round's cold caches and the scheduler's noise.  CI uploads
@@ -41,6 +44,12 @@ ROUNDS = 3
 
 #: Extra wall time a recorded span may cost.
 MAX_US_PER_SPAN = 5.0
+
+#: Wall time the dormant guards may cost per work unit (a source update
+#: or a delivery).  Measured on a 2-core x86 machine: 2.40 guards per
+#: unit at 27-29 ns per guard, 64-69 ns.  One more guard per dependent
+#: (1.40 dependents per unit) reads 104-106 ns and fails.
+MAX_DORMANT_NS_PER_UNIT = 90.0
 
 
 class _SiteCounter:
@@ -69,15 +78,16 @@ class _SiteCounter:
         pass
 
 
-def _hook_sites() -> int:
-    """How many observer guards one run of ``OBS_CONFIG`` evaluates."""
+def _hook_sites() -> tuple[int, int]:
+    """How many observer guards one run of ``OBS_CONFIG`` evaluates, and
+    over how many work units (``events_processed``)."""
     counter = _SiteCounter()
-    run_simulation(OBS_CONFIG, observer=counter)
-    return counter.sites
+    result = run_simulation(OBS_CONFIG, observer=counter)
+    return counter.sites, result.events_processed
 
 
 def bench_obs_disabled_hook_overhead(benchmark):
-    """Estimated cost of the dormant hooks: < 2% of untraced runtime."""
+    """Estimated cost of the dormant hooks: < 90 ns per work unit."""
     benchmark.pedantic(run_simulation, args=(OBS_CONFIG,), rounds=ROUNDS, iterations=1)
     untraced_s = benchmark.stats.stats.min
 
@@ -89,17 +99,21 @@ def bench_obs_disabled_hook_overhead(benchmark):
         _time_guard_loop(observer, n) / n for _ in range(5)
     )
 
-    sites = _hook_sites()
-    overhead_s = sites * per_branch_s
-    overhead_pct = 100.0 * overhead_s / untraced_s
+    sites, units = _hook_sites()
+    ns_per_unit = sites / units * per_branch_s * 1e9
 
     benchmark.extra_info["hook_sites"] = sites
+    benchmark.extra_info["work_units"] = units
+    benchmark.extra_info["guards_per_unit"] = round(sites / units, 3)
     benchmark.extra_info["per_branch_ns"] = round(per_branch_s * 1e9, 3)
+    benchmark.extra_info["dormant_ns_per_unit"] = round(ns_per_unit, 2)
     benchmark.extra_info["untraced_s"] = round(untraced_s, 3)
-    benchmark.extra_info["disabled_overhead_pct"] = round(overhead_pct, 4)
-    assert overhead_pct < 2.0, (
-        f"dormant observer hooks cost {overhead_pct:.3f}% of the untraced "
-        f"run ({sites} sites x {per_branch_s * 1e9:.1f} ns)"
+    benchmark.extra_info["disabled_overhead_pct"] = round(
+        100.0 * sites * per_branch_s / untraced_s, 4
+    )
+    assert ns_per_unit < MAX_DORMANT_NS_PER_UNIT, (
+        f"dormant observer hooks cost {ns_per_unit:.1f} ns per work unit "
+        f"({sites / units:.2f} guards x {per_branch_s * 1e9:.1f} ns)"
     )
 
 

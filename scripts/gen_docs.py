@@ -43,6 +43,7 @@ API_MODULES = (
     "repro.engine.adaptive",
     "repro.engine.reconfig",
     "repro.engine.results",
+    "repro.core.fidelity",
     "repro.core.dissemination.policy",
     "repro.core.dissemination.filtering",
     "repro.live.harness",

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 from repro.core.fidelity import (
     FidelityAccumulator,
-    loss_of_fidelity,
     scoring_windows,
-    unzip_log,
+    segmented_losses,
 )
 from repro.core.metrics import CostCounters
 from repro.engine.builder import SimulationSetup
@@ -169,20 +168,21 @@ class PullSimulation:
                 self._schedule_poll(repo, item_id, offset)
         self.kernel.run()
 
-        accumulator = FidelityAccumulator()
-        per_pair: dict[tuple[int, int], float] = {}
         span = 0.0
         windows = scoring_windows(self.setup.traces)
+        pairs = []
         for (repo, item_id), log in self._deliveries.items():
             trace = self.setup.traces[item_id]
             span = max(span, trace.span)
             c = self.setup.profiles[repo].requirements[item_id]
             t0, t1 = windows[item_id]
-            loss = loss_of_fidelity(
-                trace.times, trace.values, *unzip_log(log), c, t_start=t0, t_end=t1
-            )
-            accumulator.add(repo, item_id, loss)
-            per_pair[(repo, item_id)] = loss
+            # Owed from the window's start at c: one open segment.
+            pairs.append((trace, log, [(t0, None, c)], t0, t1))
+        accumulator = FidelityAccumulator()
+        per_pair: dict[tuple[int, int], float] = {}
+        for key, loss in zip(self._deliveries, segmented_losses(pairs)):
+            accumulator.add(*key, loss)
+            per_pair[key] = loss
         return SimulationResult(
             loss_of_fidelity=accumulator.system_loss(),
             per_repository_loss=accumulator.per_repository(),

@@ -62,8 +62,7 @@ from repro.core.dynamics import ReconfigurationDiff
 from repro.core.fidelity import (
     FidelityAccumulator,
     scoring_windows,
-    segmented_loss,
-    unzip_log,
+    segmented_losses,
 )
 from repro.core.interests import InterestProfile
 from repro.core.metrics import CostCounters
@@ -383,9 +382,8 @@ class ReconfigurationCore:
         of fidelity bit for bit, and a pair never owed inside its window
         is left out.  ``only`` keeps a subset of repositories (a fleet
         worker scores its own shard)."""
-        accumulator = FidelityAccumulator()
-        per_pair: dict[tuple[int, int], float] = {}
         windows = scoring_windows(traces, duration)
+        keys, pairs = [], []
         for (repo, item_id), segments in self.segments.items():
             if only is not None and repo not in only:
                 continue
@@ -396,11 +394,11 @@ class ReconfigurationCore:
                 raise SimulationError(
                     f"repository {repo} has no delivery log for item {item_id}"
                 )
-            trace = traces[item_id]
-            t0, t1 = windows[item_id]
-            loss = segmented_loss(
-                trace.times, trace.values, *unzip_log(log), segments, t0, t1
-            )
+            keys.append((repo, item_id))
+            pairs.append((traces[item_id], log, segments, *windows[item_id]))
+        accumulator = FidelityAccumulator()
+        per_pair: dict[tuple[int, int], float] = {}
+        for (repo, item_id), loss in zip(keys, segmented_losses(pairs)):
             if loss is None:
                 continue
             accumulator.add(repo, item_id, loss)

@@ -19,8 +19,9 @@ settings.register_profile(
     "tier1", derandomize=True, **({"database": None} if os.environ.get("CI") else {})
 )
 #: Fresh draws every run, for the scheduled property job
-#: (``--hypothesis-profile=randomized``).  Per-test ``max_examples`` pins
-#: win over a profile, so that job gets its extra examples from passes.
+#: (``--hypothesis-profile=randomized``), and five times as many of them:
+#: properties pin ``max_examples=examples(N)``, which scales with this
+#: profile's ``max_examples`` (``tests/properties/example_counts.py``).
 settings.register_profile(
     "randomized", derandomize=False, database=None, max_examples=500
 )

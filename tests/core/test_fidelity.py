@@ -1,15 +1,20 @@
 """Unit tests for the fidelity metric."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import reference_fidelity as reference
 
+from repro.core import fidelity
 from repro.core.fidelity import (
     FidelityAccumulator,
     loss_of_fidelity,
     scoring_windows,
     segmented_loss,
-    unzip_log,
+    segmented_losses,
     violation_time,
+    violation_times,
 )
 from repro.errors import ConfigurationError
 
@@ -123,32 +128,184 @@ def test_violation_never_exceeds_the_window_by_a_float_ulp():
     assert segmented_loss(*args, segments, 0.0, 100.0) == 100.0
 
 
-# ----------------------------------------------------------------------
-# Accumulator
-# ----------------------------------------------------------------------
+class Steps:
+    """A source step function, as a job's ``source``."""
+
+    def __init__(self, times, values):
+        self.times = np.asarray(times, dtype=float)
+        self.values = np.asarray(values, dtype=float)
 
 
-def test_unzip_log_is_the_two_comprehensions():
+def test_a_flat_log_scores_as_its_two_columns():
     log = [0.0, 5.0, 1.5, 6.0, 1.5, 7.0]
-    times, values = unzip_log(log)
-    assert list(times) == [log[i] for i in range(0, len(log), 2)]
-    assert list(values) == [log[i] for i in range(1, len(log), 2)]
-    src = np.array([0.0, 1.0, 2.0]), np.array([5.0, 6.5, 7.0])
-    assert loss_of_fidelity(*src, *unzip_log(log), 0.4, 0.0, 2.0) == loss_of_fidelity(
-        *src, [0.0, 1.5, 1.5], [5.0, 6.0, 7.0], 0.4, 0.0, 2.0
-    )
+    src = Steps([0.0, 1.0, 2.0], [5.0, 6.5, 7.0])
+    assert violation_times([(src, log, 0.4, 0.0, 2.0)]) == [
+        violation_time(src.times, src.values, [0.0, 1.5, 1.5], [5.0, 6.0, 7.0], 0.4, 0.0, 2.0)
+    ]
 
 
-def test_unzip_log_of_an_empty_log_is_rejected_by_the_scorer():
-    assert unzip_log([]) == ((), ())
+def test_an_empty_log_is_refused():
     with pytest.raises(ConfigurationError, match="at least one sample"):
-        loss_of_fidelity([0.0], [1.0], *unzip_log([]), 0.5, 0.0, 1.0)
+        violation_times([(Steps([0.0], [1.0]), [], 0.5, 0.0, 1.0)])
+    with pytest.raises(ConfigurationError, match="at least one sample"):
+        loss_of_fidelity([0.0], [1.0], [], [], 0.5, 0.0, 1.0)
 
 
-def test_unzip_log_refuses_an_odd_length_log():
+def test_an_odd_length_log_is_refused():
     # One missed append leaves a time without its value.
     with pytest.raises(ConfigurationError, match="3 entries"):
-        unzip_log([0.0, 5.0, 1.5])
+        violation_times([(Steps([0.0], [1.0]), [0.0, 5.0, 1.5], 0.5, 0.0, 1.0)])
+
+
+def test_jobs_come_back_in_job_order_whatever_their_source():
+    a = Steps([0.0, 1.0], [0.0, 4.0])
+    b = Steps([0.0, 3.0], [0.0, 4.0])
+    late = [0.0, 0.0, 2.0, 4.0]
+    jobs = [(a, late, 1.0, 0.0, 4.0), (b, late, 1.0, 0.0, 4.0), (a, [0.0, 0.0], 1.0, 0.0, 4.0)]
+    assert violation_times(jobs) == [1.0, 1.0, 3.0]
+    assert violation_times(jobs[::-1]) == [3.0, 1.0, 1.0]
+
+
+def test_zero_width_jobs_score_zero_without_reading_their_series():
+    assert violation_times([(Steps([5.0], [1.0]), [], 0.5, 1.0, 1.0)]) == [0.0]
+
+
+@pytest.mark.parametrize(
+    "log, window, message",
+    [
+        ([0.0, 1.0, 2.0, 1.0, 1.0, 1.0], (0.0, 3.0), "ascending"),
+        ([0.0, 1.0, float("nan"), 1.0], (0.0, 3.0), "ascending"),
+        ([float("nan"), 1.0], (0.0, 3.0), "primed"),
+        ([1.0, 1.0], (0.0, 3.0), "primed"),
+    ],
+)
+def test_receive_times_out_of_order_or_after_the_window_start_are_refused(
+    log, window, message
+):
+    with pytest.raises(ConfigurationError, match=message):
+        violation_times([(Steps([0.0], [1.0]), log, 0.5, *window)])
+
+
+def test_source_times_out_of_order_are_refused():
+    with pytest.raises(ConfigurationError, match="ascending"):
+        violation_times([(Steps([0.0, 2.0, 1.0], [1.0, 2.0, 3.0]), [0.0, 1.0], 0.5, 0.0, 3.0)])
+
+
+def test_a_job_larger_than_a_chunk_is_scored_alone(monkeypatch):
+    monkeypatch.setattr(fidelity, "CHUNK_ELEMENTS", 4)
+    src = Steps(np.arange(10.0), np.arange(10.0) % 3)
+    logs = [[0.0, 0.0, 4.5, 1.0], [0.0, 2.0, 2.5, 2.0, 7.5, 0.0]]
+    jobs = [(src, log, 0.5, 0.0, 9.0) for log in logs]
+    expected = [
+        reference.violation_time(src.times, src.values, log[0::2], log[1::2], 0.5, 0.0, 9.0)
+        for log in logs
+    ]
+    assert violation_times(jobs) == expected
+
+
+def test_segmented_losses_keeps_pair_order_and_never_live_pairs():
+    src = Steps([0.0, 1.0], [1.0, 2.0])
+    late = [0.0, 1.0, 3.0, 2.0]
+    pairs = [
+        (src, late, [[0.0, None, 0.5]], 0.0, 10.0),
+        (src, late, [[20.0, None, 0.5]], 0.0, 10.0),  # joins after the window
+        (src, late, [[0.0, 2.0, 0.5], [2.0, None, 0.5]], 0.0, 10.0),
+    ]
+    assert segmented_losses(pairs) == [20.0, None, 20.0]
+
+
+@pytest.mark.parametrize("budget", [64, fidelity.CHUNK_ELEMENTS])
+def test_long_jobs_sum_their_violated_widths_as_the_reference_does(monkeypatch, budget):
+    # Off-grid times make every width an inexact float, so a job's sum
+    # is the reference's only if the same widths are added in the same
+    # order (numpy's pairwise sum over the job's own slice).
+    monkeypatch.setattr(fidelity, "CHUNK_ELEMENTS", budget)
+    rng = np.random.default_rng(7)
+    sources = [Steps(np.cumsum(rng.uniform(0.1, 1.0, 80)) - 0.1, rng.normal(size=80))]
+    sources.append(Steps(sources[0].times[::2], sources[0].values[::2]))
+    jobs, expected = [], []
+    for index in range(300):
+        src = sources[index % 2]
+        recv = np.sort(rng.uniform(src.times[0], src.times[-1], int(rng.integers(1, 60))))
+        recv[0] = src.times[0]
+        values = rng.normal(size=recv.size)
+        t_start = float(rng.uniform(src.times[0], recv[-1]))
+        t_end = float(rng.uniform(t_start, src.times[-1]))
+        jobs.append((src, np.column_stack((recv, values)).ravel().tolist(), 0.5, t_start, t_end))
+        expected.append(
+            reference.violation_time(src.times, src.values, recv, values, 0.5, t_start, t_end)
+        )
+    assert [v.hex() for v in violation_times(jobs)] == [float(v).hex() for v in expected]
+
+
+def test_scoring_a_sim_deep_sized_run_holds_a_few_mib():
+    # The ledger's sim_deep run scores ~1000 pairs of 20 items: 800 trace
+    # samples and ~260 deliveries each.  One pass over all of it at once
+    # would hold ~47 MiB of numpy temporaries (peak RSS +100 %).  Chunks
+    # of CHUNK_ELEMENTS (2**14) breakpoints hold ~1.0-1.2 MiB, of 2**15
+    # ~1.7 MiB, and of 2**16 ~3.2 MiB (+3 MiB peak RSS on figure_sweep),
+    # which fails.
+    rng = np.random.default_rng(5)
+    sources = []
+    for _ in range(20):
+        times = np.cumsum(rng.uniform(0.5, 1.5, 800))
+        sources.append(Steps(times - times[0], rng.normal(size=800)))
+    pairs = []
+    for index in range(1000):
+        src = sources[index % 20]
+        recv = np.sort(rng.uniform(0.0, src.times[-1], 260))
+        recv[0] = 0.0
+        log = np.column_stack((recv, rng.normal(size=260))).ravel().tolist()
+        pairs.append((src, log, [[0.0, None, 0.5]], 0.0, float(src.times[-1])))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        segmented_losses(pairs)
+        transient = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert transient < 2.5 * 2**20, f"scoring held {transient / 2**20:.1f} MiB"
+
+
+# ----------------------------------------------------------------------
+# Float edges: a tolerance or window no score can be read from
+# ----------------------------------------------------------------------
+
+_SRC = (np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+_RECV = (np.array([0.0, 3.0]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf")])
+def test_a_tolerance_that_is_not_finite_is_refused(c):
+    # A NaN or infinite c compares false with every deviation: the
+    # pair would read perfect fidelity.
+    with pytest.raises(ConfigurationError, match="tolerance c"):
+        loss_of_fidelity(*_SRC, *_RECV, c, 0.0, 10.0)
+
+
+def test_a_nan_window_end_is_refused():
+    # It used to filter every breakpoint out and read 0 % loss.
+    with pytest.raises(ConfigurationError, match="t_end"):
+        loss_of_fidelity(*_SRC, *_RECV, 0.5, 0.0, float("nan"))
+
+
+def test_an_infinite_window_end_is_refused():
+    # It used to divide an infinite violated time by an infinite window.
+    with pytest.raises(ConfigurationError, match="t_end"):
+        loss_of_fidelity(*_SRC, *_RECV, 0.5, 0.0, float("inf"))
+
+
+def test_a_nan_window_start_is_refused():
+    with pytest.raises(ConfigurationError, match="t_start"):
+        violation_time(*_SRC, *_RECV, 0.5, float("nan"), 10.0)
+
+
+def test_a_segment_that_starts_at_nan_is_refused():
+    # It used to make the duration-weighted mean NaN.
+    segments = [[float("nan"), 5.0, 0.5], [5.0, None, 0.5]]
+    with pytest.raises(ConfigurationError, match="t_start"):
+        segmented_loss(*_SRC, *_RECV, segments, 0.0, 10.0)
 
 
 @pytest.mark.parametrize("swap", [False, True])
@@ -174,6 +331,11 @@ def test_scoring_windows_span_each_trace_and_clip_to_a_duration():
     assert all(
         type(edge) is float for window in scoring_windows(traces).values() for edge in window
     )
+
+
+# ----------------------------------------------------------------------
+# Accumulator
+# ----------------------------------------------------------------------
 
 
 def test_accumulator_repository_mean():

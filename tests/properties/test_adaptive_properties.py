@@ -17,6 +17,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from example_counts import examples
 from repro.engine.adaptive import AdaptiveController, AdaptivePolicy
 from repro.engine.builder import build_setup
 from repro.engine.config import SCALE_PRESETS
@@ -66,7 +67,7 @@ def _feed(controller: AdaptiveController, multipliers: list[int]):
     return rewire_times
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(policy=_policies, multipliers=_multipliers)
 def test_cooldown_spacing_is_never_violated(policy, multipliers):
     controller = AdaptiveController(SETUP, policy)
@@ -80,7 +81,7 @@ def test_cooldown_spacing_is_never_violated(policy, multipliers):
     assert controller.rewires <= controller.triggered
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(policy=_policies, constant=st.integers(min_value=1, max_value=100))
 def test_drift_free_traffic_never_triggers(policy, constant):
     controller = AdaptiveController(SETUP, policy)
@@ -90,7 +91,7 @@ def test_drift_free_traffic_never_triggers(policy, constant):
     assert controller.graph is SETUP.graph
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 @given(policy=_policies, multipliers=_multipliers)
 def test_applied_diffs_account_honestly(policy, multipliers):
     controller = AdaptiveController(SETUP, policy)
@@ -115,7 +116,7 @@ def test_applied_diffs_account_honestly(policy, multipliers):
         assert total_cost == 0
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=examples(8), deadline=None)
 @given(
     window=st.sampled_from([25.0, 40.0]),
     threshold=st.sampled_from([0.5, 0.75]),

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from example_counts import examples
 from repro.errors import SimulationError
 from repro.live.wire import DueQueue
 
@@ -57,7 +58,7 @@ def _reference(controls, updates) -> list:
     return released
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(controls=_scheduled, updates=_scheduled)
 def test_drain_releases_in_due_then_push_order(controls, updates):
     due_queue = DueQueue()

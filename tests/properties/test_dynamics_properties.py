@@ -15,6 +15,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from example_counts import examples
 from repro.core.dynamics import DynamicMembership, ReconfigurationDiff
 from repro.core.dynamics import edges_of  # the canonical edge view
 from repro.core.interests import InterestProfile
@@ -54,7 +55,7 @@ def _build(profiles, seed, degree=3):
 
 
 @given(profiles=_profiles, seed=_seed)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 def test_noop_update_diff_is_empty(profiles, seed):
     """Reapplying a member's unchanged profile diffs to nothing."""
     membership, _ = _build(profiles, seed)
@@ -70,7 +71,7 @@ def test_noop_update_diff_is_empty(profiles, seed):
 
 
 @given(profiles=_profiles, seed=_seed, new_c=_tolerance)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 def test_cost_is_added_plus_removed(profiles, seed, new_c):
     """Every diff produced by join/leave/update satisfies the cost law."""
     membership, join_diffs = _build(profiles, seed)
@@ -89,7 +90,7 @@ def test_cost_is_added_plus_removed(profiles, seed, new_c):
 
 
 @given(profiles=_profiles, seed=_seed)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 def test_rebuild_in_join_order_is_deterministic_across_seeds(profiles, seed):
     """Same seed + same operations => bit-identical graphs, for any seed.
 
@@ -109,7 +110,7 @@ def test_rebuild_in_join_order_is_deterministic_across_seeds(profiles, seed):
 
 
 @given(profiles=_profiles, seed=_seed)
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 def test_leave_then_rebuild_matches_fresh_membership(profiles, seed):
     """After a departure, the rebuilt graph equals a fresh membership of
     the survivors joined in the original join order (the paper's

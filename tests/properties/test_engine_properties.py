@@ -11,6 +11,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from example_counts import examples
 from repro.engine.builder import build_setup
 from repro.engine.config import SimulationConfig
 from repro.engine.oracle import DisseminationSimulation
@@ -30,7 +31,7 @@ _BASE = dict(
     degree=st.integers(min_value=1, max_value=8),
     policy=st.sampled_from(["distributed", "centralized", "flooding", "eq3_only"]),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 def test_accounting_identities_hold_everywhere(seed, t, degree, policy):
     config = SimulationConfig(
         seed=seed, t_percent=t, offered_degree=degree, policy=policy, **_BASE
@@ -45,7 +46,7 @@ def test_accounting_identities_hold_everywhere(seed, t, degree, policy):
 
 
 @given(seed=st.integers(min_value=0, max_value=2**16))
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 def test_zero_delay_theorem_across_seeds(seed):
     """The 100%-fidelity guarantee holds for every random workload."""
     config = SimulationConfig(
@@ -64,7 +65,7 @@ def test_zero_delay_theorem_across_seeds(seed):
     seed=st.integers(min_value=0, max_value=2**16),
     degree=st.integers(min_value=1, max_value=8),
 )
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 def test_exact_policies_agree_on_message_volume(seed, degree):
     """Figure 11(b) across random workloads: message volumes agree.
 
@@ -118,7 +119,7 @@ def test_message_volume_divergence_is_eq7_regression():
     loss=st.floats(min_value=0.05, max_value=0.9),
     policy=st.sampled_from(["distributed", "centralized"]),
 )
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 def test_loss_accounting_identities_hold_under_drops(seed, loss, policy):
     """The Figure 11 accounting generalises to lossy networks: every
     message is either delivered or dropped, never both or neither."""
@@ -146,7 +147,7 @@ def test_loss_accounting_identities_hold_under_drops(seed, loss, policy):
     clients=st.sampled_from([0, 12]),
     degree=st.integers(min_value=1, max_value=_BASE["n_repositories"]),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_batch_engine_equals_the_oracle_log_by_log(seed, policy, loss, clients, degree):
     """Static runs, where the batch engine applies a delivery to a pair
     with no dependents at the push site: from per-item chains (degree 1)

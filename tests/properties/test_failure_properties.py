@@ -13,6 +13,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from example_counts import examples
 from repro.engine.config import SCALE_PRESETS
 from repro.engine.failures import FailureEvent, FailureSchedule
 from repro.engine.simulation import run_simulation
@@ -59,7 +60,7 @@ def _schedules(draw):
     return FailureSchedule(tuple(events))
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=examples(12), deadline=None)
 @given(schedule=_schedules(), loss=st.sampled_from([0.0, 0.05]))
 def test_conservation_and_kernel_identity_under_any_schedule(schedule, loss):
     config = BASE.with_(

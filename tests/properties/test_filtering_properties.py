@@ -17,6 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from example_counts import examples
 from repro.core.dissemination import make_policy
 from repro.core.dissemination.filtering import (
     FILTERED_POLICIES,
@@ -51,7 +52,7 @@ def _scenarios(draw):
 
 
 @given(_scenarios())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_policy_and_edge_filters_agree_on_every_decision(scenario):
     """The live side is the nodes themselves: a source tagging with the
     engine's tagger relays each update to a repository whose edge group
@@ -117,7 +118,7 @@ def test_policy_and_edge_filters_agree_on_every_decision(scenario):
     st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
     _value,
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_distributed_filter_matches_policy_per_edge_state(
     values, c_serve, parent_receive_c, initial
 ):
@@ -157,7 +158,7 @@ _valid_tolerance = st.floats(
 
 
 @given(_valid_tolerance)
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=examples(500), deadline=None)
 def test_quantisation_never_collapses_a_valid_tolerance_to_zero(c):
     """The satellite-1 contract: any tolerance that passes validation
     survives quantisation as a strictly positive value."""
@@ -169,7 +170,7 @@ def test_quantisation_never_collapses_a_valid_tolerance_to_zero(c):
     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False,
               max_value=MIN_TOLERANCE).filter(lambda c: c < MIN_TOLERANCE)
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_sub_quantum_tolerances_are_rejected_not_collapsed(c):
     with pytest.raises(ConfigurationError, match="quantisation quantum"):
         validate_tolerance(c)
@@ -190,7 +191,7 @@ _batch = st.tuples(
 
 
 @given(_batch)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_vectorized_forward_tests_match_scalar_elementwise(case):
     value, lasts, cs, prc = case
     n = min(len(lasts), len(cs))
@@ -209,7 +210,7 @@ def test_vectorized_forward_tests_match_scalar_elementwise(case):
     st.lists(_value, min_size=1, max_size=40),
     _value,
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_array_source_tagger_matches_scalar_tagger(cs, values, initial):
     scalar = SourceTagger()
     for c in cs:
@@ -282,7 +283,7 @@ _ULP = 2.0 ** -52  # spacing of the floats in [1, 2)
 # 2u) ties to even 1 + 4u, above it.
 @example(([0.25, 0.5, 0.5, 0.5, 0.75, 1.0], 0.0, [(0.5, 1e-20)]))
 @example(([1.0, 1.0 + 3 * _ULP, 1.5], 0.0, [(1.5 * _ULP, 1.0 + 2 * _ULP)]))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_staircase_serve_is_the_elementwise_rule_over_the_flat_column(case):
     column, initial, steps = case
     cs = np.asarray(column, dtype=np.float64)
@@ -314,7 +315,7 @@ _tagger_op = st.tuples(
     st.lists(_value, min_size=6, max_size=6),
     st.lists(_tagger_op, min_size=1, max_size=40),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_staircase_tagger_follows_the_scalar_tagger_through_rewires(
     grid, pool, ops
 ):
@@ -393,7 +394,7 @@ def test_the_rule_table_covers_exactly_the_filtered_policies():
     prc=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
     tag=_tolerance,
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_each_rule_table_entry_is_its_edge_filters_decision(
     policy, value, last, c, prc, tag
 ):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from example_counts import examples
 from repro.fleet.sharding import plan_shards
 from repro.fleet.supervisor import merge_reports
 from repro.fleet.worker import WorkerReport
@@ -40,7 +41,7 @@ def _traffic(draw):
 
 
 @given(_traffic())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_merged_counters_conserve_over_any_shard_assignment(traffic):
     n_workers, messages = traffic
     reports = [WorkerReport(worker=w) for w in range(n_workers)]
@@ -69,7 +70,7 @@ def test_merged_counters_conserve_over_any_shard_assignment(traffic):
 
 
 @given(_traffic())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_merge_is_independent_of_report_order(traffic):
     n_workers, messages = traffic
     reports = [WorkerReport(worker=w) for w in range(n_workers)]
@@ -88,7 +89,7 @@ def test_merge_is_independent_of_report_order(traffic):
 
 
 @given(st.integers(min_value=1, max_value=21))
-@settings(max_examples=21, deadline=None)
+@settings(max_examples=examples(21), deadline=None)
 def test_shard_plan_is_total_and_balanced(tiny_setup, n_workers):
     n_nodes = len(tiny_setup.graph.nodes)
     if n_workers > n_nodes:

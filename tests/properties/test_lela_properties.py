@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
+from example_counts import examples
 from repro.core.interests import InterestProfile
 from repro.core.lela import build_d3g
 
@@ -48,7 +49,7 @@ def delays(u, v):
 
 
 @given(scenario())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_lela_invariants(case):
     profiles, degree, p_percent, seed = case
     graph = build_d3g(
@@ -73,7 +74,7 @@ def test_lela_invariants(case):
 
 
 @given(scenario())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_lela_receive_c_is_min_over_subtree(case):
     """A node's receive coherency equals the most stringent requirement
     among its own need and everything it serves downstream."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from example_counts import examples
 from repro.core.dissemination.filtering import (
     FILTERED_POLICIES,
     EdgeFilter,
@@ -65,7 +66,7 @@ def _serve_per_client(counters, tols, last, value, parent_receive_c):
     parent_receive_c=st.floats(min_value=0.0, max_value=0.2, allow_nan=False),
     is_source=st.booleans(),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_one_forward_call_leaves_what_per_edge_charging_leaves(
     policy, edges, clients, values, tag, parent_receive_c, is_source
 ):

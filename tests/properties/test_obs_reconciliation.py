@@ -13,6 +13,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from example_counts import examples
 from repro.core.dissemination import available_policies
 from repro.engine.adaptive import AdaptivePolicy
 from repro.engine.churn import schedule_for_config
@@ -41,7 +42,7 @@ def _assert_reconciled(config):
     assert totals.drops == counters.drops
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=examples(12), deadline=None)
 @given(
     policy=st.sampled_from(available_policies()),
     kernel=st.sampled_from(["scalar", "vectorized"]),
@@ -57,7 +58,7 @@ def test_spans_reconcile_under_loss(policy, kernel, loss, seed):
     )
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=examples(8), deadline=None)
 @given(
     kernel=st.sampled_from(["scalar", "vectorized"]),
     crashes=st.integers(min_value=0, max_value=3),
@@ -74,7 +75,7 @@ def test_spans_reconcile_under_failures(kernel, crashes, partitions, seed):
     _assert_reconciled(config)
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=examples(6), deadline=None)
 @given(
     joins=st.integers(min_value=0, max_value=2),
     departs=st.integers(min_value=0, max_value=2),
@@ -92,7 +93,7 @@ def test_spans_reconcile_under_churn(joins, departs, updates, seed):
     _assert_reconciled(config)
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=examples(6), deadline=None)
 @given(
     window=st.sampled_from([20.0, 40.0]),
     threshold=st.sampled_from([0.5, 0.9]),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from example_counts import examples
 from repro.core.dissemination import make_policy
 
 _TOL = 1e-9
@@ -55,7 +56,7 @@ def run_distributed_chain(values: list[float], chain_cs: list[float]) -> list[li
 
 
 @given(values=values_strategy, cs=tolerances_strategy)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_distributed_chain_always_coherent(values, cs):
     chain_cs = sorted(cs)  # Eq. (1): stringency non-increasing downstream
     history = run_distributed_chain(values, chain_cs)
@@ -67,7 +68,7 @@ def test_distributed_chain_always_coherent(values, cs):
 
 
 @given(values=values_strategy, cs=tolerances_strategy)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_centralized_chain_always_coherent(values, cs):
     chain_cs = sorted(cs)
     policy = make_policy("centralized")
@@ -90,7 +91,7 @@ def test_centralized_chain_always_coherent(values, cs):
 
 
 @given(values=values_strategy, cs=tolerances_strategy)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_centralized_tagging_invariants(values, cs):
     """Section 5.2's bookkeeping, as a property.
 
@@ -122,7 +123,7 @@ def test_centralized_tagging_invariants(values, cs):
 
 
 @given(values=values_strategy, cs=tolerances_strategy)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_distributed_suppression_is_safe(values, cs):
     """Whenever the distributed policy suppresses, the slack really was
     large enough that the child could absorb any parent-invisible move."""

@@ -45,6 +45,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from example_counts import examples
 from repro.fleet.quiescence import QuiescenceDetector, residual
 
 
@@ -230,7 +231,7 @@ class QuiescenceMachine(RuleBasedStateMachine):
 
 TestQuiescenceMachine = QuiescenceMachine.TestCase
 TestQuiescenceMachine.settings = settings(
-    max_examples=200, stateful_step_count=40, deadline=None
+    max_examples=examples(200), stateful_step_count=40, deadline=None
 )
 
 

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
+from example_counts import examples
 from repro.core.fidelity import violation_time
 from repro.sim.kernel import BatchKernel, Simulator
 from repro.sim.queueing import FifoStation
@@ -20,7 +21,7 @@ from repro.sim.queueing import FifoStation
         max_size=100,
     )
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_simulator_releases_sorted_and_stable(times):
     sim = Simulator()
     released = []
@@ -46,7 +47,7 @@ _grid = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
         st.lists(st.tuples(_grid, st.booleans()), max_size=3), max_size=30
     ),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_batch_kernel_merges_both_entry_points_in_time_fifo_order(static, script):
     """``push()`` and a direct ``heappush(kernel.heap, (t,
     kernel.next_seq(), ...))`` are one queue: whatever the interleaving,
@@ -90,7 +91,7 @@ def test_batch_kernel_merges_both_entry_points_in_time_fifo_order(static, script
         max_size=100,
     )
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_fifo_station_completions_monotone(jobs):
     # Arrivals must be non-decreasing (as the kernel guarantees).
     jobs = sorted(jobs, key=lambda j: j[0])
@@ -117,7 +118,7 @@ def test_fifo_station_completions_monotone(jobs):
     ),
     c=st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_violation_time_bounded_by_window(src, recv, c):
     window = 100.0
     src_t = np.linspace(0.0, 90.0, len(src))
@@ -136,7 +137,7 @@ def test_violation_time_bounded_by_window(src, recv, c):
     ),
     c=st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_violation_time_zero_when_receiving_own_source(src, c):
     src_t = np.linspace(0.0, 90.0, len(src))
     src_v = np.array(src)
@@ -147,7 +148,7 @@ def test_violation_time_zero_when_receiving_own_source(src, c):
     c_small=st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
     scale=st.floats(min_value=1.1, max_value=10.0, allow_nan=False),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_violation_time_monotone_in_tolerance(c_small, scale):
     # A laxer tolerance can only shrink the violated time.
     src_t = np.array([0.0, 10.0, 20.0, 30.0])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from example_counts import examples
 from repro.engine.config import SimulationConfig
 from repro.engine.sweep import run_sweep
 
@@ -38,7 +39,7 @@ _point = st.builds(
 
 
 @given(configs=st.lists(_point, min_size=1, max_size=5), jobs=st.sampled_from([2, 4]))
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=examples(8), deadline=None)
 def test_parallel_sweep_is_bit_identical_to_serial(configs, jobs):
     serial = run_sweep(configs, jobs=1)
     parallel = run_sweep(configs, jobs=jobs)
@@ -49,7 +50,7 @@ def test_parallel_sweep_is_bit_identical_to_serial(configs, jobs):
     configs=st.lists(_point, min_size=2, max_size=5, unique=True),
     order=st.randoms(use_true_random=False),
 )
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=examples(8), deadline=None)
 def test_sweep_results_independent_of_submission_order(configs, order):
     """Shuffling the points reorders the output list but never changes
     any individual config's result."""

@@ -21,6 +21,7 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from example_counts import examples
 from repro.engine.config import SimulationConfig
 from repro.live.harness import build_live_network
 from repro.live.protocol import (
@@ -98,7 +99,7 @@ def _bits(message) -> tuple:
     backlog=st.lists(_messages | _controls, max_size=40),
     cuts=st.lists(st.integers(min_value=0, max_value=4096), max_size=12),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 def test_any_backlog_round_trips_through_any_chunking(backlog, cuts):
     stream = encode_backlog(backlog)
     edges = sorted({0, len(stream), *(cut % (len(stream) + 1) for cut in cuts)})
@@ -119,7 +120,7 @@ def test_any_backlog_round_trips_through_any_chunking(backlog, cuts):
 
 
 @given(backlog=st.lists(_messages | _controls, max_size=40))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_runs_of_messages_share_a_frame_and_control_frames_keep_their_place(backlog):
     frames = FrameAssembler().feed(encode_backlog(backlog))
     shape = [len(f.rows) if isinstance(f, Forwards) else "control" for f in frames]
@@ -161,7 +162,7 @@ _ROW_TYPES = (int, float, int, float, (float, type(None)), int, int)
     records=st.lists(_records, max_size=6),
     tail=st.just(b"") | st.binary(max_size=2 * ROW.size),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_any_bytes_after_the_rows_kind_byte_are_rows_or_a_protocol_error(records, tail):
     body = ROWS_KIND + b"".join(records) + tail
     runtime = _runtime()
