@@ -26,9 +26,8 @@ sort-and-search scorer's float bit for bit.
 
 :func:`segmented_losses` is the run-level view the engine, the live
 planes and pull score through.  :func:`violation_time` and
-:func:`loss_of_fidelity` are the kernel's one-job views and
-:func:`segmented_loss` is the run-level view's one-pair view, so there
-is one implementation.
+:func:`loss_of_fidelity` are the kernel's one-job views, so there is
+one implementation.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "segmented_losses",
     "violation_time",
     "loss_of_fidelity",
-    "segmented_loss",
     "scoring_windows",
     "FidelityAccumulator",
 ]
@@ -411,22 +409,6 @@ def loss_of_fidelity(
         source_times, source_values, recv_times, recv_values, c, t_start, t_end
     )
     return _percent(violated, t_start, t_end)
-
-
-def segmented_loss(
-    source_times: np.ndarray,
-    source_values: np.ndarray,
-    recv_times,
-    recv_values,
-    segments,
-    t0: float,
-    t1: float,
-) -> float | None:
-    """Duration-weighted loss over the intervals a requirement was live:
-    one pair of :func:`segmented_losses`, the receive step function
-    given as two columns."""
-    source, log = _one_job(source_times, source_values, recv_times, recv_values)
-    return segmented_losses([(source, log, segments, t0, t1)])[0]
 
 
 @dataclass

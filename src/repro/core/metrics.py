@@ -178,8 +178,6 @@ class ArrayCounters:
         "source_messages",
         "deliveries",
         "drops",
-        "client_checks",
-        "client_messages",
         "node_messages",
         "node_checks",
     )
@@ -189,8 +187,6 @@ class ArrayCounters:
         self.source_messages = 0
         self.deliveries = 0
         self.drops = 0
-        self.client_checks = 0
-        self.client_messages = 0
         self.node_messages = [0] * n_nodes
         self.node_checks = [0] * n_nodes
 
@@ -208,8 +204,6 @@ class ArrayCounters:
             source_messages=self.source_messages,
             deliveries=self.deliveries,
             drops=self.drops,
-            client_checks=self.client_checks,
-            client_messages=self.client_messages,
             per_node_messages=self.message_counts(),
             per_node_checks={
                 node: count for node, count in enumerate(self.node_checks) if count

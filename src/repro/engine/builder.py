@@ -62,9 +62,8 @@ class SimulationSetup:
     update_schedule: UpdateSchedule | None = None
     #: Per (repository, item): the attached modeled clients' coherency
     #: tolerances as a read-only float64 array in ascending order.
-    #: ``None`` when ``clients_per_repository == 0``.  Simulations keep
-    #: their own last-served state per run; a shared setup stays
-    #: read-only.
+    #: ``None`` when ``clients_per_repository == 0``.  Each run keeps
+    #: its own last-served state; a shared setup stays read-only.
     client_tolerances: dict[tuple[int, int], np.ndarray] | None = field(
         default=None, repr=False
     )
@@ -207,13 +206,13 @@ def _generate_client_tolerances(
     2*c_repo)``, where ``c_repo`` is the repository's own tolerance for
     the item -- clients can never be *more* stringent than the copy
     their repository receives (the same Eq. (1) monotonicity the
-    repository plane obeys).  Every plane serves these blocks: the
-    engine, its reference oracle and the live and fleet repositories.  Each block
-    is sorted ascending -- the order inside a block is unobservable
-    (only the ``client_checks`` / ``client_messages`` totals leave it),
-    and the batch engine's :class:`~repro.core.dissemination.filtering.
-    Staircase` needs an ascending column -- and frozen read-only; the
-    per-run last-served state is each simulation's own.
+    repository plane obeys).  Every plane serves these blocks, at
+    scoring time.  Each block is sorted ascending -- the order inside a
+    block is unobservable (only the ``client_checks`` /
+    ``client_messages`` totals leave it), and the serving pass's
+    :class:`~repro.core.dissemination.filtering.Staircase` needs an
+    ascending column -- and frozen read-only; the per-run last-served
+    state is each run's own.
     """
     n = config.clients_per_repository
     tolerances: dict[tuple[int, int], np.ndarray] = {}

@@ -99,9 +99,11 @@ class SimulationConfig:
             repository (0 reproduces the paper's repository-only plane).
             Each client subscribes to one of its repository's items and
             is served by the repository-local Eq. (3) + Eq. (7) filter
-            at the client's own (less stringent) tolerance, by the same
-            rule on every plane (engine, oracle, in-process, TCP,
-            fleet); client traffic is accounted separately
+            at the client's own (less stringent) tolerance.  Clients
+            cost the repository plane nothing, so every plane serves
+            them once, at scoring time, from the delivery logs
+            (:meth:`~repro.engine.reconfig.ReconfigurationCore.
+            serve_clients`); client traffic is accounted separately
             (``client_checks``/``client_messages``) and never feeds back
             into repository-plane queueing.
         churn: Optional mid-run churn schedule (timed joins, departures

@@ -59,9 +59,12 @@ class DisseminationSimulation(SimulationBase):
         # Per (node, item): list of (child, c_serve); precomputed for speed.
         self._children: dict[tuple[int, int], list[tuple[int, float]]] = {}
         self._receive_c: dict[tuple[int, int], float] = {}
-        # Modeled-client plane: per (repo, item), this run's mutable
-        # last-served array, made on the pair's first delivery (the
-        # engine keeps staircases instead and makes none).
+        # Modeled-client plane, served in the loop here -- the
+        # independent reference for the core's scoring-time pass: per
+        # (repo, item), the clients' ascending tolerance array (the
+        # setup's own, read-only) and this run's mutable last-served
+        # array, made on the pair's first delivery.
+        self._client_tols = setup.client_tolerances or {}
         self._client_last: dict[tuple[int, int], np.ndarray] = {}
         # The availability sets are bound once (the core mutates them in
         # place) so the hot path pays one attribute lookup.

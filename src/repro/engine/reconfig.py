@@ -32,6 +32,12 @@ fidelity-scoring ``segments``, the one current ``graph`` -- and all the
   crashed and requires the item, at its current tolerance: one
   predicate opens and closes every scoring segment, and :meth:`score`
   walks them;
+- a pair's modeled clients are served every *delivered* value its log
+  holds while the pair is wired, at the coherency of the edge that
+  wires it: the core drives every wire and unsubscribe and writes every
+  log entry that is not a delivery (:meth:`sync`), so it records when
+  clients are served, and :meth:`serve_clients` serves them at scoring
+  time, on every plane;
 - and the single :meth:`~ReconfigurationCore.apply_diff` turns any of
   those diffs into edge operations: removals in sorted-tuple order,
   additions root-downward per item tree, a new subscription (or a
@@ -58,6 +64,7 @@ from __future__ import annotations
 import weakref
 from typing import Protocol
 
+from repro.core.dissemination.filtering import Staircase
 from repro.core.dynamics import ReconfigurationDiff
 from repro.core.fidelity import (
     FidelityAccumulator,
@@ -142,6 +149,11 @@ class ReconfigurationCore:
             link, is a drop); they are mutated in place, never rebound.
         segments: ``(repository, item) -> [[start, end-or-None, c]]``,
             the intervals over which fidelity is owed.
+        serving: ``(repository, item) -> [(entry, c-or-None), ...]``:
+            from log entry ``entry`` on (entry 0 is the primed initial
+            value), the pair's modeled clients are served at ``c``, or
+            not at all -- a step per wire, per unsubscribe and around
+            every sync entry.
         applied: Control-timeline entries executed so far.
         observer: Optional out-of-band trace observer; only its
             ``metrics`` registry is used, for adaptive telemetry.
@@ -184,6 +196,9 @@ class ReconfigurationCore:
             for item_id, parent in state.parent_for.items()
         }
         self.home_parent = {key: edge[0] for key, edge in self.parent_of.items()}
+        self.serving: dict[tuple[int, int], list[tuple]] = {
+            key: [(1, c)] for key, (_parent, c) in self.parent_of.items()
+        }
         joined = sorted(profiles) if membership is None else membership.members
         self.members = {repo: profiles[repo] for repo in joined}
         self.segments: dict[tuple[int, int], list[list]] = {}
@@ -309,8 +324,10 @@ class ReconfigurationCore:
                 del self.parent_of[(child, item_id)]
             if (child, item_id) not in rewired:
                 # The child no longer receives the item at all (departed,
-                # or the rebuild dropped the relay).
+                # or the rebuild dropped the relay): nobody is served
+                # from the pair, in-flight copies included.
                 store.unsubscribe(child, item_id)
+                self._serve_from(child, item_id, None)
         # Parents must hold a current copy before their children sync
         # from them, so wire additions root-downward per item tree.
         added = sorted(diff.added, key=lambda e: (e[2], self._depth(e[1], e[2]), e))
@@ -322,12 +339,34 @@ class ReconfigurationCore:
                 # as reconfiguration cost, not as an update message).
                 if log is None:
                     log = store.log(child, item_id, create=True)
-                log.append(now)
-                log.append(self.current_value(parent, item_id))
+                self.sync(child, item_id, now, self.current_value(parent, item_id))
             # A re-homed subscription falls through: the child keeps its
             # own copy, and either way the log tail is what it holds.
             store.wire(parent, child, item_id, c, log[-1])
             self.parent_of[(child, item_id)] = (parent, c)
+            self._serve_from(child, item_id, c)
+
+    def sync(self, node: int, item_id: int, now: float, value: float) -> None:
+        """Append a sync entry -- a copy the pair took from its provider
+        outside the dissemination flow (an initial sync, a recovery
+        resync, a fleet anti-entropy session) -- to the pair's log.
+
+        The entry is scored like any other, but it is no delivery, so
+        :attr:`serving` steps around it: its clients are not served it.
+        """
+        log = self.store.log(node, item_id)
+        log.append(now)
+        log.append(value)
+        steps = self.serving.get((node, item_id))
+        if steps and steps[-1][1] is not None:
+            entry = len(log) // 2
+            steps += [(entry - 1, None), (entry, steps[-1][1])]
+
+    def _serve_from(self, node: int, item_id: int, c: float | None) -> None:
+        """From the pair's next log entry on, serve its clients at ``c``
+        (``None``: serve nobody)."""
+        entry = len(self.store.log(node, item_id)) // 2
+        self.serving.setdefault((node, item_id), []).append((entry, c))
 
     def _depth(self, node: int, item_id: int) -> int:
         """Hops from the item's root to ``node`` along its home tree."""
@@ -404,6 +443,33 @@ class ReconfigurationCore:
             accumulator.add(repo, item_id, loss)
             per_pair[(repo, item_id)] = loss
         return accumulator, per_pair
+
+    def serve_clients(self, blocks, traces, only=None) -> None:
+        """Serve every pair's modeled clients as :attr:`serving` says and
+        charge ``counters`` once.
+
+        ``blocks`` is the setup's ``(repository, item) -> ascending
+        client tolerances`` (``None`` when the run models none).  Each
+        served log entry is one check per client, by the repository-local
+        Eq. (3) + Eq. (7) test at the client's own tolerance whatever the
+        repository-plane policy, against what the client last got (the
+        item's initial value at first).  ``only`` keeps a subset of
+        repositories (a fleet worker serves its own shard).
+        """
+        checks = messages = 0
+        for (repo, item_id), tols in (blocks or {}).items():
+            steps = self.serving.get((repo, item_id))
+            if not steps or (only is not None and repo not in only):
+                continue
+            log = self.store.log(repo, item_id)
+            stairs = Staircase(memoryview(tols), traces[item_id].initial_value)
+            for (entry, c), (end, _) in zip(steps, steps[1:] + [(None, None)]):
+                if c is not None:
+                    values = log[2 * entry + 1:None if end is None else 2 * end:2]
+                    checks += len(values) * len(tols)
+                    for value in values:
+                        messages += stairs.serve(value, c)
+        self.counters.record_client_serving(checks, messages)
 
     def extras(self) -> dict:
         """What each of the run's sources did, as result extras."""
@@ -540,10 +606,8 @@ class ReconfigurationCore:
                 continue  # whole ancestry down: nothing fresher to pull
             checks += 1
             value = self.current_value(provider, item_id)
-            log = self.store.log(repo, item_id)
-            if value != log[-1]:
-                log.append(now)
-                log.append(value)
+            if value != self.store.log(repo, item_id)[-1]:
+                self.sync(repo, item_id, now, value)
                 messages += 1
         if checks:
             self.counters.record_resync(checks, messages)

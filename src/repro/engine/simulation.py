@@ -68,16 +68,15 @@ The engine's hot path touches only flat lists, tuples and ints:
   :class:`~repro.core.metrics.CostCounters` from there.
 
 What is genuinely wide stays numpy: the
-:class:`~repro.traces.schedule.UpdateSchedule` arrays.  The two places
-where one update meets a whole *column* of tolerances -- a pair's
-modeled-client block on every delivery, an item's unique tolerances at
-the centralised source -- hold their last-sent state as a
-:class:`~repro.core.dissemination.filtering.Staircase`: runs of equal
-values over the ascending column, each decided by its end elements and
-one ``bisect`` (a delivery to a ~250-client block costs ~2 runs).  The
-client tolerances themselves stay the setup's read-only arrays, seen
-through zero-copy ``memoryview``s; no per-client last-served array
-exists.
+:class:`~repro.traces.schedule.UpdateSchedule` arrays.  The one place
+in the loop where an update meets a whole *column* of tolerances -- an
+item's unique tolerances at the centralised source -- holds its
+last-sent state as a :class:`~repro.core.dissemination.filtering.
+StaircaseTagger`.  Modeled clients are not in the loop at all: a
+repository serves them locally, at no cost on the repository plane, so
+their service is a pure function of each pair's delivery log, which
+:meth:`~repro.engine.reconfig.ReconfigurationCore.serve_clients` runs
+once, at scoring time, on every plane.
 
 Reconfiguration (a churn schedule, a failure schedule or an adaptive
 policy in the config): the run's control instants are applied inline,
@@ -102,7 +101,6 @@ from math import inf
 from repro.core.dissemination.filtering import (
     FORWARD_RULES,
     PASS_THROUGH,
-    Staircase,
     StaircaseTagger,
     quantise_tolerance,
 )
@@ -157,9 +155,6 @@ class SimulationBase:
             else None
         )
         self._source_value: dict[int, float] = {}
-        # Modeled-client plane: per (repo, item), the clients' ascending
-        # tolerance array -- read-only, the setup's own.
-        self._client_tols = getattr(setup, "client_tolerances", None) or {}
         # All control state and every reconfiguration rule live in the
         # core; the engine is its edge store.
         self._reconfig = ReconfigurationCore.for_setup(setup, self, self.counters)
@@ -262,16 +257,7 @@ class VectorizedSimulation(SimulationBase):
         self._g_last: list[list[float]] = []
         self._g_delay: list[list[float]] = []
         self._g_log: list[list | None] = []
-        self._g_clients: list[Staircase | None] = []
         self._root_gid: dict[int, int] = {item_id: -1 for item_id in setup.traces}
-        # This run's whole client-plane state: one staircase per client
-        # block over a zero-copy view of the setup's ascending tolerance
-        # array.  Keyed by pair, so a block's last-served values survive
-        # ``unsubscribe`` -> ``wire``.
-        self._client_stairs = {
-            key: Staircase(memoryview(tols), setup.traces[key[1]].initial_value)
-            for key, tols in self._client_tols.items()
-        }
         # Dense per-node lists cover the whole topology: churn can wire
         # repositories the initial graph never held.
         n_nodes = setup.network.topology.n_nodes
@@ -308,11 +294,10 @@ class VectorizedSimulation(SimulationBase):
             self._g_node.append(node)
             self._g_item.append(item_id)
             self._g_issrc.append(issrc)
-            # A receiving pair's coherency, log and clients arrive with
-            # the edge that serves it (_connect); a root has none.
+            # A receiving pair's coherency and log arrive with the edge
+            # that serves it (_connect); a root has neither.
             self._g_prc.append(0.0)
             self._g_log.append(None)
-            self._g_clients.append(None)
             for column in (self._g_child_gid, self._g_cs, self._g_last, self._g_delay):
                 column.append([])
             if issrc:
@@ -332,10 +317,8 @@ class VectorizedSimulation(SimulationBase):
         self._g_cs[gid].append(quantise_tolerance(c) if self._centralized else c)
         self._g_last[gid].append(initial)
         self._g_delay[gid].append(self.setup.network.delay_s(parent, child))
-        key = (child, item_id)
         self._g_prc[child_gid] = c
-        self._g_log[child_gid] = self._deliveries.get(key)
-        self._g_clients[child_gid] = self._client_stairs.get(key)
+        self._g_log[child_gid] = self._deliveries.get((child, item_id))
 
     # ------------------------------------------------------------------
 
@@ -362,12 +345,12 @@ class VectorizedSimulation(SimulationBase):
         g_issrc, g_prc = self._g_issrc, self._g_prc
         g_child, g_cs = self._g_child_gid, self._g_cs
         g_last, g_delay = self._g_last, self._g_delay
-        g_log, g_clients = self._g_log, self._g_clients
+        g_log = self._g_log
         busy, comp_delay = self._busy, self._comp_delay_s
         counters = self._acounters
         node_checks, node_messages = counters.node_checks, counters.node_messages
         source_messages = source_checks = 0
-        deliveries = drops = client_checks = client_messages = 0
+        deliveries = drops = 0
         observer = self.observer
 
         core = self._reconfig
@@ -388,9 +371,9 @@ class VectorizedSimulation(SimulationBase):
         #      delay is one constant and float addition is monotone, so
         #      the arrivals on one edge come in push order -- the heap's
         #      own (time, seq) order -- and a pair has one parent;
-        #   2. a leaf delivery writes only its own log, its own client
-        #      staircase and commutative totals, so when it is applied
-        #      relative to other pairs' events cannot show;
+        #   2. a leaf delivery writes only its own log and commutative
+        #      totals, so when it is applied relative to other pairs'
+        #      events cannot show;
         #   3. the events left on the heap keep their relative
         #      (time, seq) order, and the drop tests and the push guard
         #      run at send time either way.
@@ -470,10 +453,6 @@ class VectorizedSimulation(SimulationBase):
                 if log is not None:
                     log.append(t)
                     log.append(value)
-                clients = g_clients[gid]
-                if clients is not None:
-                    client_checks += len(clients.cs)
-                    client_messages += clients.serve(value, g_prc[gid])
 
             # The edge-group step, shared by both branches.
             cs = g_cs[gid]
@@ -524,10 +503,6 @@ class VectorizedSimulation(SimulationBase):
                         if log is not None:
                             log.append(arrival)
                             log.append(value)
-                        clients = g_clients[child_gid]
-                        if clients is not None:
-                            client_checks += len(clients.cs)
-                            client_messages += clients.serve(value, g_prc[child_gid])
                     else:
                         heappush(
                             heap,
@@ -560,12 +535,11 @@ class VectorizedSimulation(SimulationBase):
         counters.source_checks = source_checks
         counters.deliveries = deliveries + landed
         counters.drops = drops
-        counters.client_checks = client_checks
-        counters.client_messages = client_messages
-        # The core charged reconfiguration and resync cost into
-        # self.counters; everything else was tallied here.
+        # The core charges reconfiguration, resync and client-serving
+        # cost into self.counters; everything else was tallied here.
         # The two are disjoint, so a merge is the union.
         self.counters.merge(counters.to_cost_counters())
+        core.serve_clients(self.setup.client_tolerances, self.setup.traces)
         # The reference runs each control-timeline entry and each
         # delivery as one discrete event; here the controls were applied
         # inline and the leaf landings at their push sites, so both are
@@ -624,10 +598,8 @@ class VectorizedSimulation(SimulationBase):
             self._tagger.remove_tolerance(item_id, c)
 
     def unsubscribe(self, node: int, item_id: int) -> None:
-        # In-flight deliveries still append to the kept log, but nobody
-        # is served from the pair any more: unhook the client plane
-        # until a later rewire restores the subscription.
-        self._g_clients[self._gid_of[(node, item_id)]] = None
+        """Nothing to patch: in-flight deliveries still append to the
+        kept log, and whom a pair serves is the core's record."""
 
     def wire(
         self, parent: int, child: int, item_id: int, c: float, initial: float

@@ -13,8 +13,8 @@ per worker.  BFS order keeps subtrees together, so most service edges
 stay worker-local and the cross-process link traffic is roughly the
 cut between consecutive d3g levels rather than a random half of all
 edges.  The source always lands on worker 0 (it heads the visit
-order).  A repository's modeled clients are state on the repository
-node itself, so they live wherever it does.
+order).  A repository's modeled clients are served from its delivery
+logs, so they live wherever it does.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ The fleet runs static membership on a reliable local wire: churn,
 failure schedules, adaptive re-optimization and seeded message loss
 are all rejected up front rather than silently diverging from the
 engine's semantics for them.  Modeled clients run as on every plane:
-each repository serves its own, so they shard with it.
+each worker serves its own repositories' at scoring time.
 """
 
 from __future__ import annotations

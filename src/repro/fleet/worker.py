@@ -295,15 +295,17 @@ class _Shard(WireRuntime):
         report.wall_seconds = time.perf_counter() - self.wall_start
         report.queue_stalls = sum(link.queue.stalls for link in self.links.values())
         report.protocol_errors = self.server.protocol_errors
+        core, setup = network.reconfig, network.setup
+        core.serve_clients(setup.client_tolerances, setup.traces, only=self.local_repos)
         # The supervisor re-accumulates fidelity from the pairs.
-        _accumulator, report.per_pair_loss = network.reconfig.score(
-            network.setup.traces, spec.duration, only=self.local_repos
+        _accumulator, report.per_pair_loss = core.score(
+            setup.traces, spec.duration, only=self.local_repos
         )
         report.span_s = network.span(spec.duration)
         if self.owns_source:
-            report.tree_stats = network.setup.graph.stats()
-            report.effective_degree = network.setup.effective_degree
-            report.avg_comm_delay_ms = network.setup.avg_comm_delay_ms
+            report.tree_stats = setup.graph.stats()
+            report.effective_degree = setup.effective_degree
+            report.avg_comm_delay_ms = setup.avg_comm_delay_ms
         peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         report.peak_rss_mb = peak_kib / 1024.0
         if self.recorder is not None:
@@ -361,15 +363,16 @@ class _Shard(WireRuntime):
         return heads
 
     def _finish_session(self, key: tuple[int, int], session: ChildSession) -> None:
-        repo = self.network.repositories[key[0]]
+        child = key[0]
+        repo = self.network.repositories[child]
         now = self.due.wall_now()
         for item_id, seq, value in session.missing:
             if seq > repo.seqs.get(item_id, 0):
                 repo.seqs[item_id] = seq
-                log = repo.deliveries.get(item_id)
-                if log is not None:
-                    log.append(now)
-                    log.append(value)
+                if item_id in repo.deliveries:
+                    # A sync entry, not a delivery: the core keeps it
+                    # from the pair's modeled clients.
+                    self.network.reconfig.sync(child, item_id, now, value)
         self.network.counters.record_resync(
             session.cost.checks, session.cost.transferred
         )

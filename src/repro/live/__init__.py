@@ -10,12 +10,11 @@ and executes them as a network of servers:
 
 - :class:`~repro.live.nodes.SourceNode` replays a registered workload
   in real or time-scaled time;
-- :class:`~repro.live.nodes.RepositoryNode` receives pushes, serves
-  its modeled clients with the engine's
-  :class:`~repro.core.dissemination.filtering.Staircase`, applies the
-  shared coherency rule over its per-item edge columns
-  (:class:`~repro.live.nodes.EdgeGroup`), and forwards along the
-  ``d3g``.
+- :class:`~repro.live.nodes.RepositoryNode` receives pushes, logs
+  them, applies the shared coherency rule over its per-item edge
+  columns (:class:`~repro.live.nodes.EdgeGroup`), and forwards along
+  the ``d3g``; its modeled clients are served from that log at scoring
+  time, by the same reconfiguration core as on every plane.
 
 Node logic is sans-io: nodes consume updates and emit messages -- the
 seven-field rows of a :class:`~repro.live.protocol.Forwards` frame, the

@@ -20,7 +20,7 @@ import asyncio
 import time
 from dataclasses import dataclass, field
 
-from repro.core.dissemination.filtering import EdgeFilter, Staircase, StaircaseTagger
+from repro.core.dissemination.filtering import EdgeFilter, StaircaseTagger
 from repro.core.metrics import CostCounters
 from repro.core.tree import TreeStats
 from repro.engine.builder import SimulationSetup, build_setup
@@ -204,8 +204,6 @@ class LiveNetwork:
         return self.repositories[node]
 
     def unwire(self, parent: int, child: int, item_id: int, c: float) -> None:
-        # Only the dependents' group: the child's modeled clients ride
-        # out a rewire, as in the engine.
         group = self._sender(parent).edges.get(item_id)
         if group is not None:
             group.unwire(child)
@@ -276,10 +274,10 @@ def build_live_network(
     :class:`~repro.core.dissemination.filtering.EdgeFilter`) and gives
     the source the engine's
     :class:`~repro.core.dissemination.filtering.StaircaseTagger` when
-    the centralised policy runs.  Each repository gets one
-    :class:`~repro.core.dissemination.filtering.Staircase` per item
-    over the setup's read-only block of modeled-client tolerances
-    (``clients_per_repository``), as the engine does.
+    the centralised policy runs.  Modeled clients
+    (``clients_per_repository``) get nothing here: :func:`run_live`
+    has the network's core serve them from the delivery logs, as the
+    engine does.
 
     Args:
         config: The run's full parameterisation.  Churn, failures,
@@ -324,13 +322,6 @@ def build_live_network(
         for node, repo in repositories.items():
             if item_id in repo.receive_c:
                 repo.deliveries[item_id] = [0.0, initial]
-
-    # Over a zero-copy view of each read-only block, as the engine's
-    # ``_client_stairs``.
-    for (node, item_id), tols in (setup.client_tolerances or {}).items():
-        repositories[node].clients[item_id] = Staircase(
-            memoryview(tols), setup.traces[item_id].initial_value
-        )
     return network
 
 
@@ -398,7 +389,9 @@ def run_live(
     wall = time.perf_counter() - start
 
     core = network.reconfig
-    accumulator, per_pair = core.score(network.setup.traces, duration)
+    setup = network.setup
+    core.serve_clients(setup.client_tolerances, setup.traces)
+    accumulator, per_pair = core.score(setup.traces, duration)
     extras: dict = {
         "per_pair_loss": per_pair,
         "workload": config.workload.name,

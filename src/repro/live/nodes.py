@@ -24,16 +24,10 @@ semantics also mirror the engine: each forwarded copy costs
 :class:`~repro.sim.queueing.FifoStation`) before it leaves, then
 travels the end-to-end network delay.
 
-Client service is the engine's modeled-client plane: a repository
-holds, per item, one :class:`~repro.core.dissemination.filtering.
-Staircase` over the setup's read-only block of client tolerances and
-serves it on every delivery while it still receives the item -- the
-repository-local Eq. (3) + Eq. (7) test at each client's own
-tolerance, whatever the repository-plane policy.  Clients are not
-transport nodes: they cost no frame and no station time, and only the
-``client_checks`` / ``client_messages`` totals of
-:class:`~repro.core.metrics.CostCounters` record them, exactly as in
-the engine.
+Modeled clients are not nodes and a node does nothing for them: they
+cost no frame and no station time, and the run's
+:class:`~repro.engine.reconfig.ReconfigurationCore` serves them from
+the repositories' delivery logs at scoring time, as on every plane.
 """
 
 from __future__ import annotations
@@ -41,7 +35,6 @@ from __future__ import annotations
 from repro.core.dissemination.filtering import (
     FORWARD_RULES,
     EdgeFilter,
-    Staircase,
     StaircaseTagger,
 )
 from repro.core.metrics import CostCounters
@@ -236,19 +229,12 @@ class RepositoryNode(_ForwardingNode):
         #: item_id -> highest source seq received -- the per-item heads
         #: the anti-entropy resync samples over.
         self.seqs: dict[int, int] = {}
-        #: item_id -> the modeled clients' last-served state over their
-        #: ascending tolerance block; built by the harness, kept across
-        #: an unsubscribe so a later rewire resumes it.
-        self.clients: dict[int, Staircase] = {}
 
     def receive(
         self, item_id: int, value: float, tag: float | None, seq: int, now: float
     ) -> list[list]:
-        """Handle one pushed update: log it, serve the modeled clients
-        while the node still receives the item (the reference oracle's
-        rule), then forward downstream."""
-        counters = self.counters
-        counters.record_delivery()
+        """Handle one pushed update: log it, then forward downstream."""
+        self.counters.record_delivery()
         if self.observer is not None:
             self.observer.on_deliver(seq - 1, item_id, now, self.node)
         if seq > self.seqs.get(item_id, 0):
@@ -257,13 +243,9 @@ class RepositoryNode(_ForwardingNode):
         if log is not None:
             log.append(now)
             log.append(value)
-        receive_c = self.receive_c.get(item_id)
-        clients = self.clients.get(item_id)
-        if clients is not None and receive_c is not None:
-            counters.record_client_serving(
-                len(clients.cs), clients.serve(value, receive_c)
-            )
-        return self._forward(item_id, value, tag, now, receive_c, seq, False)
+        return self._forward(
+            item_id, value, tag, now, self.receive_c.get(item_id), seq, False
+        )
 
     def on_message(self, update: Update, now: float) -> list[list]:
         """:meth:`receive`, from a typed :class:`~repro.live.protocol.Update`."""

@@ -11,7 +11,6 @@ from repro.core.fidelity import (
     FidelityAccumulator,
     loss_of_fidelity,
     scoring_windows,
-    segmented_loss,
     segmented_losses,
     violation_time,
     violation_times,
@@ -125,7 +124,9 @@ def test_violation_never_exceeds_the_window_by_a_float_ulp():
     assert loss_of_fidelity(*args, 1.0, 0.0, 100.0) == 100.0
     # The duration-weighted form sums the same widths segment by segment.
     segments = [[0.0, 30.0, 1.0], [30.0, 70.0, 1.0], [70.0, None, 1.0]]
-    assert segmented_loss(*args, segments, 0.0, 100.0) == 100.0
+    source = Steps(src_t, np.full(3, 2.0))
+    log = [x for t in recv_t for x in (t, 0.0)]
+    assert segmented_losses([(source, log, segments, 0.0, 100.0)]) == [100.0]
 
 
 class Steps:
@@ -304,8 +305,9 @@ def test_a_nan_window_start_is_refused():
 def test_a_segment_that_starts_at_nan_is_refused():
     # It used to make the duration-weighted mean NaN.
     segments = [[float("nan"), 5.0, 0.5], [5.0, None, 0.5]]
+    log = [0.0, 1.0, 3.0, 2.0]  # _RECV, flat
     with pytest.raises(ConfigurationError, match="t_start"):
-        segmented_loss(*_SRC, *_RECV, segments, 0.0, 10.0)
+        segmented_losses([(Steps(*_SRC), log, segments, 0.0, 10.0)])
 
 
 @pytest.mark.parametrize("swap", [False, True])

@@ -23,7 +23,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.dissemination.filtering import SourceTagger
+from repro.core.dissemination.filtering import SourceTagger, Staircase
 from repro.core.dynamics import DynamicMembership, ReconfigurationDiff, edges_of
 from repro.core.interests import InterestProfile
 from repro.core.lela import build_d3g
@@ -31,6 +31,7 @@ from repro.core.metrics import CostCounters
 from repro.core.tree import DisseminationGraph
 from repro.engine.churn import ChurnEvent, ChurnSchedule
 from repro.engine.failures import FailureEvent, FailureSchedule
+from repro.engine import reconfig
 from repro.engine.reconfig import ReconfigurationCore
 from repro.errors import SimulationError
 
@@ -356,6 +357,85 @@ def test_timeline_is_time_ordered_with_ticks_after_events_at_a_tie():
     assert core.timeline(span=25.0) == [
         (2.0, down), (10.0, crash), (10.0, None), (20.0, None),
     ]
+
+
+# ----------------------------------------------------------------------
+# Modeled clients: served every delivered entry while the pair is wired
+# ----------------------------------------------------------------------
+
+class Item:
+    """What :meth:`ReconfigurationCore.serve_clients` reads of a trace."""
+
+    initial_value = INITIAL
+
+
+def served(core, monkeypatch, node, item=0):
+    """``(value, coherency)`` per log entry the scoring pass serves
+    ``node``'s clients (one client at tolerance 1.0: any move of 0.6 or
+    more reaches it), and the ``(checks, messages)`` it charged."""
+    calls = []
+
+    class Recording(Staircase):
+        __slots__ = ()
+
+        def serve(self, value, parent_receive_c):
+            calls.append((value, parent_receive_c))
+            return super().serve(value, parent_receive_c)
+
+    monkeypatch.setattr(reconfig, "Staircase", Recording)
+    core.serve_clients({(node, item): np.array([1.0])}, {item: Item})
+    return calls, (core.counters.client_checks, core.counters.client_messages)
+
+
+def test_a_recovery_resync_entry_is_scored_but_not_served(monkeypatch):
+    core, store, _, timeline = failure_core(
+        chain(0, 1), FailureEvent.crash(10.0, 1), FailureEvent.recover(20.0, 1)
+    )
+    store.logs[(1, 0)].extend((5.0, 2.0))  # delivered before the crash
+    core.apply(*timeline[0])
+    store.source[0] = 5.0
+    core.apply(*timeline[1])  # resyncs the diverged copy
+    store.logs[(1, 0)].extend((25.0, 9.0))  # delivered after the recovery
+    assert pairs(store.logs[(1, 0)])[2] == (20.0, 5.0)
+    assert served(core, monkeypatch, 1) == ([(2.0, C), (9.0, C)], (2, 2))
+
+
+def test_a_rejoin_sync_is_not_served_nor_a_copy_logged_while_unsubscribed(monkeypatch):
+    core, store, _ = make_core(chain(0, 1))
+    store.logs[(1, 0)].extend((0.5, 2.0))
+    core.apply_diff(diff(removed=[(0, 1, 0, C)]), now=1.0)
+    store.logs[(1, 0)].extend((2.0, 3.0))  # was in flight at the unsubscribe
+    store.source[0] = 2.5
+    core.apply_diff(diff(added=[(0, 1, 0, C)]), now=9.0, resync=frozenset({1}))
+    store.logs[(1, 0)].extend((10.0, 7.0))
+    assert pairs(store.logs[(1, 0)])[2:4] == [(2.0, 3.0), (9.0, 2.5)]
+    assert served(core, monkeypatch, 1) == ([(2.0, C), (7.0, C)], (2, 2))
+
+
+def test_a_new_subscription_is_served_after_its_initial_sync(monkeypatch):
+    core, store, _ = make_core(chain(0, 1))
+    rebuilt(core, chain(0, 1, 7))
+    store.logs[(1, 0)].extend((3.0, 1.8))
+    core.apply_diff(diff(added=[(1, 7, 0, C)]), now=5.0)
+    store.logs[(7, 0)].extend((6.0, 4.0))
+    assert pairs(store.logs[(7, 0)]) == [(5.0, 1.8), (6.0, 4.0)]
+    # 1.8 (the sync) would have moved the client; 4.0 is checked from 1.0.
+    assert served(core, monkeypatch, 7) == ([(4.0, C)], (1, 1))
+
+
+def test_clients_are_served_at_the_coherency_of_the_edge_that_wires_the_pair(
+    monkeypatch,
+):
+    core, store, _ = make_core(chain(0, 1, 2))
+    store.logs[(2, 0)].extend((1.0, 2.0))
+    core.apply_diff(  # re-homed under the source, at a new coherency
+        diff(added=[(0, 2, 0, 0.25)], removed=[(1, 2, 0, C)]), now=2.0
+    )
+    store.logs[(2, 0)].extend((3.0, 2.0, 4.0, 4.0))
+    # 2.0 again: no move, checked and not sent.
+    assert served(core, monkeypatch, 2) == (
+        [(2.0, C), (2.0, 0.25), (4.0, 0.25)], (3, 2)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -225,6 +225,30 @@ def test_an_open_resync_session_is_pending_and_not_idle():
     assert shard.network.counters.resyncs == 1
 
 
+def test_an_anti_entropy_transfer_is_logged_but_serves_no_client():
+    """A finished session's transfer is a sync entry: scored like any
+    copy, but no delivery, so the repository's clients are not served it."""
+    supervisor_end, worker_end = multiprocessing.Pipe()
+    try:
+        config = CONFIG.with_(clients_per_repository=3)
+        shard = _Shard(0, FleetSpec(config=config, n_workers=1), worker_end)
+        network = shard.network
+        child = min(shard.local_repos)
+        log = network.repositories[child].deliveries[0]
+        session = shard.sessions[(child, 0)] = ChildSession(child, 0, {0: 0})
+        session.missing.append((0, 1, 1e9))  # would move every client
+        shard._finish_session((child, 0), session)
+        assert log[-1] == 1e9 and len(log) == 4
+        network.reconfig.serve_clients(
+            network.setup.client_tolerances, network.setup.traces
+        )
+        assert network.setup.client_tolerances[(child, 0)].size == 3
+        assert network.counters.client_checks == 0
+    finally:
+        supervisor_end.close()
+        worker_end.close()
+
+
 # -- the supervisor's loop without processes: real pipes, scripted workers --
 
 

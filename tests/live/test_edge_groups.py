@@ -1,10 +1,8 @@
 """The live nodes' edge columns stay straight through rewiring.
 
 A node holds, per item, one :class:`~repro.live.nodes.EdgeGroup` for
-its repository-plane dependents, and a repository one
-:class:`~repro.core.dissemination.filtering.Staircase` for its modeled
-clients.  Rewiring edits the dependents' columns only; the fleet's
-anti-entropy heads read the same columns.
+its repository-plane dependents.  Rewiring edits those columns; the
+fleet's anti-entropy heads read the same columns.
 """
 
 import multiprocessing
@@ -14,7 +12,7 @@ import pytest
 from repro.core.dissemination.filtering import FORWARD_RULES
 from repro.engine.config import SimulationConfig
 from repro.fleet.worker import FleetSpec, _Shard
-from repro.live.harness import build_live_network
+from repro.live.harness import build_live_network, run_live
 from repro.live.nodes import EdgeGroup
 from repro.live.transport import VirtualWire
 
@@ -50,29 +48,6 @@ def test_edge_group_unwire_of_an_absent_child_changes_nothing():
     assert _columns(group) == ([4], [0.2], [1.0], [0.02], [0])
 
 
-def _stairs(network) -> dict:
-    return {
-        (node, item_id): (stairs, list(stairs.ends), list(stairs.vals))
-        for node, repo in network.repositories.items()
-        for item_id, stairs in repo.clients.items()
-    }
-
-
-def test_rewiring_leaves_the_modeled_clients_untouched():
-    network = build_live_network(CLIENTS)
-    VirtualWire(network).run()
-    before = _stairs(network)
-    # Served: some block's last-served state moved off one run.
-    assert any(len(ends) > 1 for _s, ends, _v in before.values())
-    for node in _senders(network):
-        for item_id, group in node.edges.items():
-            for child, c in zip(list(group.child), list(group.cs)):
-                network.unwire(node.node, child, item_id, c)
-                network.unsubscribe(child, item_id)
-            assert group.child == []
-    assert _stairs(network) == before
-
-
 def test_rewiring_a_child_restarts_its_last_value_and_seq():
     network = build_live_network(CONFIG)
     VirtualWire(network).run()
@@ -105,8 +80,7 @@ def test_anti_entropy_heads_read_the_dependents_columns():
     try:
         shard = _Shard(0, FleetSpec(config=CLIENTS, n_workers=1), worker_end)
         network = shard.network
-        VirtualWire(network).run()
-        assert network.counters.client_messages > 0
+        assert run_live(CLIENTS, network=network).counters.client_messages > 0
         for parent in (network.source_node.node, *network.repositories):
             for item_id, group in network._sender(parent).edges.items():
                 for i, child in enumerate(group.child):

@@ -78,6 +78,8 @@ def test_every_plane_serves_the_engines_modeled_clients(policy, variant, plane):
         assert engine.counters.drops > 0
     if variant == "failures":
         assert engine.extras["crashes"] > 0
+        # Recovery resyncs write sync entries, which no client is served.
+        assert engine.counters.resync_messages > 0
     if variant == "adaptive":
         assert engine.extras["adaptive_rewires"] > 0
     if variant == "churn":

@@ -7,6 +7,13 @@ are exempt: the package itself, its ``__main__`` and the experiment
 modules the registry loads by name.  A module only tests or examples
 reach is dead weight on every reader of ``src/``.
 
+The same holds one level down: every public top-level function and
+class must be *used* -- read as a name or an attribute -- somewhere in
+``src/repro``, the CLI included.  An ``import`` or an ``__all__`` entry
+alone is no use: a package re-exporting a name does not call it.  The
+few public names kept for callers outside ``src/`` are listed in
+:data:`KEPT_FOR_OUTSIDE_CALLERS`, each with its reason.
+
 The scan reads source text only; it imports nothing.
 """
 
@@ -64,3 +71,46 @@ def test_every_module_is_imported_by_another_module():
     roots = {"repro", "repro.__main__"} | builtin_experiment_modules()
     assert roots <= set(modules)
     assert sorted(set(modules) - reached - roots) == []
+
+
+#: Public names nothing in ``src/repro`` uses, kept on purpose.
+KEPT_FOR_OUTSIDE_CALLERS = {
+    "forward_distributed_many": "the perf ledger's frozen filtering probes time it",
+    "run_resync": "the perf ledger's frozen fleet probe runs it",
+    "run_experiment": "the documented programmatic entry to the registry",
+    "format_explanation": "documented `repro.obs` API the explain tests render with",
+    "ConstantDelayModel": "documented delay-model API the network tests drive",
+    "full_transfer_cost": "the anti-entropy baseline the fleet tests compare with",
+}
+
+
+def public_definitions() -> list[tuple[str, str]]:
+    """``(name, module)`` for every public top-level function and class."""
+    return [
+        (node.name, module_name(path))
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def used_names() -> set[str]:
+    """Every name ``src/repro`` reads, bare or as an attribute."""
+    used = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_public_function_and_class_is_used_in_src():
+    used = used_names()
+    unused = {(name, module) for name, module in public_definitions() if name not in used}
+    kept = {(name, module) for name, module in unused if name in KEPT_FOR_OUTSIDE_CALLERS}
+    assert sorted(unused - kept) == []
+    # A kept name that src/ uses, or that is gone, leaves the list.
+    assert sorted(name for name, _module in kept) == sorted(KEPT_FOR_OUTSIDE_CALLERS)
