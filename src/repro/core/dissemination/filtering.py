@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -517,11 +516,12 @@ class StaircaseTagger:
     Bit-identical to :meth:`SourceTagger.examine` (property-tested
     against it), at one ``bisect`` per run of equal last-sent values
     instead of one test per tolerance.  Like the scalar tagger it counts
-    the edges serving at each tolerance, so reconfigurations call
-    :meth:`add_tolerance` / :meth:`remove_tolerance` once per wired /
-    torn-down edge and the unique list follows; a tolerance entering or
-    leaving the list -- rare -- expands the staircase to the flat
-    column, edits it and compresses it again.
+    the edges serving at each tolerance, and it starts empty: the first
+    wiring and every reconfiguration call :meth:`add_tolerance` /
+    :meth:`remove_tolerance` once per wired / torn-down edge and the
+    unique list follows; a tolerance entering or leaving the list --
+    rare -- expands the staircase to the flat column, edits it and
+    compresses it again.
     """
 
     def __init__(self) -> None:
@@ -536,18 +536,6 @@ class StaircaseTagger:
             counts,
             SourceDecision(disseminate=False, tag=None, checks=len(counts)),
         )
-
-    def add_item(
-        self, item_id: int, tolerances: list[float], initial_value: float
-    ) -> None:
-        """Install one item from its edges' tolerances, one entry per
-        edge in any order (repeats are what gets counted)."""
-        counts = Counter(
-            quantise_tolerance(validate_tolerance(c, "source-tagger tolerance"))
-            for c in tolerances
-        )
-        cs = sorted(counts)
-        self._install(item_id, Staircase(cs, initial_value), [counts[c] for c in cs])
 
     def add_tolerance(self, item_id: int, c: float, initial_value: float) -> None:
         """One more edge serves at (quantised) ``c``; a new tolerance

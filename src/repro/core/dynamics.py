@@ -137,17 +137,6 @@ class DynamicMembership:
         """Current repositories in join order."""
         return list(self._join_order)
 
-    def profile_of(self, repo: int) -> InterestProfile:
-        """The stored profile for a member.
-
-        Raises:
-            TreeConstructionError: for unknown members.
-        """
-        try:
-            return self._profiles[repo]
-        except KeyError:
-            raise TreeConstructionError(f"repository {repo} is not a member") from None
-
     def validate(self) -> None:
         """Check every graph invariant against the current budgets.
 

@@ -443,18 +443,6 @@ class FidelityAccumulator:
         repo_losses = [self.repository_loss(r) for r in self._per_repo]
         return sum(repo_losses) / len(repo_losses)
 
-    def system_fidelity(self) -> float:
-        """100 - system loss."""
-        return 100.0 - self.system_loss()
-
     def per_repository(self) -> dict[int, float]:
         """Mapping repository -> mean loss."""
         return {r: self.repository_loss(r) for r in self._per_repo}
-
-    def worst_repository(self) -> tuple[int, float] | None:
-        """The repository with the highest loss, or None if empty."""
-        per = self.per_repository()
-        if not per:
-            return None
-        repo = max(per, key=lambda r: per[r])
-        return repo, per[repo]

@@ -53,14 +53,6 @@ class InterestProfile:
     def __contains__(self, item_id: int) -> bool:
         return item_id in self.requirements
 
-    def tolerance(self, item_id: int) -> float:
-        """The repository's own tolerance for ``item_id``."""
-        return self.requirements[item_id]
-
-    def most_stringent(self) -> float | None:
-        """The tightest tolerance across all items (None if empty)."""
-        return min(self.requirements.values()) if self.requirements else None
-
 
 def generate_interests(
     repositories: list[int],

@@ -80,8 +80,3 @@ class CoherencyMix:
         tolerances[n_stringent:] = rng.uniform(*self.lax_range, size=n - n_stringent)
         rng.shuffle(tolerances)
         return tolerances
-
-    def is_stringent(self, c: float) -> bool:
-        """Whether ``c`` falls in the stringent band."""
-        lo, hi = self.stringent_range
-        return lo <= c <= hi

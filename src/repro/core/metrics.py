@@ -22,7 +22,7 @@ live in dense lists instead of dicts, and are folded into an ordinary
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["CostCounters", "ArrayCounters"]
 
@@ -47,11 +47,6 @@ class CostCounters:
     resync_messages: int = 0
     per_node_messages: dict[int, int] = field(default_factory=dict)
     per_node_checks: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def total_checks(self) -> int:
-        """All coherency checks performed anywhere in the system."""
-        return self.source_checks + self.repository_checks
 
     @property
     def resubscriptions(self) -> int:
@@ -122,38 +117,20 @@ class CostCounters:
     def merge(self, other: "CostCounters") -> None:
         """Fold another run-fragment's counters into this one.
 
-        The fleet supervisor merges per-worker counters with this:
-        every scalar field adds, the per-node dicts union-add.  Merging
-        is commutative and associative, so the fleet total is
-        independent of worker arrival order.
+        The fleet supervisor merges per-worker counters with this, and
+        the engine folds its hot-path tallies into the core's charges:
+        every int field adds, each per-node dict union-adds.  Fields are
+        read off the declaration, so a counter added later is merged
+        too.  Merging is commutative and associative, so the fleet total
+        is independent of worker arrival order.
         """
-        self.messages += other.messages
-        self.source_checks += other.source_checks
-        self.repository_checks += other.repository_checks
-        self.source_messages += other.source_messages
-        self.deliveries += other.deliveries
-        self.drops += other.drops
-        self.reconfigurations += other.reconfigurations
-        self.edges_added += other.edges_added
-        self.edges_removed += other.edges_removed
-        self.client_checks += other.client_checks
-        self.client_messages += other.client_messages
-        self.resyncs += other.resyncs
-        self.resync_checks += other.resync_checks
-        self.resync_messages += other.resync_messages
-        for node, count in other.per_node_messages.items():
-            self.per_node_messages[node] = (
-                self.per_node_messages.get(node, 0) + count
-            )
-        for node, count in other.per_node_checks.items():
-            self.per_node_checks[node] = self.per_node_checks.get(node, 0) + count
-
-    def busiest_sender(self) -> tuple[int, int] | None:
-        """(node, messages) for the node that sent the most messages."""
-        if not self.per_node_messages:
-            return None
-        node = max(self.per_node_messages, key=lambda n: self.per_node_messages[n])
-        return node, self.per_node_messages[node]
+        for name in (f.name for f in fields(self)):
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if isinstance(mine, dict):
+                for node, count in theirs.items():
+                    mine[node] = mine.get(node, 0) + count
+            else:
+                setattr(self, name, mine + theirs)
 
 
 class ArrayCounters:

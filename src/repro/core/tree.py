@@ -180,14 +180,6 @@ class DisseminationGraph:
                 out.append((child, self.nodes[child].receive_c[item_id]))
         return out
 
-    def item_tree(self, item_id: int) -> dict[int, int]:
-        """Parent pointers ``child -> parent`` of one item's ``d3t``."""
-        tree: dict[int, int] = {}
-        for node, state in self.nodes.items():
-            if item_id in state.parent_for:
-                tree[node] = state.parent_for[item_id]
-        return tree
-
     def item_depth(self, node: int, item_id: int) -> int:
         """Hops from the source to ``node`` along the item's tree."""
         depth = 0
@@ -202,14 +194,6 @@ class DisseminationGraph:
                     f"item {item_id}: cycle reaching source from node {node}"
                 )
         return depth
-
-    def interested_repositories(self, item_id: int) -> list[int]:
-        """Repositories that receive ``item_id`` (own need or relaying)."""
-        return [
-            n
-            for n, s in self.nodes.items()
-            if n != self.source and item_id in s.receive_c
-        ]
 
     def stats(self) -> TreeStats:
         """Shape statistics over the whole ``d3g``."""

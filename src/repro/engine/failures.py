@@ -252,22 +252,6 @@ class FailureSchedule:
                 spans[-1] = (spans[-1][0], float(event.time))
         return windows
 
-    def crashed_at(self, node: int, t: float) -> bool:
-        """Was ``node`` inside a crash window at simulated time ``t``?
-
-        Judging a message by its logical arrival time against the
-        half-open windows reproduces the kernels' tie-break -- one
-        arriving exactly at the recovery instant is delivered, one at
-        the crash instant is dropped -- on any clock.  Recomputes the
-        windows per call; a hot path (the live runtime) builds them once
-        and asks :func:`in_windows`.
-        """
-        return in_windows(self.crash_windows().get(node, ()), t)
-
-    def link_down_at(self, sender: int, receiver: int, t: float) -> bool:
-        """Was the ``(sender, receiver)`` service link down at time ``t``?"""
-        return in_windows(self.link_windows().get((sender, receiver), ()), t)
-
 
 def in_windows(windows, t: float) -> bool:
     """Is ``t`` inside any of the half-open ``[start, end-or-None)`` windows?"""

@@ -18,7 +18,9 @@ spans.  No production path constructs it; ``kernel="scalar"`` is the
 debugging switch that does.
 
 As an edge store of the :class:`~repro.engine.reconfig.
-ReconfigurationCore` it patches dict tables and the policy object.
+ReconfigurationCore` it patches dict tables and the policy object; the
+core wires the run's first graph through the same port
+(:meth:`~repro.engine.reconfig.ReconfigurationCore.wire_initial`).
 """
 
 from __future__ import annotations
@@ -55,8 +57,10 @@ class DisseminationSimulation(SimulationBase):
         super().__init__(setup, observer)
         self.policy = policy if policy is not None else make_policy(setup.config.policy)
         self.kernel = Simulator()
+        # Per node its FIFO station, per (node, item) its (child, c_serve)
+        # list and its receive coherency: filled by wire(), the first
+        # graph's edges included.
         self._stations: dict[int, FifoStation] = {}
-        # Per (node, item): list of (child, c_serve); precomputed for speed.
         self._children: dict[tuple[int, int], list[tuple[int, float]]] = {}
         self._receive_c: dict[tuple[int, int], float] = {}
         # Modeled-client plane, served in the loop here -- the
@@ -71,20 +75,7 @@ class DisseminationSimulation(SimulationBase):
         self._departed = self._reconfig.departed
         self._crashed = self._reconfig.crashed
         self._down_links = self._reconfig.down_links
-        graph = self._reconfig.graph
-        for node in graph.nodes:
-            self._stations[node] = FifoStation()
-        for item_id, trace in setup.traces.items():
-            for node, state in graph.nodes.items():
-                children = graph.children_for_item(node, item_id)
-                if children:
-                    self._children[(node, item_id)] = children
-                    for child, c_serve in children:
-                        self.policy.register_edge(
-                            node, child, item_id, c_serve, trace.initial_value
-                        )
-                if node != self._source and item_id in state.receive_c:
-                    self._receive_c[(node, item_id)] = state.receive_c[item_id]
+        self._reconfig.wire_initial(setup.traces)
 
     # ------------------------------------------------------------------
 

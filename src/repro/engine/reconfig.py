@@ -52,7 +52,10 @@ port.  The reference oracle (dict tables + policy object), the engine
 transport) each implement that port in a few dozen lines of pure table
 surgery -- no ordering, no initial-value choice, no cost charging --
 which is what makes the three planes bit-identical by construction
-rather than by golden suite.
+rather than by golden suite.  The run's first graph reaches a plane
+through the same port: :meth:`~ReconfigurationCore.wire_initial`
+creates, primes and wires every pair in the one order that fixes each
+edge group's columns.
 
 :meth:`~ReconfigurationCore.timeline` hands every plane the run's one
 time-ordered list of control instants; a plane applies each entry
@@ -196,9 +199,7 @@ class ReconfigurationCore:
             for item_id, parent in state.parent_for.items()
         }
         self.home_parent = {key: edge[0] for key, edge in self.parent_of.items()}
-        self.serving: dict[tuple[int, int], list[tuple]] = {
-            key: [(1, c)] for key, (_parent, c) in self.parent_of.items()
-        }
+        self.serving: dict[tuple[int, int], list[tuple]] = {}
         joined = sorted(profiles) if membership is None else membership.members
         self.members = {repo: profiles[repo] for repo in joined}
         self.segments: dict[tuple[int, int], list[list]] = {}
@@ -230,6 +231,27 @@ class ReconfigurationCore:
             failures=config.failures,
             adaptive=make_adaptive_controller(setup) if config.adaptive is not None else None,
         )
+
+    def wire_initial(self, traces) -> None:
+        """Wire :attr:`graph` into the store: the run's first ``d3g``.
+
+        Items in trace order, nodes in graph order, children in
+        child-table order -- the order that fixes each edge group's
+        columns, and with them every FIFO departure, on every plane.
+        Each child's log is created and primed with the item's initial
+        value as entry 0 (no delivery, never served, not a :meth:`sync`)
+        before its edge is wired with that value as last-sent, and its
+        clients are served from entry 1 on.  Nothing is charged: the
+        first wiring is where the run starts, not a reconfiguration.
+        """
+        store, graph = self.store, self.graph
+        for item_id, trace in traces.items():
+            initial = trace.initial_value
+            for node in graph.nodes:
+                for child, c in graph.children_for_item(node, item_id):
+                    store.log(child, item_id, create=True).extend((0.0, initial))
+                    store.wire(node, child, item_id, c, initial)
+                    self._serve_from(child, item_id, c)
 
     # ------------------------------------------------------------------
     # The control timeline

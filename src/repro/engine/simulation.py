@@ -31,7 +31,8 @@ and reconfiguration sources.
 The engine's hot path touches only flat lists, tuples and ints:
 
 - **Edge groups.**  Each (node, item) pair that sends or receives
-  becomes one integer group id, built straight from the run's graph.
+  becomes one integer group id, made as the reconfiguration core wires
+  the run's graph through :meth:`~VectorizedSimulation.wire`.
   A group stores its dependents as four parallel *Python lists* --
   child group ids, serving tolerances (quantised for the centralised
   policy, exactly as
@@ -129,7 +130,10 @@ class SimulationBase:
 
     A subclass is the core's edge store (``wire`` / ``unwire`` /
     ``unsubscribe`` / ``message_counts`` over its own tables) and
-    supplies ``run()``.
+    supplies ``run()``; once its tables exist it has the core wire the
+    initial graph
+    (:meth:`~repro.engine.reconfig.ReconfigurationCore.wire_initial`,
+    which also creates and primes every delivery log).
 
     Args:
         setup: The built setup; stays read-only, so many runs can share it.
@@ -162,13 +166,9 @@ class SimulationBase:
         # The root of every item's tree (``setup.source`` is a property).
         self._source = setup.source
         # Per (repo, item): delivery log, flat [t0, v0, t1, v1, ...] --
-        # two appends per delivery, no tuple.
+        # two appends per delivery, no tuple.  The core creates and
+        # primes each one as it wires the pair.
         self._deliveries: dict[tuple[int, int], list[float]] = {}
-        graph = self._reconfig.graph
-        for item_id, trace in setup.traces.items():
-            for node, state in graph.nodes.items():
-                if node != self._source and item_id in state.receive_c:
-                    self._deliveries[(node, item_id)] = [0.0, trace.initial_value]
 
     # ------------------------------------------------------------------
     # The store-independent half of the edge-store port
@@ -263,26 +263,13 @@ class VectorizedSimulation(SimulationBase):
         n_nodes = setup.network.topology.n_nodes
         self._busy = [0.0] * n_nodes
         self._acounters = ArrayCounters(n_nodes)
-
-        # One tolerance per edge: the centralised tagger counts them, so
-        # later rewires only have to report each edge they add or remove.
-        tolerances: dict[int, list[float]] = {i: [] for i in setup.traces}
-        graph = self._reconfig.graph
-        for item_id, trace in setup.traces.items():
-            for node in graph.nodes:
-                for child, c in graph.children_for_item(node, item_id):
-                    self._connect(node, child, item_id, c, trace.initial_value)
-                    tolerances[item_id].append(c)
-        if self._centralized:
-            self._tagger = StaircaseTagger()
-            for item_id, trace in setup.traces.items():
-                self._tagger.add_item(
-                    item_id, tolerances[item_id], trace.initial_value
-                )
+        # Filled edge by edge through wire(), like every later rewire.
+        self._tagger = StaircaseTagger() if self._centralized else None
+        self._reconfig.wire_initial(setup.traces)
 
     def _group(self, node: int, item_id: int) -> int:
         """The edge group for ``(node, item_id)``, appended with no
-        dependents when absent: the initial graph makes one per pair that
+        dependents when absent: the initial wiring makes one per pair that
         sends or receives, and a rebuild can wire pairs that did neither
         in the original graph (a late joiner, a relay acquiring a new
         item through augmentation)."""
@@ -295,7 +282,7 @@ class VectorizedSimulation(SimulationBase):
             self._g_item.append(item_id)
             self._g_issrc.append(issrc)
             # A receiving pair's coherency and log arrive with the edge
-            # that serves it (_connect); a root has neither.
+            # that serves it (wire); a root has neither.
             self._g_prc.append(0.0)
             self._g_log.append(None)
             for column in (self._g_child_gid, self._g_cs, self._g_last, self._g_delay):
@@ -303,22 +290,6 @@ class VectorizedSimulation(SimulationBase):
             if issrc:
                 self._root_gid[item_id] = gid
         return gid
-
-    def _connect(
-        self, parent: int, child: int, item_id: int, c: float, initial: float
-    ) -> None:
-        """Append ``child`` to all four columns of ``parent``'s group and
-        point the child's group at the pair's current state: the receive
-        coherency just changed and the delivery log may be new, and
-        in-flight as well as future deliveries must see both."""
-        gid = self._group(parent, item_id)
-        child_gid = self._group(child, item_id)
-        self._g_child_gid[gid].append(child_gid)
-        self._g_cs[gid].append(quantise_tolerance(c) if self._centralized else c)
-        self._g_last[gid].append(initial)
-        self._g_delay[gid].append(self.setup.network.delay_s(parent, child))
-        self._g_prc[child_gid] = c
-        self._g_log[child_gid] = self._deliveries.get((child, item_id))
 
     # ------------------------------------------------------------------
 
@@ -604,7 +575,18 @@ class VectorizedSimulation(SimulationBase):
     def wire(
         self, parent: int, child: int, item_id: int, c: float, initial: float
     ) -> None:
-        self._connect(parent, child, item_id, c, initial)
+        """Append ``child`` to all four columns of ``parent``'s group and
+        point the child's group at the pair's current state: the receive
+        coherency just changed and the delivery log may be new, and
+        in-flight as well as future deliveries must see both."""
+        gid = self._group(parent, item_id)
+        child_gid = self._group(child, item_id)
+        self._g_child_gid[gid].append(child_gid)
+        self._g_cs[gid].append(quantise_tolerance(c) if self._centralized else c)
+        self._g_last[gid].append(initial)
+        self._g_delay[gid].append(self.setup.network.delay_s(parent, child))
+        self._g_prc[child_gid] = c
+        self._g_log[child_gid] = self._deliveries.get((child, item_id))
         if self._centralized:
             self._tagger.add_tolerance(item_id, c, initial)
 

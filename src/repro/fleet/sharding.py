@@ -51,13 +51,6 @@ class ShardPlan:
         """Every node ``worker`` hosts, sorted."""
         return sorted(n for n, w in self.owner.items() if w == worker)
 
-    def shard_sizes(self) -> list[int]:
-        """Hosted-node count per worker, indexed by worker id."""
-        sizes = [0] * self.n_workers
-        for worker in self.owner.values():
-            sizes[worker] += 1
-        return sizes
-
 
 def check_worker_count(n_workers: int, n_nodes: int) -> None:
     """Refuse a fleet no plan can fill: every worker hosts a node.

@@ -191,9 +191,9 @@ def merge_reports(
     )
 
 
-def _validate(spec: FleetSpec, sever_at_s: float | None, sever_worker: int) -> None:
+def _validate(spec: FleetSpec, sever_at_s: float | None) -> None:
     """Refuse, before any process starts, what the fleet cannot run."""
-    config, workers = spec.config, spec.n_workers
+    config = spec.config
     check_duration(spec.duration)
     if config.churn is not None:
         raise ConfigurationError(
@@ -216,17 +216,13 @@ def _validate(spec: FleetSpec, sever_at_s: float | None, sever_worker: int) -> N
         )
     # Every worker builds the setup and plans the shards; the supervisor
     # needs neither, only to refuse a fleet no plan can fill.
-    check_worker_count(workers, config.n_repositories + 1)
+    check_worker_count(spec.n_workers, config.n_repositories + 1)
     check_pacing(spec.time_scale, spec.heartbeat_interval_s)
     # A NaN instant never comes due, so the supervisor would wait for it
     # forever; an infinite one overflows the pipe wait.
     if sever_at_s is not None and not (math.isfinite(sever_at_s) and sever_at_s >= 0):
         raise ConfigurationError(
             f"sever_at_s must be finite and >= 0, got {sever_at_s!r}"
-        )
-    if sever_worker not in range(workers):
-        raise ConfigurationError(
-            f"sever_worker must name one of the {workers} workers, got {sever_worker!r}"
         )
 
 
@@ -289,7 +285,6 @@ def supervise(
     *,
     time_scale: float,
     sever_at_s: float | None,
-    sever_worker: int,
 ) -> tuple[list[WorkerReport], dict]:
     """Conduct one run over the workers' pipes: ``ready`` -> ``start``
     -> ``quiesce`` -> ``finish`` -> reports.
@@ -305,7 +300,7 @@ def supervise(
         conns: The supervisor's end of each worker's pipe, indexed by
             worker id.  Anything that speaks the worker's side of the
             protocol will do (the tests script it from threads).
-        time_scale / sever_at_s / sever_worker: As in :func:`run_fleet`.
+        time_scale / sever_at_s: As in :func:`run_fleet`.
 
     Returns:
         The reports in worker-id order, and the control plane's own
@@ -354,7 +349,7 @@ def supervise(
     while True:
         now = time.monotonic()
         if sever_due is not None and now >= sever_due:
-            conns[sever_worker].send(("sever",))
+            conns[0].send(("sever",))
             sever_due = None
         if deadline is None:
             # A late severance fires before quiescing.
@@ -399,7 +394,6 @@ def run_fleet(
     time_scale: float = 60.0,
     heartbeat_interval_s: float = 0.5,
     sever_at_s: float | None = None,
-    sever_worker: int = 0,
     trace_recorder=None,
 ) -> LiveRunResult:
     """Run one config across a multi-process fleet and merge the result.
@@ -414,9 +408,8 @@ def run_fleet(
         heartbeat_interval_s: Per-link liveness probe interval (0
             disables).
         sever_at_s: Optional fault-injection hook -- at this simulated
-            time, ``sever_worker``'s outbound links are severed so the
+            time, worker 0's outbound links are severed so the
             reconnect + anti-entropy path runs for real.
-        sever_worker: The worker the severance hits.
         trace_recorder: Optional :class:`~repro.obs.trace.TraceRecorder`
             to trace the fleet into.  Workers record spans shard-locally
             and ship them home in their reports; the supervisor absorbs
@@ -438,7 +431,7 @@ def run_fleet(
         heartbeat_interval_s=heartbeat_interval_s,
         trace=trace_recorder is not None,
     )
-    _validate(spec, sever_at_s, sever_worker)
+    _validate(spec, sever_at_s)
 
     ctx = multiprocessing.get_context("forkserver")
     ctx.set_forkserver_preload(["repro.fleet.worker"])
@@ -476,7 +469,6 @@ def run_fleet(
             conns,
             time_scale=time_scale,
             sever_at_s=sever_at_s,
-            sever_worker=sever_worker,
         )
         for proc in procs:
             proc.join(timeout=30.0)
@@ -504,8 +496,6 @@ def run_fleet(
     extras.update(
         workload=config.workload.name, policy=config.policy, time_scale=time_scale
     )
-    if sever_at_s is not None:
-        extras["severed_worker"] = sever_worker
     return merge_reports(
         reports, wall_seconds=time.perf_counter() - wall_start, extras=extras
     )

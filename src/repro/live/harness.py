@@ -269,12 +269,12 @@ def build_live_network(
     The build reuses :func:`~repro.engine.builder.build_setup` -- same
     topology, traces, profiles and LeLA ``d3g`` as a simulation of the
     same config -- then instantiates one sans-io node per repository
-    (late joiners included), wires every service edge of the initial
-    graph into the nodes' edge groups (normalised through
-    :class:`~repro.core.dissemination.filtering.EdgeFilter`) and gives
-    the source the engine's
+    (late joiners included), gives the source the engine's
     :class:`~repro.core.dissemination.filtering.StaircaseTagger` when
-    the centralised policy runs.  Modeled clients
+    the centralised policy runs, and has the network's core wire the
+    initial graph through :meth:`LiveNetwork.wire`
+    (:meth:`~repro.engine.reconfig.ReconfigurationCore.wire_initial`,
+    the engine's own first wiring, in the same order).  Modeled clients
     (``clients_per_repository``) get nothing here: :func:`run_live`
     has the network's core serve them from the delivery logs, as the
     engine does.
@@ -294,34 +294,16 @@ def build_live_network(
         setup = build_setup(config)
     counters = CostCounters()
     comp_delay_s = config.comp_delay_ms / 1000.0
-    graph = setup.graph
-    source = setup.source
-
     tagger = StaircaseTagger() if config.policy == "centralized" else None
-    source_node = SourceNode(source, comp_delay_s, counters, tagger=tagger)
-    # A node per repository: a late joiner receives nothing until the
-    # core wires it in.
-    repositories: dict[int, RepositoryNode] = {
-        node: RepositoryNode(
-            node,
-            comp_delay_s,
-            counters,
-            receive_c=graph.nodes[node].receive_c if node in graph.nodes else {},
-        )
+    source_node = SourceNode(setup.source, comp_delay_s, counters, tagger=tagger)
+    # A node per repository, receiving nothing until the core wires it
+    # in (a late joiner stays so until its join event).
+    repositories = {
+        node: RepositoryNode(node, comp_delay_s, counters, receive_c={})
         for node in setup.profiles
     }
-
     network = LiveNetwork(setup, counters, source_node, repositories)
-    # Wire the d3g exactly as the engine's _prepare does: items in trace
-    # order, nodes in graph order, children in child-table order.
-    for item_id in setup.traces:
-        initial = setup.traces[item_id].initial_value
-        for node in graph.nodes:
-            for child, c_serve in graph.children_for_item(node, item_id):
-                network.wire(node, child, item_id, c_serve, initial)
-        for node, repo in repositories.items():
-            if item_id in repo.receive_c:
-                repo.deliveries[item_id] = [0.0, initial]
+    network.reconfig.wire_initial(setup.traces)
     return network
 
 

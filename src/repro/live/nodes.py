@@ -224,7 +224,7 @@ class RepositoryNode(_ForwardingNode):
         #: item_id -> coherency at which this node receives it (Eq. 7's c_p).
         self.receive_c = dict(receive_c)
         #: item_id -> flat receive log ``[t0, v0, t1, v1, ...]`` (arrival
-        #: sim-time, value); primed by the harness.
+        #: sim-time, value); created and primed by the network's core.
         self.deliveries: dict[int, list[float]] = {}
         #: item_id -> highest source seq received -- the per-item heads
         #: the anti-entropy resync samples over.

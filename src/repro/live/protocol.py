@@ -194,9 +194,6 @@ class Forward:
     def from_update(cls, dst: int, arrival_s: float, update: Update) -> "Forward":
         return cls(*forward_row(dst, arrival_s, update))
 
-    def to_update(self) -> Update:
-        return Update(self.item_id, self.value, self.tag, self.seq, self.src)
-
 
 @dataclass(frozen=True)
 class Forwards:
@@ -451,11 +448,6 @@ class FrameAssembler:
         self._buffer = bytearray()
         #: The framing error that poisoned this assembler, if any.
         self.error: ProtocolError | None = None
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward the next incomplete frame."""
-        return len(self._buffer)
 
     def feed(self, chunk: bytes) -> list[Message]:
         """Absorb one chunk and return every frame it completed.

@@ -59,20 +59,6 @@ class ParetoDelayModel:
             np.minimum(delays, self.cap_ms, out=delays)
         return delays
 
-    def scaled(self, mean_ms: float) -> "ParetoDelayModel":
-        """Return a copy with a different mean, keeping min/cap proportional.
-
-        Used by the delay-sweep experiments (Figures 5 and 7b): scaling the
-        whole distribution preserves its shape while moving the average
-        node-to-node delay.
-        """
-        factor = mean_ms / self.mean_ms
-        return ParetoDelayModel(
-            mean_ms=mean_ms,
-            min_ms=self.min_ms * factor,
-            cap_ms=None if self.cap_ms is None else self.cap_ms * factor,
-        )
-
 
 class ConstantDelayModel:
     """Degenerate delay model: every link has the same delay.

@@ -74,18 +74,10 @@ class NetworkModel:
         Eq. (2): the expected delay of one dissemination hop between a
         repository (or the source) and another repository.
         """
-        return self._logical_mean(self.routing.dist_ms)
-
-    def mean_repo_hops(self) -> float:
-        """Average hop count between distinct logical nodes."""
-        return self._logical_mean(self.routing.hops)
-
-    def _logical_mean(self, table: np.ndarray) -> float:
-        """Mean of a routing table's entries between distinct logical nodes."""
         n = 1 + self.topology.n_repositories
         if n < 2:
             return 0.0
-        return float(table[:n, :n][~np.eye(n, dtype=bool)].mean())
+        return float(self.routing.dist_ms[:n, :n][~np.eye(n, dtype=bool)].mean())
 
     def scaled_delays(self, mean_ms: float) -> "NetworkModel":
         """Return a copy with all link delays rescaled to a new mean.

@@ -60,15 +60,6 @@ class Topology:
         """Total node count (source + repositories + routers)."""
         return 1 + self.n_repositories + self.n_routers
 
-    @property
-    def n_edges(self) -> int:
-        """Number of undirected links."""
-        return int(self.edges.shape[0])
-
-    def degree_of(self, node: int) -> int:
-        """Number of links incident to ``node``."""
-        return int(np.count_nonzero(self.edges == node))
-
     def is_connected(self) -> bool:
         """Breadth-first connectivity check over the link set."""
         n = self.n_nodes

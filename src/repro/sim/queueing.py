@@ -31,23 +31,6 @@ class FifoStation:
 
     def __init__(self) -> None:
         self._busy_until = 0.0
-        self._jobs_served = 0
-        self._busy_time = 0.0
-
-    @property
-    def busy_until(self) -> float:
-        """Earliest time at which newly submitted work could start."""
-        return self._busy_until
-
-    @property
-    def jobs_served(self) -> int:
-        """Total jobs submitted to this station."""
-        return self._jobs_served
-
-    @property
-    def busy_time(self) -> float:
-        """Total server time consumed (sum of service times)."""
-        return self._busy_time
 
     def submit(self, arrival: float, service_time: float) -> float:
         """Enqueue one job and return its completion time.
@@ -71,6 +54,4 @@ class FifoStation:
         start = arrival if arrival > self._busy_until else self._busy_until
         completion = start + service_time
         self._busy_until = completion
-        self._jobs_served += 1
-        self._busy_time += service_time
         return completion

@@ -98,13 +98,13 @@ def test_noop_update_costs_nothing():
     assert diff.cost == 0
 
 
-def test_profile_of_roundtrip():
+def test_a_joined_profile_is_a_member_and_an_unknown_one_is_not():
     m = membership()
-    p = profile(1, {0: 0.1})
-    m.join(p)
-    assert m.profile_of(1).requirements == {0: 0.1}
-    with pytest.raises(TreeConstructionError):
-        m.profile_of(2)
+    m.join(profile(1, {0: 0.1}))
+    assert m.members == [1]
+    assert m.graph.nodes[1].own_c == {0: 0.1}
+    with pytest.raises(TreeConstructionError, match="not a member"):
+        m.leave(2)
 
 
 def test_capacity_respected_across_dynamics():

@@ -353,21 +353,20 @@ def test_accumulator_system_mean_over_repositories():
     acc.add(1, 1, 30.0)  # repo 1 mean 20
     acc.add(2, 0, 40.0)  # repo 2 mean 40
     assert acc.system_loss() == 30.0
-    assert acc.system_fidelity() == 70.0
 
 
 def test_accumulator_empty():
     acc = FidelityAccumulator()
     assert acc.system_loss() == 0.0
     assert acc.repository_loss(99) == 0.0
-    assert acc.worst_repository() is None
+    assert acc.per_repository() == {}
 
 
-def test_accumulator_worst_repository():
+def test_accumulator_per_repository():
     acc = FidelityAccumulator()
     acc.add(1, 0, 5.0)
     acc.add(2, 0, 50.0)
-    assert acc.worst_repository() == (2, 50.0)
+    assert acc.per_repository() == {1: 5.0, 2: 50.0}
 
 
 def test_accumulator_rejects_non_percentage():

@@ -94,7 +94,7 @@ def test_array_tagger_counts_edges_like_the_scalar_tagger():
     edges = [0.3, 0.1, 0.3 + 1e-12, 0.5]
     for c in edges:
         scalar.add_tolerance(0, c, 1.0)
-    array.add_item(0, edges, 1.0)
+        array.add_tolerance(0, c, 1.0)
     assert array.unique_tolerances(0) == scalar.unique_tolerances(0) == [0.1, 0.3, 0.5]
     for tagger in (scalar, array):
         tagger.examine(0, 1.35)  # marks 0.1 and 0.3 as sent at 1.35
@@ -115,14 +115,13 @@ def test_staircase_tagger_rejects_sub_quantum_tolerances():
     tagger = StaircaseTagger()
     with pytest.raises(ConfigurationError, match="quantisation quantum"):
         tagger.add_tolerance(0, 1e-12, 1.0)
-    with pytest.raises(ConfigurationError, match="quantisation quantum"):
-        tagger.add_item(0, [0.3, 1e-12], 1.0)
     assert tagger.unique_tolerances(0) == []
 
 
 def test_a_new_tolerance_splits_the_run_it_lands_in():
     tagger = StaircaseTagger()
-    tagger.add_item(0, [0.1, 0.3, 0.5], 1.0)
+    for c in (0.1, 0.3, 0.5):
+        tagger.add_tolerance(0, c, 1.0)
 
     def runs():
         stairs = tagger._state[0][0]

@@ -17,12 +17,11 @@ def test_profile_basics():
     assert len(profile) == 2
     assert 1 in profile and 2 not in profile
     assert profile.items == [1, 3]
-    assert profile.tolerance(3) == 0.5
-    assert profile.most_stringent() == 0.05
+    assert profile.requirements[3] == 0.5
 
 
-def test_empty_profile_most_stringent_none():
-    assert InterestProfile(repository=1).most_stringent() is None
+def test_empty_profile_has_no_items():
+    assert InterestProfile(repository=1).items == []
 
 
 def test_profile_rejects_nonpositive_tolerance():

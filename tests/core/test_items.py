@@ -63,12 +63,6 @@ def test_mix_negative_count_rejected():
         mix.draw(-1, np.random.default_rng(0))
 
 
-def test_is_stringent_band_membership():
-    mix = CoherencyMix(t_percent=50.0)
-    assert mix.is_stringent(0.05)
-    assert not mix.is_stringent(0.5)
-
-
 @pytest.mark.parametrize("t", [-1.0, 101.0])
 def test_invalid_t_rejected(t):
     with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
 """Unit tests for cost counters."""
 
+from dataclasses import fields
+
 from repro.core.metrics import CostCounters
 
 
@@ -9,7 +11,6 @@ def test_checks_split_by_role():
     counters.record_check(5, is_source=False)
     assert counters.source_checks == 3
     assert counters.repository_checks == 1
-    assert counters.total_checks == 4
     assert counters.per_node_checks == {0: 3, 5: 1}
 
 
@@ -42,17 +43,28 @@ def test_drops_accumulate_independently_of_deliveries():
     assert counters.deliveries + counters.drops == counters.messages
 
 
-def test_busiest_sender():
-    counters = CostCounters()
-    assert counters.busiest_sender() is None
-    counters.record_message(1, is_source=False)
-    counters.record_message(2, is_source=False)
-    counters.record_message(2, is_source=False)
-    assert counters.busiest_sender() == (2, 2)
-
-
 def test_fresh_counters_zeroed():
     counters = CostCounters()
     assert counters.messages == 0
-    assert counters.total_checks == 0
+    assert counters.source_checks == counters.repository_checks == 0
     assert counters.deliveries == 0
+
+
+def _distinct(scale: int) -> CostCounters:
+    """Every field its own value: int ``k * scale`` for the k-th field,
+    ``{7: k * scale, scale: 1}`` for a per-node dict."""
+    return CostCounters(**{
+        f.name: {7: k * scale, scale: 1} if f.name.startswith("per_node") else k * scale
+        for k, f in enumerate(fields(CostCounters), start=1)
+    })
+
+
+def test_merge_adds_every_field_into_itself():
+    """Distinct values per field catch a field dropped or added into
+    another; the fleet merge and the engine's fold both go through here."""
+    merged = _distinct(1)
+    merged.merge(_distinct(100))
+    assert merged == CostCounters(**{
+        f.name: {7: k * 101, 1: 1, 100: 1} if f.name.startswith("per_node") else k * 101
+        for k, f in enumerate(fields(CostCounters), start=1)
+    })

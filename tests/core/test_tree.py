@@ -99,17 +99,19 @@ def test_tighten_unknown_item_rejected():
         graph.tighten(1, 99, 0.05)
 
 
-def test_item_tree_and_depth():
+def test_item_parents_and_depth():
     graph = simple_graph()
-    assert graph.item_tree(7) == {1: 0, 2: 1}
+    assert {n: s.parent_for[7] for n, s in graph.nodes.items() if 7 in s.parent_for} == {
+        1: 0, 2: 1,
+    }
     assert graph.item_depth(1, 7) == 1
     assert graph.item_depth(2, 7) == 2
 
 
 def test_interested_repositories():
     graph = simple_graph()
-    assert sorted(graph.interested_repositories(7)) == [1, 2]
-    assert graph.interested_repositories(99) == []
+    assert [n for n in graph.repositories if 7 in graph.nodes[n].receive_c] == [1, 2]
+    assert not any(99 in graph.nodes[n].receive_c for n in graph.repositories)
 
 
 def test_stats_shape():

@@ -18,6 +18,7 @@ from repro.engine.failures import (
     FailureEvent,
     FailureSchedule,
     failures_for_config,
+    in_windows,
     parse_failure_spec,
     synthetic_failures,
 )
@@ -117,13 +118,13 @@ def test_windows_are_half_open_pairs():
     ))
     assert schedule.crash_windows() == {2: [(10.0, 30.0), (50.0, None)]}
     assert schedule.link_windows() == {(1, 2): [(5.0, None)]}
-    # The logical-time predicates keep the kernels' tie-break: down at
-    # the crash instant, up again at the recovery instant.
-    down = [t for t in (9.9, 10.0, 29.9, 30.0, 49.9, 50.0, 1e9) if schedule.crashed_at(2, t)]
+    # Judged at logical time, the windows keep the kernels' tie-break:
+    # down at the crash instant, up again at the recovery instant.
+    crashes, links = schedule.crash_windows(), schedule.link_windows()
+    down = [t for t in (9.9, 10.0, 29.9, 30.0, 49.9, 50.0, 1e9) if in_windows(crashes[2], t)]
     assert down == [10.0, 29.9, 50.0, 1e9]
-    assert not schedule.crashed_at(3, 20.0)
-    assert schedule.link_down_at(1, 2, 5.0) and not schedule.link_down_at(1, 2, 4.9)
-    assert not schedule.link_down_at(2, 1, 5.0)  # links are directed
+    assert in_windows(links[(1, 2)], 5.0) and not in_windows(links[(1, 2)], 4.9)
+    assert (2, 1) not in links  # links are directed
 
 
 def test_parse_failure_spec():

@@ -51,10 +51,16 @@ def chain(root: int, *nodes: int, items=(0,)) -> DisseminationGraph:
     return graph
 
 
+class Item:
+    """What the core reads of a trace: its initial value."""
+
+    initial_value = INITIAL
+
+
 class FakeStore:
     """A dict-backed edge store that records what it was told to do."""
 
-    def __init__(self, graph: DisseminationGraph) -> None:
+    def __init__(self) -> None:
         self.ops: list[tuple] = []
         self.edges: set[tuple[int, int, int]] = set()
         self.receive_c: dict[tuple[int, int], float] = {}
@@ -62,11 +68,6 @@ class FakeStore:
         self.source: dict[int, float] = {}
         self.tagger = SourceTagger()
         self.sent: dict[int, int] = {}
-        for node, state in graph.nodes.items():
-            for item, parent in state.parent_for.items():
-                self.wire(parent, node, item, state.receive_c[item], INITIAL)
-                self.logs[(node, item)] = [0.0, INITIAL]
-        self.ops.clear()
 
     def unwire(self, parent, child, item_id, c):
         self.ops.append(("unwire", parent, child, item_id))
@@ -100,8 +101,16 @@ def pairs(log):
     return list(zip(log[0::2], log[1::2]))
 
 
+def started(core, store):
+    """Wire the core's graph into ``store`` as every plane starts a run,
+    then forget those calls: ``ops`` records what comes after."""
+    items = {item for state in core.graph.nodes.values() for item in state.receive_c}
+    core.wire_initial({item: Item for item in sorted(items)})
+    store.ops.clear()
+
+
 def make_core(graph, **sources):
-    store = FakeStore(graph)
+    store = FakeStore()
     profiles = {
         node: InterestProfile(node, dict(state.own_c))
         for node, state in graph.nodes.items()
@@ -111,6 +120,7 @@ def make_core(graph, **sources):
     core = ReconfigurationCore(
         store, counters, graph, graph.source, profiles, **sources
     )
+    started(core, store)
     return core, store, counters
 
 
@@ -122,6 +132,45 @@ def rebuilt(core, graph):
     """Make ``graph`` the core's current graph, as an applied adaptive
     re-optimization (or a churn rebuild) would."""
     core.adaptive = type("Rebuilt", (), {"graph": graph})()
+
+
+# ----------------------------------------------------------------------
+# wire_initial: the first d3g, in the order every plane's columns keep
+# ----------------------------------------------------------------------
+
+def test_the_first_wiring_primes_each_log_then_wires_it_in_graph_order():
+    # Graph order 0, 5, 2, 4, 3; node 0 serves item 0 to 5 before 2 and
+    # node 5 serves item 1 to 4 before 3: neither is id order.
+    graph = DisseminationGraph(source=0)
+    for node, level, own in ((5, 1, {0: C, 1: 0.25}), (2, 1, {0: C}),
+                             (4, 2, {0: C, 1: 0.5}), (3, 2, {1: 0.75})):
+        graph.add_node(node, level, own)
+    for parent, child, item, c in ((0, 5, 0, C), (0, 5, 1, 0.25), (0, 2, 0, C),
+                                   (5, 4, 0, C), (5, 4, 1, 0.5), (5, 3, 1, 0.75)):
+        graph.connect(parent, child, item, c)
+
+    class PrimedFirst(FakeStore):
+        def wire(self, parent, child, item_id, c, initial):
+            self.ops.append(("log", list(self.logs[(child, item_id)])))
+            super().wire(parent, child, item_id, c, initial)
+
+    store, counters = PrimedFirst(), CostCounters()
+    core = ReconfigurationCore(store, counters, graph, 0, {})
+    one, two = (type("Trace", (), {"initial_value": v}) for v in (1.0, 2.0))
+    core.wire_initial({1: two, 0: one})  # trace order, not id order
+    wired = [  # (parent, child, item, c, initial), in the order expected
+        (0, 5, 1, 0.25, 2.0), (5, 4, 1, 0.5, 2.0), (5, 3, 1, 0.75, 2.0),
+        (0, 5, 0, C, 1.0), (0, 2, 0, C, 1.0), (5, 4, 0, C, 1.0),
+    ]
+    assert store.ops == [
+        op
+        for parent, child, item, _c, initial in wired
+        for op in (("log", [0.0, initial]), ("wire", parent, child, item, initial))
+    ]
+    assert store.receive_c == {(child, item): c for _p, child, item, c, _i in wired}
+    assert store.logs == {(child, item): [0.0, i] for _p, child, item, _c, i in wired}
+    assert core.serving == {(child, item): [(1, c)] for _p, child, item, c, _i in wired}
+    assert counters == CostCounters()  # the starting point, not a reconfiguration
 
 
 # ----------------------------------------------------------------------
@@ -308,11 +357,12 @@ def churn_core(*events):
     profiles = {r: InterestProfile(r, {0: C}) for r in (1, 2, 3)}
     for repo in (1, 2):  # 3 is a late joiner
         membership.join(profiles[repo])
-    store = FakeStore(membership.graph)
+    store = FakeStore()
     core = ReconfigurationCore(
         store, CostCounters(), membership.graph, 0, profiles,
         churn=ChurnSchedule(events=tuple(events)), membership=membership,
     )
+    started(core, store)
     return core, store
 
 
@@ -362,12 +412,6 @@ def test_timeline_is_time_ordered_with_ticks_after_events_at_a_tie():
 # ----------------------------------------------------------------------
 # Modeled clients: served every delivered entry while the pair is wired
 # ----------------------------------------------------------------------
-
-class Item:
-    """What :meth:`ReconfigurationCore.serve_clients` reads of a trace."""
-
-    initial_value = INITIAL
-
 
 def served(core, monkeypatch, node, item=0):
     """``(value, coherency)`` per log entry the scoring pass serves
@@ -522,12 +566,13 @@ class ComposedCore(RuleBasedStateMachine):
         membership = DynamicMembership(source=0, comm_delay_ms=_delay, offered_degree=2)
         for repo in REPOS[:3]:  # 4 and 5 join late, if at all
             membership.join(self.profiles[repo])
-        self.store = FakeStore(membership.graph)
+        self.store = FakeStore()
         self.adaptive = Reoptimizer()
         self.core = ReconfigurationCore(
             self.store, CostCounters(), membership.graph, 0,
             self.profiles, membership=membership, adaptive=self.adaptive,
         )
+        started(self.core, self.store)
         self.members = {r: self.profiles[r] for r in REPOS[:3]}
         self.crashed: set[int] = set()
         self.now = 0.0

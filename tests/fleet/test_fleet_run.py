@@ -88,11 +88,9 @@ def test_fleet_sever_reconnects_resyncs_and_conserves():
         time_scale=100.0,
         heartbeat_interval_s=0.05,
         sever_at_s=10.0,
-        sever_worker=0,
     )
     assert result.conserved
     assert result.sent == result.delivered + result.dropped
-    assert result.extras["severed_worker"] == 0
     assert result.extras.get("reconnects", 0) >= 1
     # The generation jump triggered anti-entropy on the far side.
     assert result.counters.resyncs >= 1
@@ -129,8 +127,8 @@ def test_fleet_rejects_unsupported_configs():
 
 #: Inputs refused before any worker starts.  Before the check, a NaN
 #: ``sever_at_s`` hung the supervisor (the instant never came due), an
-#: infinite one overflowed its pipe wait, ``sever_worker=5`` raised
-#: ``IndexError`` mid-run, ``time_scale=0`` divided by zero after the workers had started and a
+#: infinite one overflowed its pipe wait, ``time_scale=0`` divided by
+#: zero after the workers had started and a
 #: negative or NaN pace or heartbeat "ran".
 BAD_FLEET_INPUTS = {
     "time-scale-zero": ({"time_scale": 0.0}, "time_scale must be positive"),
@@ -141,8 +139,6 @@ BAD_FLEET_INPUTS = {
     "sever-at-nan": ({"sever_at_s": math.nan}, "sever_at_s must be finite"),
     "sever-at-inf": ({"sever_at_s": math.inf}, "sever_at_s must be finite"),
     "sever-at-negative": ({"sever_at_s": -5.0}, "sever_at_s must be finite"),
-    "sever-worker-5-of-2": ({"sever_worker": 5}, "sever_worker must name one"),
-    "sever-worker-negative": ({"sever_worker": -1}, "sever_worker must name one"),
 }
 
 
@@ -295,7 +291,6 @@ def _supervise_scripted(*scripts, time_scale=60.0, sever_at_s=None):
             [s for s, _w in pipes],
             time_scale=time_scale,
             sever_at_s=sever_at_s,
-            sever_worker=0,
         )
     finally:
         for worker in workers:

@@ -18,7 +18,7 @@ def setup():
 def test_plan_covers_every_node_exactly_once(setup):
     plan = plan_shards(setup, 3)
     assert set(plan.owner) == set(setup.graph.nodes)
-    assert sum(plan.shard_sizes()) == len(setup.graph.nodes)
+    assert sum(map(len, (plan.nodes_of(w) for w in range(3)))) == len(setup.graph.nodes)
 
 
 def test_source_lands_on_worker_zero(setup):
@@ -29,7 +29,8 @@ def test_source_lands_on_worker_zero(setup):
 
 def test_shard_sizes_are_near_equal(setup):
     for workers in (2, 3, 5, 7):
-        sizes = plan_shards(setup, workers).shard_sizes()
+        plan = plan_shards(setup, workers)
+        sizes = [len(plan.nodes_of(w)) for w in range(workers)]
         assert len(sizes) == workers
         assert min(sizes) >= 1
         assert max(sizes) - min(sizes) <= 1

@@ -55,7 +55,9 @@ def test_forward_wraps_and_unwraps_an_update():
     forward = Forward.from_update(42, 99.5, update)
     assert forward.dst == 42
     assert forward.arrival_s == 99.5
-    assert forward.to_update() == update
+    assert (forward.item_id, forward.value, forward.tag, forward.seq, forward.src) == (
+        5, 2.5, 0.1, 11, 6,
+    )
 
 
 def test_check_version_rejects_a_mismatched_peer():
@@ -82,7 +84,6 @@ def test_assembler_reassembles_byte_at_a_time():
         messages.extend(assembler.feed(frames[i : i + 1]))
     assert [m.item_id for m in messages] == [0, 1, 2]
     assert assembler.at_boundary()
-    assert assembler.pending_bytes == 0
 
 
 def test_assembler_handles_many_frames_in_one_chunk():
@@ -95,7 +96,6 @@ def test_assembler_tracks_partial_frames():
     frame = encode_message(Hello(src=0))
     assembler = FrameAssembler()
     assert assembler.feed(frame[:5]) == []
-    assert assembler.pending_bytes == 5
     assert not assembler.at_boundary()
     assert assembler.feed(frame[5:]) == [Hello(src=0)]
     assert assembler.at_boundary()

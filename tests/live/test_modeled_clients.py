@@ -20,7 +20,7 @@ from repro.engine.config import SCALE_PRESETS
 from repro.engine.failures import failures_for_config
 from repro.engine.simulation import run_simulation
 from repro.fleet import run_fleet
-from repro.live import run_live
+from repro.live import build_live_network, run_live
 
 pytestmark = pytest.mark.live
 
@@ -87,3 +87,30 @@ def test_every_plane_serves_the_engines_modeled_clients(policy, variant, plane):
     if plane in ("oracle", "inprocess"):
         assert result.counters == engine.counters
         assert result.loss_of_fidelity == engine.loss_of_fidelity
+
+
+#: Seed 13's eight requirement changes drop an item from a pair while a
+#: copy toward it is in flight, under every policy: the pair's
+#: repository is still a member, so the copy arrives and is logged (and
+#: scored), but the pair is no longer wired and no client is served it.
+IN_FLIGHT = SCALE_PRESETS["tiny"].with_(seed=13, clients_per_repository=7)
+
+
+@pytest.mark.parametrize("policy", FILTERED_POLICIES)
+def test_a_copy_logged_after_its_pairs_unsubscribe_serves_no_client(policy):
+    base = IN_FLIGHT.with_(policy=policy)
+    config = base.with_(churn=schedule_for_config(base, updates=8))
+    network = build_live_network(config)
+    inprocess = run_live(config, network=network)
+    # The case is reached: a served pair's last step stops serving, and
+    # its log holds entries past that step.
+    assert any(
+        steps[-1][1] is None and len(network.log(*pair)) // 2 > steps[-1][0]
+        for pair, steps in network.reconfig.serving.items()
+        if pair in network.setup.client_tolerances
+    )
+    oracle = run_simulation(config.with_(kernel="scalar"))
+    reference = (oracle.counters.client_checks, oracle.counters.client_messages)
+    assert reference[1] > 0
+    for result in (run_simulation(config), inprocess):
+        assert (result.counters.client_checks, result.counters.client_messages) == reference

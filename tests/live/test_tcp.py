@@ -201,7 +201,7 @@ def test_wall_budgets_are_not_options():
     }
     assert keywords(run_fleet) == {
         "config", "workers", "duration", "time_scale", "heartbeat_interval_s",
-        "sever_at_s", "sever_worker", "trace_recorder",
+        "sever_at_s", "trace_recorder",
     }
     assert keywords(FleetSpec) == {
         "config", "n_workers", "duration", "time_scale",

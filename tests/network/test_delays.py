@@ -53,15 +53,6 @@ def test_negative_size_rejected():
         model.sample(np.random.default_rng(0), -1)
 
 
-def test_scaled_keeps_shape():
-    model = ParetoDelayModel(mean_ms=15.0, min_ms=2.0, cap_ms=500.0)
-    scaled = model.scaled(30.0)
-    assert scaled.mean_ms == 30.0
-    assert scaled.min_ms == pytest.approx(4.0)
-    assert scaled.cap_ms == pytest.approx(1000.0)
-    assert scaled.alpha == pytest.approx(model.alpha)
-
-
 def test_sampling_is_deterministic_given_rng():
     model = ParetoDelayModel()
     a = model.sample(np.random.default_rng(3), 100)

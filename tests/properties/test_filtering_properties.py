@@ -217,7 +217,8 @@ def test_array_source_tagger_matches_scalar_tagger(cs, values, initial):
         scalar.add_tolerance(0, c, initial)
     unique = scalar.unique_tolerances(0)
     array = StaircaseTagger()
-    array.add_item(0, unique, initial)
+    for c in unique:
+        array.add_tolerance(0, c, initial)
     for value in values:
         assert array.examine(0, value) == scalar.examine(0, value)
 
@@ -330,7 +331,7 @@ def test_staircase_tagger_follows_the_scalar_tagger_through_rewires(
     edges = [k / 100.0 for k in grid]
     for c in edges:
         scalar.add_tolerance(0, c, pool[0])
-    stairs.add_item(0, edges, pool[0])
+        stairs.add_tolerance(0, c, pool[0])
 
     def check_state():
         unique = scalar.unique_tolerances(0)

@@ -96,7 +96,7 @@ def test_shard_plan_is_total_and_balanced(tiny_setup, n_workers):
         pytest.skip("more workers than nodes is a configuration error")
     plan = plan_shards(tiny_setup, n_workers)
     assert set(plan.owner) == set(tiny_setup.graph.nodes)
-    sizes = plan.shard_sizes()
+    sizes = [len(plan.nodes_of(w)) for w in range(n_workers)]
     assert sum(sizes) == n_nodes
     assert min(sizes) >= 1
     assert max(sizes) - min(sizes) <= 1

@@ -21,6 +21,7 @@ from example_counts import examples
 from repro.core.dissemination.filtering import FILTERED_POLICIES, EdgeFilter
 from repro.core.metrics import CostCounters
 from repro.live.nodes import RepositoryNode
+from repro.sim.queueing import FifoStation
 
 NODE, ITEM, INITIAL = 3, 0, 100.0
 
@@ -29,6 +30,18 @@ _value = st.sampled_from([INITIAL + step * 0.05 for step in range(-4, 5)])
 _tolerance = st.floats(min_value=0.01, max_value=0.3, allow_nan=False)
 #: Serving tolerance per dependent, in edge order.
 _edges = st.lists(_tolerance, max_size=6)
+
+
+class CountingStation(FifoStation):
+    """A node's station that counts the jobs submitted to it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.jobs = 0
+
+    def submit(self, arrival: float, service_time: float) -> float:
+        self.jobs += 1
+        return super().submit(arrival, service_time)
 
 
 def _charge_per_edge(counters, filters, value, tag, parent_receive_c, is_source):
@@ -53,6 +66,7 @@ def test_one_forward_call_leaves_what_per_edge_charging_leaves(
     policy, edges, values, tag, parent_receive_c, is_source
 ):
     node = RepositoryNode(NODE, 0.0125, CostCounters(), {ITEM: parent_receive_c})
+    node.station = CountingStation()
     for child, c_serve in enumerate(edges):
         node.add_edge(
             ITEM, 10 + child, c_serve, EdgeFilter(policy, c_serve, INITIAL), 0.015
@@ -74,7 +88,7 @@ def test_one_forward_call_leaves_what_per_edge_charging_leaves(
         # And the rows it emitted are the messages it charged for.
         assert len(rows) == reference.messages - charged
     # Only forwarded copies queue.
-    assert reference.messages == node.station.jobs_served
+    assert reference.messages == node.station.jobs
     if not edges:
         assert node.counters.per_node_checks == {}  # no key created
     if not node.counters.messages:

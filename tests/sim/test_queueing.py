@@ -28,7 +28,7 @@ def test_station_goes_idle_between_bursts():
 def test_zero_service_time_passes_through():
     station = FifoStation()
     assert station.submit(5.0, 0.0) == 5.0
-    assert station.busy_until == 5.0
+    assert station.submit(5.0, 1.0) == 6.0  # no backlog left behind
 
 
 def test_negative_arrival_rejected():
@@ -47,7 +47,7 @@ def test_nan_arrival_rejected():
     station = FifoStation()
     with pytest.raises(SimulationError, match="arrival must be non-negative"):
         station.submit(float("nan"), 1.0)
-    assert station.jobs_served == 0 and station.busy_until == 0.0
+    assert station.submit(0.0, 1.0) == 1.0  # nothing queued
 
 
 def test_nan_service_rejected():
@@ -56,15 +56,14 @@ def test_nan_service_rejected():
     station = FifoStation()
     with pytest.raises(SimulationError, match="service_time must be non-negative"):
         station.submit(1.0, float("nan"))
-    assert station.jobs_served == 0 and station.busy_until == 0.0
+    assert station.submit(0.0, 1.0) == 1.0  # nothing queued
 
 
 def test_jobs_and_busy_time_accounting():
     station = FifoStation()
-    station.submit(0.0, 1.0)
-    station.submit(0.0, 2.0)
-    assert station.jobs_served == 2
-    assert station.busy_time == 3.0
+    assert station.submit(0.0, 1.0) == 1.0
+    assert station.submit(0.0, 2.0) == 3.0  # busy time of both jobs adds up
+    assert station.submit(3.0, 1.0) == 4.0  # and none is left over
 
 
 def test_saturation_grows_backlog_linearly():

@@ -7,12 +7,15 @@ are exempt: the package itself, its ``__main__`` and the experiment
 modules the registry loads by name.  A module only tests or examples
 reach is dead weight on every reader of ``src/``.
 
-The same holds one level down: every public top-level function and
-class must be *used* -- read as a name or an attribute -- somewhere in
+The same holds one and two levels down: every public top-level
+function and class, and every public method and property of a public
+class, must be *used* -- read as a name or an attribute -- somewhere in
 ``src/repro``, the CLI included.  An ``import`` or an ``__all__`` entry
 alone is no use: a package re-exporting a name does not call it.  The
 few public names kept for callers outside ``src/`` are listed in
-:data:`KEPT_FOR_OUTSIDE_CALLERS`, each with its reason.
+:data:`KEPT_FOR_OUTSIDE_CALLERS` (a member as ``Class.member``), each
+with its reason.  A member counts as used when its name is read as an
+attribute anywhere, whatever the object: the scan is by name.
 
 The scan reads source text only; it imports nothing.
 """
@@ -81,18 +84,35 @@ KEPT_FOR_OUTSIDE_CALLERS = {
     "format_explanation": "documented `repro.obs` API the explain tests render with",
     "ConstantDelayModel": "documented delay-model API the network tests drive",
     "full_transfer_cost": "the anti-entropy baseline the fleet tests compare with",
+    "SimulationBase.delivery_log": "the perf ledger's frozen fidelity probe re-scores from it",
+    "RepositoryNode.on_message": "the perf ledger's frozen on_message_ns probe times it",
+    "Forward.from_update": "the perf ledger's frozen frame probe builds its frame with it",
+    "ShardPlan.worker_of": "the perf ledger's frozen fleet workload counts cut edges",
+    "SimulationResult.fidelity": "the paper's metric (100 - loss), the documented result field",
+    "LiveRunResult.fidelity": "mirrors SimulationResult.fidelity, field for field",
 }
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def public_definitions() -> list[tuple[str, str]]:
-    """``(name, module)`` for every public top-level function and class."""
-    return [
-        (node.name, module_name(path))
-        for path in PACKAGE.rglob("*.py")
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    ]
+    """``(name, module)`` for every public top-level function and class,
+    and ``(Class.member, module)`` for every public method and property
+    of a public class."""
+    found = []
+    for path in PACKAGE.rglob("*.py"):
+        module = module_name(path)
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (*FUNCTIONS, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found.append((node.name, module))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (f"{node.name}.{member.name}", module)
+                    for member in node.body
+                    if isinstance(member, FUNCTIONS) and not member.name.startswith("_")
+                )
+    return found
 
 
 def used_names() -> set[str]:
@@ -109,7 +129,11 @@ def used_names() -> set[str]:
 
 def test_every_public_function_and_class_is_used_in_src():
     used = used_names()
-    unused = {(name, module) for name, module in public_definitions() if name not in used}
+    unused = {
+        (name, module)
+        for name, module in public_definitions()
+        if name.rpartition(".")[2] not in used
+    }
     kept = {(name, module) for name, module in unused if name in KEPT_FOR_OUTSIDE_CALLERS}
     assert sorted(unused - kept) == []
     # A kept name that src/ uses, or that is gone, leaves the list.
