@@ -4,8 +4,9 @@ Two measurements over the tiny-preset workload:
 
 - **reconfiguration overhead**: wall-clock of a churned run (3 joins,
   3 departures, 3 coherency changes) against the static run of the same
-  config.  Each churn event applies DynamicMembership, diffs the graph
-  and rewires the live kernel; the assertion bounds that machinery to a
+  config.  Each churn event makes one LeLA call on the reconfiguration
+  core, diffs the new graph against what is wired and rewires the
+  kernel; the assertion bounds that machinery to a
   small multiple of the static run so reconfiguration can never silently
   become the dominant cost.
 - **parallel bit-identity**: a churned degree sweep through

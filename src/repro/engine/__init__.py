@@ -23,12 +23,7 @@ from repro.engine.churn import (
     synthetic_schedule,
 )
 from repro.engine.config import KERNELS, SCALE_PRESETS, SimulationConfig
-from repro.engine.builder import (
-    SimulationSetup,
-    build_setup,
-    make_adaptive_controller,
-    make_membership,
-)
+from repro.engine.builder import SimulationSetup, build_setup
 from repro.engine.failures import (
     FailureEvent,
     FailureSchedule,
@@ -50,7 +45,6 @@ __all__ = [
     "KERNELS",
     "SimulationSetup",
     "build_setup",
-    "make_membership",
     "SimulationResult",
     "DisseminationSimulation",
     "VectorizedSimulation",
@@ -69,6 +63,5 @@ __all__ = [
     "AdaptiveController",
     "AdaptivePolicy",
     "DriftEstimator",
-    "make_adaptive_controller",
     "parse_adaptive_spec",
 ]

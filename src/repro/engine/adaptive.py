@@ -7,9 +7,9 @@ traffic drift a static graph is blind to: a subtree sized for the
 calibration traffic becomes a hotspot when its items burst.  This module
 closes the loop -- it watches the per-node traffic the running kernel
 already counts, estimates drift over sliding windows, and when the drift
-exceeds a configurable threshold it re-runs LeLA with the observed load
-folded into the level ranking (:func:`repro.core.lela.build_d3g` with
-``node_load``) and applies only the edge-level
+exceeds a configurable threshold the run re-runs LeLA with the observed
+load folded into the level ranking (:func:`repro.core.lela.build_d3g`
+with ``node_load``) and applies only the edge-level
 :class:`~repro.core.dynamics.ReconfigurationDiff` through the same
 live-rewiring path churn and failover use.  Every applied rewire is
 charged into ``CostCounters.reconfigurations`` /
@@ -20,19 +20,19 @@ Determinism contract: the controller consumes only per-node cumulative
 message counts at kernel-scheduled tick instants, and both kernels
 process the identical event set before any tick fires (ticks win
 same-instant ties against trace deliveries, exactly like failure
-events).  The re-optimization itself replays LeLA over the original
-insertion order with a fresh ``lela`` stream seeded from the config, so
-a :class:`~repro.engine.config.SimulationConfig` carrying an
+events).  The re-optimization itself re-runs LeLA over the current
+members in join order with a fresh ``lela`` stream seeded from the
+config, so a :class:`~repro.engine.config.SimulationConfig` carrying an
 :class:`AdaptivePolicy` still *fully determines* its result -- scalar,
 vectorized and the live in-process transport all make bit-identical
 rewiring decisions.
 
-The controller proposes graphs; it does not wire them.  In a run that
-also churns or fails, the reconfiguration core
-(:mod:`repro.engine.reconfig`) rebinds :attr:`AdaptiveController.graph`
-and :attr:`AdaptiveController.profiles` to the current graph and members
-before each tick, and wires what comes back by the same rule as a churn
-rebuild (the interaction matrix is documented in
+The controller is the drift gate alone: it holds no graph and no
+members.  It says *whether* a tick re-optimizes and under which load;
+the reconfiguration core (:mod:`repro.engine.reconfig`), which owns the
+current graph and members, makes the LeLA call and wires the result by
+the same rule as a churn rebuild (``docs/architecture/engine.md``, "One
+owner for the graph"; the interaction matrix is in
 ``docs/architecture/adaptive.md``).
 """
 
@@ -42,11 +42,7 @@ from dataclasses import dataclass
 
 import math
 
-from repro.core.dynamics import ReconfigurationDiff, edges_of
-from repro.core.lela import build_d3g
-from repro.core.preference import get_preference_function
 from repro.errors import ConfigurationError
-from repro.sim.rng import RandomStreams
 
 __all__ = [
     "AdaptivePolicy",
@@ -160,18 +156,16 @@ class DriftEstimator:
 
 
 class AdaptiveController:
-    """Drift-triggered LeLA re-optimization over a built setup.
+    """The drift gate of one run: whether a tick re-optimizes.
 
-    One controller instance belongs to one run (scalar kernel,
-    vectorized kernel or live network); it owns the *current* graph --
-    initially ``setup.graph``, rebound on every applied rewire -- while
-    the setup itself stays read-only and shareable.
+    One controller instance belongs to one run (engine, oracle or live
+    network).  It folds each tick's cumulative per-node message counts
+    into a :class:`DriftEstimator` and lets a re-optimization through
+    when a node's drift crosses the threshold and neither the cooldown
+    nor the rewire cap vetoes; the reconfiguration core rebuilds and
+    reports back (:meth:`rewired`) only when the rebuild changed edges.
 
     Attributes:
-        graph: The current dissemination graph (never mutated in place;
-            rebuilds rebind it).
-        profiles: The members LeLA re-runs over, in insertion order
-            (initially every repository, ascending).
         policy: The driving :class:`AdaptivePolicy`.
         ticks: Drift evaluations performed.
         triggered: Ticks whose drift crossed the threshold.
@@ -179,21 +173,8 @@ class AdaptiveController:
             cooldown and cap permitting).
     """
 
-    def __init__(self, setup, policy: AdaptivePolicy | None = None) -> None:
-        config = setup.config
-        self.policy = policy if policy is not None else config.adaptive
-        if self.policy is None:
-            raise ConfigurationError(
-                "AdaptiveController needs an AdaptivePolicy (config.adaptive)"
-            )
-        self.graph = setup.graph
-        self._source = setup.source
-        self._delay_ms = setup.network.delay_ms
-        self._degree = setup.effective_degree
-        self._preference = get_preference_function(config.preference)
-        self._p_percent = config.p_percent
-        self._seed = config.seed
-        self.profiles = [setup.profiles[r] for r in sorted(setup.profiles)]
+    def __init__(self, policy: AdaptivePolicy) -> None:
+        self.policy = policy
         self._estimator = DriftEstimator()
         self._last_rewire: float | None = None
         self.ticks = 0
@@ -217,8 +198,8 @@ class AdaptiveController:
             t += self.policy.window
         return times
 
-    def on_tick(self, now: float, per_node_messages: dict[int, int]) -> ReconfigurationDiff | None:
-        """Evaluate drift at ``now``; return the diff to apply, if any.
+    def on_tick(self, now: float, per_node_messages: dict[int, int]) -> dict[int, float] | None:
+        """Evaluate drift at ``now``; return the load to re-optimize under.
 
         Args:
             now: Simulated time of the tick.
@@ -226,9 +207,10 @@ class AdaptiveController:
                 at this instant (``CostCounters.per_node_messages``).
 
         Returns:
-            The edge-level diff of an applied re-optimization, or
-            ``None`` when nothing crossed the threshold, the cooldown
-            or rewire cap vetoed, or the rebuild changed no edges.
+            ``node -> observed load`` for LeLA's level ranking (the hot
+            nodes' drifts, or every node's under ``scope="global"``), or
+            ``None`` when nothing crossed the threshold or the cooldown
+            or rewire cap vetoed.
         """
         policy = self.policy
         self.ticks += 1
@@ -247,28 +229,14 @@ class AdaptiveController:
         if policy.max_rewires and self.rewires >= policy.max_rewires:
             return None
         if policy.scope == "subtree":
-            load = {node: drifts[node] for node in hot}
-        else:
-            load = dict(drifts)
-        new_graph = build_d3g(
-            profiles=self.profiles,
-            source=self._source,
-            comm_delay_ms=self._delay_ms,
-            offered_degree=self._degree,
-            preference=self._preference,
-            p_percent=self._p_percent,
-            rng=RandomStreams(self._seed).stream("lela"),
-            node_load=load,
-        )
-        before = edges_of(self.graph)
-        after = edges_of(new_graph)
-        diff = ReconfigurationDiff(added=after - before, removed=before - after)
-        if diff.unchanged_is_cheap:
-            return None
-        self.graph = new_graph
+            return {node: drifts[node] for node in hot}
+        return dict(drifts)
+
+    def rewired(self, now: float) -> None:
+        """Count a re-optimization applied at ``now`` (cooldown and cap
+        count only these)."""
         self.rewires += 1
         self._last_rewire = now
-        return diff
 
 
 #: ``parse_adaptive_spec`` key -> (coercion, AdaptivePolicy field).

@@ -20,27 +20,18 @@ import numpy as np
 
 from repro.core.cooperation import coop_degree
 from repro.core.dissemination.filtering import validate_tolerance
-from repro.core.dynamics import DynamicMembership
 from repro.core.interests import InterestProfile, generate_interests
 from repro.core.items import CoherencyMix, DataItem
-from repro.core.lela import build_d3g
-from repro.core.preference import get_preference_function
 from repro.core.tree import DisseminationGraph
-from repro.engine.adaptive import AdaptiveController
 from repro.engine.config import SimulationConfig
-from repro.errors import ConfigurationError
+from repro.engine.reconfig import LelaInputs
 from repro.network.delays import ParetoDelayModel
 from repro.network.model import NetworkModel, build_network
 from repro.sim.rng import RandomStreams
 from repro.traces.model import Trace
 from repro.traces.schedule import UpdateSchedule
 
-__all__ = [
-    "SimulationSetup",
-    "build_setup",
-    "make_membership",
-    "make_adaptive_controller",
-]
+__all__ = ["SimulationSetup", "build_setup"]
 
 
 @dataclass
@@ -101,73 +92,6 @@ def _build_network(config: SimulationConfig, streams: RandomStreams) -> NetworkM
         delay_model=delay_model,
         avg_degree=config.avg_degree,
     )
-
-
-def _initial_membership(
-    config: SimulationConfig,
-    network: NetworkModel,
-    profiles: dict[int, InterestProfile],
-    effective_degree: int,
-) -> DynamicMembership:
-    """A fresh membership with the schedule's initial members joined."""
-    membership = DynamicMembership(
-        source=network.source,
-        comm_delay_ms=network.delay_ms,
-        offered_degree=effective_degree,
-        preference=get_preference_function(config.preference),
-        p_percent=config.p_percent,
-        seed=config.seed,
-    )
-    config.churn.validate_items(config.n_items)
-    initial = config.churn.initial_members(profiles)
-    # The replay is known-good (the same joins either already validated
-    # in build_setup or will, below): validate once, not per insert.
-    for repo in initial:
-        membership.join(profiles[repo], validate=False)
-    membership.validate()
-    return membership
-
-
-def make_membership(setup: "SimulationSetup") -> DynamicMembership:
-    """Rebuild the initial :class:`DynamicMembership` for a churn run.
-
-    The simulation constructs its *own* membership (rather than reusing
-    one stored on the setup) because churn mutates the membership's
-    graph mid-run: a shared, recycled setup must stay read-only so that
-    sweep recycling and session-scoped fixtures remain sound.  The
-    replay is deterministic, so the rebuilt membership's graph is
-    bit-identical to ``setup.graph`` -- and with validation batched it
-    costs well under 1% of one simulation run, so isolation is cheap.
-
-    Raises:
-        ConfigurationError: when the setup's config carries no churn
-            schedule.
-    """
-    if setup.config.churn is None:
-        raise ConfigurationError("make_membership needs a config with churn set")
-    return _initial_membership(
-        setup.config, setup.network, setup.profiles, setup.effective_degree
-    )
-
-
-def make_adaptive_controller(setup: "SimulationSetup") -> AdaptiveController:
-    """Fresh :class:`AdaptiveController` for an adaptive run.
-
-    Like :func:`make_membership`, each run constructs its *own*
-    controller: applied rewires rebind the controller's graph mid-run,
-    and a shared, recycled setup must stay read-only for sweep
-    recycling and session-scoped fixtures to remain sound.  The
-    controller starts from ``setup.graph`` and only reads the setup.
-
-    Raises:
-        ConfigurationError: when the setup's config carries no adaptive
-            policy.
-    """
-    if setup.config.adaptive is None:
-        raise ConfigurationError(
-            "make_adaptive_controller needs a config with adaptive set"
-        )
-    return AdaptiveController(setup)
 
 
 _NETWORK_FIELDS = (
@@ -340,22 +264,22 @@ def build_setup(
     else:
         effective = config.offered_degree
 
+    lela = LelaInputs.of(config, network, effective)
     if config.churn is not None:
-        # Churn runs build the initial graph through DynamicMembership so
-        # that mid-run departures/coherency changes can rebuild in the
-        # same join order with the same seeding; the schedule is also
-        # validated against the repository pool here, before any
-        # simulation work happens.
-        graph = _initial_membership(config, network, profiles, effective).graph
+        # A churn run's initial members join one by one, by the call a
+        # mid-run join makes, so that a later join, departure or
+        # requirement change continues the same join order and seeding;
+        # the schedule is validated against the repository pool here,
+        # before any simulation work happens.
+        config.churn.validate_items(config.n_items)
+        members = config.churn.initial_members(profiles)
+        graph = DisseminationGraph(network.source)
+        for count, repo in enumerate(members, start=1):
+            lela.insert(graph, profiles[repo], members[:count])
+        graph.validate(max_dependents=lela.budgets(members))
     else:
-        graph = build_d3g(
-            profiles=[profiles[r] for r in sorted(profiles)],
-            source=network.source,
-            comm_delay_ms=network.delay_ms,
-            offered_degree=effective,
-            preference=get_preference_function(config.preference),
-            p_percent=config.p_percent,
-            rng=streams.stream("lela"),
+        graph = lela.build(
+            [profiles[r] for r in sorted(profiles)], streams.stream("lela")
         )
 
     return SimulationSetup(

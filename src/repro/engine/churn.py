@@ -1,14 +1,14 @@
 """Mid-run churn schedules: timed joins, departures and coherency changes.
 
 Section 4 of the paper prescribes *reapplying* the dissemination
-algorithm whenever a repository's data or coherency needs change;
-:mod:`repro.core.dynamics` implements that reapplication offline.  This
+algorithm whenever a repository's data or coherency needs change.  This
 module makes churn a first-class simulation input: a
 :class:`ChurnSchedule` is an immutable, hashable sequence of
-:class:`ChurnEvent` instants that the engine executes *mid-run* --
-applying :class:`~repro.core.dynamics.DynamicMembership`, diffing the
-dissemination graph, and rewiring only the changed service edges in the
-live kernel.
+:class:`ChurnEvent` instants that every plane executes *mid-run*
+through the :class:`~repro.engine.reconfig.ReconfigurationCore` -- one
+LeLA call per event on the core's current graph and members (a join
+inserts, a departure or an update rebuilds in join order), then only
+the changed service edges rewired in the running network.
 
 Semantics:
 

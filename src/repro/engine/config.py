@@ -110,9 +110,10 @@ class SimulationConfig:
             and coherency changes; see :mod:`repro.engine.churn`).
             ``None`` -- or an empty schedule, which is normalised to
             ``None`` -- reproduces the paper's static membership.  When
-            events are present, the initial graph is built through
-            :class:`~repro.core.dynamics.DynamicMembership` so mid-run
-            rebuilds replay the same join order.
+            events are present, the initial members join the initial
+            graph one by one, by the call a mid-run join makes, so
+            mid-run rebuilds keep the same join order
+            (:class:`~repro.engine.reconfig.LelaInputs`).
         failures: Optional unplanned-failure schedule (repository
             crash/recover events, link down/up windows; see
             :mod:`repro.engine.failures`).  ``None`` -- or an empty

@@ -16,14 +16,15 @@ dependent's home is (``home_parent``), who is a member, ``crashed`` or
 fidelity-scoring ``segments``, the one current ``graph`` -- and all the
 *rules*.  The three sources compose because they share them:
 
-- a churn event (:class:`~repro.core.dynamics.DynamicMembership`) and
-  an adaptive rewire (:class:`~repro.engine.adaptive.AdaptiveController`)
-  each *propose* the next graph -- a join inserts into the current
-  graph, a departure or a requirement change re-runs LeLA over the
-  current members, a rewire re-optimizes them under load -- and one
-  rule wires it (:meth:`~ReconfigurationCore._retarget`):
-  the proposed graph's edges, every crashed parent replaced by its
-  nearest non-crashed ancestor, diffed against what is *wired*;
+- a churn event and an adaptive rewire each make one LeLA call
+  (:class:`LelaInputs`) for the next graph -- a join inserts into a
+  copy of the current graph, a departure or a requirement change
+  re-runs LeLA over the current members, a drift tick the
+  :class:`~repro.engine.adaptive.AdaptiveController` lets through
+  re-optimizes them under load -- and one rule wires it
+  (:meth:`~ReconfigurationCore._retarget`): the new graph's edges,
+  every crashed parent replaced by its nearest non-crashed ancestor,
+  diffed against what is *wired*;
 - a crash fails the orphaned dependents over to the nearest live
   ancestor; a recovery resyncs only the copies that diverged (one
   compare round, then transfer -- the ``setdiscovery`` shape) and then
@@ -64,24 +65,99 @@ time-ordered list of control instants; a plane applies each entry
 
 from __future__ import annotations
 
+import copy
 import weakref
-from typing import Protocol
+from dataclasses import dataclass
+from typing import Callable, Protocol
+
+import numpy as np
 
 from repro.core.dissemination.filtering import Staircase
-from repro.core.dynamics import ReconfigurationDiff
+from repro.core.dynamics import ReconfigurationDiff, edges_of
 from repro.core.fidelity import (
     FidelityAccumulator,
     scoring_windows,
     segmented_losses,
 )
 from repro.core.interests import InterestProfile
+from repro.core.lela import LelaBuilder, build_d3g
 from repro.core.metrics import CostCounters
-from repro.engine.builder import make_adaptive_controller, make_membership
+from repro.core.preference import PreferenceFunction, get_preference_function
+from repro.core.tree import DisseminationGraph
+from repro.engine.adaptive import AdaptiveController
 from repro.engine.churn import ChurnEvent
 from repro.engine.failures import FailureEvent
 from repro.errors import SimulationError
+from repro.sim.rng import RandomStreams
 
-__all__ = ["EdgeStore", "ReconfigurationCore"]
+__all__ = ["EdgeStore", "LelaInputs", "ReconfigurationCore"]
+
+
+@dataclass(frozen=True)
+class LelaInputs:
+    """A run's LeLA inputs, held once, and the two calls made with them.
+
+    Section 4 reapplies LeLA to the current membership; churn and drift
+    differ only in the step they take.  A join inserts the newcomer into
+    a graph (:meth:`insert`: LeLA is online); a departure, a requirement
+    change and a drift tick rebuild over the members in join order
+    (:meth:`build`), the first two with ``default_rng(seed)``, a tick
+    with the ``lela`` stream and the observed load.
+    """
+
+    source: int
+    delay_ms: Callable[[int, int], float]
+    degree: int
+    preference: PreferenceFunction
+    p_percent: float
+    seed: int
+
+    @classmethod
+    def of(cls, config, network, degree: int) -> "LelaInputs":
+        """The inputs every graph of a run of ``config`` is built with."""
+        return cls(
+            network.source,
+            network.delay_ms,
+            degree,
+            get_preference_function(config.preference),
+            config.p_percent,
+            config.seed,
+        )
+
+    def budgets(self, members) -> dict[int, int]:
+        """Push-connection budgets: ``degree`` for the source and for
+        each of ``members``."""
+        return dict.fromkeys((self.source, *members), self.degree)
+
+    def insert(self, graph: DisseminationGraph, profile: InterestProfile, members) -> None:
+        """Insert ``profile``'s repository into ``graph``, in place.
+
+        ``members`` are the repositories after the join, in join order:
+        they set the budgets and the seed (``seed + len(members)``).
+        """
+        builder = LelaBuilder(
+            source=self.source,
+            comm_delay_ms=self.delay_ms,
+            offered_degree=self.budgets(members),
+            preference=self.preference,
+            p_percent=self.p_percent,
+            rng=np.random.default_rng(self.seed + len(members)),
+        )
+        builder.graph = graph
+        builder.insert(profile)
+
+    def build(self, profiles, rng, node_load=None) -> DisseminationGraph:
+        """A fresh, validated graph over ``profiles`` in join order."""
+        return build_d3g(
+            profiles,
+            self.source,
+            self.delay_ms,
+            self.degree,
+            self.preference,
+            self.p_percent,
+            rng=rng,
+            node_load=node_load,
+        )
 
 
 class EdgeStore(Protocol):
@@ -129,19 +205,19 @@ class ReconfigurationCore:
         profiles: ``repository -> InterestProfile`` (scoring segments,
             and the profile a requirement-less join comes back with).
         churn: The run's :class:`~repro.engine.churn.ChurnSchedule`.
-        membership: This run's own
-            :class:`~repro.core.dynamics.DynamicMembership` (with churn).
         failures: The run's
             :class:`~repro.engine.failures.FailureSchedule`.
         adaptive: This run's own
             :class:`~repro.engine.adaptive.AdaptiveController`.
+        lela: The run's :class:`LelaInputs` (with churn or adaptive).
 
     Attributes:
-        graph: The current graph: what every rebuild starts from,
-            rebound by each one that is wired.
+        graph: The current graph, never mutated: a join inserts into a
+            copy, and each graph that is wired is rebound here.
         source: The node that roots every item's tree.
         members: ``repository -> InterestProfile``, the current members
-            in join order with their current requirements.
+            in join order with their current requirements (initially
+            the graph's repositories, in graph order).
         parent_of: ``(child, item) -> (parent, serve coherency)`` for
             every wired edge, kept current by :meth:`apply_diff`.
         home_parent: ``(child, item) -> parent`` in :attr:`graph`;
@@ -171,9 +247,9 @@ class ReconfigurationCore:
         profiles: dict[int, InterestProfile],
         *,
         churn=None,
-        membership=None,
         failures=None,
         adaptive=None,
+        lela: LelaInputs | None = None,
     ) -> None:
         # The plane owns its core, never the reverse: a proxy keeps the
         # pair acyclic, so a finished run (arrays, logs and all) is freed
@@ -183,9 +259,9 @@ class ReconfigurationCore:
         self.counters = counters
         self.profiles = profiles
         self.churn = churn
-        self.membership = membership
         self.failures = failures
         self.adaptive = adaptive
+        self.lela = lela
         self.observer = None
         self.crashed: set[int] = set()
         self.departed: set[int] = set()
@@ -200,8 +276,7 @@ class ReconfigurationCore:
         }
         self.home_parent = {key: edge[0] for key, edge in self.parent_of.items()}
         self.serving: dict[tuple[int, int], list[tuple]] = {}
-        joined = sorted(profiles) if membership is None else membership.members
-        self.members = {repo: profiles[repo] for repo in joined}
+        self.members = {repo: profiles[repo] for repo in graph.nodes if repo != source}
         self.segments: dict[tuple[int, int], list[list]] = {}
         for repo, profile in profiles.items():
             if repo not in self.members:
@@ -213,23 +288,20 @@ class ReconfigurationCore:
     def for_setup(cls, setup, store, counters) -> "ReconfigurationCore":
         """The core for one run of ``setup.config`` on ``store``.
 
-        The membership and the adaptive controller are built fresh per
-        run (both rebuild graphs mid-run; a shared setup must stay
-        read-only), and deterministically, so every plane starts from a
-        graph bit-identical to ``setup.graph``.
+        Every run starts from ``setup.graph`` itself: no run mutates a
+        graph, so a shared setup stays read-only.
         """
         config = setup.config
-        membership = make_membership(setup) if config.churn is not None else None
         return cls(
             store,
             counters,
-            setup.graph if membership is None else membership.graph,
+            setup.graph,
             setup.source,
             setup.profiles,
             churn=config.churn,
-            membership=membership,
             failures=config.failures,
-            adaptive=make_adaptive_controller(setup) if config.adaptive is not None else None,
+            adaptive=None if config.adaptive is None else AdaptiveController(config.adaptive),
+            lela=LelaInputs.of(config, setup.network, setup.effective_degree),
         )
 
     def wire_initial(self, traces) -> None:
@@ -496,7 +568,7 @@ class ReconfigurationCore:
     def extras(self) -> dict:
         """What each of the run's sources did, as result extras."""
         extras: dict = {}
-        if self.membership is not None:
+        if self.churn is not None:
             extras["churn_events"] = len(self.churn)
             extras["final_members"] = len(self.members)
         if self.failures is not None:
@@ -516,33 +588,38 @@ class ReconfigurationCore:
     def _on_churn(self, event: ChurnEvent, now: float) -> None:
         """Apply one membership change to the running network."""
         repo = event.repository
-        membership = self.membership
+        lela = self.lela
         profile = event.profile()
         if profile is None:  # a departure, or a join without requirements
             profile = self.profiles[repo]
         resync: frozenset = frozenset()
-        if event.kind == "depart":
-            membership.leave(repo)
-            self.departed.add(repo)
-            del self.members[repo]
-        elif event.kind == "join":
+        if event.kind == "join":
             if repo in self.departed:
                 # A rejoining repository comes back with stale state: it
                 # must receive deliveries again and initial-sync fresh
                 # copies rather than resume from its pre-departure ones.
                 self.departed.discard(repo)
                 resync = frozenset((repo,))
-            # A join inserts into what is current (an adaptive rewire
-            # included); a departure or an update re-runs LeLA over the
-            # members in join order, from scratch.
-            membership.graph = self.graph
-            membership.join(profile)
             self.members[repo] = profile
-        else:  # coherency / data-needs change
-            membership.update_requirements(profile)
-            self.members[repo] = profile
+            # LeLA is online: a join inserts into what is current (an
+            # adaptive rewire included), on a copy -- a graph another
+            # run or an earlier instant can see is never mutated.
+            graph = copy.deepcopy(self.graph)
+            lela.insert(graph, profile, self.members)
+            graph.validate(max_dependents=lela.budgets(self.members))
+        else:
+            if event.kind == "depart":
+                self.departed.add(repo)
+                del self.members[repo]
+            else:  # coherency / data-needs change
+                self.members[repo] = profile
+            # The algorithm is reapplied: LeLA over the members in join
+            # order, from scratch.
+            graph = lela.build(
+                list(self.members.values()), np.random.default_rng(lela.seed)
+            )
         self._owe(repo, now)
-        self._retarget(membership.graph, now, resync)
+        self._retarget(graph, now, resync)
 
     # ------------------------------------------------------------------
     # Unplanned failures
@@ -641,10 +718,22 @@ class ReconfigurationCore:
     def _on_tick(self, now: float) -> None:
         """One drift evaluation; wire the re-optimized graph if one fires."""
         adaptive = self.adaptive
-        # Re-optimize what is current: the graph and the members in join
-        # order with their current profiles.
-        adaptive.graph, adaptive.profiles = self.graph, list(self.members.values())
-        diff = adaptive.on_tick(now, self.store.message_counts())
+        load = adaptive.on_tick(now, self.store.message_counts())
+        graph = None
+        if load is not None:
+            # Re-optimize what is current: the members in join order with
+            # their current profiles, under the observed load.  A rebuild
+            # that changes no edge is not a rewire.
+            lela = self.lela
+            graph = lela.build(
+                list(self.members.values()),
+                RandomStreams(lela.seed).stream("lela"),
+                node_load=load,
+            )
+            if edges_of(graph) == edges_of(self.graph):
+                graph = None
+            else:
+                adaptive.rewired(now)
         metrics = getattr(self.observer, "metrics", None)
         if metrics is not None:
             metrics.counter("adaptive.ticks").inc()
@@ -656,7 +745,7 @@ class ReconfigurationCore:
                 )
                 for value in drifts.values():
                     hist.observe(value)
-            if diff is not None:
+            if graph is not None:
                 metrics.counter("adaptive.rewires").inc()
-        if diff is not None:
-            self._retarget(adaptive.graph, now)
+        if graph is not None:
+            self._retarget(graph, now)

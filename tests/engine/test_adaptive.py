@@ -3,7 +3,7 @@
 Covers the pieces below the kernels: policy validation and CLI-spec
 parsing, the drift estimator's windowing arithmetic, the controller's
 trigger/cooldown/cap gates, the load-aware LeLA hook, and the config
-plumbing (composition with churn and failures, builder factory).
+plumbing (composition with churn and failures).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.engine.adaptive import (
     DriftEstimator,
     parse_adaptive_spec,
 )
-from repro.engine.builder import build_setup, make_adaptive_controller
+from repro.engine.builder import build_setup
 from repro.engine.churn import ChurnEvent, ChurnSchedule
 from repro.engine.config import SCALE_PRESETS
 from repro.engine.failures import FailureEvent, FailureSchedule
@@ -32,9 +32,9 @@ BASE = SCALE_PRESETS["tiny"].with_(n_items=3, trace_samples=300, seed=3913)
 POLICY = AdaptivePolicy(window=30.0, threshold=0.75)
 
 
-def _adaptive_setup(policy: AdaptivePolicy = POLICY):
+def _adaptive_setup():
     return build_setup(
-        BASE.with_(workload=FlashCrowdWorkload(), adaptive=policy)
+        BASE.with_(workload=FlashCrowdWorkload(), adaptive=POLICY)
     )
 
 
@@ -126,12 +126,6 @@ def test_config_rejects_non_policy_adaptive_value():
         BASE.with_(adaptive="window=30")
 
 
-def test_make_adaptive_controller_requires_adaptive_config():
-    setup = build_setup(BASE)
-    with pytest.raises(ConfigurationError):
-        make_adaptive_controller(setup)
-
-
 # ------------------------------------------------------------- estimator
 
 
@@ -161,8 +155,7 @@ def test_estimator_relative_drift_arithmetic():
 
 
 def test_tick_times_cover_the_span_by_repeated_addition():
-    setup = _adaptive_setup()
-    controller = AdaptiveController(setup)
+    controller = AdaptiveController(POLICY)
     times = controller.tick_times(299.0)
     assert times[0] == 30.0
     assert len(times) == 9
@@ -170,31 +163,30 @@ def test_tick_times_cover_the_span_by_repeated_addition():
     assert controller.tick_times(29.0) == []
 
 
-def test_controller_requires_a_policy():
-    setup = build_setup(BASE)
-    with pytest.raises(ConfigurationError):
-        AdaptiveController(setup)
-
-
 def test_no_drift_means_no_rewire():
-    setup = _adaptive_setup()
-    controller = AdaptiveController(setup)
-    counts = {node: 7 for node in setup.graph.nodes}
+    controller = AdaptiveController(POLICY)
+    counts = {node: 7 for node in range(1, 6)}
     for tick in range(1, 5):
         scaled = {node: value * tick for node, value in counts.items()}
         assert controller.on_tick(30.0 * tick, scaled) is None
     assert controller.ticks == 4
     assert controller.triggered == 0
     assert controller.rewires == 0
-    assert controller.graph is setup.graph
+
+
+def test_the_load_is_the_hot_nodes_drift_or_every_nodes():
+    for scope, load in (("subtree", {1: 9.0}), ("global", {1: 9.0, 2: 0.25})):
+        controller = AdaptiveController(AdaptivePolicy(threshold=0.5, scope=scope))
+        controller.on_tick(30.0, {1: 4, 2: 4})
+        assert controller.on_tick(60.0, {1: 44, 2: 9}) == load
 
 
 def test_cooldown_vetoes_but_counts_the_trigger():
     policy = AdaptivePolicy(window=30.0, threshold=0.5, cooldown=1.0e9)
-    setup = _adaptive_setup(policy)
-    controller = AdaptiveController(setup, policy)
+    controller = AdaptiveController(policy)
     controller.on_tick(30.0, {1: 4})
     first = controller.on_tick(60.0, {1: 40})
+    controller.rewired(60.0)
     vetoed = controller.on_tick(90.0, {1: 400})
     assert first is not None
     assert vetoed is None
@@ -202,26 +194,26 @@ def test_cooldown_vetoes_but_counts_the_trigger():
     assert controller.triggered == 2
 
 
-def test_max_rewires_caps_applied_rewires():
-    policy = AdaptivePolicy(window=30.0, threshold=0.5, max_rewires=1)
-    setup = _adaptive_setup(policy)
-    controller = AdaptiveController(setup, policy)
+def test_only_applied_rewires_start_a_cooldown():
+    # The core reports back only a rebuild that changed edges; a tick let
+    # through but not applied leaves the next one free.
+    policy = AdaptivePolicy(window=30.0, threshold=0.5, cooldown=1.0e9)
+    controller = AdaptiveController(policy)
     controller.on_tick(30.0, {1: 4})
     assert controller.on_tick(60.0, {1: 40}) is not None
+    assert controller.on_tick(90.0, {1: 400}) is not None
+    assert controller.rewires == 0
+
+
+def test_max_rewires_caps_applied_rewires():
+    policy = AdaptivePolicy(window=30.0, threshold=0.5, max_rewires=1)
+    controller = AdaptiveController(policy)
+    controller.on_tick(30.0, {1: 4})
+    assert controller.on_tick(60.0, {1: 40}) is not None
+    controller.rewired(60.0)
     assert controller.on_tick(90.0, {1: 400}) is None
     assert controller.rewires == 1
     assert controller.triggered == 2
-
-
-def test_rewire_diff_is_consistent_with_the_rebound_graph():
-    setup = _adaptive_setup()
-    controller = AdaptiveController(setup)
-    before = edges_of(setup.graph)
-    controller.on_tick(30.0, {1: 4})
-    diff = controller.on_tick(60.0, {1: 400})
-    assert diff is not None
-    assert diff.added.isdisjoint(diff.removed)
-    assert edges_of(controller.graph) == (before - diff.removed) | diff.added
 
 
 # ------------------------------------------------------- load-aware LeLA

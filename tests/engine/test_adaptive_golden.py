@@ -12,7 +12,10 @@ silently change results:
   adaptation that doesn't trigger is free (no cost, no fidelity delta);
 - every adaptive run is bit-identical between the scalar oracle and the
   vectorized kernel (full ``SimulationResult`` dataclass equality), and
-  sweep execution is bit-identical serial vs multiprocess.
+  sweep execution is bit-identical serial vs multiprocess;
+- a run that churns *and* rewires is pinned at two seeds and both exact
+  policies, with the order of its graph changes: a join lands on a
+  rewired graph, and a rewire re-optimizes a churn rebuild.
 """
 
 from __future__ import annotations
@@ -20,9 +23,12 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.adaptive import AdaptivePolicy
+from repro.engine.churn import ChurnEvent, schedule_for_config
 from repro.engine.config import SCALE_PRESETS
+from repro.engine.reconfig import ReconfigurationCore
 from repro.engine.simulation import run_simulation
 from repro.engine.sweep import run_sweep
+from repro.live import run_live
 from repro.workloads import DiurnalWorkload, FlashCrowdWorkload
 
 BASE = SCALE_PRESETS["tiny"].with_(n_items=3, trace_samples=300, seed=3913)
@@ -123,3 +129,81 @@ def test_adaptive_composes_with_message_loss():
     assert scalar.counters.deliveries + scalar.counters.drops == (
         scalar.counters.messages
     )
+
+
+#: Churn and adaptive rewiring composed on ``tiny``: (loss as
+#: ``float.hex``, messages, resubscriptions, rewires, the run's graph
+#: changes in order), recorded before the reconfiguration core became the
+#: one owner of the current graph and members.
+COMPOSED = {
+    (1, "distributed"): ("0x1.6b9a001c39056p-1", 2847, 751, 8,
+                         "rewire rewire rewire join rewire rewire rewire rewire "
+                         "update rewire join depart depart update"),
+    (1, "centralized"): ("0x1.20b43d935b08cp-1", 3067, 689, 8,
+                         "rewire rewire rewire join rewire rewire rewire rewire "
+                         "update rewire join depart depart update"),
+    (201, "distributed"): ("0x1.0ba5edd14566ep+0", 1809, 582, 8,
+                           "rewire rewire rewire rewire rewire rewire rewire rewire "
+                           "join update join update depart depart"),
+    (201, "centralized"): ("0x1.5ea0a7f318052p-1", 1829, 526, 8,
+                           "rewire rewire rewire rewire rewire rewire rewire rewire "
+                           "join update join update depart depart"),
+}
+
+
+def _graph_changes(monkeypatch):
+    """Record each applied churn event's kind and each applied rewire, in
+    the order the core makes them."""
+    changes: list[str] = []
+    apply = ReconfigurationCore.apply
+
+    def recording(core, now, event):
+        rewires = core.adaptive.rewires
+        apply(core, now, event)
+        if event is None:
+            if core.adaptive.rewires > rewires:
+                changes.append("rewire")
+        elif isinstance(event, ChurnEvent):
+            changes.append(event.kind)
+
+    monkeypatch.setattr(ReconfigurationCore, "apply", recording)
+    return changes
+
+
+@pytest.mark.parametrize("seed, policy", sorted(COMPOSED))
+def test_churn_composed_with_rewires_golden_values(seed, policy, monkeypatch):
+    base = SCALE_PRESETS["tiny"].with_(
+        seed=seed, policy=policy, workload=FlashCrowdWorkload()
+    )
+    config = base.with_(
+        churn=schedule_for_config(base, joins=2, departs=2, updates=2),
+        adaptive=AdaptivePolicy(window=20.0, threshold=0.3),
+    )
+    changes = _graph_changes(monkeypatch)
+    engine = run_simulation(config)
+    order = " ".join(changes)
+    changes.clear()
+    oracle = run_simulation(config.with_(kernel="scalar"))
+    assert " ".join(changes) == order
+    changes.clear()
+    live = run_live(config, "inprocess")
+    assert " ".join(changes) == order
+    assert engine == oracle
+    assert (live.counters, live.loss_of_fidelity, live.per_repository_loss) == (
+        oracle.counters, oracle.loss_of_fidelity, oracle.per_repository_loss
+    )
+    assert live.extras["per_pair_loss"] == oracle.extras["per_pair_loss"]
+    loss, messages, resubscriptions, rewires, golden_order = COMPOSED[(seed, policy)]
+    assert engine.loss_of_fidelity.hex() == loss
+    assert engine.counters.messages == messages
+    assert engine.counters.resubscriptions == resubscriptions == (
+        engine.counters.edges_added + engine.counters.edges_removed
+    )
+    assert engine.extras["adaptive_rewires"] == rewires
+    assert order == golden_order
+    # Both cross-orders: a join onto a rewired graph, and (at seed 1) a
+    # rewire of a churn rebuild.
+    kinds = order.split()
+    assert "join" in kinds[kinds.index("rewire"):]
+    rebuilt = [i for i, kind in enumerate(kinds) if kind in ("depart", "update")]
+    assert ("rewire" in kinds[rebuilt[0]:]) == (seed == 1)

@@ -8,12 +8,15 @@ bit-identity of churned sweeps.
 
 import pytest
 
-from repro.engine.builder import build_setup, make_membership
+from repro.engine.adaptive import AdaptivePolicy
+from repro.engine.builder import build_setup
 from repro.engine.churn import ChurnEvent, ChurnSchedule, schedule_for_config
 from repro.engine.config import SCALE_PRESETS
-from repro.engine.simulation import run_simulation
+from repro.engine.failures import failures_for_config
+from repro.engine.simulation import VectorizedSimulation, run_simulation
 from repro.engine.sweep import run_sweep
 from repro.errors import ConfigurationError
+from repro.workloads import FlashCrowdWorkload
 
 BASE = SCALE_PRESETS["tiny"].with_(
     n_items=4, trace_samples=400, offered_degree=3, seed=3913
@@ -238,25 +241,66 @@ def test_rejoiner_receives_deliveries_after_rejoin():
     assert post_rejoin, "rejoined repository never received a delivery"
 
 
-def test_membership_replay_matches_setup_graph():
-    """The simulation's fresh membership rebuild is bit-identical to the
-    graph the builder stored on the (shared, read-only) setup."""
-    from repro.core.dynamics import edges_of
+def test_a_churn_run_starts_from_the_setup_graph_itself():
+    """No per-run replay: the core's first graph is the setup's, and the
+    initial members are its repositories in join order."""
+    setup = build_setup(churned(joins=2, departs=1, updates=1))
+    core = VectorizedSimulation(setup)._reconfig
+    assert core.graph is setup.graph
+    assert list(core.members) == setup.config.churn.initial_members(setup.profiles)
 
-    config = churned(joins=2, departs=1, updates=1)
-    setup = build_setup(config)
-    membership = make_membership(setup)
-    assert edges_of(membership.graph) == edges_of(setup.graph)
+
+def test_a_mid_run_join_continues_the_setup_graphs_join_order():
+    """The builder joins a churn run's initial members in order by the
+    call a mid-run join makes: the highest-id repository joining late
+    reaches, on both kernels, the graph the builder makes when it is the
+    last initial member."""
+    from repro.core.dynamics import edges_of
+    from repro.engine.oracle import DisseminationSimulation
+
+    last = max(build_setup(BASE).profiles)
+    late = build_setup(BASE.with_(churn=ChurnSchedule((ChurnEvent.join(5.0, last),))))
+    initial = build_setup(BASE.with_(churn=ChurnSchedule((ChurnEvent.depart(5.0, 1),))))
+    assert last not in late.graph.nodes and last in initial.graph.nodes
+    for kernel in (VectorizedSimulation, DisseminationSimulation):
+        plane = kernel(late)
+        plane.run()
+        assert list(plane._reconfig.members) == sorted(initial.profiles)
+        assert edges_of(plane._reconfig.graph) == edges_of(initial.graph)
+
+
+def _snapshot(graph):
+    """Everything a run could mutate in place: levels, and per node the
+    receive coherencies, parents and child table, in table order."""
+    return [list(level) for level in graph.levels], {
+        node: (
+            dict(state.receive_c),
+            dict(state.parent_for),
+            [(child, sorted(items)) for child, items in state.children.items()],
+        )
+        for node, state in graph.nodes.items()
+    }
 
 
 def test_setup_reuse_is_safe_after_a_churned_run():
-    """Running twice from one prebuilt setup gives identical results:
-    churn never mutates the shared setup."""
-    config = churned(joins=2, departs=2, updates=2)
+    """Running twice from one prebuilt setup gives identical results and
+    leaves the setup's graph as it was: a join inserts into a copy of the
+    current graph, here before any tick has rebuilt it."""
+    base = BASE.with_(workload=FlashCrowdWorkload())
+    config = base.with_(
+        churn=ChurnSchedule((
+            ChurnEvent.join(5.0, 3), ChurnEvent.depart(120.0, 3), ChurnEvent.join(240.0, 3),
+        )),
+        failures=failures_for_config(base, crashes=1, partitions=1),
+        adaptive=AdaptivePolicy(window=20.0, threshold=0.3),
+    )
     setup = build_setup(config)
+    before = _snapshot(setup.graph)
     first = run_simulation(config, setup=setup)
     second = run_simulation(config, setup=setup)
+    assert _snapshot(setup.graph) == before
     assert first == second
+    assert first.extras["adaptive_rewires"] > 0 and first.extras["crashes"] > 0
 
 
 # ----------------------------------------------------------------------

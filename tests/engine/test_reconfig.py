@@ -11,9 +11,13 @@ port implementation does the surgery it is told to.
 
 from __future__ import annotations
 
+import copy
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -24,16 +28,21 @@ from hypothesis.stateful import (
 )
 
 from repro.core.dissemination.filtering import SourceTagger, Staircase
-from repro.core.dynamics import DynamicMembership, ReconfigurationDiff, edges_of
+from repro.core.dynamics import ReconfigurationDiff, edges_of
 from repro.core.interests import InterestProfile
 from repro.core.lela import build_d3g
 from repro.core.metrics import CostCounters
+from repro.core.preference import preference_p1
 from repro.core.tree import DisseminationGraph
 from repro.engine.churn import ChurnEvent, ChurnSchedule
 from repro.engine.failures import FailureEvent, FailureSchedule
 from repro.engine import reconfig
-from repro.engine.reconfig import ReconfigurationCore
+from repro.engine.reconfig import LelaInputs, ReconfigurationCore
 from repro.errors import SimulationError
+from repro.sim.rng import RandomStreams
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "properties"))
+from example_counts import examples  # noqa: E402
 
 C = 0.5
 INITIAL = 1.0
@@ -109,16 +118,20 @@ def started(core, store):
     store.ops.clear()
 
 
-def make_core(graph, **sources):
-    store = FakeStore()
-    profiles = {
+def profiles_of(graph):
+    """Each repository of ``graph`` with its own requirements."""
+    return {
         node: InterestProfile(node, dict(state.own_c))
         for node, state in graph.nodes.items()
         if node != graph.source
     }
+
+
+def make_core(graph, **sources):
+    store = FakeStore()
     counters = CostCounters()
     core = ReconfigurationCore(
-        store, counters, graph, graph.source, profiles, **sources
+        store, counters, graph, graph.source, profiles_of(graph), **sources
     )
     started(core, store)
     return core, store, counters
@@ -131,7 +144,7 @@ def diff(added=(), removed=()):
 def rebuilt(core, graph):
     """Make ``graph`` the core's current graph, as an applied adaptive
     re-optimization (or a churn rebuild) would."""
-    core.adaptive = type("Rebuilt", (), {"graph": graph})()
+    core.graph = graph
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +168,7 @@ def test_the_first_wiring_primes_each_log_then_wires_it_in_graph_order():
             super().wire(parent, child, item_id, c, initial)
 
     store, counters = PrimedFirst(), CostCounters()
-    core = ReconfigurationCore(store, counters, graph, 0, {})
+    core = ReconfigurationCore(store, counters, graph, 0, profiles_of(graph))
     one, two = (type("Trace", (), {"initial_value": v}) for v in (1.0, 2.0))
     core.wire_initial({1: two, 0: one})  # trace order, not id order
     wired = [  # (parent, child, item, c, initial), in the order expected
@@ -171,6 +184,52 @@ def test_the_first_wiring_primes_each_log_then_wires_it_in_graph_order():
     assert store.logs == {(child, item): [0.0, i] for _p, child, item, _c, i in wired}
     assert core.serving == {(child, item): [(1, c)] for _p, child, item, c, _i in wired}
     assert counters == CostCounters()  # the starting point, not a reconfiguration
+
+
+def test_a_run_forwards_in_child_table_order_not_id_order():
+    """LeLA fills each child table in join order, which is ascending id;
+    reversing the source's table must reverse the FIFO departures of its
+    forwards on every plane, and so move the loss."""
+    from dataclasses import replace
+
+    from repro.engine.builder import build_setup
+    from repro.engine.config import SCALE_PRESETS
+    from repro.engine.oracle import DisseminationSimulation
+    from repro.engine.simulation import VectorizedSimulation
+    from repro.live import build_live_network, run_live
+
+    config = SCALE_PRESETS["tiny"].with_(seed=201)
+    setup = build_setup(config)
+    graph = copy.deepcopy(setup.graph)
+    table = graph.nodes[setup.source]
+    table.children = dict(reversed(table.children.items()))
+    flipped = replace(setup, graph=graph)
+    engine = VectorizedSimulation(flipped)
+    result = engine.run()
+    assert DisseminationSimulation(flipped).run() == result
+    live = run_live(config, "inprocess", network=build_live_network(config, setup=flipped))
+    assert (live.counters, live.loss_of_fidelity, live.extras["per_pair_loss"]) == (
+        result.counters, result.loss_of_fidelity, result.extras["per_pair_loss"]
+    )
+    # The run's first update (the lowest item id at its first change
+    # instant) leaves the idle source one computational delay apart per
+    # forwarded copy, in table order.
+    t0, item, value = min(
+        (trace.times[j], item, trace.values[j])
+        for item, trace in setup.traces.items()
+        for j in [int(np.flatnonzero(np.diff(trace.values))[0]) + 1]
+    )
+    comp = config.comp_delay_ms / 1000.0
+    latest = t0 + comp * (len(table.children) + 0.5)
+    departures = [
+        t - setup.network.delay_s(setup.source, child)
+        for child, _c in graph.children_for_item(setup.source, item)
+        for t, v in engine.delivery_log(child, item)
+        if v == value and t0 < t - setup.network.delay_s(setup.source, child) < latest
+    ]
+    assert len(departures) >= 2
+    assert departures == pytest.approx([t0 + comp * k for k in range(1, len(departures) + 1)])
+    assert result.loss_of_fidelity != VectorizedSimulation(setup).run().loss_of_fidelity
 
 
 # ----------------------------------------------------------------------
@@ -350,20 +409,37 @@ def test_link_events_only_toggle_the_down_set():
 # Churn and the control timeline
 # ----------------------------------------------------------------------
 
-def churn_core(*events):
-    membership = DynamicMembership(
-        source=0, comm_delay_ms=lambda u, v: 1.0 + abs(u - v), offered_degree=2
-    )
-    profiles = {r: InterestProfile(r, {0: C}) for r in (1, 2, 3)}
-    for repo in (1, 2):  # 3 is a late joiner
-        membership.join(profiles[repo])
+def joined(lela, profiles):
+    """The graph ``profiles`` make joining one by one, as a churn run's
+    initial members do."""
+    graph = DisseminationGraph(lela.source)
+    for count, profile in enumerate(profiles, start=1):
+        lela.insert(graph, profile, [p.repository for p in profiles[:count]])
+    graph.validate(max_dependents=lela.budgets(p.repository for p in profiles))
+    return graph
+
+
+def churn_core(*events, profiles=None, degree=2, seed=0):
+    """A core over ``profiles`` (default: 1 and 2 members, 3 a late
+    joiner), the members joined in id order."""
+    lela = LelaInputs(0, lambda u, v: 1.0 + abs(u - v), degree, preference_p1, 5.0, seed)
+    if profiles is None:
+        profiles = {r: InterestProfile(r, {0: C}) for r in (1, 2, 3)}
+    schedule = ChurnSchedule(events=tuple(events))
+    members = schedule.initial_members(profiles)
     store = FakeStore()
     core = ReconfigurationCore(
-        store, CostCounters(), membership.graph, 0, profiles,
-        churn=ChurnSchedule(events=tuple(events)), membership=membership,
+        store, CostCounters(), joined(lela, [profiles[r] for r in members]), 0,
+        profiles, churn=schedule, lela=lela,
     )
     started(core, store)
     return core, store
+
+
+def run_churn(core):
+    """Apply the core's whole timeline, each entry at its instant."""
+    for entry in core.timeline(span=100.0):
+        core.apply(*entry)
 
 
 def test_churn_events_keep_segments_departed_set_and_edges_in_step():
@@ -392,10 +468,169 @@ def test_churn_events_keep_segments_departed_set_and_edges_in_step():
     }
 
 
+def test_joins_insert_into_a_copy_of_the_current_graph():
+    profiles = {r: InterestProfile(r, {0: 0.1 * r}) for r in (1, 2, 3, 4)}
+    core, store = churn_core(
+        *(ChurnEvent.join(float(r), r) for r in (2, 3, 4)), profiles=profiles
+    )
+    first = core.graph
+    snapshot = edges_of(first)
+    run_churn(core)
+    assert list(core.members) == [1, 2, 3, 4]
+    assert edges_of(first) == snapshot and set(first.nodes) == {0, 1}  # a value
+    core.graph.validate(max_dependents=core.lela.budgets(core.members))
+    assert core.graph.stats().max_depth >= 2  # degree 2 at the source
+    assert core.counters.edges_removed == 0  # looser newcomers only add edges
+    assert {(p, ch, it) for p, ch, it, _c in edges_of(core.graph)} == store.edges
+
+
+def test_a_departure_reapplies_lela_over_the_remaining_members():
+    profiles = {r: InterestProfile(r, {0: C}) for r in (1, 2, 3, 4, 5)}
+    core, store = churn_core(ChurnEvent.depart(1.0, 3), profiles=profiles)
+    run_churn(core)
+    assert list(core.members) == [1, 2, 4, 5] and 3 not in core.graph.nodes
+    plain = build_d3g([profiles[r] for r in (1, 2, 4, 5)], 0, core.lela.delay_ms,
+                      2, rng=np.random.default_rng(0))
+    assert edges_of(core.graph) == edges_of(plain)
+    assert {(p, ch, it) for p, ch, it, _c in edges_of(plain)} == store.edges
+    assert all((repo, 0) in core.parent_of for repo in core.members)
+
+
+@settings(max_examples=examples(20), deadline=None)
+@given(
+    requirements=st.lists(
+        st.dictionaries(
+            st.integers(0, 3), st.floats(0.01, 0.99), min_size=1, max_size=3
+        ),
+        min_size=2, max_size=6,
+    ),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_a_departure_rebuild_matches_fresh_lela_over_the_survivors(
+    requirements, seed, data
+):
+    """Whoever departs, the core's rebuild is a fresh LeLA over the
+    survivors in join order, and the store is wired to exactly that
+    graph."""
+    profiles = {r: InterestProfile(r, reqs) for r, reqs in enumerate(requirements, start=1)}
+    victim = data.draw(st.sampled_from(sorted(profiles)), label="victim")
+    core, store = churn_core(
+        ChurnEvent.depart(1.0, victim), profiles=profiles, degree=3, seed=seed
+    )
+    run_churn(core)
+    survivors = [r for r in profiles if r != victim]
+    assert list(core.members) == survivors
+    fresh = build_d3g([profiles[r] for r in survivors], 0, core.lela.delay_ms, 3,
+                      rng=np.random.default_rng(seed))
+    assert edges_of(core.graph) == edges_of(fresh)
+    assert {(p, ch, it) for p, ch, it, _c in edges_of(fresh)} == store.edges
+    fresh.validate(max_dependents=core.lela.budgets(survivors))
+
+
+def test_a_rejoiner_goes_to_the_end_of_the_join_order():
+    # Degree 2: the first two members sit under the source, so the order
+    # a later rebuild inserts in shows in its edges.
+    profiles = {r: InterestProfile(r, {0: C}) for r in (1, 2, 3)}
+    core, _store = churn_core(
+        ChurnEvent.depart(1.0, 1), ChurnEvent.join(2.0, 1),
+        ChurnEvent.update(3.0, 2, {0: C}), profiles=profiles,
+    )
+    run_churn(core)
+    assert list(core.members) == [2, 3, 1]
+    rejoined, original = (
+        edges_of(build_d3g([profiles[r] for r in order], 0, core.lela.delay_ms, 2,
+                           rng=np.random.default_rng(0)))
+        for order in ((2, 3, 1), (1, 2, 3))
+    )
+    assert edges_of(core.graph) == rejoined != original
+
+
+def test_a_requirement_change_tightens_and_adds_service():
+    profiles = {r: InterestProfile(r, {0: C}) for r in (1, 2)}
+    core, store = churn_core(
+        ChurnEvent.update(1.0, 2, {0: 0.05}),
+        ChurnEvent.update(2.0, 1, {0: C, 1: 0.3}),
+        profiles=profiles,
+    )
+    run_churn(core)
+    assert core.graph.nodes[2].receive_c[0] <= 0.05
+    assert store.receive_c[(2, 0)] <= 0.05
+    assert core.parent_of[(1, 1)] == (0, 0.3)
+    assert core.counters.resubscriptions == (
+        core.counters.edges_added + core.counters.edges_removed
+    ) > 0
+
+
+def test_a_no_op_requirement_change_costs_no_edge():
+    profiles = {1: InterestProfile(1, {0: 0.1}), 2: InterestProfile(2, {0: 0.2})}
+    core, store = churn_core(ChurnEvent.update(1.0, 2, {0: 0.2}), profiles=profiles)
+    run_churn(core)
+    assert store.ops == []
+    assert (core.counters.edges_added, core.counters.edges_removed) == (0, 0)
+
+
+def test_capacity_holds_across_churn():
+    profiles = {r: InterestProfile(r, {0: C}) for r in (1, 2, 3)}
+    core, store = churn_core(ChurnEvent.depart(1.0, 2), profiles=profiles, degree=1)
+    run_churn(core)
+    for node in core.graph.nodes:
+        assert core.graph.n_dependents(node) <= 1
+        assert len({ch for p, ch, _it in store.edges if p == node}) <= 1
+
+
+class Gate:
+    """Stands in for the adaptive controller's drift gate: every tick
+    lets a re-optimization through under ``load``."""
+
+    def __init__(self, times=(10.0,)) -> None:
+        self.times = list(times)
+        self.load: dict[int, float] = {}
+        self.last_drifts: dict = {}
+        self.rewires = 0
+
+    def tick_times(self, span):
+        return self.times
+
+    def on_tick(self, now, message_counts):
+        return self.load
+
+    def rewired(self, now):
+        self.rewires += 1
+
+
+def tick_core(graph, profiles):
+    lela = LelaInputs(0, _delay, 2, preference_p1, 5.0, 11)
+    store = FakeStore()
+    core = ReconfigurationCore(
+        store, CostCounters(), graph, 0, profiles, adaptive=Gate(), lela=lela
+    )
+    started(core, store)
+    return core, store
+
+
+def test_a_tick_whose_rebuild_changes_no_edge_is_not_a_rewire():
+    profiles = {r: InterestProfile(r, {0: C, 1: 0.25 * r}) for r in (1, 2, 3)}
+    graph = build_d3g(list(profiles.values()), 0, _delay, 2,
+                      rng=RandomStreams(11).stream("lela"))
+    core, store = tick_core(graph, profiles)
+    core.apply(*core.timeline(span=10.0)[0])
+    assert core.graph is graph
+    assert store.ops == [] and core.counters == CostCounters()
+    assert core.adaptive.rewires == 0
+
+
+def test_a_tick_rewires_the_members_into_the_rebuilt_graph():
+    graph = chain(0, 1, 2, items=(0, 1))  # LeLA puts both under the source
+    core, store = tick_core(graph, profiles_of(graph))
+    core.apply(*core.timeline(span=10.0)[0])
+    assert core.adaptive.rewires == 1 and core.counters.reconfigurations == 1
+    assert {(p, ch) for p, ch, _it in store.edges} == {(0, 1), (0, 2)}
+    assert edges_of(graph) == edges_of(chain(0, 1, 2, items=(0, 1)))  # a value
+
+
 def test_timeline_is_time_ordered_with_ticks_after_events_at_a_tie():
     class Ticker:
-        graph = chain(0, 1)
-
         def tick_times(self, span):
             return [10.0, 20.0]
 
@@ -531,28 +766,6 @@ def _delay(u: int, v: int) -> float:
     return 1.0 + (3 * u + 7 * v) % 5
 
 
-class Reoptimizer:
-    """Stands in for the adaptive controller: every tick re-runs LeLA
-    over the graph's members, as the core hands them over, under a drawn
-    load, and always proposes the result."""
-
-    def __init__(self) -> None:
-        self.graph = None
-        self.profiles: list[InterestProfile] = []
-        self.last_drifts: dict = {}
-        self.load: dict[int, float] = {}
-
-    def tick_times(self, span):
-        return []
-
-    def on_tick(self, now, message_counts):
-        self.graph = build_d3g(
-            self.profiles, 0, _delay, 2,
-            rng=np.random.default_rng(0), node_load=self.load,
-        )
-        return diff()
-
-
 class ComposedCore(RuleBasedStateMachine):
     """Join, depart, update, crash, recover and tick in any order; after
     each, the wiring and the owed fidelity follow from the members, the
@@ -563,14 +776,14 @@ class ComposedCore(RuleBasedStateMachine):
         self.profiles = {
             r: InterestProfile(r, req) for r, req in zip(REPOS, requirements)
         }
-        membership = DynamicMembership(source=0, comm_delay_ms=_delay, offered_degree=2)
-        for repo in REPOS[:3]:  # 4 and 5 join late, if at all
-            membership.join(self.profiles[repo])
+        lela = LelaInputs(0, _delay, 2, preference_p1, 5.0, 0)
+        # 4 and 5 join late, if at all.
+        graph = joined(lela, [self.profiles[r] for r in REPOS[:3]])
         self.store = FakeStore()
-        self.adaptive = Reoptimizer()
+        self.adaptive = Gate(times=())
         self.core = ReconfigurationCore(
-            self.store, CostCounters(), membership.graph, 0,
-            self.profiles, membership=membership, adaptive=self.adaptive,
+            self.store, CostCounters(), graph, 0,
+            self.profiles, adaptive=self.adaptive, lela=lela,
         )
         started(self.core, self.store)
         self.members = {r: self.profiles[r] for r in REPOS[:3]}
@@ -587,7 +800,11 @@ class ComposedCore(RuleBasedStateMachine):
     @rule(data=st.data(), requirements=st.none() | REQUIREMENTS)
     def join(self, data, requirements):
         repo = data.draw(st.sampled_from(sorted(set(REPOS) - set(self.members))))
+        before = self.core.graph
+        snapshot = edges_of(before), copy.deepcopy(before.levels)
         self._apply(ChurnEvent.join(self.now + 1.0, repo, requirements))
+        # A join inserts into a copy: the graph it started from is a value.
+        assert (edges_of(before), before.levels) == snapshot
         self.members[repo] = (
             self.profiles[repo]
             if requirements is None
@@ -678,5 +895,5 @@ class ComposedCore(RuleBasedStateMachine):
 
 TestComposedCore = ComposedCore.TestCase
 TestComposedCore.settings = settings(
-    max_examples=60, stateful_step_count=25, deadline=None
+    max_examples=examples(60), stateful_step_count=25, deadline=None
 )

@@ -5,6 +5,9 @@ dense Floyd-Warshall reference and to the per-pair walk it replaced
 (both in ``reference_routing.py``), and validated against networkx.
 """
 
+import sys
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -19,6 +22,9 @@ from repro.network.routing import build_routing
 from repro.network.topology import Topology, generate_topology
 
 from reference_routing import elimination_order_sum, floyd_warshall, per_pair_routing
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "properties"))
+from example_counts import examples  # noqa: E402
 
 
 def small_topology():
@@ -179,7 +185,7 @@ def test_single_link_path_is_the_link_delay():
     assert elimination_order_sum([], [A]) == A
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     n_repositories=st.integers(1, 15),
     n_routers=st.integers(0, 40),
@@ -244,7 +250,7 @@ def assert_equal_to_per_pair_walk(topo):
     assert np.array_equal(routing.hops, reference.hops)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(
     n_repositories=st.integers(1, 15),
     n_routers=st.integers(0, 40),
@@ -295,7 +301,7 @@ def tied_graphs(draw):
     )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(topo=tied_graphs())
 def test_tie_heavy_graphs_match_per_pair_walk_exactly(topo):
     assert_equal_to_per_pair_walk(topo)

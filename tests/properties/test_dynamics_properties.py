@@ -1,24 +1,33 @@
-"""Property-based tests for DynamicMembership / ReconfigurationDiff.
+"""Property-based tests for the churn LeLA calls and ReconfigurationDiff.
 
-The churn subsystem leans on three contracts of the dynamics layer:
+The reconfiguration core makes two LeLA calls for churn
+(:class:`~repro.engine.reconfig.LelaInputs`): a join inserts into the
+current graph, a departure or a requirement change rebuilds over the
+members in join order.  Three contracts of those calls:
 
-- the diff of two identical graphs is empty (no-op churn is free),
-- ``diff.cost == len(added) + len(removed)`` (the reconfiguration-cost
-  accounting the engine charges into the counters), and
-- rebuild-in-join-order is deterministic: the same seed and the same
-  operation sequence always produce the same edge set, whatever the
-  seed's value.
+- a no-op requirement change costs nothing: rebuilding the joined
+  members in join order reproduces the joined graph edge for edge;
+- ``diff.cost == len(added) + len(removed)``, with ``added`` and
+  ``removed`` disjoint, for every step of a join / update / departure
+  sequence (the reconfiguration-cost accounting the core charges);
+- both calls are deterministic: the same seed and the same operation
+  sequence always produce the same edge set, whatever the seed's value.
 """
 
 from __future__ import annotations
 
+import copy
+
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 
 from example_counts import examples
-from repro.core.dynamics import DynamicMembership, ReconfigurationDiff
-from repro.core.dynamics import edges_of  # the canonical edge view
+from repro.core.dynamics import ReconfigurationDiff, edges_of
 from repro.core.interests import InterestProfile
+from repro.core.preference import preference_p1
+from repro.core.tree import DisseminationGraph
+from repro.engine.reconfig import LelaInputs
 
 
 def flat_delay(u, v):
@@ -46,45 +55,54 @@ _profiles = st.lists(_requirements, min_size=1, max_size=6).map(
 _seed = st.integers(min_value=0, max_value=2**16)
 
 
-def _build(profiles, seed, degree=3):
-    membership = DynamicMembership(
-        source=0, comm_delay_ms=flat_delay, offered_degree=degree, seed=seed
-    )
-    diffs = [membership.join(p) for p in profiles]
-    return membership, diffs
+def _joined(profiles, seed):
+    """``(lela, [graph after each join])``: the profiles join one by one
+    into copies, as mid-run joins do."""
+    lela = LelaInputs(0, flat_delay, 3, preference_p1, 5.0, seed)
+    graph = DisseminationGraph(0)
+    graphs = []
+    for count, profile in enumerate(profiles, start=1):
+        members = [p.repository for p in profiles[:count]]
+        graph = copy.deepcopy(graph)
+        lela.insert(graph, profile, members)
+        graph.validate(max_dependents=lela.budgets(members))
+        graphs.append(graph)
+    return lela, graphs
+
+
+def _rebuild(lela, profiles):
+    return lela.build(profiles, np.random.default_rng(lela.seed))
+
+
+def _diff(before, after) -> ReconfigurationDiff:
+    a, b = edges_of(before), edges_of(after)
+    return ReconfigurationDiff(added=b - a, removed=a - b)
 
 
 @given(profiles=_profiles, seed=_seed)
 @settings(max_examples=examples(30), deadline=None)
 def test_noop_update_diff_is_empty(profiles, seed):
-    """Reapplying a member's unchanged profile diffs to nothing."""
-    membership, _ = _build(profiles, seed)
-    for profile in profiles:
-        diff = membership.update_requirements(
-            InterestProfile(
-                repository=profile.repository,
-                requirements=dict(profile.requirements),
-            )
-        )
-        assert diff.unchanged_is_cheap
-        assert diff.added == frozenset() and diff.removed == frozenset()
+    """Reapplying LeLA to the unchanged members diffs to nothing."""
+    lela, graphs = _joined(profiles, seed)
+    diff = _diff(graphs[-1], _rebuild(lela, profiles))
+    assert diff.added == frozenset() and diff.removed == frozenset()
+    assert diff.cost == 0
 
 
 @given(profiles=_profiles, seed=_seed, new_c=_tolerance)
 @settings(max_examples=examples(30), deadline=None)
 def test_cost_is_added_plus_removed(profiles, seed, new_c):
-    """Every diff produced by join/leave/update satisfies the cost law."""
-    membership, join_diffs = _build(profiles, seed)
-    diffs: list[ReconfigurationDiff] = list(join_diffs)
-    first = profiles[0].repository
-    diffs.append(
-        membership.update_requirements(
-            InterestProfile(repository=first, requirements={0: new_c})
-        )
-    )
-    if len(profiles) > 1:
-        diffs.append(membership.leave(profiles[-1].repository))
-    for diff in diffs:
+    """Every step of a join / update / departure sequence satisfies the
+    cost law."""
+    lela, graphs = _joined(profiles, seed)
+    members = list(profiles)
+    members[0] = InterestProfile(repository=members[0].repository, requirements={0: new_c})
+    graphs.append(_rebuild(lela, members))
+    if len(members) > 1:
+        graphs.append(_rebuild(lela, members[:-1]))
+    empty = DisseminationGraph(0)
+    for before, after in zip([empty] + graphs, graphs):
+        diff = _diff(before, after)
         assert diff.cost == len(diff.added) + len(diff.removed)
         assert not (diff.added & diff.removed)
 
@@ -92,43 +110,14 @@ def test_cost_is_added_plus_removed(profiles, seed, new_c):
 @given(profiles=_profiles, seed=_seed)
 @settings(max_examples=examples(30), deadline=None)
 def test_rebuild_in_join_order_is_deterministic_across_seeds(profiles, seed):
-    """Same seed + same operations => bit-identical graphs, for any seed.
-
-    Exercised through a leave (the rebuild path): two independent
-    memberships replaying the same sequence must agree edge for edge.
-    """
-    a, _ = _build(profiles, seed)
-    b, _ = _build(profiles, seed)
-    assert edges_of(a.graph) == edges_of(b.graph)
+    """Same seed + same operations => bit-identical graphs, for any seed,
+    through the joins and through a departure's rebuild."""
+    lela_a, a = _joined(profiles, seed)
+    lela_b, b = _joined(profiles, seed)
+    assert [edges_of(g) for g in a] == [edges_of(g) for g in b]
     if len(profiles) > 1:
-        victim = profiles[len(profiles) // 2].repository
-        diff_a = a.leave(victim)
-        diff_b = b.leave(victim)
-        assert diff_a == diff_b
-        assert edges_of(a.graph) == edges_of(b.graph)
-        a.graph.validate()
-
-
-@given(profiles=_profiles, seed=_seed)
-@settings(max_examples=examples(20), deadline=None)
-def test_leave_then_rebuild_matches_fresh_membership(profiles, seed):
-    """After a departure, the rebuilt graph equals a fresh membership of
-    the survivors joined in the original join order (the paper's
-    "the algorithm is reapplied")."""
-    if len(profiles) < 2:
-        return
-    membership, _ = _build(profiles, seed)
-    victim = profiles[0].repository
-    membership.leave(victim)
-
-    fresh = DynamicMembership(
-        source=0, comm_delay_ms=flat_delay, offered_degree=3, seed=seed
-    )
-    # The rebuild uses one RNG stream seeded by `seed` over the original
-    # join order; replay the same insertions through the internal
-    # rebuild path to compare like with like.
-    for profile in profiles[1:]:
-        fresh._profiles[profile.repository] = profile
-        fresh._join_order.append(profile.repository)
-    fresh.graph = fresh._rebuild()
-    assert edges_of(membership.graph) == edges_of(fresh.graph)
+        survivors = [p for i, p in enumerate(profiles) if i != len(profiles) // 2]
+        rebuilt_a = _rebuild(lela_a, survivors)
+        rebuilt_b = _rebuild(lela_b, survivors)
+        assert edges_of(rebuilt_a) == edges_of(rebuilt_b)
+        rebuilt_a.validate(max_dependents=lela_a.budgets(p.repository for p in survivors))
