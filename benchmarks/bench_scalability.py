@@ -30,10 +30,14 @@ The client-plane pin trims the preset's trace length, item count and
 router mesh (set-up is identical for both kernels, so it would only
 dilute the measured ratio) but keeps the full thousand repositories and
 grows the client plane to 2 million modeled clients -- the regime the
-vectorized kernel exists for.  Measured on the development container:
-109x (scalar 24.1 s, vectorized 0.221 s; 65 322 681 client checks and
-50 360 058 client messages decided in 41 164 ``Staircase.serve`` calls
-of 1.89 runs on average, p99 6, max 8).  One numpy call sequence per
+vectorized kernel exists for.  Measured on the development container
+(2 CPUs): 251x (scalar 35.7 s, vectorized 0.142 s; 65 322 681 client
+checks and 50 360 058 client messages decided in 1 265
+``Staircase.serve`` calls, one per wired segment, over 41 164 served
+values that meet 1.89 runs on average, p99 6, max 8).  Served with one
+call per value, the vectorized run read a median 0.219 s against 0.173
+s (5 runs each, same box); an earlier reading of that form, on a faster
+scalar day, was 109x (24.1 s / 0.221 s).  One numpy call sequence per
 delivery, the form before the staircase, read 35x (0.699 s).
 """
 

@@ -144,14 +144,17 @@ def _render_function(name: str, obj, heading: str) -> list[str]:
 
 def _render_class(name: str, cls) -> list[str]:
     lines = [f"## `{name}`", ""]
+    fields: list[str] = []
     if dataclasses.is_dataclass(cls):
-        fields = ", ".join(f.name for f in dataclasses.fields(cls))
-        lines += [f"*Dataclass* — fields: `{fields or '(none)'}`", ""]
+        fields = [f.name for f in dataclasses.fields(cls)]
+        lines += [f"*Dataclass* — fields: `{', '.join(fields) or '(none)'}`", ""]
     doc = inspect.getdoc(cls)
     if doc:
         lines += [_mdify(doc), ""]
     for method_name, method in sorted(vars(cls).items()):
-        if method_name.startswith("_"):
+        # A field's default sits on the class too: a function default
+        # is a value, not a method.
+        if method_name.startswith("_") or method_name in fields:
             continue
         if isinstance(method, (staticmethod, classmethod)):
             method = method.__func__

@@ -27,15 +27,16 @@ Four layers:
   Figure 11(a) check counting), answering with a :class:`SourceDecision`;
 - :class:`Staircase` -- the last-sent state of a whole *ascending
   tolerance column* as runs of equal values, for the two places where
-  one update meets many tolerances: a repository's modeled-client block
-  (:meth:`Staircase.serve`, Eq. 3-or-Eq. 7 per client) and the
+  updates meet many tolerances: a repository's modeled-client block
+  (:meth:`Staircase.serve`, Eq. 3-or-Eq. 7 per client, one wired
+  segment of the repository's log per call, at scoring) and the
   centralised source's unique tolerances (:meth:`Staircase.tag`,
   wrapped per item by :class:`StaircaseTagger`, which the engine and
   the live source run).  Both rules are
   monotone in the tolerance, so a run is decided by its end elements
   and one ``bisect``, exactly; the production engine
-  (:mod:`repro.engine.simulation`) uses it there and the scalar
-  functions on its 1-4 wide edge groups.
+  (:mod:`repro.engine.simulation`) runs the scalar functions on its
+  1-4 wide edge groups.
   :func:`forward_distributed_many` is the elementwise numpy reference
   the staircase is property-tested against.
 """
@@ -386,10 +387,11 @@ class Staircase:
     *prefix* of a run, and a run is decided by its two end elements and
     at most one ``bisect`` instead of one test per element.
 
-    ``cs`` is any ascending sequence ``bisect`` can index: the batch
-    engine passes a read-only ``memoryview`` of a client block (no
-    per-client Python floats are kept alive), :class:`StaircaseTagger` a
-    plain list of unique tolerances.
+    ``cs`` is any ascending sequence ``bisect`` can index: the scoring
+    pass (``ReconfigurationCore.serve_clients``, every plane's) passes a
+    read-only ``memoryview`` of a client block (no per-client Python
+    floats are kept alive) and one :meth:`serve` call per wired segment,
+    :class:`StaircaseTagger` a plain list of unique tolerances.
     """
 
     __slots__ = ("cs", "ends", "vals")
@@ -423,55 +425,78 @@ class Staircase:
             start = end
         return flat
 
-    def serve(self, value: float, parent_receive_c: float) -> int:
-        """Apply :func:`forward_distributed` to every element and move
-        the served ones to ``value``; returns how many were served.
+    def serve(self, values, parent_receive_c: float) -> int:
+        """Serve one wired segment: for each of ``values`` in order,
+        apply :func:`forward_distributed` to every element and move the
+        served ones to the value; returns how many were served in all.
 
-        Exactly ``count_nonzero(forward_distributed_many(value, flat,
-        cs, parent_receive_c))`` followed by the masked store.  The rule
-        is monotone in ``c_serve`` in IEEE arithmetic as well (a
-        comparison, and ``c - deviation``, which rounds monotonically),
-        so each run's served set is a prefix.  "None" and "all" are read
-        off the run's first and last element; otherwise Eq. (7)'s
-        real-number boundary ``deviation + parent_receive_c`` places the
-        cut to within rounding, and the rule itself, asked about the
-        elements either side, settles it.
+        Per value, exactly ``count_nonzero(forward_distributed_many(value,
+        flat, cs, parent_receive_c))`` followed by the masked store.  The
+        rule is inlined as ``deviation > c or c - deviation <
+        parent_receive_c`` -- :func:`forward_distributed`'s own IEEE
+        operations, with one ``deviation`` per run.  It is monotone in
+        ``c`` in IEEE arithmetic as well (a comparison, and ``c -
+        deviation``, which rounds monotonically), so each run's served
+        set is a prefix: one run whose widest tolerance is served is
+        served whole, and otherwise "none" and "all" are read off a
+        run's first and last element; in between, Eq. (7)'s real-number
+        boundary ``deviation + parent_receive_c`` places the cut to
+        within rounding, and the rule itself, asked about the elements
+        either side, settles it.
         """
         cs = self.cs
-        ends: list[int] = []
-        vals: list[float] = []
-        served = start = 0
-        for end, held in zip(self.ends, self.vals):
-            if not forward_distributed(value, held, cs[start], parent_receive_c):
-                cut = start
-            elif forward_distributed(value, held, cs[end - 1], parent_receive_c):
-                cut = end
-            else:
-                # cs[start] is served and cs[end - 1] is not, which
-                # bounds both walks.
-                cut = bisect_left(
-                    cs, abs(value - held) + parent_receive_c, start + 1, end - 1
-                )
-                while forward_distributed(value, held, cs[cut], parent_receive_c):
-                    cut += 1
-                while not forward_distributed(
-                    value, held, cs[cut - 1], parent_receive_c
-                ):
-                    cut -= 1
-            if cut > start:
-                served += cut - start
-                if vals and vals[-1] == value:
-                    ends[-1] = cut
+        n = len(cs)
+        if not n:
+            return 0
+        widest = cs[n - 1]
+        ends, vals = self.ends, self.vals
+        served = 0
+        for value in values:
+            if len(vals) == 1:
+                deviation = abs(value - vals[0])
+                if deviation > widest or widest - deviation < parent_receive_c:
+                    served += n
+                    vals = [value]
+                    continue
+            runs = zip(ends, vals)
+            ends, vals = [], []
+            start = 0
+            for end, held in runs:
+                deviation = abs(value - held)
+                c = cs[start]
+                if not (deviation > c or c - deviation < parent_receive_c):
+                    cut = start
+                elif deviation > (c := cs[end - 1]) or c - deviation < parent_receive_c:
+                    cut = end
                 else:
-                    ends.append(cut)
-                    vals.append(value)
-            if cut < end:
-                if vals and vals[-1] == held:
-                    ends[-1] = end
-                else:
-                    ends.append(end)
-                    vals.append(held)
-            start = end
+                    # cs[start] is served and cs[end - 1] is not, which
+                    # bounds both walks.
+                    cut = bisect_left(
+                        cs, deviation + parent_receive_c, start + 1, end - 1
+                    )
+                    while (
+                        deviation > (c := cs[cut]) or c - deviation < parent_receive_c
+                    ):
+                        cut += 1
+                    while not (
+                        deviation > (c := cs[cut - 1])
+                        or c - deviation < parent_receive_c
+                    ):
+                        cut -= 1
+                if cut > start:
+                    served += cut - start
+                    if vals and vals[-1] == value:
+                        ends[-1] = cut
+                    else:
+                        ends.append(cut)
+                        vals.append(value)
+                if cut < end:
+                    if vals and vals[-1] == held:
+                        ends[-1] = end
+                    else:
+                        ends.append(end)
+                        vals.append(held)
+                start = end
         self.ends, self.vals = ends, vals
         return served
 

@@ -132,8 +132,9 @@ class DisseminationSimulation(SimulationBase):
         test at the client's own tolerance, regardless of the
         repository-plane policy, and client traffic stays out of the
         repository-plane counters.  This per-client loop is the oracle
-        the engine's and the live repositories' ``Staircase.serve`` must
-        agree with, client for client.
+        the scoring pass's ``Staircase.serve`` (every plane's
+        ``ReconfigurationCore.serve_clients``) must agree with, client
+        for client.
         """
         tols = self._client_tols.get((node, item_id))
         if tols is None:

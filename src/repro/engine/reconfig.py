@@ -561,8 +561,7 @@ class ReconfigurationCore:
                 if c is not None:
                     values = log[2 * entry + 1:None if end is None else 2 * end:2]
                     checks += len(values) * len(tols)
-                    for value in values:
-                        messages += stairs.serve(value, c)
+                    messages += stairs.serve(values, c)
         self.counters.record_client_serving(checks, messages)
 
     def extras(self) -> dict:

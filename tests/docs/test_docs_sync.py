@@ -106,3 +106,27 @@ def test_link_checker_detects_breakage(link_checker, tmp_path, monkeypatch):
 def test_mkdocs_config_is_strict():
     config = (REPO_ROOT / "mkdocs.yml").read_text()
     assert "strict: true" in config
+
+
+def test_a_dataclass_field_defaulting_to_a_function_is_not_a_method(gen_docs):
+    import dataclasses
+
+    def weigh(x: float) -> float:
+        """Twice ``x``."""
+        return 2 * x
+
+    @dataclasses.dataclass
+    class Inputs:
+        """Inputs with a pluggable weight."""
+
+        seed: int = 0
+        weight: object = weigh
+
+        def scaled(self, x: float) -> float:
+            """``weight(x)``."""
+            return self.weight(x)
+
+    page = "\n".join(gen_docs._render_class("Inputs", Inputs))
+    assert "fields: `seed, weight`" in page
+    assert "### `Inputs.scaled(" in page
+    assert "Inputs.weight" not in page

@@ -648,22 +648,30 @@ def test_timeline_is_time_ordered_with_ticks_after_events_at_a_tie():
 # Modeled clients: served every delivered entry while the pair is wired
 # ----------------------------------------------------------------------
 
-def served(core, monkeypatch, node, item=0):
-    """``(value, coherency)`` per log entry the scoring pass serves
-    ``node``'s clients (one client at tolerance 1.0: any move of 0.6 or
-    more reaches it), and the ``(checks, messages)`` it charged."""
+def serve_calls(core, monkeypatch, node, item=0):
+    """``(values, coherency)`` per :meth:`Staircase.serve` call the
+    scoring pass makes for ``node``'s clients (one client at tolerance
+    1.0: any move of 0.6 or more reaches it), and the ``(checks,
+    messages)`` it charged."""
     calls = []
 
     class Recording(Staircase):
         __slots__ = ()
 
-        def serve(self, value, parent_receive_c):
-            calls.append((value, parent_receive_c))
-            return super().serve(value, parent_receive_c)
+        def serve(self, values, parent_receive_c):
+            calls.append((list(values), parent_receive_c))
+            return super().serve(values, parent_receive_c)
 
     monkeypatch.setattr(reconfig, "Staircase", Recording)
     core.serve_clients({(node, item): np.array([1.0])}, {item: Item})
     return calls, (core.counters.client_checks, core.counters.client_messages)
+
+
+def served(core, monkeypatch, node, item=0):
+    """:func:`serve_calls` flattened: ``(value, coherency)`` per log
+    entry served."""
+    calls, charged = serve_calls(core, monkeypatch, node, item)
+    return [(value, c) for values, c in calls for value in values], charged
 
 
 def test_a_recovery_resync_entry_is_scored_but_not_served(monkeypatch):
@@ -689,6 +697,20 @@ def test_a_rejoin_sync_is_not_served_nor_a_copy_logged_while_unsubscribed(monkey
     store.logs[(1, 0)].extend((10.0, 7.0))
     assert pairs(store.logs[(1, 0)])[2:4] == [(2.0, 3.0), (9.0, 2.5)]
     assert served(core, monkeypatch, 1) == ([(2.0, C), (7.0, C)], (2, 2))
+
+
+def test_each_wired_segment_is_served_in_one_call(monkeypatch):
+    core, store, _ = make_core(chain(0, 1))
+    store.logs[(1, 0)].extend((0.5, 2.0, 0.8, 3.0))
+    core.apply_diff(diff(removed=[(0, 1, 0, C)]), now=1.0)
+    store.logs[(1, 0)].extend((2.0, 4.0))  # was in flight at the unsubscribe
+    core.apply_diff(diff(added=[(0, 1, 0, C)]), now=9.0, resync=frozenset({1}))
+    store.logs[(1, 0)].extend((10.0, 7.0, 11.0, 7.5))
+    # One call per wired segment, never one per value; the resync entry
+    # at 9.0 opens the second segment and is not served.
+    assert serve_calls(core, monkeypatch, 1) == (
+        [([2.0, 3.0], C), ([7.0, 7.5], C)], (4, 3)
+    )
 
 
 def test_a_new_subscription_is_served_after_its_initial_sync(monkeypatch):

@@ -244,12 +244,14 @@ def _assert_canonical(stairs: Staircase) -> None:
 
 @st.composite
 def _client_block_walks(draw):
-    """An ascending tolerance column with ties and one-ulp neighbours,
-    and a walk of (value, parent_receive_c) steps whose values come from
-    a small pool -- so they recur and runs re-merge -- seeded with
-    values that sit exactly a tolerance (and a tolerance less the parent
-    coherency) away from another pool value, where the rule's rounding
-    decides."""
+    """An ascending tolerance column with ties and one-ulp neighbours
+    (one client, often), and a walk of wired segments: ``(parent_receive_c,
+    values)`` pairs whose values come from a small pool -- so they recur
+    and runs re-merge -- seeded with values that sit exactly a tolerance
+    (and a tolerance less the parent coherency) away from another pool
+    value, where the rule's rounding decides.  Segments may be empty, and
+    some swing between two values further apart than the widest
+    tolerance, so every client is served at every step."""
     column = []
     for c in draw(st.lists(_tolerance, min_size=1, max_size=10)):
         column.append(c)
@@ -266,10 +268,23 @@ def _client_block_walks(draw):
         anchor = draw(st.sampled_from(pool))
         c = draw(st.sampled_from(column))
         pool.append(anchor + c - draw(st.one_of(st.just(0.0), prc)))
-    steps = draw(
-        st.lists(st.tuples(st.sampled_from(pool), prc), min_size=1, max_size=25)
+    swing = 2.0 * column[-1] + 1.0
+    swings = st.builds(
+        lambda anchor, length: [anchor + swing * (k % 2) for k in range(length)],
+        st.sampled_from(pool),
+        st.integers(2, 12),
     )
-    return column, draw(st.sampled_from(pool)), steps
+    segments = draw(
+        st.lists(
+            st.tuples(
+                prc,
+                st.one_of(st.lists(st.sampled_from(pool), max_size=8), swings),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return column, draw(st.sampled_from(pool)), segments
 
 
 _ULP = 2.0 ** -52  # spacing of the floats in [1, 2)
@@ -282,19 +297,24 @@ _ULP = 2.0 ** -52  # spacing of the floats in [1, 2)
 # 0.5 puts the cut before them.  Too high: (1 + 3u) - 1.5u ties to even
 # 1 + 2u, not below the parent's 1 + 2u, unserved, though 1.5u + (1 +
 # 2u) ties to even 1 + 4u, above it.
-@example(([0.25, 0.5, 0.5, 0.5, 0.75, 1.0], 0.0, [(0.5, 1e-20)]))
-@example(([1.0, 1.0 + 3 * _ULP, 1.5], 0.0, [(1.5 * _ULP, 1.0 + 2 * _ULP)]))
+@example(([0.25, 0.5, 0.5, 0.5, 0.75, 1.0], 0.0, [(1e-20, [0.5])]))
+@example(([1.0, 1.0 + 3 * _ULP, 1.5], 0.0, [(1.0 + 2 * _ULP, [1.5 * _ULP])]))
+# One client: an empty segment, then values that serve it and one that does not.
+@example(([0.5], 0.0, [(0.1, []), (0.0, [3.0, -3.0, 3.0, 3.2]), (0.2, [3.1])]))
 @settings(max_examples=examples(300), deadline=None)
 def test_staircase_serve_is_the_elementwise_rule_over_the_flat_column(case):
-    column, initial, steps = case
+    column, initial, segments = case
     cs = np.asarray(column, dtype=np.float64)
     cs.flags.writeable = False
     stairs = Staircase(memoryview(cs), initial)
     last_sent = np.full(cs.shape, initial)
-    for value, prc in steps:
-        mask = forward_distributed_many(value, last_sent, cs, prc)
-        last_sent[mask] = value
-        assert stairs.serve(value, prc) == np.count_nonzero(mask)
+    for prc, values in segments:
+        expected = 0
+        for value in values:
+            mask = forward_distributed_many(value, last_sent, cs, prc)
+            last_sent[mask] = value
+            expected += int(np.count_nonzero(mask))
+        assert stairs.serve(values, prc) == expected
         assert stairs.expand() == last_sent.tolist()
         _assert_canonical(stairs)
 
