@@ -12,8 +12,8 @@ Two measurements over the tiny-preset workload:
   across runners.
 - **cross-plane overhead**: one live run against one simulation run of
   the same config.  The live plane re-derives the setup and drives the
-  sans-io nodes, so a small multiple is expected; an order of magnitude
-  means a regression.
+  sans-io nodes, so a small multiple is expected (under three times the
+  simulation's); ``MAX_LIVE_VS_SIM_OVERHEAD`` means a regression.
 
 Bit-determinism and message conservation are asserted on every run:
 they are the contract the ``live_crosscheck`` experiment rests on.
@@ -27,10 +27,19 @@ from benchmarks.conftest import BENCH_OVERRIDES
 from repro.engine import SCALE_PRESETS, run_simulation
 from repro.live import run_live
 
-#: Conservative floor, a tenth of the measured rate: ~115k deliveries/s
-#: for this workload on a 2-core sandbox (~60k before nodes emitted the
-#: wire row itself and the transport drained a ``BatchKernel``).
+#: Conservative floor, under a tenth of the measured rate: 118k-213k
+#: deliveries/s (median ~146k) for this workload over 12 fresh runs on a
+#: 2-core x86-64 sandbox, counting the whole ``run_live`` call (build
+#: and scoring included).  The transport drains a ``DueQueue``, the
+#: :class:`~repro.sim.kernel.Simulator` callback heap.
 MIN_DELIVERIES_PER_S = 10_000
+
+#: Bound on the live run's wall time over the simulation's (the same
+#: config, each one call, in one process).  Twelve fresh runs on each
+#: side of the change that made a delivery one inline step read
+#: 1.88-2.78 before and 1.84-2.55 after it (2-core x86-64 sandbox); the
+#: bound keeps over 2x headroom on the worst of them.
+MAX_LIVE_VS_SIM_OVERHEAD = 6.0
 
 
 def _config():
@@ -50,6 +59,11 @@ def bench_live_inprocess_throughput(benchmark):
     rate = result.delivered / elapsed
     benchmark.extra_info["deliveries_per_s"] = round(rate)
     benchmark.extra_info["deliveries"] = result.delivered
+    # The wire run alone, as the perf ledger's
+    # ``live.inprocess.us_per_delivery`` reads it.
+    benchmark.extra_info["us_per_delivery"] = round(
+        result.wall_seconds / result.delivered * 1e6, 3
+    )
     assert rate >= MIN_DELIVERIES_PER_S, (
         f"in-process live transport moved {rate:.0f} deliveries/s, "
         f"below the {MIN_DELIVERIES_PER_S}/s floor"
@@ -80,7 +94,7 @@ def bench_live_vs_sim_overhead(benchmark):
 
     overhead = live_elapsed / sim_elapsed if sim_elapsed > 0 else 1.0
     benchmark.extra_info["live_vs_sim_overhead"] = round(overhead, 2)
-    assert overhead < 10.0, (
+    assert overhead < MAX_LIVE_VS_SIM_OVERHEAD, (
         f"live in-process run took {overhead:.1f}x the simulation; "
         "the transport layer has become the dominant cost"
     )

@@ -361,6 +361,12 @@ def _run_keywords(args) -> dict:
     }
 
 
+def _print_checks(counters) -> None:
+    """The coherency-check lines, the same on every plane."""
+    print(f"source checks         : {counters.source_checks}")
+    print(f"repository checks     : {counters.repository_checks}")
+
+
 def _print_clients(config, counters) -> None:
     """The modeled-client lines, the same on every plane."""
     if config.clients_per_repository:
@@ -393,7 +399,7 @@ def _simulate(args) -> None:
           f"/{result.tree_stats.diameter_hops}")
     print(f"loss of fidelity      : {result.loss_of_fidelity:.3f} %")
     print(f"messages              : {result.messages}")
-    print(f"source checks         : {result.source_checks}")
+    _print_checks(result.counters)
     print(f"events processed      : {result.events_processed}")
     _print_clients(config, result.counters)
     if args.churn is not None:
@@ -521,6 +527,7 @@ def _print_run(header: str, config, result) -> None:
     print(header)
     print(f"observed loss of fidelity : {result.loss_of_fidelity:.3f} %")
     print(f"messages (repo plane)     : {result.messages}")
+    _print_checks(result.counters)
     print(f"sent/delivered/dropped    : {result.sent}/{result.delivered}"
           f"/{result.dropped} (conserved={result.conserved})")
     print(f"replayed span             : {result.sim_span_s:.0f} s simulated")

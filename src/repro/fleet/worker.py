@@ -8,7 +8,8 @@ only the nodes its shard owns (:mod:`repro.fleet.sharding`).
 The worker is a thin driver of the shared runtime
 (:mod:`repro.live.wire`), the same one both single-process wires
 (:mod:`repro.live.transport`) drive: it only says where a destination
-lives (the runtime's loss-and-failure judgement rides along inert --
+lives -- at ``start`` it routes every node a peer owns to that peer's
+link (the runtime's loss-and-failure judgement rides along inert --
 the supervisor refuses both).  A same-shard delivery
 goes onto the local due queue; a cross-shard delivery is queued on the
 worker's single multiplexed link to the destination's owner, behind a
@@ -70,7 +71,7 @@ from repro.fleet.antientropy import ChildSession, ParentView
 from repro.fleet.sharding import plan_shards
 from repro.live.harness import build_live_network
 from repro.live.protocol import Hello, ResyncRequest, ResyncResponse, Stats
-from repro.live.wire import Link, WireRuntime
+from repro.live.wire import WireRuntime
 from repro.obs.trace import TraceRecorder
 
 __all__ = ["FleetSpec", "WorkerReport", "worker_main"]
@@ -221,9 +222,6 @@ class _Shard(WireRuntime):
         #: Set by ``quiesce``: from then on going idle is news.
         self.quiescing = False
 
-    def route(self, dst: int) -> Link | None:
-        return self.links.get(self.plan.owner[dst])
-
     def pending(self) -> int:
         """Also the open sessions: a resync frame on the wire is in no
         queue and in no counter, but its session is waiting for it."""
@@ -266,6 +264,11 @@ class _Shard(WireRuntime):
                 for peer, port in sorted(ports.items()):
                     if peer != worker_id:
                         self.connect(peer, port)
+                self.routes = {
+                    node: self.links[owner]
+                    for node, owner in self.plan.owner.items()
+                    if owner != worker_id
+                }
                 if self.owns_source:
                     self.schedule_replay(self.spec.duration, self.replay_finished)
                 self.wall_start = time.perf_counter()
@@ -330,7 +333,7 @@ class _Shard(WireRuntime):
     def _send_control(self, node: int, frame) -> None:
         """A resync frame toward ``node``'s owner, past backpressure."""
         self.report.resync_frames += 1
-        self.links[self.plan.owner[node]].queue.put_nowait(frame)
+        self.routes[node].queue.put_nowait(frame)
 
     def _start_resyncs(self, peer: int) -> None:
         """A peer's connection generation jumped: pull what its parents

@@ -20,9 +20,16 @@ over one :class:`EdgeGroup` of columns per item with the policy's
 the centralised source tags with the engine's
 :class:`~repro.core.dissemination.filtering.StaircaseTagger`.  Timing
 semantics also mirror the engine: each forwarded copy costs
-``comp_delay`` of serialised server time at the sending node (a
-:class:`~repro.sim.queueing.FifoStation`) before it leaves, then
-travels the end-to-end network delay.
+``comp_delay`` of serialised server time at the sending node before it
+leaves, then travels the end-to-end network delay.  A node keeps that
+backlog as one float, ``busy``, and chains its departures the way the
+engine does -- ``departure = now if now > busy else busy``, then
+``departure += comp_delay`` per forwarded copy -- which are the very
+additions a :class:`~repro.sim.queueing.FifoStation` makes, so every
+``arrival_s`` is the engine's float.  One delivery is one call: the
+node charges its delivery, checks and messages to the run's
+:class:`~repro.core.metrics.CostCounters` in place, once per call, and
+makes no call per forwarded copy but the policy rule's.
 
 Modeled clients are not nodes and a node does nothing for them: they
 cost no frame and no station time, and the run's
@@ -38,8 +45,8 @@ from repro.core.dissemination.filtering import (
     StaircaseTagger,
 )
 from repro.core.metrics import CostCounters
+from repro.errors import SimulationError
 from repro.live.protocol import Update
-from repro.sim.queueing import FifoStation
 
 __all__ = ["EdgeGroup", "SourceNode", "RepositoryNode"]
 
@@ -79,10 +86,16 @@ class _ForwardingNode:
     """Shared forwarding machinery of the source and the repositories."""
 
     def __init__(self, node: int, comp_delay_s: float, counters: CostCounters) -> None:
+        if not comp_delay_s >= 0:
+            raise SimulationError(
+                f"comp_delay_s must be non-negative, got {comp_delay_s!r}"
+            )
         self.node = node
         self.comp_delay_s = comp_delay_s
         self.counters = counters
-        self.station = FifoStation()
+        #: Simulated instant this node's serialised server time is next
+        #: free: the engine's per-node FIFO watermark.
+        self.busy = 0.0
         #: item_id -> repository-plane dependents, in wiring order.
         self.edges: dict[int, EdgeGroup] = {}
         #: Out-of-band trace observer (attached by the harness when the
@@ -123,38 +136,52 @@ class _ForwardingNode:
         ``parent_receive_c`` is ``None`` when the node no longer receives
         the item (an in-flight copy of an unsubscribed pair).
         """
-        rows: list[list] = []
-        node = self.node
-        submit, comp_delay_s = self.station.submit, self.comp_delay_s
         group = self.edges.get(item_id)
-        if group is not None and group.child:
-            # The trace id is the schedule index; seqs count from 1.
-            observer, update_id, messages = self.observer, seq - 1, 0
-            rule, cs, last, delay = group.rule, group.cs, group.last, group.delay
-            last_seq = group.last_seq
-            for i, child in enumerate(group.child):
-                forward = rule(value, last[i], cs[i], parent_receive_c, tag)
-                if observer is not None:
-                    observer.on_check(
-                        update_id, item_id, now, node, child, 1, forward, is_source
-                    )
-                if not forward:
-                    continue
-                last[i] = value
-                last_seq[i] = seq
-                arrival = submit(now, comp_delay_s) + delay[i]
-                messages += 1
-                if observer is not None:
-                    observer.on_forward(
-                        update_id, item_id, now, node, child, arrival - now
-                    )
-                rows.append([child, arrival, item_id, value, tag, seq, node])
-            # Charged once per call, not per edge: counters are only
-            # read between node calls (control instants), and a zero
-            # count must not create a per-node key.
-            self.counters.record_check(node, is_source, len(group.child))
-            if messages:
-                self.counters.record_message(node, is_source, messages)
+        if group is None or not group.child:
+            return []
+        rows: list[list] = []
+        node, comp_delay_s = self.node, self.comp_delay_s
+        # The trace id is the schedule index; seqs count from 1.
+        observer, update_id, messages = self.observer, seq - 1, 0
+        rule, cs, last, delay = group.rule, group.cs, group.last, group.delay
+        last_seq = group.last_seq
+        busy = self.busy
+        departure = now if now > busy else busy
+        for i, child in enumerate(group.child):
+            forward = rule(value, last[i], cs[i], parent_receive_c, tag)
+            if observer is not None:
+                observer.on_check(
+                    update_id, item_id, now, node, child, 1, forward, is_source
+                )
+            if not forward:
+                continue
+            last[i] = value
+            last_seq[i] = seq
+            departure += comp_delay_s
+            arrival = departure + delay[i]
+            messages += 1
+            if observer is not None:
+                observer.on_forward(update_id, item_id, now, node, child, arrival - now)
+            rows.append([child, arrival, item_id, value, tag, seq, node])
+        # Charged once per call, not per edge: counters are only read
+        # between node calls (control instants), and a zero count must
+        # not create a per-node key.
+        counters, checks = self.counters, len(group.child)
+        if is_source:
+            counters.source_checks += checks
+        else:
+            counters.repository_checks += checks
+        per_node = counters.per_node_checks
+        per_node[node] = per_node.get(node, 0) + checks
+        if messages:
+            if not now >= 0:
+                raise SimulationError(f"arrival must be non-negative, got {now!r}")
+            self.busy = departure
+            counters.messages += messages
+            if is_source:
+                counters.source_messages += messages
+            per_node = counters.per_node_messages
+            per_node[node] = per_node.get(node, 0) + messages
         return rows
 
 
@@ -234,7 +261,7 @@ class RepositoryNode(_ForwardingNode):
         self, item_id: int, value: float, tag: float | None, seq: int, now: float
     ) -> list[list]:
         """Handle one pushed update: log it, then forward downstream."""
-        self.counters.record_delivery()
+        self.counters.deliveries += 1
         if self.observer is not None:
             self.observer.on_deliver(seq - 1, item_id, now, self.node)
         if seq > self.seqs.get(item_id, 0):
@@ -243,6 +270,8 @@ class RepositoryNode(_ForwardingNode):
         if log is not None:
             log.append(now)
             log.append(value)
+        if item_id not in self.edges:
+            return []  # a leaf of the item's tree: nothing to check
         return self._forward(
             item_id, value, tag, now, self.receive_c.get(item_id), seq, False
         )

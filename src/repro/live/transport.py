@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING
 from repro.errors import SimulationError
 from repro.live.wire import (
     QUIESCE_TIMEOUT_S,
-    Link,
     WireRuntime,
     reconcile,
     wall_factor,
@@ -82,11 +81,6 @@ class TransportStats:
     reconnects: int = 0
 
     @property
-    def in_flight(self) -> int:
-        """Messages sent but neither delivered nor dropped yet."""
-        return self.sent - self.delivered - self.dropped
-
-    @property
     def conserved(self) -> bool:
         """The invariant every run must end with."""
         return self.sent == self.delivered + self.dropped
@@ -95,12 +89,13 @@ class TransportStats:
 class VirtualWire(WireRuntime):
     """Virtual-time driver: deterministic, reproducible, fast.
 
-    Every node is hosted here, so no row ever meets a link, a port or
-    an event loop: the runtime's due queue is drained on its virtual
-    clock.  Event ordering matches the simulation engine's (control
-    before update before delivery at one instant, FIFO among
-    deliveries), and optional delivery jitter (up to ``jitter_ms``) is
-    drawn from a seeded stream, so two runs of a network are identical.
+    Every node is hosted here -- the route table stays empty -- so no
+    row ever meets a link, a port or an event loop: the runtime's due
+    queue is drained on its virtual clock.  Event ordering matches the
+    simulation engine's (control before update before delivery at one
+    instant, FIFO among deliveries), and optional delivery jitter (up
+    to ``jitter_ms``) is drawn from a seeded stream, so two runs of a
+    network are identical.
     """
 
     def __init__(self, network: "LiveNetwork", jitter_ms: float = 0.0) -> None:
@@ -109,9 +104,6 @@ class VirtualWire(WireRuntime):
             seed = network.setup.config.seed
             random = RandomStreams(seed).stream("live-jitter").random
             self.jitter = lambda: random() * jitter_ms / 1000.0
-
-    def route(self, dst: int) -> None:
-        return None
 
     def run(self, duration: float | None = None) -> TransportStats:
         self.schedule_replay(duration)
@@ -125,7 +117,8 @@ class VirtualWire(WireRuntime):
 class TcpWire(WireRuntime):
     """Localhost TCP driver: every hop crosses a real socket.
 
-    Every destination is remote, one link each; a crash severs the
+    Every destination is remote, one link each, entered in the route
+    table as it connects; a crash severs the
     victim's connection for real.  ``time_scale`` maps simulated to
     wall seconds (``600`` runs a 600 s trace in about one wall second);
     links probe every ``heartbeat_interval_s`` wall seconds on failure
@@ -161,7 +154,9 @@ class TcpWire(WireRuntime):
             # Every repository is one in the static d3g, and
             # failover can route to any of them over ancestor edges.
             for dst in sorted(self.hosted):
-                self.connect(dst, await self.server.listen(self.host))
+                self.routes[dst] = self.connect(
+                    dst, await self.server.listen(self.host)
+                )
             # (Failure events only on its control timeline: run_live
             # refuses adaptive ticks here.)
             self.schedule_replay(duration, self.replay_finished)
@@ -192,11 +187,10 @@ class TcpWire(WireRuntime):
         )
         return stats
 
-    def route(self, dst: int) -> Link:
-        return self.links[dst]
-
     def settled(self) -> None:
-        if self.replayed.is_set() and self.stats.in_flight == 0:
+        # Runs per delivery: the counts first, they are rarely equal.
+        stats = self.stats
+        if stats.sent == stats.delivered + stats.dropped and self.replayed.is_set():
             self.quiet.set()
 
     def control(self, t: float, event) -> None:

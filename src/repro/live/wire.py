@@ -2,8 +2,9 @@
 
 The in-process and TCP wires (:mod:`repro.live.transport`) and the
 fleet worker (:mod:`repro.fleet.worker`) run one data path; this module
-states it once, and a driver swaps two operations -- where a
-destination lives and which clock releases the due queue:
+states it once, and each plane says two things -- where a destination
+lives (a ``dst -> Link`` table, :attr:`WireRuntime.routes`) and which
+clock releases the due queue:
 
 - :class:`DueQueue` -- the simulator's callback heap
   (:class:`~repro.sim.kernel.Simulator`) holding control events, source
@@ -17,9 +18,16 @@ destination lives and which clock releases the due queue:
   which reject a bad connection and never the run;
 - :class:`WireRuntime` -- the data path over those pieces around one
   :class:`~repro.live.harness.LiveNetwork`, the loss-and-failure
-  judgement included.  A driver subclasses it to say where a
-  destination lives (:meth:`WireRuntime.route`) and what is real about
-  its clock or its sockets.
+  judgement included.  Each plane subclasses it to fill the route
+  table and say what is real about its clock or its sockets.
+
+One delivery is one lean step on every plane: the due queue releases
+the row, :meth:`WireRuntime.deliver` judges it and has the node process
+it (one call: the node chains its FIFO departures and charges its
+counters in place), and only a node that emitted rows has them
+dispatched -- each judged, looked up in the route table and pushed onto
+the due heap or a link's queue in the dispatch loop itself, with no
+call per row.
 
 Loss, failures and departures are judged once, here, by the engine's
 rule: a repository-plane row meets a down link and then the seeded
@@ -163,6 +171,11 @@ class DueQueue(Simulator):
     queue overshoots by at most what one action emits.  The loop sees
     an action's own pushes when the action returns; a push from another
     task must :meth:`wake` it.
+
+    The runtime's row loops push deliveries onto the heap themselves,
+    ``heappush(_heap, (due, _seq(), action, (row,)))`` with :meth:`push`'s
+    guard per row, and leave a row that fails the guard to :meth:`push`,
+    which refuses it with its own error.
     """
 
     push = Simulator.schedule_at
@@ -265,9 +278,11 @@ class SendQueue:
     def put_nowait(self, item) -> bool:
         """Enqueue without ever blocking (control frames jump
         backpressure); true when the backlog now sits at the watermark."""
-        self._items.append(item)
-        self._readable.set()
-        if len(self._items) >= self.high:
+        items = self._items
+        items.append(item)
+        if len(items) == 1:  # was empty: wake the pump
+            self._readable.set()
+        if len(items) >= self.high:
             self._writable.clear()
             return True
         return False
@@ -550,10 +565,10 @@ class WireRuntime:
     The shared data path, one row (see the module docstring) all the
     way: :meth:`dispatch` counts each row a node emitted, judges it at
     its send instant and either queues it locally or on the link
-    :meth:`route` names; the frame server validates and queues every
+    :attr:`routes` names; the frame server validates and queues every
     inbound ``Forwards`` row; :meth:`deliver` runs when one comes due,
     judges it at its arrival stamp, has the node process it at that
-    stamp and dispatches what the node emits.
+    stamp and dispatches what the node emits, if anything.
 
     The judgement reads the run's own config (seed, loss probability)
     and the half-open windows of its failure and churn schedules, built
@@ -603,6 +618,9 @@ class WireRuntime:
         self.due = DueQueue(time_scale)
         self.server = FrameServer(self._on_frame, self.on_hello)
         self.links: dict[int, Link] = {}
+        #: ``dst -> Link`` toward the destination's host; a destination
+        #: absent from it lives here.  Each plane's subclass fills it.
+        self.routes: dict[int, Link] = {}
         self._due_task: asyncio.Task | None = None
         core = network.reconfig
         config, schedule = network.setup.config, core.failures
@@ -631,11 +649,7 @@ class WireRuntime:
         #: The engine's ``filtered``: can this run drop at the sender?
         self._judged = self._loss_random is not None or schedule is not None
 
-    # -- what a driver says: route(), and the rest where it matters --
-
-    def route(self, dst: int) -> Link | None:
-        """The link toward ``dst``'s host, or ``None`` when it lives here."""
-        raise NotImplementedError
+    # -- what a plane says: ``routes``, and the rest where it matters --
 
     def control(self, t: float, event) -> None:
         """One entry of the core's control timeline came due."""
@@ -654,15 +668,16 @@ class WireRuntime:
 
     # -- the shared data path --
 
-    def connect(self, peer: int, port: int) -> None:
+    def connect(self, peer: int, port: int) -> Link:
         """Start the link toward ``peer``; it connects on first use."""
-        self.links[peer] = Link(
+        link = self.links[peer] = Link(
             self.src, peer, self.host, port,
             lambda row: self.drop(row, "wire", row[1]),
             self.heartbeat_interval_s,
             metrics=self.metrics,
             telemetry=self._telemetry if self.metrics is not None else None,
         )
+        return link
 
     def schedule_replay(
         self, duration: float | None, then: Callable | None = None
@@ -706,7 +721,10 @@ class WireRuntime:
     def dispatch(self, rows: list[list], now: float) -> None:
         """Send the rows a node emitted at simulated instant ``now``."""
         self.stats.sent += len(rows)
-        judged, jitter = self._judged, self.jitter
+        judged, jitter, routes = self._judged, self.jitter, self.routes
+        due, deliver = self.due, self.deliver
+        heappush, heap, next_seq = heapq.heappush, due._heap, due._seq
+        released = due.now
         for row in rows:
             dst = row[0]
             if judged and dst in self._repositories:
@@ -720,15 +738,17 @@ class WireRuntime:
                 if self._loss_random is not None and self._loss_random() < self._loss_p:
                     self.drop(row, "loss", now)
                     continue
-            link = self.route(dst)
-            if link is None:
-                if jitter is not None:
-                    row[1] += jitter()
-                self.due.push(row[1], self.deliver, row)
-            else:
-                queue = link.queue
+            if dst in routes:
+                queue = routes[dst].queue
                 if queue.put_nowait(row):
-                    self.due.hold(queue)
+                    due.hold(queue)
+                continue
+            if jitter is not None:
+                row[1] += jitter()
+            arrival_s = row[1]
+            if not arrival_s >= released:
+                due.push(arrival_s, deliver, row)  # refuses it: push's error
+            heappush(heap, (arrival_s, next_seq(), deliver, (row,)))
 
     def deliver(self, row: list) -> None:
         # Judged and processed at the logical arrival stamp (see the
@@ -740,9 +760,9 @@ class WireRuntime:
                 if in_windows(windows, arrival_s):
                     self.drop(row, reason, arrival_s)
                     return
-        self.dispatch(
-            self.hosted[dst].receive(item_id, value, tag, seq, arrival_s), arrival_s
-        )
+        rows = self.hosted[dst].receive(item_id, value, tag, seq, arrival_s)
+        if rows:
+            self.dispatch(rows, arrival_s)
         self.stats.delivered += 1
         self.settled()
 
@@ -763,14 +783,19 @@ class WireRuntime:
         # The record fixes each field's type; what it cannot state is
         # checked here, per row, so the rows ahead of a bad one queue
         # (and the due loop, woken first, sees them even then).
-        self.due.wake()
-        push, deliver, hosted = self.due.push, self.deliver, self.hosted
+        due, deliver, hosted = self.due, self.deliver, self.hosted
+        due.wake()
+        heappush, heap, next_seq = heapq.heappush, due._heap, due._seq
+        released = due.now
         for row in message.rows:
             if row[0] not in hosted:
                 raise ProtocolError(f"node {row[0]} does not live here")
-            if not (isfinite(row[1]) and isfinite(row[3])):
+            arrival_s = row[1]
+            if not (isfinite(arrival_s) and isfinite(row[3])):
                 raise ProtocolError(f"non-finite stamp or value in row {row!r}")
-            push(row[1], deliver, row)
+            if not arrival_s >= released:
+                due.push(arrival_s, deliver, row)  # refuses it: push's error
+            heappush(heap, (arrival_s, next_seq(), deliver, (row,)))
 
     def _telemetry(self) -> Stats:
         stats = self.stats

@@ -9,7 +9,6 @@ rows are judged by their stamps, and nothing waits for a wall clock.
 
 import asyncio
 import socket
-from collections import defaultdict
 from types import SimpleNamespace
 
 import pytest
@@ -65,7 +64,9 @@ def virtual(network):
 def tcp(network):
     runtime = TcpWire(network)
     # A link is its queue as far as dispatch can tell; no socket opens.
-    runtime.links = defaultdict(lambda: SimpleNamespace(queue=wire.SendQueue()))
+    runtime.routes = {
+        dst: SimpleNamespace(queue=wire.SendQueue()) for dst in network.repositories
+    }
     return runtime
 
 

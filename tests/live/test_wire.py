@@ -2,6 +2,7 @@
 
 import asyncio
 import math
+import multiprocessing
 import socket
 import struct
 import time
@@ -9,8 +10,11 @@ import time
 import pytest
 
 from repro.core.metrics import CostCounters
+from repro.engine.builder import build_setup
 from repro.engine.config import SimulationConfig
 from repro.errors import SimulationError
+from repro.fleet.sharding import plan_shards
+from repro.fleet.worker import FleetSpec, _Shard
 from repro.live import wire
 from repro.live.harness import build_live_network
 from repro.live.protocol import (
@@ -22,11 +26,12 @@ from repro.live.protocol import (
     ResyncRequest,
     encode_message,
 )
-from repro.live.transport import TransportStats
+from repro.live.transport import TcpWire, TransportStats, VirtualWire
 
 pytestmark = pytest.mark.live
 
 HOST = "127.0.0.1"
+CONFIG = SimulationConfig(n_repositories=5, n_routers=15, n_items=2, trace_samples=80)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -360,21 +365,19 @@ def test_server_close_waits_for_handlers_then_cancels(monkeypatch):
 # ---- backpressure: dispatch never waits, the due queue does ----
 
 
-class _OneLink(wire.WireRuntime):
-    """Every destination sits behind the one link, toward peer 0."""
-
-    def route(self, dst):
-        return self.links[0]
-
-
-def one_link_runtime() -> _OneLink:
-    network = build_live_network(
-        SimulationConfig(n_repositories=5, n_routers=15, n_items=2, trace_samples=80)
-    )
-    return _OneLink(
+def one_link_runtime() -> wire.WireRuntime:
+    """A runtime with every node hosted; :func:`route_all` puts them all
+    behind one link."""
+    network = build_live_network(CONFIG)
+    return wire.WireRuntime(
         network, TransportStats(), hosted=set(network.repositories), src=0,
         time_scale=1000.0, host=HOST, heartbeat_interval_s=0.0,
     )
+
+
+def route_all(runtime: wire.WireRuntime, link: wire.Link) -> wire.Link:
+    runtime.routes = dict.fromkeys(runtime.hosted, link)
+    return link
 
 
 def test_an_action_that_fills_a_send_queue_holds_the_next_one_until_it_is_taken():
@@ -385,8 +388,7 @@ def test_an_action_that_fills_a_send_queue_holds_the_next_one_until_it_is_taken(
         frames, depths = [], []
         server = wire.FrameServer(frames.append)
         runtime = one_link_runtime()
-        runtime.connect(0, await server.listen(HOST))
-        queue = runtime.links[0].queue
+        queue = route_all(runtime, runtime.connect(0, await server.listen(HOST))).queue
 
         def depth():
             depths.append((len(queue), queue.stalls))
@@ -422,8 +424,8 @@ def test_a_dead_link_under_a_stall_reports_the_eaten_write_in_order(monkeypatch)
         frames, dropped, released = [], [], []
         server = wire.FrameServer(frames.append)
         runtime = one_link_runtime()
-        link = runtime.links[0] = wire.Link(
-            0, 0, HOST, await server.listen(HOST), dropped.append
+        link = runtime.links[0] = route_all(
+            runtime, wire.Link(0, 0, HOST, await server.listen(HOST), dropped.append)
         )
         runtime.start(time.monotonic())
         runtime.due.push(0.0, runtime.dispatch, [frame(0)], 0.0)
@@ -445,6 +447,82 @@ def test_a_dead_link_under_a_stall_reports_the_eaten_write_in_order(monkeypatch)
     assert dropped == eaten
     assert link.queue.stalls == 1 and len(link.queue) == 0
     assert stats.sent == 1 + len(eaten)
+
+
+# ---- the route table: where a destination lives ----
+
+
+def test_the_virtual_wire_routes_nothing_anywhere():
+    runtime = VirtualWire(build_live_network(CONFIG))
+    assert runtime.routes == {}
+    stats = runtime.run()
+    assert runtime.routes == {} and runtime.links == {}
+    assert stats.delivered > 0 and stats.conserved
+
+
+def test_the_tcp_wire_routes_every_hosted_destination_to_its_own_link():
+    network = build_live_network(CONFIG)
+    runtime = TcpWire(network, time_scale=800.0)
+    stats = asyncio.run(asyncio.wait_for(runtime.run(40.0), timeout=20.0))
+    assert stats.delivered > 0 and stats.conserved
+    assert set(runtime.routes) == set(network.repositories)
+    for dst, link in runtime.routes.items():
+        assert link is runtime.links[dst] and link.peer == dst
+
+
+def test_a_fleet_shard_routes_the_peers_nodes_to_the_peers_link():
+    """At ``start``, from the shard plan: every node the peer owns maps
+    to the one link toward it, and no local node is in the table -- a
+    row toward one lands on the due heap."""
+    plan = plan_shards(build_setup(CONFIG), 2)
+    worker = 1 - plan.owner[plan.source]  # no replay starts on this one
+    peer = 1 - worker
+    supervisor, worker_end = multiprocessing.Pipe()
+
+    async def scenario():
+        shard = _Shard(worker, FleetSpec(config=CONFIG, n_workers=2), worker_end)
+        # Nothing is sent before ``finish``, so the peer's port is never dialled.
+        supervisor.send(("start", {worker: 0, peer: 0}, time.monotonic()))
+        supervisor.send(("finish",))
+        await shard.obey()
+        await shard.close()
+        return shard
+
+    shard = run(scenario())
+    link = shard.links[peer]
+    assert shard.routes == {
+        node: link for node, owner in plan.owner.items() if owner == peer
+    }
+    assert shard.local_repos and not shard.local_repos & set(shard.routes)
+    peers_repos = {r for r in shard.network.repositories if plan.owner[r] == peer}
+    assert peers_repos and peers_repos <= set(shard.routes)
+
+    local, remote = min(shard.local_repos), min(peers_repos)
+    toward_local = [local, 2.5, 0, 1.0, None, 1, 0]
+    toward_peer = [remote, 2.5, 0, 1.0, None, 2, 0]
+    shard.dispatch([toward_local, toward_peer], 1.0)
+    assert [entry[3] for entry in shard.due._heap] == [(toward_local,)]
+    assert shard.due._heap[0][2] == shard.deliver
+    assert link.queue._items == [toward_peer]
+
+
+@pytest.mark.parametrize("arrival_s", [4.0, math.nan], ids=["past", "nan"])
+def test_a_local_row_due_before_the_clock_gets_the_due_queues_refusal(arrival_s):
+    """``dispatch`` pushes local rows itself, under ``push``'s guard."""
+    runtime = VirtualWire(build_live_network(CONFIG))
+    row = [min(runtime.hosted), arrival_s, 0, 1.0, None, 1, 0]
+    runtime.due.push(5.0, runtime.dispatch, [row], 5.0)
+    with pytest.raises(SimulationError, match="clock is already at 5.0"):
+        runtime.due.drain()
+
+
+def test_an_inbound_row_due_before_the_clock_gets_the_due_queues_refusal():
+    """So does the frame server, after the checks of its own."""
+    runtime = VirtualWire(build_live_network(CONFIG))
+    early = (min(runtime.hosted), 4.0, 0, 1.0, None, 1, 0)
+    runtime.due.push(5.0, runtime._on_frame, Forwards([early]))
+    with pytest.raises(SimulationError, match="cannot schedule at 4.0"):
+        runtime.due.drain()
 
 
 # ---- end-of-run reconciliation ----

@@ -357,10 +357,14 @@ def test_cli_live_run_is_deterministic(capsys):
     assert stable(first) == stable(second)
 
 
-def _client_lines(out: str) -> list[str]:
+def _shared_lines(out: str) -> list[str]:
+    """The check and client lines every command prints alike."""
     return [
         line for line in out.splitlines()
-        if line.startswith(("modeled clients", "client checks/serves"))
+        if line.startswith((
+            "source checks", "repository checks", "modeled clients",
+            "client checks/serves",
+        ))
     ]
 
 
@@ -374,14 +378,18 @@ def _client_lines(out: str) -> list[str]:
 )
 def test_cli_run_clients_print_the_default_commands_client_lines(command, capsys):
     """``--clients`` runs the engine's modeled clients on every plane,
-    and every command reports them in the same two lines."""
+    and every command reports them, and the repository plane's source
+    and repository checks, in the same four lines."""
     cli_main(["--preset", "tiny", "--clients", "3"])
-    engine = _client_lines(capsys.readouterr().out)
+    engine = _shared_lines(capsys.readouterr().out)
     cli_main([*command, "--preset", "tiny", "--clients", "3"])
-    lines = _client_lines(capsys.readouterr().out)
+    lines = _shared_lines(capsys.readouterr().out)
     assert lines == engine
-    assert lines[0] == "modeled clients       : 60"
-    checks, serves = lines[1].split(": ")[1].split("/")
+    assert [line.split(":")[0].rstrip() for line in lines[:2]] == [
+        "source checks", "repository checks",
+    ]
+    assert lines[2] == "modeled clients       : 60"
+    checks, serves = lines[3].split(": ")[1].split("/")
     assert int(checks) >= int(serves) > 0
 
 
