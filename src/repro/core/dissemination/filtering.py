@@ -35,8 +35,8 @@ Four layers:
   the live source run).  Both rules are
   monotone in the tolerance, so a run is decided by its end elements
   and one ``bisect``, exactly; the production engine
-  (:mod:`repro.engine.simulation`) runs the scalar functions on its
-  1-4 wide edge groups.
+  (:mod:`repro.engine.simulation`) runs the scalar rules, written
+  inline, on its 1-4 wide edge groups.
   :func:`forward_distributed_many` is the elementwise numpy reference
   the staircase is property-tested against.
 """

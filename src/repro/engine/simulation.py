@@ -46,18 +46,28 @@ The engine's hot path touches only flat lists, tuples and ints:
 - **One loop.**  :meth:`VectorizedSimulation.run` is the whole hot
   path: a source update and a delivery do their own bookkeeping and
   fall through to one inline *edge-group step*, a single pass over the
-  group's columns that decides each dependent -- with the policy's entry
-  in :data:`~repro.core.dissemination.filtering.FORWARD_RULES`, the very
-  functions the reference policy table and the live nodes call -- chains
-  the node's FIFO departures (the reference station's own float
-  additions, on a per-node list) and pushes each surviving message.
-  Per event that leaves the kernel's generator resume and one rule call
-  per dependent: 1.9 Python-level calls on the paper's base case.
-- **Events.**  A :class:`~repro.sim.kernel.BatchKernel` merges the
-  precomputed source timeline with a tuple heap of in-flight
-  deliveries -- no per-message Event objects, no callback dispatch; the
-  loop pushes onto the kernel's ``heap`` itself, ``push``'s NaN/past
-  guard kept as one inline comparison.  A copy sent to a pair with *no
+  group's columns that decides each dependent, chains the node's FIFO
+  departures (the reference station's own float additions, on a
+  per-node list) and pushes each surviving message.  The decision is
+  the policy's rule written inline: ``c <= tag`` for the centralised
+  policy, and for the three last-sent policies one Eq. (3)-or-Eq. (7)
+  test over the operands ``wire`` stores for the policy (Eq. (3) alone
+  is the pair at a zero receive coherency, flooding is Eq. (3) at a
+  zero tolerance).  An observed run also calls the policy's entry in
+  :data:`~repro.core.dissemination.filtering.FORWARD_RULES` -- the very
+  functions the reference policy table and the live nodes call -- for
+  its spans, so a traced run cross-checks the inline test.  On the
+  paper's base case the loop itself calls only C (``heappush``,
+  ``heappop``, ``abs``, ``list.append``; the centralised source adds
+  one ``examine`` per update): the 0.05 Python-level calls per event
+  left are the scoring's and the tree statistics' after it.
+- **Events.**  The loop merges the precomputed source timeline (a list
+  and a cursor) with a heap of in-flight delivery tuples itself -- no
+  per-message Event objects, no callback dispatch, no generator: ties
+  go to the source update, then to push order (a local FIFO counter),
+  as in the reference's queue, and a push keeps
+  :meth:`~repro.sim.kernel.BatchKernel.push`'s NaN/past guard as one
+  inline comparison.  A copy sent to a pair with *no
   dependents* never reaches the heap in a static, unobserved run: it
   *lands* at the push site (the argument is beside ``lands`` in
   :meth:`~VectorizedSimulation.run`) -- 43 % of the base case's
@@ -96,8 +106,8 @@ fidelity over the core's availability segments.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
-from math import inf
+from heapq import heappop, heappush
+from math import inf, nan
 
 from repro.core.dissemination.filtering import (
     FORWARD_RULES,
@@ -111,7 +121,6 @@ from repro.engine.config import SimulationConfig
 from repro.engine.reconfig import ReconfigurationCore
 from repro.engine.results import SimulationResult
 from repro.errors import SimulationError
-from repro.sim.kernel import BatchKernel
 from repro.sim.rng import RandomStreams
 from repro.traces.schedule import UpdateSchedule
 
@@ -243,10 +252,14 @@ class VectorizedSimulation(SimulationBase):
     def __init__(self, setup: SimulationSetup, observer=None):
         super().__init__(setup, observer)
         name = setup.config.policy
+        # The run decides inline; the observer's view calls the rule.
         self._rule = FORWARD_RULES[name]
         # The centralised policy serves at quantised tolerances, keeps no
         # per-edge last-sent state, and examines updates at the source.
         self._centralized = name == "centralized"
+        # Which operands wire() stores for the one last-sent test.
+        self._flooding = name == "flooding"
+        self._eq7 = name == "distributed"
         self._gid_of: dict[tuple[int, int], int] = {}
         self._g_node: list[int] = []
         self._g_item: list[int] = []
@@ -302,14 +315,23 @@ class VectorizedSimulation(SimulationBase):
         total it touches is a local.
         """
         schedule = self._begin_run()
-        kernel = BatchKernel(schedule.times)
-        heap, next_seq = kernel.heap, kernel.next_seq
-        source_times = schedule.times.tolist()
+        times = schedule.times
+        if (times[1:] < times[:-1]).any():
+            raise SimulationError("static schedule must be time-sorted")
+        # The timeline is the static source schedule (a list and a
+        # cursor) merged with a heap of in-flight delivery tuples,
+        # ``(time, seq, ...)``; the FIFO ``seq`` is a local int.  A NaN
+        # after the last source time compares false with every arrival,
+        # so past it only the heap drains.
+        source_times = times.tolist()
+        n_static = len(source_times)
+        source_times.append(nan)
         source_items = schedule.item_ids.tolist()
         source_values = schedule.values.tolist()
-        rule = self._rule
+        heap: list[tuple] = []
+        seq = cursor = 0
+        next_source = source_times[0]
         centralized = self._centralized
-        keeps_last = not centralized
         examine = self._tagger.examine if centralized else None
         source, root_gid = self._source, self._root_gid
         node_of, item_of = self._g_node, self._g_item
@@ -361,48 +383,17 @@ class VectorizedSimulation(SimulationBase):
             return controls[0][0] if controls else inf
 
         next_control = apply_controls(-inf)
-        for unit in kernel.drain():
-            if type(unit) is int:
-                # A fresh source update; the static schedule index is
-                # the update's stable trace id.
-                update_id = unit
-                t = source_times[unit]
+        while True:
+            if heap and not next_source <= heap[0][0]:
+                # A delivery (ties go to the source schedule, then to
+                # push order): (time, seq, gid, value, tag, update_id,
+                # sender node).
+                t, _seq, gid, value, tag, update_id, src = heappop(heap)
                 if next_control <= t:
                     # Same tie-break as the reference's event queue
                     # (control events are scheduled before everything
                     # else at run() start): an entry at t applies before
                     # the update or delivery at t.
-                    next_control = apply_controls(t)
-                item_id = source_items[unit]
-                value = source_values[unit]
-                if reconfigures:
-                    # Keep the root's copy current for initial syncs and
-                    # recovery resyncs (the reference's
-                    # _on_source_update does this first).
-                    self._source_value[item_id] = value
-                # Only the centralised source examines (and may suppress)
-                # an update; the other policies' at_source is a free
-                # pass-through, reported to the observer all the same.
-                decision = examine(item_id, value) if centralized else PASS_THROUGH
-                if decision.checks:
-                    source_checks += decision.checks
-                    node_checks[source] += decision.checks
-                if observer is not None:
-                    observer.on_source(
-                        unit, item_id, t, source,
-                        decision.checks, decision.disseminate,
-                    )
-                if not decision.disseminate:
-                    continue
-                tag = decision.tag
-                gid = root_gid[item_id]
-                if gid < 0:
-                    continue
-            else:
-                # A delivery tuple: (time, seq, gid, value, tag,
-                # update_id, sender node).
-                t, _seq, gid, value, tag, update_id, src = unit
-                if next_control <= t:
                     next_control = apply_controls(t)
                 if crashed or departed:
                     node = node_of[gid]
@@ -424,6 +415,42 @@ class VectorizedSimulation(SimulationBase):
                 if log is not None:
                     log.append(t)
                     log.append(value)
+            elif cursor < n_static:
+                # A fresh source update; the static schedule index is
+                # the update's stable trace id.
+                update_id = cursor
+                t = next_source
+                cursor += 1
+                next_source = source_times[cursor]
+                if next_control <= t:
+                    next_control = apply_controls(t)
+                item_id = source_items[update_id]
+                value = source_values[update_id]
+                if reconfigures:
+                    # Keep the root's copy current for initial syncs and
+                    # recovery resyncs (the reference's
+                    # _on_source_update does this first).
+                    self._source_value[item_id] = value
+                # Only the centralised source examines (and may suppress)
+                # an update; the other policies' at_source is a free
+                # pass-through, reported to the observer all the same.
+                decision = examine(item_id, value) if centralized else PASS_THROUGH
+                if decision.checks:
+                    source_checks += decision.checks
+                    node_checks[source] += decision.checks
+                if observer is not None:
+                    observer.on_source(
+                        update_id, item_id, t, source,
+                        decision.checks, decision.disseminate,
+                    )
+                if not decision.disseminate:
+                    continue
+                tag = decision.tag
+                gid = root_gid[item_id]
+                if gid < 0:
+                    continue
+            else:
+                break
 
             # The edge-group step, shared by both branches.
             cs = g_cs[gid]
@@ -444,41 +471,49 @@ class VectorizedSimulation(SimulationBase):
                 self._observe_group(gid, update_id, t, value, tag, departure)
             sent = 0
             for i, c in enumerate(cs):
-                if rule(value, last[i], c, prc, tag):
-                    if keeps_last:
-                        last[i] = value
-                    departure += comp_delay
-                    sent += 1
-                    if filtered:
-                        # The reference child loop's order: a down link eats
-                        # the message before the Bernoulli draw, so the
-                        # loss stream is consumed only for messages that
-                        # enter the network.
-                        child = node_of[children[i]]
-                        if down and (node, child) in down:
-                            partitioned.append(child)
-                            continue
-                        if loss_random is not None and loss_random() < loss_p:
-                            lost.append(child)
-                            continue
-                    arrival = departure + delays[i]
-                    if not arrival >= t:  # BatchKernel.push's guard
-                        raise SimulationError(
-                            f"cannot schedule at {arrival!r}: clock is already at {t!r}"
-                        )
-                    child_gid = children[i]
-                    if lands and not g_cs[child_gid]:
-                        # The delivery branch's bookkeeping, at `arrival`.
-                        landed += 1
-                        log = g_log[child_gid]
-                        if log is not None:
-                            log.append(arrival)
-                            log.append(value)
-                    else:
-                        heappush(
-                            heap,
-                            (arrival, next_seq(), child_gid, value, tag, update_id, node),
-                        )
+                # The policy's rule, inline over the operands wire()
+                # stored for it (see there): tag pruning, or Eq. (3) or
+                # Eq. (7) and a new last-sent value.
+                if centralized:
+                    if not c <= tag:
+                        continue
+                else:
+                    deviation = abs(value - last[i])
+                    if not (deviation > c or c - deviation < prc):
+                        continue
+                    last[i] = value
+                departure += comp_delay
+                sent += 1
+                if filtered:
+                    # The reference child loop's order: a down link eats
+                    # the message before the Bernoulli draw, so the
+                    # loss stream is consumed only for messages that
+                    # enter the network.
+                    child = node_of[children[i]]
+                    if down and (node, child) in down:
+                        partitioned.append(child)
+                        continue
+                    if loss_random is not None and loss_random() < loss_p:
+                        lost.append(child)
+                        continue
+                arrival = departure + delays[i]
+                if not arrival >= t:  # NaN or the past: BatchKernel.push's guard
+                    raise SimulationError(
+                        f"cannot schedule at {arrival!r}: clock is already at {t!r}"
+                    )
+                child_gid = children[i]
+                if lands and not g_cs[child_gid]:
+                    # The delivery branch's bookkeeping, at `arrival`.
+                    landed += 1
+                    log = g_log[child_gid]
+                    if log is not None:
+                        log.append(arrival)
+                        log.append(value)
+                else:
+                    seq += 1
+                    heappush(
+                        heap, (arrival, seq, child_gid, value, tag, update_id, node)
+                    )
             n = len(cs)
             node_checks[node] += n
             if g_issrc[gid]:
@@ -511,12 +546,12 @@ class VectorizedSimulation(SimulationBase):
         # The two are disjoint, so a merge is the union.
         self.counters.merge(counters.to_cost_counters())
         core.serve_clients(self.setup.client_tolerances, self.setup.traces)
-        # The reference runs each control-timeline entry and each
-        # delivery as one discrete event; here the controls were applied
-        # inline and the leaf landings at their push sites, so both are
-        # added back to keep the result field bit-identical.
+        # The reference runs each source update, control-timeline entry
+        # and delivery as one discrete event; here every push is one
+        # popped delivery, the controls were applied inline and the
+        # leaf landings at their push sites, so the count is their sum.
         return self._score(
-            schedule.span, kernel.events_processed + core.applied + landed
+            schedule.span, n_static + seq + core.applied + landed
         )
 
     def _observe_group(
@@ -578,14 +613,27 @@ class VectorizedSimulation(SimulationBase):
         """Append ``child`` to all four columns of ``parent``'s group and
         point the child's group at the pair's current state: the receive
         coherency just changed and the delivery log may be new, and
-        in-flight as well as future deliveries must see both."""
+        in-flight as well as future deliveries must see both.
+
+        The tolerance column and the receive coherency hold the operands
+        of the policy's inline test: ``(c, c_child)`` for distributed,
+        ``(c, 0.0)`` for Eq. (3) alone, ``(0.0, 0.0)`` for flooding and
+        the quantised ``c`` for the centralised tag test.  Eq. (3) alone
+        is Eq. (3)-or-Eq. (7) at a zero receive coherency, and for
+        finite values "every change" is Eq. (3) at a zero tolerance
+        (``|v - l| > 0`` iff ``v != l``), so the three last-sent
+        policies share one test."""
         gid = self._group(parent, item_id)
         child_gid = self._group(child, item_id)
         self._g_child_gid[gid].append(child_gid)
-        self._g_cs[gid].append(quantise_tolerance(c) if self._centralized else c)
+        if self._centralized:
+            served = quantise_tolerance(c)
+        else:
+            served = 0.0 if self._flooding else c
+        self._g_cs[gid].append(served)
         self._g_last[gid].append(initial)
         self._g_delay[gid].append(self.setup.network.delay_s(parent, child))
-        self._g_prc[child_gid] = c
+        self._g_prc[child_gid] = c if self._eq7 else 0.0
         self._g_log[child_gid] = self._deliveries.get((child, item_id))
         if self._centralized:
             self._tagger.add_tolerance(item_id, c, initial)
@@ -602,17 +650,18 @@ def make_simulation(setup: SimulationSetup, observer=None) -> SimulationBase:
     bit-identical on every run, and the engine is faster at every
     edge-group width the repo can produce, so nothing selects between
     them.  ``paper`` preset with 300-sample traces, seconds per
-    run against the offered degree (the last column is no cooperation
-    at 1000 repositories, 4 items, 200 samples -- the widest source
-    groups the repo produces):
+    ``make_simulation(setup).run()`` against the offered degree, median
+    of 5 on a 2-core container (the last column is no cooperation at
+    1000 repositories, 4 items, 200 samples -- the widest source groups
+    the repo produces):
 
-    =================  ====  ====  ====  ====  ====  ====
-    offered degree        4     8    16    32   100  1000
-    widest edge group     4     8    16    28    61   533
-    =================  ====  ====  ====  ====  ====  ====
-    engine             0.16  0.15  0.12  0.12  0.07  0.18
-    reference          0.68  0.69  0.57  0.59  0.53  0.88
-    =================  ====  ====  ====  ====  ====  ====
+    =================  =====  =====  =====  =====  =====  =====
+    offered degree         4      8     16     32    100   1000
+    widest edge group      4      8     16     28     61    533
+    =================  =====  =====  =====  =====  =====  =====
+    engine             0.085  0.070  0.053  0.061  0.035  0.053
+    reference          0.33   0.29   0.26   0.28   0.26   0.36
+    =================  =====  =====  =====  =====  =====  =====
 
     A delivery to an edge group with no dependents lands at its push
     site and never sees the heap, so the flatter the tree the less of a

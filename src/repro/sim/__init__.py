@@ -5,8 +5,8 @@ runs on.  It provides:
 
 - :mod:`repro.sim.kernel` -- the :class:`~repro.sim.kernel.Simulator`,
   the one callback heap releasing callbacks in simulated-time order,
-  and the object-free :class:`~repro.sim.kernel.BatchKernel` behind
-  the vectorized engine.
+  and the object-free :class:`~repro.sim.kernel.BatchKernel`, the
+  stand-alone statement of the merge the engine's loop runs inline.
 - :mod:`repro.sim.queueing` -- single-server FIFO stations used to model
   the serialised per-dependent computational delay at repositories.
 - :mod:`repro.sim.rng` -- seeded, named random streams so every

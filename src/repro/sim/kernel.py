@@ -10,14 +10,15 @@ planes' due queue, :class:`repro.live.wire.DueQueue`, is the same heap
 with a wall clock beside the virtual one (its virtual clock is what the
 in-process transport runs on).
 
-:class:`BatchKernel` is the object-free sibling used by the engine
-(:mod:`repro.engine.simulation`): no callback dispatch per message,
-just one merge of the run's pre-sorted source-update schedule with a
-plain tuple heap of in-flight deliveries, in the same ``(time, seq)``
-order.  It is a merge and nothing more -- the engine's loop owns the
-work per unit and pushes onto the kernel's heap itself.  It is kept
-apart on purpose: the oracle-vs-engine goldens compare two independent
-implementations of the order.
+:class:`BatchKernel` is the object-free sibling: no callback dispatch
+per message, just one merge of a pre-sorted static schedule with a
+plain tuple heap of dynamic work, in the same ``(time, seq)`` order,
+yielded one unit per generator resume.  The engine
+(:mod:`repro.engine.simulation`) runs the same merge inline in its own
+loop, with no resume per event; this class stays as the stand-alone
+statement of that order, which the perf ledger's frozen
+``sim.batchkernel.ns_per_unit`` probe times and the substrate
+properties pin.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ sort -- so that
 
 - the scalar engine schedules its source events from plain arrays
   instead of per-trace Python tuple iteration, and
-- the vectorized engine hands the times straight to
-  :class:`~repro.sim.kernel.BatchKernel` as its static schedule.
+- the engine merges the times, as a list and a cursor, with its heap
+  of in-flight deliveries.
 
 Ordering contract: within one timestamp, updates appear in the traces'
 mapping order (the builder's item order), which is exactly the order the

@@ -13,12 +13,19 @@ breakdowns and client-plane totals), and the event count.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import heapq
 
+import numpy as np
 import pytest
 
 import repro.engine.simulation as vectorized_module
-from repro.core.dissemination.filtering import FILTERED_POLICIES, quantise_tolerance
+from repro.core.dissemination.filtering import (
+    FILTERED_POLICIES,
+    FORWARD_RULES,
+    quantise_tolerance,
+)
 from repro.engine.adaptive import AdaptivePolicy
 from repro.engine.builder import build_setup
 from repro.engine.churn import ChurnEvent, ChurnSchedule, schedule_for_config
@@ -33,6 +40,7 @@ from repro.engine.simulation import (
 from repro.engine.sweep import run_sweep
 from repro.errors import SimulationError
 from repro.obs.trace import TraceRecorder
+from repro.sim.kernel import BatchKernel
 from repro.workloads import DiurnalWorkload, FlashCrowdWorkload, Table1Workload
 
 BASE = SCALE_PRESETS["tiny"].with_(n_items=3, trace_samples=300)
@@ -126,8 +134,8 @@ def test_centralised_churn_under_loss_equals_the_oracle():
 
 @pytest.mark.parametrize("delay", [float("nan"), -1e9])
 def test_the_inline_heap_push_keeps_the_kernels_guard(delay):
-    """The drain loop enqueues with ``heappush(kernel.heap, ...)``
-    directly, so ``BatchKernel.push``'s NaN/past check is its own."""
+    """The loop pushes onto its own heap with ``heappush``, so
+    ``BatchKernel.push``'s NaN/past check is its own."""
     sim = VectorizedSimulation(build_setup(BASE))
     delays = sim._g_delay[sim._root_gid[0]]
     assert delays  # item 0's source group has dependents to send to
@@ -361,3 +369,75 @@ def test_the_static_unobserved_run_is_the_one_that_lands(monkeypatch):
     """The same config as the excluded kinds, with nothing attached."""
     _sim, vector, pushed = _counted_run(monkeypatch, _excluded("static"))
     assert 0 < pushed < vector.counters.deliveries
+
+
+# ----------------------------------------------------------------------
+# The loop owns its timeline and decides each dependent inline.
+# ----------------------------------------------------------------------
+
+
+def test_a_static_unobserved_run_calls_no_rule_and_no_kernel_drain(monkeypatch):
+    """The engine merges its own timeline and tests each dependent
+    inline; only an observed run calls the policy's rule (to cross-check
+    the inline test span by span)."""
+    calls = []
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for policy, rule in list(FORWARD_RULES.items()):
+        monkeypatch.setitem(FORWARD_RULES, policy, counting(policy, rule))
+    monkeypatch.setattr(BatchKernel, "drain", counting("drain", BatchKernel.drain))
+    for policy in sorted(FILTERED_POLICIES):
+        config = BASE.with_(policy=policy, message_loss_probability=0.02)
+        result = VectorizedSimulation(build_setup(config)).run()
+        assert result.counters.deliveries > 0
+        assert calls == []
+    # The wrappers are live: an observed run reaches the rule through them.
+    VectorizedSimulation(build_setup(BASE), observer=TraceRecorder()).run()
+    assert set(calls) == {BASE.policy}
+
+
+def test_the_engine_keeps_the_schedules_time_sorted_guard():
+    sim = VectorizedSimulation(build_setup(BASE))
+    times = sim.setup.update_schedule.times
+    sim.setup = dataclasses.replace(
+        sim.setup,
+        update_schedule=dataclasses.replace(
+            sim.setup.update_schedule, times=times[::-1].copy()
+        ),
+    )
+    with pytest.raises(SimulationError, match="time-sorted"):
+        sim.run()
+
+
+@pytest.mark.parametrize("policy", sorted(FILTERED_POLICIES))
+def test_ties_between_updates_and_deliveries_follow_the_oracle(policy):
+    """No computational delay and one whole second on every path: source
+    updates fall on whole seconds too, so deliveries land on update
+    instants and on each other.  The engine's merge must break those ties
+    as the oracle's queue does -- source update first, then push order.
+    The order shows through the loss stream: each message that enters
+    the network takes the next draw."""
+    config = BASE.with_(
+        policy=policy, comp_delay_ms=0.0, message_loss_probability=0.1, seed=11
+    )
+    setup = build_setup(config)
+    dist_ms = setup.network.routing.dist_ms
+    dist_ms[:] = 1000.0
+    np.fill_diagonal(dist_ms, 0.0)
+    engine = VectorizedSimulation(setup)
+    oracle = DisseminationSimulation(setup)
+    assert engine.run() == oracle.run()
+    assert _logs(engine) == _logs(oracle)
+
+    arrivals = collections.Counter(
+        t for key in oracle._deliveries for t, _value in oracle.delivery_log(*key)
+    )
+    updates = set(setup.update_schedule.times.tolist())
+    assert any(t in updates for t in arrivals)  # a delivery meets an update
+    assert max(arrivals.values()) > 1  # and deliveries meet each other

@@ -429,3 +429,53 @@ def test_each_rule_table_entry_is_its_edge_filters_decision(
     assert edge.decide(value, prc, tag) is forward
     assert edge.last_sent == (value if forward else last)
 
+
+
+# ---------------------------------------------------------------------------
+# The engine's one inline test: the last-sent rules as operand choices.
+# ---------------------------------------------------------------------------
+
+from repro.core.dissemination.filtering import (
+    forward_distributed,
+    forward_eq3_only,
+    forward_flooding,
+)
+
+#: Every finite float: signed zeros, subnormals and magnitudes whose
+#: difference overflows to infinity are all in range.
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_MAX = 1.7976931348623157e308
+_TINY = 5e-324  # the smallest subnormal
+
+
+@given(value=_finite, last=_finite, c=_finite, prc=_finite)
+@example(value=_MAX, last=-_MAX, c=1.0, prc=0.5)
+@example(value=-_MAX, last=_MAX, c=_MAX, prc=_MAX)
+@example(value=0.0, last=-0.0, c=0.0, prc=0.0)
+@example(value=-0.0, last=0.0, c=-0.0, prc=-0.0)
+@example(value=_TINY, last=0.0, c=0.0, prc=0.0)
+@example(value=_TINY, last=-_TINY, c=_TINY, prc=1.0)
+@settings(max_examples=examples(500), deadline=None)
+def test_eq3_alone_is_the_distributed_test_at_zero_receive_coherency(
+    value, last, c, prc
+):
+    """The engine stores ``(c, 0.0)`` for ``eq3_only`` and runs the
+    distributed test: Eq. (7) at a zero receive coherency adds nothing."""
+    assert forward_eq3_only(value, last, c, prc) == forward_distributed(
+        value, last, c, 0.0
+    )
+
+
+@given(value=_finite, last=_finite)
+@example(value=_MAX, last=-_MAX)
+@example(value=0.0, last=-0.0)
+@example(value=_TINY, last=0.0)
+@example(value=_TINY, last=-_TINY)
+@example(value=1.0, last=1.0 + _ULP)
+@settings(max_examples=examples(500), deadline=None)
+def test_flooding_is_the_distributed_test_at_zero_tolerance(value, last):
+    """The engine stores ``(0.0, 0.0)`` for ``flooding``: for finite
+    values, ``|v - l| > 0`` exactly when ``v != l`` (gradual underflow
+    keeps a difference of distinct floats nonzero; an overflow is
+    ``inf``)."""
+    assert forward_flooding(value, last) == forward_distributed(value, last, 0.0, 0.0)

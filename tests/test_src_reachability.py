@@ -80,6 +80,7 @@ def test_every_module_is_imported_by_another_module():
 KEPT_FOR_OUTSIDE_CALLERS = {
     "forward_distributed_many": "the perf ledger's frozen filtering probes time it",
     "run_resync": "the perf ledger's frozen fleet probe runs it",
+    "BatchKernel": "the perf ledger's frozen batchkernel probe imports it",
     "run_experiment": "the documented programmatic entry to the registry",
     "format_explanation": "documented `repro.obs` API the explain tests render with",
     "ConstantDelayModel": "documented delay-model API the network tests drive",
