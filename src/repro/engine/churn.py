@@ -28,6 +28,9 @@ Because the schedule lives inside the frozen
 :class:`~repro.engine.config.SimulationConfig`, a config still fully
 determines its result -- the property the parallel sweep subsystem's
 bit-identical merging rests on.
+
+Churn and failure schedules (:mod:`repro.engine.failures`) are both a
+:class:`ControlSchedule` and differ only in their kind tables.
 """
 
 from __future__ import annotations
@@ -42,15 +45,128 @@ from repro.core.items import CoherencyMix
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "ControlSchedule",
     "ChurnEvent",
     "ChurnSchedule",
     "synthetic_schedule",
     "schedule_for_config",
     "parse_churn_spec",
+    "parse_counts",
 ]
 
-#: Recognised event kinds, in documentation order.
-KINDS = ("join", "depart", "update")
+
+class ControlSchedule:
+    """An immutable, time-sorted sequence of control events: what churn
+    and failure schedules share.
+
+    A subclass is a frozen dataclass with one ``events`` field; it names
+    its ``EVENT`` type, its ``NAME`` in messages and its kind table
+    ``TOGGLES``: per kind, in documentation order, the toggle the kind
+    moves and its subject's state on it before and after (``True``:
+    away).  ``STRICT_TIMES`` makes a subject's events take strictly
+    increasing times; ``LATE_START`` lets a subject start in the state
+    its first event needs.  Ties keep construction order, so execution
+    order is deterministic.
+    """
+
+    STRICT_TIMES = LATE_START = False
+
+    def __post_init__(self) -> None:
+        events = tuple(self.events)
+        for event in events:
+            if not isinstance(event, self.EVENT):
+                raise ConfigurationError(
+                    f"schedule entries must be {self.EVENT.__name__}, "
+                    f"got {type(event).__name__}"
+                )
+        object.__setattr__(
+            self, "events", tuple(sorted(events, key=lambda e: e.time))
+        )
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.events)
+
+    @classmethod
+    def check(cls, kind: str, time: float = 0.0) -> None:
+        """Refuse a kind outside the table, or a negative or NaN time."""
+        if time != time or time < 0:
+            raise ConfigurationError(
+                f"{cls.NAME} event time must be non-negative, got {time!r}"
+            )
+        if kind not in cls.TOGGLES:
+            raise ConfigurationError(
+                f"unknown {cls.NAME} event kind {kind!r}; "
+                f"choose from {tuple(cls.TOGGLES)}"
+            )
+
+    def count(self, kind: str) -> int:
+        """Number of events of one kind."""
+        self.check(kind)
+        return sum(1 for e in self.events if e.kind == kind)
+
+    def walk(self) -> tuple[set, dict]:
+        """Check every subject's toggles in one pass; return ``(late,
+        windows)``.
+
+        Each kind moves ``event.subject`` along one toggle of
+        ``TOGGLES``; an event that finds its subject in the other state
+        is refused.  ``late`` holds the subjects that start away and
+        ``windows[toggle][subject]`` the half-open ``[open,
+        close-or-None)`` windows a subject spends away (an event applies
+        before same-instant deliveries: the kernels' tie-break).
+        """
+        state: dict = {}  # (toggle, subject) -> (away, time of its last event)
+        late: set = set()
+        windows: dict = {}
+        for event in self.events:
+            toggle, before, after = self.TOGGLES[event.kind]
+            subject = event.subject
+            if self.LATE_START and before and (toggle, subject) not in state:
+                late.add(subject)
+            away, last = state.get((toggle, subject), (subject in late, None))
+            if self.STRICT_TIMES and last is not None and event.time <= last:
+                raise ConfigurationError(
+                    f"t={event.time}: events for {subject!r} must be at "
+                    "strictly increasing times"
+                )
+            if away != before:
+                raise ConfigurationError(
+                    f"t={event.time}: {subject!r} cannot {event.kind} while "
+                    f"{'' if away else 'not '}{toggle}"
+                )
+            state[toggle, subject] = (after, event.time)
+            if after and not before:
+                windows.setdefault(toggle, {}).setdefault(subject, []).append(
+                    (float(event.time), None)
+                )
+            elif before and not after and subject in windows.get(toggle, ()):
+                spans = windows[toggle][subject]
+                spans[-1] = (spans[-1][0], float(event.time))
+        return late, windows
+
+    @classmethod
+    def generate(cls, counts, span_s: float, window, seed: int, draw):
+        """The synthetic generators' shared skeleton: check the counts
+        (non-negative), ``span_s`` (positive) and ``window`` (``0 <= lo
+        < hi <= 1``, fractions of ``span_s``); zero events give the
+        empty schedule, else ``draw(rng, lo_s, hi_s)``'s events, with
+        ``rng`` seeded by ``seed`` and the window in seconds."""
+        if min(counts) < 0:
+            raise ConfigurationError(f"{cls.NAME} event counts must be non-negative")
+        if span_s <= 0:
+            raise ConfigurationError(f"span_s must be positive, got {span_s!r}")
+        lo, hi = window
+        if not 0.0 <= lo < hi <= 1.0:
+            raise ConfigurationError(
+                f"window must satisfy 0 <= lo < hi <= 1, got {window!r}"
+            )
+        if not any(counts):
+            return cls()
+        rng = np.random.default_rng(seed)
+        return cls(tuple(draw(rng, lo * span_s, hi * span_s)))
 
 
 def _freeze_requirements(requirements) -> tuple[tuple[int, float], ...]:
@@ -89,14 +205,7 @@ class ChurnEvent:
     requirements: tuple[tuple[int, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.time != self.time or self.time < 0:
-            raise ConfigurationError(
-                f"churn event time must be non-negative, got {self.time!r}"
-            )
-        if self.kind not in KINDS:
-            raise ConfigurationError(
-                f"unknown churn event kind {self.kind!r}; choose from {KINDS}"
-            )
+        ChurnSchedule.check(self.kind, self.time)
         if self.kind == "update" and not self.requirements:
             raise ConfigurationError(
                 "update events must carry the new requirements"
@@ -107,6 +216,11 @@ class ChurnEvent:
             object.__setattr__(
                 self, "requirements", _freeze_requirements(self.requirements)
             )
+
+    @property
+    def subject(self) -> int:
+        """What the event toggles: its repository."""
+        return self.repository
 
     def profile(self) -> InterestProfile | None:
         """The event's requirements as an :class:`InterestProfile`."""
@@ -136,47 +250,26 @@ class ChurnEvent:
 
 
 @dataclass(frozen=True)
-class ChurnSchedule:
+class ChurnSchedule(ControlSchedule):
     """An immutable sequence of churn events, sorted by time.
 
     Ties keep construction order (and the engine schedules churn before
     same-instant trace updates), so execution order is deterministic.
+    A repository whose first event is a join starts away (a late
+    joiner); transitions are checked against a repository pool by
+    :meth:`initial_members`, not at construction.
     """
 
     events: tuple[ChurnEvent, ...] = ()
 
-    def __post_init__(self) -> None:
-        events = tuple(self.events)
-        for event in events:
-            if not isinstance(event, ChurnEvent):
-                raise ConfigurationError(
-                    f"schedule entries must be ChurnEvent, got {type(event).__name__}"
-                )
-        object.__setattr__(
-            self, "events", tuple(sorted(events, key=lambda e: e.time))
-        )
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[ChurnEvent]:
-        return iter(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
-    def count(self, kind: str) -> int:
-        """Number of events of one kind."""
-        if kind not in KINDS:
-            raise ConfigurationError(f"unknown churn event kind {kind!r}")
-        return sum(1 for e in self.events if e.kind == kind)
-
-    def late_joiners(self) -> frozenset:
-        """Repositories whose first event is a join (not initial members)."""
-        first_kind: dict[int, str] = {}
-        for event in self.events:
-            first_kind.setdefault(event.repository, event.kind)
-        return frozenset(r for r, k in first_kind.items() if k == "join")
+    EVENT = ChurnEvent
+    NAME = "churn"
+    TOGGLES = {
+        "join": ("departed", True, False),
+        "depart": ("departed", False, True),
+        "update": ("departed", False, False),
+    }
+    LATE_START = True
 
     def validate_items(self, n_items: int) -> None:
         """Check every event's requirements against the item universe.
@@ -194,55 +287,25 @@ class ChurnSchedule:
                         f"(universe has {n_items} items)"
                     )
 
-    def departure_windows(self) -> dict[int, list[tuple[float, float | None]]]:
-        """Per repository: half-open ``[t_depart, t_rejoin-or-None)``
-        windows, the departure-side twin of
-        :meth:`~repro.engine.failures.FailureSchedule.crash_windows` (churn
-        applies before same-instant deliveries)."""
-        windows: dict[int, list[tuple[float, float | None]]] = {}
-        for event in self.events:
-            spans = windows.get(event.repository)
-            if event.kind == "depart":
-                windows.setdefault(event.repository, []).append((float(event.time), None))
-            elif event.kind == "join" and spans:
-                spans[-1] = (spans[-1][0], float(event.time))
-        return windows
-
     def initial_members(self, repositories: Iterable[int]) -> list[int]:
         """Validate against a repository pool; return the initial members.
 
-        Simulates the membership transitions: joins must not target
-        current members, departures and updates must target members, and
-        every event's repository must exist in the pool.
+        Every event's repository must exist in the pool, and the
+        membership transitions must hold (:meth:`walk`): joins must not
+        target current members, departures and updates must target
+        members.  Late joiners are not initial members.
 
         Raises:
             ConfigurationError: on any inconsistency.
         """
         pool = sorted({int(r) for r in repositories})
-        pool_set = set(pool)
-        unknown = sorted({e.repository for e in self.events} - pool_set)
+        unknown = sorted({e.repository for e in self.events} - set(pool))
         if unknown:
             raise ConfigurationError(
                 f"churn events reference unknown repositories {unknown}"
             )
-        members = pool_set - self.late_joiners()
-        for event in self.events:
-            if event.kind == "join":
-                if event.repository in members:
-                    raise ConfigurationError(
-                        f"t={event.time}: repository {event.repository} "
-                        "cannot join; it is already a member"
-                    )
-                members.add(event.repository)
-            else:
-                if event.repository not in members:
-                    raise ConfigurationError(
-                        f"t={event.time}: repository {event.repository} "
-                        f"cannot {event.kind}; it is not a member"
-                    )
-                if event.kind == "depart":
-                    members.remove(event.repository)
-        return [r for r in pool if r not in self.late_joiners()]
+        late, _windows = self.walk()
+        return [r for r in pool if r not in late]
 
 
 def synthetic_schedule(
@@ -280,12 +343,8 @@ def synthetic_schedule(
         ConfigurationError: on impossible counts (more joins than
             repositories, departures that would empty the network, ...).
     """
-    if min(joins, departs, updates) < 0:
-        raise ConfigurationError("churn event counts must be non-negative")
     if n_items < 1:
         raise ConfigurationError("n_items must be >= 1")
-    if span_s <= 0:
-        raise ConfigurationError(f"span_s must be positive, got {span_s!r}")
     repos = sorted({int(r) for r in repositories})
     if not repos:
         raise ConfigurationError("need at least one repository to churn")
@@ -293,53 +352,51 @@ def synthetic_schedule(
         raise ConfigurationError(
             f"cannot schedule {joins} joins over {len(repos)} repositories"
         )
-    total = joins + departs + updates
-    if total == 0:
-        return ChurnSchedule()
 
-    rng = np.random.default_rng(seed)
-    lo, hi = window
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ConfigurationError(f"window must satisfy 0 <= lo < hi <= 1, got {window!r}")
-    times = np.sort(rng.uniform(lo * span_s, hi * span_s, size=total))
-    kinds = ["join"] * joins + ["depart"] * departs + ["update"] * updates
-    rng.shuffle(kinds)
+    def draw(rng, lo_s: float, hi_s: float) -> list[ChurnEvent]:
+        times = np.sort(rng.uniform(lo_s, hi_s, size=joins + departs + updates))
+        kinds = ["join"] * joins + ["depart"] * departs + ["update"] * updates
+        rng.shuffle(kinds)
+        late = [repos[i] for i in rng.choice(len(repos), size=joins, replace=False)]
+        live = sorted(set(repos) - set(late))
+        mix = CoherencyMix(t_percent=t_percent)
+        events: list[ChurnEvent] = []
+        for t, kind in zip(times, kinds):
+            t = float(t)
+            if kind == "join":
+                repo = late.pop(0)
+                events.append(ChurnEvent.join(t, repo))
+                live.append(repo)
+                live.sort()
+            elif kind == "depart":
+                if len(live) < 2:
+                    raise ConfigurationError(
+                        "cannot schedule a departure that would empty the "
+                        "network; reduce departs or add repositories"
+                    )
+                repo = live[int(rng.integers(len(live)))]
+                live.remove(repo)
+                events.append(ChurnEvent.depart(t, repo))
+            else:
+                if not live:
+                    raise ConfigurationError(
+                        "cannot schedule a coherency change with no live members"
+                    )
+                repo = live[int(rng.integers(len(live)))]
+                wanted = [
+                    i for i in range(n_items) if rng.random() < subscription_probability
+                ]
+                if not wanted:
+                    wanted = [int(rng.integers(n_items))]
+                tolerances = mix.draw(len(wanted), rng)
+                events.append(
+                    ChurnEvent.update(t, repo, zip(wanted, (float(c) for c in tolerances)))
+                )
+        return events
 
-    late = [repos[i] for i in rng.choice(len(repos), size=joins, replace=False)]
-    live = sorted(set(repos) - set(late))
-    mix = CoherencyMix(t_percent=t_percent)
-    join_queue = list(late)
-    events: list[ChurnEvent] = []
-    for t, kind in zip(times, kinds):
-        t = float(t)
-        if kind == "join":
-            repo = join_queue.pop(0)
-            events.append(ChurnEvent.join(t, repo))
-            live.append(repo)
-            live.sort()
-        elif kind == "depart":
-            if len(live) < 2:
-                raise ConfigurationError(
-                    "cannot schedule a departure that would empty the network; "
-                    "reduce departs or add repositories"
-                )
-            repo = live[int(rng.integers(len(live)))]
-            live.remove(repo)
-            events.append(ChurnEvent.depart(t, repo))
-        else:
-            if not live:
-                raise ConfigurationError(
-                    "cannot schedule a coherency change with no live members"
-                )
-            repo = live[int(rng.integers(len(live)))]
-            wanted = [i for i in range(n_items) if rng.random() < subscription_probability]
-            if not wanted:
-                wanted = [int(rng.integers(n_items))]
-            tolerances = mix.draw(len(wanted), rng)
-            events.append(
-                ChurnEvent.update(t, repo, zip(wanted, (float(c) for c in tolerances)))
-            )
-    return ChurnSchedule(tuple(events))
+    return ChurnSchedule.generate(
+        (joins, departs, updates), span_s, window, seed, draw
+    )
 
 
 def schedule_for_config(
@@ -376,23 +433,27 @@ def schedule_for_config(
     )
 
 
-def parse_churn_spec(text: str) -> tuple[int, int, int]:
-    """Parse the CLI's ``--churn J,D,U`` counts.
+def parse_counts(text: str, names: tuple[str, ...]) -> tuple[int, ...]:
+    """Parse a CLI spec of comma-separated event counts, one per name.
 
     Raises:
-        ConfigurationError: on malformed specs or negative counts.
+        ConfigurationError: on a malformed spec or a negative count.
     """
+    spec = ",".join(name.upper() for name in names)
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigurationError(
-            f"churn spec must be 'JOINS,DEPARTS,UPDATES', got {text!r}"
-        )
+    if len(parts) != len(names):
+        raise ConfigurationError(f"spec must be {spec!r}, got {text!r}")
     try:
-        joins, departs, updates = (int(p) for p in parts)
+        counts = tuple(int(p) for p in parts)
     except ValueError:
         raise ConfigurationError(
-            f"churn spec must hold three integers, got {text!r}"
+            f"spec {spec!r} must hold {len(names)} integers, got {text!r}"
         ) from None
-    if min(joins, departs, updates) < 0:
-        raise ConfigurationError(f"churn counts must be non-negative, got {text!r}")
-    return joins, departs, updates
+    if min(counts) < 0:
+        raise ConfigurationError(f"counts must be non-negative, got {text!r}")
+    return counts
+
+
+def parse_churn_spec(text: str) -> tuple[int, int, int]:
+    """Parse the CLI's ``--churn J,D,U`` counts (see :func:`parse_counts`)."""
+    return parse_counts(text, ("joins", "departs", "updates"))

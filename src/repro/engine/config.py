@@ -211,10 +211,21 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"kernel must be one of {list(KERNELS)}, got {self.kernel!r}"
             )
-        if self.churn is not None and not isinstance(self.churn, ChurnSchedule):
-            raise ConfigurationError(
-                f"churn must be a ChurnSchedule or None, got {type(self.churn).__name__}"
-            )
+        for name, schedule_type in (
+            ("churn", ChurnSchedule), ("failures", FailureSchedule)
+        ):
+            schedule = getattr(self, name)
+            if schedule is not None and not isinstance(schedule, schedule_type):
+                raise ConfigurationError(
+                    f"{name} must be a {schedule_type.__name__} or None, got "
+                    f"{type(schedule).__name__}"
+                )
+            if schedule is not None and not schedule:
+                # An empty schedule is exactly static membership (the
+                # reliable network); normalise so both spellings share
+                # one graph-construction path (and one hash bucket in
+                # sweep merging).
+                object.__setattr__(self, name, None)
         if self.churn is not None:
             # Churn events inject *user-supplied* coherency tolerances
             # mid-run; reject non-finite or sub-quantum ones here, at
@@ -227,20 +238,6 @@ class SimulationConfig:
                         f"churn {event.kind} for repository {event.repository}, "
                         f"item {item_id}: tolerance",
                     )
-        if self.churn is not None and not self.churn:
-            # An empty schedule is exactly static membership; normalise
-            # so both spellings share one graph-construction path (and
-            # one hash bucket in sweep merging).
-            object.__setattr__(self, "churn", None)
-        if self.failures is not None and not isinstance(self.failures, FailureSchedule):
-            raise ConfigurationError(
-                "failures must be a FailureSchedule or None, got "
-                f"{type(self.failures).__name__}"
-            )
-        if self.failures is not None and not self.failures:
-            # An empty schedule is exactly the reliable network;
-            # normalise for the same single-path/hash-bucket reasons.
-            object.__setattr__(self, "failures", None)
         if self.failures is not None:
             self.failures.validate_nodes(self.n_repositories)
         if self.adaptive is not None and not isinstance(self.adaptive, AdaptivePolicy):

@@ -30,6 +30,10 @@ the live network:
   ``(sender, receiver)`` service edge while it is down count as drops
   (the sender still pays for them, exactly like seeded Bernoulli loss).
 
+A :class:`FailureSchedule` is a
+:class:`~repro.engine.churn.ControlSchedule` whose subjects, unlike
+churn's, start up and take strictly increasing times.
+
 Because the schedule lives inside the frozen
 :class:`~repro.engine.config.SimulationConfig`, a config still fully
 determines its result -- the determinism contract every subsystem
@@ -39,10 +43,8 @@ determines its result -- the determinism contract every subsystem
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-import numpy as np
-
+from repro.engine.churn import ControlSchedule, parse_counts
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -53,13 +55,6 @@ __all__ = [
     "failures_for_config",
     "parse_failure_spec",
 ]
-
-#: Recognised event kinds, in documentation order.
-KINDS = ("crash", "recover", "link_down", "link_up")
-
-#: Kinds that name a repository / a link, respectively.
-_REPO_KINDS = ("crash", "recover")
-_LINK_KINDS = ("link_down", "link_up")
 
 
 @dataclass(frozen=True)
@@ -81,15 +76,10 @@ class FailureEvent:
     link: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.time != self.time or self.time < 0:
-            raise ConfigurationError(
-                f"failure event time must be non-negative, got {self.time!r}"
-            )
-        if self.kind not in KINDS:
-            raise ConfigurationError(
-                f"unknown failure event kind {self.kind!r}; choose from {KINDS}"
-            )
-        if self.kind in _REPO_KINDS:
+        FailureSchedule.check(self.kind, self.time)
+        # A kind that toggles ``crashed`` names a repository, one that
+        # toggles ``down`` a link.
+        if FailureSchedule.TOGGLES[self.kind][0] == "crashed":
             if self.repository is None or self.link is not None:
                 raise ConfigurationError(
                     f"{self.kind} events name a repository, not a link"
@@ -107,6 +97,11 @@ class FailureEvent:
                     f"nodes, got {self.link!r}"
                 )
             object.__setattr__(self, "link", link)
+
+    @property
+    def subject(self) -> int | tuple[int, int]:
+        """What the event toggles: its repository or its link."""
+        return self.repository if self.link is None else self.link
 
     @classmethod
     def crash(cls, time: float, repository: int) -> "FailureEvent":
@@ -126,75 +121,31 @@ class FailureEvent:
 
 
 @dataclass(frozen=True)
-class FailureSchedule:
+class FailureSchedule(ControlSchedule):
     """An immutable sequence of failure events, sorted by time.
 
-    Construction validates internal consistency: per repository, crash
-    and recover events must strictly alternate starting with a crash
-    (and at strictly increasing times); per link, down and up events
-    likewise.  Node-id ranges are checked against the config in
-    :class:`~repro.engine.config.SimulationConfig`.
+    Construction validates internal consistency (:meth:`walk`): per
+    repository, crash and recover events must strictly alternate
+    starting with a crash (and at strictly increasing times); per link,
+    down and up events likewise.  Node-id ranges are checked against the
+    config in :class:`~repro.engine.config.SimulationConfig`.
     """
 
     events: tuple[FailureEvent, ...] = ()
 
+    EVENT = FailureEvent
+    NAME = "failure"
+    TOGGLES = {
+        "crash": ("crashed", False, True),
+        "recover": ("crashed", True, False),
+        "link_down": ("down", False, True),
+        "link_up": ("down", True, False),
+    }
+    STRICT_TIMES = True
+
     def __post_init__(self) -> None:
-        events = tuple(self.events)
-        for event in events:
-            if not isinstance(event, FailureEvent):
-                raise ConfigurationError(
-                    f"schedule entries must be FailureEvent, got {type(event).__name__}"
-                )
-        events = tuple(sorted(events, key=lambda e: e.time))
-        object.__setattr__(self, "events", events)
-        self._check_alternation()
-
-    def _check_alternation(self) -> None:
-        down_at: dict = {}  # subject -> time of the open crash/down
-        seen: dict = {}  # subject -> time of the subject's last event
-        for event in self.events:
-            subject = (
-                ("repo", event.repository)
-                if event.kind in _REPO_KINDS
-                else ("link", event.link)
-            )
-            last = seen.get(subject)
-            if last is not None and event.time <= last:
-                raise ConfigurationError(
-                    f"t={event.time}: events for {subject[0]} {subject[1]} "
-                    "must be at strictly increasing times"
-                )
-            seen[subject] = event.time
-            opening = event.kind in ("crash", "link_down")
-            if opening:
-                if subject in down_at:
-                    raise ConfigurationError(
-                        f"t={event.time}: {subject[0]} {subject[1]} is already "
-                        f"down (since t={down_at[subject]})"
-                    )
-                down_at[subject] = event.time
-            else:
-                if subject not in down_at:
-                    raise ConfigurationError(
-                        f"t={event.time}: {event.kind} for {subject[0]} "
-                        f"{subject[1]} without a preceding failure"
-                    )
-                del down_at[subject]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[FailureEvent]:
-        return iter(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
-    def count(self, kind: str) -> int:
-        """Number of events of one kind."""
-        if kind not in KINDS:
-            raise ConfigurationError(f"unknown failure event kind {kind!r}")
-        return sum(1 for e in self.events if e.kind == kind)
+        super().__post_init__()
+        self.walk()
 
     def validate_nodes(self, n_repositories: int) -> None:
         """Check event targets against the topology contract.
@@ -207,7 +158,7 @@ class FailureSchedule:
             ConfigurationError: on any out-of-range target.
         """
         for event in self.events:
-            if event.kind in _REPO_KINDS:
+            if event.link is None:
                 if not 1 <= event.repository <= n_repositories:
                     raise ConfigurationError(
                         f"t={event.time}: {event.kind} targets repository "
@@ -221,36 +172,6 @@ class FailureSchedule:
                             f"t={event.time}: link {event.link} references "
                             f"node {endpoint}, outside 0..{n_repositories}"
                         )
-
-    def crash_windows(self) -> dict[int, list[tuple[float, float | None]]]:
-        """Per repository: ``[(t_crash, t_recover-or-None), ...]``.
-
-        Windows are half-open ``[t_crash, t_recover)``, matching the
-        kernels' tie-break (failure events apply before same-instant
-        deliveries), so a membership test against a window reproduces
-        the event-driven semantics exactly.
-        """
-        windows: dict[int, list[tuple[float, float | None]]] = {}
-        for event in self.events:
-            if event.kind == "crash":
-                windows.setdefault(event.repository, []).append(
-                    (float(event.time), None)
-                )
-            elif event.kind == "recover":
-                spans = windows[event.repository]
-                spans[-1] = (spans[-1][0], float(event.time))
-        return windows
-
-    def link_windows(self) -> dict[tuple[int, int], list[tuple[float, float | None]]]:
-        """Per directed link: half-open ``[t_down, t_up)`` windows."""
-        windows: dict[tuple[int, int], list[tuple[float, float | None]]] = {}
-        for event in self.events:
-            if event.kind == "link_down":
-                windows.setdefault(event.link, []).append((float(event.time), None))
-            elif event.kind == "link_up":
-                spans = windows[event.link]
-                spans[-1] = (spans[-1][0], float(event.time))
-        return windows
 
 
 def in_windows(windows, t: float) -> bool:
@@ -295,15 +216,6 @@ def synthetic_failures(
         ConfigurationError: on impossible counts (more crashes than
             repositories, partitions without links, ...).
     """
-    if min(crashes, partitions) < 0:
-        raise ConfigurationError("failure event counts must be non-negative")
-    if span_s <= 0:
-        raise ConfigurationError(f"span_s must be positive, got {span_s!r}")
-    lo, hi = window
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ConfigurationError(
-            f"window must satisfy 0 <= lo < hi <= 1, got {window!r}"
-        )
     d_lo, d_hi = downtime
     if not 0.0 < d_lo <= d_hi:
         raise ConfigurationError(
@@ -319,24 +231,24 @@ def synthetic_failures(
         raise ConfigurationError(
             f"cannot schedule {partitions} partitions over {len(edges)} links"
         )
-    if crashes + partitions == 0:
-        return FailureSchedule()
 
-    rng = np.random.default_rng(seed)
-    events: list[FailureEvent] = []
-    targets = [repos[i] for i in rng.choice(len(repos), size=crashes, replace=False)]
-    for repo in targets:
-        t_down = float(rng.uniform(lo * span_s, hi * span_s))
-        t_up = t_down + float(rng.uniform(d_lo * span_s, d_hi * span_s))
-        events.append(FailureEvent.crash(t_down, repo))
-        events.append(FailureEvent.recover(t_up, repo))
-    cut = [edges[i] for i in rng.choice(len(edges), size=partitions, replace=False)]
-    for sender, receiver in cut:
-        t_down = float(rng.uniform(lo * span_s, hi * span_s))
-        t_up = t_down + float(rng.uniform(d_lo * span_s, d_hi * span_s))
-        events.append(FailureEvent.link_down(t_down, sender, receiver))
-        events.append(FailureEvent.link_up(t_up, sender, receiver))
-    return FailureSchedule(tuple(events))
+    def draw(rng, lo_s: float, hi_s: float) -> list[FailureEvent]:
+        events: list[FailureEvent] = []
+        targets = [repos[i] for i in rng.choice(len(repos), size=crashes, replace=False)]
+        for repo in targets:
+            t_down = float(rng.uniform(lo_s, hi_s))
+            t_up = t_down + float(rng.uniform(d_lo * span_s, d_hi * span_s))
+            events.append(FailureEvent.crash(t_down, repo))
+            events.append(FailureEvent.recover(t_up, repo))
+        cut = [edges[i] for i in rng.choice(len(edges), size=partitions, replace=False)]
+        for sender, receiver in cut:
+            t_down = float(rng.uniform(lo_s, hi_s))
+            t_up = t_down + float(rng.uniform(d_lo * span_s, d_hi * span_s))
+            events.append(FailureEvent.link_down(t_down, sender, receiver))
+            events.append(FailureEvent.link_up(t_up, sender, receiver))
+        return events
+
+    return FailureSchedule.generate((crashes, partitions), span_s, window, seed, draw)
 
 
 def failures_for_config(
@@ -397,24 +309,6 @@ def failures_for_config(
 
 
 def parse_failure_spec(text: str) -> tuple[int, int]:
-    """Parse the CLI's ``--failures CRASHES,PARTITIONS`` counts.
-
-    Raises:
-        ConfigurationError: on malformed specs or negative counts.
-    """
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigurationError(
-            f"failure spec must be 'CRASHES,PARTITIONS', got {text!r}"
-        )
-    try:
-        crashes, partitions = (int(p) for p in parts)
-    except ValueError:
-        raise ConfigurationError(
-            f"failure spec must hold two integers, got {text!r}"
-        ) from None
-    if min(crashes, partitions) < 0:
-        raise ConfigurationError(
-            f"failure counts must be non-negative, got {text!r}"
-        )
-    return crashes, partitions
+    """Parse the CLI's ``--failures CRASHES,PARTITIONS`` counts (see
+    :func:`~repro.engine.churn.parse_counts`)."""
+    return parse_counts(text, ("crashes", "partitions"))

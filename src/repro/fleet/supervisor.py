@@ -128,8 +128,7 @@ def merge_reports(
             double counting no reconciliation should paper over.
     """
     counters = CostCounters()
-    accumulator = FidelityAccumulator()
-    per_pair: dict[tuple[int, int], float] = {}
+    pairs: list[tuple[tuple[int, int], float]] = []
     sent = delivered = dropped = 0
     span = 0.0
     tree_stats, effective_degree, avg_comm_delay_ms = None, 0, 0.0
@@ -143,9 +142,16 @@ def merge_reports(
         delivered += report.delivered
         dropped += report.dropped
         span = max(span, report.span_s)
-        for (repo, item_id), loss in report.per_pair_loss.items():
-            accumulator.add(repo, item_id, loss)
-            per_pair[(repo, item_id)] = loss
+        pairs.extend(report.per_pair_loss.items())
+    # Fidelity adds the pairs in the engine's order -- the core's
+    # segments, repository by repository in ascending id, each worker
+    # keeping its repositories' item order -- so the fleet's loss is the
+    # engine's float, not one rounding away from it.
+    pairs.sort(key=lambda pair: pair[0][0])
+    accumulator = FidelityAccumulator()
+    for (repo, item_id), loss in pairs:
+        accumulator.add(repo, item_id, loss)
+    per_pair = dict(pairs)
 
     # In flight at the finish line: the wire ate it, on both planes.
     dropped = reconcile(sent, delivered, dropped, counters)

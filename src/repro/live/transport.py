@@ -31,10 +31,11 @@ runtime does: it queues the control timeline of the network's
 :class:`~repro.engine.reconfig.ReconfigurationCore` ahead of the replay
 (the core makes every failover, resync and rewiring decision) and
 judges every repository-plane row by the engine's rule against the
-:class:`~repro.engine.failures.FailureSchedule`'s half-open windows --
-a down link and then the Bernoulli draw at the send instant, a crashed
-destination at the arrival stamp -- whatever the wall clock did to the
-frame on its way.
+half-open windows one walk of each schedule returns
+(:meth:`~repro.engine.churn.ControlSchedule.walk`) -- a down link and
+then the Bernoulli draw at the send instant, a departed and then a
+crashed destination at the arrival stamp -- whatever the wall clock did
+to the frame on its way.
 """
 
 from __future__ import annotations

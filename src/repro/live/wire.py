@@ -635,16 +635,17 @@ class WireRuntime:
             if self._loss_p > 0.0
             else None
         )
-        self._down = {} if schedule is None else schedule.link_windows()
+        windows: dict = {}  # toggle -> subject -> half-open windows
+        for control in (core.churn, schedule):
+            if control is not None:
+                windows.update(control.walk()[1])
+        self._down = windows.get("down", {})
         #: Per node, ``[(reason, windows), ...]``: the half-open windows a
         #: delivery to it is a drop in, departures ahead of crashes (the
         #: engine's precedence).
         self._away: dict[int, list[tuple]] = {}
-        for reason, windows in (
-            ("departed", {} if core.churn is None else core.churn.departure_windows()),
-            ("crash", {} if schedule is None else schedule.crash_windows()),
-        ):
-            for node, spans in windows.items():
+        for reason, toggle in (("departed", "departed"), ("crash", "crashed")):
+            for node, spans in windows.get(toggle, {}).items():
                 self._away.setdefault(node, []).append((reason, spans))
         #: The engine's ``filtered``: can this run drop at the sender?
         self._judged = self._loss_random is not None or schedule is not None

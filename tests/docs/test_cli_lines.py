@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -90,15 +91,30 @@ def problem(module: str, arguments: str) -> str | None:
     return None
 
 
+def case_ids(cases) -> list[str]:
+    """A stable test id per ``(place, module, arguments)`` case: the place
+    and the command's shell words (comments and spacing dropped), so an
+    edit above a command renames nothing; a command repeated in one
+    place gets ``#2``, ``#3``, ... on its later copies."""
+    seen: Counter = Counter()
+    ids = []
+    for place, module, arguments in cases:
+        words = " ".join(shlex.split(arguments, comments=True))
+        case = f"{place}:python -m {module} {words}".rstrip()
+        seen[case] += 1
+        ids.append(case if seen[case] == 1 else f"{case}#{seen[case]}")
+    return ids
+
+
 DOCUMENTED = [
-    (f"{path.relative_to(REPO_ROOT)}:{number}", module, arguments)
+    (str(path.relative_to(REPO_ROOT)), module, arguments)
     for path in SOURCES
-    for number, module, arguments in command_lines(path.read_text())
+    for _number, module, arguments in command_lines(path.read_text())
 ]
 
 
 def test_collector_finds_the_documented_lines():
-    places = {where.rsplit(":", 1)[0] for where, _, _ in DOCUMENTED}
+    places = {place for place, _, _ in DOCUMENTED}
     assert len(DOCUMENTED) >= 40
     assert {
         "README.md",
@@ -111,7 +127,7 @@ def test_collector_finds_the_documented_lines():
 @pytest.mark.parametrize(
     "module,arguments",
     [(module, arguments) for _, module, arguments in DOCUMENTED],
-    ids=[where for where, _, _ in DOCUMENTED],
+    ids=case_ids(DOCUMENTED),
 )
 def test_documented_command_line_parses(module, arguments, capsys):
     assert problem(module, arguments) is None, capsys.readouterr().err
@@ -148,3 +164,20 @@ def test_checker_flags_retired_lines(capsys):
         "fleet", "run", "--preset", "tiny", "--workers", "2"
     ]
     capsys.readouterr()
+
+
+def test_case_ids_survive_edits_above_them():
+    """An id names the place and the command, not its line: a line
+    added above a command keeps every id, and only a repeat of the same
+    command in one place carries an ordinal."""
+    before = "PYTHONPATH=src python -m repro --preset tiny\n"
+    after = "# a new first line\n" + before + "$ python -m repro --preset  tiny  # again\n"
+    ids = [
+        case_ids(("doc.md", module, arguments) for _, module, arguments in command_lines(text))
+        for text in (before, after)
+    ]
+    assert ids == [
+        ["doc.md:python -m repro --preset tiny"],
+        ["doc.md:python -m repro --preset tiny", "doc.md:python -m repro --preset tiny#2"],
+    ]
+    assert len(set(case_ids(DOCUMENTED))) == len(DOCUMENTED)

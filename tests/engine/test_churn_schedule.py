@@ -87,7 +87,10 @@ def test_late_joiners_are_first_event_joins():
             ChurnEvent.depart(12.0, 2),  # initial member departs
         )
     )
-    assert schedule.late_joiners() == frozenset({5})
+    late, windows = schedule.walk()
+    assert late == {5}
+    # A late joiner's absence before its first join is not a window.
+    assert windows == {"departed": {2: [(12.0, None)], 5: [(20.0, None)]}}
 
 
 def test_initial_members_validates_transitions():
@@ -111,6 +114,11 @@ def test_initial_members_validates_transitions():
         ChurnSchedule(
             (ChurnEvent.join(1.0, 5), ChurnEvent.join(2.0, 5))
         ).initial_members(pool)
+    # Unlike a failure subject's, a repository's events may share an
+    # instant: they apply in construction order.
+    tied = ChurnSchedule((ChurnEvent.depart(1.0, 2), ChurnEvent.join(1.0, 2)))
+    assert tied.initial_members(pool) == [1, 2, 3, 4, 5]
+    assert tied.walk()[1] == {"departed": {2: [(1.0, 1.0)]}}
 
 
 def test_schedules_hash_equal_when_equal():
@@ -177,6 +185,8 @@ def test_generator_rejects_impossible_workloads():
         _generate(span_s=0.0, joins=1)
     with pytest.raises(ConfigurationError):
         _generate(joins=1, window=(0.9, 0.1))
+    with pytest.raises(ConfigurationError):  # checked before zero counts short-cut
+        _generate(window=(0.9, 0.1))
 
 
 def test_generator_zero_counts_give_empty_schedule():

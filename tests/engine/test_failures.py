@@ -95,6 +95,10 @@ def test_schedule_alternation_enforced():
         ))
     with pytest.raises(ConfigurationError):  # up without down
         FailureSchedule((FailureEvent.link_up(1.0, 0, 1),))
+    with pytest.raises(ConfigurationError):  # same-instant link pair
+        FailureSchedule((
+            FailureEvent.link_down(1.0, 0, 1), FailureEvent.link_up(1.0, 0, 1)
+        ))
     # Open windows (no repair before the end) are legal.
     FailureSchedule((FailureEvent.crash(1.0, 1),))
 
@@ -116,11 +120,13 @@ def test_windows_are_half_open_pairs():
         FailureEvent.crash(50.0, 2),
         FailureEvent.link_down(5.0, 1, 2),
     ))
-    assert schedule.crash_windows() == {2: [(10.0, 30.0), (50.0, None)]}
-    assert schedule.link_windows() == {(1, 2): [(5.0, None)]}
+    late, windows = schedule.walk()
+    assert late == set()
+    crashes, links = windows["crashed"], windows["down"]
+    assert crashes == {2: [(10.0, 30.0), (50.0, None)]}
+    assert links == {(1, 2): [(5.0, None)]}
     # Judged at logical time, the windows keep the kernels' tie-break:
     # down at the crash instant, up again at the recovery instant.
-    crashes, links = schedule.crash_windows(), schedule.link_windows()
     down = [t for t in (9.9, 10.0, 29.9, 30.0, 49.9, 50.0, 1e9) if in_windows(crashes[2], t)]
     assert down == [10.0, 29.9, 50.0, 1e9]
     assert in_windows(links[(1, 2)], 5.0) and not in_windows(links[(1, 2)], 4.9)

@@ -53,9 +53,10 @@ def test_fleet_matches_single_process_exactly():
     # Filtering decisions depend only on values and logical arrival
     # stamps, both of which the fleet reproduces bit-for-bit.
     assert result.sent == single.sent
-    assert result.loss_of_fidelity == pytest.approx(
-        single.loss_of_fidelity, abs=0.5
-    )
+    # The merge adds the per-pair losses in the engine's order, so the
+    # metric is the same float, not one rounding away from it.
+    assert result.loss_of_fidelity == single.loss_of_fidelity
+    assert result.per_repository_loss == single.per_repository_loss
     assert result.extras["workers"] == 2
     assert sum(result.extras["shard_sizes"]) == CONFIG.n_repositories + 1
     # The supervisor waits to be told, it does not poll: a clean run is
