@@ -185,8 +185,7 @@ _OPTIONS = {
         metavar="K=V,...",
         help="online drift-triggered re-optimization, e.g. "
         "window=30,threshold=0.75,cooldown=0,scope=subtree,max_rewires=8 "
-        "(empty value = defaults; see repro.engine.adaptive; live: "
-        "inprocess transport only)",
+        "(empty value = defaults; see repro.engine.adaptive)",
     ),
     "workload": _option(
         "--workload", "workload", type=_spec_type(parse_workload_spec),

@@ -107,20 +107,16 @@ class ControlSchedule:
         self.check(kind)
         return sum(1 for e in self.events if e.kind == kind)
 
-    def walk(self) -> tuple[set, dict]:
-        """Check every subject's toggles in one pass; return ``(late,
-        windows)``.
+    def walk(self) -> set:
+        """Check every subject's toggles in one pass; return the
+        subjects that start away.
 
         Each kind moves ``event.subject`` along one toggle of
         ``TOGGLES``; an event that finds its subject in the other state
-        is refused.  ``late`` holds the subjects that start away and
-        ``windows[toggle][subject]`` the half-open ``[open,
-        close-or-None)`` windows a subject spends away (an event applies
-        before same-instant deliveries: the kernels' tie-break).
+        is refused.
         """
         state: dict = {}  # (toggle, subject) -> (away, time of its last event)
         late: set = set()
-        windows: dict = {}
         for event in self.events:
             toggle, before, after = self.TOGGLES[event.kind]
             subject = event.subject
@@ -138,14 +134,7 @@ class ControlSchedule:
                     f"{'' if away else 'not '}{toggle}"
                 )
             state[toggle, subject] = (after, event.time)
-            if after and not before:
-                windows.setdefault(toggle, {}).setdefault(subject, []).append(
-                    (float(event.time), None)
-                )
-            elif before and not after and subject in windows.get(toggle, ()):
-                spans = windows[toggle][subject]
-                spans[-1] = (spans[-1][0], float(event.time))
-        return late, windows
+        return late
 
     @classmethod
     def generate(cls, counts, span_s: float, window, seed: int, draw):
@@ -232,8 +221,9 @@ class ChurnEvent:
 
     @classmethod
     def join(cls, time: float, repository: int, requirements=None) -> "ChurnEvent":
-        req = None if requirements is None else _freeze_requirements(requirements)
-        return cls(time=time, kind="join", repository=repository, requirements=req)
+        return cls(
+            time=time, kind="join", repository=repository, requirements=requirements
+        )
 
     @classmethod
     def depart(cls, time: float, repository: int) -> "ChurnEvent":
@@ -241,6 +231,7 @@ class ChurnEvent:
 
     @classmethod
     def update(cls, time: float, repository: int, requirements) -> "ChurnEvent":
+        # Frozen first: the update check needs an empty iterator falsy.
         return cls(
             time=time,
             kind="update",
@@ -304,7 +295,7 @@ class ChurnSchedule(ControlSchedule):
             raise ConfigurationError(
                 f"churn events reference unknown repositories {unknown}"
             )
-        late, _windows = self.walk()
+        late = self.walk()
         return [r for r in pool if r not in late]
 
 

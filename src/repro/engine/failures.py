@@ -50,7 +50,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "FailureEvent",
     "FailureSchedule",
-    "in_windows",
     "synthetic_failures",
     "failures_for_config",
     "parse_failure_spec",
@@ -172,11 +171,6 @@ class FailureSchedule(ControlSchedule):
                             f"t={event.time}: link {event.link} references "
                             f"node {endpoint}, outside 0..{n_repositories}"
                         )
-
-
-def in_windows(windows, t: float) -> bool:
-    """Is ``t`` inside any of the half-open ``[start, end-or-None)`` windows?"""
-    return any(t >= start and (end is None or t < end) for start, end in windows)
 
 
 def synthetic_failures(

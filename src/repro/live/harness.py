@@ -319,16 +319,16 @@ def run_live(
 ) -> LiveRunResult:
     """Build, run and score one live network end to end.
 
-    Churn and failure schedules (``config.churn``, ``config.failures``)
-    and seeded message loss (``config.message_loss_probability``) run
-    for real: both transports drop by schedule and by the seeded
-    Bernoulli stream -- one rule, the engine's, applied by the runtime
-    they share -- the TCP transport additionally heartbeats its
-    connections and reconnects severed ones with exponential backoff,
-    and fidelity is scored over the availability segments exactly like
-    the engine.  The TCP wall
-    budgets (quiescence wait, reconnect policy, queue watermarks) are
-    constants of :mod:`repro.live.wire`, not options.
+    Churn and failure schedules (``config.churn``, ``config.failures``),
+    adaptive rewiring (``config.adaptive``) and seeded message loss
+    (``config.message_loss_probability``) run for real on both
+    transports: they drop by schedule and by the seeded Bernoulli
+    stream -- one rule, the engine's, applied by the runtime they share
+    -- the TCP transport additionally heartbeats its connections and
+    reconnects severed ones with exponential backoff, and fidelity is
+    scored over the availability segments exactly like the engine.  The
+    TCP wall budgets (quiescence wait, reconnect policy, queue
+    watermarks) are constants of :mod:`repro.live.wire`, not options.
 
     Args:
         config: The run's full parameterisation (identical to what a
@@ -346,18 +346,13 @@ def run_live(
 
     Raises:
         ConfigurationError: before anything runs, on an unknown transport,
-            a bad duration or pacing, or adaptive rewiring over TCP.
+            a bad duration or pacing.
     """
     check_duration(duration)
     check_pacing(time_scale, heartbeat_interval_s, jitter_ms)
     if transport not in ("inprocess", "tcp"):
         raise ConfigurationError(
             f"unknown live transport {transport!r}; choose from ['inprocess', 'tcp']"
-        )
-    if config.adaptive is not None and transport != "inprocess":
-        raise ConfigurationError(
-            "adaptive re-optimization needs virtual-time counter "
-            "snapshots; run it on the inprocess transport"
         )
     if network is None:
         network = build_live_network(config)

@@ -26,16 +26,16 @@ queue, only; :func:`~repro.live.harness.run_live` picks one by name:
   quiescence budget runs out are counted as drops, keeping the
   conservation invariant exact.
 
-Both execute unplanned failures and seeded message loss, because the
-runtime does: it queues the control timeline of the network's
-:class:`~repro.engine.reconfig.ReconfigurationCore` ahead of the replay
-(the core makes every failover, resync and rewiring decision) and
-judges every repository-plane row by the engine's rule against the
-half-open windows one walk of each schedule returns
-(:meth:`~repro.engine.churn.ControlSchedule.walk`) -- a down link and
-then the Bernoulli draw at the send instant, a departed and then a
-crashed destination at the arrival stamp -- whatever the wall clock did
-to the frame on its way.
+Both execute churn, unplanned failures, adaptive rewiring and seeded
+message loss, because the runtime does: it queues the control timeline
+of the network's :class:`~repro.engine.reconfig.ReconfigurationCore`
+ahead of the replay (the core makes every failover, resync and
+rewiring decision) and judges every repository-plane row by the
+engine's rule against the core's sets -- a down link and then the
+Bernoulli draw at the send instant, a departed and then a crashed
+destination at the arrival stamp -- whatever the wall clock did to the
+frame on its way.  TCP applies an entry only once no row it put on a
+link is still out, so the rows stamped before it go first.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ class TcpWire(WireRuntime):
     links probe every ``heartbeat_interval_s`` wall seconds on failure
     runs only (0 disables).  Once the replay is through, the run waits up to
     :data:`~repro.live.wire.QUIESCE_TIMEOUT_S` wall seconds (stretched
-    at slow paces) for in-flight messages to land; whatever remains is
-    counted as dropped.
+    at slow paces) for in-flight messages to land, as a control entry
+    does; whatever remains is counted as dropped.
     """
 
     def __init__(
@@ -158,8 +158,6 @@ class TcpWire(WireRuntime):
                 self.routes[dst] = self.connect(
                     dst, await self.server.listen(self.host)
                 )
-            # (Failure events only on its control timeline: run_live
-            # refuses adaptive ticks here.)
             self.schedule_replay(duration, self.replay_finished)
             self.start(time.monotonic())
             # It only ends early by an action raising: stop waiting then.
@@ -194,9 +192,16 @@ class TcpWire(WireRuntime):
         if stats.sent == stats.delivered + stats.dropped and self.replayed.is_set():
             self.quiet.set()
 
-    def control(self, t: float, event) -> None:
+    def control(self, t: float, event) -> bool | None:
+        # A row still out on a link (queued or written, not yet landed
+        # or eaten) may be stamped before ``t``: wait for it to land.
+        due, links = self.due, self.links.values()
+        out = sum(link.taken + len(link.queue) for link in links) - self.landed
+        waited = (due.wall_now() - t) / due.time_scale
+        if out > 0 and waited < QUIESCE_TIMEOUT_S * wall_factor(due.time_scale):
+            return False
         super().control(t, event)
-        if event.kind == "crash":
+        if event is not None and event.kind == "crash":
             # Sever the victim's connection for real; its link
             # reconnects on demand.
             self.links[event.repository].sever()

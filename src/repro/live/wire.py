@@ -34,7 +34,9 @@ rule: a repository-plane row meets a down link and then the seeded
 Bernoulli draw at the instant it is *sent* (:meth:`WireRuntime.dispatch`)
 and a departed or crashed destination at the instant it *arrives*
 (:meth:`WireRuntime.deliver`); a row in flight when its link goes down
-is delivered on every plane.
+is delivered on every plane.  Both read the core's ``down_links``,
+``departed`` and ``crashed`` sets as the due queue releases the row,
+after every control entry stamped at or before it and no other.
 
 One delivery convention holds on every socket, and one message shape
 from end to end: a message is the seven-field row ``[dst, arrival_s,
@@ -71,7 +73,6 @@ from math import inf, isfinite
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.metrics import CostCounters
-from repro.engine.failures import in_windows
 from repro.errors import ConfigurationError, SimulationError
 from repro.live.protocol import (
     Bye,
@@ -163,9 +164,12 @@ class DueQueue(Simulator):
     wall clock and never moves it, so a frame that lands late is due in
     the past and simply released at once.
 
-    Actions are plain calls.  The one thing a producer ever waits for
-    is a send queue at its high watermark, and the waiting happens in
-    :meth:`run`, between actions: one that fills a queue names it
+    Actions are plain calls.  One may decline by returning ``False``:
+    :meth:`run` keeps it at its own key, releasing nothing behind it,
+    until the next :meth:`wake` or :data:`QUIESCE_TIMEOUT_S` (stretched
+    by :func:`wall_factor`) later.  The one thing a producer ever waits
+    for is a send queue at its high watermark, and the waiting happens
+    in :meth:`run`, between actions: one that fills a queue names it
     (:meth:`hold`), and nothing further is released until that queue's
     pump has taken the backlog -- producers stall as a group, and a
     queue overshoots by at most what one action emits.  The loop sees
@@ -217,19 +221,22 @@ class DueQueue(Simulator):
             delay = None  # empty: sleep until the first wake
             if heap:
                 delay = self.epoch + heap[0][0] / self.time_scale - time.monotonic()
-            if delay is None or delay > 0:
-                # Sleep toward the earliest due action, but wake early
-                # if a new (possibly earlier-due) one arrives.
-                wakeup.clear()
-                try:
-                    await asyncio.wait_for(wakeup.wait(), timeout=delay)
-                except (TimeoutError, asyncio.TimeoutError):
-                    pass
-                continue  # re-evaluate the heap top either way
-            _due, _seq, action, args = heapq.heappop(heap)
-            action(*args)
-            while held:
-                await held.pop().writable()
+            if delay is not None and delay <= 0:
+                due, seq, action, args = heapq.heappop(heap)
+                if action(*args) is not False:
+                    while held:
+                        await held.pop().writable()
+                    continue
+                heapq.heappush(heap, (due, seq, action, args))
+                delay = QUIESCE_TIMEOUT_S * wall_factor(self.time_scale)
+            # Sleep toward the earliest due action, but wake early if a
+            # new (possibly earlier-due) one arrives; re-evaluate the
+            # heap top either way.
+            wakeup.clear()
+            try:
+                await asyncio.wait_for(wakeup.wait(), timeout=delay)
+            except (TimeoutError, asyncio.TimeoutError):
+                pass
 
 
 #: Send-queue depth at which producers block until the pump takes the
@@ -355,6 +362,8 @@ class Link:
         self.generation = self.reconnects = 0
         #: Liveness probes written (outside wire conservation).
         self.heartbeats = 0
+        #: Messages the pump has taken off :attr:`queue` for a write.
+        self.taken = 0
         self._on_drop = on_drop
         self._metrics = metrics
         self._telemetry = telemetry
@@ -419,6 +428,7 @@ class Link:
         while True:
             # Never waits for more: what queued during the last write.
             backlog = await self.queue.take()
+            self.taken += len(backlog)
             if not await self._write(encode_backlog(backlog)):
                 for item in backlog:
                     if type(item) is list:
@@ -571,8 +581,9 @@ class WireRuntime:
     stamp and dispatches what the node emits, if anything.
 
     The judgement reads the run's own config (seed, loss probability)
-    and the half-open windows of its failure and churn schedules, built
-    once; a run with none of the three skips it whole.
+    and the core's ``down_links``, ``departed`` and ``crashed`` sets as
+    they stand when the row is released, as the engine's loop does; a
+    run with none of loss, churn and failures skips it whole.
 
     Args:
         network: The built network whose nodes run here.
@@ -623,7 +634,7 @@ class WireRuntime:
         self.routes: dict[int, Link] = {}
         self._due_task: asyncio.Task | None = None
         core = network.reconfig
-        config, schedule = network.setup.config, core.failures
+        config = network.setup.config
         # Only the repository plane is judged (ids: nothing cached here
         # may keep a node alive past the run).
         self._repositories = frozenset(network.repositories)
@@ -635,25 +646,20 @@ class WireRuntime:
             if self._loss_p > 0.0
             else None
         )
-        windows: dict = {}  # toggle -> subject -> half-open windows
-        for control in (core.churn, schedule):
-            if control is not None:
-                windows.update(control.walk()[1])
-        self._down = windows.get("down", {})
-        #: Per node, ``[(reason, windows), ...]``: the half-open windows a
-        #: delivery to it is a drop in, departures ahead of crashes (the
-        #: engine's precedence).
-        self._away: dict[int, list[tuple]] = {}
-        for reason, toggle in (("departed", "departed"), ("crash", "crashed")):
-            for node, spans in windows.get(toggle, {}).items():
-                self._away.setdefault(node, []).append((reason, spans))
+        # The core's sets, mutated in place as it applies the timeline.
+        self._down = core.down_links
+        self._departed, self._crashed = core.departed, core.crashed
+        #: Can a delivery meet a departed or crashed destination?
+        self._away = core.churn is not None or core.failures is not None
         #: The engine's ``filtered``: can this run drop at the sender?
-        self._judged = self._loss_random is not None or schedule is not None
+        self._judged = self._loss_random is not None or core.failures is not None
+        #: Rows off a link here: landed in a frame, or eaten by the wire.
+        self.landed = 0
 
     # -- what a plane says: ``routes``, and the rest where it matters --
 
-    def control(self, t: float, event) -> None:
-        """One entry of the core's control timeline came due."""
+    def control(self, t: float, event) -> bool | None:
+        """One control-timeline entry came due (``False`` declines it)."""
         self.network.reconfig.apply(t, event)
 
     def on_hello(self, hello: Hello) -> None:
@@ -673,7 +679,7 @@ class WireRuntime:
         """Start the link toward ``peer``; it connects on first use."""
         link = self.links[peer] = Link(
             self.src, peer, self.host, port,
-            lambda row: self.drop(row, "wire", row[1]),
+            self._eaten,
             self.heartbeat_interval_s,
             metrics=self.metrics,
             telemetry=self._telemetry if self.metrics is not None else None,
@@ -723,6 +729,7 @@ class WireRuntime:
         """Send the rows a node emitted at simulated instant ``now``."""
         self.stats.sent += len(rows)
         judged, jitter, routes = self._judged, self.jitter, self.routes
+        down = self._down
         due, deliver = self.due, self.deliver
         heappush, heap, next_seq = heapq.heappush, due._heap, due._seq
         released = due.now
@@ -732,8 +739,7 @@ class WireRuntime:
                 # A down link eats the row before the Bernoulli draw, so
                 # the loss stream is consumed only for rows that enter
                 # the network.
-                down = self._down.get((row[6], dst))
-                if down and in_windows(down, now):
+                if down and (row[6], dst) in down:
                     self.drop(row, "partition", now)
                     continue
                 if self._loss_random is not None and self._loss_random() < self._loss_p:
@@ -756,11 +762,11 @@ class WireRuntime:
         # module docstring), so the availability test, downstream
         # filtering and scoring are free of wall jitter.
         dst, arrival_s, item_id, value, tag, seq, _src = row
-        if self._away:
-            for reason, windows in self._away.get(dst, ()):
-                if in_windows(windows, arrival_s):
-                    self.drop(row, reason, arrival_s)
-                    return
+        if self._away and (dst in self._departed or dst in self._crashed):
+            # Departures ahead of crashes: the engine's precedence.
+            reason = "departed" if dst in self._departed else "crash"
+            self.drop(row, reason, arrival_s)
+            return
         rows = self.hosted[dst].receive(item_id, value, tag, seq, arrival_s)
         if rows:
             self.dispatch(rows, arrival_s)
@@ -777,6 +783,12 @@ class WireRuntime:
             observer.on_drop(seq - 1, item_id, t, src, dst, reason)
         self.settled()
 
+    def _eaten(self, row: list) -> None:
+        # Off its link all the same: a control entry waiting on it may go.
+        self.landed += 1
+        self.due.wake()
+        self.drop(row, "wire", row[1])
+
     def _on_frame(self, message: Message) -> None:
         if not isinstance(message, Forwards):
             self.on_control_frame(message)
@@ -786,6 +798,7 @@ class WireRuntime:
         # (and the due loop, woken first, sees them even then).
         due, deliver, hosted = self.due, self.deliver, self.hosted
         due.wake()
+        self.landed += len(message.rows)
         heappush, heap, next_seq = heapq.heappush, due._heap, due._seq
         released = due.now
         for row in message.rows:

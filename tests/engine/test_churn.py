@@ -162,7 +162,7 @@ def test_schedule_referencing_unknown_item_rejected():
 def test_late_joiner_is_served_after_joining():
     config = churned(joins=3)
     setup = build_setup(config)
-    late = sorted(config.churn.walk()[0])
+    late = sorted(config.churn.walk())
     assert late, "synthetic schedule must produce late joiners"
     # Late joiners are absent from the initial graph ...
     for repo in late:

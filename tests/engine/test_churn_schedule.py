@@ -1,9 +1,11 @@
 """Unit tests for churn schedules and the synthetic generator."""
 
 import pickle
+import re
 
 import pytest
 
+from repro.engine import churn
 from repro.engine.churn import (
     ChurnEvent,
     ChurnSchedule,
@@ -74,6 +76,25 @@ def test_schedule_sorts_by_time_and_counts():
     assert not ChurnSchedule()
 
 
+def test_a_join_freezes_its_requirements_once(monkeypatch):
+    calls = []
+    freeze = churn._freeze_requirements
+
+    def counting(requirements):
+        calls.append(requirements)
+        return freeze(requirements)
+
+    monkeypatch.setattr(churn, "_freeze_requirements", counting)
+    event = ChurnEvent.join(1.0, 5, {1: 0.2, 0: 0.1})
+    assert len(calls) == 1
+    assert event.requirements == ((0, 0.1), (1, 0.2))
+    assert ChurnEvent.join(1.0, 5).requirements is None and len(calls) == 1
+    # An update freezes ahead of its emptiness check, and again after.
+    assert ChurnEvent.update(2.0, 5, iter([(0, 0.1)])).requirements == ((0, 0.1),)
+    with pytest.raises(ConfigurationError, match="must carry"):
+        ChurnEvent.update(2.0, 5, iter(()))
+
+
 def test_schedule_rejects_non_events():
     with pytest.raises(ConfigurationError):
         ChurnSchedule(("join",))
@@ -87,10 +108,9 @@ def test_late_joiners_are_first_event_joins():
             ChurnEvent.depart(12.0, 2),  # initial member departs
         )
     )
-    late, windows = schedule.walk()
-    assert late == {5}
-    # A late joiner's absence before its first join is not a window.
-    assert windows == {"departed": {2: [(12.0, None)], 5: [(20.0, None)]}}
+    # Only a first-event join starts away: 2 departs first, and 5's
+    # departure comes after its join.
+    assert schedule.walk() == {5}
 
 
 def test_initial_members_validates_transitions():
@@ -118,7 +138,13 @@ def test_initial_members_validates_transitions():
     # instant: they apply in construction order.
     tied = ChurnSchedule((ChurnEvent.depart(1.0, 2), ChurnEvent.join(1.0, 2)))
     assert tied.initial_members(pool) == [1, 2, 3, 4, 5]
-    assert tied.walk()[1] == {"departed": {2: [(1.0, 1.0)]}}
+    assert tied.walk() == set()
+    with pytest.raises(ConfigurationError, match=re.escape(
+        "t=2.0: 2 cannot update while departed"
+    )):
+        ChurnSchedule(
+            (ChurnEvent.depart(1.0, 2), ChurnEvent.update(2.0, 2, {0: 0.1}))
+        ).walk()
 
 
 def test_schedules_hash_equal_when_equal():

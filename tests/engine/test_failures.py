@@ -10,6 +10,8 @@ event count at float bit-exactness.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.engine.builder import build_setup
@@ -18,7 +20,6 @@ from repro.engine.failures import (
     FailureEvent,
     FailureSchedule,
     failures_for_config,
-    in_windows,
     parse_failure_spec,
     synthetic_failures,
 )
@@ -113,24 +114,31 @@ def test_validate_nodes_ranges():
         FailureSchedule((FailureEvent.link_down(1.0, 0, 9),)).validate_nodes(5)
 
 
-def test_windows_are_half_open_pairs():
+def test_walk_returns_no_late_subject_and_names_the_refused_event():
+    """The walk only validates: a failure subject starts up, so none is
+    late, and who is down at an instant is the core's to say."""
     schedule = FailureSchedule((
         FailureEvent.crash(10.0, 2),
         FailureEvent.recover(30.0, 2),
         FailureEvent.crash(50.0, 2),
         FailureEvent.link_down(5.0, 1, 2),
+        FailureEvent.link_down(6.0, 2, 1),  # links are directed
     ))
-    late, windows = schedule.walk()
-    assert late == set()
-    crashes, links = windows["crashed"], windows["down"]
-    assert crashes == {2: [(10.0, 30.0), (50.0, None)]}
-    assert links == {(1, 2): [(5.0, None)]}
-    # Judged at logical time, the windows keep the kernels' tie-break:
-    # down at the crash instant, up again at the recovery instant.
-    down = [t for t in (9.9, 10.0, 29.9, 30.0, 49.9, 50.0, 1e9) if in_windows(crashes[2], t)]
-    assert down == [10.0, 29.9, 50.0, 1e9]
-    assert in_windows(links[(1, 2)], 5.0) and not in_windows(links[(1, 2)], 4.9)
-    assert (2, 1) not in links  # links are directed
+    assert schedule.walk() == set()
+    refusals = {
+        "t=20.0: 2 cannot crash while crashed": (
+            FailureEvent.crash(10.0, 2), FailureEvent.crash(20.0, 2),
+        ),
+        "t=1.0: (1, 2) cannot link_up while not down": (
+            FailureEvent.link_up(1.0, 1, 2),
+        ),
+        "t=10.0: events for 2 must be at strictly increasing times": (
+            FailureEvent.crash(10.0, 2), FailureEvent.recover(10.0, 2),
+        ),
+    }
+    for message, events in refusals.items():
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            FailureSchedule(events)
 
 
 def test_parse_failure_spec():

@@ -34,13 +34,8 @@ from repro.core.lela import build_d3g
 from repro.core.metrics import CostCounters
 from repro.core.preference import preference_p1
 from repro.core.tree import DisseminationGraph
-from repro.engine.churn import ChurnEvent, ChurnSchedule, synthetic_schedule
-from repro.engine.failures import (
-    FailureEvent,
-    FailureSchedule,
-    in_windows,
-    synthetic_failures,
-)
+from repro.engine.churn import ChurnEvent, ChurnSchedule
+from repro.engine.failures import FailureEvent, FailureSchedule
 from repro.engine import reconfig
 from repro.engine.reconfig import LelaInputs, ReconfigurationCore
 from repro.errors import SimulationError
@@ -647,62 +642,6 @@ def test_timeline_is_time_ordered_with_ticks_after_events_at_a_tie():
     assert core.timeline(span=25.0) == [
         (2.0, down), (10.0, crash), (10.0, None), (20.0, None),
     ]
-
-
-# ----------------------------------------------------------------------
-# The schedules' windows and the core's sets: one state at every instant
-# ----------------------------------------------------------------------
-
-WINDOW_POOL = (1, 2, 3, 4, 5)
-WINDOW_LINKS = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 5))
-
-
-@settings(max_examples=examples(60), deadline=None)
-@given(
-    joins=st.integers(0, 2),
-    departs=st.integers(0, 3),
-    updates=st.integers(0, 2),
-    crashes=st.integers(0, 3),
-    partitions=st.integers(0, 3),
-    seed=st.integers(0, 2**16),
-)
-def test_windows_agree_with_the_core_at_every_instant(
-    joins, departs, updates, crashes, partitions, seed
-):
-    """The wire judges a row against the windows one walk of each
-    schedule returns; the engine against the core's ``departed`` /
-    ``crashed`` / ``down_links``.  At every instant -- each event's own
-    instant included, which pins the half-open tie rule -- a subject is
-    inside a window exactly when the core, having applied every timeline
-    entry at or before that instant, holds it in the matching set."""
-    profiles = {r: InterestProfile(r, {0: C, 1: 2 * C}) for r in WINDOW_POOL}
-    churn = synthetic_schedule(
-        repositories=WINDOW_POOL, n_items=2, span_s=100.0, joins=joins,
-        departs=departs, updates=updates, seed=seed,
-    )
-    failures = synthetic_failures(
-        repositories=WINDOW_POOL, span_s=100.0, crashes=crashes,
-        partitions=partitions, links=WINDOW_LINKS, seed=seed,
-    )
-    core, _store = churn_core(*churn, profiles=profiles, failures=failures)
-    windows = {**churn.walk()[1], **failures.walk()[1]}
-    held = {"departed": core.departed, "crashed": core.crashed, "down": core.down_links}
-    subjects = {"departed": WINDOW_POOL, "crashed": WINDOW_POOL, "down": WINDOW_LINKS}
-    timeline = core.timeline(span=100.0)
-    times = sorted({t for t, _event in timeline})
-    probes = sorted(
-        {0.0, 101.0, *times, *((a + b) / 2 for a, b in zip(times, times[1:]))}
-    )
-    applied = 0
-    for t in probes:
-        while applied < len(timeline) and timeline[applied][0] <= t:
-            core.apply(*timeline[applied])
-            applied += 1
-        for toggle, members in subjects.items():
-            for subject in members:
-                inside = in_windows(windows.get(toggle, {}).get(subject, ()), t)
-                assert inside == (subject in held[toggle]), (t, toggle, subject)
-    assert applied == len(timeline)
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,10 @@ The engine, its reference oracle, the in-process and TCP live
 transports and the fleet all serve the builder's modeled-client blocks
 (``clients_per_repository``) with one rule, so their
 ``client_checks`` / ``client_messages`` totals are equal, count for
-count.  A static run without loss is timing-free -- each pair receives
-the same values in the same order on every wire -- so the socket planes
-are held to exact equality too.
+count.  A run without loss is timing-free on TCP too -- each pair
+receives the same values in the same order on every wire, and control
+entries apply in stamp order with the rows -- so the socket planes are
+held to exact equality too.
 """
 
 import functools
@@ -50,12 +51,17 @@ VARIANTS = {
     ),
 }
 
+#: TCP applies the control timeline in stamp order with the rows, so it
+#: runs the reconfiguring variants too; not ``loss``, whose stream it
+#: draws in dispatch order.  The fleet runs the plain variant only.
 CASES = [
     (policy, variant, plane)
     for policy in FILTERED_POLICIES
     for variant in VARIANTS
     for plane in PLANES
-    if variant == "plain" or plane in ("oracle", "inprocess")
+    if variant == "plain"
+    or plane in ("oracle", "inprocess")
+    or (plane == "tcp" and variant != "loss")
 ]
 
 

@@ -1,6 +1,7 @@
 """Localhost TCP smoke: real sockets, real frames, conserved messages."""
 
 import asyncio
+import collections
 import gc
 import inspect
 import math
@@ -11,9 +12,11 @@ import weakref
 import pytest
 
 from repro.engine import SCALE_PRESETS
-from repro.engine.churn import schedule_for_config
+from repro.engine.adaptive import AdaptivePolicy
+from repro.engine.churn import ChurnEvent, ChurnSchedule, schedule_for_config
 from repro.engine.config import SimulationConfig
-from repro.engine.failures import failures_for_config
+from repro.engine.failures import FailureEvent, FailureSchedule, failures_for_config
+from repro.engine.reconfig import ReconfigurationCore
 from repro.engine.simulation import run_simulation
 from repro.fleet import run_fleet
 from repro.fleet.worker import FleetSpec
@@ -30,6 +33,7 @@ from repro.live.protocol import (
     encode_rows,
 )
 from repro.live.transport import TcpWire
+from repro.obs.trace import TraceRecorder
 from repro.errors import ConfigurationError, SimulationError
 
 pytestmark = pytest.mark.live
@@ -139,10 +143,9 @@ def test_tcp_failure_smoke_conserves_under_crashes_and_loss():
 
     Conservation stays *exact* (the drop economy is judged at logical
     arrival times) while the message volume only tracks the simulator
-    within a tolerance: over TCP the failover rewiring lands at wall
-    time, so which edges exist when a frame is generated has wall-clock
-    wiggle at an aggressive time scale.  The tight cross-plane bounds
-    live in ``live_crosscheck`` at a gentle time scale.
+    within a tolerance: over TCP the seeded loss stream is drawn in
+    dispatch order, which the wall clock decides.  The tight cross-plane
+    bounds live in ``live_crosscheck`` at a gentle time scale.
     """
     base = CONFIG.with_(message_loss_probability=0.01)
     config = base.with_(
@@ -323,3 +326,109 @@ def test_a_finished_tcp_runtime_no_longer_reaches_the_networks_nodes():
     del network
     gc.collect()  # the network is a cycle of its own (its core points back)
     assert node() is None  # while ``runtime`` is still alive right here
+
+
+# ---- the control timeline in stamp order with the rows ----
+
+
+@pytest.mark.parametrize(
+    "key, schedule",
+    [
+        ("failures", FailureSchedule(
+            (FailureEvent.crash(20.0, 2), FailureEvent.recover(40.0, 2))
+        )),
+        ("churn", ChurnSchedule((ChurnEvent.join(20.0, 2),))),
+    ],
+    ids=["crash", "join"],
+)
+def test_a_row_stamped_before_a_control_entry_is_released_ahead_of_it(
+    key, schedule, monkeypatch
+):
+    """Every link's writes wait until the first control entry has come
+    due, so every row stamped before its instant lands after it.  The
+    entry must still apply after all of them: applied first, a late row
+    was judged and forwarded by a core that had moved on -- a joiner's
+    log then read a delivery stamped before its join's sync entry."""
+    instant = schedule.events[0].time
+    came_due = asyncio.Event()
+    released = []
+    control, apply = TcpWire.control, ReconfigurationCore.apply
+    receive, write = RepositoryNode.receive, wire.Link._write
+
+    def noting_control(self, t, event):
+        came_due.set()
+        return control(self, t, event)
+
+    def noting_apply(self, now, event):
+        released.append(("control", now))
+        return apply(self, now, event)
+
+    def noting_receive(self, item_id, value, tag, seq, now):
+        released.append(("row", now))
+        return receive(self, item_id, value, tag, seq, now)
+
+    async def held_write(self, data):
+        await came_due.wait()
+        return await write(self, data)
+
+    monkeypatch.setattr(TcpWire, "control", noting_control)
+    monkeypatch.setattr(ReconfigurationCore, "apply", noting_apply)
+    monkeypatch.setattr(RepositoryNode, "receive", noting_receive)
+    monkeypatch.setattr(wire.Link, "_write", held_write)
+    result = run_live(CONFIG.with_(**{key: schedule}), "tcp", time_scale=200.0)
+    assert result.conserved
+    first = released.index(("control", instant))
+    # Every write waited for the entry to come due: whatever was
+    # released ahead of it landed after that.
+    assert any(kind == "row" for kind, _stamp in released[:first])
+    assert [
+        stamp for kind, stamp in released[first:] if kind == "row" and stamp < instant
+    ] == []
+
+
+def _repro(case: str) -> SimulationConfig:
+    """Churn, and failures at seed 7 under two policies, at ``tiny``:
+    at a fast pace, rows are out on a link at every control instant."""
+    tiny = SCALE_PRESETS["tiny"]
+    if case == "churn":
+        return tiny.with_(churn=schedule_for_config(tiny, joins=1, departs=1, updates=1))
+    base = tiny.with_(seed=7, policy=case.removeprefix("failures-"))
+    return base.with_(failures=failures_for_config(base, crashes=1, partitions=1))
+
+
+def _outcome(config, transport: str, **pacing) -> tuple:
+    """Loss to the bit, every counter, the drops by reason and the
+    extras but the wire's own tallies."""
+    network = build_live_network(config)
+    recorder = TraceRecorder(policy=config.policy)
+    network.attach_observer(recorder)
+    result = run_live(config, transport, network=network, **pacing)
+    reasons = collections.Counter(
+        ev.reason for ev in recorder.events if ev.kind == "drop"
+    )
+    extras = {
+        key: value for key, value in result.extras.items()
+        if key not in ("heartbeats", "reconnects")
+    }
+    return result.loss_of_fidelity.hex(), result.counters, reasons, extras
+
+
+@pytest.mark.parametrize(
+    "case", ["churn", "failures-centralized", "failures-flooding"]
+)
+def test_tcp_equals_inprocess_across_control_instants_at_a_fast_pace(case):
+    config = _repro(case)
+    expected = _outcome(config, "inprocess")
+    for _run in range(5):
+        assert _outcome(config, "tcp", time_scale=5000.0) == expected
+
+
+def test_tcp_runs_adaptive_rewiring_exactly_as_inprocess():
+    """A drift tick snapshots the counters once every row stamped
+    before it is processed, as on the virtual clock."""
+    config = SCALE_PRESETS["tiny"].with_(
+        adaptive=AdaptivePolicy(window=20.0, threshold=0.3)
+    )
+    expected = _outcome(config, "inprocess")
+    assert expected[3]["adaptive_rewires"] > 0
+    assert _outcome(config, "tcp", time_scale=5000.0) == expected

@@ -124,6 +124,38 @@ def test_due_queue_wakes_early_for_an_earlier_action():
     assert left == 1
 
 
+def test_a_declined_action_keeps_its_key_and_holds_back_what_is_behind_it():
+    async def scenario():
+        due = wire.DueQueue(time_scale=1000.0)
+        released, ready = [], []
+
+        def control(tag):
+            released.append(tag)
+            return False if not ready else None
+
+        def note(tag):
+            released.append(tag)
+
+        due.push(10.0, control, "control")
+        due.push(20.0, note, "behind")
+        due.epoch = time.monotonic()
+        task = asyncio.create_task(due.run())
+        await until(lambda: released)
+        await asyncio.sleep(0.05)  # both due; only the decline ran
+        held = list(released)
+        due.push(5.0, note, "earlier")  # lands, and wakes the loop
+        ready.append(True)
+        due.wake()
+        await until(lambda: len(released) == 4)
+        task.cancel()
+        await asyncio.gather(task, return_exceptions=True)
+        return held, released
+
+    held, released = run(scenario())
+    assert held == ["control"]
+    assert released == ["control", "earlier", "control", "behind"]
+
+
 # ---- Link + FrameServer ----
 
 
