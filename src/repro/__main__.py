@@ -31,7 +31,6 @@ processes, with sample-based anti-entropy resync on reconnect) hangs
 off the ``fleet`` subcommand::
 
     python -m repro fleet run --workers 4 --preset tiny --time-scale 600
-    python -m repro fleet run --workers 2 --crosscheck --duration 60
     python -m repro fleet run --workers 4 --preset tiny --clients 50
 
 The observability layer (per-update trace spans, the metrics registry
@@ -273,12 +272,6 @@ _OPTIONS = {
         help="fault injection: sever worker 0's outbound links at this "
         "simulated time, exercising reconnect + anti-entropy resync "
         "(default: off)",
-    ),
-    "crosscheck": _option(
-        "--crosscheck", action="store_true",
-        help="also run the single-process inprocess transport on the "
-        "same config and verify the fleet agrees on fidelity within "
-        "0.5pp (exits nonzero on disagreement)",
     ),
     "json": _option(
         "--json", metavar="PATH",
@@ -566,7 +559,6 @@ def _live_run(args) -> None:
 
 def _fleet_run(args) -> None:
     from repro.fleet import run_fleet
-    from repro.live import run_live
 
     config = _config_from_args(args)
     result = run_fleet(config, **_run_keywords(args))
@@ -582,16 +574,6 @@ def _fleet_run(args) -> None:
               f"/{result.counters.resync_messages})")
     if not result.conserved:
         raise SystemExit("fleet run violated wire conservation")
-    if args.crosscheck:
-        single = run_live(config, "inprocess", duration=args.duration)
-        gap = abs(single.loss_of_fidelity - result.loss_of_fidelity)
-        print(f"crosscheck single-process : loss="
-              f"{single.loss_of_fidelity:.3f} % (gap {gap:.3f} pp)")
-        if gap > 0.5:
-            raise SystemExit(
-                f"fleet fidelity diverged from the single-process run by "
-                f"{gap:.3f} pp (> 0.5 pp)"
-            )
 
 
 def _obs_run(args):
@@ -768,7 +750,7 @@ _COMMANDS = {
         "reconnect.",
         {
             "run": (_fleet_run, "replay the workload through a sharded fleet",
-                    _FLEET + ("crosscheck",)),
+                    _FLEET),
         },
     ),
     "obs": (

@@ -10,8 +10,8 @@ so that
 - the live nodes' edge groups (:mod:`repro.live.nodes`)
 
 share **one** code path, and the simulator can be cross-validated
-against a running network (the ``live_crosscheck`` experiment) without
-any risk of the two re-implementing the paper's equations differently.
+against every live plane (the ``live_crosscheck`` table) without any
+risk of the two re-implementing the paper's equations differently.
 
 Four layers:
 

@@ -12,18 +12,18 @@ For each workload the grid runs one *static* baseline (no adaptive
 policy) and the cross product of adaptive policies
 (window x threshold x scope x max_rewires, all sharing one cooldown).
 A policy *dominates* the static baseline when it achieves strictly lower
-loss of fidelity at equal-or-lower total cost.  On ``flash_crowd`` --
-the drift pattern adaptation exists for -- at least one grid point must
-dominate; ``collect`` raises otherwise, making the claim a checked
-invariant rather than a hopeful plot (the default grid is calibrated to
-hold on the ``tiny`` and ``small`` presets).
+loss of fidelity at equal-or-lower total cost.  ``collect`` reports the
+dominating grid points per workload (``dominating``, possibly empty); it
+does not judge them.  The claim -- on ``flash_crowd``, the drift pattern
+adaptation exists for, at least one grid point dominates -- is gated
+where it is made: by the tier-1 test of this experiment and by CI's
+smoke run of the default grid at ``tiny``.
 """
 
 from __future__ import annotations
 
 from repro.engine.adaptive import AdaptivePolicy
 from repro.engine.config import SimulationConfig
-from repro.errors import SimulationError
 from repro.experiments import api
 from repro.workloads import make_workload
 
@@ -123,18 +123,6 @@ def _collect(ctx: api.ExperimentContext, results) -> dict:
                 key for key, row in rows.items() if row["dominates"]
             ),
         }
-    # The tentpole claim, checked: under the flash-crowd drift pattern,
-    # online re-optimization must beat the static build on fidelity
-    # without spending more -- reconfiguration cost included.
-    flash = payload["workloads"].get("flash_crowd")
-    if flash is not None and not flash["dominating"]:
-        raise SimulationError(
-            "adaptive_tradeoff: no adaptive policy dominates the static "
-            "baseline on flash_crowd (strictly lower loss at <= total "
-            f"cost); static loss={flash['static']['loss']:.4f} "
-            f"cost={flash['static']['total_cost']}, grid="
-            f"{list(flash['policies'])}"
-        )
     return payload
 
 

@@ -1,399 +1,277 @@
-"""Cross-validate the simulator against the live network.
+"""Cross-validate the simulator against every live plane, cell by cell.
 
-The paper's credibility rests on a *real implementation*; ours rests on
-the simulator and the live network (:mod:`repro.live`) being two
-executions of the same algorithms.  This experiment runs both planes on
-identical configs -- the simulation through the shared cached sweep
-plane, the live network on the deterministic in-process transport --
-and asserts they agree:
+The live planes -- the in-process wire and TCP (:mod:`repro.live`) and
+a 2-worker fleet (:mod:`repro.fleet`) -- run the engine's own rules, so
+agreement is not a tolerance but equality.  This experiment is the
+generated table of every :data:`PLANES` × policy × :data:`FEATURES`
+cell.  The plan is the engine's run of each policy × feature config,
+through the shared cached sweep; ``collect`` runs each plane on each
+config, never cached, since a cache key carries no code fingerprint.
 
-- **fidelity**: system loss of fidelity matches within
-  ``fidelity_tol`` percentage points per policy (the two planes share
-  the coherency filter, the ``d3g``, the delays and the queueing
-  semantics, so the expected delta is exactly zero; the tolerance
-  absorbs nothing but genuine regressions);
-- **messages**: repository-plane message counts match within
-  ``message_tol`` percent;
-- **conservation**: on the live wire, ``deliveries + drops == sends``.
+A cell ends in one of three states:
 
-A disagreement raises -- a failed cross-check is a correctness bug in
-one of the planes, not a data point.
+- ``exact``: :func:`compare` finds nothing that differs;
+- ``refused``: the plane raised
+  :class:`~repro.errors.ConfigurationError` before running (today the
+  fleet's up-front refusals); its message is recorded;
+- ``conserved``: only the :data:`CONSERVED` cells, which check the two
+  conservation laws and compare nothing else.
 
-Failure leg
------------
-
-A second leg repeats the comparison under an injected
-:class:`~repro.engine.failures.FailureSchedule` (repository crashes,
-link partitions) plus seeded message loss, per policy, again on the
-in-process transport -- and then once more over real TCP sockets.  The
-TCP half runs on a *fixed* small grid rather than the preset: its wall
-budget is the trace span divided by ``tcp_time_scale``, and a small
-grid keeps that to a few seconds at a gentle pace.  TCP nodes process
-every frame at its logical arrival stamp (see :mod:`repro.live.wire`),
-so the fidelity gap does not grow with the pace; what the leg checks is
-that framing, sockets, severed connections and the drop economy leave
-the run where the simulator put it.  The TCP leg asserts exact wire
-conservation (``sent == delivered + dropped``) and fidelity agreement
-within ``fidelity_tol``; it degrades gracefully (recorded as skipped)
-where localhost sockets are unavailable, unless ``tcp=on`` forces it.
-
-Adaptive leg
-------------
-
-A third leg repeats the comparison with an
-:class:`~repro.engine.adaptive.AdaptivePolicy` active on a fixed
-drifting grid (``ADAPTIVE_BASE``, flash-crowd traffic): the engine's
-drift-triggered re-optimization must fire on both planes and still
-leave them *bit-identical* -- unlike the plain legs' tolerance checks,
-this one asserts ``delta == 0``, full :class:`CostCounters` equality
-(reconfiguration charges included) and equal, non-zero rewire counts.
-The in-process transport shares the simulator's kernel and counters, so
-any disagreement means the live rewiring path diverged from the
-engine's ``_apply_diff``.
+Any other outcome -- a field that differs, a conservation law that
+fails, a plane that raises anything else -- fails the table: ``collect``
+raises one :class:`~repro.errors.SimulationError` naming every such
+cell and what differs in it.
 """
 
 from __future__ import annotations
 
-from repro.engine.config import SimulationConfig
-from repro.errors import SimulationError
+import dataclasses
+
+from repro.core.dissemination.filtering import FILTERED_POLICIES
+from repro.engine.adaptive import AdaptivePolicy
+from repro.engine.churn import schedule_for_config
+from repro.engine.failures import failures_for_config
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import api
-from repro.workloads import FlashCrowdWorkload
+from repro.obs.logsetup import get_logger
 
-__all__ = ["SPEC", "POLICIES", "FAILURE_BASE", "ADAPTIVE_BASE"]
+__all__ = ["CLIENTS", "CONSERVED", "FEATURES", "PLANES", "SPEC", "TIME_SCALE",
+           "check", "compare", "table"]
 
-#: The two exact policies are the cross-check's subjects; flooding and
-#: eq3_only are diagnostic baselines, available via the ``policies``
-#: parameter.
-POLICIES = ("distributed", "centralized")
+#: Simulated seconds per wall second on the TCP and fleet planes.
+TIME_SCALE = 2000.0
 
-#: Fixed operating point of the TCP failure leg (see module docstring
-#: for why it does not scale with the preset).
-FAILURE_BASE = SimulationConfig(
-    n_repositories=5,
-    n_routers=15,
-    n_items=2,
-    trace_samples=80,
-)
-
-#: Fixed operating point of the adaptive leg: flash-crowd drift on a
-#: small grid, sized so the default policy applies several rewires per
-#: run under both exact dissemination policies (verified: 4 rewires
-#: each) while the whole leg stays sub-second.
-ADAPTIVE_BASE = SimulationConfig(
-    n_repositories=12,
-    n_routers=36,
-    n_items=3,
-    trace_samples=300,
-    seed=3913,
-    workload=FlashCrowdWorkload(),
-)
+#: Modeled clients per repository in every cell: blocks this wide build
+#: staircases of many runs and reach the serving pass's bisect.
+CLIENTS = 300
 
 
-def _localhost_socket_reason() -> str | None:
-    """Why TCP cannot run here, or ``None`` when sockets work."""
-    import socket
+def _loss(config):
+    return config.with_(message_loss_probability=0.05)
 
-    try:
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+
+def _churn(config):
+    return config.with_(
+        churn=schedule_for_config(config, joins=1, departs=1, updates=1)
+    )
+
+
+def _failures(config):
+    return config.with_(failures=failures_for_config(config, crashes=1, partitions=1))
+
+
+def _adaptive(config):
+    return config.with_(adaptive=AdaptivePolicy(window=20.0, threshold=0.3))
+
+
+def _reconfig(config):
+    # Composed as the CLI composes --adaptive, --churn and --failures.
+    return _failures(_churn(_adaptive(config)))
+
+
+#: The feature column: each a transform of the preset config.
+FEATURES = {
+    "static": lambda config: config,
+    "loss": _loss,
+    "churn": _churn,
+    "failures": _failures,
+    "adaptive": _adaptive,
+    "reconfig": _reconfig,
+    "all": lambda config: _reconfig(_loss(config)),
+}
+
+
+def _single_process(transport: str, **pacing):
+    def plane(config):
+        from repro.live import run_live
+
         try:
-            probe.bind(("127.0.0.1", 0))
-        finally:
-            probe.close()
-    except OSError as exc:  # pragma: no cover - sandboxed environments
-        return f"cannot bind localhost sockets here: {exc}"
-    return None
+            return run_live(config, transport, **pacing)
+        except ConfigurationError as exc:
+            # run_live refuses only a transport, duration or pacing, none
+            # of which a cell varies: this one came from the run itself.
+            raise SimulationError(f"{transport} run failed: {exc}") from exc
+
+    return plane
 
 
-def _policies(ctx: api.ExperimentContext) -> tuple[str, ...]:
-    return tuple(p for p in ctx.params["policies"].split(",") if p.strip())
+def _fleet(config):
+    from repro.fleet import run_fleet
+
+    return run_fleet(config, workers=2, time_scale=TIME_SCALE)
 
 
-def _failure_config(ctx: api.ExperimentContext, policy: str) -> SimulationConfig:
-    from repro.engine.failures import failures_for_config
+#: The live planes, each a ``config -> LiveRunResult`` run.
+PLANES = {
+    "inprocess": _single_process("inprocess"),
+    "tcp": _single_process("tcp", time_scale=TIME_SCALE),
+    "fleet": _fleet,
+}
 
-    base = FAILURE_BASE.with_(
-        policy=policy,
-        message_loss_probability=ctx.params["failure_loss"],
-    )
-    return base.with_(failures=failures_for_config(
-        base,
-        crashes=ctx.params["failure_crashes"],
-        partitions=ctx.params["failure_partitions"],
-        seed=ctx.params["failure_seed"],
-    ))
+#: The cells held to conservation alone, ``(plane, feature) -> reason``.
+CONSERVED = dict.fromkeys(
+    [("tcp", "loss"), ("tcp", "all")],
+    "TCP draws the seeded loss stream in dispatch order, not the "
+    "engine's (ROADMAP item 7(c))",
+)
 
 
-def _adaptive_config(ctx: api.ExperimentContext, policy: str) -> SimulationConfig:
-    from repro.engine.adaptive import AdaptivePolicy
+def compare(sim, live) -> list[str]:
+    """What differs between an engine result and a live one: each shared
+    dataclass field (a dataclass value named field by field), then each
+    ``extras`` key both carry.  Empty when the two runs agree."""
+    live_fields = {f.name for f in dataclasses.fields(live)}
+    differs = [
+        name
+        for f in dataclasses.fields(sim)
+        if f.name in live_fields and f.name != "extras"
+        for name in _differs(f.name, getattr(sim, f.name), getattr(live, f.name))
+    ]
+    return differs + [
+        f"extras[{key!r}]"
+        for key in sorted(sim.extras.keys() & live.extras.keys())
+        if sim.extras[key] != live.extras[key]
+    ]
 
-    return ADAPTIVE_BASE.with_(
-        policy=policy,
-        adaptive=AdaptivePolicy(
-            window=ctx.params["adaptive_window"],
-            threshold=ctx.params["adaptive_threshold"],
-            max_rewires=ctx.params["adaptive_max_rewires"],
-        ),
-    )
+
+def _differs(name: str, sim, live) -> list[str]:
+    if sim == live:
+        return []
+    if dataclasses.is_dataclass(sim) and type(sim) is type(live):
+        return [
+            differ
+            for f in dataclasses.fields(sim)
+            for differ in _differs(
+                f"{name}.{f.name}", getattr(sim, f.name), getattr(live, f.name)
+            )
+        ] or [name]
+    return [name]
+
+
+def _cells() -> list[tuple[str, str]]:
+    """The ``(policy, feature)`` rows, in plan order."""
+    return [(policy, feature) for policy in FILTERED_POLICIES for feature in FEATURES]
+
+
+def _config(ctx: api.ExperimentContext, policy: str, feature: str):
+    base = ctx.base_config().with_(clients_per_repository=CLIENTS, policy=policy)
+    return FEATURES[feature](base)
 
 
 def _plan(ctx: api.ExperimentContext):
-    base = ctx.base_config()
-    plain = tuple(base.with_(policy=policy) for policy in _policies(ctx))
-    failure = tuple(_failure_config(ctx, policy) for policy in _policies(ctx))
-    adaptive = tuple(_adaptive_config(ctx, policy) for policy in _policies(ctx))
-    return plain + failure + adaptive
+    return tuple(_config(ctx, policy, feature) for policy, feature in _cells())
 
 
-def _check_pair(tag: str, sim, live, fidelity_tol: float, message_tol: float) -> dict:
-    """Compare one sim result against one live run; raise on drift."""
-    if not live.conserved:
-        raise SimulationError(
-            f"live_crosscheck[{tag}]: message conservation violated: "
-            f"sent={live.sent} delivered={live.delivered} "
-            f"dropped={live.dropped}"
-        )
-    delta_loss = abs(sim.loss_of_fidelity - live.loss_of_fidelity)
-    if delta_loss > fidelity_tol:
-        raise SimulationError(
-            f"live_crosscheck[{tag}]: fidelity disagrees by "
-            f"{delta_loss:.4f} pp (sim {sim.loss_of_fidelity:.4f}, "
-            f"live {live.loss_of_fidelity:.4f}; tolerance {fidelity_tol})"
-        )
-    message_delta_pct = (
-        100.0 * abs(sim.messages - live.messages) / sim.messages
-        if sim.messages
-        else 0.0
-    )
-    if message_delta_pct > message_tol:
-        raise SimulationError(
-            f"live_crosscheck[{tag}]: message counts disagree by "
-            f"{message_delta_pct:.2f}% (sim {sim.messages}, "
-            f"live {live.messages}; tolerance {message_tol}%)"
-        )
-    return {
-        "sim_loss": sim.loss_of_fidelity,
-        "live_loss": live.loss_of_fidelity,
-        "delta_loss_pp": delta_loss,
-        "sim_messages": sim.messages,
-        "live_messages": live.messages,
-        "message_delta_pct": message_delta_pct,
-        "live_sent": live.sent,
-        "live_delivered": live.delivered,
-        "live_dropped": live.dropped,
-        "conserved": live.conserved,
+def _run_cell(plane: str, feature: str, config, sim) -> dict:
+    try:
+        live = PLANES[plane](config)
+    except ConfigurationError as exc:
+        return {"state": "refused", "reason": str(exc)}
+    except Exception as exc:  # any other error fails the cell, not the rest
+        get_logger(__name__).exception("live_crosscheck: %s × %s", plane, feature)
+        return {"state": "raised", "differs": [f"{type(exc).__name__}: {exc}"]}
+    if (plane, feature) not in CONSERVED:
+        differs = compare(sim, live)
+        return {"state": "differs", "differs": differs} if differs else {"state": "exact"}
+    counters = live.counters
+    laws = {
+        "sent == delivered + dropped": live.conserved,
+        "messages == deliveries + drops": (
+            counters.messages == counters.deliveries + counters.drops
+        ),
     }
+    broken = [law for law, holds in laws.items() if not holds]
+    if broken:
+        return {"state": "differs", "differs": broken}
+    return {"state": "conserved", "reason": CONSERVED[(plane, feature)]}
+
+
+def table(ctx: api.ExperimentContext, results) -> dict:
+    """Every live plane's cell on every planned config, given the
+    engine's ``results`` of the plan; no verdict."""
+    engine: dict = {policy: {} for policy in FILTERED_POLICIES}
+    cells: dict = {plane: {policy: {} for policy in FILTERED_POLICIES} for plane in PLANES}
+    for (policy, feature), sim in zip(_cells(), results):
+        engine[policy][feature] = {
+            "loss": sim.loss_of_fidelity,
+            "messages": sim.counters.messages,
+            "drops": sim.counters.drops,
+            "resyncs": sim.counters.resyncs,
+            "reconfigurations": sim.counters.reconfigurations,
+            "rewires": sim.extras.get("adaptive_rewires", 0),
+        }
+        config = _config(ctx, policy, feature)
+        for plane in PLANES:
+            cells[plane][policy][feature] = _run_cell(plane, feature, config, sim)
+    return {
+        "preset": ctx.preset,
+        "clients_per_repository": CLIENTS,
+        "time_scale": TIME_SCALE,
+        "engine": engine,
+        "cells": cells,
+    }
+
+
+def check(payload: dict) -> None:
+    """Raise one SimulationError naming every cell that is neither
+    ``exact``, ``refused`` nor ``conserved``, with what differs in it."""
+    failed = [
+        f"{plane} × {policy} × {feature}: {', '.join(cell['differs'])}"
+        for plane, by_policy in payload["cells"].items()
+        for policy, by_feature in by_policy.items()
+        for feature, cell in by_feature.items()
+        if cell["state"] not in ("exact", "refused", "conserved")
+    ]
+    if failed:
+        raise SimulationError(
+            f"live_crosscheck: {len(failed)} cell(s) disagree with the "
+            "engine:\n  " + "\n  ".join(failed)
+        )
 
 
 def _collect(ctx: api.ExperimentContext, results) -> dict:
-    from repro.live.harness import run_live
-
-    fidelity_tol = ctx.params["fidelity_tol"]
-    message_tol = ctx.params["message_tol"]
-    base = ctx.base_config()
-    policies = _policies(ctx)
-    payload: dict = {
-        "preset": ctx.preset,
-        "fidelity_tol_pp": fidelity_tol,
-        "message_tol_pct": message_tol,
-        "policies": {},
-        "failure_policies": {},
-        "adaptive_policies": {},
-    }
-    plain_sims = results[: len(policies)]
-    failure_sims = results[len(policies) : 2 * len(policies)]
-    adaptive_sims = results[2 * len(policies):]
-    for policy, sim in zip(policies, plain_sims):
-        config = base.with_(policy=policy)
-        # The live half is deliberately NEVER cached: the experiment
-        # exists to detect drift between today's code and the (possibly
-        # cached) sim results, and a cache key carries no code
-        # fingerprint -- a cached live answer would let a regression in
-        # the shared filter report agreement forever.  The run is
-        # sub-second at cross-check scale and bit-deterministic, so
-        # recomputing keeps warm-rerun payloads byte-identical too.
-        live = run_live(config, "inprocess")
-        payload["policies"][policy] = _check_pair(
-            policy, sim, live, fidelity_tol, message_tol
-        )
-
-    # --- failure leg: same comparison under crashes + partitions + loss.
-    payload["failures"] = {
-        "crashes": ctx.params["failure_crashes"],
-        "partitions": ctx.params["failure_partitions"],
-        "loss_probability": ctx.params["failure_loss"],
-        "seed": ctx.params["failure_seed"],
-    }
-    for policy, sim in zip(policies, failure_sims):
-        config = _failure_config(ctx, policy)
-        live = run_live(config, "inprocess")
-        row = _check_pair(
-            f"failures/{policy}", sim, live, fidelity_tol, message_tol
-        )
-        row["sim_drops"] = sim.counters.drops
-        row["live_drops"] = live.counters.drops
-        payload["failure_policies"][policy] = row
-
-    # --- adaptive leg: drift-triggered rewiring must leave the planes
-    # bit-identical.  Zero tolerances on purpose: the in-process
-    # transport shares the simulator's kernel, counters and controller
-    # decisions, so *any* gap means the live rewiring path diverged.
-    payload["adaptive"] = {
-        "window": ctx.params["adaptive_window"],
-        "threshold": ctx.params["adaptive_threshold"],
-        "max_rewires": ctx.params["adaptive_max_rewires"],
-    }
-    for policy, sim in zip(policies, adaptive_sims):
-        config = _adaptive_config(ctx, policy)
-        live = run_live(config, "inprocess")
-        row = _check_pair(
-            f"adaptive/{policy}", sim, live, fidelity_tol=0.0, message_tol=0.0
-        )
-        if sim.counters != live.counters:
-            raise SimulationError(
-                f"live_crosscheck[adaptive/{policy}]: cost counters "
-                f"diverged under adaptation: sim={sim.counters} "
-                f"live={live.counters}"
-            )
-        sim_rewires = sim.extras.get("adaptive_rewires", 0)
-        live_rewires = live.extras.get("adaptive_rewires", 0)
-        if sim_rewires != live_rewires or sim_rewires < 1:
-            raise SimulationError(
-                f"live_crosscheck[adaptive/{policy}]: expected matching, "
-                f"non-zero rewire counts, got sim={sim_rewires} "
-                f"live={live_rewires}"
-            )
-        row["rewires"] = sim_rewires
-        row["ticks"] = sim.extras.get("adaptive_ticks", 0)
-        row["resubscriptions"] = sim.counters.resubscriptions
-        payload["adaptive_policies"][policy] = row
-
-    # --- TCP failure leg: one policy over real sockets, end to end.
-    tcp_mode = ctx.params["tcp"]
-    if tcp_mode not in ("auto", "on", "off"):
-        raise SimulationError(
-            f"live_crosscheck: tcp must be auto/on/off, got {tcp_mode!r}"
-        )
-    reason = None if tcp_mode == "on" else _localhost_socket_reason()
-    if tcp_mode == "off":
-        payload["tcp"] = {"ran": False, "reason": "disabled (tcp=off)"}
-    elif tcp_mode == "auto" and reason is not None:
-        payload["tcp"] = {"ran": False, "reason": reason}
-    else:
-        policy = "distributed" if "distributed" in policies else policies[0]
-        sim = failure_sims[policies.index(policy)]
-        config = _failure_config(ctx, policy)
-        live = run_live(config, "tcp", time_scale=ctx.params["tcp_time_scale"])
-        row = _check_pair(
-            f"failures/tcp/{policy}", sim, live, fidelity_tol, message_tol
-        )
-        row["ran"] = True
-        row["policy"] = policy
-        row["time_scale"] = ctx.params["tcp_time_scale"]
-        row["wall_seconds"] = live.wall_seconds
-        row["heartbeats"] = live.extras.get("heartbeats", 0)
-        row["reconnects"] = live.extras.get("reconnects", 0)
-        payload["tcp"] = row
-    payload["agreement"] = True
+    payload = table(ctx, results)
+    check(payload)
     return payload
 
 
 def _render(payload: dict) -> str:
+    cells = payload["cells"]
     lines = [
-        "Live cross-check: simulator vs in-process live network "
-        f"(preset={payload['preset']})",
-        f"tolerances: fidelity {payload['fidelity_tol_pp']} pp, "
-        f"messages {payload['message_tol_pct']}%",
+        f"Plane agreement: engine vs live planes (preset={payload['preset']}, "
+        f"{payload['clients_per_repository']} clients per repository, "
+        f"TCP and fleet at time scale {payload['time_scale']:g})",
         "",
-        f"{'policy':<14} {'sim loss%':>10} {'live loss%':>10} "
-        f"{'Δpp':>8} {'sim msgs':>9} {'live msgs':>9} {'conserved':>9}",
+        f"{'policy':<12} {'feature':<9} {'loss%':>8} {'msgs':>6} {'drops':>6} "
+        f"{'resyncs':>7} {'reconf':>6} {'rewires':>7}  "
+        + " ".join(f"{plane:<10}" for plane in cells),
     ]
-    for policy, row in payload["policies"].items():
-        lines.append(
-            f"{policy:<14} {row['sim_loss']:>10.4f} {row['live_loss']:>10.4f} "
-            f"{row['delta_loss_pp']:>8.4f} {row['sim_messages']:>9d} "
-            f"{row['live_messages']:>9d} {str(row['conserved']):>9}"
-        )
-    failures = payload.get("failures")
-    if failures:
-        lines.append("")
-        lines.append(
-            f"failure leg: {failures['crashes']} crash(es), "
-            f"{failures['partitions']} partition(s), "
-            f"loss={failures['loss_probability']}, seed={failures['seed']}"
-        )
-        for policy, row in payload.get("failure_policies", {}).items():
+    # Refusals and conservation hold per plane and feature; each reason once.
+    reasons: dict = {}
+    for policy, by_feature in payload["engine"].items():
+        for feature, row in by_feature.items():
+            outcomes = {plane: cells[plane][policy][feature] for plane in cells}
+            for plane, cell in outcomes.items():
+                if "reason" in cell:
+                    reasons[(plane, feature)] = f"{cell['state']}: {cell['reason']}"
             lines.append(
-                f"{policy:<14} {row['sim_loss']:>10.4f} "
-                f"{row['live_loss']:>10.4f} {row['delta_loss_pp']:>8.4f} "
-                f"{row['sim_messages']:>9d} {row['live_messages']:>9d} "
-                f"{str(row['conserved']):>9}"
-            )
-        tcp = payload.get("tcp", {})
-        if tcp.get("ran"):
-            lines.append(
-                f"tcp[{tcp['policy']}]: Δ={tcp['delta_loss_pp']:.4f} pp, "
-                f"wire {tcp['live_sent']}={tcp['live_delivered']}"
-                f"+{tcp['live_dropped']} conserved={tcp['conserved']}, "
-                f"wall={tcp['wall_seconds']:.1f}s"
-            )
-        else:
-            lines.append(f"tcp: skipped -- {tcp.get('reason', 'unknown')}")
-    adaptive = payload.get("adaptive")
-    if adaptive:
-        lines.append("")
-        lines.append(
-            f"adaptive leg (bit-exact): window={adaptive['window']:g}, "
-            f"threshold={adaptive['threshold']:g}, "
-            f"max_rewires={adaptive['max_rewires']}"
-        )
-        for policy, row in payload.get("adaptive_policies", {}).items():
-            lines.append(
-                f"{policy:<14} {row['sim_loss']:>10.4f} "
-                f"{row['live_loss']:>10.4f} {row['delta_loss_pp']:>8.4f} "
-                f"{row['sim_messages']:>9d} {row['live_messages']:>9d} "
-                f"rewires={row['rewires']} resubs={row['resubscriptions']}"
+                f"{policy:<12} {feature:<9} {row['loss']:>8.4f} "
+                f"{row['messages']:>6d} {row['drops']:>6d} {row['resyncs']:>7d} "
+                f"{row['reconfigurations']:>6d} {row['rewires']:>7d}  "
+                + " ".join(f"{cell['state']:<10}" for cell in outcomes.values()).rstrip()
             )
     lines.append("")
-    lines.append("agreement: within tolerance on every policy")
+    lines.extend(
+        f"{plane} × {feature} {reason}" for (plane, feature), reason in reasons.items()
+    )
     return "\n".join(lines)
 
 
 SPEC = api.register(api.ExperimentSpec(
     name="live_crosscheck",
     description=(
-        "The live network and the simulator agree on fidelity and message "
-        "counts for identical configs (shared-filter cross-validation)."
-    ),
-    params=(
-        api.ParamSpec("policies", "str", ",".join(POLICIES),
-                      "comma-separated policies to cross-check"),
-        api.ParamSpec("fidelity_tol", "float", 0.5,
-                      "max |sim - live| system loss disagreement, "
-                      "percentage points"),
-        api.ParamSpec("message_tol", "float", 2.0,
-                      "max repository-plane message-count disagreement, %"),
-        api.ParamSpec("failure_crashes", "int", 1,
-                      "repository crash/recover pairs in the failure leg"),
-        api.ParamSpec("failure_partitions", "int", 1,
-                      "link down/up windows in the failure leg"),
-        api.ParamSpec("failure_loss", "float", 0.01,
-                      "seeded Bernoulli message-loss probability in the "
-                      "failure leg"),
-        api.ParamSpec("failure_seed", "int", 3,
-                      "seed of the synthetic failure schedule"),
-        api.ParamSpec("tcp", "str", "auto",
-                      "TCP failure leg: auto (skip without sockets), "
-                      "on (require), off (never)"),
-        api.ParamSpec("tcp_time_scale", "float", 8.0,
-                      "sim-seconds per wall-second for the TCP leg; the "
-                      "wall time scales inversely with it"),
-        api.ParamSpec("adaptive_window", "float", 30.0,
-                      "drift window (simulated seconds) of the adaptive "
-                      "leg's policy"),
-        api.ParamSpec("adaptive_threshold", "float", 0.75,
-                      "drift threshold of the adaptive leg's policy"),
-        api.ParamSpec("adaptive_max_rewires", "int", 4,
-                      "rewire cap of the adaptive leg's policy"),
+        "Every live plane (in-process, TCP, 2-worker fleet) runs every "
+        "policy × feature cell exactly as the simulator does, or refuses it."
     ),
     plan=_plan,
     collect=_collect,

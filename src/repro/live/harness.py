@@ -11,7 +11,7 @@ wire its transport name picks (:mod:`repro.live.transport`) and scores
 uses, returning a :class:`LiveRunResult` shaped like
 :class:`~repro.engine.results.SimulationResult` so experiments can
 compare the two planes field by field (the ``live_crosscheck``
-experiment does exactly that).
+table does exactly that, with ``==``).
 """
 
 from __future__ import annotations

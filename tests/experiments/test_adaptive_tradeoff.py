@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.experiments import adaptive_tradeoff, api
 
 #: One policy, both workloads: small enough for unit-test budgets and
@@ -47,21 +46,24 @@ def test_total_cost_charges_resubscriptions(payload):
                 assert row["resubscriptions"] > 0
 
 
-def test_collect_raises_when_nothing_dominates():
+def test_collect_reports_when_nothing_dominates():
     # A window longer than the trace span never ticks, so the adaptive
     # run reproduces the static one exactly -- never *strictly* better.
-    with pytest.raises(SimulationError, match="no adaptive policy dominates"):
-        api.run_experiment(
-            "adaptive_tradeoff",
-            preset="tiny",
-            jobs=1,
-            params=dict(
-                workloads="flash_crowd",
-                windows=(10_000.0,),
-                thresholds=(0.75,),
-                max_rewires=(1,),
-            ),
-        )
+    payload = api.run_experiment(
+        "adaptive_tradeoff",
+        preset="tiny",
+        jobs=1,
+        params=dict(
+            workloads="flash_crowd",
+            windows=(10_000.0,),
+            thresholds=(0.75,),
+            max_rewires=(1,),
+        ),
+    )
+    flash = payload["workloads"]["flash_crowd"]
+    assert flash["dominating"] == []
+    assert [row["dominates"] for row in flash["policies"].values()] == [False]
+    assert "dominating: none" in adaptive_tradeoff.SPEC.render(payload)
 
 
 def test_parallel_is_bit_identical_to_serial(payload):

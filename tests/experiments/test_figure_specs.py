@@ -42,7 +42,7 @@ PLANS = {
     # last component (see ``_portable``).
     "workload_sensitivity": (16, "371ca88b27c5e4a4"),
     "adaptive_tradeoff": (18, "a5873a9869fb2275"),
-    "live_crosscheck": (6, "02243559c8c88405"),
+    "live_crosscheck": (28, "927867505e16ac9b"),
 }
 
 #: ``(name, kind, default)`` of every grid figure's parameters, in order.

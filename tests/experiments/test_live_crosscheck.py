@@ -1,151 +1,299 @@
-"""The live_crosscheck experiment: registry wiring and agreement."""
+"""The live_crosscheck experiment: the generated plane × policy × feature table.
 
+One run of the table at ``tiny`` (module fixture) answers one test per
+cell, parametrized over the module's own planes, policies and features.
+The mutation tests below run the in-process static slice with one field
+of one plane's result moved, and check the table fails naming the cell
+and the field.
+"""
+
+import copy
+import dataclasses
+import functools
+import itertools
 import json
-import socket
+import math
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.experiments import api
+from repro.core.dissemination.filtering import FILTERED_POLICIES
+from repro.core.metrics import CostCounters
+from repro.errors import ConfigurationError, SimulationError
+from repro.experiments import api, live_crosscheck
+from repro.experiments.live_crosscheck import (
+    CLIENTS,
+    CONSERVED,
+    FEATURES,
+    PLANES,
+    SPEC,
+    TIME_SCALE,
+)
+from repro.fleet import run_fleet
+from repro.live import run_live
 
 pytestmark = pytest.mark.live
 
-#: Shrunk grid so the cross-check runs in about a second.
-TINY = dict(n_repositories=10, n_routers=30, n_items=3, trace_samples=250)
+CELLS = list(itertools.product(PLANES, FILTERED_POLICIES, FEATURES))
 
-#: The TCP failure leg is exercised by one dedicated test below; the
-#: wiring tests skip it to stay fast.
-NO_TCP = {"tcp": "off"}
+#: The fleet refuses every schedule, loss and adaptation up front.
+REFUSED = {
+    ("fleet", policy, feature)
+    for policy in FILTERED_POLICIES
+    for feature in FEATURES
+    if feature != "static"
+}
+
+#: TCP under loss is held to conservation alone.
+CONSERVED_CELLS = {
+    ("tcp", policy, feature)
+    for policy in FILTERED_POLICIES
+    for feature in ("loss", "all")
+}
+
+#: Cells TCP fails at ``tiny``, default seed, with ROADMAP item 11(a)'s
+#: open defect: at this pace every row lands after its stamp, and a node
+#: may serve a later-stamped row before an earlier one.  ``cell ->
+#: strict``: strict where every run tried fails, so a mend shows.
+KNOWN_DEFECTS = {
+    # 20 of 20 runs: repository 6 forwards item 1 to the late joiner 11
+    # about 0.1 s late, so pair (11, 1)'s loss differs; every log of 6
+    # and every counter match the engine's.
+    ("tcp", "centralized", "reconfig"): True,
+    # 11 of 20 runs: a pair's log gets an entry stamped before the one
+    # it follows, and scoring raises "delivery log times must be
+    # ascending"; the other runs are conserved.
+    ("tcp", "flooding", "all"): False,
+}
 
 
-def _ctx(**extra_params):
-    spec = api.get_experiment("live_crosscheck")
-    return spec, api.ExperimentContext(
-        preset="tiny",
-        params=spec.resolve_params(extra_params),
-        overrides=TINY,
-    )
+def _expected(cell) -> str:
+    if cell in REFUSED:
+        return "refused"
+    return "conserved" if cell in CONSERVED_CELLS else "exact"
 
 
-def _require_localhost_sockets():
-    try:
-        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            probe.bind(("127.0.0.1", 0))
-        finally:
-            probe.close()
-    except OSError as exc:  # pragma: no cover - sandboxed environments
-        pytest.skip(f"cannot bind localhost sockets here: {exc}")
+@pytest.fixture(scope="module")
+def ctx():
+    return api.ExperimentContext(preset="tiny")
 
 
-def test_registered_with_policy_parameters():
-    spec = api.get_experiment("live_crosscheck")
-    assert spec.description
-    names = [p.name for p in spec.params]
-    assert names == [
-        "policies", "fidelity_tol", "message_tol",
-        "failure_crashes", "failure_partitions", "failure_loss",
-        "failure_seed", "tcp", "tcp_time_scale",
-        "adaptive_window", "adaptive_threshold", "adaptive_max_rewires",
+@pytest.fixture(scope="module")
+def payload(ctx):
+    results = api.execute_plan(SPEC.plan(ctx))
+    return live_crosscheck.table(ctx, tuple(results))
+
+
+def _states(payload, state) -> set:
+    return {
+        cell for cell in CELLS
+        if payload["cells"][cell[0]][cell[1]][cell[2]]["state"] == state
+    }
+
+
+def test_registered_with_no_parameters():
+    assert SPEC.description
+    assert SPEC.params == ()
+
+
+def test_plan_is_one_config_per_policy_and_feature(ctx):
+    plan = SPEC.plan(ctx)
+    assert len(plan) == len(FILTERED_POLICIES) * len(FEATURES) == 28
+    assert len(set(plan)) == len(plan)
+    assert [config.policy for config in plan] == [
+        policy for policy in FILTERED_POLICIES for _feature in FEATURES
     ]
+    assert all(config.clients_per_repository == CLIENTS for config in plan)
+    for config, feature in zip(plan, itertools.cycle(FEATURES)):
+        assert (config.message_loss_probability > 0) == (feature in ("loss", "all"))
+        assert (config.churn is not None) == (feature in ("churn", "reconfig", "all"))
+        assert (config.failures is not None) == (
+            feature in ("failures", "reconfig", "all")
+        )
+        assert (config.adaptive is not None) == (
+            feature in ("adaptive", "reconfig", "all")
+        )
 
 
-def test_plan_is_plain_failure_and_adaptive_configs_per_policy():
-    spec, ctx = _ctx()
-    plan = spec.plan(ctx)
-    assert [c.policy for c in plan] == [
-        "distributed", "centralized"
-    ] * 3
-    plain, failure, adaptive = plan[:2], plan[2:4], plan[4:]
-    assert all(c.n_repositories == TINY["n_repositories"] for c in plain)
-    assert all(c.failures is None for c in plain)
-    assert all(c.failures is not None for c in failure)
-    assert all(c.message_loss_probability > 0.0 for c in failure)
-    assert all(c.adaptive is not None for c in adaptive)
-    assert all(c.failures is None for c in adaptive)
+@pytest.mark.parametrize(
+    "cell",
+    [
+        pytest.param(
+            cell,
+            marks=pytest.mark.xfail(
+                cell in KNOWN_DEFECTS,
+                reason="row order at one node (ROADMAP item 11(a))",
+                strict=KNOWN_DEFECTS.get(cell, True),
+            ),
+        )
+        for cell in CELLS
+    ],
+    ids=["-".join(cell) for cell in CELLS],
+)
+def test_cell(payload, cell):
+    plane, policy, feature = cell
+    outcome = payload["cells"][plane][policy][feature]
+    assert outcome["state"] == _expected(cell), outcome
 
 
-def test_crosscheck_agrees_and_reports(tmp_path):
-    payload = api.run_experiment(
-        "live_crosscheck", preset="tiny", overrides=TINY, params=NO_TCP
-    )
-    assert payload["agreement"] is True
-    for policy in ("distributed", "centralized"):
-        for section in ("policies", "failure_policies"):
-            row = payload[section][policy]
-            assert row["conserved"] is True
-            assert (
-                row["live_sent"]
-                == row["live_delivered"] + row["live_dropped"]
-            )
-            assert row["delta_loss_pp"] <= payload["fidelity_tol_pp"]
-            assert row["message_delta_pct"] <= payload["message_tol_pct"]
-            # The two planes share one code path: agreement is exact
-            # today -- even under crashes, partitions and seeded loss.
-            assert row["delta_loss_pp"] == 0.0
-            assert row["sim_messages"] == row["live_messages"]
-    assert payload["failures"]["crashes"] == 1
-    assert payload["failures"]["partitions"] == 1
-    failure_row = payload["failure_policies"]["distributed"]
-    assert failure_row["live_dropped"] > 0
-    assert failure_row["sim_drops"] == failure_row["live_drops"]
-    for policy in ("distributed", "centralized"):
-        adaptive_row = payload["adaptive_policies"][policy]
-        # The adaptive leg is pinned bit-exact: zero deltas, real rewires.
-        assert adaptive_row["delta_loss_pp"] == 0.0
-        assert adaptive_row["sim_messages"] == adaptive_row["live_messages"]
-        assert adaptive_row["rewires"] > 0
-        assert adaptive_row["resubscriptions"] > 0
-    assert payload["tcp"] == {"ran": False, "reason": "disabled (tcp=off)"}
-    # The payload is artifact-serialisable.
+def test_the_refused_cells_are_the_fleet_off_the_static_column(payload, ctx):
+    assert _states(payload, "refused") == REFUSED
+    for plane, policy, feature in sorted(REFUSED):
+        base = ctx.base_config().with_(clients_per_repository=CLIENTS, policy=policy)
+        # The fleet's own up-front message, raised before any worker starts.
+        with pytest.raises(ConfigurationError) as refusal:
+            run_fleet(FEATURES[feature](base), workers=2, time_scale=TIME_SCALE)
+        assert payload["cells"][plane][policy][feature]["reason"] == str(refusal.value)
+
+
+def test_the_conserved_cells_are_tcp_under_loss(payload):
+    assert set(CONSERVED) == {("tcp", "loss"), ("tcp", "all")}
+    assert CONSERVED_CELLS - set(KNOWN_DEFECTS) <= _states(payload, "conserved")
+    assert _states(payload, "conserved") <= CONSERVED_CELLS
+
+
+def test_every_feature_reaches_its_machinery(payload):
+    for policy, rows in payload["engine"].items():
+        assert rows["static"]["drops"] == rows["static"]["reconfigurations"] == 0
+        assert rows["loss"]["drops"] > 0
+        for feature in ("adaptive", "reconfig", "all"):
+            assert rows[feature]["rewires"] > 0, (policy, feature)
+        for feature in ("failures", "reconfig", "all"):
+            assert rows[feature]["drops"] > 0, (policy, feature)
+            assert rows[feature]["resyncs"] > 0, (policy, feature)
+        for feature in ("churn", "reconfig", "all"):
+            assert rows[feature]["reconfigurations"] > 0, (policy, feature)
+
+
+def test_check_fails_the_table_on_every_cell_in_no_state(payload):
+    failed = set(CELLS) - _states(payload, "exact") - _states(
+        payload, "refused"
+    ) - _states(payload, "conserved")
+    if not failed:
+        live_crosscheck.check(payload)
+        return
+    with pytest.raises(SimulationError) as error:
+        live_crosscheck.check(payload)
+    for cell in failed:
+        assert " × ".join(cell) in str(error.value)
+
+
+def test_render_shows_every_row_and_the_two_exceptions(payload):
+    text = SPEC.render(payload)
+    for policy, feature in itertools.product(FILTERED_POLICIES, FEATURES):
+        assert any(line.split()[:2] == [policy, feature] for line in text.splitlines())
+    assert "fleet × loss refused: the fleet wire is reliable TCP" in text
+    assert "tcp × all conserved: TCP draws the seeded loss stream" in text
+
+
+def test_payload_is_artifact_serialisable(payload, tmp_path):
     path = api.write_artifact(tmp_path, "live_crosscheck", "tiny", {}, payload)
-    document = json.loads(path.read_text())
-    assert document["payload"]["agreement"] is True
-
-
-def test_crosscheck_tcp_failure_leg():
-    """Sim and live TCP agree under crashes + partitions + loss."""
-    _require_localhost_sockets()
-    payload = api.run_experiment(
-        "live_crosscheck",
-        preset="tiny",
-        overrides=TINY,
-        params={"policies": "distributed", "tcp": "on"},
+    assert json.loads(path.read_text())["payload"]["cells"] == json.loads(
+        json.dumps(payload["cells"])
     )
-    tcp = payload["tcp"]
-    assert tcp["ran"] is True
-    assert tcp["policy"] == "distributed"
-    assert tcp["conserved"] is True
-    assert tcp["live_sent"] == tcp["live_delivered"] + tcp["live_dropped"]
-    assert tcp["live_dropped"] > 0  # loss + failures really dropped frames
-    assert tcp["delta_loss_pp"] <= payload["fidelity_tol_pp"]
 
 
-def test_crosscheck_single_policy_param():
-    payload = api.run_experiment(
-        "live_crosscheck",
-        preset="tiny",
-        overrides=TINY,
-        params={"policies": "flooding", **NO_TCP},
+# -- the comparison fails on one moved field --------------------------------
+
+
+@functools.cache
+def _inprocess(policy: str):
+    config = api.ExperimentContext(preset="tiny").base_config()
+    return run_live(config.with_(clients_per_repository=CLIENTS, policy=policy))
+
+
+def _collect_static_with(monkeypatch, plane) -> dict:
+    """Collect the in-process static slice, ``plane`` standing in for
+    the in-process plane."""
+    monkeypatch.setattr(live_crosscheck, "PLANES", {"inprocess": plane})
+    monkeypatch.setattr(live_crosscheck, "FEATURES", {"static": FEATURES["static"]})
+    ctx = api.ExperimentContext(preset="tiny")
+    return SPEC.collect(ctx, tuple(api.execute_plan(SPEC.plan(ctx))))
+
+
+def _moved(mutate):
+    """The in-process plane, with ``mutate`` applied to the centralised
+    run's result."""
+
+    def plane(config):
+        result = copy.deepcopy(_inprocess(config.policy))
+        if config.policy == "centralized":
+            mutate(result)
+        return result
+
+    return plane
+
+
+def _next_ulp(result):
+    losses = result.extras["per_pair_loss"]
+    pair = next(iter(losses))
+    losses[pair] = math.nextafter(losses[pair], math.inf)
+
+
+def _renamed_workload(result):
+    result.extras["workload"] += "-moved"
+
+
+COUNTERS = [f.name for f in dataclasses.fields(CostCounters) if f.type in (int, "int")]
+
+MUTATIONS = {
+    "per-pair-loss-ulp": (_next_ulp, "extras['per_pair_loss']"),
+    "extras-key": (_renamed_workload, "extras['workload']"),
+    **{
+        f"counters-{name}": (
+            lambda result, name=name: setattr(
+                result.counters, name, getattr(result.counters, name) + 1
+            ),
+            f"counters.{name}",
+        )
+        for name in COUNTERS
+    },
+}
+
+
+def test_every_int_counter_is_mutated():
+    assert {"messages", "client_messages", "resync_messages"} <= set(COUNTERS)
+
+
+def test_the_unmoved_static_slice_is_exact(monkeypatch):
+    payload = _collect_static_with(monkeypatch, _moved(lambda result: None))
+    assert {
+        policy: cells["static"]["state"]
+        for policy, cells in payload["cells"]["inprocess"].items()
+    } == dict.fromkeys(FILTERED_POLICIES, "exact")
+
+
+@pytest.mark.parametrize("mutate, field", MUTATIONS.values(), ids=MUTATIONS)
+def test_one_moved_field_fails_the_table_naming_cell_and_field(
+    monkeypatch, mutate, field
+):
+    with pytest.raises(SimulationError) as error:
+        _collect_static_with(monkeypatch, _moved(mutate))
+    message = str(error.value)
+    assert "1 cell(s)" in message
+    assert f"inprocess × centralized × static: {field}" in message
+
+
+def test_a_plane_raising_anything_else_fails_the_table(monkeypatch):
+    def plane(config):
+        if config.policy == "centralized":
+            raise RuntimeError("worker lost")
+        return _inprocess(config.policy)
+
+    with pytest.raises(SimulationError) as error:
+        _collect_static_with(monkeypatch, plane)
+    assert "inprocess × centralized × static: RuntimeError: worker lost" in str(
+        error.value
     )
-    assert list(payload["policies"]) == ["flooding"]
-    assert list(payload["failure_policies"]) == ["flooding"]
-    assert list(payload["adaptive_policies"]) == ["flooding"]
 
 
-def test_crosscheck_raises_on_disagreement():
-    spec, ctx = _ctx(fidelity_tol=-1.0, tcp="off")  # impossible tolerance
-    results = api.execute_plan(spec.plan(ctx))
-    with pytest.raises(SimulationError):
-        spec.collect(ctx, tuple(results))
+def test_a_plane_raising_a_configuration_error_refuses_the_cell(monkeypatch):
+    def plane(config):
+        if config.policy == "centralized":
+            raise ConfigurationError("not on this plane")
+        return _inprocess(config.policy)
 
-
-def test_render_mentions_every_policy():
-    payload = api.run_experiment(
-        "live_crosscheck", preset="tiny", overrides=TINY, params=NO_TCP
-    )
-    text = api.get_experiment("live_crosscheck").render(payload)
-    assert "distributed" in text and "centralized" in text
-    assert "failure leg" in text
-    assert "tcp: skipped" in text
-    assert "agreement" in text
+    payload = _collect_static_with(monkeypatch, plane)
+    assert payload["cells"]["inprocess"]["centralized"]["static"] == {
+        "state": "refused",
+        "reason": "not on this plane",
+    }

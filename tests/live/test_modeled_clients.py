@@ -1,13 +1,12 @@
-"""One client model on every plane.
+"""One client model on the engine and its reference oracle.
 
-The engine, its reference oracle, the in-process and TCP live
-transports and the fleet all serve the builder's modeled-client blocks
-(``clients_per_repository``) with one rule, so their
-``client_checks`` / ``client_messages`` totals are equal, count for
-count.  A run without loss is timing-free on TCP too -- each pair
-receives the same values in the same order on every wire, and control
-entries apply in stamp order with the rows -- so the socket planes are
-held to exact equality too.
+The engine and the oracle serve the builder's modeled-client blocks
+(``clients_per_repository``) with one rule, so their ``client_checks`` /
+``client_messages`` totals and every other counter are equal, count for
+count, under every policy and reconfiguration.  The live planes are
+held to the engine's whole result, client totals included, cell by cell
+by the ``live_crosscheck`` table
+(``tests/experiments/test_live_crosscheck.py``).
 """
 
 import functools
@@ -20,22 +19,12 @@ from repro.engine.churn import schedule_for_config
 from repro.engine.config import SCALE_PRESETS
 from repro.engine.failures import failures_for_config
 from repro.engine.simulation import run_simulation
-from repro.fleet import run_fleet
 from repro.live import build_live_network, run_live
 
 pytestmark = pytest.mark.live
 
 BASE = SCALE_PRESETS["tiny"].with_(clients_per_repository=7)
-TIME_SCALE = 2000.0
 
-PLANES = {
-    "oracle": lambda config: run_simulation(config.with_(kernel="scalar")),
-    "inprocess": run_live,
-    "tcp": lambda config: run_live(config, "tcp", time_scale=TIME_SCALE),
-    "fleet": lambda config: run_fleet(config, workers=2, time_scale=TIME_SCALE),
-}
-
-#: Variants the single-process exact planes run besides the plain one.
 VARIANTS = {
     "plain": lambda config: config,
     "loss": lambda config: config.with_(message_loss_probability=0.05),
@@ -51,18 +40,7 @@ VARIANTS = {
     ),
 }
 
-#: TCP applies the control timeline in stamp order with the rows, so it
-#: runs the reconfiguring variants too; not ``loss``, whose stream it
-#: draws in dispatch order.  The fleet runs the plain variant only.
-CASES = [
-    (policy, variant, plane)
-    for policy in FILTERED_POLICIES
-    for variant in VARIANTS
-    for plane in PLANES
-    if variant == "plain"
-    or plane in ("oracle", "inprocess")
-    or (plane == "tcp" and variant != "loss")
-]
+CASES = [(policy, variant) for policy in FILTERED_POLICIES for variant in VARIANTS]
 
 
 @functools.cache
@@ -71,12 +49,10 @@ def _engine(policy: str, variant: str):
     return config, run_simulation(config)
 
 
-@pytest.mark.parametrize(
-    "policy, variant, plane", CASES, ids=["-".join(case) for case in CASES]
-)
-def test_every_plane_serves_the_engines_modeled_clients(policy, variant, plane):
+@pytest.mark.parametrize("policy, variant", CASES, ids=["-".join(case) for case in CASES])
+def test_the_oracle_serves_the_engines_modeled_clients(policy, variant):
     config, engine = _engine(policy, variant)
-    result = PLANES[plane](config)
+    result = run_simulation(config.with_(kernel="scalar"))
     served = (result.counters.client_checks, result.counters.client_messages)
     assert served == (engine.counters.client_checks, engine.counters.client_messages)
     assert engine.counters.client_messages > 0
@@ -90,9 +66,8 @@ def test_every_plane_serves_the_engines_modeled_clients(policy, variant, plane):
         assert engine.extras["adaptive_rewires"] > 0
     if variant == "churn":
         assert engine.counters.reconfigurations > 0
-    if plane in ("oracle", "inprocess"):
-        assert result.counters == engine.counters
-        assert result.loss_of_fidelity == engine.loss_of_fidelity
+    assert result.counters == engine.counters
+    assert result.loss_of_fidelity == engine.loss_of_fidelity
 
 
 #: Seed 13's eight requirement changes drop an item from a pair while a

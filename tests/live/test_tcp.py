@@ -144,8 +144,9 @@ def test_tcp_failure_smoke_conserves_under_crashes_and_loss():
     Conservation stays *exact* (the drop economy is judged at logical
     arrival times) while the message volume only tracks the simulator
     within a tolerance: over TCP the seeded loss stream is drawn in
-    dispatch order, which the wall clock decides.  The tight cross-plane
-    bounds live in ``live_crosscheck`` at a gentle time scale.
+    dispatch order, which the wall clock decides.  The ``live_crosscheck``
+    table holds TCP to the simulator exactly without loss, and to both
+    conservation laws with it.
     """
     base = CONFIG.with_(message_loss_probability=0.01)
     config = base.with_(
