@@ -70,7 +70,7 @@ def bench_experiments_cache_warm_vs_cold(benchmark, tmp_path):
             preset="tiny",
             cache=cache,
             artifacts_dir=tmp_path / "artifacts",
-                overrides=TINY_OVERRIDES,
+            overrides=TINY_OVERRIDES,
         ),
         rounds=1,
         iterations=1,

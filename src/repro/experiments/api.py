@@ -12,7 +12,10 @@ data rather than an ad-hoc module entry point.  A spec declares
 - ``collect(ctx, results)`` -- the reduction of raw
   :class:`~repro.engine.results.SimulationResult`\\ s into the
   experiment's payload (an
-  :class:`~repro.experiments.runner.ExperimentResult` for most figures).
+  :class:`~repro.experiments.runner.ExperimentResult` for most figures),
+  and optionally
+- ``check(payload)`` -- the verdict on the experiment's claim, run once
+  the payload's artifact is written.
 
 The unified runner (:func:`run_experiments`) executes the **union** of
 all requested experiments' plans through one deduplicated
@@ -228,6 +231,10 @@ class ExperimentSpec:
             results (aligned 1:1 with the planned grid) into the
             experiment's output shape.
         render: ``payload -> str`` -- the human-readable report.
+        check: ``payload -> None``, raising when the payload refutes
+            the experiment's claim; :func:`run_experiments` calls it
+            once the artifact is written, so a refuted run leaves its
+            evidence.
     """
 
     name: str
@@ -236,6 +243,7 @@ class ExperimentSpec:
     collect: Callable[[ExperimentContext, tuple[SimulationResult, ...]], Any]
     render: Callable[[Any], str]
     params: tuple[ParamSpec, ...] = ()
+    check: Callable[[Any], None] | None = None
 
     def param(self, name: str) -> ParamSpec:
         """Look up one parameter's spec by name.
@@ -572,6 +580,8 @@ def run_experiments(
             report.artifacts[spec.name] = write_artifact(
                 artifacts_dir, spec.name, preset, ctx.params, payload
             )
+        if spec.check is not None:
+            spec.check(payload)
 
     if artifacts_dir is not None:
         registry = MetricsRegistry()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.engine.config import SimulationConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import api
 from repro.experiments.defaults import DEFAULT_T_VALUES
 from repro.experiments.runner import ExperimentResult
@@ -173,6 +173,23 @@ def test_run_experiments_shares_points_across_experiments(tmp_path):
         content = artifact.read_text()
         assert '"schema": "repro.experiment-artifact"' in content
         assert '"schema_version"' in content
+
+
+def test_a_refuted_check_raises_after_the_artifact_is_written(tmp_path, monkeypatch):
+    def refute(payload):
+        raise SimulationError(f"refuted: {payload.name}")
+
+    spec = dataclasses.replace(api.get_experiment("figure3"), check=refute)
+    monkeypatch.setitem(api._REGISTRY, "figure3", spec)
+    with pytest.raises(SimulationError, match="refuted"):
+        api.run_experiments(
+            ["figure3"],
+            preset="tiny",
+            params_by_name={"figure3": dict(t_values=(0.0,), degrees=(1,))},
+            overrides=TINY,
+            artifacts_dir=tmp_path,
+        )
+    assert '"experiment": "figure3"' in (tmp_path / "figure3.json").read_text()
 
 
 def test_to_jsonable_handles_payload_shapes():

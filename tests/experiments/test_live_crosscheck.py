@@ -1,10 +1,12 @@
 """The live_crosscheck experiment: the generated plane × policy × feature table.
 
 One run of the table at ``tiny`` (module fixture) answers one test per
-cell, parametrized over the module's own planes, policies and features.
-The mutation tests below run the in-process static slice with one field
-of one plane's result moved, and check the table fails naming the cell
-and the field.
+cell, parametrized over the module's own planes, policies and features
+and judged by the module's own :func:`fault`, so tier-1 and the
+experiment's verdict agree; every exception (refused, conserved, known
+defect) is the module's declaration, read here.  The mutation tests
+below run the in-process static slice with one field of one plane's
+result moved, and check the table fails naming the cell and the field.
 """
 
 import copy
@@ -24,9 +26,14 @@ from repro.experiments.live_crosscheck import (
     CLIENTS,
     CONSERVED,
     FEATURES,
+    KNOWN_DEFECTS,
     PLANES,
+    REFUSED,
     SPEC,
+    STRICT_DEFECTS,
     TIME_SCALE,
+    expected,
+    fault,
 )
 from repro.fleet import run_fleet
 from repro.live import run_live
@@ -34,42 +41,6 @@ from repro.live import run_live
 pytestmark = pytest.mark.live
 
 CELLS = list(itertools.product(PLANES, FILTERED_POLICIES, FEATURES))
-
-#: The fleet refuses every schedule, loss and adaptation up front.
-REFUSED = {
-    ("fleet", policy, feature)
-    for policy in FILTERED_POLICIES
-    for feature in FEATURES
-    if feature != "static"
-}
-
-#: TCP under loss is held to conservation alone.
-CONSERVED_CELLS = {
-    ("tcp", policy, feature)
-    for policy in FILTERED_POLICIES
-    for feature in ("loss", "all")
-}
-
-#: Cells TCP fails at ``tiny``, default seed, with ROADMAP item 11(a)'s
-#: open defect: at this pace every row lands after its stamp, and a node
-#: may serve a later-stamped row before an earlier one.  ``cell ->
-#: strict``: strict where every run tried fails, so a mend shows.
-KNOWN_DEFECTS = {
-    # 20 of 20 runs: repository 6 forwards item 1 to the late joiner 11
-    # about 0.1 s late, so pair (11, 1)'s loss differs; every log of 6
-    # and every counter match the engine's.
-    ("tcp", "centralized", "reconfig"): True,
-    # 11 of 20 runs: a pair's log gets an entry stamped before the one
-    # it follows, and scoring raises "delivery log times must be
-    # ascending"; the other runs are conserved.
-    ("tcp", "flooding", "all"): False,
-}
-
-
-def _expected(cell) -> str:
-    if cell in REFUSED:
-        return "refused"
-    return "conserved" if cell in CONSERVED_CELLS else "exact"
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +64,8 @@ def _states(payload, state) -> set:
 def test_registered_with_no_parameters():
     assert SPEC.description
     assert SPEC.params == ()
+    assert SPEC.collect is live_crosscheck.table
+    assert SPEC.check is live_crosscheck.check
 
 
 def test_plan_is_one_config_per_policy_and_feature(ctx):
@@ -114,30 +87,25 @@ def test_plan_is_one_config_per_policy_and_feature(ctx):
         )
 
 
-@pytest.mark.parametrize(
-    "cell",
-    [
-        pytest.param(
-            cell,
-            marks=pytest.mark.xfail(
-                cell in KNOWN_DEFECTS,
-                reason="row order at one node (ROADMAP item 11(a))",
-                strict=KNOWN_DEFECTS.get(cell, True),
-            ),
-        )
-        for cell in CELLS
-    ],
-    ids=["-".join(cell) for cell in CELLS],
-)
+@pytest.mark.parametrize("cell", CELLS, ids=["-".join(cell) for cell in CELLS])
 def test_cell(payload, cell):
-    plane, policy, feature = cell
-    outcome = payload["cells"][plane][policy][feature]
-    assert outcome["state"] == _expected(cell), outcome
+    # The experiment's own verdict on the cell: its declared state, or a
+    # known defect's miss.
+    assert fault(payload, *cell) is None, payload["cells"][cell[0]][cell[1]][cell[2]]
+
+
+def test_the_declared_exceptions():
+    assert REFUSED == {("fleet", feature) for feature in FEATURES if feature != "static"}
+    assert set(CONSERVED) == {("tcp", "loss"), ("tcp", "all")}
+    # Each known defect is a real cell; a strict one is a known defect.
+    assert set(KNOWN_DEFECTS) <= set(CELLS)
+    assert STRICT_DEFECTS <= set(KNOWN_DEFECTS)
 
 
 def test_the_refused_cells_are_the_fleet_off_the_static_column(payload, ctx):
-    assert _states(payload, "refused") == REFUSED
-    for plane, policy, feature in sorted(REFUSED):
+    refused = {cell for cell in CELLS if expected(cell[0], cell[2]) == "refused"}
+    assert _states(payload, "refused") == refused
+    for plane, policy, feature in sorted(refused):
         base = ctx.base_config().with_(clients_per_repository=CLIENTS, policy=policy)
         # The fleet's own up-front message, raised before any worker starts.
         with pytest.raises(ConfigurationError) as refusal:
@@ -146,43 +114,90 @@ def test_the_refused_cells_are_the_fleet_off_the_static_column(payload, ctx):
 
 
 def test_the_conserved_cells_are_tcp_under_loss(payload):
-    assert set(CONSERVED) == {("tcp", "loss"), ("tcp", "all")}
-    assert CONSERVED_CELLS - set(KNOWN_DEFECTS) <= _states(payload, "conserved")
-    assert _states(payload, "conserved") <= CONSERVED_CELLS
+    conserved = {cell for cell in CELLS if expected(cell[0], cell[2]) == "conserved"}
+    assert conserved - set(KNOWN_DEFECTS) <= _states(payload, "conserved") <= conserved
 
 
 def test_every_feature_reaches_its_machinery(payload):
     for policy, rows in payload["engine"].items():
         assert rows["static"]["drops"] == rows["static"]["reconfigurations"] == 0
+        assert rows["static"]["edges_added"] == 0
         assert rows["loss"]["drops"] > 0
         for feature in ("adaptive", "reconfig", "all"):
             assert rows[feature]["rewires"] > 0, (policy, feature)
         for feature in ("failures", "reconfig", "all"):
             assert rows[feature]["drops"] > 0, (policy, feature)
             assert rows[feature]["resyncs"] > 0, (policy, feature)
+            # A crash fails its dependents over to a new parent.
+            assert rows[feature]["edges_added"] > 0, (policy, feature)
         for feature in ("churn", "reconfig", "all"):
             assert rows[feature]["reconfigurations"] > 0, (policy, feature)
 
 
-def test_check_fails_the_table_on_every_cell_in_no_state(payload):
-    failed = set(CELLS) - _states(payload, "exact") - _states(
-        payload, "refused"
-    ) - _states(payload, "conserved")
-    if not failed:
-        live_crosscheck.check(payload)
-        return
+def test_the_table_passes_its_own_check(payload):
+    live_crosscheck.check(payload)
+
+
+def _with(payload, cell, outcome, measured=True) -> dict:
+    moved = copy.deepcopy(payload)
+    moved["defects_measured"] = measured
+    plane, policy, feature = cell
+    moved["cells"][plane][policy][feature] = outcome
+    return moved
+
+
+def _judged(payload) -> str:
     with pytest.raises(SimulationError) as error:
         live_crosscheck.check(payload)
-    for cell in failed:
-        assert " × ".join(cell) in str(error.value)
+    return str(error.value)
 
 
-def test_render_shows_every_row_and_the_two_exceptions(payload):
+def test_check_fails_a_refusal_outside_the_declared_set(payload):
+    refusal = {"state": "refused", "reason": "no such plane"}
+    for cell in [("fleet", "centralized", "static"), ("tcp", "flooding", "churn")]:
+        message = _judged(_with(payload, cell, refusal))
+        assert "1 cell(s)" in message
+        assert f"{' × '.join(cell)}: refused where exact is declared (no such plane)" in message
+
+
+def test_check_fails_a_declared_refusal_that_ran(payload):
+    message = _judged(_with(payload, ("fleet", "distributed", "loss"), {"state": "exact"}))
+    assert "fleet × distributed × loss: exact where refused is declared (ran)" in message
+
+
+def test_check_fails_a_strict_known_defect_that_agrees(payload):
+    (cell,) = STRICT_DEFECTS
+    moved = _with(payload, cell, {"state": expected(cell[0], cell[2])})
+    message = _judged(moved)
+    assert f"{' × '.join(cell)}: exact, but declared a known defect" in message
+    # Off the config it was measured on, a known defect may go either way.
+    moved["defects_measured"] = False
+    live_crosscheck.check(moved)
+
+
+def test_a_known_defect_reads_so_and_passes(payload):
+    ctx = api.ExperimentContext(preset="tiny")
+    assert live_crosscheck.table(ctx, ())["defects_measured"]
+    for cell in KNOWN_DEFECTS:
+        live_crosscheck.check(
+            _with(payload, cell, {"state": "known defect", "reason": KNOWN_DEFECTS[cell]})
+        )
+    # A known defect is a declared cell, not a state any cell may take.
+    assert "tcp × distributed × reconfig" in _judged(
+        _with(payload, ("tcp", "distributed", "reconfig"),
+              {"state": "differs", "differs": ["loss_of_fidelity"]})
+    )
+
+
+def test_render_shows_every_row_and_the_exceptions(payload):
     text = SPEC.render(payload)
     for policy, feature in itertools.product(FILTERED_POLICIES, FEATURES):
         assert any(line.split()[:2] == [policy, feature] for line in text.splitlines())
     assert "fleet × loss refused: the fleet wire is reliable TCP" in text
-    assert "tcp × all conserved: TCP draws the seeded loss stream" in text
+    assert "tcp × loss conserved: TCP draws the seeded loss stream" in text
+    for cell, reason in KNOWN_DEFECTS.items():
+        if payload["cells"][cell[0]][cell[1]][cell[2]]["state"] == "known defect":
+            assert f"{' × '.join(cell)} known defect: {reason}" in text
 
 
 def test_payload_is_artifact_serialisable(payload, tmp_path):
@@ -202,12 +217,14 @@ def _inprocess(policy: str):
 
 
 def _collect_static_with(monkeypatch, plane) -> dict:
-    """Collect the in-process static slice, ``plane`` standing in for
-    the in-process plane."""
+    """Collect and check the in-process static slice, ``plane`` standing
+    in for the in-process plane."""
     monkeypatch.setattr(live_crosscheck, "PLANES", {"inprocess": plane})
     monkeypatch.setattr(live_crosscheck, "FEATURES", {"static": FEATURES["static"]})
     ctx = api.ExperimentContext(preset="tiny")
-    return SPEC.collect(ctx, tuple(api.execute_plan(SPEC.plan(ctx))))
+    payload = SPEC.collect(ctx, tuple(api.execute_plan(SPEC.plan(ctx))))
+    SPEC.check(payload)
+    return payload
 
 
 def _moved(mutate):
@@ -292,8 +309,10 @@ def test_a_plane_raising_a_configuration_error_refuses_the_cell(monkeypatch):
             raise ConfigurationError("not on this plane")
         return _inprocess(config.policy)
 
-    payload = _collect_static_with(monkeypatch, plane)
-    assert payload["cells"]["inprocess"]["centralized"]["static"] == {
-        "state": "refused",
-        "reason": "not on this plane",
-    }
+    # Refused -- which the in-process plane is declared never to be.
+    with pytest.raises(SimulationError) as error:
+        _collect_static_with(monkeypatch, plane)
+    assert (
+        "inprocess × centralized × static: refused where exact is declared "
+        "(not on this plane)"
+    ) in str(error.value)
