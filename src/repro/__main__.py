@@ -59,7 +59,7 @@ from repro.engine import (
 from repro.engine.adaptive import parse_adaptive_spec
 from repro.engine.churn import parse_churn_spec
 from repro.engine.failures import failures_for_config, parse_failure_spec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RefutedError
 from repro.experiments.runner import preset_config
 from repro.obs.logsetup import LOG_LEVELS, get_logger, setup_cli_logging
 from repro.workloads import available_workloads, parse_workload_spec
@@ -69,11 +69,12 @@ __all__ = ["main"]
 
 @contextmanager
 def _reported_as(error: type[Exception]):
-    """Re-raise a ``ConfigurationError`` as ``error`` with its message:
-    an argparse usage error while parsing, a clean exit while running."""
+    """Re-raise a ``ConfigurationError`` (or an experiment's refuted
+    ``check``) as ``error`` with its message: an argparse usage error
+    while parsing, a clean exit while running."""
     try:
         yield
-    except ConfigurationError as exc:
+    except (ConfigurationError, RefutedError) as exc:
         raise error(str(exc)) from None
 
 

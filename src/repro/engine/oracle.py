@@ -75,6 +75,7 @@ class DisseminationSimulation(SimulationBase):
         self._departed = self._reconfig.departed
         self._crashed = self._reconfig.crashed
         self._down_links = self._reconfig.down_links
+        self._loss = self._reconfig.loss
         self._reconfig.wire_initial(setup.traces)
 
     # ------------------------------------------------------------------
@@ -187,16 +188,13 @@ class DisseminationSimulation(SimulationBase):
             if self._down_links and (node, child) in self._down_links:
                 # Partition: the sender paid (queueing included) but the
                 # link ate the message.  Decided before the Bernoulli
-                # loss draw, so the loss stream is only consumed for
-                # messages that actually enter the network.
+                # loss draw, so a link's loss stream is only consumed
+                # for messages that actually enter it.
                 self.counters.record_drop()
                 if observer is not None:
                     observer.on_drop(update_id, item_id, now, node, child, "partition")
                 continue
-            if (
-                self._loss_rng is not None
-                and self._loss_rng.random() < self._loss_probability
-            ):
+            if self._loss is not None and self._loss.drops(node, child):
                 # Failure injection: the sender paid for the message but
                 # the network ate it; the child stays stale until the
                 # next update for it is forwarded.

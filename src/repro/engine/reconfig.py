@@ -12,7 +12,8 @@ way: an ordered piece of edge surgery on a running network.
 :class:`ReconfigurationCore` owns that surgery.  It is sans-io: it holds
 all *control* state -- who serves whom (``parent_of``) and where each
 dependent's home is (``home_parent``), who is a member, ``crashed`` or
-``departed``, which links are down, the ``[start, end, c]``
+``departed``, which links are down and which messages are lost
+(:class:`LinkLoss`), the ``[start, end, c]``
 fidelity-scoring ``segments``, the one current ``graph`` -- and all the
 *rules*.  The three sources compose because they share them:
 
@@ -90,7 +91,31 @@ from repro.engine.failures import FailureEvent
 from repro.errors import SimulationError
 from repro.sim.rng import RandomStreams
 
-__all__ = ["EdgeStore", "LelaInputs", "ReconfigurationCore"]
+__all__ = ["EdgeStore", "LelaInputs", "LinkLoss", "ReconfigurationCore"]
+
+
+class LinkLoss(dict):
+    """Seeded Bernoulli message loss, one stream per directed link.
+
+    ``self[src, dst]`` is the bound ``random`` of the link's own stream,
+    ``message-loss:{src}->{dst}``, created on its first draw: what a link
+    loses depends only on what its sender sends, however a plane
+    interleaves senders.  The engine's loop reads it inline; the other
+    planes call :meth:`drops`.
+    """
+
+    def __init__(self, seed: int, probability: float) -> None:
+        super().__init__()
+        self.probability = probability
+        self._streams = RandomStreams(seed)
+
+    def __missing__(self, link: tuple[int, int]):
+        draw = self[link] = self._streams.stream("message-loss:%d->%d" % link).random
+        return draw
+
+    def drops(self, src: int, dst: int) -> bool:
+        """Is the message ``src`` puts on link ``src -> dst`` now lost?"""
+        return self[src, dst]() < self.probability
 
 
 @dataclass(frozen=True)
@@ -210,6 +235,8 @@ class ReconfigurationCore:
         adaptive: This run's own
             :class:`~repro.engine.adaptive.AdaptiveController`.
         lela: The run's :class:`LelaInputs` (with churn or adaptive).
+        loss: The run's :class:`LinkLoss`, drawn after the down-link
+            test (``None``: nothing is lost).
 
     Attributes:
         graph: The current graph, never mutated: a join inserts into a
@@ -250,6 +277,7 @@ class ReconfigurationCore:
         failures=None,
         adaptive=None,
         lela: LelaInputs | None = None,
+        loss: LinkLoss | None = None,
     ) -> None:
         # The plane owns its core, never the reverse: a proxy keeps the
         # pair acyclic, so a finished run (arrays, logs and all) is freed
@@ -262,6 +290,7 @@ class ReconfigurationCore:
         self.failures = failures
         self.adaptive = adaptive
         self.lela = lela
+        self.loss = loss
         self.observer = None
         self.crashed: set[int] = set()
         self.departed: set[int] = set()
@@ -302,6 +331,7 @@ class ReconfigurationCore:
             failures=config.failures,
             adaptive=None if config.adaptive is None else AdaptiveController(config.adaptive),
             lela=LelaInputs.of(config, setup.network, setup.effective_degree),
+            loss=LinkLoss(config.seed, p) if (p := config.message_loss_probability) else None,
         )
 
     def wire_initial(self, traces) -> None:

@@ -98,8 +98,8 @@ patch the edge-group columns (groups that exist only in a rebuilt graph
 are materialised on first use), nothing more.  On the hot path the
 engine reads the core's ``crashed`` / ``departed`` / ``down_links`` sets
 (a message toward an unavailable repository or over a down link is a
-drop, decided before the Bernoulli loss stream is consumed -- one scalar
-draw per message that enters the network) and at the end scores
+drop, decided before the core's per-link loss stream is consumed -- one
+scalar draw per message that enters a link) and at the end scores
 fidelity over the core's availability segments.
 """
 
@@ -121,7 +121,6 @@ from repro.engine.config import SimulationConfig
 from repro.engine.reconfig import ReconfigurationCore
 from repro.engine.results import SimulationResult
 from repro.errors import SimulationError
-from repro.sim.rng import RandomStreams
 from repro.traces.schedule import UpdateSchedule
 
 __all__ = [
@@ -161,12 +160,6 @@ class SimulationBase:
         self.counters = CostCounters()
         self._ran = False
         self._comp_delay_s = setup.config.comp_delay_ms / 1000.0
-        self._loss_probability = setup.config.message_loss_probability
-        self._loss_rng = (
-            RandomStreams(setup.config.seed).stream("message-loss")
-            if self._loss_probability > 0.0
-            else None
-        )
         self._source_value: dict[int, float] = {}
         # All control state and every reconfiguration rule live in the
         # core; the engine is its edge store.
@@ -348,11 +341,11 @@ class VectorizedSimulation(SimulationBase):
 
         core = self._reconfig
         crashed, departed, down = core.crashed, core.departed, core.down_links
-        loss_p = self._loss_probability
-        loss_random = None if self._loss_rng is None else self._loss_rng.random
+        loss = core.loss
+        loss_p = 0.0 if loss is None else loss.probability
         # Only a lossy run or one with a failure schedule can drop a
         # message at the sender; every other run skips both tests.
-        filtered = loss_random is not None or core.failures is not None
+        filtered = loss is not None or core.failures is not None
         partitioned, lost = [], []
         controls = deque(core.timeline(schedule.span))
         reconfigures = bool(controls)
@@ -486,14 +479,14 @@ class VectorizedSimulation(SimulationBase):
                 sent += 1
                 if filtered:
                     # The reference child loop's order: a down link eats
-                    # the message before the Bernoulli draw, so the
+                    # the message before the Bernoulli draw, so a link's
                     # loss stream is consumed only for messages that
-                    # enter the network.
+                    # enter it (LinkLoss.drops, inline).
                     child = node_of[children[i]]
                     if down and (node, child) in down:
                         partitioned.append(child)
                         continue
-                    if loss_random is not None and loss_random() < loss_p:
+                    if loss is not None and loss[node, child]() < loss_p:
                         lost.append(child)
                         continue
                 arrival = departure + delays[i]

@@ -19,6 +19,10 @@ class SimulationError(ReproError):
     """The discrete-event kernel was used incorrectly at runtime."""
 
 
+class RefutedError(ReproError):
+    """An experiment's result refutes the claim its ``check`` states."""
+
+
 class TopologyError(ReproError):
     """A physical-network topology is malformed or cannot be generated."""
 

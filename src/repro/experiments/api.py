@@ -231,10 +231,11 @@ class ExperimentSpec:
             results (aligned 1:1 with the planned grid) into the
             experiment's output shape.
         render: ``payload -> str`` -- the human-readable report.
-        check: ``payload -> None``, raising when the payload refutes
+        check: ``payload -> None``, raising
+            :class:`~repro.errors.RefutedError` when the payload refutes
             the experiment's claim; :func:`run_experiments` calls it
             once the artifact is written, so a refuted run leaves its
-            evidence.
+            evidence (the CLI prints the error's message and exits 1).
     """
 
     name: str

@@ -11,13 +11,11 @@ config, never cached, since a cache key carries no code fingerprint.
 Each cell's state is declared here, once: ``refused`` for the
 :data:`REFUSED` cells (the plane raised
 :class:`~repro.errors.ConfigurationError` before running; its message
-is recorded), ``conserved`` for the :data:`CONSERVED` ones (the two
-conservation laws hold; nothing else is compared) and ``exact`` for
-the rest (:func:`compare` finds nothing that differs).  A
-:data:`KNOWN_DEFECTS` cell that misses its state reads ``known
-defect``.  :func:`check`, run once the artifact is written, raises one
-:class:`~repro.errors.SimulationError` naming every other cell that
-misses its state -- a field that differs, a broken law, a plane that
+is recorded) and ``exact`` for the rest (:func:`compare` finds nothing
+that differs).  A :data:`KNOWN_DEFECTS` cell that misses its state
+reads ``known defect``.  :func:`check`, run once the artifact is
+written, raises one :class:`~repro.errors.RefutedError` naming every
+other cell that misses its state -- a field that differs, a plane that
 raised anything else, a refusal not declared or a declared one that
 ran -- and every :data:`STRICT_DEFECTS` cell that no longer fails.
 """
@@ -30,11 +28,11 @@ from repro.core.dissemination.filtering import FILTERED_POLICIES
 from repro.engine.adaptive import AdaptivePolicy
 from repro.engine.churn import schedule_for_config
 from repro.engine.failures import failures_for_config
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, RefutedError
 from repro.experiments import api
 from repro.obs.logsetup import get_logger
 
-__all__ = ["CLIENTS", "CONSERVED", "FEATURES", "KNOWN_DEFECTS", "PLANES",
+__all__ = ["CLIENTS", "FEATURES", "KNOWN_DEFECTS", "PLANES",
            "REFUSED", "SPEC", "STRICT_DEFECTS", "TIME_SCALE", "check", "compare",
            "expected", "fault", "table"]
 
@@ -104,14 +102,9 @@ PLANES = {
 }
 
 #: The cells a plane refuses up front, ``(plane, feature)``: the fleet
-#: runs no schedule, loss or adaptation.
-REFUSED = frozenset(("fleet", feature) for feature in FEATURES if feature != "static")
-
-#: The cells held to conservation alone, ``(plane, feature) -> reason``.
-CONSERVED = dict.fromkeys(
-    [("tcp", "loss"), ("tcp", "all")],
-    "TCP draws the seeded loss stream in dispatch order, not the "
-    "engine's (ROADMAP item 7(c))",
+#: runs no schedule and no adaptation.
+REFUSED = frozenset(
+    ("fleet", feature) for feature in FEATURES if feature not in ("static", "loss")
 )
 
 #: Cells that miss their state with ROADMAP item 11(a)'s open defect (a
@@ -139,9 +132,7 @@ STRICT_DEFECTS = frozenset({("tcp", "centralized", "reconfig")})
 
 def expected(plane: str, feature: str) -> str:
     """The state a cell is declared to end in."""
-    if (plane, feature) in REFUSED:
-        return "refused"
-    return "conserved" if (plane, feature) in CONSERVED else "exact"
+    return "refused" if (plane, feature) in REFUSED else "exact"
 
 
 def compare(sim, live) -> list[str]:
@@ -198,20 +189,8 @@ def _run_cell(plane: str, feature: str, config, sim) -> dict:
     except Exception as exc:  # any other error fails the cell, not the rest
         get_logger(__name__).exception("live_crosscheck: %s × %s", plane, feature)
         return {"state": "raised", "differs": [f"{type(exc).__name__}: {exc}"]}
-    if (plane, feature) not in CONSERVED:
-        differs = compare(sim, live)
-        return {"state": "differs", "differs": differs} if differs else {"state": "exact"}
-    counters = live.counters
-    laws = {
-        "sent == delivered + dropped": live.conserved,
-        "messages == deliveries + drops": (
-            counters.messages == counters.deliveries + counters.drops
-        ),
-    }
-    broken = [law for law, holds in laws.items() if not holds]
-    if broken:
-        return {"state": "differs", "differs": broken}
-    return {"state": "conserved", "reason": CONSERVED[(plane, feature)]}
+    differs = compare(sim, live)
+    return {"state": "differs", "differs": differs} if differs else {"state": "exact"}
 
 
 def table(ctx: api.ExperimentContext, results) -> dict:
@@ -263,7 +242,7 @@ def fault(payload: dict, plane: str, policy: str, feature: str) -> str | None:
 
 
 def check(payload: dict) -> None:
-    """Raise one SimulationError naming every cell :func:`fault` finds
+    """Raise one RefutedError naming every cell :func:`fault` finds
     wrong, with what is wrong in it."""
     failed = [
         f"{plane} × {policy} × {feature}: {why}"
@@ -273,7 +252,7 @@ def check(payload: dict) -> None:
         if (why := fault(payload, plane, policy, feature))
     ]
     if failed:
-        raise SimulationError(
+        raise RefutedError(
             f"live_crosscheck: {len(failed)} cell(s) miss their declared "
             "state:\n  " + "\n  ".join(failed)
         )
@@ -290,8 +269,8 @@ def _render(payload: dict) -> str:
         f"{'resyncs':>7} {'reconf':>6} {'added':>5} {'rewires':>7}  "
         + " ".join(f"{plane:<12}" for plane in cells).rstrip(),
     ]
-    # Refusals and conservation hold per plane and feature, a known
-    # defect per cell; each reason once.
+    # A refusal holds per plane and feature, a known defect per cell;
+    # each reason once.
     reasons: dict = {}
     for policy, by_feature in payload["engine"].items():
         for feature, row in by_feature.items():

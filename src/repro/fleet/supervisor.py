@@ -38,11 +38,12 @@ level), keeping both ``sent == delivered + dropped`` and ``messages ==
 deliveries + drops`` exact, the same invariants the single-process
 transports end with.
 
-The fleet runs static membership on a reliable local wire: churn,
-failure schedules, adaptive re-optimization and seeded message loss
-are all rejected up front rather than silently diverging from the
-engine's semantics for them.  Modeled clients run as on every plane:
-each worker serves its own repositories' at scoring time.
+The fleet runs static membership: churn, failure schedules and
+adaptive re-optimization are rejected up front rather than silently
+diverging from the engine's semantics for them.  Seeded loss and
+modeled clients run as on every plane: each link's loss stream is drawn
+by the worker hosting its sender, and each worker serves its own
+repositories' clients at scoring time.
 """
 
 from __future__ import annotations
@@ -214,11 +215,6 @@ def _validate(spec: FleetSpec, sever_at_s: float | None) -> None:
         raise ConfigurationError(
             "adaptive re-optimization needs virtual-time counter "
             "snapshots; the fleet cannot provide them"
-        )
-    if config.message_loss_probability > 0:
-        raise ConfigurationError(
-            "the fleet wire is reliable TCP; seeded message loss is a "
-            "single-process live feature"
         )
     # Every worker builds the setup and plans the shards; the supervisor
     # needs neither, only to refuse a fleet no plan can fill.
@@ -406,7 +402,7 @@ def run_fleet(
 
     Args:
         config: The run's full parameterisation; must be churn-,
-            failure-, adaptive- and loss-free (see module docstring).
+            failure- and adaptive-free (see module docstring).
         workers: Worker process count (1 is a degenerate all-local
             fleet, handy for debugging).
         duration: Optional replay truncation, as in ``run_live``.

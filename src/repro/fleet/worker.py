@@ -9,10 +9,11 @@ The worker is a thin driver of the shared runtime
 (:mod:`repro.live.wire`), the same one both single-process wires
 (:mod:`repro.live.transport`) drive: it only says where a destination
 lives -- at ``start`` it routes every node a peer owns to that peer's
-link (the runtime's loss-and-failure judgement rides along inert --
-the supervisor refuses both).  A same-shard delivery
-goes onto the local due queue; a cross-shard delivery is queued on the
-worker's single multiplexed link to the destination's owner, behind a
+link (the runtime judges loss as on every plane: only this worker
+draws its senders' links; the supervisor refuses failures).  A
+same-shard delivery goes onto the local due queue; a cross-shard
+delivery is queued on the worker's single multiplexed link to the
+destination's owner, behind a
 :class:`~repro.live.wire.SendQueue`'s backpressure, and leaves as a row
 of the :class:`~repro.live.protocol.Forwards` frame the link writes.
 

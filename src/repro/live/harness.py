@@ -322,7 +322,7 @@ def run_live(
     Churn and failure schedules (``config.churn``, ``config.failures``),
     adaptive rewiring (``config.adaptive``) and seeded message loss
     (``config.message_loss_probability``) run for real on both
-    transports: they drop by schedule and by the seeded Bernoulli
+    transports: they drop by schedule and by each link's seeded loss
     stream -- one rule, the engine's, applied by the runtime they share
     -- the TCP transport additionally heartbeats its connections and
     reconnects severed ones with exponential backoff, and fidelity is

@@ -12,9 +12,7 @@ queue, only; :func:`~repro.live.harness.run_live` picks one by name:
   queue is drained on its virtual clock: no link, no port, no event
   loop.  With the seeded topology delays (plus optional seeded jitter)
   a run is bit-reproducible for a fixed config seed, and bit-identical
-  to the simulation -- it consumes the *same* ``message-loss`` stream
-  in the same order as the engine, under failures and adaptive
-  rewiring too.
+  to the simulation, under loss, failures and adaptive rewiring too.
 - :class:`TcpWire` (``tcp``, awaited) -- every node listens on its own localhost
   port, every hop is a row of a :class:`~repro.live.protocol.Forwards`
   frame over a real connection, and simulated time maps to the wall
@@ -23,20 +21,20 @@ queue, only; :func:`~repro.live.harness.run_live` picks one by name:
   with capped exponential backoff (a crash event severs the victim's
   connection for real), and messages still in flight when the
   quiescence budget runs out are counted as drops, keeping the
-  conservation invariant exact.  It draws the seeded loss stream in
-  dispatch order, so under loss it need not drop what the engine drops.
+  conservation invariant exact.
 
 Both execute churn, unplanned failures, adaptive rewiring and seeded
 message loss, because the runtime does: it queues the control timeline
 of the network's :class:`~repro.engine.reconfig.ReconfigurationCore`
 ahead of the replay (the core makes every failover, resync and
 rewiring decision) and judges every repository-plane row by the
-engine's rule against the core's sets -- a down link and then the
-Bernoulli draw at the send instant, a departed and then a crashed
-destination at the arrival stamp -- whatever the wall clock did to the
-frame on its way.  TCP applies an entry only once no row it put on a
-link is still out, so the rows stamped before it go first.  The
-``live_crosscheck`` table holds both, cell by cell, to the simulation.
+engine's rule against the core's state -- a down link and then the
+link's own Bernoulli draw at the send instant, a departed and then a
+crashed destination at the arrival stamp -- whatever the wall clock
+did to the frame on its way.  TCP applies an entry only once no row it
+put on a link is still out, so the rows stamped before it go first.
+The ``live_crosscheck`` table holds both, cell by cell, to the
+simulation.
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ the due heap or a link's queue in the dispatch loop itself, with no
 call per row.
 
 Loss, failures and departures are judged once, here, by the engine's
-rule: a repository-plane row meets a down link and then the seeded
-Bernoulli draw at the instant it is *sent* (:meth:`WireRuntime.dispatch`)
+rule: a repository-plane row meets a down link and then its link's own
+seeded draw at the instant it is *sent* (:meth:`WireRuntime.dispatch`)
 and a departed or crashed destination at the instant it *arrives*
 (:meth:`WireRuntime.deliver`); a row in flight when its link goes down
 is delivered on every plane.  Both read the core's ``down_links``,
@@ -88,7 +88,6 @@ from repro.live.protocol import (
     encode_rows,
 )
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness imports transport)
     from repro.live.harness import LiveNetwork
@@ -580,9 +579,9 @@ class WireRuntime:
     judges it at its arrival stamp, has the node process it at that
     stamp and dispatches what the node emits, if anything.
 
-    The judgement reads the run's own config (seed, loss probability)
-    and the core's ``down_links``, ``departed`` and ``crashed`` sets as
-    they stand when the row is released, as the engine's loop does; a
+    The judgement reads the core's per-link ``loss`` streams and its
+    ``down_links``, ``departed`` and ``crashed`` sets as they stand when
+    the row is released, as the engine's loop does; a
     run with none of loss, churn and failures skips it whole.
 
     Args:
@@ -634,25 +633,19 @@ class WireRuntime:
         self.routes: dict[int, Link] = {}
         self._due_task: asyncio.Task | None = None
         core = network.reconfig
-        config = network.setup.config
         # Only the repository plane is judged (ids: nothing cached here
         # may keep a node alive past the run).
         self._repositories = frozenset(network.repositories)
-        self._loss_p = config.message_loss_probability
-        # The engine's stream, consumed in the engine's order (per row,
-        # after the link test): a loss run matches it bit for bit.
-        self._loss_random = (
-            RandomStreams(config.seed).stream("message-loss").random
-            if self._loss_p > 0.0
-            else None
-        )
+        # The core's per-link loss streams, drawn per row after the
+        # link test: a loss run matches the engine's bit for bit.
+        self._loss = core.loss
         # The core's sets, mutated in place as it applies the timeline.
         self._down = core.down_links
         self._departed, self._crashed = core.departed, core.crashed
         #: Can a delivery meet a departed or crashed destination?
         self._away = core.churn is not None or core.failures is not None
         #: The engine's ``filtered``: can this run drop at the sender?
-        self._judged = self._loss_random is not None or core.failures is not None
+        self._judged = self._loss is not None or core.failures is not None
         #: Rows off a link here: landed in a frame, or eaten by the wire.
         self.landed = 0
 
@@ -737,12 +730,12 @@ class WireRuntime:
             dst = row[0]
             if judged and dst in self._repositories:
                 # A down link eats the row before the Bernoulli draw, so
-                # the loss stream is consumed only for rows that enter
-                # the network.
+                # a link's loss stream is consumed only for rows that
+                # enter it.
                 if down and (row[6], dst) in down:
                     self.drop(row, "partition", now)
                     continue
-                if self._loss_random is not None and self._loss_random() < self._loss_p:
+                if self._loss is not None and self._loss.drops(row[6], dst):
                     self.drop(row, "loss", now)
                     continue
             if dst in routes:

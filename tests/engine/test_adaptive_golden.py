@@ -28,6 +28,7 @@ from repro.engine.config import SCALE_PRESETS
 from repro.engine.reconfig import ReconfigurationCore
 from repro.engine.simulation import run_simulation
 from repro.engine.sweep import run_sweep
+from repro.experiments.live_crosscheck import compare
 from repro.live import run_live
 from repro.workloads import DiurnalWorkload, FlashCrowdWorkload
 
@@ -125,6 +126,7 @@ def test_adaptive_composes_with_message_loss():
     )
     scalar, vector = _pair(config)
     assert scalar == vector
+    assert compare(vector, run_live(config, "inprocess")) == []
     assert scalar.counters.drops > 0
     assert scalar.counters.deliveries + scalar.counters.drops == (
         scalar.counters.messages

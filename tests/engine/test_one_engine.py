@@ -21,6 +21,8 @@ from repro.engine.config import SCALE_PRESETS
 from repro.engine.failures import FailureEvent, FailureSchedule
 from repro.engine.oracle import DisseminationSimulation
 from repro.engine.simulation import VectorizedSimulation, make_simulation
+from repro.experiments.live_crosscheck import compare
+from repro.live import run_live
 
 BASE = SCALE_PRESETS["tiny"].with_(n_items=2, trace_samples=60)
 
@@ -46,6 +48,18 @@ def test_every_config_gets_the_engine_and_only_scalar_the_oracle(policy, kind):
     assert type(under("auto")) is VectorizedSimulation
     assert type(under("vectorized")) is VectorizedSimulation
     assert type(under("scalar")) is DisseminationSimulation
+
+
+@pytest.mark.parametrize("policy", sorted(FILTERED_POLICIES))
+def test_a_lossy_run_is_one_result_on_the_oracle_the_engine_and_in_process(policy):
+    """One loss rule, the core's: every plane draws each link's own
+    stream, so each loses the same messages."""
+    config = BASE.with_(policy=policy, **RUN_KINDS["loss"])
+    setup = build_setup(config)
+    engine = VectorizedSimulation(setup).run()
+    assert engine.counters.drops > 0
+    assert engine == DisseminationSimulation(setup).run()
+    assert compare(engine, run_live(config, "inprocess")) == []
 
 
 def test_the_engine_does_not_build_on_the_oracle():

@@ -39,6 +39,8 @@ from repro.engine.simulation import (
 )
 from repro.engine.sweep import run_sweep
 from repro.errors import SimulationError
+from repro.experiments.live_crosscheck import compare
+from repro.live.harness import build_live_network, run_live
 from repro.obs.trace import TraceRecorder
 from repro.sim.kernel import BatchKernel
 from repro.workloads import DiurnalWorkload, FlashCrowdWorkload, Table1Workload
@@ -50,6 +52,13 @@ WORKLOADS = {
     "flash_crowd": FlashCrowdWorkload(),
     "diurnal": DiurnalWorkload(),
 }
+
+
+def _inprocess_agrees(config, sim, setup=None) -> None:
+    """The in-process live plane reproduces ``sim`` field for field (the
+    plane table's comparison), on ``setup`` when one is given."""
+    network = build_live_network(config, setup=setup)
+    assert compare(sim, run_live(config, network=network)) == []
 
 
 def _pair(config):
@@ -77,6 +86,7 @@ def test_bit_identity_with_message_loss_and_clients(policy):
     )
     scalar, vector = _pair(config)
     assert scalar == vector
+    _inprocess_agrees(config, vector)
     # The client plane actually exercised something.
     assert scalar.counters.client_checks > 0
 
@@ -128,6 +138,7 @@ def test_centralised_churn_under_loss_equals_the_oracle():
     )
     scalar, vector = _pair(config)
     assert scalar == vector
+    _inprocess_agrees(config, vector)
     assert vector.counters.reconfigurations == 6
     assert vector.counters.drops > 0
 
@@ -177,6 +188,7 @@ def test_bit_identity_on_a_wide_group_with_partition_before_loss(policy):
     assert max(len(cs) for cs in vectorized._g_cs) >= 15
     vector = vectorized.run()
     assert vector == run_simulation(config.with_(kernel="scalar"))
+    _inprocess_agrees(config, vector)
     assert vector.counters.drops > 0
 
 
@@ -253,6 +265,7 @@ def test_wide_client_blocks_meet_reconfiguration(policy):
 
     vector = Recording(setup).run()
     assert vector == DisseminationSimulation(setup).run()
+    _inprocess_agrees(config, vector)
     assert vector.counters.client_messages > 0
     assert vector.counters.reconfigurations == 6
 
@@ -309,6 +322,7 @@ def test_all_leaf_and_chain_shapes_match_the_oracle_log_by_log(
     oracle = DisseminationSimulation(build_setup(config))
     assert vector == oracle.run()
     assert _logs(sim) == _logs(oracle)
+    _inprocess_agrees(config, vector)
     assert vector.counters.deliveries > 0
     assert (vector.counters.drops > 0) == (loss > 0.0)
     if shape == "all_leaf":
@@ -358,6 +372,7 @@ def test_runs_that_can_move_or_watch_a_pair_keep_the_heap_path(monkeypatch, kind
     oracle = DisseminationSimulation(build_setup(config), observer=oracle_recorder)
     assert vector == oracle.run()
     assert _logs(sim) == _logs(oracle)
+    _inprocess_agrees(config, vector)
 
     if recorder is None:  # the same run's spans, observed on the batch engine
         recorder = TraceRecorder(policy=config.policy)
@@ -421,8 +436,8 @@ def test_ties_between_updates_and_deliveries_follow_the_oracle(policy):
     updates fall on whole seconds too, so deliveries land on update
     instants and on each other.  The engine's merge must break those ties
     as the oracle's queue does -- source update first, then push order.
-    The order shows through the loss stream: each message that enters
-    the network takes the next draw."""
+    The order shows through each link's loss stream: each message that
+    enters a link takes that link's next draw, in its sender's order."""
     config = BASE.with_(
         policy=policy, comp_delay_ms=0.0, message_loss_probability=0.1, seed=11
     )
@@ -432,8 +447,10 @@ def test_ties_between_updates_and_deliveries_follow_the_oracle(policy):
     np.fill_diagonal(dist_ms, 0.0)
     engine = VectorizedSimulation(setup)
     oracle = DisseminationSimulation(setup)
-    assert engine.run() == oracle.run()
+    result = engine.run()
+    assert result == oracle.run()
     assert _logs(engine) == _logs(oracle)
+    _inprocess_agrees(config, result, setup)
 
     arrivals = collections.Counter(
         t for key in oracle._deliveries for t, _value in oracle.delivery_log(*key)

@@ -3,8 +3,8 @@
 One run of the table at ``tiny`` (module fixture) answers one test per
 cell, parametrized over the module's own planes, policies and features
 and judged by the module's own :func:`fault`, so tier-1 and the
-experiment's verdict agree; every exception (refused, conserved, known
-defect) is the module's declaration, read here.  The mutation tests
+experiment's verdict agree; every exception (refused, known defect) is
+the module's declaration, read here.  The mutation tests
 below run the in-process static slice with one field of one plane's
 result moved, and check the table fails naming the cell and the field.
 """
@@ -20,11 +20,10 @@ import pytest
 
 from repro.core.dissemination.filtering import FILTERED_POLICIES
 from repro.core.metrics import CostCounters
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, RefutedError
 from repro.experiments import api, live_crosscheck
 from repro.experiments.live_crosscheck import (
     CLIENTS,
-    CONSERVED,
     FEATURES,
     KNOWN_DEFECTS,
     PLANES,
@@ -95,14 +94,16 @@ def test_cell(payload, cell):
 
 
 def test_the_declared_exceptions():
-    assert REFUSED == {("fleet", feature) for feature in FEATURES if feature != "static"}
-    assert set(CONSERVED) == {("tcp", "loss"), ("tcp", "all")}
+    assert REFUSED == {
+        ("fleet", feature)
+        for feature in ("churn", "failures", "adaptive", "reconfig", "all")
+    }
     # Each known defect is a real cell; a strict one is a known defect.
     assert set(KNOWN_DEFECTS) <= set(CELLS)
     assert STRICT_DEFECTS <= set(KNOWN_DEFECTS)
 
 
-def test_the_refused_cells_are_the_fleet_off_the_static_column(payload, ctx):
+def test_the_refused_cells_are_the_fleet_under_schedules_or_adaptation(payload, ctx):
     refused = {cell for cell in CELLS if expected(cell[0], cell[2]) == "refused"}
     assert _states(payload, "refused") == refused
     for plane, policy, feature in sorted(refused):
@@ -111,11 +112,6 @@ def test_the_refused_cells_are_the_fleet_off_the_static_column(payload, ctx):
         with pytest.raises(ConfigurationError) as refusal:
             run_fleet(FEATURES[feature](base), workers=2, time_scale=TIME_SCALE)
         assert payload["cells"][plane][policy][feature]["reason"] == str(refusal.value)
-
-
-def test_the_conserved_cells_are_tcp_under_loss(payload):
-    conserved = {cell for cell in CELLS if expected(cell[0], cell[2]) == "conserved"}
-    assert conserved - set(KNOWN_DEFECTS) <= _states(payload, "conserved") <= conserved
 
 
 def test_every_feature_reaches_its_machinery(payload):
@@ -147,7 +143,7 @@ def _with(payload, cell, outcome, measured=True) -> dict:
 
 
 def _judged(payload) -> str:
-    with pytest.raises(SimulationError) as error:
+    with pytest.raises(RefutedError) as error:
         live_crosscheck.check(payload)
     return str(error.value)
 
@@ -161,8 +157,8 @@ def test_check_fails_a_refusal_outside_the_declared_set(payload):
 
 
 def test_check_fails_a_declared_refusal_that_ran(payload):
-    message = _judged(_with(payload, ("fleet", "distributed", "loss"), {"state": "exact"}))
-    assert "fleet × distributed × loss: exact where refused is declared (ran)" in message
+    message = _judged(_with(payload, ("fleet", "distributed", "churn"), {"state": "exact"}))
+    assert "fleet × distributed × churn: exact where refused is declared (ran)" in message
 
 
 def test_check_fails_a_strict_known_defect_that_agrees(payload):
@@ -193,8 +189,7 @@ def test_render_shows_every_row_and_the_exceptions(payload):
     text = SPEC.render(payload)
     for policy, feature in itertools.product(FILTERED_POLICIES, FEATURES):
         assert any(line.split()[:2] == [policy, feature] for line in text.splitlines())
-    assert "fleet × loss refused: the fleet wire is reliable TCP" in text
-    assert "tcp × loss conserved: TCP draws the seeded loss stream" in text
+    assert "fleet × churn refused: the fleet runs static membership" in text
     for cell, reason in KNOWN_DEFECTS.items():
         if payload["cells"][cell[0]][cell[1]][cell[2]]["state"] == "known defect":
             assert f"{' × '.join(cell)} known defect: {reason}" in text
@@ -283,7 +278,7 @@ def test_the_unmoved_static_slice_is_exact(monkeypatch):
 def test_one_moved_field_fails_the_table_naming_cell_and_field(
     monkeypatch, mutate, field
 ):
-    with pytest.raises(SimulationError) as error:
+    with pytest.raises(RefutedError) as error:
         _collect_static_with(monkeypatch, _moved(mutate))
     message = str(error.value)
     assert "1 cell(s)" in message
@@ -296,7 +291,7 @@ def test_a_plane_raising_anything_else_fails_the_table(monkeypatch):
             raise RuntimeError("worker lost")
         return _inprocess(config.policy)
 
-    with pytest.raises(SimulationError) as error:
+    with pytest.raises(RefutedError) as error:
         _collect_static_with(monkeypatch, plane)
     assert "inprocess × centralized × static: RuntimeError: worker lost" in str(
         error.value
@@ -310,7 +305,7 @@ def test_a_plane_raising_a_configuration_error_refuses_the_cell(monkeypatch):
         return _inprocess(config.policy)
 
     # Refused -- which the in-process plane is declared never to be.
-    with pytest.raises(SimulationError) as error:
+    with pytest.raises(RefutedError) as error:
         _collect_static_with(monkeypatch, plane)
     assert (
         "inprocess × centralized × static: refused where exact is declared "

@@ -17,6 +17,7 @@ import pytest
 
 from repro.engine.churn import synthetic_schedule
 from repro.engine.config import SimulationConfig
+from repro.engine.simulation import run_simulation
 from repro.errors import ConfigurationError, SimulationError
 from repro.fleet import run_fleet, supervisor
 from repro.fleet.antientropy import ChildSession
@@ -100,6 +101,20 @@ def test_fleet_sever_reconnects_resyncs_and_conserves():
     assert 0.0 <= result.loss_of_fidelity <= 100.0
 
 
+def test_fleet_under_loss_equals_the_engine():
+    """Each directed link draws its own seeded stream, in the one worker
+    that hosts its sender, so the fleet loses what the engine loses."""
+    config = CONFIG.with_(message_loss_probability=0.1)
+    sim = run_simulation(config)
+    result = run_fleet(config, workers=2, time_scale=400.0)
+    assert result.counters.drops > 0
+    assert result.conserved
+    assert result.counters == sim.counters
+    assert result.loss_of_fidelity == sim.loss_of_fidelity
+    assert result.per_repository_loss == sim.per_repository_loss
+    assert result.extras["per_pair_loss"] == sim.extras["per_pair_loss"]
+
+
 def test_fleet_rejects_unsupported_configs():
     schedule = synthetic_schedule(
         repositories=range(1, CONFIG.n_repositories + 1),
@@ -112,10 +127,6 @@ def test_fleet_rejects_unsupported_configs():
     )
     with pytest.raises(ConfigurationError):
         run_fleet(CONFIG.with_(churn=schedule), workers=2)
-    with pytest.raises(ConfigurationError):
-        run_fleet(
-            CONFIG.with_(message_loss_probability=0.1), workers=2
-        )
     with pytest.raises(ConfigurationError, match="7 workers for 6 nodes"):
         run_fleet(CONFIG, workers=CONFIG.n_repositories + 2)
     with pytest.raises(ConfigurationError, match="n_workers must be >= 1"):

@@ -26,8 +26,8 @@ from repro.engine.failures import (
     FailureSchedule,
     failures_for_config,
 )
+from repro.engine.reconfig import LinkLoss
 from repro.engine.simulation import run_simulation
-from repro.live import wire
 from repro.live.harness import build_live_network, run_live
 from repro.live.protocol import Forwards
 from repro.live.transport import TcpWire, VirtualWire
@@ -53,19 +53,20 @@ CONFIG = SimulationConfig(
 )
 
 
-class _Draws:
-    """Stands in for the seeded streams: counts the loss draws and
-    answers every one with the same value."""
+class _Draws(dict):
+    """Stands in for the per-link streams: counts the loss draws per
+    ``(src, dst)`` link and answers every one with the same value."""
 
     def __init__(self, value: float) -> None:
-        self.value, self.n = value, 0
+        super().__init__()
+        self.value = value
 
-    def stream(self, _name):
-        return self
+    def stream(self, link):
+        def random() -> float:
+            self[link] = self.get(link, 0) + 1
+            return self.value
 
-    def random(self) -> float:
-        self.n += 1
-        return self.value
+        return random
 
 
 class _StubLink(list):
@@ -117,7 +118,11 @@ def judged(request, monkeypatch):
 
     def build(draw: float):
         draws = _Draws(draw)
-        monkeypatch.setattr(wire, "RandomStreams", lambda _seed: draws)
+        # Each link's stream, created on its first draw, is the stub's.
+        monkeypatch.setattr(
+            LinkLoss, "__missing__",
+            lambda loss, link: loss.setdefault(link, draws.stream(link)),
+        )
         network = build_live_network(CONFIG)
         recorder = TraceRecorder(policy=CONFIG.policy)
         network.attach_observer(recorder)
@@ -143,15 +148,16 @@ def test_a_link_is_judged_when_the_row_is_sent_not_when_it_arrives(judged):
     down, up = SCHEDULE.events[:2]
     in_flight = row(1, 10.5, seq=1)
     runtime.dispatch([in_flight], 9.0)  # sent just before the link goes down
-    assert draws.n == 1 and drops() == []
+    assert draws == {(0, 1): 1} and drops() == []
     apply(runtime, down)
     runtime.dispatch([row(1, 10.2, seq=2)], 10.0)  # sent at the down instant
     assert drops() == [("partition", 10.0, 1, 0, 1)]
-    assert draws.n == 1  # a down link eats the row ahead of the loss draw
+    assert draws == {(0, 1): 1}  # the down link ate the row ahead of any draw
     runtime.dispatch([row(1, 15.0, seq=4, src=3)], 15.0)  # another link
+    assert draws == {(0, 1): 1, (3, 1): 1}
     apply(runtime, up)
     runtime.dispatch([row(1, 20.3, seq=3)], 20.0)  # up again at the up instant
-    assert draws.n == 3 and len(drops()) == 1
+    assert draws == {(0, 1): 2, (3, 1): 1} and len(drops()) == 1
     stats = runtime.stats
     assert (stats.sent, stats.dropped, stats.delivered) == (4, 1, 0)
     # In flight when its link went down: delivered, as the engine does.
@@ -168,7 +174,7 @@ def test_a_lost_row_is_a_loss_drop_stamped_at_the_send_instant(judged):
     assert drops() == [
         ("loss", 9.0, 0, 0, 1), ("loss", 9.0, 1, 0, 1), ("partition", 12.0, 2, 0, 1),
     ]
-    assert draws.n == 2
+    assert draws == {(0, 1): 2}
 
 
 def test_a_crash_is_judged_at_the_arrival_stamp(judged):

@@ -1,9 +1,12 @@
 """Tests for the ``python -m repro`` CLI."""
 
+import dataclasses
+
 import pytest
 
 from repro.__main__ import build_parser, command_options, main as cli_main
 from repro.engine import SCALE_PRESETS
+from repro.errors import RefutedError
 
 
 def test_parser_defaults():
@@ -261,6 +264,33 @@ def test_cli_experiments_run_without_names_runs_the_registry_in_order(
         "adaptive_tradeoff",
         "live_crosscheck",
     }
+
+
+def test_cli_experiments_run_reports_a_refuted_check_without_a_traceback(
+    monkeypatch, tmp_path
+):
+    """A check that refutes its experiment's claim ends the run with its
+    message -- the failing cells -- and exit status 1, the artifact
+    written first."""
+    from repro.experiments import api
+
+    cells = (
+        "1 cell(s) miss their declared state:\n"
+        "  tcp × flooding × loss: counters.drops"
+    )
+
+    def refute(payload):
+        raise RefutedError(f"figure11: {cells}")
+
+    spec = dataclasses.replace(api.get_experiment("figure11"), check=refute)
+    monkeypatch.setitem(api._REGISTRY, "figure11", spec)
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["experiments", "run", "figure11", "--preset", "tiny",
+                  "--no-cache", "--artifacts", str(tmp_path)])
+    # A string code: the interpreter prints it on stderr and exits 1.
+    assert exit_.value.code == f"figure11: {cells}"
+    assert exit_.value.__cause__ is None and exit_.value.__suppress_context__
+    assert (tmp_path / "figure11.json").exists()
 
 
 def test_cli_experiments_run_rejects_unknown_experiment():
