@@ -705,7 +705,7 @@ def _obs_explain(args) -> None:
 _RUN = ("preset", "policy", "t", "seed")
 _LIVE = _RUN + ("transport", "time_scale", "duration", "failures", "loss",
                 "adaptive", "heartbeat_interval", "clients")
-_FLEET = ("workers",) + _RUN + ("time_scale", "duration",
+_FLEET = ("workers",) + _RUN + ("time_scale", "duration", "loss",
                                 "heartbeat_interval", "sever_at", "clients")
 _OBS = _RUN + ("failures", "loss", "json")
 

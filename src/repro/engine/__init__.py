@@ -22,7 +22,7 @@ from repro.engine.churn import (
     schedule_for_config,
     synthetic_schedule,
 )
-from repro.engine.config import KERNELS, SCALE_PRESETS, SimulationConfig
+from repro.engine.config import KERNELS, SCALE_PRESETS, PullConfig, SimulationConfig
 from repro.engine.builder import SimulationSetup, build_setup
 from repro.engine.failures import (
     FailureEvent,
@@ -41,6 +41,7 @@ from repro.engine.sweep import resolve_jobs, run_sweep
 
 __all__ = [
     "SimulationConfig",
+    "PullConfig",
     "SCALE_PRESETS",
     "KERNELS",
     "SimulationSetup",

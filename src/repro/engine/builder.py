@@ -9,7 +9,8 @@ parameter sweep perturbs only what it sweeps):
 3. interest profiles (50% subscription, T% stringent mix),
 4. degree of cooperation (the offered value, optionally clamped by
    Eq. 2's controlled cooperation), and
-5. the ``d3g`` via LeLA.
+5. the ``d3g`` via LeLA -- over the subscriptions that push: with a
+   :class:`~repro.engine.config.PullConfig`, the rest poll.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ class SimulationSetup:
     client_tolerances: dict[tuple[int, int], np.ndarray] | None = field(
         default=None, repr=False
     )
+    #: The ``(repository, item)`` pairs that poll the source (only with
+    #: ``config.pull``), in profile order: the pull side of the split,
+    #: less the pairs the ``d3g`` delivers anyway.
+    polls: tuple[tuple[int, int], ...] = ()
 
     @property
     def source(self) -> int:
@@ -160,6 +165,29 @@ def _generate_client_tolerances(
 
 def _fields_match(a: SimulationConfig, b: SimulationConfig, fields) -> bool:
     return all(getattr(a, f) == getattr(b, f) for f in fields)
+
+
+def _split(
+    profiles: dict[int, InterestProfile], threshold_c: float
+) -> tuple[dict[int, InterestProfile], list[tuple[int, int]]]:
+    """Split subscriptions by tolerance: ``(push profiles, pull pairs)``.
+
+    A subscription with ``c <= threshold_c`` pushes; a repository with
+    none is left out of the push profiles.  The pull pairs keep profile
+    order.
+    """
+    pushed: dict[int, InterestProfile] = {}
+    polled: list[tuple[int, int]] = []
+    for repo, profile in profiles.items():
+        tight = {}
+        for item_id, c in profile.requirements.items():
+            if c <= threshold_c:
+                tight[item_id] = c
+            else:
+                polled.append((repo, item_id))
+        if tight:
+            pushed[repo] = InterestProfile(repository=repo, requirements=tight)
+    return pushed, polled
 
 
 def build_setup(
@@ -265,6 +293,9 @@ def build_setup(
         effective = config.offered_degree
 
     lela = LelaInputs.of(config, network, effective)
+    pushed, polled = profiles, []
+    if config.pull is not None:
+        pushed, polled = _split(profiles, config.pull.threshold_c)
     if config.churn is not None:
         # A churn run's initial members join one by one, by the call a
         # mid-run join makes, so that a later join, departure or
@@ -278,9 +309,14 @@ def build_setup(
             lela.insert(graph, profiles[repo], members[:count])
         graph.validate(max_dependents=lela.budgets(members))
     else:
-        graph = lela.build(
-            [profiles[r] for r in sorted(profiles)], streams.stream("lela")
-        )
+        graph = lela.build([pushed[r] for r in sorted(pushed)], streams.stream("lela"))
+    # A pair whose item the d3g delivers anyway (an augmented relay's) is
+    # served by push and does not poll.
+    polls = tuple(
+        (repo, x)
+        for repo, x in polled
+        if repo not in graph.nodes or x not in graph.nodes[repo].receive_c
+    )
 
     return SimulationSetup(
         config=config,
@@ -293,4 +329,5 @@ def build_setup(
         avg_comm_delay_ms=avg_comm,
         update_schedule=update_schedule,
         client_tolerances=client_tolerances,
+        polls=polls,
     )

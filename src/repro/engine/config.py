@@ -26,7 +26,9 @@ from repro.engine.failures import FailureSchedule
 from repro.errors import ConfigurationError
 from repro.workloads import Table1Workload, Workload
 
-__all__ = ["SimulationConfig", "SCALE_PRESETS", "KERNELS"]
+__all__ = [
+    "PullConfig", "SimulationConfig", "SCALE_PRESETS", "KERNELS", "TTR_SHRINK", "TTR_GROW_S",
+]
 
 #: Spellings ``SimulationConfig.kernel`` accepts.  There is one engine:
 #: ``auto`` and ``vectorized`` both mean it.  ``scalar`` runs the
@@ -45,6 +47,67 @@ _INTEGER_MINIMA = {
     "offered_degree": 1,
     "clients_per_repository": 0,
 }
+
+
+#: The adaptive TTR's multiplicative decrease, applied after a response
+#: that moved the copy by more than the pair's tolerance, and its
+#: additive increase (seconds), applied after a quiet one.
+TTR_SHRINK = 0.5
+TTR_GROW_S = 2.0
+
+
+@dataclass(frozen=True)
+class PullConfig:
+    """Pull and push-pull hybrid dissemination (the paper's Section 8
+    outlook): who polls the source instead of riding the ``d3g``, and
+    how often.
+
+    A subscription with ``c <= threshold_c`` rides the cooperative push
+    ``d3g``; every other one polls the source directly, once per *time
+    to refresh* (TTR), unless the ``d3g`` already delivers the item to
+    its repository (an augmented relay).  ``threshold_c = 0`` is pure
+    pull, ``inf`` pure push.  A poll costs the source one serialised
+    computational delay on the queue push forwards use, and two
+    messages: the request and the response, which carries the value the
+    source holds when it finishes serving it.
+
+    The TTR is the classic adaptive one, kept within
+    ``[ttr_min_s, ttr_max_s]``: a response that moved the copy by more
+    than the pair's tolerance multiplies it by :data:`TTR_SHRINK`, a
+    quiet one adds :data:`TTR_GROW_S`.  Both bounds default to
+    ``ttr_s``, which pins the TTR: a fixed schedule.
+
+    Attributes:
+        ttr_s: The initial TTR (the whole schedule when fixed).
+        ttr_min_s: Lower bound (hot items poll this fast).
+        ttr_max_s: Upper bound (quiet items back off to this).
+        threshold_c: The push/pull tolerance boundary ($).
+    """
+
+    ttr_s: float = 10.0
+    ttr_min_s: float | None = None
+    ttr_max_s: float | None = None
+    threshold_c: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("ttr_min_s", "ttr_max_s"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, self.ttr_s)
+        for name in ("ttr_s", "ttr_min_s", "ttr_max_s"):
+            # NaN passes the ordering check below, and a non-finite TTR
+            # schedules a poll the engine refuses mid-run.
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}"
+                )
+        if not 0 < self.ttr_min_s <= self.ttr_s <= self.ttr_max_s:
+            raise ConfigurationError(
+                f"need 0 < ttr_min_s <= ttr_s <= ttr_max_s, got "
+                f"({self.ttr_min_s!r}, {self.ttr_s!r}, {self.ttr_max_s!r})"
+            )
+        # Written so NaN fails too; +inf is legal (everything pushes).
+        if not self.threshold_c >= 0:
+            raise ConfigurationError(f"need threshold_c >= 0, got {self.threshold_c!r}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +199,12 @@ class SimulationConfig:
             proposes the next graph or moves edges within it, and
             :class:`~repro.engine.reconfig.ReconfigurationCore` wires the
             result under the current members and live set.
+        pull: Optional :class:`PullConfig`: the subscriptions above its
+            threshold poll the source instead of riding the ``d3g``.
+            ``None`` is the paper's pure push.  Polls run on the engine
+            only, on a static, lossless network: combined with churn,
+            failures, adaptive rewiring, message loss or the scalar
+            reference it is refused.
     """
 
     seed: int = 20020812
@@ -163,6 +232,7 @@ class SimulationConfig:
     churn: ChurnSchedule | None = None
     failures: FailureSchedule | None = None
     adaptive: AdaptivePolicy | None = None
+    pull: PullConfig | None = None
 
     def __post_init__(self) -> None:
         for name, low in _INTEGER_MINIMA.items():
@@ -245,6 +315,21 @@ class SimulationConfig:
                 "adaptive must be an AdaptivePolicy or None, got "
                 f"{type(self.adaptive).__name__}"
             )
+        if self.pull is not None:
+            if not isinstance(self.pull, PullConfig):
+                raise ConfigurationError(
+                    f"pull must be a PullConfig or None, got {type(self.pull).__name__}"
+                )
+            # What polls do not model is refused, not ignored.
+            reconfigures = any(
+                part is not None for part in (self.churn, self.failures, self.adaptive)
+            )
+            if reconfigures or self.message_loss_probability or self.kernel == "scalar":
+                raise ConfigurationError(
+                    "pull polls on the engine over a static, lossless network: "
+                    "drop churn, failures, adaptive, message loss and "
+                    "kernel='scalar', or the pull config"
+                )
 
     def with_(self, **overrides) -> "SimulationConfig":
         """Return a copy with the given fields replaced."""

@@ -32,6 +32,7 @@ from repro.core.dissemination.filtering import forward_distributed
 from repro.engine.builder import SimulationSetup
 from repro.engine.results import SimulationResult
 from repro.engine.simulation import SimulationBase
+from repro.errors import ConfigurationError
 from repro.sim.kernel import Simulator
 from repro.sim.queueing import FifoStation
 
@@ -54,6 +55,8 @@ class DisseminationSimulation(SimulationBase):
         policy: DisseminationPolicy | None = None,
         observer=None,
     ):
+        if setup.config.pull is not None:
+            raise ConfigurationError("pull runs on the engine, not the reference")
         super().__init__(setup, observer)
         self.policy = policy if policy is not None else make_policy(setup.config.policy)
         self.kernel = Simulator()

@@ -237,6 +237,8 @@ class ReconfigurationCore:
         lela: The run's :class:`LelaInputs` (with churn or adaptive).
         loss: The run's :class:`LinkLoss`, drawn after the down-link
             test (``None``: nothing is lost).
+        polls: The ``(repository, item)`` pairs that poll the source
+            instead of riding :attr:`graph` (``setup.polls``).
 
     Attributes:
         graph: The current graph, never mutated: a join inserts into a
@@ -244,7 +246,8 @@ class ReconfigurationCore:
         source: The node that roots every item's tree.
         members: ``repository -> InterestProfile``, the current members
             in join order with their current requirements (initially
-            the graph's repositories, in graph order).
+            the graph's repositories, in graph order, then the polling
+            ones).
         parent_of: ``(child, item) -> (parent, serve coherency)`` for
             every wired edge, kept current by :meth:`apply_diff`.
         home_parent: ``(child, item) -> parent`` in :attr:`graph`;
@@ -278,6 +281,7 @@ class ReconfigurationCore:
         adaptive=None,
         lela: LelaInputs | None = None,
         loss: LinkLoss | None = None,
+        polls=(),
     ) -> None:
         # The plane owns its core, never the reverse: a proxy keeps the
         # pair acyclic, so a finished run (arrays, logs and all) is freed
@@ -291,6 +295,7 @@ class ReconfigurationCore:
         self.adaptive = adaptive
         self.lela = lela
         self.loss = loss
+        self.polls = polls
         self.observer = None
         self.crashed: set[int] = set()
         self.departed: set[int] = set()
@@ -305,7 +310,11 @@ class ReconfigurationCore:
         }
         self.home_parent = {key: edge[0] for key, edge in self.parent_of.items()}
         self.serving: dict[tuple[int, int], list[tuple]] = {}
-        self.members = {repo: profiles[repo] for repo in graph.nodes if repo != source}
+        self.members = {
+            repo: profiles[repo]
+            for repo in (*graph.nodes, *(repo for repo, _item in polls))
+            if repo != source
+        }
         self.segments: dict[tuple[int, int], list[list]] = {}
         for repo, profile in profiles.items():
             if repo not in self.members:
@@ -332,6 +341,7 @@ class ReconfigurationCore:
             adaptive=None if config.adaptive is None else AdaptiveController(config.adaptive),
             lela=LelaInputs.of(config, setup.network, setup.effective_degree),
             loss=LinkLoss(config.seed, p) if (p := config.message_loss_probability) else None,
+            polls=setup.polls,
         )
 
     def wire_initial(self, traces) -> None:
@@ -343,8 +353,10 @@ class ReconfigurationCore:
         Each child's log is created and primed with the item's initial
         value as entry 0 (no delivery, never served, not a :meth:`sync`)
         before its edge is wired with that value as last-sent, and its
-        clients are served from entry 1 on.  Nothing is charged: the
-        first wiring is where the run starts, not a reconfiguration.
+        clients are served from entry 1 on.  A polling pair is created
+        and primed the same way, after the graph, with no edge; its
+        clients are served at its own tolerance.  Nothing is charged:
+        the first wiring is where the run starts, not a reconfiguration.
         """
         store, graph = self.store, self.graph
         for item_id, trace in traces.items():
@@ -354,6 +366,9 @@ class ReconfigurationCore:
                     store.log(child, item_id, create=True).extend((0.0, initial))
                     store.wire(node, child, item_id, c, initial)
                     self._serve_from(child, item_id, c)
+        for repo, item_id in self.polls:
+            store.log(repo, item_id, create=True).extend((0.0, traces[item_id].initial_value))
+            self._serve_from(repo, item_id, self.profiles[repo].requirements[item_id])
 
     # ------------------------------------------------------------------
     # The control timeline

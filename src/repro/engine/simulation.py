@@ -117,10 +117,10 @@ from repro.core.dissemination.filtering import (
 )
 from repro.core.metrics import ArrayCounters, CostCounters
 from repro.engine.builder import SimulationSetup, build_setup
-from repro.engine.config import SimulationConfig
+from repro.engine.config import TTR_GROW_S, TTR_SHRINK, SimulationConfig
 from repro.engine.reconfig import ReconfigurationCore
 from repro.engine.results import SimulationResult
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.traces.schedule import UpdateSchedule
 
 __all__ = [
@@ -155,6 +155,10 @@ class SimulationBase:
     """
 
     def __init__(self, setup: SimulationSetup, observer=None):
+        if observer is not None and setup.config.pull is not None:
+            raise ConfigurationError(
+                "an observer records push spans only; run pull unobserved"
+            )
         self.setup = setup
         self.observer = observer
         self.counters = CostCounters()
@@ -375,6 +379,32 @@ class VectorizedSimulation(SimulationBase):
                 core.apply(*controls.popleft())
             return controls[0][0] if controls else inf
 
+        pull = self.setup.config.pull
+        polls = self.setup.polls
+        if polls:
+            # A poll is three heap tuples, ``(time, seq, desk, value, hop,
+            # pair, 0)``, addressed to the source's poll desk, a group with
+            # no log: a delivery always goes to a wired pair, which has
+            # one, so the delivery branch tells the two apart by the log.
+            # Hop 0: the request leaves the repository; 1: it reaches the
+            # source; 2: the response lands.
+            desk = self._group(source, -1)
+            traces, delay_s = self.setup.traces, self.setup.network.delay_s
+            poll_log = [self._deliveries[pair] for pair in polls]
+            poll_up = [delay_s(repo, source) for repo, _item in polls]
+            poll_down = [delay_s(source, repo) for repo, _item in polls]
+            poll_value = [traces[item_id].value_at for _repo, item_id in polls]
+            poll_c = [self.setup.profiles[repo].requirements[x] for repo, x in polls]
+            poll_ttr = [pull.ttr_s] * len(polls)
+            end_s = max(float(trace.times[-1]) for trace in traces.values())
+            for p in range(len(polls)):
+                # De-phased first polls, so the repositories do not all
+                # hit the source in the same instant.
+                at = (p % 97) / 97.0 * pull.ttr_s
+                if at <= end_s:
+                    seq += 1
+                    heappush(heap, (at, seq, desk, 0.0, 0, p, 0))
+
         next_control = apply_controls(-inf)
         while True:
             if heap and not next_source <= heap[0][0]:
@@ -401,13 +431,54 @@ class VectorizedSimulation(SimulationBase):
                                 "departed" if node in departed else "crash",
                             )
                         continue
+                log = g_log[gid]
+                if log is None:
+                    # A poll's hop: ``tag`` is the hop, ``update_id`` the pair.
+                    p = update_id
+                    if tag == 0:
+                        # The request is one message of the repository's.
+                        node_messages[polls[p][0]] += 1
+                        seq += 1
+                        heappush(heap, (t + poll_up[p], seq, gid, value, 1, p, 0))
+                    elif tag == 1:
+                        # Delivered at the source, it waits on the queue
+                        # push forwards use: one check and one computational
+                        # delay, then the response leaves with the value
+                        # the source holds by then.
+                        deliveries += 1
+                        backlog = busy[source]
+                        done = (t if t > backlog else backlog) + comp_delay
+                        busy[source] = done
+                        source_checks += 1
+                        node_checks[source] += 1
+                        source_messages += 1
+                        node_messages[source] += 1
+                        value = poll_value[p](min(done, end_s))
+                        seq += 1
+                        heappush(heap, (done + poll_down[p], seq, gid, value, 2, p, 0))
+                    else:
+                        # The response is a delivery into the pair's log;
+                        # the next poll goes one TTR later, the TTR shrunk
+                        # by a change beyond the pair's tolerance and grown
+                        # by a quiet one, within its bounds.
+                        deliveries += 1
+                        log = poll_log[p]
+                        if abs(value - log[-1]) > poll_c[p]:
+                            ttr = max(pull.ttr_min_s, poll_ttr[p] * TTR_SHRINK)
+                        else:
+                            ttr = min(pull.ttr_max_s, poll_ttr[p] + TTR_GROW_S)
+                        poll_ttr[p] = ttr
+                        log.append(t)
+                        log.append(value)
+                        if t + ttr <= end_s:
+                            seq += 1
+                            heappush(heap, (t + ttr, seq, gid, 0.0, 0, p, 0))
+                    continue
                 deliveries += 1
                 if observer is not None:
                     observer.on_deliver(update_id, item_of[gid], t, node_of[gid])
-                log = g_log[gid]
-                if log is not None:
-                    log.append(t)
-                    log.append(value)
+                log.append(t)
+                log.append(value)
             elif cursor < n_static:
                 # A fresh source update; the static schedule index is
                 # the update's stable trace id.
@@ -541,11 +612,18 @@ class VectorizedSimulation(SimulationBase):
         core.serve_clients(self.setup.client_tolerances, self.setup.traces)
         # The reference runs each source update, control-timeline entry
         # and delivery as one discrete event; here every push is one
-        # popped delivery, the controls were applied inline and the
-        # leaf landings at their push sites, so the count is their sum.
-        return self._score(
-            schedule.span, n_static + seq + core.applied + landed
-        )
+        # popped delivery or poll hop, the controls were applied inline
+        # and the leaf landings at their push sites, so the count is
+        # their sum.
+        result = self._score(schedule.span, n_static + seq + core.applied + landed)
+        if pull is not None:
+            pairs = sum(len(profile) for profile in self.setup.profiles.values())
+            result.extras.update(
+                push_pairs=pairs - len(polls),
+                pull_pairs=len(polls),
+                polls=sum(len(self._deliveries[pair]) // 2 - 1 for pair in polls),
+            )
+        return result
 
     def _observe_group(
         self, gid: int, update_id: int, t: float, value: float, tag, departure: float

@@ -22,10 +22,10 @@ all requested experiments' plans through one deduplicated
 :func:`~repro.engine.sweep.fan_out`, backed by a content-addressed
 :class:`~repro.experiments.cache.ResultCache`: a config shared by
 several figures is simulated once, and a warm rerun skips simulation
-entirely.  Points outside the config grid (pull and hybrid variants,
-trace statistics) go through the same lookup, fan-out and store via
-:meth:`ExperimentContext.run`.  Collected payloads are persisted as
-schema-versioned JSON artifacts per experiment.
+entirely.  Points outside the config grid (trace statistics) go through
+the same lookup, fan-out and store via :meth:`ExperimentContext.run`.
+Collected payloads are persisted as schema-versioned JSON artifacts per
+experiment.
 
 Discoverability is wired into the CLI::
 
@@ -203,7 +203,7 @@ class ExperimentContext:
     ) -> list[Any]:
         """``[worker(p) for p in points]`` through the sweep points' cached,
         deduplicated fan-out, for collect-phase work outside the config
-        grid (pull, hybrid, trace statistics).
+        grid (trace statistics).
 
         ``keys[i]`` is the content key of ``points[i]``; ``worker`` must
         be a module-level function of its input only.
@@ -381,8 +381,8 @@ class ExecutionStats:
         distinct: Unique configs after cross-experiment deduplication.
         cache_hits: Distinct configs answered from the result cache.
         simulated: Distinct configs actually simulated this run.
-        aux_hits / aux_computed: Collect-phase auxiliary points (pull,
-            hybrid, trace statistics) answered from cache / computed.
+        aux_hits / aux_computed: Collect-phase auxiliary points (trace
+            statistics) answered from cache / computed.
     """
 
     planned: int = 0

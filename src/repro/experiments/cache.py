@@ -45,7 +45,7 @@ __all__ = [
 
 #: Bump when cached result shapes change incompatibly; old entries are
 #: simply never looked at again (they live under the old version dir).
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 #: Environment variable overriding the default on-disk cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

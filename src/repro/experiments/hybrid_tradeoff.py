@@ -7,29 +7,20 @@ per-dependent state everywhere).  The interesting region is the paper's
 own stringent/lax boundary ($0.1): stringent subscriptions genuinely
 need push, lax ones barely notice pull staleness.
 
-Each threshold point is fully determined by ``(config, threshold)``, so
-the sweep fans out over ``jobs`` workers and is cached content-addressed
-exactly like plain sweep points.
+Each threshold is one planned engine run: the push config with a
+:class:`~repro.engine.config.PullConfig` at that threshold, whose lax
+subscriptions poll with an adaptive 1-60 s TTR.  Polls and push forwards
+share the source's queue.
 """
 
 from __future__ import annotations
 
-from repro.engine.config import SimulationConfig
-from repro.engine.hybrid import run_hybrid_simulation
-from repro.engine.sweep import recycled_setup
+from repro.engine.config import PullConfig, SimulationConfig
 from repro.experiments import api
 from repro.experiments.defaults import DEFAULT_THRESHOLDS
 from repro.experiments.runner import ExperimentResult, Series, report
 
 __all__ = ["SPEC"]
-
-
-def _run_hybrid_point(point: tuple[SimulationConfig, float]):
-    """Worker entry: one hybrid simulation, deterministic in its inputs."""
-    config, threshold = point
-    return run_hybrid_simulation(
-        config, threshold_c=threshold, base=recycled_setup(config)
-    )
 
 
 def _config(ctx: api.ExperimentContext) -> SimulationConfig:
@@ -40,29 +31,29 @@ def _config(ctx: api.ExperimentContext) -> SimulationConfig:
     )
 
 
-def _plan(ctx: api.ExperimentContext):
-    # The hybrid planes have their own driver; nothing rides the plain
-    # config-sweep fan-out.
-    return ()
+def _plan(ctx: api.ExperimentContext) -> tuple[SimulationConfig, ...]:
+    config = _config(ctx)
+    return tuple(
+        config.with_(
+            pull=PullConfig(
+                ttr_s=10.0, ttr_min_s=1.0, ttr_max_s=60.0,
+                threshold_c=threshold,
+            )
+        )
+        for threshold in ctx.params["thresholds"]
+    )
 
 
 def _collect(ctx: api.ExperimentContext, results) -> ExperimentResult:
-    config = _config(ctx)
     thresholds = ctx.params["thresholds"]
-
-    hybrids = ctx.run(
-        keys=[("hybrid", config, threshold) for threshold in thresholds],
-        points=[(config, threshold) for threshold in thresholds],
-        worker=_run_hybrid_point,
-    )
     losses: list[float] = []
     messages: list[float] = []
     push_shares: list[float] = []
-    for result in hybrids:
+    for result in results:
         losses.append(result.loss_of_fidelity)
         messages.append(float(result.messages))
-        total = result.push_pairs + result.pull_pairs
-        push_shares.append(100.0 * result.push_pairs / total if total else 0.0)
+        push, pull = result.extras["push_pairs"], result.extras["pull_pairs"]
+        push_shares.append(100.0 * push / (push + pull) if push + pull else 0.0)
 
     out = ExperimentResult(
         name="Extension: push-pull hybrid threshold trade-off",

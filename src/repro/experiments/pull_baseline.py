@@ -13,17 +13,14 @@ source with poll traffic; long TTRs are cheap but stale; adaptive TTR
 sits between; cooperative push dominates the fidelity-per-message
 trade-off because repositories share the dissemination work.
 
-The push run rides the shared config-sweep plane; the pull variants are
-their own deterministic points -- ``(config, TTR policy)`` fully
-determines each -- so they fan out over ``jobs`` workers and are cached
-content-addressed exactly like sweep points.
+Every system is one planned engine run: a pull variant is the push
+config with a :class:`~repro.engine.config.PullConfig` whose threshold
+sends every subscription to poll.
 """
 
 from __future__ import annotations
 
-from repro.engine.config import SimulationConfig
-from repro.engine.pull import TtrConfig, run_pull_simulation
-from repro.engine.sweep import recycled_setup
+from repro.engine.config import PullConfig, SimulationConfig
 from repro.experiments import api
 from repro.experiments.defaults import DEFAULT_TTRS
 from repro.experiments.runner import ExperimentResult, Series
@@ -31,20 +28,14 @@ from repro.experiments.runner import ExperimentResult, Series
 __all__ = ["SPEC"]
 
 
-def _run_pull_point(point: tuple[SimulationConfig, TtrConfig]):
-    """Worker entry: one pull simulation, deterministic in its inputs."""
-    config, ttr = point
-    return run_pull_simulation(recycled_setup(config), ttr)
-
-
-def _variants(ctx: api.ExperimentContext) -> list[tuple[str, TtrConfig]]:
+def _variants(ctx: api.ExperimentContext) -> list[tuple[str, PullConfig]]:
     variants = [
-        (f"pull ttr={ttr:g}s", TtrConfig(mode="fixed", ttr_s=ttr))
+        (f"pull ttr={ttr:g}s", PullConfig(ttr_s=ttr))
         for ttr in ctx.params["ttrs_s"]
     ]
     variants.append(
         ("pull adaptive",
-         TtrConfig(mode="adaptive", ttr_s=10.0, ttr_min_s=1.0, ttr_max_s=60.0))
+         PullConfig(ttr_s=10.0, ttr_min_s=1.0, ttr_max_s=60.0))
     )
     return variants
 
@@ -58,28 +49,14 @@ def _config(ctx: api.ExperimentContext) -> SimulationConfig:
 
 
 def _plan(ctx: api.ExperimentContext):
-    return (_config(ctx),)
+    config = _config(ctx)
+    return (config, *(config.with_(pull=pull) for _label, pull in _variants(ctx)))
 
 
 def _collect(ctx: api.ExperimentContext, results) -> ExperimentResult:
-    config = _config(ctx)
-    push = results[0]
-
-    labels: list[str] = ["push (coop)"]
-    losses: list[float] = [push.loss_of_fidelity]
-    messages: list[float] = [float(push.messages)]
-
-    variants = _variants(ctx)
-    pulls = ctx.run(
-        keys=[("pull", config, ttr) for _label, ttr in variants],
-        points=[(config, ttr) for _label, ttr in variants],
-        worker=_run_pull_point,
-    )
-    for (label, _ttr), result in zip(variants, pulls):
-        labels.append(label)
-        losses.append(result.loss_of_fidelity)
-        messages.append(float(result.messages))
-
+    labels = ["push (coop)"] + [label for label, _pull in _variants(ctx)]
+    losses = [result.loss_of_fidelity for result in results]
+    messages = [float(result.messages) for result in results]
     return ExperimentResult(
         name="Extension: push vs. pull (fixed / adaptive TTR)",
         xlabel="system",

@@ -65,7 +65,12 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.fleet.quiescence import QuiescenceDetector, Snapshot, residual
 from repro.fleet.sharding import check_worker_count
 from repro.fleet.worker import FleetSpec, WorkerReport, worker_main
-from repro.live.harness import LiveRunResult, check_duration, check_pacing
+from repro.live.harness import (
+    LiveRunResult,
+    check_duration,
+    check_pacing,
+    check_push_only,
+)
 from repro.live.wire import QUIESCE_TIMEOUT_S, reconcile, wall_factor
 from repro.obs.logsetup import get_logger
 
@@ -201,6 +206,7 @@ def merge_reports(
 def _validate(spec: FleetSpec, sever_at_s: float | None) -> None:
     """Refuse, before any process starts, what the fleet cannot run."""
     config = spec.config
+    check_push_only(config)
     check_duration(spec.duration)
     if config.churn is not None:
         raise ConfigurationError(

@@ -37,6 +37,7 @@ __all__ = [
     "build_live_network",
     "check_duration",
     "check_pacing",
+    "check_push_only",
     "run_live",
 ]
 
@@ -246,6 +247,15 @@ def check_duration(duration: float | None) -> None:
         raise ConfigurationError(f"duration must be positive, got {duration!r}")
 
 
+def check_push_only(config: SimulationConfig) -> None:
+    """Refuse a pull config: the live planes' nodes push, and polls run
+    on the engine only."""
+    if config.pull is not None:
+        raise ConfigurationError(
+            "the live planes run push only; run a pull config on the engine"
+        )
+
+
 def check_pacing(
     time_scale: float, heartbeat_interval_s: float, jitter_ms: float = 0.0
 ) -> None:
@@ -346,8 +356,10 @@ def run_live(
 
     Raises:
         ConfigurationError: before anything runs, on an unknown transport,
-            a bad duration or pacing.
+            a bad duration or pacing, or a pull config (polls run on the
+            engine only).
     """
+    check_push_only(config)
     check_duration(duration)
     check_pacing(time_scale, heartbeat_interval_s, jitter_ms)
     if transport not in ("inprocess", "tcp"):

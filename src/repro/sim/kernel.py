@@ -4,9 +4,8 @@
 args)`` tuples on a plain :mod:`heapq` list, released in ``(time, push
 order)`` -- ``seq`` is unique, so the heap orders entries in C and never
 compares two callbacks.  The reference engine in
-:mod:`repro.engine.oracle` and the pull baseline in
-:mod:`repro.engine.pull` schedule plain callbacks on it, and the live
-planes' due queue, :class:`repro.live.wire.DueQueue`, is the same heap
+:mod:`repro.engine.oracle` schedules plain callbacks on it (and so does
+the tests' per-event pull reference), and the live planes' due queue, :class:`repro.live.wire.DueQueue`, is the same heap
 with a wall clock beside the virtual one (its virtual clock is what the
 in-process transport runs on).
 
@@ -15,7 +14,8 @@ per message, just one merge of a pre-sorted static schedule with a
 plain tuple heap of dynamic work, in the same ``(time, seq)`` order,
 yielded one unit per generator resume.  The engine
 (:mod:`repro.engine.simulation`) runs the same merge inline in its own
-loop, with no resume per event; this class stays as the stand-alone
+loop, with no resume per event, and runs a pull run's polls as rows on
+that heap; this class stays as the stand-alone
 statement of that order, which the perf ledger's frozen
 ``sim.batchkernel.ns_per_unit`` probe times and the substrate
 properties pin.

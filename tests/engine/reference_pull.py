@@ -1,29 +1,15 @@
-"""Pull-based dissemination baselines (the paper's Section 8 outlook).
+"""The per-event pull reference the engine's polls are checked against.
 
-The paper's architecture is push-based; its conclusions point at pull,
-adaptive push-pull combinations and leases as alternatives (citing
-Srinivasan et al.'s TTR work).  This module implements the pull side so
-the comparison can actually be run:
-
-- **Fixed TTR**: every repository polls the source for every item of
-  interest once per *time to refresh*.  Cheap to implement, but the TTR
-  must be guessed: too long loses fidelity, too short floods the source
-  with poll traffic (each poll costs the source the same serialised
-  computational delay an update push would).
-- **Adaptive TTR**: the classic multiplicative-decrease /
-  additive-increase adaptation — when a poll reveals a change larger
-  than the repository's tolerance the TTR shrinks (the item is hot);
-  quiet polls let it grow back toward the maximum.
-
-Both poll the *source directly* (no cooperation), which is exactly why
-push through a cooperative d3g wins at scale: the pull source does
-O(repositories x items) work where the push source does O(degree).
+Every repository polls the source for every item of its profile once
+per time to refresh, on its own :class:`~repro.sim.kernel.Simulator`
+and :class:`~repro.sim.queueing.FifoStation`: three callbacks per poll,
+no cooperation.  The engine runs the same polls as rows on its own
+heap (``repro.engine.simulation``); ``test_pull.py`` holds the two
+equal, field for field.  Run on a pure-pull setup
+(``PullConfig.threshold_c == 0``), whose profiles are all polled.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 from repro.core.fidelity import (
     FidelityAccumulator,
@@ -32,57 +18,9 @@ from repro.core.fidelity import (
 )
 from repro.core.metrics import CostCounters
 from repro.engine.builder import SimulationSetup
-from repro.errors import ConfigurationError
+from repro.engine.config import TTR_GROW_S, TTR_SHRINK, PullConfig
 from repro.sim.kernel import Simulator
 from repro.sim.queueing import FifoStation
-
-__all__ = ["TtrConfig", "PullSimulation", "run_pull_simulation"]
-
-
-@dataclass(frozen=True)
-class TtrConfig:
-    """Time-to-refresh policy parameters.
-
-    Attributes:
-        mode: ``"fixed"`` or ``"adaptive"``.
-        ttr_s: The fixed TTR, and the adaptive variant's initial TTR.
-        ttr_min_s: Adaptive lower bound (hot items poll this fast).
-        ttr_max_s: Adaptive upper bound (quiet items back off to this).
-        shrink: Multiplicative decrease applied on a tolerance-exceeding
-            change (0 < shrink < 1).
-        grow: Additive increase (seconds) applied after a quiet poll.
-    """
-
-    mode: str = "fixed"
-    ttr_s: float = 10.0
-    ttr_min_s: float = 1.0
-    ttr_max_s: float = 60.0
-    shrink: float = 0.5
-    grow: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("fixed", "adaptive"):
-            raise ConfigurationError(
-                f"mode must be 'fixed' or 'adaptive', got {self.mode!r}"
-            )
-        for name in ("ttr_s", "ttr_min_s", "ttr_max_s", "shrink", "grow"):
-            # NaN passes the one-sided checks below, and a non-finite
-            # TTR schedules a poll the simulator refuses mid-run.
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(
-                    f"{name} must be finite, got {getattr(self, name)!r}"
-                )
-        if self.ttr_s <= 0:
-            raise ConfigurationError(f"ttr_s must be positive, got {self.ttr_s!r}")
-        if not 0 < self.ttr_min_s <= self.ttr_max_s:
-            raise ConfigurationError(
-                f"need 0 < ttr_min_s <= ttr_max_s, got "
-                f"({self.ttr_min_s!r}, {self.ttr_max_s!r})"
-            )
-        if not 0.0 < self.shrink < 1.0:
-            raise ConfigurationError(f"shrink must be in (0, 1), got {self.shrink!r}")
-        if self.grow < 0.0:
-            raise ConfigurationError(f"grow must be >= 0, got {self.grow!r}")
 
 
 class PullSimulation:
@@ -94,7 +32,7 @@ class PullSimulation:
     the request*.  Two messages are charged per poll.
     """
 
-    def __init__(self, setup: SimulationSetup, ttr: TtrConfig) -> None:
+    def __init__(self, setup: SimulationSetup, ttr: PullConfig) -> None:
         self.setup = setup
         self.ttr = ttr
         self.kernel = Simulator()
@@ -124,6 +62,7 @@ class PullSimulation:
         # The source spends one computational delay per served poll,
         # serialised with every other poll it is handling.
         done = self._source_station.submit(self.kernel.now, self._comp_delay_s)
+        self.counters.record_delivery()  # the request reached the source
         self.counters.record_check(self.setup.source, is_source=True)
         trace = self.setup.traces[item_id]
         value = trace.value_at(min(done, self._end_s))
@@ -140,13 +79,12 @@ class PullSimulation:
         log.append(value)
 
         ttr = self._current_ttr[key]
-        if self.ttr.mode == "adaptive":
-            c = self.setup.profiles[repo].requirements[item_id]
-            if abs(value - previous) > c:
-                ttr = max(self.ttr.ttr_min_s, ttr * self.ttr.shrink)
-            else:
-                ttr = min(self.ttr.ttr_max_s, ttr + self.ttr.grow)
-            self._current_ttr[key] = ttr
+        c = self.setup.profiles[repo].requirements[item_id]
+        if abs(value - previous) > c:
+            ttr = max(self.ttr.ttr_min_s, ttr * TTR_SHRINK)
+        else:
+            ttr = min(self.ttr.ttr_max_s, ttr + TTR_GROW_S)
+        self._current_ttr[key] = ttr
         self._schedule_poll(repo, item_id, self.kernel.now + ttr)
 
     # ------------------------------------------------------------------
@@ -193,13 +131,7 @@ class PullSimulation:
             events_processed=self.kernel.events_processed,
             sim_span_s=span,
             extras={
-                "mode": f"pull-{self.ttr.mode}",
                 "ttr_s": self.ttr.ttr_s,
                 "per_pair_loss": per_pair,
             },
         )
-
-
-def run_pull_simulation(setup: SimulationSetup, ttr: TtrConfig):
-    """Convenience wrapper mirroring :func:`repro.engine.run_simulation`."""
-    return PullSimulation(setup, ttr).run()

@@ -341,10 +341,3 @@ def test_schedule_referencing_unknown_repository_rejected():
     schedule = ChurnSchedule((ChurnEvent.depart(10.0, 9999),))
     with pytest.raises(ConfigurationError):
         build_setup(BASE.with_(churn=schedule))
-
-
-def test_hybrid_rejects_churn():
-    from repro.engine.hybrid import run_hybrid_simulation
-
-    with pytest.raises(ConfigurationError):
-        run_hybrid_simulation(churned(joins=1))

@@ -2,8 +2,8 @@
 
 Two ``append`` calls per delivery and no ``(time, value)`` object: the
 engine's delivery and leaf-landing branches, the reconfiguration core's
-initial-sync and resync, the reference oracle, the pull baseline and
-the live nodes all write the same layout, and the tuple view
+initial-sync and resync, the reference oracle, the engine's poll
+responses and the live nodes all write the same layout, and the tuple view
 (``delivery_log``) and the held value (``current_value``) are read off
 it.  A plane that went back to one tuple per delivery fails here.
 """
@@ -12,9 +12,8 @@ import pytest
 
 from repro.engine.builder import build_setup
 from repro.engine.churn import schedule_for_config
-from repro.engine.config import SCALE_PRESETS
+from repro.engine.config import SCALE_PRESETS, PullConfig
 from repro.engine.failures import failures_for_config
-from repro.engine.pull import PullSimulation, TtrConfig
 from repro.engine.simulation import make_simulation
 from repro.live.harness import build_live_network, run_live
 
@@ -71,12 +70,11 @@ def test_oracle_appends_flat():
 
 
 def test_pull_appends_flat():
-    sim = PullSimulation(build_setup(TINY), TtrConfig(mode="adaptive", ttr_s=5.0))
+    pull = PullConfig(ttr_s=5.0, ttr_min_s=1.0, ttr_max_s=60.0, threshold_c=0.1)
+    sim = make_simulation(build_setup(TINY.with_(pull=pull)))
     sim.run()
-    assert sim._deliveries
-    assert any(len(log) > 2 for log in sim._deliveries.values())
-    for log in sim._deliveries.values():
-        assert_flat(log)
+    assert_engine_layout(sim)
+    assert any(len(sim._deliveries[pair]) > 2 for pair in sim.setup.polls)
 
 
 @pytest.mark.live

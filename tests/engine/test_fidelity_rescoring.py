@@ -21,9 +21,8 @@ from repro.core.dissemination.filtering import FILTERED_POLICIES
 from repro.core.fidelity import FidelityAccumulator, scoring_windows
 from repro.engine.builder import build_setup
 from repro.engine.churn import schedule_for_config
-from repro.engine.config import SCALE_PRESETS
+from repro.engine.config import SCALE_PRESETS, PullConfig
 from repro.engine.failures import failures_for_config
-from repro.engine.pull import PullSimulation, TtrConfig
 from repro.engine.simulation import make_simulation
 from repro.live.harness import build_live_network, run_live
 
@@ -89,14 +88,9 @@ def test_a_run_scores_as_the_per_pair_reference(plane, policy, mix):
     _assert_rescored(result, per_pair)
 
 
-def test_a_pull_run_scores_as_the_per_pair_reference():
-    setup = build_setup(BASE)
-    simulation = PullSimulation(setup, TtrConfig(ttr_s=5.0))
-    result = simulation.run()
-    windows = scoring_windows(setup.traces)
-    segments = {
-        (repo, item_id): [(windows[item_id][0], None, setup.profiles[repo].requirements[item_id])]
-        for repo, item_id in simulation._deliveries
-    }
-    per_pair = rescore(setup.traces, simulation._deliveries, segments, windows)
-    _assert_rescored(result, per_pair)
+@pytest.mark.parametrize("threshold_c", [0.0, 0.1], ids=["pull", "hybrid"])
+def test_a_pull_run_scores_as_the_per_pair_reference(threshold_c):
+    config = BASE.with_(pull=PullConfig(ttr_s=5.0, threshold_c=threshold_c))
+    result, traces, segments, log = _engine(config)
+    logs = {pair: log(*pair) for pair in segments}
+    _assert_rescored(result, rescore(traces, logs, segments, scoring_windows(traces)))

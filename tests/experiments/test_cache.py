@@ -18,7 +18,8 @@ from repro.experiments.cache import ResultCache, fingerprint
 TINY = dict(n_items=6, trace_samples=300)
 
 #: A light but representative slice of the full registry run: a plain sweep figure, a
-#: non-sweep payload (table1), and both auxiliary planes (pull, hybrid).
+#: non-sweep payload (table1, the one auxiliary point), and the pull and hybrid
+#: sweep points.
 SUBSET = ["table1", "figure11", "pull_baseline", "hybrid_tradeoff"]
 
 
@@ -163,9 +164,9 @@ def test_no_cache_forces_recomputation():
     second = _run_subset(cache=None)
     assert second.stats.simulated == second.stats.distinct > 0
     assert second.stats.cache_hits == 0
-    # Auxiliary planes are counted cache or no cache: 4 pull variants,
-    # 5 hybrid thresholds, 1 table1 statistics point.
-    assert second.stats.aux_computed == 10
+    # Auxiliary points are counted cache or no cache: the one table1
+    # statistics point (pull and hybrid points are sweep points).
+    assert second.stats.aux_computed == 1
     assert second.stats.aux_hits == 0
     assert first.payloads == second.payloads
 
@@ -179,11 +180,13 @@ def test_cache_does_not_leak_across_different_configs(tmp_path):
 
 def test_parallel_and_serial_share_the_cache(tmp_path):
     """jobs=N and jobs=1 produce (and reuse) identical entries, for
-    sweep points and auxiliary points (pull, hybrid, table1) alike."""
+    sweep points and auxiliary points (table1) alike."""
     cache = ResultCache(tmp_path)
     parallel = _run_subset(cache, jobs=2)
-    assert parallel.stats.simulated == 2  # figure11's two points
-    assert parallel.stats.aux_computed == 10
+    # figure11's two points, 4 pull variants (pull_baseline's push point is
+    # one of figure11's) and 5 hybrid thresholds.
+    assert parallel.stats.simulated == 11
+    assert parallel.stats.aux_computed == 1
     assert parallel.payloads == _run_subset(cache=None).payloads
     before = cache.stats.snapshot()
     serial = _run_subset(cache, jobs=1)
@@ -191,4 +194,4 @@ def test_parallel_and_serial_share_the_cache(tmp_path):
     assert serial.stats.total_simulated == 0
     assert serial.stats.aux_computed == 0
     # Every point answered warm.
-    assert cache.stats.hits - before.hits == 2 + 10
+    assert cache.stats.hits - before.hits == 11 + 1

@@ -23,26 +23,26 @@ from repro.workloads import ReplayWorkload
 #: ``name -> (len(plan), plan_fingerprint(plan)[:16])`` at ``tiny`` defaults.
 PLANS = {
     "table1": (0, "5701f19b34e3fec0"),
-    "figure3": (49, "e97e83b84e8f3a29"),
-    "figure5": (42, "e510197fb5df7ba6"),
-    "figure6": (42, "02ebf2ea2debe287"),
-    "figure7": (133, "55b37d8e3cbd77f5"),
-    "figure8": (14, "9327389f2fa033f4"),
-    "figure9": (56, "9ea021965f478d7f"),
-    "figure10": (28, "7ed2aac44dd39140"),
-    "figure11": (2, "b9cfa8b7646f6a47"),
-    "scalability": (3, "ae49ac4771ca3774"),
-    "sensitivity": (8, "0163618b1f8093c5"),
-    "pull_baseline": (1, "621d8ea09bef04fa"),
-    "hybrid_tradeoff": (0, "5701f19b34e3fec0"),
-    "churn_resilience": (8, "f41e4cc32df0c749"),
-    "failure_resilience": (8, "cf70e9e364ea495f"),
+    "figure3": (49, "d95ab24bd0f071dd"),
+    "figure5": (42, "666ab600fbc27848"),
+    "figure6": (42, "681414e1f84a6355"),
+    "figure7": (133, "b9891062f7491ae9"),
+    "figure8": (14, "7c31f3398f6ecadd"),
+    "figure9": (56, "7355d7c1061c4664"),
+    "figure10": (28, "e0c10ef74e0933f8"),
+    "figure11": (2, "dda795fb9e9b5198"),
+    "scalability": (3, "19663f069505b80b"),
+    "sensitivity": (8, "0856eb9ffd5f8ede"),
+    "pull_baseline": (5, "0c28c77e9fd3d1f6"),
+    "hybrid_tradeoff": (5, "1c3c0196ee762205"),
+    "churn_resilience": (8, "66e27e1d2eef4232"),
+    "failure_resilience": (8, "0856d0f785e82181"),
     # The replay configs embed the corpus directory, which sits under the
     # cache root; digested with the path cut to its content-addressed
     # last component (see ``_portable``).
-    "workload_sensitivity": (16, "371ca88b27c5e4a4"),
-    "adaptive_tradeoff": (18, "a5873a9869fb2275"),
-    "live_crosscheck": (28, "927867505e16ac9b"),
+    "workload_sensitivity": (16, "d3f3e89895872a78"),
+    "adaptive_tradeoff": (18, "78f71c0714ecf425"),
+    "live_crosscheck": (28, "8b42996f1ec618fe"),
 }
 
 #: ``(name, kind, default)`` of every grid figure's parameters, in order.

@@ -321,7 +321,9 @@ def test_cli_experiments_warm_rerun_skips_simulation(capsys, tmp_path):
     cold = capsys.readouterr().out
     cli_main(argv)
     warm = capsys.readouterr().out
-    assert "0 cached, 7 simulated]" in cold  # 2 sweep + 4 pull + 1 table1
+    # 2 figure11 points, pull_baseline's 4 pull variants (its push point
+    # is one of figure11's) and 1 table1 statistics point.
+    assert "0 cached, 7 simulated]" in cold
     assert "7 cached, 0 simulated]" in warm
 
     def stable(text: str) -> list[str]:
@@ -421,6 +423,21 @@ def test_cli_run_clients_print_the_default_commands_client_lines(command, capsys
     assert lines[2] == "modeled clients       : 60"
     checks, serves = lines[3].split(": ")[1].split("/")
     assert int(checks) >= int(serves) > 0
+
+
+def test_cli_fleet_loss_reaches_the_fleets_config(monkeypatch):
+    import repro.fleet
+
+    class Captured(Exception):
+        pass
+
+    def run_fleet(config, **_keywords):
+        raise Captured(config)
+
+    monkeypatch.setattr(repro.fleet, "run_fleet", run_fleet)
+    with pytest.raises(Captured) as captured:
+        cli_main(["fleet", "run", "--workers", "2", "--loss", "0.2"])
+    assert captured.value.args[0].message_loss_probability == 0.2
 
 
 def test_cli_live_options_do_not_clobber_top_level():
