@@ -4,8 +4,8 @@ Runs the experiment registry (the ``experiments run --preset tiny``
 workload, :data:`UNCACHED` aside) through the unified execution plane
 twice against one cache directory:
 
-- **cold**: every distinct sweep point and auxiliary point (pull,
-  hybrid, trace statistics) is simulated and stored;
+- **cold**: every distinct sweep point (pull and hybrid variants
+  included) is simulated and stored;
 - **warm** (under the benchmark timer): every point must be answered
   from the cache -- the acceptance bar is *zero new simulations* -- and
   every payload must be bit-identical to the cold run's.
@@ -26,7 +26,7 @@ from repro.experiments import api
 from repro.experiments.cache import ResultCache
 
 #: Keep CI latency bounded while still exercising every registered
-#: experiment, both auxiliary planes and the replay-corpus path.
+#: experiment, table1's statistics and the replay-corpus path.
 TINY_OVERRIDES = dict(n_items=6, trace_samples=400)
 
 #: Warm lookups are pure disk reads; even against a cold OS page cache

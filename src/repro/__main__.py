@@ -509,7 +509,7 @@ def _experiments_run(args) -> None:
     stats = report.stats
     print(f"\n[all done in {time.time() - start:.1f}s: "
           f"{stats.planned} planned points, {stats.distinct} distinct, "
-          f"{stats.total_cached} cached, {stats.total_simulated} simulated]")
+          f"{stats.cache_hits} cached, {stats.total_simulated} simulated]")
     if report.artifacts:
         print(f"\n[artifacts: {artifacts_dir}]")
 
@@ -548,7 +548,7 @@ def _live_run(args) -> None:
         if "heartbeats" in result.extras:
             print(f"heartbeats/reconnects     : "
                   f"{result.extras['heartbeats']}"
-                  f"/{result.extras['reconnects']}")
+                  f"/{result.extras.get('reconnects', 0)}")
     if args.adaptive is not None:
         print(f"drift ticks/triggered     : "
               f"{result.extras.get('adaptive_ticks', 0)}"

@@ -265,4 +265,6 @@ class DisseminationSimulation(SimulationBase):
         ):
             self.kernel.schedule_at(t, self._on_source_update, item_id, v, update_id)
         self.kernel.run()
-        return self._score(schedule.span, self.kernel.events_processed)
+        return SimulationResult.scored(
+            self.setup, self._reconfig, schedule.span, self.kernel.events_processed
+        )

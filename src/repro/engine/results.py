@@ -1,4 +1,4 @@
-"""Result containers and aggregation for simulation runs."""
+"""The result of one run, on the engine or any live plane."""
 
 from __future__ import annotations
 
@@ -24,7 +24,9 @@ class SimulationResult:
             (after Eq. 2 clamping, when controlled cooperation is on).
         avg_comm_delay_ms: Measured average node-to-node delay input to
             Eq. (2).
-        events_processed: Discrete events executed by the kernel.
+        events_processed: Discrete events executed -- source updates,
+            control-timeline entries, deliveries and a pull run's poll
+            hops -- by the kernel or a live plane's due queue.
         sim_span_s: Observation-window length (trace span).
         extras: Free-form per-experiment additions.
     """
@@ -38,6 +40,35 @@ class SimulationResult:
     events_processed: int
     sim_span_s: float
     extras: dict = field(default_factory=dict)
+
+    @classmethod
+    def scored(
+        cls, setup, core, span: float, events_processed: int,
+        duration: float | None = None, **more,
+    ) -> "SimulationResult":
+        """The result a run of ``setup`` left in its reconfiguration
+        ``core``, on any plane: the core's segments scored over the
+        delivery logs (inside the window ``duration`` truncates to), its
+        counters and extras, the graph it ended on, and the setup's
+        degree and delay.  ``more`` holds a subclass's own fields."""
+        accumulator, per_pair = core.score(setup.traces, duration)
+        return cls(
+            loss_of_fidelity=accumulator.system_loss(),
+            per_repository_loss=accumulator.per_repository(),
+            counters=core.counters,
+            # Adaptive runs report the graph they *ended* on.
+            tree_stats=core.graph.stats(),
+            effective_degree=setup.effective_degree,
+            avg_comm_delay_ms=setup.avg_comm_delay_ms,
+            events_processed=events_processed,
+            sim_span_s=span,
+            extras={
+                "per_pair_loss": per_pair,
+                "workload": setup.config.workload.name,
+                **core.extras(),
+            },
+            **more,
+        )
 
     @property
     def fidelity(self) -> float:

@@ -20,8 +20,8 @@ Semantics (DESIGN.md §5):
 :class:`VectorizedSimulation` is **the** engine -- what
 :func:`make_simulation` returns for every run.  Its sibling under
 :class:`SimulationBase` (the setup, the counters, the reconfiguration
-core, the delivery logs and the scoring) is the per-event **reference**
-in :mod:`repro.engine.oracle` -- one ``Event`` object, one callback
+core and the delivery logs) is the per-event **reference** in
+:mod:`repro.engine.oracle` -- one ``Event`` object, one callback
 dispatch and one policy-object call per message -- which
 ``kernel="scalar"`` reaches, for debugging;
 ``tests/engine/test_vectorized_golden.py`` pins bit-identical results
@@ -133,8 +133,9 @@ __all__ = [
 
 class SimulationBase:
     """What the engine and its reference oracle share: one built setup,
-    the run's counters and reconfiguration core, the per-pair delivery
-    logs and the fidelity scoring over them.
+    the run's counters and reconfiguration core and the per-pair delivery
+    logs, which :meth:`SimulationResult.scored
+    <repro.engine.results.SimulationResult.scored>` scores.
 
     A subclass is the core's edge store (``wire`` / ``unwire`` /
     ``unsubscribe`` / ``message_counts`` over its own tables) and
@@ -206,25 +207,6 @@ class SimulationBase:
         if schedule is None:
             schedule = UpdateSchedule.from_traces(self.setup.traces)
         return schedule
-
-    def _score(self, span: float, events_processed: int) -> SimulationResult:
-        accumulator, per_pair = self._reconfig.score(self.setup.traces)
-        extras: dict = {
-            "per_pair_loss": per_pair,
-            "workload": self.setup.config.workload.name,
-            **self._reconfig.extras(),
-        }
-        return SimulationResult(
-            loss_of_fidelity=accumulator.system_loss(),
-            per_repository_loss=accumulator.per_repository(),
-            counters=self.counters,
-            tree_stats=self._reconfig.graph.stats(),
-            effective_degree=self.setup.effective_degree,
-            avg_comm_delay_ms=self.setup.avg_comm_delay_ms,
-            events_processed=events_processed,
-            sim_span_s=span,
-            extras=extras,
-        )
 
     def delivery_log(self, repo: int, item_id: int) -> list[tuple[float, float]]:
         """The (time, value) receive log for one repository/item pair.
@@ -615,7 +597,9 @@ class VectorizedSimulation(SimulationBase):
         # popped delivery or poll hop, the controls were applied inline
         # and the leaf landings at their push sites, so the count is
         # their sum.
-        result = self._score(schedule.span, n_static + seq + core.applied + landed)
+        result = SimulationResult.scored(
+            self.setup, core, schedule.span, n_static + seq + core.applied + landed
+        )
         if pull is not None:
             pairs = sum(len(profile) for profile in self.setup.profiles.values())
             result.extras.update(

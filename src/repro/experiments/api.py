@@ -22,10 +22,8 @@ all requested experiments' plans through one deduplicated
 :func:`~repro.engine.sweep.fan_out`, backed by a content-addressed
 :class:`~repro.experiments.cache.ResultCache`: a config shared by
 several figures is simulated once, and a warm rerun skips simulation
-entirely.  Points outside the config grid (trace statistics) go through
-the same lookup, fan-out and store via :meth:`ExperimentContext.run`.
-Collected payloads are persisted as schema-versioned JSON artifacts per
-experiment.
+entirely.  Collected payloads are persisted as schema-versioned JSON
+artifacts per experiment.
 
 Discoverability is wired into the CLI::
 
@@ -175,44 +173,19 @@ class ExperimentContext:
         preset: Scale-preset name (``tiny`` / ``small`` / ``paper``).
         params: Resolved, validated parameter values (schema defaults
             filled in).
-        jobs: Worker processes for any fan-out the experiment performs.
         cache: Content-addressed result cache, or ``None`` (disabled).
         overrides: Raw :class:`SimulationConfig` field overrides applied
             on top of the preset.
-        stats: When set, auxiliary points (:meth:`run`) are tallied here,
-            cache or no cache, so run summaries report what was
-            actually computed.
     """
 
     preset: str = "small"
     params: Mapping[str, Any] = field(default_factory=dict)
-    jobs: int | None = 1
     cache: ResultCache | None = None
     overrides: Mapping[str, Any] = field(default_factory=dict)
-    stats: "ExecutionStats | None" = None
 
     def base_config(self) -> SimulationConfig:
         """The preset config with the context's overrides applied."""
         return preset_config(self.preset, **dict(self.overrides))
-
-    def run(
-        self,
-        keys: Sequence[Any],
-        points: Sequence[Any],
-        worker: Callable[[Any], Any],
-    ) -> list[Any]:
-        """``[worker(p) for p in points]`` through the sweep points' cached,
-        deduplicated fan-out, for collect-phase work outside the config
-        grid (trace statistics).
-
-        ``keys[i]`` is the content key of ``points[i]``; ``worker`` must
-        be a module-level function of its input only.
-        """
-        values, distinct, hits = _execute(keys, points, worker, self.jobs, self.cache)
-        if self.stats is not None:
-            self.stats.aux_hits += hits
-            self.stats.aux_computed += distinct - hits
-        return values
 
 
 @dataclass(frozen=True)
@@ -224,9 +197,9 @@ class ExperimentSpec:
         description: One-line summary of the claim it reproduces.
         params: The typed parameter schema.
         plan: ``ctx -> tuple[SimulationConfig, ...]`` -- the frozen grid
-            of sweep points this experiment needs.  May be empty for
-            experiments driven entirely by auxiliary planes (Table 1's
-            trace statistics).
+            of sweep points this experiment needs.  May be empty for an
+            experiment that simulates nothing (Table 1's trace
+            statistics, computed in ``collect``).
         collect: ``(ctx, results) -> payload`` -- reduces the raw
             results (aligned 1:1 with the planned grid) into the
             experiment's output shape.
@@ -381,16 +354,12 @@ class ExecutionStats:
         distinct: Unique configs after cross-experiment deduplication.
         cache_hits: Distinct configs answered from the result cache.
         simulated: Distinct configs actually simulated this run.
-        aux_hits / aux_computed: Collect-phase auxiliary points (trace
-            statistics) answered from cache / computed.
     """
 
     planned: int = 0
     distinct: int = 0
     cache_hits: int = 0
     simulated: int = 0
-    aux_hits: int = 0
-    aux_computed: int = 0
 
     @property
     def deduplicated(self) -> int:
@@ -399,50 +368,11 @@ class ExecutionStats:
 
     @property
     def total_simulated(self) -> int:
-        """Simulations of any kind performed this run (0 on a warm rerun)."""
-        return self.simulated + self.aux_computed
-
-    @property
-    def total_cached(self) -> int:
-        """Points of any kind answered from the cache this run."""
-        return self.cache_hits + self.aux_hits
+        """Simulations performed this run (0 on a warm rerun)."""
+        return self.simulated
 
 
 _MISS = object()
-
-
-def _execute(
-    keys: Sequence[Any],
-    points: Sequence[Any],
-    worker: Callable[[Any], Any],
-    jobs: int | None,
-    cache: ResultCache | None,
-) -> tuple[list[Any], int, int]:
-    """Look up, compute and store every point: the one cached fan-out.
-
-    Points are deduplicated by key, cache hits are answered from
-    ``cache``, and the misses run through one
-    :func:`~repro.engine.sweep.fan_out` (bit-identical for every
-    ``jobs`` value) and are stored.
-
-    Returns:
-        ``(values aligned to keys, distinct keys, cache hits)``.
-    """
-    point_of = dict(zip(keys, points, strict=True))
-    values: dict[Any, Any] = {}
-    misses: list[Any] = []
-    for key in point_of:
-        value = _MISS if cache is None else cache.get(key, _MISS)
-        if value is _MISS:
-            misses.append(key)
-        else:
-            values[key] = value
-    computed = fan_out(worker, [point_of[key] for key in misses], jobs)
-    for key, value in zip(misses, computed):
-        values[key] = value
-        if cache is not None:
-            cache.put(key, value)
-    return [values[key] for key in keys], len(point_of), len(point_of) - len(misses)
 
 
 def execute_plan(
@@ -454,20 +384,30 @@ def execute_plan(
     """Run a config sequence through the deduplicated, cached fan-out.
 
     Results are aligned to the input order; duplicated configs share one
-    result object.  With a cache, previously simulated configs are
-    answered from disk; everything else is simulated (bit-identical for
-    every ``jobs`` value).
+    result object.  Configs are deduplicated, previously simulated ones
+    are answered from ``cache``, and the misses run through one
+    :func:`~repro.engine.sweep.fan_out` (bit-identical for every
+    ``jobs`` value) and are stored.
     """
     ordered = list(configs)
-    results, distinct, hits = _execute(
-        [("sim", config) for config in ordered], ordered, simulate, jobs, cache
-    )
+    results: dict[SimulationConfig, SimulationResult] = {}
+    misses: list[SimulationConfig] = []
+    for config in dict.fromkeys(ordered):
+        result = _MISS if cache is None else cache.get(("sim", config), _MISS)
+        if result is _MISS:
+            misses.append(config)
+        else:
+            results[config] = result
+    for config, result in zip(misses, fan_out(simulate, misses, jobs)):
+        results[config] = result
+        if cache is not None:
+            cache.put(("sim", config), result)
     if stats is not None:
         stats.planned += len(ordered)
-        stats.distinct += distinct
-        stats.cache_hits += hits
-        stats.simulated += distinct - hits
-    return results
+        stats.distinct += len(results)
+        stats.cache_hits += len(results) - len(misses)
+        stats.simulated += len(misses)
+    return [results[config] for config in ordered]
 
 
 def run_experiment(
@@ -536,10 +476,8 @@ def run_experiments(
         ctx = ExperimentContext(
             preset=preset,
             params=spec.resolve_params(params_by_name.get(spec.name)),
-            jobs=jobs,
             cache=cache,
             overrides=dict(overrides or {}),
-            stats=report.stats,
         )
         ctxs[spec.name] = ctx
         plans[spec.name] = tuple(spec.plan(ctx))

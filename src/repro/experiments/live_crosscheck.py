@@ -28,6 +28,7 @@ from repro.core.dissemination.filtering import FILTERED_POLICIES
 from repro.engine.adaptive import AdaptivePolicy
 from repro.engine.churn import schedule_for_config
 from repro.engine.failures import failures_for_config
+from repro.engine.results import SimulationResult
 from repro.errors import ConfigurationError, RefutedError
 from repro.experiments import api
 from repro.obs.logsetup import get_logger
@@ -136,14 +137,14 @@ def expected(plane: str, feature: str) -> str:
 
 
 def compare(sim, live) -> list[str]:
-    """What differs between an engine result and a live one: each shared
-    dataclass field (a dataclass value named field by field), then each
-    ``extras`` key both carry.  Empty when the two runs agree."""
-    live_fields = {f.name for f in dataclasses.fields(live)}
+    """What differs between an engine result and a live one: each
+    :class:`~repro.engine.results.SimulationResult` field (a dataclass
+    value named field by field), then each ``extras`` key both carry.
+    Empty when the two runs agree."""
     differs = [
         name
-        for f in dataclasses.fields(sim)
-        if f.name in live_fields and f.name != "extras"
+        for f in dataclasses.fields(SimulationResult)
+        if f.name != "extras"
         for name in _differs(f.name, getattr(sim, f.name), getattr(live, f.name))
     ]
     return differs + [

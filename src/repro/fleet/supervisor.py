@@ -122,11 +122,11 @@ def merge_reports(
 ) -> LiveRunResult:
     """Fold per-worker reports into one fleet-wide result.
 
-    Pure and deterministic over the report list: counters add, fidelity
-    re-accumulates from the per-pair losses, the network's shape is read
-    off the source owner's report (the one that carries it), and both
-    conservation invariants are restored by attributing the residual
-    in-flight count to drops.
+    Pure and deterministic over the report list: counters and event
+    counts add, fidelity re-accumulates from the per-pair losses, the
+    network's shape is read off the source owner's report (the one that
+    carries it), and both conservation invariants are restored by
+    attributing the residual in-flight count to drops.
 
     Raises:
         SimulationError: when the fleet delivered more than it sent or
@@ -135,7 +135,7 @@ def merge_reports(
     """
     counters = CostCounters()
     pairs: list[tuple[tuple[int, int], float]] = []
-    sent = delivered = dropped = 0
+    sent = delivered = dropped = events = 0
     span = 0.0
     tree_stats, effective_degree, avg_comm_delay_ms = None, 0, 0.0
     for report in reports:
@@ -147,6 +147,7 @@ def merge_reports(
         sent += report.sent
         delivered += report.delivered
         dropped += report.dropped
+        events += report.events_processed
         span = max(span, report.span_s)
         pairs.extend(report.per_pair_loss.items())
     # Fidelity adds the pairs in the engine's order -- the core's
@@ -193,6 +194,7 @@ def merge_reports(
         tree_stats=tree_stats,
         effective_degree=effective_degree,
         avg_comm_delay_ms=avg_comm_delay_ms,
+        events_processed=events,
         sim_span_s=span,
         transport="fleet",
         wall_seconds=wall_seconds,

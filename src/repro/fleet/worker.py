@@ -23,8 +23,7 @@ queue against it, and nodes *process* each message at its logical
 ``arrival_s`` stamp (the runtime's one delivery convention), not
 through the wall-clock slop of N racing processes -- the moment a
 worker takes to read ``start`` included.  That is what lets a fleet run
-agree with the single-process run on fidelity to within a fraction of a
-point.
+read the engine's fidelity exactly.
 
 Liveness and recovery come with the runtime's links (versioned
 ``Hello`` with a connection generation, heartbeats, reconnect with
@@ -125,6 +124,8 @@ class WorkerReport:
     n_local_nodes: int = 0
     span_s: float = 0.0
     wall_seconds: float = 0.0
+    #: Source updates and deliveries the shard's due queue released.
+    events_processed: int = 0
     counters: CostCounters = field(default_factory=CostCounters)
     per_pair_loss: dict = field(default_factory=dict)
     #: Trace spans recorded on this shard (empty unless ``spec.trace``);
@@ -299,6 +300,7 @@ class _Shard(WireRuntime):
         report.wall_seconds = time.perf_counter() - self.wall_start
         report.queue_stalls = sum(link.queue.stalls for link in self.links.values())
         report.protocol_errors = self.server.protocol_errors
+        report.events_processed = self.due.events_processed
         core, setup = network.reconfig, network.setup
         core.serve_clients(setup.client_tolerances, setup.traces, only=self.local_repos)
         # The supervisor re-accumulates fidelity from the pairs.

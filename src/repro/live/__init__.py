@@ -29,8 +29,8 @@ length-prefixed protocol of :mod:`repro.live.protocol`: packed rows for
 data, JSON for control).  :func:`~repro.live.harness.run_live`
 turns an unchanged :class:`~repro.engine.config.SimulationConfig` into
 a running network and collects a
-:class:`~repro.live.harness.LiveRunResult` shaped like
-:class:`~repro.engine.results.SimulationResult`.
+:class:`~repro.live.harness.LiveRunResult`, the engine's
+:class:`~repro.engine.results.SimulationResult` plus the wire's tallies.
 """
 
 from repro.live.harness import LiveRunResult, build_live_network, run_live

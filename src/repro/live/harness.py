@@ -1,31 +1,31 @@
 """Turn a :class:`~repro.engine.config.SimulationConfig` into a running
-live network and collect a simulator-shaped result.
+live network and collect the engine's result type.
 
 :func:`build_live_network` reuses the engine's builder verbatim -- the
 same seeded topology, workload traces, interest profiles and LeLA-built
 ``d3g`` a simulation run would use -- and wires them into sans-io nodes
 (:mod:`repro.live.nodes`).  :func:`run_live` drives the network on the
 wire its transport name picks (:mod:`repro.live.transport`) and scores
-*observed* fidelity from the delivery logs with the same
-:func:`~repro.core.fidelity.loss_of_fidelity` computation the simulator
-uses, returning a :class:`LiveRunResult` shaped like
-:class:`~repro.engine.results.SimulationResult` so experiments can
-compare the two planes field by field (the ``live_crosscheck``
-table does exactly that, with ``==``).
+*observed* fidelity from the delivery logs with the engine's own
+epilogue (:meth:`~repro.engine.results.SimulationResult.scored`),
+returning a :class:`LiveRunResult`: a
+:class:`~repro.engine.results.SimulationResult` plus the wire's
+tallies, so experiments compare the two planes field by field (the
+``live_crosscheck`` table does exactly that, with ``==``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.dissemination.filtering import EdgeFilter, StaircaseTagger
 from repro.core.metrics import CostCounters
-from repro.core.tree import TreeStats
 from repro.engine.builder import SimulationSetup, build_setup
 from repro.engine.config import SimulationConfig
 from repro.engine.reconfig import ReconfigurationCore
+from repro.engine.results import SimulationResult
 from repro.errors import ConfigurationError
 from repro.live.nodes import RepositoryNode, SourceNode
 from repro.live.transport import TcpWire, VirtualWire
@@ -42,70 +42,34 @@ __all__ = [
 ]
 
 
-@dataclass
-class LiveRunResult:
-    """Everything one live run produced, simulator-shaped.
+@dataclass(kw_only=True)
+class LiveRunResult(SimulationResult):
+    """Everything one live run produced: an engine result, observed.
 
-    The first block of attributes mirrors
-    :class:`~repro.engine.results.SimulationResult` field for field so
-    sim and live runs can be compared directly; the second block adds
-    the wire-level accounting only a real network has.
+    Every :class:`~repro.engine.results.SimulationResult` field means
+    what it means on the engine -- ``loss_of_fidelity`` is the loss
+    *observed* in the delivery logs, ``events_processed`` the source
+    updates, control entries and deliveries the due queue released --
+    so a sim and a live run compare field by field.  What only a wire
+    has is added here.
 
     Attributes:
-        loss_of_fidelity: System-wide mean *observed* loss of fidelity,
-            percent (0 is perfect).
-        per_repository_loss: Mean observed loss per repository.
-        counters: Message/check accounting; the modeled clients'
-            service is its ``client_checks`` / ``client_messages``.
-        tree_stats: Shape of the ``d3g`` the network ran.
-        effective_degree: Degree of cooperation enforced by the build.
-        avg_comm_delay_ms: Mean node-to-node delay of the topology.
-        sim_span_s: Observation-window length in simulated seconds.
-        transport: Transport name (``inprocess`` or ``tcp``).
+        transport: Transport name (``inprocess``, ``tcp`` or ``fleet``).
         wall_seconds: Wall-clock duration of the run.
         sent / delivered / dropped: Wire-level message conservation
             (``sent == delivered + dropped`` always holds at rest).
-        extras: Free-form additions (per-pair loss, reconfiguration
-            and wire tallies).
     """
 
-    loss_of_fidelity: float
-    per_repository_loss: dict[int, float]
-    counters: CostCounters
-    tree_stats: TreeStats
-    effective_degree: int
-    avg_comm_delay_ms: float
-    sim_span_s: float
     transport: str
     wall_seconds: float
     sent: int
     delivered: int
     dropped: int
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def fidelity(self) -> float:
-        """System observed fidelity in percent (100 = perfect)."""
-        return 100.0 - self.loss_of_fidelity
-
-    @property
-    def messages(self) -> int:
-        """Repository-plane update messages sent (sim-comparable)."""
-        return self.counters.messages
 
     @property
     def conserved(self) -> bool:
         """Message conservation: every send was delivered or dropped."""
         return self.sent == self.delivered + self.dropped
-
-    def summary(self) -> str:
-        """One-line human-readable digest."""
-        return (
-            f"loss={self.loss_of_fidelity:.2f}% "
-            f"messages={self.counters.messages} "
-            f"delivered={self.delivered} dropped={self.dropped} "
-            f"transport={self.transport} wall={self.wall_seconds:.2f}s"
-        )
 
 
 class LiveNetwork:
@@ -370,41 +334,26 @@ def run_live(
         network = build_live_network(config)
     start = time.perf_counter()
     if transport == "inprocess":
-        stats = VirtualWire(network, jitter_ms).run(duration)
+        wire = VirtualWire(network, jitter_ms)
+        stats = wire.run(duration)
     else:
-        stats = asyncio.run(
-            TcpWire(network, time_scale, heartbeat_interval_s).run(duration)
-        )
+        wire = TcpWire(network, time_scale, heartbeat_interval_s)
+        stats = asyncio.run(wire.run(duration))
     wall = time.perf_counter() - start
 
-    core = network.reconfig
-    setup = network.setup
+    core, setup = network.reconfig, network.setup
     core.serve_clients(setup.client_tolerances, setup.traces)
-    accumulator, per_pair = core.score(setup.traces, duration)
-    extras: dict = {
-        "per_pair_loss": per_pair,
-        "workload": config.workload.name,
-        "policy": config.policy,
-    }
-    extras.update(core.extras())
-    if core.failures is not None:
-        if stats.heartbeats:
-            extras["heartbeats"] = stats.heartbeats
-        if stats.reconnects:
-            extras["reconnects"] = stats.reconnects
-    return LiveRunResult(
-        loss_of_fidelity=accumulator.system_loss(),
-        per_repository_loss=accumulator.per_repository(),
-        counters=network.counters,
-        # Adaptive runs report the graph they *ended* on, like the engine.
-        tree_stats=core.graph.stats(),
-        effective_degree=network.setup.effective_degree,
-        avg_comm_delay_ms=network.setup.avg_comm_delay_ms,
-        sim_span_s=network.span(duration),
+    result = LiveRunResult.scored(
+        setup, core, network.span(duration), wire.due.events_processed, duration,
         transport=transport,
         wall_seconds=wall,
         sent=stats.sent,
         delivered=stats.delivered,
         dropped=stats.dropped,
-        extras=extras,
     )
+    if core.failures is not None:
+        if stats.heartbeats:
+            result.extras["heartbeats"] = stats.heartbeats
+        if stats.reconnects:
+            result.extras["reconnects"] = stats.reconnects
+    return result

@@ -18,8 +18,8 @@ from repro.experiments.cache import ResultCache, fingerprint
 TINY = dict(n_items=6, trace_samples=300)
 
 #: A light but representative slice of the full registry run: a plain sweep figure, a
-#: non-sweep payload (table1, the one auxiliary point), and the pull and hybrid
-#: sweep points.
+#: non-sweep payload (table1's trace statistics), and the pull and hybrid sweep
+#: points.
 SUBSET = ["table1", "figure11", "pull_baseline", "hybrid_tradeoff"]
 
 
@@ -103,18 +103,6 @@ def test_result_cache_treats_corruption_as_miss(tmp_path):
     assert cache.get("key", default="fallback") == "fallback"
 
 
-def test_context_run_computes_once(tmp_path):
-    ctx = api.ExperimentContext(
-        cache=ResultCache(tmp_path), stats=api.ExecutionStats()
-    )
-    calls = []
-    for _ in range(2):
-        values = ctx.run(["k", "k"], [41, 41], lambda p: calls.append(1) or p + 1)
-    assert values == [42, 42]
-    assert calls == [1]  # deduplicated within a run, then a cache hit
-    assert (ctx.stats.aux_computed, ctx.stats.aux_hits) == (1, 1)
-
-
 # ---------------------------------------------------- warm == cold
 
 
@@ -164,10 +152,6 @@ def test_no_cache_forces_recomputation():
     second = _run_subset(cache=None)
     assert second.stats.simulated == second.stats.distinct > 0
     assert second.stats.cache_hits == 0
-    # Auxiliary points are counted cache or no cache: the one table1
-    # statistics point (pull and hybrid points are sweep points).
-    assert second.stats.aux_computed == 1
-    assert second.stats.aux_hits == 0
     assert first.payloads == second.payloads
 
 
@@ -179,19 +163,16 @@ def test_cache_does_not_leak_across_different_configs(tmp_path):
 
 
 def test_parallel_and_serial_share_the_cache(tmp_path):
-    """jobs=N and jobs=1 produce (and reuse) identical entries, for
-    sweep points and auxiliary points (table1) alike."""
+    """jobs=N and jobs=1 produce (and reuse) identical entries."""
     cache = ResultCache(tmp_path)
     parallel = _run_subset(cache, jobs=2)
     # figure11's two points, 4 pull variants (pull_baseline's push point is
     # one of figure11's) and 5 hybrid thresholds.
     assert parallel.stats.simulated == 11
-    assert parallel.stats.aux_computed == 1
     assert parallel.payloads == _run_subset(cache=None).payloads
     before = cache.stats.snapshot()
     serial = _run_subset(cache, jobs=1)
     assert serial.payloads == parallel.payloads
     assert serial.stats.total_simulated == 0
-    assert serial.stats.aux_computed == 0
     # Every point answered warm.
-    assert cache.stats.hits - before.hits == 11 + 1
+    assert cache.stats.hits - before.hits == 11

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.dissemination.filtering import FILTERED_POLICIES
 from repro.core.metrics import CostCounters
+from repro.engine.results import SimulationResult
 from repro.errors import ConfigurationError, RefutedError
 from repro.experiments import api, live_crosscheck
 from repro.experiments.live_crosscheck import (
@@ -31,6 +32,7 @@ from repro.experiments.live_crosscheck import (
     SPEC,
     STRICT_DEFECTS,
     TIME_SCALE,
+    compare,
     expected,
     fault,
 )
@@ -311,3 +313,40 @@ def test_a_plane_raising_a_configuration_error_refuses_the_cell(monkeypatch):
         "inprocess × centralized × static: refused where exact is declared "
         "(not on this plane)"
     ) in str(error.value)
+
+
+# -- compare reads every field of the result ---------------------------------
+
+
+#: Every field of the result, a counter as ``counters.NAME``.
+FIELDS = [
+    f.name for f in dataclasses.fields(SimulationResult) if f.name != "counters"
+] + [f"counters.{f.name}" for f in dataclasses.fields(CostCounters)]
+
+
+def _other(value):
+    """A value of ``value``'s shape that differs from it: one number
+    moved, down through a dataclass's first field or a dict's first key."""
+    if dataclasses.is_dataclass(value):
+        first = dataclasses.fields(value)[0].name
+        return dataclasses.replace(value, **{first: _other(getattr(value, first))})
+    if isinstance(value, dict):
+        key = next(iter(value))
+        return {**value, key: _other(value[key])}
+    if isinstance(value, str):
+        return value + "-moved"
+    return value + 1
+
+
+@pytest.mark.parametrize("path", FIELDS)
+def test_compare_names_every_field_of_the_result(path):
+    sim = _inprocess("distributed")
+    live = copy.deepcopy(sim)
+    owner, _, name = path.rpartition(".")
+    target = getattr(live, owner) if owner else live
+    setattr(target, name, _other(getattr(target, name)))
+    assert compare(sim, copy.deepcopy(sim)) == []
+    assert any(
+        differ == path or differ.startswith((f"{path}.", f"{path}["))
+        for differ in compare(sim, live)
+    ), compare(sim, live)

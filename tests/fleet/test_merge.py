@@ -20,10 +20,11 @@ def test_cross_worker_counts_only_conserve_in_the_sum():
     # delivered those 4 plus 2 of its own 3.  One frame is in flight.
     merged = merge_reports(
         [
-            _report(0, sent=10, delivered=6),
-            _report(1, sent=3, delivered=6),
+            _report(0, sent=10, delivered=6, events_processed=9),
+            _report(1, sent=3, delivered=6, events_processed=6),
         ]
     )
+    assert merged.events_processed == 15  # each worker's releases, added
     assert merged.sent == 13
     assert merged.delivered == 12
     assert merged.dropped == 1  # the in-flight residual, charged as a drop

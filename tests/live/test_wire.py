@@ -149,11 +149,12 @@ def test_a_declined_action_keeps_its_key_and_holds_back_what_is_behind_it():
         await until(lambda: len(released) == 4)
         task.cancel()
         await asyncio.gather(task, return_exceptions=True)
-        return held, released
+        return held, released, due.events_processed
 
-    held, released = run(scenario())
+    held, released, events = run(scenario())
     assert held == ["control"]
     assert released == ["control", "earlier", "control", "behind"]
+    assert events == 3  # the decline is not an event
 
 
 # ---- Link + FrameServer ----
@@ -173,10 +174,11 @@ def test_due_queue_wall_run_never_moves_the_virtual_clock():
         return due
 
     due = run(scenario())
-    assert due.now == -math.inf and due.events_processed == 0
+    # Both count what they release.
+    assert due.now == -math.inf and due.events_processed == 1
     due.push(-1.0, print)  # so a frame due before 5.0 is still accepted
     due.drain()  # only the virtual drain moves the clock
-    assert due.now == -1.0 and due.events_processed == 1
+    assert due.now == -1.0 and due.events_processed == 2
 
 
 def test_due_queue_wall_now_reads_simulated_seconds_since_the_epoch():

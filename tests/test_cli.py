@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` CLI."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -321,10 +322,10 @@ def test_cli_experiments_warm_rerun_skips_simulation(capsys, tmp_path):
     cold = capsys.readouterr().out
     cli_main(argv)
     warm = capsys.readouterr().out
-    # 2 figure11 points, pull_baseline's 4 pull variants (its push point
-    # is one of figure11's) and 1 table1 statistics point.
-    assert "0 cached, 7 simulated]" in cold
-    assert "7 cached, 0 simulated]" in warm
+    # 2 figure11 points and pull_baseline's 4 pull variants (its push
+    # point is one of figure11's); table1 plans no point.
+    assert "0 cached, 6 simulated]" in cold
+    assert "6 cached, 0 simulated]" in warm
 
     def stable(text: str) -> list[str]:
         return [line for line in text.splitlines()
@@ -373,6 +374,16 @@ def test_cli_live_run_inprocess(capsys):
     assert "transport=inprocess" in out
     assert "observed loss of fidelity" in out
     assert "conserved=True" in out
+
+
+def test_cli_live_run_reports_heartbeats_with_no_reconnect(capsys):
+    # A partition alone severs no connection: probes, but no reconnect.
+    cli_main(["live", "run", "--preset", "tiny", "--transport", "tcp",
+              "--failures", "0,1", "--time-scale", "600",
+              "--heartbeat-interval", "0.05"])
+    out = capsys.readouterr().out
+    assert "(0 crashes, 1 partitions)" in out
+    assert re.search(r"heartbeats/reconnects +: [1-9]\d*/0$", out, re.MULTILINE)
 
 
 def test_cli_live_run_is_deterministic(capsys):

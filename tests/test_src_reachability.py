@@ -90,7 +90,6 @@ KEPT_FOR_OUTSIDE_CALLERS = {
     "Forward.from_update": "the perf ledger's frozen frame probe builds its frame with it",
     "ShardPlan.worker_of": "the perf ledger's frozen fleet workload counts cut edges",
     "SimulationResult.fidelity": "the paper's metric (100 - loss), the documented result field",
-    "LiveRunResult.fidelity": "mirrors SimulationResult.fidelity, field for field",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
