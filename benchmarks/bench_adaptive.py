@@ -43,10 +43,7 @@ def _base_config():
 
 
 def _assert_conserved(result):
-    assert (
-        result.counters.deliveries + result.counters.drops
-        == result.counters.messages
-    )
+    assert result.conserved
 
 
 def _best_of(config, repeats=3):

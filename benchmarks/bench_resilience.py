@@ -45,10 +45,7 @@ def _failed_config():
 
 
 def _assert_conserved(result):
-    assert (
-        result.counters.deliveries + result.counters.drops
-        == result.counters.messages
-    )
+    assert result.conserved
 
 
 def bench_failure_recovery_overhead(benchmark):

@@ -574,7 +574,7 @@ def _fleet_run(args) -> None:
               f"({result.counters.resync_checks}"
               f"/{result.counters.resync_messages})")
     if not result.conserved:
-        raise SystemExit("fleet run violated wire conservation")
+        raise SystemExit("fleet run violated message conservation")
 
 
 def _obs_run(args):

@@ -81,6 +81,13 @@ class SimulationResult:
         return self.counters.messages
 
     @property
+    def conserved(self) -> bool:
+        """Message conservation, on every plane: each message sent was
+        delivered or dropped."""
+        counters = self.counters
+        return counters.messages == counters.deliveries + counters.drops
+
+    @property
     def source_checks(self) -> int:
         """Checks performed at the source (Figure 11(a) metric)."""
         return self.counters.source_checks

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.engine.builder import SimulationSetup, build_setup
 from repro.engine.config import SimulationConfig
@@ -105,35 +105,31 @@ def _contiguous_chunks(items: Sequence[Any], n_chunks: int) -> list[list[Any]]:
     return chunks
 
 
-def _run_chunk(worker: Callable[[Any], Any], chunk: Sequence[Any]) -> list[Any]:
+def _run_chunk(chunk: Sequence[SimulationConfig]) -> list[SimulationResult]:
     """Worker-process entry point: run one chunk's points in order."""
-    return [worker(point) for point in chunk]
+    return [simulate(config) for config in chunk]
 
 
 def fan_out(
-    worker: Callable[[Any], Any], points: Sequence[Any], jobs: int | None = 1
-) -> list[Any]:
-    """``[worker(p) for p in points]``, one contiguous chunk per process.
+    points: Sequence[SimulationConfig], jobs: int | None = 1
+) -> list[SimulationResult]:
+    """``[simulate(p) for p in points]``, one contiguous chunk per process.
 
     Args:
-        worker: A module-level (picklable) function whose output depends
-            only on its input, so the result is the same for every
-            worker count.
-        points: The inputs, in the order the caller wants results back.
+        points: The configs, in the order the caller wants results back.
         jobs: Worker processes.  ``1`` runs everything serially
             in-process (no executor, no pickling); ``None`` or ``0`` use
             one worker per available CPU.
     """
     chunks = _contiguous_chunks(points, resolve_jobs(jobs))
     if len(chunks) == 1:
-        return _run_chunk(worker, points)
+        return _run_chunk(points)
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        done = pool.map(_run_chunk, [worker] * len(chunks), chunks)
-        return [result for chunk_results in done for result in chunk_results]
+        return [result for done in pool.map(_run_chunk, chunks) for result in done]
 
 
 def run_sweep(
-    configs: Iterable[SimulationConfig], jobs: int | None = 1
+    configs: Iterable[SimulationConfig], jobs: int | None = 1, cache=None
 ) -> list[SimulationResult]:
     """Run every config and return results aligned to the input order.
 
@@ -141,6 +137,10 @@ def run_sweep(
         configs: The sweep points, in the order the caller wants the
             results back.
         jobs: Worker processes to fan out over (see :func:`fan_out`).
+        cache: Optional result store with ``get(key)`` and ``put(key,
+            value)`` (an :class:`~repro.experiments.cache.ResultCache`),
+            keyed ``("sim", config)``: a config it holds is answered
+            from it, and every config simulated is stored in it.
 
     Returns:
         One :class:`SimulationResult` per input config, in input order.
@@ -149,6 +149,13 @@ def run_sweep(
     """
     ordered = list(configs)
     # Frozen dataclass => hashable; dict keys keep first-appearance order.
-    distinct = list(dict.fromkeys(ordered))
-    by_config = dict(zip(distinct, fan_out(simulate, distinct, jobs)))
-    return [by_config[config] for config in ordered]
+    results = dict.fromkeys(ordered)
+    if cache is not None:
+        for config in results:
+            results[config] = cache.get(("sim", config))
+    misses = [config for config, result in results.items() if result is None]
+    for config, result in zip(misses, fan_out(misses, jobs)):
+        results[config] = result
+        if cache is not None:
+            cache.put(("sim", config), result)
+    return [results[config] for config in ordered]

@@ -19,7 +19,7 @@ data rather than an ad-hoc module entry point.  A spec declares
 
 The unified runner (:func:`run_experiments`) executes the **union** of
 all requested experiments' plans through one deduplicated
-:func:`~repro.engine.sweep.fan_out`, backed by a content-addressed
+:func:`~repro.engine.sweep.run_sweep`, backed by a content-addressed
 :class:`~repro.experiments.cache.ResultCache`: a config shared by
 several figures is simulated once, and a warm rerun skips simulation
 entirely.  Collected payloads are persisted as schema-versioned JSON
@@ -44,7 +44,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.engine.config import SimulationConfig
 from repro.engine.results import SimulationResult
-from repro.engine.sweep import fan_out, simulate
+from repro.engine.sweep import run_sweep
 from repro.errors import ConfigurationError
 from repro.experiments.cache import ResultCache, fingerprint
 from repro.experiments.runner import preset_config
@@ -372,9 +372,6 @@ class ExecutionStats:
         return self.simulated
 
 
-_MISS = object()
-
-
 def execute_plan(
     configs: Sequence[SimulationConfig],
     jobs: int | None = 1,
@@ -384,30 +381,21 @@ def execute_plan(
     """Run a config sequence through the deduplicated, cached fan-out.
 
     Results are aligned to the input order; duplicated configs share one
-    result object.  Configs are deduplicated, previously simulated ones
-    are answered from ``cache``, and the misses run through one
-    :func:`~repro.engine.sweep.fan_out` (bit-identical for every
-    ``jobs`` value) and are stored.
+    result object.  It is :func:`~repro.engine.sweep.run_sweep` over
+    ``cache`` (bit-identical for every ``jobs`` value), plus the tally
+    of what it did into ``stats``.
     """
     ordered = list(configs)
-    results: dict[SimulationConfig, SimulationResult] = {}
-    misses: list[SimulationConfig] = []
-    for config in dict.fromkeys(ordered):
-        result = _MISS if cache is None else cache.get(("sim", config), _MISS)
-        if result is _MISS:
-            misses.append(config)
-        else:
-            results[config] = result
-    for config, result in zip(misses, fan_out(simulate, misses, jobs)):
-        results[config] = result
-        if cache is not None:
-            cache.put(("sim", config), result)
+    before = cache.stats.hits if cache is not None else 0
+    results = run_sweep(ordered, jobs, cache)
     if stats is not None:
+        distinct = len(dict.fromkeys(ordered))
+        hits = cache.stats.hits - before if cache is not None else 0
         stats.planned += len(ordered)
-        stats.distinct += len(results)
-        stats.cache_hits += len(results) - len(misses)
-        stats.simulated += len(misses)
-    return [results[config] for config in ordered]
+        stats.distinct += distinct
+        stats.cache_hits += hits
+        stats.simulated += distinct - hits
+    return results
 
 
 def run_experiment(

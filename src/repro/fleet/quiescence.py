@@ -3,18 +3,19 @@
 A fleet is quiet when no row is on a due heap, in a link queue or on
 the wire, and no anti-entropy session is open -- a fact about N
 processes at one instant that no process can observe.  What each worker
-can report is a snapshot of its own monotone counters, ``(sent,
-delivered, dropped)``, and its own ``pending`` (due heap, sessions,
-link queues).  :class:`QuiescenceDetector` decides from two *sets* of
-such snapshots (Mattern's four-counter rule):
+can report is a snapshot of its own monotone message counts -- its
+:class:`~repro.core.metrics.CostCounters`' ``(messages, deliveries,
+drops)`` -- and its own ``pending`` (due heap, sessions, link queues).
+:class:`QuiescenceDetector` decides from two *sets* of such snapshots
+(Mattern's four-counter rule):
 
 1. counters only grow;
 2. set 1 was complete at some instant ``T``, and every snapshot of
    set 2 was taken after ``T``;
 3. so if the two sets are equal, every worker's counters held those
    values *at* ``T``;
-4. and if they are conserved (``sent == delivered + dropped`` over the
-   fleet), every row sent had been processed or dropped at ``T`` --
+4. and if they are conserved (``messages == deliveries + drops`` over
+   the fleet), every row sent had been processed or dropped at ``T`` --
    nothing was in flight, and nodes only react, so nothing is later;
 5. what the counters do not cover is excluded beforehand (the source
    replay is through before the first snapshot is asked for) or is
@@ -23,7 +24,7 @@ such snapshots (Mattern's four-counter rule):
 One thing is in neither: the ``Hello`` of a reconnect.  It moves no
 counter, so the session it opens counts from the moment it is open and
 not while the ``Hello`` is on its way.  A severed link reconnects on its
-next write; when that write is a row, the row is in ``sent`` and the
+next write; when that write is a row, the row is in ``messages`` and the
 session is open before the row is delivered, and the rule holds.  When
 nothing is left to write but a heartbeat, the fleet may go quiet first
 and that link's resync does not happen.
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 __all__ = ["QuiescenceDetector", "Snapshot", "residual"]
 
-#: One worker's ``(sent, delivered, dropped, pending)``.
+#: One worker's ``(messages, deliveries, drops, pending)``.
 Snapshot = tuple[int, int, int, int]
 
 
@@ -72,11 +73,11 @@ class QuiescenceDetector:
         self._first: dict[int, Snapshot] = {}
         self._wave: dict[int, Snapshot] = {}
 
-    def push(self, worker: int, sent: int, delivered: int, dropped: int) -> None:
+    def push(self, worker: int, messages: int, deliveries: int, drops: int) -> None:
         """``worker`` went locally idle and said so: by saying it, it
         claims nothing pending, and a wave reply confirms the claim only
         with a ``pending`` of 0."""
-        self.pushed[worker] = (sent, delivered, dropped, 0)
+        self.pushed[worker] = (messages, deliveries, drops, 0)
         self._fresh = True
 
     def candidate(self) -> bool:
@@ -97,10 +98,10 @@ class QuiescenceDetector:
         self._fresh = False
 
     def answer(
-        self, worker: int, sent: int, delivered: int, dropped: int, pending: int
+        self, worker: int, messages: int, deliveries: int, drops: int, pending: int
     ) -> None:
         """``worker``'s snapshot for the open wave."""
-        self._wave[worker] = (sent, delivered, dropped, pending)
+        self._wave[worker] = (messages, deliveries, drops, pending)
 
     def quiet(self) -> bool:
         """Whether the completed wave confirms the candidate it was

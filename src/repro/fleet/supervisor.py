@@ -29,14 +29,12 @@ supervisor blocks on the pipes until a worker speaks; *when* the fleet
 is quiet is decided by :mod:`repro.fleet.quiescence` from the pushed
 snapshots and one confirming ``stats?`` wave.
 
-Conservation is enforced at the merge: a cross-worker frame is counted
-``sent`` by its sender and ``delivered`` by its receiver, so per-worker
-reports do not individually conserve -- only their sum can.  Whatever
-a timed-out quiescence wait leaves in flight is reconciled into
-``dropped`` (wire level) and ``counters.drops`` (repository-plane
-level), keeping both ``sent == delivered + dropped`` and ``messages ==
-deliveries + drops`` exact, the same invariants the single-process
-transports end with.
+Conservation is enforced at the merge: a cross-worker row is counted
+in its sender's ``messages`` and its receiver's ``deliveries``, so
+per-worker counters do not individually conserve -- only their sum
+can.  Whatever a timed-out quiescence wait leaves in flight is charged
+to the merged ``counters.drops``, keeping ``messages == deliveries +
+drops`` exact, the invariant the single-process transports end with.
 
 The fleet runs static membership: churn, failure schedules and
 adaptive re-optimization are rejected up front rather than silently
@@ -125,17 +123,16 @@ def merge_reports(
     Pure and deterministic over the report list: counters and event
     counts add, fidelity re-accumulates from the per-pair losses, the
     network's shape is read off the source owner's report (the one that
-    carries it), and both conservation invariants are restored by
-    attributing the residual in-flight count to drops.
+    carries it), and conservation is restored by charging the residual
+    in-flight count to the merged counters' drops.
 
     Raises:
-        SimulationError: when the fleet delivered more than it sent or
-            repositories recorded more deliveries than messages --
+        SimulationError: when the fleet delivered more than it sent --
             double counting no reconciliation should paper over.
     """
     counters = CostCounters()
     pairs: list[tuple[tuple[int, int], float]] = []
-    sent = delivered = dropped = events = 0
+    events = 0
     span = 0.0
     tree_stats, effective_degree, avg_comm_delay_ms = None, 0, 0.0
     for report in reports:
@@ -144,9 +141,6 @@ def merge_reports(
             effective_degree = report.effective_degree
             avg_comm_delay_ms = report.avg_comm_delay_ms
         counters.merge(report.counters)
-        sent += report.sent
-        delivered += report.delivered
-        dropped += report.dropped
         events += report.events_processed
         span = max(span, report.span_s)
         pairs.extend(report.per_pair_loss.items())
@@ -160,8 +154,8 @@ def merge_reports(
         accumulator.add(repo, item_id, loss)
     per_pair = dict(pairs)
 
-    # In flight at the finish line: the wire ate it, on both planes.
-    dropped = reconcile(sent, delivered, dropped, counters)
+    # In flight at the finish line: the wire ate it.
+    reconcile(counters)
 
     merged_extras: dict = {
         "per_pair_loss": per_pair,
@@ -198,9 +192,6 @@ def merge_reports(
         sim_span_s=span,
         transport="fleet",
         wall_seconds=wall_seconds,
-        sent=sent,
-        delivered=delivered,
-        dropped=dropped,
         extras=merged_extras,
     )
 

@@ -42,16 +42,17 @@ fd 2 before anything runs.
 The worker talks to the supervisor over a ``multiprocessing`` pipe:
 ``("ready", worker, port)`` after binding, then obeys ``start`` (port
 map + epoch), ``sever``, ``quiesce``, ``stats?`` and ``finish``.  It
-answers ``stats?`` at once with ``("stats", worker, sent, delivered,
-dropped, pending)`` and ``finish`` with ``("report", worker,
+answers ``stats?`` at once with ``("stats", worker, messages,
+deliveries, drops, pending)`` -- its counters' three message counts
+and what is pending -- and ``finish`` with ``("report", worker,
 WorkerReport)``; unasked, the source owner says ``("replay-done",
 worker)`` when the source schedule is through, and after ``quiesce``
-every worker pushes ``("idle", worker, sent, delivered, dropped)``
+every worker pushes ``("idle", worker, messages, deliveries, drops)``
 each time it runs out of local work -- due heap and session table both
 empty -- which is all the supervisor waits on
-(:mod:`repro.fleet.quiescence`).  Anything that raises on the way -- a
-due-queue action included -- goes home as ``("fatal", worker,
-traceback)``.
+(:mod:`repro.fleet.quiescence`).  Anything that
+raises on the way -- a due-queue action included -- goes home as
+``("fatal", worker, traceback)``.
 """
 
 from __future__ import annotations
@@ -104,18 +105,15 @@ class FleetSpec:
 class WorkerReport:
     """One worker's slice of the fleet run, merged by the supervisor.
 
-    ``sent`` counts messages the shard's nodes handed to the transport
-    (local and cross-worker alike); ``delivered`` counts messages the
-    shard's nodes processed.  A frame sent by worker A to worker B is
-    in A's ``sent`` and B's ``delivered``, so only the fleet-wide sums
+    Its ``counters`` are the shard's: ``messages`` counts rows the
+    shard's nodes sent (local and cross-worker alike), ``deliveries``
+    rows they took.  A row sent by worker A to worker B is in A's
+    ``messages`` and B's ``deliveries``, so only the fleet-wide sums
     obey conservation -- which is exactly the merged invariant the
     supervisor enforces.
     """
 
     worker: int
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
     heartbeats: int = 0
     reconnects: int = 0
     resync_frames: int = 0
@@ -205,7 +203,6 @@ class _Shard(WireRuntime):
 
         super().__init__(
             network,
-            self.report,
             hosted=self.local_repos,
             src=worker_id,
             time_scale=spec.time_scale,
@@ -229,6 +226,11 @@ class _Shard(WireRuntime):
         queue and in no counter, but its session is waiting for it."""
         return super().pending() + len(self.sessions)
 
+    def snapshot(self) -> tuple[int, int, int]:
+        """This shard's ``(messages, deliveries, drops)`` so far."""
+        counters = self.counters
+        return counters.messages, counters.deliveries, counters.drops
+
     def push_if_idle(self) -> None:
         """Once told to ``quiesce``: tell the supervisor, with a counter
         snapshot, if there is nothing left to do here.  Called wherever
@@ -236,15 +238,12 @@ class _Shard(WireRuntime):
         closed, ``quiesce`` itself arrived.
 
         Here means the due heap and the session table.  A row still in
-        a link queue or on the wire shows as ``sent - delivered -
-        dropped > 0`` across the fleet, and landing makes its receiver
+        a link queue or on the wire shows as ``messages - deliveries -
+        drops > 0`` across the fleet, and landing makes its receiver
         busy and then idle again, so somebody pushes after it.
         """
         if self.quiescing and not self.due and not self.sessions:
-            report = self.report
-            self.conn.send(
-                ("idle", self.src, report.sent, report.delivered, report.dropped)
-            )
+            self.conn.send(("idle", self.src, *self.snapshot()))
 
     #: The runtime's hook -- one message reached its fate -- is one of
     #: those places (an alias, not a second call per delivery).
@@ -255,7 +254,7 @@ class _Shard(WireRuntime):
     async def obey(self) -> None:
         """Execute the supervisor's commands until ``finish``."""
         loop = asyncio.get_running_loop()
-        conn, worker_id, report = self.conn, self.src, self.report
+        conn, worker_id = self.conn, self.src
         while True:
             self.check()  # a dead due queue is fatal, not a silent stall
             if not await loop.run_in_executor(None, conn.poll, 0.05):
@@ -276,12 +275,7 @@ class _Shard(WireRuntime):
                 self.wall_start = time.perf_counter()
                 self.start(epoch)
             elif command[0] == "stats?":
-                conn.send(
-                    (
-                        "stats", worker_id, report.sent, report.delivered,
-                        report.dropped, self.pending(),
-                    )
-                )
+                conn.send(("stats", worker_id, *self.snapshot(), self.pending()))
             elif command[0] == "sever":
                 for link in self.links.values():
                     link.sever()
@@ -298,6 +292,7 @@ class _Shard(WireRuntime):
         """Score the shard and fill in the report (after :meth:`close`)."""
         report, network, spec = self.report, self.network, self.spec
         report.wall_seconds = time.perf_counter() - self.wall_start
+        report.heartbeats, report.reconnects = self.heartbeats, self.reconnects
         report.queue_stalls = sum(link.queue.stalls for link in self.links.values())
         report.protocol_errors = self.server.protocol_errors
         report.events_processed = self.due.events_processed

@@ -30,7 +30,8 @@ data, JSON for control).  :func:`~repro.live.harness.run_live`
 turns an unchanged :class:`~repro.engine.config.SimulationConfig` into
 a running network and collects a
 :class:`~repro.live.harness.LiveRunResult`, the engine's
-:class:`~repro.engine.results.SimulationResult` plus the wire's tallies.
+:class:`~repro.engine.results.SimulationResult` plus the transport's
+name and the wall time.
 """
 
 from repro.live.harness import LiveRunResult, build_live_network, run_live

@@ -9,9 +9,9 @@ wire its transport name picks (:mod:`repro.live.transport`) and scores
 *observed* fidelity from the delivery logs with the engine's own
 epilogue (:meth:`~repro.engine.results.SimulationResult.scored`),
 returning a :class:`LiveRunResult`: a
-:class:`~repro.engine.results.SimulationResult` plus the wire's
-tallies, so experiments compare the two planes field by field (the
-``live_crosscheck`` table does exactly that, with ``==``).
+:class:`~repro.engine.results.SimulationResult` plus the transport's
+name and the wall time, so experiments compare the two planes field by
+field (the ``live_crosscheck`` table does exactly that, with ``==``).
 """
 
 from __future__ import annotations
@@ -56,20 +56,29 @@ class LiveRunResult(SimulationResult):
     Attributes:
         transport: Transport name (``inprocess``, ``tcp`` or ``fleet``).
         wall_seconds: Wall-clock duration of the run.
-        sent / delivered / dropped: Wire-level message conservation
-            (``sent == delivered + dropped`` always holds at rest).
+
+    ``sent``, ``delivered`` and ``dropped`` are the report line's names
+    for the counters' ``messages``, ``deliveries`` and ``drops``: a run
+    counts each message once.
     """
 
     transport: str
     wall_seconds: float
-    sent: int
-    delivered: int
-    dropped: int
 
     @property
-    def conserved(self) -> bool:
-        """Message conservation: every send was delivered or dropped."""
-        return self.sent == self.delivered + self.dropped
+    def sent(self) -> int:
+        """Messages sent: ``counters.messages``."""
+        return self.counters.messages
+
+    @property
+    def delivered(self) -> int:
+        """Messages delivered: ``counters.deliveries``."""
+        return self.counters.deliveries
+
+    @property
+    def dropped(self) -> int:
+        """Messages dropped, a quiescence residual included: ``counters.drops``."""
+        return self.counters.drops
 
 
 class LiveNetwork:
@@ -220,19 +229,15 @@ def check_push_only(config: SimulationConfig) -> None:
         )
 
 
-def check_pacing(
-    time_scale: float, heartbeat_interval_s: float, jitter_ms: float = 0.0
-) -> None:
+def check_pacing(time_scale: float, heartbeat_interval_s: float) -> None:
     """Refuse a time scale that is not positive and a negative
-    heartbeat or jitter (NaN fails each test) with ConfigurationError."""
+    heartbeat (NaN fails each test) with ConfigurationError."""
     if not time_scale > 0:
         raise ConfigurationError(f"time_scale must be positive, got {time_scale!r}")
     if not heartbeat_interval_s >= 0:
         raise ConfigurationError(
             f"heartbeat_interval_s must be >= 0, got {heartbeat_interval_s!r}"
         )
-    if not jitter_ms >= 0:
-        raise ConfigurationError(f"jitter_ms must be >= 0, got {jitter_ms!r}")
 
 
 def build_live_network(
@@ -287,7 +292,6 @@ def run_live(
     *,
     duration: float | None = None,
     time_scale: float = 60.0,
-    jitter_ms: float = 0.0,
     heartbeat_interval_s: float = 0.5,
     network: LiveNetwork | None = None,
 ) -> LiveRunResult:
@@ -313,7 +317,6 @@ def run_live(
             ``duration`` simulated seconds (fidelity is scored over the
             truncated window).
         time_scale: Simulated seconds per wall second (TCP only).
-        jitter_ms: Seeded per-delivery jitter bound (in-process only).
         heartbeat_interval_s: Wall seconds between TCP liveness probes
             per connection (failure runs only; 0 disables).
         network: Optional prebuilt network for exactly this config.
@@ -325,7 +328,7 @@ def run_live(
     """
     check_push_only(config)
     check_duration(duration)
-    check_pacing(time_scale, heartbeat_interval_s, jitter_ms)
+    check_pacing(time_scale, heartbeat_interval_s)
     if transport not in ("inprocess", "tcp"):
         raise ConfigurationError(
             f"unknown live transport {transport!r}; choose from ['inprocess', 'tcp']"
@@ -334,11 +337,11 @@ def run_live(
         network = build_live_network(config)
     start = time.perf_counter()
     if transport == "inprocess":
-        wire = VirtualWire(network, jitter_ms)
-        stats = wire.run(duration)
+        wire = VirtualWire(network)
+        wire.run(duration)
     else:
         wire = TcpWire(network, time_scale, heartbeat_interval_s)
-        stats = asyncio.run(wire.run(duration))
+        asyncio.run(wire.run(duration))
     wall = time.perf_counter() - start
 
     core, setup = network.reconfig, network.setup
@@ -347,13 +350,10 @@ def run_live(
         setup, core, network.span(duration), wire.due.events_processed, duration,
         transport=transport,
         wall_seconds=wall,
-        sent=stats.sent,
-        delivered=stats.delivered,
-        dropped=stats.dropped,
     )
     if core.failures is not None:
-        if stats.heartbeats:
-            result.extras["heartbeats"] = stats.heartbeats
-        if stats.reconnects:
-            result.extras["reconnects"] = stats.reconnects
+        if wire.heartbeats:
+            result.extras["heartbeats"] = wire.heartbeats
+        if wire.reconnects:
+            result.extras["reconnects"] = wire.reconnects
     return result

@@ -34,10 +34,10 @@ Message types (the ``"type"`` field):
   perf ledger's codec probes time;
 - ``heartbeat`` -- connection liveness probe sent between updates so
   severed peers are noticed and reconnected (:class:`Heartbeat`);
-  carries no data and stays out of the wire-conservation accounting;
+  carries no data and stays out of the conservation accounting;
 - ``stats`` -- periodic telemetry frame a traced fleet worker
-  piggybacks on its heartbeat cadence (:class:`Stats`): wire-level
-  send/deliver/drop totals plus the sender's pending-queue depth.
+  piggybacks on its heartbeat cadence (:class:`Stats`): its counters'
+  message/delivery/drop totals plus the sender's pending-queue depth.
   Receivers fold it into their metrics registry; like heartbeats it
   stays out of the conservation accounting and is only emitted when
   the run is traced, so untraced fleet runs put nothing extra on the
@@ -269,12 +269,13 @@ class Stats:
     Only emitted by traced fleet runs (``FleetSpec.trace``); receivers
     fold the totals into their metrics registry as
     ``peer{src}.sent`` / ``.delivered`` / ``.dropped`` / ``.pending``
-    gauges.  Purely observational: never counted toward wire
+    gauges.  Purely observational: never counted toward message
     conservation and never consulted by any dissemination decision.
 
     Attributes:
         src: Reporting worker id.
-        sent / delivered / dropped: That worker's wire totals so far.
+        sent / delivered / dropped: That worker's counters so far
+            (``messages`` / ``deliveries`` / ``drops``).
         pending: Frames queued locally (send queues + local heap).
     """
 

@@ -3,16 +3,17 @@
 Two drivers of one runtime (:mod:`repro.live.wire`, which states the
 data path, the delivery convention and the loss-and-failure judgement),
 each built on one network, with one contract -- ``run(duration)``
-replays the workload and returns wire-level :class:`TransportStats`
-whose invariant ``sent == delivered + dropped`` always holds.  They
-differ in where a destination lives and which clock releases the due
-queue, only; :func:`~repro.live.harness.run_live` picks one by name:
+replays the workload and leaves the network's
+:class:`~repro.core.metrics.CostCounters` conserved, ``messages ==
+deliveries + drops``.  They differ in where a destination lives and
+which clock releases the due queue, only;
+:func:`~repro.live.harness.run_live` picks one by name:
 
 - :class:`VirtualWire` (``inprocess``) -- every node lives here and the due
   queue is drained on its virtual clock: no link, no port, no event
-  loop.  With the seeded topology delays (plus optional seeded jitter)
-  a run is bit-reproducible for a fixed config seed, and bit-identical
-  to the simulation, under loss, failures and adaptive rewiring too.
+  loop.  With the seeded topology delays a run is bit-reproducible for a
+  fixed config seed, and bit-identical to the simulation, under loss,
+  failures and adaptive rewiring too.
 - :class:`TcpWire` (``tcp``, awaited) -- every node listens on its own localhost
   port, every hop is a row of a :class:`~repro.live.protocol.Forwards`
   frame over a real connection, and simulated time maps to the wall
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -51,39 +51,11 @@ from repro.live.wire import (
     reconcile,
     wall_factor,
 )
-from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness builds us)
     from repro.live.harness import LiveNetwork
 
-__all__ = ["TransportStats", "VirtualWire", "TcpWire"]
-
-
-@dataclass
-class TransportStats:
-    """Wire-level accounting of one live run.
-
-    Attributes:
-        sent: Messages handed to the transport.
-        delivered: Messages that reached their destination node.
-        dropped: Messages the transport gave up on: failure-schedule and
-            Bernoulli-loss drops on either transport, plus whatever the
-            TCP quiescence timeout abandons.
-        heartbeats: TCP liveness probes written; outside the
-            sent/delivered/dropped conservation (probes carry no data).
-        reconnects: TCP connections re-established after a severance.
-    """
-
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    heartbeats: int = 0
-    reconnects: int = 0
-
-    @property
-    def conserved(self) -> bool:
-        """The invariant every run must end with."""
-        return self.sent == self.delivered + self.dropped
+__all__ = ["VirtualWire", "TcpWire"]
 
 
 class VirtualWire(WireRuntime):
@@ -93,25 +65,17 @@ class VirtualWire(WireRuntime):
     row ever meets a link, a port or an event loop: the runtime's due
     queue is drained on its virtual clock.  Event ordering matches the
     simulation engine's (control before update before delivery at one
-    instant, FIFO among deliveries), and optional delivery jitter (up
-    to ``jitter_ms``) is drawn from a seeded stream, so two runs of a
-    network are identical.
+    instant, FIFO among deliveries), so two runs of a network are
+    identical.
     """
 
-    def __init__(self, network: "LiveNetwork", jitter_ms: float = 0.0) -> None:
-        super().__init__(network, TransportStats(), src=network.source_node.node)
-        if jitter_ms > 0.0:
-            seed = network.setup.config.seed
-            random = RandomStreams(seed).stream("live-jitter").random
-            self.jitter = lambda: random() * jitter_ms / 1000.0
-
-    def run(self, duration: float | None = None) -> TransportStats:
+    def run(self, duration: float | None = None) -> None:
         self.schedule_replay(duration)
         self.due.drain()
         del self.network, self.hosted  # a reference cycle: see TcpWire.run
-        if not self.stats.conserved:  # defensive: a drained queue cannot leak
-            raise SimulationError(f"in-process transport leaked messages: {self.stats}")
-        return self.stats
+        counters = self.counters
+        if counters.messages != counters.deliveries + counters.drops:  # defensive
+            raise SimulationError(f"in-process transport leaked messages: {counters}")
 
 
 class TcpWire(WireRuntime):
@@ -136,8 +100,6 @@ class TcpWire(WireRuntime):
     ) -> None:
         super().__init__(
             network,
-            TransportStats(),
-            src=network.source_node.node,
             time_scale=time_scale,
             # Liveness probes matter where connections get severed.
             heartbeat_interval_s=(
@@ -147,8 +109,7 @@ class TcpWire(WireRuntime):
         self.replayed = asyncio.Event()
         self.quiet = asyncio.Event()
 
-    async def run(self, duration: float | None = None) -> TransportStats:
-        network, stats = self.network, self.stats
+    async def run(self, duration: float | None = None) -> None:
         try:
             # One listening port and one link per destination node.
             # Every repository is one in the static d3g, and
@@ -180,15 +141,15 @@ class TcpWire(WireRuntime):
             # pass -- anything cached here that reaches a node would
             # keep one network's delivery logs alive past its run.
             del self.network, self.hosted
-        stats.dropped = reconcile(
-            stats.sent, stats.delivered, stats.dropped, network.counters
-        )
-        return stats
+        reconcile(self.counters)
 
     def settled(self) -> None:
         # Runs per delivery: the counts first, they are rarely equal.
-        stats = self.stats
-        if stats.sent == stats.delivered + stats.dropped and self.replayed.is_set():
+        counters = self.counters
+        if (
+            counters.messages == counters.deliveries + counters.drops
+            and self.replayed.is_set()
+        ):
             self.quiet.set()
 
     def control(self, t: float, event) -> bool | None:

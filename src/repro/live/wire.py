@@ -54,8 +54,14 @@ processes it *at that logical stamp*, not at the wall reading.
 Coherency filtering, queueing and fidelity scoring therefore see the
 computed dissemination schedule; what the sockets contribute is what is
 real about them -- framing, backpressure, connection loss and
-reconnects, and frames that never land.  Those are reconciled into
-drops on both accounting planes by :func:`reconcile` when the run ends.
+reconnects, and frames that never land.  Those are charged to the run's
+drops by :func:`reconcile` when the run ends.
+
+The run's :class:`~repro.core.metrics.CostCounters` are the only count
+of messages: the nodes charge ``messages`` and ``deliveries`` as they
+emit and take rows, :meth:`WireRuntime.drop` charges ``drops``, and
+every reader -- the end-of-run check, TCP's quiescence test, the
+fleet's snapshots, the telemetry frame -- reads those three.
 
 The wall budgets below absorb scheduler and socket slop.  No caller
 ever needed a second value for any of them, so they are constants, each
@@ -123,30 +129,23 @@ def wall_factor(time_scale: float) -> float:
     return min(WALL_STRETCH_CAP, max(1.0, 60.0 / time_scale))
 
 
-def reconcile(sent: int, delivered: int, dropped: int, counters: CostCounters) -> int:
+def reconcile(counters: CostCounters) -> None:
     """End-of-run accounting: whatever never landed is a drop.
 
-    Returns the wire-level drop count that makes ``sent == delivered +
-    dropped`` exact, and charges the repository plane's residual into
-    ``counters.drops`` so ``messages == deliveries + drops`` is too.
+    Charges the residual ``messages - deliveries - drops`` into
+    ``counters.drops``, so ``messages == deliveries + drops`` is exact.
 
     Raises:
-        SimulationError: when more was delivered than sent on either
-            plane -- double counting no reconciliation should hide.
+        SimulationError: when more was delivered than sent -- double
+            counting no reconciliation should hide.
     """
-    if sent < delivered + dropped:
-        raise SimulationError(
-            f"delivered more than was sent: sent={sent} "
-            f"delivered={delivered} dropped={dropped}"
-        )
     residual = counters.messages - counters.deliveries - counters.drops
     if residual < 0:
         raise SimulationError(
-            f"repositories over-delivered: messages={counters.messages} "
+            f"delivered more than was sent: messages={counters.messages} "
             f"deliveries={counters.deliveries} drops={counters.drops}"
         )
     counters.drops += residual
-    return sent - delivered
 
 
 class DueQueue(Simulator):
@@ -361,7 +360,7 @@ class Link:
         #: Connections opened so far (written into each ``Hello``), and
         #: how many of them re-established a severed one.
         self.generation = self.reconnects = 0
-        #: Liveness probes written (outside wire conservation).
+        #: Liveness probes written (outside conservation: they carry no data).
         self.heartbeats = 0
         #: Messages the pump has taken off :attr:`queue` for a write.
         self.taken = 0
@@ -574,9 +573,9 @@ class WireRuntime:
     frame server.
 
     The shared data path, one row (see the module docstring) all the
-    way: :meth:`dispatch` counts each row a node emitted, judges it at
-    its send instant and either queues it locally or on the link
-    :attr:`routes` names; the frame server validates and queues every
+    way: :meth:`dispatch` judges each row a node emitted at its send
+    instant and either queues it locally or on the link :attr:`routes`
+    names; the frame server validates and queues every
     inbound ``Forwards`` row; :meth:`deliver` runs when one comes due,
     judges it at its arrival stamp, has the node process it at that
     stamp and dispatches what the node emits, if anything.
@@ -586,44 +585,45 @@ class WireRuntime:
     the row is released, as the engine's loop does; a
     run with none of loss, churn and failures skips it whole.
 
+    Messages are counted in the network's :attr:`counters` alone (see
+    the module docstring).
+
     Args:
         network: The built network whose nodes run here.
-        stats: Wire accounting with ``sent`` / ``delivered`` /
-            ``dropped`` / ``heartbeats`` / ``reconnects`` fields.
         hosted: Ids of the nodes that take deliveries here (default:
             every repository); a row naming any other is a protocol
             violation.
-        src / host / heartbeat_interval_s: Handed to every link.
+        src / host / heartbeat_interval_s: Handed to every link
+            (``src`` defaults to the source node's id).
         time_scale: Simulated seconds per wall second.
         metrics: Optional metrics registry; when given, links export
             their gauges and heartbeats carry a ``Stats`` frame.
     """
 
-    #: Seeded slop (a call, seconds) a driver's clock adds to a local
-    #: delivery's arrival stamp, drawn only for rows that enter the network.
-    jitter: Callable[[], float] | None = None
-
     def __init__(
         self,
         network: "LiveNetwork",
-        stats,
         *,
         hosted: set[int] | None = None,
-        src: int,
+        src: int | None = None,
         time_scale: float = 1.0,
         host: str = "127.0.0.1",
         heartbeat_interval_s: float = 0.0,
         metrics=None,
     ) -> None:
         self.network = network
-        self.stats = stats
+        #: The run's one count of messages (outlives ``network``).
+        self.counters = network.counters
+        #: Liveness probes written and connections re-established, over
+        #: every link (outside conservation: probes carry no data).
+        self.heartbeats = self.reconnects = 0
         repositories = network.repositories
         if hosted is None:
             hosted = repositories
         #: The nodes that take deliveries here, by id (released with
         #: ``network``: see ``TcpWire.run``).
         self.hosted = {dst: repositories[dst] for dst in hosted}
-        self.src = src
+        self.src = network.source_node.node if src is None else src
         self.host = host
         self.heartbeat_interval_s = heartbeat_interval_s
         self.metrics = metrics
@@ -727,8 +727,7 @@ class WireRuntime:
 
     def dispatch(self, rows: list[list], now: float) -> None:
         """Send the rows a node emitted at simulated instant ``now``."""
-        self.stats.sent += len(rows)
-        judged, jitter, routes = self._judged, self.jitter, self.routes
+        judged, routes = self._judged, self.routes
         down = self._down
         due, deliver = self.due, self.deliver
         heappush, heap, next_seq = heapq.heappush, due._heap, due._seq
@@ -750,8 +749,6 @@ class WireRuntime:
                 if queue.put_nowait(row):
                     due.hold(queue)
                 continue
-            if jitter is not None:
-                row[1] += jitter()
             arrival_s = row[1]
             if not arrival_s >= released:
                 due.push(arrival_s, deliver, row)  # refuses it: push's error
@@ -760,7 +757,7 @@ class WireRuntime:
     def deliver(self, row: list) -> None:
         # Judged and processed at the logical arrival stamp (see the
         # module docstring), so the availability test, downstream
-        # filtering and scoring are free of wall jitter.
+        # filtering and scoring are free of wall-clock slop.
         dst, arrival_s, item_id, value, tag, seq, _src = row
         if self._away and (dst in self._departed or dst in self._crashed):
             # Departures ahead of crashes: the engine's precedence.
@@ -770,13 +767,11 @@ class WireRuntime:
         rows = self.hosted[dst].receive(item_id, value, tag, seq, arrival_s)
         if rows:
             self.dispatch(rows, arrival_s)
-        self.stats.delivered += 1
         self.settled()
 
     def drop(self, row: list, reason: str, t: float) -> None:
         """Count one message lost at instant ``t``, engine-comparably."""
-        self.stats.dropped += 1
-        self.network.counters.record_drop()
+        self.counters.record_drop()
         observer = self.network.observer
         if observer is not None:
             dst, _arrival_s, item_id, _value, _tag, seq, src = row
@@ -812,19 +807,19 @@ class WireRuntime:
             heappush(heap, (arrival_s, next_seq(), deliver, (row,)))
 
     def _telemetry(self) -> Stats:
-        stats = self.stats
+        counters = self.counters
         return Stats(
-            src=self.src, sent=stats.sent, delivered=stats.delivered,
-            dropped=stats.dropped, pending=self.pending(),
+            src=self.src, sent=counters.messages, delivered=counters.deliveries,
+            dropped=counters.drops, pending=self.pending(),
         )
 
     async def close(self) -> None:
         """Stop pacing, close every link (``Bye``) and the server, and
-        fold the links' probe and reconnect counts into the stats."""
+        total the links' probes and reconnects."""
         if self._due_task is not None:
             self._due_task.cancel()
             await asyncio.gather(self._due_task, return_exceptions=True)
         await asyncio.gather(*(link.close() for link in self.links.values()))
         await self.server.close()
-        self.stats.heartbeats += sum(link.heartbeats for link in self.links.values())
-        self.stats.reconnects += sum(link.reconnects for link in self.links.values())
+        self.heartbeats = sum(link.heartbeats for link in self.links.values())
+        self.reconnects = sum(link.reconnects for link in self.links.values())

@@ -47,10 +47,7 @@ def _pair(config):
 
 
 def _assert_conserved(result):
-    assert (
-        result.counters.deliveries + result.counters.drops
-        == result.counters.messages
-    )
+    assert result.conserved
 
 
 # --- event and schedule validation ----------------------------------------

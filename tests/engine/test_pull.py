@@ -111,9 +111,9 @@ def test_a_tie_between_first_polls_breaks_in_pair_order():
     ids=["fixed", "adaptive", "hybrid"],
 )
 def test_pull_conserves_messages(config):
-    counters = run_simulation(config).counters
-    assert counters.drops == 0
-    assert counters.deliveries + counters.drops == counters.messages
+    result = run_simulation(config)
+    assert result.counters.drops == 0
+    assert result.conserved
 
 
 def test_two_messages_per_poll():

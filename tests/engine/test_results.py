@@ -1,5 +1,7 @@
 """Unit tests for the result container."""
 
+import pytest
+
 from repro.core.metrics import CostCounters
 from repro.core.tree import TreeStats
 from repro.engine.results import SimulationResult
@@ -51,3 +53,17 @@ def test_extras_dict_is_writable():
     result = make_result()
     result.extras["anything"] = 42
     assert result.extras["anything"] == 42
+
+
+@pytest.mark.parametrize(
+    "deliveries, drops, conserved",
+    [(6, 4, True), (6, 3, False), (6, 5, False)],
+    ids=["balanced", "leaked", "over-delivered"],
+)
+def test_conserved_reads_the_counters(deliveries, drops, conserved):
+    """Ten messages sent: conserved only when each one was delivered or
+    dropped, neither fewer (a leak) nor more."""
+    result = make_result(messages=10)
+    result.counters.deliveries = deliveries
+    result.counters.drops = drops
+    assert result.conserved is conserved

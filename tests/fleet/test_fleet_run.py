@@ -15,6 +15,7 @@ import types
 
 import pytest
 
+from repro.core.metrics import CostCounters
 from repro.engine.churn import synthetic_schedule
 from repro.engine.config import SimulationConfig
 from repro.engine.simulation import run_simulation
@@ -319,8 +320,9 @@ def _prologue(worker, *, source=False):
 
 
 def _epilogue(worker, snapshot):
-    sent, delivered, dropped, _pending = snapshot
-    report = WorkerReport(worker=worker, sent=sent, delivered=delivered, dropped=dropped)
+    messages, deliveries, drops, _pending = snapshot
+    counters = CostCounters(messages=messages, deliveries=deliveries, drops=drops)
+    report = WorkerReport(worker=worker, counters=counters)
     return [("expect", "finish"), ("send", ("report", worker, report))]
 
 
@@ -356,7 +358,9 @@ def test_supervisor_confirms_a_candidate_with_one_wave(no_sleeping):
         _prologue(1) + [_idle(1, b)] + _wave(1, b) + _epilogue(1, b),
     )
     assert extras == {"quiesce_waves": 1}
-    assert [(r.worker, r.sent, r.delivered) for r in reports] == [(0, 3, 1), (1, 0, 2)]
+    assert [
+        (r.worker, r.counters.messages, r.counters.deliveries) for r in reports
+    ] == [(0, 3, 1), (1, 0, 2)]
 
 
 def test_supervisor_waits_for_a_second_candidate_after_a_refuted_wave(no_sleeping):

@@ -8,11 +8,13 @@ import pytest
 from repro.engine.adaptive import AdaptivePolicy
 from repro.engine.config import SimulationConfig
 from repro.engine.failures import FailureEvent, FailureSchedule
+from repro.engine.results import SimulationResult
 from repro.engine.simulation import run_simulation
 from repro.errors import ConfigurationError
 from repro.experiments.cache import fingerprint
 from repro.live import harness
 from repro.live.harness import (
+    LiveRunResult,
     build_live_network,
     check_duration,
     check_pacing,
@@ -37,9 +39,6 @@ def _result_digest(result):
             result.loss_of_fidelity,
             tuple(sorted(result.per_repository_loss.items())),
             result.counters,
-            result.sent,
-            result.delivered,
-            result.dropped,
             tuple(sorted(result.extras["per_pair_loss"].items())),
         )
     )
@@ -51,20 +50,41 @@ def test_inprocess_run_is_bit_deterministic():
     assert _result_digest(first) == _result_digest(second)
 
 
-def test_inprocess_jitter_is_seeded_and_deterministic():
-    first = run_live(CONFIG, jitter_ms=5.0)
-    second = run_live(CONFIG, jitter_ms=5.0)
-    assert _result_digest(first) == _result_digest(second)
-    # And jitter genuinely perturbs the run relative to no jitter.
-    assert _result_digest(first) != _result_digest(run_live(CONFIG))
-
-
 def test_message_conservation_holds():
     result = run_live(CONFIG)
     assert result.conserved
     assert result.dropped == 0
     assert result.delivered == result.counters.deliveries
     assert result.sent == result.counters.messages
+
+
+def test_a_live_result_adds_only_the_transport_and_the_wall_time():
+    """A run counts each message once, in its counters: ``sent``,
+    ``delivered`` and ``dropped`` read them and are no fields of their
+    own, so no second tally can drift from the first."""
+
+    def names(cls) -> set[str]:
+        return {f.name for f in dataclasses.fields(cls)}
+
+    added = names(LiveRunResult) - names(SimulationResult)
+    assert added == {"transport", "wall_seconds"}
+    result = run_live(CONFIG, duration=100.0)
+    counters = result.counters
+    assert (result.sent, result.delivered, result.dropped) == (
+        counters.messages, counters.deliveries, counters.drops
+    )
+
+
+@pytest.mark.parametrize(
+    "name, counter",
+    [("sent", "messages"), ("delivered", "deliveries"), ("dropped", "drops")],
+)
+def test_the_report_triple_is_a_read_only_view_of_the_counters(name, counter):
+    result = run_live(CONFIG, duration=100.0)
+    setattr(result.counters, counter, getattr(result.counters, counter) + 1)
+    assert getattr(result, name) == getattr(result.counters, counter)
+    with pytest.raises(AttributeError):
+        setattr(result, name, 0)
 
 
 def test_duration_truncates_replay_and_scoring_window():
@@ -168,10 +188,6 @@ def test_crash_update_and_delivery_at_one_instant_apply_in_engine_order(policy, 
     assert live.messages == sim.messages
     assert live.counters.deliveries == sim.counters.deliveries
     assert live.counters.drops == sim.counters.drops
-    # Jitter moves the deliveries off the shared instants, reproducibly.
-    first = run_live(config, jitter_ms=5.0)
-    assert _result_digest(first) == _result_digest(run_live(config, jitter_ms=5.0))
-    assert _result_digest(first) != _result_digest(live)
 
 
 def test_live_rejects_unknown_transport_and_bad_duration():
@@ -203,8 +219,6 @@ BAD_PACING = {
     "time-scale-nan": ({"time_scale": math.nan}, "time_scale must be positive"),
     "heartbeat-negative": ({"heartbeat_interval_s": -1.0}, "heartbeat_interval_s"),
     "heartbeat-nan": ({"heartbeat_interval_s": math.nan}, "heartbeat_interval_s"),
-    "jitter-negative": ({"jitter_ms": -1.0}, "jitter_ms must be >= 0"),
-    "jitter-nan": ({"jitter_ms": math.nan}, "jitter_ms must be >= 0"),
 }
 
 
@@ -216,8 +230,8 @@ def test_check_pacing_refuses_what_no_run_can_honour(pacing, message):
 
 def test_check_pacing_accepts_the_defaults_and_disabled_probes():
     check_pacing(60.0, 0.5)
-    check_pacing(1e-3, 0.0, 0.0)
-    check_pacing(5000.0, 2.0, 5.0)
+    check_pacing(1e-3, 0.0)
+    check_pacing(5000.0, 2.0)
 
 
 @pytest.mark.parametrize("transport", ["inprocess", "tcp"])
@@ -225,9 +239,9 @@ def test_check_pacing_accepts_the_defaults_and_disabled_probes():
 def test_run_live_refuses_bad_pacing_before_it_builds(
     transport, pacing, message, monkeypatch
 ):
-    """A NaN pace once "ran" a TCP network for 9 ms and returned a result,
-    and a NaN jitter silently ran without jitter; both planes refuse
-    every bad pacing input, whichever plane reads it, up front."""
+    """A NaN pace once "ran" a TCP network for 9 ms and returned a
+    result; both planes refuse every bad pacing input, whichever plane
+    reads it, up front."""
 
     def no_build(*args, **kwargs):
         raise AssertionError("a network was built for a refused run")
@@ -238,13 +252,10 @@ def test_run_live_refuses_bad_pacing_before_it_builds(
 
 
 def test_inprocess_transport_cannot_leak(monkeypatch):
-    """The defensive conservation check in the virtual-time driver."""
-    from repro.live import transport as transport_module
+    """The defensive conservation check in the virtual-time driver: a
+    row the due queue releases but nobody delivers or drops is a leak."""
+    from repro.live.transport import VirtualWire
 
-    monkeypatch.setattr(
-        transport_module.TransportStats,
-        "conserved",
-        property(lambda self: False),
-    )
-    with pytest.raises(SimulationError):
+    monkeypatch.setattr(VirtualWire, "deliver", lambda self, row: None)
+    with pytest.raises(SimulationError, match="leaked messages"):
         run_live(CONFIG)

@@ -158,12 +158,11 @@ def test_a_link_is_judged_when_the_row_is_sent_not_when_it_arrives(judged):
     apply(runtime, up)
     runtime.dispatch([row(1, 20.3, seq=3)], 20.0)  # up again at the up instant
     assert draws == {(0, 1): 2, (3, 1): 1} and len(drops()) == 1
-    stats = runtime.stats
-    assert (stats.sent, stats.dropped, stats.delivered) == (4, 1, 0)
+    counters = runtime.counters
+    assert (counters.drops, counters.deliveries) == (1, 0)
     # In flight when its link went down: delivered, as the engine does.
     runtime.deliver(in_flight)
-    assert stats.delivered == 1 and len(drops()) == 1
-    assert runtime.network.counters.drops == 1
+    assert (counters.drops, counters.deliveries) == (1, 1) and len(drops()) == 1
 
 
 def test_a_lost_row_is_a_loss_drop_stamped_at_the_send_instant(judged):
@@ -188,7 +187,7 @@ def test_a_crash_is_judged_at_the_arrival_stamp(judged):
     apply(runtime, recover)
     runtime.deliver(row(2, 40.0, seq=4))  # arrives at the recovery instant
     assert drops() == [("crash", 30.0, 1, 0, 2), ("crash", 39.9, 2, 0, 2)]
-    assert runtime.stats.delivered == 3 and runtime.stats.dropped == 2
+    assert (runtime.counters.deliveries, runtime.counters.drops) == (3, 2)
 
 
 # ---- the whole run: span for span the oracle's, and no event loop ----
@@ -280,5 +279,5 @@ def test_an_inprocess_run_needs_no_event_loop_and_no_socket(monkeypatch):
     monkeypatch.setattr(socket, "socket", refuse)
     lossy = CONFIG.with_(message_loss_probability=0.05, failures=None)
     config = lossy.with_(failures=failures_for_config(lossy, crashes=1, partitions=1))
-    result = run_live(config, "inprocess", jitter_ms=5.0)
+    result = run_live(config, "inprocess")
     assert result.conserved and result.delivered > 0 and result.dropped > 0

@@ -26,7 +26,7 @@ from repro.live.protocol import (
     ResyncRequest,
     encode_message,
 )
-from repro.live.transport import TcpWire, TransportStats, VirtualWire
+from repro.live.transport import TcpWire, VirtualWire
 
 pytestmark = pytest.mark.live
 
@@ -404,7 +404,7 @@ def one_link_runtime() -> wire.WireRuntime:
     behind one link."""
     network = build_live_network(CONFIG)
     return wire.WireRuntime(
-        network, TransportStats(), hosted=set(network.repositories), src=0,
+        network, hosted=set(network.repositories), src=0,
         time_scale=1000.0, host=HOST, heartbeat_interval_s=0.0,
     )
 
@@ -440,15 +440,15 @@ def test_an_action_that_fills_a_send_queue_holds_the_next_one_until_it_is_taken(
         await until(lambda: len(depths) == 2 and sum(map(len, seqs(frames))) == total)
         await runtime.close()
         await server.close()
-        return depths, frames, runtime.stats
+        return depths, frames, runtime.counters
 
-    depths, frames, stats = run(scenario())
+    depths, frames, counters = run(scenario())
     # The first probe ran with the backlog still queued, the second only
     # once the pump had taken all of it -- one stall, counted.
     assert depths == [(wire.QUEUE_HIGH - 1, 0), (0, 1)]
     # One write: the queue peaked at high + fan_out - 1 and went out whole.
     assert seqs(frames) == [list(range(total))]
-    assert stats.sent == total and stats.dropped == 0
+    assert counters.drops == 0
 
 
 def test_a_dead_link_under_a_stall_reports_the_eaten_write_in_order(monkeypatch):
@@ -473,14 +473,13 @@ def test_a_dead_link_under_a_stall_reports_the_eaten_write_in_order(monkeypatch)
         runtime.due.wake()
         await until(lambda: released and len(dropped) >= len(eaten))
         await runtime.close()
-        return dropped, eaten, link, runtime.stats
+        return dropped, eaten, link
 
-    dropped, eaten, link, stats = run(scenario())
+    dropped, eaten, link = run(scenario())
     # The pump taking the backlog released the held action, and the
     # write the wire then ate is reported whole, oldest row first.
     assert dropped == eaten
     assert link.queue.stalls == 1 and len(link.queue) == 0
-    assert stats.sent == 1 + len(eaten)
 
 
 # ---- the route table: where a destination lives ----
@@ -489,16 +488,18 @@ def test_a_dead_link_under_a_stall_reports_the_eaten_write_in_order(monkeypatch)
 def test_the_virtual_wire_routes_nothing_anywhere():
     runtime = VirtualWire(build_live_network(CONFIG))
     assert runtime.routes == {}
-    stats = runtime.run()
+    runtime.run()
     assert runtime.routes == {} and runtime.links == {}
-    assert stats.delivered > 0 and stats.conserved
+    assert runtime.counters.deliveries > 0
 
 
 def test_the_tcp_wire_routes_every_hosted_destination_to_its_own_link():
     network = build_live_network(CONFIG)
     runtime = TcpWire(network, time_scale=800.0)
-    stats = asyncio.run(asyncio.wait_for(runtime.run(40.0), timeout=20.0))
-    assert stats.delivered > 0 and stats.conserved
+    asyncio.run(asyncio.wait_for(runtime.run(40.0), timeout=20.0))
+    counters = runtime.counters
+    assert counters.deliveries > 0
+    assert counters.messages == counters.deliveries + counters.drops
     assert set(runtime.routes) == set(network.repositories)
     for dst, link in runtime.routes.items():
         assert link is runtime.links[dst] and link.peer == dst
@@ -562,15 +563,11 @@ def test_an_inbound_row_due_before_the_clock_gets_the_due_queues_refusal():
 # ---- end-of-run reconciliation ----
 
 
-def test_reconcile_charges_in_flight_frames_to_drops_on_both_planes():
-    counters = CostCounters()
-    counters.messages, counters.deliveries, counters.drops = 10, 7, 1
-    assert wire.reconcile(12, 9, 1, counters) == 3
-    assert counters.messages == counters.deliveries + counters.drops
+def test_reconcile_charges_in_flight_frames_to_drops():
+    counters = CostCounters(messages=10, deliveries=7, drops=1)
+    wire.reconcile(counters)
+    assert (counters.drops, counters.messages) == (3, 10)
 
-    with pytest.raises(SimulationError):
-        wire.reconcile(3, 4, 0, CostCounters())
-    over = CostCounters()
-    over.messages, over.deliveries = 2, 5
-    with pytest.raises(SimulationError):
-        wire.reconcile(5, 5, 0, over)
+    over = CostCounters(messages=2, deliveries=5)
+    with pytest.raises(SimulationError, match="delivered more than was sent"):
+        wire.reconcile(over)

@@ -1,7 +1,7 @@
 """Fleet merge and shard-plan invariants over arbitrary assignments.
 
-The fleet counts a cross-worker frame as ``sent`` on its sender and
-``delivered`` on its receiver, so no single worker report conserves --
+The fleet counts a cross-worker row in its sender's ``messages`` and its
+receiver's ``deliveries``, so no single worker's counters conserve --
 only the merged sum can, and only after the supervisor charges the
 in-flight residual to drops.  These properties pin that reconciliation
 over arbitrary traffic matrices and shard assignments: however messages
@@ -40,30 +40,26 @@ def _traffic(draw):
     return n_workers, messages
 
 
+def _reports(n_workers: int, messages) -> list[WorkerReport]:
+    """Each worker's counters after ``messages``."""
+    reports = [WorkerReport(worker=w) for w in range(n_workers)]
+    for sender, receiver, fate in messages:
+        reports[sender].counters.messages += 1
+        if fate == "delivered":
+            reports[receiver].counters.deliveries += 1
+        elif fate == "dropped":
+            reports[sender].counters.drops += 1
+        # in-flight: counted nowhere else; the merge must reconcile it.
+    return reports
+
+
 @given(_traffic())
 @settings(max_examples=examples(200), deadline=None)
 def test_merged_counters_conserve_over_any_shard_assignment(traffic):
     n_workers, messages = traffic
-    reports = [WorkerReport(worker=w) for w in range(n_workers)]
-    for sender, receiver, fate in messages:
-        reports[sender].sent += 1
-        reports[sender].counters.messages += 1
-        if fate == "delivered":
-            reports[receiver].delivered += 1
-            reports[receiver].counters.deliveries += 1
-        elif fate == "dropped":
-            reports[sender].dropped += 1
-            reports[sender].counters.drops += 1
-        # in-flight: counted nowhere else; the merge must reconcile it.
-
-    merged = merge_reports(reports)
+    merged = merge_reports(_reports(n_workers, messages))
     assert merged.sent == len(messages)
-    assert merged.sent == merged.delivered + merged.dropped
     assert merged.conserved
-    assert (
-        merged.counters.messages
-        == merged.counters.deliveries + merged.counters.drops
-    )
     in_flight = sum(1 for _s, _r, fate in messages if fate == "in-flight")
     explicit = sum(1 for _s, _r, fate in messages if fate == "dropped")
     assert merged.dropped == explicit + in_flight
@@ -73,13 +69,7 @@ def test_merged_counters_conserve_over_any_shard_assignment(traffic):
 @settings(max_examples=examples(100), deadline=None)
 def test_merge_is_independent_of_report_order(traffic):
     n_workers, messages = traffic
-    reports = [WorkerReport(worker=w) for w in range(n_workers)]
-    for sender, receiver, fate in messages:
-        reports[sender].sent += 1
-        if fate == "delivered":
-            reports[receiver].delivered += 1
-        elif fate == "dropped":
-            reports[sender].dropped += 1
+    reports = _reports(n_workers, messages)
     forward = merge_reports(list(reports))
     backward = merge_reports(list(reversed(reports)))
     assert (forward.sent, forward.delivered, forward.dropped) == (

@@ -132,8 +132,7 @@ def test_every_plane_runs_the_source_like_the_oracle_or_refuses(plane, source):
         result = PLANES[plane](config)
         oracle = PLANES["scalar"](config)
         counters = result.counters
-        assert counters.deliveries + counters.drops == counters.messages
-        assert getattr(result, "conserved", True)
+        assert result.conserved
         _assert_reconfigured(source, result)
         assert counters == oracle.counters
         assert result.loss_of_fidelity == oracle.loss_of_fidelity
