@@ -30,9 +30,10 @@ Four layers:
   updates meet many tolerances: a repository's modeled-client block
   (:meth:`Staircase.serve`, Eq. 3-or-Eq. 7 per client, one wired
   segment of the repository's log per call, at scoring) and the
-  centralised source's unique tolerances (:meth:`Staircase.tag`,
-  wrapped per item by :class:`StaircaseTagger`, which the engine and
-  the live source run).  Both rules are
+  centralised source's unique tolerances (one per item in
+  :class:`StaircaseTagger`, whose :meth:`~StaircaseTagger.tag` the
+  engine calls once per item per control segment and the live source
+  once per update).  Both rules are
   monotone in the tolerance, so a run is decided by its end elements
   and one ``bisect``, exactly; the production engine
   (:mod:`repro.engine.simulation`) runs the scalar rules, written
@@ -44,7 +45,7 @@ Four layers:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,6 @@ __all__ = [
     "FORWARD_RULES",
     "EdgeFilter",
     "SourceDecision",
-    "PASS_THROUGH",
     "SourceTagger",
     "Staircase",
     "StaircaseTagger",
@@ -286,12 +286,6 @@ class SourceDecision:
     checks: int = 0
 
 
-#: What every source but the centralised one decides, for free: it has
-#: no source-global state, so the update goes to the root's dependents
-#: like any other node's.
-PASS_THROUGH = SourceDecision(disseminate=True, tag=None, checks=0)
-
-
 class SourceTagger:
     """The centralised policy's source-side state and examination.
 
@@ -381,17 +375,20 @@ class Staircase:
     a few runs of equal values.  The state is ``ends`` (each run's
     exclusive end index, strictly increasing, the last one ``len(cs)``)
     and ``vals`` (the value each run holds; adjacent runs differ, equal
-    neighbours are merged).  Both rules below are monotone in the
-    tolerance -- at one held value, if a tolerance is served (violated),
-    so is every smaller one -- so an update can only ever move a
-    *prefix* of a run, and a run is decided by its two end elements and
-    at most one ``bisect`` instead of one test per element.
+    neighbours are merged).  Both rules run over it -- :meth:`serve`'s
+    Eq. (3)-or-Eq. (7) and the source's tag test in
+    :meth:`StaircaseTagger.tag` -- are monotone in the tolerance (at
+    one held value, if a tolerance is served or violated, so is every
+    smaller one), so an update can only ever move a *prefix* of a run,
+    and a run is decided by its two end elements and at most one
+    ``bisect`` instead of one test per element.
 
     ``cs`` is any ascending sequence ``bisect`` can index: the scoring
     pass (``ReconfigurationCore.serve_clients``, every plane's) passes a
     read-only ``memoryview`` of a client block (no per-client Python
     floats are kept alive) and one :meth:`serve` call per wired segment,
-    :class:`StaircaseTagger` a plain list of unique tolerances.
+    :class:`StaircaseTagger` a plain list of unique tolerances, which it
+    edits in place along with the runs.
     """
 
     __slots__ = ("cs", "ends", "vals")
@@ -401,29 +398,6 @@ class Staircase:
         n = len(cs)
         self.ends = [n] if n else []
         self.vals = [initial_value] if n else []
-
-    @classmethod
-    def compress(cls, cs, last_sent) -> "Staircase":
-        """The staircase of a flat last-sent column parallel to ``cs``."""
-        stairs = cls(cs, 0.0)
-        ends, vals = [], []
-        for end, held in enumerate(last_sent, start=1):
-            if vals and vals[-1] == held:
-                ends[-1] = end
-            else:
-                ends.append(end)
-                vals.append(held)
-        stairs.ends, stairs.vals = ends, vals
-        return stairs
-
-    def expand(self) -> list[float]:
-        """The flat last-sent column, one value per tolerance."""
-        flat: list[float] = []
-        start = 0
-        for end, held in zip(self.ends, self.vals):
-            flat.extend([held] * (end - start))
-            start = end
-        return flat
 
     def serve(self, values, parent_receive_c: float) -> int:
         """Serve one wired segment: for each of ``values`` in order,
@@ -500,87 +474,64 @@ class Staircase:
         self.ends, self.vals = ends, vals
         return served
 
-    def tag(self, value: float) -> float | None:
-        """Section 5.2's source step: the largest violated tolerance
-        (``None`` when none is), after marking ``value`` sent for every
-        tolerance it covers -- :func:`tag_for_update` plus
-        :meth:`SourceTagger.examine`'s store.
-
-        Within a run the violated tolerances (``deviation > c``) are a
-        prefix, so scanning runs from the widest tolerance down, the
-        first run whose lowest tolerance is violated holds the tag, just
-        below the ``bisect_left`` position of the deviation (``c <
-        deviation`` is the rule's own comparison).  Everything up to the
-        tag then holds ``value``: one run.
-        """
-        cs, ends, vals = self.cs, self.ends, self.vals
-        for k in range(len(ends) - 1, -1, -1):
-            lo = ends[k - 1] if k else 0
-            deviation = abs(value - vals[k])
-            if cs[lo] < deviation:
-                hi = ends[k]
-                cut = bisect_left(cs, deviation, lo, hi)
-                # Runs below k are covered whole; run k too unless its
-                # tail survives the cut.
-                covered = k if cut < hi else k + 1
-                ends[:covered] = [cut]
-                vals[:covered] = [value]
-                if len(vals) > 1 and vals[1] == value:
-                    del ends[0], vals[0]
-                return cs[cut - 1]
-        return None
-
-
-_NO_TOLERANCES = SourceDecision(disseminate=False, tag=None, checks=0)
-
 
 class StaircaseTagger:
     """The engine's and the live source's :class:`SourceTagger`: per item, a
     :class:`Staircase` over the ascending unique tolerances.
 
-    Bit-identical to :meth:`SourceTagger.examine` (property-tested
-    against it), at one ``bisect`` per run of equal last-sent values
-    instead of one test per tolerance.  Like the scalar tagger it counts
-    the edges serving at each tolerance, and it starts empty: the first
-    wiring and every reconfiguration call :meth:`add_tolerance` /
-    :meth:`remove_tolerance` once per wired / torn-down edge and the
-    unique list follows; a tolerance entering or leaving the list --
-    rare -- expands the staircase to the flat column, edits it and
-    compresses it again.
+    Bit-identical to :meth:`SourceTagger.examine` value by value
+    (property-tested against it), at one ``bisect`` per run of equal
+    last-sent values instead of one test per tolerance.  Like the scalar
+    tagger it counts the edges serving at each tolerance and starts
+    empty: the first wiring and every reconfiguration call
+    :meth:`add_tolerance` / :meth:`remove_tolerance` once per wired /
+    torn-down edge.  A tolerance entering or leaving the unique list --
+    rare -- splits, extends or merges the one run where it lands and
+    shifts the later run ends by one.
     """
 
     def __init__(self) -> None:
         # item -> (staircase over the ascending quantised tolerances,
-        # parallel serving-edge counts, the "nothing violated" decision:
-        # its checks -- the tolerance count -- is all that can change)
-        self._state: dict[int, tuple[Staircase, list[int], SourceDecision]] = {}
+        # parallel serving-edge counts)
+        self._state: dict[int, tuple[Staircase, list[int]]] = {}
 
-    def _install(self, item_id: int, stairs: Staircase, counts: list[int]) -> None:
-        self._state[item_id] = (
-            stairs,
-            counts,
-            SourceDecision(disseminate=False, tag=None, checks=len(counts)),
-        )
-
-    def add_tolerance(self, item_id: int, c: float, initial_value: float) -> None:
+    def add_tolerance(self, item_id: int, c: float, initial_value: float) -> float:
         """One more edge serves at (quantised) ``c``; a new tolerance
         starts from ``initial_value``, an existing entry keeps its
-        last-sent value -- like :meth:`SourceTagger.add_tolerance`."""
+        last-sent value -- like :meth:`SourceTagger.add_tolerance`.
+        Returns the quantised ``c``, which the edge serves at."""
         validate_tolerance(c, "source-tagger tolerance")
         c = quantise_tolerance(c)
-        if item_id not in self._state:
-            self._install(item_id, Staircase([], initial_value), [])
-        stairs, counts, _quiet = self._state[item_id]
+        state = self._state.get(item_id)
+        if state is None:
+            state = self._state[item_id] = (Staircase([], initial_value), [])
+        stairs, counts = state
         cs = stairs.cs
         i = bisect_left(cs, c)
         if i < len(cs) and cs[i] == c:
             counts[i] += 1
-            return
-        last_sent = stairs.expand()
+            return c
         cs.insert(i, c)
-        last_sent.insert(i, initial_value)
         counts.insert(i, 1)
-        self._install(item_id, Staircase.compress(cs, last_sent), counts)
+        ends, vals = stairs.ends, stairs.vals
+        # The run holding the tolerance that was at i (none past the end).
+        r = bisect_right(ends, i)
+        lo = ends[r - 1] if r else 0
+        if r < len(ends) and vals[r] == initial_value:
+            grow = r
+        elif r and lo == i and vals[r - 1] == initial_value:
+            grow = r - 1
+        else:
+            if lo < i:  # inside run r: split it around the newcomer
+                ends.insert(r, i)
+                vals.insert(r, vals[r])
+                r += 1
+            ends.insert(r, i)
+            vals.insert(r, initial_value)
+            grow = r
+        for k in range(grow, len(ends)):
+            ends[k] += 1
+        return c
 
     def remove_tolerance(self, item_id: int, c: float) -> None:
         """One edge serving at ``c`` is gone; forget the tolerance when
@@ -590,7 +541,7 @@ class StaircaseTagger:
         state = self._state.get(item_id)
         if state is None:
             return
-        stairs, counts, _quiet = state
+        stairs, counts = state
         cs = stairs.cs
         i = bisect_left(cs, c)
         if i == len(cs) or cs[i] != c:
@@ -598,22 +549,61 @@ class StaircaseTagger:
         if counts[i] > 1:
             counts[i] -= 1
             return
-        last_sent = stairs.expand()
-        del cs[i], last_sent[i], counts[i]
-        self._install(item_id, Staircase.compress(cs, last_sent), counts)
+        del cs[i], counts[i]
+        ends, vals = stairs.ends, stairs.vals
+        r = bisect_right(ends, i)
+        if ends[r] - (ends[r - 1] if r else 0) == 1:
+            # A run of its own: drop it, merging equal neighbours.
+            del ends[r], vals[r]
+            if 0 < r < len(ends) and vals[r - 1] == vals[r]:
+                del ends[r - 1], vals[r - 1]
+                r -= 1
+        for k in range(r, len(ends)):
+            ends[k] -= 1
 
     def unique_tolerances(self, item_id: int) -> list[float]:
         """Ascending unique tolerances, as :class:`SourceTagger` reports."""
         state = self._state.get(item_id)
         return [] if state is None else list(state[0].cs)
 
-    def examine(self, item_id: int, value: float) -> SourceDecision:
-        """:meth:`SourceTagger.examine` (Section 5.2 source step)."""
+    def tag(self, item_id: int, values) -> tuple[int, list[int], list[float]]:
+        """Section 5.2's source step for each of ``values`` in order:
+        :meth:`SourceTagger.examine` value by value.  Returns the checks
+        each value cost (the unique-tolerance count), the positions of
+        the values the source disseminates and their tags; the rest
+        violate no tolerance.
+
+        Within a run the violated tolerances (``deviation > c``) are a
+        prefix, so scanning runs from the widest tolerance down, the
+        first run whose lowest tolerance is violated holds the tag, just
+        below the ``bisect_left`` position of the deviation (``c <
+        deviation`` is the rule's own comparison).  Everything up to the
+        tag then holds the value: one run.
+        """
         state = self._state.get(item_id)
         if state is None:
-            return _NO_TOLERANCES
-        stairs, _counts, quiet = state
-        tag = stairs.tag(value)
-        if tag is None:
-            return quiet
-        return SourceDecision(disseminate=True, tag=tag, checks=quiet.checks)
+            return 0, [], []
+        stairs = state[0]
+        cs, ends, vals = stairs.cs, stairs.ends, stairs.vals
+        sent: list[int] = []
+        tags: list[float] = []
+        runs = range(len(ends) - 1, -1, -1)  # widest first
+        for position, value in enumerate(values):
+            for k in runs:
+                deviation = abs(value - vals[k])
+                lo = ends[k - 1] if k else 0
+                if cs[lo] < deviation:
+                    hi = ends[k]
+                    cut = bisect_left(cs, deviation, lo, hi)
+                    # Runs below k are covered whole; run k too unless
+                    # its tail survives the cut.
+                    covered = k if cut < hi else k + 1
+                    ends[:covered] = [cut]
+                    vals[:covered] = [value]
+                    if len(vals) > 1 and vals[1] == value:
+                        del ends[0], vals[0]
+                    runs = range(len(ends) - 1, -1, -1)
+                    sent.append(position)
+                    tags.append(cs[cut - 1])
+                    break
+        return len(cs), sent, tags

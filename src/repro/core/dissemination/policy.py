@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.core.dissemination.filtering import (
     FORWARD_RULES,
-    PASS_THROUGH,
     EdgeFilter,
     SourceDecision,
     SourceTagger,
@@ -102,7 +101,7 @@ class DisseminationPolicy:
         the centralised source has global state to examine it with; the
         others treat their dependents exactly like any repository does."""
         if self._tagger is None:
-            return PASS_THROUGH
+            return SourceDecision(disseminate=True)
         return self._tagger.examine(item_id, value)
 
     def decide(

@@ -58,9 +58,13 @@ The engine's hot path touches only flat lists, tuples and ints:
   functions the reference policy table and the live nodes call -- for
   its spans, so a traced run cross-checks the inline test.  On the
   paper's base case the loop itself calls only C (``heappush``,
-  ``heappop``, ``abs``, ``list.append``; the centralised source adds
-  one ``examine`` per update): the 0.05 Python-level calls per event
-  left are the scoring's and the tree statistics' after it.
+  ``heappop``, ``abs``, ``list.append``): the 0.05 Python-level calls
+  per event left are the scoring's and the tree statistics' after it.
+- **Source segments.**  No tolerance comes or goes between two control
+  instants, so the source updates are taken one *control segment* at a
+  time (:meth:`~VectorizedSimulation._segment`): the centralised source
+  tags each item's in one ``StaircaseTagger.tag`` pass, and only the
+  updates it disseminates reach the loop.
 - **Events.**  The loop merges the precomputed source timeline (a list
   and a cursor) with a heap of in-flight delivery tuples itself -- no
   per-message Event objects, no callback dispatch, no generator: ties
@@ -105,16 +109,14 @@ fidelity over the core's availability segments.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
 from math import inf, nan
 
-from repro.core.dissemination.filtering import (
-    FORWARD_RULES,
-    PASS_THROUGH,
-    StaircaseTagger,
-    quantise_tolerance,
-)
+import numpy as np
+
+from repro.core.dissemination.filtering import FORWARD_RULES, StaircaseTagger
 from repro.core.metrics import ArrayCounters, CostCounters
 from repro.engine.builder import SimulationSetup, build_setup
 from repro.engine.config import TTR_GROW_S, TTR_SHRINK, SimulationConfig
@@ -234,7 +236,7 @@ class VectorizedSimulation(SimulationBase):
         # The run decides inline; the observer's view calls the rule.
         self._rule = FORWARD_RULES[name]
         # The centralised policy serves at quantised tolerances, keeps no
-        # per-edge last-sent state, and examines updates at the source.
+        # per-edge last-sent state, and tags updates at the source.
         self._centralized = name == "centralized"
         # Which operands wire() stores for the one last-sent test.
         self._flooding = name == "flooding"
@@ -297,21 +299,24 @@ class VectorizedSimulation(SimulationBase):
         times = schedule.times
         if (times[1:] < times[:-1]).any():
             raise SimulationError("static schedule must be time-sorted")
-        # The timeline is the static source schedule (a list and a
-        # cursor) merged with a heap of in-flight delivery tuples,
-        # ``(time, seq, ...)``; the FIFO ``seq`` is a local int.  A NaN
-        # after the last source time compares false with every arrival,
-        # so past it only the heap drains.
+        # The timeline is the static source schedule, one control
+        # segment's list and cursor at a time (_segment; none before the
+        # first), merged with a heap of in-flight delivery tuples,
+        # ``(time, seq, ...)``; the FIFO ``seq`` is a local int.  Past a
+        # segment's end sits the time of the update that opens the next,
+        # or a NaN, which compares false with every arrival, so past the
+        # last source time only the heap drains.
         source_times = times.tolist()
         n_static = len(source_times)
         source_times.append(nan)
         source_items = schedule.item_ids.tolist()
         source_values = schedule.values.tolist()
+        seg_times, seg_ids, seg_tags, widths = [source_times[0]], [], [], {}
+        n_seg = k = end = 0
         heap: list[tuple] = []
-        seq = cursor = 0
-        next_source = source_times[0]
+        seq = 0
+        next_source = seg_times[0]
         centralized = self._centralized
-        examine = self._tagger.examine if centralized else None
         source, root_gid = self._source, self._root_gid
         node_of, item_of = self._g_node, self._g_item
         g_issrc, g_prc = self._g_issrc, self._g_prc
@@ -461,40 +466,45 @@ class VectorizedSimulation(SimulationBase):
                     observer.on_deliver(update_id, item_of[gid], t, node_of[gid])
                 log.append(t)
                 log.append(value)
-            elif cursor < n_static:
-                # A fresh source update; the static schedule index is
-                # the update's stable trace id.
-                update_id = cursor
+            elif k < n_seg:
+                # A source update, tagged as its segment began; the static
+                # schedule index is its stable trace id.
                 t = next_source
-                cursor += 1
-                next_source = source_times[cursor]
-                if next_control <= t:
-                    next_control = apply_controls(t)
+                update_id = seg_ids[k]
+                tag = seg_tags[k]
+                k += 1
+                next_source = seg_times[k]
                 item_id = source_items[update_id]
-                value = source_values[update_id]
-                if reconfigures:
-                    # Keep the root's copy current for initial syncs and
-                    # recovery resyncs (the reference's
-                    # _on_source_update does this first).
-                    self._source_value[item_id] = value
-                # Only the centralised source examines (and may suppress)
-                # an update; the other policies' at_source is a free
-                # pass-through, reported to the observer all the same.
-                decision = examine(item_id, value) if centralized else PASS_THROUGH
-                if decision.checks:
-                    source_checks += decision.checks
-                    node_checks[source] += decision.checks
                 if observer is not None:
+                    # Only the centralised source suppresses updates.
+                    disseminate = tag is not None or not centralized
                     observer.on_source(
                         update_id, item_id, t, source,
-                        decision.checks, decision.disseminate,
+                        widths.get(item_id, 0), disseminate,
                     )
-                if not decision.disseminate:
-                    continue
-                tag = decision.tag
+                    if not disseminate:
+                        continue
+                value = source_values[update_id]
                 gid = root_gid[item_id]
                 if gid < 0:
                     continue
+            elif end < n_static:
+                # The update that opens the next segment: the control
+                # entries up to it apply first.
+                t = next_source
+                if next_control <= t:
+                    next_control = apply_controls(t)
+                start = end
+                end = bisect_left(source_times, next_control, start, n_static)
+                seg_times, seg_ids, seg_tags, checks, widths = self._segment(
+                    schedule, start, end, reconfigures
+                )
+                source_checks += checks
+                node_checks[source] += checks
+                seg_times.append(source_times[end])
+                n_seg, k = len(seg_ids), 0
+                next_source = seg_times[0]
+                continue
             else:
                 break
 
@@ -609,6 +619,56 @@ class VectorizedSimulation(SimulationBase):
             )
         return result
 
+    def _segment(
+        self, schedule: UpdateSchedule, start: int, end: int, reconfigures: bool
+    ) -> tuple[list[float], list[int], list, int, dict[int, int]]:
+        """The timeline of the source updates ``start:end``, one control
+        segment (no tolerance comes or goes within it): their times,
+        schedule indices and tags, the source checks they cost and each
+        item's checks per update.  The centralised source tags each
+        item's updates in one ``StaircaseTagger.tag`` pass, and only the
+        ones it disseminates stay -- all of them, the quiet ones untagged,
+        in an observed run.  A reconfiguring run leaves the root's copy
+        of each item at its last value, for the syncs of the control
+        instant that ends the segment.
+        """
+        tagger = self._tagger
+        n = end - start
+        ids = np.arange(start, end)
+        tags: list = [None] * n
+        checks, widths = 0, {}
+        if tagger is not None or reconfigures:
+            # ``order[a:b]``: one item's offsets into the segment, in order.
+            items = schedule.item_ids[start:end]
+            order = np.argsort(items, kind="stable")
+            grouped = items[order]
+            cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+            values = schedule.values[start:end][order].tolist()
+            hits, hit_tags = [], []  # the positions in ``order`` sent
+            for a, b in zip([0] + cuts, cuts + [n]):
+                item_id = int(grouped[a])
+                if reconfigures:
+                    self._source_value[item_id] = values[b - 1]
+                if tagger is not None:
+                    width, sent, item_tags = tagger.tag(item_id, values[a:b])
+                    widths[item_id] = width
+                    checks += width * (b - a)
+                    hits += [a + position for position in sent]
+                    hit_tags += item_tags
+            if tagger is not None:
+                offsets = order[hits]
+                if self.observer is None:
+                    kept = np.zeros(n, dtype=bool)
+                    kept[offsets] = True
+                    column = np.empty(n)
+                    column[offsets] = hit_tags
+                    ids = ids[kept]
+                    tags = column[kept].tolist()
+                else:
+                    for offset, tag in zip(offsets.tolist(), hit_tags):
+                        tags[offset] = tag
+        return schedule.times[ids].tolist(), ids.tolist(), tags, checks, widths
+
     def _observe_group(
         self, gid: int, update_id: int, t: float, value: float, tag, departure: float
     ) -> None:
@@ -673,25 +733,24 @@ class VectorizedSimulation(SimulationBase):
         The tolerance column and the receive coherency hold the operands
         of the policy's inline test: ``(c, c_child)`` for distributed,
         ``(c, 0.0)`` for Eq. (3) alone, ``(0.0, 0.0)`` for flooding and
-        the quantised ``c`` for the centralised tag test.  Eq. (3) alone
+        the quantised ``c`` for the centralised tag test (the tagger's,
+        which quantises it once as it counts it).  Eq. (3) alone
         is Eq. (3)-or-Eq. (7) at a zero receive coherency, and for
         finite values "every change" is Eq. (3) at a zero tolerance
         (``|v - l| > 0`` iff ``v != l``), so the three last-sent
         policies share one test."""
+        if self._centralized:
+            served = self._tagger.add_tolerance(item_id, c, initial)
+        else:
+            served = 0.0 if self._flooding else c
         gid = self._group(parent, item_id)
         child_gid = self._group(child, item_id)
         self._g_child_gid[gid].append(child_gid)
-        if self._centralized:
-            served = quantise_tolerance(c)
-        else:
-            served = 0.0 if self._flooding else c
         self._g_cs[gid].append(served)
         self._g_last[gid].append(initial)
         self._g_delay[gid].append(self.setup.network.delay_s(parent, child))
         self._g_prc[child_gid] = c if self._eq7 else 0.0
         self._g_log[child_gid] = self._deliveries.get((child, item_id))
-        if self._centralized:
-            self._tagger.add_tolerance(item_id, c, initial)
 
 
 def make_simulation(setup: SimulationSetup, observer=None) -> SimulationBase:

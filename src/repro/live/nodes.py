@@ -186,7 +186,7 @@ class _ForwardingNode:
 
 
 class SourceNode(_ForwardingNode):
-    """Replays the workload: examines fresh updates and pushes them.
+    """Replays the workload: tags fresh updates and pushes them.
 
     For the centralised policy the node holds the engine's
     :class:`~repro.core.dissemination.filtering.StaircaseTagger`; the
@@ -217,14 +217,10 @@ class SourceNode(_ForwardingNode):
         checks = 0
         disseminate = True
         if self.tagger is not None:
-            decision = self.tagger.examine(item_id, value)
-            checks = decision.checks
-            disseminate = decision.disseminate
-            if decision.checks:
-                self.counters.record_check(
-                    self.node, is_source=True, count=decision.checks
-                )
-            tag = decision.tag if disseminate else None
+            checks, sent, tags = self.tagger.tag(item_id, (value,))
+            if checks:
+                self.counters.record_check(self.node, is_source=True, count=checks)
+            disseminate, tag = bool(sent), (tags[0] if sent else None)
         if self.observer is not None:
             self.observer.on_source(
                 self._seq - 1, item_id, now, self.node, checks, disseminate

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.dissemination.filtering import SourceDecision
 from repro.core.dissemination.filtering import (
     StaircaseTagger,
     EdgeFilter,
@@ -12,7 +11,6 @@ from repro.core.dissemination.filtering import (
     forward_eq3_only,
     forward_flooding,
     quantise_tolerance,
-    tag_for_update,
 )
 from repro.errors import ConfigurationError, DisseminationError
 
@@ -41,13 +39,6 @@ def test_forward_centralized_prunes_by_tag():
     assert forward_centralized(1.0, 1.0, 0.3, 0.0, tag=0.3)
     assert forward_centralized(1.0, 1.0, 0.1, 0.0, tag=0.3)
     assert not forward_centralized(9.0, 1.0, 0.5, 0.0, tag=0.3)
-
-
-def test_tag_for_update_picks_max_violated():
-    last = {0.1: 1.0, 0.3: 1.0, 0.5: 1.0}
-    assert tag_for_update(1.35, [0.1, 0.3, 0.5], last) == 0.3
-    assert tag_for_update(1.05, [0.1, 0.3, 0.5], last) is None
-    assert tag_for_update(2.0, [0.1, 0.3, 0.5], last) == 0.5
 
 
 def test_quantise_collapses_float_dust():
@@ -89,6 +80,16 @@ def test_source_tagger_tracks_unique_tolerances():
     assert tagger.unique_tolerances(0) == []
 
 
+def _examined(scalar, item_id, values):
+    """:meth:`SourceTagger.examine` value by value, answered in the shape
+    of :meth:`StaircaseTagger.tag`'s pass: checks per value, the
+    positions disseminated, their tags."""
+    decisions = [scalar.examine(item_id, value) for value in values]
+    (checks,) = {decision.checks for decision in decisions}
+    sent = [i for i, decision in enumerate(decisions) if decision.disseminate]
+    return checks, sent, [decisions[i].tag for i in sent]
+
+
 def test_array_tagger_counts_edges_like_the_scalar_tagger():
     scalar, array = SourceTagger(), StaircaseTagger()
     edges = [0.3, 0.1, 0.3 + 1e-12, 0.5]
@@ -96,14 +97,15 @@ def test_array_tagger_counts_edges_like_the_scalar_tagger():
         scalar.add_tolerance(0, c, 1.0)
         array.add_tolerance(0, c, 1.0)
     assert array.unique_tolerances(0) == scalar.unique_tolerances(0) == [0.1, 0.3, 0.5]
+    scalar.examine(0, 1.35)  # marks 0.1 and 0.3 as sent at 1.35
+    array.tag(0, [1.35])
     for tagger in (scalar, array):
-        tagger.examine(0, 1.35)  # marks 0.1 and 0.3 as sent at 1.35
         tagger.remove_tolerance(0, 0.3)  # one of two edges: entry and state stay
         tagger.add_tolerance(0, 0.2, 9.0)
         tagger.add_tolerance(0, 0.3, 9.0)  # existing entry keeps its last-sent
     assert array.unique_tolerances(0) == scalar.unique_tolerances(0) == [0.1, 0.2, 0.3, 0.5]
-    for value in (1.6, 1.7, 9.1, 9.4):
-        assert array.examine(0, value) == scalar.examine(0, value)
+    values = (1.6, 1.7, 9.1, 9.4)
+    assert array.tag(0, values) == _examined(scalar, 0, values)
     for tagger in (scalar, array):
         tagger.remove_tolerance(0, 0.3)
         tagger.remove_tolerance(0, 0.3)
@@ -132,16 +134,37 @@ def test_a_new_tolerance_splits_the_run_it_lands_in():
     assert runs() == ([1, 2, 4], [1.0, 9.0, 1.0])
     # 0.2 (holding 9.0) and 0.1, 0.3 (holding 1.0) are violated, 0.5 is
     # not: everything up to the tag collapses into one run.
-    assert tagger.examine(0, 1.35) == SourceDecision(True, tag=0.3, checks=4)
+    assert tagger.tag(0, [1.35]) == (4, [0], [0.3])
     assert runs() == ([3, 4], [1.35, 1.0])
-    # Nothing violated: the one decision built when the tolerance count
-    # last moved.
-    quiet = tagger.examine(0, 1.36)
-    assert quiet == SourceDecision(False, tag=None, checks=4)
-    assert tagger.examine(0, 1.34) is quiet
+    # Nothing violated: quiet updates, checked at every tolerance, move
+    # no run.
+    assert tagger.tag(0, [1.36, 1.34]) == (4, [], [])
+    assert runs() == ([3, 4], [1.35, 1.0])
     tagger.remove_tolerance(0, 0.5)
     assert runs() == ([3], [1.35])
-    assert tagger.examine(0, 1.36) == SourceDecision(False, tag=None, checks=3)
+    assert tagger.tag(0, [1.36]) == (3, [], [])
+
+
+def test_tolerances_join_and_leave_the_runs_in_place():
+    """A newcomer holding its neighbour's value extends that run; a
+    tolerance that was a run of its own takes the run with it, and equal
+    neighbours merge."""
+    tagger = StaircaseTagger()
+    for c in (0.1, 0.3, 0.5):
+        tagger.add_tolerance(0, c, 1.0)
+    stairs = tagger._state[0][0]
+    tagger.add_tolerance(0, 0.2, 9.0)
+    tagger.add_tolerance(0, 0.25, 9.0)  # right after 0.2's run: extends it
+    tagger.add_tolerance(0, 0.05, 1.0)  # in front of the first run: extends it
+    tagger.add_tolerance(0, 0.7, 4.0)  # past the end: a run of its own
+    assert (stairs.cs, stairs.ends, stairs.vals) == (
+        [0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.7], [2, 4, 6, 7], [1.0, 9.0, 1.0, 4.0]
+    )
+    tagger.remove_tolerance(0, 0.2)  # shrinks the 9.0 run
+    tagger.remove_tolerance(0, 0.25)  # empties it: 1.0 runs merge
+    assert (stairs.ends, stairs.vals) == ([4, 5], [1.0, 4.0])
+    tagger.remove_tolerance(0, 0.7)
+    assert (stairs.cs, stairs.ends, stairs.vals) == ([0.05, 0.1, 0.3, 0.5], [4], [1.0])
 
 
 def test_source_tagger_examination_marks_covered_tolerances():
@@ -160,6 +183,7 @@ def test_source_tagger_examination_marks_covered_tolerances():
 def test_source_tagger_without_tolerances_drops_updates():
     decision = SourceTagger().examine(7, 123.0)
     assert not decision.disseminate and decision.checks == 0
+    assert StaircaseTagger().tag(7, [123.0]) == (0, [], [])
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import repro.engine.simulation as vectorized_module
 from repro.core.dissemination.filtering import (
     FILTERED_POLICIES,
     FORWARD_RULES,
+    StaircaseTagger,
     quantise_tolerance,
 )
 from repro.engine.adaptive import AdaptivePolicy
@@ -358,10 +359,16 @@ def _excluded(kind):
 
 
 @pytest.mark.parametrize("kind", ["observer", "churn", "failures", "adaptive"])
-def test_runs_that_can_move_or_watch_a_pair_keep_the_heap_path(monkeypatch, kind):
+@pytest.mark.parametrize("policy", ["distributed", "centralized"])
+def test_runs_that_can_move_or_watch_a_pair_keep_the_heap_path(
+    monkeypatch, policy, kind
+):
     """A control timeline or an observer sends every delivery through
-    the heap, as before: result, logs and spans equal the oracle's."""
-    config = _excluded(kind)
+    the heap, as before: result, logs and spans equal the oracle's --
+    under the centralised policy too, whose source tags each control
+    segment's updates when the segment begins, and, observed, reports
+    the quiet ones as well."""
+    config = _excluded(kind).with_(policy=policy)
     recorder = TraceRecorder(policy=config.policy) if kind == "observer" else None
     sim, vector, pushed = _counted_run(monkeypatch, config, observer=recorder)
     # Every message that entered the network was pushed (the in-flight
@@ -377,6 +384,42 @@ def test_runs_that_can_move_or_watch_a_pair_keep_the_heap_path(monkeypatch, kind
     if recorder is None:  # the same run's spans, observed on the batch engine
         recorder = TraceRecorder(policy=config.policy)
         run_simulation(config.with_(kernel="vectorized"), observer=recorder)
+    assert _span_multiset(recorder) == _span_multiset(oracle_recorder)
+
+
+def test_a_join_at_an_update_instant_is_tagged_after_it_applies():
+    """A control entry at ``t`` applies before the source update at
+    ``t``, which opens the next tagging segment.  A quiet update of the
+    static run meets a late joiner at its very instant, needing the item
+    at a tolerance tighter than any other: the update violates the new
+    tolerance, so it disseminates -- on the oracle and on the engine,
+    observed or not."""
+    config = BASE.with_(policy="centralized")
+    static = TraceRecorder(policy=config.policy)
+    run_simulation(config, observer=static)
+    quiet = next(
+        ev for ev in static.events
+        if ev.kind == "source" and not ev.forwarded and ev.time > 100.0
+    )
+    joiner = max(build_setup(config).profiles)
+    config = config.with_(
+        churn=ChurnSchedule(
+            events=(ChurnEvent.join(quiet.time, joiner, {quiet.item_id: 0.001}),)
+        )
+    )
+    oracle_recorder = TraceRecorder(policy=config.policy)
+    oracle = DisseminationSimulation(build_setup(config), observer=oracle_recorder)
+    expected = oracle.run()
+    (source_span,) = [
+        ev for ev in oracle_recorder.events
+        if ev.kind == "source" and ev.update_id == quiet.update_id
+    ]
+    assert source_span.time == quiet.time and source_span.forwarded
+    engine = VectorizedSimulation(build_setup(config))
+    assert engine.run() == expected
+    assert _logs(engine) == _logs(oracle)
+    recorder = TraceRecorder(policy=config.policy)
+    assert run_simulation(config, observer=recorder) == expected
     assert _span_multiset(recorder) == _span_multiset(oracle_recorder)
 
 
@@ -415,6 +458,31 @@ def test_a_static_unobserved_run_calls_no_rule_and_no_kernel_drain(monkeypatch):
     # The wrappers are live: an observed run reaches the rule through them.
     VectorizedSimulation(build_setup(BASE), observer=TraceRecorder()).run()
     assert set(calls) == {BASE.policy}
+
+    # The centralised source tags each item's updates in one pass per
+    # control segment, never one per update.
+    passes = []
+    tag = StaircaseTagger.tag
+
+    def counted_tag(self, item_id, values):
+        passes.append((item_id, len(values)))
+        return tag(self, item_id, values)
+
+    monkeypatch.setattr(StaircaseTagger, "tag", counted_tag)
+    config = BASE.with_(policy="centralized", message_loss_probability=0.02)
+    churned = config.with_(
+        churn=schedule_for_config(config, joins=1, departs=1, updates=1)
+    )
+    for run in (config, churned):
+        passes.clear()
+        sim = VectorizedSimulation(build_setup(run))
+        sim.run()
+        items = sim.setup.update_schedule.item_ids.tolist()
+        assert sum(n for _item, n in passes) == len(items)  # each update once
+        segments = sim._reconfig.applied + 1
+        assert len(passes) <= len(set(items)) * segments < len(items)
+        if run is config:
+            assert sorted(item for item, _n in passes) == sorted(set(items))
 
 
 def test_the_engine_keeps_the_schedules_time_sorted_guard():

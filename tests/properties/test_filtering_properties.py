@@ -205,6 +205,16 @@ def test_vectorized_forward_tests_match_scalar_elementwise(case):
         assert dist[i] == forward_distributed(value, lasts[i], cs[i], prc)
 
 
+def _examined(scalar, item_id, values):
+    """:meth:`SourceTagger.examine` value by value, answered in the shape
+    of :meth:`StaircaseTagger.tag`'s pass: checks per value, the
+    positions disseminated, their tags."""
+    decisions = [scalar.examine(item_id, value) for value in values]
+    (checks,) = {decision.checks for decision in decisions}
+    sent = [i for i, decision in enumerate(decisions) if decision.disseminate]
+    return checks, sent, [decisions[i].tag for i in sent]
+
+
 @given(
     st.lists(_tolerance, min_size=1, max_size=6, unique=True),
     st.lists(_value, min_size=1, max_size=40),
@@ -219,8 +229,7 @@ def test_array_source_tagger_matches_scalar_tagger(cs, values, initial):
     array = StaircaseTagger()
     for c in unique:
         array.add_tolerance(0, c, initial)
-    for value in values:
-        assert array.examine(0, value) == scalar.examine(0, value)
+    assert array.tag(0, values) == _examined(scalar, 0, values)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +240,17 @@ import math
 
 from repro.core.dissemination.filtering import SourceDecision
 from repro.core.dissemination.filtering import Staircase
+
+
+def _flat(stairs: Staircase) -> list[float]:
+    """The flat last-sent column the runs stand for, one value per
+    tolerance."""
+    flat: list[float] = []
+    start = 0
+    for end, held in zip(stairs.ends, stairs.vals):
+        flat.extend([held] * (end - start))
+        start = end
+    return flat
 
 
 def _assert_canonical(stairs: Staircase) -> None:
@@ -315,7 +335,7 @@ def test_staircase_serve_is_the_elementwise_rule_over_the_flat_column(case):
             last_sent[mask] = value
             expected += int(np.count_nonzero(mask))
         assert stairs.serve(values, prc) == expected
-        assert stairs.expand() == last_sent.tolist()
+        assert _flat(stairs) == last_sent.tolist()
         _assert_canonical(stairs)
 
 
@@ -323,10 +343,11 @@ def test_staircase_serve_is_the_elementwise_rule_over_the_flat_column(case):
 #: strictly between two existing ones" survives quantisation.
 _grid = st.integers(min_value=1, max_value=300)
 
-#: (what to do, which pool value, which grid point or edge).
+#: (what to do, which pool values -- a tagging pass takes them all, the
+#: other ops the first -- which grid point or edge).
 _tagger_op = st.tuples(
-    st.sampled_from(["examine", "examine", "add_new", "add_existing", "remove"]),
-    st.integers(0, 5),
+    st.sampled_from(["tag", "tag", "add_new", "add_existing", "remove"]),
+    st.lists(st.integers(0, 5), min_size=1, max_size=6),
     _grid,
 )
 
@@ -340,13 +361,15 @@ _tagger_op = st.tuples(
 def test_staircase_tagger_follows_the_scalar_tagger_through_rewires(
     grid, pool, ops
 ):
-    """Every decision, the unique list and the per-tolerance last-sent
-    column agree with :class:`SourceTagger` while edges come and go
-    mid-stream: a *new* tolerance lands inside a run with its own
-    initial value (the run must split -- the staircase stays the
-    canonical compression of the reference column), a second edge at an
-    existing tolerance only moves a count, and removals run the item
-    down to empty."""
+    """Every tagging pass (its checks, the updates it disseminates and
+    their tags), the unique list and the per-tolerance last-sent column
+    agree with :class:`SourceTagger` examining value by value while
+    edges come and go between passes: a *new* tolerance lands inside a
+    run with its own initial value (the run must split in place -- the
+    staircase stays the canonical compression of the reference column),
+    or beside one holding that value (the run grows), a second edge at
+    an existing tolerance only moves a count, and removals -- shrinking,
+    dropping and merging runs -- run the item down to empty."""
     scalar, stairs = SourceTagger(), StaircaseTagger()
     edges = [k / 100.0 for k in grid]
     for c in edges:
@@ -358,15 +381,16 @@ def test_staircase_tagger_follows_the_scalar_tagger_through_rewires(
         assert stairs.unique_tolerances(0) == unique
         held = stairs._state[0][0]
         reference = [scalar._last_sent[0][c] for c in unique]
-        assert held.expand() == reference
+        assert _flat(held) == reference
         _assert_canonical(held)
-        assert stairs._state[0][2].checks == len(unique)
+        assert stairs.tag(0, [])[0] == len(unique)
 
     check_state()
-    for op, pick, arg in ops:
-        value = pool[pick]
-        if op == "examine":
-            assert stairs.examine(0, value) == scalar.examine(0, value)
+    for op, picks, arg in ops:
+        value = pool[picks[0]]
+        if op == "tag":
+            values = [pool[pick] for pick in picks]
+            assert stairs.tag(0, values) == _examined(scalar, 0, values)
         elif op == "add_new":
             c = arg / 100.0 + 0.005  # between grid points: new unless added before
             for tagger in (scalar, stairs):
@@ -391,7 +415,8 @@ def test_staircase_tagger_follows_the_scalar_tagger_through_rewires(
             tagger.remove_tolerance(0, c)
         check_state()
     nothing = SourceDecision(disseminate=False, tag=None, checks=0)
-    assert stairs.examine(0, pool[1]) == scalar.examine(0, pool[1]) == nothing
+    assert scalar.examine(0, pool[1]) == nothing
+    assert stairs.tag(0, [pool[1]]) == (0, [], [])
     stairs.remove_tolerance(0, 0.5)  # unknown by now: ignored, like the scalar one
     assert stairs.unique_tolerances(0) == []
 
