@@ -299,23 +299,18 @@ class VectorizedSimulation(SimulationBase):
         times = schedule.times
         if (times[1:] < times[:-1]).any():
             raise SimulationError("static schedule must be time-sorted")
-        # The timeline is the static source schedule, one control
-        # segment's list and cursor at a time (_segment; none before the
-        # first), merged with a heap of in-flight delivery tuples,
-        # ``(time, seq, ...)``; the FIFO ``seq`` is a local int.  Past a
-        # segment's end sits the time of the update that opens the next,
-        # or a NaN, which compares false with every arrival, so past the
-        # last source time only the heap drains.
+        # The timeline: one control segment's schedule indices at a time
+        # (_segment; the last is the next segment's first update, or the
+        # NaN after the schedule, which compares false with every
+        # arrival), merged with a heap of ``(time, seq, ...)`` deliveries.
         source_times = times.tolist()
         n_static = len(source_times)
         source_times.append(nan)
         source_items = schedule.item_ids.tolist()
         source_values = schedule.values.tolist()
-        seg_times, seg_ids, seg_tags, widths = [source_times[0]], [], [], {}
-        n_seg = k = end = 0
+        n_seg = k = end = seq = 0
         heap: list[tuple] = []
-        seq = 0
-        next_source = seg_times[0]
+        next_source = source_times[0]
         centralized = self._centralized
         source, root_gid = self._source, self._root_gid
         node_of, item_of = self._g_node, self._g_item
@@ -473,7 +468,7 @@ class VectorizedSimulation(SimulationBase):
                 update_id = seg_ids[k]
                 tag = seg_tags[k]
                 k += 1
-                next_source = seg_times[k]
+                next_source = source_times[seg_ids[k]]
                 item_id = source_items[update_id]
                 if observer is not None:
                     # Only the centralised source suppresses updates.
@@ -496,14 +491,13 @@ class VectorizedSimulation(SimulationBase):
                     next_control = apply_controls(t)
                 start = end
                 end = bisect_left(source_times, next_control, start, n_static)
-                seg_times, seg_ids, seg_tags, checks, widths = self._segment(
+                seg_ids, seg_tags, checks, widths = self._segment(
                     schedule, start, end, reconfigures
                 )
                 source_checks += checks
                 node_checks[source] += checks
-                seg_times.append(source_times[end])
-                n_seg, k = len(seg_ids), 0
-                next_source = seg_times[0]
+                n_seg, k = len(seg_tags), 0
+                next_source = source_times[seg_ids[0]]
                 continue
             else:
                 break
@@ -621,53 +615,46 @@ class VectorizedSimulation(SimulationBase):
 
     def _segment(
         self, schedule: UpdateSchedule, start: int, end: int, reconfigures: bool
-    ) -> tuple[list[float], list[int], list, int, dict[int, int]]:
-        """The timeline of the source updates ``start:end``, one control
-        segment (no tolerance comes or goes within it): their times,
-        schedule indices and tags, the source checks they cost and each
-        item's checks per update.  The centralised source tags each
-        item's updates in one ``StaircaseTagger.tag`` pass, and only the
-        ones it disseminates stay -- all of them, the quiet ones untagged,
-        in an observed run.  A reconfiguring run leaves the root's copy
-        of each item at its last value, for the syncs of the control
-        instant that ends the segment.
-        """
-        tagger = self._tagger
-        n = end - start
-        ids = np.arange(start, end)
-        tags: list = [None] * n
+    ) -> tuple[list[int], list, int, dict[int, int]]:
+        """One control segment's source updates, ``start:end``: their
+        schedule indices (then ``end``), tags, the checks they cost and
+        each item's checks per update.  The centralised source tags each
+        item's in one ``StaircaseTagger.tag`` pass and keeps only those it
+        disseminates (all, the quiet ones untagged, in an observed run).
+        A reconfiguring run leaves the root's copy of each item at its
+        last value, for the syncs of the instant that ends the segment."""
+        items = schedule.item_ids[start:end]
+        if reconfigures:
+            self._source_value.update(
+                zip(items.tolist(), schedule.values[start:end].tolist())
+            )
+        tagger, n = self._tagger, end - start
+        if tagger is None:
+            return range(start, end + 1), [None] * n, 0, {}
+        # ``order[a:b]``: one item's offsets into the segment, in order.
+        order = np.argsort(items, kind="stable")
+        grouped = items[order]
+        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+        values = schedule.values[start:end][order].tolist()
         checks, widths = 0, {}
-        if tagger is not None or reconfigures:
-            # ``order[a:b]``: one item's offsets into the segment, in order.
-            items = schedule.item_ids[start:end]
-            order = np.argsort(items, kind="stable")
-            grouped = items[order]
-            cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
-            values = schedule.values[start:end][order].tolist()
-            hits, hit_tags = [], []  # the positions in ``order`` sent
-            for a, b in zip([0] + cuts, cuts + [n]):
-                item_id = int(grouped[a])
-                if reconfigures:
-                    self._source_value[item_id] = values[b - 1]
-                if tagger is not None:
-                    width, sent, item_tags = tagger.tag(item_id, values[a:b])
-                    widths[item_id] = width
-                    checks += width * (b - a)
-                    hits += [a + position for position in sent]
-                    hit_tags += item_tags
-            if tagger is not None:
-                offsets = order[hits]
-                if self.observer is None:
-                    kept = np.zeros(n, dtype=bool)
-                    kept[offsets] = True
-                    column = np.empty(n)
-                    column[offsets] = hit_tags
-                    ids = ids[kept]
-                    tags = column[kept].tolist()
-                else:
-                    for offset, tag in zip(offsets.tolist(), hit_tags):
-                        tags[offset] = tag
-        return schedule.times[ids].tolist(), ids.tolist(), tags, checks, widths
+        hits, hit_tags = [], []  # the positions in ``order`` sent
+        for a, b in zip([0] + cuts, cuts + [n]):
+            item_id = int(grouped[a])
+            width, sent, item_tags = tagger.tag(item_id, values[a:b])
+            widths[item_id] = width
+            checks += width * (b - a)
+            hits += [a + position for position in sent]
+            hit_tags += item_tags
+        offsets = order[hits]
+        if self.observer is not None:
+            tags = [None] * n
+            for offset, tag in zip(offsets.tolist(), hit_tags):
+                tags[offset] = tag
+            return range(start, end + 1), tags, checks, widths
+        rank = np.argsort(offsets)
+        ids = (offsets[rank] + start).tolist()
+        ids.append(end)
+        return ids, np.array(hit_tags)[rank].tolist(), checks, widths
 
     def _observe_group(
         self, gid: int, update_id: int, t: float, value: float, tag, departure: float

@@ -13,6 +13,7 @@ from repro.core.dissemination.filtering import (
     quantise_tolerance,
 )
 from repro.errors import ConfigurationError, DisseminationError
+from scalar_tagging import examined
 
 
 def test_forward_distributed_eq3_and_eq7():
@@ -80,16 +81,6 @@ def test_source_tagger_tracks_unique_tolerances():
     assert tagger.unique_tolerances(0) == []
 
 
-def _examined(scalar, item_id, values):
-    """:meth:`SourceTagger.examine` value by value, answered in the shape
-    of :meth:`StaircaseTagger.tag`'s pass: checks per value, the
-    positions disseminated, their tags."""
-    decisions = [scalar.examine(item_id, value) for value in values]
-    (checks,) = {decision.checks for decision in decisions}
-    sent = [i for i, decision in enumerate(decisions) if decision.disseminate]
-    return checks, sent, [decisions[i].tag for i in sent]
-
-
 def test_array_tagger_counts_edges_like_the_scalar_tagger():
     scalar, array = SourceTagger(), StaircaseTagger()
     edges = [0.3, 0.1, 0.3 + 1e-12, 0.5]
@@ -105,7 +96,7 @@ def test_array_tagger_counts_edges_like_the_scalar_tagger():
         tagger.add_tolerance(0, 0.3, 9.0)  # existing entry keeps its last-sent
     assert array.unique_tolerances(0) == scalar.unique_tolerances(0) == [0.1, 0.2, 0.3, 0.5]
     values = (1.6, 1.7, 9.1, 9.4)
-    assert array.tag(0, values) == _examined(scalar, 0, values)
+    assert array.tag(0, values) == examined(scalar, 0, values)
     for tagger in (scalar, array):
         tagger.remove_tolerance(0, 0.3)
         tagger.remove_tolerance(0, 0.3)

@@ -13,6 +13,9 @@ group) make identical decisions over identical update sequences.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +30,9 @@ from repro.core.dissemination.filtering import (
 )
 from repro.core.metrics import CostCounters
 from repro.live.nodes import RepositoryNode, SourceNode
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "core"))
+from scalar_tagging import examined  # noqa: E402
 
 _value = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -205,16 +211,6 @@ def test_vectorized_forward_tests_match_scalar_elementwise(case):
         assert dist[i] == forward_distributed(value, lasts[i], cs[i], prc)
 
 
-def _examined(scalar, item_id, values):
-    """:meth:`SourceTagger.examine` value by value, answered in the shape
-    of :meth:`StaircaseTagger.tag`'s pass: checks per value, the
-    positions disseminated, their tags."""
-    decisions = [scalar.examine(item_id, value) for value in values]
-    (checks,) = {decision.checks for decision in decisions}
-    sent = [i for i, decision in enumerate(decisions) if decision.disseminate]
-    return checks, sent, [decisions[i].tag for i in sent]
-
-
 @given(
     st.lists(_tolerance, min_size=1, max_size=6, unique=True),
     st.lists(_value, min_size=1, max_size=40),
@@ -229,7 +225,7 @@ def test_array_source_tagger_matches_scalar_tagger(cs, values, initial):
     array = StaircaseTagger()
     for c in unique:
         array.add_tolerance(0, c, initial)
-    assert array.tag(0, values) == _examined(scalar, 0, values)
+    assert array.tag(0, values) == examined(scalar, 0, values)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +386,7 @@ def test_staircase_tagger_follows_the_scalar_tagger_through_rewires(
         value = pool[picks[0]]
         if op == "tag":
             values = [pool[pick] for pick in picks]
-            assert stairs.tag(0, values) == _examined(scalar, 0, values)
+            assert stairs.tag(0, values) == examined(scalar, 0, values)
         elif op == "add_new":
             c = arg / 100.0 + 0.005  # between grid points: new unless added before
             for tagger in (scalar, stairs):
